@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"repro/internal/datatype"
 	"repro/internal/mpi"
@@ -188,6 +190,125 @@ func TestUnpooledAblationAllocates(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// byteBlocks builds a monotone Hindexed memtype of n blocks of blocklen
+// bytes, one block-length apart.
+func byteBlocks(n, blocklen int64) *datatype.Type {
+	bl := make([]int64, n)
+	displs := make([]int64, n)
+	for i := range bl {
+		bl[i], displs[i] = blocklen, 2*blocklen*int64(i)
+	}
+	dt, err := datatype.Hindexed(bl, displs, datatype.Byte)
+	if err != nil {
+		panic(err)
+	}
+	return dt
+}
+
+// TestCollectiveAllocIndependentOfMemtypeEncoding: what a type derives —
+// its encoding, its compiled program — is derived once and kept with
+// the type, so a steady-state collective op allocates the same whether
+// its memtype encodes to a few hundred bytes or to tens of kilobytes.
+func TestCollectiveAllocIndependentOfMemtypeEncoding(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const d = int64(8 * allocWinSize / 2)
+	small, large := byteBlocks(64, d/64), byteBlocks(d/4, 4) // the same d data bytes each
+	if s, l := datatype.EncodedSize(small), datatype.EncodedSize(large); l < 32*s || l < 8<<10 {
+		t.Fatalf("encoded sizes %d and %d do not separate the cases", s, l)
+	}
+	_, err := mpi.Run(1, func(p *mpi.Proc) {
+		f, err := Open(p, NewShared(storage.NewMem()), Options{Engine: Listless, CollBufSize: allocWinSize})
+		if err != nil {
+			panic(err)
+		}
+		defer f.Close()
+		if err := allocView(f, d/allocBlocklen); err != nil {
+			panic(err)
+		}
+		buf := make([]byte, large.Extent())
+		bytesPerOp := func(mem *datatype.Type) int64 {
+			op := func() {
+				if _, err := f.WriteAtAll(0, 1, mem, buf); err != nil {
+					panic(err)
+				}
+				if _, err := f.ReadAtAll(0, 1, mem, buf); err != nil {
+					panic(err)
+				}
+			}
+			op() // warm: compile, pool classes, freelists
+			const ops = 10
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < ops; i++ {
+				op()
+			}
+			runtime.ReadMemStats(&m1)
+			return int64(m1.TotalAlloc-m0.TotalAlloc) / ops
+		}
+		bs, bl := bytesPerOp(small), bytesPerOp(large)
+		if slack := int64(datatype.EncodedSize(large)) / 8; bl-bs > slack {
+			t.Errorf("write+read allocates %d B with the large memtype, %d B with the small one: grows with the encoding (%d B)",
+				bl, bs, datatype.EncodedSize(large))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodedViewCollectedWithItsDerivedData: a decoded remote fileview
+// that has been navigated, walked and given a program is referenced by
+// nothing but the engine's view table, so the SetView that replaces the
+// table frees the type and, with it, everything derived from it.  With
+// programs disabled the window copies walk the tree, which is the other
+// user of the per-node index.
+func TestDecodedViewCollectedWithItsDerivedData(t *testing.T) {
+	for _, noProgram := range []bool{false, true} {
+		collected := make(chan struct{})
+		_, err := mpi.Run(1, func(p *mpi.Proc) {
+			f, err := Open(p, NewShared(storage.NewMem()),
+				Options{Engine: Listless, CollBufSize: allocWinSize, DisableProgram: noProgram})
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			ft := byteBlocks(257, 24)
+			if err := f.SetView(0, datatype.Byte, ft); err != nil {
+				panic(err)
+			}
+			buf := make([]byte, ft.Size())
+			if _, err := f.WriteAtAll(0, ft.Size(), datatype.Byte, buf); err != nil {
+				panic(err)
+			}
+			decoded := f.eng.(*listlessEngine).remote[0].ftype
+			dd := decoded.Derived()
+			if decoded == ft || dd.Nav.Load() == nil || (dd.Prog.Load() == nil) != noProgram {
+				panic("the decoded view was not navigated and compiled; the test would prove nothing")
+			}
+			runtime.SetFinalizer(decoded, func(*datatype.Type) { close(collected) })
+			decoded, dd = nil, nil
+			if err := f.SetView(0, datatype.Byte, datatype.Byte); err != nil {
+				panic(err)
+			}
+			for i := 0; i < 10; i++ {
+				runtime.GC()
+				select {
+				case <-collected:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			t.Errorf("DisableProgram=%v: decoded fileview still reachable after the SetView that dropped it", noProgram)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

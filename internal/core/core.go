@@ -205,7 +205,8 @@ type Stats struct {
 
 	// ProgramCompiles counts datatype copy programs this handle had to
 	// compile (process-wide memo-cache misses); ProgramCacheHits counts
-	// lookups satisfied by the cache.
+	// lookups satisfied by the cache or by the entry a type already
+	// holds.
 	ProgramCompiles, ProgramCacheHits int64
 }
 

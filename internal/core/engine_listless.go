@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/datatype"
 	"repro/internal/fotf"
@@ -15,17 +14,37 @@ import (
 // the read-modify-write pre-read when the combined fileviews cover the
 // written range (the mergeview optimization).
 type listlessEngine struct {
-	f      *File
-	remote []remoteView   // per-rank cached views
-	merged *datatype.Type // mergeview struct type (write optimization)
-	prog   *fotf.Program  // compiled own-fileview program; nil = walk
+	f          *File
+	payload    []byte         // own encoded view, as exchanged
+	remote     []remoteView   // per-rank cached views
+	merged     *datatype.Type // mergeview struct type (write optimization)
+	mergedEdge navEdge        // last window edge navigated on merged
+	prog       *fotf.Program  // compiled own-fileview program; nil = walk
+}
+
+// navEdge remembers the last buffer offset navigated through one view
+// and the answer.  Windows abut — the upper edge of one is the lower edge
+// of the next — so with one navEdge per view each distinct window edge
+// is navigated once.  It lives in per-view or per-access state and is
+// dropped with it; a view never changes under it.
+type navEdge struct {
+	off, data int64
+	ok        bool
+}
+
+// bufToData is fotf.BufToData(t, off) through the memo.
+func (m *navEdge) bufToData(t *datatype.Type, off int64) int64 {
+	if !m.ok || m.off != off {
+		*m = navEdge{off: off, data: fotf.BufToData(t, off), ok: true}
+	}
+	return m.data
 }
 
 // remoteView is the cached fileview of another rank, with the compiled
 // copy program of that view (shared through the memo cache, so P ranks
 // exchanging the same filetype shape compile it once).  cur resumes
-// the ascending window sequence of copyIn/copyOut; both run on the
-// collective's main goroutine only.
+// the ascending window sequence of copyIn/copyOut and edge that of the
+// window navigation; all run on the collective's main goroutine only.
 type remoteView struct {
 	disp  int64
 	ftype *datatype.Type
@@ -33,6 +52,7 @@ type remoteView struct {
 	fext  int64
 	prog  *fotf.Program
 	cur   fotf.Cursor
+	edge  navEdge
 }
 
 func (e *listlessEngine) setView() error {
@@ -44,6 +64,7 @@ func (e *listlessEngine) setView() error {
 	// pointer here is the invalidation: the previous view's program
 	// ages out of the cache LRU.
 	e.prog = e.f.lookupProgram(nil, e.f.v.ftype)
+	e.payload = encodeView(&e.f.v)
 	if !e.f.opts.DisableViewCache {
 		e.exchangeViews()
 		e.buildMergeview()
@@ -57,9 +78,8 @@ func (e *listlessEngine) setView() error {
 // encoded (compact, tree-proportional) fileview once.
 func (e *listlessEngine) exchangeViews() {
 	f := e.f
-	payload := e.encodedView()
-	f.Stats.ViewBytesSent += int64(len(payload)) // accounted once per SetView
-	parts := f.p.Allgather(payload)
+	f.Stats.ViewBytesSent += int64(len(e.payload)) // accounted once per SetView
+	parts := f.p.Allgather(e.payload)
 	e.remote = make([]remoteView, f.p.Size())
 	for r, part := range parts {
 		e.remote[r] = decodeView(r, part)
@@ -69,10 +89,12 @@ func (e *listlessEngine) exchangeViews() {
 	}
 }
 
-func (e *listlessEngine) encodedView() []byte {
-	enc := datatype.Encode(e.f.v.ftype)
+// encodeView builds the exchanged form of a view: the displacement and
+// the filetype's tree encoding.
+func encodeView(v *view) []byte {
+	enc := datatype.Encode(v.ftype)
 	payload := make([]byte, 8+len(enc))
-	putInt64(payload, e.f.v.disp)
+	putInt64(payload, v.disp)
 	copy(payload[8:], enc)
 	return payload
 }
@@ -125,31 +147,96 @@ func (e *listlessEngine) buildMergeview() {
 	// not overlap (each file byte visible through at most one view).
 	// Validate once at SetView; overlapping views (e.g. every rank using
 	// the same default byte view) fall back to the per-AP sums.
-	if m.Blocks() > 1<<22 || !nonOverlapping(m) {
+	if m.Blocks() > 1<<22 || !viewsDisjoint(e.remote, ext) {
 		e.merged = nil
 		return
 	}
-	e.merged = m
+	e.merged, e.mergedEdge = m, navEdge{}
 }
 
-// nonOverlapping reports whether one instance of t covers each byte at
-// most once, including across the tiling boundary.
-func nonOverlapping(t *datatype.Type) bool {
-	type seg struct{ off, end int64 }
-	segs := make([]seg, 0, t.Blocks())
-	t.Walk(func(off, length int64) {
-		segs = append(segs, seg{off, off + length})
-	})
-	sort.Slice(segs, func(i, j int) bool { return segs[i].off < segs[j].off })
-	var prevEnd int64 = -1 << 62
-	for _, s := range segs {
-		if s.off < prevEnd {
+// viewRuns yields the data runs of one instance of a filetype in type-map
+// order — ascending, for a validated filetype — fetching them from the
+// tree a chunk of data bytes at a time: the pull form of fotf.Runs that
+// a merge of several views needs.  off and end are the current run, done
+// is set past the last one.
+type viewRuns struct {
+	t        *datatype.Type
+	emit     fotf.EmitFunc
+	next     int64      // data offset the next fetch starts at
+	groups   []runGroup // the chunk fetched last
+	gi       int        // current group
+	k        int64      // current run within it
+	off, end int64
+	done     bool
+}
+
+type runGroup struct{ off, runLen, stride, n int64 }
+
+// viewRunsChunk is the data bytes per fetch: a few hundred groups at
+// most, whatever the view.
+const viewRunsChunk = 64 << 10
+
+func newViewRuns(t *datatype.Type) *viewRuns {
+	s := &viewRuns{t: t}
+	s.emit = func(bufOff, _, runLen, stride, n int64) {
+		s.groups = append(s.groups, runGroup{bufOff, runLen, stride, n})
+	}
+	s.advance()
+	return s
+}
+
+// advance steps to the next run.
+func (s *viewRuns) advance() {
+	if s.gi < len(s.groups) {
+		if s.k++; s.k == s.groups[s.gi].n {
+			s.gi, s.k = s.gi+1, 0
+		}
+	}
+	for s.gi == len(s.groups) {
+		if s.next >= s.t.Size() {
+			s.done = true
+			return
+		}
+		s.groups, s.gi = s.groups[:0], 0
+		hi := min(s.next+viewRunsChunk, s.t.Size())
+		fotf.Runs(s.t, s.next, hi, s.emit)
+		s.next = hi
+	}
+	g := &s.groups[s.gi]
+	s.off = g.off + s.k*g.stride
+	s.end = s.off + g.runLen
+}
+
+// viewsDisjoint reports whether the views, which share a displacement
+// and the extent ext, cover each byte of one extent at most once and keep
+// their data inside it, so that tiling preserves that.  Every view is a
+// validated filetype, so its runs ascend, and a P-way merge of the run
+// streams meets an overlap as a run starting before its predecessor's
+// end: O(runs) time, O(P) memory, stopping at the first overlap.  (Were
+// a stream not ascending, the merge would report an overlap, which only
+// costs the optimization.)
+func viewsDisjoint(views []remoteView, ext int64) bool {
+	streams := make([]*viewRuns, len(views))
+	for i := range views {
+		streams[i] = newViewRuns(views[i].ftype)
+	}
+	var prevEnd int64 // data below offset 0 would overlap the previous tile
+	for {
+		var first *viewRuns
+		for _, s := range streams {
+			if !s.done && (first == nil || s.off < first.off) {
+				first = s
+			}
+		}
+		if first == nil {
+			return prevEnd <= ext
+		}
+		if first.off < prevEnd {
 			return false
 		}
-		prevEnd = s.end
+		prevEnd = first.end
+		first.advance()
 	}
-	// Tiling: data must stay within one extent window.
-	return prevEnd <= t.Extent() && (len(segs) == 0 || segs[0].off >= 0)
 }
 
 // Engine-neutral navigation uses O(depth) flattening-on-the-fly calls.
@@ -249,6 +336,7 @@ func (vc *listlessViewCursor) eachRun(c int64, emit func(fileOff, dataOff, ln in
 type listlessAPState struct {
 	e     *listlessEngine
 	d0, d int64
+	edge  navEdge
 }
 
 // apSetup exchanges the encoded views on every access when fileview
@@ -270,7 +358,7 @@ func (s *listlessAPState) window(winLo, winHi int64) (a, b int64) {
 // offset, clipped to [d0, d0+d) — O(depth) listless navigation.
 func (s *listlessAPState) dataAtSelf(x int64) int64 {
 	v := &s.e.f.v
-	da := fotf.BufToData(v.ftype, x-v.disp)
+	da := s.edge.bufToData(v.ftype, x-v.disp)
 	if da < s.d0 {
 		return s.d0
 	}
@@ -298,8 +386,8 @@ func (e *listlessEngine) iopSetup(pl *collPlan) (iopState, error) {
 // dataAtRemote maps an absolute file offset to rank r's access data
 // offset via its cached fileview, clipped to r's access range.
 func (s *listlessIOPState) dataAtRemote(r int, x int64) int64 {
-	rv := s.e.remote[r]
-	da := fotf.BufToData(rv.ftype, x-rv.disp)
+	rv := &s.e.remote[r]
+	da := rv.edge.bufToData(rv.ftype, x-rv.disp)
 	lo, hi := s.pl.d0s[r], s.pl.d0s[r]+s.pl.ds[r]
 	if da < lo {
 		return lo
@@ -364,8 +452,9 @@ func (w *listlessIOPWindow) covered() bool {
 		return true
 	}
 	disp := e.remote[0].disp
-	got := fotf.BufToData(e.merged, w.winHi-disp) - fotf.BufToData(e.merged, w.winLo-disp)
-	return got == w.winHi-w.winLo
+	lo := e.mergedEdge.bufToData(e.merged, w.winLo-disp)
+	hi := e.mergedEdge.bufToData(e.merged, w.winHi-disp)
+	return hi-lo == w.winHi-w.winLo
 }
 
 func (w *listlessIOPWindow) copyIn(buf []byte, r int, chunk []byte) {

@@ -14,11 +14,15 @@ import (
 // only on the filetype tree, so programs are memoized process-wide and
 // keyed by the same compact tree encoding that SetView registers with a
 // view-capable backend (the server-side view registration payload minus
-// its displacement prefix).  Handles never invalidate entries directly:
-// SetView replaces the handle's program pointers, and the cache itself
-// ages stale encodings out through its LRU cap — a re-register of a
-// recent view (the common BTIO pattern of alternating views) is a hit,
-// while a churn of distinct views evicts and recompiles.
+// its displacement prefix).  The key is what lets distinct Type values
+// with equal trees share one program: every rank decodes its own copy of
+// every exchanged view.  A Type remembers the entry it was answered with
+// (lookupProgram), so the cache is asked once per type.  Handles never
+// invalidate entries directly: SetView replaces the handle's program
+// pointers, and the cache itself ages stale encodings out through its
+// LRU cap — a re-register of a recent view (the common BTIO pattern of
+// alternating views) is a hit, while a churn of distinct views evicts
+// and recompiles.
 const programCacheCap = 64
 
 // progEntry is one memoized compile result.  prog may be nil: a type
@@ -52,21 +56,19 @@ func newProgramCache(capacity int) *programCache {
 // once, not P times.
 var programs = newProgramCache(programCacheCap)
 
-// lookup returns the memoized program for t (which may be nil when t
+// lookup returns the memoized entry for t (whose prog may be nil when t
 // declines compilation), compiling on miss.  enc is the compact tree
 // encoding used as the key; pass nil to derive it from t.
-func (pc *programCache) lookup(enc []byte, t *datatype.Type) (prog *fotf.Program, hit bool) {
+func (pc *programCache) lookup(enc []byte, t *datatype.Type) (e *progEntry, hit bool) {
 	if enc == nil {
 		enc = datatype.Encode(t)
 	}
-	key := string(enc)
 	pc.mu.Lock()
-	if el, ok := pc.m[key]; ok {
+	if el, ok := pc.m[string(enc)]; ok { // no copy of enc on the hit path
 		pc.lru.MoveToFront(el)
-		p := el.Value.(*progEntry).prog
 		pc.mu.Unlock()
 		pc.hits.Add(1)
-		return p, true
+		return el.Value.(*progEntry), true
 	}
 	pc.mu.Unlock()
 
@@ -77,20 +79,22 @@ func (pc *programCache) lookup(enc []byte, t *datatype.Type) (prog *fotf.Program
 	pc.compileNs.Add(time.Since(t0).Nanoseconds())
 	pc.compiles.Add(1)
 
+	key := string(enc)
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if el, ok := pc.m[key]; ok {
 		pc.lru.MoveToFront(el)
-		return el.Value.(*progEntry).prog, false
+		return el.Value.(*progEntry), false
 	}
-	pc.m[key] = pc.lru.PushFront(&progEntry{key: key, prog: p})
+	e = &progEntry{key: key, prog: p}
+	pc.m[key] = pc.lru.PushFront(e)
 	for pc.lru.Len() > pc.cap {
 		old := pc.lru.Back()
 		pc.lru.Remove(old)
 		delete(pc.m, old.Value.(*progEntry).key)
 		pc.evictions.Add(1)
 	}
-	return p, false
+	return e, false
 }
 
 // size reports the resident entry count (for the obs gauge).
@@ -100,17 +104,27 @@ func (pc *programCache) size() int64 {
 	return int64(pc.lru.Len())
 }
 
-// lookupProgram is the handle-side entry point: it memoizes the
-// compiled program for t, accounting the hit or compile on this
-// handle's Stats and metrics.  It returns nil — and the caller falls
-// back to the recursive walk — when programs are disabled by the
-// ablation, when t is contiguous-tiled (a single memmove needs no
+// lookupProgram is the handle-side entry point: it returns the compiled
+// program for t, accounting the hit or compile on this handle's Stats
+// and metrics.  The process-wide cache is consulted once per type: the
+// entry it answers with is kept in t's derived-data slot, so a type used
+// again — the memtype of every collective op — costs one load and no
+// encoding, and holds its program for as long as the type lives,
+// whatever the LRU evicts.  enc is t's encoding where the caller has it
+// at hand (a received view), else nil.  The result is nil — and the
+// caller falls back to the recursive walk — when programs are disabled
+// by the ablation, when t is contiguous-tiled (a single memmove needs no
 // program), or when t declines compilation.
 func (f *File) lookupProgram(enc []byte, t *datatype.Type) *fotf.Program {
 	if f.opts.DisableProgram || t == nil || t.ContiguousTiled() {
 		return nil
 	}
-	p, hit := programs.lookup(enc, t)
+	handle := &t.Derived().Prog
+	e, hit := handle.Load().(*progEntry)
+	if !hit {
+		e, hit = programs.lookup(enc, t)
+		e = handle.Store(e).(*progEntry)
+	}
 	if hit {
 		f.Stats.ProgramCacheHits++
 		f.om.progHits.Inc()
@@ -118,5 +132,5 @@ func (f *File) lookupProgram(enc []byte, t *datatype.Type) *fotf.Program {
 		f.Stats.ProgramCompiles++
 		f.om.progCompiles.Inc()
 	}
-	return p
+	return e.prog
 }

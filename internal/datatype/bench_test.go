@@ -32,7 +32,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 	}
 	b.Run("encode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Encode(sub)
+			appendType(nil, sub) // the encoder; Encode memoizes per type
 		}
 	})
 	enc := Encode(sub)

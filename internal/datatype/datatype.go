@@ -8,7 +8,8 @@
 // analyzed by Worringen, Träff and Ritzdorf, "Fast Parallel Non-Contiguous
 // File Access" (SC'03).
 //
-// Types are immutable after construction and safe for concurrent use.
+// Types are immutable after construction and safe for concurrent use;
+// data derived from a type is memoized in its Derived slot.
 // All offsets, sizes and extents are in bytes unless stated otherwise.
 package datatype
 
@@ -76,6 +77,8 @@ type Type struct {
 	displs    []int64 // byte displacements (indexed, struct)
 	child     *Type   // contiguous, vector, indexed, resized
 	children  []*Type // struct
+
+	derived Derived // lazily filled; the only part of a Type that changes
 }
 
 // Kind reports the constructor kind of t.

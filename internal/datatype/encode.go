@@ -11,14 +11,19 @@ import (
 // contiguous blocks.  This is the "compact representation" that the
 // listless engine exchanges once per fileview (fileview caching), in
 // place of the per-access ol-list exchange of list-based I/O.
+//
+// The encoding is canonical — equal trees encode to equal bytes, so it
+// serves as a key — and is computed once per Type and kept with it (see
+// Derived): every call on one Type returns the same slice, which the
+// caller must not modify.
 func Encode(t *Type) []byte {
-	var buf []byte
-	return appendType(buf, t)
+	return t.encoding()
 }
 
-// EncodedSize reports len(Encode(t)) without allocating the encoding.
+// EncodedSize reports len(Encode(t)).  Like Encode it computes the
+// encoding on the first call for a Type and allocates nothing afterwards.
 func EncodedSize(t *Type) int {
-	return len(Encode(t))
+	return len(t.encoding())
 }
 
 func appendType(buf []byte, t *Type) []byte {

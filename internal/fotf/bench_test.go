@@ -78,16 +78,29 @@ func BenchmarkStartPos(b *testing.B) {
 	}
 }
 
+// BenchmarkBufToData: buffer offset -> data offset on a regular vector
+// and on a monotone irregular Hindexed of 32768 blocks (the benchmark's
+// irr geometry); the two should differ by search steps, not by the block
+// count.
 func BenchmarkBufToData(b *testing.B) {
-	dt := benchType(b, 8)
-	offs := make([]int64, 1024)
-	r := rand.New(rand.NewSource(9))
-	for i := range offs {
-		offs[i] = r.Int63n(dt.Extent())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BufToData(dt, offs[i%len(offs)])
+	for _, c := range []struct {
+		name string
+		dt   *datatype.Type
+	}{
+		{"vector", benchType(b, 8)},
+		{"irregular-32k", monotoneHindexed(b, 1<<15)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			offs := make([]int64, 1024)
+			r := rand.New(rand.NewSource(9))
+			for i := range offs {
+				offs[i] = r.Int63n(c.dt.Extent())
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				BufToData(c.dt, offs[i%len(offs)])
+			}
+		})
 	}
 }
 

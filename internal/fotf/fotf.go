@@ -11,7 +11,8 @@
 //     the number of bytes skipped;
 //   - TypeExtent / TypeSize (the paper's MPIR_Type_ff_extent and
 //     MPIR_Type_ff_size) convert between data sizes and buffer extents
-//     at arbitrary starting points in O(depth), replacing the O(N_block)
+//     at arbitrary starting points in O(depth · log node-blocks) (see
+//     navigate.go for the exact condition), replacing the O(N_block)
 //     linear ol-list traversal of list-based positioning;
 //   - Runs enumerates the contiguous runs backing a data range as
 //     *groups* of evenly spaced runs, so that callers copy with tight
@@ -26,44 +27,89 @@
 package fotf
 
 import (
-	"sync"
+	"math"
 
 	"repro/internal/datatype"
 )
 
-// nodeInfo caches per-node prefix sums for indexed and struct nodes so
-// that block lookup inside a node is O(log blocks-of-node) instead of
-// linear.  The tables are proportional to the *tree* (the node's own
-// block count), never to the expanded number of leaf blocks.
+// nodeInfo is the navigation index of one indexed or struct node.  The
+// tables are proportional to the *tree* (the node's own block count),
+// never to the expanded number of leaf blocks, and live in the node's
+// derived-data slot, so they are built once per node and freed with it.
 type nodeInfo struct {
-	cumSize []int64 // cumSize[i] = data bytes in blocks [0,i)
+	// cumSize[i] = data bytes in blocks [0,i): data offset -> block is a
+	// binary search (findBlock).
+	cumSize []int64
+	// ends is non-nil iff the node is sorted: the data ranges
+	// [displ+trueLB, displ+trueUB) of its non-empty blocks are ascending
+	// and disjoint in block order, as in every monotone filetype.  Then
+	// buffer offset -> block is a binary search too (firstEndAbove):
+	// ends[i] is the end of block i's range, and an empty block repeats
+	// its predecessor's entry, so ends is non-decreasing and the search
+	// never lands on an empty block.  A node whose blocks interleave (the
+	// mergeview struct) has ends == nil and is summed block by block.
+	ends []int64
 }
 
-var nodeCache sync.Map // *datatype.Type -> *nodeInfo
+// blockChild returns the element type of block i of an indexed or struct
+// node.
+func blockChild(t *datatype.Type, i int) *datatype.Type {
+	if t.Kind() == datatype.KindStruct {
+		return t.Children()[i]
+	}
+	return t.Child()
+}
 
 func info(t *datatype.Type) *nodeInfo {
-	if v, ok := nodeCache.Load(t); ok {
+	nav := &t.Derived().Nav
+	if v := nav.Load(); v != nil {
 		return v.(*nodeInfo)
 	}
-	var ni nodeInfo
-	switch t.Kind() {
-	case datatype.KindIndexed:
-		bl := t.Blocklens()
-		cs := t.Child().Size()
-		ni.cumSize = make([]int64, len(bl)+1)
-		for i, b := range bl {
-			ni.cumSize[i+1] = ni.cumSize[i] + b*cs
+	return nav.Store(buildInfo(t)).(*nodeInfo)
+}
+
+func buildInfo(t *datatype.Type) *nodeInfo {
+	bl := t.Blocklens()
+	displs := t.Displs()
+	ni := &nodeInfo{cumSize: make([]int64, len(bl)+1), ends: make([]int64, len(bl))}
+	prevEnd := int64(math.MinInt64)
+	for i, b := range bl {
+		c := blockChild(t, i)
+		ni.cumSize[i+1] = ni.cumSize[i] + b*c.Size()
+		if ni.ends == nil {
+			continue
 		}
-	case datatype.KindStruct:
-		bl := t.Blocklens()
-		ch := t.Children()
-		ni.cumSize = make([]int64, len(bl)+1)
-		for i, b := range bl {
-			ni.cumSize[i+1] = ni.cumSize[i] + b*ch[i].Size()
+		if b > 0 && c.Size() > 0 {
+			// The block's instances tile at the child's extent, which
+			// may be negative.
+			span := (b - 1) * c.Extent()
+			lo := displs[i] + min(0, span) + c.TrueLB()
+			if lo < prevEnd {
+				ni.ends = nil
+				continue
+			}
+			prevEnd = displs[i] + max(0, span) + c.TrueUB()
+		}
+		ni.ends[i] = prevEnd
+	}
+	return ni
+}
+
+// firstEndAbove returns the first block whose data range ends above
+// buffer offset off; every earlier block lies wholly below off and every
+// later one wholly at or above it.  The node must be sorted and the
+// caller guarantees off < trueUB, so such a block exists.
+func (ni *nodeInfo) firstEndAbove(off int64) int {
+	lo, hi := 0, len(ni.ends)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ni.ends[mid] <= off {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	v, _ := nodeCache.LoadOrStore(t, &ni)
-	return v.(*nodeInfo)
+	return lo
 }
 
 // findBlock returns the index i of the block containing data offset d,

@@ -3,10 +3,26 @@ package fotf
 import "repro/internal/datatype"
 
 // Datatype navigation (the paper's MPIR_Type_ff_size and
-// MPIR_Type_ff_extent, §3.2.1).  Both directions cost O(tree depth ·
-// log node-blocks) and are independent of the expanded block count and of
-// the magnitude of the offsets — the property that lets the listless
-// engine position anywhere in a fileview without traversing ol-lists.
+// MPIR_Type_ff_extent, §3.2.1).  Cost, with depth the tree depth and B
+// the largest block count of any single indexed or struct node:
+//
+//   - data offset -> buffer offset (StartPos, EndPos, TypeExtent) is
+//     O(depth · log B) for every type: the block holding a data offset is
+//     found in the node's prefix sums.
+//   - buffer offset -> data offset (BufToData, TypeSize) is O(depth · log B)
+//     when every indexed and struct node on the path is sorted — the data
+//     ranges of its non-empty blocks ascend without overlapping in block
+//     order, which nodeInfo observes once per node and which holds
+//     throughout any monotone type map, i.e. any validated filetype.  A
+//     node whose blocks interleave (the mergeview struct of P fileviews)
+//     is summed block by block instead: O(blocks of that node) times the
+//     cost below it.  Vector, contiguous and tiled repetition are closed
+//     form either way; only a non-positive stride or tile extent, which
+//     no monotone type has, is scanned instance by instance.
+//
+// Neither direction depends on the expanded block count or on the
+// magnitude of the offsets — the property that lets the listless engine
+// position anywhere in a fileview without traversing ol-lists.
 
 // StartPos returns the buffer offset of data byte d of the indefinitely
 // tiled type t.  d must be >= 0.
@@ -64,16 +80,10 @@ func pos1(t *datatype.Type, d int64, end bool) int64 {
 		}
 		return k*t.StrideBytes() + posTiled(child, child.Extent(), rem, end)
 
-	case datatype.KindIndexed:
+	case datatype.KindIndexed, datatype.KindStruct:
 		ni := info(t)
 		i := locateBlock(ni, d, end)
-		child := t.Child()
-		return t.Displs()[i] + posTiled(child, child.Extent(), d-ni.cumSize[i], end)
-
-	case datatype.KindStruct:
-		ni := info(t)
-		i := locateBlock(ni, d, end)
-		c := t.Children()[i]
+		c := blockChild(t, i)
 		return t.Displs()[i] + posTiled(c, c.Extent(), d-ni.cumSize[i], end)
 	}
 	return 0
@@ -103,9 +113,13 @@ func posTiled(child *datatype.Type, tile, d int64, end bool) int64 {
 }
 
 // BufToData returns the number of data bytes of the indefinitely tiled t
-// located at buffer offsets strictly below off.  t must have a monotone
-// type map (guaranteed for validated filetypes); results are undefined
-// otherwise.
+// located at buffer offsets strictly below off; off may be negative or
+// many tiles out.  Element extents and t's own extent must be positive,
+// as in every monotone type map (guaranteed for validated filetypes);
+// the displacements of an indexed or struct node may come in any order.
+// It costs O(depth · log node-blocks) when t's indexed and struct nodes
+// are sorted, as a monotone type map makes them, and is linear in the
+// blocks of each unsorted node otherwise; see the file comment.
 func BufToData(t *datatype.Type, off int64) int64 {
 	size := t.Size()
 	if size == 0 {
@@ -170,27 +184,20 @@ func bufToData1(t *datatype.Type, off int64) int64 {
 		}
 		return d
 
-	case datatype.KindIndexed:
-		child := t.Child()
+	case datatype.KindIndexed, datatype.KindStruct:
+		ni := info(t)
 		bl := t.Blocklens()
 		displs := t.Displs()
-		var d int64
-		for i := range bl { // node-local, tree-sized loop
-			if bl[i] == 0 {
-				continue
-			}
-			d += bufToDataTiled(child, bl[i], child.Extent(), off-displs[i])
+		if ni.ends != nil {
+			// Sorted node: blocks before i are wholly below off and
+			// blocks after it wholly above.
+			i := ni.firstEndAbove(off)
+			c := blockChild(t, i)
+			return ni.cumSize[i] + bufToDataTiled(c, bl[i], c.Extent(), off-displs[i])
 		}
-		return d
-
-	case datatype.KindStruct:
-		bl := t.Blocklens()
-		displs := t.Displs()
 		var d int64
-		for i, c := range t.Children() {
-			if bl[i] == 0 || c.Size() == 0 {
-				continue
-			}
+		for i := range bl { // unsorted node: blocks interleave, sum them all
+			c := blockChild(t, i)
 			d += bufToDataTiled(c, bl[i], c.Extent(), off-displs[i])
 		}
 		return d

@@ -577,11 +577,19 @@ func (l *link) writer() {
 				group += FrameHeaderSize + int64(len(fr.data))
 				l.t.framesSent.Add(1)
 			}
+			// Count the group, like its frames above, before it can reach
+			// the peer: once a byte is on the socket the peer may count
+			// it, deliver it and let the world finish, and a snapshot
+			// taken then must already hold the sender's side of it.  A
+			// failed write takes back what did not leave.
+			l.t.bytesSent.Add(group)
 			// WriteTo consumes a shifting view; keep bufs' own header
 			// intact and clear the payload refs afterwards.
 			view := bufs
 			n, err := view.WriteTo(l.conn)
-			l.t.bytesSent.Add(n)
+			if n != group {
+				l.t.bytesSent.Add(n - group)
+			}
 			total += n
 			werr = err
 			for i := range bufs {
@@ -648,8 +656,8 @@ func (l *link) reader() {
 }
 
 // countingReader counts bytes as they cross the socket, feeding both
-// WireStats and the watchdog's progress signal.  (The writer counts
-// from writev return values directly.)
+// WireStats and the watchdog's progress signal.  (The writer counts a
+// group as it commits it to writev.)
 type countingReader struct {
 	r io.Reader
 	n *atomic.Int64
