@@ -258,6 +258,50 @@ func TypeSize(t *datatype.Type, skip, extent int64) int64 {
 	return BufToData(t, a+extent) - skip
 }
 
+// Monotone reports whether t, tiled indefinitely at its extent, lays its
+// data out in ascending buffer order with no two bytes sharing an offset:
+// the condition under which the data below a buffer offset (BufToData) is
+// a prefix of the data, so a buffer range holds one contiguous data range.
+// Every legal MPI-IO filetype is monotone.  The answer comes from the
+// tree — strides and extents against the spans they must clear, and each
+// indexed or struct node's sortedness from its navigation index — never
+// from the expanded type map, and it is conservative: false means only
+// "not shown", and callers then enumerate runs instead of navigating.
+func Monotone(t *datatype.Type) bool {
+	return t.Size() > 0 && tilesAscend(t, 2)
+}
+
+// tilesAscend reports whether n instances of t tiled at t's extent are
+// monotone.  Types without data (the LB/UB markers) cannot misorder any.
+func tilesAscend(t *datatype.Type, n int64) bool {
+	if t.Size() == 0 {
+		return true
+	}
+	if n > 1 && t.Extent() < t.TrueExtent() {
+		return false
+	}
+	switch t.Kind() {
+	case datatype.KindResized:
+		return tilesAscend(t.Child(), 1)
+	case datatype.KindContiguous:
+		return tilesAscend(t.Child(), t.Count())
+	case datatype.KindVector:
+		c := t.Child()
+		block := (t.Blocklen()-1)*c.Extent() + c.TrueExtent()
+		return tilesAscend(c, t.Blocklen()) && (t.Count() <= 1 || t.StrideBytes() >= block)
+	case datatype.KindIndexed, datatype.KindStruct:
+		if info(t).ends == nil {
+			return false
+		}
+		for i, b := range t.Blocklens() {
+			if !tilesAscend(blockChild(t, i), b) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func floorDiv(a, b int64) int64 {
 	q := a / b
 	if (a%b != 0) && ((a < 0) != (b < 0)) {

@@ -276,3 +276,78 @@ func TestBufToDataSublinear(t *testing.T) {
 		t.Errorf("BufToData on 2^16 blocks costs %v/call, %v on 2^8: not sub-linear", large, small)
 	}
 }
+
+// ascending reports, from the oracle's runs alone, whether three tiles of
+// the type lay their data out in ascending order without overlap.
+func (o navOracle) ascending() bool {
+	end := int64(-1 << 62)
+	for k := int64(0); k < 3; k++ {
+		for _, r := range o.runs {
+			if r[1] == 0 {
+				continue
+			}
+			if k*o.ext+r[0] < end {
+				return false
+			}
+			end = k*o.ext + r[0] + r[1]
+		}
+	}
+	return true
+}
+
+// TestMonotone holds the structural test to the type map: it may never
+// call a type monotone whose runs do not ascend, and it must recognise
+// the shapes fileviews are made of — every generated legal filetype
+// among them — or they would lose the navigated path for nothing.
+func TestMonotone(t *testing.T) {
+	pair := vec(t, 2, 1, 3, datatype.Int32) // runs at 0 and 12, extent 16
+	shrunk, err := datatype.Resized(pair, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lapped, err := datatype.Contiguous(2, shrunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := datatype.Hvector(3, 1, -8, datatype.Int32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight, err := datatype.Hvector(3, 2, 6, datatype.Int32) // blocks of 8 bytes, 6 apart
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		dt   *datatype.Type
+		want bool
+	}{
+		{"vector", vec(t, 16, 8, 1024, datatype.Byte), true},
+		{"monotone hindexed", monotoneHindexed(t, 64), true},
+		{"hindexed of holey children", hindexed(t, []int64{1, 2}, []int64{0, 16}, pair), true},
+		{"unsorted hindexed", hindexed(t, []int64{2, 1, 3}, []int64{64, 0, 24}, datatype.Double), false},
+		{"interleaved children", hindexed(t, []int64{1, 1}, []int64{0, 4}, pair), false},
+		{"tiles overlap", shrunk, false},
+		{"contiguous of overlapping tiles", lapped, false},
+		{"negative stride", back, false},
+		{"stride inside the block", tight, false},
+	}
+	for _, c := range cases {
+		if got := Monotone(c.dt); got != c.want {
+			t.Errorf("%s: Monotone = %v, want %v", c.name, got, c.want)
+		}
+		if Monotone(c.dt) && !newNavOracle(c.dt).ascending() {
+			t.Errorf("%s: called monotone, runs do not ascend", c.name)
+		}
+	}
+	r := rand.New(rand.NewSource(14))
+	for i := 0; i < 500; i++ {
+		dt := datatype.RandomFiletype(r, 2+i%3)
+		if !Monotone(dt) {
+			t.Errorf("legal filetype %v not recognised as monotone", dt)
+		}
+		if !newNavOracle(dt).ascending() {
+			t.Fatalf("generator produced a non-ascending filetype %v", dt)
+		}
+	}
+}

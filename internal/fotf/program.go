@@ -326,6 +326,14 @@ func (p *Program) Runs(d0, d1 int64, emit EmitFunc) {
 	}
 }
 
+// RunCount reports how many contiguous runs back [d0, d1) — what Runs
+// would enumerate, counted a group at a time.
+func (p *Program) RunCount(d0, d1 int64) int64 {
+	var runs int64
+	p.Runs(d0, d1, func(_, _, _, _, n int64) { runs += n })
+	return runs
+}
+
 // emitGroup is the enumeration twin of execGroup.
 func emitGroup(gbase, gdata int64, g *progGroup, glo, ghi int64, emit EmitFunc) {
 	bl := g.blocklen

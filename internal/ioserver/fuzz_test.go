@@ -109,6 +109,8 @@ func FuzzServerRequest(f *testing.F) {
 	f.Add(seedReq(8, vs(1, 0, int64(fuzzMaxFrame)*4)))          // oversized view range
 	f.Add(seedReq(14, vs(0)))                                   // unknown op (tag 0)
 	f.Add(append(seedReq(7, reg), seedReq(8, vs(1, 0, 16))...)) // register then use
+	// Register, then read a range whose file offsets would wrap int64.
+	f.Add(append(seedReq(7, reg), seedReq(8, vs(1, 1<<62, 1<<62+16))...))
 	// Raw-phase shapes: a hostile length header (payload length field
 	// far beyond MaxFrame) and assorted garbage.
 	hostile := make([]byte, 12)

@@ -62,26 +62,44 @@ func NewJournal(b storage.Backend) *Journal {
 	return &Journal{b: b}
 }
 
-// appendRec seals buf[start:] with its CRC and appends it to the store.
-func (j *Journal) appendRec(rec []byte) error {
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, crcTab))
-	if _, err := j.b.WriteAt(rec, j.end); err != nil {
+// seal closes the record that starts at buf[start] with its CRC.
+func seal(buf []byte, start int) []byte {
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTab))
+}
+
+// appendRecs appends the sealed records in j.buf to the store with one
+// write.
+func (j *Journal) appendRecs() error {
+	if _, err := j.b.WriteAt(j.buf, j.end); err != nil {
 		return err
 	}
-	j.end += int64(len(rec))
+	j.end += int64(len(j.buf))
 	return nil
 }
 
 // AppendStage journals one staged write of epoch id.
 func (j *Journal) AppendStage(epoch uint64, off int64, data []byte) error {
+	return j.AppendStages(epoch, []storage.Segment{{Off: off, Buf: data}})
+}
+
+// AppendStages journals the staged writes of one request of epoch id:
+// one record per segment, all of them appended with a single write.  A
+// crash mid-write leaves a valid prefix of the records and a torn tail,
+// as a crash between per-record writes would.
+func (j *Journal) AppendStages(epoch uint64, segs []storage.Segment) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.buf = append(j.buf[:0], recStage)
-	j.buf = binary.AppendUvarint(j.buf, epoch)
-	j.buf = binary.AppendVarint(j.buf, off)
-	j.buf = binary.AppendVarint(j.buf, int64(len(data)))
-	j.buf = append(j.buf, data...)
-	return j.appendRec(j.buf)
+	j.buf = j.buf[:0]
+	for _, sg := range segs {
+		start := len(j.buf)
+		j.buf = append(j.buf, recStage)
+		j.buf = binary.AppendUvarint(j.buf, epoch)
+		j.buf = binary.AppendVarint(j.buf, sg.Off)
+		j.buf = binary.AppendVarint(j.buf, int64(len(sg.Buf)))
+		j.buf = append(j.buf, sg.Buf...)
+		j.buf = seal(j.buf, start)
+	}
+	return j.appendRecs()
 }
 
 // AppendCommit journals the commit decision for epoch id and syncs the
@@ -91,8 +109,8 @@ func (j *Journal) AppendCommit(epoch uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.buf = append(j.buf[:0], recCommit)
-	j.buf = binary.AppendUvarint(j.buf, epoch)
-	if err := j.appendRec(j.buf); err != nil {
+	j.buf = seal(binary.AppendUvarint(j.buf, epoch), 0)
+	if err := j.appendRecs(); err != nil {
 		return err
 	}
 	return j.sync()
@@ -102,8 +120,8 @@ func (j *Journal) AppendCommit(epoch uint64) error {
 func (j *Journal) AppendSeal() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.buf = append(j.buf[:0], recSeal)
-	if err := j.appendRec(j.buf); err != nil {
+	j.buf = seal(append(j.buf[:0], recSeal), 0)
+	if err := j.appendRecs(); err != nil {
 		return err
 	}
 	return j.sync()

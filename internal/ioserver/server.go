@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/datatype"
+	"repro/internal/fotf"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -70,8 +72,15 @@ type Server struct {
 		bytesRead, bytesWritten          atomic.Int64
 		stagedWrites, epochsCommitted    atomic.Int64
 		epochsSealed, epochsAborted      atomic.Int64
+		sieveWindows, sieveBytes         atomic.Int64
 	}
 	opNs map[int]*obs.Hist // per-op handling latency, when Metrics is set
+
+	// locks serializes writers to the stripe by local byte range: a sieve
+	// window is a read-modify-write, so every write to Backend — view,
+	// raw, or epoch apply — holds its range (sieve.go).
+	locks  *storage.LockTable
+	window int64 // sieve window size: sieveWindow, smaller in tests so that requests straddle windows
 
 	// Epoch commit state: staged holds each in-flight epoch's parked
 	// segments (applied to Backend only at commit), lastCommitted the
@@ -115,6 +124,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		journal:     j,
 		incarnation: time.Now().UnixNano(),
+		locks:       storage.NewLockTable(),
+		window:      sieveWindow,
 		staged:      make(map[uint64][]storage.Segment),
 		conns:       make(map[net.Conn]struct{}),
 		done:        make(chan struct{}),
@@ -135,6 +146,8 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 	r.GaugeFunc("ioserver_raw_writes_total", "opWrite and opWritev requests served.", s.stats.rawWrites.Load)
 	r.GaugeFunc("ioserver_view_reads_total", "opViewRead requests served.", s.stats.viewReads.Load)
 	r.GaugeFunc("ioserver_view_writes_total", "opViewWrite requests served.", s.stats.viewWrites.Load)
+	r.GaugeFunc("ioserver_sieve_windows_total", "Sieve windows moved (page-dense pieces of view, list and commit traffic).", s.stats.sieveWindows.Load)
+	r.GaugeFunc("ioserver_sieve_bytes_total", "Stripe bytes the sieve windows read and wrote back.", s.stats.sieveBytes.Load)
 	r.GaugeFunc("ioserver_view_registrations_total", "opRegister requests that decoded a new view.", s.stats.viewRegs.Load)
 	r.GaugeFunc("ioserver_view_cache_hits_total", "opRegister requests answered from the view LRU.", s.stats.viewHits.Load)
 	r.GaugeFunc("ioserver_view_stale_handles_total", "View requests naming an evicted or unknown handle.", s.stats.staleHandles.Load)
@@ -327,6 +340,11 @@ type serverView struct {
 	handle uint64
 	disp   int64
 	t      *datatype.Type
+	// prog is the view's compiled copy program, built once at
+	// registration.  Non-nil selects the navigated path (eachUnit and
+	// viewMove); it is nil when the view is not navigable or declines
+	// compilation, and the request then walks the view run by run.
+	prog *fotf.Program
 }
 
 // connState is the per-connection handler state: the registered-view
@@ -341,8 +359,9 @@ type connState struct {
 	lru    []*serverView          // least recent first
 	nextID uint64
 
-	resp []byte            // response staging buffer, reused
-	segs []storage.Segment // vectored-call staging, reused
+	resp  []byte            // response staging buffer, reused
+	segs  []storage.Segment // vectored-call staging, reused
+	units []unitPiece       // sieve-window staging, reused
 
 	// Staging tally for the connection's in-flight epoch, echoed by
 	// opEpochSeal so the client can verify nothing staged was lost to a
@@ -426,6 +445,9 @@ func (st *connState) dispatch(tag int, payload []byte) ([]byte, error) {
 		if n < 0 {
 			return nil, fmt.Errorf("%w: negative truncate %d", errBadRequest, n)
 		}
+		// A sieve window beyond n must not write back what it read
+		// before the cut.
+		defer st.srv.locks.Lock(n, math.MaxInt64)()
 		return nil, st.srv.cfg.Backend.Truncate(n)
 	case opSync:
 		return nil, st.srv.cfg.Backend.Sync()
@@ -499,7 +521,10 @@ func (st *connState) opWrite(payload []byte) ([]byte, error) {
 	}
 	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerWrite, off, int64(len(data)))
 	defer sp.End()
-	if _, err := st.srv.cfg.Backend.WriteAt(data, off); err != nil {
+	unlock := st.srv.locks.Lock(off, off+int64(len(data)))
+	_, err = st.srv.cfg.Backend.WriteAt(data, off)
+	unlock()
+	if err != nil {
 		return nil, err
 	}
 	st.srv.stats.rawWrites.Add(1)
@@ -587,7 +612,7 @@ func (st *connState) opWritev(payload []byte) ([]byte, error) {
 		st.segs = append(st.segs, storage.Segment{Off: e[0], Buf: payload[pos : pos+e[1]]})
 		pos += e[1]
 	}
-	if err := storage.WriteAtv(st.srv.cfg.Backend, st.segs); err != nil {
+	if err := st.srv.moveSegs(st.segs, true); err != nil {
 		return nil, err
 	}
 	st.srv.stats.rawWrites.Add(1)
@@ -619,6 +644,9 @@ func (st *connState) opRegister(payload []byte) ([]byte, error) {
 	}
 	st.nextID++
 	v := &serverView{key: string(payload), handle: st.nextID, disp: disp, t: t}
+	if navigable(t, disp) {
+		v.prog = fotf.Compile(t)
+	}
 	st.views[v.handle] = v
 	st.byKey[v.key] = v
 	st.lru = append(st.lru, v)
@@ -644,106 +672,121 @@ func (st *connState) touch(v *serverView) {
 	}
 }
 
-// opView serves opViewRead / opViewWrite: handle, d0, d1 [, data].  The
-// server walks the registered pattern over [d0, d1), keeps the pieces
-// its stripe owns, and moves them against its local backend in data
-// order — one vectored call per request in the common case, flushed in
-// bounded batches so a hostile many-tiny-runs view cannot force an
-// oversized segment list.
-func (st *connState) opView(payload []byte, write bool) ([]byte, error) {
+// viewReq decodes the (handle, d0, d1) head of a view request and looks
+// the handle up; rest is what follows the head.
+func (st *connState) viewReq(payload []byte) (v *serverView, d0, d1 int64, rest []byte, err error) {
 	h, payload, err := getV(payload)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, nil, err
 	}
-	d0, payload, err := getV(payload)
-	if err != nil {
-		return nil, err
+	if d0, payload, err = getV(payload); err != nil {
+		return nil, 0, 0, nil, err
 	}
-	d1, payload, err := getV(payload)
-	if err != nil {
-		return nil, err
+	if d1, payload, err = getV(payload); err != nil {
+		return nil, 0, 0, nil, err
 	}
 	if d0 < 0 || d1 < d0 || d1-d0 > int64(st.srv.cfg.MaxFrame) {
-		return nil, fmt.Errorf("%w: view range [%d,%d)", errBadRequest, d0, d1)
+		return nil, 0, 0, nil, fmt.Errorf("%w: view range [%d,%d)", errBadRequest, d0, d1)
 	}
 	v, ok := st.views[uint64(h)]
 	if !ok {
 		st.srv.stats.staleHandles.Add(1)
 		st.srv.cfg.Tracer.Instant(trace.PhaseServerViewStale, h, 0, "")
-		return nil, fmt.Errorf("view handle %d: %w", h, errStale)
+		return nil, 0, 0, nil, fmt.Errorf("view handle %d: %w", h, errStale)
 	}
-	cfg := &st.srv.cfg
+	return v, d0, d1, payload, nil
+}
 
-	// Allocation pass: this stripe's share of the range.
-	var total int64
-	err = walkView(v.t, v.disp, cfg.Geom, d0, d1, func(stripe int, _, _, n int64) error {
-		if stripe == cfg.Index {
-			total += n
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+// errShortStream reports a view write whose payload ends before the
+// bytes its stripe owns do (a read's stream is sized to the whole range
+// and cannot run short).
+func errShortStream(stream []byte) error {
+	return fmt.Errorf("%w: view write carries %d bytes, stripe owns more", errBadRequest, len(stream))
+}
 
-	var data []byte
-	ph := trace.PhaseServerViewRead
-	if write {
-		if int64(len(payload)) != total {
-			return nil, fmt.Errorf("%w: view write carries %d bytes, stripe owns %d of [%d,%d)", errBadRequest, len(payload), total, d0, d1)
-		}
-		data = payload
-		ph = trace.PhaseServerViewWrite
-	} else {
-		st.resp = grow(st.resp[:0], total)
-		data = st.resp
-	}
-	sp := cfg.Tracer.BeginIO(ph, d0, total)
-	defer sp.End()
-
-	// Transfer pass: gather the owned pieces into bounded vectored
-	// batches against the local store.
+// ownedSegs walks data range [d0, d1) of the view run by run and appends
+// the pieces this stripe owns to st.segs as segments over stream, in
+// data order.  Whenever flushAt of them have gathered it calls flush,
+// which must consume st.segs; a nil flush gathers them all.  It returns
+// the stream bytes the pieces cover, and fails when stream is shorter.
+func (st *connState) ownedSegs(v *serverView, d0, d1 int64, stream []byte, flush func() error) (int64, error) {
 	const flushAt = 1024
-	st.segs = st.segs[:0]
+	cfg := &st.srv.cfg
 	var pos int64
-	flush := func() error {
-		if len(st.segs) == 0 {
-			return nil
-		}
-		var err error
-		if write {
-			err = storage.WriteAtv(cfg.Backend, st.segs)
-		} else {
-			err = storage.ReadAtv(cfg.Backend, st.segs)
-		}
-		st.segs = st.segs[:0]
-		return err
-	}
-	err = walkView(v.t, v.disp, cfg.Geom, d0, d1, func(stripe int, localOff, _, n int64) error {
+	err := walkView(v.t, v.disp, cfg.Geom, d0, d1, func(stripe int, localOff, _, n int64) error {
 		if stripe != cfg.Index {
 			return nil
 		}
-		st.segs = append(st.segs, storage.Segment{Off: localOff, Buf: data[pos : pos+n]})
+		if pos+n > int64(len(stream)) {
+			return errShortStream(stream)
+		}
+		st.segs = append(st.segs, storage.Segment{Off: localOff, Buf: stream[pos : pos+n]})
 		pos += n
-		if len(st.segs) >= flushAt {
+		if flush != nil && len(st.segs) >= flushAt {
 			return flush()
 		}
 		return nil
 	})
-	if err == nil {
-		err = flush()
+	return pos, err
+}
+
+// opView serves opViewRead / opViewWrite: handle, d0, d1 [, data].  The
+// server cuts [d0, d1) of the registered pattern at its stripe's units
+// in one pass and moves the bytes it owns against its local backend in
+// data order.  A navigable view takes viewMove: no run is enumerated
+// unless its window turns out not to be page-dense.  Any other view is
+// walked run by run, in bounded batches so that a hostile
+// many-tiny-runs view cannot force an oversized segment list.
+func (st *connState) opView(payload []byte, write bool) ([]byte, error) {
+	v, d0, d1, payload, err := st.viewReq(payload)
+	if err != nil {
+		return nil, err
+	}
+	srv := st.srv
+	stream, ph := payload, trace.PhaseServerViewWrite
+	if !write {
+		// The stripe's share is known only once the pass is over, and
+		// is at most the whole range.
+		st.resp = grow(st.resp[:0], d1-d0)
+		stream, ph = st.resp, trace.PhaseServerViewRead
+	}
+	var total int64
+	sp := srv.cfg.Tracer.BeginIO(ph, d0, 0)
+	defer func() { sp.EndBytes(total) }()
+
+	if v.prog != nil {
+		m := viewMove{st: st, v: v, write: write, stream: stream, units: st.units[:0]}
+		err = eachUnit(v.t, v.disp, srv.cfg.Geom, srv.cfg.Index, d0, d1, m.addUnit)
+		if err == nil {
+			err = m.flush()
+		}
+		st.units, total = m.units, m.pos
+	} else {
+		st.segs = st.segs[:0]
+		flush := func() error {
+			err := srv.moveSegs(st.segs, write)
+			st.segs = st.segs[:0]
+			return err
+		}
+		total, err = st.ownedSegs(v, d0, d1, stream, flush)
+		if err == nil {
+			err = flush()
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	if write {
-		st.srv.stats.viewWrites.Add(1)
-		st.srv.stats.bytesWritten.Add(total)
+		if total != int64(len(payload)) {
+			return nil, fmt.Errorf("%w: view write carries %d bytes, stripe owns %d of [%d,%d)", errBadRequest, len(payload), total, d0, d1)
+		}
+		srv.stats.viewWrites.Add(1)
+		srv.stats.bytesWritten.Add(total)
 		return nil, nil
 	}
-	st.srv.stats.viewReads.Add(1)
-	st.srv.stats.bytesRead.Add(total)
-	return st.resp, nil
+	srv.stats.viewReads.Add(1)
+	srv.stats.bytesRead.Add(total)
+	return st.resp[:total], nil
 }
 
 // grow returns buf extended to n bytes, reallocating only when the

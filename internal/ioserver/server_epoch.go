@@ -20,26 +20,24 @@ import (
 // bounced mid-epoch (empty tally where its stage log says otherwise) and
 // that the incarnation it sealed against is the one the commit reaches.
 
-// stageEpoch parks segs under epoch, journaling each segment first.  The
-// data is copied: request payloads are reused per frame.
+// stageEpoch journals one request's segments under epoch and parks them.
+// The segments' bytes are kept, not copied: they alias the request's
+// frame payload, which transport.FrameConn.ReadFrame allocates per frame
+// and hands over, so they stay intact until the epoch is applied or
+// dropped.  (The segment headers are copied; segs itself is scratch.)
 func (s *Server) stageEpoch(epoch uint64, segs []storage.Segment) error {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	var total int
-	for _, sg := range segs {
-		total += len(sg.Buf)
+	if err := s.journal.AppendStages(epoch, segs); err != nil {
+		return err
 	}
-	buf := make([]byte, 0, total)
+	s.staged[epoch] = append(s.staged[epoch], segs...)
+	var total int64
 	for _, sg := range segs {
-		if err := s.journal.AppendStage(epoch, sg.Off, sg.Buf); err != nil {
-			return err
-		}
-		start := len(buf)
-		buf = append(buf, sg.Buf...)
-		s.staged[epoch] = append(s.staged[epoch], storage.Segment{Off: sg.Off, Buf: buf[start:]})
+		total += int64(len(sg.Buf))
 	}
 	s.stats.stagedWrites.Add(1)
-	s.stats.bytesWritten.Add(int64(total))
+	s.stats.bytesWritten.Add(total)
 	return nil
 }
 
@@ -67,10 +65,8 @@ func (s *Server) commitEpoch(epoch uint64, incarnation int64) error {
 	if err := s.journal.AppendCommit(epoch); err != nil {
 		return err
 	}
-	if len(segs) > 0 {
-		if err := storage.WriteAtv(s.cfg.Backend, segs); err != nil {
-			return err
-		}
+	if err := s.moveSegs(segs, true); err != nil {
+		return err
 	}
 	if err := s.cfg.Backend.Sync(); err != nil {
 		return err
@@ -200,63 +196,27 @@ func (st *connState) opStageWritev(payload []byte) ([]byte, error) {
 
 // opStageViewWrite: epoch, handle, d0, d1, data → — (staged
 // opViewWrite): the server walks the registered pattern like opView but
-// stages the owned pieces instead of writing them.
+// stages the owned pieces instead of writing them, run by run because
+// the journal records runs.
 func (st *connState) opStageViewWrite(payload []byte) ([]byte, error) {
 	epoch, payload, err := getEpoch(payload)
 	if err != nil {
 		return nil, err
 	}
-	h, payload, err := getV(payload)
+	v, d0, d1, payload, err := st.viewReq(payload)
 	if err != nil {
 		return nil, err
 	}
-	d0, payload, err := getV(payload)
-	if err != nil {
-		return nil, err
-	}
-	d1, payload, err := getV(payload)
-	if err != nil {
-		return nil, err
-	}
-	if d0 < 0 || d1 < d0 || d1-d0 > int64(st.srv.cfg.MaxFrame) {
-		return nil, fmt.Errorf("%w: view range [%d,%d)", errBadRequest, d0, d1)
-	}
-	v, ok := st.views[uint64(h)]
-	if !ok {
-		st.srv.stats.staleHandles.Add(1)
-		st.srv.cfg.Tracer.Instant(trace.PhaseServerViewStale, h, 0, "")
-		return nil, fmt.Errorf("view handle %d: %w", h, errStale)
-	}
-	cfg := &st.srv.cfg
-
 	var total int64
-	err = walkView(v.t, v.disp, cfg.Geom, d0, d1, func(stripe int, _, _, n int64) error {
-		if stripe == cfg.Index {
-			total += n
-		}
-		return nil
-	})
-	if err != nil {
+	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerStage, d0, 0)
+	defer func() { sp.EndBytes(total) }()
+	st.segs = st.segs[:0]
+	if total, err = st.ownedSegs(v, d0, d1, payload, nil); err != nil {
 		return nil, err
 	}
-	if int64(len(payload)) != total {
+	if total != int64(len(payload)) {
 		return nil, fmt.Errorf("%w: staged view write carries %d bytes, stripe owns %d of [%d,%d)",
 			errBadRequest, len(payload), total, d0, d1)
-	}
-	sp := cfg.Tracer.BeginIO(trace.PhaseServerStage, d0, total)
-	defer sp.End()
-	st.segs = st.segs[:0]
-	var pos int64
-	err = walkView(v.t, v.disp, cfg.Geom, d0, d1, func(stripe int, localOff, _, n int64) error {
-		if stripe != cfg.Index {
-			return nil
-		}
-		st.segs = append(st.segs, storage.Segment{Off: localOff, Buf: payload[pos : pos+n]})
-		pos += n
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	if err := st.srv.stageEpoch(epoch, st.segs); err != nil {
 		return nil, err

@@ -32,10 +32,11 @@ type Striped struct {
 }
 
 // aggView is one registered view: the shared wire form plus the decoded
-// tree for the client-side partition walk.
+// tree for the client-side partition, and which of its two cuts applies.
 type aggView struct {
-	v *View
-	t *datatype.Type
+	v         *View
+	t         *datatype.Type
+	navigable bool
 }
 
 // NewStriped mounts the servers at addrs as one striped backend with
@@ -218,7 +219,7 @@ func (s *Striped) RegisterView(disp int64, ftype *datatype.Type) (storage.ViewHa
 	if disp < 0 {
 		return 0, fmt.Errorf("ioserver: negative displacement %d: %w", disp, storage.ErrPermanent)
 	}
-	av := &aggView{v: &View{Disp: disp, Enc: datatype.Encode(ftype)}, t: ftype}
+	av := &aggView{v: &View{Disp: disp, Enc: datatype.Encode(ftype)}, t: ftype, navigable: navigable(ftype, disp)}
 	err := s.fanOut(len(s.pools),
 		func(int) bool { return false },
 		func(i int) error {
@@ -254,15 +255,15 @@ func (s *Striped) lookup(h storage.ViewHandle) (*aggView, error) {
 
 // ViewRead implements storage.ViewBackend: one constant-size request
 // per owning server, issued concurrently; the responses are per-server
-// byte streams in data order, scattered into p by re-running the same
-// partition walk the servers ran.
+// byte streams in data order, scattered into p piece by piece along the
+// partition the servers cut the same way.
 func (s *Striped) ViewRead(h storage.ViewHandle, p []byte, d0 int64) error {
 	av, err := s.lookup(h)
 	if err != nil {
 		return err
 	}
 	d1 := d0 + int64(len(p))
-	lens, err := stripeLens(av.t, av.v.Disp, s.geom, d0, d1)
+	pieces, lens, err := av.partition(s.geom, d0, d1)
 	if err != nil {
 		return err
 	}
@@ -285,12 +286,11 @@ func (s *Striped) ViewRead(h storage.ViewHandle, p []byte, d0 int64) error {
 	if err != nil {
 		return err
 	}
-	pos := make([]int64, len(s.pools))
-	return walkView(av.t, av.v.Disp, s.geom, d0, d1, func(stripe int, _, dataOff, n int64) error {
-		copy(p[dataOff-d0:dataOff-d0+n], resps[stripe][pos[stripe]:])
-		pos[stripe] += n
-		return nil
-	})
+	for _, pc := range pieces {
+		n := copy(p[pc.d0-d0:pc.d1-d0], resps[pc.stripe])
+		resps[pc.stripe] = resps[pc.stripe][n:]
+	}
+	return nil
 }
 
 // ViewWrite implements storage.ViewBackend: p is gathered into one
@@ -301,7 +301,7 @@ func (s *Striped) ViewWrite(h storage.ViewHandle, p []byte, d0 int64) error {
 		return err
 	}
 	d1 := d0 + int64(len(p))
-	lens, err := stripeLens(av.t, av.v.Disp, s.geom, d0, d1)
+	pieces, lens, err := av.partition(s.geom, d0, d1)
 	if err != nil {
 		return err
 	}
@@ -311,12 +311,8 @@ func (s *Striped) ViewWrite(h storage.ViewHandle, p []byte, d0 int64) error {
 			outs[i] = make([]byte, 0, n)
 		}
 	}
-	err = walkView(av.t, av.v.Disp, s.geom, d0, d1, func(stripe int, _, dataOff, n int64) error {
-		outs[stripe] = append(outs[stripe], p[dataOff-d0:dataOff-d0+n]...)
-		return nil
-	})
-	if err != nil {
-		return err
+	for _, pc := range pieces {
+		outs[pc.stripe] = append(outs[pc.stripe], p[pc.d0-d0:pc.d1-d0]...)
 	}
 	return s.fanOut(len(s.pools),
 		func(i int) bool { return lens[i] == 0 },

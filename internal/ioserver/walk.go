@@ -2,25 +2,67 @@ package ioserver
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/datatype"
 	"repro/internal/fotf"
 	"repro/internal/storage"
 )
 
-// The partition walk both sides of the view protocol share.  The client
-// and each server run the identical enumeration of the registered
-// pattern's contiguous runs (fotf.Runs over the encoded filetype)
-// intersected with the identical stripe layout (storage.StripeGeom), so
-// the per-server byte streams line up without any per-run metadata on
-// the wire: piece k of server s's stream is the k-th piece the walk
-// assigns to stripe s, on both ends.
+// The partition both sides of the view protocol share.  The client and
+// each server cut data range [d0, d1) of the registered pattern at the
+// identical stripe layout (storage.StripeGeom), so the per-server byte
+// streams line up without any per-run metadata on the wire: server s's
+// stream is the data of the pieces the partition assigns to stripe s, in
+// data order, on both ends.
+//
+// A monotone view — every legal filetype — is cut by navigation alone
+// (eachUnit): the data below a stripe-unit edge is a prefix of the data,
+// so a unit holds one contiguous data range, found with a BufToData per
+// edge and no enumeration of what lies inside.  Any other view is cut
+// run by run (walkView).  Both orders are the data order, so the two
+// ends need not agree on which one they used.
+
+// eachUnit enumerates, in data order, the stripe units that hold data of
+// range [d0, d1) of the monotone view (t tiled at displacement disp,
+// no data below file offset 0): fn receives the unit index and the data
+// range [da, db) the unit holds.  only >= 0 restricts the enumeration
+// to that stripe's units; the others are stepped over arithmetically,
+// and a stretch of units without data is skipped with one StartPos.
+func eachUnit(t *datatype.Type, disp int64, g storage.StripeGeom, only int, d0, d1 int64, fn func(unit, da, db int64) error) error {
+	if d1/t.Size() >= (math.MaxInt64/2-disp)/t.Extent() {
+		// Past this the arithmetic below would wrap.
+		return fmt.Errorf("ioserver: view range [%d,%d) lies beyond the file offset space: %w", d0, d1, storage.ErrPermanent)
+	}
+	// below reports the request's data below file offset f.
+	below := func(f int64) int64 { return min(max(fotf.BufToData(t, f-disp), d0), d1) }
+	count := int64(g.Count)
+	// Invariant: data byte d lies at or beyond the start of unit u.
+	d, u := d0, (fotf.StartPos(t, d0)+disp)/g.Unit
+	for d < d1 {
+		if only >= 0 && u%count != int64(only) {
+			u += (int64(only) - u%count + count) % count
+			d = below(u * g.Unit)
+			continue
+		}
+		db := below((u + 1) * g.Unit)
+		if db == d { // nothing here: go to the unit that holds byte d
+			u = (fotf.StartPos(t, d) + disp) / g.Unit
+			continue
+		}
+		if err := fn(u, d, db); err != nil {
+			return err
+		}
+		d, u = db, u+1
+	}
+	return nil
+}
 
 // walkView enumerates the stripe-partitioned contiguous pieces of data
-// range [d0, d1) of the view (t tiled at displacement disp) in data
-// order.  fn receives the owning stripe, the piece's offset within that
-// stripe's local store, the piece's absolute data offset, and its
-// length.  The walk stops at the first error.
+// range [d0, d1) of any view in data order, run by run.  fn receives the
+// owning stripe, the piece's offset within that stripe's local store,
+// the piece's absolute data offset, and its length.  The walk stops at
+// the first error.
 func walkView(t *datatype.Type, disp int64, g storage.StripeGeom, d0, d1 int64, fn func(stripe int, localOff, dataOff, n int64) error) error {
 	var err error
 	fotf.Runs(t, d0, d1, func(bufOff, dataOff, runLen, stride, n int64) {
@@ -45,17 +87,37 @@ func walkView(t *datatype.Type, disp int64, g storage.StripeGeom, d0, d1 int64, 
 	return err
 }
 
-// stripeLens sums, per stripe, the bytes of data range [d0, d1) each
-// stripe owns under the view — the allocation pass both sides run
-// before moving any data.
-func stripeLens(t *datatype.Type, disp int64, g storage.StripeGeom, d0, d1 int64) ([]int64, error) {
-	lens := make([]int64, g.Count)
-	err := walkView(t, disp, g, d0, d1, func(stripe int, _, _, n int64) error {
-		lens[stripe] += n
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// navigable reports whether the view can be cut with eachUnit.
+func navigable(t *datatype.Type, disp int64) bool {
+	return fotf.Monotone(t) && disp+t.TrueLB() >= 0
+}
+
+// dataPiece is one piece of the client-side partition: data bytes
+// [d0, d1) of the request belong to stripe's stream.
+type dataPiece struct {
+	stripe int
+	d0, d1 int64
+}
+
+// partition cuts data range [d0, d1) of the view into per-stripe pieces
+// in data order and sums each stripe's share — the one pass over the
+// view a client request makes.
+func (av *aggView) partition(g storage.StripeGeom, d0, d1 int64) (pieces []dataPiece, lens []int64, err error) {
+	lens = make([]int64, g.Count)
+	add := func(stripe int, da, db int64) {
+		pieces = append(pieces, dataPiece{stripe, da, db})
+		lens[stripe] += db - da
 	}
-	return lens, nil
+	if av.navigable {
+		err = eachUnit(av.t, av.v.Disp, g, -1, d0, d1, func(u, da, db int64) error {
+			add(int(u%int64(g.Count)), da, db)
+			return nil
+		})
+	} else {
+		err = walkView(av.t, av.v.Disp, g, d0, d1, func(stripe int, _, dataOff, n int64) error {
+			add(stripe, dataOff, dataOff+n)
+			return nil
+		})
+	}
+	return pieces, lens, err
 }

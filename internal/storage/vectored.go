@@ -64,9 +64,9 @@ func segsLen(segs []Segment) int64 {
 	return n
 }
 
-// segsSpan reports the file range [lo, hi) a batch touches (0,0 when
+// SegsSpan reports the file range [lo, hi) a batch touches (0,0 when
 // empty).
-func segsSpan(segs []Segment) (lo, hi int64) {
+func SegsSpan(segs []Segment) (lo, hi int64) {
 	for i, s := range segs {
 		end := s.Off + int64(len(s.Buf))
 		if i == 0 || s.Off < lo {

@@ -17,19 +17,19 @@ import (
 // retry unit (Backend batches are idempotent, so a reissue repairs any
 // partial delivery).
 func (r *Resilient) ReadAtv(segs []Segment) error {
-	lo, _ := segsSpan(segs)
+	lo, _ := SegsSpan(segs)
 	return r.do(lo, func() error { return ReadAtv(r.Backend, segs) })
 }
 
 // WriteAtv implements Vectored for Resilient.
 func (r *Resilient) WriteAtv(segs []Segment) error {
-	lo, _ := segsSpan(segs)
+	lo, _ := SegsSpan(segs)
 	return r.do(lo, func() error { return WriteAtv(r.Backend, segs) })
 }
 
 // ReadAtv implements Vectored for Traced: one span covering the batch.
 func (t *Traced) ReadAtv(segs []Segment) error {
-	lo, _ := segsSpan(segs)
+	lo, _ := SegsSpan(segs)
 	sp := t.tr.Begin(trace.PhaseStorageRead, lo, segsLen(segs))
 	err := ReadAtv(t.Backend, segs)
 	sp.EndBytes(segsLen(segs))
@@ -38,7 +38,7 @@ func (t *Traced) ReadAtv(segs []Segment) error {
 
 // WriteAtv implements Vectored for Traced.
 func (t *Traced) WriteAtv(segs []Segment) error {
-	lo, _ := segsSpan(segs)
+	lo, _ := SegsSpan(segs)
 	sp := t.tr.Begin(trace.PhaseStorageWrite, lo, segsLen(segs))
 	err := WriteAtv(t.Backend, segs)
 	sp.EndBytes(segsLen(segs))
@@ -88,7 +88,7 @@ func (in *Instrumented) WriteAtv(segs []Segment) error {
 // when its file span overlaps an armed range, or as one counted
 // operation.
 func (f *Faulty) ReadAtv(segs []Segment) error {
-	lo, hi := segsSpan(segs)
+	lo, hi := SegsSpan(segs)
 	if f.reads.trip(lo, hi-lo) {
 		return ErrInjected
 	}
@@ -97,7 +97,7 @@ func (f *Faulty) ReadAtv(segs []Segment) error {
 
 // WriteAtv implements Vectored for Faulty.
 func (f *Faulty) WriteAtv(segs []Segment) error {
-	lo, hi := segsSpan(segs)
+	lo, hi := SegsSpan(segs)
 	if f.writes.trip(lo, hi-lo) {
 		return ErrInjected
 	}
@@ -108,7 +108,7 @@ func (f *Faulty) WriteAtv(segs []Segment) error {
 // the same class order as ReadAt.  A short read delivers a strict
 // prefix of the batch and reports a transient error.
 func (c *Chaos) ReadAtv(segs []Segment) error {
-	lo, _ := segsSpan(segs)
+	lo, _ := SegsSpan(segs)
 	total := segsLen(segs)
 	c.maybeSpike(lo)
 	if c.hit(c.cfg.PermanentRead) {
@@ -137,7 +137,7 @@ func (c *Chaos) ReadAtv(segs []Segment) error {
 // WriteAtv implements Vectored for Chaos.  A torn write persists a
 // strict prefix of the batch and reports a transient error.
 func (c *Chaos) WriteAtv(segs []Segment) error {
-	lo, _ := segsSpan(segs)
+	lo, _ := SegsSpan(segs)
 	total := segsLen(segs)
 	c.maybeSpike(lo)
 	if c.hit(c.cfg.PermanentWrite) {

@@ -83,6 +83,9 @@ const (
 	PhaseServerWrite     Phase = "server.write"      // raw offset-list write
 	PhaseServerViewRead  Phase = "server.view-read"  // server-side view evaluation, read
 	PhaseServerViewWrite Phase = "server.view-write" // server-side view evaluation, write
+	// One sieve window of the stripe (window = local offset, bytes = the
+	// request bytes it carries), inside the request that moved it.
+	PhaseServerSieve Phase = "server.sieve"
 
 	// Epoch commit protocol (crash-consistent collective writes).
 	PhaseEpochSeal    Phase = "epoch.seal"    // per-rank seal round before commit

@@ -94,7 +94,10 @@ func (fc *FrameConn) WriteFrame(seq, tag int, payload []byte) error {
 }
 
 // ReadFrame reads one frame.  The payload is freshly allocated (at most
-// maxFrame bytes, validated before allocation); a truncated header, a
+// maxFrame bytes, validated before allocation) and belongs to the
+// caller: the FrameConn keeps no reference to it and never reuses it, so
+// the caller may retain it, or slices of it, past the next ReadFrame
+// (the I/O server parks staged writes this way).  A truncated header, a
 // header checksum mismatch, or an oversized length returns an error
 // wrapping ErrFrame.
 func (fc *FrameConn) ReadFrame() (seq, tag int, payload []byte, err error) {
