@@ -1,0 +1,387 @@
+package ioserver
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/storage"
+	"repro/internal/trace"
+)
+
+// The commit/checkpoint contract, at the instants a server can crash.
+// A crashRig drives one server in process over two crashMems and then
+// "crashes" it: recovery runs over the images the crash would leave.
+
+// crashMem is a Mem whose Sync is a durability point.  It keeps the
+// image its last Sync made durable and notes every Sync — and, as the
+// journal, every write of a header — in a log it shares with its rig.
+type crashMem struct {
+	*storage.Mem
+	name    string
+	log     *[]string
+	durable []byte
+	syncs   int
+}
+
+func (c *crashMem) WriteAt(p []byte, off int64) (int, error) {
+	if off == 0 && c.name == "journal" {
+		*c.log = append(*c.log, "journal write@0")
+	}
+	return c.Mem.WriteAt(p, off)
+}
+
+func (c *crashMem) Sync() error {
+	c.syncs++
+	*c.log = append(*c.log, c.name+" sync")
+	c.durable = c.Mem.Bytes()
+	return nil
+}
+
+type crashRig struct {
+	t               *testing.T
+	stripe, journal *crashMem
+	log             []string
+	srv             *Server
+	st              *connState
+}
+
+func newCrashRig(t *testing.T, tweak func(*Config)) *crashRig {
+	t.Helper()
+	r := &crashRig{t: t}
+	r.stripe = &crashMem{Mem: storage.NewMem(), name: "stripe", log: &r.log}
+	r.journal = &crashMem{Mem: storage.NewMem(), name: "journal", log: &r.log}
+	cfg := Config{Backend: r.stripe, Geom: storage.StripeGeom{Unit: 1 << 20, Count: 1}, Journal: NewJournal(r.journal)}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.srv, r.st = srv, localConn(srv)
+	return r
+}
+
+// do issues one request and fails the test if the server refuses it.
+func (r *crashRig) do(op int, payload []byte) []byte {
+	r.t.Helper()
+	resp, err := r.st.dispatch(op, payload)
+	if err != nil {
+		r.t.Fatalf("op %s: %v", opName(op), err)
+	}
+	return bytes.Clone(resp)
+}
+
+func (r *crashRig) stage(epoch uint64, off int64, data string) {
+	r.t.Helper()
+	r.do(opStageWrite, append(vs(int64(epoch), off), data...))
+}
+
+func (r *crashRig) commit(epoch uint64) {
+	r.t.Helper()
+	r.do(opEpochCommit, vs(int64(epoch), r.srv.incarnation))
+}
+
+func (r *crashRig) write(off int64, data string) {
+	r.t.Helper()
+	r.do(opWrite, append(vs(off), data...))
+}
+
+// read is what a client reads from the running server.
+func (r *crashRig) read(n int64) string {
+	r.t.Helper()
+	return string(r.do(opRead, vs(0, n))[1:])
+}
+
+// crashed recovers from both images a crash at this instant can leave —
+// a killed process (everything written so far is in the page cache) and
+// a power loss at its harshest (only what was synced) — and requires the
+// stripe to hold want either way.  It returns the second recovery's
+// report.
+func (r *crashRig) crashed(want string) RecoveryInfo {
+	r.t.Helper()
+	var info RecoveryInfo
+	for _, img := range []struct {
+		name            string
+		stripe, journal []byte
+	}{
+		{"kill", r.stripe.Bytes(), r.journal.Bytes()},
+		{"power loss", r.stripe.durable, r.journal.durable},
+	} {
+		stripe, jb := storage.NewMem(), storage.NewMem()
+		stripe.WriteAt(img.stripe, 0)
+		jb.WriteAt(img.journal, 0)
+		var err error
+		if _, info, err = RecoverJournal(jb, stripe); err != nil {
+			r.t.Fatal(err)
+		}
+		if got := string(stripe.Bytes()); got != want {
+			r.t.Errorf("after %s and recovery the stripe holds %q, want %q (%s)", img.name, got, want, info)
+		}
+	}
+	return info
+}
+
+// before requires log entry a to come before log entry b.
+func (r *crashRig) before(a, b string) {
+	r.t.Helper()
+	ia, ib := slices.Index(r.log, a), slices.Index(r.log, b)
+	if ia < 0 || ib < 0 || ia > ib {
+		r.t.Errorf("want %q before %q, log is %q", a, b, r.log)
+	}
+}
+
+// TestCommitIsOneJournalSync: a commit waits for one journal sync and
+// nothing else, its bytes are readable at once, and every commit
+// acknowledged that way is whole on the stripe after a crash, in commit
+// order.
+func TestCommitIsOneJournalSync(t *testing.T) {
+	r := newCrashRig(t, nil)
+	r.write(0, "................")
+	r.do(opSync, nil)
+	syncs, fsyncs := r.stripe.syncs, r.srv.journal.Fsyncs()
+
+	r.stage(7, 0, "AAAA")
+	r.stage(7, 8, "BBBB")
+	r.commit(7)
+	r.stage(8, 2, "CCCCCC")
+	r.commit(8)
+	r.stage(9, 6, "DDDD")
+	r.commit(9)
+
+	want := "AACCCCDDDDBB...."
+	if got := r.read(16); got != want {
+		t.Fatalf("after three commits a client reads %q, want %q", got, want)
+	}
+	if n := r.stripe.syncs - syncs; n != 0 {
+		t.Errorf("three commits synced the stripe %d times, want 0", n)
+	}
+	if n := r.srv.journal.Fsyncs() - fsyncs; n != 3 {
+		t.Errorf("three commits synced the journal %d times, want 3", n)
+	}
+	if n := r.srv.stats.checkpoints.Load(); n != 0 {
+		t.Errorf("%d checkpoints below the live-bytes bound, want 0", n)
+	}
+	if info := r.crashed(want); info.AppliedEpochs != 3 || info.LastCommitted != 9 {
+		t.Errorf("recovery replayed %+v, want 3 epochs up to 9", info)
+	}
+}
+
+// TestAbortKeepsCommittedEpochs: an abort drops its own epoch and
+// nothing else; the epochs committed before it, which only the journal
+// holds durably, survive it.
+func TestAbortKeepsCommittedEpochs(t *testing.T) {
+	r := newCrashRig(t, nil)
+	r.write(0, "........")
+	r.stage(7, 0, "AAAA")
+	r.commit(7)
+	r.stage(8, 4, "XXXX")
+	r.do(opEpochAbort, vs(8))
+	if info := r.crashed("AAAA...."); info.DiscardedEpochs != 0 {
+		t.Errorf("the aborted epoch is still in the journal: %+v", info)
+	}
+	// The id is free again: a later epoch 8 commits its own bytes only.
+	r.stage(8, 6, "ZZ")
+	r.commit(8)
+	r.crashed("AAAA..ZZ")
+}
+
+// TestEmptyEpochCommit: a commit of an epoch with nothing staged on this
+// server advances lastCommitted and touches neither journal nor stripe.
+func TestEmptyEpochCommit(t *testing.T) {
+	r := newCrashRig(t, nil)
+	r.commit(5)
+	r.commit(5) // a retried commit is not a second epoch
+	r.commit(6)
+	if len(r.log) != 0 {
+		t.Errorf("empty commits reached the stores: %q", r.log)
+	}
+	if got := r.srv.LastCommitted(); got != 6 {
+		t.Errorf("lastCommitted = %d, want 6", got)
+	}
+	if got := r.srv.Stats().EpochsCommitted; got != 2 {
+		t.Errorf("epochsCommitted = %d, want 2", got)
+	}
+}
+
+// TestDirectMutationCheckpoints: a direct mutation that finds committed
+// epochs in the journal checkpoints first, so that a replay cannot land
+// them over it; followed by an acknowledged sync, it survives any crash.
+func TestDirectMutationCheckpoints(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(r *crashRig)
+		want   string
+	}{
+		{"write", func(r *crashRig) { r.write(2, "YYYY") }, "AAYYYYAA"},
+		{"writev", func(r *crashRig) { r.do(opWritev, append(vs(2, 0, 2, 6, 2), "YYZZ"...)) }, "YYAAAAZZ"},
+		{"view write", func(r *crashRig) {
+			v := r.st.register(t, 0, viewType(t, 2, 4, 2))
+			if _, err := r.st.viewOp(opViewWrite, v, 0, 4, []byte("YYZZ")); err != nil {
+				t.Fatal(err)
+			}
+		}, "YYAAZZAA"},
+		{"truncate", func(r *crashRig) { r.do(opTruncate, vs(4)) }, "AAAA"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newCrashRig(t, nil)
+			r.stage(7, 0, "AAAAAAAA")
+			r.commit(7)
+			r.log = nil
+			tc.mutate(r)
+			if n := r.srv.stats.checkpoints.Load(); n != 1 {
+				t.Fatalf("%d checkpoints ahead of the mutation, want 1", n)
+			}
+			if got := r.read(8); got != tc.want {
+				t.Fatalf("a client reads %q, want %q", got, tc.want)
+			}
+			// A second mutation finds the journal empty and pays nothing.
+			r.log = nil
+			tc.mutate(r)
+			if len(r.log) != 0 {
+				t.Errorf("a mutation over an empty journal reached for %q", r.log)
+			}
+			r.do(opSync, nil)
+			r.crashed(tc.want)
+		})
+	}
+}
+
+// TestCheckpointOrder: the stripe is synced before the journal's header
+// is rewritten, at every site that checkpoints — which is what makes a
+// torn header (an empty journal) a correct state to recover from.
+func TestCheckpointOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		force func(r *crashRig)
+	}{
+		{"sync", func(r *crashRig) { r.do(opSync, nil) }},
+		{"direct write", func(r *crashRig) { r.write(0, "Y") }},
+		{"abort", func(r *crashRig) { r.stage(8, 0, "X"); r.do(opEpochAbort, vs(8)) }},
+		{"live bytes bound", func(r *crashRig) {
+			r.srv.checkpointAt = 64
+			r.stage(8, 4, string(bytes.Repeat([]byte{'B'}, 64)))
+			r.commit(8)
+		}},
+		{"close", func(r *crashRig) { r.srv.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newCrashRig(t, nil)
+			r.stage(7, 0, "AAAA")
+			r.commit(7)
+			r.log = nil
+			tc.force(r)
+			r.before("stripe sync", "journal write@0")
+			if n := r.srv.stats.checkpoints.Load(); n != 1 {
+				t.Errorf("%d checkpoints, want 1", n)
+			}
+			// The mid-checkpoint instants: the stripe as synced, under the
+			// journal as it was, with its header torn, and as reset.
+			for _, jimg := range [][]byte{
+				append([]byte("NCJ1\xff\xff"), r.journal.Bytes()[6:]...),
+				r.journal.Bytes(),
+			} {
+				stripe, jb := storage.NewMem(), storage.NewMem()
+				stripe.WriteAt(r.stripe.durable, 0)
+				jb.WriteAt(jimg, 0)
+				if _, info, err := RecoverJournal(jb, stripe); err != nil || info.AppliedEpochs != 0 {
+					t.Fatalf("recovery after the checkpoint replayed %+v (%v)", info, err)
+				}
+				if got := stripe.Bytes(); !bytes.HasPrefix(got, []byte("AAAA")) {
+					t.Errorf("the synced stripe holds %q without a replay", got)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointKeepsStagedEpoch: a checkpoint forced while an epoch is
+// being staged journals its stages again behind the reset, so the commit
+// record that follows still finds them.
+func TestCheckpointKeepsStagedEpoch(t *testing.T) {
+	r := newCrashRig(t, nil)
+	r.write(0, "........")
+	r.stage(7, 0, "AAAA")
+	r.commit(7)
+	r.stage(8, 4, "BB")
+	r.write(6, "YY") // checkpoints under epoch 8's stages
+	r.log = nil
+	r.write(6, "YY") // with no committed epoch left in the journal, a staging one costs a write nothing
+	if len(r.log) != 0 {
+		t.Errorf("a direct write beside a staging epoch reached for %q", r.log)
+	}
+	r.do(opSync, nil)
+	r.stage(8, 2, "CC")
+	if got := r.read(8); got != "AAAA..YY" {
+		t.Fatalf("a client reads %q before the commit", got)
+	}
+	r.commit(8)
+	if info := r.crashed("AACCBBYY"); info.AppliedEpochs != 1 {
+		t.Errorf("recovery replayed %+v, want epoch 8 alone", info)
+	}
+}
+
+// TestCloseCheckpointsThenSeals: a closed server's journal is sealed and
+// holds nothing to replay, and its stripe is whole without one.
+func TestCloseCheckpointsThenSeals(t *testing.T) {
+	r := newCrashRig(t, nil)
+	r.stage(7, 0, "AAAA")
+	r.commit(7)
+	r.log = nil
+	if err := r.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"stripe sync", "journal write@0", "journal sync", "journal sync"}; !slices.Equal(r.log, want) {
+		t.Errorf("close did %q, want %q (checkpoint, then seal)", r.log, want)
+	}
+	if got := string(r.stripe.durable); got != "AAAA" {
+		t.Errorf("the closed server's stripe holds %q durably", got)
+	}
+	if info := r.crashed("AAAA"); !info.Sealed || info.AppliedEpochs != 0 || info.TornTail {
+		t.Errorf("recovery after close reports %+v, want sealed and nothing else", info)
+	}
+}
+
+// TestCheckpointObservability: one span per checkpoint carrying the
+// journal bytes it retired, beside the commit's; the counter and the
+// live-bytes gauge on the registry.
+func TestCheckpointObservability(t *testing.T) {
+	tr := trace.NewCollector(0).Tracer(0)
+	reg := obs.NewRegistry()
+	r := newCrashRig(t, func(cfg *Config) { cfg.Tracer, cfg.Metrics = tr, reg })
+	gauge := func(name string) int64 {
+		t.Helper()
+		for _, m := range reg.Snapshot("srv0").Metrics {
+			if m.Name == name {
+				return m.Value
+			}
+		}
+		t.Fatalf("no gauge %s", name)
+		return 0
+	}
+	r.stage(7, 0, "AAAA")
+	r.commit(7)
+	live := r.srv.journal.Live()
+	if live == 0 || gauge("ioserver_journal_live_bytes") != live || gauge("ioserver_checkpoints_total") != 0 {
+		t.Fatalf("after a commit: %d live bytes, gauges %d and %d checkpoints",
+			live, gauge("ioserver_journal_live_bytes"), gauge("ioserver_checkpoints_total"))
+	}
+	r.do(opSync, nil)
+	r.do(opSync, nil) // an empty journal: a stripe sync, not a checkpoint
+	if gauge("ioserver_journal_live_bytes") != 0 || gauge("ioserver_checkpoints_total") != 1 {
+		t.Errorf("after the checkpoint: gauges %d live bytes and %d checkpoints",
+			gauge("ioserver_journal_live_bytes"), gauge("ioserver_checkpoints_total"))
+	}
+	var spans []string
+	for _, ev := range tr.Events() {
+		if ev.Phase == trace.PhaseServerCommit || ev.Phase == trace.PhaseServerCheckpoint {
+			spans = append(spans, fmt.Sprintf("%s %d", ev.Phase, ev.Bytes))
+		}
+	}
+	if want := []string{"server.commit 4", fmt.Sprintf("server.checkpoint %d", live)}; !slices.Equal(spans, want) {
+		t.Errorf("spans %q, want %q", spans, want)
+	}
+}

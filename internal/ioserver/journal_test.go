@@ -14,10 +14,12 @@ func memBytes(t *testing.T, m *storage.Mem) []byte {
 }
 
 // TestJournalCrashPoints simulates a server crash at every interesting
-// instant of the stage→commit→apply sequence by constructing the
-// on-disk journal state that crash would leave, then requires recovery
-// to land the stripe in the one correct state: committed epochs
-// applied, uncommitted epochs gone, prior contents untouched.
+// instant of the stage→commit→apply→checkpoint sequence by constructing
+// the on-disk journal state that crash would leave, then requires
+// recovery to land the stripe in the one correct state: every committed
+// epoch since the last checkpoint applied in commit order, uncommitted
+// epochs and earlier generations' records gone, prior contents
+// untouched.
 func TestJournalCrashPoints(t *testing.T) {
 	prior := []byte("................") // 16 bytes of pre-epoch stripe state
 	stageA := []storage.Segment{
@@ -25,6 +27,18 @@ func TestJournalCrashPoints(t *testing.T) {
 		{Off: 8, Buf: []byte("BBBB")},
 	}
 	withA := []byte("AAAA....BBBB....")
+	// commitA journals epoch 7 whole: two stage records of equal length,
+	// then the commit record.
+	commitA := func(t *testing.T, j *Journal) {
+		for _, s := range stageA {
+			if err := j.AppendStage(7, s.Off, s.Buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.AppendCommit(7); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	cases := []struct {
 		name    string
@@ -120,7 +134,7 @@ func TestJournalCrashPoints(t *testing.T) {
 				}
 				// A crash mid-append leaves a truncated record: write a
 				// valid header with no CRC behind the good records.
-				if _, err := j.b.WriteAt([]byte{recStage, 0x09}, j.Len()); err != nil {
+				if _, err := j.b.WriteAt([]byte{recStage, 0x09}, j.end.Load()); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -138,6 +152,126 @@ func TestJournalCrashPoints(t *testing.T) {
 			},
 			stripe: prior,
 			want:   prior,
+			sealed: true,
+		},
+		{
+			// Every acknowledged commit replays, in commit order: where
+			// they overlap, the last one's bytes stand.
+			name: "three commits acknowledged, no checkpoint",
+			journal: func(t *testing.T, j *Journal) {
+				commitA(t, j)
+				if err := j.AppendStage(8, 2, []byte("CCCCCC")); err != nil {
+					t.Fatal(err)
+				}
+				if err := j.AppendCommit(8); err != nil {
+					t.Fatal(err)
+				}
+				if err := j.AppendStage(9, 6, []byte("DDDD")); err != nil {
+					t.Fatal(err)
+				}
+				if err := j.AppendCommit(9); err != nil {
+					t.Fatal(err)
+				}
+			},
+			stripe:  prior,
+			want:    []byte("AACCCCDDDDBB...."),
+			applied: 3,
+		},
+		{
+			// The checkpoint synced the stripe and crashed before it
+			// touched the journal: the replay lands the same bytes again.
+			name:    "mid-checkpoint, stripe synced, header not yet rewritten",
+			journal: commitA,
+			stripe:  withA,
+			want:    withA,
+			applied: 1,
+		},
+		{
+			// The header rewrite was torn.  A header that does not verify is
+			// an empty journal, which is the right answer only because the
+			// stripe was synced before the rewrite began
+			// (TestCheckpointOrder).
+			name: "mid-checkpoint, header torn",
+			journal: func(t *testing.T, j *Journal) {
+				commitA(t, j)
+				if _, err := j.b.WriteAt([]byte{0xff, 0xff, 0xff}, int64(len(hdrMagic))+2); err != nil {
+					t.Fatal(err)
+				}
+			},
+			stripe: withA,
+			want:   withA,
+			torn:   true,
+		},
+		{
+			name: "checkpoint complete, old generation left behind",
+			journal: func(t *testing.T, j *Journal) {
+				commitA(t, j)
+				if err := j.Reset(); err != nil {
+					t.Fatal(err)
+				}
+			},
+			stripe: withA,
+			want:   withA,
+			torn:   true, // what follows the header no longer verifies
+		},
+		{
+			// tier64's epochs are byte for byte the same length, so a new
+			// generation's records end exactly where an old generation's
+			// begin.  Here the new generation staged one record of epoch 7
+			// and crashed; behind it lie the old generation's second stage
+			// record and its commit record for the same epoch id, whole.
+			// Replaying them would commit half of an unacknowledged epoch
+			// and undo a later direct write.
+			name: "new generation, aligned stale tail of the same epoch id",
+			journal: func(t *testing.T, j *Journal) {
+				commitA(t, j)
+				if err := j.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				if err := j.AppendStage(7, 4, []byte("CCCC")); err != nil {
+					t.Fatal(err)
+				}
+			},
+			stripe:  []byte("AAAA....YYYY...."),
+			want:    []byte("AAAA....YYYY...."),
+			discard: 1,
+			torn:    true,
+		},
+		{
+			// The same, with the new generation's epoch committed: its own
+			// records replay, the stale ones behind them do not.
+			name: "new generation committed, aligned stale tail",
+			journal: func(t *testing.T, j *Journal) {
+				commitA(t, j)
+				if err := j.AppendStage(8, 12, []byte("EEEE")); err != nil {
+					t.Fatal(err)
+				}
+				if err := j.AppendCommit(8); err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				commitA(t, j)
+			},
+			stripe:  []byte("QQQQZZZZQQQQQQQQ"),
+			want:    []byte("AAAAZZZZBBBBQQQQ"),
+			applied: 1,
+			torn:    true,
+		},
+		{
+			name: "sealed over an old generation",
+			journal: func(t *testing.T, j *Journal) {
+				commitA(t, j)
+				if err := j.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				if err := j.AppendSeal(); err != nil {
+					t.Fatal(err)
+				}
+			},
+			stripe: withA,
+			want:   withA,
 			sealed: true,
 		},
 	}
@@ -163,8 +297,8 @@ func TestJournalCrashPoints(t *testing.T) {
 				t.Errorf("info = %+v, want applied=%d discarded=%d torn=%t sealed=%t",
 					info, tc.applied, tc.discard, tc.torn, tc.sealed)
 			}
-			if j.Len() != 0 || jb.Size() != 0 {
-				t.Errorf("journal not truncated after recovery: len=%d size=%d", j.Len(), jb.Size())
+			if j.Live() != 0 {
+				t.Errorf("journal holds %d live bytes after recovery", j.Live())
 			}
 
 			// A second recovery (crash during the first) is a no-op.
@@ -185,18 +319,26 @@ func TestJournalCrashPoints(t *testing.T) {
 
 // FuzzJournalRecover feeds arbitrary bytes as journal contents: recovery
 // must never panic or error (journal contents can be any garbage after
-// a crash), must truncate the journal, and must only ever *extend or
-// overwrite* the stripe via committed records — never fail.
+// a crash), must leave a journal with no live records that is usable at
+// once, and must only ever *extend or overwrite* the stripe via
+// committed records — never fail.
 func FuzzJournalRecover(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{recSeal, 0, 0, 0, 0})
 	f.Add([]byte{recStage, 1, 2, 3, 0xff})
-	// A well-formed stage+commit pair, as a valid-prefix seed.
+	hdr, _ := appendHeader(nil, 1)
+	f.Add(hdr)
+	f.Add(append(hdr, recStage, 1, 2, 3, 0xff))
+	// A well-formed stage+commit pair, as a valid-prefix seed; and the
+	// same behind a later generation's records, as a valid stale tail.
 	{
 		jb := storage.NewMem()
 		j := NewJournal(jb)
 		j.AppendStage(3, 0, []byte("data"))
 		j.AppendCommit(3)
+		f.Add(jb.Bytes())
+		j.Reset()
+		j.AppendStage(4, 0, []byte("more"))
 		f.Add(jb.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -209,10 +351,11 @@ func FuzzJournalRecover(f *testing.F) {
 		if err != nil {
 			t.Fatalf("recovery failed on arbitrary journal bytes: %v", err)
 		}
-		if j.Len() != 0 || jb.Size() != 0 {
-			t.Fatal("journal not truncated")
+		if j.Live() != 0 {
+			t.Fatalf("recovered journal holds %d live bytes", j.Live())
 		}
-		// The recovered journal must be immediately usable.
+		// The recovered journal must be immediately usable, whatever of
+		// raw still lies on the store behind its header.
 		if err := j.AppendStage(1, 0, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
@@ -223,4 +366,47 @@ func FuzzJournalRecover(f *testing.F) {
 			t.Fatalf("post-recovery journal unusable: %v %+v", err, info)
 		}
 	})
+}
+
+// TestRecoveryReadsLivePrefix: recovery costs what is live, not what the
+// store has grown to — records that straddle its read-ahead chunks, or
+// are longer than one, replay whole, and an old generation's megabytes
+// behind them are not read.
+func TestRecoveryReadsLivePrefix(t *testing.T) {
+	jb := storage.NewInstrumented(storage.NewMem())
+	j := NewJournal(jb)
+	fill := func(epoch uint64, sizes ...int) []byte {
+		var want []byte
+		for i, n := range sizes {
+			data := bytes.Repeat([]byte{byte(epoch) + byte(i)}, n)
+			if err := j.AppendStage(epoch, int64(len(want)), data); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, data...)
+		}
+		if err := j.AppendCommit(epoch); err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
+	fill(1, 6<<20, 6<<20) // the old generation: 12 MiB
+	if err := j.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	// Five records across the first chunk's end, one of three chunks, one
+	// that ends the journal a few bytes into a chunk.
+	want := fill(2, 300<<10, 300<<10, 300<<10, 300<<10, 300<<10, 3<<20, 40)
+	live := j.Live()
+
+	stripe := storage.NewMem()
+	_, info, err := RecoverJournal(jb, stripe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.AppliedEpochs != 1 || info.AppliedBytes != int64(len(want)) || !bytes.Equal(stripe.Bytes(), want) {
+		t.Fatalf("recovery replayed %+v, stripe %d bytes, want one epoch of %d", info, stripe.Size(), len(want))
+	}
+	if read, limit := jb.Stats().BytesRead, live+2*recoverChunk; read > limit {
+		t.Errorf("recovery read %d bytes of a %d-byte store holding %d live, want at most %d", read, jb.Size(), live, limit)
+	}
 }

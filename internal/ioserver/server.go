@@ -73,6 +73,7 @@ type Server struct {
 		stagedWrites, epochsCommitted    atomic.Int64
 		epochsSealed, epochsAborted      atomic.Int64
 		sieveWindows, sieveBytes         atomic.Int64
+		checkpoints                      atomic.Int64
 	}
 	opNs map[int]*obs.Hist // per-op handling latency, when Metrics is set
 
@@ -84,10 +85,13 @@ type Server struct {
 
 	// Epoch commit state: staged holds each in-flight epoch's parked
 	// segments (applied to Backend only at commit), lastCommitted the
-	// highest epoch this instance has applied.
+	// highest epoch this instance has applied.  epochMu also orders
+	// checkpoints against commits.
 	epochMu       sync.Mutex
 	staged        map[uint64][]storage.Segment
 	lastCommitted uint64
+	checkpointAt  int64        // live journal bytes at which a commit checkpoints: checkpointBytes, smaller in tests
+	journaled     atomic.Int64 // epochs committed since the last checkpoint, which only the journal holds durably
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -121,14 +125,15 @@ func New(cfg Config) (*Server, error) {
 		cfg.Proc = fmt.Sprintf("srv%d", cfg.Index)
 	}
 	s := &Server{
-		cfg:         cfg,
-		journal:     j,
-		incarnation: time.Now().UnixNano(),
-		locks:       storage.NewLockTable(),
-		window:      sieveWindow,
-		staged:      make(map[uint64][]storage.Segment),
-		conns:       make(map[net.Conn]struct{}),
-		done:        make(chan struct{}),
+		cfg:          cfg,
+		journal:      j,
+		incarnation:  time.Now().UnixNano(),
+		locks:        storage.NewLockTable(),
+		window:       sieveWindow,
+		checkpointAt: checkpointBytes,
+		staged:       make(map[uint64][]storage.Segment),
+		conns:        make(map[net.Conn]struct{}),
+		done:         make(chan struct{}),
 	}
 	s.registerMetrics(cfg.Metrics)
 	return s, nil
@@ -157,7 +162,9 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 	r.GaugeFunc("ioserver_epochs_committed_total", "Epoch commits applied.", s.stats.epochsCommitted.Load)
 	r.GaugeFunc("ioserver_epochs_sealed_total", "Epoch seal requests answered.", s.stats.epochsSealed.Load)
 	r.GaugeFunc("ioserver_epochs_aborted_total", "Epochs whose staged state was discarded by abort.", s.stats.epochsAborted.Load)
-	r.GaugeFunc("ioserver_journal_fsyncs_total", "Journal syncs (commit, seal, and reset durability points).", s.journal.Fsyncs)
+	r.GaugeFunc("ioserver_journal_fsyncs_total", "Journal syncs: one per commit, one per checkpoint's reset, one per seal.", s.journal.Fsyncs)
+	r.GaugeFunc("ioserver_checkpoints_total", "Checkpoints: stripe synced, then journal reset.", s.stats.checkpoints.Load)
+	r.GaugeFunc("ioserver_journal_live_bytes", "Journal bytes a recovery would replay: records since the last checkpoint.", s.journal.Live)
 	r.GaugeFunc("ioserver_epochs_recovered_total", "Committed epochs re-applied by journal recovery at start.",
 		func() int64 { return int64(s.cfg.Recovery.AppliedEpochs) })
 	r.GaugeFunc("ioserver_epochs_discarded_total", "Staged-but-uncommitted epochs discarded by recovery.",
@@ -267,10 +274,10 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops accepting, seals the journal and syncs the stripe (so a
-// graceful shutdown is distinguishable from a crash on recovery), closes
-// every live connection, and waits for the handlers and Serve to return.
-// Close is idempotent.
+// Close stops accepting, checkpoints and then seals the journal (so a
+// graceful shutdown is distinguishable from a crash on recovery, and
+// leaves nothing to replay), closes every live connection, and waits for
+// the handlers and Serve to return.  Close is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -281,13 +288,14 @@ func (s *Server) Close() error {
 	ln := s.ln
 	s.mu.Unlock()
 
-	// Graceful-shutdown seal: fsync the stripe and mark the journal
-	// before dropping connections.  Failures are reported but do not
-	// abort the shutdown.
+	// Graceful-shutdown seal: checkpoint, then mark the journal, before
+	// dropping connections.  The seal says the stripe is whole without a
+	// replay, so it is written only once that is so.  Failures are
+	// reported but do not abort the shutdown.
 	s.epochMu.Lock()
-	err := s.journal.AppendSeal()
-	if serr := s.cfg.Backend.Sync(); err == nil {
-		err = serr
+	err := s.checkpoint()
+	if err == nil {
+		err = s.journal.AppendSeal()
 	}
 	s.epochMu.Unlock()
 
@@ -427,6 +435,13 @@ var errBadRequest = errors.New("ioserver: bad request")
 
 func (st *connState) dispatch(tag int, payload []byte) ([]byte, error) {
 	switch tag {
+	case opWrite, opWritev, opViewWrite, opTruncate:
+		// The direct mutations of the stripe.
+		if err := st.srv.settle(); err != nil {
+			return nil, err
+		}
+	}
+	switch tag {
 	case opRead:
 		return st.opRead(payload)
 	case opWrite:
@@ -450,7 +465,11 @@ func (st *connState) dispatch(tag int, payload []byte) ([]byte, error) {
 		defer st.srv.locks.Lock(n, math.MaxInt64)()
 		return nil, st.srv.cfg.Backend.Truncate(n)
 	case opSync:
-		return nil, st.srv.cfg.Backend.Sync()
+		// What was written directly before the sync must survive it: the
+		// checkpoint syncs the stripe and leaves nothing to replay over it.
+		st.srv.epochMu.Lock()
+		defer st.srv.epochMu.Unlock()
+		return nil, st.srv.checkpoint()
 	case opRegister:
 		return st.opRegister(payload)
 	case opViewRead:

@@ -9,11 +9,14 @@ import (
 
 // Server side of the epoch commit protocol.  Staged writes are journaled
 // and parked in memory, invisible to reads; opEpochCommit journals the
-// commit decision (the durability point), applies the staged segments to
-// the stripe, syncs, and clears.  The protocol tolerates every crash
-// instant (journal recovery re-applies or discards) and every duplicate
-// (re-staging and re-committing an epoch writes the same bytes to the
-// same offsets).
+// commit decision and syncs the journal (the durability point, and the
+// only one a commit waits for), applies the staged segments to the
+// stripe, and clears.  Syncing the stripe and resetting the journal is a
+// checkpoint, paid once per checkpointBytes of journal or when something
+// forces it.  The protocol tolerates every crash instant (journal
+// recovery re-applies every epoch committed since the last checkpoint,
+// in order, and discards the rest) and every duplicate (re-staging and
+// re-committing an epoch writes the same bytes to the same offsets).
 //
 // Seal is the liveness check: it echoes the server's incarnation plus
 // this connection's staging tally, so a client can detect that a server
@@ -41,10 +44,15 @@ func (s *Server) stageEpoch(epoch uint64, segs []storage.Segment) error {
 	return nil
 }
 
-// commitEpoch makes epoch durable: commit record → journal sync → apply
-// → stripe sync → clear.  Exactly one epoch is in flight at a time, so a
-// commit also discards any abandoned staged state from earlier epochs,
-// which is what lets the journal reset to empty.
+// checkpointBytes is the live journal length at which a commit
+// checkpoints: what a recovery replays, and the memory it replays it
+// from, stay below it plus one epoch.
+const checkpointBytes = 64 << 20
+
+// commitEpoch makes epoch durable and visible: commit record → journal
+// sync → apply.  Exactly one epoch is in flight at a time, so a commit
+// also discards any abandoned staged state from earlier epochs, as
+// recovery does on meeting its commit record.
 func (s *Server) commitEpoch(epoch uint64, incarnation int64) error {
 	if incarnation != s.incarnation {
 		return fmt.Errorf("ioserver: commit for incarnation %d, server restarted as %d: %w",
@@ -53,44 +61,98 @@ func (s *Server) commitEpoch(epoch uint64, incarnation int64) error {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
 	segs := s.staged[epoch]
-	if len(segs) == 0 && epoch == s.lastCommitted {
-		return nil // duplicate commit retry: already applied
+	if len(segs) == 0 {
+		// Nothing of the epoch is staged here — a collective narrower than
+		// the stripe set, or a commit retried after its first delivery was
+		// applied.  Recovery ignores a commit record without stages, so
+		// none is written.
+		if epoch != s.lastCommitted {
+			s.stats.epochsCommitted.Add(1)
+		}
+		s.lastCommitted = max(s.lastCommitted, epoch)
+		return nil
 	}
 	var total int64
 	for _, sg := range segs {
 		total += int64(len(sg.Buf))
 	}
 	sp := s.cfg.Tracer.BeginIO(trace.PhaseServerCommit, int64(epoch), total)
-	defer sp.End()
-	if err := s.journal.AppendCommit(epoch); err != nil {
+	err := s.journal.AppendCommit(epoch)
+	if err == nil {
+		err = s.moveSegs(segs, true)
+	}
+	sp.End()
+	if err != nil {
 		return err
 	}
-	if err := s.moveSegs(segs, true); err != nil {
-		return err
+	s.lastCommitted = max(s.lastCommitted, epoch)
+	clear(s.staged)
+	s.journaled.Add(1)
+	s.stats.epochsCommitted.Add(1)
+	if s.journal.Live() >= s.checkpointAt {
+		return s.checkpoint()
+	}
+	return nil
+}
+
+// checkpoint syncs the stripe and then, if the journal holds anything,
+// resets it — in that order: once the stripe is durable every committed
+// epoch in the journal is redundant, and a crash that tears the reset
+// leaves an empty journal over a whole stripe.  An epoch still being
+// staged is journaled again behind the reset, so its commit record finds
+// its stages.  The caller holds epochMu.
+func (s *Server) checkpoint() error {
+	live := s.journal.Live()
+	var sp trace.Span
+	if live > 0 {
+		sp = s.cfg.Tracer.BeginIO(trace.PhaseServerCheckpoint, trace.NoWindow, live)
+		defer sp.End()
 	}
 	if err := s.cfg.Backend.Sync(); err != nil {
 		return err
 	}
-	if epoch > s.lastCommitted {
-		s.lastCommitted = epoch
+	if live == 0 {
+		return nil
 	}
-	s.staged = make(map[uint64][]storage.Segment)
-	s.stats.epochsCommitted.Add(1)
-	return s.journal.Reset()
+	if err := s.journal.Reset(); err != nil {
+		return err
+	}
+	s.journaled.Store(0)
+	s.stats.checkpoints.Add(1)
+	for epoch, segs := range s.staged {
+		if err := s.journal.AppendStages(epoch, segs); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// abortEpoch discards epoch's staged state.
+// settle checkpoints ahead of a direct mutation of the stripe if the
+// journal holds committed epochs: replayed after a crash, they would
+// otherwise land over the mutation.  Without any — every server that
+// sees no epochs, and one that is only staging — it costs one atomic
+// load.
+func (s *Server) settle() error {
+	if s.journaled.Load() == 0 {
+		return nil
+	}
+	s.epochMu.Lock()
+	defer s.epochMu.Unlock()
+	return s.checkpoint()
+}
+
+// abortEpoch discards epoch's staged state, in memory and — by a
+// checkpoint, which keeps the committed epochs the journal also holds —
+// in the journal, where a later epoch of the same id must not find it.
 func (s *Server) abortEpoch(epoch uint64) error {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	if _, ok := s.staged[epoch]; ok {
-		s.stats.epochsAborted.Add(1)
+	if _, ok := s.staged[epoch]; !ok {
+		return nil
 	}
+	s.stats.epochsAborted.Add(1)
 	delete(s.staged, epoch)
-	if len(s.staged) == 0 {
-		return s.journal.Reset()
-	}
-	return nil
+	return s.checkpoint()
 }
 
 // Incarnation reports the server instance id (changes on restart).

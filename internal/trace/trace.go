@@ -92,6 +92,9 @@ const (
 	PhaseEpochCommit  Phase = "epoch.commit"  // rank 0's commit broadcast to the servers
 	PhaseServerStage  Phase = "server.stage"  // one staged (journaled) write request
 	PhaseServerCommit Phase = "server.commit" // one server applying a committed epoch
+	// One server syncing its stripe and resetting its journal (bytes = the
+	// journal bytes retired).
+	PhaseServerCheckpoint Phase = "server.checkpoint"
 )
 
 // Instant phases.
