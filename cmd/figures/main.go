@@ -33,21 +33,13 @@ func main() {
 	flag.Var(&figs, "fig", "figure to regenerate (5, 6, 7, 8); repeatable")
 	flag.Var(&tables, "table", "table to regenerate (1, 2, 3); repeatable")
 	var (
-		all      = flag.Bool("all", false, "regenerate every table and figure")
-		pipeline = flag.String("pipeline", "", "run the sequential-vs-pipelined collective ablation and write its JSON to this path (e.g. BENCH_pipeline.json)")
-		transp   = flag.String("transport", "", "run the in-process-vs-TCP exchange comparison and write its JSON to this path (e.g. BENCH_transport.json)")
-		alloc    = flag.String("alloc", "", "run the pooled-vs-unpooled allocation comparison and write its JSON to this path (e.g. BENCH_alloc.json)")
-		server   = flag.String("server", "", "run the I/O-server tier comparison (local vs striped servers; views vs offset lists) and write its JSON to this path (e.g. BENCH_server.json)")
-		sessionF = flag.String("session", "", "run the I/O session-service comparison (concurrent cached sessions vs serialized uncached runs) and write its JSON to this path (e.g. BENCH_session.json)")
-		obsF     = flag.String("obs", "", "run the metrics-instrumentation overhead comparison (registry on vs -no-metrics) and write its JSON to this path (e.g. BENCH_obs.json)")
-		dtypeF   = flag.String("datatype", "", "run the per-shape datatype comparison (compiled copy program vs recursive walk vs memcpy) and write its JSON to this path (e.g. BENCH_datatype.json)")
-		phases   = flag.Bool("phases", false, "run one traced collective per engine and print the per-phase imbalance breakdown")
-		scaleS   = flag.String("scale", "full", "experiment scale: full or quick")
-		csvDir   = flag.String("csv", "", "directory to write per-figure CSV files")
-		steps    = flag.Int("steps", 10, "BTIO steps for Table 3 (paper default is 40)")
-		classes  = flag.String("classes", "B,C", "comma-separated BTIO classes for Table 3")
-		psFlag   = flag.String("procs", "4,9,16,25", "comma-separated process counts for Table 3")
-		iters    = flag.Int("iters", 1, "BTIO compute sweeps per step")
+		all     = flag.Bool("all", false, "regenerate every table and figure")
+		scaleS  = flag.String("scale", "full", "experiment scale: full or quick")
+		csvDir  = flag.String("csv", "", "directory to write per-figure CSV files")
+		steps   = flag.Int("steps", 10, "BTIO steps for Table 3 (paper default is 40)")
+		classes = flag.String("classes", "B,C", "comma-separated BTIO classes for Table 3")
+		psFlag  = flag.String("procs", "4,9,16,25", "comma-separated process counts for Table 3")
+		iters   = flag.Int("iters", 1, "BTIO compute sweeps per step")
 	)
 	flag.Parse()
 
@@ -62,145 +54,9 @@ func main() {
 		figs = multiFlag{"5", "6", "7", "8"}
 		tables = multiFlag{"1", "2", "3"}
 	}
-	if len(figs) == 0 && len(tables) == 0 && *pipeline == "" && *transp == "" && *alloc == "" && *server == "" && *sessionF == "" && *obsF == "" && *dtypeF == "" && !*phases {
+	if len(figs) == 0 && len(tables) == 0 {
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *phases {
-		t0 := time.Now()
-		rs, err := bench.PhaseBreakdown(scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(bench.FormatPhaseBreakdown(scale, rs))
-		fmt.Printf("(measured at scale %s in %v)\n\n", scale, time.Since(t0).Round(time.Millisecond))
-	}
-
-	if *pipeline != "" {
-		t0 := time.Now()
-		pc, err := bench.Pipeline(scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(bench.FormatPipeline(pc))
-		fmt.Printf("(measured at scale %s in %v)\n\n", scale, time.Since(t0).Round(time.Millisecond))
-		data, err := bench.PipelineJSON(pc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*pipeline, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *pipeline)
-	}
-
-	if *transp != "" {
-		t0 := time.Now()
-		tc, err := bench.Transport(scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(bench.FormatTransport(tc))
-		fmt.Printf("(measured at scale %s in %v)\n\n", scale, time.Since(t0).Round(time.Millisecond))
-		data, err := bench.TransportJSON(tc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*transp, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *transp)
-	}
-
-	if *alloc != "" {
-		t0 := time.Now()
-		ac, err := bench.Alloc(scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(bench.FormatAlloc(ac))
-		fmt.Printf("(measured at scale %s in %v)\n\n", scale, time.Since(t0).Round(time.Millisecond))
-		data, err := bench.AllocJSON(ac)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*alloc, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *alloc)
-	}
-
-	if *server != "" {
-		t0 := time.Now()
-		sc, err := bench.Server(scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(bench.FormatServer(sc))
-		fmt.Printf("(measured at scale %s in %v)\n\n", scale, time.Since(t0).Round(time.Millisecond))
-		data, err := bench.ServerJSON(sc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*server, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *server)
-	}
-
-	if *sessionF != "" {
-		t0 := time.Now()
-		sc, err := bench.Session(scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(bench.FormatSession(sc))
-		fmt.Printf("(measured at scale %s in %v)\n\n", scale, time.Since(t0).Round(time.Millisecond))
-		data, err := bench.SessionJSON(sc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*sessionF, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *sessionF)
-	}
-
-	if *obsF != "" {
-		t0 := time.Now()
-		oc, err := bench.Obs(scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(bench.FormatObs(oc))
-		fmt.Printf("(measured at scale %s in %v)\n\n", scale, time.Since(t0).Round(time.Millisecond))
-		data, err := bench.ObsJSON(oc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*obsF, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *obsF)
-	}
-
-	if *dtypeF != "" {
-		t0 := time.Now()
-		dc, err := bench.Datatype(scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(bench.FormatDatatype(dc))
-		fmt.Printf("(measured at scale %s in %v)\n\n", scale, time.Since(t0).Round(time.Millisecond))
-		data, err := bench.DatatypeJSON(dc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*dtypeF, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n\n", *dtypeF)
 	}
 
 	figRunners := map[string]func(bench.Scale) (bench.Figure, error){

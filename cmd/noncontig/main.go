@@ -69,9 +69,6 @@ func main() {
 		sieveBuf   = flag.Int("sievebuf", 0, "data-sieving buffer bytes (0 = default)")
 		collBuf    = flag.Int("collbuf", 0, "collective buffer bytes (0 = default)")
 		ioNodes    = flag.Int("ionodes", 0, "number of I/O processes (0 = all)")
-		noPipe     = flag.Bool("no-pipeline", false, "disable the pipelined collective window loop")
-		noPool     = flag.Bool("no-pool", false, "disable buffer pooling: allocate every hot-path buffer fresh")
-		noVectored = flag.Bool("no-vectored", false, "disable vectored storage I/O on the sparse direct path")
 		noProgram  = flag.Bool("no-program", false, "disable compiled datatype copy programs: pack and position through the recursive walk on every window (the ablation baseline)")
 		file       = flag.String("file", "", "back the run with this file instead of memory")
 		readBW     = flag.Int64("read-bw", 0, "throttle: backend read bandwidth in bytes/s")
@@ -88,13 +85,10 @@ func main() {
 		netFD         = flag.Int("net-fd", 0, "inherited rendezvous listener fd (with -net rank, rank 0)")
 		netTimeout    = flag.Duration("net-timeout", 5*time.Minute, "kill the whole -net launch run after this long")
 
-		servers     = flag.Int("servers", 0, "with -net launch: number of I/O-server processes to stripe the file across")
-		stripeUnit  = flag.Int64("stripe", 64<<10, "stripe unit bytes of the I/O-server tier")
-		serverAddrs = flag.String("server-addrs", "", "comma-separated I/O-server addresses to mount as the backend (with -net rank; set by launch)")
-		netIndex    = flag.Int("net-index", -1, "this server's stripe index (with -net server; set by launch)")
-		noViews     = flag.Bool("no-views", false, "disable server-side view evaluation: ship raw offset lists to the I/O servers instead")
-
-		noEpochs       = flag.Bool("no-epochs", false, "disable the epoch commit protocol on epoch-capable backends (writes apply in place, crash atomicity off)")
+		servers        = flag.Int("servers", 0, "with -net launch: number of I/O-server processes to stripe the file across")
+		stripeUnit     = flag.Int64("stripe", 64<<10, "stripe unit bytes of the I/O-server tier")
+		serverAddrs    = flag.String("server-addrs", "", "comma-separated I/O-server addresses to mount as the backend (with -net rank; set by launch)")
+		netIndex       = flag.Int("net-index", -1, "this server's stripe index (with -net server; set by launch)")
 		serverRestarts = flag.Int("server-restarts", 0, "with -net launch -servers: restart a crashed I/O server up to this many times on its inherited listener")
 		killServer     = flag.Duration("kill-server", 0, "with -net launch -servers: SIGKILL server 0 after this long, to demonstrate supervised recovery (0 = off)")
 		wireChaosSeed  = flag.Int64("wire-chaos-seed", 0, "inject seeded wire faults (drops, dups, header corruption, resets, partitions) on this rank's server connections (0 = off)")
@@ -164,12 +158,9 @@ func main() {
 	case "launch":
 		netLaunch(*p, pat, eng, launchFlags{
 			nblock: *nblock, sblock: *sblock, reps: *reps, verify: *verify, tiles: *tiles,
-			sieveBuf: *sieveBuf, collBuf: *collBuf, ioNodes: *ioNodes, noPipe: *noPipe,
-			noPool: *noPool, noVectored: *noVectored, noViews: *noViews,
-			noProgram: *noProgram,
-			servers:   *servers, stripe: *stripeUnit,
-			noEpochs: *noEpochs, serverRestarts: *serverRestarts,
-			killServer: *killServer, wireChaosSeed: *wireChaosSeed,
+			sieveBuf: *sieveBuf, collBuf: *collBuf, ioNodes: *ioNodes,
+			noProgram: *noProgram, servers: *servers, stripe: *stripeUnit,
+			serverRestarts: *serverRestarts, killServer: *killServer, wireChaosSeed: *wireChaosSeed,
 			file: *file, readBW: *readBW, writeBW: *writeBW, latency: *latency,
 			tracePath: *tracePath, stall: stallTimeout, timeout: *netTimeout,
 			traceSplit: *traceSplit, flight: *flight, noMetrics: *noMetrics,
@@ -310,15 +301,10 @@ func main() {
 		Tiles:      *tiles,
 		Backend:    backend,
 		Options: core.Options{
-			SieveBufSize:        *sieveBuf,
-			CollBufSize:         *collBuf,
-			IONodes:             *ioNodes,
-			DisableCollPipeline: *noPipe,
-			DisablePool:         *noPool,
-			DisableVectored:     *noVectored,
-			DisableProgram:      *noProgram,
-			DisableViewPath:     *noViews,
-			DisableEpochs:       *noEpochs,
+			SieveBufSize:   *sieveBuf,
+			CollBufSize:    *collBuf,
+			IONodes:        *ioNodes,
+			DisableProgram: *noProgram,
 		},
 		Trace:        collector,
 		Metrics:      reg,
@@ -428,14 +414,9 @@ type launchFlags struct {
 	tiles             int64
 	sieveBuf, collBuf int
 	ioNodes           int
-	noPipe            bool
-	noPool            bool
-	noVectored        bool
 	noProgram         bool
-	noViews           bool
 	servers           int
 	stripe            int64
-	noEpochs          bool
 	serverRestarts    int
 	killServer        time.Duration
 	wireChaosSeed     int64
@@ -519,9 +500,6 @@ func netLaunch(p int, pat noncontig.Pattern, eng core.Engine, lf launchFlags) {
 		} else {
 			a = append(a, "-file", path)
 		}
-		if lf.noEpochs {
-			a = append(a, "-no-epochs")
-		}
 		if lf.sieveBuf > 0 {
 			a = append(a, "-sievebuf", fmt.Sprint(lf.sieveBuf))
 		}
@@ -531,20 +509,8 @@ func netLaunch(p int, pat noncontig.Pattern, eng core.Engine, lf launchFlags) {
 		if lf.ioNodes > 0 {
 			a = append(a, "-ionodes", fmt.Sprint(lf.ioNodes))
 		}
-		if lf.noPipe {
-			a = append(a, "-no-pipeline")
-		}
-		if lf.noPool {
-			a = append(a, "-no-pool")
-		}
-		if lf.noVectored {
-			a = append(a, "-no-vectored")
-		}
 		if lf.noProgram {
 			a = append(a, "-no-program")
-		}
-		if lf.noViews {
-			a = append(a, "-no-views")
 		}
 		if lf.readBW > 0 {
 			a = append(a, "-read-bw", fmt.Sprint(lf.readBW))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/testutil"
 )
@@ -63,6 +64,9 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics bool, wantP
 		t.Skip("race-detector instrumentation allocates")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// One P throughout, as inside AllocsPerRun: sync.Pool caches per P,
+	// so the warm-up must fill the cache the measurement draws from.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	// Window counts: d bytes of data cover 2*d bytes of file (50%
 	// density), so windows = 2*d/allocWinSize.
@@ -74,9 +78,10 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics bool, wantP
 	if metrics {
 		reg = obs.NewRegistry()
 	}
+	bp := pool.New()
 	_, err := mpi.Run(1, func(p *mpi.Proc) {
 		sh := NewShared(storage.NewMem())
-		f, err := Open(p, sh, Options{Engine: engine, CollBufSize: allocWinSize, Metrics: reg})
+		f, err := Open(p, sh, Options{Engine: engine, CollBufSize: allocWinSize, Metrics: reg, Pool: bp})
 		if err != nil {
 			panic(err)
 		}
@@ -96,11 +101,24 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics bool, wantP
 		}
 
 		aSmall := measureCollective(t, f, buf, dSmall, write)
+		s0 := bp.Stats()
 		aLarge := measureCollective(t, f, buf, dLarge, write)
+		s1 := bp.Stats()
 		perWindow := (aLarge - aSmall) / (winLarge - winSmall)
 		if perWindow > wantPerWindow {
 			t.Errorf("engine %v write=%v: %.2f allocs per steady-state window (small=%v large=%v), want <= %v",
 				engine, write, perWindow, aSmall, aLarge, wantPerWindow)
+		}
+		// The zero above is not vacuous: every window does draw a buffer
+		// and hand it back, and the pool serves each one without
+		// allocating.
+		if s1.Gets-s0.Gets < winLarge || s1.Puts-s0.Puts < winLarge {
+			t.Errorf("engine %v write=%v: %d gets, %d puts over %d-window collectives: the windows do not go through the pool",
+				engine, write, s1.Gets-s0.Gets, s1.Puts-s0.Puts, winLarge)
+		}
+		if s1.Misses != s0.Misses || s1.BytesAlloc != s0.BytesAlloc {
+			t.Errorf("engine %v write=%v: warm pool missed %d times (%d B) in steady state",
+				engine, write, s1.Misses-s0.Misses, s1.BytesAlloc-s0.BytesAlloc)
 		}
 	})
 	if err != nil {
@@ -111,7 +129,7 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics bool, wantP
 // TestListlessWindowZeroAlloc: the listless engine's steady-state
 // window loop — pooled buffers, recycled chunks, freelisted window
 // descriptors, persistent pipeline workers — performs zero allocations
-// per window, for both the pipelined and the sequential loop.
+// per window.
 func TestListlessWindowZeroAlloc(t *testing.T) {
 	for _, write := range []bool{true, false} {
 		testWindowAllocFree(t, Listless, write, false, 0)
@@ -125,71 +143,6 @@ func TestListlessWindowZeroAlloc(t *testing.T) {
 func TestListlessWindowZeroAllocMetricsOn(t *testing.T) {
 	for _, write := range []bool{true, false} {
 		testWindowAllocFree(t, Listless, write, true, 0)
-	}
-}
-
-// TestListlessSequentialWindowZeroAlloc covers the DisableCollPipeline
-// ablation loop.
-func TestListlessSequentialWindowZeroAlloc(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("race-detector instrumentation allocates")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const d = int64(8 * allocWinSize / 2)
-	_, err := mpi.Run(1, func(p *mpi.Proc) {
-		sh := NewShared(storage.NewMem())
-		f, err := Open(p, sh, Options{Engine: Listless, CollBufSize: allocWinSize, DisableCollPipeline: true})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
-		if err := allocView(f, d/allocBlocklen); err != nil {
-			panic(err)
-		}
-		buf := make([]byte, d)
-		if _, err := f.WriteAtAll(0, d, datatype.Byte, buf); err != nil {
-			panic(err)
-		}
-		aSmall := measureCollective(t, f, buf, d/4, true)
-		aLarge := measureCollective(t, f, buf, d, true)
-		if perWindow := (aLarge - aSmall) / 6; perWindow > 0 {
-			t.Errorf("sequential loop: %.2f allocs per window (small=%v large=%v)", perWindow, aSmall, aLarge)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestUnpooledAblationAllocates sanity-checks the measurement itself:
-// with DisablePool the same loop must allocate per window (otherwise
-// the zero assertions above would be vacuous).
-func TestUnpooledAblationAllocates(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const dSmall = int64(4 * allocWinSize / 2)
-	const dLarge = int64(16 * allocWinSize / 2)
-	_, err := mpi.Run(1, func(p *mpi.Proc) {
-		sh := NewShared(storage.NewMem())
-		f, err := Open(p, sh, Options{Engine: Listless, CollBufSize: allocWinSize, DisablePool: true})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
-		if err := allocView(f, dLarge/allocBlocklen); err != nil {
-			panic(err)
-		}
-		buf := make([]byte, dLarge)
-		if _, err := f.WriteAtAll(0, dLarge, datatype.Byte, buf); err != nil {
-			panic(err)
-		}
-		aSmall := measureCollective(t, f, buf, dSmall, true)
-		aLarge := measureCollective(t, f, buf, dLarge, true)
-		if perWindow := (aLarge - aSmall) / 12; perWindow < 1 {
-			t.Errorf("unpooled ablation allocates %.2f per window; expected >= 1 (is the measurement broken?)", perWindow)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -312,19 +265,19 @@ func TestDecodedViewCollectedWithItsDerivedData(t *testing.T) {
 	}
 }
 
-// benchCollective is the -benchmem benchmark behind the CI pooled vs
-// unpooled benchstat artifact: P=4 nc-nc collective writes+reads.
-func benchCollective(b *testing.B, opts Options) {
+// BenchmarkCollectiveWindow is the -benchmem benchmark of the
+// steady-state window loop: P=4 nc-nc collective writes+reads.
+func BenchmarkCollectiveWindow(b *testing.B) {
 	const (
 		P          = 4
 		blockcount = 512
 		blocklen   = 64
 	)
 	d := blockcount * int64(blocklen)
-	opts.CollBufSize = 64 << 10
+	b.ReportAllocs()
 	sh := NewShared(storage.NewMem())
 	_, err := mpi.Run(P, func(p *mpi.Proc) {
-		f, err := Open(p, sh, opts)
+		f, err := Open(p, sh, Options{Engine: Listless, CollBufSize: 64 << 10})
 		if err != nil {
 			panic(err)
 		}
@@ -349,15 +302,4 @@ func benchCollective(b *testing.B, opts Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-}
-
-func BenchmarkCollectiveWindow(b *testing.B) {
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		benchCollective(b, Options{Engine: Listless})
-	})
-	b.Run("unpooled", func(b *testing.B) {
-		b.ReportAllocs()
-		benchCollective(b, Options{Engine: Listless, DisablePool: true, DisableVectored: true})
-	})
 }

@@ -47,13 +47,13 @@ func requireAgreement(t *testing.T, label string, errs []error, wantRank int, wa
 
 // collOracle runs the same collective write on a clean Mem world and
 // returns the resulting file bytes.
-func collOracle(t *testing.T, eng Engine, pipeline bool, P int, blockcount, blocklen int64) []byte {
+func collOracle(t *testing.T, eng Engine, P int, blockcount, blocklen int64) []byte {
 	t.Helper()
 	be := storage.NewMem()
 	sh := NewShared(be)
 	d := blockcount * blocklen
 	_, err := mpi.Run(P, func(p *mpi.Proc) {
-		f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128, DisableCollPipeline: !pipeline})
+		f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128})
 		if err != nil {
 			panic(err)
 		}
@@ -76,8 +76,7 @@ func collOracle(t *testing.T, eng Engine, pipeline bool, P int, blockcount, bloc
 // IOP's file domain must return the same wrapped CollectiveError
 // (correct rank, correct phase) on every rank, without deadlock or
 // goroutine leak — and an immediately following fault-free collective
-// on the same File must produce correct bytes on both engines and both
-// window loops.
+// on the same File must produce correct bytes on both engines.
 func TestCollectiveErrorAgreement(t *testing.T) {
 	const (
 		P          = 4
@@ -89,65 +88,63 @@ func TestCollectiveErrorAgreement(t *testing.T) {
 	domSize := d // gHi = P*d, split across P IOPs
 
 	for _, eng := range []Engine{Listless, ListBased} {
-		for _, pipeline := range []bool{false, true} {
-			label := fmt.Sprintf("%v/pipeline=%v", eng, pipeline)
-			checkLeaks := testutil.LeakCheck(t)
+		label := eng.String()
+		checkLeaks := testutil.LeakCheck(t)
 
-			fb := storage.NewFaulty(storage.NewMem())
-			sh := NewShared(fb)
-			errs := make([]error, P)
-			reread := make([][]byte, P)
-			_, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-				f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128, DisableCollPipeline: !pipeline})
-				if err != nil {
-					panic(err)
-				}
-				defer f.Close()
-				if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
-					panic(err)
-				}
-				data := pattern(p.Rank(), d)
-				if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
-					panic(err)
-				}
-				if p.Rank() == 0 {
-					// Fault exactly IOP failIOP's file domain.
-					fb.FailReadRange(int64(failIOP)*domSize, int64(failIOP+1)*domSize)
-				}
-				p.Barrier()
-				_, errs[p.Rank()] = f.ReadAtAll(0, d, datatype.Byte, make([]byte, d))
-				p.Barrier()
-				if p.Rank() == 0 {
-					fb.Heal()
-				}
-				p.Barrier()
-				// The File must remain usable: a fault-free collective
-				// right after the agreed failure.
-				got := make([]byte, d)
-				if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
-					panic(fmt.Sprintf("post-fault read: %v", err))
-				}
-				if !bytes.Equal(got, data) {
-					panic("post-fault collective read returned wrong bytes")
-				}
-				reread[p.Rank()] = got
-			})
+		fb := storage.NewFaulty(storage.NewMem())
+		sh := NewShared(fb)
+		errs := make([]error, P)
+		reread := make([][]byte, P)
+		_, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+			f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128})
 			if err != nil {
-				t.Fatalf("%s: world error: %v", label, err)
+				panic(err)
 			}
-			requireAgreement(t, label, errs, failIOP, PhaseIOPWindow)
-			want := collOracle(t, eng, pipeline, P, blockcount, blocklen)
-			if !bytes.Equal(fb.Backend.(*storage.Mem).Bytes(), want) {
-				t.Errorf("%s: file bytes differ from fault-free oracle", label)
+			defer f.Close()
+			if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
+				panic(err)
 			}
-			checkLeaks()
+			data := pattern(p.Rank(), d)
+			if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
+				panic(err)
+			}
+			if p.Rank() == 0 {
+				// Fault exactly IOP failIOP's file domain.
+				fb.FailReadRange(int64(failIOP)*domSize, int64(failIOP+1)*domSize)
+			}
+			p.Barrier()
+			_, errs[p.Rank()] = f.ReadAtAll(0, d, datatype.Byte, make([]byte, d))
+			p.Barrier()
+			if p.Rank() == 0 {
+				fb.Heal()
+			}
+			p.Barrier()
+			// The File must remain usable: a fault-free collective
+			// right after the agreed failure.
+			got := make([]byte, d)
+			if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
+				panic(fmt.Sprintf("post-fault read: %v", err))
+			}
+			if !bytes.Equal(got, data) {
+				panic("post-fault collective read returned wrong bytes")
+			}
+			reread[p.Rank()] = got
+		})
+		if err != nil {
+			t.Fatalf("%s: world error: %v", label, err)
 		}
+		requireAgreement(t, label, errs, failIOP, PhaseIOPWindow)
+		want := collOracle(t, eng, P, blockcount, blocklen)
+		if !bytes.Equal(fb.Backend.(*storage.Mem).Bytes(), want) {
+			t.Errorf("%s: file bytes differ from fault-free oracle", label)
+		}
+		checkLeaks()
 	}
 }
 
 // TestFaultCollectiveMatrix runs 4-rank fault propagation across
-// read/write × both engines × both window loops, asserting unanimous
-// agreement each time and full recovery after healing.
+// read/write × both engines, asserting unanimous agreement each time
+// and full recovery after healing.
 func TestFaultCollectiveMatrix(t *testing.T) {
 	const (
 		P          = 4
@@ -159,76 +156,74 @@ func TestFaultCollectiveMatrix(t *testing.T) {
 	domSize := d
 
 	for _, eng := range []Engine{Listless, ListBased} {
-		for _, pipeline := range []bool{false, true} {
-			for _, write := range []bool{false, true} {
-				op := "read"
-				if write {
-					op = "write"
-				}
-				label := fmt.Sprintf("%v/pipeline=%v/%s", eng, pipeline, op)
-				checkLeaks := testutil.LeakCheck(t)
-
-				fb := storage.NewFaulty(storage.NewMem())
-				sh := NewShared(fb)
-				errs := make([]error, P)
-				_, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-					f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128, DisableCollPipeline: !pipeline})
-					if err != nil {
-						panic(err)
-					}
-					defer f.Close()
-					if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
-						panic(err)
-					}
-					data := pattern(p.Rank(), d)
-					if !write {
-						// Seed the file so the faulted read has data under it.
-						if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
-							panic(err)
-						}
-					}
-					if p.Rank() == 0 {
-						lo, hi := int64(failIOP)*domSize, int64(failIOP+1)*domSize
-						if write {
-							fb.FailWriteRange(lo, hi)
-						} else {
-							fb.FailReadRange(lo, hi)
-						}
-					}
-					p.Barrier()
-					if write {
-						_, errs[p.Rank()] = f.WriteAtAll(0, d, datatype.Byte, data)
-					} else {
-						_, errs[p.Rank()] = f.ReadAtAll(0, d, datatype.Byte, make([]byte, d))
-					}
-					p.Barrier()
-					if p.Rank() == 0 {
-						fb.Heal()
-					}
-					p.Barrier()
-					// Recovery: the same collective, fault-free, must
-					// round-trip on the same File.
-					if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
-						panic(fmt.Sprintf("post-heal write: %v", err))
-					}
-					got := make([]byte, d)
-					if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
-						panic(fmt.Sprintf("post-heal read: %v", err))
-					}
-					if !bytes.Equal(got, data) {
-						panic("post-heal round trip mismatch")
-					}
-				})
-				if err != nil {
-					t.Fatalf("%s: world error: %v", label, err)
-				}
-				requireAgreement(t, label, errs, failIOP, PhaseIOPWindow)
-				want := collOracle(t, eng, pipeline, P, blockcount, blocklen)
-				if !bytes.Equal(fb.Backend.(*storage.Mem).Bytes(), want) {
-					t.Errorf("%s: recovered file differs from fault-free oracle", label)
-				}
-				checkLeaks()
+		for _, write := range []bool{false, true} {
+			op := "read"
+			if write {
+				op = "write"
 			}
+			label := fmt.Sprintf("%v/%s", eng, op)
+			checkLeaks := testutil.LeakCheck(t)
+
+			fb := storage.NewFaulty(storage.NewMem())
+			sh := NewShared(fb)
+			errs := make([]error, P)
+			_, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+				f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128})
+				if err != nil {
+					panic(err)
+				}
+				defer f.Close()
+				if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
+					panic(err)
+				}
+				data := pattern(p.Rank(), d)
+				if !write {
+					// Seed the file so the faulted read has data under it.
+					if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
+						panic(err)
+					}
+				}
+				if p.Rank() == 0 {
+					lo, hi := int64(failIOP)*domSize, int64(failIOP+1)*domSize
+					if write {
+						fb.FailWriteRange(lo, hi)
+					} else {
+						fb.FailReadRange(lo, hi)
+					}
+				}
+				p.Barrier()
+				if write {
+					_, errs[p.Rank()] = f.WriteAtAll(0, d, datatype.Byte, data)
+				} else {
+					_, errs[p.Rank()] = f.ReadAtAll(0, d, datatype.Byte, make([]byte, d))
+				}
+				p.Barrier()
+				if p.Rank() == 0 {
+					fb.Heal()
+				}
+				p.Barrier()
+				// Recovery: the same collective, fault-free, must
+				// round-trip on the same File.
+				if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
+					panic(fmt.Sprintf("post-heal write: %v", err))
+				}
+				got := make([]byte, d)
+				if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
+					panic(fmt.Sprintf("post-heal read: %v", err))
+				}
+				if !bytes.Equal(got, data) {
+					panic("post-heal round trip mismatch")
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s: world error: %v", label, err)
+			}
+			requireAgreement(t, label, errs, failIOP, PhaseIOPWindow)
+			want := collOracle(t, eng, P, blockcount, blocklen)
+			if !bytes.Equal(fb.Backend.(*storage.Mem).Bytes(), want) {
+				t.Errorf("%s: recovered file differs from fault-free oracle", label)
+			}
+			checkLeaks()
 		}
 	}
 }
@@ -249,56 +244,54 @@ func TestChaosCollectiveHarness(t *testing.T) {
 
 	for _, seed := range []int64{1, 7, 42} {
 		for _, eng := range []Engine{Listless, ListBased} {
-			for _, pipeline := range []bool{false, true} {
-				label := fmt.Sprintf("seed=%d/%v/pipeline=%v", seed, eng, pipeline)
-				checkLeaks := testutil.LeakCheck(t)
+			label := fmt.Sprintf("seed=%d/%v", seed, eng)
+			checkLeaks := testutil.LeakCheck(t)
 
-				chaos := storage.NewChaos(seed, storage.NewMem(), storage.TransientOnly())
-				be := storage.NewResilient(chaos, storage.ResilientConfig{Seed: seed + 1})
-				sh := NewShared(be)
-				reads := make([][]byte, P)
-				_, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-					f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128, DisableCollPipeline: !pipeline})
-					if err != nil {
-						panic(err)
-					}
-					defer f.Close()
-					if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
-						panic(err)
-					}
-					data := pattern(p.Rank(), d)
-					if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
-						panic(fmt.Sprintf("chaos write: %v", err))
-					}
-					got := make([]byte, d)
-					if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
-						panic(fmt.Sprintf("chaos read: %v", err))
-					}
-					reads[p.Rank()] = got
-				})
+			chaos := storage.NewChaos(seed, storage.NewMem(), storage.TransientOnly())
+			be := storage.NewResilient(chaos, storage.ResilientConfig{Seed: seed + 1})
+			sh := NewShared(be)
+			reads := make([][]byte, P)
+			_, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+				f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128})
 				if err != nil {
-					t.Fatalf("%s: world error: %v", label, err)
+					panic(err)
 				}
-				for r := range reads {
-					if !bytes.Equal(reads[r], pattern(r, d)) {
-						t.Errorf("%s: rank %d read-back corrupted under chaos", label, r)
-					}
+				defer f.Close()
+				if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
+					panic(err)
 				}
-				want := collOracle(t, eng, pipeline, P, blockcount, blocklen)
-				if !bytes.Equal(chaos.Backend.(*storage.Mem).Bytes(), want) {
-					t.Errorf("%s: chaos file differs from fault-free oracle", label)
+				data := pattern(p.Rank(), d)
+				if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
+					panic(fmt.Sprintf("chaos write: %v", err))
 				}
-				injected += chaos.Stats().Total()
-				retries, exhausted := be.RetryStats()
-				if exhausted != 0 {
-					t.Errorf("%s: %d retry budgets exhausted under transient-only chaos", label, exhausted)
+				got := make([]byte, d)
+				if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
+					panic(fmt.Sprintf("chaos read: %v", err))
 				}
-				if chaos.Stats().Total() > 0 && retries == 0 {
-					t.Errorf("%s: chaos injected %d faults but Resilient recorded no retries",
-						label, chaos.Stats().Total())
-				}
-				checkLeaks()
+				reads[p.Rank()] = got
+			})
+			if err != nil {
+				t.Fatalf("%s: world error: %v", label, err)
 			}
+			for r := range reads {
+				if !bytes.Equal(reads[r], pattern(r, d)) {
+					t.Errorf("%s: rank %d read-back corrupted under chaos", label, r)
+				}
+			}
+			want := collOracle(t, eng, P, blockcount, blocklen)
+			if !bytes.Equal(chaos.Backend.(*storage.Mem).Bytes(), want) {
+				t.Errorf("%s: chaos file differs from fault-free oracle", label)
+			}
+			injected += chaos.Stats().Total()
+			retries, exhausted := be.RetryStats()
+			if exhausted != 0 {
+				t.Errorf("%s: %d retry budgets exhausted under transient-only chaos", label, exhausted)
+			}
+			if chaos.Stats().Total() > 0 && retries == 0 {
+				t.Errorf("%s: chaos injected %d faults but Resilient recorded no retries",
+					label, chaos.Stats().Total())
+			}
+			checkLeaks()
 		}
 	}
 	if injected == 0 {

@@ -12,19 +12,13 @@ import (
 // receives and merges each AP's chunk, and writes the window back, or
 // (read) reads the window and sends each AP its portion.
 //
-// Two variants share the engine-provided iopWindow state:
-//
-//   - iopSequential: one window at a time, every phase in order — the
-//     classic two-phase loop, kept as the DisableCollPipeline ablation
-//     baseline.
-//
-//   - iopPipelined (the default): a double-buffered pipeline over two
-//     window buffers.  Window k+1's pre-read and window k-1's
-//     write-back run in the background while window k's AP exchange and
-//     copying proceed on the main goroutine, overlapping storage time
-//     with communication time.  Safe because windows are disjoint file
-//     ranges, backends accept concurrent access, and all MPI traffic
-//     stays on the main goroutine (preserving per-pair message order).
+// The loop (iopPipelined) is a double-buffered pipeline over two window
+// buffers.  Window k+1's pre-read and window k-1's write-back run in the
+// background while window k's AP exchange and copying proceed on the
+// main goroutine, overlapping storage time with communication time.
+// Safe because windows are disjoint file ranges, backends accept
+// concurrent access, and all MPI traffic stays on the main goroutine
+// (preserving per-pair message order).
 //
 // The pipeline's steady state is allocation-free: the two window
 // buffers come from the pool, each slot owns one persistent worker
@@ -52,12 +46,7 @@ func (f *File) iopProcess(pl *collPlan, write bool) *CollectiveError {
 		return nil
 	}
 	winSize := min(int64(f.opts.CollBufSize), domHi-domLo)
-	if f.opts.DisableCollPipeline {
-		err = f.iopSequential(iop, domLo, domHi, winSize, write)
-	} else {
-		err = f.iopPipelined(iop, domLo, domHi, winSize, write)
-	}
-	if err != nil {
+	if err := f.iopPipelined(iop, domLo, domHi, winSize, write); err != nil {
 		return &CollectiveError{Rank: f.p.Rank(), Phase: PhaseIOPWindow, Err: err}
 	}
 	return nil
@@ -115,77 +104,6 @@ func (f *File) iopExchangeRead(iw iopWindow, w []byte, winLo int64) {
 		f.om.copyNs.Add(cn)
 		f.om.exchangeNs.Add(en)
 	}
-}
-
-// iopSequential is the strictly ordered window loop.
-func (f *File) iopSequential(iop iopState, domLo, domHi, winSize int64, write bool) error {
-	win := f.bp.Get(int(winSize))
-	defer f.bp.Put(win)
-	for winLo := domLo; winLo < domHi; winLo += winSize {
-		winHi := min(winLo+winSize, domHi)
-		w := win[:winHi-winLo]
-		iw := iop.window(winLo, winHi)
-		if iw.total() == 0 {
-			iw.release()
-			continue
-		}
-		wsp := f.tr.Begin(trace.PhaseWindow, winLo, iw.total())
-		if write {
-			covered := !f.opts.DisableMergeCheck && iw.covered()
-			if covered {
-				f.Stats.PreReadsSkipped++
-				f.om.preSkipped.Inc()
-			} else {
-				rsp := f.tr.Begin(trace.PhasePreRead, winLo, int64(len(w)))
-				t0 := time.Now()
-				err := storage.ReadFull(f.sh.b, w, winLo)
-				rsp.End()
-				sn := time.Since(t0).Nanoseconds()
-				f.Stats.StorageNs += sn
-				f.om.storageNs.Add(sn)
-				if err != nil {
-					wsp.End()
-					iw.release()
-					return err
-				}
-			}
-			f.iopExchangeWrite(iw, w, winLo)
-			bsp := f.tr.Begin(trace.PhaseWriteBack, winLo, int64(len(w)))
-			t0 := time.Now()
-			_, err := f.sh.b.WriteAt(w, winLo)
-			bsp.End()
-			sn := time.Since(t0).Nanoseconds()
-			f.Stats.StorageNs += sn
-			f.om.storageNs.Add(sn)
-			if err != nil {
-				wsp.End()
-				iw.release()
-				return err
-			}
-			f.Stats.SieveWrites++
-			f.om.sieveWrites.Inc()
-		} else {
-			rsp := f.tr.Begin(trace.PhasePreRead, winLo, int64(len(w)))
-			t0 := time.Now()
-			err := storage.ReadFull(f.sh.b, w, winLo)
-			rsp.End()
-			sn := time.Since(t0).Nanoseconds()
-			f.Stats.StorageNs += sn
-			f.om.storageNs.Add(sn)
-			if err != nil {
-				wsp.End()
-				iw.release()
-				return err
-			}
-			f.Stats.SieveReads++
-			f.om.sieveReads.Inc()
-			f.iopExchangeRead(iw, w, winLo)
-		}
-		wsp.End()
-		f.om.windows.Inc()
-		iw.release()
-	}
-	return nil
 }
 
 // ioToken carries the result of background storage access through the

@@ -79,37 +79,10 @@ type Options struct {
 	// windows, even when fully covered (ablation of the mergeview
 	// write optimization).
 	DisableMergeCheck bool
-	// DisableCollPipeline makes the IOP window loop run strictly
-	// sequentially — window k's storage I/O, AP exchange, and
-	// pack/unpack finish before window k+1 starts — instead of the
-	// default double-buffered pipeline that overlaps window k+1's
-	// pre-read and window k-1's write-back with window k's exchange
-	// (ablation of window pipelining).
-	DisableCollPipeline bool
-	// DisablePool makes every hot-path buffer (collective window double
-	// buffers, exchange chunks, sieve and pack buffers) a fresh
-	// allocation instead of drawing on the shared buffer pool (ablation
-	// of buffer pooling; the steady-state loop is allocation-free with
-	// pooling on).
-	DisablePool bool
 	// Pool, when non-nil, overrides the shared pool.Global as the buffer
 	// source — tests install a pool.NewChecked() here to catch
-	// double-put and use-after-put.  Ignored when DisablePool is set.
+	// double-put and use-after-put.
 	Pool *pool.Pool
-	// DisableVectored makes the sparse direct-access path issue one
-	// backend call per contiguous fileview run instead of batching each
-	// pack-buffer chunk into a single vectored ReadAtv/WriteAtv
-	// (ablation of scatter/gather I/O).
-	DisableVectored bool
-	// DisableViewPath makes the sparse direct-access path ship offset
-	// lists even when the backend accepts registered views (ablation of
-	// server-side datatype evaluation: the remote I/O-server tier then
-	// behaves like a plain striped store).
-	DisableViewPath bool
-	// DisableEpochs makes collective writes apply directly even when the
-	// backend supports the epoch commit protocol (crash consistency off:
-	// a server crash mid-collective may leave torn multi-stripe state).
-	DisableEpochs bool
 	// DisableProgram makes every pack/unpack hot path use the recursive
 	// flattening-on-the-fly walk (or, on the list-based engine, the
 	// per-tuple list scan) instead of the compiled flat copy program
@@ -170,10 +143,9 @@ type Stats struct {
 	// was skipped because the combined fileviews covered them.
 	PreReadsSkipped int64
 	// DirectReads / DirectWrites count per-block direct backend
-	// accesses taken by the sparse-access heuristic (SieveDensity).
-	// With vectored I/O enabled they still count logical per-run
-	// accesses; VectoredReads / VectoredWrites count the batched
-	// backend calls that actually carried them.
+	// accesses taken by the sparse-access heuristic (SieveDensity):
+	// logical per-run accesses; VectoredReads / VectoredWrites count
+	// the batched backend calls that carried them.
 	DirectReads, DirectWrites int64
 	// VectoredReads / VectoredWrites count ReadAtv/WriteAtv batches
 	// issued by the direct-access path.
@@ -189,13 +161,12 @@ type Stats struct {
 	// Per-phase collective timing, in nanoseconds, separating where
 	// two-phase time goes on this rank: ExchangeNs is AP↔IOP data
 	// send/receive, StorageNs is backend window I/O (pre-reads and
-	// write-backs, whether sequential or overlapped), CopyNs is
-	// pack/unpack and window copying.
+	// write-backs, which overlap the other two), CopyNs is pack/unpack
+	// and window copying.
 	ExchangeNs, StorageNs, CopyNs int64
 	// WindowsOverlapped counts collective windows whose storage I/O
 	// (pre-read or write-back) proceeded concurrently with the exchange
-	// or copy work of a neighboring window in the pipelined window
-	// loop.
+	// or copy work of a neighboring window.
 	WindowsOverlapped int64
 
 	// EpochsCommitted counts collective writes committed through the
@@ -274,7 +245,7 @@ type File struct {
 	sh   *Shared
 	opts Options
 	tr   *trace.Tracer // this rank's span recorder; nil when tracing is off
-	bp   *pool.Pool    // buffer pool; nil (allocate-always) when DisablePool
+	bp   *pool.Pool    // buffer pool: Options.Pool, else pool.Global; never nil
 
 	v   view
 	eng accessEngine
@@ -286,10 +257,10 @@ type File struct {
 	viewBE     storage.ViewBackend
 	viewHandle storage.ViewHandle
 
-	// epochBE is set when the backend supports the epoch commit protocol
-	// and epochs are enabled: collective writes then stage under an epoch
-	// id and commit via epochFinish.  Ids run from epochBase (the world's
-	// high-water mark at Open) in lockstep across ranks.
+	// epochBE is set when the backend supports the epoch commit
+	// protocol: collective writes then stage under an epoch id and commit
+	// via epochFinish.  Ids run from epochBase (the world's high-water
+	// mark at Open) in lockstep across ranks.
 	epochBE   storage.EpochBackend
 	epochBase uint64
 	epochSeq  uint64
@@ -317,21 +288,16 @@ func Open(p *mpi.Proc, sh *Shared, opts Options) (*File, error) {
 		sh:   sh,
 		opts: opts,
 		tr:   opts.Trace.Tracer(p.Rank()),
+		bp:   opts.Pool,
 		om:   newFileMetrics(opts.Metrics),
 	}
 	registerProgramCacheMetrics(opts.Metrics)
-	if !opts.DisablePool {
-		if opts.Pool != nil {
-			f.bp = opts.Pool
-		} else {
-			f.bp = pool.Global
-		}
+	if f.bp == nil {
+		f.bp = pool.Global
 	}
-	if !opts.DisableEpochs {
-		if eb, ok := storage.AsEpochBackend(sh.b); ok {
-			f.epochBE = eb
-			f.epochBase = sh.epochMark()
-		}
+	if eb, ok := storage.AsEpochBackend(sh.b); ok {
+		f.epochBE = eb
+		f.epochBase = sh.epochMark()
 	}
 	f.eng = newEngine(f)
 	if err := f.SetView(0, datatype.Byte, datatype.Byte); err != nil {
@@ -381,7 +347,7 @@ func (f *File) SetView(disp int64, etype, filetype *datatype.Type) error {
 	}
 	f.ptr = 0
 	f.viewBE, f.viewHandle = nil, 0
-	if vb, ok := storage.AsViewBackend(f.sh.b); ok && !f.opts.DisableViewPath && !filetype.ContiguousTiled() {
+	if vb, ok := storage.AsViewBackend(f.sh.b); ok && !filetype.ContiguousTiled() {
 		// Register the fileview with the backend once per SetView — the
 		// storage-tier analogue of the engine's fileview caching.  The
 		// backend deduplicates repeats of the same encoding, so this is

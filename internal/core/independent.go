@@ -242,11 +242,11 @@ func (f *File) moveWindow(w []byte, winLo, dv, n int64, buf []byte, mem *memStat
 // read-modify-write and no byte-range locks are needed because every
 // backend access touches exactly the bytes of the view.
 //
-// By default the runs of each pack-buffer chunk are gathered into one
-// vectored batch (one preadv/pwritev-style backend call per chunk
-// instead of one per run); Options.DisableVectored restores the
-// per-run loop.  Stats counts both: DirectReads/DirectWrites are the
-// logical runs, VectoredReads/VectoredWrites the batched calls.
+// The runs of each pack-buffer chunk are gathered into one vectored
+// batch (one preadv/pwritev-style backend call per chunk where the
+// backend has one, storage.ReadAtv/WriteAtv's loop elsewhere).  Stats
+// counts both: DirectReads/DirectWrites are the logical runs,
+// VectoredReads/VectoredWrites the batched calls.
 func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig bool, write bool) error {
 	var pb []byte
 	if !memContig {
@@ -300,30 +300,16 @@ func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig 
 		}
 		segs = segs[:0]
 		vc.eachRun(c, func(fileOff, dataOff, ln int64) {
-			if ioErr != nil {
-				return
-			}
 			piece := cb[dataOff-(d0+m) : dataOff-(d0+m)+ln]
-			if write {
-				f.Stats.DirectWrites++
-			} else {
-				f.Stats.DirectReads++
-			}
-			if !f.opts.DisableVectored {
-				segs = append(segs, storage.Segment{Off: fileOff, Buf: piece})
-				return
-			}
-			if write {
-				_, ioErr = f.sh.b.WriteAt(piece, fileOff)
-			} else {
-				ioErr = storage.ReadFull(f.sh.b, piece, fileOff)
-			}
+			segs = append(segs, storage.Segment{Off: fileOff, Buf: piece})
 		})
-		if ioErr == nil && len(segs) > 0 {
+		if len(segs) > 0 {
 			if write {
+				f.Stats.DirectWrites += int64(len(segs))
 				ioErr = storage.WriteAtv(f.sh.b, segs)
 				f.Stats.VectoredWrites++
 			} else {
+				f.Stats.DirectReads += int64(len(segs))
 				ioErr = storage.ReadAtv(f.sh.b, segs)
 				f.Stats.VectoredReads++
 			}

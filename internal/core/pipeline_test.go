@@ -19,13 +19,12 @@ import (
 // summed Stats of all ranks.  off starts the access mid-filetype so
 // some windows are only partially covered (exercising the RMW
 // pre-read).
-func collScenario(t *testing.T, be storage.Backend, eng Engine, pipeline bool, P int, blockcount, blocklen, off int64) ([]byte, [][]byte, Stats) {
+func collScenario(t *testing.T, be storage.Backend, eng Engine, P int, blockcount, blocklen, off int64) ([]byte, [][]byte, Stats) {
 	t.Helper()
 	sh := NewShared(be)
 	opts := Options{
-		Engine:              eng,
-		CollBufSize:         192, // several windows per IOP domain
-		DisableCollPipeline: !pipeline,
+		Engine:      eng,
+		CollBufSize: 192, // several windows per IOP domain
 	}
 	d := blockcount*blocklen - off
 	reads := make([][]byte, P)
@@ -54,7 +53,7 @@ func collScenario(t *testing.T, be storage.Backend, eng Engine, pipeline bool, P
 		stats[p.Rank()] = f.Stats
 	})
 	if err != nil {
-		t.Fatalf("engine %v pipeline %v: %v", eng, pipeline, err)
+		t.Fatalf("engine %v: %v", eng, err)
 	}
 	file := make([]byte, be.Size())
 	if err := storage.ReadFull(be, file, 0); err != nil {
@@ -74,9 +73,8 @@ func collScenario(t *testing.T, be storage.Backend, eng Engine, pipeline bool, P
 }
 
 // TestCollectiveBackendMatrix checks that collective writes and reads
-// produce byte-identical files across both engines, both window-loop
-// variants, and the Mem, Throttled, Striped, and (quiescent) Faulty
-// backends.
+// produce byte-identical files across both engines and the Mem,
+// Throttled, Striped, and (quiescent) Faulty backends.
 func TestCollectiveBackendMatrix(t *testing.T) {
 	const (
 		P          = 3
@@ -103,25 +101,20 @@ func TestCollectiveBackendMatrix(t *testing.T) {
 	var refReads [][]byte
 	for name, mk := range backends {
 		for _, eng := range []Engine{Listless, ListBased} {
-			for _, pipeline := range []bool{false, true} {
-				file, reads, st := collScenario(t, mk(), eng, pipeline, P, blockcount, blocklen, off)
-				if refFile == nil {
-					refFile, refReads = file, reads
-					continue
-				}
-				if !bytes.Equal(file, refFile) {
-					t.Errorf("%s/%v/pipeline=%v: file differs from reference", name, eng, pipeline)
-				}
-				for r := range reads {
-					if !bytes.Equal(reads[r], refReads[r]) {
-						t.Errorf("%s/%v/pipeline=%v: rank %d read-back differs", name, eng, pipeline, r)
-					}
-				}
-				if pipeline && st.WindowsOverlapped == 0 {
-					t.Errorf("%s/%v: pipelined run overlapped no windows", name, eng)
-				}
-				if !pipeline && st.WindowsOverlapped != 0 {
-					t.Errorf("%s/%v: sequential run reported %d overlapped windows", name, eng, st.WindowsOverlapped)
+			file, reads, st := collScenario(t, mk(), eng, P, blockcount, blocklen, off)
+			if st.WindowsOverlapped == 0 {
+				t.Errorf("%s/%v: overlapped no windows", name, eng)
+			}
+			if refFile == nil {
+				refFile, refReads = file, reads
+				continue
+			}
+			if !bytes.Equal(file, refFile) {
+				t.Errorf("%s/%v: file differs from reference", name, eng)
+			}
+			for r := range reads {
+				if !bytes.Equal(reads[r], refReads[r]) {
+					t.Errorf("%s/%v: rank %d read-back differs", name, eng, r)
 				}
 			}
 		}

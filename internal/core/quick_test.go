@@ -172,18 +172,14 @@ func TestQuickRandomFiletypesIndependent(t *testing.T) {
 type diffCase struct {
 	engine Engine
 	tcp    bool
-	pooled bool
 }
 
 func (c diffCase) String() string {
-	tr, mode := "loopback", "unpooled"
+	tr := "loopback"
 	if c.tcp {
 		tr = "tcp"
 	}
-	if c.pooled {
-		mode = "pooled"
-	}
-	return fmt.Sprintf("%s/%s/%s", c.engine, tr, mode)
+	return fmt.Sprintf("%s/%s", c.engine, tr)
 }
 
 // diffOracle computes the expected file contents of a P-rank collective
@@ -247,11 +243,11 @@ func diffOracle(base *datatype.Type, P int, stride, d int64, data [][]byte) []by
 // TestQuickDifferentialRandomTrees is the end-to-end differential
 // property test: seeded random datatype trees (vector / indexed /
 // struct / nested, zero-length blocks, holes) drive a 4-rank collective
-// write + read-back across {engine} × {loopback, TCP} × {pooled,
-// unpooled}, and every cell's file must match, byte for byte, a flat
-// oracle computed from the datatype Walk alone.  Pooled cells run on a
-// Checked pool, so a double-put or use-after-put anywhere in the window
-// loop, the exchange, or the transport panics the world.
+// write + read-back across {engine} × {loopback, TCP}, and every cell's
+// file must match, byte for byte, a flat oracle computed from the
+// datatype Walk alone.  Every cell runs on a Checked pool, so a
+// double-put or use-after-put anywhere in the window loop, the
+// exchange, or the transport panics the world.
 func TestQuickDifferentialRandomTrees(t *testing.T) {
 	const P = 4
 	seeds := []int64{1, 2, 3, 5, 8, 13}
@@ -261,9 +257,7 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 	cells := []diffCase{}
 	for _, eng := range []Engine{Listless, ListBased} {
 		for _, tcp := range []bool{false, true} {
-			for _, pooled := range []bool{true, false} {
-				cells = append(cells, diffCase{engine: eng, tcp: tcp, pooled: pooled})
-			}
+			cells = append(cells, diffCase{engine: eng, tcp: tcp})
 		}
 	}
 	for _, seed := range seeds {
@@ -285,10 +279,7 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 			opts := Options{
 				Engine:      c.engine,
 				CollBufSize: 64 + r.Intn(256),
-				DisablePool: !c.pooled,
-			}
-			if c.pooled {
-				opts.Pool = pool.NewChecked()
+				Pool:        pool.NewChecked(),
 			}
 			var eps []transport.Transport
 			if c.tcp {

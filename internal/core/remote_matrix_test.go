@@ -141,41 +141,33 @@ func TestRemoteStorageMatrixByteIdentical(t *testing.T) {
 // TestRemoteViewDirectPath forces the sparse direct path and checks
 // that, against the server tier, it goes through registered views
 // (constant-size requests, counted in Stats.ViewReads/ViewWrites),
-// lands the same bytes as the offset-list ablation, and costs fewer
-// round-trips.
+// lands the same bytes as the same access against a local Mem, and
+// costs a number of round-trips that does not grow with the run count.
 func TestRemoteViewDirectPath(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	// 8 useful bytes per 1024: far below the density threshold.  2000
-	// runs over 3 servers is ~667 runs per server per access — enough
-	// that the offset-list ablation needs multiple ≤MaxListRuns chunks
-	// per server while the view path stays at one request per server.
+	// 8 useful bytes per 1024: far below the density threshold.
 	const runs = 2000
-	sparse := func() *datatype.Type {
-		v, err := datatype.Vector(runs, 8, 1024, datatype.Byte)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	d := int64(runs * 8)
 
 	type result struct {
 		flat   []byte
 		rounds int64
 		stats  Stats
 	}
-	run := func(disableView bool) result {
-		agg, stop := ioServerTier(t, 4096, 3)
-		defer stop()
-		sh := NewShared(agg)
+	// run performs one direct write + read-back of n sparse runs on be.
+	run := func(be storage.Backend, n int64) Stats {
+		sparse, err := datatype.Vector(n, 8, 1024, datatype.Byte)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := n * 8
 		var st Stats
-		_, err := mpi.Run(1, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{Engine: Listless, SieveDensity: 0.25, DisableViewPath: disableView})
+		_, err = mpi.Run(1, func(p *mpi.Proc) {
+			f, err := Open(p, NewShared(be), Options{Engine: Listless, SieveDensity: 0.25})
 			if err != nil {
 				panic(err)
 			}
 			defer f.Close()
-			if err := f.SetView(0, datatype.Byte, sparse()); err != nil {
+			if err := f.SetView(0, datatype.Byte, sparse); err != nil {
 				panic(err)
 			}
 			data := pattern(1, d)
@@ -194,26 +186,32 @@ func TestRemoteViewDirectPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		return st
+	}
+	tier := func(n int64) result {
+		agg, stop := ioServerTier(t, 4096, 3)
+		defer stop()
+		st := run(agg, n)
 		rounds := agg.Rounds() // before flatten's own round-trips
 		return result{flat: flattenBackend(t, agg), rounds: rounds, stats: st}
 	}
 
-	view := run(false)
-	list := run(true)
+	mem := storage.NewMem()
+	local := result{stats: run(mem, runs), flat: mem.Bytes()}
+	view := tier(runs)
+	double := tier(2 * runs)
 
-	if !bytes.Equal(view.flat, list.flat) {
-		t.Fatal("view path and offset-list path landed different bytes")
+	if !bytes.Equal(view.flat, local.flat) {
+		t.Fatal("view path and the local offset-list path landed different bytes")
 	}
 	if view.stats.ViewRegistrations == 0 || view.stats.ViewReads == 0 || view.stats.ViewWrites == 0 {
 		t.Fatalf("view path not taken: %+v", view.stats)
 	}
-	if list.stats.ViewReads != 0 || list.stats.ViewWrites != 0 {
-		t.Fatalf("ablation still used views: %+v", list.stats)
+	if local.stats.DirectReads == 0 || local.stats.ViewReads != 0 {
+		t.Fatalf("local reference did not take the offset-list direct path: %+v", local.stats)
 	}
-	if list.stats.DirectReads == 0 {
-		t.Fatalf("ablation did not take the direct path: %+v", list.stats)
-	}
-	if view.rounds >= list.rounds {
-		t.Fatalf("view path cost %d round-trips, offset lists %d — expected fewer", view.rounds, list.rounds)
+	if double.rounds > view.rounds {
+		t.Fatalf("%d runs cost %d round-trips, %d runs cost %d: requests grow with the run count",
+			runs, view.rounds, 2*runs, double.rounds)
 	}
 }

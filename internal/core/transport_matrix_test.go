@@ -20,15 +20,16 @@ import (
 // agreement, and no goroutine or file-descriptor leaks.
 
 // runCollectiveOver runs the standard 4-rank non-contiguous collective
-// write + read-back over the given endpoints and returns the file bytes.
-func runCollectiveOver(t *testing.T, eng Engine, eps []transport.Transport) []byte {
+// write + read-back over the given endpoints and returns the file bytes
+// and the world's message accounting.
+func runCollectiveOver(t *testing.T, eng Engine, eps []transport.Transport) ([]byte, mpi.Stats) {
 	t.Helper()
 	const P = 4
 	const blockcount, blocklen = 16, 8
 	d := int64(blockcount * blocklen)
 	be := storage.NewMem()
 	sh := NewShared(be)
-	_, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+	comm, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
 		f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128})
 		if err != nil {
 			panic(err)
@@ -52,30 +53,41 @@ func runCollectiveOver(t *testing.T, eng Engine, eps []transport.Transport) []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	return be.Bytes()
+	return be.Bytes(), comm
 }
 
 // TestTransportMatrixByteIdentical is the acceptance criterion: for both
 // engines, the same collective write produces byte-identical file
-// contents over the in-process loopback and over TCP.
+// contents over the in-process loopback and over TCP, and the wire
+// accounting separates the two: every byte a TCP world sends it also
+// receives, and the loopback puts none on a wire.
 func TestTransportMatrixByteIdentical(t *testing.T) {
 	for _, eng := range []Engine{ListBased, Listless} {
 		t.Run(eng.String(), func(t *testing.T) {
 			defer testutil.LeakCheck(t)()
 			fdBefore := testutil.FDCount(t)
 
-			loop := runCollectiveOver(t, eng, transport.NewLoopback(4))
+			loop, loopComm := runCollectiveOver(t, eng, transport.NewLoopback(4))
 			eps, err := transport.NewLocalTCPWorld(4, transport.TCPConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			tcp := runCollectiveOver(t, eng, eps)
+			tcp, tcpComm := runCollectiveOver(t, eng, eps)
 
 			if len(loop) == 0 {
 				t.Fatal("empty file from loopback run")
 			}
 			if !bytes.Equal(loop, tcp) {
 				t.Fatalf("file contents differ between transports (%d vs %d bytes)", len(loop), len(tcp))
+			}
+			if loopComm.Messages == 0 || loopComm.Bytes == 0 || tcpComm.Messages == 0 || tcpComm.Bytes == 0 {
+				t.Errorf("no exchange traffic recorded: loopback %+v, tcp %+v", loopComm, tcpComm)
+			}
+			if loopComm.WireBytesSent != 0 || loopComm.WireBytesRecv != 0 {
+				t.Errorf("loopback wire bytes sent/recv = %d/%d, want 0", loopComm.WireBytesSent, loopComm.WireBytesRecv)
+			}
+			if tcpComm.WireBytesSent == 0 || tcpComm.WireBytesSent != tcpComm.WireBytesRecv {
+				t.Errorf("tcp wire bytes sent/recv = %d/%d, want equal and > 0", tcpComm.WireBytesSent, tcpComm.WireBytesRecv)
 			}
 			if fdBefore >= 0 {
 				if fdAfter := testutil.FDCount(t); fdAfter > fdBefore {
@@ -137,7 +149,7 @@ func TestTransportSharedFileRanks(t *testing.T) {
 	for _, eng := range []Engine{ListBased, Listless} {
 		t.Run(eng.String(), func(t *testing.T) {
 			defer testutil.LeakCheck(t)()
-			oracle := collOracle(t, eng, true, P, blockcount, blocklen)
+			oracle := collOracle(t, eng, P, blockcount, blocklen)
 
 			path := filepath.Join(t.TempDir(), "shared.dat")
 			eps, err := transport.NewLocalTCPWorld(P, transport.TCPConfig{})

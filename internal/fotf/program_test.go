@@ -258,6 +258,24 @@ func TestProgramCoalescing(t *testing.T) {
 		return out
 	}
 
+	// Doubles at a uniform 16-byte pitch, written as an explicit
+	// displacement list: the tree carries no regularity at all.
+	pitched := make([]int64, 256)
+	ones := make([]int64, len(pitched))
+	for i := range pitched {
+		pitched[i], ones[i] = int64(i)*2, 1
+	}
+	regularIndexed, err := datatype.Indexed(ones, pitched, datatype.Double)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same pitch as an hvector of two-run blocks whose byte stride
+	// continues it seamlessly across block boundaries.
+	seamless, err := datatype.Hvector(128, 1, 32, vec(t, 2, 1, 2, datatype.Double))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		name   string
 		dt     *datatype.Type
@@ -269,6 +287,10 @@ func TestProgramCoalescing(t *testing.T) {
 		// per block (the child is not dense), the program merges the 64
 		// equal, evenly spaced runs into one arithmetic progression.
 		{"padded-contig", contig(64, resized(datatype.Double, 0, 16)), 1},
+		// Regularity the tree does not state is rediscovered at compile
+		// time: both fold to one strided group.
+		{"regular-indexed", regularIndexed, 1},
+		{"seamless-hvector", seamless, 1},
 		// Struct members that abut in the buffer merge into one run.
 		{"abutting-struct", strct([]int64{1, 1}, []int64{0, 8}, []*datatype.Type{datatype.Double, datatype.Double}), 1},
 		// Struct members at a uniform pitch merge into one progression.

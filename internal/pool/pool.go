@@ -11,10 +11,6 @@
 // from one pool may be Put into another (this happens when the TCP
 // transport's receive pool differs from core's exchange pool); a pool
 // is just a parking lot for idle class-sized buffers.
-//
-// A nil *Pool is valid and degenerates to the unpooled behavior (Get
-// allocates, Put drops), which is how the Options.DisablePool ablation
-// is implemented without branching at call sites.
 package pool
 
 import (
@@ -107,9 +103,6 @@ func (p *Pool) Get(n int) []byte {
 	if n <= 0 {
 		return nil
 	}
-	if p == nil {
-		return make([]byte, n)
-	}
 	p.gets.Add(1)
 	c := classFor(n)
 	if c < 0 {
@@ -144,8 +137,8 @@ func (p *Pool) Get(n int) []byte {
 // Checked pool turns both into panics).  Buffers smaller than the
 // smallest class are dropped.  Put(nil) is a no-op.
 func (p *Pool) Put(buf []byte) {
-	if p == nil || cap(buf) < MinBuf {
-		if p != nil && buf != nil {
+	if cap(buf) < MinBuf {
+		if buf != nil {
 			p.putDropped.Add(1)
 		}
 		return
@@ -170,9 +163,6 @@ func (p *Pool) Put(buf []byte) {
 
 // Stats returns a snapshot of the pool's counters.
 func (p *Pool) Stats() Stats {
-	if p == nil {
-		return Stats{}
-	}
 	return Stats{
 		Gets:       p.gets.Load(),
 		Hits:       p.hits.Load(),

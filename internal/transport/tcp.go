@@ -66,11 +66,8 @@ type TCPConfig struct {
 	// payloads back after they hit the socket (SendNoCopy transfers
 	// ownership of the payload to the transport; the reader's delivered
 	// payloads are owned by the receiver, which may Put them to any
-	// pool).  Nil selects pool.Global; DisablePool turns pooling off.
+	// pool).  Nil selects pool.Global.
 	Pool *pool.Pool
-	// DisablePool makes the endpoint allocate every payload and drop
-	// every sent one — the unpooled ablation.
-	DisablePool bool
 	// WireChaos, when enabled, wraps every pair link (after the
 	// handshake) in a fault-injecting ChaosConn.  The mailbox links
 	// assume reliable delivery, so anything beyond latency spikes
@@ -113,9 +110,7 @@ func NewTCP(cfg TCPConfig) *TCP {
 	if cfg.WriteBuf <= 0 {
 		cfg.WriteBuf = defaultWriteBuf
 	}
-	if cfg.DisablePool {
-		cfg.Pool = nil // nil *Pool: Get allocates, Put drops
-	} else if cfg.Pool == nil {
+	if cfg.Pool == nil {
 		cfg.Pool = pool.Global
 	}
 	t := &TCP{
@@ -560,6 +555,7 @@ func (l *link) writer() {
 		var werr error
 		var total int64
 		sp := l.t.tr.BeginWire(trace.PhaseWireSend, 0)
+		l.t.flushes.Add(1) // before the write, for the reason given at bytesSent below
 		for done := 0; done < len(batch) && werr == nil; {
 			bufs = bufs[:0]
 			var group int64
@@ -597,7 +593,6 @@ func (l *link) writer() {
 			}
 		}
 		sp.EndBytes(total)
-		l.t.flushes.Add(1)
 
 		if werr == nil {
 			// The payloads hit the socket and this endpoint owned them
