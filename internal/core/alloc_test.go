@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -42,16 +43,28 @@ func allocView(f *File, blocks int64) error {
 	return f.SetView(0, datatype.Byte, vec)
 }
 
+// holeyDouble is the non-contiguous memory layout of this suite: 8 data
+// bytes in every 16.  With it (and a compiled fileview) the listless
+// engine fuses the copies of rank-local bytes.
+func holeyDouble() *datatype.Type {
+	dt, err := datatype.Resized(datatype.Double, 0, 16)
+	if err != nil {
+		panic(err)
+	}
+	return dt
+}
+
 // measureCollective returns the average allocations of one collective
-// access of d data bytes in an already-warm world.
-func measureCollective(t *testing.T, f *File, buf []byte, d int64, write bool) float64 {
+// access of d data bytes, as d/mt.Size() instances of mt, in an
+// already-warm world.
+func measureCollective(t *testing.T, f *File, buf []byte, d int64, mt *datatype.Type, write bool) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(10, func() {
 		var err error
 		if write {
-			_, err = f.WriteAtAll(0, d, datatype.Byte, buf[:d])
+			_, err = f.WriteAtAll(0, d/mt.Size(), mt, buf)
 		} else {
-			_, err = f.ReadAtAll(0, d, datatype.Byte, buf[:d])
+			_, err = f.ReadAtAll(0, d/mt.Size(), mt, buf)
 		}
 		if err != nil {
 			t.Errorf("collective: %v", err)
@@ -59,7 +72,13 @@ func measureCollective(t *testing.T, f *File, buf []byte, d int64, write bool) f
 	})
 }
 
-func testWindowAllocFree(t *testing.T, engine Engine, write, metrics bool, wantPerWindow float64) {
+// testWindowAllocFree measures the per-window allocations of a one-rank
+// collective.  The rank is the IOP of all of its own data: through
+// contiguous memory (holey=false) that share is packed into a pooled
+// chunk and sent to the rank's own mailbox, window by window; through
+// holeyDouble the listless engine copies it between user buffer and
+// window and no chunk exists.
+func testWindowAllocFree(t *testing.T, engine Engine, write, metrics, holey bool, wantPerWindow float64) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
@@ -89,36 +108,42 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics bool, wantP
 		if err := allocView(f, dLarge/allocBlocklen); err != nil {
 			panic(err)
 		}
-		buf := make([]byte, dLarge)
+		mt, buf := datatype.Byte, make([]byte, 2*dLarge)
+		if holey {
+			mt = holeyDouble()
+		}
 
 		// Warm-up: grows the inbox queue to its high-water mark, fills
 		// the buffer pool's classes, and populates the engine freelist.
-		if _, err := f.WriteAtAll(0, dLarge, datatype.Byte, buf); err != nil {
-			panic(err)
-		}
-		if _, err := f.ReadAtAll(0, dLarge, datatype.Byte, buf); err != nil {
-			panic(err)
-		}
+		measureCollective(t, f, buf, dLarge, mt, true)
+		measureCollective(t, f, buf, dLarge, mt, false)
 
-		aSmall := measureCollective(t, f, buf, dSmall, write)
+		sS := bp.Stats()
+		aSmall := measureCollective(t, f, buf, dSmall, mt, write)
 		s0 := bp.Stats()
-		aLarge := measureCollective(t, f, buf, dLarge, write)
+		aLarge := measureCollective(t, f, buf, dLarge, mt, write)
 		s1 := bp.Stats()
+		label := fmt.Sprintf("engine %v write=%v holey=%v", engine, write, holey)
 		perWindow := (aLarge - aSmall) / (winLarge - winSmall)
 		if perWindow > wantPerWindow {
-			t.Errorf("engine %v write=%v: %.2f allocs per steady-state window (small=%v large=%v), want <= %v",
-				engine, write, perWindow, aSmall, aLarge, wantPerWindow)
+			t.Errorf("%s: %.2f allocs per steady-state window (small=%v large=%v), want <= %v",
+				label, perWindow, aSmall, aLarge, wantPerWindow)
 		}
-		// The zero above is not vacuous: every window does draw a buffer
-		// and hand it back, and the pool serves each one without
-		// allocating.
-		if s1.Gets-s0.Gets < winLarge || s1.Puts-s0.Puts < winLarge {
-			t.Errorf("engine %v write=%v: %d gets, %d puts over %d-window collectives: the windows do not go through the pool",
-				engine, write, s1.Gets-s0.Gets, s1.Puts-s0.Puts, winLarge)
+		// The zero above is not vacuous.  Staged, every window does draw
+		// a chunk and hand it back, and the pool serves each one without
+		// allocating; fused, the two window buffers of a collective are
+		// all it draws, however many windows it has.
+		gets, puts := s1.Gets-s0.Gets, s1.Puts-s0.Puts
+		if fused := holey && engine == Listless; fused && (gets != s0.Gets-sS.Gets || gets == 0) {
+			t.Errorf("%s: %d pool gets over %d-window collectives, %d over %d-window ones: the self share still draws chunks",
+				label, gets, winLarge, s0.Gets-sS.Gets, winSmall)
+		} else if !fused && (gets < winLarge || puts < winLarge) {
+			t.Errorf("%s: %d gets, %d puts over %d-window collectives: the windows do not go through the pool",
+				label, gets, puts, winLarge)
 		}
 		if s1.Misses != s0.Misses || s1.BytesAlloc != s0.BytesAlloc {
-			t.Errorf("engine %v write=%v: warm pool missed %d times (%d B) in steady state",
-				engine, write, s1.Misses-s0.Misses, s1.BytesAlloc-s0.BytesAlloc)
+			t.Errorf("%s: warm pool missed %d times (%d B) in steady state",
+				label, s1.Misses-s0.Misses, s1.BytesAlloc-s0.BytesAlloc)
 		}
 	})
 	if err != nil {
@@ -129,10 +154,12 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics bool, wantP
 // TestListlessWindowZeroAlloc: the listless engine's steady-state
 // window loop — pooled buffers, recycled chunks, freelisted window
 // descriptors, persistent pipeline workers — performs zero allocations
-// per window.
+// per window, with the self share staged and with it fused.
 func TestListlessWindowZeroAlloc(t *testing.T) {
 	for _, write := range []bool{true, false} {
-		testWindowAllocFree(t, Listless, write, false, 0)
+		for _, holey := range []bool{false, true} {
+			testWindowAllocFree(t, Listless, write, false, holey, 0)
+		}
 	}
 }
 
@@ -142,7 +169,121 @@ func TestListlessWindowZeroAlloc(t *testing.T) {
 // not reintroduce per-window allocations.
 func TestListlessWindowZeroAllocMetricsOn(t *testing.T) {
 	for _, write := range []bool{true, false} {
-		testWindowAllocFree(t, Listless, write, true, 0)
+		for _, holey := range []bool{false, true} {
+			testWindowAllocFree(t, Listless, write, true, holey, 0)
+		}
+	}
+}
+
+// TestIndependentFusedDrawsNoPackBuffer: an independent nc-nc access
+// sieves through one pooled window; staged, it borrows a pack buffer
+// beside it, and fused — both programs live — it must not.
+func TestIndependentFusedDrawsNoPackBuffer(t *testing.T) {
+	const d = int64(8 * allocWinSize / 2)
+	for _, c := range []struct {
+		name string
+		opts Options
+		gets int64
+	}{
+		{"fused", Options{}, 1},
+		{"no-program", Options{DisableProgram: true}, 2},
+		{"list-based", Options{Engine: ListBased}, 2},
+	} {
+		bp := pool.New()
+		c.opts.Pool, c.opts.SieveBufSize = bp, allocWinSize
+		_, err := mpi.Run(1, func(p *mpi.Proc) {
+			f, err := Open(p, NewShared(storage.NewMem()), c.opts)
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			if err := allocView(f, d/allocBlocklen); err != nil {
+				panic(err)
+			}
+			mt, buf := holeyDouble(), make([]byte, 2*d)
+			for _, write := range []bool{true, false} {
+				s0 := bp.Stats()
+				if write {
+					_, err = f.WriteAt(0, d/8, mt, buf)
+				} else {
+					_, err = f.ReadAt(0, d/8, mt, buf)
+				}
+				if err != nil {
+					panic(err)
+				}
+				if s1 := bp.Stats(); s1.Gets-s0.Gets != c.gets || s1.Puts-s0.Puts != c.gets {
+					t.Errorf("%s write=%v: %d pool gets, %d puts per access, want %d of each",
+						c.name, write, s1.Gets-s0.Gets, s1.Puts-s0.Puts, c.gets)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDirectPathKeepsItsSegmentArray: the offset-list batch of a sparse
+// direct access is as large as the data it describes (32 bytes per
+// 8-byte run here), so it stays with the handle — a second access of
+// the same shape allocates none of it again, and what the handle keeps
+// references no buffer of the access.
+func TestDirectPathKeepsItsSegmentArray(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 4096
+	sparse, err := datatype.Vector(runs, 8, 1024, datatype.Byte)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = mpi.Run(1, func(p *mpi.Proc) {
+		f, err := Open(p, NewShared(storage.NewMem()), Options{SieveDensity: 0.25})
+		if err != nil {
+			panic(err)
+		}
+		defer f.Close()
+		if err := f.SetView(0, datatype.Byte, sparse); err != nil {
+			panic(err)
+		}
+		buf := make([]byte, runs*8)
+		access := func(write bool) int64 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if write {
+				_, err = f.WriteAt(0, runs*8, datatype.Byte, buf)
+			} else {
+				_, err = f.ReadAt(0, runs*8, datatype.Byte, buf)
+			}
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				panic(err)
+			}
+			return int64(m1.TotalAlloc - m0.TotalAlloc)
+		}
+		access(true) // builds the file and the array
+		if f.Stats.DirectWrites != runs {
+			panic("the access did not take the offset-list direct path")
+		}
+		const segBytes = runs * 32 // one storage.Segment per run
+		for _, write := range []bool{false, true} {
+			if got := access(write); got > segBytes/8 {
+				t.Errorf("write=%v: a repeated direct access allocates %d B; its segment array alone is %d B",
+					write, got, segBytes)
+			}
+		}
+		if len(f.segs) != 0 || cap(f.segs) < runs {
+			t.Errorf("handle keeps len %d cap %d segments between accesses, want 0 and >= %d", len(f.segs), cap(f.segs), runs)
+		}
+		for i, sg := range f.segs[:cap(f.segs)] {
+			if sg.Buf != nil {
+				t.Fatalf("kept segment %d still references a buffer of the finished access", i)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

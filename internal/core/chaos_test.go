@@ -142,88 +142,174 @@ func TestCollectiveErrorAgreement(t *testing.T) {
 	}
 }
 
-// TestFaultCollectiveMatrix runs 4-rank fault propagation across
-// read/write × both engines, asserting unanimous agreement each time
-// and full recovery after healing.
+// faultGeom is one access geometry of the fault matrix: who sees which
+// part of the file, through what memory layout, and which IOP's domain
+// the fault hits.
+type faultGeom struct {
+	name    string
+	P       int
+	failIOP int
+	// view returns rank's fileview; every rank moves d data bytes.
+	view func(rank int) (disp int64, ft *datatype.Type)
+	d    int64
+	// holey makes the memory layout non-contiguous too (8 data bytes in
+	// every 16), which is what lets the listless engine fuse an IOP's own
+	// share: with it the failing IOP below has nothing to receive or send.
+	holey bool
+	// rmw: the combined views leave holes, so a write pre-reads.
+	rmw bool
+}
+
+// domain returns IOP i's file domain, as makePlan cuts it, given the
+// file range [0, hi) the ranks touch.
+func (g faultGeom) domain(i int, hi int64) (int64, int64) {
+	dom := (hi + int64(g.P) - 1) / int64(g.P)
+	return int64(i) * dom, min(int64(i+1)*dom, hi)
+}
+
+// userBuf lays d data bytes out as the geometry's memory layout wants
+// them and returns the memtype, its count and the buffer.
+func (g faultGeom) userBuf(data []byte) (*datatype.Type, int64, []byte) {
+	if !g.holey {
+		return datatype.Byte, g.d, data
+	}
+	elem, err := datatype.Resized(datatype.Double, 0, 16)
+	if err != nil {
+		panic(err)
+	}
+	buf := make([]byte, 2*len(data))
+	for i := 0; i < len(data); i += 8 {
+		copy(buf[2*i:], data[i:i+8])
+	}
+	return elem, g.d / 8, buf
+}
+
+// TestFaultCollectiveMatrix runs fault propagation across read/write ×
+// both engines × access geometries, asserting unanimous agreement each
+// time and full recovery after healing.  Beside the 4-rank interleaved
+// access, whose failing IOP serves three other ranks, two geometries
+// make the failing IOP its own only contributor — one rank alone, and
+// two ranks on disjoint halves of the file — through non-contiguous
+// memory: on the listless engine that share is a fused copy with no
+// message behind it, so the error agreement and its drain must not
+// expect one, and on a read the share reaches the user buffer before the
+// vote.
 func TestFaultCollectiveMatrix(t *testing.T) {
-	const (
-		P          = 4
-		blockcount = 32
-		blocklen   = 16
-		failIOP    = 2
-	)
+	const blockcount, blocklen = 32, 16
 	d := int64(blockcount * blocklen)
-	domSize := d
+	half := noncontigTypeP(0, 2, blockcount, blocklen) // every other block of one half
+	geoms := []faultGeom{
+		{name: "interleaved/P=4", P: 4, failIOP: 2, d: d,
+			view: func(rank int) (int64, *datatype.Type) { return 0, noncontigTypeP(rank, 4, blockcount, blocklen) }},
+		{name: "self-only/P=1", P: 1, failIOP: 0, d: d, holey: true, rmw: true,
+			view: func(int) (int64, *datatype.Type) { return 0, half }},
+		{name: "disjoint-halves/P=2", P: 2, failIOP: 1, d: d, holey: true, rmw: true,
+			view: func(rank int) (int64, *datatype.Type) { return int64(rank) * half.Extent(), half }},
+	}
 
-	for _, eng := range []Engine{Listless, ListBased} {
-		for _, write := range []bool{false, true} {
-			op := "read"
-			if write {
-				op = "write"
-			}
-			label := fmt.Sprintf("%v/%s", eng, op)
-			checkLeaks := testutil.LeakCheck(t)
-
-			fb := storage.NewFaulty(storage.NewMem())
-			sh := NewShared(fb)
-			errs := make([]error, P)
-			_, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-				f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128})
-				if err != nil {
-					panic(err)
-				}
-				defer f.Close()
-				if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
-					panic(err)
-				}
-				data := pattern(p.Rank(), d)
-				if !write {
-					// Seed the file so the faulted read has data under it.
-					if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
-						panic(err)
-					}
-				}
-				if p.Rank() == 0 {
-					lo, hi := int64(failIOP)*domSize, int64(failIOP+1)*domSize
-					if write {
-						fb.FailWriteRange(lo, hi)
-					} else {
-						fb.FailReadRange(lo, hi)
-					}
-				}
-				p.Barrier()
-				if write {
-					_, errs[p.Rank()] = f.WriteAtAll(0, d, datatype.Byte, data)
-				} else {
-					_, errs[p.Rank()] = f.ReadAtAll(0, d, datatype.Byte, make([]byte, d))
-				}
-				p.Barrier()
-				if p.Rank() == 0 {
-					fb.Heal()
-				}
-				p.Barrier()
-				// Recovery: the same collective, fault-free, must
-				// round-trip on the same File.
-				if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
-					panic(fmt.Sprintf("post-heal write: %v", err))
-				}
-				got := make([]byte, d)
-				if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
-					panic(fmt.Sprintf("post-heal read: %v", err))
-				}
-				if !bytes.Equal(got, data) {
-					panic("post-heal round trip mismatch")
-				}
-			})
+	// world runs body on every rank of a fresh world over be, with the
+	// geometry's view set.
+	world := func(g faultGeom, eng Engine, be storage.Backend, body func(p *mpi.Proc, f *File, mt *datatype.Type, count int64, buf []byte)) error {
+		sh := NewShared(be)
+		_, err := mpi.RunWithOptions(g.P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+			f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128})
 			if err != nil {
-				t.Fatalf("%s: world error: %v", label, err)
+				panic(err)
 			}
-			requireAgreement(t, label, errs, failIOP, PhaseIOPWindow)
-			want := collOracle(t, eng, P, blockcount, blocklen)
-			if !bytes.Equal(fb.Backend.(*storage.Mem).Bytes(), want) {
-				t.Errorf("%s: recovered file differs from fault-free oracle", label)
+			defer f.Close()
+			disp, ft := g.view(p.Rank())
+			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+				panic(err)
 			}
-			checkLeaks()
+			mt, count, buf := g.userBuf(pattern(p.Rank(), g.d))
+			body(p, f, mt, count, buf)
+		})
+		return err
+	}
+
+	for _, g := range geoms {
+		for _, eng := range []Engine{Listless, ListBased} {
+			// The fault-free file of this geometry, and the range touched.
+			clean := storage.NewMem()
+			if err := world(g, eng, clean, func(p *mpi.Proc, f *File, mt *datatype.Type, count int64, buf []byte) {
+				sent := p.SentStats().Bytes
+				if _, err := f.WriteAtAll(0, count, mt, buf); err != nil {
+					panic(err)
+				}
+				// The cells below are only what they claim if the failing
+				// IOP's own share really travels without a message.
+				if sent = p.SentStats().Bytes - sent; g.holey && (eng == Listless) != (sent < g.d) {
+					panic(fmt.Sprintf("%v sent %d payload bytes for %d bytes of own data", eng, sent, g.d))
+				}
+			}); err != nil {
+				t.Fatalf("%s/%v: oracle world: %v", g.name, eng, err)
+			}
+			want := clean.Bytes()
+			lo, hi := g.domain(g.failIOP, int64(len(want)))
+
+			ops := []string{"read", "write"}
+			if g.rmw {
+				ops = append(ops, "write-preread")
+			}
+			for _, op := range ops {
+				label := fmt.Sprintf("%s/%v/%s", g.name, eng, op)
+				checkLeaks := testutil.LeakCheck(t)
+
+				fb := storage.NewFaulty(storage.NewMem())
+				errs := make([]error, g.P)
+				err := world(g, eng, fb, func(p *mpi.Proc, f *File, mt *datatype.Type, count int64, buf []byte) {
+					if op != "write" {
+						// Seed the file so the faulted read has data under it.
+						if _, err := f.WriteAtAll(0, count, mt, buf); err != nil {
+							panic(err)
+						}
+					}
+					if p.Rank() == 0 {
+						if op == "write" {
+							fb.FailWriteRange(lo, hi)
+						} else {
+							fb.FailReadRange(lo, hi)
+						}
+					}
+					p.Barrier()
+					if op == "read" {
+						_, errs[p.Rank()] = f.ReadAtAll(0, count, mt, make([]byte, len(buf)))
+					} else {
+						_, errs[p.Rank()] = f.WriteAtAll(0, count, mt, buf)
+					}
+					p.Barrier()
+					if p.Rank() == 0 {
+						fb.Heal()
+					}
+					p.Barrier()
+					// Recovery: the same collective, fault-free, must
+					// round-trip on the same File.
+					if _, err := f.WriteAtAll(0, count, mt, buf); err != nil {
+						panic(fmt.Sprintf("post-heal write: %v", err))
+					}
+					got := append([]byte(nil), buf...)
+					for i := range got {
+						got[i] ^= 0xFF
+					}
+					if _, err := f.ReadAtAll(0, count, mt, got); err != nil {
+						panic(fmt.Sprintf("post-heal read: %v", err))
+					}
+					for i := 0; i < len(buf); i++ {
+						// Holes of a holey layout keep what they held.
+						if hole := g.holey && i%16 >= 8; !hole && got[i] != buf[i] || hole && got[i] != buf[i]^0xFF {
+							panic(fmt.Sprintf("post-heal round trip: byte %d = %#x (hole=%v)", i, got[i], hole))
+						}
+					}
+				})
+				if err != nil {
+					t.Fatalf("%s: world error: %v", label, err)
+				}
+				requireAgreement(t, label, errs, g.failIOP, PhaseIOPWindow)
+				if !bytes.Equal(fb.Backend.(*storage.Mem).Bytes(), want) {
+					t.Errorf("%s: recovered file differs from fault-free oracle", label)
+				}
+				checkLeaks()
+			}
 		}
 	}
 }

@@ -35,7 +35,10 @@ func (f *File) WriteAtAll(off int64, count int64, memtype *datatype.Type, buf []
 }
 
 // ReadAtAll collectively reads count instances of memtype from the view
-// at offset off (in etypes) into buf.  All ranks must call it.
+// at offset off (in etypes) into buf.  All ranks must call it.  When it
+// returns an error the contents of buf are undefined: the part of the
+// data this rank serves to itself as an I/O process lands in buf while
+// the windows are read, before the ranks agree on the outcome.
 func (f *File) ReadAtAll(off int64, count int64, memtype *datatype.Type, buf []byte) (int64, error) {
 	d, err := f.checkAccess(off, count, memtype, buf)
 	if err != nil {
@@ -73,7 +76,7 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	sp := f.tr.Begin(top, d0, d)
 	defer sp.End()
 
-	mem := f.eng.newMemState(memtype, count)
+	acc := &collAccess{d0: d0, d: d, mem: f.eng.newMemState(memtype, count), buf: buf}
 
 	psp := f.tr.Begin(trace.PhaseCollPlan, d0, 0)
 	pl, any := f.makePlan(d0, d)
@@ -110,18 +113,22 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	// ---- AP phase 1: engine-specific access description (the
 	// list-based engine builds and sends per-IOP ol-lists). ----
 	asp := f.tr.Begin(trace.PhaseAPSetup, d0, 0)
-	ap := f.eng.apSetup(pl, d0, d)
+	ap := f.eng.apSetup(pl, acc)
 	asp.End()
 
 	// ---- AP phase 2 (write): pack and send data; buffered sends. ----
 	if write && d > 0 {
-		f.apExchange(pl, d0, d, mem, buf, ap, true)
+		f.apExchange(pl, acc, ap, true)
 	}
 
-	// ---- IOP phase: process the file domain window by window. ----
+	// ---- IOP phase: process the file domain window by window.  An
+	// IOP whose engine fuses copies moves its own share here, straight
+	// between buf and its windows: on a read that is before the error
+	// vote below, which is why a failed collective read leaves buf
+	// undefined. ----
 	var fault *CollectiveError
 	if f.p.Rank() < pl.nIOP {
-		fault = f.iopProcess(pl, write)
+		fault = f.iopProcess(pl, acc, write)
 	}
 
 	// ---- Error agreement: every rank votes its IOP-phase outcome and,
@@ -154,7 +161,7 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 
 	// ---- AP phase 2 (read): receive and unpack data. ----
 	if !write && d > 0 {
-		f.apExchange(pl, d0, d, mem, buf, ap, false)
+		f.apExchange(pl, acc, ap, false)
 	}
 
 	f.p.Barrier()

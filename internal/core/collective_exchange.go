@@ -10,8 +10,11 @@ import (
 // schedule order and, for each one containing this rank's data, packs
 // and sends (write) or receives and unpacks (read) that data.  The
 // engine's apCursor locates this rank's data range per window; the
-// neutral code moves it and accounts the per-phase time.
-func (f *File) apExchange(pl *collPlan, d0, d int64, mem *memState, buf []byte, ap apState, write bool) {
+// neutral code moves it and accounts the per-phase time.  An IOP the
+// engine hands no cursor for is this rank itself moving its own share
+// without a message (iopWindow.copySelf).
+func (f *File) apExchange(pl *collPlan, acc *collAccess, ap apState, write bool) {
+	d0, mem, buf := acc.d0, acc.mem, acc.buf
 	myLo, myHi := pl.los[f.p.Rank()], pl.his[f.p.Rank()]
 	for i := 0; i < pl.nIOP; i++ {
 		domLo, domHi := pl.domain(i)
@@ -19,6 +22,9 @@ func (f *File) apExchange(pl *collPlan, d0, d int64, mem *memState, buf []byte, 
 			continue
 		}
 		cur := ap.cursor(i)
+		if cur == nil {
+			continue
+		}
 		for winLo := domLo; winLo < domHi; winLo += int64(f.opts.CollBufSize) {
 			winHi := min(winLo+int64(f.opts.CollBufSize), domHi)
 			a, b := cur.window(winLo, winHi)

@@ -34,9 +34,9 @@ import (
 // for an empty domain, to drain the AP phase-1 messages), then the
 // window loop over the domain.  Failures come back phase-attributed for
 // the error-agreement vote.
-func (f *File) iopProcess(pl *collPlan, write bool) *CollectiveError {
+func (f *File) iopProcess(pl *collPlan, acc *collAccess, write bool) *CollectiveError {
 	ssp := f.tr.Begin(trace.PhaseIOPSetup, trace.NoWindow, 0)
-	iop, err := f.eng.iopSetup(pl)
+	iop, err := f.eng.iopSetup(pl, acc)
 	ssp.End()
 	if err != nil {
 		return &CollectiveError{Rank: f.p.Rank(), Phase: PhaseIOPSetup, Err: err}
@@ -52,14 +52,31 @@ func (f *File) iopProcess(pl *collPlan, write bool) *CollectiveError {
 	return nil
 }
 
+// copySelf moves this rank's own share of one window (n bytes) between
+// the user buffer and the window buffer w without a message, when the
+// engine can, and accounts it as copy time.  It reports false when the
+// share travels like any other AP's.
+func (f *File) copySelf(iw iopWindow, w []byte, winLo, n int64, write bool) bool {
+	csp := f.tr.Begin(trace.PhaseCopy, winLo, n)
+	t0 := time.Now()
+	if !iw.copySelf(w, write) {
+		return false
+	}
+	csp.End()
+	f.copySince(t0)
+	return true
+}
+
 // iopExchangeWrite receives every AP's chunk for one window and merges
 // it into the window buffer w, accounting exchange and copy time.  The
 // received chunks are owned by this rank (SendNoCopy transfers
-// ownership end-to-end) and are returned to the pool after merging.
+// ownership end-to-end) and are returned to the pool after merging; the
+// rank's own share has no chunk when the engine fuses it (copySelf).
 // winLo annotates the trace spans with the window's file offset.
 func (f *File) iopExchangeWrite(iw iopWindow, w []byte, winLo int64) {
 	for r := 0; r < f.p.Size(); r++ {
-		if iw.chunkLen(r) == 0 {
+		n := iw.chunkLen(r)
+		if n == 0 || r == f.p.Rank() && f.copySelf(iw, w, winLo, n, true) {
 			continue
 		}
 		esp := f.tr.Begin(trace.PhaseExchange, winLo, 0)
@@ -86,7 +103,7 @@ func (f *File) iopExchangeWrite(iw iopWindow, w []byte, winLo int64) {
 func (f *File) iopExchangeRead(iw iopWindow, w []byte, winLo int64) {
 	for r := 0; r < f.p.Size(); r++ {
 		n := iw.chunkLen(r)
-		if n == 0 {
+		if n == 0 || r == f.p.Rank() && f.copySelf(iw, w, winLo, n, false) {
 			continue
 		}
 		csp := f.tr.Begin(trace.PhaseCopy, winLo, n)

@@ -268,6 +268,10 @@ type File struct {
 	ptr    int64 // individual file pointer, in etypes
 	atomic bool  // MPI-IO atomic mode: whole-access locking
 
+	// segs is the offset-list batch of transferDirect, kept across
+	// accesses (empty between them).
+	segs []storage.Segment
+
 	// Stats accumulates the work counters of this handle.
 	Stats Stats
 	// om holds this handle's live metric handles (all nil with

@@ -49,12 +49,23 @@ type accessEngine interface {
 	// the list-based engine builds and transmits per-IOP access lists,
 	// the listless engine re-exchanges encoded views when fileview
 	// caching is disabled.  Every rank must call it once per access.
-	apSetup(pl *collPlan, d0, d int64) apState
+	apSetup(pl *collPlan, acc *collAccess) apState
 	// iopSetup runs the I/O-process setup (the list-based engine
 	// receives one access list from every AP) and returns the
 	// window-by-window processor state.  Every IOP rank must call it,
 	// even when its domain is empty, to drain the AP phase-1 messages.
-	iopSetup(pl *collPlan) (iopState, error)
+	// acc is the same value apSetup saw: an IOP is an AP of its own
+	// data too, and the two sides must agree on how that share moves.
+	iopSetup(pl *collPlan, acc *collAccess) (iopState, error)
+}
+
+// collAccess is the calling rank's own side of one collective access:
+// the view-data range [d0, d0+d) it moves and the memtype-described user
+// buffer it moves it from or to.
+type collAccess struct {
+	d0, d int64
+	mem   *memState
+	buf   []byte
 }
 
 // viewCursor walks the local fileview sequentially over one access.
@@ -69,6 +80,13 @@ type viewCursor interface {
 	// buffer cb and the window w holding file bytes from absolute
 	// offset winLo, advancing the cursor.  write=true copies cb→w.
 	copyWindow(cb, w []byte, c, winLo int64, write bool)
+	// copyUser is copyWindow without the contiguous buffer: the next c
+	// data bytes move in one pass between w and the user buffer buf,
+	// where they are the data of mem from offset skip.  It reports
+	// false, having moved nothing and not advanced, when the engine has
+	// no fused copy for this access; the caller then stages the bytes
+	// through packUser/unpackUser and copyWindow.
+	copyUser(w []byte, c, winLo int64, buf []byte, mem *memState, skip int64, write bool) bool
 	// eachRun advances the cursor by c data bytes, emitting one
 	// (fileOff, dataOff, ln) triple per contiguous file run, with
 	// fileOff absolute and dataOff in view-data bytes.
@@ -79,7 +97,9 @@ type viewCursor interface {
 type apState interface {
 	// cursor returns a sequential window cursor over this rank's data
 	// within IOP i's domain.  Windows must be visited in ascending
-	// order.
+	// order.  A nil cursor means that data never leaves the rank: i is
+	// this rank and its IOP side moves the share itself
+	// (iopWindow.copySelf), so nothing is sent or received for it.
 	cursor(i int) apCursor
 }
 
@@ -116,6 +136,13 @@ type iopWindow interface {
 	// copyOut extracts AP r's portion of the window buffer w into
 	// chunk, which has chunkLen(r) bytes.
 	copyOut(w []byte, r int, chunk []byte)
+	// copySelf moves this rank's own share of the window — chunkLen of
+	// its own rank — directly between the user buffer of the access and
+	// the window buffer w, write=true towards w.  It reports false,
+	// having moved nothing, when the share travels as a message like
+	// any other AP's: exactly when the AP side's cursor for this IOP is
+	// not nil.
+	copySelf(w []byte, write bool) bool
 	// release returns the window to its engine for reuse.  The caller
 	// must not touch the window afterwards; engines may recycle the
 	// backing state on the next window call (or make release a no-op).

@@ -122,6 +122,12 @@ func (vc *listViewCursor) copyWindow(cb, w []byte, c, winLo int64, write bool) {
 	})
 }
 
+// copyUser: the file side of the list-based engine is an ol-list, not a
+// program, so it always stages.
+func (vc *listViewCursor) copyUser([]byte, int64, int64, []byte, *memState, int64, bool) bool {
+	return false
+}
+
 func (vc *listViewCursor) eachRun(c int64, emit func(fileOff, dataOff, ln int64)) {
 	vc.c.Each(c, emit)
 }
@@ -243,8 +249,8 @@ func (s *listAPState) cursor(i int) apCursor {
 
 // apSetup builds and sends this rank's access list for every IOP domain;
 // this many-to-many ol-list exchange happens on every collective access.
-func (e *listEngine) apSetup(pl *collPlan, d0, d int64) apState {
-	f := e.f
+func (e *listEngine) apSetup(pl *collPlan, acc *collAccess) apState {
+	f, d0, d := e.f, acc.d0, acc.d
 	st := &listAPState{triples: make([][]apTriple, pl.nIOP)}
 	for i := 0; i < pl.nIOP; i++ {
 		domLo, domHi := pl.domain(i)
@@ -297,7 +303,7 @@ type listIOPState struct {
 }
 
 // iopSetup receives one access list from every AP.
-func (e *listEngine) iopSetup(pl *collPlan) (iopState, error) {
+func (e *listEngine) iopSetup(pl *collPlan, _ *collAccess) (iopState, error) {
 	f := e.f
 	P := f.p.Size()
 	st := &listIOPState{f: f, cursors: make([]listCursor, P)}
@@ -364,6 +370,10 @@ func (w *listIOPWindow) covered() bool {
 	}
 	return flatten.Merge(nonEmpty...).Covers(w.winLo, w.winHi)
 }
+
+// copySelf: an IOP of the list-based engine knows its own accesses only
+// as the ol-list it received, like everyone else's.
+func (w *listIOPWindow) copySelf([]byte, bool) bool { return false }
 
 func (w *listIOPWindow) copyIn(buf []byte, r int, chunk []byte) {
 	var pos int64

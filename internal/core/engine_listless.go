@@ -265,6 +265,16 @@ func (e *listlessEngine) newMemState(memtype *datatype.Type, count int64) *memSt
 	return ms
 }
 
+// fuses reports whether an access with memory state mem moves its
+// rank-local bytes — independent sieve windows, the self-destined share
+// of a collective — by fotf.CopyFused instead of staging them: the own
+// fileview and the memtype are both compiled.  Nothing else selects the
+// fused path; the ablation and declined compiles fall back by leaving a
+// program nil.
+func (e *listlessEngine) fuses(mem *memState) bool {
+	return e.prog != nil && mem.prog != nil
+}
+
 func (e *listlessEngine) packUser(dst, buf []byte, mem *memState, skip, n int64) {
 	if mem.packProg(dst, buf, skip, n, true) {
 		return
@@ -313,6 +323,23 @@ func (vc *listlessViewCursor) copyWindow(cb, w []byte, c, winLo int64, write boo
 	vc.pos += c
 }
 
+// copyUser is the fused form of copyWindow: with the fileview and the
+// memtype both compiled, the bytes go between window and user buffer in
+// one pass and no pack buffer exists.
+func (vc *listlessViewCursor) copyUser(w []byte, c, winLo int64, buf []byte, mem *memState, skip int64, write bool) bool {
+	if !vc.e.fuses(mem) {
+		return false
+	}
+	bias := winLo - vc.e.f.v.disp
+	if write {
+		fotf.CopyFused(w, vc.e.prog, vc.pos, bias, buf, mem.prog, skip, 0, c)
+	} else {
+		fotf.CopyFused(buf, mem.prog, skip, 0, w, vc.e.prog, vc.pos, bias, c)
+	}
+	vc.pos += c
+	return true
+}
+
 func (vc *listlessViewCursor) eachRun(c int64, emit func(fileOff, dataOff, ln int64)) {
 	v := &vc.e.f.v
 	each := func(bufOff, dataOff, runLen, stride, n int64) {
@@ -336,19 +363,25 @@ func (vc *listlessViewCursor) eachRun(c int64, emit func(fileOff, dataOff, ln in
 type listlessAPState struct {
 	e     *listlessEngine
 	d0, d int64
+	fused bool // the own share stays on the rank (iopWindow.copySelf)
 	edge  navEdge
 }
 
 // apSetup exchanges the encoded views on every access when fileview
 // caching is disabled (ablation; still no ol-lists).
-func (e *listlessEngine) apSetup(pl *collPlan, d0, d int64) apState {
+func (e *listlessEngine) apSetup(pl *collPlan, acc *collAccess) apState {
 	if e.f.opts.DisableViewCache {
 		e.exchangeViews()
 	}
-	return &listlessAPState{e: e, d0: d0, d: d}
+	return &listlessAPState{e: e, d0: acc.d0, d: acc.d, fused: e.fuses(acc.mem)}
 }
 
-func (s *listlessAPState) cursor(int) apCursor { return s }
+func (s *listlessAPState) cursor(i int) apCursor {
+	if s.fused && i == s.e.f.p.Rank() {
+		return nil
+	}
+	return s
+}
 
 func (s *listlessAPState) window(winLo, winHi int64) (a, b int64) {
 	return s.dataAtSelf(winLo), s.dataAtSelf(winHi)
@@ -376,11 +409,12 @@ func (s *listlessAPState) dataAtSelf(x int64) int64 {
 type listlessIOPState struct {
 	e    *listlessEngine
 	pl   *collPlan
+	acc  *collAccess // this rank's own side, for copySelf
 	free []*listlessIOPWindow
 }
 
-func (e *listlessEngine) iopSetup(pl *collPlan) (iopState, error) {
-	return &listlessIOPState{e: e, pl: pl}, nil
+func (e *listlessEngine) iopSetup(pl *collPlan, acc *collAccess) (iopState, error) {
+	return &listlessIOPState{e: e, pl: pl, acc: acc}, nil
 }
 
 // dataAtRemote maps an absolute file offset to rank r's access data
@@ -455,6 +489,26 @@ func (w *listlessIOPWindow) covered() bool {
 	lo := e.mergedEdge.bufToData(e.merged, w.winLo-disp)
 	hi := e.mergedEdge.bufToData(e.merged, w.winHi-disp)
 	return hi-lo == w.winHi-w.winLo
+}
+
+// copySelf moves the own share [apA, apB) of this rank between the user
+// buffer and the window in one fused pass through the own-view program —
+// e.prog, not the cached remote[self], so it is there without the view
+// cache too.  The condition is the one the AP side's cursor answered by.
+func (w *listlessIOPWindow) copySelf(buf []byte, write bool) bool {
+	e, acc := w.s.e, w.s.acc
+	if !e.fuses(acc.mem) {
+		return false
+	}
+	self := e.f.p.Rank()
+	a, n := w.apA[self], w.apB[self]-w.apA[self]
+	bias := w.winLo - e.f.v.disp
+	if write {
+		fotf.CopyFused(buf, e.prog, a, bias, acc.buf, acc.mem.prog, a-acc.d0, 0, n)
+	} else {
+		fotf.CopyFused(acc.buf, acc.mem.prog, a-acc.d0, 0, buf, e.prog, a, bias, n)
+	}
+	return true
 }
 
 func (w *listlessIOPWindow) copyIn(buf []byte, r int, chunk []byte) {

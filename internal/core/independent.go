@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/datatype"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -12,7 +14,9 @@ import (
 //	c-c:   direct contiguous backend access;
 //	nc-c:  stage through the pack buffer (pack/unpack the memtype);
 //	c-nc:  data sieving on the fileview, user buffer used directly;
-//	nc-nc: data sieving combined with pack-buffer staging (Figure 3).
+//	nc-nc: data sieving with one fused copy between user buffer and
+//	       sieve window where the engine has one, else combined with
+//	       pack-buffer staging (Figure 3).
 
 // WriteAt writes count instances of memtype from buf into the view at
 // offset off (in etypes), independently of other ranks.  It returns the
@@ -133,11 +137,14 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 
 	win := f.bp.Get(int(min(int64(f.opts.SieveBufSize), hi-lo)))
 	defer f.bp.Put(win)
+	// The pack buffer of a staged nc-nc access is borrowed by the first
+	// window that needs it; a fused access never does.
 	var pb []byte
-	if !memContig {
-		pb = f.bp.Get(f.opts.PackBufSize)
-		defer f.bp.Put(pb)
-	}
+	defer func() {
+		if pb != nil {
+			f.bp.Put(pb)
+		}
+	}()
 
 	// The sequential fileview cursor: the list-based engine pays the
 	// linear O(N_block) initial positioning of §2.2 and advances
@@ -167,38 +174,36 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 			if !f.atomic {
 				unlock = f.sh.locks.Lock(winLo, winHi)
 			}
+			var err error
 			if n != winHi-winLo {
 				// Read-modify-write: fill the gaps from the file.
-				if err := storage.ReadFull(f.sh.b, w, winLo); err != nil {
-					unlock()
-					ssp.End()
-					return err
-				}
+				t0 := time.Now()
+				err = storage.ReadFull(f.sh.b, w, winLo)
+				f.storageSince(t0)
 			}
-			if err := f.moveWindow(w, winLo, dw, n, buf, mem, memContig, d0, pb, true, vc); err != nil {
-				unlock()
-				ssp.End()
-				return err
-			}
-			if _, err := f.sh.b.WriteAt(w, winLo); err != nil {
-				unlock()
-				ssp.End()
-				return err
+			if err == nil {
+				f.moveWindow(w, winLo, dw, n, buf, mem, memContig, d0, &pb, true, vc)
+				t0 := time.Now()
+				_, err = f.sh.b.WriteAt(w, winLo)
+				f.storageSince(t0)
 			}
 			unlock()
 			ssp.End()
+			if err != nil {
+				return err
+			}
 			f.Stats.SieveWrites++
 		} else {
 			ssp := f.tr.Begin(trace.PhaseSieveRead, winLo, n)
-			if err := storage.ReadFull(f.sh.b, w, winLo); err != nil {
+			t0 := time.Now()
+			err := storage.ReadFull(f.sh.b, w, winLo)
+			f.storageSince(t0)
+			if err != nil {
 				ssp.End()
 				return err
 			}
 			f.Stats.SieveReads++
-			if err := f.moveWindow(w, winLo, dw, n, buf, mem, memContig, d0, pb, false, vc); err != nil {
-				ssp.End()
-				return err
-			}
+			f.moveWindow(w, winLo, dw, n, buf, mem, memContig, d0, &pb, false, vc)
 			ssp.End()
 		}
 		dw += n
@@ -206,34 +211,57 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 	return nil
 }
 
+// storageSince and copySince account the time since t0 as backend I/O,
+// respectively as copying, in the handle's Stats and live metrics — the
+// phase counters the collective window loop fills for its windows.  Main
+// goroutine only.
+func (f *File) storageSince(t0 time.Time) {
+	ns := time.Since(t0).Nanoseconds()
+	f.Stats.StorageNs += ns
+	f.om.storageNs.Add(ns)
+}
+
+func (f *File) copySince(t0 time.Time) {
+	ns := time.Since(t0).Nanoseconds()
+	f.Stats.CopyNs += ns
+	f.om.copyNs.Add(ns)
+}
+
 // moveWindow copies view data [dv, dv+n) between the file window w
 // (holding absolute file range starting at winLo) and the user buffer,
-// staging through pb when the memory layout is non-contiguous.
-// write=true copies user→window.
-func (f *File) moveWindow(w []byte, winLo, dv, n int64, buf []byte, mem *memState, memContig bool, d0 int64, pb []byte, write bool, vc viewCursor) error {
-	chunk := n
-	if !memContig && chunk > int64(len(pb)) {
-		chunk = int64(len(pb))
-	}
-	for m := int64(0); m < n; m += chunk {
-		c := min(chunk, n-m)
-		var cb []byte
-		if memContig {
-			u := mem.t.TrueLB() + (dv - d0) + m
-			cb = buf[u : u+c]
-		} else {
-			cb = pb[:c]
+// as one copy span of copy time.  Contiguous memory is the contiguous
+// side of copyWindow itself; a non-contiguous layout moves by the
+// engine's fused copy where it has one and is otherwise staged through
+// *pb, fetched from the pool on first use.  write=true copies
+// user→window.
+func (f *File) moveWindow(w []byte, winLo, dv, n int64, buf []byte, mem *memState, memContig bool, d0 int64, pb *[]byte, write bool, vc viewCursor) {
+	csp := f.tr.Begin(trace.PhaseCopy, winLo, n)
+	t0 := time.Now()
+	skip := dv - d0
+	switch {
+	case memContig:
+		u := mem.t.TrueLB() + skip
+		vc.copyWindow(buf[u:u+n], w, n, winLo, write)
+	case vc.copyUser(w, n, winLo, buf, mem, skip, write):
+	default:
+		if *pb == nil {
+			*pb = f.bp.Get(f.opts.PackBufSize)
+		}
+		for m := int64(0); m < n; m += int64(len(*pb)) {
+			cb := (*pb)[:min(int64(len(*pb)), n-m)]
+			c := int64(len(cb))
 			if write {
-				f.eng.packUser(cb, buf, mem, (dv-d0)+m, c)
+				f.eng.packUser(cb, buf, mem, skip+m, c)
+			}
+			// Copy between contiguous cb and the window per the fileview.
+			vc.copyWindow(cb, w, c, winLo, write)
+			if !write {
+				f.eng.unpackUser(buf, cb, mem, skip+m, c)
 			}
 		}
-		// Copy between contiguous cb and the window per the fileview.
-		vc.copyWindow(cb, w, c, winLo, write)
-		if !memContig && !write {
-			f.eng.unpackUser(buf, cb, mem, (dv-d0)+m, c)
-		}
 	}
-	return nil
+	csp.End()
+	f.copySince(t0)
 }
 
 // transferDirect performs a non-contiguous independent access as direct
@@ -267,7 +295,15 @@ func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig 
 		vc = f.eng.seekData(d0)
 	}
 
-	var segs []storage.Segment // reused across chunks
+	// The batch array lives with the handle: for short runs it is as
+	// large as the data, and growing it afresh per access cost more than
+	// the vectored call saves.  Its buffer references are dropped on the
+	// way out so that it pins neither user nor pooled memory.
+	segs, used := f.segs, 0
+	defer func() {
+		clear(segs[:used])
+		f.segs = segs[:0]
+	}()
 	var ioErr error
 	for m := int64(0); m < d && ioErr == nil; m += chunk {
 		c := min(chunk, d-m)
@@ -303,6 +339,7 @@ func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig 
 			piece := cb[dataOff-(d0+m) : dataOff-(d0+m)+ln]
 			segs = append(segs, storage.Segment{Off: fileOff, Buf: piece})
 		})
+		used = max(used, len(segs))
 		if len(segs) > 0 {
 			if write {
 				f.Stats.DirectWrites += int64(len(segs))

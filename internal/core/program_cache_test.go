@@ -188,8 +188,8 @@ func TestProgramSteadyStateZeroAlloc(t *testing.T) {
 			panic(err)
 		}
 		for _, write := range []bool{true, false} {
-			aSmall := measureCollective(t, f, buf, dSmall, write)
-			aLarge := measureCollective(t, f, buf, dLarge, write)
+			aSmall := measureCollective(t, f, buf, dSmall, datatype.Byte, write)
+			aLarge := measureCollective(t, f, buf, dLarge, datatype.Byte, write)
 			if perWindow := (aLarge - aSmall) / (winLarge - winSmall); perWindow > 0 {
 				t.Errorf("write=%v: %.2f allocs per steady-state window with programs live (small=%v large=%v)",
 					write, perWindow, aSmall, aLarge)

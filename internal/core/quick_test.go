@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/datatype"
+	"repro/internal/fotf"
 	"repro/internal/mpi"
 	"repro/internal/pool"
 	"repro/internal/storage"
@@ -168,18 +169,37 @@ func TestQuickRandomFiletypesIndependent(t *testing.T) {
 	}
 }
 
-// diffCase is one cell of the differential matrix.
+// diffCase is one cell of the differential matrix: an engine and world
+// shape, the options that choose between the fused and the staged copy of
+// rank-local bytes, and the flavour of access.
 type diffCase struct {
-	engine Engine
-	tcp    bool
+	engine      Engine
+	P           int
+	ioNodes     int  // 0: every rank is an IOP; below P, the last ranks have no self share
+	tcp         bool // ranks over local TCP sockets
+	tier        bool // two I/O servers: epoch commit, registered views
+	noViewCache bool // DisableViewCache (still fused: the own view is always compiled)
+	noProgram   bool // DisableProgram (staged)
+	atomic      bool // atomic mode
+	split       bool // split collectives (Begin/Wait)
+	independent bool // WriteAt/ReadAt, data sieving
 }
 
 func (c diffCase) String() string {
-	tr := "loopback"
-	if c.tcp {
-		tr = "tcp"
+	s := fmt.Sprintf("%s/P=%d", c.engine, c.P)
+	for _, f := range []struct {
+		on   bool
+		name string
+	}{
+		{c.ioNodes != 0, fmt.Sprintf("ionodes=%d", c.ioNodes)}, {c.tcp, "tcp"}, {c.tier, "tier"},
+		{c.noViewCache, "no-view-cache"}, {c.noProgram, "no-program"}, {c.atomic, "atomic"},
+		{c.split, "split"}, {c.independent, "independent"},
+	} {
+		if f.on {
+			s += "/" + f.name
+		}
 	}
-	return fmt.Sprintf("%s/%s", c.engine, tr)
+	return s
 }
 
 // diffOracle computes the expected file contents of a P-rank collective
@@ -242,54 +262,88 @@ func diffOracle(base *datatype.Type, P int, stride, d int64, data [][]byte) []by
 
 // TestQuickDifferentialRandomTrees is the end-to-end differential
 // property test: seeded random datatype trees (vector / indexed /
-// struct / nested, zero-length blocks, holes) drive a 4-rank collective
-// write + read-back across {engine} × {loopback, TCP}, and every cell's
-// file must match, byte for byte, a flat oracle computed from the
-// datatype Walk alone.  Every cell runs on a Checked pool, so a
-// double-put or use-after-put anywhere in the window loop, the
+// struct / nested, zero-length blocks, holes) on both sides of the
+// access — a random filetype and a random memtype, so every access is
+// nc-nc — drive a write + read-back through every cell of diffCases, and
+// every cell's file must match, byte for byte, a flat oracle computed
+// from the datatype Walk alone, and every read must fill the data bytes
+// of the user buffer and leave its holes alone.  The cells cross the two
+// places a byte never leaves its rank (an independent sieve window, the
+// self share of a collective) with everything that decides how it moves
+// there: world sizes 1 to 4, fewer IOPs than ranks, the three ways to
+// the staged path (list-based engine, DisableProgram, and — fused all the
+// same — DisableViewCache), atomic mode, split collectives, TCP ranks and
+// the epoch-committing server tier.  Every cell runs on a Checked pool,
+// so a double-put or use-after-put anywhere in the window loop, the
 // exchange, or the transport panics the world.
 func TestQuickDifferentialRandomTrees(t *testing.T) {
-	const P = 4
 	seeds := []int64{1, 2, 3, 5, 8, 13}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	cells := []diffCase{}
-	for _, eng := range []Engine{Listless, ListBased} {
-		for _, tcp := range []bool{false, true} {
-			cells = append(cells, diffCase{engine: eng, tcp: tcp})
-		}
+	cells := []diffCase{
+		{engine: Listless, P: 4}, {engine: Listless, P: 4, tcp: true},
+		{engine: ListBased, P: 4}, {engine: ListBased, P: 4, tcp: true},
+		{engine: Listless, P: 1}, {engine: Listless, P: 2}, {engine: Listless, P: 3},
+		{engine: Listless, P: 2, ioNodes: 1}, {engine: Listless, P: 3, ioNodes: 2},
+		{engine: Listless, P: 3, ioNodes: 2, noViewCache: true},
+		{engine: Listless, P: 3, ioNodes: 2, noProgram: true},
+		{engine: ListBased, P: 3, ioNodes: 2},
+		{engine: Listless, P: 2, atomic: true}, {engine: Listless, P: 2, split: true},
+		{engine: Listless, P: 2, tier: true}, {engine: ListBased, P: 2, tier: true},
+		{engine: Listless, P: 1, independent: true}, {engine: Listless, P: 2, independent: true},
+		{engine: Listless, P: 3, independent: true}, {engine: Listless, P: 2, independent: true, atomic: true},
+		{engine: Listless, P: 2, independent: true, noProgram: true},
+		{engine: ListBased, P: 2, independent: true},
 	}
 	for _, seed := range seeds {
 		r := rand.New(rand.NewSource(seed))
 		base := datatype.RandomFiletype(r, 3)
+		mt := datatype.RandomMemtype(r, 3)
+		for mt.ContiguousTiled() { // contiguous memory is never fused: nothing to fuse
+			mt = datatype.RandomMemtype(r, 3)
+		}
 		// ValidateFiletype guarantees extent >= trueUB, so tiling rank
 		// windows extent apart never overlaps.
 		stride := base.Extent()
-		d := 2*base.Size() + 1 + r.Int63n(base.Size()) // partial final tile
-		data := make([][]byte, P)
-		for rank := 0; rank < P; rank++ {
-			data[rank] = pattern(rank*7+int(seed), d)
-		}
-		want := diffOracle(base, P, stride, d, data)
+		// Whole memtype instances, more than two filetype instances and,
+		// unless the sizes conspire, a partial final tile.
+		count := (2*base.Size()+1+r.Int63n(base.Size()))/mt.Size() + 1
+		d := count * mt.Size()
 
 		for _, c := range cells {
-			be := storage.NewMem()
+			// data is what each rank moves, bufs the same bytes laid out by
+			// the memtype over a background the read-back must preserve.
+			data, bufs := make([][]byte, c.P), make([][]byte, c.P)
+			for rank := range data {
+				data[rank] = pattern(rank*7+int(seed), d)
+				bufs[rank] = bytes.Repeat([]byte{0xEE}, int((count-1)*mt.Extent()+mt.TrueUB()))
+				fotf.UnpackCount(bufs[rank], data[rank], count, mt, 0)
+			}
+			want := diffOracle(base, c.P, stride, d, data)
+
+			var be storage.Backend = storage.NewMem()
+			stop := func() {}
+			if c.tier {
+				be, stop = ioServerTier(t, 32, 2)
+			}
 			sh := NewShared(be)
 			opts := Options{
-				Engine:      c.engine,
-				CollBufSize: 64 + r.Intn(256),
-				Pool:        pool.NewChecked(),
+				Engine:           c.engine,
+				IONodes:          c.ioNodes,
+				CollBufSize:      64 + r.Intn(256),
+				SieveBufSize:     32 + r.Intn(256),
+				PackBufSize:      16 + r.Intn(128),
+				DisableViewCache: c.noViewCache,
+				DisableProgram:   c.noProgram,
+				Pool:             pool.NewChecked(),
 			}
-			var eps []transport.Transport
+			eps := transport.NewLoopback(c.P)
 			if c.tcp {
 				var err error
-				eps, err = transport.NewLocalTCPWorld(P, transport.TCPConfig{})
-				if err != nil {
+				if eps, err = transport.NewLocalTCPWorld(c.P, transport.TCPConfig{}); err != nil {
 					t.Fatal(err)
 				}
-			} else {
-				eps = transport.NewLoopback(P)
 			}
 			_, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
 				f, err := Open(p, sh, opts)
@@ -301,35 +355,52 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				view, err := datatype.Resized(st, 0, int64(P)*stride)
+				view, err := datatype.Resized(st, 0, int64(c.P)*stride)
 				if err != nil {
 					panic(err)
 				}
 				if err := f.SetView(0, datatype.Byte, view); err != nil {
 					panic(err)
 				}
-				if _, err := f.WriteAtAll(0, d, datatype.Byte, data[p.Rank()]); err != nil {
+				if c.atomic {
+					f.SetAtomicity(true)
+				}
+				buf := bufs[p.Rank()]
+				got := bytes.Repeat([]byte{0xEE}, len(buf))
+				switch {
+				case c.independent:
+					if _, err = f.WriteAt(0, count, mt, buf); err == nil {
+						p.Barrier()
+						_, err = f.ReadAt(0, count, mt, got)
+					}
+				case c.split:
+					if _, err = f.WriteAtAllBegin(0, count, mt, buf).Wait(); err == nil {
+						_, err = f.ReadAtAllBegin(0, count, mt, got).Wait()
+					}
+				default:
+					if _, err = f.WriteAtAll(0, count, mt, buf); err == nil {
+						_, err = f.ReadAtAll(0, count, mt, got)
+					}
+				}
+				if err != nil {
 					panic(err)
 				}
-				got := make([]byte, d)
-				if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
-					panic(err)
-				}
-				if !bytes.Equal(got, data[p.Rank()]) {
-					panic(fmt.Sprintf("rank %d: read-back mismatch", p.Rank()))
+				if !bytes.Equal(got, buf) {
+					panic(fmt.Sprintf("rank %d: read-back differs from what was written, or a hole was touched", p.Rank()))
 				}
 			})
 			if err != nil {
-				t.Fatalf("seed %d cell %s (base %s): %v", seed, c, base, err)
+				t.Fatalf("seed %d cell %s (filetype %s, memtype %s): %v", seed, c, base, mt, err)
 			}
-			got := be.Bytes()
+			got := flattenBackend(t, be)
+			stop()
 			// File lengths may differ by a zero tail: the oracle ends at
 			// the last mapped byte, while a window write-back may round
 			// up (and a trailing hole rounds down).
 			n := min(len(got), len(want))
 			if !bytes.Equal(got[:n], want[:n]) || !allZero(got[n:]) || !allZero(want[n:]) {
-				t.Fatalf("seed %d cell %s (base %s, stride %d, d %d): file differs from oracle (%d vs %d bytes)",
-					seed, c, base, stride, d, len(got), len(want))
+				t.Fatalf("seed %d cell %s (filetype %s, memtype %s, stride %d, d %d): file differs from oracle (%d vs %d bytes)",
+					seed, c, base, mt, stride, d, len(got), len(want))
 			}
 		}
 	}

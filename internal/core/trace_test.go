@@ -136,3 +136,61 @@ func TestTracedCollectiveFaultInstant(t *testing.T) {
 		}
 	}
 }
+
+// TestIndependentSieveAccountsItsPhases: an independent sieving access
+// fills the same phase counters as a collective — backend calls as
+// StorageNs, window copies as CopyNs — and records one copy span per
+// sieve window, so that its time is not "other" in any ledger built on
+// them.  Fused and staged copies are accounted alike.
+func TestIndependentSieveAccountsItsPhases(t *testing.T) {
+	const blockcount, blocklen, sieveBuf = 512, 8, 1024
+	d := int64(blockcount * blocklen)
+	elem, err := datatype.Resized(datatype.Double, 0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, staged := range []bool{false, true} {
+		col := trace.NewCollector(trace.DefaultBufSize)
+		var st Stats
+		_, err := mpi.Run(1, func(p *mpi.Proc) {
+			f, err := Open(p, NewShared(storage.NewMem()),
+				Options{SieveBufSize: sieveBuf, DisableProgram: staged, Trace: col})
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			if err := f.SetView(0, datatype.Byte, noncontigTypeP(0, 2, blockcount, blocklen)); err != nil {
+				panic(err)
+			}
+			buf := pattern(1, 2*d)
+			before := f.Stats
+			if _, err := f.WriteAt(0, d/8, elem, buf); err != nil {
+				panic(err)
+			}
+			if _, err := f.ReadAt(0, d/8, elem, buf); err != nil {
+				panic(err)
+			}
+			st = f.Stats.Sub(before)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows := st.SieveReads + st.SieveWrites
+		if windows < 2*(2*d/sieveBuf)-2 {
+			t.Fatalf("staged=%v: only %d sieve windows: the access did not sieve", staged, windows)
+		}
+		if st.CopyNs <= 0 || st.StorageNs <= 0 {
+			t.Errorf("staged=%v: CopyNs=%d StorageNs=%d after %d sieve windows, want both accounted",
+				staged, st.CopyNs, st.StorageNs, windows)
+		}
+		var copies int64
+		for _, ev := range col.Events() {
+			if ev.Phase == trace.PhaseCopy {
+				copies++
+			}
+		}
+		if copies != windows {
+			t.Errorf("staged=%v: %d copy spans for %d sieve windows", staged, copies, windows)
+		}
+	}
+}

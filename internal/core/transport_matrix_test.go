@@ -98,6 +98,89 @@ func TestTransportMatrixByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSelfShareStaysOffTheFabric pins the fused self share in counted
+// work: in a two-rank collective of the vec8 shape (8-byte blocks,
+// interleaved in the file, every other 8 bytes in memory) each rank is the
+// IOP of half of its own data, and with both programs live that half is
+// copied between user buffer and window — it is neither packed into a
+// chunk nor sent.  Against the same access staged (DisableProgram), over
+// either transport, the world sends exactly the self-destined data
+// messages fewer and exactly their payload less; everything else —
+// plan, vote, the chunks for the other rank — is the same traffic.
+func TestSelfShareStaysOffTheFabric(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	const (
+		P          = 2
+		blockcount = 64
+		blocklen   = 8
+		collBuf    = 128
+	)
+	d := int64(blockcount * blocklen)
+	// The file range is P*d bytes in P domains of d bytes, each rank holds
+	// d/P bytes in each: its own domain takes d/collBuf windows, per op.
+	selfWindows, selfBytes := d/collBuf, d/P
+
+	run := func(staged, tcp bool) ([]byte, mpi.Stats) {
+		eps := transport.NewLoopback(P)
+		if tcp {
+			var err error
+			if eps, err = transport.NewLocalTCPWorld(P, transport.TCPConfig{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		be := storage.NewMem()
+		sh := NewShared(be)
+		comm, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+			f, err := Open(p, sh, Options{CollBufSize: collBuf, DisableProgram: staged})
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
+				panic(err)
+			}
+			elem, err := datatype.Resized(datatype.Double, 0, 2*blocklen)
+			if err != nil {
+				panic(err)
+			}
+			buf := pattern(p.Rank(), 2*d)
+			if _, err := f.WriteAtAll(0, blockcount, elem, buf); err != nil {
+				panic(err)
+			}
+			got := make([]byte, len(buf))
+			if _, err := f.ReadAtAll(0, blockcount, elem, got); err != nil {
+				panic(err)
+			}
+			for i := range got {
+				if i%(2*blocklen) < blocklen && got[i] != buf[i] {
+					panic(fmt.Sprintf("rank %d: read-back byte %d differs", p.Rank(), i))
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return be.Bytes(), comm
+	}
+
+	for _, tcp := range []bool{false, true} {
+		fusedFile, fused := run(false, tcp)
+		stagedFile, staged := run(true, tcp)
+		if !bytes.Equal(fusedFile, stagedFile) {
+			t.Fatalf("tcp=%v: fused and staged files differ", tcp)
+		}
+		const ops = 2 // one write, one read
+		if got, want := staged.Messages-fused.Messages, ops*P*selfWindows; got != want {
+			t.Errorf("tcp=%v: fused sends %d messages fewer than staged (%d vs %d), want the %d self-destined chunks",
+				tcp, got, fused.Messages, staged.Messages, want)
+		}
+		if got, want := staged.Bytes-fused.Bytes, ops*P*selfBytes; got != want {
+			t.Errorf("tcp=%v: fused sends %d payload bytes less than staged (%d vs %d), want the %d self-destined bytes",
+				tcp, got, fused.Bytes, staged.Bytes, want)
+		}
+	}
+}
+
 // TestFaultAgreementOverTCP mirrors TestFaultCollectiveWrite with the
 // exchange on real sockets: error agreement is pure messages, so the
 // agreed CollectiveError must survive the wire unchanged.

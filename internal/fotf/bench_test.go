@@ -180,3 +180,60 @@ func BenchmarkDeepTree(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFusedVsStaged pairs the fused typed-to-typed copy against the
+// staged form it replaces — pack the source range into a contiguous
+// buffer, unpack that over the destination range, a pack buffer (256 KiB,
+// core's default) at a time — over 4 MiB of data in the shapes of the
+// repository benchmark's nc-nc workloads: equal 8-byte runs (vec8,
+// indep8), equal 16 KiB runs (vec16k), two irregular types of some 32 k
+// groups each (irr), 8-byte runs into 64-byte runs, and two trains of
+// short runs that never line up (20-byte runs into 12-byte runs).  Fused
+// must be no slower on any row; benchstat compares the sub-benchmarks in
+// CI.
+func BenchmarkFusedVsStaged(b *testing.B) {
+	const total = 4 << 20
+	hv := func(blocklen, stride int64) *datatype.Type {
+		dt, err := datatype.Hvector(total/blocklen, blocklen, stride, datatype.Byte)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return dt
+	}
+	for _, c := range []struct {
+		name   string
+		dt, st *datatype.Type
+	}{
+		{"8Bx8B", hv(8, 16), hv(8, 16)},
+		{"16Kx16K", hv(16384, 32768), hv(16384, 32768)},
+		{"irrxirr", irregularHindexed(b, 1<<15, 1), irregularHindexed(b, 1<<15, 2)},
+		{"8Bx64B", hv(64, 128), hv(8, 16)},
+		{"20Bx12B", hv(12, 30), hv(20, 21)},
+	} {
+		dp, sp := Compile(c.dt), Compile(c.st)
+		n := min(dp.Size(), sp.Size())
+		dst := make([]byte, c.dt.TrueUB())
+		src := make([]byte, c.st.TrueUB())
+		b.Run(c.name+"/staged", func(b *testing.B) {
+			const packBuf = 256 << 10
+			pb := make([]byte, packBuf)
+			b.SetBytes(n)
+			for i := 0; i < b.N; i++ {
+				var dc, sc Cursor
+				dc.Reset(dp)
+				sc.Reset(sp)
+				for d0 := int64(0); d0 < n; d0 += packBuf {
+					d1 := min(d0+packBuf, n)
+					sc.CopyRange(pb[:d1-d0], src, d0, d1, 0, true)
+					dc.CopyRange(pb[:d1-d0], dst, d0, d1, 0, false)
+				}
+			}
+		})
+		b.Run(c.name+"/fused", func(b *testing.B) {
+			b.SetBytes(n)
+			for i := 0; i < b.N; i++ {
+				CopyFused(dst, dp, 0, 0, src, sp, 0, 0, n)
+			}
+		})
+	}
+}

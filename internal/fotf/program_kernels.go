@@ -106,3 +106,51 @@ func kernExec(kern uint8, c, b []byte, off, bl, stride, n int64, pack bool) {
 		}
 	}
 }
+
+// kernRuns moves n whole runs of bl bytes between two typed buffers, in
+// stretches of q (n is a multiple of q): within a stretch consecutive
+// runs lie sstride apart in src, from index so, and dstride apart in dst,
+// from index do, and from the end of one stretch to the start of the next
+// each side jumps a further swrap, respectively dwrap.  It is the
+// strided-to-strided counterpart of kernExec for the fused copy: one
+// stretch (q == n) when the two groups agree on the run length, and many
+// when the runs of one side are each cut into q runs of the other.
+func kernRuns(kern uint8, dst []byte, do, dstride, dwrap int64, src []byte, so, sstride, swrap, bl, q, n int64) {
+	for ; n > 0; n -= q {
+		switch kern {
+		case kern8:
+			for i := q; i > 0; i-- {
+				dst[do] = src[so]
+				do, so = do+dstride, so+sstride
+			}
+		case kern16:
+			for i := q; i > 0; i-- {
+				binary.LittleEndian.PutUint16(dst[do:], binary.LittleEndian.Uint16(src[so:]))
+				do, so = do+dstride, so+sstride
+			}
+		case kern32:
+			for i := q; i > 0; i-- {
+				binary.LittleEndian.PutUint32(dst[do:], binary.LittleEndian.Uint32(src[so:]))
+				do, so = do+dstride, so+sstride
+			}
+		case kern64:
+			for i := q; i > 0; i-- {
+				binary.LittleEndian.PutUint64(dst[do:], binary.LittleEndian.Uint64(src[so:]))
+				do, so = do+dstride, so+sstride
+			}
+		case kern128:
+			for i := q; i > 0; i-- {
+				s, d := src[so:], dst[do:]
+				binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(s))
+				binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(s[8:]))
+				do, so = do+dstride, so+sstride
+			}
+		default:
+			for i := q; i > 0; i-- {
+				copy(dst[do:do+bl], src[so:])
+				do, so = do+dstride, so+sstride
+			}
+		}
+		do, so = do+dwrap, so+swrap
+	}
+}
