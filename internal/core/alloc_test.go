@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -73,12 +74,14 @@ func measureCollective(t *testing.T, f *File, buf []byte, d int64, mt *datatype.
 }
 
 // testWindowAllocFree measures the per-window allocations of a one-rank
-// collective.  The rank is the IOP of all of its own data: through
-// contiguous memory (holey=false) that share is packed into a pooled
-// chunk and sent to the rank's own mailbox, window by window; through
-// holeyDouble the listless engine copies it between user buffer and
-// window and no chunk exists.
-func testWindowAllocFree(t *testing.T, engine Engine, write, metrics, holey bool, wantPerWindow float64) {
+// collective.  The rank is the IOP of all of its own data.  The listless
+// engine moves that share between user buffer and window itself — through
+// contiguous memory (holey=false) by the fileview's program alone, through
+// holeyDouble fused with the memtype's — and no chunk exists; staged
+// (DisableProgram: the walk, no program to run against the user buffer)
+// it packs the share into a pooled chunk and sends it to the rank's own
+// mailbox, window by window.
+func testWindowAllocFree(t *testing.T, engine Engine, write, metrics, holey, staged bool, wantPerWindow float64) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
@@ -100,7 +103,7 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics, holey bool
 	bp := pool.New()
 	_, err := mpi.Run(1, func(p *mpi.Proc) {
 		sh := NewShared(storage.NewMem())
-		f, err := Open(p, sh, Options{Engine: engine, CollBufSize: allocWinSize, Metrics: reg, Pool: bp})
+		f, err := Open(p, sh, Options{Engine: engine, CollBufSize: allocWinSize, Metrics: reg, Pool: bp, DisableProgram: staged})
 		if err != nil {
 			panic(err)
 		}
@@ -123,7 +126,7 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics, holey bool
 		s0 := bp.Stats()
 		aLarge := measureCollective(t, f, buf, dLarge, mt, write)
 		s1 := bp.Stats()
-		label := fmt.Sprintf("engine %v write=%v holey=%v", engine, write, holey)
+		label := fmt.Sprintf("engine %v write=%v holey=%v staged=%v", engine, write, holey, staged)
 		perWindow := (aLarge - aSmall) / (winLarge - winSmall)
 		if perWindow > wantPerWindow {
 			t.Errorf("%s: %.2f allocs per steady-state window (small=%v large=%v), want <= %v",
@@ -134,10 +137,10 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics, holey bool
 		// allocating; fused, the two window buffers of a collective are
 		// all it draws, however many windows it has.
 		gets, puts := s1.Gets-s0.Gets, s1.Puts-s0.Puts
-		if fused := holey && engine == Listless; fused && (gets != s0.Gets-sS.Gets || gets == 0) {
+		if fused := engine == Listless && !staged; fused && (gets != s0.Gets-sS.Gets || gets == 0) {
 			t.Errorf("%s: %d pool gets over %d-window collectives, %d over %d-window ones: the self share still draws chunks",
 				label, gets, winLarge, s0.Gets-sS.Gets, winSmall)
-		} else if !fused && (gets < winLarge || puts < winLarge) {
+		} else if !fused && (gets < 10*winLarge || puts < 10*winLarge) {
 			t.Errorf("%s: %d gets, %d puts over %d-window collectives: the windows do not go through the pool",
 				label, gets, puts, winLarge)
 		}
@@ -152,14 +155,16 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics, holey bool
 }
 
 // TestListlessWindowZeroAlloc: the listless engine's steady-state
-// window loop — pooled buffers, recycled chunks, freelisted window
-// descriptors, persistent pipeline workers — performs zero allocations
-// per window, with the self share staged and with it fused.
+// window loop — pooled buffers, freelisted window descriptors, persistent
+// pipeline workers — performs zero allocations per window, from
+// contiguous memory and from a holey layout, and also with the self
+// share staged through recycled chunks.
 func TestListlessWindowZeroAlloc(t *testing.T) {
 	for _, write := range []bool{true, false} {
 		for _, holey := range []bool{false, true} {
-			testWindowAllocFree(t, Listless, write, false, holey, 0)
+			testWindowAllocFree(t, Listless, write, false, holey, false, 0)
 		}
+		testWindowAllocFree(t, Listless, write, false, false, true, 0)
 	}
 }
 
@@ -170,7 +175,100 @@ func TestListlessWindowZeroAlloc(t *testing.T) {
 func TestListlessWindowZeroAllocMetricsOn(t *testing.T) {
 	for _, write := range []bool{true, false} {
 		for _, holey := range []bool{false, true} {
-			testWindowAllocFree(t, Listless, write, true, holey, 0)
+			testWindowAllocFree(t, Listless, write, true, holey, false, 0)
+		}
+		testWindowAllocFree(t, Listless, write, true, false, true, 0)
+	}
+}
+
+// TestListlessDirectWindowZeroAllocMetricsOn is the twin of the test
+// above over direct windows, in a two-rank world so that chunks travel:
+// file runs of 6 KiB, 12 KiB apart per rank, from a contiguous buffer on
+// one rank and a sparse one on the other, in 32 KiB windows.  After the
+// first accesses — which size the handles' segment batches — a window
+// costs no allocation: its chunks come from the warm pool, its segments
+// go into the batch its slot keeps, and no window buffer is drawn at all.
+func TestListlessDirectWindowZeroAllocMetricsOn(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const (
+		P, run, win      = 2, 6144, 32 << 10
+		runsSmall        = 16 // per rank: 16*12 KiB of file, 6 windows in all
+		runsLarge        = 64 // 24 windows
+		winSmall         = runsSmall * P * run / win
+		winLarge         = runsLarge * P * run / win
+		measured, warmup = 10, 1 // what testing.AllocsPerRun runs
+	)
+	sparse := mustType(datatype.Hvector(runsLarge, run, 2*run, datatype.Byte))
+	bp, reg := pool.New(), obs.NewRegistry()
+	sh := NewShared(storage.NewMem())
+	for _, write := range []bool{true, false} {
+		_, err := mpi.Run(P, func(p *mpi.Proc) {
+			f, err := Open(p, sh, Options{CollBufSize: win, Metrics: reg, Pool: bp})
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			disp, ft := stridedView(P, runsLarge, run, run)(p.Rank())
+			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+				panic(err)
+			}
+			// Rank 0 moves run-sized instances of a sparse memtype, rank 1
+			// bytes: the same d either way.
+			mt, buf := datatype.Byte, make([]byte, sparse.Extent())
+			if p.Rank() == 0 {
+				mt = mustType(datatype.Resized(mustType(datatype.Contiguous(run, datatype.Byte)), 0, 2*run))
+			}
+			op := func(runs int64) func() {
+				count := runs * run / mt.Size()
+				return func() {
+					var err error
+					if write {
+						_, err = f.WriteAtAll(0, count, mt, buf)
+					} else {
+						_, err = f.ReadAtAll(0, count, mt, buf)
+					}
+					if err != nil {
+						t.Errorf("collective: %v", err)
+					}
+				}
+			}
+			// Every rank runs each collective as often as rank 0's
+			// AllocsPerRun does; rank 0 counts what all of them allocate.
+			measure := func(runs int64) (allocs float64) {
+				if p.Rank() == 0 {
+					return testing.AllocsPerRun(measured, op(runs))
+				}
+				for i := 0; i < measured+warmup; i++ {
+					op(runs)()
+				}
+				return 0
+			}
+			op(runsLarge)() // the file, the batches' high-water mark, the pool's classes
+			measure(runsLarge)
+			s0, st0 := bp.Stats(), f.Stats
+			aSmall := measure(runsSmall)
+			aLarge := measure(runsLarge)
+			s1, st := bp.Stats(), f.Stats.Sub(st0)
+			if p.Rank() != 0 {
+				return
+			}
+			if perWindow := (aLarge - aSmall) / (winLarge - winSmall); perWindow > 0 {
+				t.Errorf("write=%v: %.2f allocs per steady-state direct window (small=%v large=%v)", write, perWindow, aSmall, aLarge)
+			}
+			windows, vectored := st.SieveWrites+st.SieveReads, st.VectoredWrites+st.VectoredReads
+			if windows == 0 || vectored != windows {
+				t.Errorf("write=%v: %d of %d windows were direct; the test measures the wrong loop", write, vectored, windows)
+			}
+			if s1.Misses != s0.Misses || s1.Gets == s0.Gets {
+				t.Errorf("write=%v: warm pool: %d gets, %d misses in steady state", write, s1.Gets-s0.Gets, s1.Misses-s0.Misses)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -214,6 +312,67 @@ func TestIndependentFusedDrawsNoPackBuffer(t *testing.T) {
 				if s1 := bp.Stats(); s1.Gets-s0.Gets != c.gets || s1.Puts-s0.Puts != c.gets {
 					t.Errorf("%s write=%v: %d pool gets, %d puts per access, want %d of each",
 						c.name, write, s1.Gets-s0.Gets, s1.Puts-s0.Puts, c.gets)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDirectPathFusedDrawsNoPackBuffer: the offset-list branch of a
+// sparse independent nc-nc access packs into a pooled buffer and lists
+// segments over the copy when it must; with both programs live the
+// segments point into the user buffer and the access draws nothing from
+// the pool.  Either way the bytes arrive, and the holes of the user
+// buffer are left alone.
+func TestDirectPathFusedDrawsNoPackBuffer(t *testing.T) {
+	const runs = 512
+	sparse := mustType(datatype.Vector(runs, 8, 1024, datatype.Byte))
+	for _, c := range []struct {
+		name string
+		opts Options
+		gets int64
+	}{
+		{"fused", Options{}, 0},
+		{"no-program", Options{DisableProgram: true}, 1},
+		{"list-based", Options{Engine: ListBased}, 1},
+	} {
+		bp := pool.New()
+		c.opts.Pool, c.opts.SieveDensity = bp, 0.25
+		_, err := mpi.Run(1, func(p *mpi.Proc) {
+			f, err := Open(p, NewShared(storage.NewMem()), c.opts)
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			if err := f.SetView(0, datatype.Byte, sparse); err != nil {
+				panic(err)
+			}
+			mt, buf := holeyDouble(), pattern(3, 16*runs)
+			got := bytes.Repeat([]byte{0xEE}, len(buf))
+			for _, write := range []bool{true, false} {
+				s0 := bp.Stats()
+				if write {
+					_, err = f.WriteAt(0, runs, mt, buf)
+				} else {
+					_, err = f.ReadAt(0, runs, mt, got)
+				}
+				if err != nil {
+					panic(err)
+				}
+				if s1 := bp.Stats(); s1.Gets-s0.Gets != c.gets || s1.Puts-s0.Puts != c.gets {
+					t.Errorf("%s write=%v: %d pool gets, %d puts per access, want %d of each",
+						c.name, write, s1.Gets-s0.Gets, s1.Puts-s0.Puts, c.gets)
+				}
+			}
+			if f.Stats.DirectWrites != runs || f.Stats.DirectReads != runs || f.Stats.SieveWrites != 0 {
+				t.Errorf("%s: the accesses did not take the offset-list direct path: %+v", c.name, f.Stats)
+			}
+			for i := range got {
+				if hole := i%16 >= 8; !hole && got[i] != buf[i] || hole && got[i] != 0xEE {
+					t.Fatalf("%s: read-back byte %d = %#x (hole=%v)", c.name, i, got[i], hole)
 				}
 			}
 		})

@@ -76,19 +76,29 @@ func collOracle(t *testing.T, eng Engine, P int, blockcount, blocklen int64) []b
 // IOP's file domain must return the same wrapped CollectiveError
 // (correct rank, correct phase) on every rank, without deadlock or
 // goroutine leak — and an immediately following fault-free collective
-// on the same File must produce correct bytes on both engines.
+// on the same File must produce correct bytes on both engines, through
+// buffered windows and through direct ones.
 func TestCollectiveErrorAgreement(t *testing.T) {
 	const (
 		P          = 4
 		blockcount = 32
-		blocklen   = 16
 		failIOP    = 1
 	)
-	d := int64(blockcount * blocklen)
+	// 16-byte blocks: eight of them from four ranks in every 128-byte
+	// window, which gathers them in its buffer.  256-byte blocks: a window
+	// lies inside one block and, on the listless engine, is direct — the
+	// faulted read is then a vectored one.
+	for _, blocklen := range []int64{16, 256} {
+		testCollectiveErrorAgreement(t, P, blockcount, blocklen, failIOP)
+	}
+}
+
+func testCollectiveErrorAgreement(t *testing.T, P int, blockcount, blocklen int64, failIOP int) {
+	d := blockcount * blocklen
 	domSize := d // gHi = P*d, split across P IOPs
 
 	for _, eng := range []Engine{Listless, ListBased} {
-		label := eng.String()
+		label := fmt.Sprintf("%v/blocklen=%d", eng, blocklen)
 		checkLeaks := testutil.LeakCheck(t)
 
 		fb := storage.NewFaulty(storage.NewMem())
@@ -107,6 +117,9 @@ func TestCollectiveErrorAgreement(t *testing.T) {
 			data := pattern(p.Rank(), d)
 			if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
 				panic(err)
+			}
+			if direct := f.Stats.DirectWrites > 0; direct != (eng == Listless && blocklen >= 128) {
+				panic(fmt.Sprintf("direct windows: %v", direct))
 			}
 			if p.Rank() == 0 {
 				// Fault exactly IOP failIOP's file domain.
@@ -158,6 +171,9 @@ type faultGeom struct {
 	holey bool
 	// rmw: the combined views leave holes, so a write pre-reads.
 	rmw bool
+	// direct: the listless engine moves every window without the window
+	// buffer, by one vectored call.
+	direct bool
 }
 
 // domain returns IOP i's file domain, as makePlan cuts it, given the
@@ -187,7 +203,8 @@ func (g faultGeom) userBuf(data []byte) (*datatype.Type, int64, []byte) {
 // TestFaultCollectiveMatrix runs fault propagation across read/write ×
 // both engines × access geometries, asserting unanimous agreement each
 // time and full recovery after healing.  Beside the 4-rank interleaved
-// access, whose failing IOP serves three other ranks, two geometries
+// access, whose failing IOP serves three other ranks, and one whose
+// blocks are long enough for direct windows, two geometries
 // make the failing IOP its own only contributor — one rank alone, and
 // two ranks on disjoint halves of the file — through non-contiguous
 // memory: on the listless engine that share is a fused copy with no
@@ -205,6 +222,13 @@ func TestFaultCollectiveMatrix(t *testing.T) {
 			view: func(int) (int64, *datatype.Type) { return 0, half }},
 		{name: "disjoint-halves/P=2", P: 2, failIOP: 1, d: d, holey: true, rmw: true,
 			view: func(rank int) (int64, *datatype.Type) { return int64(rank) * half.Extent(), half }},
+		// Blocks four windows long: on the listless engine every window is
+		// direct, so the faulted accesses are one vectored write and one
+		// vectored read, over a received chunk or — the failing IOP's own
+		// share, which contiguous memory keeps off the fabric too — over
+		// the user buffer itself.
+		{name: "long-runs/P=2", P: 2, failIOP: 1, d: 8 * 512, direct: true,
+			view: func(rank int) (int64, *datatype.Type) { return 0, noncontigTypeP(rank, 2, 8, 512) }},
 	}
 
 	// world runs body on every rank of a fresh world over be, with the
@@ -240,6 +264,9 @@ func TestFaultCollectiveMatrix(t *testing.T) {
 				// IOP's own share really travels without a message.
 				if sent = p.SentStats().Bytes - sent; g.holey && (eng == Listless) != (sent < g.d) {
 					panic(fmt.Sprintf("%v sent %d payload bytes for %d bytes of own data", eng, sent, g.d))
+				}
+				if st := f.Stats; (st.VectoredWrites == st.SieveWrites) != (g.direct && eng == Listless) {
+					panic(fmt.Sprintf("%v moved %d of %d windows by a vectored call", eng, st.VectoredWrites, st.SieveWrites))
 				}
 			}); err != nil {
 				t.Fatalf("%s/%v: oracle world: %v", g.name, eng, err)

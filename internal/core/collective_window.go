@@ -12,19 +12,29 @@ import (
 // receives and merges each AP's chunk, and writes the window back, or
 // (read) reads the window and sends each AP its portion.
 //
-// The loop (iopPipelined) is a double-buffered pipeline over two window
-// buffers.  Window k+1's pre-read and window k-1's write-back run in the
+// There are two kinds of window.  A buffered window gathers the APs'
+// chunks in a CollBufSize buffer so that many short runs become one
+// large backend call.  A direct window (iopWindow.direct: every share is
+// runs of about a page or more) has no buffer: the chunks themselves —
+// and, for the rank's own share, the user buffer — are described as
+// backend segments and move by one vectored call, so a byte goes chunk
+// to backend once, nothing is pre-read, and no byte outside the views is
+// rewritten.
+//
+// The loop (iopPipelined) is a double-buffered pipeline over two slots.
+// Window k+1's pre-read and window k-1's write-back run in the
 // background while window k's AP exchange and copying proceed on the
 // main goroutine, overlapping storage time with communication time.
 // Safe because windows are disjoint file ranges, backends accept
 // concurrent access, and all MPI traffic stays on the main goroutine
 // (preserving per-pair message order).
 //
-// The pipeline's steady state is allocation-free: the two window
-// buffers come from the pool, each slot owns one persistent worker
-// goroutine fed by reusable channels of value structs (no per-window
-// goroutines, channels, or window descriptors), and the engines recycle
-// their per-window state via iopWindow.release.
+// The pipeline's steady state is allocation-free: the window buffers
+// and chunks come from the pool, the segment batches stay with the
+// handle, each slot owns one persistent worker goroutine fed by reusable
+// channels of value structs (no per-window goroutines, channels, or
+// window descriptors), and the engines recycle their per-window state
+// via iopWindow.release.
 //
 // All Stats fields are updated on the main goroutine only; background
 // I/O durations travel back through the reply tokens.
@@ -79,27 +89,18 @@ func (f *File) iopExchangeWrite(iw iopWindow, w []byte, winLo int64) {
 		if n == 0 || r == f.p.Rank() && f.copySelf(iw, w, winLo, n, true) {
 			continue
 		}
-		esp := f.tr.Begin(trace.PhaseExchange, winLo, 0)
-		t0 := time.Now()
-		chunk, _, _ := f.p.Recv(r, tagCollData)
-		t1 := time.Now()
-		esp.EndBytes(int64(len(chunk)))
+		chunk := f.recvChunk(r, winLo)
 		csp := f.tr.Begin(trace.PhaseCopy, winLo, int64(len(chunk)))
+		t0 := time.Now()
 		iw.copyIn(w, r, chunk)
 		csp.End()
 		f.bp.Put(chunk)
-		en, cn := t1.Sub(t0).Nanoseconds(), time.Since(t1).Nanoseconds()
-		f.Stats.ExchangeNs += en
-		f.Stats.CopyNs += cn
-		f.om.exchangeNs.Add(en)
-		f.om.copyNs.Add(cn)
+		f.copySince(t0)
 	}
 }
 
 // iopExchangeRead extracts every AP's portion of the window buffer w
-// and sends it, accounting copy and exchange time.  Chunk ownership
-// passes to the transport and onward to the receiving AP, which
-// recycles it after unpacking.
+// and sends it, accounting copy and exchange time.
 func (f *File) iopExchangeRead(iw iopWindow, w []byte, winLo int64) {
 	for r := 0; r < f.p.Size(); r++ {
 		n := iw.chunkLen(r)
@@ -110,16 +111,9 @@ func (f *File) iopExchangeRead(iw iopWindow, w []byte, winLo int64) {
 		t0 := time.Now()
 		chunk := f.bp.Get(int(n))
 		iw.copyOut(w, r, chunk)
-		t1 := time.Now()
 		csp.End()
-		esp := f.tr.Begin(trace.PhaseExchange, winLo, n)
-		f.p.SendNoCopy(r, tagCollData, chunk)
-		esp.End()
-		cn, en := t1.Sub(t0).Nanoseconds(), time.Since(t1).Nanoseconds()
-		f.Stats.CopyNs += cn
-		f.Stats.ExchangeNs += en
-		f.om.copyNs.Add(cn)
-		f.om.exchangeNs.Add(en)
+		f.copySince(t0)
+		f.sendChunk(r, chunk, winLo)
 	}
 }
 
@@ -133,40 +127,80 @@ type ioToken struct {
 // pipeReq is one request to a slot worker.
 type pipeReq struct {
 	lo, hi int64
+	bytes  int64 // what the access moves, for the trace: hi-lo, or a direct window's data bytes
 	kind   uint8 // pipePrep or pipeWrite
-	read   bool  // pipePrep: pre-read the window into the slot buffer
+	read   bool  // pipePrep: read the window before replying
+	direct bool  // the window is the slot's segment batch, not its buffer
 }
 
 const (
-	pipePrep  = uint8(iota) // prepare the slot for a window (optional pre-read)
-	pipeWrite               // write the slot buffer back to storage
+	pipePrep  = uint8(iota) // prepare the slot for a window (optional read)
+	pipeWrite               // write the slot's window back to storage
 )
 
-// pipeSlot is one of the two window buffers with its persistent worker.
-// Requests are processed FIFO, which encodes the slot discipline: a
-// window's prep (and therefore its pre-read) cannot start before the
-// slot's previous write-back finished.  req has capacity 2 — at most
-// one outstanding write-back plus one prep are ever queued — so the
-// main goroutine never blocks enqueueing.
+// winBatch is a direct window in flight: its backend segments and the
+// pooled chunks they slice, by AP rank (nil where an AP holds nothing or
+// the share is the rank's own and its segments slice the user buffer).
+// The two batches stay with the handle across collectives, as File.segs
+// does, and are empty between windows.  Ownership follows the slot: the
+// main goroutine fills a batch, and from the request that hands it to
+// the worker until the slot's next reply the worker alone touches it.
+type winBatch struct {
+	segs   []storage.Segment
+	chunks [][]byte
+}
+
+// drop returns the batch's chunks to the pool and empties it, leaving no
+// reference to a chunk or to the user buffer behind.
+func (b *winBatch) drop(f *File) {
+	for r, c := range b.chunks {
+		if c != nil {
+			f.bp.Put(c)
+			b.chunks[r] = nil
+		}
+	}
+	clear(b.segs)
+	b.segs = b.segs[:0]
+}
+
+// pipeSlot is one of the two window slots with its persistent worker:
+// the buffer of a buffered window, fetched from the pool when the slot's
+// first one comes, and the batch of a direct window.  Requests are
+// processed FIFO, which encodes the slot discipline: a window's prep
+// (and therefore its read) cannot start before the slot's previous
+// write-back finished.  req has capacity 2 — at most one outstanding
+// write-back plus one prep are ever queued — so the main goroutine never
+// blocks enqueueing.
 type pipeSlot struct {
-	buf  []byte
-	req  chan pipeReq // main → worker
-	done chan ioToken // worker → main: prep complete, slot buffer ready
-	fin  chan ioToken // worker → main: trailing write-back result at exit
+	buf   []byte
+	batch *winBatch
+	req   chan pipeReq // main → worker
+	done  chan ioToken // worker → main: prep complete, slot's window ready
+	fin   chan ioToken // worker → main: trailing write-back result at exit
 }
 
 // slotWorker is a slot's persistent background goroutine.  Write-back
 // errors and durations are carried into the next prep reply (or the fin
 // token at shutdown), mirroring the slot hand-over semantics: whoever
-// waits for the slot learns the fate of its previous write-back.
+// waits for the slot learns the fate of its previous write-back.  A
+// direct write-back ends the life of its chunks: the worker returns
+// them to the pool, whatever the outcome.  A direct read may fill the
+// caller's user buffer (the own share's segments) from this goroutine —
+// the caller is inside the collective until the pipeline is quiescent.
 func (f *File) slotWorker(s *pipeSlot) {
 	var carry ioToken
 	for r := range s.req {
 		switch r.kind {
 		case pipeWrite:
-			bsp := f.tr.BeginIO(trace.PhaseWriteBack, r.lo, r.hi-r.lo)
+			bsp := f.tr.BeginIO(trace.PhaseWriteBack, r.lo, r.bytes)
 			t0 := time.Now()
-			_, err := f.sh.b.WriteAt(s.buf[:r.hi-r.lo], r.lo)
+			var err error
+			if r.direct {
+				err = storage.WriteAtv(f.sh.b, s.batch.segs)
+				s.batch.drop(f)
+			} else {
+				_, err = f.sh.b.WriteAt(s.buf[:r.hi-r.lo], r.lo)
+			}
 			bsp.End()
 			carry.ns += time.Since(t0).Nanoseconds()
 			if carry.err == nil {
@@ -176,11 +210,14 @@ func (f *File) slotWorker(s *pipeSlot) {
 			t := carry
 			carry = ioToken{}
 			if t.err == nil && r.read {
-				rsp := f.tr.BeginIO(trace.PhasePreRead, r.lo, r.hi-r.lo)
+				rsp := f.tr.BeginIO(trace.PhasePreRead, r.lo, r.bytes)
 				t0 := time.Now()
-				err := storage.ReadFull(f.sh.b, s.buf[:r.hi-r.lo], r.lo)
+				if r.direct {
+					t.err = storage.ReadAtv(f.sh.b, s.batch.segs)
+				} else {
+					t.err = storage.ReadFull(f.sh.b, s.buf[:r.hi-r.lo], r.lo)
+				}
 				rsp.End()
-				t.err = err
 				t.ns += time.Since(t0).Nanoseconds()
 			}
 			s.done <- t
@@ -195,7 +232,61 @@ type pipeWindow struct {
 	lo, hi  int64
 	iw      iopWindow
 	slot    *pipeSlot
-	covered bool // write: pre-read skipped
+	direct  bool // no window buffer: the slot's batch is the window
+	covered bool // buffered write: pre-read skipped
+}
+
+// directGather describes every AP's share of direct window pw in the
+// slot's batch.  A share that travels as a message is segments over its
+// chunk: the one received (write), a fresh one to read into (read).
+func (f *File) directGather(pw *pipeWindow, write bool) {
+	b := pw.slot.batch
+	for r := 0; r < f.p.Size(); r++ {
+		n := pw.iw.chunkLen(r)
+		if n == 0 {
+			continue
+		}
+		if r == f.p.Rank() {
+			if segs, ok := pw.iw.selfSegs(b.segs); ok {
+				b.segs = segs
+				continue
+			}
+		}
+		if write {
+			b.chunks[r] = f.recvChunk(r, pw.lo)
+		} else {
+			b.chunks[r] = f.bp.Get(int(n))
+		}
+		b.segs = pw.iw.chunkSegs(b.segs, r, b.chunks[r])
+	}
+}
+
+// recvChunk receives AP r's chunk for a write window, accounting the
+// exchange time.  The chunk is owned by this rank from here on.
+func (f *File) recvChunk(r int, winLo int64) []byte {
+	esp := f.tr.Begin(trace.PhaseExchange, winLo, 0)
+	t0 := time.Now()
+	chunk, _, _ := f.p.Recv(r, tagCollData)
+	esp.EndBytes(int64(len(chunk)))
+	f.exchangeSince(t0)
+	return chunk
+}
+
+// sendChunk hands AP r its chunk of a read window, accounting the
+// exchange time.  Ownership passes to the transport and onward to the
+// AP, which recycles the chunk after unpacking.
+func (f *File) sendChunk(r int, chunk []byte, winLo int64) {
+	esp := f.tr.Begin(trace.PhaseExchange, winLo, int64(len(chunk)))
+	t0 := time.Now()
+	f.p.SendNoCopy(r, tagCollData, chunk)
+	esp.End()
+	f.exchangeSince(t0)
+}
+
+func (f *File) exchangeSince(t0 time.Time) {
+	ns := time.Since(t0).Nanoseconds()
+	f.Stats.ExchangeNs += ns
+	f.om.exchangeNs.Add(ns)
 }
 
 // iopPipelined is the double-buffered window loop.  Window k+1's prep
@@ -207,10 +298,13 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 	var slots [2]*pipeSlot
 	for i := range slots {
 		s := &pipeSlot{
-			buf:  f.bp.Get(int(winSize)),
-			req:  make(chan pipeReq, 2),
-			done: make(chan ioToken, 1),
-			fin:  make(chan ioToken, 1),
+			batch: &f.batch[i],
+			req:   make(chan pipeReq, 2),
+			done:  make(chan ioToken, 1),
+			fin:   make(chan ioToken, 1),
+		}
+		if len(s.batch.chunks) != f.p.Size() {
+			s.batch.chunks = make([][]byte, f.p.Size())
 		}
 		slots[i] = s
 		go f.slotWorker(s)
@@ -222,6 +316,9 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 	// mk prepares the next non-empty window, or ok=false when the
 	// domain is exhausted.  Empty windows are skipped without consuming
 	// a slot.  iop.window calls stay on the main goroutine, in order.
+	// A direct read window's batch is built here — its slot is idle, a
+	// read leaves no write-back behind — so that the worker can fill it
+	// where a buffered window's read runs.
 	mk := func() (pipeWindow, bool) {
 		for nextLo < domHi {
 			winLo := nextLo
@@ -232,12 +329,25 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 				iw.release()
 				continue
 			}
-			pw := pipeWindow{lo: winLo, hi: winHi, iw: iw, slot: slots[nextSlot]}
+			pw := pipeWindow{lo: winLo, hi: winHi, iw: iw, slot: slots[nextSlot], direct: iw.direct()}
 			nextSlot = 1 - nextSlot
-			if write && !f.opts.DisableMergeCheck {
-				pw.covered = iw.covered()
+			req := pipeReq{lo: winLo, hi: winHi, bytes: winHi - winLo, kind: pipePrep, read: !write, direct: pw.direct}
+			switch {
+			case !pw.direct:
+				if pw.slot.buf == nil {
+					pw.slot.buf = f.bp.Get(int(winSize))
+				}
+				if write {
+					pw.covered = !f.opts.DisableMergeCheck && iw.covered()
+					req.read = !pw.covered
+				}
+			case !write:
+				req.bytes = iw.total()
+				f.directGather(&pw, false)
+				f.Stats.VectoredReads++
+				f.Stats.DirectReads += int64(len(pw.slot.batch.segs))
 			}
-			pw.slot.req <- pipeReq{lo: winLo, hi: winHi, kind: pipePrep, read: !write || !pw.covered}
+			pw.slot.req <- req
 			return pw, true
 		}
 		return pipeWindow{}, false
@@ -264,33 +374,50 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 			// issued (its slot's prior write-back folds into it), then
 			// fall through to the shutdown drain below — no background
 			// I/O may outlive this return, or it would race the next
-			// collective on the file.
+			// collective on the file.  Both windows' slots have replied,
+			// so their batches are the main goroutine's again: the unsent
+			// chunks of direct read windows go back to the pool (a write
+			// window's batch is not gathered before its slot replied
+			// without error).
 			err = t.err
 			if nok {
 				t2 := <-nxt.slot.done
 				f.Stats.StorageNs += t2.ns
 				f.om.storageNs.Add(t2.ns)
+				nxt.slot.batch.drop(f)
 				nxt.iw.release()
 			}
+			cur.slot.batch.drop(f)
 			cur.iw.release()
 			break
 		}
 
-		w := cur.slot.buf[:cur.hi-cur.lo]
 		wsp := f.tr.Begin(trace.PhaseWindow, cur.lo, cur.iw.total())
 		if write {
-			if cur.covered {
+			if cur.covered || cur.direct {
 				f.Stats.PreReadsSkipped++
 				f.om.preSkipped.Inc()
 			}
-			f.iopExchangeWrite(cur.iw, w, cur.lo)
+			wb := pipeReq{lo: cur.lo, hi: cur.hi, bytes: cur.hi - cur.lo, kind: pipeWrite, direct: cur.direct}
+			if cur.direct {
+				f.directGather(&cur, true)
+				f.Stats.VectoredWrites++
+				f.Stats.DirectWrites += int64(len(cur.slot.batch.segs))
+				wb.bytes = cur.iw.total()
+			} else {
+				f.iopExchangeWrite(cur.iw, cur.slot.buf[:cur.hi-cur.lo], cur.lo)
+			}
 			f.Stats.SieveWrites++
 			f.om.sieveWrites.Inc()
-			cur.slot.req <- pipeReq{lo: cur.lo, hi: cur.hi, kind: pipeWrite}
+			cur.slot.req <- wb
 		} else {
 			f.Stats.SieveReads++
 			f.om.sieveReads.Inc()
-			f.iopExchangeRead(cur.iw, w, cur.lo)
+			if cur.direct {
+				f.directSend(cur.slot.batch, cur.lo)
+			} else {
+				f.iopExchangeRead(cur.iw, cur.slot.buf[:cur.hi-cur.lo], cur.lo)
+			}
 		}
 		wsp.End()
 		f.om.windows.Inc()
@@ -311,7 +438,21 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 		if t.err != nil && err == nil {
 			err = t.err
 		}
-		f.bp.Put(s.buf)
+		if s.buf != nil {
+			f.bp.Put(s.buf)
+		}
 	}
 	return err
+}
+
+// directSend hands every chunk of a direct read window, filled by the
+// slot worker, to its AP, and empties the batch.
+func (f *File) directSend(b *winBatch, winLo int64) {
+	for r, chunk := range b.chunks {
+		if chunk != nil {
+			b.chunks[r] = nil
+			f.sendChunk(r, chunk, winLo)
+		}
+	}
+	b.drop(f)
 }

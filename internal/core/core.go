@@ -75,9 +75,10 @@ type Options struct {
 	// fileview on every collective access instead of once per SetView
 	// (ablation of fileview caching).
 	DisableViewCache bool
-	// DisableMergeCheck makes collective writes always pre-read file
-	// windows, even when fully covered (ablation of the mergeview
-	// write optimization).
+	// DisableMergeCheck makes collective writes always pre-read their
+	// buffered file windows, even when fully covered (ablation of the
+	// mergeview write optimization).  A direct window has no buffer to
+	// pre-read into and never asks the check.
 	DisableMergeCheck bool
 	// Pool, when non-nil, overrides the shared pool.Global as the buffer
 	// source — tests install a pool.NewChecked() here to catch
@@ -122,63 +123,6 @@ func (o *Options) fill() {
 	if o.CollBufSize <= 0 {
 		o.CollBufSize = 1 << 20
 	}
-}
-
-// Stats counts the work a file handle performed, separating the
-// overheads the paper attributes to list-based I/O.
-type Stats struct {
-	// ListTuples is the number of ol-list tuples built (flattening,
-	// per-access memtype lists, per-IOP access lists, window sub-lists).
-	ListTuples int64
-	// ListBytesSent is the ol-list exchange volume of collective
-	// accesses (16 bytes per tuple).
-	ListBytesSent int64
-	// ViewBytesSent is the compact-fileview exchange volume of the
-	// listless engine (once per SetView, or per access when caching is
-	// disabled).
-	ViewBytesSent int64
-	// SieveReads / SieveWrites count file-buffer windows processed.
-	SieveReads, SieveWrites int64
-	// PreReadsSkipped counts collective write windows whose pre-read
-	// was skipped because the combined fileviews covered them.
-	PreReadsSkipped int64
-	// DirectReads / DirectWrites count per-block direct backend
-	// accesses taken by the sparse-access heuristic (SieveDensity):
-	// logical per-run accesses; VectoredReads / VectoredWrites count
-	// the batched backend calls that carried them.
-	DirectReads, DirectWrites int64
-	// VectoredReads / VectoredWrites count ReadAtv/WriteAtv batches
-	// issued by the direct-access path.
-	VectoredReads, VectoredWrites int64
-	// ViewRegistrations counts fileviews registered with a
-	// view-capable backend (the remote I/O-server tier); ViewReads /
-	// ViewWrites count the view-addressed transfers that replaced
-	// offset lists on the direct path.
-	ViewRegistrations, ViewReads, ViewWrites int64
-	// BytesRead / BytesWritten are user-data volumes moved.
-	BytesRead, BytesWritten int64
-
-	// Per-phase collective timing, in nanoseconds, separating where
-	// two-phase time goes on this rank: ExchangeNs is AP↔IOP data
-	// send/receive, StorageNs is backend window I/O (pre-reads and
-	// write-backs, which overlap the other two), CopyNs is pack/unpack
-	// and window copying.
-	ExchangeNs, StorageNs, CopyNs int64
-	// WindowsOverlapped counts collective windows whose storage I/O
-	// (pre-read or write-back) proceeded concurrently with the exchange
-	// or copy work of a neighboring window.
-	WindowsOverlapped int64
-
-	// EpochsCommitted counts collective writes committed through the
-	// epoch crash-consistency protocol; EpochRetries counts seal or
-	// commit rounds that were retried after a server bounce.
-	EpochsCommitted, EpochRetries int64
-
-	// ProgramCompiles counts datatype copy programs this handle had to
-	// compile (process-wide memo-cache misses); ProgramCacheHits counts
-	// lookups satisfied by the cache or by the entry a type already
-	// holds.
-	ProgramCompiles, ProgramCacheHits int64
 }
 
 // Shared is the per-world state of one file: the storage backend plus
@@ -271,6 +215,9 @@ type File struct {
 	// segs is the offset-list batch of transferDirect, kept across
 	// accesses (empty between them).
 	segs []storage.Segment
+	// batch holds the direct windows of the collective pipeline's two
+	// slots (collective_window.go), kept like segs.
+	batch [2]winBatch
 
 	// Stats accumulates the work counters of this handle.
 	Stats Stats

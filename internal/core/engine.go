@@ -4,6 +4,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/flatten"
 	"repro/internal/fotf"
+	"repro/internal/storage"
 )
 
 // accessEngine is the seam between the engine-neutral MPI-IO machinery
@@ -68,6 +69,14 @@ type collAccess struct {
 	buf   []byte
 }
 
+// contig returns the user bytes holding view data [a, b) of an access
+// whose memory layout is contiguous: the user buffer is then the packed
+// form of the data, from the memtype's first data byte on.
+func (acc *collAccess) contig(a, b int64) []byte {
+	u := acc.mem.t.TrueLB() - acc.d0
+	return acc.buf[u+a : u+b]
+}
+
 // viewCursor walks the local fileview sequentially over one access.
 // The list-based implementation advances an ol-list cursor per tuple;
 // the listless implementation navigates with O(depth)
@@ -91,6 +100,14 @@ type viewCursor interface {
 	// (fileOff, dataOff, ln) triple per contiguous file run, with
 	// fileOff absolute and dataOff in view-data bytes.
 	eachRun(c int64, emit func(fileOff, dataOff, ln int64))
+	// eachUserRun is to eachRun what copyUser is to copyWindow: the next
+	// c data bytes, which are the data of mem from offset skip, come as
+	// one (fileOff, userOff, ln) triple per stretch that is contiguous
+	// both in the file and in the memtype-described user buffer, userOff
+	// an index into that buffer — an offset list that needs no packed
+	// copy of the data.  It reports false, having emitted nothing and not
+	// advanced, when the engine cannot walk the two layouts together.
+	eachUserRun(c int64, mem *memState, skip int64, emit func(fileOff, userOff, ln int64)) bool
 }
 
 // apState is the engine's AP-side state for one collective access.
@@ -120,8 +137,10 @@ type iopState interface {
 }
 
 // iopWindow is the exchange state of one collective-buffer window:
-// which APs hold data in it, whether their data covers it, and how to
-// copy each AP's contiguous chunk to and from the window buffer.
+// which APs hold data in it, whether their data covers it, and how each
+// AP's contiguous chunk meets the file — copied to and from a window
+// buffer (copyIn, copyOut, copySelf), or, for a direct window, described
+// as backend segments that are slices of the chunk (chunkSegs, selfSegs).
 type iopWindow interface {
 	// total is the number of data bytes all APs hold in the window.
 	total() int64
@@ -143,6 +162,22 @@ type iopWindow interface {
 	// any other AP's: exactly when the AP side's cursor for this IOP is
 	// not nil.
 	copySelf(w []byte, write bool) bool
+	// direct reports whether the window moves without a window buffer:
+	// every AP's share is runs long enough that one vectored backend call
+	// over the chunks themselves beats gathering them into a window
+	// first (storage.PageDense says no for each share).  A direct window
+	// is never pre-read, so covered is not asked; its file bytes outside
+	// the views are not touched at all.
+	direct() bool
+	// chunkSegs appends AP r's share of a direct window to segs: one
+	// segment per contiguous file run, in data order, its buffer the
+	// run's bytes within chunk, which has chunkLen(r) bytes.
+	chunkSegs(segs []storage.Segment, r int, chunk []byte) []storage.Segment
+	// selfSegs is the copySelf of a direct window: it appends this
+	// rank's own share as segments whose buffers are slices of the user
+	// buffer of the access.  It reports false, having appended nothing,
+	// exactly when copySelf would.
+	selfSegs(segs []storage.Segment) ([]storage.Segment, bool)
 	// release returns the window to its engine for reuse.  The caller
 	// must not touch the window afterwards; engines may recycle the
 	// backing state on the next window call (or make release a no-op).
@@ -203,5 +238,5 @@ func newEngine(f *File) accessEngine {
 	if f.opts.Engine == ListBased {
 		return newListEngine(f)
 	}
-	return &listlessEngine{f: f}
+	return newListlessEngine(f)
 }

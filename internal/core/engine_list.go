@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/flatten"
+	"repro/internal/storage"
 )
 
 // listEngine is the ROMIO-style baseline (paper §2).  Filetypes and
@@ -130,6 +131,11 @@ func (vc *listViewCursor) copyUser([]byte, int64, int64, []byte, *memState, int6
 
 func (vc *listViewCursor) eachRun(c int64, emit func(fileOff, dataOff, ln int64)) {
 	vc.c.Each(c, emit)
+}
+
+// eachUserRun: as copyUser, there is no second program to walk.
+func (vc *listViewCursor) eachUserRun(int64, *memState, int64, func(fileOff, userOff, ln int64)) bool {
+	return false
 }
 
 // ---- Collective access: the ol-list exchange of §2.3. ----
@@ -374,6 +380,19 @@ func (w *listIOPWindow) covered() bool {
 // copySelf: an IOP of the list-based engine knows its own accesses only
 // as the ol-list it received, like everyone else's.
 func (w *listIOPWindow) copySelf([]byte, bool) bool { return false }
+
+// direct: the list-based engine is the paper's baseline and moves every
+// window through the window buffer, tuple by tuple; the segment forms
+// are never asked for.
+func (w *listIOPWindow) direct() bool { return false }
+
+func (w *listIOPWindow) chunkSegs([]storage.Segment, int, []byte) []storage.Segment {
+	panic("core: list-based windows are never direct")
+}
+
+func (w *listIOPWindow) selfSegs(segs []storage.Segment) ([]storage.Segment, bool) {
+	return segs, false
+}
 
 func (w *listIOPWindow) copyIn(buf []byte, r int, chunk []byte) {
 	var pos int64

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/fotf"
+	"repro/internal/storage"
 )
 
 // listlessEngine is the paper's contribution (§3).  No ol-lists exist:
@@ -20,6 +21,81 @@ type listlessEngine struct {
 	merged     *datatype.Type // mergeview struct type (write optimization)
 	mergedEdge navEdge        // last window edge navigated on merged
 	prog       *fotf.Program  // compiled own-fileview program; nil = walk
+	sb         segBuilder     // direct windows: runs to backend segments
+}
+
+func newListlessEngine(f *File) *listlessEngine {
+	e := &listlessEngine{f: f}
+	e.sb.onRuns, e.sb.onPiece = e.sb.addRuns, e.sb.add
+	return e
+}
+
+// segBuilder turns run enumerations into backend segments: the buffers
+// of the segments it appends are slices of mem, and a piece that
+// continues the previous one both in the file and in mem extends that
+// segment instead (runs that abut across an instance or group boundary
+// the program keeps apart).  It lives with the engine, its two emit
+// functions bound once, so that describing a window allocates nothing;
+// one share is described at a time, on the collective's main goroutine.
+type segBuilder struct {
+	segs            []storage.Segment
+	mem             []byte
+	first           int   // segs[first:] describe the current share
+	fileEnd, memEnd int64 // ends of the piece added last
+	// For onRuns: a run at view buffer offset o lies at file offset
+	// disp+o, and data byte d0 of the view is mem[0].
+	disp, d0 int64
+
+	onRuns  fotf.EmitFunc                   // for Program.Runs
+	onPiece func(fileOff, memOff, ln int64) // for fotf.RunsFused, the file as destination
+}
+
+// begin starts a share whose bytes live in mem, appending to segs.
+func (b *segBuilder) begin(segs []storage.Segment, mem []byte) {
+	b.segs, b.mem, b.first = segs, mem, len(segs)
+}
+
+// end returns the extended batch and drops the builder's references.
+func (b *segBuilder) end() []storage.Segment {
+	segs := b.segs
+	b.segs, b.mem = nil, nil
+	return segs
+}
+
+func (b *segBuilder) add(fileOff, memOff, ln int64) {
+	if n := len(b.segs); n > b.first && fileOff == b.fileEnd && memOff == b.memEnd {
+		sg := &b.segs[n-1]
+		sg.Buf = sg.Buf[:int64(len(sg.Buf))+ln] // still within mem: the slice was cut from it
+	} else {
+		b.segs = append(b.segs, storage.Segment{Off: fileOff, Buf: b.mem[memOff : memOff+ln]})
+	}
+	b.fileEnd, b.memEnd = fileOff+ln, memOff+ln
+}
+
+func (b *segBuilder) addRuns(bufOff, dataOff, runLen, stride, n int64) {
+	for i := int64(0); i < n; i++ {
+		b.add(b.disp+bufOff+i*stride, dataOff+i*runLen-b.d0, runLen)
+	}
+}
+
+// viewSegs appends data bytes [a, c) of the view (p, disp) to segs, one
+// segment per file run; packed holds exactly those bytes in data order.
+func (e *listlessEngine) viewSegs(segs []storage.Segment, p *fotf.Program, disp, a, c int64, packed []byte) []storage.Segment {
+	b := &e.sb
+	b.begin(segs, packed)
+	b.disp, b.d0 = disp, a
+	p.Runs(a, c, b.onRuns)
+	return b.end()
+}
+
+// shareDense applies the window-or-list rule to data bytes [a, c) of the
+// tiled type t, compiled as p: storage.PageDense over the buffer range
+// they span and the runs they come in, counted only as far as the rule
+// can tell the difference.
+func shareDense(p *fotf.Program, t *datatype.Type, a, c int64) bool {
+	span := fotf.EndPos(t, c) - fotf.StartPos(t, a)
+	limit := (span + storage.PageSize - 1) / storage.PageSize
+	return storage.PageDense(span, c-a, p.RunCountUpTo(a, c, limit))
 }
 
 // navEdge remembers the last buffer offset navigated through one view
@@ -267,12 +343,14 @@ func (e *listlessEngine) newMemState(memtype *datatype.Type, count int64) *memSt
 
 // fuses reports whether an access with memory state mem moves its
 // rank-local bytes — independent sieve windows, the self-destined share
-// of a collective — by fotf.CopyFused instead of staging them: the own
-// fileview and the memtype are both compiled.  Nothing else selects the
-// fused path; the ablation and declined compiles fall back by leaving a
-// program nil.
+// of a collective — straight between the user buffer and the file side
+// instead of staging them: the own fileview is compiled, and the memtype
+// is either compiled too (fotf.CopyFused walks both) or contiguous (the
+// user buffer already is the packed data, and the fileview's program
+// runs against it).  Nothing else selects the fused path; the ablation
+// and declined compiles fall back by leaving a program nil.
 func (e *listlessEngine) fuses(mem *memState) bool {
-	return e.prog != nil && mem.prog != nil
+	return e.prog != nil && (mem.prog != nil || mem.t.ContiguousTiled())
 }
 
 func (e *listlessEngine) packUser(dst, buf []byte, mem *memState, skip, n int64) {
@@ -327,7 +405,7 @@ func (vc *listlessViewCursor) copyWindow(cb, w []byte, c, winLo int64, write boo
 // memtype both compiled, the bytes go between window and user buffer in
 // one pass and no pack buffer exists.
 func (vc *listlessViewCursor) copyUser(w []byte, c, winLo int64, buf []byte, mem *memState, skip int64, write bool) bool {
-	if !vc.e.fuses(mem) {
+	if vc.e.prog == nil || mem.prog == nil {
 		return false
 	}
 	bias := winLo - vc.e.f.v.disp
@@ -355,6 +433,18 @@ func (vc *listlessViewCursor) eachRun(c int64, emit func(fileOff, dataOff, ln in
 		fotf.Runs(v.ftype, vc.pos, vc.pos+c, each)
 	}
 	vc.pos += c
+}
+
+// eachUserRun cuts the fileview program and the memtype program in
+// lockstep: no packed copy of the data exists, the pieces index the user
+// buffer.
+func (vc *listlessViewCursor) eachUserRun(c int64, mem *memState, skip int64, emit func(fileOff, userOff, ln int64)) bool {
+	if vc.e.prog == nil || mem.prog == nil {
+		return false
+	}
+	fotf.RunsFused(vc.e.prog, vc.pos, -vc.e.f.v.disp, mem.prog, skip, 0, c, emit)
+	vc.pos += c
+	return true
 }
 
 // ---- Collective access: nothing but file data moves (§3.2.3). ----
@@ -438,6 +528,7 @@ type listlessIOPWindow struct {
 	winLo, winHi int64
 	apA, apB     []int64
 	tot          int64
+	dir          bool // direct: no share is page-dense
 }
 
 func (s *listlessIOPState) window(winLo, winHi int64) iopWindow {
@@ -465,8 +556,42 @@ func (s *listlessIOPState) window(winLo, winHi int64) iopWindow {
 		w.apA[r], w.apB[r] = a, b
 		w.tot += b - a
 	}
+	w.dir = w.allSparse()
 	return w
 }
+
+// allSparse is the direct-window decision, from what the window holds:
+// every AP's share has a compiled view to enumerate and is not
+// page-dense in the file, and the own share — which, fused, never
+// becomes a chunk — is not page-dense in the user buffer either.  One
+// dense share keeps the window: its many short runs are what the window
+// buffer is for.
+func (w *listlessIOPWindow) allSparse() bool {
+	e, acc := w.s.e, w.s.acc
+	self := -1
+	if e.fuses(acc.mem) {
+		self = e.f.p.Rank()
+	}
+	for r, a := range w.apA {
+		b := w.apB[r]
+		if a == b {
+			continue
+		}
+		p, t := e.remote[r].prog, e.remote[r].ftype
+		if r == self {
+			p, t = e.prog, e.f.v.ftype
+		}
+		if p == nil || shareDense(p, t, a, b) {
+			return false
+		}
+		if mp := acc.mem.prog; r == self && mp != nil && shareDense(mp, acc.mem.t, a-acc.d0, b-acc.d0) {
+			return false
+		}
+	}
+	return true
+}
+
+func (w *listlessIOPWindow) direct() bool { return w.dir }
 
 func (w *listlessIOPWindow) release() { w.s.free = append(w.s.free, w) }
 
@@ -492,23 +617,52 @@ func (w *listlessIOPWindow) covered() bool {
 }
 
 // copySelf moves the own share [apA, apB) of this rank between the user
-// buffer and the window in one fused pass through the own-view program —
+// buffer and the window in one pass through the own-view program —
 // e.prog, not the cached remote[self], so it is there without the view
-// cache too.  The condition is the one the AP side's cursor answered by.
+// cache too — fused with the memtype's where the memory layout has one.
+// The condition is the one the AP side's cursor answered by.
 func (w *listlessIOPWindow) copySelf(buf []byte, write bool) bool {
 	e, acc := w.s.e, w.s.acc
 	if !e.fuses(acc.mem) {
 		return false
 	}
 	self := e.f.p.Rank()
-	a, n := w.apA[self], w.apB[self]-w.apA[self]
+	a, b := w.apA[self], w.apB[self]
 	bias := w.winLo - e.f.v.disp
-	if write {
-		fotf.CopyFused(buf, e.prog, a, bias, acc.buf, acc.mem.prog, a-acc.d0, 0, n)
-	} else {
-		fotf.CopyFused(acc.buf, acc.mem.prog, a-acc.d0, 0, buf, e.prog, a, bias, n)
+	switch mp := acc.mem.prog; {
+	case mp == nil:
+		e.prog.CopyRange(acc.contig(a, b), buf, a, b, bias, !write)
+	case write:
+		fotf.CopyFused(buf, e.prog, a, bias, acc.buf, mp, a-acc.d0, 0, b-a)
+	default:
+		fotf.CopyFused(acc.buf, mp, a-acc.d0, 0, buf, e.prog, a, bias, b-a)
 	}
 	return true
+}
+
+// selfSegs describes the own share where copySelf would copy it: through
+// the own-view program over the user buffer itself when that is the
+// packed data, else by cutting the view program and the memtype program
+// in lockstep.
+func (w *listlessIOPWindow) selfSegs(segs []storage.Segment) ([]storage.Segment, bool) {
+	e, acc := w.s.e, w.s.acc
+	if !e.fuses(acc.mem) {
+		return segs, false
+	}
+	self := e.f.p.Rank()
+	a, b := w.apA[self], w.apB[self]
+	disp := e.f.v.disp
+	if acc.mem.prog == nil {
+		return e.viewSegs(segs, e.prog, disp, a, b, acc.contig(a, b)), true
+	}
+	e.sb.begin(segs, acc.buf)
+	fotf.RunsFused(e.prog, a, -disp, acc.mem.prog, a-acc.d0, 0, b-a, e.sb.onPiece)
+	return e.sb.end(), true
+}
+
+func (w *listlessIOPWindow) chunkSegs(segs []storage.Segment, r int, chunk []byte) []storage.Segment {
+	rv := &w.s.e.remote[r]
+	return w.s.e.viewSegs(segs, rv.prog, rv.disp, w.apA[r], w.apB[r], chunk)
 }
 
 func (w *listlessIOPWindow) copyIn(buf []byte, r int, chunk []byte) {

@@ -270,24 +270,16 @@ func (f *File) moveWindow(w []byte, winLo, dv, n int64, buf []byte, mem *memStat
 // read-modify-write and no byte-range locks are needed because every
 // backend access touches exactly the bytes of the view.
 //
-// The runs of each pack-buffer chunk are gathered into one vectored
-// batch (one preadv/pwritev-style backend call per chunk where the
-// backend has one, storage.ReadAtv/WriteAtv's loop elsewhere).  Stats
-// counts both: DirectReads/DirectWrites are the logical runs,
-// VectoredReads/VectoredWrites the batched calls.
+// The runs are gathered into vectored batches (one preadv/pwritev-style
+// backend call each where the backend has one, storage.ReadAtv/WriteAtv's
+// loop elsewhere).  With contiguous memory the user buffer is the packed
+// data and the whole access is one batch; so it is for a non-contiguous
+// layout the engine can walk together with the fileview
+// (viewCursor.eachUserRun): the segments then point into the user buffer
+// and no pack buffer is drawn.  Otherwise the access goes a pack buffer
+// at a time.  Stats counts both: DirectReads/DirectWrites are the
+// logical runs, VectoredReads/VectoredWrites the batched calls.
 func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig bool, write bool) error {
-	var pb []byte
-	if !memContig {
-		pb = f.bp.Get(int(min(int64(f.opts.PackBufSize), d)))
-		defer f.bp.Put(pb)
-	}
-	// Process the access in data-contiguous chunks bounded by the pack
-	// buffer.
-	chunk := d
-	if !memContig && chunk > int64(len(pb)) {
-		chunk = int64(len(pb))
-	}
-
 	var vc viewCursor
 	if f.viewBE == nil {
 		// The view-addressed path needs no local fileview walk at all;
@@ -304,6 +296,40 @@ func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig 
 		clear(segs[:used])
 		f.segs = segs[:0]
 	}()
+	// vectored issues the gathered batch.
+	vectored := func() error {
+		used = max(used, len(segs))
+		if len(segs) == 0 {
+			return nil
+		}
+		if write {
+			f.Stats.DirectWrites += int64(len(segs))
+			f.Stats.VectoredWrites++
+			return storage.WriteAtv(f.sh.b, segs)
+		}
+		f.Stats.DirectReads += int64(len(segs))
+		f.Stats.VectoredReads++
+		return storage.ReadAtv(f.sh.b, segs)
+	}
+
+	if vc != nil && !memContig {
+		fused := vc.eachUserRun(d, mem, 0, func(fileOff, userOff, ln int64) {
+			segs = append(segs, storage.Segment{Off: fileOff, Buf: buf[userOff : userOff+ln]})
+		})
+		if fused {
+			return vectored()
+		}
+	}
+
+	// Process the access in data-contiguous chunks: all of it when the
+	// user buffer is the packed data, else a pack buffer at a time.
+	var pb []byte
+	chunk := d
+	if !memContig {
+		pb = f.bp.Get(int(min(int64(f.opts.PackBufSize), d)))
+		defer f.bp.Put(pb)
+		chunk = int64(len(pb))
+	}
 	var ioErr error
 	for m := int64(0); m < d && ioErr == nil; m += chunk {
 		c := min(chunk, d-m)
@@ -329,27 +355,13 @@ func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig 
 				ioErr = f.viewBE.ViewRead(f.viewHandle, cb, d0+m)
 				f.Stats.ViewReads++
 			}
-			if ioErr == nil && !memContig && !write {
-				f.eng.unpackUser(buf, cb, mem, m, c)
-			}
-			continue
-		}
-		segs = segs[:0]
-		vc.eachRun(c, func(fileOff, dataOff, ln int64) {
-			piece := cb[dataOff-(d0+m) : dataOff-(d0+m)+ln]
-			segs = append(segs, storage.Segment{Off: fileOff, Buf: piece})
-		})
-		used = max(used, len(segs))
-		if len(segs) > 0 {
-			if write {
-				f.Stats.DirectWrites += int64(len(segs))
-				ioErr = storage.WriteAtv(f.sh.b, segs)
-				f.Stats.VectoredWrites++
-			} else {
-				f.Stats.DirectReads += int64(len(segs))
-				ioErr = storage.ReadAtv(f.sh.b, segs)
-				f.Stats.VectoredReads++
-			}
+		} else {
+			segs = segs[:0]
+			vc.eachRun(c, func(fileOff, dataOff, ln int64) {
+				piece := cb[dataOff-(d0+m) : dataOff-(d0+m)+ln]
+				segs = append(segs, storage.Segment{Off: fileOff, Buf: piece})
+			})
+			ioErr = vectored()
 		}
 		if ioErr == nil && !memContig && !write {
 			f.eng.unpackUser(buf, cb, mem, m, c)

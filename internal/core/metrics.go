@@ -47,7 +47,7 @@ func newFileMetrics(r *obs.Registry) fileMetrics {
 
 		windows:     r.Counter("core_windows_total", "IOP file windows processed."),
 		overlapped:  r.Counter("core_windows_overlapped_total", "Windows whose storage I/O overlapped a neighbor's exchange (pipeline hits)."),
-		preSkipped:  r.Counter("core_prereads_skipped_total", "Window pre-reads skipped by the mergeview full-coverage check."),
+		preSkipped:  r.Counter("core_prereads_skipped_total", "Collective write windows written without a pre-read: covered by the merged fileviews, or direct."),
 		sieveReads:  r.Counter("core_sieve_reads_total", "Collective window reads issued to storage."),
 		sieveWrites: r.Counter("core_sieve_writes_total", "Collective window write-backs issued to storage."),
 

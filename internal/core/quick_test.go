@@ -273,7 +273,9 @@ func diffOracle(base *datatype.Type, P int, stride, d int64, data [][]byte) []by
 // there: world sizes 1 to 4, fewer IOPs than ranks, the three ways to
 // the staged path (list-based engine, DisableProgram, and — fused all the
 // same — DisableViewCache), atomic mode, split collectives, TCP ranks and
-// the epoch-committing server tier.  Every cell runs on a Checked pool,
+// the epoch-committing server tier — first over the random trees, whose
+// short runs gather in window buffers, then over runs of a page and more,
+// whose windows are direct.  Every cell runs on a Checked pool,
 // so a double-put or use-after-put anywhere in the window loop, the
 // exchange, or the transport panics the world.
 func TestQuickDifferentialRandomTrees(t *testing.T) {
@@ -300,110 +302,151 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		base := datatype.RandomFiletype(r, 3)
 		mt := datatype.RandomMemtype(r, 3)
-		for mt.ContiguousTiled() { // contiguous memory is never fused: nothing to fuse
+		for mt.ContiguousTiled() { // every cell is nc-nc; contiguous memory has its own tests
 			mt = datatype.RandomMemtype(r, 3)
 		}
-		// ValidateFiletype guarantees extent >= trueUB, so tiling rank
-		// windows extent apart never overlaps.
-		stride := base.Extent()
 		// Whole memtype instances, more than two filetype instances and,
 		// unless the sizes conspire, a partial final tile.
 		count := (2*base.Size()+1+r.Int63n(base.Size()))/mt.Size() + 1
-		d := count * mt.Size()
-
 		for _, c := range cells {
-			// data is what each rank moves, bufs the same bytes laid out by
-			// the memtype over a background the read-back must preserve.
-			data, bufs := make([][]byte, c.P), make([][]byte, c.P)
-			for rank := range data {
-				data[rank] = pattern(rank*7+int(seed), d)
-				bufs[rank] = bytes.Repeat([]byte{0xEE}, int((count-1)*mt.Extent()+mt.TrueUB()))
-				fotf.UnpackCount(bufs[rank], data[rank], count, mt, 0)
-			}
-			want := diffOracle(base, c.P, stride, d, data)
-
-			var be storage.Backend = storage.NewMem()
-			stop := func() {}
-			if c.tier {
-				be, stop = ioServerTier(t, 32, 2)
-			}
-			sh := NewShared(be)
-			opts := Options{
-				Engine:           c.engine,
-				IONodes:          c.ioNodes,
-				CollBufSize:      64 + r.Intn(256),
-				SieveBufSize:     32 + r.Intn(256),
-				PackBufSize:      16 + r.Intn(128),
-				DisableViewCache: c.noViewCache,
-				DisableProgram:   c.noProgram,
-				Pool:             pool.NewChecked(),
-			}
-			eps := transport.NewLoopback(c.P)
-			if c.tcp {
-				var err error
-				if eps, err = transport.NewLocalTCPWorld(c.P, transport.TCPConfig{}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			_, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-				f, err := Open(p, sh, opts)
-				if err != nil {
-					panic(err)
-				}
-				defer f.Close()
-				st, err := datatype.Struct([]int64{1}, []int64{int64(p.Rank()) * stride}, []*datatype.Type{base})
-				if err != nil {
-					panic(err)
-				}
-				view, err := datatype.Resized(st, 0, int64(c.P)*stride)
-				if err != nil {
-					panic(err)
-				}
-				if err := f.SetView(0, datatype.Byte, view); err != nil {
-					panic(err)
-				}
-				if c.atomic {
-					f.SetAtomicity(true)
-				}
-				buf := bufs[p.Rank()]
-				got := bytes.Repeat([]byte{0xEE}, len(buf))
-				switch {
-				case c.independent:
-					if _, err = f.WriteAt(0, count, mt, buf); err == nil {
-						p.Barrier()
-						_, err = f.ReadAt(0, count, mt, got)
-					}
-				case c.split:
-					if _, err = f.WriteAtAllBegin(0, count, mt, buf).Wait(); err == nil {
-						_, err = f.ReadAtAllBegin(0, count, mt, got).Wait()
-					}
-				default:
-					if _, err = f.WriteAtAll(0, count, mt, buf); err == nil {
-						_, err = f.ReadAtAll(0, count, mt, got)
-					}
-				}
-				if err != nil {
-					panic(err)
-				}
-				if !bytes.Equal(got, buf) {
-					panic(fmt.Sprintf("rank %d: read-back differs from what was written, or a hole was touched", p.Rank()))
-				}
+			diffCell(t, fmt.Sprintf("seed %d", seed), c, base, mt, count, Options{
+				CollBufSize:  64 + r.Intn(256),
+				SieveBufSize: 32 + r.Intn(256),
+				PackBufSize:  16 + r.Intn(128),
 			})
-			if err != nil {
-				t.Fatalf("seed %d cell %s (filetype %s, memtype %s): %v", seed, c, base, mt, err)
+		}
+	}
+
+	// The same cells at the scale where a collective window stops being a
+	// buffer: runs around a page and well above it on both sides of the
+	// access, windows of a few runs that cut them anywhere.  With the
+	// listless engine and its programs the windows are then direct — a
+	// vectored call over the chunks and the user buffer — and every other
+	// cell moves the same bytes through window buffers.
+	pageScale := []struct{ fileRun, filePitch, memRun, memPitch int64 }{
+		{4095, 8200, 4097, 8300}, {4096, 8192, 4096, 8192}, {4097, 9000, 16384, 20000}, {16384, 17000, 5000, 9100},
+	}
+	if testing.Short() {
+		pageScale = pageScale[:2]
+	}
+	for i, ps := range pageScale {
+		r := rand.New(rand.NewSource(int64(i)))
+		base := mustType(datatype.Hvector(3, ps.fileRun, ps.filePitch, datatype.Byte))
+		mt := mustType(datatype.Hvector(2, ps.memRun, ps.memPitch, datatype.Byte))
+		count := (2*base.Size()+1+r.Int63n(base.Size()))/mt.Size() + 1
+		for _, c := range cells {
+			if c.independent || c.P > 3 {
+				continue
 			}
-			got := flattenBackend(t, be)
-			stop()
-			// File lengths may differ by a zero tail: the oracle ends at
-			// the last mapped byte, while a window write-back may round
-			// up (and a trailing hole rounds down).
-			n := min(len(got), len(want))
-			if !bytes.Equal(got[:n], want[:n]) || !allZero(got[n:]) || !allZero(want[n:]) {
-				t.Fatalf("seed %d cell %s (filetype %s, memtype %s, stride %d, d %d): file differs from oracle (%d vs %d bytes)",
-					seed, c, base, mt, stride, d, len(got), len(want))
+			st := diffCell(t, fmt.Sprintf("page-scale %d", i), c, base, mt, count, Options{
+				CollBufSize: 20000 + r.Intn(20000),
+			})
+			if direct := st.DirectWrites > 0 && st.DirectReads > 0; direct != (c.engine == Listless && !c.noProgram) {
+				t.Fatalf("page-scale %d cell %s: direct windows: %v (%d writes, %d reads)", i, c, direct, st.DirectWrites, st.DirectReads)
 			}
 		}
 	}
+}
+
+// diffCell runs one cell of TestQuickDifferentialRandomTrees: every rank
+// writes count instances of mt through its view — base, displaced by the
+// rank's number of base extents, tiled every P extents — and reads them
+// back; file and buffers are held to the flat oracle.  It returns rank
+// 0's Stats.
+func diffCell(t *testing.T, label string, c diffCase, base, mt *datatype.Type, count int64, opts Options) Stats {
+	t.Helper()
+	// ValidateFiletype guarantees extent >= trueUB, so tiling rank
+	// windows extent apart never overlaps.
+	stride := base.Extent()
+	d := count * mt.Size()
+	// data is what each rank moves, bufs the same bytes laid out by
+	// the memtype over a background the read-back must preserve.
+	data, bufs := make([][]byte, c.P), make([][]byte, c.P)
+	for rank := range data {
+		data[rank] = pattern(rank*7+len(label), d)
+		bufs[rank] = bytes.Repeat([]byte{0xEE}, int((count-1)*mt.Extent()+mt.TrueUB()))
+		fotf.UnpackCount(bufs[rank], data[rank], count, mt, 0)
+	}
+	want := diffOracle(base, c.P, stride, d, data)
+
+	var be storage.Backend = storage.NewMem()
+	stop := func() {}
+	if c.tier {
+		be, stop = ioServerTier(t, 32, 2)
+	}
+	sh := NewShared(be)
+	opts.Engine, opts.IONodes = c.engine, c.ioNodes
+	opts.DisableViewCache, opts.DisableProgram = c.noViewCache, c.noProgram
+	opts.Pool = pool.NewChecked()
+	eps := transport.NewLoopback(c.P)
+	if c.tcp {
+		var err error
+		if eps, err = transport.NewLocalTCPWorld(c.P, transport.TCPConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stats Stats
+	_, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+		f, err := Open(p, sh, opts)
+		if err != nil {
+			panic(err)
+		}
+		defer f.Close()
+		st, err := datatype.Struct([]int64{1}, []int64{int64(p.Rank()) * stride}, []*datatype.Type{base})
+		if err != nil {
+			panic(err)
+		}
+		view, err := datatype.Resized(st, 0, int64(c.P)*stride)
+		if err != nil {
+			panic(err)
+		}
+		if err := f.SetView(0, datatype.Byte, view); err != nil {
+			panic(err)
+		}
+		if c.atomic {
+			f.SetAtomicity(true)
+		}
+		buf := bufs[p.Rank()]
+		got := bytes.Repeat([]byte{0xEE}, len(buf))
+		switch {
+		case c.independent:
+			if _, err = f.WriteAt(0, count, mt, buf); err == nil {
+				p.Barrier()
+				_, err = f.ReadAt(0, count, mt, got)
+			}
+		case c.split:
+			if _, err = f.WriteAtAllBegin(0, count, mt, buf).Wait(); err == nil {
+				_, err = f.ReadAtAllBegin(0, count, mt, got).Wait()
+			}
+		default:
+			if _, err = f.WriteAtAll(0, count, mt, buf); err == nil {
+				_, err = f.ReadAtAll(0, count, mt, got)
+			}
+		}
+		if err != nil {
+			panic(err)
+		}
+		if !bytes.Equal(got, buf) {
+			panic(fmt.Sprintf("rank %d: read-back differs from what was written, or a hole was touched", p.Rank()))
+		}
+		if p.Rank() == 0 {
+			stats = f.Stats
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s cell %s (filetype %s, memtype %s): %v", label, c, base, mt, err)
+	}
+	got := flattenBackend(t, be)
+	stop()
+	// File lengths may differ by a zero tail: the oracle ends at
+	// the last mapped byte, while a window write-back may round
+	// up (and a trailing hole rounds down).
+	n := min(len(got), len(want))
+	if !bytes.Equal(got[:n], want[:n]) || !allZero(got[n:]) || !allZero(want[n:]) {
+		t.Fatalf("%s cell %s (filetype %s, memtype %s, stride %d, d %d): file differs from oracle (%d vs %d bytes)",
+			label, c, base, mt, stride, d, len(got), len(want))
+	}
+	return stats
 }
 
 func allZero(b []byte) bool {

@@ -6,6 +6,71 @@ import (
 	"time"
 )
 
+// Stats counts the work a file handle performed, separating the
+// overheads the paper attributes to list-based I/O.
+type Stats struct {
+	// ListTuples is the number of ol-list tuples built (flattening,
+	// per-access memtype lists, per-IOP access lists, window sub-lists).
+	ListTuples int64
+	// ListBytesSent is the ol-list exchange volume of collective
+	// accesses (16 bytes per tuple).
+	ListBytesSent int64
+	// ViewBytesSent is the compact-fileview exchange volume of the
+	// listless engine (once per SetView, or per access when caching is
+	// disabled).
+	ViewBytesSent int64
+	// SieveReads / SieveWrites count file windows processed: sieve
+	// windows of independent access, and windows of the collective loop
+	// of either kind — a direct window is a window processed, it merely
+	// has no buffer.
+	SieveReads, SieveWrites int64
+	// PreReadsSkipped counts collective write windows that were written
+	// without being read first: buffered windows the combined fileviews
+	// cover, and every direct window, which writes only the bytes of the
+	// views and so has nothing to preserve.
+	PreReadsSkipped int64
+	// DirectReads / DirectWrites count contiguous pieces handed to the
+	// backend as they are, with no window around them: the runs of an
+	// independent access below SieveDensity, and the segments of the
+	// collective loop's direct windows.
+	DirectReads, DirectWrites int64
+	// VectoredReads / VectoredWrites count the ReadAtv/WriteAtv batches
+	// that carried those pieces: one per batch of a sparse independent
+	// access (all of it, or a pack buffer's worth at a time), one per
+	// direct window.
+	VectoredReads, VectoredWrites int64
+	// ViewRegistrations counts fileviews registered with a
+	// view-capable backend (the remote I/O-server tier); ViewReads /
+	// ViewWrites count the view-addressed transfers that replaced
+	// offset lists on the direct path.
+	ViewRegistrations, ViewReads, ViewWrites int64
+	// BytesRead / BytesWritten are user-data volumes moved.
+	BytesRead, BytesWritten int64
+
+	// Per-phase collective timing, in nanoseconds, separating where
+	// two-phase time goes on this rank: ExchangeNs is AP↔IOP data
+	// send/receive, StorageNs is backend window I/O (the reads and
+	// write-backs of buffered and direct windows alike, which overlap
+	// the other two), CopyNs is pack/unpack and window copying (a
+	// direct window has none on the IOP side).
+	ExchangeNs, StorageNs, CopyNs int64
+	// WindowsOverlapped counts collective windows whose storage I/O
+	// (pre-read or write-back) proceeded concurrently with the exchange
+	// or copy work of a neighboring window.
+	WindowsOverlapped int64
+
+	// EpochsCommitted counts collective writes committed through the
+	// epoch crash-consistency protocol; EpochRetries counts seal or
+	// commit rounds that were retried after a server bounce.
+	EpochsCommitted, EpochRetries int64
+
+	// ProgramCompiles counts datatype copy programs this handle had to
+	// compile (process-wide memo-cache misses); ProgramCacheHits counts
+	// lookups satisfied by the cache or by the entry a type already
+	// holds.
+	ProgramCompiles, ProgramCacheHits int64
+}
+
 // Snapshot returns a copy of the counters, for differencing around a
 // phase of interest: take one before, one after, and Sub them.
 func (s *Stats) Snapshot() Stats { return *s }

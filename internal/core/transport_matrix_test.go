@@ -103,9 +103,12 @@ func TestTransportMatrixByteIdentical(t *testing.T) {
 // interleaved in the file, every other 8 bytes in memory) each rank is the
 // IOP of half of its own data, and with both programs live that half is
 // copied between user buffer and window — it is neither packed into a
-// chunk nor sent.  Against the same access staged (DisableProgram), over
-// either transport, the world sends exactly the self-destined data
-// messages fewer and exactly their payload less; everything else —
+// chunk nor sent.  The same holds for the c-nc form of the access, from
+// contiguous memory: the user buffer is the chunk, and the fileview's
+// program runs against it.  Against the same access staged
+// (DisableProgram), over either transport, the world sends exactly the
+// self-destined data messages fewer and exactly their payload less — no
+// tagCollData message has its source for destination; everything else —
 // plan, vote, the chunks for the other rank — is the same traffic.
 func TestSelfShareStaysOffTheFabric(t *testing.T) {
 	defer testutil.LeakCheck(t)()
@@ -120,7 +123,7 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 	// d/P bytes in each: its own domain takes d/collBuf windows, per op.
 	selfWindows, selfBytes := d/collBuf, d/P
 
-	run := func(staged, tcp bool) ([]byte, mpi.Stats) {
+	run := func(staged, tcp, contig bool) ([]byte, mpi.Stats) {
 		eps := transport.NewLoopback(P)
 		if tcp {
 			var err error
@@ -144,6 +147,14 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 				panic(err)
 			}
 			buf := pattern(p.Rank(), 2*d)
+			if contig {
+				// The same data bytes, packed.
+				elem = datatype.Double
+				for i := int64(0); i < blockcount; i++ {
+					copy(buf[i*blocklen:(i+1)*blocklen], buf[2*i*blocklen:])
+				}
+				buf = buf[:d]
+			}
 			if _, err := f.WriteAtAll(0, blockcount, elem, buf); err != nil {
 				panic(err)
 			}
@@ -152,7 +163,7 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 				panic(err)
 			}
 			for i := range got {
-				if i%(2*blocklen) < blocklen && got[i] != buf[i] {
+				if (contig || i%(2*blocklen) < blocklen) && got[i] != buf[i] {
 					panic(fmt.Sprintf("rank %d: read-back byte %d differs", p.Rank(), i))
 				}
 			}
@@ -163,11 +174,13 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 		return be.Bytes(), comm
 	}
 
-	for _, tcp := range []bool{false, true} {
-		fusedFile, fused := run(false, tcp)
-		stagedFile, staged := run(true, tcp)
-		if !bytes.Equal(fusedFile, stagedFile) {
-			t.Fatalf("tcp=%v: fused and staged files differ", tcp)
+	var files [][]byte
+	for _, c := range []struct{ tcp, contig bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		tcp := c.tcp
+		fusedFile, fused := run(false, tcp, c.contig)
+		stagedFile, staged := run(true, tcp, c.contig)
+		if files = append(files, fusedFile, stagedFile); !bytes.Equal(fusedFile, files[0]) || !bytes.Equal(stagedFile, files[0]) {
+			t.Fatalf("tcp=%v contig=%v: fused and staged files differ, or differ from the first cell's", tcp, c.contig)
 		}
 		const ops = 2 // one write, one read
 		if got, want := staged.Messages-fused.Messages, ops*P*selfWindows; got != want {

@@ -262,3 +262,39 @@ func CopyFused(dst []byte, dp *Program, dd0, dbias int64, src []byte, sp *Progra
 		}
 	}
 }
+
+// RunsFused enumerates what CopyFused with the same arguments would move,
+// without moving it: for each stretch of the n data bytes that is
+// contiguous on both sides, in data order, emit(do, so, ln) names the
+// ln bytes at index do of the destination buffer and at index so of the
+// source buffer.  A stretch ends where a run ends on either side, so
+// there are at most as many as the two ranges hold runs together.  It is
+// the lockstep of CopyFused with the copy taken out — what turns a
+// memtype-described user buffer and a fileview into an offset list whose
+// pieces point into the user buffer.
+func RunsFused(dp *Program, dd0, dbias int64, sp *Program, sd0, sbias, n int64, emit func(do, so, ln int64)) {
+	if n <= 0 {
+		return
+	}
+	var d, s fusedSide
+	d.seek(dp, dd0, dbias)
+	s.seek(sp, sd0, sbias)
+	for {
+		c := min(d.rem, s.rem, n)
+		emit(d.off(), s.off(), c)
+		if n -= c; n == 0 {
+			return
+		}
+		d.advance(c)
+		s.advance(c)
+	}
+}
+
+// advance steps over c bytes of the current run, c <= rem.
+func (s *fusedSide) advance(c int64) {
+	if c == s.rem {
+		s.nextRun()
+	} else {
+		s.rem -= c
+	}
+}

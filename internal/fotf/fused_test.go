@@ -56,6 +56,7 @@ func checkFused(dt, st *datatype.Type, dd0, sd0, n int64, r *rand.Rand) error {
 	want := make([]byte, dHi-dLo+2*dGuard)
 	r.Read(want)
 	got := append([]byte(nil), want...)
+	byPiece := append([]byte(nil), want...)
 
 	staged := make([]byte, n)
 	CopyRange(staged, src, st, sd0, sd0+n, sbias, true)
@@ -70,6 +71,24 @@ func checkFused(dt, st *datatype.Type, dd0, sd0, n int64, r *rand.Rand) error {
 			return fmt.Errorf("dst[%d] (buffer offset %d) = %#x, staged walk %#x; n=%d dd0=%d sd0=%d dbias=%d sbias=%d",
 				i, int64(i)+dbias, got[i], want[i], n, dd0, sd0, dbias, sbias)
 		}
+	}
+
+	// The enumeration: pieces in data order that add up to n, each
+	// contiguous on both sides (or copying it would not give the walk's
+	// bytes), and no more of them than the two ranges have runs.
+	var moved, pieces int64
+	RunsFused(dp, dd0, dbias, sp, sd0, sbias, n, func(do, so, ln int64) {
+		if ln > 0 {
+			copy(byPiece[do:do+ln], src[so:so+ln])
+		}
+		moved, pieces = moved+max(ln, 0), pieces+1
+	})
+	if moved != n || !bytes.Equal(byPiece, want) {
+		return fmt.Errorf("RunsFused: %d pieces of %d bytes for n=%d; copied one by one they differ from the staged walk: %v",
+			pieces, moved, n, !bytes.Equal(byPiece, want))
+	}
+	if most := dp.RunCount(dd0, dd0+n) + sp.RunCount(sd0, sd0+n); pieces > most {
+		return fmt.Errorf("RunsFused: %d pieces over ranges of %d runs in all", pieces, most)
 	}
 	return nil
 }
@@ -169,6 +188,11 @@ func TestFusedVsWalkTable(t *testing.T) {
 		CopyFused(dst, p, 0, 0, src, p, 0, 0, -5)
 		if !bytes.Equal(dst, []byte{1, 2, 3}) {
 			t.Fatal("n <= 0 wrote to dst")
+		}
+		for _, n := range []int64{0, -5} {
+			RunsFused(p, 1<<40, 0, p, 1<<41, 0, n, func(do, so, ln int64) {
+				t.Fatalf("n = %d emitted a piece (%d, %d, %d)", n, do, so, ln)
+			})
 		}
 	})
 }

@@ -21,7 +21,11 @@
 // differential layer (program_test.go, FuzzProgramVsWalk) pins this.
 package fotf
 
-import "repro/internal/datatype"
+import (
+	"math"
+
+	"repro/internal/datatype"
+)
 
 // Compile limits.  maxProgramBlocks bounds the walk done at compile
 // time (Blocks is the ol-list length, an upper bound on emitted
@@ -56,6 +60,7 @@ type Program struct {
 	ext    int64 // tiling extent
 	groups []progGroup
 	cum    []int64 // cum[i] = data offset of group i; cum[len(groups)] = size
+	runs   int64   // contiguous runs per instance: the sum of the group counts
 	bad    bool    // compile overflowed maxProgramGroups
 }
 
@@ -77,6 +82,7 @@ func Compile(t *datatype.Type) *Program {
 		g := &p.groups[i]
 		g.kern = kernelFor(g.blocklen)
 		p.cum[i+1] = p.cum[i] + g.blocklen*g.count
+		p.runs += g.count
 	}
 	if p.cum[len(p.groups)] != p.size {
 		// Defensive: the walk's emissions must tile the data range
@@ -327,10 +333,48 @@ func (p *Program) Runs(d0, d1 int64, emit EmitFunc) {
 }
 
 // RunCount reports how many contiguous runs back [d0, d1) — what Runs
-// would enumerate, counted a group at a time.
+// would enumerate.
 func (p *Program) RunCount(d0, d1 int64) int64 {
+	return p.RunCountUpTo(d0, d1, math.MaxInt64)
+}
+
+// RunCountUpTo is RunCount for a caller that only needs to know whether
+// the runs reach limit: it stops counting at the first group that takes
+// the count to limit or beyond, so the result is exact below limit and
+// otherwise at least limit.  The count is arithmetic — a division per
+// group the range cuts, a multiplication for all the whole instances
+// between its ends — so a density rule over a long range of short runs
+// costs what its threshold is, not what the range holds.
+func (p *Program) RunCountUpTo(d0, d1, limit int64) int64 {
+	if d1 <= d0 {
+		return 0
+	}
+	size := p.size
+	k0 := d0 / size
+	k1 := (d1 - 1) / size
 	var runs int64
-	p.Runs(d0, d1, func(_, _, _, _, n int64) { runs += n })
+	for k := k0; k <= k1 && runs < limit; k++ {
+		lo, hi := int64(0), size
+		if k == k0 {
+			lo = d0 - k*size
+		}
+		if k == k1 {
+			hi = d1 - k*size
+		}
+		if lo == 0 && hi == size {
+			// This instance is whole, and so is every one before k1.
+			whole := max(k1-k, 1)
+			runs += whole * p.runs
+			k += whole - 1
+			continue
+		}
+		for gi := p.findGroup(lo); gi < len(p.groups) && p.cum[gi] < hi && runs < limit; gi++ {
+			g := &p.groups[gi]
+			glo := max(lo-p.cum[gi], 0)
+			ghi := min(hi-p.cum[gi], g.blocklen*g.count)
+			runs += (ghi-1)/g.blocklen - glo/g.blocklen + 1
+		}
+	}
 	return runs
 }
 

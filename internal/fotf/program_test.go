@@ -3,6 +3,7 @@ package fotf
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -411,5 +412,54 @@ func TestProgramCursorBoundaries(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Errorf("widths %v: cursor-windowed pack differs", widths)
 		}
+	}
+}
+
+// TestRunCountUpTo holds the bounded count to the enumeration it
+// abbreviates: over random trees and ranges that start and end anywhere
+// in up to four tiled instances, the result is what Runs emits whenever
+// that is below the limit, and at least the limit otherwise — so a rule
+// "runs >= limit" reads the same from either.  And it is arithmetic: a
+// range of 2^30 whole instances is counted by a multiplication, not by
+// visiting them (the test would not return otherwise).
+func TestRunCountUpTo(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 400; i++ {
+		dt := datatype.RandomFiletype(r, 2+i%3)
+		p := Compile(dt)
+		if p == nil {
+			continue
+		}
+		d0 := r.Int63n(2 * p.Size())
+		d1 := d0 + 1 + r.Int63n(2*p.Size())
+		var exact int64
+		p.Runs(d0, d1, func(_, _, _, _, n int64) { exact += n })
+		if got := p.RunCount(d0, d1); got != exact {
+			t.Fatalf("%v [%d,%d): RunCount %d, Runs emits %d", dt, d0, d1, got, exact)
+		}
+		for _, limit := range []int64{0, 1, exact / 2, exact - 1, exact, exact + 1, math.MaxInt64} {
+			got := p.RunCountUpTo(d0, d1, limit)
+			if min(got, limit) != min(exact, limit) || got > exact {
+				t.Fatalf("%v [%d,%d) limit %d: counted %d, Runs emits %d", dt, d0, d1, limit, got, exact)
+			}
+		}
+		if got := p.RunCountUpTo(d1, d0, 5); got != 0 {
+			t.Fatalf("empty range counted %d runs", got)
+		}
+	}
+
+	vec, err := datatype.Hvector(1000, 8, 24, datatype.Byte)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Compile(vec)
+	const instances = 1 << 30
+	if got := p.RunCount(4, 4+instances*p.Size()); got != instances*1000+1 {
+		t.Fatalf("2^30 instances from mid-run to mid-run: %d runs, want %d", got, instances*1000+1)
+	}
+	// The bound stops the count where it is reached, group by group.
+	irr := Compile(irregularHindexed(t, 1<<15, 3))
+	if got := irr.RunCountUpTo(1, irr.Size(), 129); got != 129 {
+		t.Fatalf("limit 129 over single-run groups: counted %d", got)
 	}
 }

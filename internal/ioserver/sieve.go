@@ -1,8 +1,6 @@
 package ioserver
 
 import (
-	"os"
-
 	"repro/internal/fotf"
 	"repro/internal/pool"
 	"repro/internal/storage"
@@ -18,22 +16,13 @@ import (
 // stripe's sole owner may do that — a write-back re-writes the gaps with
 // what the window read, which is safe only while nothing else lands in
 // them, and every writer to this stripe is in this process, behind the
-// server's range lock.  DESIGN.md §10 has the argument in full.
+// server's range lock.  DESIGN.md §10 has the argument in full.  Whether
+// pieces are dense enough to sieve is storage.PageDense, computed from
+// the pieces themselves.
 
 // sieveWindow bounds one window: the buffer a connection holds while it
 // moves a request, whatever the request's span.
 const sieveWindow = 256 << 10
-
-var pageSize = int64(os.Getpagesize())
-
-// pageDense is the sieving rule, computed from the pieces themselves:
-// they leave gaps (useful < span) and their mean pitch span/runs is at
-// most a page.  8 B every 1 KiB qualifies; 16 KiB every 32 KiB does not
-// (a window would double the traffic to save nothing), nor do adjacent
-// pieces of any size (one vectored call already moves them).
-func pageDense(span, useful, runs int64) bool {
-	return useful < span && span <= runs*pageSize
-}
 
 // sieve moves one window: it reads local span [lo, hi) of the stripe
 // into a pooled buffer, lets move copy the pieces between the buffer
@@ -87,7 +76,7 @@ func (s *Server) moveSegs(segs []storage.Segment, write bool) error {
 		n, hi, useful := s.stretch(segs[i:])
 		batch := segs[i : i+n]
 		i += n
-		if !pageDense(hi-lo, useful, int64(n)) {
+		if !storage.PageDense(hi-lo, useful, int64(n)) {
 			continue
 		}
 		if err := s.vectored(segs[rest:i-n], write); err != nil {
@@ -196,7 +185,7 @@ func (m *viewMove) flush() error {
 	srv := m.st.srv
 	part := m.stream[m.pos : m.pos+m.useful]
 	var err error
-	if pageDense(m.hi-m.lo, m.useful, m.runs) {
+	if storage.PageDense(m.hi-m.lo, m.useful, m.runs) {
 		err = srv.sieve(m.lo, m.hi, m.useful, m.write, func(win []byte) {
 			for _, up := range m.units {
 				n := up.d1 - up.d0

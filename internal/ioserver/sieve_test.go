@@ -126,8 +126,8 @@ func fuzzView(r *rand.Rand) *datatype.Type {
 		bl := 1 + r.Int63n(16)
 		return must(datatype.Vector(1+r.Int63n(200), bl, bl+r.Int63n(64), datatype.Byte))
 	case 1: // runs of pages, a page or more apart: never dense
-		bl := pageSize * (1 + r.Int63n(4))
-		return must(datatype.Vector(1+r.Int63n(6), bl, bl+pageSize*r.Int63n(3), datatype.Byte))
+		bl := storage.PageSize * (1 + r.Int63n(4))
+		return must(datatype.Vector(1+r.Int63n(6), bl, bl+storage.PageSize*r.Int63n(3), datatype.Byte))
 	case 2: // irregular monotone blocks, small to over a page
 		n := 1 + r.Intn(40)
 		bl, displs := make([]int64, n), make([]int64, n)

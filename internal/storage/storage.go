@@ -36,17 +36,92 @@ type Backend interface {
 // Reads past the end return io.EOF after the available bytes, like
 // os.File.
 //
+// Locking contract.  Every call is atomic against every call whose byte
+// range overlaps its own — a reader sees all of an overlapping write or
+// none of it, of a vectored batch as of a plain one — while readers
+// share and writers to disjoint ranges run at once, as they do on the
+// file system Mem stands in for.  Two levels provide that:
+//
+//   - mu guards the slice header.  Every access holds it shared for its
+//     whole duration; a call that changes the length or the backing array
+//     (a write past the end, Truncate) and Bytes hold it exclusively and
+//     so run alone.
+//   - region guards the bytes.  The store is cut into memRegions regions
+//     of 1<<shift bytes; a call takes the locks of every region its span
+//     [lo, hi) touches — a batch: from its lowest to its highest byte — in
+//     ascending order, shared to read and exclusive to write, before it
+//     moves the first byte, and drops them after the last.  Ascending
+//     order rules out deadlock; taking all before moving any is what
+//     makes a multi-region call atomic.  The region size doubles with the
+//     backing array (under mu held exclusively, so no call is under way
+//     when the mapping changes), which bounds a call at memRegions lock
+//     and as many unlock operations whatever the store's size.
+//
 // Mem is strictly single-process: it lives in this process's heap, so
 // ranks running as separate OS processes (the network transport's -net
 // mode) cannot share one — they must share a *File, whose advisory lock
 // enforces deliberate multi-process access.
 type Mem struct {
-	mu   sync.RWMutex
-	data []byte
+	mu     sync.RWMutex
+	data   []byte
+	shift  uint // log2 of the region size, less memMinShift
+	region [memRegions]sync.RWMutex
 }
+
+const (
+	memRegions  = 128
+	memMinShift = 12 // regions are never smaller than 4 KiB
+)
 
 // NewMem returns an empty in-memory backend.
 func NewMem() *Mem { return &Mem{} }
+
+// lockSpan takes the region locks of the bytes [lo, hi), which must lie
+// inside the backing array, and returns the region range to hand to
+// unlockSpan.  The caller holds mu shared.
+func (m *Mem) lockSpan(lo, hi int64, write bool) (r0, r1 int) {
+	if hi <= lo {
+		return 0, -1
+	}
+	s := memMinShift + m.shift
+	r0, r1 = int(lo>>s), int((hi-1)>>s)
+	for r := r0; r <= r1; r++ {
+		if write {
+			m.region[r].Lock()
+		} else {
+			m.region[r].RLock()
+		}
+	}
+	return r0, r1
+}
+
+func (m *Mem) unlockSpan(r0, r1 int, write bool) {
+	for r := r0; r <= r1; r++ {
+		if write {
+			m.region[r].Unlock()
+		} else {
+			m.region[r].RUnlock()
+		}
+	}
+}
+
+// growTo extends the store to at least end bytes, keeping the regions at
+// memRegions or fewer.  The caller holds mu exclusively.
+func (m *Mem) growTo(end int64) {
+	if end <= int64(len(m.data)) {
+		return
+	}
+	if end <= int64(cap(m.data)) {
+		m.data = m.data[:end]
+		return
+	}
+	grown := make([]byte, end, max(2*int64(cap(m.data)), end))
+	copy(grown, m.data)
+	m.data = grown
+	for int64(cap(grown)-1)>>(memMinShift+m.shift) >= memRegions {
+		m.shift++
+	}
+}
 
 // ReadAt implements io.ReaderAt.
 func (m *Mem) ReadAt(p []byte, off int64) (int, error) {
@@ -58,40 +133,24 @@ func (m *Mem) ReadAt(p []byte, off int64) (int, error) {
 	if off >= int64(len(m.data)) {
 		return 0, io.EOF
 	}
-	n := copy(p, m.data[off:])
+	end := min(off+int64(len(p)), int64(len(m.data)))
+	r0, r1 := m.lockSpan(off, end, false)
+	n := copy(p, m.data[off:end])
+	m.unlockSpan(r0, r1, false)
 	if n < len(p) {
 		return n, io.EOF
 	}
 	return n, nil
 }
 
-// WriteAt implements io.WriterAt, growing the store as needed.
+// WriteAt implements io.WriterAt, growing the store as needed: a batch
+// of one segment (vectored.go has the one write path).
 func (m *Mem) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("storage: negative offset %d", off)
+	seg := [1]Segment{{Off: off, Buf: p}}
+	if err := m.WriteAtv(seg[:]); err != nil {
+		return 0, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(m.data)) {
-		if end > int64(cap(m.data)) {
-			grown := make([]byte, end, grow(cap(m.data), end))
-			copy(grown, m.data)
-			m.data = grown
-		} else {
-			m.data = m.data[:end]
-		}
-	}
-	copy(m.data[off:end], p)
 	return len(p), nil
-}
-
-func grow(c int, need int64) int64 {
-	n := int64(c) * 2
-	if n < need {
-		n = need
-	}
-	return n
 }
 
 // Size implements Backend.
@@ -110,37 +169,25 @@ func (m *Mem) Truncate(n int64) error {
 	defer m.mu.Unlock()
 	if n <= int64(len(m.data)) {
 		// Zero the reclaimed region: the backing array keeps its
-		// capacity, and a later regrow within that capacity (WriteAt's
+		// capacity, and a later regrow within that capacity (growTo's
 		// m.data[:end] path) must expose zeros, not the pre-truncate
 		// bytes.  This maintains the invariant data[len:cap] == 0.
-		tail := m.data[n:]
-		for i := range tail {
-			tail[i] = 0
-		}
+		clear(m.data[n:])
 		m.data = m.data[:n]
 		return nil
 	}
-	if n > int64(cap(m.data)) {
-		grown := make([]byte, n)
-		copy(grown, m.data)
-		m.data = grown
-		return nil
-	}
-	tail := m.data[len(m.data):n]
-	for i := range tail {
-		tail[i] = 0
-	}
-	m.data = m.data[:n]
+	m.growTo(n)
 	return nil
 }
 
 // Sync implements Backend (a no-op for memory).
 func (m *Mem) Sync() error { return nil }
 
-// Bytes returns a copy of the store's contents, for tests.
+// Bytes returns a copy of the store's contents, for tests: a snapshot no
+// call is half-way through.
 func (m *Mem) Bytes() []byte {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	out := make([]byte, len(m.data))
 	copy(out, m.data)
 	return out
