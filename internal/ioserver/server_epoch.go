@@ -155,9 +155,6 @@ func (s *Server) abortEpoch(epoch uint64) error {
 	return s.checkpoint()
 }
 
-// Incarnation reports the server instance id (changes on restart).
-func (s *Server) Incarnation() int64 { return s.incarnation }
-
 // LastCommitted reports the highest epoch committed by this instance.
 func (s *Server) LastCommitted() uint64 {
 	s.epochMu.Lock()

@@ -10,12 +10,8 @@ import "encoding/binary"
 const (
 	tagBcast = collTagBase + iota
 	tagGather
-	tagAllgatherUp
 	tagAllgatherDown
 	tagAlltoall
-	tagReduceUp
-	tagReduceDown
-	tagScatter
 	tagBarrier  // wired-world linear barrier (report to 0, release)
 	tagFinalize // distributed shutdown barrier before links drop
 )

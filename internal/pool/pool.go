@@ -17,8 +17,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/trace"
 )
 
 // Size classes are powers of two from 512 B to 16 MiB, covering the
@@ -59,11 +57,6 @@ type Pool struct {
 	gets, hits, misses, oversize atomic.Int64
 	puts, putDropped, bytesAlloc atomic.Int64
 
-	// metrics, when non-nil, receives one pool.alloc observation (value:
-	// bytes) per miss and one pool.oversize per bypass.  Set before the
-	// pool is shared.
-	metrics *trace.Metrics
-
 	// checked, when non-nil, holds the misuse-detector state (see
 	// NewChecked in checked.go).
 	checked *checkedState
@@ -75,10 +68,6 @@ func New() *Pool { return &Pool{} }
 // Global is the default pool used by core and the transports when no
 // explicit pool is configured.
 var Global = New()
-
-// SetMetrics wires the pool's allocation events into a trace metric
-// set.  Call before the pool is shared between goroutines.
-func (p *Pool) SetMetrics(m *trace.Metrics) { p.metrics = m }
 
 // classFor returns the smallest class index whose size is >= n, or -1
 // when n exceeds the largest class.  n must be >= 1.
@@ -108,9 +97,6 @@ func (p *Pool) Get(n int) []byte {
 	if c < 0 {
 		p.oversize.Add(1)
 		p.bytesAlloc.Add(int64(n))
-		if p.metrics != nil {
-			p.metrics.Observe(trace.PhasePoolOversize, int64(n))
-		}
 		return make([]byte, n)
 	}
 	if hp, _ := p.classes[c].Get().(*[]byte); hp != nil {
@@ -125,9 +111,6 @@ func (p *Pool) Get(n int) []byte {
 	}
 	p.misses.Add(1)
 	p.bytesAlloc.Add(int64(classSize(c)))
-	if p.metrics != nil {
-		p.metrics.Observe(trace.PhasePoolAlloc, int64(classSize(c)))
-	}
 	return make([]byte, classSize(c))[:n]
 }
 

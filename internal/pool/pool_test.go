@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/testutil"
-	"repro/internal/trace"
 )
 
 func TestClassFor(t *testing.T) {
@@ -89,22 +88,6 @@ func TestPutFilesUnderFloorClass(t *testing.T) {
 	p.Put(make([]byte, 1536))
 	if b := p.Get(2048); cap(b) < 2048 {
 		t.Fatalf("Get(2048) got cap %d", cap(b))
-	}
-}
-
-func TestMetricsWiring(t *testing.T) {
-	needsEveryPut(t)
-	p := New()
-	m := trace.NewMetrics()
-	p.SetMetrics(m)
-	p.Put(p.Get(4096)) // miss
-	p.Get(4096)        // hit
-	p.Get(MaxBuf + 5)  // oversize
-	if h := m.Hist(trace.PhasePoolAlloc); h == nil || h.Count() != 1 {
-		t.Fatalf("pool.alloc observations: %v", h.Count())
-	}
-	if h := m.Hist(trace.PhasePoolOversize); h == nil || h.Count() != 1 {
-		t.Fatalf("pool.oversize observations: %v", h.Count())
 	}
 }
 

@@ -66,7 +66,7 @@ func (s ChaosStats) Total() int64 {
 // draw order (and therefore the schedule) depends on operation
 // interleaving, so reproducibility is per-(seed, interleaving).
 type Chaos struct {
-	Backend
+	layer
 	cfg ChaosConfig
 	tr  *trace.Tracer // optional fault-instant recording (see SetTracer)
 
@@ -86,12 +86,13 @@ func NewChaos(seed int64, b Backend, cfg ChaosConfig) *Chaos {
 	if cfg.MaxLatency <= 0 {
 		cfg.MaxLatency = time.Millisecond
 	}
-	return &Chaos{
-		Backend: b,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(seed)),
-		sleep:   time.Sleep,
+	c := &Chaos{
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(seed)),
+		sleep: time.Sleep,
 	}
+	c.layer = layer{Backend: b, ic: c}
+	return c
 }
 
 // Stats returns a snapshot of the injection counters.
@@ -136,54 +137,69 @@ func (c *Chaos) maybeSpike(off int64) {
 	c.sleep(d)
 }
 
-// ReadAt implements io.ReaderAt with fault injection.
-func (c *Chaos) ReadAt(p []byte, off int64) (int, error) {
-	c.maybeSpike(off)
-	if c.hit(c.cfg.PermanentRead) {
-		c.permanents.Add(1)
-		c.instant(trace.PhaseChaosPermanent, off, len(p), "read fault")
-		return 0, fmt.Errorf("storage: chaos read fault at offset %d: %w", off, ErrPermanent)
+// intercept is the one draw sequence every data op goes through, in
+// its direction's probabilities: latency spike → permanent → transient →
+// partial delivery.  A short read or torn write moves a strict prefix of
+// the buffer or the batch and reports a transient error; view transfers
+// are all-or-nothing on the wire and get none.  Control ops pass: the
+// injection lives on the data an epoch stages, not on its seal or commit.
+func (c *Chaos) intercept(o op, next *layer) result {
+	var (
+		dir, partial      string
+		perm, trans, part float64
+		parts             *atomic.Int64
+		partPhase         trace.Phase
+	)
+	switch o.kind.dir() {
+	case dirRead:
+		dir, perm, trans = "read", c.cfg.PermanentRead, c.cfg.TransientRead
+		partial, part, parts, partPhase = "short read", c.cfg.ShortRead, &c.shortReads, trace.PhaseChaosShortRead
+	case dirWrite:
+		dir, perm, trans = "write", c.cfg.PermanentWrite, c.cfg.TransientWrite
+		partial, part, parts, partPhase = "torn write", c.cfg.TornWrite, &c.tornWrites, trace.PhaseChaosTornWrite
+	default:
+		return next.exec(o)
 	}
-	if c.hit(c.cfg.TransientRead) {
-		c.transients.Add(1)
-		c.instant(trace.PhaseChaosTransient, off, len(p), "read fault")
-		return 0, fmt.Errorf("storage: chaos read fault at offset %d: %w", off, ErrTransient)
+	c.maybeSpike(o.off)
+	if c.hit(perm) {
+		return c.fail(o, dir, ErrPermanent)
 	}
-	if len(p) > 1 && c.hit(c.cfg.ShortRead) {
-		c.shortReads.Add(1)
-		n, err := c.Backend.ReadAt(p[:c.cut(len(p))], off)
-		if err != nil {
-			return n, err
+	if c.hit(trans) {
+		return c.fail(o, dir, ErrTransient)
+	}
+	if total := o.size(); !o.kind.view() && total > 1 && c.hit(part) {
+		parts.Add(1)
+		n := int64(c.cut(int(total)))
+		res := next.exec(o.prefix(n))
+		if res.err != nil {
+			return res
 		}
-		c.instant(trace.PhaseChaosShortRead, off, n, "%d of %d bytes", n, len(p))
-		return n, fmt.Errorf("storage: chaos short read (%d of %d bytes) at offset %d: %w",
-			n, len(p), off, ErrTransient)
+		c.instant(partPhase, o.off, int(n), "%d of %d bytes", n, total)
+		res.err = fmt.Errorf("storage: chaos %s (%d of %d bytes) at offset %d: %w",
+			partial, n, total, o.off, ErrTransient)
+		return res
 	}
-	return c.Backend.ReadAt(p, off)
+	return next.exec(o)
 }
 
-// WriteAt implements io.WriterAt with fault injection.
-func (c *Chaos) WriteAt(p []byte, off int64) (int, error) {
-	c.maybeSpike(off)
-	if c.hit(c.cfg.PermanentWrite) {
-		c.permanents.Add(1)
-		c.instant(trace.PhaseChaosPermanent, off, len(p), "write fault")
-		return 0, fmt.Errorf("storage: chaos write fault at offset %d: %w", off, ErrPermanent)
+// fail counts and reports an injected failure of o in the given class
+// (ErrPermanent or ErrTransient): the instant and the error of its kind.
+// A view transfer's offset is a view-data offset.
+func (c *Chaos) fail(o op, dir string, sentinel error) result {
+	count, ph, class := &c.transients, trace.PhaseChaosTransient, "transient"
+	if sentinel == ErrPermanent {
+		count, ph, class = &c.permanents, trace.PhaseChaosPermanent, "permanent"
 	}
-	if c.hit(c.cfg.TransientWrite) {
-		c.transients.Add(1)
-		c.instant(trace.PhaseChaosTransient, off, len(p), "write fault")
-		return 0, fmt.Errorf("storage: chaos write fault at offset %d: %w", off, ErrTransient)
+	count.Add(1)
+	n := int(o.size())
+	switch o.kind {
+	case opViewRead, opViewWrite:
+		c.instant(trace.PhaseChaosViewOp, o.off, n, "view %s fault (%s)", dir, class)
+		return result{err: fmt.Errorf("storage: chaos view %s fault at data offset %d: %w", dir, o.off, sentinel)}
+	case opReadv, opWritev:
+		c.instant(ph, o.off, n, "vectored %s fault", dir)
+	default:
+		c.instant(ph, o.off, n, "%s fault", dir)
 	}
-	if len(p) > 1 && c.hit(c.cfg.TornWrite) {
-		c.tornWrites.Add(1)
-		n, err := c.Backend.WriteAt(p[:c.cut(len(p))], off)
-		if err != nil {
-			return n, err
-		}
-		c.instant(trace.PhaseChaosTornWrite, off, n, "%d of %d bytes", n, len(p))
-		return n, fmt.Errorf("storage: chaos torn write (%d of %d bytes) at offset %d: %w",
-			n, len(p), off, ErrTransient)
-	}
-	return c.Backend.WriteAt(p, off)
+	return result{err: fmt.Errorf("storage: chaos %s fault at offset %d: %w", dir, o.off, sentinel)}
 }

@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"errors"
-
-	"repro/internal/trace"
-)
+import "errors"
 
 // Epoch-based commit.  A backend spread across several failure domains —
 // the networked I/O-server tier, where each stripe lives in its own
@@ -71,262 +67,6 @@ func AsEpochBackend(b Backend) (EpochBackend, bool) {
 	return eb, true
 }
 
-// Epoch passthrough for the wrapper backends on the remote path,
-// mirroring the ViewBackend passthrough: Resilient retries transient
-// seal/commit failures (both are idempotent against the servers; a
-// reconnect-and-reissue replays the client's stage log first, which is
-// exactly the healing the seal exists to trigger), Traced spans them,
-// Throttled charges per-operation latency, Chaos and Faulty delegate
-// (their injection lives on the data ops the epoch stages).
-
-// SupportsEpochs implements EpochBackend for Resilient.
-func (r *Resilient) SupportsEpochs() bool {
-	_, ok := AsEpochBackend(r.Backend)
-	return ok
-}
-
-// EpochBegin implements EpochBackend for Resilient.
-func (r *Resilient) EpochBegin(id uint64) {
-	if eb, ok := AsEpochBackend(r.Backend); ok {
-		eb.EpochBegin(id)
-	}
-}
-
-// EpochSeal implements EpochBackend for Resilient: one retry unit.
-func (r *Resilient) EpochSeal(id uint64) error {
-	eb, ok := AsEpochBackend(r.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	return r.do(int64(id), func() error { return eb.EpochSeal(id) })
-}
-
-// EpochCommit implements EpochBackend for Resilient.  Transient commit
-// failures are retried (commit is idempotent); ErrEpochRetry is not
-// transient and passes straight through to the protocol driver.
-func (r *Resilient) EpochCommit(id uint64) error {
-	eb, ok := AsEpochBackend(r.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	return r.do(int64(id), func() error { return eb.EpochCommit(id) })
-}
-
-// EpochAbort implements EpochBackend for Resilient.
-func (r *Resilient) EpochAbort(id uint64) error {
-	eb, ok := AsEpochBackend(r.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	return r.do(int64(id), func() error { return eb.EpochAbort(id) })
-}
-
-// EpochEnd implements EpochBackend for Resilient.
-func (r *Resilient) EpochEnd(id uint64) {
-	if eb, ok := AsEpochBackend(r.Backend); ok {
-		eb.EpochEnd(id)
-	}
-}
-
 // ErrNoEpochs is returned by wrapper backends whose inner backend does
 // not implement EpochBackend when an epoch method is called anyway.
 var ErrNoEpochs = errors.New("storage: backend does not support epochs")
-
-// SupportsEpochs implements EpochBackend for Traced.
-func (t *Traced) SupportsEpochs() bool {
-	_, ok := AsEpochBackend(t.Backend)
-	return ok
-}
-
-// EpochBegin implements EpochBackend for Traced.
-func (t *Traced) EpochBegin(id uint64) {
-	if eb, ok := AsEpochBackend(t.Backend); ok {
-		eb.EpochBegin(id)
-	}
-}
-
-// EpochSeal implements EpochBackend for Traced: one span per seal.
-func (t *Traced) EpochSeal(id uint64) error {
-	eb, ok := AsEpochBackend(t.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	sp := t.tr.Begin(trace.PhaseEpochSeal, int64(id), 0)
-	err := eb.EpochSeal(id)
-	sp.End()
-	return err
-}
-
-// EpochCommit implements EpochBackend for Traced.
-func (t *Traced) EpochCommit(id uint64) error {
-	eb, ok := AsEpochBackend(t.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	sp := t.tr.Begin(trace.PhaseEpochCommit, int64(id), 0)
-	err := eb.EpochCommit(id)
-	sp.End()
-	return err
-}
-
-// EpochAbort implements EpochBackend for Traced.
-func (t *Traced) EpochAbort(id uint64) error {
-	eb, ok := AsEpochBackend(t.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	return eb.EpochAbort(id)
-}
-
-// EpochEnd implements EpochBackend for Traced.
-func (t *Traced) EpochEnd(id uint64) {
-	if eb, ok := AsEpochBackend(t.Backend); ok {
-		eb.EpochEnd(id)
-	}
-}
-
-// SupportsEpochs implements EpochBackend for Throttled.
-func (t *Throttled) SupportsEpochs() bool {
-	_, ok := AsEpochBackend(t.Backend)
-	return ok
-}
-
-// EpochBegin implements EpochBackend for Throttled.
-func (t *Throttled) EpochBegin(id uint64) {
-	if eb, ok := AsEpochBackend(t.Backend); ok {
-		eb.EpochBegin(id)
-	}
-}
-
-// EpochSeal implements EpochBackend for Throttled: control traffic,
-// charged only the per-operation latency.
-func (t *Throttled) EpochSeal(id uint64) error {
-	eb, ok := AsEpochBackend(t.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	t.charge(0, 0)
-	return eb.EpochSeal(id)
-}
-
-// EpochCommit implements EpochBackend for Throttled.
-func (t *Throttled) EpochCommit(id uint64) error {
-	eb, ok := AsEpochBackend(t.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	t.charge(0, 0)
-	return eb.EpochCommit(id)
-}
-
-// EpochAbort implements EpochBackend for Throttled.
-func (t *Throttled) EpochAbort(id uint64) error {
-	eb, ok := AsEpochBackend(t.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	t.charge(0, 0)
-	return eb.EpochAbort(id)
-}
-
-// EpochEnd implements EpochBackend for Throttled.
-func (t *Throttled) EpochEnd(id uint64) {
-	if eb, ok := AsEpochBackend(t.Backend); ok {
-		eb.EpochEnd(id)
-	}
-}
-
-// SupportsEpochs implements EpochBackend for Chaos.
-func (c *Chaos) SupportsEpochs() bool {
-	_, ok := AsEpochBackend(c.Backend)
-	return ok
-}
-
-// EpochBegin implements EpochBackend for Chaos.
-func (c *Chaos) EpochBegin(id uint64) {
-	if eb, ok := AsEpochBackend(c.Backend); ok {
-		eb.EpochBegin(id)
-	}
-}
-
-// EpochSeal implements EpochBackend for Chaos: delegation — injection
-// lives on the staged data operations, not the commit control ops.
-func (c *Chaos) EpochSeal(id uint64) error {
-	eb, ok := AsEpochBackend(c.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	return eb.EpochSeal(id)
-}
-
-// EpochCommit implements EpochBackend for Chaos.
-func (c *Chaos) EpochCommit(id uint64) error {
-	eb, ok := AsEpochBackend(c.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	return eb.EpochCommit(id)
-}
-
-// EpochAbort implements EpochBackend for Chaos.
-func (c *Chaos) EpochAbort(id uint64) error {
-	eb, ok := AsEpochBackend(c.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	return eb.EpochAbort(id)
-}
-
-// EpochEnd implements EpochBackend for Chaos.
-func (c *Chaos) EpochEnd(id uint64) {
-	if eb, ok := AsEpochBackend(c.Backend); ok {
-		eb.EpochEnd(id)
-	}
-}
-
-// SupportsEpochs implements EpochBackend for Faulty.
-func (f *Faulty) SupportsEpochs() bool {
-	_, ok := AsEpochBackend(f.Backend)
-	return ok
-}
-
-// EpochBegin implements EpochBackend for Faulty.
-func (f *Faulty) EpochBegin(id uint64) {
-	if eb, ok := AsEpochBackend(f.Backend); ok {
-		eb.EpochBegin(id)
-	}
-}
-
-// EpochSeal implements EpochBackend for Faulty.
-func (f *Faulty) EpochSeal(id uint64) error {
-	eb, ok := AsEpochBackend(f.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	return eb.EpochSeal(id)
-}
-
-// EpochCommit implements EpochBackend for Faulty.
-func (f *Faulty) EpochCommit(id uint64) error {
-	eb, ok := AsEpochBackend(f.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	return eb.EpochCommit(id)
-}
-
-// EpochAbort implements EpochBackend for Faulty.
-func (f *Faulty) EpochAbort(id uint64) error {
-	eb, ok := AsEpochBackend(f.Backend)
-	if !ok {
-		return ErrNoEpochs
-	}
-	return eb.EpochAbort(id)
-}
-
-// EpochEnd implements EpochBackend for Faulty.
-func (f *Faulty) EpochEnd(id uint64) {
-	if eb, ok := AsEpochBackend(f.Backend); ok {
-		eb.EpochEnd(id)
-	}
-}

@@ -61,13 +61,15 @@ func (a *faultArm) trip(off, n int64) bool {
 // target one IOP's file domain in a collective).  For probabilistic,
 // seeded injection see Chaos.
 type Faulty struct {
-	Backend
+	layer
 	reads, writes faultArm
 }
 
 // NewFaulty wraps b with fault injection disabled.
 func NewFaulty(b Backend) *Faulty {
-	return &Faulty{Backend: b}
+	f := &Faulty{}
+	f.layer = layer{Backend: b, ic: f}
+	return f
 }
 
 // FailReads makes the n-th next read (1-based) and all later reads fail.
@@ -89,18 +91,23 @@ func (f *Faulty) Heal() {
 	f.writes.disarm()
 }
 
-// ReadAt implements io.ReaderAt with fault injection.
-func (f *Faulty) ReadAt(p []byte, off int64) (int, error) {
-	if f.reads.trip(off, int64(len(p))) {
-		return 0, ErrInjected
+// intercept trips the arm of the op's direction on the op's span: the
+// file range of a read, write or batch (a batch is one counted
+// operation), the view-data range of a view transfer — FailReadRange
+// over a view targets data bytes, since a view access has no single file
+// offset.  Control ops pass.
+func (f *Faulty) intercept(o op, next *layer) result {
+	var arm *faultArm
+	switch o.kind.dir() {
+	case dirRead:
+		arm = &f.reads
+	case dirWrite:
+		arm = &f.writes
+	default:
+		return next.exec(o)
 	}
-	return f.Backend.ReadAt(p, off)
-}
-
-// WriteAt implements io.WriterAt with fault injection.
-func (f *Faulty) WriteAt(p []byte, off int64) (int, error) {
-	if f.writes.trip(off, int64(len(p))) {
-		return 0, ErrInjected
+	if arm.trip(o.span()) {
+		return result{err: ErrInjected}
 	}
-	return f.Backend.WriteAt(p, off)
+	return next.exec(o)
 }

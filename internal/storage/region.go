@@ -14,6 +14,14 @@ import "fmt"
 // bytes.  Reads and writes past the region's end are refused rather
 // than silently clipped, so a misconfigured session fails loudly
 // instead of corrupting its neighbour.
+//
+// Region is not a pass-through wrapper and stands outside the seam
+// (seam.go): it translates offsets, and the extensions it lacks it lacks
+// on purpose.  It keeps Vectored; it hides ViewBackend, whose data
+// offsets it could not translate; and it hides EpochBackend, which is
+// what keeps per-session regions out of the tier-global epoch — one
+// session's commit would otherwise apply, or its abort discard, what its
+// neighbours had staged (ROADMAP item 2(f) owns removing that limit).
 type Region struct {
 	b    Backend
 	off  int64

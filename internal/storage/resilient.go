@@ -55,7 +55,7 @@ func (c *ResilientConfig) fill() {
 // simply repaired by the successful reissue.  Safe for concurrent use
 // when the wrapped backend is.
 type Resilient struct {
-	Backend
+	layer
 	cfg ResilientConfig
 	tr  *trace.Tracer // optional retry-instant recording (see SetTracer)
 
@@ -71,12 +71,13 @@ type Resilient struct {
 // NewResilient wraps b with the given retry policy.
 func NewResilient(b Backend, cfg ResilientConfig) *Resilient {
 	cfg.fill()
-	return &Resilient{
-		Backend: b,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		sleep:   time.Sleep,
+	r := &Resilient{
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		sleep: time.Sleep,
 	}
+	r.layer = layer{Backend: b, ic: r}
+	return r
 }
 
 // RetryStats reports the retries performed and the operations abandoned
@@ -104,24 +105,31 @@ func (r *Resilient) instant(ph trace.Phase, off int64, format string, args ...an
 	r.tr.Instant(ph, off, 0, fmt.Sprintf(format, args...))
 }
 
-// do runs op, retrying transient failures per the policy.  off is the
-// file offset of the operation (trace.NoWindow for whole-file ops),
-// used only to annotate retry instants.
-func (r *Resilient) do(off int64, op func() error) error {
+// intercept runs the op, retrying transient failures per the policy.
+// Every op is one retry unit and is reissued whole: a batch (a reissue
+// repairs any partial delivery), a view transfer or registration (a
+// reconnect-and-reissue repairs a dropped server connection), an epoch
+// seal, commit or abort (idempotent against the servers; the reissue
+// replays the client's stage log first, which is the healing the seal
+// exists to trigger).  ErrEpochRetry is not transient and passes straight
+// through to the protocol driver.
+func (r *Resilient) intercept(o op, next *layer) result {
 	var deadline time.Time
 	if r.cfg.OpDeadline > 0 {
 		deadline = time.Now().Add(r.cfg.OpDeadline)
 	}
 	backoff := r.cfg.BaseBackoff
 	for attempt := 0; ; attempt++ {
-		err := op()
+		res := next.exec(o)
+		err := res.err
 		if err == nil || !IsTransient(err) {
-			return err
+			return res
 		}
 		if attempt >= r.cfg.MaxRetries {
 			r.exhausted.Add(1)
-			r.instant(trace.PhaseRetryExhausted, off, "giving up after %d attempts: %v", attempt+1, err)
-			return fmt.Errorf("storage: giving up after %d attempts: %w", attempt+1, err)
+			r.instant(trace.PhaseRetryExhausted, o.off, "giving up after %d attempts: %v", attempt+1, err)
+			res.err = fmt.Errorf("storage: giving up after %d attempts: %w", attempt+1, err)
+			return res
 		}
 		delay := backoff/2 + r.jitter(backoff/2)
 		if backoff < r.cfg.MaxBackoff {
@@ -132,43 +140,14 @@ func (r *Resilient) do(off int64, op func() error) error {
 		}
 		if !deadline.IsZero() && time.Now().Add(delay).After(deadline) {
 			r.exhausted.Add(1)
-			r.instant(trace.PhaseRetryExhausted, off, "deadline %v exceeded after %d attempts: %v",
+			r.instant(trace.PhaseRetryExhausted, o.off, "deadline %v exceeded after %d attempts: %v",
 				r.cfg.OpDeadline, attempt+1, err)
-			return fmt.Errorf("storage: deadline %v exceeded after %d attempts: %w",
+			res.err = fmt.Errorf("storage: deadline %v exceeded after %d attempts: %w",
 				r.cfg.OpDeadline, attempt+1, err)
+			return res
 		}
 		r.retries.Add(1)
-		r.instant(trace.PhaseRetry, off, "attempt %d after %v: %v", attempt+1, delay, err)
+		r.instant(trace.PhaseRetry, o.off, "attempt %d after %v: %v", attempt+1, delay, err)
 		r.sleep(delay)
 	}
-}
-
-// ReadAt implements io.ReaderAt with transient-failure retry.
-func (r *Resilient) ReadAt(p []byte, off int64) (n int, err error) {
-	err = r.do(off, func() error {
-		var e error
-		n, e = r.Backend.ReadAt(p, off)
-		return e
-	})
-	return n, err
-}
-
-// WriteAt implements io.WriterAt with transient-failure retry.
-func (r *Resilient) WriteAt(p []byte, off int64) (n int, err error) {
-	err = r.do(off, func() error {
-		var e error
-		n, e = r.Backend.WriteAt(p, off)
-		return e
-	})
-	return n, err
-}
-
-// Truncate implements Backend with transient-failure retry.
-func (r *Resilient) Truncate(size int64) error {
-	return r.do(size, func() error { return r.Backend.Truncate(size) })
-}
-
-// Sync implements Backend with transient-failure retry.
-func (r *Resilient) Sync() error {
-	return r.do(trace.NoWindow, func() error { return r.Backend.Sync() })
 }

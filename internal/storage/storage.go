@@ -282,10 +282,6 @@ func (fb *File) Sync() error {
 // Close closes the underlying file.
 func (fb *File) Close() error { return fb.f.Close() }
 
-// ErrShortRead is returned by ReadFull when zero-filling was required but
-// disabled.
-var ErrShortRead = errors.New("storage: short read")
-
 // ErrLocked is wrapped by OpenFile / OpenFileShared when another
 // process holds a conflicting advisory lock on the path.
 var ErrLocked = errors.New("storage: file locked by another process")

@@ -12,7 +12,7 @@ import (
 // size/bandwidth of busy time, accumulated across operations so that
 // sub-resolution costs are not lost.
 type Throttled struct {
-	Backend
+	layer
 	ReadBW  int64         // bytes per second; 0 = unlimited
 	WriteBW int64         // bytes per second; 0 = unlimited
 	Latency time.Duration // per-operation seek/issue cost
@@ -23,13 +23,15 @@ type Throttled struct {
 // NewThrottled wraps b with the given read/write bandwidths (bytes/s) and
 // per-operation latency.
 func NewThrottled(b Backend, readBW, writeBW int64, latency time.Duration) *Throttled {
-	return &Throttled{Backend: b, ReadBW: readBW, WriteBW: writeBW, Latency: latency}
+	t := &Throttled{ReadBW: readBW, WriteBW: writeBW, Latency: latency}
+	t.layer = layer{Backend: b, ic: t}
+	return t
 }
 
-func (t *Throttled) charge(n int, bw int64) {
+func (t *Throttled) charge(n, bw int64) {
 	ns := int64(t.Latency)
 	if bw > 0 {
-		ns += int64(n) * int64(time.Second) / bw
+		ns += n * int64(time.Second) / bw
 	}
 	// Accumulate and sleep only when the debt is large enough for the
 	// sleeper to be meaningful; this keeps many small operations honest
@@ -43,21 +45,33 @@ func (t *Throttled) charge(n int, bw int64) {
 	}
 }
 
-// ReadAt implements io.ReaderAt with read-bandwidth charging.
-func (t *Throttled) ReadAt(p []byte, off int64) (int, error) {
-	t.charge(len(p), t.ReadBW)
-	return t.Backend.ReadAt(p, off)
+// intercept charges the op once: a transfer — plain, batch or view —
+// pays Latency plus its bytes over its direction's bandwidth (which is
+// what makes batching n runs into one call the win), control traffic
+// (register-view, epoch seal/commit/abort) pays Latency only, and
+// Truncate and Sync are free.
+func (t *Throttled) intercept(o op, next *layer) result {
+	switch o.kind.dir() {
+	case dirRead:
+		t.charge(o.size(), t.ReadBW)
+	case dirWrite:
+		t.charge(o.size(), t.WriteBW)
+	default:
+		if o.kind != opTruncate && o.kind != opSync {
+			t.charge(0, 0)
+		}
+	}
+	return next.exec(o)
 }
 
-// WriteAt implements io.WriterAt with write-bandwidth charging.
-func (t *Throttled) WriteAt(p []byte, off int64) (int, error) {
-	t.charge(len(p), t.WriteBW)
-	return t.Backend.WriteAt(p, off)
-}
-
-// AccessStats counts backend operations, bytes, and busy time.  The
-// nanosecond totals sum over operations, so with concurrent accesses
-// (the pipelined collective window loop) they can exceed wall time.
+// AccessStats counts backend operations, bytes, and busy time.  Every
+// data op is one read or write, whatever it carries — Reads/Writes
+// approximate syscalls, and a preadv is one — and counts the bytes it
+// moved: the n a plain ReadAt/WriteAt returned, all of a batch or view
+// transfer that succeeded (both are all-or-nothing), none of one that
+// failed.  The nanosecond totals sum over operations, so with concurrent
+// accesses (the pipelined collective window loop) they can exceed wall
+// time.
 type AccessStats struct {
 	Reads, Writes           int64
 	BytesRead, BytesWritten int64
@@ -66,7 +80,7 @@ type AccessStats struct {
 
 // Instrumented wraps a Backend with operation counting and timing.
 type Instrumented struct {
-	Backend
+	layer
 	reads, writes           atomic.Int64
 	bytesRead, bytesWritten atomic.Int64
 	readNs, writeNs         atomic.Int64
@@ -74,27 +88,34 @@ type Instrumented struct {
 
 // NewInstrumented wraps b with access counters.
 func NewInstrumented(b Backend) *Instrumented {
-	return &Instrumented{Backend: b}
+	in := &Instrumented{}
+	in.layer = layer{Backend: b, ic: in}
+	return in
 }
 
-// ReadAt implements io.ReaderAt.
-func (in *Instrumented) ReadAt(p []byte, off int64) (int, error) {
+// intercept counts and times every data op; control ops pass uncounted.
+func (in *Instrumented) intercept(o op, next *layer) result {
+	dir := o.kind.dir()
+	if dir == dirNone {
+		return next.exec(o)
+	}
 	t0 := time.Now()
-	n, err := in.Backend.ReadAt(p, off)
-	in.readNs.Add(time.Since(t0).Nanoseconds())
-	in.reads.Add(1)
-	in.bytesRead.Add(int64(n))
-	return n, err
-}
-
-// WriteAt implements io.WriterAt.
-func (in *Instrumented) WriteAt(p []byte, off int64) (int, error) {
-	t0 := time.Now()
-	n, err := in.Backend.WriteAt(p, off)
-	in.writeNs.Add(time.Since(t0).Nanoseconds())
-	in.writes.Add(1)
-	in.bytesWritten.Add(int64(n))
-	return n, err
+	res := next.exec(o)
+	ns := time.Since(t0).Nanoseconds()
+	n := int64(res.n)
+	if o.kind != opRead && o.kind != opWrite && res.err == nil {
+		n = o.size()
+	}
+	if dir == dirRead {
+		in.readNs.Add(ns)
+		in.reads.Add(1)
+		in.bytesRead.Add(n)
+	} else {
+		in.writeNs.Add(ns)
+		in.writes.Add(1)
+		in.bytesWritten.Add(n)
+	}
+	return res
 }
 
 // Stats returns a snapshot of the access counters.

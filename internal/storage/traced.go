@@ -12,43 +12,47 @@ import (
 // The Window field of each span carries the file offset of the
 // operation.  A nil tracer makes the wrapper transparent.
 type Traced struct {
-	Backend
+	layer
 	tr *trace.Tracer
 }
 
 // NewTraced wraps b; spans are recorded on tr.
 func NewTraced(b Backend, tr *trace.Tracer) *Traced {
-	return &Traced{Backend: b, tr: tr}
+	t := &Traced{tr: tr}
+	t.layer = layer{Backend: b, ic: t}
+	return t
 }
 
-// ReadAt implements io.ReaderAt with span recording.
-func (t *Traced) ReadAt(p []byte, off int64) (int, error) {
-	sp := t.tr.Begin(trace.PhaseStorageRead, off, int64(len(p)))
-	n, err := t.Backend.ReadAt(p, off)
-	sp.EndBytes(int64(n))
-	return n, err
+// tracedPhase is the span an op records; an op with none (register-view,
+// epoch abort) passes.
+var tracedPhase = [numOpKinds]trace.Phase{
+	opRead:        trace.PhaseStorageRead,
+	opWrite:       trace.PhaseStorageWrite,
+	opReadv:       trace.PhaseStorageRead,
+	opWritev:      trace.PhaseStorageWrite,
+	opViewRead:    trace.PhaseStorageViewRead,
+	opViewWrite:   trace.PhaseStorageViewWrite,
+	opTruncate:    trace.PhaseStorageTruncate,
+	opSync:        trace.PhaseStorageSync,
+	opEpochSeal:   trace.PhaseEpochSeal,
+	opEpochCommit: trace.PhaseEpochCommit,
 }
 
-// WriteAt implements io.WriterAt with span recording.
-func (t *Traced) WriteAt(p []byte, off int64) (int, error) {
-	sp := t.tr.Begin(trace.PhaseStorageWrite, off, int64(len(p)))
-	n, err := t.Backend.WriteAt(p, off)
-	sp.EndBytes(int64(n))
-	return n, err
-}
-
-// Truncate implements Backend with span recording.
-func (t *Traced) Truncate(n int64) error {
-	sp := t.tr.Begin(trace.PhaseStorageTruncate, n, 0)
-	defer sp.End()
-	return t.Backend.Truncate(n)
-}
-
-// Sync implements Backend with span recording.
-func (t *Traced) Sync() error {
-	sp := t.tr.Begin(trace.PhaseStorageSync, trace.NoWindow, 0)
-	defer sp.End()
-	return t.Backend.Sync()
+// intercept records one span per op — a batch is one — carrying the
+// bytes asked for, or the count a plain read or write returned.
+func (t *Traced) intercept(o op, next *layer) result {
+	ph := tracedPhase[o.kind]
+	if ph == "" {
+		return next.exec(o)
+	}
+	sp := t.tr.Begin(ph, o.off, o.size())
+	res := next.exec(o)
+	if o.kind == opRead || o.kind == opWrite {
+		sp.EndBytes(int64(res.n))
+	} else {
+		sp.End()
+	}
+	return res
 }
 
 // SetTracer arms a Chaos backend to emit an instant event for every

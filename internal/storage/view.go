@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/datatype"
-	"repro/internal/trace"
 )
 
 // Registered fileviews.  A backend that understands datatypes — the
@@ -52,127 +51,4 @@ func AsViewBackend(b Backend) (ViewBackend, bool) {
 		return nil, false
 	}
 	return vb, true
-}
-
-// View passthrough for the wrapper backends on the remote path:
-// Resilient retries transient view failures (a reconnect-and-reissue
-// repairs a dropped server connection because view operations, like all
-// Backend operations, are idempotent), Traced spans them, Throttled
-// charges them like any other transfer of the same size.
-
-// SupportsViews implements ViewBackend for Resilient.
-func (r *Resilient) SupportsViews() bool {
-	_, ok := AsViewBackend(r.Backend)
-	return ok
-}
-
-// RegisterView implements ViewBackend for Resilient: one retry unit.
-func (r *Resilient) RegisterView(disp int64, ftype *datatype.Type) (ViewHandle, error) {
-	vb, ok := AsViewBackend(r.Backend)
-	if !ok {
-		return 0, ErrNoViews
-	}
-	var h ViewHandle
-	err := r.do(disp, func() error {
-		var e error
-		h, e = vb.RegisterView(disp, ftype)
-		return e
-	})
-	return h, err
-}
-
-// ViewRead implements ViewBackend for Resilient: the whole transfer is
-// the retry unit.
-func (r *Resilient) ViewRead(h ViewHandle, p []byte, d0 int64) error {
-	vb, ok := AsViewBackend(r.Backend)
-	if !ok {
-		return ErrNoViews
-	}
-	return r.do(d0, func() error { return vb.ViewRead(h, p, d0) })
-}
-
-// ViewWrite implements ViewBackend for Resilient.
-func (r *Resilient) ViewWrite(h ViewHandle, p []byte, d0 int64) error {
-	vb, ok := AsViewBackend(r.Backend)
-	if !ok {
-		return ErrNoViews
-	}
-	return r.do(d0, func() error { return vb.ViewWrite(h, p, d0) })
-}
-
-// SupportsViews implements ViewBackend for Traced.
-func (t *Traced) SupportsViews() bool {
-	_, ok := AsViewBackend(t.Backend)
-	return ok
-}
-
-// RegisterView implements ViewBackend for Traced.
-func (t *Traced) RegisterView(disp int64, ftype *datatype.Type) (ViewHandle, error) {
-	vb, ok := AsViewBackend(t.Backend)
-	if !ok {
-		return 0, ErrNoViews
-	}
-	return vb.RegisterView(disp, ftype)
-}
-
-// ViewRead implements ViewBackend for Traced: one span per transfer.
-func (t *Traced) ViewRead(h ViewHandle, p []byte, d0 int64) error {
-	vb, ok := AsViewBackend(t.Backend)
-	if !ok {
-		return ErrNoViews
-	}
-	sp := t.tr.Begin(trace.PhaseStorageViewRead, d0, int64(len(p)))
-	err := vb.ViewRead(h, p, d0)
-	sp.End()
-	return err
-}
-
-// ViewWrite implements ViewBackend for Traced.
-func (t *Traced) ViewWrite(h ViewHandle, p []byte, d0 int64) error {
-	vb, ok := AsViewBackend(t.Backend)
-	if !ok {
-		return ErrNoViews
-	}
-	sp := t.tr.Begin(trace.PhaseStorageViewWrite, d0, int64(len(p)))
-	err := vb.ViewWrite(h, p, d0)
-	sp.End()
-	return err
-}
-
-// SupportsViews implements ViewBackend for Throttled.
-func (t *Throttled) SupportsViews() bool {
-	_, ok := AsViewBackend(t.Backend)
-	return ok
-}
-
-// RegisterView implements ViewBackend for Throttled: registration is
-// metadata, charged only the per-operation latency.
-func (t *Throttled) RegisterView(disp int64, ftype *datatype.Type) (ViewHandle, error) {
-	vb, ok := AsViewBackend(t.Backend)
-	if !ok {
-		return 0, ErrNoViews
-	}
-	t.charge(0, 0)
-	return vb.RegisterView(disp, ftype)
-}
-
-// ViewRead implements ViewBackend for Throttled: one latency charge
-// plus the transferred bytes over the read bandwidth.
-func (t *Throttled) ViewRead(h ViewHandle, p []byte, d0 int64) error {
-	vb, ok := AsViewBackend(t.Backend)
-	if !ok {
-		return ErrNoViews
-	}
-	t.charge(len(p), t.ReadBW)
-	return vb.ViewRead(h, p, d0)
-}
-
-// ViewWrite implements ViewBackend for Throttled.
-func (t *Throttled) ViewWrite(h ViewHandle, p []byte, d0 int64) error {
-	vb, ok := AsViewBackend(t.Backend)
-	if !ok {
-		return ErrNoViews
-	}
-	t.charge(len(p), t.WriteBW)
-	return vb.ViewWrite(h, p, d0)
 }

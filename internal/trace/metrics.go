@@ -178,27 +178,6 @@ func (h *Histogram) Data() HistData {
 	return HistData{Counts: h.counts, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
 }
 
-// MergeData folds raw bucket data into h, with the same semantics as
-// Merge on a live histogram.
-func (h *Histogram) MergeData(d HistData) {
-	if d.Count == 0 {
-		return
-	}
-	h.mu.Lock()
-	for i, c := range d.Counts {
-		h.counts[i] += c
-	}
-	if h.count == 0 || d.Min < h.min {
-		h.min = d.Min
-	}
-	if d.Max > h.max {
-		h.max = d.Max
-	}
-	h.count += d.Count
-	h.sum += d.Sum
-	h.mu.Unlock()
-}
-
 // Merge folds o into d by plain addition, the HistData analogue of
 // Histogram.Merge for aggregators that never observe values themselves.
 func (d *HistData) Merge(o HistData) {

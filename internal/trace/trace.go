@@ -100,8 +100,6 @@ const (
 // Instant phases.
 const (
 	PhaseMPISend        Phase = "mpi.send"      // message posted
-	PhasePoolAlloc      Phase = "pool.alloc"    // buffer-pool miss: a fresh class buffer was allocated
-	PhasePoolOversize   Phase = "pool.oversize" // buffer-pool bypass: request above the largest class
 	PhaseFault          Phase = "coll.fault"    // agreed collective error
 	PhaseRetry          Phase = "storage.retry" // Resilient reissued an op
 	PhaseRetryExhausted Phase = "storage.retry-exhausted"
@@ -117,9 +115,8 @@ const (
 	PhaseServerViewStale Phase = "server.view-stale"    // request named an evicted handle
 
 	// Epoch commit protocol events.
-	PhaseEpochRetry    Phase = "epoch.retry"    // seal/commit round retried after a server bounce
-	PhaseServerRecover Phase = "server.recover" // journal recovery at server start
-	PhaseChaosViewOp   Phase = "chaos.view-op"  // injected fault on a registered-view operation
+	PhaseEpochRetry  Phase = "epoch.retry"   // seal/commit round retried after a server bounce
+	PhaseChaosViewOp Phase = "chaos.view-op" // injected fault on a registered-view operation
 
 	// Wire-level fault injection (transport.ChaosConn).
 	PhaseWireChaosSpike     Phase = "wire.chaos-spike"     // injected latency
@@ -131,7 +128,6 @@ const (
 
 	// I/O session service (internal/session): job lifecycle and the
 	// per-session client cache.
-	PhaseSessionJob      Phase = "session.job"      // one job's execution on the shared pool
 	PhaseSessionQueue    Phase = "session.queue"    // time a job aged in the admission queue
 	PhaseCacheFlush      Phase = "cache.flush"      // write-behind dirty set pushed to the backend
 	PhaseCachePrefetch   Phase = "cache.prefetch"   // read-ahead issued for a detected stride

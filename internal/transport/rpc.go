@@ -44,10 +44,6 @@ const (
 	TagServerLast  = -63
 )
 
-// ServerTag reports whether tag lies in the reserved server-protocol
-// range.
-func ServerTag(tag int) bool { return tag <= TagServerFirst && tag >= TagServerLast }
-
 // rpcHeaderSize is FrameConn's extended header: the frame header plus
 // the CRC32-C of its bytes.
 const rpcHeaderSize = FrameHeaderSize + 4
