@@ -14,7 +14,6 @@ import (
 	"repro/internal/ioserver"
 	"repro/internal/mpi"
 	"repro/internal/noncontig"
-	"repro/internal/obs"
 	"repro/internal/session"
 	"repro/internal/storage"
 )
@@ -36,8 +35,7 @@ type jobsFlags struct {
 	engine          core.Engine
 	sieveBuf        int
 	collBuf         int
-	metricsAddr     string
-	noMetrics       bool
+	obs             obsFlags
 	stall           time.Duration
 }
 
@@ -65,11 +63,7 @@ func runJobs(jf jobsFlags) {
 	fileSize := int64(jf.ranks) * jf.nblock * jf.sblock
 	d := jf.nblock * jf.sblock // bytes per rank per access
 
-	var reg *obs.Registry
-	if !jf.noMetrics {
-		reg = obs.NewRegistry()
-	}
-	serveMetrics(reg, jf.metricsAddr, 0, "jobs")
+	reg, _, _, _ := setupObs("jobs", jf.obs)
 
 	// The shared store all sessions carve their regions from.
 	var (

@@ -147,10 +147,14 @@ func main() {
 			readBW: *readBW, writeBW: *writeBW, latency: *latency,
 			verify: *verify, engine: eng,
 			sieveBuf: *sieveBuf, collBuf: *collBuf,
-			metricsAddr: *metricsAddr, noMetrics: *noMetrics,
+			obs:   obsFlags{metricsAddr: *metricsAddr, noMetrics: *noMetrics},
 			stall: stallTimeout,
 		})
 		return
+	}
+	of := obsFlags{
+		noMetrics: *noMetrics, metricsAddr: *metricsAddr, metricsFD: *metricsFD, metricsPush: *metricsPush,
+		fullTrace: *tracePath != "" || *traceSumm, flight: *flight,
 	}
 	switch *netMode {
 	case "":
@@ -169,10 +173,7 @@ func main() {
 	case "server":
 		runServer(serverConfig{
 			index: *netIndex, count: *servers, stripe: *stripeUnit,
-			file: *file, tracePath: *tracePath,
-			metricsAddr: *metricsAddr, metricsFD: *metricsFD,
-			metricsPush: *metricsPush,
-			noMetrics:   *noMetrics, flight: *flight,
+			file: *file, tracePath: *tracePath, obs: of,
 		})
 		return
 	case "rank":
@@ -186,10 +187,7 @@ func main() {
 	if isRank {
 		proc = fmt.Sprintf("rank%d", *netRank)
 	}
-	var reg *obs.Registry
-	if !*noMetrics {
-		reg = obs.NewRegistry()
-	}
+	reg, collector, rec, obsDone := setupObs(proc, of)
 	var backend storage.Backend
 	var agg *ioserver.Striped
 	if isRank {
@@ -250,26 +248,10 @@ func main() {
 	if *readBW > 0 || *writeBW > 0 || *latency > 0 {
 		backend = storage.NewThrottled(backend, *readBW, *writeBW, *latency)
 	}
-	var collector *trace.Collector
-	if *tracePath != "" || *traceSumm {
-		collector = trace.NewCollector(trace.DefaultBufSize)
-	} else if *flight != "" {
-		// Flight-only runs keep a small always-on ring: enough recent
-		// spans for a post-mortem without full-trace memory.
-		collector = trace.NewCollector(obs.RecorderBufSize)
-	}
-	serveMetrics(reg, *metricsAddr, *metricsFD, proc)
 	// A clean exit pushes the final snapshot to the launcher, so a rank
 	// that finishes between two scrape ticks still lands in the merged
 	// run report (a crashed rank is covered by its last-good scrape).
-	defer obs.Push(*metricsPush, proc, reg)
-	var rec *obs.Recorder
-	if *flight != "" {
-		rec = obs.NewRecorder(*flight, proc, reg, collector)
-		rec.Start(0)
-		defer rec.Stop()
-		defer rec.Dump("clean exit")
-	}
+	defer obsDone("clean exit")
 
 	// Chaos goes outermost on the storage side so every injected fault
 	// passes through the Resilient retry policy before the I/O layer
@@ -615,26 +597,57 @@ func mergeTraces(path string, ranks, servers int, split bool) {
 	}
 }
 
-// serveMetrics exposes reg's /metrics and /metrics.bin endpoints on the
-// launcher-inherited listener (fd) or a locally bound one (addr),
-// announcing the bound address in the greppable "metrics <proc> <addr>"
-// form.  No listener or no registry: no server.
-func serveMetrics(reg *obs.Registry, addr string, fd int, proc string) {
-	if reg == nil || (addr == "" && fd <= 0) {
-		return
+// obsFlags are the observability flags a role was started with.
+type obsFlags struct {
+	noMetrics   bool
+	metricsAddr string // -metrics-addr
+	metricsFD   int    // -metrics-fd
+	metricsPush string // -metrics-push
+	fullTrace   bool   // the run's trace is wanted whole (-trace, -trace-summary)
+	flight      string // -flight
+}
+
+// setupObs builds one process's observability, the same way for every
+// role: the metrics registry (nil with -no-metrics) served on the
+// launcher-inherited listener or a locally bound one, announced in the
+// greppable "metrics <proc> <addr>" form; the span collector, a full
+// ring when the trace is wanted, a small always-on one when only the
+// flight recorder reads it — enough recent spans for a post-mortem
+// without full-trace memory — else nil; and the flight recorder (nil
+// without -flight).  done dumps the recorder with the given reason,
+// stops it, and pushes the final snapshot to the launcher.
+func setupObs(proc string, of obsFlags) (reg *obs.Registry, collector *trace.Collector, rec *obs.Recorder, done func(reason string)) {
+	if !of.noMetrics {
+		reg = obs.NewRegistry()
 	}
-	var ln net.Listener
-	var err error
-	if fd > 0 {
-		ln, err = transport.ListenerFromFD(fd)
-	} else {
-		ln, err = net.Listen("tcp", addr)
+	if of.fullTrace {
+		collector = trace.NewCollector(trace.DefaultBufSize)
+	} else if of.flight != "" {
+		collector = trace.NewCollector(obs.RecorderBufSize)
 	}
-	if err != nil {
-		log.Fatal(err)
+	if reg != nil && (of.metricsAddr != "" || of.metricsFD > 0) {
+		var ln net.Listener
+		var err error
+		if of.metricsFD > 0 {
+			ln, err = transport.ListenerFromFD(of.metricsFD)
+		} else {
+			ln, err = net.Listen("tcp", of.metricsAddr)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("metrics %s %s\n", proc, ln.Addr())
+		obs.Serve(ln, reg, proc)
 	}
-	fmt.Printf("metrics %s %s\n", proc, ln.Addr())
-	obs.Serve(ln, reg, proc)
+	if of.flight != "" {
+		rec = obs.NewRecorder(of.flight, proc, reg, collector)
+		rec.Start(0)
+	}
+	return reg, collector, rec, func(reason string) {
+		rec.Dump(reason)
+		rec.Stop()
+		obs.Push(of.metricsPush, proc, reg)
+	}
 }
 
 // serverConfig carries the -net server role's flags.
@@ -643,11 +656,7 @@ type serverConfig struct {
 	stripe       int64
 	file         string
 	tracePath    string
-	metricsAddr  string
-	metricsFD    int
-	metricsPush  string
-	noMetrics    bool
-	flight       string
+	obs          obsFlags
 }
 
 // runServer is the -net server role: adopt the pre-bound listener the
@@ -660,11 +669,7 @@ func runServer(sc serverConfig) {
 	if sc.count <= 0 || sc.index < 0 || sc.index >= sc.count {
 		log.Fatalf("-net server requires -net-index in [0, %d)", sc.count)
 	}
-	proc := fmt.Sprintf("srv%d", sc.index)
-	var reg *obs.Registry
-	if !sc.noMetrics {
-		reg = obs.NewRegistry()
-	}
+	reg, collector, _, obsDone := setupObs(fmt.Sprintf("srv%d", sc.index), sc.obs)
 	var backend storage.Backend = storage.NewMem()
 	var journal *ioserver.Journal
 	var recov ioserver.RecoveryInfo
@@ -690,20 +695,8 @@ func runServer(sc serverConfig) {
 		recov = info
 		backend = fb
 	}
-	var collector *trace.Collector
-	if sc.tracePath != "" {
-		collector = trace.NewCollector(trace.DefaultBufSize)
-	} else if sc.flight != "" {
-		collector = trace.NewCollector(obs.RecorderBufSize)
-	}
 	if collector != nil {
 		backend = storage.NewTraced(backend, collector.Storage())
-	}
-	serveMetrics(reg, sc.metricsAddr, sc.metricsFD, proc)
-	var rec *obs.Recorder
-	if sc.flight != "" {
-		rec = obs.NewRecorder(sc.flight, proc, reg, collector)
-		rec.Start(0)
 	}
 
 	srv, err := ioserver.New(ioserver.Config{
@@ -713,7 +706,6 @@ func runServer(sc serverConfig) {
 		Journal:  journal,
 		Tracer:   collector.Storage(),
 		Metrics:  reg,
-		Proc:     proc,
 		Recovery: recov,
 	})
 	if err != nil {
@@ -741,9 +733,7 @@ func runServer(sc serverConfig) {
 	if err := backend.Sync(); err != nil {
 		log.Fatal(err)
 	}
-	rec.Dump("shutdown")
-	rec.Stop()
-	obs.Push(sc.metricsPush, proc, reg)
+	obsDone("shutdown")
 	fmt.Printf("server %d/%d (stripe %s): %s\n", sc.index, sc.count, humanBytes(sc.stripe), srv.Stats())
 	writeTrace(sc.tracePath, collector)
 }

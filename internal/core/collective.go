@@ -25,12 +25,12 @@ func (f *File) WriteAtAll(off int64, count int64, memtype *datatype.Type, buf []
 	if err != nil {
 		return 0, err
 	}
+	defer f.publish()
 	if err := f.transferCollective(off*f.v.esize, d, memtype, count, buf, true); err != nil {
 		return 0, err
 	}
 	f.Stats.BytesWritten += d
-	f.om.collWrites.Inc()
-	f.om.writeBytes.Add(d)
+	f.Stats.CollectiveWrites++
 	return d, nil
 }
 
@@ -44,12 +44,12 @@ func (f *File) ReadAtAll(off int64, count int64, memtype *datatype.Type, buf []b
 	if err != nil {
 		return 0, err
 	}
+	defer f.publish()
 	if err := f.transferCollective(off*f.v.esize, d, memtype, count, buf, false); err != nil {
 		return 0, err
 	}
 	f.Stats.BytesRead += d
-	f.om.collReads.Inc()
-	f.om.readBytes.Add(d)
+	f.Stats.CollectiveReads++
 	return d, nil
 }
 

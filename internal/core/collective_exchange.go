@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // apExchange walks every (IOP, window) pair in the deterministic
 // schedule order and, for each one containing this rank's data, packs
@@ -32,33 +28,17 @@ func (f *File) apExchange(pl *collPlan, acc *collAccess, ap apState, write bool)
 				continue
 			}
 			if write {
-				// The chunk's ownership passes to the transport at
-				// SendNoCopy and onward to the receiving IOP, which
-				// returns it to a pool after merging (the zero-copy
-				// AP→IOP path: pack once, no intermediate copies).
 				chunk := f.bp.Get(int(b - a))
-				csp := f.tr.Begin(trace.PhaseCopy, winLo, b-a)
-				t0 := time.Now()
+				csp := f.tr.Time(trace.PhaseCopy, winLo, b-a)
 				f.eng.packUser(chunk, buf, mem, a-d0, b-a)
-				t1 := time.Now()
-				csp.End()
-				esp := f.tr.Begin(trace.PhaseExchange, winLo, b-a)
-				f.p.SendNoCopy(i, tagCollData, chunk)
-				esp.End()
-				f.Stats.CopyNs += t1.Sub(t0).Nanoseconds()
-				f.Stats.ExchangeNs += time.Since(t1).Nanoseconds()
+				f.Stats.CopyNs += csp.End()
+				f.sendChunk(i, chunk, winLo)
 			} else {
-				esp := f.tr.Begin(trace.PhaseExchange, winLo, 0)
-				t0 := time.Now()
-				chunk, _, _ := f.p.Recv(i, tagCollData)
-				t1 := time.Now()
-				esp.EndBytes(int64(len(chunk)))
-				csp := f.tr.Begin(trace.PhaseCopy, winLo, b-a)
+				chunk := f.recvChunk(i, winLo)
+				csp := f.tr.Time(trace.PhaseCopy, winLo, b-a)
 				f.eng.unpackUser(buf, chunk, mem, a-d0, b-a)
-				csp.End()
+				f.Stats.CopyNs += csp.End()
 				f.bp.Put(chunk) // this rank owns the received chunk; recycle it
-				f.Stats.ExchangeNs += t1.Sub(t0).Nanoseconds()
-				f.Stats.CopyNs += time.Since(t1).Nanoseconds()
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -37,7 +35,10 @@ import (
 // via iopWindow.release.
 //
 // All Stats fields are updated on the main goroutine only; background
-// I/O durations travel back through the reply tokens.
+// I/O durations travel back through the reply tokens.  Every duration
+// is what its span's End returned (trace.Tracer.Time: one clock read at
+// each end, tracer or not), and the scrape plane follows from Stats once
+// per window (File.publish).
 
 // iopProcess runs this rank's IOP role: engine setup (the list-based
 // engine receives one access list from every AP — this must happen even
@@ -67,13 +68,11 @@ func (f *File) iopProcess(pl *collPlan, acc *collAccess, write bool) *Collective
 // engine can, and accounts it as copy time.  It reports false when the
 // share travels like any other AP's.
 func (f *File) copySelf(iw iopWindow, w []byte, winLo, n int64, write bool) bool {
-	csp := f.tr.Begin(trace.PhaseCopy, winLo, n)
-	t0 := time.Now()
+	csp := f.tr.Time(trace.PhaseCopy, winLo, n)
 	if !iw.copySelf(w, write) {
 		return false
 	}
-	csp.End()
-	f.copySince(t0)
+	f.Stats.CopyNs += csp.End()
 	return true
 }
 
@@ -90,12 +89,10 @@ func (f *File) iopExchangeWrite(iw iopWindow, w []byte, winLo int64) {
 			continue
 		}
 		chunk := f.recvChunk(r, winLo)
-		csp := f.tr.Begin(trace.PhaseCopy, winLo, int64(len(chunk)))
-		t0 := time.Now()
+		csp := f.tr.Time(trace.PhaseCopy, winLo, int64(len(chunk)))
 		iw.copyIn(w, r, chunk)
-		csp.End()
+		f.Stats.CopyNs += csp.End()
 		f.bp.Put(chunk)
-		f.copySince(t0)
 	}
 }
 
@@ -107,12 +104,10 @@ func (f *File) iopExchangeRead(iw iopWindow, w []byte, winLo int64) {
 		if n == 0 || r == f.p.Rank() && f.copySelf(iw, w, winLo, n, false) {
 			continue
 		}
-		csp := f.tr.Begin(trace.PhaseCopy, winLo, n)
-		t0 := time.Now()
+		csp := f.tr.Time(trace.PhaseCopy, winLo, n)
 		chunk := f.bp.Get(int(n))
 		iw.copyOut(w, r, chunk)
-		csp.End()
-		f.copySince(t0)
+		f.Stats.CopyNs += csp.End()
 		f.sendChunk(r, chunk, winLo)
 	}
 }
@@ -192,8 +187,7 @@ func (f *File) slotWorker(s *pipeSlot) {
 	for r := range s.req {
 		switch r.kind {
 		case pipeWrite:
-			bsp := f.tr.BeginIO(trace.PhaseWriteBack, r.lo, r.bytes)
-			t0 := time.Now()
+			bsp := f.tr.TimeIO(trace.PhaseWriteBack, r.lo, r.bytes)
 			var err error
 			if r.direct {
 				err = storage.WriteAtv(f.sh.b, s.batch.segs)
@@ -201,8 +195,7 @@ func (f *File) slotWorker(s *pipeSlot) {
 			} else {
 				_, err = f.sh.b.WriteAt(s.buf[:r.hi-r.lo], r.lo)
 			}
-			bsp.End()
-			carry.ns += time.Since(t0).Nanoseconds()
+			carry.ns += bsp.End()
 			if carry.err == nil {
 				carry.err = err
 			}
@@ -210,15 +203,13 @@ func (f *File) slotWorker(s *pipeSlot) {
 			t := carry
 			carry = ioToken{}
 			if t.err == nil && r.read {
-				rsp := f.tr.BeginIO(trace.PhasePreRead, r.lo, r.bytes)
-				t0 := time.Now()
+				rsp := f.tr.TimeIO(trace.PhasePreRead, r.lo, r.bytes)
 				if r.direct {
 					t.err = storage.ReadAtv(f.sh.b, s.batch.segs)
 				} else {
 					t.err = storage.ReadFull(f.sh.b, s.buf[:r.hi-r.lo], r.lo)
 				}
-				rsp.End()
-				t.ns += time.Since(t0).Nanoseconds()
+				t.ns += rsp.End()
 			}
 			s.done <- t
 		}
@@ -261,32 +252,24 @@ func (f *File) directGather(pw *pipeWindow, write bool) {
 	}
 }
 
-// recvChunk receives AP r's chunk for a write window, accounting the
-// exchange time.  The chunk is owned by this rank from here on.
+// recvChunk receives rank r's chunk of the window at winLo — an AP's
+// data at the IOP of a write, an IOP's at the AP of a read — accounting
+// the exchange time.  The chunk is owned by this rank from here on.
 func (f *File) recvChunk(r int, winLo int64) []byte {
-	esp := f.tr.Begin(trace.PhaseExchange, winLo, 0)
-	t0 := time.Now()
+	esp := f.tr.Time(trace.PhaseExchange, winLo, 0)
 	chunk, _, _ := f.p.Recv(r, tagCollData)
-	esp.EndBytes(int64(len(chunk)))
-	f.exchangeSince(t0)
+	f.Stats.ExchangeNs += esp.EndBytes(int64(len(chunk)))
 	return chunk
 }
 
-// sendChunk hands AP r its chunk of a read window, accounting the
-// exchange time.  Ownership passes to the transport and onward to the
-// AP, which recycles the chunk after unpacking.
+// sendChunk hands rank r its chunk of the window at winLo, accounting
+// the exchange time.  Ownership passes to the transport and onward to
+// the receiver, which recycles the chunk after unpacking or merging it
+// (pack once, no intermediate copies).
 func (f *File) sendChunk(r int, chunk []byte, winLo int64) {
-	esp := f.tr.Begin(trace.PhaseExchange, winLo, int64(len(chunk)))
-	t0 := time.Now()
+	esp := f.tr.Time(trace.PhaseExchange, winLo, int64(len(chunk)))
 	f.p.SendNoCopy(r, tagCollData, chunk)
-	esp.End()
-	f.exchangeSince(t0)
-}
-
-func (f *File) exchangeSince(t0 time.Time) {
-	ns := time.Since(t0).Nanoseconds()
-	f.Stats.ExchangeNs += ns
-	f.om.exchangeNs.Add(ns)
+	f.Stats.ExchangeNs += esp.End()
 }
 
 // iopPipelined is the double-buffered window loop.  Window k+1's prep
@@ -361,14 +344,12 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 		nxt, nok := mk()
 		if nok {
 			f.Stats.WindowsOverlapped++
-			f.om.overlapped.Inc()
 		}
 
 		psp := f.tr.Begin(trace.PhasePipelineWait, cur.lo, 0)
 		t := <-cur.slot.done
 		psp.End()
 		f.Stats.StorageNs += t.ns
-		f.om.storageNs.Add(t.ns)
 		if t.err != nil {
 			// Unwind quiescently: consume nxt's prep reply if one was
 			// issued (its slot's prior write-back folds into it), then
@@ -383,7 +364,6 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 			if nok {
 				t2 := <-nxt.slot.done
 				f.Stats.StorageNs += t2.ns
-				f.om.storageNs.Add(t2.ns)
 				nxt.slot.batch.drop(f)
 				nxt.iw.release()
 			}
@@ -396,7 +376,6 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 		if write {
 			if cur.covered || cur.direct {
 				f.Stats.PreReadsSkipped++
-				f.om.preSkipped.Inc()
 			}
 			wb := pipeReq{lo: cur.lo, hi: cur.hi, bytes: cur.hi - cur.lo, kind: pipeWrite, direct: cur.direct}
 			if cur.direct {
@@ -408,11 +387,9 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 				f.iopExchangeWrite(cur.iw, cur.slot.buf[:cur.hi-cur.lo], cur.lo)
 			}
 			f.Stats.SieveWrites++
-			f.om.sieveWrites.Inc()
 			cur.slot.req <- wb
 		} else {
 			f.Stats.SieveReads++
-			f.om.sieveReads.Inc()
 			if cur.direct {
 				f.directSend(cur.slot.batch, cur.lo)
 			} else {
@@ -420,7 +397,7 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 			}
 		}
 		wsp.End()
-		f.om.windows.Inc()
+		f.publish()
 		cur.iw.release()
 		cur, ok = nxt, nok
 	}
@@ -434,7 +411,6 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 	for _, s := range slots {
 		t := <-s.fin
 		f.Stats.StorageNs += t.ns
-		f.om.storageNs.Add(t.ns)
 		if t.err != nil && err == nil {
 			err = t.err
 		}

@@ -104,7 +104,8 @@ type Options struct {
 	Trace *trace.Collector
 	// Metrics, when non-nil, registers this file's live counters (per
 	// phase, window, and epoch) on the registry for the /metrics scrape
-	// plane; nil disables them at the cost of one nil check per site.
+	// plane and keeps them in step with Stats; nil disables them at the
+	// cost of one nil check per window and per access.
 	Metrics *obs.Registry
 	// Gate, when non-nil, makes every collective a schedulable job:
 	// rank 0 acquires a slot before any staging or exchange traffic and
@@ -221,9 +222,8 @@ type File struct {
 
 	// Stats accumulates the work counters of this handle.
 	Stats Stats
-	// om holds this handle's live metric handles (all nil with
-	// Options.Metrics unset — every site no-ops through the nil
-	// receivers).
+	// om publishes Stats to Options.Metrics (metrics.go); no site but
+	// publish touches it.
 	om fileMetrics
 }
 
@@ -310,7 +310,9 @@ func (f *File) SetView(disp int64, etype, filetype *datatype.Type) error {
 		f.viewBE, f.viewHandle = vb, h
 		f.Stats.ViewRegistrations++
 	}
-	return f.eng.setView()
+	err := f.eng.setView()
+	f.publish() // setView compiles the view's programs
+	return err
 }
 
 // SetAtomicity enables or disables MPI-IO atomic mode collectively

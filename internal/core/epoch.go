@@ -63,7 +63,7 @@ func (f *File) epochBegin() uint64 {
 // mode.  All ranks of a failed collective take this path, so the staged
 // state cannot be committed later by accident.
 func (f *File) epochAbandon(id uint64) {
-	f.om.epochAborts.Inc()
+	f.Stats.EpochAborts++
 	if f.p.Rank() == 0 {
 		f.epochBE.EpochAbort(id)
 	} else {
@@ -93,7 +93,6 @@ func (f *File) epochFinish(id uint64) error {
 				// Typically a server still restarting: re-seal, which
 				// reconnects and replays the stage log.
 				f.Stats.EpochRetries++
-				f.om.epochRetries.Inc()
 				f.tr.Instant(trace.PhaseEpochRetry, int64(id), 0, "re-seal")
 				continue
 			}
@@ -150,11 +149,9 @@ func (f *File) epochFinish(id uint64) error {
 		case epochOutcomeOK:
 			f.epochBE.EpochEnd(id)
 			f.Stats.EpochsCommitted++
-			f.om.epochsCommitted.Inc()
 			return nil
 		case epochOutcomeRetry:
 			f.Stats.EpochRetries++
-			f.om.epochRetries.Inc()
 			f.tr.Instant(trace.PhaseEpochRetry, int64(id), 0, "re-commit")
 			continue
 		default:

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/datatype"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -26,6 +24,7 @@ func (f *File) WriteAt(off int64, count int64, memtype *datatype.Type, buf []byt
 	if err != nil || d == 0 {
 		return 0, err
 	}
+	defer f.publish()
 	if err := f.transferIndependent(off*f.v.esize, d, memtype, count, buf, true); err != nil {
 		return 0, err
 	}
@@ -41,6 +40,7 @@ func (f *File) ReadAt(off int64, count int64, memtype *datatype.Type, buf []byte
 	if err != nil || d == 0 {
 		return 0, err
 	}
+	defer f.publish()
 	if err := f.transferIndependent(off*f.v.esize, d, memtype, count, buf, false); err != nil {
 		return 0, err
 	}
@@ -177,15 +177,15 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 			var err error
 			if n != winHi-winLo {
 				// Read-modify-write: fill the gaps from the file.
-				t0 := time.Now()
+				rsp := f.tr.Time(trace.PhasePreRead, winLo, winHi-winLo)
 				err = storage.ReadFull(f.sh.b, w, winLo)
-				f.storageSince(t0)
+				f.Stats.StorageNs += rsp.End()
 			}
 			if err == nil {
 				f.moveWindow(w, winLo, dw, n, buf, mem, memContig, d0, &pb, true, vc)
-				t0 := time.Now()
+				wsp := f.tr.Time(trace.PhaseWriteBack, winLo, winHi-winLo)
 				_, err = f.sh.b.WriteAt(w, winLo)
-				f.storageSince(t0)
+				f.Stats.StorageNs += wsp.End()
 			}
 			unlock()
 			ssp.End()
@@ -195,9 +195,9 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 			f.Stats.SieveWrites++
 		} else {
 			ssp := f.tr.Begin(trace.PhaseSieveRead, winLo, n)
-			t0 := time.Now()
+			rsp := f.tr.Time(trace.PhasePreRead, winLo, winHi-winLo)
 			err := storage.ReadFull(f.sh.b, w, winLo)
-			f.storageSince(t0)
+			f.Stats.StorageNs += rsp.End()
 			if err != nil {
 				ssp.End()
 				return err
@@ -211,22 +211,6 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 	return nil
 }
 
-// storageSince and copySince account the time since t0 as backend I/O,
-// respectively as copying, in the handle's Stats and live metrics — the
-// phase counters the collective window loop fills for its windows.  Main
-// goroutine only.
-func (f *File) storageSince(t0 time.Time) {
-	ns := time.Since(t0).Nanoseconds()
-	f.Stats.StorageNs += ns
-	f.om.storageNs.Add(ns)
-}
-
-func (f *File) copySince(t0 time.Time) {
-	ns := time.Since(t0).Nanoseconds()
-	f.Stats.CopyNs += ns
-	f.om.copyNs.Add(ns)
-}
-
 // moveWindow copies view data [dv, dv+n) between the file window w
 // (holding absolute file range starting at winLo) and the user buffer,
 // as one copy span of copy time.  Contiguous memory is the contiguous
@@ -235,8 +219,7 @@ func (f *File) copySince(t0 time.Time) {
 // *pb, fetched from the pool on first use.  write=true copies
 // user→window.
 func (f *File) moveWindow(w []byte, winLo, dv, n int64, buf []byte, mem *memState, memContig bool, d0 int64, pb *[]byte, write bool, vc viewCursor) {
-	csp := f.tr.Begin(trace.PhaseCopy, winLo, n)
-	t0 := time.Now()
+	csp := f.tr.Time(trace.PhaseCopy, winLo, n)
 	skip := dv - d0
 	switch {
 	case memContig:
@@ -260,8 +243,7 @@ func (f *File) moveWindow(w []byte, winLo, dv, n int64, buf []byte, mem *memStat
 			}
 		}
 	}
-	csp.End()
-	f.copySince(t0)
+	f.Stats.CopyNs += csp.End()
 }
 
 // transferDirect performs a non-contiguous independent access as direct

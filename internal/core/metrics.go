@@ -2,66 +2,91 @@ package core
 
 import "repro/internal/obs"
 
-// fileMetrics are the live scrape-plane counters of one file handle,
-// mirroring the hot-path Stats fields with atomic counters so a
-// concurrent /metrics scrape sees a race-free, current view of a
-// collective in progress.  With Options.Metrics unset every handle is
-// nil and every increment is a no-op through the nil receivers — the
-// steady-state window loop stays allocation-free either way (asserted
-// by the allocation-regression suite with metrics on).
-type fileMetrics struct {
-	collWrites *obs.Counter
-	collReads  *obs.Counter
-	writeBytes *obs.Counter
-	readBytes  *obs.Counter
+// coreCounters is the handle's whole scrape plane: every core_* counter
+// is an expression over Stats, so a site that writes Stats has nothing
+// else to keep in step and the registry cannot disagree with the struct.
+var coreCounters = [...]struct {
+	name, help string
+	value      func(*Stats) int64
+}{
+	{"core_collective_writes_total", "Collective write accesses completed.",
+		func(s *Stats) int64 { return s.CollectiveWrites }},
+	{"core_collective_reads_total", "Collective read accesses completed.",
+		func(s *Stats) int64 { return s.CollectiveReads }},
+	{"core_written_bytes_total", "Data bytes moved by collective and independent writes.",
+		func(s *Stats) int64 { return s.BytesWritten }},
+	{"core_read_bytes_total", "Data bytes moved by collective and independent reads.",
+		func(s *Stats) int64 { return s.BytesRead }},
 
-	windows     *obs.Counter
-	overlapped  *obs.Counter
-	preSkipped  *obs.Counter
-	sieveReads  *obs.Counter
-	sieveWrites *obs.Counter
+	{"core_windows_total", "File windows processed: IOP windows of collectives and sieve windows of independent accesses.",
+		func(s *Stats) int64 { return s.SieveReads + s.SieveWrites }},
+	{"core_windows_overlapped_total", "Windows whose storage I/O overlapped a neighbor's exchange (pipeline hits).",
+		func(s *Stats) int64 { return s.WindowsOverlapped }},
+	{"core_prereads_skipped_total", "Collective write windows written without a pre-read: covered by the merged fileviews, or direct.",
+		func(s *Stats) int64 { return s.PreReadsSkipped }},
+	{"core_sieve_reads_total", "Read windows processed, collective and independent.",
+		func(s *Stats) int64 { return s.SieveReads }},
+	{"core_sieve_writes_total", "Write windows processed, collective and independent.",
+		func(s *Stats) int64 { return s.SieveWrites }},
 
-	exchangeNs *obs.Counter
-	copyNs     *obs.Counter
-	storageNs  *obs.Counter
+	{"core_exchange_ns_total", "Nanoseconds in AP-IOP data exchange.",
+		func(s *Stats) int64 { return s.ExchangeNs }},
+	{"core_copy_ns_total", "Nanoseconds in pack/unpack and window merge copies.",
+		func(s *Stats) int64 { return s.CopyNs }},
+	{"core_storage_ns_total", "Nanoseconds in window storage I/O, collective and independent.",
+		func(s *Stats) int64 { return s.StorageNs }},
 
-	epochsCommitted *obs.Counter
-	epochRetries    *obs.Counter
-	epochAborts     *obs.Counter
+	{"core_epochs_committed_total", "Epoch commit rounds completed.",
+		func(s *Stats) int64 { return s.EpochsCommitted }},
+	{"core_epoch_retries_total", "Epoch seal/commit rounds retried after a server bounce.",
+		func(s *Stats) int64 { return s.EpochRetries }},
+	{"core_epoch_aborts_total", "Epochs abandoned after a collective fault.",
+		func(s *Stats) int64 { return s.EpochAborts }},
 
-	progCompiles *obs.Counter
-	progHits     *obs.Counter
+	{"core_program_compiles_total", "Datatype copy programs compiled (memo-cache misses).",
+		func(s *Stats) int64 { return s.ProgramCompiles }},
+	{"core_program_cache_hits_total", "Program memo-cache hits.",
+		func(s *Stats) int64 { return s.ProgramCacheHits }},
 }
 
-// newFileMetrics registers the core_* metrics; a nil registry yields
-// all-nil handles.
+// fileMetrics ties one handle's Stats to the process's counters.  The
+// two are different aggregations — the ranks of a goroutine world share
+// one registry, and handles come and go under it — so the handle
+// publishes deltas: what its Stats gained since it last published.
+type fileMetrics struct {
+	counters  []*obs.Counter // by coreCounters index; nil with Options.Metrics unset
+	published Stats
+}
+
+// newFileMetrics registers the core_* counters; a nil registry yields
+// a fileMetrics whose publish does nothing.
 func newFileMetrics(r *obs.Registry) fileMetrics {
 	if r == nil {
 		return fileMetrics{}
 	}
-	return fileMetrics{
-		collWrites: r.Counter("core_collective_writes_total", "Collective write accesses completed."),
-		collReads:  r.Counter("core_collective_reads_total", "Collective read accesses completed."),
-		writeBytes: r.Counter("core_written_bytes_total", "Data bytes moved by collective and independent writes."),
-		readBytes:  r.Counter("core_read_bytes_total", "Data bytes moved by collective and independent reads."),
-
-		windows:     r.Counter("core_windows_total", "IOP file windows processed."),
-		overlapped:  r.Counter("core_windows_overlapped_total", "Windows whose storage I/O overlapped a neighbor's exchange (pipeline hits)."),
-		preSkipped:  r.Counter("core_prereads_skipped_total", "Collective write windows written without a pre-read: covered by the merged fileviews, or direct."),
-		sieveReads:  r.Counter("core_sieve_reads_total", "Collective window reads issued to storage."),
-		sieveWrites: r.Counter("core_sieve_writes_total", "Collective window write-backs issued to storage."),
-
-		exchangeNs: r.Counter("core_exchange_ns_total", "Nanoseconds in AP-IOP data exchange."),
-		copyNs:     r.Counter("core_copy_ns_total", "Nanoseconds in pack/unpack and window merge copies."),
-		storageNs:  r.Counter("core_storage_ns_total", "Nanoseconds in collective window storage I/O."),
-
-		epochsCommitted: r.Counter("core_epochs_committed_total", "Epoch commit rounds completed."),
-		epochRetries:    r.Counter("core_epoch_retries_total", "Epoch seal/commit rounds retried after a server bounce."),
-		epochAborts:     r.Counter("core_epoch_aborts_total", "Epochs abandoned after a collective fault."),
-
-		progCompiles: r.Counter("core_program_compiles_total", "Datatype copy programs compiled (memo-cache misses)."),
-		progHits:     r.Counter("core_program_cache_hits_total", "Program memo-cache hits."),
+	m := fileMetrics{counters: make([]*obs.Counter, len(coreCounters))}
+	for i, c := range coreCounters {
+		m.counters[i] = r.Counter(c.name, c.help)
 	}
+	return m
+}
+
+// publish brings the process's counters up to this handle's Stats.  It
+// runs on the goroutine that owns Stats, once per collective window (so
+// a scrape sees a collective in progress) and once per access; the
+// counters are atomics, so a concurrent scrape is race-free.  It
+// allocates nothing.
+func (f *File) publish() {
+	if f.om.counters == nil {
+		return
+	}
+	for i, c := range f.om.counters {
+		value := coreCounters[i].value
+		if gained := value(&f.Stats) - value(&f.om.published); gained != 0 {
+			c.Add(gained)
+		}
+	}
+	f.om.published = f.Stats
 }
 
 // registerProgramCacheMetrics exposes the process-wide program cache on

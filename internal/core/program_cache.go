@@ -105,8 +105,8 @@ func (pc *programCache) size() int64 {
 }
 
 // lookupProgram is the handle-side entry point: it returns the compiled
-// program for t, accounting the hit or compile on this handle's Stats
-// and metrics.  The process-wide cache is consulted once per type: the
+// program for t, accounting the hit or compile on this handle's
+// Stats.  The process-wide cache is consulted once per type: the
 // entry it answers with is kept in t's derived-data slot, so a type used
 // again — the memtype of every collective op — costs one load and no
 // encoding, and holds its program for as long as the type lives,
@@ -127,10 +127,8 @@ func (f *File) lookupProgram(enc []byte, t *datatype.Type) *fotf.Program {
 	}
 	if hit {
 		f.Stats.ProgramCacheHits++
-		f.om.progHits.Inc()
 	} else {
 		f.Stats.ProgramCompiles++
-		f.om.progCompiles.Inc()
 	}
 	return e.prog
 }

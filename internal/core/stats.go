@@ -46,6 +46,9 @@ type Stats struct {
 	ViewRegistrations, ViewReads, ViewWrites int64
 	// BytesRead / BytesWritten are user-data volumes moved.
 	BytesRead, BytesWritten int64
+	// CollectiveReads / CollectiveWrites count collective accesses this
+	// rank completed.
+	CollectiveReads, CollectiveWrites int64
 
 	// Per-phase collective timing, in nanoseconds, separating where
 	// two-phase time goes on this rank: ExchangeNs is AP↔IOP data
@@ -61,8 +64,9 @@ type Stats struct {
 
 	// EpochsCommitted counts collective writes committed through the
 	// epoch crash-consistency protocol; EpochRetries counts seal or
-	// commit rounds that were retried after a server bounce.
-	EpochsCommitted, EpochRetries int64
+	// commit rounds that were retried after a server bounce; EpochAborts
+	// counts epochs abandoned after a collective fault.
+	EpochsCommitted, EpochRetries, EpochAborts int64
 
 	// ProgramCompiles counts datatype copy programs this handle had to
 	// compile (process-wide memo-cache misses); ProgramCacheHits counts
@@ -75,7 +79,8 @@ type Stats struct {
 // phase of interest: take one before, one after, and Sub them.
 func (s *Stats) Snapshot() Stats { return *s }
 
-// Sub returns the counter deltas since an earlier snapshot.
+// Sub returns the counter deltas since an earlier snapshot, field by
+// field (TestStatsSubCoversEveryField fails on a field left out).
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
 		ListTuples:        s.ListTuples - prev.ListTuples,
@@ -93,12 +98,17 @@ func (s Stats) Sub(prev Stats) Stats {
 		ViewWrites:        s.ViewWrites - prev.ViewWrites,
 		BytesRead:         s.BytesRead - prev.BytesRead,
 		BytesWritten:      s.BytesWritten - prev.BytesWritten,
+		CollectiveReads:   s.CollectiveReads - prev.CollectiveReads,
+		CollectiveWrites:  s.CollectiveWrites - prev.CollectiveWrites,
 		ExchangeNs:        s.ExchangeNs - prev.ExchangeNs,
 		StorageNs:         s.StorageNs - prev.StorageNs,
 		CopyNs:            s.CopyNs - prev.CopyNs,
 		WindowsOverlapped: s.WindowsOverlapped - prev.WindowsOverlapped,
 		EpochsCommitted:   s.EpochsCommitted - prev.EpochsCommitted,
 		EpochRetries:      s.EpochRetries - prev.EpochRetries,
+		EpochAborts:       s.EpochAborts - prev.EpochAborts,
+		ProgramCompiles:   s.ProgramCompiles - prev.ProgramCompiles,
+		ProgramCacheHits:  s.ProgramCacheHits - prev.ProgramCacheHits,
 	}
 }
 

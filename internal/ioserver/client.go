@@ -422,17 +422,6 @@ func (c *Client) ServerStats() (ServerStats, error) {
 	return decodeStats(resp)
 }
 
-// Metrics fetches the server's metrics snapshot in-band (op=metrics).
-// A server built without a registry answers with a valid empty
-// snapshot.
-func (c *Client) Metrics() (*obs.Snapshot, error) {
-	resp, err := c.roundTrip(opMetrics, nil)
-	if err != nil {
-		return nil, err
-	}
-	return obs.DecodeSnapshot(resp)
-}
-
 // handleLocked returns the server's handle for v, registering it on
 // this connection if needed.
 func (c *Client) handleLocked(v *View) (uint64, error) {

@@ -108,6 +108,7 @@ func FuzzServerRequest(f *testing.F) {
 	f.Add(seedReq(8, vs(1, -4, 64)))                            // negative view range
 	f.Add(seedReq(8, vs(1, 0, int64(fuzzMaxFrame)*4)))          // oversized view range
 	f.Add(seedReq(14, vs(0)))                                   // unknown op (tag 0)
+	f.Add(seedReq(13, nil))                                     // reserved tag with no op behind it
 	f.Add(append(seedReq(7, reg), seedReq(8, vs(1, 0, 16))...)) // register then use
 	// Register, then read a range whose file offsets would wrap int64.
 	f.Add(append(seedReq(7, reg), seedReq(8, vs(1, 1<<62, 1<<62+16))...))

@@ -55,13 +55,6 @@ const (
 	opEpochSeal      // epoch → incarnation, staged count, staged bytes (this connection)
 	opEpochCommit    // epoch, incarnation → — (journal commit + apply + sync)
 	opEpochAbort     // epoch → — (discard staged state)
-
-	// opMetrics fetches the server's obs.Registry snapshot (binary
-	// encoding, internal/obs) so the launcher and ranks can pull live
-	// metrics in-band without an HTTP round-trip.  Appended last: op
-	// values descend from TagServerFirst, so new ops must not shift the
-	// existing assignments.
-	opMetrics // — → obs snapshot bytes
 )
 
 // MaxListRuns bounds the (offset, length) entries of one opReadv /

@@ -52,11 +52,9 @@ type Config struct {
 	// metrics plane reflect crash-consistency activity across restarts.
 	Recovery RecoveryInfo
 	// Metrics, when non-nil, registers the server's request counters and
-	// per-op latency histograms; opMetrics serves its snapshot in-band.
+	// per-op latency histograms (served by the process's /metrics
+	// endpoint and the launcher's scrape, cmd/noncontig).
 	Metrics *obs.Registry
-	// Proc names this process in metrics snapshots (default
-	// "srv<Index>").
-	Proc string
 }
 
 // Server serves one stripe of a file to any number of client
@@ -121,9 +119,6 @@ func New(cfg Config) (*Server, error) {
 	if j == nil {
 		j = NewJournal(storage.NewMem())
 	}
-	if cfg.Proc == "" {
-		cfg.Proc = fmt.Sprintf("srv%d", cfg.Index)
-	}
 	s := &Server{
 		cfg:          cfg,
 		journal:      j,
@@ -180,7 +175,7 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 	for _, tag := range []int{opRead, opWrite, opReadv, opWritev, opSize, opTruncate, opSync,
 		opRegister, opViewRead, opViewWrite, opStats,
 		opStageWrite, opStageWritev, opStageViewWrite,
-		opEpochSeal, opEpochCommit, opEpochAbort, opMetrics} {
+		opEpochSeal, opEpochCommit, opEpochAbort} {
 		s.opNs[tag] = r.Hist("ioserver_op_ns", "Server-side request handling latency by op.",
 			obs.Label{Key: "op", Value: opName(tag)})
 	}
@@ -223,8 +218,6 @@ func opName(tag int) string {
 		return "epoch_commit"
 	case opEpochAbort:
 		return "epoch_abort"
-	case opMetrics:
-		return "metrics"
 	}
 	return "unknown"
 }
@@ -478,12 +471,6 @@ func (st *connState) dispatch(tag int, payload []byte) ([]byte, error) {
 		return st.opView(payload, true)
 	case opStats:
 		return st.srv.Stats().encode(st.resp[:0]), nil
-	case opMetrics:
-		// An empty registry still answers with a valid (empty) snapshot,
-		// so pullers need not know whether the server was instrumented.
-		snap := st.srv.cfg.Metrics.Snapshot(st.srv.cfg.Proc)
-		st.resp = append(st.resp[:0], snap.Encode()...)
-		return st.resp, nil
 	case opStageWrite:
 		return st.opStageWrite(payload)
 	case opStageWritev:

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/datatype"
-	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -108,36 +107,6 @@ func (s *Striped) ServerStats() (ServerStats, error) {
 		total.add(st)
 	}
 	return total, nil
-}
-
-// Metrics fetches every server's metrics snapshot in-band and merges
-// them into one.  Unreachable servers are skipped (a crashed server's
-// numbers live on in the launcher's last-good scrape, not here); an
-// error is reported only when no server answered.
-func (s *Striped) Metrics() (*obs.Snapshot, error) {
-	snaps := make([]*obs.Snapshot, len(s.pools))
-	var firstErr error
-	var mu sync.Mutex
-	s.fanOut(len(s.pools),
-		func(int) bool { return false },
-		func(i int) error {
-			snap, err := s.pools[i].primary().Metrics()
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return nil // partial aggregation: keep the others
-			}
-			snaps[i] = snap
-			return nil
-		})
-	merged := obs.Merge(snaps...)
-	if merged.Procs == 0 && firstErr != nil {
-		return nil, firstErr
-	}
-	return merged, nil
 }
 
 // Close tears down every pooled connection.

@@ -606,8 +606,7 @@ func (p *Proc) SendNoCopy(dst, tag int, data []byte) {
 // Matching messages from the same source with the same tag are received
 // in the order they were sent.
 func (p *Proc) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
-	t0 := time.Now()
-	sp := p.tr.Begin(trace.PhaseMPIRecv, trace.NoWindow, 0)
+	sp := p.tr.Time(trace.PhaseMPIRecv, trace.NoWindow, 0)
 	if p.w.watch {
 		p.w.blocked[p.widx].Store(blockState(blockRecv, src, tag))
 	}
@@ -619,8 +618,7 @@ func (p *Proc) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
 		p.w.blocked[p.widx].Store(blockNone)
 		p.w.progress.Add(1)
 	}
-	sp.EndBytes(int64(len(m.Data)))
-	ns := time.Since(t0).Nanoseconds()
+	ns := sp.EndBytes(int64(len(m.Data)))
 	p.recvWaitNs += ns
 	p.w.recvWait.Add(ns)
 	p.recvMsgs++

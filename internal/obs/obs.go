@@ -79,19 +79,19 @@ type Gauge struct {
 	help   string
 	labels []Label
 	v      atomic.Int64
-	fn     func() int64
+	fn     atomic.Pointer[func() int64] // re-registration replaces it under a live scrape
 }
 
 // Set replaces the value (no-op for GaugeFunc gauges and on nil).
 func (g *Gauge) Set(v int64) {
-	if g != nil && g.fn == nil {
+	if g != nil && g.fn.Load() == nil {
 		g.v.Store(v)
 	}
 }
 
 // Add adjusts the value by n (no-op for GaugeFunc gauges and on nil).
 func (g *Gauge) Add(n int64) {
-	if g != nil && g.fn == nil {
+	if g != nil && g.fn.Load() == nil {
 		g.v.Add(n)
 	}
 }
@@ -101,8 +101,8 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	if g.fn != nil {
-		return g.fn()
+	if fn := g.fn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return g.v.Load()
 }
@@ -150,9 +150,11 @@ type Registry struct {
 	hists    map[string]*Hist
 }
 
+// entry is one registered metric: exactly one handle is set.
 type entry struct {
-	kind Kind
-	key  string
+	c *Counter
+	g *Gauge
+	h *Hist
 }
 
 // NewRegistry returns an empty registry.
@@ -200,7 +202,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	}
 	c := &Counter{name: name, help: help, labels: labels}
 	r.counters[key] = c
-	r.order = append(r.order, entry{KindCounter, key})
+	r.order = append(r.order, entry{c: c})
 	return c
 }
 
@@ -218,7 +220,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	}
 	g := &Gauge{name: name, help: help, labels: labels}
 	r.gauges[key] = g
-	r.order = append(r.order, entry{KindGauge, key})
+	r.order = append(r.order, entry{g: g})
 	return g
 }
 
@@ -229,7 +231,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label) *Gauge {
 	g := r.Gauge(name, help, labels...)
 	if g != nil {
-		g.fn = fn
+		g.fn.Store(&fn)
 	}
 	return g
 }
@@ -248,7 +250,7 @@ func (r *Registry) Hist(name, help string, labels ...Label) *Hist {
 	}
 	h := &Hist{name: name, help: help, labels: labels}
 	r.hists[key] = h
-	r.order = append(r.order, entry{KindHist, key})
+	r.order = append(r.order, entry{h: h})
 	return h
 }
 
@@ -260,19 +262,15 @@ func (r *Registry) each(fn func(m Metric)) {
 	}
 	r.mu.Lock()
 	order := append([]entry(nil), r.order...)
-	counters, gauges, hists := r.counters, r.gauges, r.hists
 	r.mu.Unlock()
 	for _, e := range order {
-		switch e.kind {
-		case KindCounter:
-			c := counters[e.key]
-			fn(Metric{Kind: KindCounter, Name: c.name, Help: c.help, Labels: c.labels, Value: c.Value()})
-		case KindGauge:
-			g := gauges[e.key]
-			fn(Metric{Kind: KindGauge, Name: g.name, Help: g.help, Labels: g.labels, Value: g.Value()})
-		case KindHist:
-			h := hists[e.key]
-			fn(Metric{Kind: KindHist, Name: h.name, Help: h.help, Labels: h.labels, Hist: h.h.Data()})
+		switch {
+		case e.c != nil:
+			fn(Metric{Kind: KindCounter, Name: e.c.name, Help: e.c.help, Labels: e.c.labels, Value: e.c.Value()})
+		case e.g != nil:
+			fn(Metric{Kind: KindGauge, Name: e.g.name, Help: e.g.help, Labels: e.g.labels, Value: e.g.Value()})
+		default:
+			fn(Metric{Kind: KindHist, Name: e.h.name, Help: e.h.help, Labels: e.h.labels, Hist: e.h.h.Data()})
 		}
 	}
 }

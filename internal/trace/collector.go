@@ -13,7 +13,7 @@ const DefaultBufSize = 4096
 
 // Collector is the world-level trace state: it hands out per-rank
 // Tracers sharing one epoch clock, and after a run merges their rings
-// and histograms into a Chrome trace export, a per-rank imbalance
+// and per-phase aggregates into a Chrome trace export, a per-rank imbalance
 // summary, and stall/fault forensics.  All methods are safe on a nil
 // receiver, so a nil *Collector is the disabled state that flows
 // through configuration structs.
@@ -100,67 +100,51 @@ func (c *Collector) Dropped() int64 {
 	return n
 }
 
-// MergedMetrics folds every rank's histograms into one metric set.
-func (c *Collector) MergedMetrics() *Metrics {
-	if c == nil {
-		return nil
-	}
-	m := NewMetrics()
-	for _, r := range c.ranks() {
-		m.Merge(c.Tracer(r).Metrics())
-	}
-	return m
-}
-
-// Summary renders the per-phase breakdown: world totals and counts,
-// latency quantiles from the merged histograms, and the per-rank
-// imbalance — which rank spent the most time in the phase and what
-// share of the world total that is (1/nranks is perfect balance, 1.0
-// is one rank doing all the work).
+// Summary renders the per-phase breakdown: world totals and counts and
+// latency quantiles from the ranks' merged per-phase aggregates (which
+// never drop, unlike the rings), and the per-rank imbalance — which rank
+// spent the most time in the phase and what share of the world total
+// that is (1/nranks is perfect balance, 1.0 is one rank doing all the
+// work).
 func (c *Collector) Summary() string {
 	if c == nil {
 		return ""
 	}
-	type rankTotals struct {
-		rank   int
-		totals map[Phase]int64
-		counts map[Phase]int64
+	type phaseAgg struct {
+		ph      Phase
+		world   HistData
+		maxNs   int64
+		maxRank int
 	}
-	var rts []rankTotals
+	byPhase := make(map[Phase]*phaseAgg)
 	var nRanks int
 	for _, r := range c.ranks() {
 		if r == RankStorage {
 			continue
 		}
 		nRanks++
-		totals, counts := c.Tracer(r).phaseTotals()
-		rts = append(rts, rankTotals{rank: r, totals: totals, counts: counts})
-	}
-	merged := c.MergedMetrics()
-
-	// World totals per phase, from the per-rank totals (ring-proof:
-	// totals accumulate even after the ring wraps).
-	worldNs := make(map[Phase]int64)
-	worldCount := make(map[Phase]int64)
-	maxNs := make(map[Phase]int64)
-	maxRank := make(map[Phase]int)
-	for _, rt := range rts {
-		for ph, ns := range rt.totals {
-			worldNs[ph] += ns
-			if ns > maxNs[ph] {
-				maxNs[ph] = ns
-				maxRank[ph] = rt.rank
+		for ph, d := range c.Tracer(r).Phases() {
+			a := byPhase[ph]
+			if a == nil {
+				a = &phaseAgg{ph: ph}
+				byPhase[ph] = a
+			}
+			a.world.Merge(d)
+			if d.Sum > a.maxNs {
+				a.maxNs, a.maxRank = d.Sum, r
 			}
 		}
-		for ph, n := range rt.counts {
-			worldCount[ph] += n
+	}
+	aggs := make([]*phaseAgg, 0, len(byPhase))
+	for _, a := range byPhase {
+		aggs = append(aggs, a)
+	}
+	sort.Slice(aggs, func(i, j int) bool {
+		if aggs[i].world.Sum != aggs[j].world.Sum {
+			return aggs[i].world.Sum > aggs[j].world.Sum
 		}
-	}
-	phases := make([]Phase, 0, len(worldNs))
-	for ph := range worldNs {
-		phases = append(phases, ph)
-	}
-	sort.Slice(phases, func(i, j int) bool { return worldNs[phases[i]] > worldNs[phases[j]] })
+		return aggs[i].ph < aggs[j].ph
+	})
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace summary: %d ranks, %d events buffered (%d dropped)\n",
@@ -168,18 +152,15 @@ func (c *Collector) Summary() string {
 	fmt.Fprintf(&b, "  %-22s %10s %8s %9s %9s %9s   %s\n",
 		"phase", "total", "count", "mean", "p50", "p99", "slowest rank (share)")
 	us := func(ns int64) string { return time.Duration(ns).Round(time.Microsecond).String() }
-	for _, ph := range phases {
-		var mean, p50, p99 int64
-		if h := merged.Hist(ph); h != nil {
-			mean, p50, p99 = h.Mean(), h.Quantile(0.5), h.Quantile(0.99)
-		}
+	for _, a := range aggs {
+		w := a.world
 		share := 0.0
-		if worldNs[ph] > 0 {
-			share = float64(maxNs[ph]) / float64(worldNs[ph])
+		if w.Sum > 0 {
+			share = float64(a.maxNs) / float64(w.Sum)
 		}
 		fmt.Fprintf(&b, "  %-22s %10s %8d %9s %9s %9s   rank %d (%2.0f%%)\n",
-			ph, us(worldNs[ph]), worldCount[ph], us(mean), us(p50), us(p99),
-			maxRank[ph], share*100)
+			a.ph, us(w.Sum), w.Count, us(w.Mean()), us(w.Quantile(0.5)), us(w.Quantile(0.99)),
+			a.maxRank, share*100)
 	}
 	return b.String()
 }

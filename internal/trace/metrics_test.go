@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"strings"
+	"sync"
 	"testing"
 )
 
@@ -19,8 +19,8 @@ func TestHistogramBuckets(t *testing.T) {
 		}
 	}
 	// Bucket upper bounds: bucket i covers [2^(i-1), 2^i).
-	if bucketHi(0) != 0 || bucketHi(1) != 1 || bucketHi(3) != 7 || bucketHi(11) != 2047 {
-		t.Errorf("bucketHi = %d %d %d %d", bucketHi(0), bucketHi(1), bucketHi(3), bucketHi(11))
+	if BucketHi(0) != 0 || BucketHi(1) != 1 || BucketHi(3) != 7 || BucketHi(11) != 2047 {
+		t.Errorf("BucketHi = %d %d %d %d", BucketHi(0), BucketHi(1), BucketHi(3), BucketHi(11))
 	}
 }
 
@@ -32,13 +32,13 @@ func max64(a, b int64) int64 {
 }
 
 func TestHistogramStats(t *testing.T) {
-	var h Histogram
+	var h HistData
 	for _, v := range []int64{100, 200, 300, 400, 1000} {
 		h.Add(v)
 	}
-	if h.Count() != 5 || h.Sum() != 2000 || h.Min() != 100 || h.Max() != 1000 || h.Mean() != 400 {
+	if h.Count != 5 || h.Sum != 2000 || h.Min != 100 || h.Max != 1000 || h.Mean() != 400 {
 		t.Fatalf("count=%d sum=%d min=%d max=%d mean=%d",
-			h.Count(), h.Sum(), h.Min(), h.Max(), h.Mean())
+			h.Count, h.Sum, h.Min, h.Max, h.Mean())
 	}
 	// Quantiles are bucket upper bounds clamped to the observed max.
 	if q := h.Quantile(0.5); q < 100 || q > 511 {
@@ -53,8 +53,8 @@ func TestHistogramStats(t *testing.T) {
 }
 
 func TestHistogramQuantileEmpty(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.9) != 0 || h.Count() != 0 || h.Mean() != 0 {
+	var h HistData
+	if h.Quantile(0.9) != 0 || h.Count != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 }
@@ -62,7 +62,7 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 // TestHistogramMerge: merging two histograms must equal observing the
 // union of their samples.
 func TestHistogramMerge(t *testing.T) {
-	var a, b, want Histogram
+	var a, b, want HistData
 	as := []int64{1, 5, 9, 1 << 20}
 	bs := []int64{0, 2, 700, 1 << 30}
 	for _, v := range as {
@@ -73,64 +73,37 @@ func TestHistogramMerge(t *testing.T) {
 		b.Add(v)
 		want.Add(v)
 	}
-	a.Merge(&b)
-	if a.Count() != want.Count() || a.Sum() != want.Sum() ||
-		a.Min() != want.Min() || a.Max() != want.Max() {
-		t.Fatalf("merged: count=%d sum=%d min=%d max=%d; want count=%d sum=%d min=%d max=%d",
-			a.Count(), a.Sum(), a.Min(), a.Max(),
-			want.Count(), want.Sum(), want.Min(), want.Max())
+	a.Merge(b)
+	if a != want {
+		t.Fatalf("merged = %+v, want %+v", a, want)
 	}
-	if a.counts != want.counts {
-		t.Fatalf("merged buckets = %v, want %v", a.counts, want.counts)
-	}
-	// Merging an empty or nil histogram is a no-op.
-	before := a.counts
-	a.Merge(&Histogram{})
-	a.Merge(nil)
-	if a.counts != before {
-		t.Fatal("merging empty histogram changed buckets")
+	// Merging an empty histogram is a no-op.
+	a.Merge(HistData{})
+	if a != want {
+		t.Fatal("merging empty histogram changed the data")
 	}
 }
 
-func TestMetricsObserveAndMerge(t *testing.T) {
-	m1, m2 := NewMetrics(), NewMetrics()
-	m1.Observe(PhaseExchange, 100)
-	m1.Observe(PhaseExchange, 200)
-	m1.Observe(PhaseCopy, 50)
-	m2.Observe(PhaseExchange, 300)
-	m2.Observe(PhasePreRead, 75)
-
-	m1.Merge(m2)
-	if got := m1.Hist(PhaseExchange).Count(); got != 3 {
-		t.Errorf("exchange count = %d, want 3", got)
-	}
-	if got := m1.Hist(PhasePreRead).Sum(); got != 75 {
-		t.Errorf("pre-read sum = %d, want 75", got)
-	}
-	phases := m1.Phases()
-	if len(phases) != 3 {
-		t.Fatalf("phases = %v, want 3", phases)
-	}
-	for i := 1; i < len(phases); i++ {
-		if phases[i-1] >= phases[i] {
-			t.Fatalf("phases not sorted: %v", phases)
+// TestHistogramConcurrentAdd: Histogram is HistData behind a mutex —
+// concurrent observers lose nothing (run under -race).
+func TestHistogramConcurrentAdd(t *testing.T) {
+	var h Histogram
+	var want HistData
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		for i := int64(0); i < 100; i++ {
+			want.Add(i << g)
 		}
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := int64(0); i < 100; i++ {
+				h.Add(i << g)
+			}
+		}(g)
 	}
-	if m1.Hist(PhaseFault) != nil {
-		t.Error("unobserved phase has a histogram")
-	}
-	s := m1.String()
-	for _, ph := range phases {
-		if !strings.Contains(s, string(ph)) {
-			t.Errorf("String() missing %s:\n%s", ph, s)
-		}
-	}
-
-	// nil metrics are inert.
-	var nm *Metrics
-	nm.Observe(PhaseCopy, 1)
-	nm.Merge(m1)
-	if nm.Hist(PhaseCopy) != nil || nm.Phases() != nil {
-		t.Error("nil metrics has state")
+	wg.Wait()
+	if got := h.Data(); got != want {
+		t.Fatalf("concurrent adds = %+v, want %+v", got, want)
 	}
 }

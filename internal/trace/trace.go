@@ -14,12 +14,17 @@
 // its blocking waits, and internal/storage marks backend operations,
 // injected faults, and retries.
 //
-// Cost model: a disabled tracer is a nil pointer, so every
-// instrumentation site costs one nil check and nothing else.  An
-// enabled span costs two monotonic clock reads, one short mutex
-// critical section, and one ring-slot store — no allocation.  Memory is
-// bounded by the ring (BufSize events per rank); when the ring wraps,
-// the oldest events are dropped and counted.
+// Cost model: a disabled tracer is a nil pointer, so a Begin site costs
+// one nil check and nothing else.  A site whose duration the caller
+// accounts itself (core's Stats phase times, mpi's RecvWaitNs) opens its
+// span with Time instead: that span reads the clock once at each end
+// whether or not a tracer is attached, and End hands the duration back,
+// so the site never reads a second clock of its own.  An enabled span
+// costs those two monotonic clock reads, one mutex critical section at
+// each end — End's also folds the duration into the phase's HistData —
+// and one ring-slot store; no allocation.  Memory is bounded by the ring
+// (BufSize events per rank); when the ring wraps, the oldest events are
+// dropped and counted, and the per-phase aggregates keep the whole run.
 package trace
 
 import (
@@ -51,11 +56,14 @@ const (
 	PhaseExchange     Phase = "coll.exchange"      // one AP↔IOP data chunk send/recv
 	PhaseCopy         Phase = "coll.copy"          // pack/unpack and window merge copies
 
-	// Storage sub-phases of the window loops and data sieving.
-	PhasePreRead    Phase = "storage.pre-read"   // collective window pre-read
-	PhaseWriteBack  Phase = "storage.write-back" // collective window write-back
-	PhaseSieveRead  Phase = "sieve.read"         // independent sieving window read
-	PhaseSieveWrite Phase = "sieve.write"        // independent sieving window RMW
+	// Storage sub-phases of the window loops and data sieving.  The
+	// backend calls of a window — collective (background-I/O track) or
+	// independent sieving (main track, inside its sieve span) — are the
+	// first two; StorageNs is their sum.
+	PhasePreRead    Phase = "storage.pre-read"   // window read or pre-read
+	PhaseWriteBack  Phase = "storage.write-back" // window write-back
+	PhaseSieveRead  Phase = "sieve.read"         // independent sieving window: read + copy out
+	PhaseSieveWrite Phase = "sieve.write"        // independent sieving window: locked read-modify-write
 
 	// Blocking MPI waits.
 	PhaseMPIRecv    Phase = "mpi.recv"
@@ -203,27 +211,23 @@ func (e Event) String() string {
 // pipelined window loop records background I/O spans from its prep and
 // write-back goroutines.
 type Tracer struct {
-	rank    int
-	clock   func() int64
-	metrics *Metrics
+	rank  int
+	clock func() int64
 
 	mu     sync.Mutex
 	buf    []Event
 	n      uint64 // events ever recorded
 	cur    Event  // last span begun (possibly unfinished)
 	curSet bool
-	totals map[Phase]int64 // per-phase span ns (for imbalance)
-	counts map[Phase]int64 // per-phase span/instant counts
+	phases map[Phase]*HistData // every span duration ever ended, by phase
 }
 
 func newTracer(rank, bufSize int, clock func() int64) *Tracer {
 	return &Tracer{
-		rank:    rank,
-		clock:   clock,
-		metrics: NewMetrics(),
-		buf:     make([]Event, bufSize),
-		totals:  make(map[Phase]int64),
-		counts:  make(map[Phase]int64),
+		rank:   rank,
+		clock:  clock,
+		buf:    make([]Event, bufSize),
+		phases: make(map[Phase]*HistData),
 	}
 }
 
@@ -239,8 +243,8 @@ func (t *Tracer) Rank() int {
 	return t.rank
 }
 
-// Span is one in-flight span.  The zero Span (from a disabled tracer)
-// is inert.
+// Span is one in-flight span.  The zero Span (Begin on a disabled
+// tracer) is inert and has read no clock.
 type Span struct {
 	t      *Tracer
 	phase  Phase
@@ -248,7 +252,13 @@ type Span struct {
 	window int64
 	bytes  int64
 	start  int64
+	timed  bool // started by Time/TimeIO on a disabled tracer: start is untracedNow
 }
+
+// untracedEpoch anchors the clock of timed spans that have no tracer.
+var untracedEpoch = time.Now()
+
+func untracedNow() int64 { return time.Since(untracedEpoch).Nanoseconds() }
 
 // Begin starts a span on the rank's main track.  window is the absolute
 // file offset the span covers (NoWindow when not applicable); bytes the
@@ -262,6 +272,25 @@ func (t *Tracer) Begin(ph Phase, window, bytes int64) Span {
 // goroutine's exchange.
 func (t *Tracer) BeginIO(ph Phase, window, bytes int64) Span {
 	return t.begin(TrackIO, ph, window, bytes)
+}
+
+// Time is Begin for a span whose duration the caller accounts: End
+// returns it, measured by the one clock read at each end, with or
+// without a tracer.
+func (t *Tracer) Time(ph Phase, window, bytes int64) Span {
+	return t.time(TrackMain, ph, window, bytes)
+}
+
+// TimeIO is Time on the background-I/O track.
+func (t *Tracer) TimeIO(ph Phase, window, bytes int64) Span {
+	return t.time(TrackIO, ph, window, bytes)
+}
+
+func (t *Tracer) time(track int, ph Phase, window, bytes int64) Span {
+	if t == nil {
+		return Span{timed: true, start: untracedNow()}
+	}
+	return t.begin(track, ph, window, bytes)
 }
 
 // BeginWire starts a span on the rank's wire track, for the transport's
@@ -283,28 +312,37 @@ func (t *Tracer) begin(track int, ph Phase, window, bytes int64) Span {
 	return Span{t: t, phase: ph, track: track, window: window, bytes: bytes, start: start}
 }
 
-// End completes the span, recording it into the ring and observing its
-// duration in the phase histogram.
-func (s Span) End() { s.EndBytes(s.bytes) }
+// End completes the span, recording it into the ring and folding its
+// duration into the phase's aggregate.  It returns that duration in
+// nanoseconds — the Dur of the recorded event — or 0 for a span that
+// was never timed (Begin on a disabled tracer).
+func (s Span) End() int64 { return s.EndBytes(s.bytes) }
 
 // EndBytes is End with the payload volume learned during the span (a
 // Recv's message size).
-func (s Span) EndBytes(bytes int64) {
+func (s Span) EndBytes(bytes int64) int64 {
 	t := s.t
 	if t == nil {
-		return
+		if s.timed {
+			return untracedNow() - s.start
+		}
+		return 0
 	}
 	dur := t.clock() - s.start
 	t.mu.Lock()
 	t.record(Event{Rank: t.rank, Track: s.track, Kind: KindSpan, Phase: s.phase,
 		Window: s.window, Bytes: bytes, Start: s.start, Dur: dur})
-	t.totals[s.phase] += dur
-	t.counts[s.phase]++
+	h := t.phases[s.phase]
+	if h == nil {
+		h = new(HistData)
+		t.phases[s.phase] = h
+	}
+	h.Add(dur)
 	if t.curSet && t.cur.Start == s.start && t.cur.Phase == s.phase && t.cur.Track == s.track {
 		t.cur.Dur = dur // the in-flight marker is now finished
 	}
 	t.mu.Unlock()
-	t.metrics.Observe(s.phase, dur)
+	return dur
 }
 
 // Instant records a point event (a posted message, an injected fault, a
@@ -317,7 +355,6 @@ func (t *Tracer) Instant(ph Phase, window, bytes int64, detail string) {
 	t.mu.Lock()
 	t.record(Event{Rank: t.rank, Track: TrackMain, Kind: KindInstant, Phase: ph,
 		Window: window, Bytes: bytes, Start: ts, Detail: detail})
-	t.counts[ph]++
 	t.mu.Unlock()
 }
 
@@ -381,25 +418,18 @@ func (t *Tracer) Dropped() int64 {
 	return int64(t.n - uint64(len(t.buf)))
 }
 
-// Metrics returns the tracer's phase histograms.
-func (t *Tracer) Metrics() *Metrics {
+// Phases returns the per-phase aggregate of every span this rank ended:
+// count, total and latency distribution.  Unlike the ring it never
+// drops, so it describes the whole run.
+func (t *Tracer) Phases() map[Phase]HistData {
 	if t == nil {
 		return nil
 	}
-	return t.metrics
-}
-
-// phaseTotals copies the per-phase span-duration and count maps.
-func (t *Tracer) phaseTotals() (totals, counts map[Phase]int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	totals = make(map[Phase]int64, len(t.totals))
-	for ph, ns := range t.totals {
-		totals[ph] = ns
+	out := make(map[Phase]HistData, len(t.phases))
+	for ph, h := range t.phases {
+		out[ph] = *h
 	}
-	counts = make(map[Phase]int64, len(t.counts))
-	for ph, c := range t.counts {
-		counts[ph] = c
-	}
-	return totals, counts
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // fakeClock returns a deterministic clock advancing step ns per call.
@@ -34,7 +35,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	if _, ok := tr.Current(); ok {
 		t.Fatal("nil tracer has a current span")
 	}
-	if tr.Dropped() != 0 || tr.Metrics() != nil {
+	if tr.Dropped() != 0 || tr.Phases() != nil {
 		t.Fatal("nil tracer has state")
 	}
 
@@ -110,10 +111,45 @@ func TestRingWrapDropsOldest(t *testing.T) {
 	if len(last2) != 2 || last2[0].Window != 8 || last2[1].Window != 9 {
 		t.Fatalf("Recent(2) = %+v", last2)
 	}
-	// Totals survive the wrap.
-	totals, counts := tr.phaseTotals()
-	if counts[PhaseCopy] != 10 || totals[PhaseCopy] != 10 {
-		t.Fatalf("totals = %v counts = %v", totals, counts)
+	// The per-phase aggregate survives the wrap.
+	if agg := tr.Phases()[PhaseCopy]; agg.Count != 10 || agg.Sum != 10 || agg.Max != 1 {
+		t.Fatalf("aggregate = %+v", agg)
+	}
+}
+
+// TestTimedSpan: a timed span returns exactly the duration its ring
+// event records; with no tracer it still measures, and only an untimed
+// span on a nil tracer is free of clock reads.
+func TestTimedSpan(t *testing.T) {
+	c := testCollector(8, 7)
+	tr := c.Tracer(0)
+	durs := []int64{
+		tr.Time(PhaseCopy, 0, 1).End(),
+		tr.TimeIO(PhasePreRead, 0, 1).EndBytes(9),
+		tr.Begin(PhaseExchange, 0, 1).End(),
+	}
+	evs := tr.Events()
+	if len(evs) != len(durs) {
+		t.Fatalf("recorded %d events, want %d", len(evs), len(durs))
+	}
+	for i, ev := range evs {
+		if durs[i] != ev.Dur || ev.Dur != 7 {
+			t.Errorf("span %d (%s) returned %d, ring recorded %d, clock step 7", i, ev.Phase, durs[i], ev.Dur)
+		}
+	}
+	if evs[1].Track != TrackIO || evs[1].Bytes != 9 {
+		t.Errorf("TimeIO span = %+v", evs[1])
+	}
+
+	var off *Tracer
+	if sp := off.Begin(PhaseCopy, 0, 1); sp != (Span{}) || sp.End() != 0 {
+		t.Errorf("untimed span on a nil tracer = %+v, want the zero Span", sp)
+	}
+	for _, sp := range []Span{off.Time(PhaseCopy, 0, 1), off.TimeIO(PhasePreRead, 0, 1)} {
+		time.Sleep(time.Millisecond)
+		if d := sp.End(); d < int64(time.Millisecond) {
+			t.Errorf("timed span on a nil tracer measured %dns across a 1ms sleep", d)
+		}
 	}
 }
 
@@ -136,30 +172,48 @@ func TestCurrentTracksInFlightSpan(t *testing.T) {
 }
 
 // TestConcurrentRecording exercises the tracer from several goroutines
-// (the pipelined window loop records background I/O spans concurrently
-// with main-goroutine exchange spans); run under -race.
+// on all three tracks (the pipelined window loop records background I/O
+// spans, and the transport wire spans, concurrently with main-goroutine
+// exchange spans); run under -race.  Spans are counted from the
+// per-phase aggregates, which a wrapped ring does not lose; instants
+// have no aggregate and are counted from the ring, sized to hold them.
 func TestConcurrentRecording(t *testing.T) {
-	c := NewCollector(64)
+	c := NewCollector(2048)
 	tr := c.Tracer(0)
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if g%2 == 0 {
-					tr.BeginIO(PhasePreRead, int64(i), 1).End()
-				} else {
+				switch g % 3 {
+				case 0:
+					tr.TimeIO(PhasePreRead, int64(i), 1).End()
+				case 1:
 					tr.Begin(PhaseExchange, int64(i), 1).End()
 					tr.Instant(PhaseMPISend, NoWindow, 1, "")
+				case 2:
+					tr.BeginWire(PhaseWireSend, 1).End()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	_, counts := tr.phaseTotals()
-	if counts[PhasePreRead] != 400 || counts[PhaseExchange] != 400 || counts[PhaseMPISend] != 400 {
-		t.Fatalf("counts = %v", counts)
+	agg := tr.Phases()
+	if agg[PhasePreRead].Count != 400 || agg[PhaseExchange].Count != 400 || agg[PhaseWireSend].Count != 400 {
+		t.Fatalf("aggregates = %+v", agg)
+	}
+	if _, ok := agg[PhaseMPISend]; ok {
+		t.Error("an instant phase has a span aggregate")
+	}
+	var sends int
+	for _, ev := range tr.Events() {
+		if ev.Kind == KindInstant && ev.Phase == PhaseMPISend {
+			sends++
+		}
+	}
+	if sends != 400 {
+		t.Fatalf("ring holds %d send instants, want 400", sends)
 	}
 }
 
@@ -203,5 +257,46 @@ func TestSummaryImbalance(t *testing.T) {
 	}
 	if !strings.Contains(got, "2 ranks") {
 		t.Errorf("summary missing rank count:\n%s", got)
+	}
+}
+
+// TestSummaryGolden pins the -trace-summary table byte for byte: the
+// string below was captured from the implementation that kept separate
+// totals, counts and histograms per phase (PR 21), over a fixture with a
+// wrapped ring, background-track spans, an instant, and a storage-track
+// span (which the table leaves out).
+func TestSummaryGolden(t *testing.T) {
+	c := testCollector(8, 0)
+	var now int64
+	c.clock = func() int64 { return now }
+	span := func(rank int, ph Phase, io bool, dur int64) {
+		begin := c.Tracer(rank).Begin
+		if io {
+			begin = c.Tracer(rank).BeginIO
+		}
+		sp := begin(ph, NoWindow, 0)
+		now += dur
+		sp.End()
+	}
+	for i := 0; i < 12; i++ { // rank 0 wraps its 8-slot ring
+		span(0, PhaseExchange, false, int64(1000*(i+1)))
+	}
+	span(1, PhaseExchange, false, 26_000)
+	span(0, PhaseCopy, false, 500)
+	span(1, PhaseCopy, false, 1500)
+	span(2, PhaseCopy, false, 3_000_000)
+	span(1, PhasePreRead, true, 40_000)
+	span(2, PhaseWriteBack, true, 7)
+	c.Tracer(2).Instant(PhaseMPISend, NoWindow, 16, "")
+	span(RankStorage, PhaseStorageWrite, false, 123_456)
+
+	const want = "trace summary: 3 ranks, 15 events buffered (5 dropped)\n" +
+		"  phase                       total    count      mean       p50       p99   slowest rank (share)\n" +
+		"  coll.copy                 3.002ms        3   1.001ms       1µs       2µs   rank 2 (100%)\n" +
+		"  coll.exchange               104µs       13       8µs       8µs      16µs   rank 0 (75%)\n" +
+		"  storage.pre-read             40µs        1      40µs      40µs      40µs   rank 1 (100%)\n" +
+		"  storage.write-back             0s        1        0s        0s        0s   rank 2 (100%)\n"
+	if got := c.Summary(); got != want {
+		t.Errorf("summary changed:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
