@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/datatype"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -70,7 +71,7 @@ func (r *crashRig) do(op int, payload []byte) []byte {
 	r.t.Helper()
 	resp, err := r.st.dispatch(op, payload)
 	if err != nil {
-		r.t.Fatalf("op %s: %v", opName(op), err)
+		r.t.Fatalf("op %s: %v", opFor(op).name, err)
 	}
 	return bytes.Clone(resp)
 }
@@ -162,7 +163,7 @@ func TestCommitIsOneJournalSync(t *testing.T) {
 	if n := r.srv.journal.Fsyncs() - fsyncs; n != 3 {
 		t.Errorf("three commits synced the journal %d times, want 3", n)
 	}
-	if n := r.srv.stats.checkpoints.Load(); n != 0 {
+	if n := r.srv.checkpoints.Load(); n != 0 {
 		t.Errorf("%d checkpoints below the live-bytes bound, want 0", n)
 	}
 	if info := r.crashed(want); info.AppliedEpochs != 3 || info.LastCommitted != 9 {
@@ -210,29 +211,45 @@ func TestEmptyEpochCommit(t *testing.T) {
 // TestDirectMutationCheckpoints: a direct mutation that finds committed
 // epochs in the journal checkpoints first, so that a replay cannot land
 // them over it; followed by an acknowledged sync, it survives any crash.
+// And the mutation's staged twin — the same request behind an epoch
+// prefix, through the same handler — leaves, once committed, the stripe
+// the direct request leaves, byte for byte.
 func TestDirectMutationCheckpoints(t *testing.T) {
+	viewWrite := func(nav bool, ft func(*testing.T) *datatype.Type) func(*crashRig) []byte {
+		return func(r *crashRig) []byte {
+			v := r.st.register(r.t, 0, ft(r.t))
+			if (v.prog != nil) != nav {
+				r.t.Fatalf("view navigable: %v, want %v", v.prog != nil, nav)
+			}
+			return append(putViewHead(nil, v.handle, 0, 4), "YYZZ"...)
+		}
+	}
 	for _, tc := range []struct {
-		name   string
-		mutate func(r *crashRig)
-		want   string
+		name string
+		op   int
+		body func(r *crashRig) []byte
+		want string
 	}{
-		{"write", func(r *crashRig) { r.write(2, "YYYY") }, "AAYYYYAA"},
-		{"writev", func(r *crashRig) { r.do(opWritev, append(vs(2, 0, 2, 6, 2), "YYZZ"...)) }, "YYAAAAZZ"},
-		{"view write", func(r *crashRig) {
-			v := r.st.register(t, 0, viewType(t, 2, 4, 2))
-			if _, err := r.st.viewOp(opViewWrite, v, 0, 4, []byte("YYZZ")); err != nil {
+		{"write", opWrite, func(*crashRig) []byte { return append(vs(2), "YYYY"...) }, "AAYYYYAA"},
+		{"writev", opWritev, func(*crashRig) []byte { return append(vs(2, 0, 2, 6, 2), "YYZZ"...) }, "YYAAAAZZ"},
+		{"view write", opViewWrite, viewWrite(true, func(t *testing.T) *datatype.Type { return viewType(t, 2, 4, 2) }), "YYAAZZAA"},
+		{"view write, view not navigable", opViewWrite, viewWrite(false, func(t *testing.T) *datatype.Type {
+			ft, err := datatype.Hindexed([]int64{2, 2}, []int64{4, 0}, datatype.Byte) // data order runs against file order
+			if err != nil {
 				t.Fatal(err)
 			}
-		}, "YYAAZZAA"},
-		{"truncate", func(r *crashRig) { r.do(opTruncate, vs(4)) }, "AAAA"},
+			return ft
+		}), "ZZAAYYAA"},
+		{"truncate", opTruncate, func(*crashRig) []byte { return vs(4) }, "AAAA"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newCrashRig(t, nil)
 			r.stage(7, 0, "AAAAAAAA")
 			r.commit(7)
 			r.log = nil
-			tc.mutate(r)
-			if n := r.srv.stats.checkpoints.Load(); n != 1 {
+			body := tc.body(r)
+			r.do(tc.op, body)
+			if n := r.srv.checkpoints.Load(); n != 1 {
 				t.Fatalf("%d checkpoints ahead of the mutation, want 1", n)
 			}
 			if got := r.read(8); got != tc.want {
@@ -240,12 +257,29 @@ func TestDirectMutationCheckpoints(t *testing.T) {
 			}
 			// A second mutation finds the journal empty and pays nothing.
 			r.log = nil
-			tc.mutate(r)
+			r.do(tc.op, body)
 			if len(r.log) != 0 {
 				t.Errorf("a mutation over an empty journal reached for %q", r.log)
 			}
 			r.do(opSync, nil)
 			r.crashed(tc.want)
+
+			staged := stagedOp(tc.op)
+			if staged == tc.op {
+				return // truncate has no twin
+			}
+			twin := newCrashRig(t, nil)
+			twin.stage(7, 0, "AAAAAAAA")
+			twin.commit(7)
+			twin.do(staged, append(putEpoch(nil, 8), tc.body(twin)...))
+			if got := twin.read(8); got != "AAAAAAAA" {
+				t.Fatalf("a client reads %q of the staged twin before its commit", got)
+			}
+			twin.commit(8)
+			if got, want := twin.stripe.Bytes(), r.stripe.Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("staged and committed the stripe holds %q, written directly %q", got, want)
+			}
+			twin.crashed(tc.want)
 		})
 	}
 }
@@ -275,7 +309,7 @@ func TestCheckpointOrder(t *testing.T) {
 			r.log = nil
 			tc.force(r)
 			r.before("stripe sync", "journal write@0")
-			if n := r.srv.stats.checkpoints.Load(); n != 1 {
+			if n := r.srv.checkpoints.Load(); n != 1 {
 				t.Errorf("%d checkpoints, want 1", n)
 			}
 			// The mid-checkpoint instants: the stripe as synced, under the

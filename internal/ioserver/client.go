@@ -1,6 +1,7 @@
 package ioserver
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -48,25 +49,33 @@ type Client struct {
 	// ops and are logged in stage; a reconnect replays the log before
 	// the next request, so a server that bounced mid-epoch (discarding
 	// its uncommitted staged state on recovery) is transparently
-	// re-staged.  The tally mirrors the server's per-connection count so
-	// SealEpoch can detect a bounce that the replay machinery missed.
-	epoch                  uint64
-	stage                  []stagedReq
-	tallyCount, tallyBytes int64
-	sealedInc              int64  // server incarnation observed at last seal
-	lastCommit             uint64 // most recently committed epoch id
-	fresh                  bool   // connection newly dialed: replay before next op
-	replaying              bool
+	// re-staged.  The log's length and bytes mirror the server's
+	// per-connection tally, so SealEpoch can detect a bounce that the
+	// replay machinery missed.
+	epoch      uint64
+	stage      []request
+	sealedInc  int64  // server incarnation observed at last seal
+	lastCommit uint64 // most recently committed epoch id
+	fresh      bool   // connection newly dialed: replay before next op
+	replaying  bool
 }
 
-// stagedReq is one acknowledged staged write, kept for replay.
-type stagedReq struct {
-	op      int    // opStageWrite / opStageWritev: payload replayed verbatim
-	payload []byte // includes the epoch prefix
-	v       *View  // opStageViewWrite: payload rebuilt per replay (fresh handle)
-	d0, d1  int64
-	data    []byte
+// request is one write or view request in its direct shape, as sendLocked
+// sends it and as the stage log keeps an acknowledged staged write for
+// replay.  What may differ from one send to the next — the epoch prefix,
+// and the view head with this connection's handle — is encoded per send
+// into the headRoom bytes buf leads with, flush against what follows, so
+// the bytes of a write are copied into their request once.
+type request struct {
+	op     int    // the direct op; inside an epoch its staged twin is sent
+	v      *View  // view ops: the view
+	d0, d1 int64  // view ops: the data range [d0, d1) of it
+	n      int    // writes: the data bytes buf ends with
+	buf    []byte // headRoom spare bytes, then the request behind the per-send head
 }
+
+// headRoom holds an epoch prefix and a view head.
+const headRoom = 4 * binary.MaxVarintLen64
 
 // ClientOptions tune a client; the zero value is ready to use.
 type ClientOptions struct {
@@ -212,7 +221,7 @@ func (c *Client) roundTripLocked(op int, payload []byte) ([]byte, error) {
 			c.addr, rseq, seq, tag, op, storage.ErrTransient)
 	}
 	if tag == opErr {
-		class, msg, err := decodeErr(resp)
+		class, msg, err := getErr(resp)
 		if err != nil {
 			c.dropLocked()
 			return nil, fmt.Errorf("ioserver %s: malformed error frame: %w", c.addr, storage.ErrTransient)
@@ -220,14 +229,6 @@ func (c *Client) roundTripLocked(op int, payload []byte) ([]byte, error) {
 		return nil, unwireError(c.addr, class, msg)
 	}
 	return resp, nil
-}
-
-func decodeErr(payload []byte) (class int64, msg string, err error) {
-	class, rest, err := getV(payload)
-	if err != nil {
-		return 0, "", err
-	}
-	return class, string(rest), nil
 }
 
 func (c *Client) roundTrip(op int, payload []byte) ([]byte, error) {
@@ -238,9 +239,7 @@ func (c *Client) roundTrip(op int, payload []byte) ([]byte, error) {
 
 // ReadAt implements io.ReaderAt against the server's stripe.
 func (c *Client) ReadAt(p []byte, off int64) (int, error) {
-	req := putV(nil, off)
-	req = putV(req, int64(len(p)))
-	resp, err := c.roundTrip(opRead, req)
+	resp, err := c.roundTrip(opRead, putExtent(nil, off, int64(len(p))))
 	if err != nil {
 		return 0, err
 	}
@@ -255,36 +254,66 @@ func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// WriteAt implements io.WriterAt against the server's stripe.  Inside
-// an epoch the write is staged (journaled server-side, invisible to
-// reads until commit) and logged for replay.
+// sendLocked is the one send path of writes and view requests.  Inside
+// an epoch a mutation goes out under its staged twin's code behind the
+// epoch prefix.  A view request leads with this connection's handle,
+// registered on demand: on a stale-handle response — the server evicted
+// it from the per-connection LRU — the handle is dropped and the request
+// reissued once with a fresh registration.
+func (c *Client) sendLocked(r *request) ([]byte, error) {
+	op := r.op
+	if c.epoch != 0 {
+		op = stagedOp(op)
+	}
+	var lastErr error
+	for attempt := 0; attempt < 2; attempt++ {
+		var room [headRoom]byte
+		head := room[:0]
+		if op != r.op {
+			head = putEpoch(head, c.epoch)
+		}
+		if r.v != nil {
+			h, err := c.handleLocked(r.v)
+			if err != nil {
+				return nil, err
+			}
+			head = putViewHead(head, h, r.d0, r.d1)
+		}
+		req := r.buf[headRoom-len(head):]
+		copy(req, head)
+		resp, err := c.roundTripLocked(op, req)
+		if err == nil || !errors.Is(err, errStale) {
+			return resp, err
+		}
+		delete(c.views, r.v)
+		lastErr = err
+	}
+	return nil, fmt.Errorf("ioserver %s: view handle stale after re-registration: %v: %w",
+		c.addr, lastErr, storage.ErrPermanent)
+}
+
+// mutateLocked sends one write.  Inside an epoch the write is staged
+// (journaled server-side, invisible to reads until commit) and, once
+// acknowledged, logged for replay.
+func (c *Client) mutateLocked(r request) error {
+	if _, err := c.sendLocked(&r); err != nil {
+		return err
+	}
+	if c.epoch != 0 {
+		c.stage = append(c.stage, r)
+	}
+	return nil
+}
+
+// WriteAt implements io.WriterAt against the server's stripe.
 func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.epoch != 0 {
-		req := putV(make([]byte, 0, len(p)+24), int64(c.epoch))
-		req = putV(req, off)
-		req = append(req, p...)
-		if _, err := c.roundTripLocked(opStageWrite, req); err != nil {
-			return 0, err
-		}
-		c.logStagedLocked(stagedReq{op: opStageWrite, payload: req}, int64(len(p)))
-		return len(p), nil
-	}
-	req := putV(make([]byte, 0, len(p)+16), off)
-	req = append(req, p...)
-	if _, err := c.roundTripLocked(opWrite, req); err != nil {
+	buf := putV(make([]byte, headRoom, headRoom+binary.MaxVarintLen64+len(p)), off)
+	if err := c.mutateLocked(request{op: opWrite, n: len(p), buf: append(buf, p...)}); err != nil {
 		return 0, err
 	}
 	return len(p), nil
-}
-
-// logStagedLocked records one acknowledged staged request for replay
-// and advances the tally mirrored by the server's per-connection count.
-func (c *Client) logStagedLocked(r stagedReq, bytes int64) {
-	c.stage = append(c.stage, r)
-	c.tallyCount++
-	c.tallyBytes += bytes
 }
 
 // ReadAtv implements storage.Vectored: the batch is shipped as offset
@@ -293,12 +322,7 @@ func (c *Client) logStagedLocked(r stagedReq, bytes int64) {
 func (c *Client) ReadAtv(segs []storage.Segment) error {
 	for len(segs) > 0 {
 		chunk := c.clipList(segs)
-		req := putV(nil, int64(len(chunk)))
-		for _, s := range chunk {
-			req = putV(req, s.Off)
-			req = putV(req, int64(len(s.Buf)))
-		}
-		resp, err := c.roundTrip(opReadv, req)
+		resp, err := c.roundTrip(opReadv, putList(nil, chunk))
 		if err != nil {
 			return err
 		}
@@ -315,33 +339,19 @@ func (c *Client) ReadAtv(segs []storage.Segment) error {
 	return nil
 }
 
-// WriteAtv implements storage.Vectored, chunked like ReadAtv; inside an
-// epoch each chunk is staged and logged for replay.
+// WriteAtv implements storage.Vectored, chunked like ReadAtv.
 func (c *Client) WriteAtv(segs []storage.Segment) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(segs) > 0 {
 		chunk := c.clipList(segs)
-		staged := c.epoch != 0
-		op := opWritev
-		req := make([]byte, 0, 24+16*len(chunk)+totalLen(chunk))
-		if staged {
-			op = opStageWritev
-			req = putV(req, int64(c.epoch))
-		}
-		req = putV(req, int64(len(chunk)))
+		n := totalLen(chunk)
+		buf := putList(make([]byte, headRoom, headRoom+16*(len(chunk)+1)+n), chunk)
 		for _, s := range chunk {
-			req = putV(req, s.Off)
-			req = putV(req, int64(len(s.Buf)))
+			buf = append(buf, s.Buf...)
 		}
-		for _, s := range chunk {
-			req = append(req, s.Buf...)
-		}
-		if _, err := c.roundTripLocked(op, req); err != nil {
+		if err := c.mutateLocked(request{op: opWritev, n: n, buf: buf}); err != nil {
 			return err
-		}
-		if staged {
-			c.logStagedLocked(stagedReq{op: op, payload: req}, int64(totalLen(chunk)))
 		}
 		segs = segs[len(chunk):]
 	}
@@ -442,97 +452,33 @@ func (c *Client) handleLocked(v *View) (uint64, error) {
 	return uint64(h), nil
 }
 
-// viewOpLocked runs one view-addressed round-trip, transparently
-// (re-)registering the view: on a stale-handle response — the server
-// evicted it from the per-connection LRU — the handle is dropped and
-// the operation reissued once with a fresh registration.  For the
-// staged op the request carries the epoch prefix.
-func (c *Client) viewOpLocked(op int, v *View, d0, d1 int64, data []byte) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		h, err := c.handleLocked(v)
-		if err != nil {
-			return nil, err
-		}
-		req := make([]byte, 0, 40+len(data))
-		if op == opStageViewWrite {
-			req = putV(req, int64(c.epoch))
-		}
-		req = putV(req, int64(h))
-		req = putV(req, d0)
-		req = putV(req, d1)
-		req = append(req, data...)
-		resp, err := c.roundTripLocked(op, req)
-		if err == nil {
-			return resp, nil
-		}
-		if !errors.Is(err, errStale) {
-			return nil, err
-		}
-		delete(c.views, v)
-		lastErr = err
-	}
-	return nil, fmt.Errorf("ioserver %s: view handle stale after re-registration: %v: %w",
-		c.addr, lastErr, storage.ErrPermanent)
-}
-
 // ViewReadRange fetches this server's bytes of data range [d0, d1) of
 // the view, packed in data order.
 func (c *Client) ViewReadRange(v *View, d0, d1 int64) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.viewOpLocked(opViewRead, v, d0, d1, nil)
+	return c.sendLocked(&request{op: opViewRead, v: v, d0: d0, d1: d1, buf: make([]byte, headRoom)})
 }
 
 // ViewWriteRange stores data as this server's bytes of data range
-// [d0, d1) of the view, packed in data order.  Inside an epoch the
-// write is staged; the replay log keeps the view reference (the handle
-// is re-registered on replay) and aliases data, whose buffer the
-// Striped caller allocates per call and does not reuse.
+// [d0, d1) of the view, packed in data order.
 func (c *Client) ViewWriteRange(v *View, d0, d1 int64, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.epoch != 0 {
-		if _, err := c.viewOpLocked(opStageViewWrite, v, d0, d1, data); err != nil {
-			return err
-		}
-		c.logStagedLocked(stagedReq{v: v, d0: d0, d1: d1, data: data}, int64(len(data)))
-		return nil
-	}
-	_, err := c.viewOpLocked(opViewWrite, v, d0, d1, data)
-	return err
+	buf := append(make([]byte, headRoom, headRoom+len(data)), data...)
+	return c.mutateLocked(request{op: opViewWrite, v: v, d0: d0, d1: d1, n: len(data), buf: buf})
 }
 
 // replayLocked re-stages the epoch's logged writes on a fresh
 // connection — the healing path after a server bounce (recovery threw
 // the uncommitted epoch away) or a dropped connection (the server kept
 // it; re-staging is idempotent: same offsets, same bytes, and the fresh
-// connection's tally restarts with the replay).
+// connection's tally restarts with the replay).  A view write finds its
+// handle on the new connection as any view request does.
 func (c *Client) replayLocked() error {
 	for i := range c.stage {
-		r := &c.stage[i]
-		if r.v == nil {
-			if _, err := c.roundTripLocked(r.op, r.payload); err != nil {
-				return err
-			}
-			continue
-		}
-		for attempt := 0; ; attempt++ {
-			h, err := c.handleLocked(r.v)
-			if err != nil {
-				return err
-			}
-			req := putV(make([]byte, 0, 40+len(r.data)), int64(c.epoch))
-			req = putV(req, int64(h))
-			req = putV(req, r.d0)
-			req = putV(req, r.d1)
-			req = append(req, r.data...)
-			if _, err = c.roundTripLocked(opStageViewWrite, req); err == nil {
-				break
-			} else if !errors.Is(err, errStale) || attempt > 0 {
-				return err
-			}
-			delete(c.views, r.v)
+		if _, err := c.sendLocked(&c.stage[i]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -545,13 +491,10 @@ func (c *Client) replayLocked() error {
 func (c *Client) BeginEpoch(id uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.epoch == id {
-		return
+	if c.epoch != id {
+		c.endEpochLocked()
+		c.epoch = id
 	}
-	c.epoch = id
-	c.stage = c.stage[:0]
-	c.tallyCount, c.tallyBytes = 0, 0
-	c.sealedInc = 0
 }
 
 // SealEpoch verifies that everything this client staged under id is
@@ -565,26 +508,22 @@ func (c *Client) BeginEpoch(id uint64) {
 func (c *Client) SealEpoch(id uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := c.roundTripLocked(opEpochSeal, putV(nil, int64(id)))
+	resp, err := c.roundTripLocked(opEpochSeal, putEpoch(nil, id))
 	if err != nil {
 		return err
 	}
-	inc, rest, err := getV(resp)
-	if err != nil {
+	var inc, count, bytes int64
+	if _, err := getVs(resp, &inc, &count, &bytes); err != nil {
 		return fmt.Errorf("ioserver %s: malformed seal response: %w", c.addr, storage.ErrPermanent)
 	}
-	count, rest, err := getV(rest)
-	if err != nil {
-		return fmt.Errorf("ioserver %s: malformed seal response: %w", c.addr, storage.ErrPermanent)
+	var logged int64
+	for i := range c.stage {
+		logged += int64(c.stage[i].n)
 	}
-	bytes, _, err := getV(rest)
-	if err != nil {
-		return fmt.Errorf("ioserver %s: malformed seal response: %w", c.addr, storage.ErrPermanent)
-	}
-	if count != c.tallyCount || bytes != c.tallyBytes {
+	if count != int64(len(c.stage)) || bytes != logged {
 		c.dropLocked()
 		return fmt.Errorf("ioserver %s: seal tally mismatch for epoch %d (server holds %d reqs/%dB, log says %d/%dB): %w",
-			c.addr, id, count, bytes, c.tallyCount, c.tallyBytes, storage.ErrTransient)
+			c.addr, id, count, bytes, len(c.stage), logged, storage.ErrTransient)
 	}
 	c.sealedInc = inc
 	return nil
@@ -608,9 +547,7 @@ func (c *Client) CommitEpoch(id uint64) error {
 		}
 		return fmt.Errorf("ioserver %s: commit of epoch %d without a seal: %w", c.addr, id, storage.ErrPermanent)
 	}
-	req := putV(nil, int64(id))
-	req = putV(req, c.sealedInc)
-	if _, err := c.roundTripLocked(opEpochCommit, req); err != nil {
+	if _, err := c.roundTripLocked(opEpochCommit, putV(putEpoch(nil, id), c.sealedInc)); err != nil {
 		return err
 	}
 	c.lastCommit = id
@@ -625,7 +562,7 @@ func (c *Client) AbortEpoch(id uint64) error {
 	defer c.mu.Unlock()
 	// Don't let the replay machinery re-stage the epoch we're discarding.
 	c.stage = c.stage[:0]
-	_, err := c.roundTripLocked(opEpochAbort, putV(nil, int64(id)))
+	_, err := c.roundTripLocked(opEpochAbort, putEpoch(nil, id))
 	c.endEpochLocked()
 	return err
 }
@@ -643,7 +580,6 @@ func (c *Client) EndEpoch(id uint64) {
 func (c *Client) endEpochLocked() {
 	c.epoch = 0
 	c.stage = nil
-	c.tallyCount, c.tallyBytes = 0, 0
 	c.sealedInc = 0
 }
 

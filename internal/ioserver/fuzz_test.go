@@ -2,7 +2,9 @@ package ioserver
 
 import (
 	"encoding/binary"
+	"math"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,26 +26,37 @@ import (
 const fuzzMaxFrame = 4096
 
 // fuzzOps is the tag alphabet the structured phase draws from: every
-// real op, both ends of the reserved range, and tags outside it.
-var fuzzOps = []int{
-	opRead, opWrite, opReadv, opWritev, opSize, opTruncate, opSync,
-	opRegister, opViewRead, opViewWrite, opStats, opErr,
-	transport.TagServerFirst, transport.TagServerLast, 0, 1, -1, -1000,
-}
+// row of the protocol table, both ends of the reserved range, and tags
+// outside it.
+var fuzzOps = func() []int {
+	var ops []int
+	for _, op := range opTable {
+		ops = append(ops, op.code)
+	}
+	return append(ops, transport.TagServerFirst, transport.TagServerLast, 0, 1, -1, -1000)
+}()
 
 var fuzzSrv struct {
 	once sync.Once
 	addr string
+	srv  *Server
 }
 
 // fuzzServer starts the shared fuzz target once per process: stripe 0
 // of a 2-way layout over a pre-seeded Mem, tiny frame limit, tiny view
-// cache (so eviction/stale paths are reachable with few requests).
+// cache (so eviction/stale paths are reachable with few requests).  The
+// stripe is a 1 MiB region of the Mem: a write the protocol has no
+// reason to refuse may still lie gigabytes out, and the fuzzer must not
+// find out whether this machine can allocate that.
 func fuzzServer(f *testing.F) string {
 	f.Helper()
 	fuzzSrv.once.Do(func() {
-		be := storage.NewMem()
-		if _, err := be.WriteAt(make([]byte, 1<<16), 0); err != nil {
+		mem := storage.NewMem()
+		if _, err := mem.WriteAt(make([]byte, 1<<16), 0); err != nil {
+			f.Fatal(err)
+		}
+		be, err := storage.NewRegion(mem, 0, 1<<20)
+		if err != nil {
 			f.Fatal(err)
 		}
 		srv, err := New(Config{
@@ -60,7 +73,7 @@ func fuzzServer(f *testing.F) string {
 		if err != nil {
 			f.Fatal(err)
 		}
-		fuzzSrv.addr = ln.Addr().String()
+		fuzzSrv.addr, fuzzSrv.srv = ln.Addr().String(), srv
 		go srv.Serve(ln)
 		// The server lives for the whole fuzz process; worker processes
 		// each start their own.
@@ -68,19 +81,13 @@ func fuzzServer(f *testing.F) string {
 	return fuzzSrv.addr
 }
 
-// seedReq encodes one op for the structured phase: op selector byte,
-// payload length byte, payload.
-func seedReq(opIdx byte, payload []byte) []byte {
-	return append([]byte{opIdx, byte(len(payload))}, payload...)
+// seedReq encodes one request for the structured phase: op selector
+// byte (tag's place in fuzzOps), payload length byte, payload.
+func seedReq(tag int, payload []byte) []byte {
+	return append([]byte{byte(slices.Index(fuzzOps, tag)), byte(len(payload))}, payload...)
 }
 
-func vs(vals ...int64) []byte {
-	var b []byte
-	for _, v := range vals {
-		b = putV(b, v)
-	}
-	return b
-}
+func vs(vals ...int64) []byte { return putVs(nil, vals...) }
 
 func FuzzServerRequest(f *testing.F) {
 	ft, err := datatype.Vector(4, 2, 8, datatype.Byte)
@@ -89,35 +96,52 @@ func FuzzServerRequest(f *testing.F) {
 	}
 	reg := append(putV(nil, 0), datatype.Encode(ft)...)
 
-	// One seed per interesting shape; indexes into fuzzOps.
-	f.Add(seedReq(0, vs(0, 16)))                                // valid read
-	f.Add(seedReq(0, vs(-5, 16)))                               // negative offset
-	f.Add(seedReq(0, vs(0)))                                    // truncated: missing length field
-	f.Add(seedReq(0, vs(0, fuzzMaxFrame*2)))                    // response would exceed frame
-	f.Add(seedReq(1, append(vs(8), []byte("hello")...)))        // valid write
-	f.Add(seedReq(2, vs(2, 0, 8, 64, 8)))                       // valid 2-run readv
-	f.Add(seedReq(2, vs(300, 0, 8)))                            // list over MaxListRuns
-	f.Add(seedReq(2, vs(1, 0)))                                 // truncated list entry
-	f.Add(seedReq(3, append(vs(1, 0, 4), 'a', 'b')))            // writev length mismatch
-	f.Add(seedReq(4, nil))                                      // size
-	f.Add(seedReq(5, vs(-1)))                                   // negative truncate
-	f.Add(seedReq(7, reg))                                      // valid view registration
-	f.Add(seedReq(7, append(vs(3), 0xff, 0xfe, 0x17)))          // garbage datatype tree
-	f.Add(seedReq(8, vs(99, 0, 64)))                            // stale handle
-	f.Add(seedReq(9, vs(99, 0, 64)))                            // stale handle, write
-	f.Add(seedReq(8, vs(1, -4, 64)))                            // negative view range
-	f.Add(seedReq(8, vs(1, 0, int64(fuzzMaxFrame)*4)))          // oversized view range
-	f.Add(seedReq(14, vs(0)))                                   // unknown op (tag 0)
-	f.Add(seedReq(13, nil))                                     // reserved tag with no op behind it
-	f.Add(append(seedReq(7, reg), seedReq(8, vs(1, 0, 16))...)) // register then use
+	// One seed per interesting shape.
+	f.Add(seedReq(opRead, vs(0, 16)))                                             // valid read
+	f.Add(seedReq(opRead, vs(-5, 16)))                                            // negative offset
+	f.Add(seedReq(opRead, vs(0)))                                                 // truncated: missing length field
+	f.Add(seedReq(opRead, vs(0, fuzzMaxFrame*2)))                                 // response would exceed frame
+	f.Add(seedReq(opWrite, append(vs(8), []byte("hello")...)))                    // valid write
+	f.Add(seedReq(opReadv, vs(2, 0, 8, 64, 8)))                                   // valid 2-run readv
+	f.Add(seedReq(opReadv, vs(300, 0, 8)))                                        // list over MaxListRuns
+	f.Add(seedReq(opReadv, vs(1, 0)))                                             // truncated list entry
+	f.Add(seedReq(opWritev, append(vs(1, 0, 4), 'a', 'b')))                       // writev length mismatch
+	f.Add(seedReq(opSize, nil))                                                   // size
+	f.Add(seedReq(opTruncate, vs(-1)))                                            // negative truncate
+	f.Add(seedReq(opRegister, reg))                                               // valid view registration
+	f.Add(seedReq(opRegister, append(vs(3), 0xff, 0xfe, 0x17)))                   // garbage datatype tree
+	f.Add(seedReq(opViewRead, vs(99, 0, 64)))                                     // stale handle
+	f.Add(seedReq(opViewWrite, vs(99, 0, 64)))                                    // stale handle, write
+	f.Add(seedReq(opViewRead, vs(1, -4, 64)))                                     // negative view range
+	f.Add(seedReq(opViewRead, vs(1, 0, int64(fuzzMaxFrame)*4)))                   // oversized view range
+	f.Add(seedReq(0, vs(0)))                                                      // unknown op (tag 0)
+	f.Add(seedReq(transport.TagServerLast, nil))                                  // reserved tag with no op behind it
+	f.Add(append(seedReq(opRegister, reg), seedReq(opViewRead, vs(1, 0, 16))...)) // register then use
 	// Register, then read a range whose file offsets would wrap int64.
-	f.Add(append(seedReq(7, reg), seedReq(8, vs(1, 1<<62, 1<<62+16))...))
+	f.Add(append(seedReq(opRegister, reg), seedReq(opViewRead, vs(1, 1<<62, 1<<62+16))...))
 	// Raw-phase shapes: a hostile length header (payload length field
 	// far beyond MaxFrame) and assorted garbage.
 	hostile := make([]byte, 12)
 	binary.LittleEndian.PutUint32(hostile[0:4], 0xfffffff0)
 	f.Add(hostile)
 	f.Add([]byte("\x00\x01\x02\x03garbage that is not a frame at all"))
+	// Extents no stripe has (ROADMAP item 7's panic: a write whose end
+	// no allocation can hold, as the fuzzer found it; a list entry ending
+	// past MaxInt64; a truncate to 2^62).
+	f.Add([]byte("\t\x01\xc6\x01\xf4\xf4\xf4\xf4\xf4\xf4\xf9\x80\x15"))
+	f.Add(seedReq(opWritev, append(vs(1, math.MaxInt64-1, 2), 'a', 'b')))
+	f.Add(seedReq(opTruncate, vs(1<<62)))
+	// The epoch ops: a staged write, sealed and aborted; a staged list
+	// whose lengths disagree with its payload; a staged view write; a
+	// commit naming an incarnation that is not the server's; a seal of
+	// an epoch never staged.
+	stage := seedReq(opStageWrite, append(vs(3, 8), []byte("hello")...))
+	f.Add(append(append(stage, seedReq(opEpochSeal, vs(3))...), seedReq(opEpochAbort, vs(3))...))
+	f.Add(seedReq(opStageWritev, append(vs(3, 1, 0, 4), 'a', 'b')))
+	f.Add(append(seedReq(opRegister, reg), seedReq(opStageViewWrite, append(vs(3, 1, 0, 2), 'a', 'b'))...))
+	f.Add(append(stage, seedReq(opEpochCommit, vs(3, 12345))...))
+	f.Add(seedReq(opEpochSeal, vs(99)))
+	f.Add(seedReq(opStageWrite, vs(0, 8))) // epoch id 0
 
 	addr := fuzzServer(f)
 
@@ -169,7 +193,7 @@ func FuzzServerRequest(f *testing.F) {
 					t.Fatalf("opErr payload undecodable: %v", err)
 				}
 				switch class {
-				case classTransient, classPermanent, classStale, classBad:
+				case classTransient, classPermanent, classStale, classBad, classEpochRetry:
 				default:
 					t.Fatalf("opErr carries unknown class %d", class)
 				}
@@ -217,5 +241,17 @@ func FuzzServerRequest(f *testing.F) {
 			t.Fatalf("health-check size %d err=%v", size, err)
 		}
 		hfc.Close()
+
+		// Staged epochs stay parked until a commit, and a commit must name
+		// the incarnation a seal reported, which no input can carry over:
+		// drop them, so that the run's memory is bounded by one input's.
+		srv := fuzzSrv.srv
+		srv.epochMu.Lock()
+		clear(srv.staged)
+		err = srv.checkpoint()
+		srv.epochMu.Unlock()
+		if err != nil {
+			t.Fatal("checkpoint after fuzz input:", err)
+		}
 	})
 }

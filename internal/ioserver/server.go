@@ -60,20 +60,19 @@ type Config struct {
 // Server serves one stripe of a file to any number of client
 // connections.
 type Server struct {
+	// stats is the live store of ServerStats' counters, written and read
+	// through sync/atomic only (Stats snapshots it) and therefore first:
+	// 64-bit aligned on every platform.  The three below it have gauges
+	// but no place in the stats record.
+	stats                    ServerStats
+	sieveWindows, sieveBytes atomic.Int64
+	checkpoints              atomic.Int64
+
 	cfg         Config
+	lim         bounds // what requests are held against: cfg.MaxFrame and cfg.Geom's offset space
 	journal     *Journal
-	incarnation int64 // instance id, fresh per process start
-	stats       struct {
-		requests, rawReads, rawWrites    atomic.Int64
-		viewReads, viewWrites            atomic.Int64
-		viewRegs, viewHits, staleHandles atomic.Int64
-		bytesRead, bytesWritten          atomic.Int64
-		stagedWrites, epochsCommitted    atomic.Int64
-		epochsSealed, epochsAborted      atomic.Int64
-		sieveWindows, sieveBytes         atomic.Int64
-		checkpoints                      atomic.Int64
-	}
-	opNs map[int]*obs.Hist // per-op handling latency, when Metrics is set
+	incarnation int64             // instance id, fresh per process start
+	opNs        map[int]*obs.Hist // per-op handling latency, when Metrics is set
 
 	// locks serializes writers to the stripe by local byte range: a sieve
 	// window is a read-modify-write, so every write to Backend — view,
@@ -121,6 +120,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:          cfg,
+		lim:          bounds{maxFrame: int64(cfg.MaxFrame), maxLocal: max(math.MaxInt64/int64(cfg.Geom.Count)-cfg.Geom.Unit, 0)},
 		journal:      j,
 		incarnation:  time.Now().UnixNano(),
 		locks:        storage.NewLockTable(),
@@ -130,96 +130,41 @@ func New(cfg Config) (*Server, error) {
 		conns:        make(map[net.Conn]struct{}),
 		done:         make(chan struct{}),
 	}
+	// What recovery found is this instance's history from the start.
+	s.stats.EpochsRecovered = int64(cfg.Recovery.AppliedEpochs)
+	s.stats.EpochsDiscarded = int64(cfg.Recovery.DiscardedEpochs)
+	if cfg.Recovery.TornTail {
+		s.stats.TornTails = 1
+	}
 	s.registerMetrics(cfg.Metrics)
 	return s, nil
 }
 
-// registerMetrics joins the server's counters to the metrics plane: the
-// op tallies as zero-hot-path-cost gauge callbacks over the existing
-// atomics, plus one latency histogram per protocol op.
+// registerMetrics joins the server's counters to the metrics plane: a
+// gauge callback per row of serverCounters (no hot-path cost: a scrape
+// snapshots the store), the sieve, checkpoint and journal gauges, and one
+// latency histogram per op the protocol table serves.
 func (s *Server) registerMetrics(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	r.GaugeFunc("ioserver_requests_total", "Requests handled, all ops.", s.stats.requests.Load)
-	r.GaugeFunc("ioserver_raw_reads_total", "opRead and opReadv requests served.", s.stats.rawReads.Load)
-	r.GaugeFunc("ioserver_raw_writes_total", "opWrite and opWritev requests served.", s.stats.rawWrites.Load)
-	r.GaugeFunc("ioserver_view_reads_total", "opViewRead requests served.", s.stats.viewReads.Load)
-	r.GaugeFunc("ioserver_view_writes_total", "opViewWrite requests served.", s.stats.viewWrites.Load)
-	r.GaugeFunc("ioserver_sieve_windows_total", "Sieve windows moved (page-dense pieces of view, list and commit traffic).", s.stats.sieveWindows.Load)
-	r.GaugeFunc("ioserver_sieve_bytes_total", "Stripe bytes the sieve windows read and wrote back.", s.stats.sieveBytes.Load)
-	r.GaugeFunc("ioserver_view_registrations_total", "opRegister requests that decoded a new view.", s.stats.viewRegs.Load)
-	r.GaugeFunc("ioserver_view_cache_hits_total", "opRegister requests answered from the view LRU.", s.stats.viewHits.Load)
-	r.GaugeFunc("ioserver_view_stale_handles_total", "View requests naming an evicted or unknown handle.", s.stats.staleHandles.Load)
-	r.GaugeFunc("ioserver_read_bytes_total", "Data bytes sent to clients.", s.stats.bytesRead.Load)
-	r.GaugeFunc("ioserver_written_bytes_total", "Data bytes received from clients.", s.stats.bytesWritten.Load)
-	r.GaugeFunc("ioserver_staged_writes_total", "Epoch-staged write requests.", s.stats.stagedWrites.Load)
-	r.GaugeFunc("ioserver_epochs_committed_total", "Epoch commits applied.", s.stats.epochsCommitted.Load)
-	r.GaugeFunc("ioserver_epochs_sealed_total", "Epoch seal requests answered.", s.stats.epochsSealed.Load)
-	r.GaugeFunc("ioserver_epochs_aborted_total", "Epochs whose staged state was discarded by abort.", s.stats.epochsAborted.Load)
-	r.GaugeFunc("ioserver_journal_fsyncs_total", "Journal syncs: one per commit, one per checkpoint's reset, one per seal.", s.journal.Fsyncs)
-	r.GaugeFunc("ioserver_checkpoints_total", "Checkpoints: stripe synced, then journal reset.", s.stats.checkpoints.Load)
-	r.GaugeFunc("ioserver_journal_live_bytes", "Journal bytes a recovery would replay: records since the last checkpoint.", s.journal.Live)
-	r.GaugeFunc("ioserver_epochs_recovered_total", "Committed epochs re-applied by journal recovery at start.",
-		func() int64 { return int64(s.cfg.Recovery.AppliedEpochs) })
-	r.GaugeFunc("ioserver_epochs_discarded_total", "Staged-but-uncommitted epochs discarded by recovery.",
-		func() int64 { return int64(s.cfg.Recovery.DiscardedEpochs) })
-	r.GaugeFunc("ioserver_journal_torn_tails_total", "Torn journal tails truncated by recovery.",
-		func() int64 {
-			if s.cfg.Recovery.TornTail {
-				return 1
-			}
-			return 0
+	for _, c := range serverCounters {
+		r.GaugeFunc(c.gauge, c.help, func() int64 {
+			st := s.Stats()
+			return *c.field(&st)
 		})
+	}
+	r.GaugeFunc("ioserver_sieve_windows_total", "Sieve windows moved (page-dense pieces of view, list and commit traffic).", s.sieveWindows.Load)
+	r.GaugeFunc("ioserver_sieve_bytes_total", "Stripe bytes the sieve windows read and wrote back.", s.sieveBytes.Load)
+	r.GaugeFunc("ioserver_checkpoints_total", "Checkpoints: stripe synced, then journal reset.", s.checkpoints.Load)
+	r.GaugeFunc("ioserver_journal_live_bytes", "Journal bytes a recovery would replay: records since the last checkpoint.", s.journal.Live)
 	s.opNs = make(map[int]*obs.Hist)
-	for _, tag := range []int{opRead, opWrite, opReadv, opWritev, opSize, opTruncate, opSync,
-		opRegister, opViewRead, opViewWrite, opStats,
-		opStageWrite, opStageWritev, opStageViewWrite,
-		opEpochSeal, opEpochCommit, opEpochAbort} {
-		s.opNs[tag] = r.Hist("ioserver_op_ns", "Server-side request handling latency by op.",
-			obs.Label{Key: "op", Value: opName(tag)})
+	for _, op := range opTable {
+		if op.serve != nil {
+			s.opNs[op.code] = r.Hist("ioserver_op_ns", "Server-side request handling latency by op.",
+				obs.Label{Key: "op", Value: op.name})
+		}
 	}
-}
-
-// opName labels a protocol op for metrics.
-func opName(tag int) string {
-	switch tag {
-	case opRead:
-		return "read"
-	case opWrite:
-		return "write"
-	case opReadv:
-		return "readv"
-	case opWritev:
-		return "writev"
-	case opSize:
-		return "size"
-	case opTruncate:
-		return "truncate"
-	case opSync:
-		return "sync"
-	case opRegister:
-		return "register"
-	case opViewRead:
-		return "view_read"
-	case opViewWrite:
-		return "view_write"
-	case opStats:
-		return "stats"
-	case opStageWrite:
-		return "stage_write"
-	case opStageWritev:
-		return "stage_writev"
-	case opStageViewWrite:
-		return "stage_view_write"
-	case opEpochSeal:
-		return "epoch_seal"
-	case opEpochCommit:
-		return "epoch_commit"
-	case opEpochAbort:
-		return "epoch_abort"
-	}
-	return "unknown"
 }
 
 // Serve accepts connections on ln until Close, handling each on its own
@@ -307,32 +252,15 @@ func (s *Server) Close() error {
 
 // Stats snapshots the request counters.  The recovery numbers come from
 // the journal recovery that produced cfg.Journal (zero for fresh
-// starts), so a restarted server's stats carry its crash history.
+// starts), so a restarted server's stats carry its crash history; the
+// journal counts its own syncs.
 func (s *Server) Stats() ServerStats {
-	torn := int64(0)
-	if s.cfg.Recovery.TornTail {
-		torn = 1
+	var st ServerStats
+	for _, c := range serverCounters {
+		*c.field(&st) = atomic.LoadInt64(c.field(&s.stats))
 	}
-	return ServerStats{
-		Requests:          s.stats.requests.Load(),
-		RawReads:          s.stats.rawReads.Load(),
-		RawWrites:         s.stats.rawWrites.Load(),
-		ViewReads:         s.stats.viewReads.Load(),
-		ViewWrites:        s.stats.viewWrites.Load(),
-		ViewRegistrations: s.stats.viewRegs.Load(),
-		ViewCacheHits:     s.stats.viewHits.Load(),
-		StaleHandles:      s.stats.staleHandles.Load(),
-		BytesRead:         s.stats.bytesRead.Load(),
-		BytesWritten:      s.stats.bytesWritten.Load(),
-		StagedWrites:      s.stats.stagedWrites.Load(),
-		EpochsCommitted:   s.stats.epochsCommitted.Load(),
-		EpochsSealed:      s.stats.epochsSealed.Load(),
-		EpochsAborted:     s.stats.epochsAborted.Load(),
-		JournalFsyncs:     s.journal.Fsyncs(),
-		EpochsRecovered:   int64(s.cfg.Recovery.AppliedEpochs),
-		EpochsDiscarded:   int64(s.cfg.Recovery.DiscardedEpochs),
-		TornTails:         torn,
-	}
+	st.JournalFsyncs = s.journal.Fsyncs()
+	return st
 }
 
 // serverView is one decoded registration in a connection's cache.
@@ -361,6 +289,7 @@ type connState struct {
 	nextID uint64
 
 	resp  []byte            // response staging buffer, reused
+	ents  []extent          // decoded offset list, reused
 	segs  []storage.Segment // vectored-call staging, reused
 	units []unitPiece       // sieve-window staging, reused
 
@@ -390,7 +319,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			// failure — either way the stream is over.
 			return
 		}
-		s.stats.requests.Add(1)
+		atomic.AddInt64(&s.stats.Requests, 1)
 		if err := st.handle(seq, tag, payload); err != nil {
 			return // response write failed: connection is gone
 		}
@@ -409,230 +338,177 @@ func (st *connState) handle(seq, tag int, payload []byte) error {
 		st.srv.opNs[tag].ObserveSince(t0) // nil map entry (unknown op) no-ops
 	}
 	if err != nil {
-		class, msg := wireError(err)
-		if errors.Is(err, errStale) {
-			class = classStale
-		} else if errors.Is(err, errTruncated) || errors.Is(err, errBadRequest) {
-			class = classBad
-		}
-		st.resp = putV(st.resp[:0], class)
-		st.resp = append(st.resp, msg...)
+		st.resp = putErr(st.resp[:0], err)
 		return st.fc.WriteFrame(seq, opErr, st.resp)
 	}
 	return st.fc.WriteFrame(seq, tag, resp)
 }
 
-// errBadRequest classifies a structurally valid but unserviceable
-// request (bad lengths, unknown op, oversized response).
-var errBadRequest = errors.New("ioserver: bad request")
-
-func (st *connState) dispatch(tag int, payload []byte) ([]byte, error) {
-	switch tag {
-	case opWrite, opWritev, opViewWrite, opTruncate:
-		// The direct mutations of the stripe.
+// dispatch serves one request by its row of the protocol table.
+func (st *connState) dispatch(tag int, body []byte) ([]byte, error) {
+	op := opFor(tag)
+	if op == nil || op.serve == nil {
+		return nil, fmt.Errorf("%w: unknown op %d", errBadRequest, tag)
+	}
+	var epoch uint64
+	if op.epoch {
+		var err error
+		if epoch, body, err = getEpoch(body); err != nil {
+			return nil, err
+		}
+	}
+	if op.mutates {
 		if err := st.srv.settle(); err != nil {
 			return nil, err
 		}
 	}
-	switch tag {
-	case opRead:
-		return st.opRead(payload)
-	case opWrite:
-		return st.opWrite(payload)
-	case opReadv:
-		return st.opReadv(payload)
-	case opWritev:
-		return st.opWritev(payload)
-	case opSize:
-		return putV(st.resp[:0], st.srv.cfg.Backend.Size()), nil
-	case opTruncate:
-		n, _, err := getV(payload)
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("%w: negative truncate %d", errBadRequest, n)
-		}
-		// A sieve window beyond n must not write back what it read
-		// before the cut.
-		defer st.srv.locks.Lock(n, math.MaxInt64)()
-		return nil, st.srv.cfg.Backend.Truncate(n)
-	case opSync:
-		// What was written directly before the sync must survive it: the
-		// checkpoint syncs the stripe and leaves nothing to replay over it.
-		st.srv.epochMu.Lock()
-		defer st.srv.epochMu.Unlock()
-		return nil, st.srv.checkpoint()
-	case opRegister:
-		return st.opRegister(payload)
-	case opViewRead:
-		return st.opView(payload, false)
-	case opViewWrite:
-		return st.opView(payload, true)
-	case opStats:
-		return st.srv.Stats().encode(st.resp[:0]), nil
-	case opStageWrite:
-		return st.opStageWrite(payload)
-	case opStageWritev:
-		return st.opStageWritev(payload)
-	case opStageViewWrite:
-		return st.opStageViewWrite(payload)
-	case opEpochSeal:
-		return st.opEpochSeal(payload)
-	case opEpochCommit:
-		return st.opEpochCommit(payload)
-	case opEpochAbort:
-		return st.opEpochAbort(payload)
-	}
-	return nil, fmt.Errorf("%w: unknown op %d", errBadRequest, tag)
+	return op.serve(st, epoch, body)
 }
 
-// opRead: off, n → eof flag, data.  Plain ReadAt relay, preserving the
+// opRead: extent → eof flag, data.  Plain ReadAt relay, preserving the
 // short-read-plus-EOF shape of the Backend contract.
-func (st *connState) opRead(payload []byte) ([]byte, error) {
-	off, payload, err := getV(payload)
+func (st *connState) opRead(_ uint64, body []byte) ([]byte, error) {
+	e, _, err := st.srv.lim.getExtent(body)
 	if err != nil {
 		return nil, err
 	}
-	n, _, err := getV(payload)
-	if err != nil {
-		return nil, err
+	if e.n > st.srv.lim.maxFrame-1 {
+		return nil, fmt.Errorf("%w: read of %d bytes exceeds a frame", errBadRequest, e.n)
 	}
-	if off < 0 || n < 0 || n > int64(st.srv.cfg.MaxFrame)-1 {
-		return nil, fmt.Errorf("%w: read off %d len %d", errBadRequest, off, n)
-	}
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, off, n)
+	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, e.off, e.n)
 	defer sp.End()
-	st.resp = grow(st.resp[:0], 1+n)
+	st.resp = grow(st.resp[:0], 1+e.n)
 	st.resp[0] = 0
-	m, err := st.srv.cfg.Backend.ReadAt(st.resp[1:1+n], off)
+	m, err := st.srv.cfg.Backend.ReadAt(st.resp[1:1+e.n], e.off)
 	if err == io.EOF {
 		st.resp[0] = 1
 	} else if err != nil {
 		return nil, err
 	}
-	st.srv.stats.rawReads.Add(1)
-	st.srv.stats.bytesRead.Add(int64(m))
+	atomic.AddInt64(&st.srv.stats.RawReads, 1)
+	atomic.AddInt64(&st.srv.stats.BytesRead, int64(m))
 	return st.resp[:1+m], nil
 }
 
-// opWrite: off, data → —.
-func (st *connState) opWrite(payload []byte) ([]byte, error) {
-	off, data, err := getV(payload)
-	if err != nil {
-		return nil, err
+// listSegs decodes the offset list at the head of body into st.segs,
+// laid in list order over a write's data — which follows the list and
+// must be exactly as long as the list says — or over a read's response
+// buffer.
+func (st *connState) listSegs(body []byte, write bool) (total int64, err error) {
+	var stream []byte
+	if st.ents, total, stream, err = st.srv.lim.getList(body, st.ents[:0]); err != nil {
+		return 0, err
 	}
-	if off < 0 {
-		return nil, fmt.Errorf("%w: write off %d", errBadRequest, off)
+	if !write {
+		st.resp = grow(st.resp[:0], total)
+		stream = st.resp
+	} else if int64(len(stream)) != total {
+		return 0, fmt.Errorf("%w: write list names %d bytes, payload carries %d", errBadRequest, total, len(stream))
 	}
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerWrite, off, int64(len(data)))
-	defer sp.End()
-	unlock := st.srv.locks.Lock(off, off+int64(len(data)))
-	_, err = st.srv.cfg.Backend.WriteAt(data, off)
-	unlock()
-	if err != nil {
-		return nil, err
+	st.segs = st.segs[:0]
+	for _, e := range st.ents {
+		st.segs = append(st.segs, storage.Segment{Off: e.off, Buf: stream[:e.n]})
+		stream = stream[e.n:]
 	}
-	st.srv.stats.rawWrites.Add(1)
-	st.srv.stats.bytesWritten.Add(int64(len(data)))
-	return nil, nil
+	return total, nil
 }
 
-// opReadv: k, k×(off,n) → concatenated data (ReadFull semantics per
-// entry: bytes past the stripe's EOF read as zeros).
-func (st *connState) opReadv(payload []byte) ([]byte, error) {
-	k, payload, err := getV(payload)
+// opReadv: list → concatenated data (ReadFull semantics per entry:
+// bytes past the stripe's EOF read as zeros).
+func (st *connState) opReadv(_ uint64, body []byte) ([]byte, error) {
+	total, err := st.listSegs(body, false)
 	if err != nil {
 		return nil, err
-	}
-	if k < 0 || k > MaxListRuns {
-		return nil, fmt.Errorf("%w: list of %d runs (limit %d)", errBadRequest, k, MaxListRuns)
-	}
-	type ent struct{ off, n int64 }
-	ents := make([]ent, 0, k)
-	var total int64
-	for i := int64(0); i < k; i++ {
-		var off, n int64
-		if off, payload, err = getV(payload); err != nil {
-			return nil, err
-		}
-		if n, payload, err = getV(payload); err != nil {
-			return nil, err
-		}
-		if off < 0 || n < 0 || total+n > int64(st.srv.cfg.MaxFrame) {
-			return nil, fmt.Errorf("%w: list entry off %d len %d", errBadRequest, off, n)
-		}
-		ents = append(ents, ent{off, n})
-		total += n
 	}
 	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, 0, total)
 	defer sp.End()
-	st.resp = grow(st.resp[:0], total)
-	st.segs = st.segs[:0]
-	var pos int64
-	for _, e := range ents {
-		st.segs = append(st.segs, storage.Segment{Off: e.off, Buf: st.resp[pos : pos+e.n]})
-		pos += e.n
-	}
 	if err := storage.ReadAtv(st.srv.cfg.Backend, st.segs); err != nil {
 		return nil, err
 	}
-	st.srv.stats.rawReads.Add(1)
-	st.srv.stats.bytesRead.Add(total)
+	atomic.AddInt64(&st.srv.stats.RawReads, 1)
+	atomic.AddInt64(&st.srv.stats.BytesRead, total)
 	return st.resp, nil
 }
 
-// opWritev: k, k×(off,n), concatenated data → —.
-func (st *connState) opWritev(payload []byte) ([]byte, error) {
-	k, payload, err := getV(payload)
+// opWrite: off, data → —; under an epoch, staged.
+func (st *connState) opWrite(epoch uint64, body []byte) ([]byte, error) {
+	off, data, err := getV(body)
 	if err != nil {
 		return nil, err
 	}
-	if k < 0 || k > MaxListRuns {
-		return nil, fmt.Errorf("%w: list of %d runs (limit %d)", errBadRequest, k, MaxListRuns)
-	}
-	st.segs = st.segs[:0]
-	var total int64
-	offs := make([][2]int64, 0, k)
-	for i := int64(0); i < k; i++ {
-		var off, n int64
-		if off, payload, err = getV(payload); err != nil {
-			return nil, err
-		}
-		if n, payload, err = getV(payload); err != nil {
-			return nil, err
-		}
-		if off < 0 || n < 0 || total+n > int64(st.srv.cfg.MaxFrame) {
-			return nil, fmt.Errorf("%w: list entry off %d len %d", errBadRequest, off, n)
-		}
-		offs = append(offs, [2]int64{off, n})
-		total += n
-	}
-	if int64(len(payload)) != total {
-		return nil, fmt.Errorf("%w: write list names %d bytes, payload carries %d", errBadRequest, total, len(payload))
-	}
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerWrite, 0, total)
-	defer sp.End()
-	var pos int64
-	for _, e := range offs {
-		st.segs = append(st.segs, storage.Segment{Off: e[0], Buf: payload[pos : pos+e[1]]})
-		pos += e[1]
-	}
-	if err := st.srv.moveSegs(st.segs, true); err != nil {
+	if err := st.srv.lim.check(extent{off, int64(len(data))}); err != nil {
 		return nil, err
 	}
-	st.srv.stats.rawWrites.Add(1)
-	st.srv.stats.bytesWritten.Add(total)
-	return nil, nil
+	st.segs = append(st.segs[:0], storage.Segment{Off: off, Buf: data})
+	return nil, st.rawWrite(epoch, off, int64(len(data)))
+}
+
+// opWritev: list, concatenated data → —; under an epoch, staged.
+func (st *connState) opWritev(epoch uint64, body []byte) ([]byte, error) {
+	total, err := st.listSegs(body, true)
+	if err != nil {
+		return nil, err
+	}
+	return nil, st.rawWrite(epoch, 0, total)
+}
+
+// rawWrite finishes opWrite and opWritev: st.segs, total bytes over the
+// request's frame payload, are staged under the epoch or, without one,
+// moved to the stripe.
+func (st *connState) rawWrite(epoch uint64, at, total int64) error {
+	if epoch != 0 {
+		sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerStage, at, total)
+		defer sp.End()
+		return st.stage(epoch, total)
+	}
+	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerWrite, at, total)
+	defer sp.End()
+	if err := st.srv.moveSegs(st.segs, true); err != nil {
+		return err
+	}
+	atomic.AddInt64(&st.srv.stats.RawWrites, 1)
+	atomic.AddInt64(&st.srv.stats.BytesWritten, total)
+	return nil
+}
+
+func (st *connState) opSize(uint64, []byte) ([]byte, error) {
+	return putV(st.resp[:0], st.srv.cfg.Backend.Size()), nil
+}
+
+func (st *connState) opTruncate(_ uint64, body []byte) ([]byte, error) {
+	n, _, err := getV(body)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.srv.lim.check(extent{0, n}); err != nil {
+		return nil, err
+	}
+	// A sieve window beyond n must not write back what it read before
+	// the cut.
+	defer st.srv.locks.Lock(n, math.MaxInt64)()
+	return nil, st.srv.cfg.Backend.Truncate(n)
+}
+
+// opSync: — → —.  What was written directly before the sync must
+// survive it: the checkpoint syncs the stripe and leaves nothing to
+// replay over it.
+func (st *connState) opSync(uint64, []byte) ([]byte, error) {
+	st.srv.epochMu.Lock()
+	defer st.srv.epochMu.Unlock()
+	return nil, st.srv.checkpoint()
+}
+
+func (st *connState) opStats(uint64, []byte) ([]byte, error) {
+	return st.srv.Stats().encode(st.resp[:0]), nil
 }
 
 // opRegister: disp, encoded filetype → handle.  The whole payload is
 // the cache key, so a repeat registration of the same view — every rank
 // re-opening the same fileview, or a client re-registering after
 // reconnect — is a cache hit that skips the decode.
-func (st *connState) opRegister(payload []byte) ([]byte, error) {
+func (st *connState) opRegister(_ uint64, payload []byte) ([]byte, error) {
 	if v, ok := st.byKey[string(payload)]; ok {
-		st.srv.stats.viewHits.Add(1)
+		atomic.AddInt64(&st.srv.stats.ViewCacheHits, 1)
 		st.srv.cfg.Tracer.Instant(trace.PhaseServerViewHit, int64(v.handle), 0, "")
 		st.touch(v)
 		return putV(st.resp[:0], int64(v.handle)), nil
@@ -662,7 +538,7 @@ func (st *connState) opRegister(payload []byte) ([]byte, error) {
 		delete(st.views, old.handle)
 		delete(st.byKey, old.key)
 	}
-	st.srv.stats.viewRegs.Add(1)
+	atomic.AddInt64(&st.srv.stats.ViewRegistrations, 1)
 	st.srv.cfg.Tracer.Instant(trace.PhaseServerViewReg, int64(v.handle), int64(len(enc)), "")
 	return putV(st.resp[:0], int64(v.handle)), nil
 }
@@ -676,31 +552,6 @@ func (st *connState) touch(v *serverView) {
 			return
 		}
 	}
-}
-
-// viewReq decodes the (handle, d0, d1) head of a view request and looks
-// the handle up; rest is what follows the head.
-func (st *connState) viewReq(payload []byte) (v *serverView, d0, d1 int64, rest []byte, err error) {
-	h, payload, err := getV(payload)
-	if err != nil {
-		return nil, 0, 0, nil, err
-	}
-	if d0, payload, err = getV(payload); err != nil {
-		return nil, 0, 0, nil, err
-	}
-	if d1, payload, err = getV(payload); err != nil {
-		return nil, 0, 0, nil, err
-	}
-	if d0 < 0 || d1 < d0 || d1-d0 > int64(st.srv.cfg.MaxFrame) {
-		return nil, 0, 0, nil, fmt.Errorf("%w: view range [%d,%d)", errBadRequest, d0, d1)
-	}
-	v, ok := st.views[uint64(h)]
-	if !ok {
-		st.srv.stats.staleHandles.Add(1)
-		st.srv.cfg.Tracer.Instant(trace.PhaseServerViewStale, h, 0, "")
-		return nil, 0, 0, nil, fmt.Errorf("view handle %d: %w", h, errStale)
-	}
-	return v, d0, d1, payload, nil
 }
 
 // errShortStream reports a view write whose payload ends before the
@@ -736,39 +587,62 @@ func (st *connState) ownedSegs(v *serverView, d0, d1 int64, stream []byte, flush
 	return pos, err
 }
 
-// opView serves opViewRead / opViewWrite: handle, d0, d1 [, data].  The
+func (st *connState) opViewRead(_ uint64, body []byte) ([]byte, error) {
+	return st.opView(0, body, false)
+}
+
+func (st *connState) opViewWrite(epoch uint64, body []byte) ([]byte, error) {
+	return st.opView(epoch, body, true)
+}
+
+// opView serves opViewRead / opViewWrite: view head [, data].  The
 // server cuts [d0, d1) of the registered pattern at its stripe's units
 // in one pass and moves the bytes it owns against its local backend in
 // data order.  A navigable view takes viewMove: no run is enumerated
 // unless its window turns out not to be page-dense.  Any other view is
 // walked run by run, in bounded batches so that a hostile
-// many-tiny-runs view cannot force an oversized segment list.
-func (st *connState) opView(payload []byte, write bool) ([]byte, error) {
-	v, d0, d1, payload, err := st.viewReq(payload)
+// many-tiny-runs view cannot force an oversized segment list.  A write
+// under an epoch is walked run by run whatever the view, because the
+// journal records runs, and staged once the walk has shown the payload
+// to be the stripe's share exactly.
+func (st *connState) opView(epoch uint64, body []byte, write bool) ([]byte, error) {
+	srv := st.srv
+	h, d0, d1, payload, err := srv.lim.getViewHead(body)
 	if err != nil {
 		return nil, err
 	}
-	srv := st.srv
+	v, ok := st.views[h]
+	if !ok {
+		atomic.AddInt64(&srv.stats.StaleHandles, 1)
+		srv.cfg.Tracer.Instant(trace.PhaseServerViewStale, int64(h), 0, "")
+		return nil, fmt.Errorf("view handle %d: %w", h, errStale)
+	}
 	stream, ph := payload, trace.PhaseServerViewWrite
-	if !write {
+	switch {
+	case !write:
 		// The stripe's share is known only once the pass is over, and
 		// is at most the whole range.
 		st.resp = grow(st.resp[:0], d1-d0)
 		stream, ph = st.resp, trace.PhaseServerViewRead
+	case epoch != 0:
+		ph = trace.PhaseServerStage
 	}
 	var total int64
 	sp := srv.cfg.Tracer.BeginIO(ph, d0, 0)
 	defer func() { sp.EndBytes(total) }()
 
-	if v.prog != nil {
+	st.segs = st.segs[:0]
+	switch {
+	case epoch != 0:
+		total, err = st.ownedSegs(v, d0, d1, stream, nil)
+	case v.prog != nil:
 		m := viewMove{st: st, v: v, write: write, stream: stream, units: st.units[:0]}
 		err = eachUnit(v.t, v.disp, srv.cfg.Geom, srv.cfg.Index, d0, d1, m.addUnit)
 		if err == nil {
 			err = m.flush()
 		}
 		st.units, total = m.units, m.pos
-	} else {
-		st.segs = st.segs[:0]
+	default:
 		flush := func() error {
 			err := srv.moveSegs(st.segs, write)
 			st.segs = st.segs[:0]
@@ -782,17 +656,20 @@ func (st *connState) opView(payload []byte, write bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if write {
-		if total != int64(len(payload)) {
-			return nil, fmt.Errorf("%w: view write carries %d bytes, stripe owns %d of [%d,%d)", errBadRequest, len(payload), total, d0, d1)
-		}
-		srv.stats.viewWrites.Add(1)
-		srv.stats.bytesWritten.Add(total)
-		return nil, nil
+	if !write {
+		atomic.AddInt64(&srv.stats.ViewReads, 1)
+		atomic.AddInt64(&srv.stats.BytesRead, total)
+		return st.resp[:total], nil
 	}
-	srv.stats.viewReads.Add(1)
-	srv.stats.bytesRead.Add(total)
-	return st.resp[:total], nil
+	if total != int64(len(payload)) {
+		return nil, fmt.Errorf("%w: view write carries %d bytes, stripe owns %d of [%d,%d)", errBadRequest, len(payload), total, d0, d1)
+	}
+	if epoch != 0 {
+		return nil, st.stage(epoch, total)
+	}
+	atomic.AddInt64(&srv.stats.ViewWrites, 1)
+	atomic.AddInt64(&srv.stats.BytesWritten, total)
+	return nil, nil
 }
 
 // grow returns buf extended to n bytes, reallocating only when the

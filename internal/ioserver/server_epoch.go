@@ -2,6 +2,7 @@ package ioserver
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -22,27 +23,6 @@ import (
 // this connection's staging tally, so a client can detect that a server
 // bounced mid-epoch (empty tally where its stage log says otherwise) and
 // that the incarnation it sealed against is the one the commit reaches.
-
-// stageEpoch journals one request's segments under epoch and parks them.
-// The segments' bytes are kept, not copied: they alias the request's
-// frame payload, which transport.FrameConn.ReadFrame allocates per frame
-// and hands over, so they stay intact until the epoch is applied or
-// dropped.  (The segment headers are copied; segs itself is scratch.)
-func (s *Server) stageEpoch(epoch uint64, segs []storage.Segment) error {
-	s.epochMu.Lock()
-	defer s.epochMu.Unlock()
-	if err := s.journal.AppendStages(epoch, segs); err != nil {
-		return err
-	}
-	s.staged[epoch] = append(s.staged[epoch], segs...)
-	var total int64
-	for _, sg := range segs {
-		total += int64(len(sg.Buf))
-	}
-	s.stats.stagedWrites.Add(1)
-	s.stats.bytesWritten.Add(total)
-	return nil
-}
 
 // checkpointBytes is the live journal length at which a commit
 // checkpoints: what a recovery replays, and the memory it replays it
@@ -67,16 +47,12 @@ func (s *Server) commitEpoch(epoch uint64, incarnation int64) error {
 		// applied.  Recovery ignores a commit record without stages, so
 		// none is written.
 		if epoch != s.lastCommitted {
-			s.stats.epochsCommitted.Add(1)
+			atomic.AddInt64(&s.stats.EpochsCommitted, 1)
 		}
 		s.lastCommitted = max(s.lastCommitted, epoch)
 		return nil
 	}
-	var total int64
-	for _, sg := range segs {
-		total += int64(len(sg.Buf))
-	}
-	sp := s.cfg.Tracer.BeginIO(trace.PhaseServerCommit, int64(epoch), total)
+	sp := s.cfg.Tracer.BeginIO(trace.PhaseServerCommit, int64(epoch), int64(totalLen(segs)))
 	err := s.journal.AppendCommit(epoch)
 	if err == nil {
 		err = s.moveSegs(segs, true)
@@ -88,7 +64,7 @@ func (s *Server) commitEpoch(epoch uint64, incarnation int64) error {
 	s.lastCommitted = max(s.lastCommitted, epoch)
 	clear(s.staged)
 	s.journaled.Add(1)
-	s.stats.epochsCommitted.Add(1)
+	atomic.AddInt64(&s.stats.EpochsCommitted, 1)
 	if s.journal.Live() >= s.checkpointAt {
 		return s.checkpoint()
 	}
@@ -118,7 +94,7 @@ func (s *Server) checkpoint() error {
 		return err
 	}
 	s.journaled.Store(0)
-	s.stats.checkpoints.Add(1)
+	s.checkpoints.Add(1)
 	for epoch, segs := range s.staged {
 		if err := s.journal.AppendStages(epoch, segs); err != nil {
 			return err
@@ -150,7 +126,7 @@ func (s *Server) abortEpoch(epoch uint64) error {
 	if _, ok := s.staged[epoch]; !ok {
 		return nil
 	}
-	s.stats.epochsAborted.Add(1)
+	atomic.AddInt64(&s.stats.EpochsAborted, 1)
 	delete(s.staged, epoch)
 	return s.checkpoint()
 }
@@ -162,165 +138,53 @@ func (s *Server) LastCommitted() uint64 {
 	return s.lastCommitted
 }
 
-// tally records one staged request on this connection.  One epoch is in
-// flight per connection at a time, so a new epoch resets the counters.
-func (st *connState) tally(epoch uint64, bytes int64) {
+// stage journals st.segs — one write request's total bytes, resolved to
+// segments over its frame payload — under epoch, parks them, and counts
+// the request in the connection's tally.  The segments' bytes are kept,
+// not copied: the frame payload they alias is allocated per frame by
+// transport.FrameConn.ReadFrame and handed over, so they stay intact
+// until the epoch is applied or dropped.  (The segment headers are
+// copied; st.segs is scratch.)
+func (st *connState) stage(epoch uint64, total int64) error {
+	s := st.srv
+	s.epochMu.Lock()
+	defer s.epochMu.Unlock()
+	if err := s.journal.AppendStages(epoch, st.segs); err != nil {
+		return err
+	}
+	s.staged[epoch] = append(s.staged[epoch], st.segs...)
+	atomic.AddInt64(&s.stats.StagedWrites, 1)
+	atomic.AddInt64(&s.stats.BytesWritten, total)
+	// One epoch is in flight per connection at a time, so a new epoch
+	// resets the tally.
 	if st.tallyEpoch != epoch {
 		st.tallyEpoch, st.tallyCount, st.tallyBytes = epoch, 0, 0
 	}
 	st.tallyCount++
-	st.tallyBytes += bytes
-}
-
-// getEpoch decodes and validates a leading epoch id.
-func getEpoch(payload []byte) (uint64, []byte, error) {
-	e, rest, err := getV(payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	if e <= 0 {
-		return 0, nil, fmt.Errorf("%w: epoch id %d", errBadRequest, e)
-	}
-	return uint64(e), rest, nil
-}
-
-// opStageWrite: epoch, off, data → — (the staged twin of opWrite).
-func (st *connState) opStageWrite(payload []byte) ([]byte, error) {
-	epoch, payload, err := getEpoch(payload)
-	if err != nil {
-		return nil, err
-	}
-	off, data, err := getV(payload)
-	if err != nil {
-		return nil, err
-	}
-	if off < 0 {
-		return nil, fmt.Errorf("%w: stage off %d", errBadRequest, off)
-	}
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerStage, off, int64(len(data)))
-	defer sp.End()
-	if err := st.srv.stageEpoch(epoch, []storage.Segment{{Off: off, Buf: data}}); err != nil {
-		return nil, err
-	}
-	st.tally(epoch, int64(len(data)))
-	return nil, nil
-}
-
-// opStageWritev: epoch, k, k×(off,n), data → — (staged opWritev).
-func (st *connState) opStageWritev(payload []byte) ([]byte, error) {
-	epoch, payload, err := getEpoch(payload)
-	if err != nil {
-		return nil, err
-	}
-	k, payload, err := getV(payload)
-	if err != nil {
-		return nil, err
-	}
-	if k < 0 || k > MaxListRuns {
-		return nil, fmt.Errorf("%w: list of %d runs (limit %d)", errBadRequest, k, MaxListRuns)
-	}
-	st.segs = st.segs[:0]
-	var total int64
-	offs := make([][2]int64, 0, k)
-	for i := int64(0); i < k; i++ {
-		var off, n int64
-		if off, payload, err = getV(payload); err != nil {
-			return nil, err
-		}
-		if n, payload, err = getV(payload); err != nil {
-			return nil, err
-		}
-		if off < 0 || n < 0 || total+n > int64(st.srv.cfg.MaxFrame) {
-			return nil, fmt.Errorf("%w: list entry off %d len %d", errBadRequest, off, n)
-		}
-		offs = append(offs, [2]int64{off, n})
-		total += n
-	}
-	if int64(len(payload)) != total {
-		return nil, fmt.Errorf("%w: stage list names %d bytes, payload carries %d", errBadRequest, total, len(payload))
-	}
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerStage, 0, total)
-	defer sp.End()
-	var pos int64
-	for _, e := range offs {
-		st.segs = append(st.segs, storage.Segment{Off: e[0], Buf: payload[pos : pos+e[1]]})
-		pos += e[1]
-	}
-	if err := st.srv.stageEpoch(epoch, st.segs); err != nil {
-		return nil, err
-	}
-	st.tally(epoch, total)
-	return nil, nil
-}
-
-// opStageViewWrite: epoch, handle, d0, d1, data → — (staged
-// opViewWrite): the server walks the registered pattern like opView but
-// stages the owned pieces instead of writing them, run by run because
-// the journal records runs.
-func (st *connState) opStageViewWrite(payload []byte) ([]byte, error) {
-	epoch, payload, err := getEpoch(payload)
-	if err != nil {
-		return nil, err
-	}
-	v, d0, d1, payload, err := st.viewReq(payload)
-	if err != nil {
-		return nil, err
-	}
-	var total int64
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerStage, d0, 0)
-	defer func() { sp.EndBytes(total) }()
-	st.segs = st.segs[:0]
-	if total, err = st.ownedSegs(v, d0, d1, payload, nil); err != nil {
-		return nil, err
-	}
-	if total != int64(len(payload)) {
-		return nil, fmt.Errorf("%w: staged view write carries %d bytes, stripe owns %d of [%d,%d)",
-			errBadRequest, len(payload), total, d0, d1)
-	}
-	if err := st.srv.stageEpoch(epoch, st.segs); err != nil {
-		return nil, err
-	}
-	st.tally(epoch, total)
-	return nil, nil
+	st.tallyBytes += total
+	return nil
 }
 
 // opEpochSeal: epoch → incarnation, staged count, staged bytes (this
 // connection's tally).
-func (st *connState) opEpochSeal(payload []byte) ([]byte, error) {
-	epoch, _, err := getEpoch(payload)
-	if err != nil {
-		return nil, err
-	}
-	st.srv.stats.epochsSealed.Add(1)
+func (st *connState) opEpochSeal(epoch uint64, _ []byte) ([]byte, error) {
+	atomic.AddInt64(&st.srv.stats.EpochsSealed, 1)
 	var count, bytes int64
 	if st.tallyEpoch == epoch {
 		count, bytes = st.tallyCount, st.tallyBytes
 	}
-	resp := putV(st.resp[:0], st.srv.incarnation)
-	resp = putV(resp, count)
-	resp = putV(resp, bytes)
-	st.resp = resp
-	return resp, nil
+	st.resp = putVs(st.resp[:0], st.srv.incarnation, count, bytes)
+	return st.resp, nil
 }
 
-// opEpochCommit: epoch, incarnation → —.
-func (st *connState) opEpochCommit(payload []byte) ([]byte, error) {
-	epoch, payload, err := getEpoch(payload)
-	if err != nil {
-		return nil, err
-	}
-	inc, _, err := getV(payload)
+func (st *connState) opEpochCommit(epoch uint64, body []byte) ([]byte, error) {
+	inc, _, err := getV(body)
 	if err != nil {
 		return nil, err
 	}
 	return nil, st.srv.commitEpoch(epoch, inc)
 }
 
-// opEpochAbort: epoch → —.
-func (st *connState) opEpochAbort(payload []byte) ([]byte, error) {
-	epoch, _, err := getEpoch(payload)
-	if err != nil {
-		return nil, err
-	}
+func (st *connState) opEpochAbort(epoch uint64, _ []byte) ([]byte, error) {
 	return nil, st.srv.abortEpoch(epoch)
 }

@@ -308,11 +308,22 @@ func (f *flaky) WriteAt(p []byte, off int64) (int, error) {
 	return f.Mem.WriteAt(p, off)
 }
 
+func (f *flaky) WriteAtv(segs []storage.Segment) error {
+	if err := f.trip(); err != nil {
+		return err
+	}
+	return f.Mem.WriteAtv(segs)
+}
+
 // permBackend fails every write permanently.
 type permBackend struct{ *storage.Mem }
 
 func (p *permBackend) WriteAt(b []byte, off int64) (int, error) {
-	return 0, fmt.Errorf("perm: media gone: %w", storage.ErrPermanent)
+	return 0, p.WriteAtv(nil)
+}
+
+func (p *permBackend) WriteAtv([]storage.Segment) error {
+	return fmt.Errorf("perm: media gone: %w", storage.ErrPermanent)
 }
 
 // TestErrorTaxonomyAcrossWire checks that the storage sentinels survive

@@ -42,12 +42,12 @@ func (s *Server) sieve(lo, hi, useful int64, write bool, move func(win []byte)) 
 		return err
 	}
 	move(win)
-	s.stats.sieveWindows.Add(1)
-	s.stats.sieveBytes.Add(hi - lo)
+	s.sieveWindows.Add(1)
+	s.sieveBytes.Add(hi - lo)
 	if !write {
 		return nil
 	}
-	s.stats.sieveBytes.Add(hi - lo)
+	s.sieveBytes.Add(hi - lo)
 	_, err := s.cfg.Backend.WriteAt(win, lo)
 	return err
 }

@@ -329,7 +329,7 @@ func TestSieveRule(t *testing.T) {
 			if _, err := st.dispatch(opStageViewWrite, req); err != nil {
 				return err
 			}
-			if n := st.srv.stats.sieveWindows.Load(); n != 0 {
+			if n := st.srv.sieveWindows.Load(); n != 0 {
 				return fmt.Errorf("staging moved %d windows", n)
 			}
 			return st.srv.commitEpoch(1, st.srv.incarnation)
@@ -351,7 +351,7 @@ func TestSieveRule(t *testing.T) {
 		if err := c.run(localConn(srv)); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := srv.stats.sieveWindows.Load() > 0; got != c.sieves {
+		if got := srv.sieveWindows.Load() > 0; got != c.sieves {
 			t.Errorf("%s: sieved = %v, want %v", c.name, got, c.sieves)
 		}
 	}
@@ -553,7 +553,7 @@ func TestSieveConcurrentWriters(t *testing.T) {
 	if !bytes.Equal(mem.Bytes(), want[:end]) {
 		t.Fatal("final stripe differs from the oracle")
 	}
-	if srv.stats.sieveWindows.Load() == 0 {
+	if srv.sieveWindows.Load() == 0 {
 		t.Fatal("no request took the sieve path")
 	}
 }

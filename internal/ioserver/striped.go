@@ -64,9 +64,6 @@ func NewStriped(unit int64, addrs []string, opts ClientOptions) (*Striped, error
 	}, nil
 }
 
-// Geom reports the striping layout.
-func (s *Striped) Geom() storage.StripeGeom { return s.geom }
-
 // Clients exposes one client per server (each pool's primary), for
 // stats and tests.
 func (s *Striped) Clients() []*Client {
@@ -129,13 +126,13 @@ func (s *Striped) Size() int64                              { return s.local.Siz
 func (s *Striped) Truncate(n int64) error                   { return s.local.Truncate(n) }
 func (s *Striped) Sync() error                              { return s.local.Sync() }
 
-// fanOut runs fn for every server with a non-empty argument,
-// concurrently, and reports the first failure.
-func (s *Striped) fanOut(n int, skip func(i int) bool, fn func(i int) error) error {
-	errs := make([]error, n)
+// fanOut runs fn for every server, or, given idle, for every server that
+// is not, concurrently, and reports the first failure.
+func (s *Striped) fanOut(idle func(i int) bool, fn func(i int) error) error {
+	errs := make([]error, len(s.pools))
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if skip(i) {
+	for i := range s.pools {
+		if idle != nil && idle(i) {
 			continue
 		}
 		wg.Add(1)
@@ -153,28 +150,24 @@ func (s *Striped) fanOut(n int, skip func(i int) bool, fn func(i int) error) err
 	return nil
 }
 
-// ReadAtv implements storage.Vectored: the global batch is regrouped
-// per server with the shared stripe math and the per-server offset
-// lists are issued concurrently.
+// ReadAtv and WriteAtv implement storage.Vectored: the global batch is
+// regrouped per server with the shared stripe math and the per-server
+// offset lists are issued concurrently.
 func (s *Striped) ReadAtv(segs []storage.Segment) error {
-	bySrv, err := storage.SplitSegs(s.geom, segs)
-	if err != nil {
-		return err
-	}
-	return s.fanOut(len(s.pools),
-		func(i int) bool { return len(bySrv[i]) == 0 },
-		func(i int) error { return s.pools[i].ReadAtv(bySrv[i]) })
+	return s.vectored(segs, (*clientPool).ReadAtv)
 }
 
-// WriteAtv implements storage.Vectored, fanned out like ReadAtv.
 func (s *Striped) WriteAtv(segs []storage.Segment) error {
+	return s.vectored(segs, (*clientPool).WriteAtv)
+}
+
+func (s *Striped) vectored(segs []storage.Segment, call func(*clientPool, []storage.Segment) error) error {
 	bySrv, err := storage.SplitSegs(s.geom, segs)
 	if err != nil {
 		return err
 	}
-	return s.fanOut(len(s.pools),
-		func(i int) bool { return len(bySrv[i]) == 0 },
-		func(i int) error { return s.pools[i].WriteAtv(bySrv[i]) })
+	return s.fanOut(func(i int) bool { return len(bySrv[i]) == 0 },
+		func(i int) error { return call(s.pools[i], bySrv[i]) })
 }
 
 // SupportsViews implements storage.ViewBackend.
@@ -189,18 +182,16 @@ func (s *Striped) RegisterView(disp int64, ftype *datatype.Type) (storage.ViewHa
 		return 0, fmt.Errorf("ioserver: negative displacement %d: %w", disp, storage.ErrPermanent)
 	}
 	av := &aggView{v: &View{Disp: disp, Enc: datatype.Encode(ftype)}, t: ftype, navigable: navigable(ftype, disp)}
-	err := s.fanOut(len(s.pools),
-		func(int) bool { return false },
-		func(i int) error {
-			// Prime every pooled connection: any member may later carry
-			// a view request for this handle.
-			for _, c := range s.pools[i].members {
-				if err := c.RegisterEager(av.v); err != nil {
-					return err
-				}
+	err := s.fanOut(nil, func(i int) error {
+		// Prime every pooled connection: any member may later carry
+		// a view request for this handle.
+		for _, c := range s.pools[i].members {
+			if err := c.RegisterEager(av.v); err != nil {
+				return err
 			}
-			return nil
-		})
+		}
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -237,8 +228,7 @@ func (s *Striped) ViewRead(h storage.ViewHandle, p []byte, d0 int64) error {
 		return err
 	}
 	resps := make([][]byte, len(s.pools))
-	err = s.fanOut(len(s.pools),
-		func(i int) bool { return lens[i] == 0 },
+	err = s.fanOut(func(i int) bool { return lens[i] == 0 },
 		func(i int) error {
 			c := s.pools[i].pick()
 			resp, err := c.ViewReadRange(av.v, d0, d1)
@@ -283,8 +273,7 @@ func (s *Striped) ViewWrite(h storage.ViewHandle, p []byte, d0 int64) error {
 	for _, pc := range pieces {
 		outs[pc.stripe] = append(outs[pc.stripe], p[pc.d0-d0:pc.d1-d0]...)
 	}
-	return s.fanOut(len(s.pools),
-		func(i int) bool { return lens[i] == 0 },
+	return s.fanOut(func(i int) bool { return lens[i] == 0 },
 		func(i int) error { return s.pools[i].pick().ViewWriteRange(av.v, d0, d1, outs[i]) })
 }
 
@@ -315,16 +304,14 @@ func (s *Striped) EpochBegin(id uint64) {
 // (the server tallies per connection, so a member that staged nothing
 // seals a zero tally).
 func (s *Striped) EpochSeal(id uint64) error {
-	return s.fanOut(len(s.pools),
-		func(int) bool { return false },
-		func(i int) error {
-			for _, c := range s.pools[i].members {
-				if err := c.SealEpoch(id); err != nil {
-					return err
-				}
+	return s.fanOut(nil, func(i int) error {
+		for _, c := range s.pools[i].members {
+			if err := c.SealEpoch(id); err != nil {
+				return err
 			}
-			return nil
-		})
+		}
+		return nil
+	})
 }
 
 // EpochCommit implements storage.EpochBackend.  One member per server —
@@ -334,32 +321,28 @@ func (s *Striped) EpochSeal(id uint64) error {
 // driver converges: already-committed servers acknowledge, the rest
 // apply.
 func (s *Striped) EpochCommit(id uint64) error {
-	return s.fanOut(len(s.pools),
-		func(int) bool { return false },
-		func(i int) error {
-			if err := s.pools[i].primary().CommitEpoch(id); err != nil {
-				return err
-			}
-			for _, c := range s.pools[i].members[1:] {
-				c.EndEpoch(id)
-			}
-			return nil
-		})
+	return s.fanOut(nil, func(i int) error {
+		if err := s.pools[i].primary().CommitEpoch(id); err != nil {
+			return err
+		}
+		for _, c := range s.pools[i].members[1:] {
+			c.EndEpoch(id)
+		}
+		return nil
+	})
 }
 
 // EpochAbort implements storage.EpochBackend: the primary discards the
 // server-side staged state, the other members drop their stage logs
 // locally.
 func (s *Striped) EpochAbort(id uint64) error {
-	return s.fanOut(len(s.pools),
-		func(int) bool { return false },
-		func(i int) error {
-			err := s.pools[i].primary().AbortEpoch(id)
-			for _, c := range s.pools[i].members[1:] {
-				c.EndEpoch(id)
-			}
-			return err
-		})
+	return s.fanOut(nil, func(i int) error {
+		err := s.pools[i].primary().AbortEpoch(id)
+		for _, c := range s.pools[i].members[1:] {
+			c.EndEpoch(id)
+		}
+		return err
+	})
 }
 
 // EpochEnd implements storage.EpochBackend.

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 )
@@ -71,6 +72,12 @@ type Mem struct {
 const (
 	memRegions  = 128
 	memMinShift = 12 // regions are never smaller than 4 KiB
+
+	// memMaxSize is the longest store make accepts on every platform the
+	// runtime supports (its allocator addresses 48 bits at most, an int may
+	// be 32).  A write or Truncate asking for more is refused; whether the
+	// machine has the memory for less is the allocator's to say.
+	memMaxSize = min(math.MaxInt, 1<<47)
 )
 
 // NewMem returns an empty in-memory backend.
@@ -105,8 +112,17 @@ func (m *Mem) unlockSpan(r0, r1 int, write bool) {
 	}
 }
 
-// growTo extends the store to at least end bytes, keeping the regions at
-// memRegions or fewer.  The caller holds mu exclusively.
+// memFits refuses n bytes at off when they end past memMaxSize.
+func memFits(off, n int64) error {
+	if off > memMaxSize-n {
+		return fmt.Errorf("storage: %d bytes at offset %d lie beyond what an in-memory store can hold: %w", n, off, ErrPermanent)
+	}
+	return nil
+}
+
+// growTo extends the store to at least end bytes (memFits has passed
+// them), keeping the regions at memRegions or fewer.  The caller holds mu
+// exclusively.
 func (m *Mem) growTo(end int64) {
 	if end <= int64(len(m.data)) {
 		return
@@ -115,7 +131,7 @@ func (m *Mem) growTo(end int64) {
 		m.data = m.data[:end]
 		return
 	}
-	grown := make([]byte, end, max(2*int64(cap(m.data)), end))
+	grown := make([]byte, end, min(max(2*int64(cap(m.data)), end), memMaxSize))
 	copy(grown, m.data)
 	m.data = grown
 	for int64(cap(grown)-1)>>(memMinShift+m.shift) >= memRegions {
@@ -164,6 +180,9 @@ func (m *Mem) Size() int64 {
 func (m *Mem) Truncate(n int64) error {
 	if n < 0 {
 		return fmt.Errorf("storage: negative truncate %d", n)
+	}
+	if err := memFits(0, n); err != nil {
+		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

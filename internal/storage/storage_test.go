@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"io"
+	"math"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -67,6 +68,31 @@ func TestMemTruncate(t *testing.T) {
 	}
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemRefusesUnallocatableGrowth: an extent no allocation can hold is
+// a permanent error from every call that grows the store, not a panic in
+// make, and leaves the store as it was.
+func TestMemRefusesUnallocatableGrowth(t *testing.T) {
+	m := NewMem()
+	m.WriteAt([]byte("abc"), 0)
+	calls := map[string]func(off int64) error{
+		"WriteAt": func(off int64) error { _, err := m.WriteAt([]byte("x"), off); return err },
+		"WriteAtv": func(off int64) error {
+			return m.WriteAtv([]Segment{{Off: 1, Buf: []byte("y")}, {Off: off, Buf: []byte("x")}})
+		},
+		"Truncate": func(off int64) error { return m.Truncate(off + 1) },
+	}
+	for name, call := range calls {
+		for _, off := range []int64{memMaxSize, 1 << 52, math.MaxInt64 - 1} {
+			if err := call(off); !IsPermanent(err) {
+				t.Errorf("%s reaching offset %d: err = %v, want a permanent error", name, off, err)
+			}
+		}
+	}
+	if got := string(m.Bytes()); got != "abc" {
+		t.Fatalf("refused calls left the store holding %q", got)
 	}
 }
 

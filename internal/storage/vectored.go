@@ -135,6 +135,9 @@ func (m *Mem) WriteAtv(segs []Segment) error {
 		if s.Off < 0 {
 			return fmt.Errorf("storage: negative offset %d", s.Off)
 		}
+		if err := memFits(s.Off, int64(len(s.Buf))); err != nil {
+			return err
+		}
 	}
 	lo, hi := SegsSpan(segs)
 	m.mu.RLock()

@@ -37,63 +37,65 @@ const (
 // ErrFrame is wrapped by every frame-decoding error.
 var ErrFrame = errors.New("transport: bad frame")
 
-// appendFrame appends the encoded frame to dst and returns it.
-func appendFrame(dst []byte, src, tag int, payload []byte) []byte {
-	var hdr [FrameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+// putFrameHeader and parseFrameHeader are the frame header's one
+// encoder and one decoder: the rank links, the rendezvous handshake and
+// FrameConn (which adds its CRC) all go through them, so the length is
+// held against the limit — before anything is allocated for it — here
+// and nowhere else.
+func putFrameHeader(hdr []byte, src, tag, payloadLen int) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payloadLen))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(int32(src)))
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(int32(tag)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
 }
 
-// DecodeFrame decodes one frame from the front of b, returning the
-// envelope, the payload (aliasing b), and the remaining bytes.  A
-// truncated, oversized, or garbage header returns an error wrapping
-// ErrFrame; DecodeFrame never panics and never allocates.
-func DecodeFrame(b []byte, maxFrame int) (src, tag int, payload, rest []byte, err error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	if len(b) < FrameHeaderSize {
-		return 0, 0, nil, nil, fmt.Errorf("%w: truncated header (%d bytes)", ErrFrame, len(b))
-	}
-	n := binary.LittleEndian.Uint32(b[0:4])
-	if n > uint32(maxFrame) {
-		return 0, 0, nil, nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, maxFrame)
-	}
-	src = int(int32(binary.LittleEndian.Uint32(b[4:8])))
-	tag = int(int32(binary.LittleEndian.Uint32(b[8:12])))
-	if uint32(len(b)-FrameHeaderSize) < n {
-		return 0, 0, nil, nil, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrFrame, len(b)-FrameHeaderSize, n)
-	}
-	end := FrameHeaderSize + int(n)
-	return src, tag, b[FrameHeaderSize:end:end], b[end:], nil
-}
-
-// readFrame reads one frame from r.  The payload buffer is freshly
-// allocated, at most maxFrame bytes — the length is validated before
-// any allocation, so a garbage header cannot over-allocate.
-func readFrame(r io.Reader, maxFrame int) (src, tag int, payload []byte, err error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	var hdr [FrameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err // EOF between frames is a link event, not a frame error
-	}
+func parseFrameHeader(hdr []byte, maxFrame int) (src, tag, payloadLen int, err error) {
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	if n > uint32(maxFrame) {
-		return 0, 0, nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, maxFrame)
+		return 0, 0, 0, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, maxFrame)
 	}
 	src = int(int32(binary.LittleEndian.Uint32(hdr[4:8])))
 	tag = int(int32(binary.LittleEndian.Uint32(hdr[8:12])))
-	payload = make([]byte, n)
+	return src, tag, int(n), nil
+}
+
+// readPayload fills payload, the length a parsed header named, from r.
+func readPayload(r io.Reader, payload []byte) error {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrFrame, err)
+		return fmt.Errorf("%w: truncated payload: %v", ErrFrame, err)
+	}
+	return nil
+}
+
+// appendFrame appends the encoded frame to dst and returns it.
+func appendFrame(dst []byte, src, tag int, payload []byte) []byte {
+	var hdr [FrameHeaderSize]byte
+	putFrameHeader(hdr[:], src, tag, len(payload))
+	return append(append(dst, hdr[:]...), payload...)
+}
+
+// readFrame reads one frame from r.
+func readFrame(r io.Reader, maxFrame int) (src, tag int, payload []byte, err error) {
+	var hdr [FrameHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, nil, err // EOF between frames is a link event, not a frame error
+	}
+	return readFrameBody(r, hdr[:], maxFrame)
+}
+
+// readFrameBody parses a header already read from r and reads the
+// payload it names into a freshly allocated buffer, at most maxFrame
+// bytes.
+func readFrameBody(r io.Reader, hdr []byte, maxFrame int) (src, tag int, payload []byte, err error) {
+	src, tag, n, err := parseFrameHeader(hdr, maxFrame)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	payload = make([]byte, n)
+	if err := readPayload(r, payload); err != nil {
+		return 0, 0, nil, err
 	}
 	return src, tag, payload, nil
 }

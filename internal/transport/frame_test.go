@@ -13,19 +13,18 @@ func TestFrameRoundTrip(t *testing.T) {
 	for i, p := range payloads {
 		buf = appendFrame(buf, i, 100+i, p)
 	}
-	rest := buf
+	rest := bytes.NewReader(buf)
 	for i, p := range payloads {
-		src, tag, payload, r, err := DecodeFrame(rest, 0)
+		src, tag, payload, err := readFrame(rest, DefaultMaxFrame)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if src != i || tag != 100+i || !bytes.Equal(payload, p) {
 			t.Fatalf("frame %d: got (src=%d tag=%d len=%d)", i, src, tag, len(payload))
 		}
-		rest = r
 	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes", len(rest))
+	if rest.Len() != 0 {
+		t.Fatalf("%d trailing bytes", rest.Len())
 	}
 }
 
@@ -36,32 +35,37 @@ func TestDecodeFrameErrors(t *testing.T) {
 		b    []byte
 		max  int
 	}{
-		{"empty", nil, 0},
-		{"truncated header", full[:FrameHeaderSize-1], 0},
-		{"truncated payload", full[:len(full)-3], 0},
+		{"truncated payload", full[:len(full)-3], DefaultMaxFrame},
 		{"oversized", appendFrame(nil, 0, 0, make([]byte, 64)), 16},
 		{"garbage length", []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0}, 1 << 20},
 	}
 	for _, tc := range cases {
-		if _, _, _, _, err := DecodeFrame(tc.b, tc.max); !errors.Is(err, ErrFrame) {
+		if _, _, _, err := readFrame(bytes.NewReader(tc.b), tc.max); !errors.Is(err, ErrFrame) {
 			t.Errorf("%s: err = %v, want ErrFrame", tc.name, err)
+		}
+	}
+	// A stream that ends inside a header is the link going away, as an
+	// empty one is: not a frame error.
+	for _, b := range [][]byte{nil, full[:FrameHeaderSize-1]} {
+		if _, _, _, err := readFrame(bytes.NewReader(b), DefaultMaxFrame); err == nil || errors.Is(err, ErrFrame) {
+			t.Errorf("%d-byte stream: err = %v, want an EOF", len(b), err)
 		}
 	}
 }
 
 func TestReadFrame(t *testing.T) {
 	full := appendFrame(nil, 3, 7, []byte("wire payload"))
-	src, tag, payload, err := readFrame(bytes.NewReader(full), 0)
+	src, tag, payload, err := readFrame(bytes.NewReader(full), DefaultMaxFrame)
 	if err != nil || src != 3 || tag != 7 || string(payload) != "wire payload" {
 		t.Fatalf("got (%d, %d, %q, %v)", src, tag, payload, err)
 	}
 
 	// EOF at a frame boundary is a link event, not a frame error.
-	if _, _, _, err := readFrame(bytes.NewReader(nil), 0); err != io.EOF {
+	if _, _, _, err := readFrame(bytes.NewReader(nil), DefaultMaxFrame); err != io.EOF {
 		t.Fatalf("empty stream: err = %v, want io.EOF", err)
 	}
 	// A payload cut short is a frame error.
-	if _, _, _, err := readFrame(bytes.NewReader(full[:len(full)-1]), 0); !errors.Is(err, ErrFrame) {
+	if _, _, _, err := readFrame(bytes.NewReader(full[:len(full)-1]), DefaultMaxFrame); !errors.Is(err, ErrFrame) {
 		t.Fatalf("truncated stream: err = %v, want ErrFrame", err)
 	}
 	// An oversized length errors before allocating.
@@ -103,10 +107,11 @@ func TestBookRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzFrameDecode drives the two frame decoders with arbitrary bytes:
+// FuzzFrameDecode drives the frame decoder with arbitrary bytes:
 // truncated, oversized, or garbage input must error (wrapping ErrFrame
 // where a frame exists) — never panic and never allocate beyond the
-// frame limit.
+// frame limit — and what decodes must re-encode to the bytes it came
+// from.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendFrame(nil, 0, 0, nil))
@@ -116,21 +121,18 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(encodeBook([]string{"127.0.0.1:1", "127.0.0.1:2"}))
 	const maxFrame = 1 << 16
 	f.Fuzz(func(t *testing.T, b []byte) {
-		src, tag, payload, rest, err := DecodeFrame(b, maxFrame)
-		if err == nil {
+		r := bytes.NewReader(b)
+		src, tag, payload, err := readFrame(r, maxFrame)
+		switch {
+		case err == nil:
 			if len(payload) > maxFrame {
 				t.Fatalf("payload %d exceeds limit", len(payload))
 			}
-			if len(payload)+len(rest)+FrameHeaderSize != len(b) {
-				t.Fatalf("frame accounting: %d + %d + %d != %d", len(payload), len(rest), FrameHeaderSize, len(b))
+			if n := len(b) - r.Len(); !bytes.Equal(appendFrame(nil, src, tag, payload), b[:n]) {
+				t.Fatalf("frame (%d %d %d) does not re-encode to the %d bytes it was read from", src, tag, len(payload), n)
 			}
-			// The streaming decoder must agree with the in-place one.
-			s2, t2, p2, err2 := readFrame(bytes.NewReader(b), maxFrame)
-			if err2 != nil || s2 != src || t2 != tag || !bytes.Equal(p2, payload) {
-				t.Fatalf("readFrame disagrees: (%d %d %d %v) vs (%d %d %d)", s2, t2, len(p2), err2, src, tag, len(payload))
-			}
-		} else if !errors.Is(err, ErrFrame) {
-			t.Fatalf("DecodeFrame error does not wrap ErrFrame: %v", err)
+		case len(b) >= FrameHeaderSize && !errors.Is(err, ErrFrame):
+			t.Fatalf("readFrame error past a whole header does not wrap ErrFrame: %v", err)
 		}
 		if _, err := decodeBook(b, 4); err != nil && !errors.Is(err, ErrFrame) {
 			t.Fatalf("decodeBook error does not wrap ErrFrame: %v", err)

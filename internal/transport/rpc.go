@@ -79,10 +79,8 @@ func (fc *FrameConn) WriteFrame(seq, tag int, payload []byte) error {
 		return fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, len(payload), fc.maxFrame)
 	}
 	var hdr [rpcHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(int32(seq)))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(int32(tag)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(hdr[:FrameHeaderSize], rpcCRCTable))
+	putFrameHeader(hdr[:], seq, tag, len(payload))
+	binary.LittleEndian.PutUint32(hdr[FrameHeaderSize:], crc32.Checksum(hdr[:FrameHeaderSize], rpcCRCTable))
 	fc.wbuf = append(fc.wbuf[:0], hdr[:]...)
 	fc.wbuf = append(fc.wbuf, payload...)
 	_, err := fc.conn.Write(fc.wbuf)
@@ -101,31 +99,15 @@ func (fc *FrameConn) ReadFrame() (seq, tag int, payload []byte, err error) {
 	if _, err := io.ReadFull(fc.br, hdr[:]); err != nil {
 		return 0, 0, nil, err // EOF between frames is a link event, not a frame error
 	}
-	if got, want := crc32.Checksum(hdr[:FrameHeaderSize], rpcCRCTable), binary.LittleEndian.Uint32(hdr[12:16]); got != want {
+	if got, want := crc32.Checksum(hdr[:FrameHeaderSize], rpcCRCTable), binary.LittleEndian.Uint32(hdr[FrameHeaderSize:]); got != want {
 		return 0, 0, nil, fmt.Errorf("%w: header checksum mismatch (%#x vs %#x)", ErrFrame, got, want)
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > uint32(fc.maxFrame) {
-		return 0, 0, nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, fc.maxFrame)
-	}
-	seq = int(int32(binary.LittleEndian.Uint32(hdr[4:8])))
-	tag = int(int32(binary.LittleEndian.Uint32(hdr[8:12])))
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(fc.br, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrFrame, err)
-	}
-	return seq, tag, payload, nil
+	return readFrameBody(fc.br, hdr[:FrameHeaderSize], fc.maxFrame)
 }
 
 // SetDeadline bounds the next read and write on the underlying
 // connection; the zero time clears it.
 func (fc *FrameConn) SetDeadline(t time.Time) error { return fc.conn.SetDeadline(t) }
-
-// RemoteAddr reports the peer's address, for diagnostics.
-func (fc *FrameConn) RemoteAddr() net.Addr { return fc.conn.RemoteAddr() }
 
 // Close closes the underlying connection.
 func (fc *FrameConn) Close() error { return fc.conn.Close() }

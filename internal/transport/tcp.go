@@ -640,8 +640,8 @@ func (l *link) reader() {
 		// Ownership of the payload passes to whoever Recvs the message;
 		// core returns exchange chunks to its pool after unpacking.
 		payload := l.t.cfg.Pool.Get(n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			l.failWith(fmt.Errorf("%w: truncated payload: %v", ErrFrame, err))
+		if err := readPayload(br, payload); err != nil {
+			l.failWith(err)
 			return
 		}
 		sp.EndBytes(FrameHeaderSize + int64(n))
@@ -683,33 +683,4 @@ func NewLocalTCPWorld(size int, base TCPConfig) ([]Transport, error) {
 		eps[r] = NewTCP(cfg)
 	}
 	return eps, nil
-}
-
-// putFrameHeader / parseFrameHeader are the header halves of the frame
-// codec, used by the streaming reader/writer paths.
-func putFrameHeader(hdr []byte, src, tag, payloadLen int) {
-	_ = hdr[FrameHeaderSize-1]
-	hdr[0] = byte(payloadLen)
-	hdr[1] = byte(payloadLen >> 8)
-	hdr[2] = byte(payloadLen >> 16)
-	hdr[3] = byte(payloadLen >> 24)
-	putInt32LE(hdr[4:8], int32(src))
-	putInt32LE(hdr[8:12], int32(tag))
-}
-
-func parseFrameHeader(hdr []byte, maxFrame int) (src, tag, payloadLen int, err error) {
-	n := uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24
-	if n > uint32(maxFrame) {
-		return 0, 0, 0, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, maxFrame)
-	}
-	src = int(int32(uint32(hdr[4]) | uint32(hdr[5])<<8 | uint32(hdr[6])<<16 | uint32(hdr[7])<<24))
-	tag = int(int32(uint32(hdr[8]) | uint32(hdr[9])<<8 | uint32(hdr[10])<<16 | uint32(hdr[11])<<24))
-	return src, tag, int(n), nil
-}
-
-func putInt32LE(b []byte, v int32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
 }
