@@ -32,13 +32,11 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -56,150 +54,79 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("noncontig: ")
 
-	var (
-		p          = flag.Int("p", 2, "number of processes")
-		nblock     = flag.Int64("nblock", 1024, "N_block: blocks per process")
-		sblock     = flag.Int64("sblock", 8, "S_block: bytes per block")
-		pattern    = flag.String("pattern", "nc-nc", "access pattern: c-c, nc-c, c-nc, nc-nc")
-		collective = flag.Bool("collective", false, "use collective access")
-		engine     = flag.String("engine", "listless", "datatype engine: listless or list-based")
-		reps       = flag.Int("reps", 0, "write+read repetitions (0 = auto)")
-		verify     = flag.Bool("verify", true, "verify read-back data")
-		tiles      = flag.Int64("tiles", 1, "filetype instances per access (scales the file size)")
-		sieveBuf   = flag.Int("sievebuf", 0, "data-sieving buffer bytes (0 = default)")
-		collBuf    = flag.Int("collbuf", 0, "collective buffer bytes (0 = default)")
-		ioNodes    = flag.Int("ionodes", 0, "number of I/O processes (0 = all)")
-		noProgram  = flag.Bool("no-program", false, "disable compiled datatype copy programs: pack and position through the recursive walk on every window (the ablation baseline)")
-		file       = flag.String("file", "", "back the run with this file instead of memory")
-		readBW     = flag.Int64("read-bw", 0, "throttle: backend read bandwidth in bytes/s")
-		writeBW    = flag.Int64("write-bw", 0, "throttle: backend write bandwidth in bytes/s")
-		latency    = flag.Duration("latency", 0, "throttle: per-operation backend latency")
-		chaosSeed  = flag.Int64("chaos-seed", 0, "inject seeded transient storage faults, ridden out by retries (0 = off)")
-		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
-		traceSumm  = flag.Bool("trace-summary", false, "print the per-phase imbalance summary of the traced run")
-		stall      = flag.Duration("stall", 0, "stall watchdog timeout (0 = default: off in-process, 30s with -net)")
+	f := newFlags()
+	f.Parse(os.Args[1:]) // ExitOnError
 
-		netMode       = flag.String("net", "", `process model: "" (goroutine ranks), "launch" (fork one OS process per rank over TCP), "rank" (run as one such rank; set by launch), "server" (run as one I/O server; set by launch)`)
-		netRank       = flag.Int("net-rank", -1, "this process's rank (with -net rank)")
-		netRendezvous = flag.String("net-rendezvous", "", "rank 0's rendezvous address (with -net rank, ranks > 0)")
-		netFD         = flag.Int("net-fd", 0, "inherited rendezvous listener fd (with -net rank, rank 0)")
-		netTimeout    = flag.Duration("net-timeout", 5*time.Minute, "kill the whole -net launch run after this long")
-
-		servers        = flag.Int("servers", 0, "with -net launch: number of I/O-server processes to stripe the file across")
-		stripeUnit     = flag.Int64("stripe", 64<<10, "stripe unit bytes of the I/O-server tier")
-		serverAddrs    = flag.String("server-addrs", "", "comma-separated I/O-server addresses to mount as the backend (with -net rank; set by launch)")
-		netIndex       = flag.Int("net-index", -1, "this server's stripe index (with -net server; set by launch)")
-		serverRestarts = flag.Int("server-restarts", 0, "with -net launch -servers: restart a crashed I/O server up to this many times on its inherited listener")
-		killServer     = flag.Duration("kill-server", 0, "with -net launch -servers: SIGKILL server 0 after this long, to demonstrate supervised recovery (0 = off)")
-		wireChaosSeed  = flag.Int64("wire-chaos-seed", 0, "inject seeded wire faults (drops, dups, header corruption, resets, partitions) on this rank's server connections (0 = off)")
-
-		jobs        = flag.Int("jobs", 0, "run N concurrent I/O sessions through the shared session service (in-process; each session is a world of -p ranks over its own file region; 0 = off)")
-		workers     = flag.Int("workers", 0, "with -jobs: shared worker-pool slots bounding collectives in flight (0 = default 4)")
-		queueCap    = flag.Int("queue", 0, "with -jobs: admission queue depth; arrivals beyond it are rejected (0 = default 64)")
-		fifoSched   = flag.Bool("fifo", false, "with -jobs: admit in arrival order instead of weighted-fair")
-		noSessCache = flag.Bool("no-session-cache", false, "with -jobs: disable the per-session write-behind/read-ahead cache")
-		conns       = flag.Int("conns", 0, "with -jobs -servers: client connections per I/O server (0 = 1)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve a Prometheus /metrics endpoint on this address (e.g. 127.0.0.1:0; the bound address is printed as \"metrics <proc> <addr>\")")
-		metricsFD   = flag.Int("metrics-fd", 0, "inherited metrics listener fd (set by launch)")
-		metricsPush = flag.String("metrics-push", "", "push the final metrics snapshot to this launcher collector address on clean exit (set by launch)")
-		noMetrics   = flag.Bool("no-metrics", false, "disable the metrics registry entirely (the overhead-measurement baseline)")
-		traceSplit  = flag.Bool("trace-split", false, "with -net launch -trace: keep the per-process trace files next to the merged one")
-		flight      = flag.String("flight", "", "flight recorder: periodically persist recent spans and metrics to this path, dumped on SIGQUIT, collective fault, or watchdog stall and surviving SIGKILL (with -net launch: a directory, one dump per process)")
-	)
-	flag.Parse()
-
-	pat, err := noncontig.ParsePattern(*pattern)
+	pat, err := noncontig.ParsePattern(f.pattern)
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := parseEngine(*engine)
+	eng, err := parseEngine(f.engine)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	if *netMode != "" && *netMode != "server" {
-		if !*collective {
+	if f.netMode == "launch" {
+		if msg := f.refusedUnderLaunch(); msg != "" {
+			log.Fatal(msg)
+		}
+	}
+	if f.netMode != "" && f.netMode != "server" {
+		if !f.collective {
 			log.Fatal("-net requires -collective: independent data sieving read-modify-writes the shared file under a per-process lock table, which cannot exclude other rank processes")
 		}
-		if *chaosSeed != 0 {
+		if f.chaosSeed != 0 {
 			log.Fatal("-net does not support -chaos-seed (per-process injection would desynchronize the ranks)")
 		}
 	}
-	stallTimeout := *stall
-	if *netMode != "" && stallTimeout == 0 {
+	stallTimeout := f.stall
+	if f.netMode != "" && stallTimeout == 0 {
 		stallTimeout = 30 * time.Second
 	}
 
-	if *stripeUnit <= 0 {
+	if f.stripeUnit <= 0 {
 		log.Fatal("-stripe must be positive")
 	}
-	if *jobs > 0 {
-		if *netMode != "" {
-			log.Fatal("-jobs runs in-process; combine it with -servers for an in-process server tier, not with -net")
-		}
-		runJobs(jobsFlags{
-			jobs: *jobs, ranks: *p,
-			nblock: *nblock, sblock: *sblock, reps: *reps,
-			workers: *workers, queue: *queueCap, fifo: *fifoSched,
-			noCache: *noSessCache,
-			servers: *servers, stripe: *stripeUnit, conns: *conns,
-			readBW: *readBW, writeBW: *writeBW, latency: *latency,
-			verify: *verify, engine: eng,
-			sieveBuf: *sieveBuf, collBuf: *collBuf,
-			obs:   obsFlags{metricsAddr: *metricsAddr, noMetrics: *noMetrics},
-			stall: stallTimeout,
-		})
-		return
-	}
 	of := obsFlags{
-		noMetrics: *noMetrics, metricsAddr: *metricsAddr, metricsFD: *metricsFD, metricsPush: *metricsPush,
-		fullTrace: *tracePath != "" || *traceSumm, flight: *flight,
+		noMetrics: f.noMetrics, metricsAddr: f.metricsAddr, metricsFD: f.metricsFD, metricsPush: f.metricsPush,
+		fullTrace: f.tracePath != "" || f.traceSumm, flight: f.flight,
 	}
-	switch *netMode {
+	switch f.netMode {
 	case "":
 		// fall through to the in-process run below
 	case "launch":
-		netLaunch(*p, pat, eng, launchFlags{
-			nblock: *nblock, sblock: *sblock, reps: *reps, verify: *verify, tiles: *tiles,
-			sieveBuf: *sieveBuf, collBuf: *collBuf, ioNodes: *ioNodes,
-			noProgram: *noProgram, servers: *servers, stripe: *stripeUnit,
-			serverRestarts: *serverRestarts, killServer: *killServer, wireChaosSeed: *wireChaosSeed,
-			file: *file, readBW: *readBW, writeBW: *writeBW, latency: *latency,
-			tracePath: *tracePath, stall: stallTimeout, timeout: *netTimeout,
-			traceSplit: *traceSplit, flight: *flight, noMetrics: *noMetrics,
-		})
+		netLaunch(f)
 		return
 	case "server":
 		runServer(serverConfig{
-			index: *netIndex, count: *servers, stripe: *stripeUnit,
-			file: *file, tracePath: *tracePath, obs: of,
+			index: f.netIndex, count: f.servers, stripe: f.stripeUnit,
+			file: f.file, tracePath: f.tracePath, obs: of,
 		})
 		return
 	case "rank":
 		// handled below: same config assembly, different backend + runner
 	default:
-		log.Fatalf("unknown -net mode %q (want launch, rank, or server)", *netMode)
+		log.Fatalf("unknown -net mode %q (want launch, rank, or server)", f.netMode)
 	}
 
-	isRank := *netMode == "rank"
+	isRank := f.netMode == "rank"
 	proc := "local"
 	if isRank {
-		proc = fmt.Sprintf("rank%d", *netRank)
+		proc = fmt.Sprintf("rank%d", f.netRank)
 	}
 	reg, collector, rec, obsDone := setupObs(proc, of)
 	var backend storage.Backend
 	var agg *ioserver.Striped
 	if isRank {
-		if *netRank < 0 || *netRank >= *p {
-			log.Fatalf("-net rank requires -net-rank in [0, %d)", *p)
+		if f.netRank < 0 || f.netRank >= f.p {
+			log.Fatalf("-net rank requires -net-rank in [0, %d)", f.p)
 		}
-		if *serverAddrs != "" {
+		if f.serverAddrs != "" {
 			copts := ioserver.ClientOptions{Metrics: reg}
-			if *wireChaosSeed != 0 {
+			if f.wireChaosSeed != 0 {
 				copts.Timeout = 500 * time.Millisecond // a dropped frame costs one deadline, not 30s
 				copts.WireChaos = &transport.WireChaosConfig{
-					Seed:       *wireChaosSeed,
+					Seed:       f.wireChaosSeed,
 					PSpike:     0.02,
 					PDrop:      0.01,
 					PDup:       0.01,
@@ -208,7 +135,7 @@ func main() {
 					PPartition: 0.002,
 				}
 			}
-			a, err := ioserver.NewStriped(*stripeUnit, strings.Split(*serverAddrs, ","), copts)
+			a, err := ioserver.NewStriped(f.stripeUnit, strings.Split(f.serverAddrs, ","), copts)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -223,10 +150,10 @@ func main() {
 				MaxBackoff:  200 * time.Millisecond,
 			})
 		} else {
-			if *file == "" {
+			if f.file == "" {
 				log.Fatal("-net rank requires -file (the shared data file) or -server-addrs")
 			}
-			fb, err := storage.OpenFileShared(*file)
+			fb, err := storage.OpenFileShared(f.file)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -235,18 +162,18 @@ func main() {
 		}
 	} else {
 		backend = storage.NewMem()
-		if *file != "" {
-			fb, err := storage.OpenFile(*file)
+		if f.file != "" {
+			fb, err := storage.OpenFile(f.file)
 			if err != nil {
 				log.Fatal(err)
 			}
 			defer fb.Close()
-			defer os.Remove(*file)
+			defer os.Remove(f.file)
 			backend = fb
 		}
 	}
-	if *readBW > 0 || *writeBW > 0 || *latency > 0 {
-		backend = storage.NewThrottled(backend, *readBW, *writeBW, *latency)
+	if f.readBW > 0 || f.writeBW > 0 || f.latency > 0 {
+		backend = storage.NewThrottled(backend, f.readBW, f.writeBW, f.latency)
 	}
 	// A clean exit pushes the final snapshot to the launcher, so a rank
 	// that finishes between two scrape ticks still lands in the merged
@@ -258,10 +185,10 @@ func main() {
 	// sees it; recoverable-only injection keeps the run correct.
 	var chaos *storage.Chaos
 	var resilient *storage.Resilient
-	if *chaosSeed != 0 {
-		chaos = storage.NewChaos(*chaosSeed, backend, storage.TransientOnly())
+	if f.chaosSeed != 0 {
+		chaos = storage.NewChaos(f.chaosSeed, backend, storage.TransientOnly())
 		chaos.SetTracer(collector.Storage())
-		resilient = storage.NewResilient(chaos, storage.ResilientConfig{Seed: *chaosSeed + 1})
+		resilient = storage.NewResilient(chaos, storage.ResilientConfig{Seed: f.chaosSeed + 1})
 		resilient.SetTracer(collector.Storage())
 		backend = resilient
 	}
@@ -272,21 +199,21 @@ func main() {
 	}
 
 	cfg := noncontig.Config{
-		P:          *p,
-		Blockcount: *nblock,
-		Blocklen:   *sblock,
+		P:          f.p,
+		Blockcount: f.nblock,
+		Blocklen:   f.sblock,
 		Pattern:    pat,
-		Collective: *collective,
+		Collective: f.collective,
 		Engine:     eng,
-		Reps:       *reps,
-		Verify:     *verify,
-		Tiles:      *tiles,
+		Reps:       f.reps,
+		Verify:     f.verify,
+		Tiles:      f.tiles,
 		Backend:    backend,
 		Options: core.Options{
-			SieveBufSize:   *sieveBuf,
-			CollBufSize:    *collBuf,
-			IONodes:        *ioNodes,
-			DisableProgram: *noProgram,
+			SieveBufSize:   f.sieveBuf,
+			CollBufSize:    f.collBuf,
+			IONodes:        f.ioNodes,
+			DisableProgram: f.noProgram,
 		},
 		Trace:        collector,
 		Metrics:      reg,
@@ -296,7 +223,7 @@ func main() {
 	if cfg.Reps == 0 {
 		cfg.Reps = autoReps(cfg.DataPerProc())
 	}
-	if *chaosSeed != 0 && cfg.StallTimeout == 0 {
+	if f.chaosSeed != 0 && cfg.StallTimeout == 0 {
 		// Fault injection can expose hangs; bound them with a diagnostic.
 		cfg.StallTimeout = 30 * time.Second
 	}
@@ -304,19 +231,19 @@ func main() {
 	var res noncontig.Result
 	if isRank {
 		cfgT := transport.TCPConfig{
-			Rank: *netRank, Size: *p,
-			Rendezvous: *netRendezvous,
+			Rank: f.netRank, Size: f.p,
+			Rendezvous: f.netRendezvous,
 			Trace:      collector,
 		}
-		if *netFD > 0 {
-			l, err := transport.ListenerFromFD(*netFD)
+		if f.netFD > 0 {
+			l, err := transport.ListenerFromFD(f.netFD)
 			if err != nil {
 				log.Fatal(err)
 			}
 			cfgT.Listener = l
-		} else if *netRank == 0 && *netRendezvous != "" {
-			cfgT.Rendezvous = *netRendezvous // rank 0 binds it itself
-		} else if *netRank > 0 && *netRendezvous == "" {
+		} else if f.netRank == 0 && f.netRendezvous != "" {
+			cfgT.Rendezvous = f.netRendezvous // rank 0 binds it itself
+		} else if f.netRank > 0 && f.netRendezvous == "" {
 			log.Fatal("-net rank needs -net-rendezvous (or -net-fd for rank 0)")
 		}
 		res, err = noncontig.RunRank(cfg, transport.NewTCP(cfgT))
@@ -331,20 +258,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if isRank && *netRank != 0 {
+	if isRank && f.netRank != 0 {
 		// Only rank 0 prints the report; the others confirm and exit.
 		fmt.Printf("rank %d ok: %s moved, wire %s out / %s in\n",
-			*netRank, humanBytes(cfg.DataPerProc()*int64(cfg.Reps)*2),
+			f.netRank, humanBytes(cfg.DataPerProc()*int64(cfg.Reps)*2),
 			humanBytes(res.Comm.WireBytesSent), humanBytes(res.Comm.WireBytesRecv))
 		if agg != nil {
-			fmt.Printf("rank %d storage: %d server round-trips\n", *netRank, agg.Rounds())
+			fmt.Printf("rank %d storage: %d server round-trips\n", f.netRank, agg.Rounds())
 		}
-		writeTrace(*tracePath, collector)
+		writeTrace(f.tracePath, collector)
 		return
 	}
 
 	mode := "independent"
-	if *collective {
+	if f.collective {
 		mode = "collective"
 	}
 	if isRank {
@@ -367,7 +294,7 @@ func main() {
 	}
 	if agg != nil {
 		fmt.Printf("  storage tier: %d servers, stripe %s, %d round-trips from this rank\n",
-			len(agg.Clients()), humanBytes(*stripeUnit), agg.Rounds())
+			len(agg.Clients()), humanBytes(f.stripeUnit), agg.Rounds())
 		if st, err := agg.ServerStats(); err == nil {
 			fmt.Printf("    server totals: %s\n", st)
 		}
@@ -376,77 +303,46 @@ func main() {
 		st := chaos.Stats()
 		retries, exhausted := resilient.RetryStats()
 		fmt.Printf("  chaos(seed=%d): %d transients, %d short reads, %d torn writes, %d spikes; %d retries, %d exhausted\n",
-			*chaosSeed, st.Transients, st.ShortReads, st.TornWrites, st.LatencySpikes, retries, exhausted)
+			f.chaosSeed, st.Transients, st.ShortReads, st.TornWrites, st.LatencySpikes, retries, exhausted)
 	}
-	if *verify {
+	if f.verify {
 		fmt.Println("  verification: OK")
 	}
-	if *traceSumm {
+	if f.traceSumm {
 		fmt.Print(collector.Summary())
 	}
-	writeTrace(*tracePath, collector)
+	writeTrace(f.tracePath, collector)
 }
 
-// launchFlags carries the benchmark parameters the launcher forwards to
-// every rank process.
-type launchFlags struct {
-	nblock, sblock    int64
-	reps              int
-	verify            bool
-	tiles             int64
-	sieveBuf, collBuf int
-	ioNodes           int
-	noProgram         bool
-	servers           int
-	stripe            int64
-	serverRestarts    int
-	killServer        time.Duration
-	wireChaosSeed     int64
-	file              string
-	readBW, writeBW   int64
-	latency           time.Duration
-	tracePath         string
-	stall             time.Duration
-	timeout           time.Duration
-	traceSplit        bool
-	flight            string
-	noMetrics         bool
-}
-
-// netLaunch forks one rank process per rank against a shared file and
-// supervises them.
-func netLaunch(p int, pat noncontig.Pattern, eng core.Engine, lf launchFlags) {
-	reps := lf.reps
-	if reps == 0 {
-		t := lf.tiles
-		if t <= 0 {
-			t = 1
-		}
-		reps = autoReps(t * lf.nblock * lf.sblock)
-	}
-	if lf.servers == 0 && (lf.serverRestarts > 0 || lf.killServer > 0 || lf.wireChaosSeed != 0) {
+// netLaunch forks one rank process per rank against a shared file (or,
+// with -servers, against a tier of server processes forked first) and
+// supervises them.  Each child's argument list is what launch sets for
+// it plus the forwarded part of this command line (flags.childArgs).
+func netLaunch(f *flags) {
+	if f.servers == 0 && (f.serverRestarts > 0 || f.killServer > 0 || f.wireChaosSeed != 0) {
 		log.Fatal("-server-restarts, -kill-server, and -wire-chaos-seed require -servers")
 	}
-	if lf.killServer > 0 && lf.serverRestarts == 0 {
+	if f.killServer > 0 && f.serverRestarts == 0 {
 		log.Fatal("-kill-server needs -server-restarts > 0, or the killed server stays dead and the run fails")
 	}
 	// With an I/O-server tier the ranks mount the servers instead of a
 	// shared local file; -file then names optional per-server stripe
 	// persistence, not rank-shared state.
-	path := lf.file
-	if lf.servers == 0 {
-		if path == "" {
+	if f.servers == 0 {
+		if f.file == "" {
 			tmp, err := os.CreateTemp("", "noncontig-net-*.dat")
 			if err != nil {
 				log.Fatal(err)
 			}
-			path = tmp.Name()
 			tmp.Close()
+			if err := f.Set("file", tmp.Name()); err != nil {
+				log.Fatal(err)
+			}
 		}
-		defer os.Remove(path)
+		defer os.Remove(f.file)
 	}
-	if lf.flight != "" {
-		if err := os.MkdirAll(lf.flight, 0o755); err != nil {
+	if f.flight != "" {
+		if err := os.MkdirAll(f.flight, 0o755); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -455,118 +351,48 @@ func netLaunch(p int, pat noncontig.Pattern, eng core.Engine, lf launchFlags) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	args := func(rank int, rendezvous string, serverAddrs []string) []string {
-		a := []string{
-			"-net", "rank",
-			"-net-rank", fmt.Sprint(rank),
-			"-p", fmt.Sprint(p),
-			"-nblock", fmt.Sprint(lf.nblock),
-			"-sblock", fmt.Sprint(lf.sblock),
-			"-pattern", pat.String(),
-			"-engine", eng.String(),
-			"-reps", fmt.Sprint(reps),
-			"-tiles", fmt.Sprint(lf.tiles),
-			"-collective",
-			fmt.Sprintf("-verify=%t", lf.verify),
-			"-stall", lf.stall.String(),
-		}
-		if lf.servers > 0 {
-			a = append(a,
-				"-server-addrs", strings.Join(serverAddrs, ","),
-				"-stripe", fmt.Sprint(lf.stripe))
-			if lf.wireChaosSeed != 0 {
-				// Distinct per-rank seeds: identical fault schedules on
-				// every rank would synchronize the injected faults.
-				a = append(a, "-wire-chaos-seed", fmt.Sprint(lf.wireChaosSeed+int64(rank)))
-			}
-		} else {
-			a = append(a, "-file", path)
-		}
-		if lf.sieveBuf > 0 {
-			a = append(a, "-sievebuf", fmt.Sprint(lf.sieveBuf))
-		}
-		if lf.collBuf > 0 {
-			a = append(a, "-collbuf", fmt.Sprint(lf.collBuf))
-		}
-		if lf.ioNodes > 0 {
-			a = append(a, "-ionodes", fmt.Sprint(lf.ioNodes))
-		}
-		if lf.noProgram {
-			a = append(a, "-no-program")
-		}
-		if lf.readBW > 0 {
-			a = append(a, "-read-bw", fmt.Sprint(lf.readBW))
-		}
-		if lf.writeBW > 0 {
-			a = append(a, "-write-bw", fmt.Sprint(lf.writeBW))
-		}
-		if lf.latency > 0 {
-			a = append(a, "-latency", lf.latency.String())
-		}
-		if lf.tracePath != "" {
-			a = append(a, "-trace", fmt.Sprintf("%s.rank%d", lf.tracePath, rank))
-		}
-		if lf.noMetrics {
-			a = append(a, "-no-metrics")
-		}
-		if lf.flight != "" {
-			a = append(a, "-flight", filepath.Join(lf.flight, fmt.Sprintf("rank%d.flight", rank)))
-		}
-		if rank == 0 {
-			a = append(a, "-net-fd", fmt.Sprint(transport.RendezvousFD))
-		} else {
-			a = append(a, "-net-rendezvous", rendezvous)
-		}
-		return a
-	}
-	serverArgs := func(idx int) []string {
-		a := []string{
-			"-net", "server",
-			"-net-index", fmt.Sprint(idx),
-			"-servers", fmt.Sprint(lf.servers),
-			"-stripe", fmt.Sprint(lf.stripe),
-		}
-		if lf.file != "" {
-			a = append(a, "-file", fmt.Sprintf("%s.srv%d", lf.file, idx))
-		}
-		if lf.tracePath != "" {
-			a = append(a, "-trace", fmt.Sprintf("%s.srv%d", lf.tracePath, idx))
-		}
-		if lf.noMetrics {
-			a = append(a, "-no-metrics")
-		}
-		if lf.flight != "" {
-			a = append(a, "-flight", filepath.Join(lf.flight, fmt.Sprintf("srv%d.flight", idx)))
-		}
-		return a
-	}
 	lo := transport.LaunchOptions{
-		Size: p, Exe: exe, Args: args, Timeout: lf.timeout,
-		Servers: lf.servers, ServerArgs: serverArgs,
-		ServerRestarts:  lf.serverRestarts,
-		KillServerAfter: lf.killServer,
+		Size: f.p, Exe: exe, Timeout: f.netTimeout,
+		Args: func(rank int, rendezvous string, serverAddrs []string) []string {
+			set := []string{"-net=rank", fmt.Sprint("-net-rank=", rank)}
+			if rank == 0 {
+				set = append(set, fmt.Sprint("-net-fd=", transport.RendezvousFD))
+			} else {
+				set = append(set, "-net-rendezvous="+rendezvous)
+			}
+			if f.servers > 0 {
+				set = append(set, "-server-addrs="+strings.Join(serverAddrs, ","))
+			}
+			return f.childArgs(roleRank, rank, set...)
+		},
+		Servers: f.servers,
+		ServerArgs: func(idx int) []string {
+			return f.childArgs(roleServer, idx, "-net=server", fmt.Sprint("-net-index=", idx))
+		},
+		ServerRestarts:  f.serverRestarts,
+		KillServerAfter: f.killServer,
 	}
-	if !lf.noMetrics {
+	if !f.noMetrics {
 		// The launcher hands every child a pre-bound metrics listener,
 		// announces the addresses ("metrics <proc> <addr>" — CI curls
 		// them mid-run), scrapes everyone, and prints the merged run
 		// report on exit.
 		lo.Metrics = &transport.MetricsOptions{Announce: os.Stdout, Report: os.Stdout}
 	}
-	if lf.flight != "" {
+	if f.flight != "" {
 		// Preserve a crashed server's dying breath: the supervised
 		// restart would let the replacement overwrite its flight dump.
 		lo.OnServerRestart = func(idx, attempt int) {
-			dump := filepath.Join(lf.flight, fmt.Sprintf("srv%d.flight", idx))
+			dump, _ := f.childValue("flight", roleServer, idx)
 			os.Rename(dump, fmt.Sprintf("%s.crash%d", dump, attempt))
 		}
 	}
 	err = transport.Launch(lo)
-	if lf.tracePath != "" {
+	if f.tracePath != "" {
 		// Merge the per-process traces into one file spanning every rank
 		// and server (best effort on a failed run: the survivors still
 		// merge; a crashed process may have no trace to contribute).
-		mergeTraces(lf.tracePath, p, lf.servers, lf.traceSplit)
+		mergeTraces(f)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -576,21 +402,23 @@ func netLaunch(p int, pat noncontig.Pattern, eng core.Engine, lf launchFlags) {
 // mergeTraces folds the launcher's per-process Chrome traces
 // (<path>.rankN, <path>.srvK) into one file at path with one track per
 // process; -trace-split keeps the parts.
-func mergeTraces(path string, ranks, servers int, split bool) {
+func mergeTraces(f *flags) {
 	var ins []trace.MergeInput
-	for r := 0; r < ranks; r++ {
-		ins = append(ins, trace.MergeInput{Path: fmt.Sprintf("%s.rank%d", path, r), Proc: fmt.Sprintf("rank %d", r)})
+	for r := 0; r < f.p; r++ {
+		path, _ := f.childValue("trace", roleRank, r)
+		ins = append(ins, trace.MergeInput{Path: path, Proc: fmt.Sprintf("rank %d", r)})
 	}
-	for s := 0; s < servers; s++ {
-		ins = append(ins, trace.MergeInput{Path: fmt.Sprintf("%s.srv%d", path, s), Proc: fmt.Sprintf("srv %d", s)})
+	for s := 0; s < f.servers; s++ {
+		path, _ := f.childValue("trace", roleServer, s)
+		ins = append(ins, trace.MergeInput{Path: path, Proc: fmt.Sprintf("srv %d", s)})
 	}
-	n, err := trace.MergeChromeFiles(path, ins)
+	n, err := trace.MergeChromeFiles(f.tracePath, ins)
 	if err != nil {
 		log.Printf("trace merge: %v", err)
 		return
 	}
-	fmt.Printf("  trace: %s (%d of %d process traces merged; load in chrome://tracing or Perfetto)\n", path, n, len(ins))
-	if !split {
+	fmt.Printf("  trace: %s (%d of %d process traces merged; load in chrome://tracing or Perfetto)\n", f.tracePath, n, len(ins))
+	if !f.traceSplit {
 		for _, in := range ins {
 			os.Remove(in.Path)
 		}

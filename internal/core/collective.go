@@ -86,20 +86,6 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 		return nil
 	}
 
-	// ---- Admission: with a gate configured, the collective is a
-	// schedulable job.  Rank 0 acquires a shared-pool slot (possibly
-	// queueing) and broadcasts the decision; on rejection all ranks
-	// return ErrRejected before any epoch staging or exchange traffic
-	// starts.  The slot is held until this collective — trailing
-	// barrier included — is done. ----
-	if f.opts.Gate != nil {
-		release, err := f.gateAcquire(d, write)
-		if err != nil {
-			return err
-		}
-		defer release()
-	}
-
 	// Crash-consistent write: when the backend supports epochs, the IOP
 	// write-backs below stage under this id instead of applying, and
 	// epochFinish commits them after the error vote.  The plan (hence

@@ -107,11 +107,6 @@ type Options struct {
 	// plane and keeps them in step with Stats; nil disables them at the
 	// cost of one nil check per window and per access.
 	Metrics *obs.Registry
-	// Gate, when non-nil, makes every collective a schedulable job:
-	// rank 0 acquires a slot before any staging or exchange traffic and
-	// broadcasts the decision (see gate.go).  The session service wires
-	// its shared worker pool in here; nil admits unconditionally.
-	Gate Gate
 }
 
 func (o *Options) fill() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 
 	"repro/internal/datatype"
@@ -213,5 +214,85 @@ func TestRemoteViewDirectPath(t *testing.T) {
 	if double.rounds > view.rounds {
 		t.Fatalf("%d runs cost %d round-trips, %d runs cost %d: requests grow with the run count",
 			runs, view.rounds, 2*runs, double.rounds)
+	}
+}
+
+// TestRemoteConcurrentMounts: several worlds, each through its own mount
+// of one 3-server tier, write and read back disjoint offset ranges of it
+// at the same time, and every range ends byte-identical to the flat
+// oracle.  The writes are independent — a collective write opens an
+// epoch, and the tier admits one epoch at a time — the read-back is
+// collective.
+func TestRemoteConcurrentMounts(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	const worlds, P = 3, 2
+	const blockcount, blocklen = 16, 8
+	d := int64(blockcount * blocklen)
+	fileSize := P * d
+
+	run := func(be storage.Backend, disp int64) error {
+		sh := NewShared(be)
+		_, err := mpi.Run(P, func(p *mpi.Proc) {
+			f, err := Open(p, sh, Options{CollBufSize: 128})
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			if err := f.SetView(disp, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
+				panic(err)
+			}
+			data := pattern(p.Rank(), d)
+			if _, err := f.WriteAt(0, d, datatype.Byte, data); err != nil {
+				panic(err)
+			}
+			p.Barrier()
+			got := make([]byte, d)
+			if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
+				panic(err)
+			}
+			if !bytes.Equal(got, data) {
+				panic(fmt.Sprintf("rank %d: read-back mismatch", p.Rank()))
+			}
+		})
+		return err
+	}
+
+	mem := storage.NewMem()
+	if err := run(mem, 0); err != nil {
+		t.Fatal(err)
+	}
+	oracle := mem.Bytes()
+
+	agg, stop := ioServerTier(t, 64, 3)
+	defer stop()
+	var addrs []string
+	for _, c := range agg.Clients() {
+		addrs = append(addrs, c.Addr())
+	}
+	errs := make([]error, worlds)
+	var wg sync.WaitGroup
+	for w := 0; w < worlds; w++ {
+		mount, err := ioserver.NewStriped(64, addrs, ioserver.ClientOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mount.Close()
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = run(mount, int64(w)*fileSize)
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("world %d: %v", w, err)
+		}
+	}
+	image := flattenBackend(t, agg)
+	for w := 0; w < worlds; w++ {
+		if got := image[int64(w)*fileSize : int64(w+1)*fileSize]; !bytes.Equal(got, oracle) {
+			t.Fatalf("world %d: its range of the tier differs from the flat oracle", w)
+		}
 	}
 }

@@ -94,11 +94,6 @@ type ClientOptions struct {
 	// each dial after the first means a connection was lost to a fault
 	// or a server bounce.
 	Metrics *obs.Registry
-	// Conns is the per-server connection pool size used by Striped
-	// (<= 0 means 1).  A single connection serializes round-trips
-	// behind the client mutex; concurrent sessions sharing a striped
-	// backend want several so their requests overlap on the wire.
-	Conns int
 }
 
 // NewClient builds a client for the server at addr.  The connection is

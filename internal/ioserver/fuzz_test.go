@@ -2,6 +2,7 @@ package ioserver
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"net"
 	"slices"
@@ -36,6 +37,43 @@ var fuzzOps = func() []int {
 	return append(ops, transport.TagServerFirst, transport.TagServerLast, 0, 1, -1, -1000)
 }()
 
+// boundedMem is a Mem that refuses to grow past max bytes (a server has
+// no capacity of its own to refuse by: ROADMAP item 7).
+type boundedMem struct {
+	*storage.Mem
+	max int64
+}
+
+func (b boundedMem) fits(off, n int64) error {
+	if off > b.max-n {
+		return fmt.Errorf("boundedMem: [%d, +%d) exceeds %d: %w", off, n, b.max, storage.ErrPermanent)
+	}
+	return nil
+}
+
+func (b boundedMem) WriteAt(p []byte, off int64) (int, error) {
+	if err := b.fits(off, int64(len(p))); err != nil {
+		return 0, err
+	}
+	return b.Mem.WriteAt(p, off)
+}
+
+func (b boundedMem) WriteAtv(segs []storage.Segment) error {
+	for _, sg := range segs {
+		if err := b.fits(sg.Off, int64(len(sg.Buf))); err != nil {
+			return err
+		}
+	}
+	return b.Mem.WriteAtv(segs)
+}
+
+func (b boundedMem) Truncate(n int64) error {
+	if err := b.fits(n, 0); err != nil {
+		return err
+	}
+	return b.Mem.Truncate(n)
+}
+
 var fuzzSrv struct {
 	once sync.Once
 	addr string
@@ -45,9 +83,9 @@ var fuzzSrv struct {
 // fuzzServer starts the shared fuzz target once per process: stripe 0
 // of a 2-way layout over a pre-seeded Mem, tiny frame limit, tiny view
 // cache (so eviction/stale paths are reachable with few requests).  The
-// stripe is a 1 MiB region of the Mem: a write the protocol has no
-// reason to refuse may still lie gigabytes out, and the fuzzer must not
-// find out whether this machine can allocate that.
+// stripe is bounded at 1 MiB: a write the protocol has no reason to
+// refuse may still lie gigabytes out, and the fuzzer must not find out
+// whether this machine can allocate that.
 func fuzzServer(f *testing.F) string {
 	f.Helper()
 	fuzzSrv.once.Do(func() {
@@ -55,12 +93,8 @@ func fuzzServer(f *testing.F) string {
 		if _, err := mem.WriteAt(make([]byte, 1<<16), 0); err != nil {
 			f.Fatal(err)
 		}
-		be, err := storage.NewRegion(mem, 0, 1<<20)
-		if err != nil {
-			f.Fatal(err)
-		}
 		srv, err := New(Config{
-			Backend:   be,
+			Backend:   boundedMem{mem, 1 << 20},
 			Geom:      storage.StripeGeom{Unit: 64, Count: 2},
 			Index:     0,
 			MaxFrame:  fuzzMaxFrame,

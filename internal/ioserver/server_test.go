@@ -434,3 +434,67 @@ func TestListChunking(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiMountEpochCommit is the OS-process-rank configuration: every
+// rank mounts the tier itself, so one epoch is staged over several
+// connections to each server.  The server stages per epoch id and
+// tallies per connection: each mount seals its own tally (a mount that
+// staged nothing seals zero), nothing is visible before the commit, and
+// the one commit — by one mount, the others just leave the epoch —
+// applies what every connection staged.
+func TestMultiMountEpochCommit(t *testing.T) {
+	a, servers := startServers(t, 4096, 1, nil)
+	mount := func() *Striped {
+		m, err := NewStriped(4096, []string{a.Clients()[0].Addr()}, ClientOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		return m
+	}
+	b, idle := mount(), mount()
+
+	base := bytes.Repeat([]byte{0xAA}, 8192)
+	if _, err := a.WriteAt(base, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), base...)
+	mounts := []*Striped{a, b, idle}
+	for _, m := range mounts {
+		m.EpochBegin(11)
+	}
+	for i := 0; i < 8; i++ {
+		chunk := bytes.Repeat([]byte{byte(0xB0 + i)}, 512)
+		off := int64(i * 1024)
+		copy(want[off:], chunk)
+		if _, err := mounts[i%2].WriteAt(chunk, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]byte, len(base))
+	if _, err := idle.ReadAt(got, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, base) {
+		t.Fatal("staged writes visible before commit")
+	}
+	for i, m := range mounts {
+		if err := m.EpochSeal(11); err != nil {
+			t.Fatalf("mount %d seal: %v", i, err)
+		}
+	}
+	if err := a.EpochCommit(11); err != nil {
+		t.Fatal(err)
+	}
+	b.EpochEnd(11)
+	idle.EpochEnd(11)
+	if _, err := idle.ReadAt(got, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("committed bytes differ: staging over several connections lost data")
+	}
+	if st := servers[0].Stats(); st.StagedWrites != 8 || st.EpochsCommitted != 1 {
+		t.Fatalf("server saw %d staged writes and %d commits, want 8 and 1", st.StagedWrites, st.EpochsCommitted)
+	}
+}

@@ -16,14 +16,10 @@ import (
 // core's sparse direct path sends constant-size requests instead of
 // offset lists and the servers evaluate the noncontiguous pattern
 // against their own stripes.
-// Each server is reached through a clientPool of ClientOptions.Conns
-// connections (connpool.go); stateless operations are dealt round-robin
-// so concurrent sessions sharing this backend do not convoy on one
-// serialized dial.
 type Striped struct {
-	pools []*clientPool
-	geom  storage.StripeGeom
-	local *storage.Striped // scalar/metadata ops over the pools
+	clients []*Client
+	geom    storage.StripeGeom
+	local   *storage.Striped // scalar/metadata ops over the clients
 
 	mu     sync.Mutex
 	views  map[storage.ViewHandle]*aggView
@@ -46,58 +42,41 @@ func NewStriped(unit int64, addrs []string, opts ClientOptions) (*Striped, error
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	pools := make([]*clientPool, len(addrs))
+	clients := make([]*Client, len(addrs))
 	backends := make([]storage.Backend, len(addrs))
 	for i, a := range addrs {
-		pools[i] = newClientPool(a, opts.Conns, opts)
-		backends[i] = pools[i]
+		clients[i] = NewClient(a, opts)
+		backends[i] = clients[i]
 	}
 	local, err := storage.NewStriped(unit, backends...)
 	if err != nil {
 		return nil, err
 	}
 	return &Striped{
-		pools: pools,
-		geom:  g,
-		local: local,
-		views: make(map[storage.ViewHandle]*aggView),
+		clients: clients,
+		geom:    g,
+		local:   local,
+		views:   make(map[storage.ViewHandle]*aggView),
 	}, nil
 }
 
-// Clients exposes one client per server (each pool's primary), for
-// stats and tests.
-func (s *Striped) Clients() []*Client {
-	out := make([]*Client, len(s.pools))
-	for i, p := range s.pools {
-		out[i] = p.primary()
-	}
-	return out
-}
+// Clients exposes the per-server clients (stats, tests).
+func (s *Striped) Clients() []*Client { return s.clients }
 
-// AllClients exposes every pooled connection of every server.
-func (s *Striped) AllClients() []*Client {
-	var out []*Client
-	for _, p := range s.pools {
-		out = append(out, p.members...)
-	}
-	return out
-}
-
-// Rounds sums the request round-trips of every pooled connection.
+// Rounds sums the request round-trips of every client.
 func (s *Striped) Rounds() int64 {
 	var n int64
-	for _, p := range s.pools {
-		n += p.rounds()
+	for _, c := range s.clients {
+		n += c.Rounds()
 	}
 	return n
 }
 
-// ServerStats aggregates the request counters of every server (the
-// counters are server-global, so one connection per server is asked).
+// ServerStats aggregates the request counters of every server.
 func (s *Striped) ServerStats() (ServerStats, error) {
 	var total ServerStats
-	for _, p := range s.pools {
-		st, err := p.primary().ServerStats()
+	for _, c := range s.clients {
+		st, err := c.ServerStats()
 		if err != nil {
 			return total, err
 		}
@@ -106,11 +85,11 @@ func (s *Striped) ServerStats() (ServerStats, error) {
 	return total, nil
 }
 
-// Close tears down every pooled connection.
+// Close tears down every client connection.
 func (s *Striped) Close() error {
 	var first error
-	for _, p := range s.pools {
-		if err := p.close(); err != nil && first == nil {
+	for _, c := range s.clients {
+		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -129,9 +108,9 @@ func (s *Striped) Sync() error                              { return s.local.Syn
 // fanOut runs fn for every server, or, given idle, for every server that
 // is not, concurrently, and reports the first failure.
 func (s *Striped) fanOut(idle func(i int) bool, fn func(i int) error) error {
-	errs := make([]error, len(s.pools))
+	errs := make([]error, len(s.clients))
 	var wg sync.WaitGroup
-	for i := range s.pools {
+	for i := range s.clients {
 		if idle != nil && idle(i) {
 			continue
 		}
@@ -154,20 +133,20 @@ func (s *Striped) fanOut(idle func(i int) bool, fn func(i int) error) error {
 // regrouped per server with the shared stripe math and the per-server
 // offset lists are issued concurrently.
 func (s *Striped) ReadAtv(segs []storage.Segment) error {
-	return s.vectored(segs, (*clientPool).ReadAtv)
+	return s.vectored(segs, (*Client).ReadAtv)
 }
 
 func (s *Striped) WriteAtv(segs []storage.Segment) error {
-	return s.vectored(segs, (*clientPool).WriteAtv)
+	return s.vectored(segs, (*Client).WriteAtv)
 }
 
-func (s *Striped) vectored(segs []storage.Segment, call func(*clientPool, []storage.Segment) error) error {
+func (s *Striped) vectored(segs []storage.Segment, call func(*Client, []storage.Segment) error) error {
 	bySrv, err := storage.SplitSegs(s.geom, segs)
 	if err != nil {
 		return err
 	}
 	return s.fanOut(func(i int) bool { return len(bySrv[i]) == 0 },
-		func(i int) error { return call(s.pools[i], bySrv[i]) })
+		func(i int) error { return call(s.clients[i], bySrv[i]) })
 }
 
 // SupportsViews implements storage.ViewBackend.
@@ -182,16 +161,7 @@ func (s *Striped) RegisterView(disp int64, ftype *datatype.Type) (storage.ViewHa
 		return 0, fmt.Errorf("ioserver: negative displacement %d: %w", disp, storage.ErrPermanent)
 	}
 	av := &aggView{v: &View{Disp: disp, Enc: datatype.Encode(ftype)}, t: ftype, navigable: navigable(ftype, disp)}
-	err := s.fanOut(nil, func(i int) error {
-		// Prime every pooled connection: any member may later carry
-		// a view request for this handle.
-		for _, c := range s.pools[i].members {
-			if err := c.RegisterEager(av.v); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	err := s.fanOut(nil, func(i int) error { return s.clients[i].RegisterEager(av.v) })
 	if err != nil {
 		return 0, err
 	}
@@ -227,10 +197,10 @@ func (s *Striped) ViewRead(h storage.ViewHandle, p []byte, d0 int64) error {
 	if err != nil {
 		return err
 	}
-	resps := make([][]byte, len(s.pools))
+	resps := make([][]byte, len(s.clients))
 	err = s.fanOut(func(i int) bool { return lens[i] == 0 },
 		func(i int) error {
-			c := s.pools[i].pick()
+			c := s.clients[i]
 			resp, err := c.ViewReadRange(av.v, d0, d1)
 			if err != nil {
 				return err
@@ -264,7 +234,7 @@ func (s *Striped) ViewWrite(h storage.ViewHandle, p []byte, d0 int64) error {
 	if err != nil {
 		return err
 	}
-	outs := make([][]byte, len(s.pools))
+	outs := make([][]byte, len(s.clients))
 	for i, n := range lens {
 		if n > 0 {
 			outs[i] = make([]byte, 0, n)
@@ -274,7 +244,7 @@ func (s *Striped) ViewWrite(h storage.ViewHandle, p []byte, d0 int64) error {
 		outs[pc.stripe] = append(outs[pc.stripe], p[pc.d0-d0:pc.d1-d0]...)
 	}
 	return s.fanOut(func(i int) bool { return lens[i] == 0 },
-		func(i int) error { return s.pools[i].pick().ViewWriteRange(av.v, d0, d1, outs[i]) })
+		func(i int) error { return s.clients[i].ViewWriteRange(av.v, d0, d1, outs[i]) })
 }
 
 // Epoch commit protocol: the aggregate implements storage.EpochBackend
@@ -288,68 +258,38 @@ func (s *Striped) ViewWrite(h storage.ViewHandle, p []byte, d0 int64) error {
 // SupportsEpochs implements storage.EpochBackend.
 func (s *Striped) SupportsEpochs() bool { return true }
 
-// EpochBegin implements storage.EpochBackend.  Every pooled connection
-// enters staging mode: round-robin dealing may stage any write on any
-// member.
+// EpochBegin implements storage.EpochBackend.
 func (s *Striped) EpochBegin(id uint64) {
-	for _, p := range s.pools {
-		for _, c := range p.members {
-			c.BeginEpoch(id)
-		}
+	for _, c := range s.clients {
+		c.BeginEpoch(id)
 	}
 }
 
-// EpochSeal implements storage.EpochBackend: every pooled connection
-// must confirm the server holds exactly what that connection staged
-// (the server tallies per connection, so a member that staged nothing
-// seals a zero tally).
+// EpochSeal implements storage.EpochBackend: every client confirms its
+// server holds exactly what this mount staged (the server tallies per
+// connection, so a mount that staged nothing seals a zero tally).
 func (s *Striped) EpochSeal(id uint64) error {
-	return s.fanOut(nil, func(i int) error {
-		for _, c := range s.pools[i].members {
-			if err := c.SealEpoch(id); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return s.fanOut(nil, func(i int) error { return s.clients[i].SealEpoch(id) })
 }
 
-// EpochCommit implements storage.EpochBackend.  One member per server —
-// the primary — issues the commit, which applies the segments staged by
-// every connection; the other members just leave staging mode.  Commit
-// is idempotent per server, so a partial fan-out failure retried by the
+// EpochCommit implements storage.EpochBackend.  The commit applies the
+// segments staged by every connection to that server.  Commit is
+// idempotent per server, so a partial fan-out failure retried by the
 // driver converges: already-committed servers acknowledge, the rest
 // apply.
 func (s *Striped) EpochCommit(id uint64) error {
-	return s.fanOut(nil, func(i int) error {
-		if err := s.pools[i].primary().CommitEpoch(id); err != nil {
-			return err
-		}
-		for _, c := range s.pools[i].members[1:] {
-			c.EndEpoch(id)
-		}
-		return nil
-	})
+	return s.fanOut(nil, func(i int) error { return s.clients[i].CommitEpoch(id) })
 }
 
-// EpochAbort implements storage.EpochBackend: the primary discards the
-// server-side staged state, the other members drop their stage logs
-// locally.
+// EpochAbort implements storage.EpochBackend: the servers discard the
+// epoch's staged state.
 func (s *Striped) EpochAbort(id uint64) error {
-	return s.fanOut(nil, func(i int) error {
-		err := s.pools[i].primary().AbortEpoch(id)
-		for _, c := range s.pools[i].members[1:] {
-			c.EndEpoch(id)
-		}
-		return err
-	})
+	return s.fanOut(nil, func(i int) error { return s.clients[i].AbortEpoch(id) })
 }
 
 // EpochEnd implements storage.EpochBackend.
 func (s *Striped) EpochEnd(id uint64) {
-	for _, p := range s.pools {
-		for _, c := range p.members {
-			c.EndEpoch(id)
-		}
+	for _, c := range s.clients {
+		c.EndEpoch(id)
 	}
 }

@@ -355,25 +355,6 @@ func TestSeamCapabilitiesMirrorInner(t *testing.T) {
 	}
 }
 
-// TestSeamRegionHidesEpochs pins the one deliberate exception: Region is
-// not a pass-through wrapper, and it hides the epoch (and view) extension
-// of the store it slices while keeping Vectored.
-func TestSeamRegionHidesEpochs(t *testing.T) {
-	reg, err := NewRegion(newSeamStore(), 1024, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := AsEpochBackend(reg); ok {
-		t.Error("Region exposes the epoch extension of the store it slices")
-	}
-	if _, ok := AsViewBackend(reg); ok {
-		t.Error("Region exposes the view extension of the store it slices")
-	}
-	if _, ok := Backend(reg).(Vectored); !ok {
-		t.Error("Region lost Vectored")
-	}
-}
-
 // TestSeamInstrumentedCountsViews: a view transfer is one read or write
 // of len(p) bytes; a failed one, like a failed batch, counts no bytes.
 func TestSeamInstrumentedCountsViews(t *testing.T) {

@@ -133,15 +133,6 @@ const (
 	PhaseWireChaosCorrupt   Phase = "wire.chaos-corrupt"   // byte flipped in flight
 	PhaseWireChaosReset     Phase = "wire.chaos-reset"     // mid-message connection reset
 	PhaseWireChaosPartition Phase = "wire.chaos-partition" // one-directional stall
-
-	// I/O session service (internal/session): job lifecycle and the
-	// per-session client cache.
-	PhaseSessionQueue    Phase = "session.queue"    // time a job aged in the admission queue
-	PhaseCacheFlush      Phase = "cache.flush"      // write-behind dirty set pushed to the backend
-	PhaseCachePrefetch   Phase = "cache.prefetch"   // read-ahead issued for a detected stride
-	PhaseCacheHit        Phase = "cache.hit"        // read served from the read-ahead cache
-	PhaseCacheInvalidate Phase = "cache.invalidate" // read-ahead dropped (view change / overlap)
-	PhaseSessionReject   Phase = "session.reject"   // job refused by admission control
 )
 
 // Kind distinguishes completed spans from instant events.
