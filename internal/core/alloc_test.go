@@ -182,12 +182,18 @@ func TestListlessWindowZeroAllocMetricsOn(t *testing.T) {
 }
 
 // TestListlessDirectWindowZeroAllocMetricsOn is the twin of the test
-// above over direct windows, in a two-rank world so that chunks travel:
-// file runs of 6 KiB, 12 KiB apart per rank, from a contiguous buffer on
-// one rank and a sparse one on the other, in 32 KiB windows.  After the
-// first accesses — which size the handles' segment batches — a window
-// costs no allocation: its chunks come from the warm pool, its segments
-// go into the batch its slot keeps, and no window buffer is drawn at all.
+// above over direct windows, in a two-rank world so that shares travel:
+// file runs of 6 KiB, 12 KiB apart per rank, in 32 KiB windows, from
+// memory whose every run is a page or longer — 6 KiB runs 12 KiB apart
+// on rank 0; on rank 1 a contiguous buffer, or page-sized runs two pages
+// apart, which cut each file run in two — so that every remote share of
+// a write is lent, not packed.  After the first accesses — which size
+// the handles' segment batches and lent-slice arrays — a window costs no
+// allocation: its segments go into the batch its slot keeps, the slices
+// a write lends into the array its handle keeps, a read's chunks come
+// from the warm pool, and no window buffer is drawn at all.  A lent
+// write draws nothing from the pool, where a packed one drew a chunk
+// per AP and window.
 func TestListlessDirectWindowZeroAllocMetricsOn(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -202,73 +208,78 @@ func TestListlessDirectWindowZeroAllocMetricsOn(t *testing.T) {
 		winLarge         = runsLarge * P * run / win
 		measured, warmup = 10, 1 // what testing.AllocsPerRun runs
 	)
-	sparse := mustType(datatype.Hvector(runsLarge, run, 2*run, datatype.Byte))
-	bp, reg := pool.New(), obs.NewRegistry()
-	sh := NewShared(storage.NewMem())
-	for _, write := range []bool{true, false} {
-		_, err := mpi.Run(P, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{CollBufSize: win, Metrics: reg, Pool: bp})
+	runs := func(n, pitch int64) *datatype.Type {
+		return mustType(datatype.Resized(mustType(datatype.Contiguous(n, datatype.Byte)), 0, pitch))
+	}
+	for _, rank1 := range []*datatype.Type{datatype.Byte, runs(storage.PageSize, 2*storage.PageSize)} {
+		mts := []*datatype.Type{runs(run, 2*run), rank1}
+		bp, reg := pool.New(), obs.NewRegistry()
+		sh := NewShared(storage.NewMem())
+		for _, write := range []bool{true, false} {
+			label := fmt.Sprintf("rank 1 memtype %v, write=%v", rank1, write)
+			_, err := mpi.Run(P, func(p *mpi.Proc) {
+				f, err := Open(p, sh, Options{CollBufSize: win, Metrics: reg, Pool: bp})
+				if err != nil {
+					panic(err)
+				}
+				defer f.Close()
+				disp, ft := stridedView(P, runsLarge, run, run)(p.Rank())
+				if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+					panic(err)
+				}
+				// The same d on every rank, whatever its memtype.
+				mt := mts[p.Rank()]
+				countLarge := runsLarge * run / mt.Size()
+				buf := make([]byte, (countLarge-1)*mt.Extent()+mt.TrueUB())
+				op := func(runs int64) func() {
+					count := runs * run / mt.Size()
+					return func() {
+						var err error
+						if write {
+							_, err = f.WriteAtAll(0, count, mt, buf)
+						} else {
+							_, err = f.ReadAtAll(0, count, mt, buf)
+						}
+						if err != nil {
+							t.Errorf("collective: %v", err)
+						}
+					}
+				}
+				// Every rank runs each collective as often as rank 0's
+				// AllocsPerRun does; rank 0 counts what all of them allocate.
+				measure := func(runs int64) (allocs float64) {
+					if p.Rank() == 0 {
+						return testing.AllocsPerRun(measured, op(runs))
+					}
+					for i := 0; i < measured+warmup; i++ {
+						op(runs)()
+					}
+					return 0
+				}
+				op(runsLarge)() // the file, the arrays' high-water marks, the pool's classes
+				measure(runsLarge)
+				s0, st0 := bp.Stats(), f.Stats
+				aSmall := measure(runsSmall)
+				aLarge := measure(runsLarge)
+				s1, st := bp.Stats(), f.Stats.Sub(st0)
+				if p.Rank() != 0 {
+					return
+				}
+				if perWindow := (aLarge - aSmall) / (winLarge - winSmall); perWindow > 0 {
+					t.Errorf("%s: %.2f allocs per steady-state direct window (small=%v large=%v)", label, perWindow, aSmall, aLarge)
+				}
+				windows, vectored := st.SieveWrites+st.SieveReads, st.VectoredWrites+st.VectoredReads
+				if windows == 0 || vectored != windows {
+					t.Errorf("%s: %d of %d windows were direct; the test measures the wrong loop", label, vectored, windows)
+				}
+				if gets := s1.Gets - s0.Gets; s1.Misses != s0.Misses || write != (gets == 0) {
+					t.Errorf("%s: warm pool: %d gets, %d misses in steady state; a write lends every share, a read draws its chunks",
+						label, gets, s1.Misses-s0.Misses)
+				}
+			})
 			if err != nil {
-				panic(err)
+				t.Fatal(err)
 			}
-			defer f.Close()
-			disp, ft := stridedView(P, runsLarge, run, run)(p.Rank())
-			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
-				panic(err)
-			}
-			// Rank 0 moves run-sized instances of a sparse memtype, rank 1
-			// bytes: the same d either way.
-			mt, buf := datatype.Byte, make([]byte, sparse.Extent())
-			if p.Rank() == 0 {
-				mt = mustType(datatype.Resized(mustType(datatype.Contiguous(run, datatype.Byte)), 0, 2*run))
-			}
-			op := func(runs int64) func() {
-				count := runs * run / mt.Size()
-				return func() {
-					var err error
-					if write {
-						_, err = f.WriteAtAll(0, count, mt, buf)
-					} else {
-						_, err = f.ReadAtAll(0, count, mt, buf)
-					}
-					if err != nil {
-						t.Errorf("collective: %v", err)
-					}
-				}
-			}
-			// Every rank runs each collective as often as rank 0's
-			// AllocsPerRun does; rank 0 counts what all of them allocate.
-			measure := func(runs int64) (allocs float64) {
-				if p.Rank() == 0 {
-					return testing.AllocsPerRun(measured, op(runs))
-				}
-				for i := 0; i < measured+warmup; i++ {
-					op(runs)()
-				}
-				return 0
-			}
-			op(runsLarge)() // the file, the batches' high-water mark, the pool's classes
-			measure(runsLarge)
-			s0, st0 := bp.Stats(), f.Stats
-			aSmall := measure(runsSmall)
-			aLarge := measure(runsLarge)
-			s1, st := bp.Stats(), f.Stats.Sub(st0)
-			if p.Rank() != 0 {
-				return
-			}
-			if perWindow := (aLarge - aSmall) / (winLarge - winSmall); perWindow > 0 {
-				t.Errorf("write=%v: %.2f allocs per steady-state direct window (small=%v large=%v)", write, perWindow, aSmall, aLarge)
-			}
-			windows, vectored := st.SieveWrites+st.SieveReads, st.VectoredWrites+st.VectoredReads
-			if windows == 0 || vectored != windows {
-				t.Errorf("write=%v: %d of %d windows were direct; the test measures the wrong loop", write, vectored, windows)
-			}
-			if s1.Misses != s0.Misses || s1.Gets == s0.Gets {
-				t.Errorf("write=%v: warm pool: %d gets, %d misses in steady state", write, s1.Gets-s0.Gets, s1.Misses-s0.Misses)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }

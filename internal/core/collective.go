@@ -120,7 +120,14 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	// ---- Error agreement: every rank votes its IOP-phase outcome and,
 	// on any failure, drains in-flight traffic and returns the same
 	// rank-attributed error.  This must precede the read-side exchange:
-	// an AP must not block receiving from an IOP that failed. ----
+	// an AP must not block receiving from an IOP that failed.
+	//
+	// It also ends the loan of the slices this rank lent (f.lent).  On
+	// success every IOP took its shares before it voted.  On failure an
+	// IOP may have stopped before taking some: in-process they are drained
+	// from its inbox before the barrier, and on a wire they may still be
+	// in this rank's send queue, which Flush empties — not before the IOP
+	// phase, where both ends of a link could block on full sockets. ----
 	if err := f.agreeCollective(fault); err != nil {
 		if epochID != 0 {
 			f.epochAbandon(epochID)
@@ -128,9 +135,14 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 		if f.tr.Enabled() {
 			f.tr.Instant(trace.PhaseFault, d0, 0, err.Error())
 		}
+		if len(f.lent) > 0 {
+			f.p.Flush()
+		}
 		f.p.Barrier() // keep the next collective's sends behind the drain
+		f.endLoan()
 		return err
 	}
+	f.endLoan()
 
 	// ---- Epoch commit: seal the staged write-backs everywhere, vote,
 	// and let rank 0 broadcast the commit.  Collective, like the error
@@ -152,4 +164,12 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 
 	f.p.Barrier()
 	return nil
+}
+
+// endLoan forgets the slices this collective lent, which no receiver
+// reads any more, so that the handle keeps no reference into the
+// caller's buffer.
+func (f *File) endLoan() {
+	clear(f.lent)
+	f.lent = f.lent[:0]
 }

@@ -8,7 +8,9 @@ import "repro/internal/trace"
 // engine's apCursor locates this rank's data range per window; the
 // neutral code moves it and accounts the per-phase time.  An IOP the
 // engine hands no cursor for is this rank itself moving its own share
-// without a message (iopWindow.copySelf).
+// without a message (iopWindow.copySelf).  A write's share that the
+// engine can lend (apState.lend) is not packed at all: it goes as the
+// slices of the user buffer that hold it, collected in f.lent.
 func (f *File) apExchange(pl *collPlan, acc *collAccess, ap apState, write bool) {
 	d0, mem, buf := acc.d0, acc.mem, acc.buf
 	myLo, myHi := pl.los[f.p.Rank()], pl.his[f.p.Rank()]
@@ -28,6 +30,12 @@ func (f *File) apExchange(pl *collPlan, acc *collAccess, ap apState, write bool)
 				continue
 			}
 			if write {
+				at := len(f.lent)
+				if lent, ok := ap.lend(f.lent, a, b); ok {
+					f.lent = lent
+					f.lendShare(i, lent[at:len(lent):len(lent)], winLo)
+					continue
+				}
 				chunk := f.bp.Get(int(b - a))
 				csp := f.tr.Time(trace.PhaseCopy, winLo, b-a)
 				f.eng.packUser(chunk, buf, mem, a-d0, b-a)

@@ -229,7 +229,9 @@ type pipeWindow struct {
 
 // directGather describes every AP's share of direct window pw in the
 // slot's batch.  A share that travels as a message is segments over its
-// chunk: the one received (write), a fresh one to read into (read).
+// chunk — the one received (write), a fresh one to read into (read) — or
+// over the slices of the sender's user buffer it lent (write), which
+// never enter the batch's chunk list.
 func (f *File) directGather(pw *pipeWindow, write bool) {
 	b := pw.slot.batch
 	for r := 0; r < f.p.Size(); r++ {
@@ -243,23 +245,55 @@ func (f *File) directGather(pw *pipeWindow, write bool) {
 				continue
 			}
 		}
+		var share [][]byte
 		if write {
-			b.chunks[r] = f.recvChunk(r, pw.lo)
+			b.chunks[r], share = f.recvShare(r, pw.lo)
 		} else {
 			b.chunks[r] = f.bp.Get(int(n))
 		}
-		b.segs = pw.iw.chunkSegs(b.segs, r, b.chunks[r])
+		if share == nil {
+			share = b.chunks[r : r+1]
+		}
+		b.segs = pw.iw.chunkSegs(b.segs, r, share)
 	}
 }
 
-// recvChunk receives rank r's chunk of the window at winLo — an AP's
+// recvShare receives rank r's share of the window at winLo — an AP's
 // data at the IOP of a write, an IOP's at the AP of a read — accounting
-// the exchange time.  The chunk is owned by this rank from here on.
-func (f *File) recvChunk(r int, winLo int64) []byte {
+// the exchange time: a chunk this rank owns from here on, or, lent, the
+// sender's slices of its user buffer (mpi.Proc.RecvSegs).
+func (f *File) recvShare(r int, winLo int64) (chunk []byte, lent [][]byte) {
 	esp := f.tr.Time(trace.PhaseExchange, winLo, 0)
-	chunk, _, _ := f.p.Recv(r, tagCollData)
-	f.Stats.ExchangeNs += esp.EndBytes(int64(len(chunk)))
+	chunk, lent, _, _ = f.p.RecvSegs(r, tagCollData)
+	f.Stats.ExchangeNs += esp.EndBytes(int64(len(chunk)) + segsLen(lent))
+	return chunk, lent
+}
+
+// recvChunk is recvShare for a caller that needs the share as one chunk
+// it owns: a lent share is gathered into a pooled one — the copy its
+// sender skipped, accounted as copy time.
+func (f *File) recvChunk(r int, winLo int64) []byte {
+	chunk, lent := f.recvShare(r, winLo)
+	if lent == nil {
+		return chunk
+	}
+	n := segsLen(lent)
+	csp := f.tr.Time(trace.PhaseCopy, winLo, n)
+	chunk = f.bp.Get(int(n))
+	at := chunk
+	for _, s := range lent {
+		at = at[copy(at, s):]
+	}
+	f.Stats.CopyNs += csp.End()
 	return chunk
+}
+
+func segsLen(segs [][]byte) int64 {
+	var n int64
+	for _, s := range segs {
+		n += int64(len(s))
+	}
+	return n
 }
 
 // sendChunk hands rank r its chunk of the window at winLo, accounting
@@ -269,6 +303,17 @@ func (f *File) recvChunk(r int, winLo int64) []byte {
 func (f *File) sendChunk(r int, chunk []byte, winLo int64) {
 	esp := f.tr.Time(trace.PhaseExchange, winLo, int64(len(chunk)))
 	f.p.SendNoCopy(r, tagCollData, chunk)
+	f.Stats.ExchangeNs += esp.End()
+}
+
+// lendShare hands IOP r this rank's share of the window at winLo as the
+// slices of the user buffer that hold it, accounting the exchange time.
+// Nothing is copied and nothing changes owner: the collective does not
+// return before every receiver is done with the slices
+// (transferCollective).
+func (f *File) lendShare(r int, segs [][]byte, winLo int64) {
+	esp := f.tr.Time(trace.PhaseExchange, winLo, segsLen(segs))
+	f.p.SendSegs(r, tagCollData, segs)
 	f.Stats.ExchangeNs += esp.End()
 }
 

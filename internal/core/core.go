@@ -214,6 +214,10 @@ type File struct {
 	// batch holds the direct windows of the collective pipeline's two
 	// slots (collective_window.go), kept like segs.
 	batch [2]winBatch
+	// lent holds the slices of the user buffer a collective write lends
+	// its IOPs (collective_exchange.go), kept like segs and emptied when
+	// the loan ends (transferCollective).
+	lent [][]byte
 
 	// Stats accumulates the work counters of this handle.
 	Stats Stats

@@ -238,6 +238,7 @@ func runDirectWindowCell(t *testing.T, g dwGeom, c dwCell) (Stats, int64) {
 			panic(err)
 		}
 		buf := bufs[p.Rank()]
+		orig := bytes.Clone(buf)
 		before := inst.Stats().Reads
 		p.Barrier()
 		if c.split {
@@ -247,6 +248,11 @@ func runDirectWindowCell(t *testing.T, g dwGeom, c dwCell) (Stats, int64) {
 		}
 		if err != nil {
 			panic(err)
+		}
+		if !bytes.Equal(buf, orig) || len(f.lent) != 0 || !allNil(f.lent[:cap(f.lent)]) {
+			// A slice lent to an IOP that reached the checked pool would
+			// have been poisoned.
+			panic(fmt.Sprintf("rank %d: the write changed its user buffer, or the handle still references %d lent slices", p.Rank(), len(f.lent)))
 		}
 		if p.Rank() == 0 {
 			writeReads.Store(inst.Stats().Reads - before)
@@ -457,94 +463,112 @@ func TestDirectWindowEpochs(t *testing.T) {
 // in a direct window — armed by range, in IOP 1's domain, and by count,
 // which IOP 0 trips — end in the same CollectiveError on every rank, no
 // chunk left in a slot's batch (checked pool: none returned twice
-// either), no goroutine left, and a handle whose next collective works.
+// either), no goroutine left, and a handle whose next collective works,
+// in-process and over TCP.  The write's remote shares are lent, and the
+// failed write returns with its loan ended: every rank rewrites its
+// buffer at once, which under -race no goroutine of the collective may
+// still be reading.
 func TestDirectWindowFaults(t *testing.T) {
 	g := dwGeoms()[3]
 	count := g.d / g.mem.Size()
 	for _, arm := range []string{"range", "count"} {
 		for _, op := range []string{"write", "read"} {
-			label := arm + "/" + op
-			checkLeaks := testutil.LeakCheck(t)
-			fb := storage.NewFaulty(storage.NewMem())
-			sh := NewShared(fb)
-			errs := make([]error, g.P)
-			failRank := 0
-			_, err := mpi.RunWithOptions(g.P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-				f, err := Open(p, sh, Options{CollBufSize: g.collBuf, Pool: pool.NewChecked()})
-				if err != nil {
-					panic(err)
-				}
-				defer f.Close()
-				disp, ft := g.view(p.Rank())
-				if err := f.SetView(disp, datatype.Byte, ft); err != nil {
-					panic(err)
-				}
-				buf := make([]byte, (count-1)*g.mem.Extent()+g.mem.TrueUB())
-				fotf.UnpackCount(buf, pattern(p.Rank(), g.d), count, g.mem, 0)
-				if _, err := f.WriteAtAll(0, count, g.mem, buf); err != nil {
-					panic(err)
-				}
-				if f.Stats.DirectWrites == 0 {
-					panic("the geometry did not take direct windows")
-				}
-				if p.Rank() == 0 {
-					size := fb.Size()
-					switch {
-					case arm == "range" && op == "write":
-						fb.FailWriteRange(size-100, size)
-					case arm == "range":
-						fb.FailReadRange(size-100, size)
-					case op == "write":
-						fb.FailWrites(3) // both IOPs have more than three windows
-					default:
-						fb.FailReads(3)
-					}
-				}
-				p.Barrier()
-				if op == "write" {
-					_, errs[p.Rank()] = f.WriteAtAll(0, count, g.mem, buf)
-				} else {
-					_, errs[p.Rank()] = f.ReadAtAll(0, count, g.mem, make([]byte, len(buf)))
-				}
-				for i := range f.batch {
-					if b := &f.batch[i]; len(b.segs) != 0 || !allNil(b.chunks) {
-						panic(fmt.Sprintf("rank %d: slot %d keeps %d segments, chunks %v after the failed collective", p.Rank(), i, len(b.segs), b.chunks))
-					}
-					for _, sg := range f.batch[i].segs[:cap(f.batch[i].segs)] {
-						if sg.Buf != nil {
-							panic("a kept segment still references a buffer of the failed collective")
-						}
-					}
-				}
-				p.Barrier()
-				if p.Rank() == 0 {
-					fb.Heal()
-				}
-				p.Barrier()
-				if _, err := f.WriteAtAll(0, count, g.mem, buf); err != nil {
-					panic(fmt.Sprintf("post-heal write: %v", err))
-				}
-				got := make([]byte, len(buf))
-				if _, err := f.ReadAtAll(0, count, g.mem, got); err != nil {
-					panic(fmt.Sprintf("post-heal read: %v", err))
-				}
-				if !bytes.Equal(got, buf) {
-					panic("post-heal round trip differs")
-				}
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+			for _, tcp := range []bool{false, true} {
+				testDirectWindowFault(t, g, count, arm, op, tcp)
 			}
-			if arm == "range" {
-				failRank = 1
-			}
-			requireAgreement(t, label, errs, failRank, PhaseIOPWindow)
-			for _, e := range errs {
-				if !errors.Is(e, storage.ErrPermanent) {
-					t.Errorf("%s: %v lost its classification", label, e)
-				}
-			}
-			checkLeaks()
 		}
 	}
+}
+
+func testDirectWindowFault(t *testing.T, g dwGeom, count int64, arm, op string, tcp bool) {
+	label := fmt.Sprintf("%s/%s/tcp=%v", arm, op, tcp)
+	checkLeaks := testutil.LeakCheck(t)
+	fb := storage.NewFaulty(storage.NewMem())
+	sh := NewShared(fb)
+	errs := make([]error, g.P)
+	failRank := 0
+	eps := transport.NewLoopback(g.P)
+	if tcp {
+		var err error
+		if eps, err = transport.NewLocalTCPWorld(g.P, transport.TCPConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+		f, err := Open(p, sh, Options{CollBufSize: g.collBuf, Pool: pool.NewChecked()})
+		if err != nil {
+			panic(err)
+		}
+		defer f.Close()
+		disp, ft := g.view(p.Rank())
+		if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+			panic(err)
+		}
+		buf := make([]byte, (count-1)*g.mem.Extent()+g.mem.TrueUB())
+		fotf.UnpackCount(buf, pattern(p.Rank(), g.d), count, g.mem, 0)
+		if _, err := f.WriteAtAll(0, count, g.mem, buf); err != nil {
+			panic(err)
+		}
+		if f.Stats.DirectWrites == 0 {
+			panic("the geometry did not take direct windows")
+		}
+		if p.Rank() == 0 {
+			size := fb.Size()
+			switch {
+			case arm == "range" && op == "write":
+				fb.FailWriteRange(size-100, size)
+			case arm == "range":
+				fb.FailReadRange(size-100, size)
+			case op == "write":
+				fb.FailWrites(3) // both IOPs have more than three windows
+			default:
+				fb.FailReads(3)
+			}
+		}
+		p.Barrier()
+		if op == "write" {
+			_, errs[p.Rank()] = f.WriteAtAll(0, count, g.mem, buf)
+			fotf.UnpackCount(buf, pattern(p.Rank()+7, g.d), count, g.mem, 0)
+		} else {
+			_, errs[p.Rank()] = f.ReadAtAll(0, count, g.mem, make([]byte, len(buf)))
+		}
+		for i := range f.batch {
+			if b := &f.batch[i]; len(b.segs) != 0 || !allNil(b.chunks) {
+				panic(fmt.Sprintf("rank %d: slot %d keeps %d segments, chunks %v after the failed collective", p.Rank(), i, len(b.segs), b.chunks))
+			}
+			for _, sg := range f.batch[i].segs[:cap(f.batch[i].segs)] {
+				if sg.Buf != nil {
+					panic("a kept segment still references a buffer of the failed collective")
+				}
+			}
+		}
+		p.Barrier()
+		if p.Rank() == 0 {
+			fb.Heal()
+		}
+		p.Barrier()
+		if _, err := f.WriteAtAll(0, count, g.mem, buf); err != nil {
+			panic(fmt.Sprintf("post-heal write: %v", err))
+		}
+		got := make([]byte, len(buf))
+		if _, err := f.ReadAtAll(0, count, g.mem, got); err != nil {
+			panic(fmt.Sprintf("post-heal read: %v", err))
+		}
+		if !bytes.Equal(got, buf) {
+			panic("post-heal round trip differs")
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if arm == "range" {
+		failRank = 1
+	}
+	requireAgreement(t, label, errs, failRank, PhaseIOPWindow)
+	for _, e := range errs {
+		if !errors.Is(e, storage.ErrPermanent) {
+			t.Errorf("%s: %v lost its classification", label, e)
+		}
+	}
+	checkLeaks()
 }

@@ -118,6 +118,12 @@ type apState interface {
 	// this rank and its IOP side moves the share itself
 	// (iopWindow.copySelf), so nothing is sent or received for it.
 	cursor(i int) apCursor
+	// lend appends to segs the slices of the user buffer that hold data
+	// [a, b) of a write's access, in data order, when that share is long
+	// runs in memory: it then goes to its IOP as those slices
+	// (mpi.Proc.SendSegs) instead of as a packed chunk.  It reports false,
+	// having appended nothing, when the share is packed.
+	lend(segs [][]byte, a, b int64) ([][]byte, bool)
 }
 
 // apCursor yields, window by window, the data range [a, b) this rank's
@@ -170,9 +176,11 @@ type iopWindow interface {
 	// the views are not touched at all.
 	direct() bool
 	// chunkSegs appends AP r's share of a direct window to segs: one
-	// segment per contiguous file run, in data order, its buffer the
-	// run's bytes within chunk, which has chunkLen(r) bytes.
-	chunkSegs(segs []storage.Segment, r int, chunk []byte) []storage.Segment
+	// segment per contiguous file run — or per part of one that two
+	// slices of share hold — in data order, its buffer the run's bytes
+	// within share: the chunkLen(r) bytes in data order, as one chunk or
+	// as the slices the AP lent.
+	chunkSegs(segs []storage.Segment, r int, share [][]byte) []storage.Segment
 	// selfSegs is the copySelf of a direct window: it appends this
 	// rank's own share as segments whose buffers are slices of the user
 	// buffer of the access.  It reports false, having appended nothing,

@@ -253,6 +253,9 @@ func (s *listAPState) cursor(i int) apCursor {
 	return &tripleCursor{ts: s.triples[i]}
 }
 
+// lend: the paper's baseline packs every share it sends.
+func (s *listAPState) lend(segs [][]byte, _, _ int64) ([][]byte, bool) { return segs, false }
+
 // apSetup builds and sends this rank's access list for every IOP domain;
 // this many-to-many ol-list exchange happens on every collective access.
 func (e *listEngine) apSetup(pl *collPlan, acc *collAccess) apState {
@@ -386,7 +389,7 @@ func (w *listIOPWindow) copySelf([]byte, bool) bool { return false }
 // are never asked for.
 func (w *listIOPWindow) direct() bool { return false }
 
-func (w *listIOPWindow) chunkSegs([]storage.Segment, int, []byte) []storage.Segment {
+func (w *listIOPWindow) chunkSegs([]storage.Segment, int, [][]byte) []storage.Segment {
 	panic("core: list-based windows are never direct")
 }
 

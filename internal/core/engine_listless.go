@@ -22,11 +22,13 @@ type listlessEngine struct {
 	mergedEdge navEdge        // last window edge navigated on merged
 	prog       *fotf.Program  // compiled own-fileview program; nil = walk
 	sb         segBuilder     // direct windows: runs to backend segments
+	lb         lendBuilder    // lent shares: memory runs to user-buffer slices
 }
 
 func newListlessEngine(f *File) *listlessEngine {
 	e := &listlessEngine{f: f}
 	e.sb.onRuns, e.sb.onPiece = e.sb.addRuns, e.sb.add
+	e.lb.onRuns = e.lb.addRuns
 	return e
 }
 
@@ -42,23 +44,27 @@ type segBuilder struct {
 	mem             []byte
 	first           int   // segs[first:] describe the current share
 	fileEnd, memEnd int64 // ends of the piece added last
-	// For onRuns: a run at view buffer offset o lies at file offset
-	// disp+o, and data byte d0 of the view is mem[0].
-	disp, d0 int64
+	// For onRuns: a run at view buffer offset x lies at file offset
+	// disp+x, the share begins at data byte d0 of the view, mem holds its
+	// bytes from byte base of the share on, and rest the slices after
+	// mem (a lent share's).
+	disp, d0, base int64
+	rest           [][]byte
 
 	onRuns  fotf.EmitFunc                   // for Program.Runs
 	onPiece func(fileOff, memOff, ln int64) // for fotf.RunsFused, the file as destination
 }
 
-// begin starts a share whose bytes live in mem, appending to segs.
-func (b *segBuilder) begin(segs []storage.Segment, mem []byte) {
-	b.segs, b.mem, b.first = segs, mem, len(segs)
+// begin starts a share whose bytes live in mem and then rest, appending
+// to segs.
+func (b *segBuilder) begin(segs []storage.Segment, mem []byte, rest [][]byte) {
+	b.segs, b.mem, b.rest, b.base, b.first = segs, mem, rest, 0, len(segs)
 }
 
 // end returns the extended batch and drops the builder's references.
 func (b *segBuilder) end() []storage.Segment {
 	segs := b.segs
-	b.segs, b.mem = nil, nil
+	b.segs, b.mem, b.rest = nil, nil, nil
 	return segs
 }
 
@@ -74,18 +80,54 @@ func (b *segBuilder) add(fileOff, memOff, ln int64) {
 
 func (b *segBuilder) addRuns(bufOff, dataOff, runLen, stride, n int64) {
 	for i := int64(0); i < n; i++ {
-		b.add(b.disp+bufOff+i*stride, dataOff+i*runLen-b.d0, runLen)
+		fileOff, o := b.disp+bufOff+i*stride, dataOff+i*runLen-b.d0
+		for ln := runLen; ln > 0; {
+			for o >= b.base+int64(len(b.mem)) {
+				// The run goes on in the next slice, and so does no segment.
+				b.base += int64(len(b.mem))
+				b.mem, b.rest, b.memEnd = b.rest[0], b.rest[1:], -1
+			}
+			piece := min(ln, b.base+int64(len(b.mem))-o)
+			b.add(fileOff, o-b.base, piece)
+			fileOff, o, ln = fileOff+piece, o+piece, ln-piece
+		}
 	}
 }
 
 // viewSegs appends data bytes [a, c) of the view (p, disp) to segs, one
-// segment per file run; packed holds exactly those bytes in data order.
-func (e *listlessEngine) viewSegs(segs []storage.Segment, p *fotf.Program, disp, a, c int64, packed []byte) []storage.Segment {
+// segment per file run, or per part of one where the slices holding the
+// bytes change: mem and then rest hold exactly those bytes in data order
+// — a packed chunk, or the slices of a lent share.
+func (e *listlessEngine) viewSegs(segs []storage.Segment, p *fotf.Program, disp, a, c int64, mem []byte, rest [][]byte) []storage.Segment {
 	b := &e.sb
-	b.begin(segs, packed)
+	b.begin(segs, mem, rest)
 	b.disp, b.d0 = disp, a
 	p.Runs(a, c, b.onRuns)
 	return b.end()
+}
+
+// lendBuilder cuts a share of the user buffer buf into the slices its
+// memtype program's runs are, one per stretch of abutting runs.  Like
+// segBuilder it lives with the engine, its emit function bound once.
+type lendBuilder struct {
+	out   [][]byte
+	buf   []byte
+	first int   // out[first:] are the current share's
+	end   int64 // buffer offset just past the slice added last
+
+	onRuns fotf.EmitFunc
+}
+
+func (b *lendBuilder) addRuns(bufOff, _, runLen, stride, n int64) {
+	for i := int64(0); i < n; i++ {
+		off := bufOff + i*stride
+		if k := len(b.out); k > b.first && off == b.end {
+			b.out[k-1] = b.out[k-1][:int64(len(b.out[k-1]))+runLen] // still within buf: the slice was cut from it
+		} else {
+			b.out = append(b.out, b.buf[off:off+runLen])
+		}
+		b.end = off + runLen
+	}
 }
 
 // shareDense applies the window-or-list rule to data bytes [a, c) of the
@@ -452,7 +494,7 @@ func (vc *listlessViewCursor) eachUserRun(c int64, mem *memState, skip int64, em
 // listlessAPState navigates this rank's own fileview per window.
 type listlessAPState struct {
 	e     *listlessEngine
-	d0, d int64
+	acc   *collAccess
 	fused bool // the own share stays on the rank (iopWindow.copySelf)
 	edge  navEdge
 }
@@ -463,7 +505,7 @@ func (e *listlessEngine) apSetup(pl *collPlan, acc *collAccess) apState {
 	if e.f.opts.DisableViewCache {
 		e.exchangeViews()
 	}
-	return &listlessAPState{e: e, d0: acc.d0, d: acc.d, fused: e.fuses(acc.mem)}
+	return &listlessAPState{e: e, acc: acc, fused: e.fuses(acc.mem)}
 }
 
 func (s *listlessAPState) cursor(i int) apCursor {
@@ -473,6 +515,26 @@ func (s *listlessAPState) cursor(i int) apCursor {
 	return s
 }
 
+// lend is the memory side of the rule allSparse applies to the own
+// share: contiguous memory is the one slice acc.contig, and the runs of
+// a compiled memtype are lent as they lie unless they are page-dense.
+// Everything else — short runs, no program — is packed.
+func (s *listlessAPState) lend(segs [][]byte, a, b int64) ([][]byte, bool) {
+	acc, mp := s.acc, s.acc.mem.prog
+	switch {
+	case acc.mem.t.ContiguousTiled():
+		return append(segs, acc.contig(a, b)), true
+	case mp == nil || shareDense(mp, acc.mem.t, a-acc.d0, b-acc.d0):
+		return segs, false
+	}
+	lb := &s.e.lb
+	lb.out, lb.buf, lb.first = segs, acc.buf, len(segs)
+	mp.Runs(a-acc.d0, b-acc.d0, lb.onRuns)
+	segs = lb.out
+	lb.out, lb.buf = nil, nil
+	return segs, true
+}
+
 func (s *listlessAPState) window(winLo, winHi int64) (a, b int64) {
 	return s.dataAtSelf(winLo), s.dataAtSelf(winHi)
 }
@@ -480,13 +542,13 @@ func (s *listlessAPState) window(winLo, winHi int64) (a, b int64) {
 // dataAtSelf maps an absolute file offset to this rank's access data
 // offset, clipped to [d0, d0+d) — O(depth) listless navigation.
 func (s *listlessAPState) dataAtSelf(x int64) int64 {
-	v := &s.e.f.v
+	v, d0, d := &s.e.f.v, s.acc.d0, s.acc.d
 	da := s.edge.bufToData(v.ftype, x-v.disp)
-	if da < s.d0 {
-		return s.d0
+	if da < d0 {
+		return d0
 	}
-	if da > s.d0+s.d {
-		return s.d0 + s.d
+	if da > d0+d {
+		return d0 + d
 	}
 	return da
 }
@@ -653,16 +715,16 @@ func (w *listlessIOPWindow) selfSegs(segs []storage.Segment) ([]storage.Segment,
 	a, b := w.apA[self], w.apB[self]
 	disp := e.f.v.disp
 	if acc.mem.prog == nil {
-		return e.viewSegs(segs, e.prog, disp, a, b, acc.contig(a, b)), true
+		return e.viewSegs(segs, e.prog, disp, a, b, acc.contig(a, b), nil), true
 	}
-	e.sb.begin(segs, acc.buf)
+	e.sb.begin(segs, acc.buf, nil)
 	fotf.RunsFused(e.prog, a, -disp, acc.mem.prog, a-acc.d0, 0, b-a, e.sb.onPiece)
 	return e.sb.end(), true
 }
 
-func (w *listlessIOPWindow) chunkSegs(segs []storage.Segment, r int, chunk []byte) []storage.Segment {
+func (w *listlessIOPWindow) chunkSegs(segs []storage.Segment, r int, share [][]byte) []storage.Segment {
 	rv := &w.s.e.remote[r]
-	return w.s.e.viewSegs(segs, rv.prog, rv.disp, w.apA[r], w.apB[r], chunk)
+	return w.s.e.viewSegs(segs, rv.prog, rv.disp, w.apA[r], w.apB[r], share[0], share[1:])
 }
 
 func (w *listlessIOPWindow) copyIn(buf []byte, r int, chunk []byte) {

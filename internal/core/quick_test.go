@@ -275,9 +275,12 @@ func diffOracle(base *datatype.Type, P int, stride, d int64, data [][]byte) []by
 // same — DisableViewCache), atomic mode, split collectives, TCP ranks and
 // the epoch-committing server tier — first over the random trees, whose
 // short runs gather in window buffers, then over runs of a page and more,
-// whose windows are direct.  Every cell runs on a Checked pool,
+// whose windows are direct and whose remote shares are lent, in-process
+// and over TCP.  Every cell runs on a Checked pool,
 // so a double-put or use-after-put anywhere in the window loop, the
-// exchange, or the transport panics the world.
+// exchange, or the transport panics the world — and a lent slice of a
+// user buffer that reached a pool would be poisoned, failing the
+// read-back.
 func TestQuickDifferentialRandomTrees(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8, 13}
 	if testing.Short() {
@@ -287,6 +290,7 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 		{engine: Listless, P: 4}, {engine: Listless, P: 4, tcp: true},
 		{engine: ListBased, P: 4}, {engine: ListBased, P: 4, tcp: true},
 		{engine: Listless, P: 1}, {engine: Listless, P: 2}, {engine: Listless, P: 3},
+		{engine: Listless, P: 2, tcp: true},
 		{engine: Listless, P: 2, ioNodes: 1}, {engine: Listless, P: 3, ioNodes: 2},
 		{engine: Listless, P: 3, ioNodes: 2, noViewCache: true},
 		{engine: Listless, P: 3, ioNodes: 2, noProgram: true},

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/datatype"
+	"repro/internal/fotf"
 	"repro/internal/mpi"
+	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/testutil"
 	"repro/internal/transport"
@@ -107,7 +109,8 @@ func TestTransportMatrixByteIdentical(t *testing.T) {
 // contiguous memory: the user buffer is the chunk, and the fileview's
 // program runs against it.  Against the same access staged
 // (DisableProgram), over either transport, the world sends exactly the
-// self-destined data messages fewer and exactly their payload less — no
+// self-destined data messages fewer and exactly their payload less,
+// packed or lent — no
 // tagCollData message has its source for destination; everything else —
 // plan, vote, the chunks for the other rank — is the same traffic.
 func TestSelfShareStaysOffTheFabric(t *testing.T) {
@@ -187,9 +190,80 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 			t.Errorf("tcp=%v: fused sends %d messages fewer than staged (%d vs %d), want the %d self-destined chunks",
 				tcp, got, fused.Messages, staged.Messages, want)
 		}
-		if got, want := staged.Bytes-fused.Bytes, ops*P*selfBytes; got != want {
+		// A contiguous share is lent, not packed: in-process its bytes are
+		// LentBytes, not Bytes, on either side of the comparison.
+		payload := func(s mpi.Stats) int64 { return s.Bytes + s.LentBytes }
+		if got, want := payload(staged)-payload(fused), ops*P*selfBytes; got != want {
 			t.Errorf("tcp=%v: fused sends %d payload bytes less than staged (%d vs %d), want the %d self-destined bytes",
-				tcp, got, fused.Bytes, staged.Bytes, want)
+				tcp, got, payload(fused), payload(staged), want)
+		}
+	}
+}
+
+// TestLentSharesCrossNoFabricCopy pins the loan in counted work.  A
+// two-rank write of the vec16k shape — 16 KiB runs interleaved in the
+// file, every other 16 KiB in memory — lends each rank's remote half to
+// the other's IOP; the same data from memory of 8-byte pieces packs it.
+// Both sends the same messages, and the own half is fused either way.
+// In-process the lent bytes are LentBytes, not Bytes — exactly the
+// remote halves, received as they were lent — and the file is the same;
+// over TCP they cross the socket and count in Bytes like the packed
+// ones, and the wire carries the same bytes.
+func TestLentSharesCrossNoFabricCopy(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	const P, runs, run = 2, 8, 16384
+	d := int64(runs * run)
+	run1 := func(tcp, lend bool) ([]byte, mpi.Stats) {
+		eps := transport.NewLoopback(P)
+		if tcp {
+			var err error
+			if eps, err = transport.NewLocalTCPWorld(P, transport.TCPConfig{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		be := storage.NewMem()
+		sh := NewShared(be)
+		comm, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+			f, err := Open(p, sh, Options{CollBufSize: 64 << 10, Pool: pool.NewChecked()})
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			disp, ft := stridedView(P, runs, run, run)(p.Rank())
+			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+				panic(err)
+			}
+			mt := holeyDouble()
+			if lend {
+				mt = hvecBytes(runs, run, 2*run)
+			}
+			count := d / mt.Size()
+			buf := make([]byte, (count-1)*mt.Extent()+mt.TrueUB())
+			fotf.UnpackCount(buf, pattern(p.Rank(), d), count, mt, 0)
+			if _, err := f.WriteAtAll(0, count, mt, buf); err != nil {
+				panic(err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return be.Bytes(), comm
+	}
+	for _, tcp := range []bool{false, true} {
+		lentFile, lent := run1(tcp, true)
+		packedFile, packed := run1(tcp, false)
+		if !bytes.Equal(lentFile, packedFile) {
+			t.Fatalf("tcp=%v: the lent and the packed write leave different files", tcp)
+		}
+		shares := int64(P) * d / 2
+		wantLent := map[bool]int64{false: shares, true: 0}[tcp]
+		if lent.Messages != packed.Messages || lent.LentBytes != wantLent || lent.LentBytesReceived != wantLent ||
+			packed.Bytes-lent.Bytes != wantLent || packed.LentBytes != 0 {
+			t.Errorf("tcp=%v: lent write %+v, packed %+v: want the same messages and %d bytes lent, not sent",
+				tcp, lent, packed, wantLent)
+		}
+		if lent.WireBytesSent != packed.WireBytesSent {
+			t.Errorf("tcp=%v: %d wire bytes lent, %d packed", tcp, lent.WireBytesSent, packed.WireBytesSent)
 		}
 	}
 }

@@ -49,8 +49,7 @@ func (t *Type) describe(b *strings.Builder) {
 	}
 }
 
-// Summary returns a multi-line report of the derived properties of t,
-// used by cmd/typeinspect.
+// Summary returns a multi-line report of the derived properties of t.
 func (t *Type) Summary() string {
 	return fmt.Sprintf(
 		"type:    %s\nsize:    %d B\nextent:  %d B (lb=%d, ub=%d)\ntrue:    [%d, %d)\nblocks:  %d\ndepth:   %d\ndense:   %v (tiled-contiguous: %v)\nencoded: %d B",

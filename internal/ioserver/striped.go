@@ -97,7 +97,14 @@ func (s *Striped) Close() error {
 }
 
 // Scalar Backend operations delegate to the in-process Striped over the
-// clients: correct, and cheap enough for the metadata path.
+// clients: one request per stripe unit, in sequence.  That is not only
+// the metadata path.  Every buffered IOP window of a collective on the
+// tier is one scalar WriteAt (a staged one under an epoch), so tier64
+// pays 128 sequential 64 KiB round trips per collective write.
+// Coalescing them into one request per server per window was measured
+// and moved no end-to-end metric (EXPERIMENTS.md, server-side sieving
+// of registered views, negative result "Round trips are not tier64's
+// problem"), so they stay as they are.
 
 func (s *Striped) ReadAt(p []byte, off int64) (int, error)  { return s.local.ReadAt(p, off) }
 func (s *Striped) WriteAt(p []byte, off int64) (int, error) { return s.local.WriteAt(p, off) }

@@ -39,14 +39,21 @@ const collTagBase = 1 << 24
 
 // Stats aggregates the communication volume of a world or a process.
 // In a quiescent world (every sent message consumed by a Recv or a
-// DrainTag) the send and receive sides balance: Messages == Received
-// and Bytes == BytesReceived.
+// DrainTag) the send and receive sides balance: Messages == Received,
+// Bytes == BytesReceived and LentBytes == LentBytesReceived.
 type Stats struct {
 	Messages      int64 // point-to-point messages sent
 	Bytes         int64 // payload bytes sent
 	Received      int64 // messages consumed (Recv and DrainTag)
 	BytesReceived int64 // payload bytes consumed
 	RecvWaitNs    int64 // total time spent blocked in Recv
+
+	// LentBytes / LentBytesReceived are the payload bytes of SendSegs in
+	// an in-process world: the receiver reads the sender's slices, so no
+	// fabric copied them, and they are not in Bytes.  Over a wire a lent
+	// payload crosses a socket like any other and counts in Bytes.
+	LentBytes         int64
+	LentBytesReceived int64
 
 	// WireBytesSent / WireBytesRecv are the volumes that actually
 	// crossed a network transport, frame headers included.  Zero for the
@@ -83,8 +90,10 @@ type world struct {
 
 	msgs      atomic.Int64
 	bytes     atomic.Int64
+	lent      atomic.Int64
 	recvMsgs  atomic.Int64
 	recvBytes atomic.Int64
+	recvLent  atomic.Int64
 	recvWait  atomic.Int64
 
 	// traceC, when set, supplies per-rank tracers: Recv and Barrier
@@ -159,8 +168,10 @@ type Proc struct {
 
 	sentMsgs   int64
 	sentBytes  int64
+	sentLent   int64
 	recvMsgs   int64
 	recvBytes  int64
+	recvLent   int64
 	recvWaitNs int64
 }
 
@@ -177,7 +188,8 @@ func (p *Proc) SentStats() Stats {
 	return Stats{
 		Messages: p.sentMsgs, Bytes: p.sentBytes,
 		Received: p.recvMsgs, BytesReceived: p.recvBytes,
-		RecvWaitNs:    p.recvWaitNs,
+		RecvWaitNs: p.recvWaitNs,
+		LentBytes:  p.sentLent, LentBytesReceived: p.recvLent,
 		WireBytesSent: ws.BytesSent, WireBytesRecv: ws.BytesRecv,
 	}
 }
@@ -408,7 +420,8 @@ func (w *world) run(opts RunOptions, fn func(p *Proc)) (Stats, error) {
 	return Stats{
 		Messages: w.msgs.Load(), Bytes: w.bytes.Load(),
 		Received: w.recvMsgs.Load(), BytesReceived: w.recvBytes.Load(),
-		RecvWaitNs:    w.recvWait.Load(),
+		RecvWaitNs: w.recvWait.Load(),
+		LentBytes:  w.lent.Load(), LentBytesReceived: w.recvLent.Load(),
 		WireBytesSent: wireSent, WireBytesRecv: wireRecv,
 	}, runErr
 }
@@ -564,17 +577,7 @@ func (p *Proc) transportFail(err error) {
 // Send delivers a copy of data to dst with the given tag.  Send is
 // buffered: it never blocks on the receiver.
 func (p *Proc) Send(dst, tag int, data []byte) {
-	if dst < 0 || dst >= p.w.size {
-		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
-	}
-	p.sentMsgs++
-	p.sentBytes += int64(len(data))
-	p.w.msgs.Add(1)
-	p.w.bytes.Add(int64(len(data)))
-	if p.w.watch {
-		p.w.progress.Add(1)
-	}
-	p.tr.Instant(trace.PhaseMPISend, trace.NoWindow, int64(len(data)), "")
+	p.sending(dst, int64(len(data)), false)
 	if err := p.ep.Send(dst, tag, data); err != nil {
 		p.transportFail(err)
 	}
@@ -585,18 +588,56 @@ func (p *Proc) Send(dst, tag int, data []byte) {
 // recycle it into a buffer pool): the caller must not touch data — or
 // any alias of it — afterwards.  Used for large one-shot payloads.
 func (p *Proc) SendNoCopy(dst, tag int, data []byte) {
+	p.sending(dst, int64(len(data)), false)
+	if err := p.ep.SendNoCopy(dst, tag, data); err != nil {
+		p.transportFail(err)
+	}
+}
+
+// SendSegs delivers the concatenation of segs to dst, lending the
+// slices (transport.Transport.SendSegs): they stay the caller's, who
+// must not write them until the receiver is done with them — and, on a
+// wired world where that is not known, until Flush returns.  The
+// receiver takes the message with RecvSegs (the slices themselves
+// in-process) or Recv (a copy it owns).
+func (p *Proc) SendSegs(dst, tag int, segs [][]byte) {
+	var n int64
+	for _, s := range segs {
+		n += int64(len(s))
+	}
+	p.sending(dst, n, !p.w.wired)
+	if err := p.ep.SendSegs(dst, tag, segs); err != nil {
+		p.transportFail(err)
+	}
+}
+
+// sending accounts one message of n payload bytes to dst, lent ones
+// apart from copied ones.
+func (p *Proc) sending(dst int, n int64, lent bool) {
 	if dst < 0 || dst >= p.w.size {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
 	p.sentMsgs++
-	p.sentBytes += int64(len(data))
 	p.w.msgs.Add(1)
-	p.w.bytes.Add(int64(len(data)))
+	if lent {
+		p.sentLent += n
+		p.w.lent.Add(n)
+	} else {
+		p.sentBytes += n
+		p.w.bytes.Add(n)
+	}
 	if p.w.watch {
 		p.w.progress.Add(1)
 	}
-	p.tr.Instant(trace.PhaseMPISend, trace.NoWindow, int64(len(data)), "")
-	if err := p.ep.SendNoCopy(dst, tag, data); err != nil {
+	p.tr.Instant(trace.PhaseMPISend, trace.NoWindow, n, "")
+}
+
+// Flush blocks until every payload this rank sent has left its endpoint
+// (a no-op in-process).  A rank that lent slices over a wire, and does
+// not know that the receiver took them, calls it before it writes them
+// again.
+func (p *Proc) Flush() {
+	if err := p.ep.Flush(); err != nil {
 		p.transportFail(err)
 	}
 }
@@ -604,8 +645,21 @@ func (p *Proc) SendNoCopy(dst, tag int, data []byte) {
 // Recv blocks until a message matching (src, tag) arrives and returns its
 // payload and envelope.  src may be AnySource and tag may be AnyTag.
 // Matching messages from the same source with the same tag are received
-// in the order they were sent.
+// in the order they were sent.  The payload is the caller's: a lent one
+// is copied out of the sender's slices.
 func (p *Proc) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
+	data, segs, fromSrc, fromTag := p.RecvSegs(src, tag)
+	for _, s := range segs {
+		data = append(data, s...)
+	}
+	return data, fromSrc, fromTag
+}
+
+// RecvSegs is Recv without the copy of a lent payload: it returns either
+// the payload, which the caller owns, or — a message lent in-process —
+// the sender's slices (segs non-nil), which the caller may read only
+// while the sender keeps its promise and must not write or pool.
+func (p *Proc) RecvSegs(src, tag int) (data []byte, segs [][]byte, fromSrc, fromTag int) {
 	sp := p.tr.Time(trace.PhaseMPIRecv, trace.NoWindow, 0)
 	if p.w.watch {
 		p.w.blocked[p.widx].Store(blockState(blockRecv, src, tag))
@@ -618,14 +672,27 @@ func (p *Proc) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
 		p.w.blocked[p.widx].Store(blockNone)
 		p.w.progress.Add(1)
 	}
-	ns := sp.EndBytes(int64(len(m.Data)))
+	n := m.Len()
+	ns := sp.EndBytes(n)
 	p.recvWaitNs += ns
 	p.w.recvWait.Add(ns)
-	p.recvMsgs++
-	p.recvBytes += int64(len(m.Data))
-	p.w.recvMsgs.Add(1)
-	p.w.recvBytes.Add(int64(len(m.Data)))
-	return m.Data, m.Src, m.Tag
+	if m.Segs != nil {
+		p.received(1, 0, n)
+	} else {
+		p.received(1, n, 0)
+	}
+	return m.Data, m.Segs, m.Src, m.Tag
+}
+
+// received accounts msgs consumed messages of the given owned and lent
+// payload bytes.
+func (p *Proc) received(msgs, bytes, lent int64) {
+	p.recvMsgs += msgs
+	p.recvBytes += bytes
+	p.recvLent += lent
+	p.w.recvMsgs.Add(msgs)
+	p.w.recvBytes.Add(bytes)
+	p.w.recvLent.Add(lent)
 }
 
 // DrainTag removes every queued message with the given tag (from any
@@ -636,11 +703,8 @@ func (p *Proc) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
 // so the world's send/receive accounting still balances after error
 // recovery.
 func (p *Proc) DrainTag(tag int) int {
-	dropped, droppedBytes := p.ep.DrainTag(tag)
-	p.recvMsgs += int64(dropped)
-	p.recvBytes += droppedBytes
-	p.w.recvMsgs.Add(int64(dropped))
-	p.w.recvBytes.Add(droppedBytes)
+	dropped, bytes, lent := p.ep.DrainTag(tag)
+	p.received(int64(dropped), bytes, lent)
 	return dropped
 }
 

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/transport"
 )
 
 func TestRunBasics(t *testing.T) {
@@ -318,6 +321,54 @@ func TestStatsCounting(t *testing.T) {
 	}
 	if stats.Received != 2 || stats.BytesReceived != 150 {
 		t.Fatalf("world receive stats = %+v", stats)
+	}
+}
+
+// TestSendSegsAccounting: a lent payload is one message like any other,
+// and the world still balances — in-process its bytes are LentBytes on
+// both sides, received by RecvSegs as the sender's slices, by Recv as a
+// copy the receiver owns, and by DrainTag; over TCP they crossed a
+// socket and are Bytes.
+func TestSendSegsAccounting(t *testing.T) {
+	src := []byte("0123456789abcdef")
+	segs := [][]byte{src[8:], src[:4]}
+	const n = 12
+	for _, tcp := range []bool{false, true} {
+		eps := transport.NewLoopback(2)
+		if tcp {
+			eps = localTCPWorld(t, 2)
+		}
+		stats, err := RunOver(eps, RunOptions{StallTimeout: 10 * time.Second}, func(p *Proc) {
+			if p.Rank() == 0 {
+				for tag := 1; tag <= 3; tag++ {
+					p.SendSegs(1, tag, segs)
+				}
+				p.Send(1, 4, nil)
+				return
+			}
+			data, got, _, _ := p.RecvSegs(0, 1)
+			if tcp != (got == nil) || tcp && string(data) != "89abcdef0123" || !tcp && &got[0][0] != &src[8] {
+				t.Errorf("tcp=%v: RecvSegs gave %q and %d slices", tcp, data, len(got))
+			}
+			if data, _, _ := p.Recv(0, 2); string(data) != "89abcdef0123" {
+				t.Errorf("tcp=%v: Recv of a lent payload gave %q", tcp, data)
+			}
+			p.Recv(0, 4) // per-pair FIFO: tag 3 is queued by now
+			if p.DrainTag(3) != 1 {
+				t.Errorf("tcp=%v: the lent message was not drained", tcp)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lent, sent := int64(3*n), int64(0)
+		if tcp {
+			lent, sent = 0, lent
+		}
+		if stats.Messages != 4 || stats.Received != 4 || stats.LentBytes != lent || stats.LentBytesReceived != lent ||
+			stats.Bytes != sent || stats.BytesReceived != sent {
+			t.Errorf("tcp=%v: world stats %+v, want 4 messages each way, %d bytes lent and %d sent, each way", tcp, stats, lent, sent)
+		}
 	}
 }
 

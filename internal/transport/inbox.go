@@ -51,25 +51,29 @@ func (ib *inbox) take(src, tag int) (Message, error) {
 }
 
 // drain removes every queued message with the given tag (any source),
-// preserving the order of the rest, and reports what it discarded.
-func (ib *inbox) drain(tag int) (int, int64) {
+// preserving the order of the rest, and reports what it discarded: the
+// count, the owned payload bytes and the lent ones.
+func (ib *inbox) drain(tag int) (dropped int, bytes, lent int64) {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
 	kept := ib.queue[:0]
-	var droppedBytes int64
-	for _, m := range ib.queue {
-		if m.Tag != tag {
-			kept = append(kept, m)
-		} else {
-			droppedBytes += int64(len(m.Data))
+	for i := range ib.queue {
+		m := &ib.queue[i]
+		switch {
+		case m.Tag != tag:
+			kept = append(kept, *m)
+		case m.Segs != nil:
+			lent += m.Len()
+		default:
+			bytes += m.Len()
 		}
 	}
-	dropped := len(ib.queue) - len(kept)
+	dropped = len(ib.queue) - len(kept)
 	for i := len(kept); i < len(ib.queue); i++ {
 		ib.queue[i] = Message{} // release dropped payloads
 	}
 	ib.queue = kept
-	return dropped, droppedBytes
+	return dropped, bytes, lent
 }
 
 // close marks the inbox dead with the given cause (nil means a plain

@@ -1,0 +1,141 @@
+package transport
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/pool"
+	"repro/internal/testutil"
+)
+
+// fabrics brings up a two-rank world of each fabric over the pool bp;
+// the returned function closes both.
+func fabrics(t *testing.T, bp *pool.Pool) (map[string][]Transport, func()) {
+	t.Helper()
+	tcp, err := NewLocalTCPWorld(2, TCPConfig{Deadline: 10 * time.Second, Pool: bp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialWorld(t, tcp)
+	loop := NewLoopback(2)
+	return map[string][]Transport{"loopback": loop, "tcp": tcp}, func() {
+		closeWorld(loop)
+		closeWorld(tcp)
+	}
+}
+
+// TestFabricsRefuseTheSameSends: a program that passes on one fabric
+// cannot fail on the other for what it sends.  Every send entry point of
+// both refuses a rank outside the world and a tag of the transport's
+// reserved (negative) space, and delivers nothing for it.
+func TestFabricsRefuseTheSameSends(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
+	fabs, stop := fabrics(t, nil)
+	defer stop()
+	sends := []struct {
+		name string
+		send func(ep Transport, dst, tag int) error
+	}{
+		{"Send", func(ep Transport, dst, tag int) error { return ep.Send(dst, tag, []byte("x")) }},
+		{"SendNoCopy", func(ep Transport, dst, tag int) error { return ep.SendNoCopy(dst, tag, []byte("x")) }},
+		{"SendSegs", func(ep Transport, dst, tag int) error { return ep.SendSegs(dst, tag, [][]byte{[]byte("x")}) }},
+	}
+	refused := []struct {
+		name     string
+		dst, tag int
+		want     string
+	}{
+		{"rank past the world", 2, 1, "invalid rank"},
+		{"negative rank", -1, 1, "invalid rank"},
+		{"reserved tag", 1, tagHello, "reserved"},
+		{"reserved tag to self", 0, -7, "reserved"},
+	}
+	for name, eps := range fabs {
+		for _, s := range sends {
+			for _, c := range refused {
+				if err := s.send(eps[0], c.dst, c.tag); err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s %s, %s: err = %v, want %q", name, s.name, c.name, err, c.want)
+				}
+			}
+		}
+		// Nothing refused was delivered: the first message either rank
+		// finds is the one sent after the refusals.
+		for dst := range eps {
+			if err := eps[0].Send(dst, 3, []byte("ok")); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := eps[dst].Recv(AnySource, AnyTag); err != nil || m.Tag != 3 || string(m.Data) != "ok" {
+				t.Errorf("%s: rank %d received %+v, %v after the refused sends", name, dst, m, err)
+			}
+		}
+	}
+}
+
+// TestSendSegsLends: a lent payload arrives whole on both fabrics — in
+// process as the sender's slices themselves, over TCP (and to itself) as
+// one payload the receiver owns — and a drain counts it on the side it
+// was delivered on.  Nothing returns a lent slice to a pool: the slices
+// are of a buffer from a checked pool, which would poison it, and the
+// pool counts no Put.
+func TestSendSegsLends(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
+	bp := pool.NewChecked()
+	fabs, stop := fabrics(t, bp)
+	defer stop()
+	src := bp.Get(3 << 10)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	orig := bytes.Clone(src)
+	segs := [][]byte{src[:1000], src[2000:3000], src[1000:1500]}
+	want := bytes.Join(segs, nil)
+	for name, eps := range fabs {
+		puts := bp.Stats().Puts
+		for dst := range eps {
+			if err := eps[0].SendSegs(dst, 5, segs); err != nil {
+				t.Fatal(err)
+			}
+			m, err := eps[dst].Recv(0, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inProcess := name == "loopback"
+			switch {
+			case m.Len() != int64(len(want)):
+				t.Errorf("%s to %d: %d bytes delivered, want %d", name, dst, m.Len(), len(want))
+			case inProcess && (m.Data != nil || len(m.Segs) != len(segs) || &m.Segs[1][0] != &src[2000]):
+				t.Errorf("%s to %d: delivered %d bytes and %d slices, want the %d lent slices themselves", name, dst, len(m.Data), len(m.Segs), len(segs))
+			case !inProcess && (m.Segs != nil || !bytes.Equal(m.Data, want)):
+				t.Errorf("%s to %d: delivered %d slices and a payload equal=%v, want one owned payload of the concatenation",
+					name, dst, len(m.Segs), bytes.Equal(m.Data, want))
+			}
+		}
+		if err := eps[0].SendSegs(1, 9, segs); err != nil {
+			t.Fatal(err)
+		}
+		if err := eps[0].SendNoCopy(1, 8, []byte("keep")); err != nil { // too short for the pool
+			t.Fatal(err)
+		}
+		if _, err := eps[1].Recv(0, 8); err != nil { // FIFO: the lent message has landed
+			t.Fatal(err)
+		}
+		wantOwned, wantLent := int64(len(want)), int64(0)
+		if name == "loopback" {
+			wantOwned, wantLent = 0, wantOwned
+		}
+		if n, owned, lent := eps[1].DrainTag(9); n != 1 || owned != wantOwned || lent != wantLent {
+			t.Errorf("%s: drained %d messages, %d owned and %d lent bytes; want 1, %d, %d", name, n, owned, lent, wantOwned, wantLent)
+		}
+		if err := eps[0].Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := bp.Stats().Puts - puts; got != 0 {
+			t.Errorf("%s: %d buffers went back to the pool; a lent slice is never the endpoint's to recycle", name, got)
+		}
+	}
+	if !bytes.Equal(src, orig) {
+		t.Error("the lent buffer changed: a slice of it reached the checked pool")
+	}
+}

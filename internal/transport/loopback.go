@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ErrClosed is the cause Recv and Send report after a plain Close.
 // Transport failures (a lost TCP link, a deadline) report their own
@@ -51,13 +48,9 @@ func (l *Loopback) Dial() error { return nil }
 
 // Send implements Transport: copy, then deliver directly.
 func (l *Loopback) Send(dst, tag int, data []byte) error {
-	if dst < 0 || dst >= len(l.fab.inboxes) {
-		return fmt.Errorf("transport: send to invalid rank %d", dst)
-	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	l.fab.inboxes[dst].put(Message{Src: l.rank, Tag: tag, Data: buf})
-	return nil
+	return l.deliver(dst, Message{Tag: tag, Data: buf})
 }
 
 // SendNoCopy implements Transport: deliver directly without copying.
@@ -65,10 +58,21 @@ func (l *Loopback) Send(dst, tag int, data []byte) error {
 // loopback mailbox — so ownership passes end-to-end: the receiver may
 // recycle the payload into a buffer pool.
 func (l *Loopback) SendNoCopy(dst, tag int, data []byte) error {
-	if dst < 0 || dst >= len(l.fab.inboxes) {
-		return fmt.Errorf("transport: send to invalid rank %d", dst)
+	return l.deliver(dst, Message{Tag: tag, Data: data})
+}
+
+// SendSegs implements Transport: the receiver gets the lent slices
+// themselves, and nothing is copied at all.
+func (l *Loopback) SendSegs(dst, tag int, segs [][]byte) error {
+	return l.deliver(dst, Message{Tag: tag, Segs: segs})
+}
+
+func (l *Loopback) deliver(dst int, m Message) error {
+	if err := checkSend(dst, m.Tag, len(l.fab.inboxes)); err != nil {
+		return err
 	}
-	l.fab.inboxes[dst].put(Message{Src: l.rank, Tag: tag, Data: data})
+	m.Src = l.rank
+	l.fab.inboxes[dst].put(m)
 	return nil
 }
 
@@ -78,7 +82,7 @@ func (l *Loopback) Recv(src, tag int) (Message, error) {
 }
 
 // DrainTag implements Transport.
-func (l *Loopback) DrainTag(tag int) (int, int64) {
+func (l *Loopback) DrainTag(tag int) (int, int64, int64) {
 	return l.fab.inboxes[l.rank].drain(tag)
 }
 

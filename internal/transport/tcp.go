@@ -319,29 +319,57 @@ func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
 // Send implements Transport.  The staging copy comes from the endpoint
 // pool and is recycled after it hits the socket.
 func (t *TCP) Send(dst, tag int, data []byte) error {
+	if err := checkSend(dst, tag, t.cfg.Size); err != nil {
+		return err
+	}
 	buf := t.cfg.Pool.Get(len(data))
 	copy(buf, data)
-	return t.SendNoCopy(dst, tag, buf)
+	return t.enqueue(dst, outFrame{tag: tag, data: buf})
 }
 
 // SendNoCopy implements Transport.
 func (t *TCP) SendNoCopy(dst, tag int, data []byte) error {
-	if dst < 0 || dst >= t.cfg.Size {
-		return fmt.Errorf("transport: send to invalid rank %d", dst)
+	if err := checkSend(dst, tag, t.cfg.Size); err != nil {
+		return err
 	}
-	if tag < 0 {
-		return fmt.Errorf("transport: tag %d is reserved", tag)
+	return t.enqueue(dst, outFrame{tag: tag, data: data})
+}
+
+// SendSegs implements Transport: the link writer puts the lent slices
+// into its vectored flush as they are, so they reach the socket from the
+// caller's memory without a staging copy.  A self-send gathers them into
+// a pooled payload instead: on this fabric every delivered message is one
+// the receiver owns.
+func (t *TCP) SendSegs(dst, tag int, segs [][]byte) error {
+	if err := checkSend(dst, tag, t.cfg.Size); err != nil {
+		return err
 	}
+	fr := outFrame{tag: tag, segs: segs}
+	if dst == t.cfg.Rank {
+		fr = outFrame{tag: tag, data: t.cfg.Pool.Get(int(fr.size()))}
+		gather(fr.data, segs)
+	}
+	return t.enqueue(dst, fr)
+}
+
+// gather copies the concatenation of segs into dst.
+func gather(dst []byte, segs [][]byte) {
+	for _, s := range segs {
+		dst = dst[copy(dst, s):]
+	}
+}
+
+func (t *TCP) enqueue(dst int, fr outFrame) error {
 	if dst == t.cfg.Rank {
 		// Self-sends never touch the wire (an IOP that is also an AP).
-		t.ib.put(Message{Src: t.cfg.Rank, Tag: tag, Data: data})
+		t.ib.put(Message{Src: t.cfg.Rank, Tag: fr.tag, Data: fr.data})
 		return nil
 	}
 	l := t.links[dst]
 	if l == nil {
 		return fmt.Errorf("transport: no link to rank %d (endpoint not dialed)", dst)
 	}
-	return l.enqueue(tag, data)
+	return l.enqueue(fr)
 }
 
 // Recv implements Transport.
@@ -349,8 +377,9 @@ func (t *TCP) Recv(src, tag int) (Message, error) {
 	return t.ib.take(src, tag)
 }
 
-// DrainTag implements Transport.
-func (t *TCP) DrainTag(tag int) (int, int64) {
+// DrainTag implements Transport.  Every delivered payload is owned on
+// this fabric, so the lent count is always zero.
+func (t *TCP) DrainTag(tag int) (int, int64, int64) {
 	return t.ib.drain(tag)
 }
 
@@ -429,10 +458,21 @@ func (t *TCP) Stats() WireStats {
 // large frame is progress, not a stall.
 func (t *TCP) wireProgress() int64 { return t.bytesSent.Load() + t.bytesRecv.Load() }
 
-// outFrame is one queued outbound message.
+// outFrame is one queued outbound message: an owned payload, recycled
+// into the pool once written, or lent slices, which are written from
+// where they lie and never recycled.
 type outFrame struct {
 	tag  int
 	data []byte
+	segs [][]byte
+}
+
+func (fr *outFrame) size() int64 {
+	n := int64(len(fr.data))
+	for _, s := range fr.segs {
+		n += int64(len(s))
+	}
+	return n
 }
 
 // link is one pair connection with its writer queue.
@@ -441,9 +481,13 @@ type link struct {
 	peer int
 	conn net.Conn
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	out     []outFrame
+	mu   sync.Mutex
+	cond *sync.Cond
+	out  []outFrame
+	// lent holds the slice headers of out's lent frames, copied in by
+	// enqueue: the writer reads only what the link owns, never the
+	// sender's own array of them.
+	lent    [][]byte
 	writing bool
 	closed  bool
 	err     error
@@ -463,7 +507,7 @@ func (l *link) start() {
 	go l.reader()
 }
 
-func (l *link) enqueue(tag int, data []byte) error {
+func (l *link) enqueue(fr outFrame) error {
 	l.mu.Lock()
 	if l.closed {
 		err := l.err
@@ -473,17 +517,24 @@ func (l *link) enqueue(tag int, data []byte) error {
 		}
 		return err
 	}
-	l.out = append(l.out, outFrame{tag: tag, data: data})
+	if fr.segs != nil {
+		at := len(l.lent)
+		l.lent = append(l.lent, fr.segs...)
+		fr.segs = l.lent[at:]
+	}
+	l.out = append(l.out, fr)
 	l.mu.Unlock()
 	l.cond.Signal()
 	return nil
 }
 
-// flush blocks until the queue is drained and flushed to the socket.
+// flush blocks until the queue is drained and flushed to the socket —
+// or the link is closed — and the writer is out of its write: from then
+// on it reads no lent slice.
 func (l *link) flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for (len(l.out) > 0 || l.writing) && !l.closed {
+	for len(l.out) > 0 && !l.closed || l.writing {
 		l.cond.Wait()
 	}
 	return l.err
@@ -516,16 +567,18 @@ func (l *link) failWith(err error) {
 // writer drains the outbound queue: every wake-up takes the whole
 // queue and writes it in WriteBuf-sized vectored batches — each batch
 // is one net.Buffers.WriteTo, which on a *net.TCPConn is writev: n
-// queued frames (headers and payloads alike) cost one syscall, with no
-// copy into an intermediate coalescing buffer.  The queue arrays
-// double-buffer (the drained array is handed back to enqueue once its
-// payloads are recycled) and the header slab and iovec scratch persist
+// queued frames (headers and payloads alike, a lent frame's slices each
+// their own iovec) cost one syscall, with no copy into an intermediate
+// coalescing buffer.  The queue arrays double-buffer (the drained array
+// is handed back to enqueue once its payloads are recycled), as do the
+// lent-slice arrays, and the header slab and iovec scratch persist
 // across wake-ups, so the steady-state writer allocates nothing.
 func (l *link) writer() {
 	var (
-		bufs  net.Buffers // iovec scratch: hdr, payload, hdr, payload, ...
-		hdrs  []byte      // slab backing the batch's frame headers
-		spare []outFrame  // drained queue array, handed back to enqueue
+		bufs      net.Buffers // iovec scratch: hdr, payload, hdr, payload, ...
+		hdrs      []byte      // slab backing the batch's frame headers
+		spare     []outFrame  // drained queue array, handed back to enqueue
+		spareLent [][]byte    // drained lent-slice array, likewise
 	)
 	for {
 		l.mu.Lock()
@@ -536,13 +589,9 @@ func (l *link) writer() {
 			l.mu.Unlock()
 			return // closed and drained
 		}
-		batch := l.out
-		if spare != nil {
-			l.out = spare
-			spare = nil
-		} else {
-			l.out = nil
-		}
+		batch, lent := l.out, l.lent
+		l.out, l.lent = spare, spareLent
+		spare, spareLent = nil, nil
 		l.writing = true
 		l.mu.Unlock()
 
@@ -560,17 +609,23 @@ func (l *link) writer() {
 			bufs = bufs[:0]
 			var group int64
 			for ; done < len(batch); done++ {
-				fr := batch[done]
-				if len(bufs) > 0 && group+FrameHeaderSize+int64(len(fr.data)) > int64(l.t.cfg.WriteBuf) {
+				fr := &batch[done]
+				n := fr.size()
+				if len(bufs) > 0 && group+FrameHeaderSize+n > int64(l.t.cfg.WriteBuf) {
 					break
 				}
 				h := hdrs[done*FrameHeaderSize : (done+1)*FrameHeaderSize]
-				putFrameHeader(h, l.t.cfg.Rank, fr.tag, len(fr.data))
+				putFrameHeader(h, l.t.cfg.Rank, fr.tag, int(n))
 				bufs = append(bufs, h)
+				for _, s := range fr.segs {
+					if len(s) > 0 {
+						bufs = append(bufs, s)
+					}
+				}
 				if len(fr.data) > 0 {
 					bufs = append(bufs, fr.data)
 				}
-				group += FrameHeaderSize + int64(len(fr.data))
+				group += FrameHeaderSize + n
 				l.t.framesSent.Add(1)
 			}
 			// Count the group, like its frames above, before it can reach
@@ -595,13 +650,15 @@ func (l *link) writer() {
 		sp.EndBytes(total)
 
 		if werr == nil {
-			// The payloads hit the socket and this endpoint owned them
-			// (SendNoCopy is an ownership transfer): recycle them.
+			// The payloads hit the socket.  This endpoint owned the data
+			// ones (SendNoCopy is an ownership transfer): recycle them.
+			// The lent slices are the senders': only forget them.
 			for i := range batch {
 				l.t.cfg.Pool.Put(batch[i].data)
 				batch[i] = outFrame{}
 			}
-			spare = batch[:0]
+			clear(lent)
+			spare, spareLent = batch[:0], lent[:0]
 		}
 
 		l.mu.Lock()

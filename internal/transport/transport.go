@@ -22,6 +22,8 @@
 // Send/Recv/DrainTag → Flush/Quiesce (graceful shutdown) → Close.
 package transport
 
+import "fmt"
+
 // Wildcards for Recv matching, shared with internal/mpi.
 const (
 	AnySource = -1
@@ -32,6 +34,20 @@ const (
 type Message struct {
 	Src, Tag int
 	Data     []byte
+	// Segs, when non-nil, is a lent payload (SendSegs on the in-process
+	// fabric): the sender's slices, in order, and no Data.  The receiver
+	// reads them but does not own them: it must not write them, Put them
+	// to a pool, or keep them past the sender's promise.
+	Segs [][]byte
+}
+
+// Len reports the payload bytes of m, lent or not.
+func (m *Message) Len() int64 {
+	n := int64(len(m.Data))
+	for _, s := range m.Segs {
+		n += int64(len(s))
+	}
+	return n
 }
 
 // WireStats counts the bytes and frames an endpoint actually moved over
@@ -75,16 +91,25 @@ type Transport interface {
 	// it to a buffer pool.  Transports that put the payload on a wire
 	// recycle it themselves once it has been written.
 	SendNoCopy(dst, tag int, data []byte) error
+	// SendSegs enqueues the concatenation of segs for dst, lending the
+	// slices: they stay the caller's, who must not write them until the
+	// receiver is done with them (internal/core: until the collective's
+	// error vote) and, if that is not known to have happened, until Flush
+	// returns.  Loopback delivers the slices themselves (Message.Segs);
+	// TCP writes them to the socket from where they lie, and its receiver
+	// gets one pooled payload like any other frame's.
+	SendSegs(dst, tag int, segs [][]byte) error
 	// Recv blocks until a message matching (src, tag) is available and
 	// removes it.  It returns ErrClosed after Close, or the transport
 	// failure that tore the endpoint down.
 	Recv(src, tag int) (Message, error)
 	// DrainTag removes every queued message with the given tag (any
-	// source) without blocking, returning the count and payload bytes
-	// discarded.
-	DrainTag(tag int) (int, int64)
+	// source) without blocking, returning the count discarded and their
+	// payload bytes: owned ones, and lent ones (Message.Segs) apart.
+	DrainTag(tag int) (n int, bytes, lent int64)
 	// Flush blocks until every queued outbound payload has left the
-	// endpoint (TCP: written to the sockets).  A no-op for loopback.
+	// endpoint (TCP: written to the sockets) and no goroutine of the
+	// endpoint reads a lent slice any more.  A no-op for loopback.
 	Flush() error
 	// Quiesce marks the endpoint as shutting down: subsequent link
 	// failures are expected (peers closing) and no longer fail the
@@ -95,4 +120,18 @@ type Transport interface {
 	Close() error
 	// Stats reports the endpoint's wire-level counters.
 	Stats() WireStats
+}
+
+// checkSend is the one check of every send entry point of both fabrics,
+// so that a program that passes on one cannot fail on the other: dst is
+// a rank of the size-rank world, and tag is not one of the negative tags
+// reserved for the transport's own control frames.
+func checkSend(dst, tag, size int) error {
+	if dst < 0 || dst >= size {
+		return fmt.Errorf("transport: send to invalid rank %d", dst)
+	}
+	if tag < 0 {
+		return fmt.Errorf("transport: tag %d is reserved", tag)
+	}
+	return nil
 }
