@@ -286,8 +286,8 @@ func main() {
 	for _, line := range strings.Split(strings.TrimRight(res.Stats.String(), "\n"), "\n") {
 		fmt.Printf("    %s\n", line)
 	}
-	fmt.Printf("  world comm: %d messages, %s payload, %s lent, %v recv wait\n",
-		res.Comm.Messages, humanBytes(res.Comm.Bytes), humanBytes(res.Comm.LentBytes),
+	fmt.Printf("  world comm: %d messages (%d loans), %s payload, %v recv wait\n",
+		res.Comm.Messages, res.Comm.Refs, humanBytes(res.Comm.Bytes),
 		time.Duration(res.Comm.RecvWaitNs).Round(time.Microsecond))
 	if res.Comm.WireBytesSent > 0 || res.Comm.WireBytesRecv > 0 {
 		fmt.Printf("  wire: %s sent, %s received (frame headers included)\n",

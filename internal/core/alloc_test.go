@@ -186,14 +186,12 @@ func TestListlessWindowZeroAllocMetricsOn(t *testing.T) {
 // file runs of 6 KiB, 12 KiB apart per rank, in 32 KiB windows, from
 // memory whose every run is a page or longer — 6 KiB runs 12 KiB apart
 // on rank 0; on rank 1 a contiguous buffer, or page-sized runs two pages
-// apart, which cut each file run in two — so that every remote share of
-// a write is lent, not packed.  After the first accesses — which size
-// the handles' segment batches and lent-slice arrays — a window costs no
-// allocation: its segments go into the batch its slot keeps, the slices
-// a write lends into the array its handle keeps, a read's chunks come
-// from the warm pool, and no window buffer is drawn at all.  A lent
-// write draws nothing from the pool, where a packed one drew a chunk
-// per AP and window.
+// apart, which cut each file run in two — so that every rank lends its
+// access to the other's IOP, for the write and the read alike.  After
+// the first accesses — which size the handles' segment batches — a
+// window costs no allocation: its segments, over the lent user buffers,
+// go into the batch its slot keeps, and no chunk and no window buffer is
+// drawn at all, where a packed share drew a chunk per AP and window.
 func TestListlessDirectWindowZeroAllocMetricsOn(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -272,8 +270,8 @@ func TestListlessDirectWindowZeroAllocMetricsOn(t *testing.T) {
 				if windows == 0 || vectored != windows {
 					t.Errorf("%s: %d of %d windows were direct; the test measures the wrong loop", label, vectored, windows)
 				}
-				if gets := s1.Gets - s0.Gets; s1.Misses != s0.Misses || write != (gets == 0) {
-					t.Errorf("%s: warm pool: %d gets, %d misses in steady state; a write lends every share, a read draws its chunks",
+				if gets := s1.Gets - s0.Gets; s1.Misses != s0.Misses || gets != 0 {
+					t.Errorf("%s: warm pool: %d gets, %d misses in steady state; every share is lent, none draws a chunk",
 						label, gets, s1.Misses-s0.Misses)
 				}
 			})

@@ -36,9 +36,11 @@ func (f *File) WriteAtAll(off int64, count int64, memtype *datatype.Type, buf []
 
 // ReadAtAll collectively reads count instances of memtype from the view
 // at offset off (in etypes) into buf.  All ranks must call it.  When it
-// returns an error the contents of buf are undefined: the part of the
-// data this rank serves to itself as an I/O process lands in buf while
-// the windows are read, before the ranks agree on the outcome.
+// returns an error the contents of buf are undefined: the I/O processes
+// fill buf in place — this rank's own, and in-process every one whose
+// domain holds its data — while the windows are read, before the ranks
+// agree on the outcome.  None of them touches buf after the call has
+// returned.
 func (f *File) ReadAtAll(off int64, count int64, memtype *datatype.Type, buf []byte) (int64, error) {
 	d, err := f.checkAccess(off, count, memtype, buf)
 	if err != nil {
@@ -76,7 +78,7 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	sp := f.tr.Begin(top, d0, d)
 	defer sp.End()
 
-	acc := &collAccess{d0: d0, d: d, mem: f.eng.newMemState(memtype, count), buf: buf}
+	acc := &collAccess{d0: d0, d: d, mem: f.eng.newMemState(memtype, count), buf: buf, write: write}
 
 	psp := f.tr.Begin(trace.PhaseCollPlan, d0, 0)
 	pl, any := f.makePlan(d0, d)
@@ -97,7 +99,8 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	}
 
 	// ---- AP phase 1: engine-specific access description (the
-	// list-based engine builds and sends per-IOP ol-lists). ----
+	// list-based engine builds and sends per-IOP ol-lists; the listless
+	// engine, in-process, lends buf to the IOPs that hold its data). ----
 	asp := f.tr.Begin(trace.PhaseAPSetup, d0, 0)
 	ap := f.eng.apSetup(pl, acc)
 	asp.End()
@@ -108,10 +111,10 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	}
 
 	// ---- IOP phase: process the file domain window by window.  An
-	// IOP whose engine fuses copies moves its own share here, straight
-	// between buf and its windows: on a read that is before the error
-	// vote below, which is why a failed collective read leaves buf
-	// undefined. ----
+	// IOP whose engine fuses copies moves its own share here, and the
+	// shares lent to it, straight between the user buffers and its
+	// windows: on a read that is before the error vote below, which is
+	// why a failed collective read leaves buf undefined. ----
 	var fault *CollectiveError
 	if f.p.Rank() < pl.nIOP {
 		fault = f.iopProcess(pl, acc, write)
@@ -122,12 +125,14 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	// rank-attributed error.  This must precede the read-side exchange:
 	// an AP must not block receiving from an IOP that failed.
 	//
-	// It also ends the loan of the slices this rank lent (f.lent).  On
-	// success every IOP took its shares before it voted.  On failure an
-	// IOP may have stopped before taking some: in-process they are drained
-	// from its inbox before the barrier, and on a wire they may still be
-	// in this rank's send queue, which Flush empties — not before the IOP
-	// phase, where both ends of a link could block on full sockets. ----
+	// It also ends every loan of buf.  An IOP votes only once its
+	// window pipeline is quiescent, so after the vote no IOP reads or
+	// writes buf in place.  On failure an IOP may have stopped before
+	// taking what it was lent: in-process the loans and chunks left in
+	// its inbox are drained before the barrier, and on a wire the slices
+	// this rank lent (f.lent) may still be in its send queue, which
+	// Flush empties — not before the IOP phase, where both ends of a link
+	// could block on full sockets. ----
 	if err := f.agreeCollective(fault); err != nil {
 		if epochID != 0 {
 			f.epochAbandon(epochID)
@@ -157,7 +162,8 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 		}
 	}
 
-	// ---- AP phase 2 (read): receive and unpack data. ----
+	// ---- AP phase 2 (read): receive and unpack data — nothing, from an
+	// IOP this rank lent buf to. ----
 	if !write && d > 0 {
 		f.apExchange(pl, acc, ap, false)
 	}

@@ -85,8 +85,8 @@ func (f *File) agreeCollective(local *CollectiveError) error {
 	}
 	payload = f.p.Bcast(int(failRank), payload)
 	// Drain the abandoned collective's traffic.  Every send of this
-	// collective happened before its sender voted (AP chunk sends and
-	// list sends are buffered and precede the IOP phase in program
+	// collective happened before its sender voted (AP chunk sends, loans
+	// and list sends are buffered and precede the IOP phase in program
 	// order), and the vote is a full exchange, so by now all of it has
 	// been delivered — anything still queued under these tags belongs to
 	// this collective and must go.  The caller's trailing Barrier keeps

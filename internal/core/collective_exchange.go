@@ -7,16 +7,16 @@ import "repro/internal/trace"
 // and sends (write) or receives and unpacks (read) that data.  The
 // engine's apCursor locates this rank's data range per window; the
 // neutral code moves it and accounts the per-phase time.  An IOP the
-// engine hands no cursor for is this rank itself moving its own share
-// without a message (iopWindow.copySelf).  A write's share that the
-// engine can lend (apState.lend) is not packed at all: it goes as the
-// slices of the user buffer that hold it, collected in f.lent.
+// engine hands no cursor for moves this rank's data in place
+// (iopWindow.copyLent): its own, or an access this rank lent it.  On a
+// wired world a write's share that the engine can lend (apState.lend) is
+// not packed: it goes as the slices of the user buffer that hold it,
+// collected in f.lent.
 func (f *File) apExchange(pl *collPlan, acc *collAccess, ap apState, write bool) {
 	d0, mem, buf := acc.d0, acc.mem, acc.buf
-	myLo, myHi := pl.los[f.p.Rank()], pl.his[f.p.Rank()]
 	for i := 0; i < pl.nIOP; i++ {
 		domLo, domHi := pl.domain(i)
-		if domHi <= myLo || domLo >= myHi || domLo == domHi {
+		if !pl.holds(i, f.p.Rank()) {
 			continue
 		}
 		cur := ap.cursor(i)
@@ -30,10 +30,7 @@ func (f *File) apExchange(pl *collPlan, acc *collAccess, ap apState, write bool)
 				continue
 			}
 			if write {
-				at := len(f.lent)
-				if lent, ok := ap.lend(f.lent, a, b); ok {
-					f.lent = lent
-					f.lendShare(i, lent[at:len(lent):len(lent)], winLo)
+				if f.p.Wired() && f.lendShare(i, ap, a, b, winLo) {
 					continue
 				}
 				chunk := f.bp.Get(int(b - a))

@@ -25,6 +25,20 @@ func (pl *collPlan) domain(i int) (lo, hi int64) {
 	return
 }
 
+// holds reports whether IOP i's file domain meets the byte range of
+// rank r's access — whether or not r's view has data in the part they
+// share.
+func (pl *collPlan) holds(i, r int) bool {
+	lo, hi := pl.domain(i)
+	return pl.ds[r] > 0 && lo < hi && lo < pl.his[r] && hi > pl.los[r]
+}
+
+// lends reports whether AP r lends its access to IOP i on an in-process
+// world (listless engine): i holds r's range, and i is not r, whose IOP
+// has the access at hand.  Both ends ask it of the plan, so every loan
+// sent is taken.
+func (pl *collPlan) lends(r, i int) bool { return r != i && pl.holds(i, r) }
+
 // makePlan allgathers every rank's access range and partitions the
 // aggregate file range into per-IOP domains.  The bool result is false
 // when no rank accesses any data.

@@ -10,13 +10,19 @@ import (
 // receives and merges each AP's chunk, and writes the window back, or
 // (read) reads the window and sends each AP its portion.
 //
+// An AP's share of a window is either a chunk, packed by the AP and sent
+// (or, on a read, sent to it and unpacked there), or moved in place
+// between the window and the AP's user buffer: the IOP's own, and
+// in-process the buffer every AP whose memory compiles lent it for the
+// collective (memLoan).
+//
 // There are two kinds of window.  A buffered window gathers the APs'
-// chunks in a CollBufSize buffer so that many short runs become one
+// shares in a CollBufSize buffer so that many short runs become one
 // large backend call.  A direct window (iopWindow.direct: every share is
-// runs of about a page or more) has no buffer: the chunks themselves —
-// and, for the rank's own share, the user buffer — are described as
-// backend segments and move by one vectored call, so a byte goes chunk
-// to backend once, nothing is pre-read, and no byte outside the views is
+// runs of about a page or more) has no buffer: the chunks themselves and
+// the lent user buffers are described as backend segments and move by
+// one vectored call, so a byte goes between backend and its last or first
+// home once, nothing is pre-read, and no byte outside the views is
 // rewritten.
 //
 // The loop (iopPipelined) is a double-buffered pipeline over two slots.
@@ -63,29 +69,29 @@ func (f *File) iopProcess(pl *collPlan, acc *collAccess, write bool) *Collective
 	return nil
 }
 
-// copySelf moves this rank's own share of one window (n bytes) between
-// the user buffer and the window buffer w without a message, when the
-// engine can, and accounts it as copy time.  It reports false when the
-// share travels like any other AP's.
-func (f *File) copySelf(iw iopWindow, w []byte, winLo, n int64, write bool) bool {
+// copyLent moves AP r's share of one window (n bytes) between its user
+// buffer and the window buffer w without a message, when the engine can,
+// and accounts it as copy time.  It reports false when the share travels
+// as a chunk.
+func (f *File) copyLent(iw iopWindow, w []byte, winLo, n int64, r int, write bool) bool {
 	csp := f.tr.Time(trace.PhaseCopy, winLo, n)
-	if !iw.copySelf(w, write) {
+	if !iw.copyLent(w, r, write) {
 		return false
 	}
 	f.Stats.CopyNs += csp.End()
 	return true
 }
 
-// iopExchangeWrite receives every AP's chunk for one window and merges
-// it into the window buffer w, accounting exchange and copy time.  The
-// received chunks are owned by this rank (SendNoCopy transfers
-// ownership end-to-end) and are returned to the pool after merging; the
-// rank's own share has no chunk when the engine fuses it (copySelf).
-// winLo annotates the trace spans with the window's file offset.
+// iopExchangeWrite merges every AP's share of one window into the window
+// buffer w — in place where it can (copyLent), else by receiving its
+// chunk — accounting exchange and copy time.  The received chunks are
+// owned by this rank (SendNoCopy transfers ownership end-to-end) and are
+// returned to the pool after merging.  winLo annotates the trace spans
+// with the window's file offset.
 func (f *File) iopExchangeWrite(iw iopWindow, w []byte, winLo int64) {
 	for r := 0; r < f.p.Size(); r++ {
 		n := iw.chunkLen(r)
-		if n == 0 || r == f.p.Rank() && f.copySelf(iw, w, winLo, n, true) {
+		if n == 0 || f.copyLent(iw, w, winLo, n, r, true) {
 			continue
 		}
 		chunk := f.recvChunk(r, winLo)
@@ -96,12 +102,13 @@ func (f *File) iopExchangeWrite(iw iopWindow, w []byte, winLo int64) {
 	}
 }
 
-// iopExchangeRead extracts every AP's portion of the window buffer w
-// and sends it, accounting copy and exchange time.
+// iopExchangeRead extracts every AP's portion of the window buffer w —
+// into its user buffer where it can (copyLent), else into a chunk it is
+// sent — accounting copy and exchange time.
 func (f *File) iopExchangeRead(iw iopWindow, w []byte, winLo int64) {
 	for r := 0; r < f.p.Size(); r++ {
 		n := iw.chunkLen(r)
-		if n == 0 || r == f.p.Rank() && f.copySelf(iw, w, winLo, n, false) {
+		if n == 0 || f.copyLent(iw, w, winLo, n, r, false) {
 			continue
 		}
 		csp := f.tr.Time(trace.PhaseCopy, winLo, n)
@@ -135,7 +142,7 @@ const (
 
 // winBatch is a direct window in flight: its backend segments and the
 // pooled chunks they slice, by AP rank (nil where an AP holds nothing or
-// the share is the rank's own and its segments slice the user buffer).
+// its segments slice a user buffer).
 // The two batches stay with the handle across collectives, as File.segs
 // does, and are empty between windows.  Ownership follows the slot: the
 // main goroutine fills a batch, and from the request that hands it to
@@ -179,9 +186,10 @@ type pipeSlot struct {
 // token at shutdown), mirroring the slot hand-over semantics: whoever
 // waits for the slot learns the fate of its previous write-back.  A
 // direct write-back ends the life of its chunks: the worker returns
-// them to the pool, whatever the outcome.  A direct read may fill the
-// caller's user buffer (the own share's segments) from this goroutine —
-// the caller is inside the collective until the pipeline is quiescent.
+// them to the pool, whatever the outcome.  A direct read may fill user
+// buffers (the segments of lent shares, the own one included) from this
+// goroutine — their owners are inside the collective until every IOP's
+// pipeline is quiescent and it has voted.
 func (f *File) slotWorker(s *pipeSlot) {
 	var carry ioToken
 	for r := range s.req {
@@ -228,10 +236,9 @@ type pipeWindow struct {
 }
 
 // directGather describes every AP's share of direct window pw in the
-// slot's batch.  A share that travels as a message is segments over its
-// chunk — the one received (write), a fresh one to read into (read) — or
-// over the slices of the sender's user buffer it lent (write), which
-// never enter the batch's chunk list.
+// slot's batch: segments over the user buffer it lives in where the
+// engine moves it in place (lentSegs), else over its chunk — the one
+// received (write), a fresh one to read into (read).
 func (f *File) directGather(pw *pipeWindow, write bool) {
 	b := pw.slot.batch
 	for r := 0; r < f.p.Size(); r++ {
@@ -239,61 +246,27 @@ func (f *File) directGather(pw *pipeWindow, write bool) {
 		if n == 0 {
 			continue
 		}
-		if r == f.p.Rank() {
-			if segs, ok := pw.iw.selfSegs(b.segs); ok {
-				b.segs = segs
-				continue
-			}
+		if segs, ok := pw.iw.lentSegs(b.segs, r); ok {
+			b.segs = segs
+			continue
 		}
-		var share [][]byte
 		if write {
-			b.chunks[r], share = f.recvShare(r, pw.lo)
+			b.chunks[r] = f.recvChunk(r, pw.lo)
 		} else {
 			b.chunks[r] = f.bp.Get(int(n))
 		}
-		if share == nil {
-			share = b.chunks[r : r+1]
-		}
-		b.segs = pw.iw.chunkSegs(b.segs, r, share)
+		b.segs = pw.iw.chunkSegs(b.segs, r, b.chunks[r])
 	}
 }
 
-// recvShare receives rank r's share of the window at winLo — an AP's
-// data at the IOP of a write, an IOP's at the AP of a read — accounting
-// the exchange time: a chunk this rank owns from here on, or, lent, the
-// sender's slices of its user buffer (mpi.Proc.RecvSegs).
-func (f *File) recvShare(r int, winLo int64) (chunk []byte, lent [][]byte) {
-	esp := f.tr.Time(trace.PhaseExchange, winLo, 0)
-	chunk, lent, _, _ = f.p.RecvSegs(r, tagCollData)
-	f.Stats.ExchangeNs += esp.EndBytes(int64(len(chunk)) + segsLen(lent))
-	return chunk, lent
-}
-
-// recvChunk is recvShare for a caller that needs the share as one chunk
-// it owns: a lent share is gathered into a pooled one — the copy its
-// sender skipped, accounted as copy time.
+// recvChunk receives rank r's share of the window at winLo — an AP's
+// data at the IOP of a write, an IOP's at the AP of a read — as a chunk
+// this rank owns from here on, accounting the exchange time.
 func (f *File) recvChunk(r int, winLo int64) []byte {
-	chunk, lent := f.recvShare(r, winLo)
-	if lent == nil {
-		return chunk
-	}
-	n := segsLen(lent)
-	csp := f.tr.Time(trace.PhaseCopy, winLo, n)
-	chunk = f.bp.Get(int(n))
-	at := chunk
-	for _, s := range lent {
-		at = at[copy(at, s):]
-	}
-	f.Stats.CopyNs += csp.End()
+	esp := f.tr.Time(trace.PhaseExchange, winLo, 0)
+	chunk, _, _ := f.p.Recv(r, tagCollData)
+	f.Stats.ExchangeNs += esp.EndBytes(int64(len(chunk)))
 	return chunk
-}
-
-func segsLen(segs [][]byte) int64 {
-	var n int64
-	for _, s := range segs {
-		n += int64(len(s))
-	}
-	return n
 }
 
 // sendChunk hands rank r its chunk of the window at winLo, accounting
@@ -306,15 +279,23 @@ func (f *File) sendChunk(r int, chunk []byte, winLo int64) {
 	f.Stats.ExchangeNs += esp.End()
 }
 
-// lendShare hands IOP r this rank's share of the window at winLo as the
-// slices of the user buffer that hold it, accounting the exchange time.
-// Nothing is copied and nothing changes owner: the collective does not
-// return before every receiver is done with the slices
-// (transferCollective).
-func (f *File) lendShare(r int, segs [][]byte, winLo int64) {
-	esp := f.tr.Time(trace.PhaseExchange, winLo, segsLen(segs))
-	f.p.SendSegs(r, tagCollData, segs)
+// lendShare hands IOP r this rank's share [a, b) of the window at winLo
+// as the slices of the user buffer that hold it, when ap can lend it,
+// accounting the exchange time.  Only a wired world lends slices: they
+// reach the socket from where they lie, and the collective does not
+// return before they have left (transferCollective).  In-process the
+// IOP moves the share in place instead (memLoan).
+func (f *File) lendShare(r int, ap apState, a, b, winLo int64) bool {
+	at := len(f.lent)
+	lent, ok := ap.lend(f.lent, a, b)
+	if !ok {
+		return false
+	}
+	f.lent = lent
+	esp := f.tr.Time(trace.PhaseExchange, winLo, b-a)
+	f.p.SendSegs(r, tagCollData, lent[at:len(lent):len(lent)])
 	f.Stats.ExchangeNs += esp.End()
+	return true
 }
 
 // iopPipelined is the double-buffered window loop.  Window k+1's prep

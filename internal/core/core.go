@@ -215,7 +215,7 @@ type File struct {
 	// slots (collective_window.go), kept like segs.
 	batch [2]winBatch
 	// lent holds the slices of the user buffer a collective write lends
-	// its IOPs (collective_exchange.go), kept like segs and emptied when
+	// its IOPs over a wire (lendShare), kept like segs and emptied when
 	// the loan ends (transferCollective).
 	lent [][]byte
 

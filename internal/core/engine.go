@@ -49,33 +49,55 @@ type accessEngine interface {
 	// apSetup runs access-process phase 1 of one collective access:
 	// the list-based engine builds and transmits per-IOP access lists,
 	// the listless engine re-exchanges encoded views when fileview
-	// caching is disabled.  Every rank must call it once per access.
+	// caching is disabled and, in-process, lends its access to the IOPs
+	// that hold it (memLoan).  Every rank must call it once per access.
 	apSetup(pl *collPlan, acc *collAccess) apState
 	// iopSetup runs the I/O-process setup (the list-based engine
-	// receives one access list from every AP) and returns the
-	// window-by-window processor state.  Every IOP rank must call it,
-	// even when its domain is empty, to drain the AP phase-1 messages.
-	// acc is the same value apSetup saw: an IOP is an AP of its own
-	// data too, and the two sides must agree on how that share moves.
+	// receives one access list from every AP, the listless engine takes
+	// the loans) and returns the window-by-window processor state.  Every
+	// IOP rank must call it, even when its domain is empty, to drain the
+	// AP phase-1 messages.  acc is the same value apSetup saw: an IOP is
+	// an AP of its own data too, and the two sides must agree on how that
+	// share moves.
 	iopSetup(pl *collPlan, acc *collAccess) (iopState, error)
 }
 
 // collAccess is the calling rank's own side of one collective access:
 // the view-data range [d0, d0+d) it moves and the memtype-described user
-// buffer it moves it from or to.
+// buffer it moves it from (write) or to.
 type collAccess struct {
 	d0, d int64
 	mem   *memState
 	buf   []byte
+	write bool
 }
 
-// contig returns the user bytes holding view data [a, b) of an access
-// whose memory layout is contiguous: the user buffer is then the packed
-// form of the data, from the memtype's first data byte on.
-func (acc *collAccess) contig(a, b int64) []byte {
-	u := acc.mem.t.TrueLB() - acc.d0
-	return acc.buf[u+a : u+b]
+// loan returns the access as an IOP moves it in place.  It describes the
+// access only when the memtype is compiled or contiguous.
+func (acc *collAccess) loan() memLoan {
+	if acc.mem.prog == nil {
+		return memLoan{buf: acc.buf[acc.mem.t.TrueLB():], d0: acc.d0}
+	}
+	return memLoan{buf: acc.buf, prog: acc.mem.prog, d0: acc.d0}
 }
+
+// memLoan is the memory side of one rank's collective access as an IOP
+// moves its share in place, window by window, with no chunk: the user
+// buffer and the memtype's compiled program, view data byte x being data
+// byte x-d0 of the memtype over buf.  With prog nil the memory is
+// contiguous, and buf holds the data packed from byte d0 on.  An IOP
+// holds one for its own access and, in-process, one for each AP that
+// lent it its access for the collective (apSetup); the loan holds nothing
+// per window.  A nil loan, the pack loan, says that the AP's shares travel
+// as chunks.
+type memLoan struct {
+	buf  []byte
+	prog *fotf.Program
+	d0   int64
+}
+
+// contig returns the bytes holding view data [a, b) of a contiguous loan.
+func (l *memLoan) contig(a, b int64) []byte { return l.buf[a-l.d0 : b-l.d0] }
 
 // viewCursor walks the local fileview sequentially over one access.
 // The list-based implementation advances an ol-list cursor per tuple;
@@ -114,15 +136,16 @@ type viewCursor interface {
 type apState interface {
 	// cursor returns a sequential window cursor over this rank's data
 	// within IOP i's domain.  Windows must be visited in ascending
-	// order.  A nil cursor means that data never leaves the rank: i is
-	// this rank and its IOP side moves the share itself
-	// (iopWindow.copySelf), so nothing is sent or received for it.
+	// order.  A nil cursor means that no message carries that data: IOP i
+	// moves it in place between its windows and the user buffer
+	// (iopWindow.copyLent) — as its own access, or as one this rank lent it.
 	cursor(i int) apCursor
 	// lend appends to segs the slices of the user buffer that hold data
 	// [a, b) of a write's access, in data order, when that share is long
-	// runs in memory: it then goes to its IOP as those slices
-	// (mpi.Proc.SendSegs) instead of as a packed chunk.  It reports false,
-	// having appended nothing, when the share is packed.
+	// runs in memory: on a wired world it then goes to its IOP as those
+	// slices (mpi.Proc.SendSegs), written to the socket from where they
+	// lie, instead of as a packed chunk.  It reports false, having
+	// appended nothing, when the share is packed.
 	lend(segs [][]byte, a, b int64) ([][]byte, bool)
 }
 
@@ -144,9 +167,10 @@ type iopState interface {
 
 // iopWindow is the exchange state of one collective-buffer window:
 // which APs hold data in it, whether their data covers it, and how each
-// AP's contiguous chunk meets the file — copied to and from a window
-// buffer (copyIn, copyOut, copySelf), or, for a direct window, described
-// as backend segments that are slices of the chunk (chunkSegs, selfSegs).
+// AP's share meets the file — copied to and from a window buffer as a
+// chunk (copyIn, copyOut) or in place (copyLent), or, for a direct
+// window, described as backend segments over the chunk (chunkSegs) or
+// the user buffer (lentSegs).
 type iopWindow interface {
 	// total is the number of data bytes all APs hold in the window.
 	total() int64
@@ -161,13 +185,12 @@ type iopWindow interface {
 	// copyOut extracts AP r's portion of the window buffer w into
 	// chunk, which has chunkLen(r) bytes.
 	copyOut(w []byte, r int, chunk []byte)
-	// copySelf moves this rank's own share of the window — chunkLen of
-	// its own rank — directly between the user buffer of the access and
-	// the window buffer w, write=true towards w.  It reports false,
-	// having moved nothing, when the share travels as a message like
-	// any other AP's: exactly when the AP side's cursor for this IOP is
-	// not nil.
-	copySelf(w []byte, write bool) bool
+	// copyLent moves AP r's share of the window directly between r's user
+	// buffer — this rank's own, or one r lent it — and the window buffer
+	// w, write=true towards w.  It reports false, having moved nothing,
+	// when the share travels as a chunk: exactly when AP r's cursor for
+	// this IOP is not nil.
+	copyLent(w []byte, r int, write bool) bool
 	// direct reports whether the window moves without a window buffer:
 	// every AP's share is runs long enough that one vectored backend call
 	// over the chunks themselves beats gathering them into a window
@@ -176,16 +199,14 @@ type iopWindow interface {
 	// the views are not touched at all.
 	direct() bool
 	// chunkSegs appends AP r's share of a direct window to segs: one
-	// segment per contiguous file run — or per part of one that two
-	// slices of share hold — in data order, its buffer the run's bytes
-	// within share: the chunkLen(r) bytes in data order, as one chunk or
-	// as the slices the AP lent.
-	chunkSegs(segs []storage.Segment, r int, share [][]byte) []storage.Segment
-	// selfSegs is the copySelf of a direct window: it appends this
-	// rank's own share as segments whose buffers are slices of the user
-	// buffer of the access.  It reports false, having appended nothing,
-	// exactly when copySelf would.
-	selfSegs(segs []storage.Segment) ([]storage.Segment, bool)
+	// segment per contiguous file run, in data order, its buffer the
+	// run's bytes within chunk, which holds the chunkLen(r) bytes in data
+	// order.
+	chunkSegs(segs []storage.Segment, r int, chunk []byte) []storage.Segment
+	// lentSegs is the copyLent of a direct window: it appends AP r's
+	// share as segments whose buffers are slices of r's user buffer.  It
+	// reports false, having appended nothing, exactly when copyLent would.
+	lentSegs(segs []storage.Segment, r int) ([]storage.Segment, bool)
 	// release returns the window to its engine for reuse.  The caller
 	// must not touch the window afterwards; engines may recycle the
 	// backing state on the next window call (or make release a no-op).

@@ -380,20 +380,21 @@ func (w *listIOPWindow) covered() bool {
 	return flatten.Merge(nonEmpty...).Covers(w.winLo, w.winHi)
 }
 
-// copySelf: an IOP of the list-based engine knows its own accesses only
-// as the ol-list it received, like everyone else's.
-func (w *listIOPWindow) copySelf([]byte, bool) bool { return false }
+// copyLent: an IOP of the list-based engine knows every access, its own
+// included, only as the ol-list it received, and every share travels
+// packed — the paper's baseline.
+func (w *listIOPWindow) copyLent([]byte, int, bool) bool { return false }
 
 // direct: the list-based engine is the paper's baseline and moves every
 // window through the window buffer, tuple by tuple; the segment forms
 // are never asked for.
 func (w *listIOPWindow) direct() bool { return false }
 
-func (w *listIOPWindow) chunkSegs([]storage.Segment, int, [][]byte) []storage.Segment {
+func (w *listIOPWindow) chunkSegs([]storage.Segment, int, []byte) []storage.Segment {
 	panic("core: list-based windows are never direct")
 }
 
-func (w *listIOPWindow) selfSegs(segs []storage.Segment) ([]storage.Segment, bool) {
+func (w *listIOPWindow) lentSegs(segs []storage.Segment, _ int) ([]storage.Segment, bool) {
 	return segs, false
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/fotf"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // listlessEngine is the paper's contribution (§3).  No ol-lists exist:
@@ -22,7 +23,7 @@ type listlessEngine struct {
 	mergedEdge navEdge        // last window edge navigated on merged
 	prog       *fotf.Program  // compiled own-fileview program; nil = walk
 	sb         segBuilder     // direct windows: runs to backend segments
-	lb         lendBuilder    // lent shares: memory runs to user-buffer slices
+	lb         lendBuilder    // shares lent over a wire: memory runs to user-buffer slices
 }
 
 func newListlessEngine(f *File) *listlessEngine {
@@ -45,26 +46,23 @@ type segBuilder struct {
 	first           int   // segs[first:] describe the current share
 	fileEnd, memEnd int64 // ends of the piece added last
 	// For onRuns: a run at view buffer offset x lies at file offset
-	// disp+x, the share begins at data byte d0 of the view, mem holds its
-	// bytes from byte base of the share on, and rest the slices after
-	// mem (a lent share's).
-	disp, d0, base int64
-	rest           [][]byte
+	// disp+x, and mem holds the share's bytes packed from data byte d0 of
+	// the view on.
+	disp, d0 int64
 
 	onRuns  fotf.EmitFunc                   // for Program.Runs
 	onPiece func(fileOff, memOff, ln int64) // for fotf.RunsFused, the file as destination
 }
 
-// begin starts a share whose bytes live in mem and then rest, appending
-// to segs.
-func (b *segBuilder) begin(segs []storage.Segment, mem []byte, rest [][]byte) {
-	b.segs, b.mem, b.rest, b.base, b.first = segs, mem, rest, 0, len(segs)
+// begin starts a share whose bytes live in mem, appending to segs.
+func (b *segBuilder) begin(segs []storage.Segment, mem []byte) {
+	b.segs, b.mem, b.first = segs, mem, len(segs)
 }
 
 // end returns the extended batch and drops the builder's references.
 func (b *segBuilder) end() []storage.Segment {
 	segs := b.segs
-	b.segs, b.mem, b.rest = nil, nil, nil
+	b.segs, b.mem = nil, nil
 	return segs
 }
 
@@ -80,35 +78,25 @@ func (b *segBuilder) add(fileOff, memOff, ln int64) {
 
 func (b *segBuilder) addRuns(bufOff, dataOff, runLen, stride, n int64) {
 	for i := int64(0); i < n; i++ {
-		fileOff, o := b.disp+bufOff+i*stride, dataOff+i*runLen-b.d0
-		for ln := runLen; ln > 0; {
-			for o >= b.base+int64(len(b.mem)) {
-				// The run goes on in the next slice, and so does no segment.
-				b.base += int64(len(b.mem))
-				b.mem, b.rest, b.memEnd = b.rest[0], b.rest[1:], -1
-			}
-			piece := min(ln, b.base+int64(len(b.mem))-o)
-			b.add(fileOff, o-b.base, piece)
-			fileOff, o, ln = fileOff+piece, o+piece, ln-piece
-		}
+		b.add(b.disp+bufOff+i*stride, dataOff+i*runLen-b.d0, runLen)
 	}
 }
 
 // viewSegs appends data bytes [a, c) of the view (p, disp) to segs, one
-// segment per file run, or per part of one where the slices holding the
-// bytes change: mem and then rest hold exactly those bytes in data order
-// — a packed chunk, or the slices of a lent share.
-func (e *listlessEngine) viewSegs(segs []storage.Segment, p *fotf.Program, disp, a, c int64, mem []byte, rest [][]byte) []storage.Segment {
+// segment per file run: mem holds exactly those bytes in data order — a
+// packed chunk, or the user buffer of a contiguous access.
+func (e *listlessEngine) viewSegs(segs []storage.Segment, p *fotf.Program, disp, a, c int64, mem []byte) []storage.Segment {
 	b := &e.sb
-	b.begin(segs, mem, rest)
+	b.begin(segs, mem)
 	b.disp, b.d0 = disp, a
 	p.Runs(a, c, b.onRuns)
 	return b.end()
 }
 
 // lendBuilder cuts a share of the user buffer buf into the slices its
-// memtype program's runs are, one per stretch of abutting runs.  Like
-// segBuilder it lives with the engine, its emit function bound once.
+// memtype program's runs are, one per stretch of abutting runs, for a
+// write on a wired world (lendShare).  Like segBuilder it lives with the
+// engine, its emit function bound once.
 type lendBuilder struct {
 	out   [][]byte
 	buf   []byte
@@ -131,10 +119,11 @@ func (b *lendBuilder) addRuns(bufOff, _, runLen, stride, n int64) {
 }
 
 // shareDense applies the window-or-list rule to data bytes [a, c) of the
-// tiled type t, compiled as p: storage.PageDense over the buffer range
-// they span and the runs they come in, counted only as far as the rule
-// can tell the difference.
-func shareDense(p *fotf.Program, t *datatype.Type, a, c int64) bool {
+// tiled type compiled as p: storage.PageDense over the buffer range they
+// span and the runs they come in, counted only as far as the rule can
+// tell the difference.
+func shareDense(p *fotf.Program, a, c int64) bool {
+	t := p.Type()
 	span := fotf.EndPos(t, c) - fotf.StartPos(t, a)
 	limit := (span + storage.PageSize - 1) / storage.PageSize
 	return storage.PageDense(span, c-a, p.RunCountUpTo(a, c, limit))
@@ -383,16 +372,27 @@ func (e *listlessEngine) newMemState(memtype *datatype.Type, count int64) *memSt
 	return ms
 }
 
-// fuses reports whether an access with memory state mem moves its
-// rank-local bytes — independent sieve windows, the self-destined share
-// of a collective — straight between the user buffer and the file side
-// instead of staging them: the own fileview is compiled, and the memtype
-// is either compiled too (fotf.CopyFused walks both) or contiguous (the
-// user buffer already is the packed data, and the fileview's program
-// runs against it).  Nothing else selects the fused path; the ablation
-// and declined compiles fall back by leaving a program nil.
-func (e *listlessEngine) fuses(mem *memState) bool {
-	return e.prog != nil && (mem.prog != nil || mem.t.ContiguousTiled())
+// fuses reports whether an IOP moves the shares of collective access acc
+// in place, straight between its user buffer and the file side, instead
+// of staging them through chunks (memLoan): the own fileview is compiled
+// — the IOP runs the same program, cached — and the memtype is either
+// compiled too (fotf.CopyFused walks both) or contiguous (the user buffer
+// already is the packed data, and the fileview's program runs against
+// it).  A read also needs every data byte of the access at its own buffer
+// offset: IOPs fill the buffer from several goroutines at once, in no
+// order, where an unpack from chunks runs in data order and leaves the
+// later of two bytes that share an offset.  Nothing else selects the
+// fused path; the ablation and declined compiles fall back by leaving a
+// program nil.
+func (e *listlessEngine) fuses(acc *collAccess) bool {
+	mem := acc.mem
+	switch {
+	case e.prog == nil:
+		return false
+	case mem.prog == nil:
+		return mem.t.ContiguousTiled()
+	}
+	return acc.write || mem.prog.Disjoint(mem.count)
 }
 
 func (e *listlessEngine) packUser(dst, buf []byte, mem *memState, skip, n int64) {
@@ -495,36 +495,58 @@ func (vc *listlessViewCursor) eachUserRun(c int64, mem *memState, skip int64, em
 type listlessAPState struct {
 	e     *listlessEngine
 	acc   *collAccess
-	fused bool // the own share stays on the rank (iopWindow.copySelf)
+	fused bool // IOPs move this access in place: the own IOP...
+	lent  bool // ... and, in-process, every other (apSetup lent it)
 	edge  navEdge
 }
 
 // apSetup exchanges the encoded views on every access when fileview
-// caching is disabled (ablation; still no ol-lists).
+// caching is disabled (ablation; still no ol-lists).  In-process it then
+// lends the access to every other IOP whose domain holds some of it, in
+// one message each (collPlan.lends), for writes and reads alike: a typed
+// loan when the access fuses, so that the IOP moves this rank's shares
+// in place as it moves its own, else a pack loan, and the shares travel
+// as chunks.
 func (e *listlessEngine) apSetup(pl *collPlan, acc *collAccess) apState {
-	if e.f.opts.DisableViewCache {
+	f := e.f
+	if f.opts.DisableViewCache {
 		e.exchangeViews()
 	}
-	return &listlessAPState{e: e, acc: acc, fused: e.fuses(acc.mem)}
+	s := &listlessAPState{e: e, acc: acc, fused: e.fuses(acc)}
+	if f.p.Wired() {
+		return s
+	}
+	var l *memLoan // nil: a pack loan
+	if s.fused {
+		own := acc.loan()
+		l, s.lent = &own, true
+	}
+	for i := 0; i < pl.nIOP; i++ {
+		if pl.lends(f.p.Rank(), i) {
+			f.p.SendRef(i, tagCollData, l)
+		}
+	}
+	return s
 }
 
 func (s *listlessAPState) cursor(i int) apCursor {
-	if s.fused && i == s.e.f.p.Rank() {
+	if s.lent || s.fused && i == s.e.f.p.Rank() {
 		return nil
 	}
 	return s
 }
 
-// lend is the memory side of the rule allSparse applies to the own
-// share: contiguous memory is the one slice acc.contig, and the runs of
-// a compiled memtype are lent as they lie unless they are page-dense.
-// Everything else — short runs, no program — is packed.
+// lend is the memory side of the rule allSparse applies to a lent share:
+// contiguous memory is one slice, and the runs of a compiled memtype are
+// lent as they lie unless they are page-dense.  Everything else — short
+// runs, no program — is packed.
 func (s *listlessAPState) lend(segs [][]byte, a, b int64) ([][]byte, bool) {
 	acc, mp := s.acc, s.acc.mem.prog
 	switch {
 	case acc.mem.t.ContiguousTiled():
-		return append(segs, acc.contig(a, b)), true
-	case mp == nil || shareDense(mp, acc.mem.t, a-acc.d0, b-acc.d0):
+		l := acc.loan()
+		return append(segs, l.contig(a, b)), true
+	case mp == nil || shareDense(mp, a-acc.d0, b-acc.d0):
 		return segs, false
 	}
 	lb := &s.e.lb
@@ -553,20 +575,42 @@ func (s *listlessAPState) dataAtSelf(x int64) int64 {
 	return da
 }
 
-// listlessIOPState navigates the fileviews cached at SetView.  free is
-// a freelist of released windows: the window loop holds at most two in
-// flight, so reusing them (with their apA/apB slices) keeps the steady
-// state allocation-free.  window and release are both called on the
-// collective's main goroutine only.
+// listlessIOPState navigates the fileviews cached at SetView.  lent holds,
+// by AP rank, the accesses this IOP moves in place: its own when it
+// fuses, and the typed loans it took; nil where an AP's shares travel as
+// chunks.  free is a freelist of released windows: the window loop holds
+// at most two in flight, so reusing them (with their apA/apB slices)
+// keeps the steady state allocation-free.  window and release are both
+// called on the collective's main goroutine only.
 type listlessIOPState struct {
 	e    *listlessEngine
 	pl   *collPlan
-	acc  *collAccess // this rank's own side, for copySelf
+	lent []*memLoan
 	free []*listlessIOPWindow
 }
 
+// iopSetup takes, in-process, the loan of every AP that lends this IOP
+// its access (collPlan.lends), before the first window: a loan's view
+// side is that AP's cached fileview, compiled as surely as the AP's own
+// copy is, since the two are one tree.
 func (e *listlessEngine) iopSetup(pl *collPlan, acc *collAccess) (iopState, error) {
-	return &listlessIOPState{e: e, pl: pl, acc: acc}, nil
+	f, self := e.f, e.f.p.Rank()
+	s := &listlessIOPState{e: e, pl: pl, lent: make([]*memLoan, f.p.Size())}
+	if e.fuses(acc) {
+		l := acc.loan()
+		s.lent[self] = &l
+	}
+	if f.p.Wired() {
+		return s, nil
+	}
+	esp := f.tr.Time(trace.PhaseExchange, trace.NoWindow, 0)
+	for r := range s.lent {
+		if pl.lends(r, self) {
+			s.lent[r] = f.p.RecvRef(r, tagCollData).(*memLoan)
+		}
+	}
+	f.Stats.ExchangeNs += esp.End()
+	return s, nil
 }
 
 // dataAtRemote maps an absolute file offset to rank r's access data
@@ -624,29 +668,20 @@ func (s *listlessIOPState) window(winLo, winHi int64) iopWindow {
 
 // allSparse is the direct-window decision, from what the window holds:
 // every AP's share has a compiled view to enumerate and is not
-// page-dense in the file, and the own share — which, fused, never
-// becomes a chunk — is not page-dense in the user buffer either.  One
+// page-dense in the file, and a share moved in place — which never
+// becomes a chunk — is not page-dense in its user buffer either.  One
 // dense share keeps the window: its many short runs are what the window
 // buffer is for.
 func (w *listlessIOPWindow) allSparse() bool {
-	e, acc := w.s.e, w.s.acc
-	self := -1
-	if e.fuses(acc.mem) {
-		self = e.f.p.Rank()
-	}
 	for r, a := range w.apA {
 		b := w.apB[r]
 		if a == b {
 			continue
 		}
-		p, t := e.remote[r].prog, e.remote[r].ftype
-		if r == self {
-			p, t = e.prog, e.f.v.ftype
-		}
-		if p == nil || shareDense(p, t, a, b) {
+		if p := w.s.e.remote[r].prog; p == nil || shareDense(p, a, b) {
 			return false
 		}
-		if mp := acc.mem.prog; r == self && mp != nil && shareDense(mp, acc.mem.t, a-acc.d0, b-acc.d0) {
+		if l := w.s.lent[r]; l != nil && l.prog != nil && shareDense(l.prog, a-l.d0, b-l.d0) {
 			return false
 		}
 	}
@@ -678,53 +713,51 @@ func (w *listlessIOPWindow) covered() bool {
 	return hi-lo == w.winHi-w.winLo
 }
 
-// copySelf moves the own share [apA, apB) of this rank between the user
-// buffer and the window in one pass through the own-view program —
-// e.prog, not the cached remote[self], so it is there without the view
-// cache too — fused with the memtype's where the memory layout has one.
-// The condition is the one the AP side's cursor answered by.
-func (w *listlessIOPWindow) copySelf(buf []byte, write bool) bool {
-	e, acc := w.s.e, w.s.acc
-	if !e.fuses(acc.mem) {
+// copyLent moves AP r's share [apA, apB) between its user buffer and the
+// window in one pass through r's cached view program — the rank's own
+// share included — fused with its memtype's where the memory layout has
+// one.  The condition is the one AP r's cursor answered by.
+func (w *listlessIOPWindow) copyLent(buf []byte, r int, write bool) bool {
+	l := w.s.lent[r]
+	if l == nil {
 		return false
 	}
-	self := e.f.p.Rank()
-	a, b := w.apA[self], w.apB[self]
-	bias := w.winLo - e.f.v.disp
-	switch mp := acc.mem.prog; {
-	case mp == nil:
-		e.prog.CopyRange(acc.contig(a, b), buf, a, b, bias, !write)
+	rv := &w.s.e.remote[r]
+	a, b := w.apA[r], w.apB[r]
+	bias := w.winLo - rv.disp
+	switch {
+	case l.prog == nil:
+		rv.prog.CopyRange(l.contig(a, b), buf, a, b, bias, !write)
 	case write:
-		fotf.CopyFused(buf, e.prog, a, bias, acc.buf, mp, a-acc.d0, 0, b-a)
+		fotf.CopyFused(buf, rv.prog, a, bias, l.buf, l.prog, a-l.d0, 0, b-a)
 	default:
-		fotf.CopyFused(acc.buf, mp, a-acc.d0, 0, buf, e.prog, a, bias, b-a)
+		fotf.CopyFused(l.buf, l.prog, a-l.d0, 0, buf, rv.prog, a, bias, b-a)
 	}
 	return true
 }
 
-// selfSegs describes the own share where copySelf would copy it: through
-// the own-view program over the user buffer itself when that is the
-// packed data, else by cutting the view program and the memtype program
-// in lockstep.
-func (w *listlessIOPWindow) selfSegs(segs []storage.Segment) ([]storage.Segment, bool) {
-	e, acc := w.s.e, w.s.acc
-	if !e.fuses(acc.mem) {
+// lentSegs describes AP r's share where copyLent would copy it: through
+// r's view program over the user buffer itself when that is the packed
+// data, else by cutting the view program and the memtype program in
+// lockstep.
+func (w *listlessIOPWindow) lentSegs(segs []storage.Segment, r int) ([]storage.Segment, bool) {
+	l := w.s.lent[r]
+	if l == nil {
 		return segs, false
 	}
-	self := e.f.p.Rank()
-	a, b := w.apA[self], w.apB[self]
-	disp := e.f.v.disp
-	if acc.mem.prog == nil {
-		return e.viewSegs(segs, e.prog, disp, a, b, acc.contig(a, b), nil), true
+	e, rv := w.s.e, &w.s.e.remote[r]
+	a, b := w.apA[r], w.apB[r]
+	if l.prog == nil {
+		return e.viewSegs(segs, rv.prog, rv.disp, a, b, l.contig(a, b)), true
 	}
-	e.sb.begin(segs, acc.buf, nil)
-	fotf.RunsFused(e.prog, a, -disp, acc.mem.prog, a-acc.d0, 0, b-a, e.sb.onPiece)
+	e.sb.begin(segs, l.buf)
+	fotf.RunsFused(rv.prog, a, -rv.disp, l.prog, a-l.d0, 0, b-a, e.sb.onPiece)
 	return e.sb.end(), true
 }
 
-func (w *listlessIOPWindow) chunkSegs(segs []storage.Segment, r int, share [][]byte) []storage.Segment {
+func (w *listlessIOPWindow) chunkSegs(segs []storage.Segment, r int, chunk []byte) []storage.Segment {
 	rv := &w.s.e.remote[r]
-	return w.s.e.viewSegs(segs, rv.prog, rv.disp, w.apA[r], w.apB[r], share[0], share[1:])
+	return w.s.e.viewSegs(segs, rv.prog, rv.disp, w.apA[r], w.apB[r], chunk)
 }
 
 func (w *listlessIOPWindow) copyIn(buf []byte, r int, chunk []byte) {

@@ -108,11 +108,13 @@ func TestTransportMatrixByteIdentical(t *testing.T) {
 // chunk nor sent.  The same holds for the c-nc form of the access, from
 // contiguous memory: the user buffer is the chunk, and the fileview's
 // program runs against it.  Against the same access staged
-// (DisableProgram), over either transport, the world sends exactly the
-// self-destined data messages fewer and exactly their payload less,
-// packed or lent — no
+// (DisableProgram), over TCP the world sends exactly the self-destined
+// data messages fewer and exactly their payload less, packed or lent — no
 // tagCollData message has its source for destination; everything else —
-// plan, vote, the chunks for the other rank — is the same traffic.
+// plan, vote, the shares for the other rank — is the same traffic.
+// In-process the other rank's half moves the same way, by the loan each
+// rank sends the other's IOP — as many as the staged world's pack loans —
+// so the fused world sends no data message at all.
 func TestSelfShareStaysOffTheFabric(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	const (
@@ -186,32 +188,38 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 			t.Fatalf("tcp=%v contig=%v: fused and staged files differ, or differ from the first cell's", tcp, c.contig)
 		}
 		const ops = 2 // one write, one read
-		if got, want := staged.Messages-fused.Messages, ops*P*selfWindows; got != want {
-			t.Errorf("tcp=%v: fused sends %d messages fewer than staged (%d vs %d), want the %d self-destined chunks",
-				tcp, got, fused.Messages, staged.Messages, want)
+		// Each domain holds as much of the other rank's data as of its own.
+		wantMsgs, wantBytes, wantRefs := int64(ops*P*selfWindows), ops*P*selfBytes, int64(0)
+		if !tcp {
+			wantMsgs, wantBytes, wantRefs = 2*wantMsgs, 2*wantBytes, ops*P*(P-1)
 		}
-		// A contiguous share is lent, not packed: in-process its bytes are
-		// LentBytes, not Bytes, on either side of the comparison.
-		payload := func(s mpi.Stats) int64 { return s.Bytes + s.LentBytes }
-		if got, want := payload(staged)-payload(fused), ops*P*selfBytes; got != want {
-			t.Errorf("tcp=%v: fused sends %d payload bytes less than staged (%d vs %d), want the %d self-destined bytes",
-				tcp, got, payload(fused), payload(staged), want)
+		if got := staged.Messages - fused.Messages; got != wantMsgs {
+			t.Errorf("tcp=%v contig=%v: fused sends %d messages fewer than staged (%d vs %d), want the %d chunks it moves in place",
+				tcp, c.contig, got, fused.Messages, staged.Messages, wantMsgs)
+		}
+		if got := staged.Bytes - fused.Bytes; got != wantBytes {
+			t.Errorf("tcp=%v contig=%v: fused sends %d payload bytes less than staged (%d vs %d), want the %d bytes it moves in place",
+				tcp, c.contig, got, fused.Bytes, staged.Bytes, wantBytes)
+		}
+		if fused.Refs != wantRefs || staged.Refs != wantRefs {
+			t.Errorf("tcp=%v contig=%v: %d and %d loans fused and staged, want %d each", tcp, c.contig, fused.Refs, staged.Refs, wantRefs)
 		}
 	}
 }
 
 // TestLentSharesCrossNoFabricCopy pins the loan in counted work.  A
 // two-rank write of the vec16k shape — 16 KiB runs interleaved in the
-// file, every other 16 KiB in memory — lends each rank's remote half to
-// the other's IOP; the same data from memory of 8-byte pieces packs it.
-// Both sends the same messages, and the own half is fused either way.
-// In-process the lent bytes are LentBytes, not Bytes — exactly the
-// remote halves, received as they were lent — and the file is the same;
-// over TCP they cross the socket and count in Bytes like the packed
-// ones, and the wire carries the same bytes.
+// file, every other 16 KiB in memory — and the same data from memory of
+// 8-byte pieces; the own half is fused either way.  Over TCP each rank's
+// remote half crosses the socket, written from the user buffer's 16 KiB
+// slices or packed from the pieces: the same messages, payload bytes
+// and wire bytes.  In-process both memory layouts are lent: one loan per
+// rank replaces its chunk messages, and exactly the remote halves are
+// missing from the payload, since the IOP reads them where they lie.  The
+// file is the same in all four.
 func TestLentSharesCrossNoFabricCopy(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	const P, runs, run = 2, 8, 16384
+	const P, runs, run, collBuf = 2, 8, 16384, 64 << 10
 	d := int64(runs * run)
 	run1 := func(tcp, lend bool) ([]byte, mpi.Stats) {
 		eps := transport.NewLoopback(P)
@@ -224,7 +232,7 @@ func TestLentSharesCrossNoFabricCopy(t *testing.T) {
 		be := storage.NewMem()
 		sh := NewShared(be)
 		comm, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{CollBufSize: 64 << 10, Pool: pool.NewChecked()})
+			f, err := Open(p, sh, Options{CollBufSize: collBuf, Pool: pool.NewChecked()})
 			if err != nil {
 				panic(err)
 			}
@@ -249,21 +257,30 @@ func TestLentSharesCrossNoFabricCopy(t *testing.T) {
 		}
 		return be.Bytes(), comm
 	}
+	var files [][]byte
+	comm := map[bool][2]mpi.Stats{}
 	for _, tcp := range []bool{false, true} {
-		lentFile, lent := run1(tcp, true)
-		packedFile, packed := run1(tcp, false)
-		if !bytes.Equal(lentFile, packedFile) {
-			t.Fatalf("tcp=%v: the lent and the packed write leave different files", tcp)
+		slicesFile, fromSlices := run1(tcp, true)
+		piecesFile, fromPieces := run1(tcp, false)
+		files = append(files, slicesFile, piecesFile)
+		comm[tcp] = [2]mpi.Stats{fromSlices, fromPieces}
+	}
+	for i := range files {
+		if !bytes.Equal(files[i], files[0]) {
+			t.Fatalf("write %d of (loopback, tcp) x (16 KiB slices, 8-byte pieces) leaves a different file", i)
 		}
-		shares := int64(P) * d / 2
-		wantLent := map[bool]int64{false: shares, true: 0}[tcp]
-		if lent.Messages != packed.Messages || lent.LentBytes != wantLent || lent.LentBytesReceived != wantLent ||
-			packed.Bytes-lent.Bytes != wantLent || packed.LentBytes != 0 {
-			t.Errorf("tcp=%v: lent write %+v, packed %+v: want the same messages and %d bytes lent, not sent",
-				tcp, lent, packed, wantLent)
+	}
+	shares := int64(P) * d / 2
+	// Each rank's half in the other's domain fills d/collBuf windows there.
+	chunks, loans := int64(P*(P-1))*d/collBuf, int64(P*(P-1))
+	for i, what := range []string{"16 KiB slices", "8-byte pieces"} {
+		loop, tcp, first := comm[false][i], comm[true][i], comm[true][0]
+		if tcp.Messages != first.Messages || tcp.Bytes != first.Bytes || tcp.WireBytesSent != first.WireBytesSent || tcp.Refs != 0 {
+			t.Errorf("tcp, %s: %+v; want the same traffic as from the slices (%+v), and no loan", what, tcp, first)
 		}
-		if lent.WireBytesSent != packed.WireBytesSent {
-			t.Errorf("tcp=%v: %d wire bytes lent, %d packed", tcp, lent.WireBytesSent, packed.WireBytesSent)
+		if loop.Refs != loans || loop.Messages != tcp.Messages-chunks+loans || loop.Bytes != tcp.Bytes-shares || loop.WireBytesSent != 0 {
+			t.Errorf("loopback, %s: %+v against tcp %+v: want %d loans for %d chunks, and the %d bytes of the remote halves not sent",
+				what, loop, tcp, loans, chunks, shares)
 		}
 	}
 }

@@ -22,7 +22,9 @@
 package fotf
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/datatype"
 )
@@ -62,6 +64,11 @@ type Program struct {
 	cum    []int64 // cum[i] = data offset of group i; cum[len(groups)] = size
 	runs   int64   // contiguous runs per instance: the sum of the group counts
 	bad    bool    // compile overflowed maxProgramGroups
+
+	// lo and hi bound the buffer offsets of an instance's data bytes, and
+	// disjoint says that no two of them share an offset (see Disjoint).
+	lo, hi   int64
+	disjoint bool
 }
 
 // Compile builds the run program of t, or returns nil when t holds no
@@ -89,8 +96,45 @@ func Compile(t *datatype.Type) *Program {
 		// exactly; anything else would corrupt window positioning.
 		return nil
 	}
+	p.layout()
 	return p
 }
+
+// layout sets lo, hi and disjoint from the groups: a group's runs are
+// apart when its stride clears a run, and the groups are apart when the
+// buffer spans they cover are, taken in ascending order.  Groups whose
+// spans interleave count as overlapping, which only costs what Disjoint
+// is asked for.
+func (p *Program) layout() {
+	spans := make([][2]int64, len(p.groups))
+	p.disjoint = true
+	for i, g := range p.groups {
+		first, last := g.base, g.base+(g.count-1)*g.stride
+		spans[i] = [2]int64{min(first, last), max(first, last) + g.blocklen}
+		if g.count > 1 && max(g.stride, -g.stride) < g.blocklen {
+			p.disjoint = false
+		}
+	}
+	slices.SortFunc(spans, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+	p.lo, p.hi = spans[0][0], spans[0][1]
+	for _, s := range spans[1:] {
+		if s[0] < p.hi {
+			p.disjoint = false
+		}
+		p.hi = max(p.hi, s[1])
+	}
+}
+
+// Disjoint reports whether n instances of the type, tiled at its extent,
+// place no two data bytes at one buffer offset: what makes the result of
+// unpacking into them independent of the order the bytes arrive in.  It
+// is conservative — false means only "not shown".
+func (p *Program) Disjoint(n int64) bool {
+	return p.disjoint && (n <= 1 || p.hi-p.lo <= p.ext)
+}
+
+// Type returns the datatype the program was compiled from.
+func (p *Program) Type() *datatype.Type { return p.t }
 
 // add is the compile-time emit hook: it normalizes one walked group and
 // coalesces it with the program tail.  Data offsets are implied by

@@ -340,6 +340,87 @@ func TestProgramDeclines(t *testing.T) {
 	}
 }
 
+// overlapsWhenTiled reports, from the type map alone, whether n tiled
+// instances of dt place two data bytes at one buffer offset.
+func overlapsWhenTiled(dt *datatype.Type, n int64) bool {
+	seen := make(map[int64]bool)
+	overlap := false
+	for k := int64(0); k < n; k++ {
+		dt.Walk(func(off, length int64) {
+			for o := k*dt.Extent() + off; o < k*dt.Extent()+off+length; o++ {
+				overlap = overlap || seen[o]
+				seen[o] = true
+			}
+		})
+	}
+	return overlap
+}
+
+// TestProgramDisjoint holds the compile-time disjointness bit to the
+// type map: it is never true where two data bytes meet, and it holds for
+// the shapes a read destination is made of — every legal filetype, and
+// the shuffled-length blocks of an irregular memtype — so that the bit,
+// not Monotone, decides whether an unpack may run out of order.
+func TestProgramDisjoint(t *testing.T) {
+	pair := vec(t, 2, 1, 3, datatype.Int32) // runs at 0 and 12, extent 16
+	shrunk, err := datatype.Resized(pair, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := datatype.Hvector(3, 1, -8, datatype.Int32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight, err := datatype.Hvector(3, 2, 6, datatype.Int32) // blocks of 8 bytes, 6 apart
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled := hindexed(t, []int64{48, 8, 200, 16}, []int64{0, 56, 72, 280}, datatype.Byte)
+	cases := []struct {
+		name      string
+		dt        *datatype.Type
+		one, many bool // Disjoint(1), Disjoint(3)
+	}{
+		{"vector", vec(t, 16, 8, 1024, datatype.Byte), true, true},
+		{"shuffled run lengths", shuffled, true, true},
+		{"interleaved children", hindexed(t, []int64{1, 1}, []int64{0, 4}, pair), false, false},
+		{"overlapping blocks", hindexed(t, []int64{4, 4}, []int64{0, 2}, datatype.Int32), false, false},
+		{"tiles overlap", shrunk, true, false},
+		{"negative stride", back, true, true},
+		{"stride inside the block", tight, false, false},
+	}
+	for _, c := range cases {
+		p := Compile(c.dt)
+		if got := [2]bool{p.Disjoint(1), p.Disjoint(3)}; got != [2]bool{c.one, c.many} {
+			t.Errorf("%s: Disjoint(1), Disjoint(3) = %v, want %v, %v", c.name, got, c.one, c.many)
+		}
+	}
+	r := rand.New(rand.NewSource(27))
+	for i := 0; i < 400; i++ {
+		dt := datatype.RandomFiletype(r, 2+i%3)
+		if p := Compile(dt); p != nil && !p.Disjoint(3) {
+			t.Errorf("legal filetype %v: not shown disjoint", dt)
+		}
+		// Blocks and strides drawn to collide.
+		n := 1 + r.Intn(4)
+		bl, displs := make([]int64, n), make([]int64, n)
+		for j := range bl {
+			bl[j], displs[j] = 1+r.Int63n(4), r.Int63n(12)
+		}
+		raw := hindexed(t, bl, displs, datatype.Int16)
+		if r.Intn(2) == 0 {
+			if raw, err = datatype.Hvector(1+r.Int63n(3), 1+r.Int63n(3), r.Int63n(16)-8, raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range []int64{1, 3} {
+			if p := Compile(raw); p != nil && p.Disjoint(k) && overlapsWhenTiled(raw, k) {
+				t.Errorf("%v: Disjoint(%d) is true, but its data bytes meet", raw, k)
+			}
+		}
+	}
+}
+
 // TestProgramHostileShapes pins that compilation of adversarial trees
 // is bounded: a huge-extent type compiles to its true group count
 // without extent-proportional work, and a tree whose run structure

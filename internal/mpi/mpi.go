@@ -38,22 +38,20 @@ const (
 const collTagBase = 1 << 24
 
 // Stats aggregates the communication volume of a world or a process.
-// In a quiescent world (every sent message consumed by a Recv or a
-// DrainTag) the send and receive sides balance: Messages == Received,
-// Bytes == BytesReceived and LentBytes == LentBytesReceived.
+// In a quiescent world (every sent message consumed by a Recv, a RecvRef
+// or a DrainTag) the send and receive sides balance: Messages == Received
+// and Bytes == BytesReceived.
 type Stats struct {
 	Messages      int64 // point-to-point messages sent
 	Bytes         int64 // payload bytes sent
-	Received      int64 // messages consumed (Recv and DrainTag)
+	Received      int64 // messages consumed (Recv, RecvRef and DrainTag)
 	BytesReceived int64 // payload bytes consumed
-	RecvWaitNs    int64 // total time spent blocked in Recv
+	RecvWaitNs    int64 // total time spent blocked in Recv and RecvRef
 
-	// LentBytes / LentBytesReceived are the payload bytes of SendSegs in
-	// an in-process world: the receiver reads the sender's slices, so no
-	// fabric copied them, and they are not in Bytes.  Over a wire a lent
-	// payload crosses a socket like any other and counts in Bytes.
-	LentBytes         int64
-	LentBytesReceived int64
+	// Refs counts the references sent (SendRef, in-process only).  Each is
+	// also one of Messages, with no payload bytes: what it references is
+	// read in place.
+	Refs int64
 
 	// WireBytesSent / WireBytesRecv are the volumes that actually
 	// crossed a network transport, frame headers included.  Zero for the
@@ -90,10 +88,9 @@ type world struct {
 
 	msgs      atomic.Int64
 	bytes     atomic.Int64
-	lent      atomic.Int64
+	refs      atomic.Int64
 	recvMsgs  atomic.Int64
 	recvBytes atomic.Int64
-	recvLent  atomic.Int64
 	recvWait  atomic.Int64
 
 	// traceC, when set, supplies per-rank tracers: Recv and Barrier
@@ -168,10 +165,9 @@ type Proc struct {
 
 	sentMsgs   int64
 	sentBytes  int64
-	sentLent   int64
+	sentRefs   int64
 	recvMsgs   int64
 	recvBytes  int64
-	recvLent   int64
 	recvWaitNs int64
 }
 
@@ -188,11 +184,15 @@ func (p *Proc) SentStats() Stats {
 	return Stats{
 		Messages: p.sentMsgs, Bytes: p.sentBytes,
 		Received: p.recvMsgs, BytesReceived: p.recvBytes,
-		RecvWaitNs: p.recvWaitNs,
-		LentBytes:  p.sentLent, LentBytesReceived: p.recvLent,
+		RecvWaitNs: p.recvWaitNs, Refs: p.sentRefs,
 		WireBytesSent: ws.BytesSent, WireBytesRecv: ws.BytesRecv,
 	}
 }
+
+// Wired reports whether the world's ranks exchange over a wire, where
+// every payload is bytes and no reference can travel (SendRef), rather
+// than in-process.
+func (p *Proc) Wired() bool { return p.w.wired }
 
 // WireStats reports this rank's endpoint-level wire counters (frames,
 // bytes, flushes).  All zeros on the in-process loopback.
@@ -420,8 +420,7 @@ func (w *world) run(opts RunOptions, fn func(p *Proc)) (Stats, error) {
 	return Stats{
 		Messages: w.msgs.Load(), Bytes: w.bytes.Load(),
 		Received: w.recvMsgs.Load(), BytesReceived: w.recvBytes.Load(),
-		RecvWaitNs: w.recvWait.Load(),
-		LentBytes:  w.lent.Load(), LentBytesReceived: w.recvLent.Load(),
+		RecvWaitNs: w.recvWait.Load(), Refs: w.refs.Load(),
 		WireBytesSent: wireSent, WireBytesRecv: wireRecv,
 	}, runErr
 }
@@ -577,7 +576,7 @@ func (p *Proc) transportFail(err error) {
 // Send delivers a copy of data to dst with the given tag.  Send is
 // buffered: it never blocks on the receiver.
 func (p *Proc) Send(dst, tag int, data []byte) {
-	p.sending(dst, int64(len(data)), false)
+	p.sending(dst, int64(len(data)))
 	if err := p.ep.Send(dst, tag, data); err != nil {
 		p.transportFail(err)
 	}
@@ -588,7 +587,7 @@ func (p *Proc) Send(dst, tag int, data []byte) {
 // recycle it into a buffer pool): the caller must not touch data — or
 // any alias of it — afterwards.  Used for large one-shot payloads.
 func (p *Proc) SendNoCopy(dst, tag int, data []byte) {
-	p.sending(dst, int64(len(data)), false)
+	p.sending(dst, int64(len(data)))
 	if err := p.ep.SendNoCopy(dst, tag, data); err != nil {
 		p.transportFail(err)
 	}
@@ -596,36 +595,43 @@ func (p *Proc) SendNoCopy(dst, tag int, data []byte) {
 
 // SendSegs delivers the concatenation of segs to dst, lending the
 // slices (transport.Transport.SendSegs): they stay the caller's, who
-// must not write them until the receiver is done with them — and, on a
-// wired world where that is not known, until Flush returns.  The
-// receiver takes the message with RecvSegs (the slices themselves
-// in-process) or Recv (a copy it owns).
+// must not write them until Flush returns.  The receiver gets one
+// payload it owns, as from Send.
 func (p *Proc) SendSegs(dst, tag int, segs [][]byte) {
 	var n int64
 	for _, s := range segs {
 		n += int64(len(s))
 	}
-	p.sending(dst, n, !p.w.wired)
+	p.sending(dst, n)
 	if err := p.ep.SendSegs(dst, tag, segs); err != nil {
 		p.transportFail(err)
 	}
 }
 
-// sending accounts one message of n payload bytes to dst, lent ones
-// apart from copied ones.
-func (p *Proc) sending(dst int, n int64, lent bool) {
+// SendRef delivers ref, a value of this process, to dst, which takes it
+// with RecvRef and reads what it references in place: nothing is copied.
+// Only an in-process world carries a reference; on a wired one (Wired)
+// the endpoint refuses it and the world aborts, as on any transport
+// failure.  A reference is one message of no payload bytes, and counts in
+// Stats.Refs.
+func (p *Proc) SendRef(dst, tag int, ref any) {
+	p.sending(dst, 0)
+	p.sentRefs++
+	p.w.refs.Add(1)
+	if err := p.ep.SendRef(dst, tag, ref); err != nil {
+		p.transportFail(err)
+	}
+}
+
+// sending accounts one message of n payload bytes to dst.
+func (p *Proc) sending(dst int, n int64) {
 	if dst < 0 || dst >= p.w.size {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
 	p.sentMsgs++
+	p.sentBytes += n
 	p.w.msgs.Add(1)
-	if lent {
-		p.sentLent += n
-		p.w.lent.Add(n)
-	} else {
-		p.sentBytes += n
-		p.w.bytes.Add(n)
-	}
+	p.w.bytes.Add(n)
 	if p.w.watch {
 		p.w.progress.Add(1)
 	}
@@ -645,21 +651,19 @@ func (p *Proc) Flush() {
 // Recv blocks until a message matching (src, tag) arrives and returns its
 // payload and envelope.  src may be AnySource and tag may be AnyTag.
 // Matching messages from the same source with the same tag are received
-// in the order they were sent.  The payload is the caller's: a lent one
-// is copied out of the sender's slices.
+// in the order they were sent.  The payload is the caller's.
 func (p *Proc) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
-	data, segs, fromSrc, fromTag := p.RecvSegs(src, tag)
-	for _, s := range segs {
-		data = append(data, s...)
-	}
-	return data, fromSrc, fromTag
+	m := p.recv(src, tag)
+	return m.Data, m.Src, m.Tag
 }
 
-// RecvSegs is Recv without the copy of a lent payload: it returns either
-// the payload, which the caller owns, or — a message lent in-process —
-// the sender's slices (segs non-nil), which the caller may read only
-// while the sender keeps its promise and must not write or pool.
-func (p *Proc) RecvSegs(src, tag int) (data []byte, segs [][]byte, fromSrc, fromTag int) {
+// RecvRef is Recv for a message sent with SendRef: it returns the
+// sender's reference itself, whose target stays the sender's memory.
+func (p *Proc) RecvRef(src, tag int) any {
+	return p.recv(src, tag).Ref
+}
+
+func (p *Proc) recv(src, tag int) transport.Message {
 	sp := p.tr.Time(trace.PhaseMPIRecv, trace.NoWindow, 0)
 	if p.w.watch {
 		p.w.blocked[p.widx].Store(blockState(blockRecv, src, tag))
@@ -672,27 +676,20 @@ func (p *Proc) RecvSegs(src, tag int) (data []byte, segs [][]byte, fromSrc, from
 		p.w.blocked[p.widx].Store(blockNone)
 		p.w.progress.Add(1)
 	}
-	n := m.Len()
+	n := int64(len(m.Data))
 	ns := sp.EndBytes(n)
 	p.recvWaitNs += ns
 	p.w.recvWait.Add(ns)
-	if m.Segs != nil {
-		p.received(1, 0, n)
-	} else {
-		p.received(1, n, 0)
-	}
-	return m.Data, m.Segs, m.Src, m.Tag
+	p.received(1, n)
+	return m
 }
 
-// received accounts msgs consumed messages of the given owned and lent
-// payload bytes.
-func (p *Proc) received(msgs, bytes, lent int64) {
+// received accounts msgs consumed messages of the given payload bytes.
+func (p *Proc) received(msgs, bytes int64) {
 	p.recvMsgs += msgs
 	p.recvBytes += bytes
-	p.recvLent += lent
 	p.w.recvMsgs.Add(msgs)
 	p.w.recvBytes.Add(bytes)
-	p.w.recvLent.Add(lent)
 }
 
 // DrainTag removes every queued message with the given tag (from any
@@ -703,8 +700,8 @@ func (p *Proc) received(msgs, bytes, lent int64) {
 // so the world's send/receive accounting still balances after error
 // recovery.
 func (p *Proc) DrainTag(tag int) int {
-	dropped, bytes, lent := p.ep.DrainTag(tag)
-	p.received(int64(dropped), bytes, lent)
+	dropped, bytes := p.ep.DrainTag(tag)
+	p.received(int64(dropped), bytes)
 	return dropped
 }
 

@@ -324,11 +324,11 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
-// TestSendSegsAccounting: a lent payload is one message like any other,
-// and the world still balances — in-process its bytes are LentBytes on
-// both sides, received by RecvSegs as the sender's slices, by Recv as a
-// copy the receiver owns, and by DrainTag; over TCP they crossed a
-// socket and are Bytes.
+// TestSendSegsAccounting: a lent payload is one message like any other
+// on both fabrics, received as one payload the receiver owns and drained
+// like one, and the world balances.  A reference is one message of no
+// payload bytes, counted in Refs, received as the sender's value itself
+// in-process; a wired world refuses it and fails naming why.
 func TestSendSegsAccounting(t *testing.T) {
 	src := []byte("0123456789abcdef")
 	segs := [][]byte{src[8:], src[:4]}
@@ -340,35 +340,48 @@ func TestSendSegsAccounting(t *testing.T) {
 		}
 		stats, err := RunOver(eps, RunOptions{StallTimeout: 10 * time.Second}, func(p *Proc) {
 			if p.Rank() == 0 {
-				for tag := 1; tag <= 3; tag++ {
+				for tag := 1; tag <= 2; tag++ {
 					p.SendSegs(1, tag, segs)
+				}
+				if !p.Wired() {
+					p.SendRef(1, 5, src)
 				}
 				p.Send(1, 4, nil)
 				return
 			}
-			data, got, _, _ := p.RecvSegs(0, 1)
-			if tcp != (got == nil) || tcp && string(data) != "89abcdef0123" || !tcp && &got[0][0] != &src[8] {
-				t.Errorf("tcp=%v: RecvSegs gave %q and %d slices", tcp, data, len(got))
-			}
-			if data, _, _ := p.Recv(0, 2); string(data) != "89abcdef0123" {
+			if data, _, _ := p.Recv(0, 1); string(data) != "89abcdef0123" || &data[0] == &src[8] {
 				t.Errorf("tcp=%v: Recv of a lent payload gave %q", tcp, data)
 			}
-			p.Recv(0, 4) // per-pair FIFO: tag 3 is queued by now
-			if p.DrainTag(3) != 1 {
+			if !p.Wired() {
+				if ref, ok := p.RecvRef(0, 5).([]byte); !ok || &ref[0] != &src[0] {
+					t.Errorf("RecvRef gave %v, want the sender's slice itself", ref)
+				}
+			}
+			p.Recv(0, 4) // per-pair FIFO: tag 2 is queued by now
+			if p.DrainTag(2) != 1 {
 				t.Errorf("tcp=%v: the lent message was not drained", tcp)
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lent, sent := int64(3*n), int64(0)
+		msgs, refs := int64(4), int64(1)
 		if tcp {
-			lent, sent = 0, lent
+			msgs, refs = 3, 0
 		}
-		if stats.Messages != 4 || stats.Received != 4 || stats.LentBytes != lent || stats.LentBytesReceived != lent ||
-			stats.Bytes != sent || stats.BytesReceived != sent {
-			t.Errorf("tcp=%v: world stats %+v, want 4 messages each way, %d bytes lent and %d sent, each way", tcp, stats, lent, sent)
+		if stats.Messages != msgs || stats.Received != msgs || stats.Refs != refs || stats.Bytes != 2*n || stats.BytesReceived != 2*n {
+			t.Errorf("tcp=%v: world stats %+v, want %d messages each way, %d of them references, and %d bytes each way", tcp, stats, msgs, refs, 2*n)
 		}
+	}
+	_, err := RunOver(localTCPWorld(t, 2), RunOptions{StallTimeout: 10 * time.Second}, func(p *Proc) {
+		p.Barrier() // every endpoint is dialed: the abort below races no handshake
+		if p.Rank() == 0 {
+			p.SendRef(1, 5, src)
+		}
+		p.Barrier()
+	})
+	if err == nil || !strings.Contains(err.Error(), "cannot cross a wire") {
+		t.Errorf("a reference sent on a wired world: err = %v, want the refusal", err)
 	}
 }
 

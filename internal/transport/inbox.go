@@ -52,28 +52,24 @@ func (ib *inbox) take(src, tag int) (Message, error) {
 
 // drain removes every queued message with the given tag (any source),
 // preserving the order of the rest, and reports what it discarded: the
-// count, the owned payload bytes and the lent ones.
-func (ib *inbox) drain(tag int) (dropped int, bytes, lent int64) {
+// count and the payload bytes.
+func (ib *inbox) drain(tag int) (dropped int, bytes int64) {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
 	kept := ib.queue[:0]
 	for i := range ib.queue {
-		m := &ib.queue[i]
-		switch {
-		case m.Tag != tag:
+		if m := &ib.queue[i]; m.Tag != tag {
 			kept = append(kept, *m)
-		case m.Segs != nil:
-			lent += m.Len()
-		default:
-			bytes += m.Len()
+		} else {
+			bytes += int64(len(m.Data))
 		}
 	}
 	dropped = len(ib.queue) - len(kept)
 	for i := len(kept); i < len(ib.queue); i++ {
-		ib.queue[i] = Message{} // release dropped payloads
+		ib.queue[i] = Message{} // release dropped payloads and references
 	}
 	ib.queue = kept
-	return dropped, bytes, lent
+	return dropped, bytes
 }
 
 // close marks the inbox dead with the given cause (nil means a plain

@@ -41,6 +41,7 @@ func TestFabricsRefuseTheSameSends(t *testing.T) {
 		{"Send", func(ep Transport, dst, tag int) error { return ep.Send(dst, tag, []byte("x")) }},
 		{"SendNoCopy", func(ep Transport, dst, tag int) error { return ep.SendNoCopy(dst, tag, []byte("x")) }},
 		{"SendSegs", func(ep Transport, dst, tag int) error { return ep.SendSegs(dst, tag, [][]byte{[]byte("x")}) }},
+		{"SendRef", func(ep Transport, dst, tag int) error { return ep.SendRef(dst, tag, new(int)) }},
 	}
 	refused := []struct {
 		name     string
@@ -73,12 +74,49 @@ func TestFabricsRefuseTheSameSends(t *testing.T) {
 	}
 }
 
-// TestSendSegsLends: a lent payload arrives whole on both fabrics — in
-// process as the sender's slices themselves, over TCP (and to itself) as
-// one payload the receiver owns — and a drain counts it on the side it
-// was delivered on.  Nothing returns a lent slice to a pool: the slices
-// are of a buffer from a checked pool, which would poison it, and the
-// pool counts no Put.
+// TestSendRefStaysInProcess: a reference reaches its receiver as the
+// sender's value itself in-process, to another rank and to itself, and a
+// drain removes it with no payload bytes; the wired fabric refuses it to
+// every rank, itself included, and delivers nothing for it.
+func TestSendRefStaysInProcess(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
+	fabs, stop := fabrics(t, nil)
+	defer stop()
+	ref := &struct{ buf []byte }{buf: []byte("in place")}
+	for dst, ep := range fabs["loopback"] {
+		if err := fabs["loopback"][0].SendRef(dst, 4, ref); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := ep.Recv(0, 4); err != nil || m.Ref != ref || m.Data != nil {
+			t.Errorf("loopback to %d: received %+v, %v; want the reference itself", dst, m, err)
+		}
+	}
+	if err := fabs["loopback"][0].SendRef(1, 9, ref); err != nil {
+		t.Fatal(err)
+	}
+	if n, bytes := fabs["loopback"][1].DrainTag(9); n != 1 || bytes != 0 {
+		t.Errorf("loopback: drained %d messages of %d bytes, want the one reference and no bytes", n, bytes)
+	}
+	tcp := fabs["tcp"]
+	for dst := range tcp {
+		if err := tcp[0].SendRef(dst, 4, ref); err == nil || !strings.Contains(err.Error(), "cannot cross a wire") {
+			t.Errorf("tcp to %d: SendRef err = %v, want a refusal", dst, err)
+		}
+		if err := tcp[0].Send(dst, 3, []byte("ok")); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := tcp[dst].Recv(AnySource, AnyTag); err != nil || m.Tag != 3 {
+			t.Errorf("tcp: rank %d received %+v, %v after the refused reference", dst, m, err)
+		}
+	}
+}
+
+// TestSendSegsLends: a lent payload arrives whole on both fabrics as one
+// payload the receiver owns — gathered at once in-process, written from
+// the slices over TCP (and gathered for a self-send) — and a drain counts
+// its bytes.  Nothing returns a lent slice to a pool: the slices are of a
+// buffer from a checked pool, which would poison it, and the pool counts
+// no Put.
 func TestSendSegsLends(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
 	bp := pool.NewChecked()
@@ -101,15 +139,9 @@ func TestSendSegsLends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inProcess := name == "loopback"
-			switch {
-			case m.Len() != int64(len(want)):
-				t.Errorf("%s to %d: %d bytes delivered, want %d", name, dst, m.Len(), len(want))
-			case inProcess && (m.Data != nil || len(m.Segs) != len(segs) || &m.Segs[1][0] != &src[2000]):
-				t.Errorf("%s to %d: delivered %d bytes and %d slices, want the %d lent slices themselves", name, dst, len(m.Data), len(m.Segs), len(segs))
-			case !inProcess && (m.Segs != nil || !bytes.Equal(m.Data, want)):
-				t.Errorf("%s to %d: delivered %d slices and a payload equal=%v, want one owned payload of the concatenation",
-					name, dst, len(m.Segs), bytes.Equal(m.Data, want))
+			if !bytes.Equal(m.Data, want) || &m.Data[0] == &src[0] {
+				t.Errorf("%s to %d: delivered %d bytes, equal=%v; want one owned payload of the concatenation",
+					name, dst, len(m.Data), bytes.Equal(m.Data, want))
 			}
 		}
 		if err := eps[0].SendSegs(1, 9, segs); err != nil {
@@ -121,12 +153,8 @@ func TestSendSegsLends(t *testing.T) {
 		if _, err := eps[1].Recv(0, 8); err != nil { // FIFO: the lent message has landed
 			t.Fatal(err)
 		}
-		wantOwned, wantLent := int64(len(want)), int64(0)
-		if name == "loopback" {
-			wantOwned, wantLent = 0, wantOwned
-		}
-		if n, owned, lent := eps[1].DrainTag(9); n != 1 || owned != wantOwned || lent != wantLent {
-			t.Errorf("%s: drained %d messages, %d owned and %d lent bytes; want 1, %d, %d", name, n, owned, lent, wantOwned, wantLent)
+		if n, owned := eps[1].DrainTag(9); n != 1 || owned != int64(len(want)) {
+			t.Errorf("%s: drained %d messages, %d bytes; want 1, %d", name, n, owned, len(want))
 		}
 		if err := eps[0].Flush(); err != nil {
 			t.Fatal(err)

@@ -61,14 +61,21 @@ func (l *Loopback) SendNoCopy(dst, tag int, data []byte) error {
 	return l.deliver(dst, Message{Tag: tag, Data: data})
 }
 
-// SendSegs implements Transport: the receiver gets the lent slices
-// themselves, and nothing is copied at all.
+// SendSegs implements Transport: the slices are gathered into one
+// payload the receiver owns, as TCP's receiver gets it, so they are the
+// caller's again when it returns.  (What moves a user buffer in place
+// in-process is SendRef.)
 func (l *Loopback) SendSegs(dst, tag int, segs [][]byte) error {
-	return l.deliver(dst, Message{Tag: tag, Segs: segs})
+	return l.deliver(dst, Message{Tag: tag, Data: gather(segs, func(n int) []byte { return make([]byte, n) })})
+}
+
+// SendRef implements Transport: the receiver gets ref itself.
+func (l *Loopback) SendRef(dst, tag int, ref any) error {
+	return l.deliver(dst, Message{Tag: tag, Ref: ref})
 }
 
 func (l *Loopback) deliver(dst int, m Message) error {
-	if err := checkSend(dst, m.Tag, len(l.fab.inboxes)); err != nil {
+	if err := checkSend(dst, m.Tag, len(l.fab.inboxes), m.Ref != nil, false); err != nil {
 		return err
 	}
 	m.Src = l.rank
@@ -82,7 +89,7 @@ func (l *Loopback) Recv(src, tag int) (Message, error) {
 }
 
 // DrainTag implements Transport.
-func (l *Loopback) DrainTag(tag int) (int, int64, int64) {
+func (l *Loopback) DrainTag(tag int) (int, int64) {
 	return l.fab.inboxes[l.rank].drain(tag)
 }
 

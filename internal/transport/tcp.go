@@ -319,7 +319,7 @@ func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
 // Send implements Transport.  The staging copy comes from the endpoint
 // pool and is recycled after it hits the socket.
 func (t *TCP) Send(dst, tag int, data []byte) error {
-	if err := checkSend(dst, tag, t.cfg.Size); err != nil {
+	if err := checkSend(dst, tag, t.cfg.Size, false, true); err != nil {
 		return err
 	}
 	buf := t.cfg.Pool.Get(len(data))
@@ -329,7 +329,7 @@ func (t *TCP) Send(dst, tag int, data []byte) error {
 
 // SendNoCopy implements Transport.
 func (t *TCP) SendNoCopy(dst, tag int, data []byte) error {
-	if err := checkSend(dst, tag, t.cfg.Size); err != nil {
+	if err := checkSend(dst, tag, t.cfg.Size, false, true); err != nil {
 		return err
 	}
 	return t.enqueue(dst, outFrame{tag: tag, data: data})
@@ -341,22 +341,20 @@ func (t *TCP) SendNoCopy(dst, tag int, data []byte) error {
 // a pooled payload instead: on this fabric every delivered message is one
 // the receiver owns.
 func (t *TCP) SendSegs(dst, tag int, segs [][]byte) error {
-	if err := checkSend(dst, tag, t.cfg.Size); err != nil {
+	if err := checkSend(dst, tag, t.cfg.Size, false, true); err != nil {
 		return err
 	}
 	fr := outFrame{tag: tag, segs: segs}
 	if dst == t.cfg.Rank {
-		fr = outFrame{tag: tag, data: t.cfg.Pool.Get(int(fr.size()))}
-		gather(fr.data, segs)
+		fr = outFrame{tag: tag, data: gather(segs, t.cfg.Pool.Get)}
 	}
 	return t.enqueue(dst, fr)
 }
 
-// gather copies the concatenation of segs into dst.
-func gather(dst []byte, segs [][]byte) {
-	for _, s := range segs {
-		dst = dst[copy(dst, s):]
-	}
+// SendRef implements Transport: a reference cannot cross a wire, and this
+// fabric refuses it whatever dst is.
+func (t *TCP) SendRef(dst, tag int, _ any) error {
+	return checkSend(dst, tag, t.cfg.Size, true, true)
 }
 
 func (t *TCP) enqueue(dst int, fr outFrame) error {
@@ -377,9 +375,8 @@ func (t *TCP) Recv(src, tag int) (Message, error) {
 	return t.ib.take(src, tag)
 }
 
-// DrainTag implements Transport.  Every delivered payload is owned on
-// this fabric, so the lent count is always zero.
-func (t *TCP) DrainTag(tag int) (int, int64, int64) {
+// DrainTag implements Transport.
+func (t *TCP) DrainTag(tag int) (int, int64) {
 	return t.ib.drain(tag)
 }
 

@@ -34,20 +34,10 @@ const (
 type Message struct {
 	Src, Tag int
 	Data     []byte
-	// Segs, when non-nil, is a lent payload (SendSegs on the in-process
-	// fabric): the sender's slices, in order, and no Data.  The receiver
-	// reads them but does not own them: it must not write them, Put them
-	// to a pool, or keep them past the sender's promise.
-	Segs [][]byte
-}
-
-// Len reports the payload bytes of m, lent or not.
-func (m *Message) Len() int64 {
-	n := int64(len(m.Data))
-	for _, s := range m.Segs {
-		n += int64(len(s))
-	}
-	return n
+	// Ref is the payload of a reference message (SendRef, in-process
+	// only): a value of the sender's process, delivered as it is, and no
+	// Data.
+	Ref any
 }
 
 // WireStats counts the bytes and frames an endpoint actually moved over
@@ -92,24 +82,28 @@ type Transport interface {
 	// recycle it themselves once it has been written.
 	SendNoCopy(dst, tag int, data []byte) error
 	// SendSegs enqueues the concatenation of segs for dst, lending the
-	// slices: they stay the caller's, who must not write them until the
-	// receiver is done with them (internal/core: until the collective's
-	// error vote) and, if that is not known to have happened, until Flush
-	// returns.  Loopback delivers the slices themselves (Message.Segs);
-	// TCP writes them to the socket from where they lie, and its receiver
-	// gets one pooled payload like any other frame's.
+	// slices: they stay the caller's, who must not write them until Flush
+	// returns.  TCP writes them to the socket from where they lie;
+	// Loopback gathers them at once.  On both the receiver gets one payload
+	// it owns.
 	SendSegs(dst, tag int, segs [][]byte) error
+	// SendRef enqueues ref, a value of this process, for dst, which
+	// receives it as Message.Ref: nothing is copied or encoded, and what
+	// ref points to is read in place.  Only an in-process fabric can
+	// deliver a reference; a wired one refuses it (checkSend).
+	SendRef(dst, tag int, ref any) error
 	// Recv blocks until a message matching (src, tag) is available and
 	// removes it.  It returns ErrClosed after Close, or the transport
 	// failure that tore the endpoint down.
 	Recv(src, tag int) (Message, error)
 	// DrainTag removes every queued message with the given tag (any
 	// source) without blocking, returning the count discarded and their
-	// payload bytes: owned ones, and lent ones (Message.Segs) apart.
-	DrainTag(tag int) (n int, bytes, lent int64)
+	// payload bytes.
+	DrainTag(tag int) (n int, bytes int64)
 	// Flush blocks until every queued outbound payload has left the
 	// endpoint (TCP: written to the sockets) and no goroutine of the
-	// endpoint reads a lent slice any more.  A no-op for loopback.
+	// endpoint reads a lent slice any more.  A no-op for loopback, whose
+	// sends are done when they return.
 	Flush() error
 	// Quiesce marks the endpoint as shutting down: subsequent link
 	// failures are expected (peers closing) and no longer fail the
@@ -123,15 +117,34 @@ type Transport interface {
 }
 
 // checkSend is the one check of every send entry point of both fabrics,
-// so that a program that passes on one cannot fail on the other: dst is
-// a rank of the size-rank world, and tag is not one of the negative tags
-// reserved for the transport's own control frames.
-func checkSend(dst, tag, size int) error {
+// so that a program that passes on one cannot fail on the other except
+// for what only one of them can carry: dst is a rank of the size-rank
+// world, tag is not one of the negative tags reserved for the transport's
+// own control frames, and a reference (ref) is not sent over a wire.
+func checkSend(dst, tag, size int, ref, wired bool) error {
 	if dst < 0 || dst >= size {
 		return fmt.Errorf("transport: send to invalid rank %d", dst)
 	}
 	if tag < 0 {
 		return fmt.Errorf("transport: tag %d is reserved", tag)
 	}
+	if ref && wired {
+		return fmt.Errorf("transport: a reference cannot cross a wire (tag %d to rank %d)", tag, dst)
+	}
 	return nil
+}
+
+// gather copies the concatenation of segs into a new payload of exactly
+// their length, taken from get.
+func gather(segs [][]byte, get func(int) []byte) []byte {
+	n := 0
+	for _, s := range segs {
+		n += len(s)
+	}
+	buf := get(n)
+	at := buf
+	for _, s := range segs {
+		at = at[copy(at, s):]
+	}
+	return buf
 }
