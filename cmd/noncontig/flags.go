@@ -64,12 +64,8 @@ type flags struct {
 	killServer     time.Duration
 	wireChaosSeed  int64
 
-	metricsAddr string
-	metricsFD   int
-	metricsPush string
-	noMetrics   bool
-	traceSplit  bool
-	flight      string
+	traceSplit bool
+	flight     string
 }
 
 // def records name's launch class and returns name, so registration and
@@ -130,12 +126,8 @@ func newFlags() *flags {
 	f.DurationVar(&f.killServer, f.def("kill-server", launcherOnly), 0, "with -net launch -servers: SIGKILL server 0 after this long, to demonstrate supervised recovery (0 = off)")
 	f.Int64Var(&f.wireChaosSeed, f.def("wire-chaos-seed", toRanks), 0, "inject seeded wire faults (drops, dups, header corruption, resets, partitions) on this rank's server connections (0 = off)")
 
-	f.StringVar(&f.metricsAddr, f.refuse("metrics-addr", "launch binds a metrics listener for every process itself and prints each as \"metrics <proc> <addr>\""), "", "serve a Prometheus /metrics endpoint on this address (e.g. 127.0.0.1:0; the bound address is printed as \"metrics <proc> <addr>\")")
-	f.IntVar(&f.metricsFD, f.def("metrics-fd", setByLaunch), 0, "inherited metrics listener fd (set by launch)")
-	f.StringVar(&f.metricsPush, f.def("metrics-push", setByLaunch), "", "push the final metrics snapshot to this launcher collector address on clean exit (set by launch)")
-	f.BoolVar(&f.noMetrics, f.def("no-metrics", both), false, "disable the metrics registry entirely (the overhead-measurement baseline)")
 	f.BoolVar(&f.traceSplit, f.def("trace-split", launcherOnly), false, "with -net launch -trace: keep the per-process trace files next to the merged one")
-	f.StringVar(&f.flight, f.def("flight", both), "", "flight recorder: periodically persist recent spans and metrics to this path, dumped on SIGQUIT, collective fault, or watchdog stall and surviving SIGKILL (with -net launch: a directory, one dump per process)")
+	f.StringVar(&f.flight, f.def("flight", both), "", "flight recorder: periodically persist recent spans (and a server's request stats) to this path, dumped on SIGQUIT, collective fault, or watchdog stall and surviving SIGKILL (with -net launch: a directory, one dump per process)")
 	return f
 }
 

@@ -34,7 +34,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -44,7 +43,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ioserver"
 	"repro/internal/noncontig"
-	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -87,10 +85,6 @@ func main() {
 	if f.stripeUnit <= 0 {
 		log.Fatal("-stripe must be positive")
 	}
-	of := obsFlags{
-		noMetrics: f.noMetrics, metricsAddr: f.metricsAddr, metricsFD: f.metricsFD, metricsPush: f.metricsPush,
-		fullTrace: f.tracePath != "" || f.traceSumm, flight: f.flight,
-	}
 	switch f.netMode {
 	case "":
 		// fall through to the in-process run below
@@ -100,8 +94,8 @@ func main() {
 	case "server":
 		runServer(serverConfig{
 			index: f.netIndex, count: f.servers, stripe: f.stripeUnit,
-			file: f.file, tracePath: f.tracePath, obs: of,
-		})
+			file: f.file, tracePath: f.tracePath, flight: f.flight,
+		}, newCollector(f))
 		return
 	case "rank":
 		// handled below: same config assembly, different backend + runner
@@ -114,7 +108,13 @@ func main() {
 	if isRank {
 		proc = fmt.Sprintf("rank%d", f.netRank)
 	}
-	reg, collector, rec, obsDone := setupObs(proc, of)
+	collector := newCollector(f)
+	rec := trace.NewRecorder(f.flight, proc, collector, nil)
+	rec.Start(0)
+	defer func() {
+		rec.Stop()
+		rec.Dump("clean exit")
+	}()
 	var backend storage.Backend
 	var agg *ioserver.Striped
 	if isRank {
@@ -122,7 +122,7 @@ func main() {
 			log.Fatalf("-net rank requires -net-rank in [0, %d)", f.p)
 		}
 		if f.serverAddrs != "" {
-			copts := ioserver.ClientOptions{Metrics: reg}
+			var copts ioserver.ClientOptions
 			if f.wireChaosSeed != 0 {
 				copts.Timeout = 500 * time.Millisecond // a dropped frame costs one deadline, not 30s
 				copts.WireChaos = &transport.WireChaosConfig{
@@ -175,10 +175,6 @@ func main() {
 	if f.readBW > 0 || f.writeBW > 0 || f.latency > 0 {
 		backend = storage.NewThrottled(backend, f.readBW, f.writeBW, f.latency)
 	}
-	// A clean exit pushes the final snapshot to the launcher, so a rank
-	// that finishes between two scrape ticks still lands in the merged
-	// run report (a crashed rank is covered by its last-good scrape).
-	defer obsDone("clean exit")
 
 	// Chaos goes outermost on the storage side so every injected fault
 	// passes through the Resilient retry policy before the I/O layer
@@ -216,7 +212,6 @@ func main() {
 			DisableProgram: f.noProgram,
 		},
 		Trace:        collector,
-		Metrics:      reg,
 		StallTimeout: stallTimeout,
 		OnStall:      func(diag string) { rec.Dump("watchdog stall: " + diag) },
 	}
@@ -373,13 +368,6 @@ func netLaunch(f *flags) {
 		ServerRestarts:  f.serverRestarts,
 		KillServerAfter: f.killServer,
 	}
-	if !f.noMetrics {
-		// The launcher hands every child a pre-bound metrics listener,
-		// announces the addresses ("metrics <proc> <addr>" — CI curls
-		// them mid-run), scrapes everyone, and prints the merged run
-		// report on exit.
-		lo.Metrics = &transport.MetricsOptions{Announce: os.Stdout, Report: os.Stdout}
-	}
 	if f.flight != "" {
 		// Preserve a crashed server's dying breath: the supervised
 		// restart would let the replacement overwrite its flight dump.
@@ -426,57 +414,19 @@ func mergeTraces(f *flags) {
 	}
 }
 
-// obsFlags are the observability flags a role was started with.
-type obsFlags struct {
-	noMetrics   bool
-	metricsAddr string // -metrics-addr
-	metricsFD   int    // -metrics-fd
-	metricsPush string // -metrics-push
-	fullTrace   bool   // the run's trace is wanted whole (-trace, -trace-summary)
-	flight      string // -flight
-}
-
-// setupObs builds one process's observability, the same way for every
-// role: the metrics registry (nil with -no-metrics) served on the
-// launcher-inherited listener or a locally bound one, announced in the
-// greppable "metrics <proc> <addr>" form; the span collector, a full
-// ring when the trace is wanted, a small always-on one when only the
-// flight recorder reads it — enough recent spans for a post-mortem
-// without full-trace memory — else nil; and the flight recorder (nil
-// without -flight).  done dumps the recorder with the given reason,
-// stops it, and pushes the final snapshot to the launcher.
-func setupObs(proc string, of obsFlags) (reg *obs.Registry, collector *trace.Collector, rec *obs.Recorder, done func(reason string)) {
-	if !of.noMetrics {
-		reg = obs.NewRegistry()
+// newCollector is one process's span collector, made the same way for
+// every role: a full ring when the run's trace is wanted (-trace,
+// -trace-summary), a small always-on one when only the flight recorder
+// reads it — enough recent spans for a post-mortem without full-trace
+// memory — else nil.
+func newCollector(f *flags) *trace.Collector {
+	switch {
+	case f.tracePath != "" || f.traceSumm:
+		return trace.NewCollector(trace.DefaultBufSize)
+	case f.flight != "":
+		return trace.NewCollector(trace.RecorderBufSize)
 	}
-	if of.fullTrace {
-		collector = trace.NewCollector(trace.DefaultBufSize)
-	} else if of.flight != "" {
-		collector = trace.NewCollector(obs.RecorderBufSize)
-	}
-	if reg != nil && (of.metricsAddr != "" || of.metricsFD > 0) {
-		var ln net.Listener
-		var err error
-		if of.metricsFD > 0 {
-			ln, err = transport.ListenerFromFD(of.metricsFD)
-		} else {
-			ln, err = net.Listen("tcp", of.metricsAddr)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("metrics %s %s\n", proc, ln.Addr())
-		obs.Serve(ln, reg, proc)
-	}
-	if of.flight != "" {
-		rec = obs.NewRecorder(of.flight, proc, reg, collector)
-		rec.Start(0)
-	}
-	return reg, collector, rec, func(reason string) {
-		rec.Dump(reason)
-		rec.Stop()
-		obs.Push(of.metricsPush, proc, reg)
-	}
+	return nil
 }
 
 // serverConfig carries the -net server role's flags.
@@ -485,7 +435,7 @@ type serverConfig struct {
 	stripe       int64
 	file         string
 	tracePath    string
-	obs          obsFlags
+	flight       string
 }
 
 // runServer is the -net server role: adopt the pre-bound listener the
@@ -494,11 +444,10 @@ type serverConfig struct {
 // intent journal at <file>.journal: recovery replays committed epochs
 // and discards uncommitted ones before serving, so a supervised restart
 // after a crash (or SIGKILL) resumes from the last commit point.
-func runServer(sc serverConfig) {
+func runServer(sc serverConfig, collector *trace.Collector) {
 	if sc.count <= 0 || sc.index < 0 || sc.index >= sc.count {
 		log.Fatalf("-net server requires -net-index in [0, %d)", sc.count)
 	}
-	reg, collector, _, obsDone := setupObs(fmt.Sprintf("srv%d", sc.index), sc.obs)
 	var backend storage.Backend = storage.NewMem()
 	var journal *ioserver.Journal
 	var recov ioserver.RecoveryInfo
@@ -534,12 +483,16 @@ func runServer(sc serverConfig) {
 		Index:    sc.index,
 		Journal:  journal,
 		Tracer:   collector.Storage(),
-		Metrics:  reg,
 		Recovery: recov,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The dump prints the server's Stats beside its spans: they are
+	// atomic, so the persist loop may read them while requests run.
+	rec := trace.NewRecorder(sc.flight, fmt.Sprintf("srv%d", sc.index), collector,
+		func() string { return srv.Stats().String() })
+	rec.Start(0)
 	ln, err := transport.ListenerFromFD(transport.RendezvousFD)
 	if err != nil {
 		log.Fatal(err)
@@ -562,7 +515,8 @@ func runServer(sc serverConfig) {
 	if err := backend.Sync(); err != nil {
 		log.Fatal(err)
 	}
-	obsDone("shutdown")
+	rec.Stop()
+	rec.Dump("shutdown")
 	fmt.Printf("server %d/%d (stripe %s): %s\n", sc.index, sc.count, humanBytes(sc.stripe), srv.Stats())
 	writeTrace(sc.tracePath, collector)
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/testutil"
@@ -81,7 +80,7 @@ func measureCollective(t *testing.T, f *File, buf []byte, d int64, mt *datatype.
 // (DisableProgram: the walk, no program to run against the user buffer)
 // it packs the share into a pooled chunk and sends it to the rank's own
 // mailbox, window by window.
-func testWindowAllocFree(t *testing.T, engine Engine, write, metrics, holey, staged bool, wantPerWindow float64) {
+func testWindowAllocFree(t *testing.T, engine Engine, write, holey, staged bool, wantPerWindow float64) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
@@ -96,14 +95,10 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics, holey, sta
 	const dLarge = int64(16 * allocWinSize / 2) // 16 windows
 	const winSmall, winLarge = 4, 16
 
-	var reg *obs.Registry
-	if metrics {
-		reg = obs.NewRegistry()
-	}
 	bp := pool.New()
 	_, err := mpi.Run(1, func(p *mpi.Proc) {
 		sh := NewShared(storage.NewMem())
-		f, err := Open(p, sh, Options{Engine: engine, CollBufSize: allocWinSize, Metrics: reg, Pool: bp, DisableProgram: staged})
+		f, err := Open(p, sh, Options{Engine: engine, CollBufSize: allocWinSize, Pool: bp, DisableProgram: staged})
 		if err != nil {
 			panic(err)
 		}
@@ -162,27 +157,14 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, metrics, holey, sta
 func TestListlessWindowZeroAlloc(t *testing.T) {
 	for _, write := range []bool{true, false} {
 		for _, holey := range []bool{false, true} {
-			testWindowAllocFree(t, Listless, write, false, holey, false, 0)
+			testWindowAllocFree(t, Listless, write, holey, false, 0)
 		}
-		testWindowAllocFree(t, Listless, write, false, false, true, 0)
+		testWindowAllocFree(t, Listless, write, false, true, 0)
 	}
 }
 
-// TestListlessWindowZeroAllocMetricsOn: instrumentation must be free in
-// the steady state.  Every hot-path increment is a single atomic add on
-// a handle registered at Open, so turning the metrics registry on may
-// not reintroduce per-window allocations.
-func TestListlessWindowZeroAllocMetricsOn(t *testing.T) {
-	for _, write := range []bool{true, false} {
-		for _, holey := range []bool{false, true} {
-			testWindowAllocFree(t, Listless, write, true, holey, false, 0)
-		}
-		testWindowAllocFree(t, Listless, write, true, false, true, 0)
-	}
-}
-
-// TestListlessDirectWindowZeroAllocMetricsOn is the twin of the test
-// above over direct windows, in a two-rank world so that shares travel:
+// TestListlessDirectWindowZeroAlloc is the twin of the test above over
+// direct windows, in a two-rank world so that shares travel:
 // file runs of 6 KiB, 12 KiB apart per rank, in 32 KiB windows, from
 // memory whose every run is a page or longer — 6 KiB runs 12 KiB apart
 // on rank 0; on rank 1 a contiguous buffer, or page-sized runs two pages
@@ -192,7 +174,7 @@ func TestListlessWindowZeroAllocMetricsOn(t *testing.T) {
 // window costs no allocation: its segments, over the lent user buffers,
 // go into the batch its slot keeps, and no chunk and no window buffer is
 // drawn at all, where a packed share drew a chunk per AP and window.
-func TestListlessDirectWindowZeroAllocMetricsOn(t *testing.T) {
+func TestListlessDirectWindowZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
@@ -211,12 +193,12 @@ func TestListlessDirectWindowZeroAllocMetricsOn(t *testing.T) {
 	}
 	for _, rank1 := range []*datatype.Type{datatype.Byte, runs(storage.PageSize, 2*storage.PageSize)} {
 		mts := []*datatype.Type{runs(run, 2*run), rank1}
-		bp, reg := pool.New(), obs.NewRegistry()
+		bp := pool.New()
 		sh := NewShared(storage.NewMem())
 		for _, write := range []bool{true, false} {
 			label := fmt.Sprintf("rank 1 memtype %v, write=%v", rank1, write)
 			_, err := mpi.Run(P, func(p *mpi.Proc) {
-				f, err := Open(p, sh, Options{CollBufSize: win, Metrics: reg, Pool: bp})
+				f, err := Open(p, sh, Options{CollBufSize: win, Pool: bp})
 				if err != nil {
 					panic(err)
 				}

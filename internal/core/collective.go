@@ -25,7 +25,6 @@ func (f *File) WriteAtAll(off int64, count int64, memtype *datatype.Type, buf []
 	if err != nil {
 		return 0, err
 	}
-	defer f.publish()
 	if err := f.transferCollective(off*f.v.esize, d, memtype, count, buf, true); err != nil {
 		return 0, err
 	}
@@ -46,7 +45,6 @@ func (f *File) ReadAtAll(off int64, count int64, memtype *datatype.Type, buf []b
 	if err != nil {
 		return 0, err
 	}
-	defer f.publish()
 	if err := f.transferCollective(off*f.v.esize, d, memtype, count, buf, false); err != nil {
 		return 0, err
 	}

@@ -43,8 +43,7 @@ import (
 // All Stats fields are updated on the main goroutine only; background
 // I/O durations travel back through the reply tokens.  Every duration
 // is what its span's End returned (trace.Tracer.Time: one clock read at
-// each end, tracer or not), and the scrape plane follows from Stats once
-// per window (File.publish).
+// each end, tracer or not).
 
 // iopProcess runs this rank's IOP role: engine setup (the list-based
 // engine receives one access list from every AP — this must happen even
@@ -423,7 +422,6 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 			}
 		}
 		wsp.End()
-		f.publish()
 		cur.iw.release()
 		cur, ok = nxt, nok
 	}

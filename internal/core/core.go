@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -102,11 +101,6 @@ type Options struct {
 	// (plan, exchange, window storage I/O, copies) into the collector;
 	// nil disables tracing at the cost of one pointer check per site.
 	Trace *trace.Collector
-	// Metrics, when non-nil, registers this file's live counters (per
-	// phase, window, and epoch) on the registry for the /metrics scrape
-	// plane and keeps them in step with Stats; nil disables them at the
-	// cost of one nil check per window and per access.
-	Metrics *obs.Registry
 }
 
 func (o *Options) fill() {
@@ -221,9 +215,6 @@ type File struct {
 
 	// Stats accumulates the work counters of this handle.
 	Stats Stats
-	// om publishes Stats to Options.Metrics (metrics.go); no site but
-	// publish touches it.
-	om fileMetrics
 }
 
 // Open opens the shared backend collectively and installs the trivial
@@ -239,9 +230,7 @@ func Open(p *mpi.Proc, sh *Shared, opts Options) (*File, error) {
 		opts: opts,
 		tr:   opts.Trace.Tracer(p.Rank()),
 		bp:   opts.Pool,
-		om:   newFileMetrics(opts.Metrics),
 	}
-	registerProgramCacheMetrics(opts.Metrics)
 	if f.bp == nil {
 		f.bp = pool.Global
 	}
@@ -309,9 +298,7 @@ func (f *File) SetView(disp int64, etype, filetype *datatype.Type) error {
 		f.viewBE, f.viewHandle = vb, h
 		f.Stats.ViewRegistrations++
 	}
-	err := f.eng.setView()
-	f.publish() // setView compiles the view's programs
-	return err
+	return f.eng.setView()
 }
 
 // SetAtomicity enables or disables MPI-IO atomic mode collectively

@@ -24,7 +24,6 @@ func (f *File) WriteAt(off int64, count int64, memtype *datatype.Type, buf []byt
 	if err != nil || d == 0 {
 		return 0, err
 	}
-	defer f.publish()
 	if err := f.transferIndependent(off*f.v.esize, d, memtype, count, buf, true); err != nil {
 		return 0, err
 	}
@@ -40,7 +39,6 @@ func (f *File) ReadAt(off int64, count int64, memtype *datatype.Type, buf []byte
 	if err != nil || d == 0 {
 		return 0, err
 	}
-	defer f.publish()
 	if err := f.transferIndependent(off*f.v.esize, d, memtype, count, buf, false); err != nil {
 		return 0, err
 	}

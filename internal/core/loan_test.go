@@ -247,7 +247,7 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 					return
 				}
 				// Rank 0 counts what both ranks allocate, as in
-				// TestListlessDirectWindowZeroAllocMetricsOn.
+				// TestListlessDirectWindowZeroAlloc.
 				for i, n := range []int64{c.small, c.large} {
 					if p.Rank() == 0 {
 						allocs[i] = testing.AllocsPerRun(10, read(n))

@@ -3,8 +3,6 @@ package core
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/datatype"
 	"repro/internal/fotf"
@@ -34,17 +32,12 @@ type progEntry struct {
 }
 
 // programCache is an LRU map from encoded datatype trees to compiled
-// programs, with counters for the obs plane.
+// programs.
 type programCache struct {
 	mu  sync.Mutex
 	cap int
 	m   map[string]*list.Element
 	lru *list.List // front = most recently used; values are *progEntry
-
-	hits      atomic.Int64
-	compiles  atomic.Int64
-	evictions atomic.Int64
-	compileNs atomic.Int64
 }
 
 func newProgramCache(capacity int) *programCache {
@@ -67,17 +60,13 @@ func (pc *programCache) lookup(enc []byte, t *datatype.Type) (e *progEntry, hit 
 	if el, ok := pc.m[string(enc)]; ok { // no copy of enc on the hit path
 		pc.lru.MoveToFront(el)
 		pc.mu.Unlock()
-		pc.hits.Add(1)
 		return el.Value.(*progEntry), true
 	}
 	pc.mu.Unlock()
 
 	// Compile outside the lock: concurrent ranks of one world may race
 	// to compile the same view, and the first result in wins.
-	t0 := time.Now()
 	p := fotf.Compile(t)
-	pc.compileNs.Add(time.Since(t0).Nanoseconds())
-	pc.compiles.Add(1)
 
 	key := string(enc)
 	pc.mu.Lock()
@@ -92,16 +81,8 @@ func (pc *programCache) lookup(enc []byte, t *datatype.Type) (e *progEntry, hit 
 		old := pc.lru.Back()
 		pc.lru.Remove(old)
 		delete(pc.m, old.Value.(*progEntry).key)
-		pc.evictions.Add(1)
 	}
 	return e, false
-}
-
-// size reports the resident entry count (for the obs gauge).
-func (pc *programCache) size() int64 {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return int64(pc.lru.Len())
 }
 
 // lookupProgram is the handle-side entry point: it returns the compiled

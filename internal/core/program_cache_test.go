@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime/debug"
 	"testing"
 
@@ -55,14 +54,8 @@ func TestProgramCacheLRU(t *testing.T) {
 	if _, hit := pc.lookup(nil, b); hit {
 		t.Fatal("b must have been evicted")
 	}
-	if got := pc.size(); got != 2 {
-		t.Errorf("size = %d, want 2", got)
-	}
-	if pc.evictions.Load() < 2 {
-		t.Errorf("evictions = %d, want >= 2", pc.evictions.Load())
-	}
-	if pc.compiles.Load() != 4 { // a, b, c, b again
-		t.Errorf("compiles = %d, want 4", pc.compiles.Load())
+	if got := pc.lru.Len(); got != 2 {
+		t.Errorf("%d entries resident, want 2", got)
 	}
 }
 
@@ -127,14 +120,10 @@ func TestProgramCacheEvictionRecompile(t *testing.T) {
 		if err := f.SetView(0, datatype.Byte, first); err != nil {
 			panic(err)
 		}
-		ev0 := programs.evictions.Load()
 		for i := int64(1); i <= programCacheCap+4; i++ {
 			if err := f.SetView(0, datatype.Byte, uniqueVec(t, 3000, i)); err != nil {
 				panic(err)
 			}
-		}
-		if ev := programs.evictions.Load(); ev <= ev0 {
-			panic(fmt.Sprintf("no evictions after %d distinct views (cap %d)", programCacheCap+4, programCacheCap))
 		}
 		c0 := f.Stats.ProgramCompiles
 		if err := f.SetView(0, datatype.Byte, first); err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/datatype"
-	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -380,34 +379,22 @@ func TestCloseCheckpointsThenSeals(t *testing.T) {
 }
 
 // TestCheckpointObservability: one span per checkpoint carrying the
-// journal bytes it retired, beside the commit's; the counter and the
-// live-bytes gauge on the registry.
+// journal bytes it retired, beside the commit's; the checkpoint counter,
+// the journal's live bytes and the journal syncs in the server's stats.
 func TestCheckpointObservability(t *testing.T) {
 	tr := trace.NewCollector(0).Tracer(0)
-	reg := obs.NewRegistry()
-	r := newCrashRig(t, func(cfg *Config) { cfg.Tracer, cfg.Metrics = tr, reg })
-	gauge := func(name string) int64 {
-		t.Helper()
-		for _, m := range reg.Snapshot("srv0").Metrics {
-			if m.Name == name {
-				return m.Value
-			}
-		}
-		t.Fatalf("no gauge %s", name)
-		return 0
-	}
+	r := newCrashRig(t, func(cfg *Config) { cfg.Tracer = tr })
 	r.stage(7, 0, "AAAA")
 	r.commit(7)
-	live := r.srv.journal.Live()
-	if live == 0 || gauge("ioserver_journal_live_bytes") != live || gauge("ioserver_checkpoints_total") != 0 {
-		t.Fatalf("after a commit: %d live bytes, gauges %d and %d checkpoints",
-			live, gauge("ioserver_journal_live_bytes"), gauge("ioserver_checkpoints_total"))
+	live, st := r.srv.journal.Live(), r.srv.Stats()
+	if live == 0 || r.srv.checkpoints.Load() != 0 || st.EpochsCommitted != 1 || st.JournalFsyncs != 1 {
+		t.Fatalf("after a commit: %d live bytes, %d checkpoints, stats %s", live, r.srv.checkpoints.Load(), st)
 	}
 	r.do(opSync, nil)
 	r.do(opSync, nil) // an empty journal: a stripe sync, not a checkpoint
-	if gauge("ioserver_journal_live_bytes") != 0 || gauge("ioserver_checkpoints_total") != 1 {
-		t.Errorf("after the checkpoint: gauges %d live bytes and %d checkpoints",
-			gauge("ioserver_journal_live_bytes"), gauge("ioserver_checkpoints_total"))
+	if st = r.srv.Stats(); r.srv.journal.Live() != 0 || r.srv.checkpoints.Load() != 1 || st.JournalFsyncs != 2 {
+		t.Errorf("after the checkpoint: %d live bytes, %d checkpoints, stats %s",
+			r.srv.journal.Live(), r.srv.checkpoints.Load(), st)
 	}
 	var spans []string
 	for _, ev := range tr.Events() {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -35,8 +34,6 @@ type Client struct {
 	maxFrame  int
 	timeout   time.Duration
 	wireChaos *transport.WireChaosConfig
-	redials   *obs.Counter // dials after the first: the connection was lost
-	dialed    bool         // guarded by mu
 
 	mu       sync.Mutex
 	fc       *transport.FrameConn
@@ -90,10 +87,6 @@ type ClientOptions struct {
 	// only, so server responses stay canonical while requests suffer
 	// drops, duplicates, header corruption, resets, and partitions.
 	WireChaos *transport.WireChaosConfig
-	// Metrics, when non-nil, registers a per-server redial counter —
-	// each dial after the first means a connection was lost to a fault
-	// or a server bounce.
-	Metrics *obs.Registry
 }
 
 // NewClient builds a client for the server at addr.  The connection is
@@ -110,10 +103,7 @@ func NewClient(addr string, opts ClientOptions) *Client {
 		maxFrame:  opts.MaxFrame,
 		timeout:   opts.Timeout,
 		wireChaos: opts.WireChaos,
-		redials: opts.Metrics.Counter("ioserver_client_redials_total",
-			"Reconnections to an I/O server after a lost connection.",
-			obs.Label{Key: "server", Value: addr}),
-		views: make(map[*View]uint64),
+		views:     make(map[*View]uint64),
 	}
 }
 
@@ -167,10 +157,6 @@ func (c *Client) connectLocked() error {
 	}
 	c.fc = transport.NewFrameConn(wc, c.maxFrame)
 	c.fresh = true
-	if c.dialed {
-		c.redials.Inc()
-	}
-	c.dialed = true
 	return nil
 }
 

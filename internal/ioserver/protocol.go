@@ -64,7 +64,7 @@ const (
 // opInfo is one row of the protocol table.
 type opInfo struct {
 	code int
-	name string // the op label of ioserver_op_ns
+	name string // the op's label, as DESIGN §10's table and test failures give it
 	// serve handles a request whose epoch prefix, if the op has one,
 	// dispatch has decoded; nil for what is no request.  A mutation and
 	// its staged twin share one handler, which stages when it is handed
@@ -75,9 +75,8 @@ type opInfo struct {
 	direct  int  // a staged op's direct twin, which a client inside an epoch sends under this code
 }
 
-// opTable is the protocol, in code order: dispatch, the latency
-// histograms' labels, settle and the fuzz alphabet all read it, and
-// DESIGN §10's table mirrors it.
+// opTable is the protocol, in code order: dispatch, settle and the fuzz
+// alphabet all read it, and DESIGN §10's table mirrors it.
 var opTable = [...]opInfo{
 	{code: opRead, name: "read", serve: (*connState).opRead},
 	{code: opWrite, name: "write", serve: (*connState).opWrite, mutates: true},
@@ -282,56 +281,51 @@ func getEpoch(buf []byte) (uint64, []byte, error) {
 }
 
 // ServerStats are one server's request counters, fetched with opStats
-// and also reported locally by Server.Stats.  What each one counts is
-// its row of serverCounters' to say.
+// and also reported locally by Server.Stats.
 type ServerStats struct {
-	Requests          int64
-	RawReads          int64
-	RawWrites         int64
-	ViewReads         int64
-	ViewWrites        int64
-	ViewRegistrations int64
-	ViewCacheHits     int64
-	StaleHandles      int64
-	BytesRead         int64
-	BytesWritten      int64
-	StagedWrites      int64
-	EpochsCommitted   int64
-	EpochsSealed      int64
-	EpochsAborted     int64
-	JournalFsyncs     int64
-	EpochsRecovered   int64
-	EpochsDiscarded   int64
-	TornTails         int64
+	Requests          int64 // requests handled, all ops
+	RawReads          int64 // opRead and opReadv requests served
+	RawWrites         int64 // opWrite and opWritev requests served
+	ViewReads         int64 // opViewRead requests served
+	ViewWrites        int64 // opViewWrite requests served
+	ViewRegistrations int64 // opRegister requests that decoded a new view
+	ViewCacheHits     int64 // opRegister requests answered from the view LRU
+	StaleHandles      int64 // view requests naming an evicted or unknown handle
+	BytesRead         int64 // data bytes sent to clients
+	BytesWritten      int64 // data bytes received from clients
+	StagedWrites      int64 // epoch-staged write requests
+	EpochsCommitted   int64 // epoch commits applied
+	EpochsSealed      int64 // epoch seal requests answered
+	EpochsAborted     int64 // epochs whose staged state was discarded by abort
+	JournalFsyncs     int64 // journal syncs: one per commit, one per checkpoint's reset, one per seal
+	EpochsRecovered   int64 // committed epochs re-applied by journal recovery at start
+	EpochsDiscarded   int64 // staged-but-uncommitted epochs discarded by recovery
+	TornTails         int64 // torn journal tails truncated by recovery
 }
 
 // serverCounters is every use of ServerStats but the struct itself, in
 // the order of the stats record: the server's live store and its
-// snapshot, the sum across servers, the wire record and the
-// ioserver_*_total gauges are loops over it, and its help strings are the
-// fields' documentation.
-var serverCounters = [...]struct {
-	gauge, help string
-	field       func(*ServerStats) *int64
-}{
-	{"ioserver_requests_total", "Requests handled, all ops.", func(st *ServerStats) *int64 { return &st.Requests }},
-	{"ioserver_raw_reads_total", "opRead and opReadv requests served.", func(st *ServerStats) *int64 { return &st.RawReads }},
-	{"ioserver_raw_writes_total", "opWrite and opWritev requests served.", func(st *ServerStats) *int64 { return &st.RawWrites }},
-	{"ioserver_view_reads_total", "opViewRead requests served.", func(st *ServerStats) *int64 { return &st.ViewReads }},
-	{"ioserver_view_writes_total", "opViewWrite requests served.", func(st *ServerStats) *int64 { return &st.ViewWrites }},
-	{"ioserver_view_registrations_total", "opRegister requests that decoded a new view.", func(st *ServerStats) *int64 { return &st.ViewRegistrations }},
-	{"ioserver_view_cache_hits_total", "opRegister requests answered from the view LRU.", func(st *ServerStats) *int64 { return &st.ViewCacheHits }},
-	{"ioserver_view_stale_handles_total", "View requests naming an evicted or unknown handle.", func(st *ServerStats) *int64 { return &st.StaleHandles }},
-	{"ioserver_read_bytes_total", "Data bytes sent to clients.", func(st *ServerStats) *int64 { return &st.BytesRead }},
-	{"ioserver_written_bytes_total", "Data bytes received from clients.", func(st *ServerStats) *int64 { return &st.BytesWritten }},
-	{"ioserver_staged_writes_total", "Epoch-staged write requests.", func(st *ServerStats) *int64 { return &st.StagedWrites }},
-	{"ioserver_epochs_committed_total", "Epoch commits applied.", func(st *ServerStats) *int64 { return &st.EpochsCommitted }},
-	{"ioserver_epochs_sealed_total", "Epoch seal requests answered.", func(st *ServerStats) *int64 { return &st.EpochsSealed }},
-	{"ioserver_epochs_aborted_total", "Epochs whose staged state was discarded by abort.", func(st *ServerStats) *int64 { return &st.EpochsAborted }},
-	{"ioserver_journal_fsyncs_total", "Journal syncs: one per commit, one per checkpoint's reset, one per seal.", func(st *ServerStats) *int64 { return &st.JournalFsyncs }},
-	{"ioserver_epochs_recovered_total", "Committed epochs re-applied by journal recovery at start.", func(st *ServerStats) *int64 { return &st.EpochsRecovered }},
-	{"ioserver_epochs_discarded_total", "Staged-but-uncommitted epochs discarded by recovery.", func(st *ServerStats) *int64 { return &st.EpochsDiscarded }},
-	{"ioserver_journal_torn_tails_total", "Torn journal tails truncated by recovery.", func(st *ServerStats) *int64 { return &st.TornTails }},
+// snapshot, the sum across servers and the wire record are loops over
+// it.
+var serverCounters = [...]func(*ServerStats) *int64{
+	func(st *ServerStats) *int64 { return &st.Requests },
+	func(st *ServerStats) *int64 { return &st.RawReads },
+	func(st *ServerStats) *int64 { return &st.RawWrites },
+	func(st *ServerStats) *int64 { return &st.ViewReads },
+	func(st *ServerStats) *int64 { return &st.ViewWrites },
+	func(st *ServerStats) *int64 { return &st.ViewRegistrations },
+	func(st *ServerStats) *int64 { return &st.ViewCacheHits },
+	func(st *ServerStats) *int64 { return &st.StaleHandles },
+	func(st *ServerStats) *int64 { return &st.BytesRead },
+	func(st *ServerStats) *int64 { return &st.BytesWritten },
+	func(st *ServerStats) *int64 { return &st.StagedWrites },
+	func(st *ServerStats) *int64 { return &st.EpochsCommitted },
+	func(st *ServerStats) *int64 { return &st.EpochsSealed },
+	func(st *ServerStats) *int64 { return &st.EpochsAborted },
+	func(st *ServerStats) *int64 { return &st.JournalFsyncs },
+	func(st *ServerStats) *int64 { return &st.EpochsRecovered },
+	func(st *ServerStats) *int64 { return &st.EpochsDiscarded },
+	func(st *ServerStats) *int64 { return &st.TornTails },
 }
 
 // String lists the counters by field name.
@@ -342,22 +336,22 @@ func (st ServerStats) String() string {
 
 // add accumulates other into st, for aggregating across servers.
 func (st *ServerStats) add(other ServerStats) {
-	for _, c := range serverCounters {
-		*c.field(st) += *c.field(&other)
+	for _, field := range serverCounters {
+		*field(st) += *field(&other)
 	}
 }
 
 // encode appends the stats record: the counters in table order.
 func (st ServerStats) encode(buf []byte) []byte {
-	for _, c := range serverCounters {
-		buf = putV(buf, *c.field(&st))
+	for _, field := range serverCounters {
+		buf = putV(buf, *field(&st))
 	}
 	return buf
 }
 
 func decodeStats(buf []byte) (st ServerStats, err error) {
-	for _, c := range serverCounters {
-		if *c.field(&st), buf, err = getV(buf); err != nil {
+	for _, field := range serverCounters {
+		if *field(&st), buf, err = getV(buf); err != nil {
 			return ServerStats{}, err
 		}
 	}

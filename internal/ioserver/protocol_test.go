@@ -52,8 +52,8 @@ func TestWireShapes(t *testing.T) {
 	lim := srv.lim
 	segs := []storage.Segment{{Off: 0, Buf: make([]byte, 3)}, {Off: 1 << 40, Buf: make([]byte, 300)}, {Off: 77, Buf: nil}}
 	stats := ServerStats{}
-	for i, c := range serverCounters {
-		*c.field(&stats) = int64(i+1) << (3 * i)
+	for i, field := range serverCounters {
+		*field(&stats) = int64(i+1) << (3 * i)
 	}
 	for _, shape := range []struct {
 		name   string

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/fotf"
-	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -48,13 +47,9 @@ type Config struct {
 	// writes commit atomicity against everything but a server crash.
 	Journal *Journal
 	// Recovery, when the journal came from RecoverJournal, carries what
-	// recovery found; its counts fold into Stats so op=stats and the
-	// metrics plane reflect crash-consistency activity across restarts.
+	// recovery found; its counts fold into Stats so op=stats reflects
+	// crash-consistency activity across restarts.
 	Recovery RecoveryInfo
-	// Metrics, when non-nil, registers the server's request counters and
-	// per-op latency histograms (served by the process's /metrics
-	// endpoint and the launcher's scrape, cmd/noncontig).
-	Metrics *obs.Registry
 }
 
 // Server serves one stripe of a file to any number of client
@@ -62,8 +57,9 @@ type Config struct {
 type Server struct {
 	// stats is the live store of ServerStats' counters, written and read
 	// through sync/atomic only (Stats snapshots it) and therefore first:
-	// 64-bit aligned on every platform.  The three below it have gauges
-	// but no place in the stats record.
+	// 64-bit aligned on every platform.  The three below it are what the
+	// tests observe of the sieve and the checkpoints; the stats record
+	// has no place for them.
 	stats                    ServerStats
 	sieveWindows, sieveBytes atomic.Int64
 	checkpoints              atomic.Int64
@@ -71,8 +67,7 @@ type Server struct {
 	cfg         Config
 	lim         bounds // what requests are held against: cfg.MaxFrame and cfg.Geom's offset space
 	journal     *Journal
-	incarnation int64             // instance id, fresh per process start
-	opNs        map[int]*obs.Hist // per-op handling latency, when Metrics is set
+	incarnation int64 // instance id, fresh per process start
 
 	// locks serializes writers to the stripe by local byte range: a sieve
 	// window is a read-modify-write, so every write to Backend — view,
@@ -136,35 +131,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Recovery.TornTail {
 		s.stats.TornTails = 1
 	}
-	s.registerMetrics(cfg.Metrics)
 	return s, nil
-}
-
-// registerMetrics joins the server's counters to the metrics plane: a
-// gauge callback per row of serverCounters (no hot-path cost: a scrape
-// snapshots the store), the sieve, checkpoint and journal gauges, and one
-// latency histogram per op the protocol table serves.
-func (s *Server) registerMetrics(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	for _, c := range serverCounters {
-		r.GaugeFunc(c.gauge, c.help, func() int64 {
-			st := s.Stats()
-			return *c.field(&st)
-		})
-	}
-	r.GaugeFunc("ioserver_sieve_windows_total", "Sieve windows moved (page-dense pieces of view, list and commit traffic).", s.sieveWindows.Load)
-	r.GaugeFunc("ioserver_sieve_bytes_total", "Stripe bytes the sieve windows read and wrote back.", s.sieveBytes.Load)
-	r.GaugeFunc("ioserver_checkpoints_total", "Checkpoints: stripe synced, then journal reset.", s.checkpoints.Load)
-	r.GaugeFunc("ioserver_journal_live_bytes", "Journal bytes a recovery would replay: records since the last checkpoint.", s.journal.Live)
-	s.opNs = make(map[int]*obs.Hist)
-	for _, op := range opTable {
-		if op.serve != nil {
-			s.opNs[op.code] = r.Hist("ioserver_op_ns", "Server-side request handling latency by op.",
-				obs.Label{Key: "op", Value: op.name})
-		}
-	}
 }
 
 // Serve accepts connections on ln until Close, handling each on its own
@@ -256,8 +223,8 @@ func (s *Server) Close() error {
 // journal counts its own syncs.
 func (s *Server) Stats() ServerStats {
 	var st ServerStats
-	for _, c := range serverCounters {
-		*c.field(&st) = atomic.LoadInt64(c.field(&s.stats))
+	for _, field := range serverCounters {
+		*field(&st) = atomic.LoadInt64(field(&s.stats))
 	}
 	st.JournalFsyncs = s.journal.Fsyncs()
 	return st
@@ -329,14 +296,7 @@ func (s *Server) handleConn(conn net.Conn) {
 // handle dispatches one request and writes its response.  The returned
 // error reports only response-write failures.
 func (st *connState) handle(seq, tag int, payload []byte) error {
-	var t0 time.Time
-	if st.srv.opNs != nil {
-		t0 = time.Now()
-	}
 	resp, err := st.dispatch(tag, payload)
-	if st.srv.opNs != nil {
-		st.srv.opNs[tag].ObserveSince(t0) // nil map entry (unknown op) no-ops
-	}
 	if err != nil {
 		st.resp = putErr(st.resp[:0], err)
 		return st.fc.WriteFrame(seq, opErr, st.resp)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/datatype"
-	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/testutil"
 	"repro/internal/trace"
@@ -358,12 +357,12 @@ func TestSieveRule(t *testing.T) {
 }
 
 // TestSieveObservability checks what a sieved request leaves behind: the
-// two registry gauges, and one server.sieve span per window that carries
-// the window's local offset and the request bytes it moved.
+// server's sieve counters and request stats, and one server.sieve span
+// per window that carries the window's local offset and the request
+// bytes it moved.
 func TestSieveObservability(t *testing.T) {
-	reg := obs.NewRegistry()
 	tr := trace.NewCollector(0).Tracer(0)
-	srv, err := New(Config{Backend: storage.NewMem(), Geom: storage.StripeGeom{Unit: 64 << 10, Count: 1}, Metrics: reg, Tracer: tr})
+	srv, err := New(Config{Backend: storage.NewMem(), Geom: storage.StripeGeom{Unit: 64 << 10, Count: 1}, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,15 +371,14 @@ func TestSieveObservability(t *testing.T) {
 	if _, err := st.viewOp(opViewWrite, v, 0, 8192, make([]byte, 8192)); err != nil {
 		t.Fatal(err)
 	}
-	gauges := map[string]int64{}
-	for _, m := range reg.Snapshot("srv0").Metrics {
-		gauges[m.Name] = m.Value
-	}
 	// A window runs from its first run to the end of its last, and a
 	// write both reads and writes it.
 	traffic := int64(2 * 4 * (255<<10 + 8))
-	if w, b := gauges["ioserver_sieve_windows_total"], gauges["ioserver_sieve_bytes_total"]; w != 4 || b != traffic {
-		t.Fatalf("gauges report %d windows and %d bytes, want 4 and %d", w, b, traffic)
+	if w, b := srv.sieveWindows.Load(), srv.sieveBytes.Load(); w != 4 || b != traffic {
+		t.Fatalf("the server counts %d windows and %d bytes, want 4 and %d", w, b, traffic)
+	}
+	if st := srv.Stats(); st.ViewWrites != 1 || st.BytesWritten != 8192 {
+		t.Fatalf("stats %s after one 8 KiB view write", st)
 	}
 	var useful, windows int64
 	for _, ev := range tr.Events() {

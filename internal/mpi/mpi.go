@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -215,11 +214,6 @@ type RunOptions struct {
 	// Barrier record wait spans, Send records message instants, and
 	// ErrStalled diagnostics include each rank's last span begun.
 	Trace *trace.Collector
-	// Metrics, when non-nil, exposes the world's communication totals
-	// (messages, bytes, receive-wait time, wire volumes) on the
-	// registry as gauge functions reading the existing atomics — the
-	// send/recv hot paths are untouched.
-	Metrics *obs.Registry
 	// OnStall, when non-nil, is invoked with the watchdog's stall
 	// diagnostic just before the world is aborted — the hook the
 	// flight recorder uses to dump every rank's in-flight span while
@@ -291,42 +285,6 @@ func RunRank(ep transport.Transport, opts RunOptions, fn func(p *Proc)) (Stats, 
 	return w.run(opts, fn)
 }
 
-// registerMetrics exposes the world's communication totals on an obs
-// registry as gauge functions over the existing atomics, plus the
-// endpoints' wire-level volumes (frame headers included, zero on the
-// in-process loopback).  No hot-path change: the counters were already
-// atomic, the registry just reads them at scrape time.
-func (w *world) registerMetrics(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	r.GaugeFunc("mpi_messages_sent_total", "Messages sent by local ranks.", w.msgs.Load)
-	r.GaugeFunc("mpi_sent_bytes_total", "Payload bytes sent by local ranks.", w.bytes.Load)
-	r.GaugeFunc("mpi_messages_received_total", "Messages received by local ranks.", w.recvMsgs.Load)
-	r.GaugeFunc("mpi_received_bytes_total", "Payload bytes received by local ranks.", w.recvBytes.Load)
-	r.GaugeFunc("mpi_recv_wait_ns_total", "Nanoseconds local ranks spent blocked in Recv.", w.recvWait.Load)
-	wire := func(pick func(transport.WireStats) int64) func() int64 {
-		return func() int64 {
-			var total int64
-			for _, ep := range w.eps {
-				if ep == nil {
-					continue // distributed mode: only the local rank's slot is filled
-				}
-				total += pick(ep.Stats())
-			}
-			return total
-		}
-	}
-	r.GaugeFunc("mpi_wire_sent_bytes_total", "On-the-wire bytes sent, frame headers included.",
-		wire(func(s transport.WireStats) int64 { return s.BytesSent }))
-	r.GaugeFunc("mpi_wire_received_bytes_total", "On-the-wire bytes received, frame headers included.",
-		wire(func(s transport.WireStats) int64 { return s.BytesRecv }))
-	r.GaugeFunc("mpi_wire_frames_sent_total", "Frames sent on the wire.",
-		wire(func(s transport.WireStats) int64 { return s.FramesSent }))
-	r.GaugeFunc("mpi_wire_flushes_total", "Writer flushes (frames/flushes > 1 means coalescing).",
-		wire(func(s transport.WireStats) int64 { return s.Flushes }))
-}
-
 // setTransportDeadline wires the watchdog timeout into endpoints that
 // take a write/handshake deadline (the TCP transport).
 func setTransportDeadline(ep transport.Transport, d time.Duration) {
@@ -351,7 +309,6 @@ func (w *world) run(opts RunOptions, fn func(p *Proc)) (Stats, error) {
 		errMu.Unlock()
 	}
 	w.onStall = opts.OnStall
-	w.registerMetrics(opts.Metrics)
 	var watchStop, watchDone chan struct{}
 	if opts.StallTimeout > 0 {
 		w.watch = true

@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datatype"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -88,9 +87,6 @@ type Config struct {
 	// phase and MPI wait into the collector for Chrome-trace export and
 	// the imbalance summary.
 	Trace *trace.Collector
-	// Metrics, when non-nil, registers the run's live counters (core
-	// collective counters, MPI world tallies) for the metrics plane.
-	Metrics *obs.Registry
 	// OnStall, when set, fires with the watchdog's diagnostic before a
 	// stalled world aborts — the flight recorder's dump hook.
 	OnStall func(diagnostic string)
@@ -324,12 +320,10 @@ func runOver(cfg Config, eps []transport.Transport) (Result, error) {
 	opts := cfg.Options
 	opts.Engine = cfg.Engine
 	opts.Trace = cfg.Trace
-	opts.Metrics = cfg.Metrics
 
 	results := make([]rankResult, cfg.P)
 	comm, err := mpi.RunOver(eps, mpi.RunOptions{
-		StallTimeout: cfg.StallTimeout, Trace: cfg.Trace,
-		Metrics: cfg.Metrics, OnStall: cfg.OnStall,
+		StallTimeout: cfg.StallTimeout, Trace: cfg.Trace, OnStall: cfg.OnStall,
 	}, func(p *mpi.Proc) {
 		results[p.Rank()] = runRankBody(cfg, p, be, sh, opts)
 	})
@@ -369,12 +363,10 @@ func RunRank(cfg Config, ep transport.Transport) (Result, error) {
 	opts := cfg.Options
 	opts.Engine = cfg.Engine
 	opts.Trace = cfg.Trace
-	opts.Metrics = cfg.Metrics
 
 	var rr rankResult
 	comm, err := mpi.RunRank(ep, mpi.RunOptions{
-		StallTimeout: cfg.StallTimeout, Trace: cfg.Trace,
-		Metrics: cfg.Metrics, OnStall: cfg.OnStall,
+		StallTimeout: cfg.StallTimeout, Trace: cfg.Trace, OnStall: cfg.OnStall,
 	}, func(p *mpi.Proc) {
 		rr = runRankBody(cfg, p, cfg.Backend, sh, opts)
 	})

@@ -1,17 +1,13 @@
 package trace
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // HistData is a log-bucketed latency histogram: bucket i counts values
 // v with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i) — one bucket per
 // power of two.  Buckets are fixed, so histograms from different ranks
-// and processes merge by plain addition — the property the world-level
-// collector and the cross-process metric snapshots rely on.  It is a
-// plain value: the tracer keeps one per phase under its own mutex, and
-// Histogram wraps one for concurrent observers.
+// merge by plain addition — the property the world-level collector
+// relies on.  It is a plain value: the tracer keeps one per phase under
+// its own mutex.
 type HistData struct {
 	Counts   [65]int64
 	Count    int64
@@ -27,10 +23,8 @@ func bucketOf(v int64) int {
 	return bits.Len64(uint64(v))
 }
 
-// BucketHi is the largest value of log bucket i — the bucket upper
-// bounds exported for histogram serialization (the obs snapshot and the
-// Prometheus exposition).
-func BucketHi(i int) int64 {
+// bucketHi is the largest value of log bucket i.
+func bucketHi(i int) int64 {
 	if i <= 0 {
 		return 0
 	}
@@ -104,30 +98,8 @@ func (d HistData) Quantile(q float64) int64 {
 	for i, c := range d.Counts {
 		cum += c
 		if cum >= target {
-			return min(BucketHi(i), d.Max)
+			return min(bucketHi(i), d.Max)
 		}
 	}
 	return d.Max
-}
-
-// Histogram is a HistData safe for concurrent use: the live form behind
-// the obs registry's histograms and the session service's queue-wait
-// distribution.
-type Histogram struct {
-	mu sync.Mutex
-	d  HistData
-}
-
-// Add observes one value (negative values count as 0).
-func (h *Histogram) Add(v int64) {
-	h.mu.Lock()
-	h.d.Add(v)
-	h.mu.Unlock()
-}
-
-// Data returns a copy of the histogram's buckets and summary fields.
-func (h *Histogram) Data() HistData {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.d
 }

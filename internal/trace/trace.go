@@ -3,7 +3,8 @@
 // ring buffers, log-bucketed latency histograms mergeable across ranks,
 // and a world-level Collector that exports a Chrome trace-event JSON
 // (loadable in chrome://tracing or Perfetto) plus a per-rank imbalance
-// summary.
+// summary, and a flight recorder (Recorder) that keeps a process's last
+// spans on disk as a post-mortem.
 //
 // The paper's argument is a cost breakdown — where list-based I/O loses
 // time (ol-list build, exchange, traversal) versus where listless I/O

@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -65,12 +64,6 @@ type LaunchOptions struct {
 	Timeout time.Duration
 	// Env, when non-nil, replaces the children's environment.
 	Env []string
-	// Metrics, when non-nil, enables launcher-side metrics aggregation:
-	// every child inherits a pre-bound metrics listener (the launcher
-	// appends the fd flag itself), the launcher scrapes all of them
-	// periodically, and the merged run report lands on Metrics.Report
-	// when the run ends.  See MetricsOptions.
-	Metrics *MetricsOptions
 	// OnServerRestart is invoked just before a crashed server is
 	// restarted (attempt counts from 1) — the hook the flight-recorder
 	// machinery uses to preserve the dead instance's dump before the
@@ -139,32 +132,6 @@ func Launch(opts LaunchOptions) error {
 		opts.ServerStopTimeout = 10 * time.Second
 	}
 
-	mOpts := opts.Metrics
-	var scraper *metricsScraper
-	if mOpts != nil {
-		if mOpts.Interval <= 0 {
-			mOpts.Interval = DefaultScrapeInterval
-		}
-		if mOpts.FlagName == "" {
-			mOpts.FlagName = "-metrics-fd"
-		}
-		if mOpts.PushFlagName == "" {
-			mOpts.PushFlagName = "-metrics-push"
-		}
-		if mOpts.Report == nil {
-			mOpts.Report = opts.Stdout
-		}
-		scraper = newMetricsScraper(mOpts.Interval)
-	}
-	var pushAddr string
-	if scraper != nil {
-		addr, err := scraper.listenPush()
-		if err != nil {
-			return fmt.Errorf("transport: binding metrics collector: %w", err)
-		}
-		pushAddr = addr
-	}
-
 	rendezvous, lf, err := bindInherited()
 	if err != nil {
 		return fmt.Errorf("transport: binding rendezvous: %w", err)
@@ -173,7 +140,6 @@ func Launch(opts LaunchOptions) error {
 
 	serverAddrs := make([]string, opts.Servers)
 	serverLfs := make([]*os.File, opts.Servers)
-	serverMetricsLfs := make([]*os.File, opts.Servers)
 	for s := range serverLfs {
 		addr, slf, err := bindInherited()
 		if err != nil {
@@ -182,18 +148,6 @@ func Launch(opts LaunchOptions) error {
 		serverAddrs[s] = addr
 		serverLfs[s] = slf
 		defer slf.Close()
-		if scraper != nil {
-			// The metrics listener is pool-owned like the service
-			// listener: it survives restarts, so a restarted server
-			// serves metrics at the same address.
-			maddr, mlf, err := bindInherited()
-			if err != nil {
-				return fmt.Errorf("transport: binding server %d metrics listener: %w", s, err)
-			}
-			serverMetricsLfs[s] = mlf
-			defer mlf.Close()
-			scraper.add(fmt.Sprintf("srv%d", s), maddr, mOpts.Announce)
-		}
 	}
 
 	var outMu sync.Mutex
@@ -229,14 +183,7 @@ func Launch(opts LaunchOptions) error {
 			RestartBackoff: opts.ServerRestartBackoff,
 			OnRestart:      opts.OnServerRestart,
 			StartProc: func(idx int, listener *os.File) (*exec.Cmd, error) {
-				args := opts.ServerArgs(idx)
-				extras := []*os.File{listener}
-				if scraper != nil {
-					args = append(args, mOpts.FlagName, strconv.Itoa(RendezvousFD+len(extras)),
-						mOpts.PushFlagName, pushAddr)
-					extras = append(extras, serverMetricsLfs[idx])
-				}
-				return start(fmt.Sprintf("[srv %d] ", idx), args, extras...)
+				return start(fmt.Sprintf("[srv %d] ", idx), opts.ServerArgs(idx), listener)
 			},
 		})
 		if err != nil {
@@ -269,21 +216,7 @@ func Launch(opts LaunchOptions) error {
 		if r == 0 {
 			extras = append(extras, lf)
 		}
-		args := opts.Args(r, rendezvous, serverAddrs)
-		if scraper != nil {
-			maddr, mlf, err := bindInherited()
-			if err != nil {
-				firstErr = fmt.Errorf("transport: binding rank %d metrics listener: %w", r, err)
-				killAll()
-				break
-			}
-			defer mlf.Close()
-			args = append(args, mOpts.FlagName, strconv.Itoa(RendezvousFD+len(extras)),
-				mOpts.PushFlagName, pushAddr)
-			extras = append(extras, mlf)
-			scraper.add(fmt.Sprintf("rank%d", r), maddr, mOpts.Announce)
-		}
-		cmd, err := start(fmt.Sprintf("[rank %d] ", r), args, extras...)
+		cmd, err := start(fmt.Sprintf("[rank %d] ", r), opts.Args(r, rendezvous, serverAddrs), extras...)
 		if err != nil {
 			firstErr = fmt.Errorf("transport: starting rank %d: %w", r, err)
 			killAll()
@@ -292,9 +225,6 @@ func Launch(opts LaunchOptions) error {
 		rankCmds[r] = cmd
 		ranksRunning++
 		go func(r int, c *exec.Cmd) { exits <- childExit{r, c.Wait()} }(r, cmd)
-	}
-	if scraper != nil {
-		scraper.start()
 	}
 
 	var timer <-chan time.Time
@@ -318,15 +248,11 @@ func Launch(opts LaunchOptions) error {
 	var stopTimer <-chan time.Time
 	for ranksRunning > 0 || !srvDone {
 		if ranksRunning == 0 && !stopping {
-			// Every rank is done: take a final scrape of the servers
-			// while they are still up, then ask them to finish.
+			// Every rank is done: ask the servers to finish.
 			stopping = true
 			if firstErr != nil {
 				killAll()
 			} else if pool != nil {
-				if scraper != nil {
-					scraper.scrapeAll()
-				}
 				pool.Stop(true)
 				stopTimer = time.After(opts.ServerStopTimeout)
 			}
@@ -375,12 +301,6 @@ func Launch(opts LaunchOptions) error {
 	}
 	for _, w := range writers {
 		w.flushTail()
-	}
-	if scraper != nil {
-		scraper.close()
-		if merged := scraper.merged(); mOpts.Report != nil && merged.Procs > 0 {
-			fmt.Fprintf(mOpts.Report, "=== merged run metrics ===\n%s", merged.Table())
-		}
 	}
 	return firstErr
 }
