@@ -17,7 +17,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/noncontig"
 	"repro/internal/storage"
-	"repro/internal/tileio"
 )
 
 var engines = []core.Engine{core.ListBased, core.Listless}
@@ -312,30 +311,6 @@ func BenchmarkAblationIONodes(b *testing.B) {
 				Options: core.Options{IONodes: nodes},
 			})
 		})
-	}
-}
-
-// BenchmarkTileIO runs the mpi-tile-io-style 2D kernel: collective write
-// of disjoint tiles plus collective read of overlapping ghosted tiles.
-func BenchmarkTileIO(b *testing.B) {
-	for _, eng := range engines {
-		for _, overlap := range []int64{0, 4} {
-			b.Run(fmt.Sprintf("%s/overlap=%d", eng, overlap), func(b *testing.B) {
-				cfg := tileio.Config{
-					TilesX: 2, TilesY: 2,
-					TileX: 256, TileY: 256, ElemSize: 8,
-					Overlap: overlap, Collective: true, Engine: eng,
-					Reps: 4,
-				}
-				b.SetBytes(2 * cfg.TileX * cfg.TileY * cfg.ElemSize * int64(cfg.Reps))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := tileio.Run(cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -223,17 +223,3 @@ func Run(cfg Config) (Result, error) {
 	}
 	return res, nil
 }
-
-// Filetype builds the fileview datatype of one rank, exposed for
-// inspection tools and tests.
-func Filetype(class Class, p, rank int) (*datatype.Type, error) {
-	cfg := Config{Class: class, P: p}
-	q, err := cfg.Q()
-	if err != nil {
-		return nil, err
-	}
-	if rank < 0 || rank >= p {
-		return nil, fmt.Errorf("btio: rank %d out of range [0,%d)", rank, p)
-	}
-	return newDecomp(class.Grid, q, rank, 0).filetype()
-}

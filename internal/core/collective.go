@@ -53,20 +53,6 @@ func (f *File) ReadAtAll(off int64, count int64, memtype *datatype.Type, buf []b
 	return d, nil
 }
 
-// WriteAll writes collectively at the individual file pointer.
-func (f *File) WriteAll(count int64, memtype *datatype.Type, buf []byte) (int64, error) {
-	n, err := f.WriteAtAll(f.ptr, count, memtype, buf)
-	f.ptr += n / f.v.esize
-	return n, err
-}
-
-// ReadAll reads collectively at the individual file pointer.
-func (f *File) ReadAll(count int64, memtype *datatype.Type, buf []byte) (int64, error) {
-	n, err := f.ReadAtAll(f.ptr, count, memtype, buf)
-	f.ptr += n / f.v.esize
-	return n, err
-}
-
 // transferCollective runs one two-phase collective access.
 func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int64, buf []byte, write bool) error {
 	top := trace.PhaseCollRead

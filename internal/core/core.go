@@ -122,9 +122,6 @@ type Shared struct {
 	b     storage.Backend
 	locks *storage.LockTable
 
-	spMu sync.Mutex
-	sp   int64 // shared file pointer, in etypes
-
 	// epochMu/epochHi track the highest epoch id any handle on this
 	// world has used, so sequentially opened handles never reuse ids
 	// (uncommitted leftovers of a dead handle must not alias a live
@@ -137,9 +134,6 @@ type Shared struct {
 func NewShared(b storage.Backend) *Shared {
 	return &Shared{b: b, locks: storage.NewLockTable()}
 }
-
-// Backend returns the underlying storage backend.
-func (s *Shared) Backend() storage.Backend { return s.b }
 
 // epochMark reports the current epoch high-water mark, the base a newly
 // opened handle allocates its epoch ids above.  Every rank opens handles
@@ -199,8 +193,7 @@ type File struct {
 	epochBase uint64
 	epochSeq  uint64
 
-	ptr    int64 // individual file pointer, in etypes
-	atomic bool  // MPI-IO atomic mode: whole-access locking
+	atomic bool // MPI-IO atomic mode: whole-access locking
 
 	// segs is the offset-list batch of transferDirect, kept across
 	// accesses (empty between them).
@@ -268,7 +261,7 @@ const (
 
 // SetView installs a new fileview collectively: the file appears as the
 // data of filetype tiled from byte displacement disp, addressed in units
-// of etype.  The individual file pointer is reset to zero.
+// of etype.
 func (f *File) SetView(disp int64, etype, filetype *datatype.Type) error {
 	if disp < 0 {
 		return fmt.Errorf("core: negative displacement %d", disp)
@@ -284,7 +277,6 @@ func (f *File) SetView(disp int64, etype, filetype *datatype.Type) error {
 		fsize: filetype.Size(),
 		fext:  filetype.Extent(),
 	}
-	f.ptr = 0
 	f.viewBE, f.viewHandle = nil, 0
 	if vb, ok := storage.AsViewBackend(f.sh.b); ok && !filetype.ContiguousTiled() {
 		// Register the fileview with the backend once per SetView — the
@@ -315,12 +307,6 @@ func (f *File) SetAtomicity(enable bool) {
 // Atomicity reports whether atomic mode is enabled
 // (MPI_File_get_atomicity).
 func (f *File) Atomicity() bool { return f.atomic }
-
-// SeekTo sets the individual file pointer, in etype units.
-func (f *File) SeekTo(offset int64) { f.ptr = offset }
-
-// Tell reports the individual file pointer, in etype units.
-func (f *File) Tell() int64 { return f.ptr }
 
 // checkAccess validates an access and returns the number of data bytes.
 func (f *File) checkAccess(off int64, count int64, memtype *datatype.Type, buf []byte) (int64, error) {

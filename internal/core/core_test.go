@@ -336,30 +336,6 @@ func TestAccessValidation(t *testing.T) {
 	}
 }
 
-func TestSeekTellReadWrite(t *testing.T) {
-	a, b := runBoth(t, 1, Options{}, func(f *File) {
-		data := pattern(0, 64)
-		if _, err := f.Write(64, datatype.Byte, data); err != nil {
-			panic(err)
-		}
-		if f.Tell() != 64 {
-			panic("pointer did not advance")
-		}
-		f.SeekTo(16)
-		got := make([]byte, 32)
-		if _, err := f.Read(32, datatype.Byte, got); err != nil {
-			panic(err)
-		}
-		if f.Tell() != 48 {
-			panic("pointer wrong after read")
-		}
-		if !bytes.Equal(got, data[16:48]) {
-			panic("seek/read mismatch")
-		}
-	})
-	requireEqualFiles(t, a, b)
-}
-
 func TestCollectiveWriteReadPartitioned(t *testing.T) {
 	// The headline scenario: P ranks write the whole file through
 	// interleaved fileviews with one collective call each.
@@ -601,7 +577,7 @@ func TestCollectiveAllIdle(t *testing.T) {
 
 func TestCollectiveMultipleRounds(t *testing.T) {
 	// Several collective writes at increasing offsets (the BTIO pattern:
-	// one write per time step), pointer-based.
+	// one write per time step), each at its step's explicit offset.
 	const P = 4
 	const steps = 5
 	a, b := runBoth(t, P, Options{CollBufSize: 1024}, func(f *File) {
@@ -613,18 +589,14 @@ func TestCollectiveMultipleRounds(t *testing.T) {
 		d := int64(16 * 32)
 		for s := 0; s < steps; s++ {
 			data := pattern(rank+s*17, d)
-			if _, err := f.WriteAll(d, datatype.Byte, data); err != nil {
+			if _, err := f.WriteAtAll(int64(s)*d, d, datatype.Byte, data); err != nil {
 				panic(err)
 			}
 		}
-		if f.Tell() != d*steps {
-			panic("pointer wrong after collective writes")
-		}
-		f.SeekTo(0)
 		for s := 0; s < steps; s++ {
 			want := pattern(rank+s*17, d)
 			got := make([]byte, d)
-			if _, err := f.ReadAll(d, datatype.Byte, got); err != nil {
+			if _, err := f.ReadAtAll(int64(s)*d, d, datatype.Byte, got); err != nil {
 				panic(err)
 			}
 			if !bytes.Equal(got, want) {

@@ -102,7 +102,27 @@ func dwGeoms() []dwGeom {
 		view: func(int) (int64, *datatype.Type) {
 			return 0, mustType(datatype.Resized(hvecBytes(6, 8192, 16384), 0, 6*16384))
 		}})
+	// Ghosted 2-D tiles: a 2x2 grid of 16x12 tiles of 8-byte elements,
+	// each grown by a ring of 6 and clipped at the dataset's edges, so the
+	// subarray views of neighbours share rows and columns and one
+	// collective read delivers the shared bytes to every rank that views
+	// them.  A window holds four 256-byte rows, so every share in it is
+	// runs with gaps between them and the window keeps its buffer.
+	gs = append(gs, dwGeom{name: "ghosted-tiles/P=4", P: 4, d: 22 * 18 * 8, collBuf: 1024, view: ghostedTile(16, 12, 6), mem: datatype.Byte, direct: -1})
 	return gs
+}
+
+// ghostedTile is rank's tile of a 2x2 grid of tx by ty tiles of 8-byte
+// elements in a row-major dataset, grown by ring elements on every side
+// and clipped at the dataset's edges.
+func ghostedTile(tx, ty, ring int64) func(int) (int64, *datatype.Type) {
+	return func(rank int) (int64, *datatype.Type) {
+		x, y := int64(rank%2)*tx, int64(rank/2)*ty
+		x0, y0 := max(x-ring, 0), max(y-ring, 0)
+		x1, y1 := min(x+tx+ring, 2*tx), min(y+ty+ring, 2*ty)
+		elem := mustType(datatype.Contiguous(8, datatype.Byte))
+		return 0, mustType(datatype.Subarray([]int64{2 * ty, 2 * tx}, []int64{y1 - y0, x1 - x0}, []int64{y0, x0}, datatype.OrderC, elem))
+	}
 }
 
 // dwCell is one way to run a geometry.
@@ -111,7 +131,6 @@ type dwCell struct {
 	opts    Options
 	ioNodes int // with the geometry's P: min(ioNodes, P) when nonzero
 	tcp     bool
-	split   bool
 	backend func(t *testing.T) (be storage.Backend, stop func())
 	// buffered: the cell answers "window" whatever the geometry.
 	buffered bool
@@ -129,7 +148,6 @@ func dwCells() []dwCell {
 		{name: "listless/tcp", tcp: true, backend: memBackend},
 		{name: "listless/ionodes=1", ioNodes: 1, backend: memBackend},
 		{name: "listless/ionodes=2", ioNodes: 2, backend: memBackend},
-		{name: "listless/split", split: true, backend: memBackend},
 		{name: "no-view-cache", opts: Options{DisableViewCache: true}, backend: memBackend},
 		{name: "no-merge-check", opts: Options{DisableMergeCheck: true}, backend: memBackend},
 		{name: "no-program", opts: Options{DisableProgram: true}, buffered: true, backend: memBackend},
@@ -241,12 +259,7 @@ func runDirectWindowCell(t *testing.T, g dwGeom, c dwCell) (Stats, int64) {
 		orig := bytes.Clone(buf)
 		before := inst.Stats().Reads
 		p.Barrier()
-		if c.split {
-			_, err = f.WriteAtAllBegin(0, count, g.mem, buf).Wait()
-		} else {
-			_, err = f.WriteAtAll(0, count, g.mem, buf)
-		}
-		if err != nil {
+		if _, err := f.WriteAtAll(0, count, g.mem, buf); err != nil {
 			panic(err)
 		}
 		if !bytes.Equal(buf, orig) || len(f.lent) != 0 || !allNil(f.lent[:cap(f.lent)]) {
@@ -259,12 +272,7 @@ func runDirectWindowCell(t *testing.T, g dwGeom, c dwCell) (Stats, int64) {
 		}
 		p.Barrier()
 		got := bytes.Repeat([]byte{0xEE}, len(buf))
-		if c.split {
-			_, err = f.ReadAtAllBegin(0, count, g.mem, got).Wait()
-		} else {
-			_, err = f.ReadAtAll(0, count, g.mem, got)
-		}
-		if err != nil {
+		if _, err := f.ReadAtAll(0, count, g.mem, got); err != nil {
 			panic(err)
 		}
 		wantBuf := bytes.Repeat([]byte{0xEE}, len(buf))

@@ -46,20 +46,6 @@ func (f *File) ReadAt(off int64, count int64, memtype *datatype.Type, buf []byte
 	return d, nil
 }
 
-// Write writes at the individual file pointer and advances it.
-func (f *File) Write(count int64, memtype *datatype.Type, buf []byte) (int64, error) {
-	n, err := f.WriteAt(f.ptr, count, memtype, buf)
-	f.ptr += n / f.v.esize
-	return n, err
-}
-
-// Read reads at the individual file pointer and advances it.
-func (f *File) Read(count int64, memtype *datatype.Type, buf []byte) (int64, error) {
-	n, err := f.ReadAt(f.ptr, count, memtype, buf)
-	f.ptr += n / f.v.esize
-	return n, err
-}
-
 // memIsContig reports whether the memory data of the access is one
 // contiguous run.
 func memIsContig(memtype *datatype.Type, count int64) bool {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -216,51 +217,60 @@ func TestManySmallIndependentAccesses(t *testing.T) {
 	requireEqualFiles(t, a, b)
 }
 
-func TestTwoGroupsTwoFilesViaSplit(t *testing.T) {
-	// Communicator splitting: each half of the world opens its own file
-	// and runs an independent collective write concurrently.
-	const P = 4
-	backends := [2]*storage.Mem{storage.NewMem(), storage.NewMem()}
-	shared := [2]*Shared{NewShared(backends[0]), NewShared(backends[1])}
-	_, err := mpi.Run(P, func(p *mpi.Proc) {
-		color := p.Rank() / 2
-		sub := p.Split(color, 0)
-		f, err := Open(sub, shared[color], Options{Engine: Listless})
-		if err != nil {
-			panic(err)
+// TestTwoWorldsTwoFiles: two worlds run at once in one process, each
+// with its own Shared over its own Mem, and both draw on the process-wide
+// program cache and buffer pool (Options.Pool nil).  Each file must hold
+// its own world's bytes and nothing of the other's.
+func TestTwoWorldsTwoFiles(t *testing.T) {
+	const P, blocks, blocklen = 2, 16, 8
+	const d = blocks * blocklen
+	for _, eng := range []Engine{Listless, ListBased} {
+		backends := [2]*storage.Mem{storage.NewMem(), storage.NewMem()}
+		errs := make([]error, len(backends))
+		var wg sync.WaitGroup
+		for g := range backends {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				sh := NewShared(backends[g])
+				_, errs[g] = mpi.Run(P, func(p *mpi.Proc) {
+					f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 64})
+					if err != nil {
+						panic(err)
+					}
+					defer f.Close()
+					ft := noncontigTypeP(p.Rank(), P, blocks, blocklen)
+					if err := f.SetView(0, datatype.Byte, ft); err != nil {
+						panic(err)
+					}
+					data := pattern(g*P+p.Rank(), d)
+					if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
+						panic(err)
+					}
+					got := make([]byte, d)
+					if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
+						panic(err)
+					}
+					if !bytes.Equal(got, data) {
+						panic("round trip differs")
+					}
+				})
+			}(g)
 		}
-		defer f.Close()
-		ft := noncontigTypeP(sub.Rank(), sub.Size(), 16, 8)
-		if err := f.SetView(0, datatype.Byte, ft); err != nil {
-			panic(err)
-		}
-		data := pattern(p.Rank(), 128)
-		if _, err := f.WriteAtAll(0, 128, datatype.Byte, data); err != nil {
-			panic(err)
-		}
-		got := make([]byte, 128)
-		if _, err := f.ReadAtAll(0, 128, datatype.Byte, got); err != nil {
-			panic(err)
-		}
-		if !bytes.Equal(got, data) {
-			panic("split-group round trip failed")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < 2; g++ {
-		raw := backends[g].Bytes()
-		if len(raw) != 256 {
-			t.Fatalf("group %d file size %d", g, len(raw))
-		}
-		for r := 0; r < 2; r++ {
-			want := pattern(g*2+r, 128)
-			for blk := 0; blk < 16; blk++ {
-				off := blk*16 + r*8
-				if !bytes.Equal(raw[off:off+8], want[blk*8:blk*8+8]) {
-					t.Fatalf("group %d rank %d block %d wrong", g, r, blk)
+		wg.Wait()
+		for g, be := range backends {
+			if errs[g] != nil {
+				t.Fatalf("%v: world %d: %v", eng, g, errs[g])
+			}
+			want := make([]byte, P*d)
+			for r := 0; r < P; r++ {
+				data := pattern(g*P+r, d)
+				for blk := 0; blk < blocks; blk++ {
+					copy(want[(blk*P+r)*blocklen:], data[blk*blocklen:(blk+1)*blocklen])
 				}
+			}
+			if !bytes.Equal(be.Bytes(), want) {
+				t.Fatalf("%v: world %d's file differs from its oracle", eng, g)
 			}
 		}
 	}

@@ -181,7 +181,6 @@ type diffCase struct {
 	noViewCache bool // DisableViewCache (still fused: the own view is always compiled)
 	noProgram   bool // DisableProgram (staged)
 	atomic      bool // atomic mode
-	split       bool // split collectives (Begin/Wait)
 	independent bool // WriteAt/ReadAt, data sieving
 }
 
@@ -193,7 +192,7 @@ func (c diffCase) String() string {
 	}{
 		{c.ioNodes != 0, fmt.Sprintf("ionodes=%d", c.ioNodes)}, {c.tcp, "tcp"}, {c.tier, "tier"},
 		{c.noViewCache, "no-view-cache"}, {c.noProgram, "no-program"}, {c.atomic, "atomic"},
-		{c.split, "split"}, {c.independent, "independent"},
+		{c.independent, "independent"},
 	} {
 		if f.on {
 			s += "/" + f.name
@@ -272,7 +271,7 @@ func diffOracle(base *datatype.Type, P int, stride, d int64, data [][]byte) []by
 // self share of a collective) with everything that decides how it moves
 // there: world sizes 1 to 4, fewer IOPs than ranks, the three ways to
 // the staged path (list-based engine, DisableProgram, and — fused all the
-// same — DisableViewCache), atomic mode, split collectives, TCP ranks and
+// same — DisableViewCache), atomic mode, TCP ranks and
 // the epoch-committing server tier — first over the random trees, whose
 // short runs gather in window buffers, then over runs of a page and more,
 // whose windows are direct and whose remote shares are lent, in-process
@@ -295,7 +294,7 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 		{engine: Listless, P: 3, ioNodes: 2, noViewCache: true},
 		{engine: Listless, P: 3, ioNodes: 2, noProgram: true},
 		{engine: ListBased, P: 3, ioNodes: 2},
-		{engine: Listless, P: 2, atomic: true}, {engine: Listless, P: 2, split: true},
+		{engine: Listless, P: 2, atomic: true},
 		{engine: Listless, P: 2, tier: true}, {engine: ListBased, P: 2, tier: true},
 		{engine: Listless, P: 1, independent: true}, {engine: Listless, P: 2, independent: true},
 		{engine: Listless, P: 3, independent: true}, {engine: Listless, P: 2, independent: true, atomic: true},
@@ -417,10 +416,6 @@ func diffCell(t *testing.T, label string, c diffCase, base, mt *datatype.Type, c
 			if _, err = f.WriteAt(0, count, mt, buf); err == nil {
 				p.Barrier()
 				_, err = f.ReadAt(0, count, mt, got)
-			}
-		case c.split:
-			if _, err = f.WriteAtAllBegin(0, count, mt, buf).Wait(); err == nil {
-				_, err = f.ReadAtAllBegin(0, count, mt, got).Wait()
 			}
 		default:
 			if _, err = f.WriteAtAll(0, count, mt, buf); err == nil {

@@ -59,20 +59,3 @@ func BenchmarkWalk(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkDarrayConstruct(b *testing.B) {
-	spec := DarraySpec{
-		Size: 16, Rank: 5,
-		Sizes:    []int64{256, 256},
-		Distribs: []Distribution{DistCyclic, DistBlock},
-		DistArgs: []int64{4, DefaultDistArg},
-		ProcDims: []int64{4, 4},
-		Order:    OrderC,
-		Elem:     Double,
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := Darray(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

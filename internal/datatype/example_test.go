@@ -63,26 +63,3 @@ func ExampleEncode() {
 	// encoded bytes: 17
 	// round-trip ok: true
 }
-
-// A block-cyclic distributed array: rank 1's share of 12 elements dealt
-// in chunks of 3 over 2 processes.
-func ExampleDarray() {
-	dt, err := datatype.Darray(datatype.DarraySpec{
-		Size: 2, Rank: 1,
-		Sizes:    []int64{12},
-		Distribs: []datatype.Distribution{datatype.DistCyclic},
-		DistArgs: []int64{3},
-		ProcDims: []int64{2},
-		Order:    datatype.OrderC,
-		Elem:     datatype.Byte,
-	})
-	if err != nil {
-		panic(err)
-	}
-	dt.Walk(func(off, length int64) {
-		fmt.Printf("[%d,%d) ", off, off+length)
-	})
-	fmt.Println()
-	// Output:
-	// [3,6) [9,12)
-}

@@ -173,30 +173,3 @@ func TestRunRankInProcess(t *testing.T) {
 		}
 	}
 }
-
-// TestRunRankSplitPanics: Split needs in-process peers.
-func TestRunRankSplitPanics(t *testing.T) {
-	t.Cleanup(testutil.LeakCheck(t))
-	eps := localTCPWorld(t, 2)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			_, errs[r] = RunRank(eps[r], RunOptions{StallTimeout: 5 * time.Second}, func(p *Proc) {
-				p.Split(0, 0)
-			})
-		}(r)
-	}
-	wg.Wait()
-	var found bool
-	for _, err := range errs {
-		if err != nil && strings.Contains(err.Error(), "Split is not supported") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("errs = %v, want a Split panic", errs)
-	}
-}

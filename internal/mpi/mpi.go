@@ -65,14 +65,14 @@ type errAborted struct{}
 func (errAborted) Error() string { return "mpi: world aborted" }
 
 // world is the shared state of one run: the transport endpoints plus
-// the accounting, barrier, split, and watchdog machinery.
+// the accounting, barrier, and watchdog machinery.
 type world struct {
 	size int
 	// wired marks a non-loopback fabric: barriers go over messages and
 	// shutdown runs the flush/quiesce protocol.
 	wired bool
 	// dist marks one-rank-per-OS-process operation: only ranks[0] is
-	// local, Split is unavailable, and the rank finalizes its endpoint.
+	// local, and the rank finalizes its endpoint.
 	dist bool
 	// eps holds the endpoints by rank; in dist mode only the local
 	// rank's entry is non-nil.
@@ -97,10 +97,6 @@ type world struct {
 	// includes each rank's last span begun in its diagnostic.
 	traceC *trace.Collector
 
-	splitMu  sync.Mutex
-	splitGen []int // per-rank Split-call counter
-	splits   map[string]*splitEntry
-
 	// onStall, when set, fires with the diagnostic before a watchdog
 	// abort (RunOptions.OnStall).
 	onStall func(string)
@@ -119,10 +115,8 @@ func newWorld(eps []transport.Transport, wired bool, traceC *trace.Collector) *w
 	n := len(eps)
 	w := &world{
 		size: n, wired: wired, eps: eps,
-		ranks:    make([]int, n),
-		traceC:   traceC,
-		splitGen: make([]int, n),
-		splits:   make(map[string]*splitEntry),
+		ranks:  make([]int, n),
+		traceC: traceC,
 	}
 	for i := range w.ranks {
 		w.ranks[i] = i
@@ -204,11 +198,10 @@ type RunOptions struct {
 	// with no message or barrier progress for the whole duration, and
 	// makes Run return ErrStalled with a per-rank diagnostic — which
 	// ranks are blocked, and on which Recv source/tag — instead of
-	// hanging forever.  The watchdog observes only this world: a rank
-	// blocked inside a Split sub-world appears as running.  Over a
-	// network transport the timeout also becomes the endpoint's write
-	// and handshake deadline, and bytes crossing the wire count as
-	// progress so a slow large transfer is not mistaken for a stall.
+	// hanging forever.  Over a network transport the timeout also
+	// becomes the endpoint's write and handshake deadline, and bytes
+	// crossing the wire count as progress so a slow large transfer is
+	// not mistaken for a stall.
 	StallTimeout time.Duration
 	// Trace, when non-nil, attaches each rank's tracer: Recv and
 	// Barrier record wait spans, Send records message instants, and
@@ -264,8 +257,7 @@ func RunOver(eps []transport.Transport, opts RunOptions, fn func(p *Proc)) (Stat
 // transport.NewTCP, launched by transport.Launch).  RunRank dials the
 // fabric, runs fn, and finalizes the endpoint with the shutdown
 // protocol (flush → quiesce → finalize barrier → flush → close) so
-// every peer's in-flight bytes land before the links drop.  Split is
-// not available in this mode.
+// every peer's in-flight bytes land before the links drop.
 func RunRank(ep transport.Transport, opts RunOptions, fn func(p *Proc)) (Stats, error) {
 	rank, size := ep.Rank(), ep.Size()
 	if size <= 0 || rank < 0 || rank >= size {
@@ -727,60 +719,4 @@ func (p *Proc) msgBarrier(tag int) {
 	if _, err := p.ep.Recv(0, tag); err != nil {
 		p.transportFail(err)
 	}
-}
-
-// splitWorlds registers the sub-worlds of Split calls so that all
-// members of a color share one world object.
-type splitEntry struct {
-	w     *world
-	taken int
-}
-
-// Split partitions the world collectively (like MPI_Comm_split): every
-// rank passes a color and a key; ranks with equal color form a new
-// world, ranked by (key, old rank).  The returned Proc addresses only
-// the new world; the original Proc stays valid for the old one.  Every
-// rank of the world must call Split the same number of times.
-//
-// Sub-worlds always communicate in-process (their members are
-// goroutines of this process), so Split is unavailable in distributed
-// mode, where the world's other ranks live in other OS processes.
-func (p *Proc) Split(color, key int) *Proc {
-	if p.w.dist {
-		panic("mpi: Split is not supported in distributed (one rank per process) mode")
-	}
-	// Gather (color, key) from everyone via the parent world.
-	pairs := p.AllgatherInt64s([]int64{int64(color), int64(key)})
-
-	// Compute my rank within my color group: order by (key, old rank).
-	var size, newRank int
-	for r, kv := range pairs {
-		if int(kv[0]) != color {
-			continue
-		}
-		size++
-		if kv[1] < int64(key) || (kv[1] == int64(key) && r < p.rank) {
-			newRank++
-		}
-	}
-
-	// Get or create the shared sub-world for this (generation, color).
-	w := p.w
-	w.splitMu.Lock()
-	gen := w.splitGen[p.rank]
-	w.splitGen[p.rank]++
-	keyStr := fmt.Sprintf("%d/%d", gen, color)
-	ent := w.splits[keyStr]
-	if ent == nil {
-		ent = &splitEntry{w: newWorld(transport.NewLoopback(size), false, nil)}
-		w.splits[keyStr] = ent
-	}
-	ent.taken++
-	if ent.taken == size {
-		delete(w.splits, keyStr) // all members joined; free the slot
-	}
-	sub := ent.w
-	w.splitMu.Unlock()
-
-	return &Proc{rank: newRank, widx: newRank, w: sub, ep: sub.eps[newRank]}
 }

@@ -393,69 +393,3 @@ func TestSendInvalidRankPanics(t *testing.T) {
 		t.Fatal("send to invalid rank must abort")
 	}
 }
-
-func TestSplitFormsGroups(t *testing.T) {
-	const P = 6
-	_, err := Run(P, func(p *Proc) {
-		color := p.Rank() % 2
-		sub := p.Split(color, p.Rank())
-		if sub.Size() != 3 {
-			t.Errorf("rank %d: sub size = %d", p.Rank(), sub.Size())
-			return
-		}
-		if want := p.Rank() / 2; sub.Rank() != want {
-			t.Errorf("rank %d: sub rank = %d, want %d", p.Rank(), sub.Rank(), want)
-			return
-		}
-		// The sub-world is fully functional: collectives stay inside it.
-		sum := sub.AllreduceInt64(int64(p.Rank()), OpSum)
-		want := int64(0 + 2 + 4)
-		if color == 1 {
-			want = 1 + 3 + 5
-		}
-		if sum != want {
-			t.Errorf("rank %d: group sum = %d, want %d", p.Rank(), sum, want)
-		}
-		sub.Barrier()
-		// Parent world still works after the split.
-		if got := p.AllreduceInt64(1, OpSum); got != P {
-			t.Errorf("rank %d: parent sum = %d", p.Rank(), got)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitKeyOrdersRanks(t *testing.T) {
-	const P = 4
-	_, err := Run(P, func(p *Proc) {
-		// Reverse the ordering via descending keys.
-		sub := p.Split(0, P-p.Rank())
-		if want := P - 1 - p.Rank(); sub.Rank() != want {
-			t.Errorf("rank %d: sub rank = %d, want %d", p.Rank(), sub.Rank(), want)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitRepeatedCalls(t *testing.T) {
-	_, err := Run(4, func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			sub := p.Split(p.Rank()/2, 0)
-			if sub.Size() != 2 {
-				t.Errorf("iteration %d: size %d", i, sub.Size())
-				return
-			}
-			if got := sub.AllreduceInt64(1, OpSum); got != 2 {
-				t.Errorf("iteration %d: sum %d", i, got)
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
