@@ -40,7 +40,6 @@ type flags struct {
 	sieveBuf       int
 	collBuf        int
 	ioNodes        int
-	noProgram      bool
 	file           string
 	readBW         int64
 	writeBW        int64
@@ -102,7 +101,6 @@ func newFlags() *flags {
 	f.IntVar(&f.sieveBuf, f.def("sievebuf", toRanks), 0, "data-sieving buffer bytes (0 = default)")
 	f.IntVar(&f.collBuf, f.def("collbuf", toRanks), 0, "collective buffer bytes (0 = default)")
 	f.IntVar(&f.ioNodes, f.def("ionodes", toRanks), 0, "number of I/O processes (0 = all)")
-	f.BoolVar(&f.noProgram, f.def("no-program", toRanks), false, "disable compiled datatype copy programs: pack and position through the recursive walk on every window (the ablation baseline)")
 	f.StringVar(&f.file, f.def("file", both), "", "back the run with this file instead of memory (with -net launch -servers: per-server stripe files <file>.srvN)")
 	f.Int64Var(&f.readBW, f.def("read-bw", toRanks), 0, "throttle: backend read bandwidth in bytes/s")
 	f.Int64Var(&f.writeBW, f.def("write-bw", toRanks), 0, "throttle: backend write bandwidth in bytes/s")

@@ -206,10 +206,9 @@ func main() {
 		Tiles:      f.tiles,
 		Backend:    backend,
 		Options: core.Options{
-			SieveBufSize:   f.sieveBuf,
-			CollBufSize:    f.collBuf,
-			IONodes:        f.ioNodes,
-			DisableProgram: f.noProgram,
+			SieveBufSize: f.sieveBuf,
+			CollBufSize:  f.collBuf,
+			IONodes:      f.ioNodes,
 		},
 		Trace:        collector,
 		StallTimeout: stallTimeout,

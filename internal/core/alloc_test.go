@@ -32,15 +32,16 @@ const (
 	allocBlocklen = 64   // holey vector: 50% density, pre-reads happen
 )
 
-// allocView installs the holey fileview: every other allocBlocklen-byte
+// allocFiletype is the holey fileview: every other allocBlocklen-byte
 // block, so a write window is never fully covered and the pipelined
 // loop exercises its pre-read path too.
+func allocFiletype(blocks int64) *datatype.Type {
+	return mustType(datatype.Hvector(blocks, allocBlocklen, 2*allocBlocklen, datatype.Byte))
+}
+
+// allocView installs allocFiletype.
 func allocView(f *File, blocks int64) error {
-	vec, err := datatype.Hvector(blocks, allocBlocklen, 2*allocBlocklen, datatype.Byte)
-	if err != nil {
-		return err
-	}
-	return f.SetView(0, datatype.Byte, vec)
+	return f.SetView(0, datatype.Byte, allocFiletype(blocks))
 }
 
 // holeyDouble is the non-contiguous memory layout of this suite: 8 data
@@ -76,10 +77,10 @@ func measureCollective(t *testing.T, f *File, buf []byte, d int64, mt *datatype.
 // collective.  The rank is the IOP of all of its own data.  The listless
 // engine moves that share between user buffer and window itself — through
 // contiguous memory (holey=false) by the fileview's program alone, through
-// holeyDouble fused with the memtype's — and no chunk exists; staged
-// (DisableProgram: the walk, no program to run against the user buffer)
-// it packs the share into a pooled chunk and sends it to the rank's own
-// mailbox, window by window.
+// holeyDouble fused with the memtype's — and no chunk exists; staged (a
+// fileview that declines compilation: the walk, no program to run against
+// the user buffer) it packs the share into a pooled chunk and sends it to
+// the rank's own mailbox, window by window.
 func testWindowAllocFree(t *testing.T, engine Engine, write, holey, staged bool, wantPerWindow float64) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -95,15 +96,19 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, holey, staged bool,
 	const dLarge = int64(16 * allocWinSize / 2) // 16 windows
 	const winSmall, winLarge = 4, 16
 
+	ft := allocFiletype(dLarge / allocBlocklen)
+	if staged {
+		ft = declinedType(t, ft)
+	}
 	bp := pool.New()
 	_, err := mpi.Run(1, func(p *mpi.Proc) {
 		sh := NewShared(storage.NewMem())
-		f, err := Open(p, sh, Options{Engine: engine, CollBufSize: allocWinSize, Pool: bp, DisableProgram: staged})
+		f, err := Open(p, sh, Options{Engine: engine, CollBufSize: allocWinSize, Pool: bp})
 		if err != nil {
 			panic(err)
 		}
 		defer f.Close()
-		if err := allocView(f, dLarge/allocBlocklen); err != nil {
+		if err := f.SetView(0, datatype.Byte, ft); err != nil {
 			panic(err)
 		}
 		mt, buf := datatype.Byte, make([]byte, 2*dLarge)
@@ -265,18 +270,21 @@ func TestListlessDirectWindowZeroAlloc(t *testing.T) {
 }
 
 // TestIndependentFusedDrawsNoPackBuffer: an independent nc-nc access
-// sieves through one pooled window; staged, it borrows a pack buffer
-// beside it, and fused — both programs live — it must not.
+// sieves through one pooled window; staged — by the list-based engine,
+// or through a fileview that declines compilation — it borrows a pack
+// buffer beside it, and fused — both programs live — it must not.
 func TestIndependentFusedDrawsNoPackBuffer(t *testing.T) {
 	const d = int64(8 * allocWinSize / 2)
+	ft := allocFiletype(d / allocBlocklen)
 	for _, c := range []struct {
 		name string
 		opts Options
+		ft   *datatype.Type
 		gets int64
 	}{
-		{"fused", Options{}, 1},
-		{"no-program", Options{DisableProgram: true}, 2},
-		{"list-based", Options{Engine: ListBased}, 2},
+		{"fused", Options{}, ft, 1},
+		{"declined", Options{}, declinedType(t, ft), 2},
+		{"list-based", Options{Engine: ListBased}, ft, 2},
 	} {
 		bp := pool.New()
 		c.opts.Pool, c.opts.SieveBufSize = bp, allocWinSize
@@ -286,7 +294,7 @@ func TestIndependentFusedDrawsNoPackBuffer(t *testing.T) {
 				panic(err)
 			}
 			defer f.Close()
-			if err := allocView(f, d/allocBlocklen); err != nil {
+			if err := f.SetView(0, datatype.Byte, c.ft); err != nil {
 				panic(err)
 			}
 			mt, buf := holeyDouble(), make([]byte, 2*d)
@@ -324,11 +332,12 @@ func TestDirectPathFusedDrawsNoPackBuffer(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		opts Options
+		ft   *datatype.Type
 		gets int64
 	}{
-		{"fused", Options{}, 0},
-		{"no-program", Options{DisableProgram: true}, 1},
-		{"list-based", Options{Engine: ListBased}, 1},
+		{"fused", Options{}, sparse, 0},
+		{"declined", Options{}, declinedType(t, sparse), 1},
+		{"list-based", Options{Engine: ListBased}, sparse, 1},
 	} {
 		bp := pool.New()
 		c.opts.Pool, c.opts.SieveDensity = bp, 0.25
@@ -338,7 +347,7 @@ func TestDirectPathFusedDrawsNoPackBuffer(t *testing.T) {
 				panic(err)
 			}
 			defer f.Close()
-			if err := f.SetView(0, datatype.Byte, sparse); err != nil {
+			if err := f.SetView(0, datatype.Byte, c.ft); err != nil {
 				panic(err)
 			}
 			mt, buf := holeyDouble(), pattern(3, 16*runs)
@@ -509,20 +518,24 @@ func TestCollectiveAllocIndependentOfMemtypeEncoding(t *testing.T) {
 // TestDecodedViewCollectedWithItsDerivedData: a decoded remote fileview
 // that has been navigated, walked and given a program is referenced by
 // nothing but the engine's view table, so the SetView that replaces the
-// table frees the type and, with it, everything derived from it.  With
-// programs disabled the window copies walk the tree, which is the other
-// user of the per-node index.
+// table frees the type and, with it, everything derived from it.  A
+// fileview that declines compilation is remembered as declined, and its
+// window copies walk the tree, which is the other user of the per-node
+// index.
 func TestDecodedViewCollectedWithItsDerivedData(t *testing.T) {
-	for _, noProgram := range []bool{false, true} {
+	for _, declined := range []bool{false, true} {
+		ft := byteBlocks(257, 24)
+		if declined {
+			ft = declinedType(t, ft)
+		}
 		collected := make(chan struct{})
 		_, err := mpi.Run(1, func(p *mpi.Proc) {
 			f, err := Open(p, NewShared(storage.NewMem()),
-				Options{Engine: Listless, CollBufSize: allocWinSize, DisableProgram: noProgram})
+				Options{Engine: Listless, CollBufSize: allocWinSize})
 			if err != nil {
 				panic(err)
 			}
 			defer f.Close()
-			ft := byteBlocks(257, 24)
 			if err := f.SetView(0, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
@@ -532,7 +545,7 @@ func TestDecodedViewCollectedWithItsDerivedData(t *testing.T) {
 			}
 			decoded := f.eng.(*listlessEngine).remote[0].ftype
 			dd := decoded.Derived()
-			if decoded == ft || dd.Nav.Load() == nil || (dd.Prog.Load() == nil) != noProgram {
+			if e, ok := dd.Prog.Load().(*progEntry); decoded == ft || dd.Nav.Load() == nil || !ok || (e.prog == nil) != declined {
 				panic("the decoded view was not navigated and compiled; the test would prove nothing")
 			}
 			runtime.SetFinalizer(decoded, func(*datatype.Type) { close(collected) })
@@ -548,7 +561,7 @@ func TestDecodedViewCollectedWithItsDerivedData(t *testing.T) {
 				case <-time.After(10 * time.Millisecond):
 				}
 			}
-			t.Errorf("DisableProgram=%v: decoded fileview still reachable after the SetView that dropped it", noProgram)
+			t.Errorf("declined=%v: decoded fileview still reachable after the SetView that dropped it", declined)
 		})
 		if err != nil {
 			t.Fatal(err)

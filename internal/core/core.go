@@ -83,12 +83,6 @@ type Options struct {
 	// source — tests install a pool.NewChecked() here to catch
 	// double-put and use-after-put.
 	Pool *pool.Pool
-	// DisableProgram makes every pack/unpack hot path use the recursive
-	// flattening-on-the-fly walk (or, on the list-based engine, the
-	// per-tuple list scan) instead of the compiled flat copy program
-	// (ablation of datatype compilation; programs and the walk are
-	// byte-identical by the differential test layer).
-	DisableProgram bool
 	// SieveDensity is the paper's §5 outlook item, "the decision on the
 	// trade-off between data sieving and multiple file accesses":
 	// independent non-contiguous accesses whose useful-data fraction in

@@ -22,10 +22,11 @@ import (
 // Direct windows: collective windows whose every share is runs of about a
 // page or more move chunk ↔ backend by one vectored call, without the
 // window buffer.  The matrix below holds them — and the buffered windows
-// the same geometries take under the list-based engine, DisableProgram or
-// one dense share — to a flat oracle computed from the datatypes' Walk
-// alone, over a file that already holds a background: a direct window
-// writes the bytes of the views and no others.
+// the same geometries take under the list-based engine, through fileviews
+// that decline compilation, or with one dense share — to a flat oracle
+// computed from the datatypes' Walk alone, over a file that already holds
+// a background: a direct window writes the bytes of the views and no
+// others.
 
 // dwGeom is one access geometry: per-rank fileview and memory layout,
 // every rank moving d data bytes, through windows of collBuf bytes.
@@ -56,6 +57,17 @@ func stridedView(P int, n, run, pitch int64) func(int) (int64, *datatype.Type) {
 		vec := mustType(datatype.Hvector(n, run, int64(P)*pitch, datatype.Byte))
 		return int64(rank) * pitch, mustType(datatype.Resized(vec, 0, n*int64(P)*pitch))
 	}
+}
+
+// declinedViews is view with every rank's fileview extended by
+// declinedType, so that no view compiles.
+func declinedViews(t *testing.T, P int, view func(int) (int64, *datatype.Type)) func(int) (int64, *datatype.Type) {
+	disps, fts := make([]int64, P), make([]*datatype.Type, P)
+	for rank := range fts {
+		disp, ft := view(rank)
+		disps[rank], fts[rank] = disp, declinedType(t, ft)
+	}
+	return func(rank int) (int64, *datatype.Type) { return disps[rank], fts[rank] }
 }
 
 func hvecBytes(n, run, pitch int64) *datatype.Type {
@@ -138,6 +150,9 @@ type dwCell struct {
 	// used bare — storage.Instrumented does not forward the capability —
 	// and the backend reads of the write are not counted.
 	epochs bool
+	// declined: every fileview is extended by declinedType, so that no
+	// rank's view compiles and every window copy walks the tree.
+	declined bool
 }
 
 func memBackend(*testing.T) (storage.Backend, func()) { return storage.NewMem(), func() {} }
@@ -150,7 +165,7 @@ func dwCells() []dwCell {
 		{name: "listless/ionodes=2", ioNodes: 2, backend: memBackend},
 		{name: "no-view-cache", opts: Options{DisableViewCache: true}, backend: memBackend},
 		{name: "no-merge-check", opts: Options{DisableMergeCheck: true}, backend: memBackend},
-		{name: "no-program", opts: Options{DisableProgram: true}, buffered: true, backend: memBackend},
+		{name: "declined", declined: true, buffered: true, backend: memBackend},
 		{name: "list-based", opts: Options{Engine: ListBased}, buffered: true, backend: memBackend},
 		{name: "listless/throttled", backend: func(*testing.T) (storage.Backend, func()) {
 			return storage.NewThrottled(storage.NewMem(), 1<<30, 1<<30, 50*time.Microsecond), func() {}
@@ -211,6 +226,9 @@ func dwOracle(g dwGeom, data [][]byte) (file []byte, reads [][]byte) {
 // the backend reads counted during the collective write.
 func runDirectWindowCell(t *testing.T, g dwGeom, c dwCell) (Stats, int64) {
 	t.Helper()
+	if c.declined {
+		g.view = declinedViews(t, g.P, g.view)
+	}
 	count := g.d / g.mem.Size()
 	if count*g.mem.Size() != g.d {
 		t.Fatalf("%s: d = %d is no whole number of %d-byte memtype instances", g.name, g.d, g.mem.Size())

@@ -218,46 +218,20 @@ type iopWindow interface {
 // as ROMIO does for non-contiguous memtypes; contiguous memory
 // (including a basic type with a large count) collapses to one segment
 // spanning the whole access, as in ROMIO's contiguous shortcut.  The
-// listless engine needs only the type and count.
+// listless engine keeps the type's compiled program instead.
 type memState struct {
 	t     *datatype.Type
 	count int64
 	list  flatten.List // list-based only
 	ext   int64        // tiling extent matching list/count (list-based)
 
-	// prog, when non-nil, replaces the per-window tree walk (or list
-	// scan) of packUser/unpackUser with the compiled copy program; cur
-	// resumes it across the access's ascending windows.  Both engines
-	// share this memory-side fast path — the ablation and the compile
-	// guards fall back by leaving prog nil.
+	// prog is the compiled memtype (listless only): nil when the type is
+	// contiguous or declines compilation, and then the fused copies, typed
+	// loans and lent slices that need it are not taken.  cur executes it,
+	// or walks the type where it is nil, across the access's ascending
+	// windows.
 	prog *fotf.Program
 	cur  fotf.Cursor
-}
-
-// setProgram installs the compiled memtype program (which may be nil)
-// and rewinds the execution cursor.
-func (ms *memState) setProgram(p *fotf.Program) {
-	ms.prog = p
-	ms.cur.Reset(p)
-}
-
-// packProg moves min(n, count*size-skip) bytes at data offset skip
-// between the contiguous buffer dst and the memtype-described buffer
-// buf through the compiled program — the same clamp PackCount and the
-// list scan apply.  It reports false when no program is live and the
-// caller must fall back.
-func (ms *memState) packProg(dst, buf []byte, skip, n int64, pack bool) bool {
-	if ms.prog == nil {
-		return false
-	}
-	if limit := ms.count*ms.prog.Size() - skip; n > limit {
-		n = limit
-	}
-	if n <= 0 {
-		return true
-	}
-	ms.cur.CopyRange(dst[:n], buf, skip, skip+n, 0, pack)
-	return true
 }
 
 // newEngine constructs the engine the handle's options select.  This is

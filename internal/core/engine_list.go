@@ -61,16 +61,10 @@ func (e *listEngine) dataInRange(lo, hi int64) int64 {
 	return n
 }
 
+// newMemState flattens the memtype, as ROMIO does: the baseline copies
+// user data tuple by tuple on both sides of the access.
 func (e *listEngine) newMemState(memtype *datatype.Type, count int64) *memState {
 	ms := &memState{t: memtype, count: count}
-	// The memory side is local to the process, so even the list-based
-	// engine may use a compiled memtype program — the file side keeps
-	// its ol-list character.  The ablation (DisableProgram) restores
-	// the pure ROMIO flatten below.
-	if p := e.f.lookupProgram(nil, memtype); p != nil {
-		ms.setProgram(p)
-		return ms
-	}
 	if memtype.ContiguousTiled() {
 		total := count * memtype.Size()
 		ms.list = flatten.List{{Off: memtype.TrueLB(), Len: total}}
@@ -85,16 +79,10 @@ func (e *listEngine) newMemState(memtype *datatype.Type, count int64) *memState 
 }
 
 func (e *listEngine) packUser(dst, buf []byte, mem *memState, skip, n int64) {
-	if mem.packProg(dst, buf, skip, n, true) {
-		return
-	}
 	flatten.PackList(dst[:n], buf, mem.list, mem.ext, mem.count, skip, n)
 }
 
 func (e *listEngine) unpackUser(buf, src []byte, mem *memState, skip, n int64) {
-	if mem.packProg(src, buf, skip, n, false) {
-		return
-	}
 	flatten.UnpackList(buf, src[:n], mem.list, mem.ext, mem.count, skip, n)
 }
 

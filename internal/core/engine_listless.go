@@ -192,7 +192,7 @@ func (e *listlessEngine) exchangeViews() {
 		e.remote[r] = decodeView(r, part)
 		rv := &e.remote[r]
 		rv.prog = f.lookupProgram(part[8:], rv.ftype)
-		rv.cur.Reset(rv.prog)
+		rv.cur.Reset(rv.ftype, rv.prog)
 	}
 }
 
@@ -367,8 +367,8 @@ func (e *listlessEngine) dataInRange(lo, hi int64) int64 {
 }
 
 func (e *listlessEngine) newMemState(memtype *datatype.Type, count int64) *memState {
-	ms := &memState{t: memtype, count: count}
-	ms.setProgram(e.f.lookupProgram(nil, memtype))
+	ms := &memState{t: memtype, count: count, prog: e.f.lookupProgram(nil, memtype)}
+	ms.cur.Reset(memtype, ms.prog)
 	return ms
 }
 
@@ -382,8 +382,7 @@ func (e *listlessEngine) newMemState(memtype *datatype.Type, count int64) *memSt
 // offset: IOPs fill the buffer from several goroutines at once, in no
 // order, where an unpack from chunks runs in data order and leaves the
 // later of two bytes that share an offset.  Nothing else selects the
-// fused path; the ablation and declined compiles fall back by leaving a
-// program nil.
+// fused path; a declined compile falls back by leaving a program nil.
 func (e *listlessEngine) fuses(acc *collAccess) bool {
 	mem := acc.mem
 	switch {
@@ -396,23 +395,18 @@ func (e *listlessEngine) fuses(acc *collAccess) bool {
 }
 
 func (e *listlessEngine) packUser(dst, buf []byte, mem *memState, skip, n int64) {
-	if mem.packProg(dst, buf, skip, n, true) {
-		return
-	}
-	fotf.PackCount(dst[:n], buf, mem.count, mem.t, skip)
+	mem.cur.CopyRange(dst[:n], buf, skip, skip+n, 0, true)
 }
 
 func (e *listlessEngine) unpackUser(buf, src []byte, mem *memState, skip, n int64) {
-	if mem.packProg(src, buf, skip, n, false) {
-		return
-	}
-	fotf.UnpackCount(buf, src[:n], mem.count, mem.t, skip)
+	mem.cur.CopyRange(src[:n], buf, skip, skip+n, 0, false)
 }
 
 // listlessViewCursor tracks only a data offset: positioning and
 // counting are O(depth) navigation calls, independent of block count.
-// With a compiled program live, cur resumes the window sequence through
-// the flat group array instead of re-walking the tree per window.
+// cur moves the bytes: it resumes the window sequence through the flat
+// group array of the compiled fileview, or walks the tree where the
+// view declined compilation.
 type listlessViewCursor struct {
 	e   *listlessEngine
 	pos int64 // view-data offset
@@ -421,7 +415,7 @@ type listlessViewCursor struct {
 
 func (e *listlessEngine) seekData(d0 int64) viewCursor {
 	vc := &listlessViewCursor{e: e, pos: d0}
-	vc.cur.Reset(e.prog)
+	vc.cur.Reset(e.f.v.ftype, e.prog)
 	return vc
 }
 
@@ -434,12 +428,7 @@ func (vc *listlessViewCursor) countUpTo(fileHi int64) int64 {
 // addressed as a typed buffer whose origin lies winLo-disp bytes before
 // the window start.
 func (vc *listlessViewCursor) copyWindow(cb, w []byte, c, winLo int64, write bool) {
-	v := &vc.e.f.v
-	if vc.cur.Program() != nil {
-		vc.cur.CopyRange(cb, w, vc.pos, vc.pos+c, winLo-v.disp, !write)
-	} else {
-		fotf.CopyRange(cb, w, v.ftype, vc.pos, vc.pos+c, winLo-v.disp, !write)
-	}
+	vc.cur.CopyRange(cb, w, vc.pos, vc.pos+c, winLo-vc.e.f.v.disp, !write)
 	vc.pos += c
 }
 
@@ -461,19 +450,12 @@ func (vc *listlessViewCursor) copyUser(w []byte, c, winLo int64, buf []byte, mem
 }
 
 func (vc *listlessViewCursor) eachRun(c int64, emit func(fileOff, dataOff, ln int64)) {
-	v := &vc.e.f.v
-	each := func(bufOff, dataOff, runLen, stride, n int64) {
+	disp := vc.e.f.v.disp
+	vc.cur.Runs(vc.pos, vc.pos+c, func(bufOff, dataOff, runLen, stride, n int64) {
 		for i := int64(0); i < n; i++ {
-			emit(v.disp+bufOff+i*stride, dataOff+i*runLen, runLen)
+			emit(disp+bufOff+i*stride, dataOff+i*runLen, runLen)
 		}
-	}
-	if p := vc.cur.Program(); p != nil {
-		// The program's coalesced groups emit fewer, longer contiguous
-		// runs than the tree walk — same bytes, better sieve batching.
-		p.Runs(vc.pos, vc.pos+c, each)
-	} else {
-		fotf.Runs(v.ftype, vc.pos, vc.pos+c, each)
-	}
+	})
 	vc.pos += c
 }
 
@@ -762,18 +744,10 @@ func (w *listlessIOPWindow) chunkSegs(segs []storage.Segment, r int, chunk []byt
 
 func (w *listlessIOPWindow) copyIn(buf []byte, r int, chunk []byte) {
 	rv := &w.s.e.remote[r]
-	if rv.cur.Program() != nil {
-		rv.cur.CopyRange(chunk, buf, w.apA[r], w.apB[r], w.winLo-rv.disp, false)
-		return
-	}
-	fotf.CopyRange(chunk, buf, rv.ftype, w.apA[r], w.apB[r], w.winLo-rv.disp, false)
+	rv.cur.CopyRange(chunk, buf, w.apA[r], w.apB[r], w.winLo-rv.disp, false)
 }
 
 func (w *listlessIOPWindow) copyOut(buf []byte, r int, chunk []byte) {
 	rv := &w.s.e.remote[r]
-	if rv.cur.Program() != nil {
-		rv.cur.CopyRange(chunk, buf, w.apA[r], w.apB[r], w.winLo-rv.disp, true)
-		return
-	}
-	fotf.CopyRange(chunk, buf, rv.ftype, w.apA[r], w.apB[r], w.winLo-rv.disp, true)
+	rv.cur.CopyRange(chunk, buf, w.apA[r], w.apB[r], w.winLo-rv.disp, true)
 }

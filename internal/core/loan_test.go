@@ -30,8 +30,8 @@ import (
 // sent and taken, and a second collective, from fresh buffers, does not
 // meet a stale one: both writes leave the oracle's file, both reads fill
 // the oracle's bytes, and the world ends balanced with the loans counted.
-// A layout with no compiled memtype (DisableProgram) exchanges the same
-// loans as pack loans and sends its shares as chunks.
+// Fileviews that decline compilation exchange the same loans as pack
+// loans and send their shares as chunks.
 func TestLoanSpansAViewGap(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	const P, L = 3, 6000
@@ -48,12 +48,14 @@ func TestLoanSpansAViewGap(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		mem  *datatype.Type
-		opts Options
+		view func(int) (int64, *datatype.Type)
 	}{
-		{"contiguous", datatype.Byte, Options{}},
-		{"holey", holeyDouble(), Options{}},
-		{"no-program", holeyDouble(), Options{DisableProgram: true}},
+		{"contiguous", datatype.Byte, g.view},
+		{"holey", holeyDouble(), g.view},
+		{"declined", holeyDouble(), declinedViews(t, P, g.view)},
 	} {
+		g := g
+		g.view = c.view
 		count := g.d / c.mem.Size()
 		bufLen := (count-1)*c.mem.Extent() + c.mem.TrueUB()
 		data := [2][][]byte{}
@@ -71,8 +73,7 @@ func TestLoanSpansAViewGap(t *testing.T) {
 			t.Fatal(err)
 		}
 		sh := NewShared(be)
-		opts := c.opts
-		opts.CollBufSize, opts.Pool = g.collBuf, pool.NewChecked()
+		opts := Options{CollBufSize: g.collBuf, Pool: pool.NewChecked()}
 		comm, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
 			f, err := Open(p, sh, opts)
 			if err != nil {

@@ -93,11 +93,11 @@ func (pc *programCache) lookup(enc []byte, t *datatype.Type) (e *progEntry, hit 
 // encoding, and holds its program for as long as the type lives,
 // whatever the LRU evicts.  enc is t's encoding where the caller has it
 // at hand (a received view), else nil.  The result is nil — and the
-// caller falls back to the recursive walk — when programs are disabled
-// by the ablation, when t is contiguous-tiled (a single memmove needs no
-// program), or when t declines compilation.
+// caller's cursor walks the tree — when t is contiguous-tiled (a single
+// memmove needs no program) or declines compilation.  Only the listless
+// engine asks: the list-based one flattens both sides of an access.
 func (f *File) lookupProgram(enc []byte, t *datatype.Type) *fotf.Program {
-	if f.opts.DisableProgram || t == nil || t.ContiguousTiled() {
+	if t == nil || t.ContiguousTiled() {
 		return nil
 	}
 	handle := &t.Derived().Prog

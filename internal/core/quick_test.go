@@ -179,7 +179,7 @@ type diffCase struct {
 	tcp         bool // ranks over local TCP sockets
 	tier        bool // two I/O servers: epoch commit, registered views
 	noViewCache bool // DisableViewCache (still fused: the own view is always compiled)
-	noProgram   bool // DisableProgram (staged)
+	declined    bool // both types decline compilation (declinedType): the walk, staged
 	atomic      bool // atomic mode
 	independent bool // WriteAt/ReadAt, data sieving
 }
@@ -191,7 +191,7 @@ func (c diffCase) String() string {
 		name string
 	}{
 		{c.ioNodes != 0, fmt.Sprintf("ionodes=%d", c.ioNodes)}, {c.tcp, "tcp"}, {c.tier, "tier"},
-		{c.noViewCache, "no-view-cache"}, {c.noProgram, "no-program"}, {c.atomic, "atomic"},
+		{c.noViewCache, "no-view-cache"}, {c.declined, "declined"}, {c.atomic, "atomic"},
 		{c.independent, "independent"},
 	} {
 		if f.on {
@@ -270,8 +270,8 @@ func diffOracle(base *datatype.Type, P int, stride, d int64, data [][]byte) []by
 // places a byte never leaves its rank (an independent sieve window, the
 // self share of a collective) with everything that decides how it moves
 // there: world sizes 1 to 4, fewer IOPs than ranks, the three ways to
-// the staged path (list-based engine, DisableProgram, and — fused all the
-// same — DisableViewCache), atomic mode, TCP ranks and
+// the staged path (list-based engine, types that decline compilation,
+// and — fused all the same — DisableViewCache), atomic mode, TCP ranks and
 // the epoch-committing server tier — first over the random trees, whose
 // short runs gather in window buffers, then over runs of a page and more,
 // whose windows are direct and whose remote shares are lent, in-process
@@ -292,13 +292,14 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 		{engine: Listless, P: 2, tcp: true},
 		{engine: Listless, P: 2, ioNodes: 1}, {engine: Listless, P: 3, ioNodes: 2},
 		{engine: Listless, P: 3, ioNodes: 2, noViewCache: true},
-		{engine: Listless, P: 3, ioNodes: 2, noProgram: true},
+		{engine: Listless, P: 3, ioNodes: 2, declined: true}, {engine: Listless, P: 2, tcp: true, declined: true},
 		{engine: ListBased, P: 3, ioNodes: 2},
 		{engine: Listless, P: 2, atomic: true},
 		{engine: Listless, P: 2, tier: true}, {engine: ListBased, P: 2, tier: true},
+		{engine: Listless, P: 2, tier: true, declined: true},
 		{engine: Listless, P: 1, independent: true}, {engine: Listless, P: 2, independent: true},
 		{engine: Listless, P: 3, independent: true}, {engine: Listless, P: 2, independent: true, atomic: true},
-		{engine: Listless, P: 2, independent: true, noProgram: true},
+		{engine: Listless, P: 2, independent: true, declined: true},
 		{engine: ListBased, P: 2, independent: true},
 	}
 	for _, seed := range seeds {
@@ -308,11 +309,14 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 		for mt.ContiguousTiled() { // every cell is nc-nc; contiguous memory has its own tests
 			mt = datatype.RandomMemtype(r, 3)
 		}
-		// Whole memtype instances, more than two filetype instances and,
-		// unless the sizes conspire, a partial final tile.
-		count := (2*base.Size()+1+r.Int63n(base.Size()))/mt.Size() + 1
+		extra := r.Int63n(base.Size())
+		declinedBase, declinedMt := declinedType(t, base), declinedType(t, mt)
 		for _, c := range cells {
-			diffCell(t, fmt.Sprintf("seed %d", seed), c, base, mt, count, Options{
+			base, mt := base, mt
+			if c.declined {
+				base, mt = declinedBase, declinedMt
+			}
+			diffCell(t, fmt.Sprintf("seed %d", seed), c, base, mt, diffCount(base, mt, extra), Options{
 				CollBufSize:  64 + r.Intn(256),
 				SieveBufSize: 32 + r.Intn(256),
 				PackBufSize:  16 + r.Intn(128),
@@ -336,28 +340,48 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(i)))
 		base := mustType(datatype.Hvector(3, ps.fileRun, ps.filePitch, datatype.Byte))
 		mt := mustType(datatype.Hvector(2, ps.memRun, ps.memPitch, datatype.Byte))
-		count := (2*base.Size()+1+r.Int63n(base.Size()))/mt.Size() + 1
+		extra := r.Int63n(base.Size())
+		declinedBase, declinedMt := declinedType(t, base), declinedType(t, mt)
 		for _, c := range cells {
 			if c.independent || c.P > 3 {
 				continue
 			}
-			st := diffCell(t, fmt.Sprintf("page-scale %d", i), c, base, mt, count, Options{
+			base, mt := base, mt
+			if c.declined {
+				base, mt = declinedBase, declinedMt
+			}
+			st := diffCell(t, fmt.Sprintf("page-scale %d", i), c, base, mt, diffCount(base, mt, extra), Options{
 				CollBufSize: 20000 + r.Intn(20000),
 			})
-			if direct := st.DirectWrites > 0 && st.DirectReads > 0; direct != (c.engine == Listless && !c.noProgram) {
+			if direct := st.DirectWrites > 0 && st.DirectReads > 0; direct != (c.engine == Listless && !c.declined) {
 				t.Fatalf("page-scale %d cell %s: direct windows: %v (%d writes, %d reads)", i, c, direct, st.DirectWrites, st.DirectReads)
 			}
 		}
 	}
 }
 
+// diffCount is how many instances of mt a cell moves through views of
+// base: whole memtype instances, past two filetype instances by more than
+// extra bytes and so, unless the sizes conspire, into a partial final
+// tile — for the drawn types and for the same types extended past what
+// fotf compiles (declinedType) alike.
+func diffCount(base, mt *datatype.Type, extra int64) int64 {
+	return (2*base.Size()+1+extra)/mt.Size() + 1
+}
+
 // diffCell runs one cell of TestQuickDifferentialRandomTrees: every rank
 // writes count instances of mt through its view — base, displaced by the
 // rank's number of base extents, tiled every P extents — and reads them
-// back; file and buffers are held to the flat oracle.  It returns rank
-// 0's Stats.
+// back; file and buffers are held to the flat oracle.  A declined cell's
+// types each hold a 160 KiB tail, and it moves them through buffers and
+// stripes sixteen times as large.  It returns rank 0's Stats.
 func diffCell(t *testing.T, label string, c diffCase, base, mt *datatype.Type, count int64, opts Options) Stats {
 	t.Helper()
+	stripe := int64(32)
+	if c.declined {
+		opts.CollBufSize, opts.SieveBufSize, opts.PackBufSize = 16*opts.CollBufSize, 16*opts.SieveBufSize, 16*opts.PackBufSize
+		stripe *= 16
+	}
 	// ValidateFiletype guarantees extent >= trueUB, so tiling rank
 	// windows extent apart never overlaps.
 	stride := base.Extent()
@@ -375,11 +399,11 @@ func diffCell(t *testing.T, label string, c diffCase, base, mt *datatype.Type, c
 	var be storage.Backend = storage.NewMem()
 	stop := func() {}
 	if c.tier {
-		be, stop = ioServerTier(t, 32, 2)
+		be, stop = ioServerTier(t, stripe, 2)
 	}
 	sh := NewShared(be)
 	opts.Engine, opts.IONodes = c.engine, c.ioNodes
-	opts.DisableViewCache, opts.DisableProgram = c.noViewCache, c.noProgram
+	opts.DisableViewCache = c.noViewCache
 	opts.Pool = pool.NewChecked()
 	eps := transport.NewLoopback(c.P)
 	if c.tcp {

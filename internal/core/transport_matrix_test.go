@@ -107,11 +107,12 @@ func TestTransportMatrixByteIdentical(t *testing.T) {
 // copied between user buffer and window — it is neither packed into a
 // chunk nor sent.  The same holds for the c-nc form of the access, from
 // contiguous memory: the user buffer is the chunk, and the fileview's
-// program runs against it.  Against the same access staged
-// (DisableProgram), over TCP the world sends exactly the self-destined
-// data messages fewer and exactly their payload less, packed or lent — no
-// tagCollData message has its source for destination; everything else —
-// plan, vote, the shares for the other rank — is the same traffic.
+// program runs against it.  Against the same access staged, through
+// fileviews that decline compilation, the two collectives over TCP send
+// exactly the self-destined data messages fewer and exactly their payload
+// less, packed or lent — no tagCollData message has its source for
+// destination; everything else — plan, vote, the shares for the other
+// rank — is the same traffic.
 // In-process the other rank's half moves the same way, by the loan each
 // rank sends the other's IOP — as many as the staged world's pack loans —
 // so the fused world sends no data message at all.
@@ -128,7 +129,19 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 	// d/P bytes in each: its own domain takes d/collBuf windows, per op.
 	selfWindows, selfBytes := d/collBuf, d/P
 
+	views, declined := make([]*datatype.Type, P), make([]*datatype.Type, P)
+	for rank := range views {
+		views[rank] = noncontigTypeP(rank, P, blockcount, blocklen)
+		declined[rank] = declinedType(t, views[rank])
+	}
 	run := func(staged, tcp, contig bool) ([]byte, mpi.Stats) {
+		// Each world installs both views and runs under the last, so that
+		// the two worlds' SetView traffic is the same and their Stats
+		// differ by what the collectives send.
+		fts := [][]*datatype.Type{declined, views}
+		if staged {
+			fts[0], fts[1] = views, declined
+		}
 		eps := transport.NewLoopback(P)
 		if tcp {
 			var err error
@@ -139,13 +152,15 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 		be := storage.NewMem()
 		sh := NewShared(be)
 		comm, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{CollBufSize: collBuf, DisableProgram: staged})
+			f, err := Open(p, sh, Options{CollBufSize: collBuf})
 			if err != nil {
 				panic(err)
 			}
 			defer f.Close()
-			if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
-				panic(err)
+			for _, ft := range fts {
+				if err := f.SetView(0, datatype.Byte, ft[p.Rank()]); err != nil {
+					panic(err)
+				}
 			}
 			elem, err := datatype.Resized(datatype.Double, 0, 2*blocklen)
 			if err != nil {

@@ -113,50 +113,6 @@ func BenchmarkTypeSizeExtentPair(b *testing.B) {
 	}
 }
 
-// BenchmarkPackProgram pairs the recursive walk against the compiled
-// copy program on the windowed pack pattern of the collective hot path,
-// over a shape whose blocks the walk cannot collapse (two-run blocks at
-// a seamless pitch) — benchstat compares the program/walk sub-benchmarks
-// in CI.
-func BenchmarkPackProgram(b *testing.B) {
-	twoRun, err := datatype.Vector(2, 1, 2, datatype.Double)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dt, err := datatype.Hvector((1<<20)/twoRun.Size(), 1, 32, twoRun)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := Compile(dt)
-	if prog == nil {
-		b.Fatal("Compile declined")
-	}
-	total := dt.Size()
-	src := make([]byte, dt.TrueUB())
-	dst := make([]byte, total)
-	const win = 64 << 10
-	b.Run("walk", func(b *testing.B) {
-		b.SetBytes(total)
-		for i := 0; i < b.N; i++ {
-			for d0 := int64(0); d0 < total; d0 += win {
-				d1 := min(d0+win, total)
-				CopyRange(dst[d0:d1], src, dt, d0, d1, 0, true)
-			}
-		}
-	})
-	b.Run("program", func(b *testing.B) {
-		b.SetBytes(total)
-		var cur Cursor
-		for i := 0; i < b.N; i++ {
-			cur.Reset(prog)
-			for d0 := int64(0); d0 < total; d0 += win {
-				d1 := min(d0+win, total)
-				cur.CopyRange(dst[d0:d1], src, d0, d1, 0, true)
-			}
-		}
-	})
-}
-
 // BenchmarkDeepTree checks that navigation stays fast on deep trees.
 func BenchmarkDeepTree(b *testing.B) {
 	dt := datatype.Double
@@ -179,61 +135,4 @@ func BenchmarkDeepTree(b *testing.B) {
 			v.DataToFile(int64(i) % size)
 		}
 	})
-}
-
-// BenchmarkFusedVsStaged pairs the fused typed-to-typed copy against the
-// staged form it replaces — pack the source range into a contiguous
-// buffer, unpack that over the destination range, a pack buffer (256 KiB,
-// core's default) at a time — over 4 MiB of data in the shapes of the
-// repository benchmark's nc-nc workloads: equal 8-byte runs (vec8,
-// indep8), equal 16 KiB runs (vec16k), two irregular types of some 32 k
-// groups each (irr), 8-byte runs into 64-byte runs, and two trains of
-// short runs that never line up (20-byte runs into 12-byte runs).  Fused
-// must be no slower on any row; benchstat compares the sub-benchmarks in
-// CI.
-func BenchmarkFusedVsStaged(b *testing.B) {
-	const total = 4 << 20
-	hv := func(blocklen, stride int64) *datatype.Type {
-		dt, err := datatype.Hvector(total/blocklen, blocklen, stride, datatype.Byte)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return dt
-	}
-	for _, c := range []struct {
-		name   string
-		dt, st *datatype.Type
-	}{
-		{"8Bx8B", hv(8, 16), hv(8, 16)},
-		{"16Kx16K", hv(16384, 32768), hv(16384, 32768)},
-		{"irrxirr", irregularHindexed(b, 1<<15, 1), irregularHindexed(b, 1<<15, 2)},
-		{"8Bx64B", hv(64, 128), hv(8, 16)},
-		{"20Bx12B", hv(12, 30), hv(20, 21)},
-	} {
-		dp, sp := Compile(c.dt), Compile(c.st)
-		n := min(dp.Size(), sp.Size())
-		dst := make([]byte, c.dt.TrueUB())
-		src := make([]byte, c.st.TrueUB())
-		b.Run(c.name+"/staged", func(b *testing.B) {
-			const packBuf = 256 << 10
-			pb := make([]byte, packBuf)
-			b.SetBytes(n)
-			for i := 0; i < b.N; i++ {
-				var dc, sc Cursor
-				dc.Reset(dp)
-				sc.Reset(sp)
-				for d0 := int64(0); d0 < n; d0 += packBuf {
-					d1 := min(d0+packBuf, n)
-					sc.CopyRange(pb[:d1-d0], src, d0, d1, 0, true)
-					dc.CopyRange(pb[:d1-d0], dst, d0, d1, 0, false)
-				}
-			}
-		})
-		b.Run(c.name+"/fused", func(b *testing.B) {
-			b.SetBytes(n)
-			for i := 0; i < b.N; i++ {
-				CopyFused(dst, dp, 0, 0, src, sp, 0, 0, n)
-			}
-		})
-	}
 }

@@ -12,8 +12,9 @@ import (
 // zero-length blocks, LB/UB adjustments via Resized, holes, and deep
 // struct nesting), and the fuzzed window words pick a hostile (d0, d1)
 // for an extra targeted window check on top of the full battery.  The
-// program must pack/unpack byte-identically to the recursive walk, and
-// must neither panic nor write a byte the walk would not.
+// program, and a Cursor reset without it, must pack/unpack
+// byte-identically to the recursive walk, and must neither panic nor
+// write a byte the walk would not.
 func FuzzProgramVsWalk(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 12; i++ {
@@ -41,12 +42,16 @@ func FuzzProgramVsWalk(f *testing.F) {
 		r.Read(src)
 		want := make([]byte, d1-d0)
 		got := make([]byte, d1-d0)
+		walked := make([]byte, d1-d0)
 		CopyRange(want, src, dt, d0, d1, 0, true)
 		p.CopyRange(got, src, d0, d1, 0, true)
+		var walk Cursor
+		walk.Reset(dt, nil)
+		walk.CopyRange(walked, src, d0, d1, 0, true)
 		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("type %v window [%d,%d): byte %d differs: walk %#x, program %#x",
-					dt, d0, d1, d0+int64(i), want[i], got[i])
+			if want[i] != got[i] || want[i] != walked[i] {
+				t.Fatalf("type %v window [%d,%d): byte %d differs: walk %#x, program %#x, program-less cursor %#x",
+					dt, d0, d1, d0+int64(i), want[i], got[i], walked[i])
 			}
 		}
 	})

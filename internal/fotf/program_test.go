@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,9 +15,11 @@ import (
 // The differential layer: a compiled Program must be byte-identical to
 // the recursive walk on every entry point — full packs, skip/limit
 // clamps, windowed CopyRange with and without a resuming cursor, biased
-// (virtual-file-buffer) addressing, and run enumeration.  Sentinel
-// bytes around and inside the buffers catch stray writes, so the tests
-// also pin that programs never touch a byte the walk would not.
+// (virtual-file-buffer) addressing, and run enumeration.  A Cursor reset
+// without a program, the walk callers fall back to, is held to the same
+// windows.  Sentinel bytes around and inside the buffers catch stray
+// writes, so the tests also pin that programs never touch a byte the
+// walk would not.
 
 // walkSpan returns one past the highest buffer offset the walk touches
 // for data [0, d1) of the tiled type.
@@ -73,6 +76,15 @@ func coverage(d0, d1 int64, enum func(EmitFunc)) ([]int64, error) {
 	return m, nil
 }
 
+// emissions records a run enumeration call by call.
+func emissions(enum func(EmitFunc)) [][5]int64 {
+	var out [][5]int64
+	enum(func(bufOff, dataOff, runLen, stride, n int64) {
+		out = append(out, [5]int64{bufOff, dataOff, runLen, stride, n})
+	})
+	return out
+}
+
 // checkProgramVsWalk runs the full differential battery on one type
 // with one randomness stream.  It returns nil when program and walk
 // agree byte-for-byte everywhere.
@@ -117,6 +129,12 @@ func checkProgramVsWalk(dt *datatype.Type, r *rand.Rand) error {
 			return fmt.Errorf("enumeration [%d,%d): data byte %d maps to buf %d (walk) vs %d (program)",
 				d0, d1, d0+int64(i), mw[i], mp[i])
 		}
+	}
+	// A cursor without a program emits what the walk emits, call for call.
+	var walk Cursor
+	walk.Reset(dt, nil)
+	if ew, ec := emissions(func(emit EmitFunc) { Runs(dt, d0, d1, emit) }), emissions(func(emit EmitFunc) { walk.Runs(d0, d1, emit) }); !slices.Equal(ew, ec) {
+		return fmt.Errorf("enumeration [%d,%d): the program-less cursor emits %d groups, the walk %d, or they differ", d0, d1, len(ec), len(ew))
 	}
 
 	// PackCount parity under random skip and a clamping dst.
@@ -164,8 +182,9 @@ func checkProgramVsWalk(dt *datatype.Type, r *rand.Rand) error {
 	r.Read(bsrc)
 	cW := bytes.Repeat([]byte{0xDD}, int(total))
 	cP := bytes.Repeat([]byte{0xDD}, int(total))
+	cN := bytes.Repeat([]byte{0xDD}, int(total))
 	var cur Cursor
-	cur.Reset(p)
+	cur.Reset(dt, p)
 	for d := int64(0); d < total; {
 		w := 1 + r.Int63n(1+total/4)
 		if d+w > total {
@@ -173,10 +192,11 @@ func checkProgramVsWalk(dt *datatype.Type, r *rand.Rand) error {
 		}
 		CopyRange(cW[d:d+w], bsrc, dt, d, d+w, bias, true)
 		cur.CopyRange(cP[d:d+w], bsrc, d, d+w, bias, true)
+		walk.CopyRange(cN[d:d+w], bsrc, d, d+w, bias, true)
 		d += w
 	}
-	if !bytes.Equal(cW, cP) {
-		return fmt.Errorf("cursor-windowed pack differs (pad=%d)", pad)
+	if !bytes.Equal(cW, cP) || !bytes.Equal(cW, cN) {
+		return fmt.Errorf("cursor-windowed pack differs (pad=%d): program %v, no program %v", pad, bytes.Equal(cW, cP), bytes.Equal(cW, cN))
 	}
 
 	// Out-of-sequence windows: the cursor hint must not poison a window
@@ -185,21 +205,24 @@ func checkProgramVsWalk(dt *datatype.Type, r *rand.Rand) error {
 		a := r.Int63n(total)
 		b := a + 1 + r.Int63n(total-a)
 		for i := int64(0); i < b-a; i++ {
-			cW[a+i], cP[a+i] = 0xEE, 0xEE
+			cW[a+i], cP[a+i], cN[a+i] = 0xEE, 0xEE, 0xEE
 		}
 		CopyRange(cW[a:b], bsrc, dt, a, b, bias, true)
 		cur.CopyRange(cP[a:b], bsrc, a, b, bias, true)
-		if !bytes.Equal(cW[a:b], cP[a:b]) {
+		walk.CopyRange(cN[a:b], bsrc, a, b, bias, true)
+		if !bytes.Equal(cW[a:b], cP[a:b]) || !bytes.Equal(cW[a:b], cN[a:b]) {
 			return fmt.Errorf("out-of-sequence window [%d,%d) differs", a, b)
 		}
 	}
 
 	// Windowed unpack with whole-buffer sentinels: ascending windows
 	// writing into the typed buffer must leave holes untouched.
+	bN := bytes.Repeat([]byte{0x11}, len(bW))
 	for i := range bW {
 		bW[i], bP[i] = 0x11, 0x11
 	}
-	cur.Reset(p)
+	cur.Reset(dt, p)
+	walk.Reset(dt, nil)
 	for d := int64(0); d < total; {
 		w := 1 + r.Int63n(1+total/3)
 		if d+w > total {
@@ -207,10 +230,11 @@ func checkProgramVsWalk(dt *datatype.Type, r *rand.Rand) error {
 		}
 		CopyRange(cd[d:d+w], bW[:span], dt, d, d+w, 0, false)
 		cur.CopyRange(cd[d:d+w], bP[:span], d, d+w, 0, false)
+		walk.CopyRange(cd[d:d+w], bN[:span], d, d+w, 0, false)
 		d += w
 	}
-	if !bytes.Equal(bW, bP) {
-		return fmt.Errorf("cursor-windowed unpack differs")
+	if !bytes.Equal(bW, bP) || !bytes.Equal(bW, bN) {
+		return fmt.Errorf("cursor-windowed unpack differs: program %v, no program %v", bytes.Equal(bW, bP), bytes.Equal(bW, bN))
 	}
 	return nil
 }
@@ -479,7 +503,7 @@ func TestProgramCursorBoundaries(t *testing.T) {
 		want := make([]byte, total)
 		got := make([]byte, total)
 		var cur Cursor
-		cur.Reset(p)
+		cur.Reset(dt, p)
 		d := int64(0)
 		for i := 0; d < total; i++ {
 			w := widths[i%len(widths)]

@@ -102,9 +102,9 @@ func (s *Striped) Close() error {
 // tier is one scalar WriteAt (a staged one under an epoch), so tier64
 // pays 128 sequential 64 KiB round trips per collective write.
 // Coalescing them into one request per server per window was measured
-// and moved no end-to-end metric (EXPERIMENTS.md, server-side sieving
-// of registered views, negative result "Round trips are not tier64's
-// problem"), so they stay as they are.
+// and moved no end-to-end metric (the measurements of server-side
+// sieving of registered views under results/, negative result "Round
+// trips are not tier64's problem"), so they stay as they are.
 
 func (s *Striped) ReadAt(p []byte, off int64) (int, error)  { return s.local.ReadAt(p, off) }
 func (s *Striped) WriteAt(p []byte, off int64) (int, error) { return s.local.WriteAt(p, off) }

@@ -60,6 +60,18 @@ type Stats struct {
 	WireBytesRecv int64
 }
 
+// add adds o to s, field by field.
+func (s *Stats) add(o Stats) {
+	s.Messages += o.Messages
+	s.Bytes += o.Bytes
+	s.Received += o.Received
+	s.BytesReceived += o.BytesReceived
+	s.RecvWaitNs += o.RecvWaitNs
+	s.Refs += o.Refs
+	s.WireBytesSent += o.WireBytesSent
+	s.WireBytesRecv += o.WireBytesRecv
+}
+
 type errAborted struct{}
 
 func (errAborted) Error() string { return "mpi: world aborted" }
@@ -84,13 +96,6 @@ type world struct {
 	barrierGen int
 	barrierCnt int
 	barrierC   *sync.Cond
-
-	msgs      atomic.Int64
-	bytes     atomic.Int64
-	refs      atomic.Int64
-	recvMsgs  atomic.Int64
-	recvBytes atomic.Int64
-	recvWait  atomic.Int64
 
 	// traceC, when set, supplies per-rank tracers: Recv and Barrier
 	// record wait spans, sends record instants, and the stall watchdog
@@ -148,7 +153,8 @@ func (w *world) abort() {
 }
 
 // Proc is one rank's handle on the world.  A Proc is owned by a single
-// goroutine and must not be shared.
+// goroutine and must not be shared.  Its counters are the only store of
+// its traffic: a world's Stats is their sum.
 type Proc struct {
 	rank int
 	widx int // index into w.blocked / w.ranks
@@ -286,12 +292,13 @@ func setTransportDeadline(ep transport.Transport, d time.Duration) {
 }
 
 // run starts one goroutine per local rank, supervises them, and tears
-// the fabric down.
+// the fabric down.  It returns the sum of the local ranks' SentStats.
 func (w *world) run(opts RunOptions, fn func(p *Proc)) (Stats, error) {
 	var (
 		wg     sync.WaitGroup
 		errMu  sync.Mutex
 		runErr error
+		procs  = make([]*Proc, len(w.ranks))
 	)
 	setErr := func(err error) {
 		errMu.Lock()
@@ -329,6 +336,7 @@ func (w *world) run(opts RunOptions, fn func(p *Proc)) (Stats, error) {
 				defer w.blocked[idx].Store(blockExited)
 			}
 			p := &Proc{rank: rank, widx: idx, w: w, ep: w.eps[rank], tr: opts.Trace.Tracer(rank)}
+			procs[idx] = p
 			if w.wired {
 				if err := p.ep.Listen(); err != nil {
 					panic(err)
@@ -348,7 +356,6 @@ func (w *world) run(opts RunOptions, fn func(p *Proc)) (Stats, error) {
 		close(watchStop)
 		<-watchDone // runErr must not be written after we return it
 	}
-	var wireSent, wireRecv int64
 	if w.wired {
 		// Idempotent teardown: a clean run still has live reader/writer
 		// goroutines and sockets to release (abort already did this).
@@ -357,21 +364,19 @@ func (w *world) run(opts RunOptions, fn func(p *Proc)) (Stats, error) {
 				ep.Quiesce()
 			}
 		}
+	}
+	var st Stats
+	for _, p := range procs {
+		st.add(p.SentStats())
+	}
+	if w.wired {
 		for _, ep := range w.eps {
 			if ep != nil {
-				s := ep.Stats()
-				wireSent += s.BytesSent
-				wireRecv += s.BytesRecv
 				ep.Close()
 			}
 		}
 	}
-	return Stats{
-		Messages: w.msgs.Load(), Bytes: w.bytes.Load(),
-		Received: w.recvMsgs.Load(), BytesReceived: w.recvBytes.Load(),
-		RecvWaitNs: w.recvWait.Load(), Refs: w.refs.Load(),
-		WireBytesSent: wireSent, WireBytesRecv: wireRecv,
-	}, runErr
+	return st, runErr
 }
 
 // finalizeWired runs the distributed shutdown protocol after fn returns
@@ -566,7 +571,6 @@ func (p *Proc) SendSegs(dst, tag int, segs [][]byte) {
 func (p *Proc) SendRef(dst, tag int, ref any) {
 	p.sending(dst, 0)
 	p.sentRefs++
-	p.w.refs.Add(1)
 	if err := p.ep.SendRef(dst, tag, ref); err != nil {
 		p.transportFail(err)
 	}
@@ -579,8 +583,6 @@ func (p *Proc) sending(dst int, n int64) {
 	}
 	p.sentMsgs++
 	p.sentBytes += n
-	p.w.msgs.Add(1)
-	p.w.bytes.Add(n)
 	if p.w.watch {
 		p.w.progress.Add(1)
 	}
@@ -628,7 +630,6 @@ func (p *Proc) recv(src, tag int) transport.Message {
 	n := int64(len(m.Data))
 	ns := sp.EndBytes(n)
 	p.recvWaitNs += ns
-	p.w.recvWait.Add(ns)
 	p.received(1, n)
 	return m
 }
@@ -637,8 +638,6 @@ func (p *Proc) recv(src, tag int) transport.Message {
 func (p *Proc) received(msgs, bytes int64) {
 	p.recvMsgs += msgs
 	p.recvBytes += bytes
-	p.w.recvMsgs.Add(msgs)
-	p.w.recvBytes.Add(bytes)
 }
 
 // DrainTag removes every queued message with the given tag (from any

@@ -328,7 +328,9 @@ func TestStatsCounting(t *testing.T) {
 // on both fabrics, received as one payload the receiver owns and drained
 // like one, and the world balances.  A reference is one message of no
 // payload bytes, counted in Refs, received as the sender's value itself
-// in-process; a wired world refuses it and fails naming why.
+// in-process; a wired world refuses it and fails naming why.  On both
+// fabrics the world's Stats is, field by field, the sum of what its ranks
+// report as they exit.
 func TestSendSegsAccounting(t *testing.T) {
 	src := []byte("0123456789abcdef")
 	segs := [][]byte{src[8:], src[:4]}
@@ -338,7 +340,9 @@ func TestSendSegsAccounting(t *testing.T) {
 		if tcp {
 			eps = localTCPWorld(t, 2)
 		}
+		procs := make([]*Proc, 2)
 		stats, err := RunOver(eps, RunOptions{StallTimeout: 10 * time.Second}, func(p *Proc) {
+			procs[p.Rank()] = p
 			if p.Rank() == 0 {
 				for tag := 1; tag <= 2; tag++ {
 					p.SendSegs(1, tag, segs)
@@ -371,6 +375,13 @@ func TestSendSegsAccounting(t *testing.T) {
 		}
 		if stats.Messages != msgs || stats.Received != msgs || stats.Refs != refs || stats.Bytes != 2*n || stats.BytesReceived != 2*n {
 			t.Errorf("tcp=%v: world stats %+v, want %d messages each way, %d of them references, and %d bytes each way", tcp, stats, msgs, refs, 2*n)
+		}
+		var sum Stats
+		for _, p := range procs {
+			sum.add(p.SentStats())
+		}
+		if sum != stats || tcp != (stats.WireBytesSent > 0) || tcp != (stats.WireBytesRecv > 0) {
+			t.Errorf("tcp=%v: world stats %+v, the ranks' sum %+v", tcp, stats, sum)
 		}
 	}
 	_, err := RunOver(localTCPWorld(t, 2), RunOptions{StallTimeout: 10 * time.Second}, func(p *Proc) {
