@@ -196,9 +196,13 @@ type File struct {
 	// slots (collective_window.go), kept like segs.
 	batch [2]winBatch
 	// lent holds the slices of the user buffer a collective write lends
-	// its IOPs over a wire (lendShare), kept like segs and emptied when
-	// the loan ends (transferCollective).
+	// its IOPs over a wire (lendShare), and the segments a collective read
+	// posts (postShares), kept like segs and emptied when the loan ends
+	// (endLoan).
 	lent [][]byte
+	// posted lists the shares a collective read posted, in the order their
+	// IOPs send them, kept like lent.
+	posted []postedShare
 
 	// Stats accumulates the work counters of this handle.
 	Stats Stats

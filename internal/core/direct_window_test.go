@@ -493,7 +493,11 @@ func TestDirectWindowEpochs(t *testing.T) {
 // in-process and over TCP.  The write's remote shares are lent, and the
 // failed write returns with its loan ended: every rank rewrites its
 // buffer at once, which under -race no goroutine of the collective may
-// still be reading.
+// still be reading.  The read's remote shares are lent in-process and
+// posted over TCP, and the failed read returns with every posting
+// withdrawn or filled: every rank rewrites its destination at once, which
+// under -race no goroutine — a link reader included — may still be
+// writing.
 func TestDirectWindowFaults(t *testing.T) {
 	g := dwGeoms()[3]
 	count := g.d / g.mem.Size()
@@ -556,7 +560,11 @@ func testDirectWindowFault(t *testing.T, g dwGeom, count int64, arm, op string, 
 			_, errs[p.Rank()] = f.WriteAtAll(0, count, g.mem, buf)
 			fotf.UnpackCount(buf, pattern(p.Rank()+7, g.d), count, g.mem, 0)
 		} else {
-			_, errs[p.Rank()] = f.ReadAtAll(0, count, g.mem, make([]byte, len(buf)))
+			dst := make([]byte, len(buf))
+			_, errs[p.Rank()] = f.ReadAtAll(0, count, g.mem, dst)
+			for i := range dst {
+				dst[i] = 0xEE
+			}
 		}
 		for i := range f.batch {
 			if b := &f.batch[i]; len(b.segs) != 0 || !allNil(b.chunks) {

@@ -50,7 +50,8 @@ type accessEngine interface {
 	// the list-based engine builds and transmits per-IOP access lists,
 	// the listless engine re-exchanges encoded views when fileview
 	// caching is disabled and, in-process, lends its access to the IOPs
-	// that hold it (memLoan).  Every rank must call it once per access.
+	// that hold it (memLoan), or over a wire posts a read's remote shares
+	// (File.postShares).  Every rank must call it once per access.
 	apSetup(pl *collPlan, acc *collAccess) apState
 	// iopSetup runs the I/O-process setup (the list-based engine
 	// receives one access list from every AP, the listless engine takes
@@ -141,11 +142,13 @@ type apState interface {
 	// (iopWindow.copyLent) — as its own access, or as one this rank lent it.
 	cursor(i int) apCursor
 	// lend appends to segs the slices of the user buffer that hold data
-	// [a, b) of a write's access, in data order, when that share is long
-	// runs in memory: on a wired world it then goes to its IOP as those
-	// slices (mpi.Proc.SendSegs), written to the socket from where they
-	// lie, instead of as a packed chunk.  It reports false, having
-	// appended nothing, when the share is packed.
+	// [a, b) of the access, in data order, when that share is long runs in
+	// memory — and, for a read, no two data bytes of the memory meet: on a
+	// wired world a write's share then goes to its IOP as those slices
+	// (mpi.Proc.SendSegs), written to the socket from where they lie, and
+	// a read's is posted as them (mpi.Proc.Post), read from the socket
+	// into where they lie, instead of as a packed chunk.  It reports false,
+	// having appended nothing, when the share is packed.
 	lend(segs [][]byte, a, b int64) ([][]byte, bool)
 }
 

@@ -488,7 +488,8 @@ type listlessAPState struct {
 // one message each (collPlan.lends), for writes and reads alike: a typed
 // loan when the access fuses, so that the IOP moves this rank's shares
 // in place as it moves its own, else a pack loan, and the shares travel
-// as chunks.
+// as chunks.  Over a wire a read posts its remote shares instead
+// (postShares), so that they are read from the sockets into place.
 func (e *listlessEngine) apSetup(pl *collPlan, acc *collAccess) apState {
 	f := e.f
 	if f.opts.DisableViewCache {
@@ -496,6 +497,9 @@ func (e *listlessEngine) apSetup(pl *collPlan, acc *collAccess) apState {
 	}
 	s := &listlessAPState{e: e, acc: acc, fused: e.fuses(acc)}
 	if f.p.Wired() {
+		if !acc.write {
+			f.postShares(pl, s)
+		}
 		return s
 	}
 	var l *memLoan // nil: a pack loan
@@ -520,15 +524,17 @@ func (s *listlessAPState) cursor(i int) apCursor {
 
 // lend is the memory side of the rule allSparse applies to a lent share:
 // contiguous memory is one slice, and the runs of a compiled memtype are
-// lent as they lie unless they are page-dense.  Everything else — short
-// runs, no program — is packed.
+// lent as they lie unless they are page-dense — or, for a read, unless
+// data bytes of the memtype meet, which the link readers would fill in no
+// set order (the rule fuses applies).  Everything else — short runs, no
+// program — is packed.
 func (s *listlessAPState) lend(segs [][]byte, a, b int64) ([][]byte, bool) {
 	acc, mp := s.acc, s.acc.mem.prog
 	switch {
 	case acc.mem.t.ContiguousTiled():
 		l := acc.loan()
 		return append(segs, l.contig(a, b)), true
-	case mp == nil || shareDense(mp, a-acc.d0, b-acc.d0):
+	case mp == nil || !acc.write && !mp.Disjoint(acc.mem.count) || shareDense(mp, a-acc.d0, b-acc.d0):
 		return segs, false
 	}
 	lb := &s.e.lb

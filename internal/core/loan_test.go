@@ -283,12 +283,17 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 // destination its result depends on the order its bytes land in: an
 // unpack in data order leaves the later of two data bytes at a shared
 // offset.  Such a buffer is never lent for a read, not even to the
-// rank's own IOP, and the read matches the flat oracle's unpack in
-// buffered and direct windows alike, over both fabrics, under -race.
+// rank's own IOP, nor posted over a wire, where link readers would fill
+// it in no set order, and the read matches the flat oracle's unpack in
+// buffered and direct windows alike, over both fabrics, at P = 2 and
+// P = 4, under -race.
 func TestOverlappingReadDestination(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	const P = 2
-	for _, block := range []int64{8, 16384} {
+	for _, c := range []struct {
+		P     int
+		block int64
+	}{{2, 8}, {2, 16384}, {4, 8}, {4, 16384}} {
+		P, block := c.P, c.block
 		const n = 8 // blocks per rank
 		lens, displs := make([]int64, n), make([]int64, n)
 		for i := range lens {
@@ -299,7 +304,7 @@ func TestOverlappingReadDestination(t *testing.T) {
 			t.Fatalf("block %d: the memtype does not compile, or compiles as disjoint", block)
 		}
 		for _, tcp := range []bool{false, true} {
-			label := fmt.Sprintf("block=%d/tcp=%v", block, tcp)
+			label := fmt.Sprintf("P=%d/block=%d/tcp=%v", P, block, tcp)
 			eps := transport.NewLoopback(P)
 			if tcp {
 				var err error
@@ -335,8 +340,8 @@ func TestOverlappingReadDestination(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					panic(fmt.Sprintf("rank %d: the read differs from the in-order unpack of the data", p.Rank()))
 				}
-				// This rank's domain holds half of each rank's data, and it
-				// sends all of it as chunks, its own half included.
+				// This rank's domain holds a P-th of each rank's data, and it
+				// sends all of it as chunks, its own part included.
 				if sent := p.SentStats().Bytes - s0.Bytes; sent < mt.Size() {
 					panic(fmt.Sprintf("rank %d: the read sent %d payload bytes; its IOP filled an overlapping buffer in place", p.Rank(), sent))
 				}

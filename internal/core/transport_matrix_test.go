@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/datatype"
 	"repro/internal/fotf"
@@ -297,6 +298,95 @@ func TestLentSharesCrossNoFabricCopy(t *testing.T) {
 			t.Errorf("loopback, %s: %+v against tcp %+v: want %d loans for %d chunks, and the %d bytes of the remote halves not sent",
 				what, loop, tcp, loans, chunks, shares)
 		}
+	}
+}
+
+// TestPostedSharesCrossNoFabricCopy is TestLentSharesCrossNoFabricCopy's
+// read twin over TCP.  Reads of the vec16k shape into memory of 16 KiB
+// slices and of 8-byte pieces send the same messages, payload bytes and
+// wire bytes.  Into the slices every remote share is posted and read from
+// the socket straight into the user buffer: no rank copies a byte (its
+// own half is fused, its direct windows read into the IOP's chunks), and
+// the link readers draw no payload from the endpoint's Checked pool —
+// exactly one per remote share fewer than into the pieces, which arrive
+// as pooled payloads and are unpacked.  From core's pool the read into
+// the slices draws one chunk per remote share, which the IOPs send, and
+// nothing for an AP.
+func TestPostedSharesCrossNoFabricCopy(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	const P, runs, run, collBuf = 2, 8, 16384, 64 << 10
+	d := int64(runs * run)
+	// Each rank's half in the other's domain fills d/collBuf windows there.
+	shares := int64(P*(P-1)) * d / collBuf
+	type result struct {
+		comm           mpi.Stats
+		copyNs         [P]int64
+		wireGets, gets int64 // Gets of the read from the endpoints' pool and from core's
+	}
+	run1 := func(slices bool) result {
+		wp, bp := pool.NewChecked(), pool.NewChecked()
+		eps, err := transport.NewLocalTCPWorld(P, transport.TCPConfig{Pool: wp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res result
+		// A storage call's latency holds every IOP's first send back well
+		// past the other rank's posting, so that no frame arrives before
+		// it is posted (Post would copy it then, from a pooled payload).
+		sh := NewShared(storage.NewThrottled(storage.NewMem(), 1<<30, 1<<30, 20*time.Millisecond))
+		res.comm, err = mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+			f, err := Open(p, sh, Options{CollBufSize: collBuf, Pool: bp})
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			disp, ft := stridedView(P, runs, run, run)(p.Rank())
+			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+				panic(err)
+			}
+			mt := holeyDouble()
+			if slices {
+				mt = hvecBytes(runs, run, 2*run)
+			}
+			count := d / mt.Size()
+			buf := make([]byte, (count-1)*mt.Extent()+mt.TrueUB())
+			fotf.UnpackCount(buf, pattern(p.Rank(), d), count, mt, 0)
+			if _, err := f.WriteAtAll(0, count, mt, buf); err != nil {
+				panic(err)
+			}
+			p.Barrier()
+			w0, g0, c0 := wp.Stats().Gets, bp.Stats().Gets, f.Stats.CopyNs
+			got := make([]byte, len(buf))
+			if _, err := f.ReadAtAll(0, count, mt, got); err != nil {
+				panic(err)
+			}
+			res.copyNs[p.Rank()] = f.Stats.CopyNs - c0
+			p.Barrier()
+			if p.Rank() == 0 {
+				res.wireGets, res.gets = wp.Stats().Gets-w0, bp.Stats().Gets-g0
+			}
+			if !bytes.Equal(got, buf) {
+				panic(fmt.Sprintf("rank %d: the read differs from what was written", p.Rank()))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	fromSlices, fromPieces := run1(true), run1(false)
+	s, c := fromSlices.comm, fromPieces.comm
+	if s.Messages != c.Messages || s.Bytes != c.Bytes || s.WireBytesSent != c.WireBytesSent || s.Messages != s.Received || s.Bytes != s.BytesReceived {
+		t.Errorf("slices %+v, pieces %+v: want the same traffic, balanced", s, c)
+	}
+	if fromSlices.copyNs != [P]int64{} || fromPieces.copyNs == [P]int64{} {
+		t.Errorf("copy ns of the read into slices %v, into pieces %v: want none, and some", fromSlices.copyNs, fromPieces.copyNs)
+	}
+	if got := fromPieces.wireGets - fromSlices.wireGets; got != shares {
+		t.Errorf("the link readers drew %d payloads into the slices and %d into the pieces; want %d fewer", fromSlices.wireGets, fromPieces.wireGets, shares)
+	}
+	if fromSlices.gets != shares {
+		t.Errorf("core drew %d buffers for the read into slices; want the IOPs' %d chunks and nothing for an AP", fromSlices.gets, shares)
 	}
 }
 

@@ -38,7 +38,8 @@ const collTagBase = 1 << 24
 
 // Stats aggregates the communication volume of a world or a process.
 // In a quiescent world (every sent message consumed by a Recv, a RecvRef
-// or a DrainTag) the send and receive sides balance: Messages == Received
+// or a DrainTag, a posted one's length counted as its payload) the send
+// and receive sides balance: Messages == Received
 // and Bytes == BytesReceived.
 type Stats struct {
 	Messages      int64 // point-to-point messages sent
@@ -599,10 +600,24 @@ func (p *Proc) Flush() {
 	}
 }
 
+// Post posts segs as the destination of the earliest message from src
+// under tag that nothing has matched yet (transport.Transport.Post): over
+// a wire its payload is read from the socket straight into the segments.
+// A Recv of (src, tag) later returns its completion — no payload, the
+// bytes are in segs — in the message's FIFO place, and counts its length
+// as a received message's.  segs, the slices and their array, are the
+// endpoint's until then, or until DrainTag withdraws the posting.
+func (p *Proc) Post(src, tag int, segs [][]byte) {
+	if err := p.ep.Post(src, tag, segs); err != nil {
+		p.transportFail(err)
+	}
+}
+
 // Recv blocks until a message matching (src, tag) arrives and returns its
 // payload and envelope.  src may be AnySource and tag may be AnyTag.
 // Matching messages from the same source with the same tag are received
-// in the order they were sent.  The payload is the caller's.
+// in the order they were sent.  The payload is the caller's; a posted
+// message's (Post) is nil.
 func (p *Proc) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
 	m := p.recv(src, tag)
 	return m.Data, m.Src, m.Tag
@@ -627,7 +642,7 @@ func (p *Proc) recv(src, tag int) transport.Message {
 		p.w.blocked[p.widx].Store(blockNone)
 		p.w.progress.Add(1)
 	}
-	n := int64(len(m.Data))
+	n := int64(len(m.Data) + m.Len)
 	ns := sp.EndBytes(n)
 	p.recvWaitNs += ns
 	p.received(1, n)
@@ -641,8 +656,10 @@ func (p *Proc) received(msgs, bytes int64) {
 }
 
 // DrainTag removes every queued message with the given tag (from any
-// source) from this rank's inbox without blocking, returning the
-// number of messages discarded.  Collective error recovery uses it to
+// source) from this rank's inbox, returning the number of messages
+// discarded; it withdraws the tag's postings nothing has matched and
+// waits for any being filled, so that from its return on no posted
+// segment of the tag is written.  Collective error recovery uses it to
 // clear the in-flight traffic of an abandoned collective so the next
 // one starts with clean inboxes.  Drained messages count as received
 // so the world's send/receive accounting still balances after error

@@ -61,12 +61,17 @@ func parseFrameHeader(hdr []byte, maxFrame int) (src, tag, payloadLen int, err e
 // readPayload fills payload, the length a parsed header named, from r.
 func readPayload(r io.Reader, payload []byte) error {
 	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("%w: truncated payload: %v", ErrFrame, err)
+		return truncated(err)
 	}
 	return nil
+}
+
+// truncated is the error of a payload read that failed part way.
+func truncated(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("%w: truncated payload: %v", ErrFrame, err)
 }
 
 // appendFrame appends the encoded frame to dst and returns it.

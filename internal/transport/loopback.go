@@ -79,8 +79,25 @@ func (l *Loopback) deliver(dst int, m Message) error {
 		return err
 	}
 	m.Src = l.rank
-	l.fab.inboxes[dst].put(m)
+	ib := l.fab.inboxes[dst]
+	if _, err := ib.put(m); err != nil {
+		ib.close(err) // the receiving endpoint fails; the send was made
+	}
 	return nil
+}
+
+// Post implements Transport: a later message fills the posting when it is
+// delivered, in the sender's call.
+func (l *Loopback) Post(src, tag int, segs [][]byte) error {
+	if err := checkPost(src, tag, len(l.fab.inboxes)); err != nil {
+		return err
+	}
+	ib := l.fab.inboxes[l.rank]
+	_, err := ib.post(src, tag, segs)
+	if err != nil {
+		ib.close(err)
+	}
+	return err
 }
 
 // Recv implements Transport.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -180,12 +181,6 @@ func (t *TCP) Dial() error {
 			return err
 		}
 	}
-	defer func() {
-		if t.ln != nil {
-			t.ln.Close()
-			t.ln = nil
-		}
-	}()
 	hs := t.handshakeDeadline()
 	var err error
 	if t.cfg.Rank == 0 {
@@ -193,6 +188,10 @@ func (t *TCP) Dial() error {
 	} else {
 		err = t.dialAsPeer(hs)
 	}
+	// The listener goes before any link starts: a link that fails closes
+	// the endpoint, which must not find it half gone.
+	t.ln.Close()
+	t.ln = nil
 	if err != nil {
 		t.closeWith(fmt.Errorf("transport: rendezvous failed on rank %d: %w", t.cfg.Rank, err))
 		return err
@@ -359,8 +358,14 @@ func (t *TCP) SendRef(dst, tag int, _ any) error {
 
 func (t *TCP) enqueue(dst int, fr outFrame) error {
 	if dst == t.cfg.Rank {
-		// Self-sends never touch the wire (an IOP that is also an AP).
-		t.ib.put(Message{Src: t.cfg.Rank, Tag: fr.tag, Data: fr.data})
+		// Self-sends never touch the wire (an IOP that is also an AP), but
+		// they fill a posting as a frame from a peer does.
+		spent, err := t.ib.put(Message{Src: t.cfg.Rank, Tag: fr.tag, Data: fr.data})
+		if err != nil {
+			t.closeWith(err)
+			return err
+		}
+		t.cfg.Pool.Put(spent)
 		return nil
 	}
 	l := t.links[dst]
@@ -368,6 +373,20 @@ func (t *TCP) enqueue(dst int, fr outFrame) error {
 		return fmt.Errorf("transport: no link to rank %d (endpoint not dialed)", dst)
 	}
 	return l.enqueue(fr)
+}
+
+// Post implements Transport: a frame that arrives for the posting is
+// read from the socket straight into its segments (readPosted).
+func (t *TCP) Post(src, tag int, segs [][]byte) error {
+	if err := checkPost(src, tag, t.cfg.Size); err != nil {
+		return err
+	}
+	spent, err := t.ib.post(src, tag, segs)
+	if errors.Is(err, ErrFrame) {
+		t.closeWith(err)
+	}
+	t.cfg.Pool.Put(spent)
+	return err
 }
 
 // Recv implements Transport.
@@ -669,12 +688,15 @@ func (l *link) writer() {
 	}
 }
 
-// reader parses inbound frames and delivers them to the inbox.  The
-// span covers the payload transfer (header → full frame), not the idle
-// wait between frames.
+// reader parses inbound frames and delivers them to the inbox: into the
+// posting a frame matches (inbox.arrive), read from the socket straight
+// into the posted segments, or else as a pooled payload.  The span covers
+// the payload transfer (header → full frame), not the idle wait between
+// frames.
 func (l *link) reader() {
 	cr := &countingReader{r: l.conn, n: &l.t.bytesRecv}
 	br := bufio.NewReaderSize(cr, readBufSize)
+	sock := newSockReader(l.conn, &l.t.bytesRecv)
 	var hdr [FrameHeaderSize]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -691,16 +713,82 @@ func (l *link) reader() {
 			return
 		}
 		sp := l.t.tr.BeginWire(trace.PhaseWireRecv, 0)
-		// Ownership of the payload passes to whoever Recvs the message;
-		// core returns exchange chunks to its pool after unpacking.
-		payload := l.t.cfg.Pool.Get(n)
-		if err := readPayload(br, payload); err != nil {
+		m := Message{Src: src, Tag: tag}
+		if p, posted := l.t.ib.arrive(src, tag); posted {
+			m.Len, m.posted = n, true
+			if err = frameFits(n, p.n); err == nil {
+				err = readPosted(br, sock, p.segs)
+			}
+		} else {
+			// Ownership of the payload passes to whoever Recvs the message;
+			// core returns exchange chunks to its pool after unpacking.
+			m.Data = l.t.cfg.Pool.Get(n)
+			err = readPayload(br, m.Data)
+		}
+		if err == nil {
+			sp.EndBytes(FrameHeaderSize + int64(n))
+			l.t.framesRecv.Add(1)
+		}
+		l.t.ib.land(m, err == nil)
+		if err != nil {
 			l.failWith(err)
 			return
 		}
-		sp.EndBytes(FrameHeaderSize + int64(n))
-		l.t.framesRecv.Add(1)
-		l.t.ib.put(Message{Src: src, Tag: tag, Data: payload})
+	}
+}
+
+// readPosted fills a posting's segments with the payload of the frame
+// whose header was just read from br.  Where the link has a sockReader it
+// takes the bytes br already holds, then reads the rest straight from the
+// socket by readv(2); otherwise (a ChaosConn) it reads through br,
+// segment by segment.
+func readPosted(br *bufio.Reader, sock *sockReader, segs [][]byte) error {
+	c := segCursor{segs: segs}
+	if sock == nil {
+		for b := c.next(); b != nil; b = c.next() {
+			if err := readPayload(br, b); err != nil {
+				return err
+			}
+			c.advance(len(b))
+		}
+		return nil
+	}
+	for br.Buffered() > 0 {
+		b := c.next()
+		if b == nil {
+			return nil
+		}
+		n, _ := br.Read(b[:min(len(b), br.Buffered())])
+		c.advance(n)
+	}
+	return sock.readFull(&c)
+}
+
+// segCursor is the fill position in a posting's segments, which it never
+// modifies: segs[i][k:] is the next byte's home.
+type segCursor struct {
+	segs [][]byte
+	i, k int
+}
+
+// next returns the unfilled rest of the current segment, past any empty
+// ones, or nil when every segment is full.
+func (c *segCursor) next() []byte {
+	for ; c.i < len(c.segs); c.i, c.k = c.i+1, 0 {
+		if b := c.segs[c.i][c.k:]; len(b) > 0 {
+			return b
+		}
+	}
+	return nil
+}
+
+// advance moves the position n bytes on.
+func (c *segCursor) advance(n int) {
+	for n > 0 {
+		b := c.next()
+		k := min(n, len(b))
+		c.k += k
+		n -= k
 	}
 }
 

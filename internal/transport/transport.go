@@ -19,7 +19,7 @@
 //     write/handshake deadlines bound a wedged peer.
 //
 // Lifecycle: Listen (bind the endpoint) → Dial (connect the fabric) →
-// Send/Recv/DrainTag → Flush/Quiesce (graceful shutdown) → Close.
+// Send/Post/Recv/DrainTag → Flush/Quiesce (graceful shutdown) → Close.
 package transport
 
 import "fmt"
@@ -38,6 +38,11 @@ type Message struct {
 	// only): a value of the sender's process, delivered as it is, and no
 	// Data.
 	Ref any
+	// Len is the payload length of a message delivered into a posting
+	// (Post): its bytes are in the posted segments, and it has no Data.
+	Len int
+
+	posted bool // a posting's completion: nothing can match it again
 }
 
 // WireStats counts the bytes and frames an endpoint actually moved over
@@ -92,13 +97,28 @@ type Transport interface {
 	// ref points to is read in place.  Only an in-process fabric can
 	// deliver a reference; a wired one refuses it (checkSend).
 	SendRef(dst, tag int, ref any) error
+	// Post posts segs as the destination of the earliest message from src
+	// (no wildcard) under tag that nothing has matched yet, as MPI's Irecv
+	// does: a message already queued is copied into segs at once; a later
+	// one is written there where it arrives — over TCP read from the
+	// socket straight into the segments.  Its completion is queued in the
+	// message's place, and Recv returns it in per-(src, tag) FIFO order,
+	// with Len set and no Data.  segs — the slices and the array holding
+	// them — stay the endpoint's until Recv has returned that completion or
+	// DrainTag has withdrawn the posting.  A message whose length differs
+	// from the segments' total fails the endpoint with ErrFrame, having
+	// written none of them.
+	Post(src, tag int, segs [][]byte) error
 	// Recv blocks until a message matching (src, tag) is available and
 	// removes it.  It returns ErrClosed after Close, or the transport
 	// failure that tore the endpoint down.
 	Recv(src, tag int) (Message, error)
-	// DrainTag removes every queued message with the given tag (any
-	// source) without blocking, returning the count discarded and their
-	// payload bytes.
+	// DrainTag withdraws every posting with the given tag (any source)
+	// that nothing has matched, waits for any being filled, and removes
+	// every queued message with the tag, returning the count discarded
+	// and their payload bytes (a completion's Len included).  It blocks
+	// only for a posting being filled; from its return on the endpoint
+	// writes no segment posted under the tag.
 	DrainTag(tag int) (n int, bytes int64)
 	// Flush blocks until every queued outbound payload has left the
 	// endpoint (TCP: written to the sockets) and no goroutine of the
@@ -130,6 +150,18 @@ func checkSend(dst, tag, size int, ref, wired bool) error {
 	}
 	if ref && wired {
 		return fmt.Errorf("transport: a reference cannot cross a wire (tag %d to rank %d)", tag, dst)
+	}
+	return nil
+}
+
+// checkPost is checkSend's counterpart for Post: src is a rank of the
+// world, and tag is not reserved.
+func checkPost(src, tag, size int) error {
+	if src < 0 || src >= size {
+		return fmt.Errorf("transport: post for invalid rank %d", src)
+	}
+	if tag < 0 {
+		return fmt.Errorf("transport: tag %d is reserved", tag)
 	}
 	return nil
 }
