@@ -166,7 +166,8 @@ func (b *winBatch) drop(f *File) {
 
 // pipeSlot is one of the two window slots with its persistent worker:
 // the buffer of a buffered window, fetched from the pool when the slot's
-// first one comes, and the batch of a direct window.  Requests are
+// first one comes, with the one segment that hands it to storage, and
+// the batch of a direct window.  Requests are
 // processed FIFO, which encodes the slot discipline: a window's prep
 // (and therefore its read) cannot start before the slot's previous
 // write-back finished.  req has capacity 2 — at most one outstanding
@@ -174,6 +175,7 @@ func (b *winBatch) drop(f *File) {
 // blocks enqueueing.
 type pipeSlot struct {
 	buf   []byte
+	seg   [1]storage.Segment // the buffered window, as storage's vectored calls take it
 	batch *winBatch
 	req   chan pipeReq // main → worker
 	done  chan ioToken // worker → main: prep complete, slot's window ready
@@ -188,7 +190,10 @@ type pipeSlot struct {
 // them to the pool, whatever the outcome.  A direct read may fill user
 // buffers (the segments of lent shares, the own one included) from this
 // goroutine — their owners are inside the collective until every IOP's
-// pipeline is quiescent and it has voted.
+// pipeline is quiescent and it has voted.  A buffered window reaches
+// storage the way a direct one does, as a vectored call, of one segment:
+// on the I/O-server tier that is one request per server, not one per
+// stripe unit, and ReadAtv zero-fills past the end as ReadFull does.
 func (f *File) slotWorker(s *pipeSlot) {
 	var carry ioToken
 	for r := range s.req {
@@ -200,7 +205,7 @@ func (f *File) slotWorker(s *pipeSlot) {
 				err = storage.WriteAtv(f.sh.b, s.batch.segs)
 				s.batch.drop(f)
 			} else {
-				_, err = f.sh.b.WriteAt(s.buf[:r.hi-r.lo], r.lo)
+				err = storage.WriteAtv(f.sh.b, s.window(r))
 			}
 			carry.ns += bsp.End()
 			if carry.err == nil {
@@ -214,7 +219,7 @@ func (f *File) slotWorker(s *pipeSlot) {
 				if r.direct {
 					t.err = storage.ReadAtv(f.sh.b, s.batch.segs)
 				} else {
-					t.err = storage.ReadFull(f.sh.b, s.buf[:r.hi-r.lo], r.lo)
+					t.err = storage.ReadAtv(f.sh.b, s.window(r))
 				}
 				t.ns += rsp.End()
 			}
@@ -222,6 +227,12 @@ func (f *File) slotWorker(s *pipeSlot) {
 		}
 	}
 	s.fin <- carry
+}
+
+// window is r's buffered window as one segment over the slot's buffer.
+func (s *pipeSlot) window(r pipeReq) []storage.Segment {
+	s.seg[0] = storage.Segment{Off: r.lo, Buf: s.buf[:r.hi-r.lo]}
+	return s.seg[:]
 }
 
 // pipeWindow describes one in-flight window (a value; the pipeline

@@ -10,9 +10,17 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
+
+// framePool is where the tier's pooled frames come from and go back to:
+// the client's write requests, which its stage log keeps inside an
+// epoch, and the server's staged-mutation payloads, which their epoch
+// keeps until it is applied or dropped (DESIGN §9).  Tests swap in a
+// checked pool to hold every frame to exactly one Put.
+var framePool = pool.Global
 
 // View is the client-side record of one registrable fileview: the
 // displacement plus the datatype.Encode'd filetype tree.  One View is
@@ -55,6 +63,13 @@ type Client struct {
 	lastCommit uint64 // most recently committed epoch id
 	fresh      bool   // connection newly dialed: replay before next op
 	replaying  bool
+
+	// Scratch of the read requests, reused under mu: the request, and the
+	// destination its response is read into — ReadAt's flag byte, then
+	// the caller's buffers.
+	req  []byte
+	dst  [][]byte
+	flag [1]byte
 }
 
 // request is one write or view request in its direct shape, as sendLocked
@@ -62,7 +77,9 @@ type Client struct {
 // replay.  What may differ from one send to the next — the epoch prefix,
 // and the view head with this connection's handle — is encoded per send
 // into the headRoom bytes buf leads with, flush against what follows, so
-// the bytes of a write are copied into their request once.
+// the bytes of a write are copied into their request once.  A write's
+// buf is a pooled frame (newRequest): the stage log owns it inside an
+// epoch, and outside one it goes back to the pool once sent.
 type request struct {
 	op     int    // the direct op; inside an epoch its staged twin is sent
 	v      *View  // view ops: the view
@@ -73,6 +90,11 @@ type request struct {
 
 // headRoom holds an epoch prefix and a view head.
 const headRoom = 4 * binary.MaxVarintLen64
+
+// newRequest is the request builder: a pooled frame with room for the
+// head and then n bytes, of length headRoom, for the request's fields
+// and data to be appended to.
+func newRequest(n int) []byte { return framePool.Get(headRoom + n)[:headRoom] }
 
 // ClientOptions tune a client; the zero value is ready to use.
 type ClientOptions struct {
@@ -160,13 +182,18 @@ func (c *Client) connectLocked() error {
 	return nil
 }
 
-// roundTripLocked performs one request/response exchange.  Network and
-// framing failures drop the connection and report transient errors
-// (reconnect-and-reissue heals them); opErr responses are decoded into
-// their class without touching the connection.
-func (c *Client) roundTripLocked(op int, payload []byte) ([]byte, error) {
+// roundTripLocked performs one request/response exchange and returns
+// the length of the response's payload.  A success response is read
+// straight into dst, filling its buffers in order; one longer than dst
+// holds fails ErrPermanent and drops the connection, leaving dst
+// untouched.  With dst nil the payload comes back in a fresh buffer,
+// resp, as an opErr response's does, which is decoded into its class
+// without touching the connection.  Network and framing failures drop
+// the connection and report transient errors (reconnect-and-reissue heals
+// them).
+func (c *Client) roundTripLocked(op int, req []byte, dst [][]byte) (resp []byte, n int, err error) {
 	if err := c.connectLocked(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if c.fresh && !c.replaying {
 		c.fresh = false
@@ -175,7 +202,7 @@ func (c *Client) roundTripLocked(op int, payload []byte) ([]byte, error) {
 			err := c.replayLocked()
 			c.replaying = false
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 	}
@@ -183,56 +210,97 @@ func (c *Client) roundTripLocked(op int, payload []byte) ([]byte, error) {
 	seq := c.seq
 	c.rounds.Add(1)
 	c.fc.SetDeadline(time.Now().Add(c.timeout))
-	if err := c.fc.WriteFrame(seq, op, payload); err != nil {
+	if err := c.fc.WriteFrame(seq, op, req); err != nil {
 		c.dropLocked()
-		return nil, fmt.Errorf("ioserver %s: send: %v: %w", c.addr, err, storage.ErrTransient)
+		return nil, 0, fmt.Errorf("ioserver %s: send: %v: %w", c.addr, err, storage.ErrTransient)
 	}
-	rseq, tag, resp, err := c.fc.ReadFrame()
+	rseq, tag, n, err := c.fc.ReadHeader()
 	if err != nil {
-		c.dropLocked()
 		if err == io.EOF {
 			err = errors.New("connection closed by server")
 		}
-		return nil, fmt.Errorf("ioserver %s: receive: %v: %w", c.addr, err, storage.ErrTransient)
+		return nil, 0, c.recvFailedLocked(err)
 	}
 	if rseq != seq || (tag != op && tag != opErr) {
 		// Desynchronized stream: no way to re-associate responses.
 		c.dropLocked()
-		return nil, fmt.Errorf("ioserver %s: response desync (seq %d/%d, tag %d/%d): %w",
+		return nil, 0, fmt.Errorf("ioserver %s: response desync (seq %d/%d, tag %d/%d): %w",
 			c.addr, rseq, seq, tag, op, storage.ErrTransient)
 	}
-	if tag == opErr {
-		class, msg, err := getErr(resp)
-		if err != nil {
-			c.dropLocked()
-			return nil, fmt.Errorf("ioserver %s: malformed error frame: %w", c.addr, storage.ErrTransient)
+	if tag == opErr || dst == nil {
+		resp = make([]byte, n)
+		if err := c.fc.ReadPayload(resp); err != nil {
+			return nil, 0, c.recvFailedLocked(err)
 		}
-		return nil, unwireError(c.addr, class, msg)
+		if tag == opErr {
+			class, msg, err := getErr(resp)
+			if err != nil {
+				c.dropLocked()
+				return nil, 0, fmt.Errorf("ioserver %s: malformed error frame: %w", c.addr, storage.ErrTransient)
+			}
+			return nil, 0, unwireError(c.addr, class, msg)
+		}
+		return resp, n, nil
 	}
-	return resp, nil
+	var room int
+	for _, b := range dst {
+		room += len(b)
+	}
+	if n > room {
+		c.dropLocked() // the payload is left unread
+		return nil, 0, fmt.Errorf("ioserver %s: %d-byte response to a request for %d: %w", c.addr, n, room, storage.ErrPermanent)
+	}
+	for left := n; left > 0; dst = dst[1:] {
+		b := dst[0][:min(len(dst[0]), left)]
+		if err := c.fc.ReadPayload(b); err != nil {
+			return nil, 0, c.recvFailedLocked(err)
+		}
+		left -= len(b)
+	}
+	return nil, n, nil
 }
 
-func (c *Client) roundTrip(op int, payload []byte) ([]byte, error) {
+// recvFailedLocked drops the connection after a failed receive and
+// returns the transient error that reports it.
+func (c *Client) recvFailedLocked(err error) error {
+	c.dropLocked()
+	return fmt.Errorf("ioserver %s: receive: %v: %w", c.addr, err, storage.ErrTransient)
+}
+
+func (c *Client) roundTrip(op int, req []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.roundTripLocked(op, payload)
+	resp, _, err := c.roundTripLocked(op, req, nil)
+	return resp, err
 }
 
-// ReadAt implements io.ReaderAt against the server's stripe.
+// readLocked issues read request c.req with its response read into
+// c.dst, and then lets go of the caller's buffers in c.dst.
+func (c *Client) readLocked(op int) (int, error) {
+	_, n, err := c.roundTripLocked(op, c.req, c.dst)
+	clear(c.dst)
+	c.dst = c.dst[:0]
+	return n, err
+}
+
+// ReadAt implements io.ReaderAt against the server's stripe.  The
+// response, an EOF flag and the bytes read, is read into the flag and p.
 func (c *Client) ReadAt(p []byte, off int64) (int, error) {
-	resp, err := c.roundTrip(opRead, putExtent(nil, off, int64(len(p))))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.req = putExtent(c.req[:0], off, int64(len(p)))
+	c.dst = append(c.dst, c.flag[:], p)
+	n, err := c.readLocked(opRead)
 	if err != nil {
 		return 0, err
 	}
-	if len(resp) < 1 || len(resp)-1 > len(p) {
-		return 0, fmt.Errorf("ioserver %s: read response length %d for %d-byte read: %w",
-			c.addr, len(resp), len(p), storage.ErrPermanent)
+	if n < 1 {
+		return 0, fmt.Errorf("ioserver %s: empty read response: %w", c.addr, storage.ErrPermanent)
 	}
-	n := copy(p, resp[1:])
-	if resp[0] != 0 {
-		return n, io.EOF
+	if c.flag[0] != 0 {
+		return n - 1, io.EOF
 	}
-	return n, nil
+	return n - 1, nil
 }
 
 // sendLocked is the one send path of writes and view requests.  Inside
@@ -241,7 +309,7 @@ func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 // registered on demand: on a stale-handle response — the server evicted
 // it from the per-connection LRU — the handle is dropped and the request
 // reissued once with a fresh registration.
-func (c *Client) sendLocked(r *request) ([]byte, error) {
+func (c *Client) sendLocked(r *request, dst [][]byte) (int, error) {
 	op := r.op
 	if c.epoch != 0 {
 		op = stagedOp(op)
@@ -256,42 +324,44 @@ func (c *Client) sendLocked(r *request) ([]byte, error) {
 		if r.v != nil {
 			h, err := c.handleLocked(r.v)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			head = putViewHead(head, h, r.d0, r.d1)
 		}
 		req := r.buf[headRoom-len(head):]
 		copy(req, head)
-		resp, err := c.roundTripLocked(op, req)
+		_, n, err := c.roundTripLocked(op, req, dst)
 		if err == nil || !errors.Is(err, errStale) {
-			return resp, err
+			return n, err
 		}
 		delete(c.views, r.v)
 		lastErr = err
 	}
-	return nil, fmt.Errorf("ioserver %s: view handle stale after re-registration: %v: %w",
+	return 0, fmt.Errorf("ioserver %s: view handle stale after re-registration: %v: %w",
 		c.addr, lastErr, storage.ErrPermanent)
 }
 
 // mutateLocked sends one write.  Inside an epoch the write is staged
 // (journaled server-side, invisible to reads until commit) and, once
-// acknowledged, logged for replay.
+// acknowledged, logged for replay, the log taking r.buf; otherwise r.buf
+// goes back to the pool.
 func (c *Client) mutateLocked(r request) error {
-	if _, err := c.sendLocked(&r); err != nil {
-		return err
-	}
-	if c.epoch != 0 {
+	_, err := c.sendLocked(&r, nil)
+	if err == nil && c.epoch != 0 {
 		c.stage = append(c.stage, r)
+		return nil
 	}
-	return nil
+	framePool.Put(r.buf)
+	return err
 }
 
 // WriteAt implements io.WriterAt against the server's stripe.
 func (c *Client) WriteAt(p []byte, off int64) (int, error) {
+	buf := putV(newRequest(binary.MaxVarintLen64+len(p)), off)
+	buf = append(buf, p...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	buf := putV(make([]byte, headRoom, headRoom+binary.MaxVarintLen64+len(p)), off)
-	if err := c.mutateLocked(request{op: opWrite, n: len(p), buf: append(buf, p...)}); err != nil {
+	if err := c.mutateLocked(request{op: opWrite, n: len(p), buf: buf}); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -299,21 +369,24 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 
 // ReadAtv implements storage.Vectored: the batch is shipped as offset
 // lists of at most MaxListRuns entries each, so n runs cost
-// ceil(n/MaxListRuns) round-trips.
+// ceil(n/MaxListRuns) round-trips, and each response is read straight
+// into the segments.
 func (c *Client) ReadAtv(segs []storage.Segment) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for len(segs) > 0 {
 		chunk := c.clipList(segs)
-		resp, err := c.roundTrip(opReadv, putList(nil, chunk))
+		c.req = putList(c.req[:0], chunk)
+		for _, s := range chunk {
+			c.dst = append(c.dst, s.Buf)
+		}
+		n, err := c.readLocked(opReadv)
 		if err != nil {
 			return err
 		}
-		var pos int
-		for _, s := range chunk {
-			pos += copy(s.Buf, resp[pos:])
-		}
-		if pos != len(resp) || pos != totalLen(chunk) {
+		if want := totalLen(chunk); n != want {
 			return fmt.Errorf("ioserver %s: vectored read returned %d of %d bytes: %w",
-				c.addr, len(resp), totalLen(chunk), storage.ErrPermanent)
+				c.addr, n, want, storage.ErrPermanent)
 		}
 		segs = segs[len(chunk):]
 	}
@@ -327,7 +400,7 @@ func (c *Client) WriteAtv(segs []storage.Segment) error {
 	for len(segs) > 0 {
 		chunk := c.clipList(segs)
 		n := totalLen(chunk)
-		buf := putList(make([]byte, headRoom, headRoom+16*(len(chunk)+1)+n), chunk)
+		buf := putList(newRequest(binary.MaxVarintLen64*(2*len(chunk)+1)+n), chunk)
 		for _, s := range chunk {
 			buf = append(buf, s.Buf...)
 		}
@@ -421,7 +494,7 @@ func (c *Client) handleLocked(v *View) (uint64, error) {
 	}
 	req := putV(make([]byte, 0, 16+len(v.Enc)), v.Disp)
 	req = append(req, v.Enc...)
-	resp, err := c.roundTripLocked(opRegister, req)
+	resp, _, err := c.roundTripLocked(opRegister, req, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -433,21 +506,27 @@ func (c *Client) handleLocked(v *View) (uint64, error) {
 	return uint64(h), nil
 }
 
-// ViewReadRange fetches this server's bytes of data range [d0, d1) of
-// the view, packed in data order.
-func (c *Client) ViewReadRange(v *View, d0, d1 int64) ([]byte, error) {
+// ViewReadRange reads this server's bytes of data range [d0, d1) of the
+// view, packed in data order, into dst, filling its buffers in order,
+// and returns how many there were; a share longer than dst fails
+// ErrPermanent.
+func (c *Client) ViewReadRange(v *View, d0, d1 int64, dst [][]byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.sendLocked(&request{op: opViewRead, v: v, d0: d0, d1: d1, buf: make([]byte, headRoom)})
+	c.req = grow(c.req, headRoom)
+	return c.sendLocked(&request{op: opViewRead, v: v, d0: d0, d1: d1, buf: c.req}, dst)
 }
 
-// ViewWriteRange stores data as this server's bytes of data range
-// [d0, d1) of the view, packed in data order.
-func (c *Client) ViewWriteRange(v *View, d0, d1 int64, data []byte) error {
+// ViewWriteRange stores n bytes as this server's bytes of data range
+// [d0, d1) of the view, packed in data order.  gather writes them into
+// the request, before the connection is taken, so that they are copied
+// once, from the caller's memory into the frame.
+func (c *Client) ViewWriteRange(v *View, d0, d1 int64, n int, gather func(dst []byte)) error {
+	buf := newRequest(n)[:headRoom+n]
+	gather(buf[headRoom:])
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	buf := append(make([]byte, headRoom, headRoom+len(data)), data...)
-	return c.mutateLocked(request{op: opViewWrite, v: v, d0: d0, d1: d1, n: len(data), buf: buf})
+	return c.mutateLocked(request{op: opViewWrite, v: v, d0: d0, d1: d1, n: n, buf: buf})
 }
 
 // replayLocked re-stages the epoch's logged writes on a fresh
@@ -458,7 +537,7 @@ func (c *Client) ViewWriteRange(v *View, d0, d1 int64, data []byte) error {
 // handle on the new connection as any view request does.
 func (c *Client) replayLocked() error {
 	for i := range c.stage {
-		if _, err := c.sendLocked(&c.stage[i]); err != nil {
+		if _, err := c.sendLocked(&c.stage[i], nil); err != nil {
 			return err
 		}
 	}
@@ -489,7 +568,7 @@ func (c *Client) BeginEpoch(id uint64) {
 func (c *Client) SealEpoch(id uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := c.roundTripLocked(opEpochSeal, putEpoch(nil, id))
+	resp, _, err := c.roundTripLocked(opEpochSeal, putEpoch(nil, id), nil)
 	if err != nil {
 		return err
 	}
@@ -528,7 +607,7 @@ func (c *Client) CommitEpoch(id uint64) error {
 		}
 		return fmt.Errorf("ioserver %s: commit of epoch %d without a seal: %w", c.addr, id, storage.ErrPermanent)
 	}
-	if _, err := c.roundTripLocked(opEpochCommit, putV(putEpoch(nil, id), c.sealedInc)); err != nil {
+	if _, _, err := c.roundTripLocked(opEpochCommit, putV(putEpoch(nil, id), c.sealedInc), nil); err != nil {
 		return err
 	}
 	c.lastCommit = id
@@ -542,8 +621,8 @@ func (c *Client) AbortEpoch(id uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Don't let the replay machinery re-stage the epoch we're discarding.
-	c.stage = c.stage[:0]
-	_, err := c.roundTripLocked(opEpochAbort, putEpoch(nil, id))
+	c.dropStageLocked()
+	_, _, err := c.roundTripLocked(opEpochAbort, putEpoch(nil, id), nil)
 	c.endEpochLocked()
 	return err
 }
@@ -560,8 +639,18 @@ func (c *Client) EndEpoch(id uint64) {
 
 func (c *Client) endEpochLocked() {
 	c.epoch = 0
-	c.stage = nil
+	c.dropStageLocked()
 	c.sealedInc = 0
+}
+
+// dropStageLocked empties the stage log, returning its requests' frames
+// to the pool.
+func (c *Client) dropStageLocked() {
+	for i := range c.stage {
+		framePool.Put(c.stage[i].buf)
+	}
+	clear(c.stage)
+	c.stage = c.stage[:0]
 }
 
 // RegisterEager registers v now (priming the server's cache and

@@ -209,7 +209,7 @@ func FuzzServerRequest(f *testing.F) {
 			if err := fc.WriteFrame(seq, op, payload); err != nil {
 				break
 			}
-			rseq, rtag, rpayload, err := fc.ReadFrame()
+			rseq, rtag, rpayload, err := readFrame(fc)
 			if err != nil {
 				// The server only drops the connection on framing
 				// failures, which phase 1 never produces.
@@ -265,7 +265,7 @@ func FuzzServerRequest(f *testing.F) {
 		if err := hfc.WriteFrame(7, opSize, nil); err != nil {
 			t.Fatal("health-check write:", err)
 		}
-		rseq, rtag, rpayload, err := hfc.ReadFrame()
+		rseq, rtag, rpayload, err := readFrame(hfc)
 		if err != nil || rseq != 7 || rtag != opSize {
 			t.Fatalf("health check failed: seq=%d tag=%d err=%v", rseq, rtag, err)
 		}

@@ -76,11 +76,11 @@ type Server struct {
 	window int64 // sieve window size: sieveWindow, smaller in tests so that requests straddle windows
 
 	// Epoch commit state: staged holds each in-flight epoch's parked
-	// segments (applied to Backend only at commit), lastCommitted the
-	// highest epoch this instance has applied.  epochMu also orders
-	// checkpoints against commits.
+	// segments (applied to Backend only at commit) and the frames they
+	// lie in, lastCommitted the highest epoch this instance has applied.
+	// epochMu also orders checkpoints against commits.
 	epochMu       sync.Mutex
-	staged        map[uint64][]storage.Segment
+	staged        map[uint64]stagedEpoch
 	lastCommitted uint64
 	checkpointAt  int64        // live journal bytes at which a commit checkpoints: checkpointBytes, smaller in tests
 	journaled     atomic.Int64 // epochs committed since the last checkpoint, which only the journal holds durably
@@ -121,7 +121,7 @@ func New(cfg Config) (*Server, error) {
 		locks:        storage.NewLockTable(),
 		window:       sieveWindow,
 		checkpointAt: checkpointBytes,
-		staged:       make(map[uint64][]storage.Segment),
+		staged:       make(map[uint64]stagedEpoch),
 		conns:        make(map[net.Conn]struct{}),
 		done:         make(chan struct{}),
 	}
@@ -181,8 +181,9 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Close stops accepting, checkpoints and then seals the journal (so a
 // graceful shutdown is distinguishable from a crash on recovery, and
-// leaves nothing to replay), closes every live connection, and waits for
-// the handlers and Serve to return.  Close is idempotent.
+// leaves nothing to replay), closes every live connection, waits for the
+// handlers and Serve to return, and drops the epochs still staged, as a
+// restart would.  Close is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -209,11 +210,13 @@ func (s *Server) Close() error {
 		conn.Close()
 	}
 	s.mu.Unlock()
-	if ln == nil {
-		return err
+	if ln != nil {
+		ln.Close()
+		<-s.done
 	}
-	ln.Close()
-	<-s.done
+	s.epochMu.Lock()
+	s.dropStaged()
+	s.epochMu.Unlock()
 	return err
 }
 
@@ -255,6 +258,11 @@ type connState struct {
 	lru    []*serverView          // least recent first
 	nextID uint64
 
+	// A request's payload: a staged mutation's in frame, a pooled frame
+	// that stage parks with its epoch, any other's in req, reused.
+	frame []byte
+	req   []byte
+
 	resp  []byte            // response staging buffer, reused
 	ents  []extent          // decoded offset list, reused
 	segs  []storage.Segment // vectored-call staging, reused
@@ -280,17 +288,38 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	defer st.fc.Close()
 	for {
-		seq, tag, payload, err := st.fc.ReadFrame()
+		seq, tag, payload, err := st.readRequest()
+		if err == nil {
+			atomic.AddInt64(&s.stats.Requests, 1)
+			err = st.handle(seq, tag, payload)
+		}
+		framePool.Put(st.frame) // a frame stage did not park
+		st.frame = nil
 		if err != nil {
-			// EOF is the client hanging up; anything else is a framing
-			// failure — either way the stream is over.
+			// EOF is the client hanging up, anything else a framing failure
+			// or a failed response write — either way the stream is over.
 			return
 		}
-		atomic.AddInt64(&s.stats.Requests, 1)
-		if err := st.handle(seq, tag, payload); err != nil {
-			return // response write failed: connection is gone
-		}
 	}
+}
+
+// readRequest is the request reader: it reads the next frame's header
+// and then its payload into st.frame, from the pool, when the op is a
+// staged mutation — stage parks the frame with its epoch — and into the
+// reused st.req otherwise.
+func (st *connState) readRequest() (seq, tag int, payload []byte, err error) {
+	seq, tag, n, err := st.fc.ReadHeader()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if op := opFor(tag); op != nil && op.direct != 0 {
+		st.frame = framePool.Get(n)
+		payload = st.frame
+	} else {
+		st.req = grow(st.req, int64(n))
+		payload = st.req
+	}
+	return seq, tag, payload, st.fc.ReadPayload(payload)
 }
 
 // handle dispatches one request and writes its response.  The returned

@@ -40,7 +40,7 @@ func (s *Server) commitEpoch(epoch uint64, incarnation int64) error {
 	}
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	segs := s.staged[epoch]
+	segs := s.staged[epoch].segs
 	if len(segs) == 0 {
 		// Nothing of the epoch is staged here — a collective narrower than
 		// the stripe set, or a commit retried after its first delivery was
@@ -62,7 +62,7 @@ func (s *Server) commitEpoch(epoch uint64, incarnation int64) error {
 		return err
 	}
 	s.lastCommitted = max(s.lastCommitted, epoch)
-	clear(s.staged)
+	s.dropStaged()
 	s.journaled.Add(1)
 	atomic.AddInt64(&s.stats.EpochsCommitted, 1)
 	if s.journal.Live() >= s.checkpointAt {
@@ -95,8 +95,8 @@ func (s *Server) checkpoint() error {
 	}
 	s.journaled.Store(0)
 	s.checkpoints.Add(1)
-	for epoch, segs := range s.staged {
-		if err := s.journal.AppendStages(epoch, segs); err != nil {
+	for epoch, e := range s.staged {
+		if err := s.journal.AppendStages(epoch, e.segs); err != nil {
 			return err
 		}
 	}
@@ -123,12 +123,37 @@ func (s *Server) settle() error {
 func (s *Server) abortEpoch(epoch uint64) error {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	if _, ok := s.staged[epoch]; !ok {
+	e, ok := s.staged[epoch]
+	if !ok {
 		return nil
 	}
 	atomic.AddInt64(&s.stats.EpochsAborted, 1)
 	delete(s.staged, epoch)
+	e.release()
 	return s.checkpoint()
+}
+
+// stagedEpoch is what one epoch has staged on a server: its segments,
+// and the pooled request frames they lie in, which go back to the pool
+// when the epoch is applied or dropped.
+type stagedEpoch struct {
+	segs   []storage.Segment
+	frames [][]byte
+}
+
+func (e stagedEpoch) release() {
+	for _, f := range e.frames {
+		framePool.Put(f)
+	}
+}
+
+// dropStaged releases and forgets every staged epoch.  The caller holds
+// epochMu.
+func (s *Server) dropStaged() {
+	for _, e := range s.staged {
+		e.release()
+	}
+	clear(s.staged)
 }
 
 // LastCommitted reports the highest epoch committed by this instance.
@@ -141,10 +166,11 @@ func (s *Server) LastCommitted() uint64 {
 // stage journals st.segs — one write request's total bytes, resolved to
 // segments over its frame payload — under epoch, parks them, and counts
 // the request in the connection's tally.  The segments' bytes are kept,
-// not copied: the frame payload they alias is allocated per frame by
-// transport.FrameConn.ReadFrame and handed over, so they stay intact
+// not copied: they lie in st.frame, the pooled frame the request reader
+// read the payload into, which the epoch takes over, so they stay intact
 // until the epoch is applied or dropped.  (The segment headers are
-// copied; st.segs is scratch.)
+// copied; st.segs is scratch.  A request dispatched without a frame —
+// the tests that call dispatch directly — parks its caller's payload.)
 func (st *connState) stage(epoch uint64, total int64) error {
 	s := st.srv
 	s.epochMu.Lock()
@@ -152,7 +178,13 @@ func (st *connState) stage(epoch uint64, total int64) error {
 	if err := s.journal.AppendStages(epoch, st.segs); err != nil {
 		return err
 	}
-	s.staged[epoch] = append(s.staged[epoch], st.segs...)
+	e := s.staged[epoch]
+	e.segs = append(e.segs, st.segs...)
+	if st.frame != nil {
+		e.frames = append(e.frames, st.frame)
+		st.frame = nil
+	}
+	s.staged[epoch] = e
 	atomic.AddInt64(&s.stats.StagedWrites, 1)
 	atomic.AddInt64(&s.stats.BytesWritten, total)
 	// One epoch is in flight per connection at a time, so a new epoch

@@ -234,16 +234,16 @@ func FuzzSieveVsRuns(f *testing.F) {
 		r.Read(data)
 		want := oracle.write(runs, d0, data)
 		av := &aggView{v: &View{Disp: disp}, t: ft, navigable: navigable(ft, disp)}
-		pieces, lens, err := av.partition(g, d0, d1)
+		shares, lens, err := av.partition(g, data, d0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		streams := make([][]byte, g.Count)
-		for _, pc := range pieces {
-			streams[pc.stripe] = append(streams[pc.stripe], data[pc.d0-d0:pc.d1-d0]...)
+		for i := range shares {
+			streams[i] = bytes.Join(shares[i], nil)
 		}
 		for i := range streams {
-			if !bytes.Equal(streams[i], want[i]) || lens[i] != int64(len(want[i])) {
+			if !bytes.Equal(streams[i], want[i]) || lens[i] != len(want[i]) {
 				t.Fatalf("%v on %+v: client partition of [%d,%d) for stripe %d differs from the oracle's", ft, g, d0, d1, i)
 			}
 		}
@@ -490,7 +490,7 @@ func TestSieveConcurrentWriters(t *testing.T) {
 		switch w {
 		case 2: // staged and committed
 			c.BeginEpoch(uint64(round + 1))
-			if err := c.ViewWriteRange(v, 0, int64(len(p)), p); err != nil {
+			if err := viewWrite(c, v, 0, int64(len(p)), p); err != nil {
 				return err
 			}
 			if err := c.SealEpoch(uint64(round + 1)); err != nil {
@@ -504,7 +504,7 @@ func TestSieveConcurrentWriters(t *testing.T) {
 			}
 			return c.WriteAtv(segs)
 		}
-		return c.ViewWriteRange(v, 0, int64(len(p)), p)
+		return viewWrite(c, v, 0, int64(len(p)), p)
 	}
 
 	var wg sync.WaitGroup
@@ -517,7 +517,8 @@ func TestSieveConcurrentWriters(t *testing.T) {
 			v := &View{Disp: int64(w) * 256, Enc: datatype.Encode(viewType(t, run, stride(w), span/stride(w)))}
 			for round := 0; round < rounds; round++ {
 				if round > 0 {
-					got, err := c.ViewReadRange(v, 0, span/stride(w)*run)
+					got := make([]byte, span/stride(w)*run)
+					_, err := c.ViewReadRange(v, 0, int64(len(got)), [][]byte{got})
 					if err != nil {
 						t.Error(err)
 						return

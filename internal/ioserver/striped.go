@@ -97,14 +97,13 @@ func (s *Striped) Close() error {
 }
 
 // Scalar Backend operations delegate to the in-process Striped over the
-// clients: one request per stripe unit, in sequence.  That is not only
-// the metadata path.  Every buffered IOP window of a collective on the
-// tier is one scalar WriteAt (a staged one under an epoch), so tier64
-// pays 128 sequential 64 KiB round trips per collective write.
-// Coalescing them into one request per server per window was measured
-// and moved no end-to-end metric (the measurements of server-side
-// sieving of registered views under results/, negative result "Round
-// trips are not tier64's problem"), so they stay as they are.
+// clients: one request per stripe unit, in sequence, and a read asks
+// every server for its size first.  They are the metadata path and a
+// fallback; the collective's windows do not take them.  A buffered IOP
+// window reaches the tier as a one-segment WriteAtv or ReadAtv, as a
+// direct window's batch does, and so crosses as one vectored request per
+// server, sent concurrently: on the benchmark's tier64 workload 19 round
+// trips per op where scalar calls cost 139.
 
 func (s *Striped) ReadAt(p []byte, off int64) (int, error)  { return s.local.ReadAt(p, off) }
 func (s *Striped) WriteAt(p []byte, off int64) (int, error) { return s.local.WriteAt(p, off) }
@@ -191,67 +190,52 @@ func (s *Striped) lookup(h storage.ViewHandle) (*aggView, error) {
 }
 
 // ViewRead implements storage.ViewBackend: one constant-size request
-// per owning server, issued concurrently; the responses are per-server
-// byte streams in data order, scattered into p piece by piece along the
-// partition the servers cut the same way.
+// per owning server, issued concurrently; each response is that server's
+// byte stream in data order, read straight into the pieces of p the
+// partition gives its stripe — the servers cut the range the same way.
 func (s *Striped) ViewRead(h storage.ViewHandle, p []byte, d0 int64) error {
 	av, err := s.lookup(h)
 	if err != nil {
 		return err
 	}
 	d1 := d0 + int64(len(p))
-	pieces, lens, err := av.partition(s.geom, d0, d1)
+	shares, lens, err := av.partition(s.geom, p, d0)
 	if err != nil {
 		return err
 	}
-	resps := make([][]byte, len(s.clients))
-	err = s.fanOut(func(i int) bool { return lens[i] == 0 },
+	return s.fanOut(func(i int) bool { return lens[i] == 0 },
 		func(i int) error {
 			c := s.clients[i]
-			resp, err := c.ViewReadRange(av.v, d0, d1)
-			if err != nil {
-				return err
+			n, err := c.ViewReadRange(av.v, d0, d1, shares[i])
+			if err == nil && n != lens[i] {
+				err = fmt.Errorf("ioserver %s: view read returned %d bytes, stripe owns %d: %w",
+					c.Addr(), n, lens[i], storage.ErrPermanent)
 			}
-			if int64(len(resp)) != lens[i] {
-				return fmt.Errorf("ioserver %s: view read returned %d bytes, stripe owns %d: %w",
-					c.Addr(), len(resp), lens[i], storage.ErrPermanent)
-			}
-			resps[i] = resp
-			return nil
+			return err
 		})
-	if err != nil {
-		return err
-	}
-	for _, pc := range pieces {
-		n := copy(p[pc.d0-d0:pc.d1-d0], resps[pc.stripe])
-		resps[pc.stripe] = resps[pc.stripe][n:]
-	}
-	return nil
 }
 
 // ViewWrite implements storage.ViewBackend: p is gathered into one
-// data-order byte stream per owning server, shipped concurrently.
+// data-order byte stream per owning server, straight into its request,
+// and the requests are shipped concurrently.
 func (s *Striped) ViewWrite(h storage.ViewHandle, p []byte, d0 int64) error {
 	av, err := s.lookup(h)
 	if err != nil {
 		return err
 	}
 	d1 := d0 + int64(len(p))
-	pieces, lens, err := av.partition(s.geom, d0, d1)
+	shares, lens, err := av.partition(s.geom, p, d0)
 	if err != nil {
 		return err
 	}
-	outs := make([][]byte, len(s.clients))
-	for i, n := range lens {
-		if n > 0 {
-			outs[i] = make([]byte, 0, n)
-		}
-	}
-	for _, pc := range pieces {
-		outs[pc.stripe] = append(outs[pc.stripe], p[pc.d0-d0:pc.d1-d0]...)
-	}
 	return s.fanOut(func(i int) bool { return lens[i] == 0 },
-		func(i int) error { return s.clients[i].ViewWriteRange(av.v, d0, d1, outs[i]) })
+		func(i int) error {
+			return s.clients[i].ViewWriteRange(av.v, d0, d1, lens[i], func(dst []byte) {
+				for _, b := range shares[i] {
+					dst = dst[copy(dst, b):]
+				}
+			})
+		})
 }
 
 // Epoch commit protocol: the aggregate implements storage.EpochBackend

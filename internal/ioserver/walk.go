@@ -92,21 +92,16 @@ func navigable(t *datatype.Type, disp int64) bool {
 	return fotf.Monotone(t) && disp+t.TrueLB() >= 0
 }
 
-// dataPiece is one piece of the client-side partition: data bytes
-// [d0, d1) of the request belong to stripe's stream.
-type dataPiece struct {
-	stripe int
-	d0, d1 int64
-}
-
-// partition cuts data range [d0, d1) of the view into per-stripe pieces
-// in data order and sums each stripe's share — the one pass over the
-// view a client request makes.
-func (av *aggView) partition(g storage.StripeGeom, d0, d1 int64) (pieces []dataPiece, lens []int64, err error) {
-	lens = make([]int64, g.Count)
+// partition cuts p, data range [d0, d0+len(p)) of the view, by stripe:
+// shares[i] is stripe i's stream, the pieces of p it owns in data order,
+// and lens[i] its length — the one pass over the view a client request
+// makes.
+func (av *aggView) partition(g storage.StripeGeom, p []byte, d0 int64) (shares [][][]byte, lens []int, err error) {
+	shares, lens = make([][][]byte, g.Count), make([]int, g.Count)
+	d1 := d0 + int64(len(p))
 	add := func(stripe int, da, db int64) {
-		pieces = append(pieces, dataPiece{stripe, da, db})
-		lens[stripe] += db - da
+		shares[stripe] = append(shares[stripe], p[da-d0:db-d0])
+		lens[stripe] += int(db - da)
 	}
 	if av.navigable {
 		err = eachUnit(av.t, av.v.Disp, g, -1, d0, d1, func(u, da, db int64) error {
@@ -119,5 +114,5 @@ func (av *aggView) partition(g storage.StripeGeom, d0, d1 int64) (pieces []dataP
 			return nil
 		})
 	}
-	return pieces, lens, err
+	return shares, lens, err
 }

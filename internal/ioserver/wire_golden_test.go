@@ -44,7 +44,7 @@ func (w *wireTap) serve(ln net.Listener, backend string) {
 	defer cf.Close()
 	defer uf.Close()
 	for {
-		seq, tag, payload, err := cf.ReadFrame()
+		seq, tag, payload, err := readFrame(cf)
 		if err != nil {
 			return
 		}
@@ -52,7 +52,7 @@ func (w *wireTap) serve(ln net.Listener, backend string) {
 		if uf.WriteFrame(seq, tag, payload) != nil {
 			return
 		}
-		if seq, tag, payload, err = uf.ReadFrame(); err != nil {
+		if seq, tag, payload, err = readFrame(uf); err != nil {
 			return
 		}
 		w.note("<", seq, tag, payload)
@@ -108,14 +108,14 @@ func TestWireGolden(t *testing.T) {
 		_, err := c.WriteAt([]byte("hello"), 70)
 		must(err)
 		must(c.WriteAtv(list()))
-		must(c.ViewWriteRange(v, 1, 7, []byte("UVWXYZ")))
+		must(viewWrite(c, v, 1, 7, []byte("UVWXYZ")))
 	}
 
 	writes() // direct; the view write registers the view first
 	_, err = c.ReadAt(make([]byte, 16), 64)
 	must(err)
 	must(c.ReadAtv(list()))
-	_, err = c.ViewReadRange(v, 0, 8)
+	_, err = c.ViewReadRange(v, 0, 8, [][]byte{make([]byte, 8)})
 	must(err)
 	c.Size()
 	must(c.Truncate(400))

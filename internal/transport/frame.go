@@ -81,20 +81,14 @@ func appendFrame(dst []byte, src, tag int, payload []byte) []byte {
 	return append(append(dst, hdr[:]...), payload...)
 }
 
-// readFrame reads one frame from r.
+// readFrame reads one frame from r, its payload into a freshly
+// allocated buffer of at most maxFrame bytes.
 func readFrame(r io.Reader, maxFrame int) (src, tag int, payload []byte, err error) {
 	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err // EOF between frames is a link event, not a frame error
 	}
-	return readFrameBody(r, hdr[:], maxFrame)
-}
-
-// readFrameBody parses a header already read from r and reads the
-// payload it names into a freshly allocated buffer, at most maxFrame
-// bytes.
-func readFrameBody(r io.Reader, hdr []byte, maxFrame int) (src, tag int, payload []byte, err error) {
-	src, tag, n, err := parseFrameHeader(hdr, maxFrame)
+	src, tag, n, err := parseFrameHeader(hdr[:], maxFrame)
 	if err != nil {
 		return 0, 0, nil, err
 	}

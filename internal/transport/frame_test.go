@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
+	"sync/atomic"
 	"testing"
 )
 
@@ -85,6 +87,140 @@ func TestFrameHeaderHalves(t *testing.T) {
 	}
 	if _, _, _, err := parseFrameHeader(hdr[:], 100); !errors.Is(err, ErrFrame) {
 		t.Fatalf("limit: err = %v, want ErrFrame", err)
+	}
+}
+
+// countConn counts the Reads and Writes made on a net.Conn that is no
+// *net.TCPConn, as a ChaosConn is.
+type countConn struct {
+	net.Conn
+	reads, writes atomic.Int64
+}
+
+func (c *countConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestFrameConnOneWritePerFrame: on a connection that is no
+// *net.TCPConn a frame is one Write, header and payload together, so
+// that a wrapper faulting a Write faults a whole frame.
+func TestFrameConnOneWritePerFrame(t *testing.T) {
+	a, b := net.Pipe()
+	cc := &countConn{Conn: a}
+	w, r := NewFrameConn(cc, 0), NewFrameConn(b, 0)
+	defer w.Close()
+	defer r.Close()
+	payloads := [][]byte{nil, []byte("short"), bytes.Repeat([]byte{9}, 3*readBufSize)}
+	done := make(chan error, 1)
+	go func() {
+		for i, p := range payloads {
+			if err := w.WriteFrame(i, TagServerFirst, p); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i, p := range payloads {
+		seq, tag, n, err := r.ReadHeader()
+		if err != nil || seq != i || tag != TagServerFirst || n != len(p) {
+			t.Fatalf("frame %d: header (%d, %d, %d, %v)", i, seq, tag, n, err)
+		}
+		got := make([]byte, n)
+		if err := r.ReadPayload(got); err != nil || !bytes.Equal(got, p) {
+			t.Fatalf("frame %d: payload differs (%v)", i, err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := cc.writes.Load(); n != int64(len(payloads)) {
+		t.Fatalf("%d frames took %d Writes", len(payloads), n)
+	}
+}
+
+// TestReadPayloadPartlyBuffered: a payload of which the buffered reader
+// holds the head, read in pieces — one inside the buffered head, one
+// across its end, the rest straight from the connection — arrives
+// whole, a read past its end is a frame error, and the next frame is
+// read from where this one ended.
+func TestReadPayloadPartlyBuffered(t *testing.T) {
+	a, b := net.Pipe()
+	w, r := NewFrameConn(a, 0), NewFrameConn(b, 0)
+	defer w.Close()
+	defer r.Close()
+	long := make([]byte, 2*readBufSize+123)
+	for i := range long {
+		long[i] = byte(i * 7)
+	}
+	go func() {
+		w.WriteFrame(1, TagServerFirst, long)
+		w.WriteFrame(2, TagServerFirst, []byte("next"))
+	}()
+	if _, _, n, err := r.ReadHeader(); err != nil || n != len(long) {
+		t.Fatalf("header: n=%d err=%v", n, err)
+	}
+	if r.br.Buffered() == 0 || r.br.Buffered() >= len(long) {
+		t.Fatalf("the buffered reader holds %d bytes of the %d-byte payload, want a part", r.br.Buffered(), len(long))
+	}
+	got := make([]byte, len(long))
+	cuts := []int{10, r.br.Buffered() + 100, len(long)}
+	at := 0
+	for _, cut := range cuts {
+		if err := r.ReadPayload(got[at:cut]); err != nil {
+			t.Fatal(err)
+		}
+		at = cut
+	}
+	if !bytes.Equal(got, long) {
+		t.Fatal("the payload read in pieces differs")
+	}
+	if err := r.ReadPayload(make([]byte, 1)); !errors.Is(err, ErrFrame) {
+		t.Fatalf("read past the payload: err = %v, want ErrFrame", err)
+	}
+	seq, _, n, err := r.ReadHeader()
+	next := make([]byte, n)
+	if err != nil || seq != 2 || r.ReadPayload(next) != nil || string(next) != "next" {
+		t.Fatalf("next frame: seq=%d %q err=%v", seq, next, err)
+	}
+}
+
+// TestReadPayloadShortPiecesBuffered: a payload several times the read
+// buffer, read in 256-byte pieces as a list of short segments is, costs
+// about one Read of the connection per buffer's worth, not one per piece.
+func TestReadPayloadShortPiecesBuffered(t *testing.T) {
+	a, b := net.Pipe()
+	cc := &countConn{Conn: b}
+	w, r := NewFrameConn(a, 0), NewFrameConn(cc, 0)
+	defer w.Close()
+	defer r.Close()
+	const piece = 256
+	long := make([]byte, 4*readBufSize)
+	for i := range long {
+		long[i] = byte(i * 13)
+	}
+	go w.WriteFrame(1, TagServerFirst, long)
+	if _, _, n, err := r.ReadHeader(); err != nil || n != len(long) {
+		t.Fatalf("header: n=%d err=%v", n, err)
+	}
+	got := make([]byte, len(long))
+	for at := 0; at < len(got); at += piece {
+		if err := r.ReadPayload(got[at : at+piece]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got, long) {
+		t.Fatal("the payload read in pieces differs")
+	}
+	if n, most := cc.reads.Load(), int64(2*len(long)/readBufSize+2); n > most {
+		t.Fatalf("%d pieces of %d bytes took %d Reads of the connection, want at most %d",
+			len(long)/piece, piece, n, most)
 	}
 }
 
