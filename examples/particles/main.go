@@ -27,7 +27,8 @@ const (
 	recBytes   = 56 // id (8) + pos (3×8) + vel (3×8)
 )
 
-func owner(id int) int { return (id*2654435761 + 40503) % P }
+// owner hashes in uint64, where the multiplier fits on every GOARCH.
+func owner(id int) int { return int((uint64(id)*2654435761 + 40503) % P) }
 
 // particleView builds the indexed fileview over the records owned by
 // rank: blocklens[i]=1 record at displacement id (in record etypes),

@@ -30,13 +30,14 @@ package fotf
 // except between two groups of short runs that are out of step for good,
 // whose remainders are shorter still and of ever-changing length: those
 // go a few kilobytes at a time through a buffer on the stack, gathered
-// by one group's kernel and scattered by the other's (shortTrains),
-// which touches the bytes twice but in L1 and in predictable loops.  As in execGroup, a width kernel only ever sees
-// whole runs: the batched shapes require a run start on the side whose
-// kernel runs and count whole runs only, and the stack stretch is
-// execGroup itself, so a range that begins or ends mid-run, or two run
-// lengths that interleave, never put a partial run through a kernel, and
-// nothing outside the two described ranges is read or written.
+// by one group's runs and scattered by the other's (shortTrains),
+// which touches the bytes twice but in L1 and in predictable loops.  As
+// in execGroup, the kernel only ever sees whole runs: the batched shapes
+// require a run start on the side whose runs it moves and count whole
+// runs only, and the stack stretch is execGroup itself, so a range that
+// begins or ends mid-run, or two run lengths that interleave, never put
+// a partial run through the kernel, and nothing outside the two
+// described ranges is read or written.
 
 // shortRun bounds the run lengths for which two out-of-step groups are
 // moved through the stack (shortTrains): below it the per-piece cost of
@@ -237,21 +238,21 @@ func CopyFused(dst []byte, dp *Program, dd0, dbias int64, src []byte, sp *Progra
 			if m*dbl > n {
 				m = n / dbl
 			}
-			kernRuns(d.g.kern, dst, d.start, d.g.stride, 0, src, s.start, s.g.stride, 0, dbl, m, m)
+			kernRuns(dst, d.start, d.g.stride, 0, src, s.start, s.g.stride, 0, dbl, m, 1)
 			d.skipRuns(m)
 			s.skipRuns(m)
 			n -= m * dbl
 		case d.rem == dbl && d.left > 1 && min(s.rem, n) >= 2*dbl:
 			// The rest of the source run holds whole destination runs.
 			q, k, wrap := d.batch(&s, n)
-			kernRuns(d.g.kern, dst, d.start, d.g.stride, 0, src, s.off(), dbl, wrap, dbl, q, q*k)
+			kernRuns(dst, d.start, d.g.stride, 0, src, s.off(), dbl, wrap, dbl, q, k)
 			d.skipRuns(q * k)
 			s.skipBytes(q * k * dbl)
 			n -= q * k * dbl
 		case s.rem == sbl && s.left > 1 && min(d.rem, n) >= 2*sbl:
 			// The rest of the destination run holds whole source runs.
 			q, k, wrap := s.batch(&d, n)
-			kernRuns(s.g.kern, dst, d.off(), sbl, wrap, src, s.start, s.g.stride, 0, sbl, q, q*k)
+			kernRuns(dst, d.off(), sbl, wrap, src, s.start, s.g.stride, 0, sbl, q, k)
 			s.skipRuns(q * k)
 			d.skipBytes(q * k * sbl)
 			n -= q * k * sbl

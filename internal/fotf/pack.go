@@ -1,10 +1,6 @@
 package fotf
 
-import (
-	"encoding/binary"
-
-	"repro/internal/datatype"
-)
+import "repro/internal/datatype"
 
 // Pack packs data from the typed buffer src into the contiguous buffer
 // dst, skipping the first skip data bytes of the (indefinitely tiled)
@@ -106,11 +102,10 @@ func avail(t *datatype.Type, buflen, skip int64) int64 {
 
 // copyGroup moves one group of n evenly spaced runs between the typed
 // buffer b (runs of runLen bytes at bufOff + i*stride) and the contiguous
-// buffer c (at i*runLen).  pack=true copies b→c.  Width-specialized inner
-// loops take the role of the SX gather/scatter operations.
+// buffer c (at i*runLen).  pack=true copies b→c.  Runs that abut are one
+// copy; the rest go through the copy kernel, kernRuns.
 func copyGroup(c, b []byte, bufOff, runLen, stride, n int64, pack bool) {
 	if n == 1 || stride == runLen {
-		// Single run, or runs that abut: one big copy.
 		total := runLen * n
 		if pack {
 			copy(c[:total], b[bufOff:bufOff+total])
@@ -119,51 +114,10 @@ func copyGroup(c, b []byte, bufOff, runLen, stride, n int64, pack bool) {
 		}
 		return
 	}
-	switch runLen {
-	case 4:
-		if pack {
-			for i := int64(0); i < n; i++ {
-				binary.LittleEndian.PutUint32(c[i*4:], binary.LittleEndian.Uint32(b[bufOff+i*stride:]))
-			}
-		} else {
-			for i := int64(0); i < n; i++ {
-				binary.LittleEndian.PutUint32(b[bufOff+i*stride:], binary.LittleEndian.Uint32(c[i*4:]))
-			}
-		}
-	case 8:
-		if pack {
-			for i := int64(0); i < n; i++ {
-				binary.LittleEndian.PutUint64(c[i*8:], binary.LittleEndian.Uint64(b[bufOff+i*stride:]))
-			}
-		} else {
-			for i := int64(0); i < n; i++ {
-				binary.LittleEndian.PutUint64(b[bufOff+i*stride:], binary.LittleEndian.Uint64(c[i*8:]))
-			}
-		}
-	case 16:
-		if pack {
-			for i := int64(0); i < n; i++ {
-				s := b[bufOff+i*stride:]
-				binary.LittleEndian.PutUint64(c[i*16:], binary.LittleEndian.Uint64(s))
-				binary.LittleEndian.PutUint64(c[i*16+8:], binary.LittleEndian.Uint64(s[8:]))
-			}
-		} else {
-			for i := int64(0); i < n; i++ {
-				d := b[bufOff+i*stride:]
-				binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(c[i*16:]))
-				binary.LittleEndian.PutUint64(d[8:], binary.LittleEndian.Uint64(c[i*16+8:]))
-			}
-		}
-	default:
-		if pack {
-			for i := int64(0); i < n; i++ {
-				copy(c[i*runLen:(i+1)*runLen], b[bufOff+i*stride:])
-			}
-		} else {
-			for i := int64(0); i < n; i++ {
-				copy(b[bufOff+i*stride:bufOff+i*stride+runLen], c[i*runLen:])
-			}
-		}
+	if pack {
+		kernRuns(c, 0, runLen, 0, b, bufOff, stride, 0, runLen, n, 1)
+	} else {
+		kernRuns(b, bufOff, stride, 0, c, 0, runLen, 0, runLen, n, 1)
 	}
 }
 

@@ -9,14 +9,13 @@
 // {base, blocklen, stride, count} groups — coalescing runs that the
 // tree shape hides from the walk (abutting runs merge, arithmetic
 // progressions of equal-length runs merge across block and member
-// boundaries) — and selects a width-specialized copy kernel per group
-// at compile time.  Execution over a data window [d0, d1) is then a
+// boundaries).  Execution over a data window [d0, d1) is then a
 // prefix-sum search plus tight batch loops with no tree in sight, and a
 // Cursor resumes sequential windows in O(1).
 //
 // Programs are semantically equivalent to the walk: byte-identical
 // pack/unpack for every window, including windows that split groups or
-// elements (a split never sends a partial element through a width
+// elements (a split never sends a partial element through the copy
 // kernel — partial head/tail runs always take the byte path).  The
 // differential layer (program_test.go, FuzzProgramVsWalk) pins this.
 package fotf
@@ -50,7 +49,6 @@ type progGroup struct {
 	blocklen int64
 	stride   int64
 	count    int64
-	kern     uint8 // copy kernel, selected at compile time
 }
 
 // Program is the compiled run program of one datatype: the flat-array
@@ -87,7 +85,6 @@ func Compile(t *datatype.Type) *Program {
 	p.cum = make([]int64, len(p.groups)+1)
 	for i := range p.groups {
 		g := &p.groups[i]
-		g.kern = kernelFor(g.blocklen)
 		p.cum[i+1] = p.cum[i] + g.blocklen*g.count
 		p.runs += g.count
 	}
@@ -219,7 +216,7 @@ func (p *Program) findGroup(d int64) int {
 // semantics of the package-level CopyRange: run at buffer offset o
 // lands at b[o-bias], data byte d lands at c[d-d0], pack=true copies
 // b→c.  Positioning costs one binary search; the copy itself is the
-// compiled group array driven through the width kernels.
+// compiled group array driven through the copy kernel.
 func (p *Program) CopyRange(c, b []byte, d0, d1, bias int64, pack bool) {
 	p.copyRange(c, b, d0, d1, bias, pack, nil)
 }
@@ -289,7 +286,7 @@ func (p *Program) copyRange(c, b []byte, d0, d1, bias int64, pack bool, cur *Cur
 // execGroup copies the group-local data range [glo, ghi) of g, whose
 // run 0 starts at b[gbase], with cg[0] holding data byte glo.  Runs
 // split by the window boundary go through the byte path; only whole
-// runs reach the width kernel — a split mid-element must never execute
+// runs reach the copy kernel — a split mid-element must never execute
 // as a (full-width) element.
 func execGroup(cg, b []byte, gbase int64, g *progGroup, glo, ghi int64, pack bool) {
 	bl := g.blocklen
@@ -326,7 +323,7 @@ func execGroup(cg, b []byte, gbase int64, g *progGroup, glo, ghi int64, pack boo
 	}
 	if iN >= i0 {
 		n := iN - i0 + 1
-		kernExec(g.kern, cg[cpos:], b, gbase+i0*g.stride, bl, g.stride, n, pack)
+		copyGroup(cg[cpos:], b, gbase+i0*g.stride, bl, g.stride, n, pack)
 		cpos += n * bl
 	}
 	if tail != 0 {

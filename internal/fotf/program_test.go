@@ -560,7 +560,7 @@ func TestRunCountUpTo(t *testing.T) {
 	p := Compile(vec)
 	const instances = 1 << 30
 	if got := p.RunCount(4, 4+instances*p.Size()); got != instances*1000+1 {
-		t.Fatalf("2^30 instances from mid-run to mid-run: %d runs, want %d", got, instances*1000+1)
+		t.Fatalf("2^30 instances from mid-run to mid-run: %d runs, want %d", got, int64(instances*1000+1))
 	}
 	// The bound stops the count where it is reached, group by group.
 	irr := Compile(irregularHindexed(t, 1<<15, 3))

@@ -13,8 +13,8 @@ import (
 // program must (a) map every data byte to the ol-list oracle's buffer
 // offset, and (b) never emit a window-split partial run inside an n>1
 // group — partial runs must come out as single (n==1) runs, because
-// n>1 groups feed the width-specialized kernels which copy whole runs
-// only.  Every (d0, d1) pair over two tiled instances is exercised.
+// n>1 groups feed the copy kernel, which copies whole runs only.  Every
+// (d0, d1) pair over two tiled instances is exercised.
 
 // flatOffsets expands the flattened ol-list into the buffer offset of
 // every data byte in [0, total), the independent oracle.

@@ -49,6 +49,7 @@ type Client struct {
 	views    map[*View]uint64 // handle per registered view, this connection
 	rounds   atomic.Int64     // request round-trips issued
 	lastSize atomic.Int64     // last size observed from the server, Size's fault fallback
+	sizeErr  error            // Size's deferred failure, reported by the next read or Sync
 
 	// Epoch staging state.  While epoch != 0, writes go out as staged
 	// ops and are logged in stage; a reconnect replays the log before
@@ -288,6 +289,9 @@ func (c *Client) readLocked(op int) (int, error) {
 func (c *Client) ReadAt(p []byte, off int64) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.takeSizeErrLocked(); err != nil {
+		return 0, err
+	}
 	c.req = putExtent(c.req[:0], off, int64(len(p)))
 	c.dst = append(c.dst, c.flag[:], p)
 	n, err := c.readLocked(opRead)
@@ -374,6 +378,9 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 func (c *Client) ReadAtv(segs []storage.Segment) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.takeSizeErrLocked(); err != nil {
+		return err
+	}
 	for len(segs) > 0 {
 		chunk := c.clipList(segs)
 		c.req = putList(c.req[:0], chunk)
@@ -434,15 +441,16 @@ func totalLen(segs []storage.Segment) int {
 	return n
 }
 
-// Size reports the server stripe's local size.
-// sizeAttempts bounds Size's internal retry loop.  Backend.Size cannot
+// sizeAttempts bounds Size's internal retry loop.
+const sizeAttempts = 8
+
+// Size reports the server stripe's local size.  Backend.Size cannot
 // report an error, and callers clamp reads against it — so a transient
 // wire fault must not masquerade as a zero-length stripe, or every read
 // of the file silently truncates to zeros.  Transients are retried
-// here; if the budget runs out, the last successfully observed size is
-// returned (stale beats absurd).
-const sizeAttempts = 8
-
+// here; if the budget runs out, Size answers the last size it observed
+// and the failure, naming Size, is kept for the next ReadAt, ReadAtv or
+// Sync to report, as storage.File does with its Stat failures.
 func (c *Client) Size() int64 {
 	for attempt := 0; ; attempt++ {
 		resp, err := c.roundTrip(opSize, nil)
@@ -451,15 +459,33 @@ func (c *Client) Size() int64 {
 				time.Sleep(time.Duration(attempt+1) * time.Millisecond)
 				continue
 			}
-			return c.lastSize.Load()
+			return c.sizeFailed(err)
 		}
 		n, _, err := getV(resp)
 		if err != nil || n < 0 {
-			return c.lastSize.Load()
+			return c.sizeFailed(fmt.Errorf("ioserver %s: malformed size response: %w", c.addr, storage.ErrPermanent))
 		}
 		c.lastSize.Store(n)
 		return n
 	}
+}
+
+// sizeFailed records Size's failure err, unless an earlier one is still
+// unreported, and returns the last size observed.
+func (c *Client) sizeFailed(err error) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.sizeErr == nil {
+		c.sizeErr = fmt.Errorf("ioserver: deferred Size failure: %w", err)
+	}
+	return c.lastSize.Load()
+}
+
+// takeSizeErrLocked returns and clears Size's deferred failure, if any.
+func (c *Client) takeSizeErrLocked() error {
+	err := c.sizeErr
+	c.sizeErr = nil
+	return err
 }
 
 // Truncate sizes the server's stripe.
@@ -473,7 +499,12 @@ func (c *Client) Truncate(n int64) error {
 
 // Sync flushes the server's stripe to its stable store.
 func (c *Client) Sync() error {
-	_, err := c.roundTrip(opSync, nil)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.takeSizeErrLocked(); err != nil {
+		return err
+	}
+	_, _, err := c.roundTripLocked(opSync, nil, nil)
 	return err
 }
 

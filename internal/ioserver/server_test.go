@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -393,6 +394,31 @@ func TestClientReconnect(t *testing.T) {
 	}
 	if !bytes.Equal(back, data) {
 		t.Fatal("read-back after reconnect differs")
+	}
+}
+
+// TestClientSizeFaultDeferred closes the server under a client: Size,
+// which cannot return an error, answers the last size it observed, and
+// the client's next read reports the failure, naming Size, once.
+func TestClientSizeFaultDeferred(t *testing.T) {
+	agg, servers := startServers(t, 8, 1, nil)
+	c := agg.Clients()[0]
+	if _, err := c.WriteAt(make([]byte, 24), 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Size(); n != 24 {
+		t.Fatalf("size %d, want 24", n)
+	}
+	servers[0].Close()
+	if n := c.Size(); n != 24 {
+		t.Fatalf("size against a closed server %d, want the last observed 24", n)
+	}
+	_, err := c.ReadAt(make([]byte, 8), 0)
+	if err == nil || !strings.Contains(err.Error(), "Size") {
+		t.Fatalf("read after a failed Size: %v, want an error naming Size", err)
+	}
+	if _, err := c.ReadAt(make([]byte, 8), 0); err == nil || strings.Contains(err.Error(), "Size") {
+		t.Fatalf("second read: %v, want the read's own failure", err)
 	}
 }
 
