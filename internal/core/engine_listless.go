@@ -24,6 +24,7 @@ type listlessEngine struct {
 	prog       *fotf.Program  // compiled own-fileview program; nil = walk
 	sb         segBuilder     // direct windows: runs to backend segments
 	lb         lendBuilder    // shares lent over a wire: memory runs to user-buffer slices
+	plans      planCache      // fused-copy plans of the IOP windows' lent shares
 }
 
 func newListlessEngine(f *File) *listlessEngine {
@@ -165,6 +166,7 @@ type remoteView struct {
 func (e *listlessEngine) setView() error {
 	e.remote = nil
 	e.merged = nil
+	e.plans = planCache{}
 	// Compile (or fetch) the fileview's copy program: the memoized,
 	// flat-array counterpart of the walk, keyed by the same encoded
 	// tree the view registration payload carries.  Replacing the
@@ -575,6 +577,7 @@ type listlessIOPState struct {
 	pl   *collPlan
 	lent []*memLoan
 	free []*listlessIOPWindow
+	nwin int // windows opened so far: the next one's index
 }
 
 // iopSetup takes, in-process, the loan of every AP that lends this IOP
@@ -619,6 +622,7 @@ func (s *listlessIOPState) dataAtRemote(r int, x int64) int64 {
 // listlessIOPWindow holds the per-AP data ranges of one window.
 type listlessIOPWindow struct {
 	s            *listlessIOPState
+	idx          int // the window's place in the IOP's domain, from 0
 	winLo, winHi int64
 	apA, apB     []int64
 	tot          int64
@@ -638,6 +642,8 @@ func (s *listlessIOPState) window(winLo, winHi int64) iopWindow {
 			apA: make([]int64, P), apB: make([]int64, P),
 		}
 	}
+	w.idx = s.nwin
+	s.nwin++
 	for r := 0; r < P; r++ {
 		if s.pl.ds[r] == 0 {
 			// Must be reset explicitly: a recycled window may hold
@@ -704,7 +710,8 @@ func (w *listlessIOPWindow) covered() bool {
 // copyLent moves AP r's share [apA, apB) between its user buffer and the
 // window in one pass through r's cached view program — the rank's own
 // share included — fused with its memtype's where the memory layout has
-// one.  The condition is the one AP r's cursor answered by.
+// one, by the window's plan for the share where it has one (planCache).
+// The condition is the one AP r's cursor answered by.
 func (w *listlessIOPWindow) copyLent(buf []byte, r int, write bool) bool {
 	l := w.s.lent[r]
 	if l == nil {
@@ -713,9 +720,16 @@ func (w *listlessIOPWindow) copyLent(buf []byte, r int, write bool) bool {
 	rv := &w.s.e.remote[r]
 	a, b := w.apA[r], w.apB[r]
 	bias := w.winLo - rv.disp
-	switch {
-	case l.prog == nil:
+	if l.prog == nil {
 		rv.prog.CopyRange(l.contig(a, b), buf, a, b, bias, !write)
+		return true
+	}
+	k := planKey{view: rv.prog, a: a, bias: bias, mem: l.prog, sd0: a - l.d0, n: b - a}
+	switch plan := w.s.e.plans.lookup(r, w.idx, len(w.apA), k); {
+	case plan != nil && write:
+		plan.Copy(buf, l.buf)
+	case plan != nil:
+		plan.CopyBack(buf, l.buf)
 	case write:
 		fotf.CopyFused(buf, rv.prog, a, bias, l.buf, l.prog, a-l.d0, 0, b-a)
 	default:

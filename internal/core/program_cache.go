@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"math"
 	"sync"
 
 	"repro/internal/datatype"
@@ -22,6 +23,13 @@ import (
 // alternating views) is a hit, while a churn of distinct views evicts
 // and recompiles.
 const programCacheCap = 64
+
+// compileBlocks bounds the ol-list length (datatype.Type.Blocks) of a
+// type the cache compiles: a longer one declines, as a type past fotf's
+// own limits does, at the cost of one comparison.  The handles leave the
+// bound to fotf; the package's tests lower it, so that a short regular
+// tail, which the walk takes as one group, makes a type decline.
+var compileBlocks int64 = math.MaxInt64
 
 // progEntry is one memoized compile result.  prog may be nil: a type
 // that declines compilation (no data, or beyond the compile limits) is
@@ -66,7 +74,10 @@ func (pc *programCache) lookup(enc []byte, t *datatype.Type) (e *progEntry, hit 
 
 	// Compile outside the lock: concurrent ranks of one world may race
 	// to compile the same view, and the first result in wins.
-	p := fotf.Compile(t)
+	var p *fotf.Program
+	if t.Blocks() <= compileBlocks {
+		p = fotf.Compile(t)
+	}
 
 	key := string(enc)
 	pc.mu.Lock()

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/datatype"
-	"repro/internal/fotf"
 	"repro/internal/mpi"
 	"repro/internal/pool"
 	"repro/internal/storage"
@@ -17,22 +16,28 @@ import (
 	"repro/internal/transport"
 )
 
-// declinedTail is 65 538 runs of alternately 1 and 2 bytes, a byte
-// apart: no two neighbours fold into one compiled group, so it holds one
-// group per run, more than fotf compiles, in 160 KiB.  The tree is a
-// vector of pairs, as small to encode and exchange as the views it
-// extends.
+// declinedTail is 8 193 one-byte runs two bytes apart, in a vector: a
+// type of more ol-list tuples than the package's tests let the program
+// cache compile (compileBlocks, lowered below), which the walk takes as
+// one group of runs: reaching the walk costs it O(1) runs, and the tail's
+// 8 KiB of data are what the walk copies.
 var declinedTail = sync.OnceValue(func() *datatype.Type {
-	pair := mustType(datatype.Hindexed([]int64{1, 2}, []int64{0, 2}, datatype.Byte))
-	return mustType(datatype.Hvector(1<<15+1, 1, 5, pair))
+	return mustType(datatype.Hvector(declinedBlocks+1, 1, 2, datatype.Byte))
 })
 
+// declinedBlocks is the ol-list length past which the program cache of the
+// package's tests declines a type: twice the longest any test compiles
+// (4 096 tuples).
+const declinedBlocks = 1 << 13
+
+func init() { compileBlocks = declinedBlocks }
+
 // declinedType returns t followed, past its upper bound, by declinedTail:
-// a type whose compile declines as a type past fotf's limits does in
-// production, so that every copy of it takes the walk.  The tail's data
-// comes after all of t's, so an access of no more than t.Size() bytes
-// into a fileview of it touches the same file bytes as one into t.  It
-// fails tb if fotf.Compile does not return nil for the result.
+// a type the program cache declines as a type past fotf's limits is
+// declined in production, so that every copy of it takes the walk.  The
+// tail's data comes after all of t's, so an access of no more than
+// t.Size() bytes into a fileview of it touches the same file bytes as one
+// into t.  It fails tb if the cache compiles the result.
 func declinedType(tb testing.TB, t *datatype.Type) *datatype.Type {
 	tb.Helper()
 	tail := declinedTail()
@@ -43,7 +48,7 @@ func declinedType(tb testing.TB, t *datatype.Type) *datatype.Type {
 	if ext := off + tail.Extent() - t.LB(); dt.Extent() != ext { // t's bound markers hold the struct's
 		dt = mustType(datatype.Resized(dt, t.LB(), ext))
 	}
-	if fotf.Compile(dt) != nil {
+	if e, _ := programs.lookup(nil, dt); e.prog != nil {
 		tb.Fatalf("%v followed by the tail compiles; the cell would not reach the walk", t)
 	}
 	return dt
@@ -119,7 +124,7 @@ func TestQuickProgramCollective(t *testing.T) {
 				Pool:        pool.NewChecked(),
 			}
 			if c.declined {
-				// The tail is 160 KiB of each view: windows sixteen times
+				// The tail is 16 KiB of each view: windows sixteen times
 				// as large, as diffCell's.
 				base, d, want = declined, dd, wants[1]
 				opts.CollBufSize *= 16

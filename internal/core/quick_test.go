@@ -373,7 +373,7 @@ func diffCount(base, mt *datatype.Type, extra int64) int64 {
 // writes count instances of mt through its view — base, displaced by the
 // rank's number of base extents, tiled every P extents — and reads them
 // back; file and buffers are held to the flat oracle.  A declined cell's
-// types each hold a 160 KiB tail, and it moves them through buffers and
+// types each hold a 16 KiB tail, and it moves them through buffers and
 // stripes sixteen times as large.  It returns rank 0's Stats.
 func diffCell(t *testing.T, label string, c diffCase, base, mt *datatype.Type, count int64, opts Options) Stats {
 	t.Helper()

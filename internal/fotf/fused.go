@@ -172,23 +172,26 @@ func shortTrains(dst []byte, d *fusedSide, src []byte, s *fusedSide, n int64) in
 	return n
 }
 
-// pieces is the lockstep where nothing batches: it copies the common
-// remainder of the two current runs, steps whichever run that ends, and
-// goes on until n is spent or a batch may have become possible — both
-// sides at a run start, or one at the start of runs of which the other's
-// run still holds two.  It returns what is left of n.  The positions live
-// in locals between run ends, and there is one branch on which run ends
-// first, not one per side: each alone is a coin toss, and the two are
-// anti-correlated.
-func pieces(dst []byte, d *fusedSide, src []byte, s *fusedSide, n int64) int64 {
+// pieces is the lockstep where nothing batches: it copies (or, rec set,
+// records) the common remainder of the two current runs, steps whichever
+// run that ends, and goes on until n is spent or a batch may have become
+// possible — both sides at a run start, or one at the start of runs of
+// which the other's run still holds two.  It returns what is left of n.
+// The positions live in locals between run ends, and there is one branch
+// on which run ends first, not one per side: each alone is a coin toss,
+// and the two are anti-correlated.
+func pieces(dst []byte, d *fusedSide, src []byte, s *fusedSide, n int64, rec *planRecorder) int64 {
 	do, drem, so, srem := d.off(), d.rem, s.off(), s.rem
 	for {
-		c := min(drem, srem)
-		if c >= n {
-			copy(dst[do:do+n], src[so:so+n])
+		c := min(drem, srem, n)
+		if rec == nil {
+			copy(dst[do:do+c], src[so:so+c])
+		} else {
+			rec.piece(do, so, c)
+		}
+		if c == n {
 			return 0
 		}
-		copy(dst[do:do+c], src[so:so+c])
 		n -= c
 		switch {
 		case drem < srem:
@@ -222,8 +225,19 @@ func pieces(dst []byte, d *fusedSide, src []byte, s *fusedSide, n int64) int64 {
 // offset o of the type is src[o-sbias], respectively dst[o-dbias].  The
 // result is that of packing [sd0, sd0+n) with sp.CopyRange into a
 // scratch buffer and unpacking it over [dd0, dd0+n) with dp.CopyRange,
-// provided the two byte ranges do not overlap in memory.
+// provided the two byte ranges do not overlap in memory.  A caller that
+// moves the same range again and again records it once instead
+// (PlanFused).
 func CopyFused(dst []byte, dp *Program, dd0, dbias int64, src []byte, sp *Program, sd0, sbias int64, n int64) {
+	lockstep(dst, dp, dd0, dbias, src, sp, sd0, sbias, n, nil)
+}
+
+// lockstep is CopyFused's walk of the two programs.  With rec nil it
+// moves the bytes; with rec it moves none — dst and src are not touched
+// — and hands each step to rec instead, as a piece or a kernRuns call.
+// A recording takes pieces where a copy would take shortTrains: a step
+// through the stack stages bytes, and a plan holds only where bytes go.
+func lockstep(dst []byte, dp *Program, dd0, dbias int64, src []byte, sp *Program, sd0, sbias int64, n int64, rec *planRecorder) {
 	if n <= 0 {
 		return
 	}
@@ -238,28 +252,28 @@ func CopyFused(dst []byte, dp *Program, dd0, dbias int64, src []byte, sp *Progra
 			if m*dbl > n {
 				m = n / dbl
 			}
-			kernRuns(dst, d.start, d.g.stride, 0, src, s.start, s.g.stride, 0, dbl, m, 1)
+			rec.kernRuns(dst, d.start, d.g.stride, 0, src, s.start, s.g.stride, 0, dbl, m, 1)
 			d.skipRuns(m)
 			s.skipRuns(m)
 			n -= m * dbl
 		case d.rem == dbl && d.left > 1 && min(s.rem, n) >= 2*dbl:
 			// The rest of the source run holds whole destination runs.
 			q, k, wrap := d.batch(&s, n)
-			kernRuns(dst, d.start, d.g.stride, 0, src, s.off(), dbl, wrap, dbl, q, k)
+			rec.kernRuns(dst, d.start, d.g.stride, 0, src, s.off(), dbl, wrap, dbl, q, k)
 			d.skipRuns(q * k)
 			s.skipBytes(q * k * dbl)
 			n -= q * k * dbl
 		case s.rem == sbl && s.left > 1 && min(d.rem, n) >= 2*sbl:
 			// The rest of the destination run holds whole source runs.
 			q, k, wrap := s.batch(&d, n)
-			kernRuns(dst, d.off(), sbl, wrap, src, s.start, s.g.stride, 0, sbl, q, k)
+			rec.kernRuns(dst, d.off(), sbl, wrap, src, s.start, s.g.stride, 0, sbl, q, k)
 			s.skipRuns(q * k)
 			d.skipBytes(q * k * sbl)
 			n -= q * k * sbl
-		case outOfStep(&d, &s):
+		case rec == nil && outOfStep(&d, &s):
 			n -= shortTrains(dst, &d, src, &s, n)
 		default:
-			n = pieces(dst, &d, src, &s, n)
+			n = pieces(dst, &d, src, &s, n, rec)
 		}
 	}
 }

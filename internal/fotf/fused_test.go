@@ -90,7 +90,63 @@ func checkFused(dt, st *datatype.Type, dd0, sd0, n int64, r *rand.Rand) error {
 	if most := dp.RunCount(dd0, dd0+n) + sp.RunCount(sd0, sd0+n); pieces > most {
 		return fmt.Errorf("RunsFused: %d pieces over ranges of %d runs in all", pieces, most)
 	}
+	return checkPlan(dp, dd0, dbias, srcBefore, sp, sd0, sbias, n, want, r)
+}
+
+// checkPlan replays the plan of the fused copy both ways against the
+// walk, whether or not PlanFused would keep it: Copy from src into a
+// random destination-shaped buffer, and CopyBack from want into a random
+// source-shaped one, must each leave what the staged walk leaves — pack by
+// the one type, unpack over the other — every guard and hole untouched.
+func checkPlan(dp *Program, dd0, dbias int64, src []byte, sp *Program, sd0, sbias, n int64, want []byte, r *rand.Rand) error {
+	var rec planRecorder
+	lockstep(nil, dp, dd0, dbias, nil, sp, sd0, sbias, n, &rec)
+	if rec.overflow {
+		return fmt.Errorf("plan: an index overflowed on buffers of %d and %d bytes", len(want), len(src))
+	}
+	plan := rec.plan()
+	var moved int64
+	for _, p := range plan.pieces {
+		moved += int64(p.ln)
+	}
+	for _, k := range plan.kerns {
+		moved += k.bl * k.q * k.k
+	}
+	if moved != n {
+		return fmt.Errorf("plan: %d pieces and %d batched steps move %d bytes, want %d", len(plan.pieces), len(plan.kerns), moved, n)
+	}
+
+	got := make([]byte, len(want))
+	r.Read(got)
+	wantCopy := append([]byte(nil), got...)
+	staged := make([]byte, n)
+	CopyRange(staged, src, sp.Type(), sd0, sd0+n, sbias, true)
+	CopyRange(staged, wantCopy, dp.Type(), dd0, dd0+n, dbias, false)
+	plan.Copy(got, src)
+	if i := firstDiff(got, wantCopy); i >= 0 {
+		return fmt.Errorf("plan Copy: dst[%d] = %#x, staged walk %#x", i, got[i], wantCopy[i])
+	}
+
+	back := make([]byte, len(src))
+	r.Read(back)
+	wantBack := append([]byte(nil), back...)
+	CopyRange(staged, want, dp.Type(), dd0, dd0+n, dbias, true)
+	CopyRange(staged, wantBack, sp.Type(), sd0, sd0+n, sbias, false)
+	plan.CopyBack(want, back)
+	if i := firstDiff(back, wantBack); i >= 0 {
+		return fmt.Errorf("plan CopyBack: src[%d] = %#x, staged walk %#x", i, back[i], wantBack[i])
+	}
 	return nil
+}
+
+// firstDiff returns the first index at which a and b differ, or -1.
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 // irregularHindexed is an Hindexed of n blocks with seeded lengths in
@@ -128,6 +184,7 @@ func TestFusedVsWalkTable(t *testing.T) {
 	negLB := hindexed(t, []int64{4, 4}, []int64{-24, -8}, datatype.Byte)
 	oneGroup := hv(1<<15, 8, 24)
 	manyGroups := irregularHindexed(t, 1<<15, 3)
+	irrView, irrMem := irrShaped(t, 2000, 1)
 	if g := Compile(oneGroup).Groups(); g != 1 {
 		t.Fatalf("one-group vector compiled to %d groups", g)
 	}
@@ -168,6 +225,9 @@ func TestFusedVsWalkTable(t *testing.T) {
 		{"negative-lb", negLB, hv(8, 2, 4), 1, 0, 14},
 		{"negative-lb-src", hv(8, 2, 4), negLB, 0, 9, 14},
 		{"irregular-both", irregularHindexed(t, 300, 1), irregularHindexed(t, 300, 2), 11, 5, 20000},
+		// The irr workload's two sides, a window that starts and ends
+		// mid-run on both: nearly every step a piece (and the plan kept).
+		{"irr-shaped", irrView, irrMem, 3001, 3001, 150000},
 		{"1-group-into-32k-groups", manyGroups, oneGroup, 0, 0, 1 << 18},
 		{"32k-groups-into-1-group", oneGroup, manyGroups, 4, 12, 1<<18 - 16},
 		{"single-byte", hv(64, 8, 16), hv(64, 8, 24), 77, 78, 1},

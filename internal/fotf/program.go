@@ -137,6 +137,16 @@ func (p *Program) Type() *datatype.Type { return p.t }
 // coalesces it with the program tail.  Data offsets are implied by
 // emission order (Runs covers [0, size) gaplessly in data order), so
 // only buffer geometry needs checking.
+//
+// The groups are a function of the layout, not of the tree that walked
+// it: they are what adding the type's maximal runs (its ol-list) one at a
+// time makes, where a run that abuts the previous one merges with it and
+// a run otherwise extends the tail's progression or pairs with a tail
+// run of its own length.  A walked group is added as that many runs
+// would be, in O(1): its first run abutting the tail's last run merges
+// with it — the tail's last run is peeled off first — and its first run
+// joining the tail's progression takes the rest with it only at the same
+// stride.
 func (p *Program) add(bufOff, _ /* dataOff */, runLen, stride, n int64) {
 	if p.bad {
 		return
@@ -148,29 +158,38 @@ func (p *Program) add(bufOff, _ /* dataOff */, runLen, stride, n int64) {
 	}
 	if len(p.groups) > 0 {
 		g := &p.groups[len(p.groups)-1]
+		last := g.base + (g.count-1)*g.stride
 		switch {
-		case g.count == 1 && n == 1 && g.base+g.blocklen == bufOff:
-			// Two single runs that abut (e.g. across a block or struct
-			// member boundary the tree keeps apart): one longer run.
-			g.blocklen += runLen
+		case last+g.blocklen == bufOff:
+			// One run of the layout that the tree splits (e.g. across a
+			// block or struct member boundary): peel the tail's last
+			// run, add the two as one, then the rest of this group.
+			merged := g.blocklen + runLen
+			if g.count--; g.count == 0 {
+				p.groups = p.groups[:len(p.groups)-1]
+			} else if g.count == 1 {
+				g.stride = 0
+			}
+			p.add(last, 0, merged, 0, 1)
+			if n > 1 {
+				p.add(bufOff+stride, 0, runLen, stride, n-1)
+			}
 			return
-		case n == 1 && g.blocklen == runLen && g.count == 1 && bufOff > g.base+g.blocklen:
-			// Two equal-length runs start an arithmetic progression.
-			g.stride = bufOff - g.base
-			g.count = 2
-			return
-		case n == 1 && g.blocklen == runLen && g.count > 1 && bufOff == g.base+g.count*g.stride:
-			// A single run continues the tail group's progression.
+		case g.blocklen == runLen && (g.count == 1 && bufOff > last+runLen || g.count > 1 && bufOff == last+g.stride):
+			// The first run starts an arithmetic progression with the
+			// tail's single run, or continues the tail's.
+			if g.count == 1 {
+				g.stride = bufOff - g.base
+			}
 			g.count++
-			return
-		case n > 1 && g.blocklen == runLen && g.count == 1 && bufOff == g.base+stride:
-			// The tail single run is the head of this incoming group.
-			g.stride = stride
-			g.count = 1 + n
-			return
-		case n > 1 && g.blocklen == runLen && g.count > 1 && g.stride == stride && bufOff == g.base+g.count*g.stride:
-			// Two groups with identical geometry, phase-aligned: merge.
-			g.count += n
+			if n == 1 {
+				return
+			}
+			if stride == g.stride {
+				g.count += n - 1
+				return
+			}
+			p.add(bufOff+stride, 0, runLen, stride, n-1)
 			return
 		}
 	}

@@ -15,8 +15,10 @@ import (
 // (1, 2, 4 and 8 bytes, and 16 for small structs), one memmove per run
 // at every other width.  Memory is addressed as a base
 // pointer plus an integer offset, and a pointer is formed only for a run
-// the check covered, so no pointer ever leaves the slices.  This is the
-// package's only file that imports unsafe (TestUnsafeStaysInKernels).
+// the check covered, so no pointer ever leaves the slices.  A fused-copy
+// plan's pieces (movePieces) are moved the same way, under the one check
+// their plan makes per replay.  This is the package's only file that
+// imports unsafe (TestUnsafeStaysInKernels).
 //
 // Callers hand it whole runs only — execGroup routes window-split
 // partial runs through plain byte copies — so a run never reads or
@@ -109,4 +111,21 @@ func reach(step, count, size int64) (lo, hi int64, ok bool) {
 	}
 	d := (count - 1) * step
 	return min(d, 0), max(d, 0), true
+}
+
+// movePieces moves a fused-copy plan's pieces in order, each from src[so]
+// to dst[do] — or, back set, from dst[do] to src[so] — one memmove a
+// piece and no bounds check: the caller (FusedPlan.replay) has checked
+// that every piece of the plan lies inside both slices.
+func movePieces(dst, src []byte, ps []planPiece, back bool) {
+	d, s := unsafe.Pointer(unsafe.SliceData(dst)), unsafe.Pointer(unsafe.SliceData(src))
+	if back {
+		for _, p := range ps {
+			copy(unsafe.Slice((*byte)(unsafe.Add(s, p.so)), p.ln), unsafe.Slice((*byte)(unsafe.Add(d, p.do)), p.ln))
+		}
+		return
+	}
+	for _, p := range ps {
+		copy(unsafe.Slice((*byte)(unsafe.Add(d, p.do)), p.ln), unsafe.Slice((*byte)(unsafe.Add(s, p.so)), p.ln))
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/datatype"
+	"repro/internal/flatten"
 )
 
 // The differential layer: a compiled Program must be byte-identical to
@@ -566,5 +567,112 @@ func TestRunCountUpTo(t *testing.T) {
 	irr := Compile(irregularHindexed(t, 1<<15, 3))
 	if got := irr.RunCountUpTo(1, irr.Size(), 129); got != 129 {
 		t.Fatalf("limit 129 over single-run groups: counted %d", got)
+	}
+}
+
+// flatProgram compiles t's ol-list instead of t: a Hindexed of Byte over
+// flatten.Flatten(t)'s tuples, resized to t's bounds — the layout of t
+// with none of its tree.
+func flatProgram(tb testing.TB, t *datatype.Type) *Program {
+	tb.Helper()
+	l := flatten.Flatten(t)
+	lens, displs := make([]int64, len(l)), make([]int64, len(l))
+	for i, s := range l {
+		lens[i], displs[i] = s.Len, s.Off
+	}
+	h, err := datatype.Hindexed(lens, displs, datatype.Byte)
+	if err == nil {
+		h, err = datatype.Resized(h, t.LB(), t.Extent())
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Compile(h)
+}
+
+// sameGroups reports how Compile(t) and the compile of t's ol-list
+// differ, or "" when their groups are equal.
+func sameGroups(tb testing.TB, t *datatype.Type) string {
+	tb.Helper()
+	p, q := Compile(t), flatProgram(tb, t)
+	if p == nil || q == nil {
+		if p != q {
+			return fmt.Sprintf("one side declined: tree %v, flat %v", p == nil, q == nil)
+		}
+		return ""
+	}
+	if !slices.Equal(p.groups, q.groups) {
+		return fmt.Sprintf("tree compiles to %v, its ol-list to %v", p.groups, q.groups)
+	}
+	return ""
+}
+
+// TestCompileIsAFunctionOfTheLayout: two trees with one ol-list compile
+// to one program (Träff et al.'s self-consistency: equivalent
+// constructions must not differ).  Compile(t)'s groups must equal those of
+// t's ol-list compiled as a Hindexed of bytes, for random filetypes and
+// for a table of constructions of one layout each.
+func TestCompileIsAFunctionOfTheLayout(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	trees := 3000
+	if testing.Short() {
+		trees = 500
+	}
+	for i := 0; i < trees; i++ {
+		dt := datatype.RandomFiletype(r, 4)
+		if diff := sameGroups(t, dt); diff != "" {
+			t.Fatalf("tree %d, %v: %s", i, dt, diff)
+		}
+	}
+
+	must := func(dt *datatype.Type, err error) *datatype.Type {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dt
+	}
+	fill := func(v int64, n int) []int64 {
+		s := make([]int64, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	at := func(step int64, n int) []int64 {
+		d := make([]int64, n)
+		for i := range d {
+			d[i] = int64(i) * step
+		}
+		return d
+	}
+	hv := must(datatype.Hvector(5, 48, 72, datatype.Byte))
+	for _, c := range []struct {
+		name string
+		dt   *datatype.Type
+	}{
+		{"vector", vec(t, 6, 2, 5, datatype.Int32)},
+		{"hvector", must(datatype.Hvector(6, 2, 20, datatype.Int32))},
+		{"regular-indexed", must(datatype.Indexed(fill(2, 6), at(5, 6), datatype.Int32))},
+		{"hindexed-of-doubles", must(datatype.Hindexed(fill(1, 6), at(20, 6), must(datatype.Contiguous(2, datatype.Int32))))},
+		{"one-member-struct", must(datatype.Struct([]int64{1}, []int64{0}, []*datatype.Type{vec(t, 6, 2, 5, datatype.Int32)}))},
+		{"resized", must(datatype.Resized(vec(t, 6, 2, 5, datatype.Int32), 0, 120))},
+		// A group whose last run abuts the member after it: the two are
+		// one run of the layout.
+		{"abutting-last-run", must(datatype.Struct([]int64{1, 1}, []int64{0, 336}, []*datatype.Type{hv, datatype.Int32}))},
+		// A run that abuts the first run of the group after it.
+		{"abutting-first-run", must(datatype.Struct([]int64{1, 1}, []int64{0, 4}, []*datatype.Type{datatype.Int32, hv}))},
+		// A single run equal in length to the group after it, but not at
+		// its stride: the layout pairs the run with the group's first.
+		{"run-then-group", must(datatype.Struct([]int64{1, 1}, []int64{0, 100}, []*datatype.Type{datatype.Int32, vec(t, 5, 1, 2, datatype.Int32)}))},
+		// A group whose first run continues the progression before it at
+		// that progression's stride, not its own.
+		{"group-continues-into-group", must(datatype.Struct([]int64{1, 1}, []int64{0, 36}, []*datatype.Type{vec(t, 3, 1, 3, datatype.Int32), vec(t, 3, 1, 5, datatype.Int32)}))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if diff := sameGroups(t, c.dt); diff != "" {
+				t.Error(diff)
+			}
+		})
 	}
 }
