@@ -18,12 +18,19 @@ import (
 // crashMem is a Mem whose Sync is a durability point.  It keeps the
 // image its last Sync made durable and notes every Sync — and, as the
 // journal, every write of a header — in a log it shares with its rig.
+//
+// It implements the early-writeback hint in the worst case: the hinted
+// bytes, as they are when hinted, become durable at once — all of them,
+// or, should the device be cut off part way, any prefix of them.
+// earlyImages gives the image behind every such cut.
 type crashMem struct {
 	*storage.Mem
 	name    string
 	log     *[]string
 	durable []byte
 	syncs   int
+	hints   []storage.Segment // hinted since the last Sync: where, and the bytes written back
+	asked   [][2]int64        // every hint, as off and n
 }
 
 func (c *crashMem) WriteAt(p []byte, off int64) (int, error) {
@@ -37,7 +44,36 @@ func (c *crashMem) Sync() error {
 	c.syncs++
 	*c.log = append(*c.log, c.name+" sync")
 	c.durable = c.Mem.Bytes()
+	c.hints = nil
 	return nil
+}
+
+func (c *crashMem) StartWriteback(off, n int64) {
+	c.asked = append(c.asked, [2]int64{off, n})
+	buf := make([]byte, n)
+	if err := storage.ReadFull(c.Mem, buf, off); err != nil {
+		panic(err)
+	}
+	c.hints = append(c.hints, storage.Segment{Off: off, Buf: buf})
+}
+
+// earlyImages returns, for k = 1 up to every byte hinted since the last
+// Sync, the durable image with the first k hinted bytes written back
+// over it: a cut at every record boundary, and inside every record.
+func (c *crashMem) earlyImages() [][]byte {
+	var imgs [][]byte
+	for i, h := range c.hints {
+		for k := 1; k <= len(h.Buf); k++ {
+			img := storage.NewMem()
+			img.WriteAt(c.durable, 0)
+			for _, prev := range c.hints[:i] {
+				img.WriteAt(prev.Buf, prev.Off)
+			}
+			img.WriteAt(h.Buf[:k], h.Off)
+			imgs = append(imgs, img.Bytes())
+		}
+	}
+	return imgs
 }
 
 type crashRig struct {
@@ -96,21 +132,29 @@ func (r *crashRig) read(n int64) string {
 	return string(r.do(opRead, vs(0, n))[1:])
 }
 
-// crashed recovers from both images a crash at this instant can leave —
-// a killed process (everything written so far is in the page cache) and
-// a power loss at its harshest (only what was synced) — and requires the
-// stripe to hold want either way.  It returns the second recovery's
-// report.
+// crashed recovers from every image a crash at this instant can leave —
+// a killed process (everything written so far is in the page cache), a
+// power loss at its harshest (only what was synced), and a power loss
+// after the journal's early writeback got any prefix of its hinted bytes
+// to the device — and requires the stripe to hold want in each.  It
+// returns the last recovery's report: the power loss with every hinted
+// byte written back, or with none when nothing was hinted since the
+// journal's last sync.
 func (r *crashRig) crashed(want string) RecoveryInfo {
 	r.t.Helper()
-	var info RecoveryInfo
-	for _, img := range []struct {
+	type image struct {
 		name            string
 		stripe, journal []byte
-	}{
+	}
+	imgs := []image{
 		{"kill", r.stripe.Bytes(), r.journal.Bytes()},
 		{"power loss", r.stripe.durable, r.journal.durable},
-	} {
+	}
+	for k, jimg := range r.journal.earlyImages() {
+		imgs = append(imgs, image{fmt.Sprintf("power loss, early writeback cut at hinted byte %d", k+1), r.stripe.durable, jimg})
+	}
+	var info RecoveryInfo
+	for _, img := range imgs {
 		stripe, jb := storage.NewMem(), storage.NewMem()
 		stripe.WriteAt(img.stripe, 0)
 		jb.WriteAt(img.journal, 0)
@@ -379,7 +423,8 @@ func TestCloseCheckpointsThenSeals(t *testing.T) {
 }
 
 // TestCheckpointObservability: one span per checkpoint carrying the
-// journal bytes it retired, beside the commit's; the checkpoint counter,
+// journal bytes it retired, beside the commit's, and inside the commit's
+// the journal sync it waited for; the checkpoint counter,
 // the journal's live bytes and the journal syncs in the server's stats.
 func TestCheckpointObservability(t *testing.T) {
 	tr := trace.NewCollector(0).Tracer(0)
@@ -397,12 +442,98 @@ func TestCheckpointObservability(t *testing.T) {
 			r.srv.journal.Live(), r.srv.checkpoints.Load(), st)
 	}
 	var spans []string
+	var commit, jsync trace.Event
 	for _, ev := range tr.Events() {
-		if ev.Phase == trace.PhaseServerCommit || ev.Phase == trace.PhaseServerCheckpoint {
-			spans = append(spans, fmt.Sprintf("%s %d", ev.Phase, ev.Bytes))
+		switch ev.Phase {
+		case trace.PhaseServerCommit:
+			commit = ev
+		case trace.PhaseServerJournalSync:
+			jsync = ev
+		case trace.PhaseServerCheckpoint:
+		default:
+			continue
 		}
+		spans = append(spans, fmt.Sprintf("%s %d", ev.Phase, ev.Bytes))
 	}
-	if want := []string{"server.commit 4", fmt.Sprintf("server.checkpoint %d", live)}; !slices.Equal(spans, want) {
+	if want := []string{"server.journal-sync 4", "server.commit 4", fmt.Sprintf("server.checkpoint %d", live)}; !slices.Equal(spans, want) {
 		t.Errorf("spans %q, want %q", spans, want)
+	}
+	if jsync.Start < commit.Start || jsync.Start+jsync.Dur > commit.Start+commit.Dur || jsync.Window != 7 {
+		t.Errorf("the journal sync %+v does not lie inside epoch 7's commit %+v", jsync, commit)
+	}
+}
+
+// TestStagedAppendsStartWriteback: the journal hints each staged append
+// once, exactly the bytes it appended (a fresh journal's first append
+// leads with the header), and never a commit, seal or reset record,
+// which are synced anyway; after a reset the hints start again behind
+// the new header.
+func TestStagedAppendsStartWriteback(t *testing.T) {
+	r := newCrashRig(t, nil)
+	j := r.srv.journal
+	var want [][2]int64
+	stage := func(epoch uint64, off int64, data string) {
+		t.Helper()
+		before := j.end.Load()
+		r.stage(epoch, off, data)
+		want = append(want, [2]int64{before, j.end.Load() - before})
+	}
+	stage(7, 0, "AAAA")
+	stage(7, 8, "BBBB")
+	r.commit(7)
+	stage(8, 2, "CCCCCC")
+	r.do(opEpochAbort, vs(8)) // a checkpoint: the journal resets
+	stage(9, 4, "DD")
+	r.commit(9)
+	if err := r.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(r.journal.asked, want) {
+		t.Errorf("hints [off n] %v, want one per staged append, %v", r.journal.asked, want)
+	}
+	if want[0][0] != 0 || want[3][0] != int64(hdrLen) {
+		t.Errorf("the first hint starts at %d, the first after the reset at %d; want 0 and %d", want[0][0], want[3][0], hdrLen)
+	}
+}
+
+// TestEarlyWritebackBeforeCommit: an epoch's staged records have been
+// written back, wholly or in part, and the crash comes before its commit
+// record.  The epoch never happened: the stripe stays as it was.
+func TestEarlyWritebackBeforeCommit(t *testing.T) {
+	r := newCrashRig(t, nil)
+	r.write(0, "................")
+	r.do(opSync, nil)
+	r.stage(7, 0, "AAAA")
+	r.stage(7, 8, "BBBB")
+	if len(r.journal.hints) != 2 {
+		t.Fatalf("%d hints outstanding after two stages, want 2", len(r.journal.hints))
+	}
+	if info := r.crashed("................"); info.DiscardedEpochs != 1 || info.AppliedEpochs != 0 {
+		t.Errorf("with the staged records written back, recovery reports %+v, want epoch 7 discarded", info)
+	}
+}
+
+// TestEarlyWritebackAfterReset: after a checkpoint the new generation's
+// records are written back over the old generation's, and behind them
+// lie the old generation's stale records of the same epoch id — aligned,
+// its second stage and its commit whole.  None of the stale records
+// replays: the stripe keeps the direct write made after the checkpoint,
+// and the new generation's uncommitted epoch is discarded.
+func TestEarlyWritebackAfterReset(t *testing.T) {
+	r := newCrashRig(t, nil)
+	r.write(0, "................")
+	r.stage(7, 0, "AAAA")
+	r.stage(7, 8, "BBBB")
+	r.commit(7)
+	r.do(opSync, nil) // checkpoint: the journal's generation moves on
+	r.write(8, "YYYY")
+	r.do(opSync, nil) // the direct write is durable
+	stale := r.journal.Bytes()
+	r.stage(7, 4, "CCCC")
+	if got := r.journal.Bytes(); len(got) != len(stale) || !bytes.Equal(got[len(got)-10:], stale[len(stale)-10:]) {
+		t.Fatalf("the new stage record is not aligned over the old generation's first: %d bytes, %d before", len(got), len(stale))
+	}
+	if info := r.crashed("AAAA....YYYY...."); info.DiscardedEpochs != 1 || info.AppliedEpochs != 0 || !info.TornTail {
+		t.Errorf("with the new record written back over stale ones, recovery reports %+v, want epoch 7 discarded at a torn tail", info)
 	}
 }

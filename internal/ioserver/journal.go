@@ -51,6 +51,16 @@ import (
 // append, garbage, or what an earlier generation left behind), applies
 // every epoch whose commit record made it in, discards the rest, and
 // resets.
+//
+// Staged records are written back early.  On a store with the
+// storage.Writeback extension (a file), StartWriteback starts device
+// writeback of everything appended since the last hint or sync, so the
+// commit's sync waits for the epoch's tail rather than all of it.  No
+// crash outcome moves: the kernel was always free to write those pages
+// back before the sync, and recovery already takes any verifying prefix
+// of appended records — what it cannot verify under the header's
+// generation, it does not replay.  Commit, seal and reset records are
+// not hinted; they are synced at once.
 
 const (
 	recStage  = byte(1)
@@ -101,6 +111,19 @@ type Journal struct {
 	end    atomic.Int64
 	buf    []byte       // record staging, reused
 	fsyncs atomic.Int64 // journal syncs performed (commit/seal/reset points)
+	// wb is b's early writeback, nil when b has none.  hinted is the
+	// store offset up to which writeback has been started or the records
+	// synced: what StartWriteback hints next begins there.  Under mu;
+	// Reset rewinds it with end.
+	wb     storage.Writeback
+	hinted int64
+}
+
+// newJournal is the journal of generation gen over b, whose records end
+// at the store's start until a header of gen is written.
+func newJournal(b storage.Backend, gen uint64) *Journal {
+	wb, _ := b.(storage.Writeback)
+	return &Journal{b: b, wb: wb, gen: gen}
 }
 
 // NewJournal wraps an empty (or expendable) backend as a journal.  Any
@@ -108,7 +131,7 @@ type Journal struct {
 // them.
 func NewJournal(b storage.Backend) *Journal {
 	b.Truncate(0)
-	return &Journal{b: b, gen: 1}
+	return newJournal(b, 1)
 }
 
 // begin starts a batch of records in j.buf.  On a store without a header
@@ -192,12 +215,33 @@ func (j *Journal) appendSynced(typ byte, epoch uint64) error {
 }
 
 // sync flushes the journal store and counts the durability point.
+// Everything appended is then on the device, so nothing is left to hint.
 func (j *Journal) sync() error {
 	if err := j.b.Sync(); err != nil {
 		return err
 	}
+	j.hinted = j.end.Load()
 	j.fsyncs.Add(1)
 	return nil
+}
+
+// StartWriteback starts device writeback of the records appended since
+// the last hint or sync and returns without waiting for it: a staged
+// append's bytes then stream to the device while the rest of the epoch
+// is staged, and the commit's sync waits for the tail.  It takes mu only
+// to claim the range, so an append on another connection does not wait
+// behind the hint.  On a store without the extension it does nothing.
+func (j *Journal) StartWriteback() {
+	if j.wb == nil {
+		return
+	}
+	j.mu.Lock()
+	off, end := j.hinted, j.end.Load()
+	j.hinted = end
+	j.mu.Unlock()
+	if end > off {
+		j.wb.StartWriteback(off, end-off)
+	}
 }
 
 // Fsyncs reports the journal syncs performed so far.
@@ -214,6 +258,7 @@ func (j *Journal) Reset() error {
 	// Until the new header is on the store there is none of j.gen: should
 	// the write fail, the next append leads with it.
 	j.end.Store(0)
+	j.hinted = 0
 	j.begin()
 	if err := j.appendRecs(); err != nil {
 		return err
@@ -356,7 +401,7 @@ func RecoverJournal(jb, stripe storage.Backend) (*Journal, RecoveryInfo, error) 
 				return nil, info, fmt.Errorf("ioserver: truncating journal: %w", err)
 			}
 		}
-		return &Journal{b: jb, gen: 1}, info, nil
+		return newJournal(jb, 1), info, nil
 	}
 
 	staged := make(map[uint64][]storage.Segment)
@@ -417,7 +462,7 @@ func RecoverJournal(jb, stripe storage.Backend) (*Journal, RecoveryInfo, error) 
 			return nil, info, fmt.Errorf("ioserver: syncing stripe after recovery: %w", err)
 		}
 	}
-	j := &Journal{b: jb, gen: gen}
+	j := newJournal(jb, gen)
 	if err := j.Reset(); err != nil {
 		return nil, info, fmt.Errorf("ioserver: resetting recovered journal: %w", err)
 	}

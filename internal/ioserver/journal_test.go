@@ -2,6 +2,9 @@ package ioserver
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/storage"
@@ -13,13 +16,25 @@ func memBytes(t *testing.T, m *storage.Mem) []byte {
 	return m.Bytes()
 }
 
+// stageHinted journals one staged write and starts its writeback, as a
+// server's stage does.
+func stageHinted(t *testing.T, j *Journal, epoch uint64, off int64, data []byte) {
+	t.Helper()
+	if err := j.AppendStage(epoch, off, data); err != nil {
+		t.Fatal(err)
+	}
+	j.StartWriteback()
+}
+
 // TestJournalCrashPoints simulates a server crash at every interesting
 // instant of the stage→commit→apply→checkpoint sequence by constructing
 // the on-disk journal state that crash would leave, then requires
 // recovery to land the stripe in the one correct state: every committed
 // epoch since the last checkpoint applied in commit order, uncommitted
 // epochs and earlier generations' records gone, prior contents
-// untouched.
+// untouched.  The state is the one a killed process leaves, and each
+// one a power loss leaves after the staged records' early writeback got
+// any prefix of them to the device (crashMem).
 func TestJournalCrashPoints(t *testing.T) {
 	prior := []byte("................") // 16 bytes of pre-epoch stripe state
 	stageA := []storage.Segment{
@@ -31,9 +46,7 @@ func TestJournalCrashPoints(t *testing.T) {
 	// then the commit record.
 	commitA := func(t *testing.T, j *Journal) {
 		for _, s := range stageA {
-			if err := j.AppendStage(7, s.Off, s.Buf); err != nil {
-				t.Fatal(err)
-			}
+			stageHinted(t, j, 7, s.Off, s.Buf)
 		}
 		if err := j.AppendCommit(7); err != nil {
 			t.Fatal(err)
@@ -60,9 +73,7 @@ func TestJournalCrashPoints(t *testing.T) {
 			name: "crash between stage and commit",
 			journal: func(t *testing.T, j *Journal) {
 				for _, s := range stageA {
-					if err := j.AppendStage(7, s.Off, s.Buf); err != nil {
-						t.Fatal(err)
-					}
+					stageHinted(t, j, 7, s.Off, s.Buf)
 				}
 			},
 			stripe:  prior,
@@ -73,9 +84,7 @@ func TestJournalCrashPoints(t *testing.T) {
 			name: "crash after commit record, before apply",
 			journal: func(t *testing.T, j *Journal) {
 				for _, s := range stageA {
-					if err := j.AppendStage(7, s.Off, s.Buf); err != nil {
-						t.Fatal(err)
-					}
+					stageHinted(t, j, 7, s.Off, s.Buf)
 				}
 				if err := j.AppendCommit(7); err != nil {
 					t.Fatal(err)
@@ -89,9 +98,7 @@ func TestJournalCrashPoints(t *testing.T) {
 			name: "crash mid-apply (first segment landed)",
 			journal: func(t *testing.T, j *Journal) {
 				for _, s := range stageA {
-					if err := j.AppendStage(7, s.Off, s.Buf); err != nil {
-						t.Fatal(err)
-					}
+					stageHinted(t, j, 7, s.Off, s.Buf)
 				}
 				if err := j.AppendCommit(7); err != nil {
 					t.Fatal(err)
@@ -105,16 +112,12 @@ func TestJournalCrashPoints(t *testing.T) {
 			name: "committed epoch followed by uncommitted epoch",
 			journal: func(t *testing.T, j *Journal) {
 				for _, s := range stageA {
-					if err := j.AppendStage(7, s.Off, s.Buf); err != nil {
-						t.Fatal(err)
-					}
+					stageHinted(t, j, 7, s.Off, s.Buf)
 				}
 				if err := j.AppendCommit(7); err != nil {
 					t.Fatal(err)
 				}
-				if err := j.AppendStage(8, 4, []byte("XXXX")); err != nil {
-					t.Fatal(err)
-				}
+				stageHinted(t, j, 8, 4, []byte("XXXX"))
 			},
 			stripe:  prior,
 			want:    withA, // epoch 8 discarded
@@ -125,9 +128,7 @@ func TestJournalCrashPoints(t *testing.T) {
 			name: "torn tail mid-record",
 			journal: func(t *testing.T, j *Journal) {
 				for _, s := range stageA {
-					if err := j.AppendStage(7, s.Off, s.Buf); err != nil {
-						t.Fatal(err)
-					}
+					stageHinted(t, j, 7, s.Off, s.Buf)
 				}
 				if err := j.AppendCommit(7); err != nil {
 					t.Fatal(err)
@@ -160,15 +161,11 @@ func TestJournalCrashPoints(t *testing.T) {
 			name: "three commits acknowledged, no checkpoint",
 			journal: func(t *testing.T, j *Journal) {
 				commitA(t, j)
-				if err := j.AppendStage(8, 2, []byte("CCCCCC")); err != nil {
-					t.Fatal(err)
-				}
+				stageHinted(t, j, 8, 2, []byte("CCCCCC"))
 				if err := j.AppendCommit(8); err != nil {
 					t.Fatal(err)
 				}
-				if err := j.AppendStage(9, 6, []byte("DDDD")); err != nil {
-					t.Fatal(err)
-				}
+				stageHinted(t, j, 9, 6, []byte("DDDD"))
 				if err := j.AppendCommit(9); err != nil {
 					t.Fatal(err)
 				}
@@ -228,9 +225,7 @@ func TestJournalCrashPoints(t *testing.T) {
 				if err := j.Reset(); err != nil {
 					t.Fatal(err)
 				}
-				if err := j.AppendStage(7, 4, []byte("CCCC")); err != nil {
-					t.Fatal(err)
-				}
+				stageHinted(t, j, 7, 4, []byte("CCCC"))
 			},
 			stripe:  []byte("AAAA....YYYY...."),
 			want:    []byte("AAAA....YYYY...."),
@@ -243,9 +238,7 @@ func TestJournalCrashPoints(t *testing.T) {
 			name: "new generation committed, aligned stale tail",
 			journal: func(t *testing.T, j *Journal) {
 				commitA(t, j)
-				if err := j.AppendStage(8, 12, []byte("EEEE")); err != nil {
-					t.Fatal(err)
-				}
+				stageHinted(t, j, 8, 12, []byte("EEEE"))
 				if err := j.AppendCommit(8); err != nil {
 					t.Fatal(err)
 				}
@@ -278,8 +271,19 @@ func TestJournalCrashPoints(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			jb := storage.NewMem()
+			jb := &crashMem{Mem: storage.NewMem(), name: "journal", log: new([]string)}
 			tc.journal(t, NewJournal(jb))
+			for k, img := range jb.earlyImages() {
+				jmem, stripe := storage.NewMem(), storage.NewMem()
+				jmem.WriteAt(img, 0)
+				stripe.WriteAt(tc.stripe, 0)
+				if _, _, err := RecoverJournal(jmem, stripe); err != nil {
+					t.Fatal(err)
+				}
+				if got := stripe.Bytes(); !bytes.Equal(got, tc.want) {
+					t.Errorf("written back up to hinted byte %d: stripe after recovery = %q, want %q", k+1, got, tc.want)
+				}
+			}
 			stripe := storage.NewMem()
 			if _, err := stripe.WriteAt(tc.stripe, 0); err != nil {
 				t.Fatal(err)
@@ -408,5 +412,55 @@ func TestRecoveryReadsLivePrefix(t *testing.T) {
 	}
 	if read, limit := jb.Stats().BytesRead, live+2*recoverChunk; read > limit {
 		t.Errorf("recovery read %d bytes of a %d-byte store holding %d live, want at most %d", read, jb.Size(), live, limit)
+	}
+}
+
+// hintMem is a Mem that logs the writeback hints it is given, from any
+// goroutine.
+type hintMem struct {
+	*storage.Mem
+	mu    sync.Mutex
+	hints [][2]int64 // off, n
+}
+
+func (h *hintMem) StartWriteback(off, n int64) {
+	h.mu.Lock()
+	h.hints = append(h.hints, [2]int64{off, n})
+	h.mu.Unlock()
+}
+
+// TestJournalWritebackConcurrent: stages appended and hinted from
+// several goroutines at once, as a server's connections do, are hinted
+// exactly once between them: the hints tile the store from its start to
+// the end of the last record, with no gap and no byte hinted twice.
+func TestJournalWritebackConcurrent(t *testing.T) {
+	jb := &hintMem{Mem: storage.NewMem()}
+	j := NewJournal(jb)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			data := bytes.Repeat([]byte{byte('A' + g)}, 100+g)
+			for i := 0; i < 50; i++ {
+				if err := j.AppendStage(7, int64(g*1000+i), data); err != nil {
+					t.Error(err)
+					return
+				}
+				j.StartWriteback()
+			}
+		}(g)
+	}
+	wg.Wait()
+	slices.SortFunc(jb.hints, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+	next := int64(0)
+	for _, h := range jb.hints {
+		if h[0] != next || h[1] <= 0 {
+			t.Fatalf("hint [%d, +%d) where the next unhinted byte is %d: hints %v", h[0], h[1], next, jb.hints)
+		}
+		next += h[1]
+	}
+	if end := j.end.Load(); next != end {
+		t.Errorf("the hints end at %d, the records at %d", next, end)
 	}
 }

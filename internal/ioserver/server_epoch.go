@@ -52,8 +52,11 @@ func (s *Server) commitEpoch(epoch uint64, incarnation int64) error {
 		s.lastCommitted = max(s.lastCommitted, epoch)
 		return nil
 	}
-	sp := s.cfg.Tracer.BeginIO(trace.PhaseServerCommit, int64(epoch), int64(totalLen(segs)))
+	n := int64(totalLen(segs))
+	sp := s.cfg.Tracer.BeginIO(trace.PhaseServerCommit, int64(epoch), n)
+	jsp := s.cfg.Tracer.BeginIO(trace.PhaseServerJournalSync, int64(epoch), n)
 	err := s.journal.AppendCommit(epoch)
+	jsp.End()
 	if err == nil {
 		err = s.moveSegs(segs, true)
 	}
@@ -164,14 +167,25 @@ func (s *Server) LastCommitted() uint64 {
 }
 
 // stage journals st.segs — one write request's total bytes, resolved to
-// segments over its frame payload — under epoch, parks them, and counts
-// the request in the connection's tally.  The segments' bytes are kept,
-// not copied: they lie in st.frame, the pooled frame the request reader
-// read the payload into, which the epoch takes over, so they stay intact
+// segments over its frame payload — under epoch, parks them, counts the
+// request in the connection's tally, and starts the journal's writeback
+// of the records.  The hint is issued after epochMu is released, so that
+// another connection's stage does not wait behind the syscall.
+func (st *connState) stage(epoch uint64, total int64) error {
+	if err := st.park(epoch, total); err != nil {
+		return err
+	}
+	st.srv.journal.StartWriteback()
+	return nil
+}
+
+// park is stage under epochMu.  The segments' bytes are kept, not
+// copied: they lie in st.frame, the pooled frame the request reader read
+// the payload into, which the epoch takes over, so they stay intact
 // until the epoch is applied or dropped.  (The segment headers are
 // copied; st.segs is scratch.  A request dispatched without a frame —
 // the tests that call dispatch directly — parks its caller's payload.)
-func (st *connState) stage(epoch uint64, total int64) error {
+func (st *connState) park(epoch uint64, total int64) error {
 	s := st.srv
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()

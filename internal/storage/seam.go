@@ -7,7 +7,7 @@ import (
 
 // The storage seam.  Every pass-through wrapper (Resilient, Traced,
 // Throttled, Instrumented, Faulty, Chaos) embeds one layer, which
-// implements Backend and its three extensions once: a fallible call
+// implements Backend and its four extensions once: a fallible call
 // becomes an op, the op goes to the wrapper's single intercept, and the
 // wrapper runs it on the inner backend with next.exec — zero, one or
 // several times, before or after whatever it injects.  A retry, a fault,
@@ -138,11 +138,12 @@ type interceptor interface {
 }
 
 // layer is the part of a pass-through wrapper that is the same for all
-// of them.  The calls that cannot fail (Size, EpochBegin, EpochEnd) and
-// the capability probes go straight to the inner backend, and a view or
-// epoch call over a backend without the extension is answered here,
-// before the interceptor runs — so a seeded schedule never spends a draw,
-// nor a counter a count, on a call that could not have happened.
+// of them.  The calls that cannot fail (Size, StartWriteback, EpochBegin,
+// EpochEnd) and the capability probes go straight to the inner backend,
+// and a view or epoch call over a backend without the extension is
+// answered here, before the interceptor runs — so a seeded schedule
+// never spends a draw, nor a counter a count, on a call that could not
+// have happened.
 type layer struct {
 	// Backend is the inner backend, a field of every wrapper through the
 	// embedding: w.Backend is what w wraps.
@@ -200,6 +201,16 @@ func (l *layer) WriteAt(p []byte, off int64) (int, error) {
 
 // Size implements Backend.
 func (l *layer) Size() int64 { return l.Backend.Size() }
+
+// StartWriteback implements Writeback: a hint, which cannot fail, so it
+// goes straight to the inner backend as Size does — no op, nothing to
+// retry, inject, charge or count — and to nothing when the inner backend
+// has no writeback to start.
+func (l *layer) StartWriteback(off, n int64) {
+	if w, ok := l.Backend.(Writeback); ok {
+		w.StartWriteback(off, n)
+	}
+}
 
 // Truncate implements Backend.
 func (l *layer) Truncate(n int64) error {

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 type seamCall struct {
 	name string
 	off  int64 // offset, truncate size, displacement, data offset or epoch id
+	n    int64 // writeback length
 	buf  []byte
 	segs []Segment
 	h    ViewHandle
@@ -28,7 +30,7 @@ func sameBuf(a, b []byte) bool {
 // same reports whether two calls carry identical arguments: the same
 // values and the very same buffers, not copies of them.
 func (c seamCall) same(d seamCall) bool {
-	if c.name != d.name || c.off != d.off || c.h != d.h || c.typ != d.typ ||
+	if c.name != d.name || c.off != d.off || c.n != d.n || c.h != d.h || c.typ != d.typ ||
 		!sameBuf(c.buf, d.buf) || len(c.segs) != len(d.segs) {
 		return false
 	}
@@ -40,7 +42,7 @@ func (c seamCall) same(d seamCall) bool {
 	return true
 }
 
-// seamStore is a Mem with all three extensions that logs every call it
+// seamStore is a Mem with all four extensions that logs every call it
 // receives.  A view maps data offsets straight to file offsets; epochs
 // are bookkeeping.  With fail set, every fallible call does nothing and
 // returns it.
@@ -102,6 +104,10 @@ func (s *seamStore) Truncate(n int64) error {
 }
 
 func (s *seamStore) Sync() error { return s.log(seamCall{name: "Sync"}) }
+
+func (s *seamStore) StartWriteback(off, n int64) {
+	s.log(seamCall{name: "StartWriteback", off: off, n: n})
+}
 
 func (s *seamStore) ReadAtv(segs []Segment) error {
 	if err := s.log(seamCall{name: "ReadAtv", segs: segs}); err != nil {
@@ -165,6 +171,7 @@ type seamBackend interface {
 	Vectored
 	ViewBackend
 	EpochBackend
+	Writeback
 }
 
 // seamWrappers builds each of the six wrappers, idle (nothing armed, no
@@ -181,7 +188,7 @@ var seamWrappers = []struct {
 	{"Chaos", func(b Backend) Backend { return NewChaos(1, b, ChaosConfig{}) }},
 }
 
-// seamOps is every call of the four interfaces.  do issues it on w and
+// seamOps is every call of the five interfaces.  do issues it on w and
 // returns the call the inner backend must see and what w answered.
 var seamOps = []struct {
 	name string
@@ -205,6 +212,10 @@ var seamOps = []struct {
 	}},
 	{"Sync", func(w seamBackend) (seamCall, int64, error) {
 		return seamCall{name: "Sync"}, 0, w.Sync()
+	}},
+	{"StartWriteback", func(w seamBackend) (seamCall, int64, error) {
+		w.StartWriteback(4096, 1<<20)
+		return seamCall{name: "StartWriteback", off: 4096, n: 1 << 20}, 0, nil
 	}},
 	{"ReadAtv", func(w seamBackend) (seamCall, int64, error) {
 		segs := []Segment{{Off: 64, Buf: make([]byte, 3)}, {Off: 8, Buf: make([]byte, 2)}}
@@ -352,6 +363,92 @@ func TestSeamCapabilitiesMirrorInner(t *testing.T) {
 	}
 	if st := inst.Stats(); st != (AccessStats{}) {
 		t.Errorf("Instrumented counted unsupported calls: %+v", st)
+	}
+}
+
+// TestSeamWritebackIsNoOp: the early-writeback hint passes every
+// wrapper unchanged and costs none of them anything, armed as each is so
+// that an op that reached its interceptor would leave a mark — no Chaos
+// draw, no Faulty count, no Throttled charge, no Instrumented count, no
+// Traced span, no Resilient retry — and over a backend without the
+// extension it reaches nothing.
+func TestSeamWritebackIsNoOp(t *testing.T) {
+	const seed = 11
+	for _, tc := range []struct {
+		name string
+		wrap func(b Backend) (Backend, func() string)
+	}{
+		{"Resilient", func(b Backend) (Backend, func() string) {
+			r := NewResilient(b, ResilientConfig{Seed: seed})
+			return r, func() string {
+				if n, _ := r.RetryStats(); n != 0 || r.rng.Int63() != rand.New(rand.NewSource(seed)).Int63() {
+					return "a retry or a jitter draw"
+				}
+				return ""
+			}
+		}},
+		{"Traced", func(b Backend) (Backend, func() string) {
+			c := trace.NewCollector(64)
+			return NewTraced(b, c.Storage()), func() string {
+				if evs := c.Events(); len(evs) != 0 {
+					return fmt.Sprintf("spans %v", evs)
+				}
+				return ""
+			}
+		}},
+		{"Throttled", func(b Backend) (Backend, func() string) {
+			th := NewThrottled(b, 1, 1, time.Nanosecond)
+			return th, func() string {
+				if d := th.debt.Load(); d != 0 {
+					return fmt.Sprintf("a %dns charge", d)
+				}
+				return ""
+			}
+		}},
+		{"Instrumented", func(b Backend) (Backend, func() string) {
+			in := NewInstrumented(b)
+			return in, func() string {
+				if st := in.Stats(); st != (AccessStats{}) {
+					return fmt.Sprintf("counts %+v", st)
+				}
+				return ""
+			}
+		}},
+		{"Faulty", func(b Backend) (Backend, func() string) {
+			f := NewFaulty(b)
+			f.FailReads(1)
+			f.FailWrites(1)
+			return f, func() string {
+				if f.reads.count != 0 || f.writes.count != 0 {
+					return fmt.Sprintf("%d reads and %d writes counted", f.reads.count, f.writes.count)
+				}
+				return ""
+			}
+		}},
+		{"Chaos", func(b Backend) (Backend, func() string) {
+			c := NewChaos(seed, b, ChaosConfig{TransientRead: 1, TransientWrite: 1, PermanentRead: 1, PermanentWrite: 1, LatencySpike: 1})
+			return c, func() string {
+				if st := c.Stats(); st.Total() != 0 || st.LatencySpikes != 0 || c.rng.Int63() != rand.New(rand.NewSource(seed)).Int63() {
+					return fmt.Sprintf("a draw or an injection %+v", st)
+				}
+				return ""
+			}
+		}},
+	} {
+		inner := newSeamStore()
+		w, spent := tc.wrap(inner)
+		w.(Writeback).StartWriteback(12, 34)
+		if want := (seamCall{name: "StartWriteback", off: 12, n: 34}); len(inner.calls) != 1 || !inner.calls[0].same(want) {
+			t.Errorf("%s: inner saw %+v, want exactly %+v", tc.name, inner.calls, want)
+		}
+		if mark := spent(); mark != "" {
+			t.Errorf("%s: the hint cost %s", tc.name, mark)
+		}
+		w, spent = tc.wrap(NewMem())
+		w.(Writeback).StartWriteback(12, 34)
+		if mark := spent(); mark != "" {
+			t.Errorf("%s over Mem: the hint cost %s", tc.name, mark)
+		}
 	}
 }
 

@@ -101,6 +101,9 @@ const (
 	PhaseEpochCommit  Phase = "epoch.commit"  // rank 0's commit broadcast to the servers
 	PhaseServerStage  Phase = "server.stage"  // one staged (journaled) write request
 	PhaseServerCommit Phase = "server.commit" // one server applying a committed epoch
+	// The commit record's append and journal sync, inside server.commit:
+	// the wait for the durability point, apart from the apply.
+	PhaseServerJournalSync Phase = "server.journal-sync"
 	// One server syncing its stripe and resetting its journal (bytes = the
 	// journal bytes retired).
 	PhaseServerCheckpoint Phase = "server.checkpoint"
