@@ -17,7 +17,8 @@
 //     compact encoded tree, when the view is set (fileview caching); and
 //     collective writes skip the read-modify-write pre-read when the
 //     combined fileviews cover the written range (the mergeview
-//     optimization).  See engine_listless.go.
+//     optimization, decided by views proved disjoint at SetView and each
+//     window's exact sum).  See engine_listless.go and disjoint.go.
 //
 // Both engines produce byte-identical files; only their cost profiles
 // differ.  Per-file Stats expose the differences (tuples built, list

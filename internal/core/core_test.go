@@ -471,8 +471,8 @@ func TestCollectivePartialCoverageReadsFirst(t *testing.T) {
 }
 
 func TestCollectiveDifferingDisplacements(t *testing.T) {
-	// Each rank uses a *different* displacement: the mergeview cannot be
-	// built; the listless engine must fall back and stay correct.
+	// Each rank uses a *different* displacement: the views are not
+	// compared, so the listless engine pre-reads and must stay correct.
 	const P = 3
 	a, b := runBoth(t, P, Options{CollBufSize: 128}, func(f *File) {
 		rank := f.Proc().Rank()

@@ -114,6 +114,17 @@ func dwGeoms() []dwGeom {
 		view: func(int) (int64, *datatype.Type) {
 			return 0, mustType(datatype.Resized(hvecBytes(6, 8192, 16384), 0, 6*16384))
 		}})
+	// Overlapping views that leave a hole: of every 100-byte tile rank 0
+	// views [0,50) and rank 1 [0,20) and [70,100).  The ranks' shares add
+	// up to each window's length while nobody writes [50,70), so a window
+	// that skipped its pre-read on that sum would overwrite the hole.
+	gs = append(gs, dwGeom{name: "overlap-with-hole/P=2", P: 2, d: 1000 * 50, collBuf: win, mem: datatype.Byte, direct: -1,
+		view: func(rank int) (int64, *datatype.Type) {
+			if rank == 0 {
+				return 0, mustType(datatype.Resized(hvecBytes(1, 50, 50), 0, 100))
+			}
+			return 0, mustType(datatype.Resized(mustType(datatype.Hindexed([]int64{20, 30}, []int64{0, 70}, datatype.Byte)), 0, 100))
+		}})
 	// Ghosted 2-D tiles: a 2x2 grid of 16x12 tiles of 8-byte elements,
 	// each grown by a ring of 6 and clipped at the dataset's edges, so the
 	// subarray views of neighbours share rows and columns and one

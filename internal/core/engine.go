@@ -18,8 +18,8 @@ type accessEngine interface {
 	// setView installs engine-specific state for the fileview just
 	// assigned to f.v and performs the collective synchronization that
 	// SetView requires (the listless engine exchanges encoded fileviews
-	// and builds the mergeview; the list-based engine flattens and
-	// synchronizes).
+	// and decides whether they are disjoint; the list-based engine
+	// flattens and synchronizes).
 	setView() error
 
 	// dataToFileStart maps a view data offset to the absolute file

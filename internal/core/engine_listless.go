@@ -14,17 +14,17 @@ import (
 // each process's fileview is exchanged once, as a compact encoded tree,
 // when the view is set (fileview caching); and collective writes skip
 // the read-modify-write pre-read when the combined fileviews cover the
-// written range (the mergeview optimization).
+// written range (the paper's mergeview optimization: the views proved
+// disjoint once, at SetView, then each window's exact per-AP sum).
 type listlessEngine struct {
-	f          *File
-	payload    []byte         // own encoded view, as exchanged
-	remote     []remoteView   // per-rank cached views
-	merged     *datatype.Type // mergeview struct type (write optimization)
-	mergedEdge navEdge        // last window edge navigated on merged
-	prog       *fotf.Program  // compiled own-fileview program; nil = walk
-	sb         segBuilder     // direct windows: runs to backend segments
-	lb         lendBuilder    // shares lent over a wire: memory runs to user-buffer slices
-	plans      planCache      // fused-copy plans of the IOP windows' lent shares
+	f        *File
+	payload  []byte        // own encoded view, as exchanged
+	remote   []remoteView  // per-rank cached views
+	disjoint bool          // the cached views share no byte (viewsApart)
+	prog     *fotf.Program // compiled own-fileview program; nil = walk
+	sb       segBuilder    // direct windows: runs to backend segments
+	lb       lendBuilder   // shares lent over a wire: memory runs to user-buffer slices
+	plans    planCache     // fused-copy plans of the IOP windows' lent shares
 }
 
 func newListlessEngine(f *File) *listlessEngine {
@@ -164,8 +164,7 @@ type remoteView struct {
 }
 
 func (e *listlessEngine) setView() error {
-	e.remote = nil
-	e.merged = nil
+	e.remote, e.disjoint = nil, false
 	e.plans = planCache{}
 	// Compile (or fetch) the fileview's copy program: the memoized,
 	// flat-array counterpart of the walk, keyed by the same encoded
@@ -176,7 +175,6 @@ func (e *listlessEngine) setView() error {
 	e.payload = encodeView(&e.f.v)
 	if !e.f.opts.DisableViewCache {
 		e.exchangeViews()
-		e.buildMergeview()
 	} else {
 		e.f.p.Barrier()
 	}
@@ -184,7 +182,8 @@ func (e *listlessEngine) setView() error {
 }
 
 // exchangeViews performs fileview caching: every rank broadcasts its
-// encoded (compact, tree-proportional) fileview once.
+// encoded (compact, tree-proportional) fileview once, and decides once
+// whether the views are disjoint.
 func (e *listlessEngine) exchangeViews() {
 	f := e.f
 	f.Stats.ViewBytesSent += int64(len(e.payload)) // accounted once per SetView
@@ -196,6 +195,7 @@ func (e *listlessEngine) exchangeViews() {
 		rv.prog = f.lookupProgram(part[8:], rv.ftype)
 		rv.cur.Reset(rv.ftype, rv.prog)
 	}
+	e.disjoint = viewsApart(e.remote)
 }
 
 // encodeView builds the exchanged form of a view: the displacement and
@@ -215,137 +215,6 @@ func decodeView(rank int, part []byte) remoteView {
 		panic(fmt.Sprintf("core: rank %d sent undecodable fileview: %v", rank, err))
 	}
 	return remoteView{disp: disp, ftype: ft, fsize: ft.Size(), fext: ft.Extent()}
-}
-
-// buildMergeview constructs the merged fileview of all processes as a
-// struct type (the paper's mergetype), valid when all displacements and
-// extents agree — the common file-partitioning case.  When they do not,
-// merged stays nil and the collective write-coverage check falls back to
-// per-rank navigation sums.
-func (e *listlessEngine) buildMergeview() {
-	disp := e.remote[0].disp
-	ext := e.remote[0].fext
-	for _, rv := range e.remote[1:] {
-		if rv.disp != disp || rv.fext != ext {
-			e.merged = nil
-			return
-		}
-	}
-	n := len(e.remote)
-	blocklens := make([]int64, n)
-	displs := make([]int64, n)
-	children := make([]*datatype.Type, n)
-	for i, rv := range e.remote {
-		blocklens[i] = 1
-		displs[i] = 0
-		children[i] = rv.ftype
-	}
-	m, err := datatype.Struct(blocklens, displs, children)
-	if err != nil {
-		e.merged = nil
-		return
-	}
-	// Pin the extent so the mergetype tiles like the filetypes.
-	if m.Extent() != ext {
-		if m, err = datatype.Resized(m, 0, ext); err != nil {
-			e.merged = nil
-			return
-		}
-	}
-	// The mergeview coverage check is only sound when the fileviews do
-	// not overlap (each file byte visible through at most one view).
-	// Validate once at SetView; overlapping views (e.g. every rank using
-	// the same default byte view) fall back to the per-AP sums.
-	if m.Blocks() > 1<<22 || !viewsDisjoint(e.remote, ext) {
-		e.merged = nil
-		return
-	}
-	e.merged, e.mergedEdge = m, navEdge{}
-}
-
-// viewRuns yields the data runs of one instance of a filetype in type-map
-// order — ascending, for a validated filetype — fetching them from the
-// tree a chunk of data bytes at a time: the pull form of fotf.Runs that
-// a merge of several views needs.  off and end are the current run, done
-// is set past the last one.
-type viewRuns struct {
-	t        *datatype.Type
-	emit     fotf.EmitFunc
-	next     int64      // data offset the next fetch starts at
-	groups   []runGroup // the chunk fetched last
-	gi       int        // current group
-	k        int64      // current run within it
-	off, end int64
-	done     bool
-}
-
-type runGroup struct{ off, runLen, stride, n int64 }
-
-// viewRunsChunk is the data bytes per fetch: a few hundred groups at
-// most, whatever the view.
-const viewRunsChunk = 64 << 10
-
-func newViewRuns(t *datatype.Type) *viewRuns {
-	s := &viewRuns{t: t}
-	s.emit = func(bufOff, _, runLen, stride, n int64) {
-		s.groups = append(s.groups, runGroup{bufOff, runLen, stride, n})
-	}
-	s.advance()
-	return s
-}
-
-// advance steps to the next run.
-func (s *viewRuns) advance() {
-	if s.gi < len(s.groups) {
-		if s.k++; s.k == s.groups[s.gi].n {
-			s.gi, s.k = s.gi+1, 0
-		}
-	}
-	for s.gi == len(s.groups) {
-		if s.next >= s.t.Size() {
-			s.done = true
-			return
-		}
-		s.groups, s.gi = s.groups[:0], 0
-		hi := min(s.next+viewRunsChunk, s.t.Size())
-		fotf.Runs(s.t, s.next, hi, s.emit)
-		s.next = hi
-	}
-	g := &s.groups[s.gi]
-	s.off = g.off + s.k*g.stride
-	s.end = s.off + g.runLen
-}
-
-// viewsDisjoint reports whether the views, which share a displacement
-// and the extent ext, cover each byte of one extent at most once and keep
-// their data inside it, so that tiling preserves that.  Every view is a
-// validated filetype, so its runs ascend, and a P-way merge of the run
-// streams meets an overlap as a run starting before its predecessor's
-// end: O(runs) time, O(P) memory, stopping at the first overlap.  (Were
-// a stream not ascending, the merge would report an overlap, which only
-// costs the optimization.)
-func viewsDisjoint(views []remoteView, ext int64) bool {
-	streams := make([]*viewRuns, len(views))
-	for i := range views {
-		streams[i] = newViewRuns(views[i].ftype)
-	}
-	var prevEnd int64 // data below offset 0 would overlap the previous tile
-	for {
-		var first *viewRuns
-		for _, s := range streams {
-			if !s.done && (first == nil || s.off < first.off) {
-				first = s
-			}
-		}
-		if first == nil {
-			return prevEnd <= ext
-		}
-		if first.off < prevEnd {
-			return false
-		}
-		prevEnd = first.end
-		first.advance()
-	}
 }
 
 // Engine-neutral navigation uses O(depth) flattening-on-the-fly calls.
@@ -689,22 +558,15 @@ func (w *listlessIOPWindow) release() { w.s.free = append(w.s.free, w) }
 func (w *listlessIOPWindow) total() int64         { return w.tot }
 func (w *listlessIOPWindow) chunkLen(r int) int64 { return w.apB[r] - w.apA[r] }
 
-// covered uses the exact per-AP sum — sound because each byte is written
-// at most once through the combined fileviews — confirmed, when the
-// mergeview exists, by one navigation call on it (the paper's §3.2.3
-// check).  The exact sum guards accesses where some ranks write nothing.
+// covered is the paper's one-call coverage check (§3.2.3) in two parts.
+// SetView proved the views disjoint, so no file byte lies in two of them,
+// and the window's exact per-AP sum is at most the bytes of the views'
+// union in the window, which is at most its length: the sum reaching the
+// length means every byte of the window is written.  Views not proved
+// disjoint never skip the pre-read, since their sum may count a byte
+// twice and miss a hole.
 func (w *listlessIOPWindow) covered() bool {
-	if w.tot != w.winHi-w.winLo {
-		return false
-	}
-	e := w.s.e
-	if e.merged == nil {
-		return true
-	}
-	disp := e.remote[0].disp
-	lo := e.mergedEdge.bufToData(e.merged, w.winLo-disp)
-	hi := e.mergedEdge.bufToData(e.merged, w.winHi-disp)
-	return hi-lo == w.winHi-w.winLo
+	return w.s.e.disjoint && w.tot == w.winHi-w.winLo
 }
 
 // copyLent moves AP r's share [apA, apB) between its user buffer and the

@@ -64,6 +64,7 @@ type Type struct {
 	trueUB   int64 // one past the highest byte of actual data
 	depth    int   // tree depth; a named type has depth 1
 	blocks   int64 // contiguous leaf blocks per instance (uncoalesced)
+	mono     bool  // the runs of one instance ascend in type-map order without overlapping
 	dense    bool  // data of one instance forms a single contiguous run
 	tileable bool  // repeated instances remain one run (dense && size==extent && trueLB==lb)
 	hasLB    bool  // an explicit MPI_LB marker fixes lb
@@ -122,6 +123,13 @@ func (t *Type) Blocks() int64 { return t.blocks }
 // Dense reports whether the data of a single instance forms one
 // contiguous run of bytes.
 func (t *Type) Dense() bool { return t.dense }
+
+// Monotone reports whether the contiguous runs of one instance, in
+// type-map order (the order Walk emits them), each start at or after the
+// end of the one before: the type-map order MPI-IO asks of etypes and
+// filetypes.  It is decided from the tree when each node is built, in
+// time proportional to the node's own blocks, never from the runs.
+func (t *Type) Monotone() bool { return t.mono }
 
 // ContiguousTiled reports whether count consecutive instances of t form a
 // single contiguous run for every count, i.e. the type behaves like a
@@ -246,8 +254,8 @@ var (
 	Double     = Float64
 	Complex128 = named("complex128", 16)
 
-	LBMarker = &Type{kind: KindNamed, name: "lb", depth: 1, hasLB: true, dense: true, tileable: true}
-	UBMarker = &Type{kind: KindNamed, name: "ub", depth: 1, hasUB: true, dense: true, tileable: true}
+	LBMarker = &Type{kind: KindNamed, name: "lb", depth: 1, hasLB: true, mono: true, dense: true, tileable: true}
+	UBMarker = &Type{kind: KindNamed, name: "ub", depth: 1, hasUB: true, mono: true, dense: true, tileable: true}
 )
 
 func named(name string, size int64) *Type {
@@ -259,6 +267,7 @@ func named(name string, size int64) *Type {
 		trueUB:   size,
 		depth:    1,
 		blocks:   1,
+		mono:     true,
 		dense:    true,
 		tileable: true,
 	}
@@ -485,6 +494,7 @@ func Resized(child *Type, lb, extent int64) (*Type, error) {
 		trueUB: child.trueUB,
 		depth:  child.depth + 1,
 		blocks: child.blocks,
+		mono:   child.mono,
 		dense:  child.dense,
 		hasLB:  true,
 		hasUB:  true,
@@ -586,6 +596,7 @@ func (t *Type) finishHomogeneous(sh vectorShape) {
 	// Bounds.  Empty types have lb=ub=0 unless markers apply.
 	if sh.count == 0 || sh.blocklen == 0 {
 		t.hasLB, t.hasUB = c.hasLB, c.hasUB
+		t.mono = true
 		t.dense = true
 		t.tileable = true
 		return
@@ -607,6 +618,11 @@ func (t *Type) finishHomogeneous(sh vectorShape) {
 		t.trueLB = lo + min64(0, blockSpan) + c.trueLB
 		t.trueUB = hi + max64(0, blockSpan) + c.trueUB
 	}
+	// The children ascend within a block when each clears the span of
+	// the one before, and the blocks when the stride clears a block.
+	cspan := c.trueUB - c.trueLB
+	t.mono = c.size == 0 || c.mono && (sh.blocklen == 1 || cext >= cspan) &&
+		(sh.count == 1 || sh.stride-blockSpan >= cspan)
 	t.computeDensity()
 	// A single fully-dense block is one run.
 	if t.dense {
@@ -624,7 +640,9 @@ func (t *Type) finishIndexed() {
 	cext := c.Extent()
 	first := true
 	firstTrue := true
+	var asc ascending
 	for i, bl := range t.blocklens {
+		asc.block(t.displs[i], bl, c)
 		t.size += bl * c.size
 		t.blocks += bl * c.blocks
 		if c.dense && c.size == cext && bl > 0 {
@@ -659,6 +677,7 @@ func (t *Type) finishIndexed() {
 	if first { // no blocks at all
 		t.dense, t.tileable = true, true
 	}
+	t.mono = !asc.broken
 	t.hasLB, t.hasUB = c.hasLB, c.hasUB
 	t.depth = c.depth + 1
 	t.computeDensity()
@@ -671,10 +690,12 @@ func (t *Type) finishStruct() {
 	first := true
 	firstTrue := true
 	var lbCands, ubCands []int64 // explicit marker candidates
+	var asc ascending
 	for i, c := range t.children {
 		bl := t.blocklens[i]
 		d := t.displs[i]
 		cext := c.Extent()
+		asc.block(d, bl, c)
 		t.size += bl * c.size
 		if bl > 0 {
 			t.blocks += bl * c.blocks
@@ -742,53 +763,48 @@ func (t *Type) finishStruct() {
 	if first && len(lbCands) == 0 && len(ubCands) == 0 {
 		t.dense, t.tileable = true, true
 	}
+	t.mono = !asc.broken
 	t.computeDensity()
 	if t.size == 0 {
 		t.blocks = 0
 	}
 }
 
-// computeDensity sets dense and tileable.  Density of a derived type is
-// determined exactly when cheap structural rules apply; otherwise it falls
-// back to a Walk-based check, which costs O(Blocks) once at construction.
+// ascending follows the monotone rule through the blocks of an indexed
+// or struct node, one block at a time: a block's instances ascend when
+// the child does and its extent clears the child's data span, and the
+// block follows the previous one when its data starts at or after the
+// end of theirs.  It is the inequality of the node's own blocks, so a
+// node costs its block count, whatever lies below it.
+type ascending struct {
+	end    int64 // end of the data of the blocks so far
+	some   bool  // a block with data was seen
+	broken bool
+}
+
+// block takes the next block: bl instances of c at displacement d.
+func (a *ascending) block(d, bl int64, c *Type) {
+	if bl == 0 || c.size == 0 || a.broken {
+		return
+	}
+	span := (bl - 1) * c.Extent()
+	if !c.mono || bl > 1 && c.Extent() < c.trueUB-c.trueLB || a.some && d+c.trueLB < a.end {
+		a.broken = true
+		return
+	}
+	a.end, a.some = d+span+c.trueUB, true
+}
+
+// computeDensity sets dense and tileable.  A type is dense when its
+// runs ascend and their bytes fill the span from the first to the last:
+// then each run starts where the one before ends.
 func (t *Type) computeDensity() {
 	if t.size == 0 {
 		t.dense = true
 		t.tileable = t.Extent() == 0
 		return
 	}
-	if t.size != t.trueUB-t.trueLB {
-		t.dense = false
-		t.tileable = false
-		return
-	}
-	if t.blocks > 1<<22 {
-		// Verifying density walks every block; beyond this bound assume
-		// non-dense, which is always safe (fast paths are just skipped).
-		t.dense = false
-		t.tileable = false
-		return
-	}
-	// Same span as size: still need no overlaps / no reordering gaps.
-	// Verify with a single coalescing walk.
-	runs := int64(0)
-	last := int64(0)
-	ok := true
-	t.Walk(func(off, length int64) {
-		if runs == 0 {
-			runs = 1
-			last = off + length
-			return
-		}
-		if off == last {
-			last += length
-			return
-		}
-		ok = false
-		runs++
-		last = off + length
-	})
-	t.dense = ok && runs == 1
+	t.dense = t.mono && t.size == t.trueUB-t.trueLB
 	if t.dense {
 		t.blocks = 1
 	}

@@ -9,8 +9,9 @@ import (
 // an etype and a filetype must have non-negative, monotonically
 // non-decreasing displacements in their type maps, and the filetype must
 // be built from whole etypes.  These restrictions are what make the
-// mergeview contiguity check of the listless engine sound: each byte of
-// the file can be written at most once through each fileview.
+// listless engine's coverage check sound: each byte of the file can be
+// written at most once through each fileview.  Monotonicity is read from
+// Type.Monotone, decided when the type was built: validation walks no run.
 
 // ErrNotEtypeMultiple reports a filetype whose data is not a whole number
 // of etypes.
@@ -47,22 +48,13 @@ func ValidateFiletype(etype, ftype *Type) error {
 	return validateMonotonic(ftype, "filetype")
 }
 
+// validateMonotonic reads the structural flag: no run is walked.
 func validateMonotonic(t *Type, what string) error {
-	var err error
-	prevEnd := int64(-1)
-	t.Walk(func(off, length int64) {
-		if err != nil {
-			return
-		}
-		if off < 0 {
-			err = fmt.Errorf("datatype: %s has negative displacement %d", what, off)
-			return
-		}
-		if off < prevEnd {
-			err = fmt.Errorf("datatype: %s type map not monotonically non-decreasing at offset %d", what, off)
-			return
-		}
-		prevEnd = off + length
-	})
-	return err
+	switch {
+	case t.size > 0 && t.trueLB < 0:
+		return fmt.Errorf("datatype: %s has negative displacement %d", what, t.trueLB)
+	case !t.mono:
+		return fmt.Errorf("datatype: %s type map not monotonically non-decreasing", what)
+	}
+	return nil
 }

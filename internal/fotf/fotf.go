@@ -46,8 +46,9 @@ type nodeInfo struct {
 	// buffer offset -> block is a binary search too (firstEndAbove):
 	// ends[i] is the end of block i's range, and an empty block repeats
 	// its predecessor's entry, so ends is non-decreasing and the search
-	// never lands on an empty block.  A node whose blocks interleave (the
-	// mergeview struct) has ends == nil and is summed block by block.
+	// never lands on an empty block.  A node whose blocks interleave (a
+	// struct of interleaved fileviews) has ends == nil and is summed block
+	// by block.
 	ends []int64
 }
 

@@ -14,7 +14,7 @@ import "repro/internal/datatype"
 //     ranges of its non-empty blocks ascend without overlapping in block
 //     order, which nodeInfo observes once per node and which holds
 //     throughout any monotone type map, i.e. any validated filetype.  A
-//     node whose blocks interleave (the mergeview struct of P fileviews)
+//     node whose blocks interleave (a struct of P interleaved fileviews)
 //     is summed block by block instead: O(blocks of that node) times the
 //     cost below it.  Vector, contiguous and tiled repetition are closed
 //     form either way; only a non-positive stride or tile extent, which
@@ -263,43 +263,11 @@ func TypeSize(t *datatype.Type, skip, extent int64) int64 {
 // the condition under which the data below a buffer offset (BufToData) is
 // a prefix of the data, so a buffer range holds one contiguous data range.
 // Every legal MPI-IO filetype is monotone.  The answer comes from the
-// tree — strides and extents against the spans they must clear, and each
-// indexed or struct node's sortedness from its navigation index — never
-// from the expanded type map, and it is conservative: false means only
-// "not shown", and callers then enumerate runs instead of navigating.
+// tree, never from the expanded type map: one instance's runs ascend
+// (datatype.Type.Monotone, decided when the type was built) and the
+// extent clears their span.
 func Monotone(t *datatype.Type) bool {
-	return t.Size() > 0 && tilesAscend(t, 2)
-}
-
-// tilesAscend reports whether n instances of t tiled at t's extent are
-// monotone.  Types without data (the LB/UB markers) cannot misorder any.
-func tilesAscend(t *datatype.Type, n int64) bool {
-	if t.Size() == 0 {
-		return true
-	}
-	if n > 1 && t.Extent() < t.TrueExtent() {
-		return false
-	}
-	switch t.Kind() {
-	case datatype.KindResized:
-		return tilesAscend(t.Child(), 1)
-	case datatype.KindContiguous:
-		return tilesAscend(t.Child(), t.Count())
-	case datatype.KindVector:
-		c := t.Child()
-		block := (t.Blocklen()-1)*c.Extent() + c.TrueExtent()
-		return tilesAscend(c, t.Blocklen()) && (t.Count() <= 1 || t.StrideBytes() >= block)
-	case datatype.KindIndexed, datatype.KindStruct:
-		if info(t).ends == nil {
-			return false
-		}
-		for i, b := range t.Blocklens() {
-			if !tilesAscend(blockChild(t, i), b) {
-				return false
-			}
-		}
-	}
-	return true
+	return t.Size() > 0 && t.Monotone() && t.Extent() >= t.TrueExtent()
 }
 
 func floorDiv(a, b int64) int64 {

@@ -220,7 +220,7 @@ func TestSortedNodeDetection(t *testing.T) {
 		{"unsorted hindexed", hindexed(t, []int64{2, 1, 3}, []int64{64, 0, 24}, datatype.Double), false},
 		{"holey children, ranges interleaved", hindexed(t, []int64{1, 1}, []int64{0, 4}, pair), false},
 		{"overlapping blocks", hindexed(t, []int64{2, 2}, []int64{0, 8}, datatype.Double), false},
-		{"mergeview of interleaved fileviews", merge, false},
+		{"struct of interleaved fileviews", merge, false},
 	}
 	r := rand.New(rand.NewSource(3))
 	for _, c := range cases {

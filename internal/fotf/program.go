@@ -215,6 +215,14 @@ func (p *Program) Groups() int {
 	return len(p.groups)
 }
 
+// Group returns compiled group i, 0 <= i < Groups(): count runs of
+// blocklen bytes, run k at buffer offset base + k*stride from the
+// instance origin, in type-map order.  A single run has stride 0.
+func (p *Program) Group(i int) (base, blocklen, stride, count int64) {
+	g := &p.groups[i]
+	return g.base, g.blocklen, g.stride, g.count
+}
+
 // findGroup returns the index of the group containing instance-local
 // data offset d (0 <= d < size): the largest i with cum[i] <= d.
 func (p *Program) findGroup(d int64) int {
