@@ -18,6 +18,9 @@ import (
 // crashMem is a Mem whose Sync is a durability point.  It keeps the
 // image its last Sync made durable and notes every Sync — and, as the
 // journal, every write of a header — in a log it shares with its rig.
+// A vectored write whose segments lie end to end — the journal's — is
+// one write of their bytes, which a crash may tear at any byte, as it
+// may a plain one; any other batch is its segments' writes in order.
 //
 // It implements the early-writeback hint in the worst case: the hinted
 // bytes, as they are when hinted, become durable at once — all of them,
@@ -38,6 +41,24 @@ func (c *crashMem) WriteAt(p []byte, off int64) (int, error) {
 		*c.log = append(*c.log, "journal write@0")
 	}
 	return c.Mem.WriteAt(p, off)
+}
+
+func (c *crashMem) WriteAtv(segs []storage.Segment) error {
+	lo, hi := storage.SegsSpan(segs)
+	one := make([]byte, 0, hi-lo)
+	for _, sg := range segs {
+		if sg.Off != lo+int64(len(one)) {
+			for _, sg := range segs {
+				if _, err := c.WriteAt(sg.Buf, sg.Off); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		one = append(one, sg.Buf...)
+	}
+	_, err := c.WriteAt(one, lo)
+	return err
 }
 
 func (c *crashMem) Sync() error {

@@ -109,8 +109,10 @@ type Journal struct {
 	// the next append then leads with one.  Written under mu; read
 	// without it by Live.
 	end    atomic.Int64
-	buf    []byte       // record staging, reused
-	fsyncs atomic.Int64 // journal syncs performed (commit/seal/reset points)
+	buf    []byte            // record staging, reused: whole records, or a staged request's heads and CRCs
+	cuts   []int             // AppendStages: where each record's data falls in buf, reused
+	vec    []storage.Segment // AppendStages: the vectored write, reused
+	fsyncs atomic.Int64      // journal syncs performed (commit/seal/reset points)
 	// wb is b's early writeback, nil when b has none.  hinted is the
 	// store offset up to which writeback has been started or the records
 	// synced: what StartWriteback hints next begins there.  Under mu;
@@ -166,23 +168,52 @@ func (j *Journal) AppendStage(epoch uint64, off int64, data []byte) error {
 }
 
 // AppendStages journals the staged writes of one request of epoch id:
-// one record per segment, all of them appended with a single write.  A
-// crash mid-write leaves a valid prefix of the records and a torn tail,
-// as a crash between per-record writes would.
+// one record per segment, all of them appended with a single vectored
+// write.  j.buf holds the records' heads and CRCs; each record's data is
+// written from the segment itself — the request's frame — and never
+// copied.  The store receives the bytes one contiguous write of the
+// records would give it, and a crash mid-write leaves a valid prefix of
+// the records and a torn tail, as a crash between per-record writes
+// would.
 func (j *Journal) AppendStages(epoch uint64, segs []storage.Segment) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.begin()
+	// cuts[i] is where segment i's data falls in j.buf: after its head,
+	// before its CRC.
+	j.cuts = j.cuts[:0]
 	for _, sg := range segs {
 		start := len(j.buf)
 		j.buf = append(j.buf, recStage)
 		j.buf = binary.AppendUvarint(j.buf, epoch)
 		j.buf = binary.AppendVarint(j.buf, sg.Off)
 		j.buf = binary.AppendVarint(j.buf, int64(len(sg.Buf)))
-		j.buf = append(j.buf, sg.Buf...)
-		j.seal(start)
+		crc := crc32.Update(crc32.Update(j.seed, crcTab, j.buf[start:]), crcTab, sg.Buf)
+		j.cuts = append(j.cuts, len(j.buf))
+		j.buf = binary.LittleEndian.AppendUint32(j.buf, crc)
 	}
-	return j.appendRecs()
+	off, prev := j.end.Load(), 0
+	j.vec = j.vec[:0]
+	for i, sg := range segs {
+		if len(sg.Buf) == 0 {
+			continue
+		}
+		cut := j.cuts[i]
+		j.vec = append(j.vec, storage.Segment{Off: off, Buf: j.buf[prev:cut]})
+		off += int64(cut - prev)
+		j.vec = append(j.vec, storage.Segment{Off: off, Buf: sg.Buf})
+		off += int64(len(sg.Buf))
+		prev = cut
+	}
+	j.vec = append(j.vec, storage.Segment{Off: off, Buf: j.buf[prev:]})
+	off += int64(len(j.buf) - prev)
+	err := storage.WriteAtv(j.b, j.vec)
+	clear(j.vec) // hold no frame
+	if err != nil {
+		return err
+	}
+	j.end.Store(off)
+	return nil
 }
 
 // AppendCommit journals the commit decision for epoch id and syncs the

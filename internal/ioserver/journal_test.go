@@ -3,6 +3,10 @@ package ioserver
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -462,5 +466,142 @@ func TestJournalWritebackConcurrent(t *testing.T) {
 	}
 	if end := j.end.Load(); next != end {
 		t.Errorf("the hints end at %d, the records at %d", next, end)
+	}
+}
+
+// appendStagesOracle is the single-buffer encoder AppendStages replaced:
+// every record, data and all, encoded into j.buf and appended with one
+// write.  The vectored AppendStages must leave the same bytes.
+func appendStagesOracle(j *Journal, epoch uint64, segs []storage.Segment) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.begin()
+	for _, sg := range segs {
+		start := len(j.buf)
+		j.buf = append(j.buf, recStage)
+		j.buf = binary.AppendUvarint(j.buf, epoch)
+		j.buf = binary.AppendVarint(j.buf, sg.Off)
+		j.buf = binary.AppendVarint(j.buf, int64(len(sg.Buf)))
+		j.buf = append(j.buf, sg.Buf...)
+		j.seal(start)
+	}
+	return j.appendRecs()
+}
+
+// storeBytes reads everything b holds.
+func storeBytes(t *testing.T, b storage.Backend) []byte {
+	t.Helper()
+	p := make([]byte, b.Size())
+	if err := storage.ReadFull(b, p, 0); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestAppendStagesMatchesEncoder: for random staged requests — segments
+// of random lengths, empty ones among them, lying in one frame as a
+// parked request's do — the vectored AppendStages leaves the store byte
+// for byte as the single-buffer encoder does: on a fresh store, whose
+// first append leads with the header, and on one after Reset; on a Mem
+// and on a File.  Recovery replays both alike, and replays what was
+// committed.
+func TestAppendStagesMatchesEncoder(t *testing.T) {
+	dir := t.TempDir()
+	stores := []struct {
+		name string
+		open func(name string) storage.Backend
+	}{
+		{"Mem", func(string) storage.Backend { return storage.NewMem() }},
+		{"File", func(name string) storage.Backend {
+			fb, err := storage.OpenFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { fb.Close() })
+			return fb
+		}},
+	}
+	rng := rand.New(rand.NewSource(37))
+	// request stages one request's segments of epoch on both journals and
+	// applies them to img when commit will follow.
+	request := func(t *testing.T, jv, jo *Journal, epoch uint64, img *storage.Mem, commit bool) {
+		frame := make([]byte, 1+rng.Intn(2000))
+		rng.Read(frame)
+		var segs []storage.Segment
+		for n := rng.Intn(6); n > 0; n-- {
+			a := rng.Intn(len(frame))
+			b := a + rng.Intn(len(frame)-a+1)
+			if rng.Intn(4) == 0 {
+				b = a // an empty segment
+			}
+			segs = append(segs, storage.Segment{Off: int64(rng.Intn(4096)), Buf: frame[a:b]})
+		}
+		if err := jv.AppendStages(epoch, segs); err != nil {
+			t.Fatal(err)
+		}
+		if err := appendStagesOracle(jo, epoch, segs); err != nil {
+			t.Fatal(err)
+		}
+		if commit {
+			if err := storage.WriteAtv(img, segs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, st := range stores {
+		for trial := 0; trial < 30; trial++ {
+			t.Run(st.name, func(t *testing.T) {
+				vb, ob := st.open(fmt.Sprintf("v%d", trial)), st.open(fmt.Sprintf("o%d", trial))
+				jv, jo := NewJournal(vb), NewJournal(ob)
+				img := storage.NewMem() // the stripe recovery must leave
+				epoch := uint64(1)
+				reset := trial%2 == 1
+				base := storage.NewMem()
+				for r := 1 + rng.Intn(3); r > 0; r-- {
+					request(t, jv, jo, epoch, img, true)
+				}
+				for _, j := range []*Journal{jv, jo} {
+					if err := j.AppendCommit(epoch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(storeBytes(t, vb), storeBytes(t, ob)) {
+					t.Fatal("on a fresh store the journals differ")
+				}
+				if reset {
+					// A checkpoint: the stripe holds epoch 1, the journal
+					// nothing live.
+					base.WriteAt(img.Bytes(), 0)
+					for _, j := range []*Journal{jv, jo} {
+						if err := j.Reset(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				epoch++
+				for r := 1 + rng.Intn(3); r > 0; r-- {
+					request(t, jv, jo, epoch, img, true)
+				}
+				for _, j := range []*Journal{jv, jo} {
+					if err := j.AppendCommit(epoch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				request(t, jv, jo, epoch+1, img, false) // staged, never committed
+				if !bytes.Equal(storeBytes(t, vb), storeBytes(t, ob)) {
+					t.Fatalf("the journals differ (reset %t)", reset)
+				}
+				for _, b := range []storage.Backend{vb, ob} {
+					stripe := storage.NewMem()
+					stripe.WriteAt(base.Bytes(), 0)
+					if _, _, err := RecoverJournal(b, stripe); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(stripe.Bytes(), img.Bytes()) {
+						t.Fatal("recovery left another stripe than the committed stages")
+					}
+				}
+			})
+		}
 	}
 }

@@ -65,7 +65,8 @@ type Server struct {
 	checkpoints              atomic.Int64
 
 	cfg         Config
-	lim         bounds // what requests are held against: cfg.MaxFrame and cfg.Geom's offset space
+	snd         storage.Sender // cfg.Backend's send extension, nil when it has none
+	lim         bounds         // what requests are held against: cfg.MaxFrame and cfg.Geom's offset space
 	journal     *Journal
 	incarnation int64 // instance id, fresh per process start
 
@@ -125,6 +126,7 @@ func New(cfg Config) (*Server, error) {
 		conns:        make(map[net.Conn]struct{}),
 		done:         make(chan struct{}),
 	}
+	s.snd, _ = storage.AsSender(cfg.Backend)
 	// What recovery found is this instance's history from the start.
 	s.stats.EpochsRecovered = int64(cfg.Recovery.AppliedEpochs)
 	s.stats.EpochsDiscarded = int64(cfg.Recovery.DiscardedEpochs)
@@ -268,11 +270,29 @@ type connState struct {
 	segs  []storage.Segment // vectored-call staging, reused
 	units []unitPiece       // sieve-window staging, reused
 
+	// A raw read over a store that sends (Server.snd) leaves its bytes
+	// in no buffer: its handler sets out, and handle streams the
+	// response, which sendOut writes.
+	out  sendOut
+	exts []storage.Extent               // out's extents, reused
+	fill func(io.Writer) (int64, error) // st.sendOut, bound once
+
 	// Staging tally for the connection's in-flight epoch, echoed by
 	// opEpochSeal so the client can verify nothing staged was lost to a
 	// silent restart.
 	tallyEpoch             uint64
 	tallyCount, tallyBytes int64
+}
+
+// sendOut is a streamed read response: its payload length, the
+// request's span, at and n as its BeginIO takes them, and, for opRead,
+// the EOF flag, sent ahead of the extents.
+type sendOut struct {
+	on      bool
+	len     int
+	at, n   int64
+	flagged bool
+	flag    [1]byte
 }
 
 // handleConn serves one connection to completion.  Malformed framing
@@ -286,6 +306,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		views: make(map[uint64]*serverView),
 		byKey: make(map[string]*serverView),
 	}
+	st.fill = st.sendOut
 	defer st.fc.Close()
 	for {
 		seq, tag, payload, err := st.readRequest()
@@ -323,9 +344,18 @@ func (st *connState) readRequest() (seq, tag int, payload []byte, err error) {
 }
 
 // handle dispatches one request and writes its response.  The returned
-// error reports only response-write failures.
+// error reports only response-write failures, and a streamed read that
+// failed once its response had begun to go out: the stream is then cut
+// and the connection goes.  Before that a failed read answers opErr.
 func (st *connState) handle(seq, tag int, payload []byte) error {
 	resp, err := st.dispatch(tag, payload)
+	if err == nil && st.out.on {
+		st.out.on = false
+		var sent bool
+		if sent, err = st.fc.WriteFrameFrom(seq, tag, st.out.len, st.fill); err == nil || sent {
+			return err
+		}
+	}
 	if err != nil {
 		st.resp = putErr(st.resp[:0], err)
 		return st.fc.WriteFrame(seq, opErr, st.resp)
@@ -355,7 +385,9 @@ func (st *connState) dispatch(tag int, body []byte) ([]byte, error) {
 }
 
 // opRead: extent → eof flag, data.  Plain ReadAt relay, preserving the
-// short-read-plus-EOF shape of the Backend contract.
+// short-read-plus-EOF shape of the Backend contract.  Over a store that
+// sends, the flag and the count come from the store's size, and the bytes
+// are sent.
 func (st *connState) opRead(_ uint64, body []byte) ([]byte, error) {
 	e, _, err := st.srv.lim.getExtent(body)
 	if err != nil {
@@ -363,6 +395,15 @@ func (st *connState) opRead(_ uint64, body []byte) ([]byte, error) {
 	}
 	if e.n > st.srv.lim.maxFrame-1 {
 		return nil, fmt.Errorf("%w: read of %d bytes exceeds a frame", errBadRequest, e.n)
+	}
+	if st.sends() {
+		m := min(max(st.srv.cfg.Backend.Size()-e.off, 0), e.n)
+		st.exts = append(st.exts[:0], storage.Extent{Off: e.off, N: m})
+		st.out = sendOut{on: true, len: 1 + int(m), at: e.off, n: e.n, flagged: true}
+		if m < e.n {
+			st.out.flag[0] = 1
+		}
+		return nil, nil
 	}
 	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, e.off, e.n)
 	defer sp.End()
@@ -379,14 +420,49 @@ func (st *connState) opRead(_ uint64, body []byte) ([]byte, error) {
 	return st.resp[:1+m], nil
 }
 
+// sends reports whether a read's response is streamed, which it is over
+// a store that sends, on a connection: a handler state driven without
+// one, as the tests drive it, answers in the response buffer.
+func (st *connState) sends() bool { return st.srv.snd != nil && st.fc != nil }
+
+// sendOut is the fill of a streamed read: opRead's EOF flag, then the
+// bytes of st.exts, which the store writes to the connection itself.
+func (st *connState) sendOut(w io.Writer) (int64, error) {
+	srv := st.srv
+	sp := srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, st.out.at, st.out.n)
+	defer sp.End()
+	var lead int64
+	if st.out.flagged {
+		if _, err := w.Write(st.out.flag[:]); err != nil {
+			return 0, err
+		}
+		lead = 1
+	}
+	m, err := srv.snd.SendTo(w, st.exts)
+	if err != nil {
+		return lead + m, err
+	}
+	atomic.AddInt64(&srv.stats.RawReads, 1)
+	atomic.AddInt64(&srv.stats.BytesRead, m)
+	return lead + m, nil
+}
+
 // listSegs decodes the offset list at the head of body into st.segs,
 // laid in list order over a write's data — which follows the list and
 // must be exactly as long as the list says — or over a read's response
-// buffer.
+// buffer.  A read over a store that sends takes the list into st.exts
+// instead, and no buffer.
 func (st *connState) listSegs(body []byte, write bool) (total int64, err error) {
 	var stream []byte
 	if st.ents, total, stream, err = st.srv.lim.getList(body, st.ents[:0]); err != nil {
 		return 0, err
+	}
+	if !write && st.sends() {
+		st.exts = st.exts[:0]
+		for _, e := range st.ents {
+			st.exts = append(st.exts, storage.Extent{Off: e.off, N: e.n})
+		}
+		return total, nil
 	}
 	if !write {
 		st.resp = grow(st.resp[:0], total)
@@ -403,11 +479,16 @@ func (st *connState) listSegs(body []byte, write bool) (total int64, err error) 
 }
 
 // opReadv: list → concatenated data (ReadFull semantics per entry:
-// bytes past the stripe's EOF read as zeros).
+// bytes past the stripe's EOF read as zeros).  Over a store that sends,
+// the bytes are sent, and the response buffer does not grow to them.
 func (st *connState) opReadv(_ uint64, body []byte) ([]byte, error) {
 	total, err := st.listSegs(body, false)
 	if err != nil {
 		return nil, err
+	}
+	if st.sends() {
+		st.out = sendOut{on: true, len: int(total), n: total}
+		return nil, nil
 	}
 	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, 0, total)
 	defer sp.End()

@@ -395,10 +395,11 @@ func TestSieveObservability(t *testing.T) {
 	}
 }
 
-// countingBackend counts the write calls that reach a Mem.
+// countingBackend counts the plain and the vectored write calls that
+// reach a Mem.
 type countingBackend struct {
 	*storage.Mem
-	writes int
+	writes, writevs int
 }
 
 func (c *countingBackend) WriteAt(p []byte, off int64) (int, error) {
@@ -406,9 +407,14 @@ func (c *countingBackend) WriteAt(p []byte, off int64) (int, error) {
 	return c.Mem.WriteAt(p, off)
 }
 
+func (c *countingBackend) WriteAtv(segs []storage.Segment) error {
+	c.writevs++
+	return c.Mem.WriteAtv(segs)
+}
+
 // TestStageJournalsOneWrite pins that a staged request costs the journal
-// one backend write however many segments it stages, and that recovery
-// still finds every one of them.
+// one vectored backend write however many segments it stages, and that
+// recovery still finds every one of them.
 func TestStageJournalsOneWrite(t *testing.T) {
 	jb := &countingBackend{Mem: storage.NewMem()}
 	stripe := storage.NewMem()
@@ -424,8 +430,8 @@ func TestStageJournalsOneWrite(t *testing.T) {
 	if _, err := st.dispatch(opStageViewWrite, req); err != nil {
 		t.Fatal(err)
 	}
-	if jb.writes != 1 {
-		t.Fatalf("staging 512 runs cost the journal %d writes, want 1", jb.writes)
+	if jb.writevs != 1 || jb.writes != 0 {
+		t.Fatalf("staging 512 runs cost the journal %d vectored and %d plain writes, want 1 and 0", jb.writevs, jb.writes)
 	}
 	if err := srv.journal.AppendCommit(3); err != nil {
 		t.Fatal(err)

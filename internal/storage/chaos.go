@@ -196,7 +196,7 @@ func (c *Chaos) fail(o op, dir string, sentinel error) result {
 	case opViewRead, opViewWrite:
 		c.instant(trace.PhaseChaosViewOp, o.off, n, "view %s fault (%s)", dir, class)
 		return result{err: fmt.Errorf("storage: chaos view %s fault at data offset %d: %w", dir, o.off, sentinel)}
-	case opReadv, opWritev:
+	case opReadv, opWritev, opSend:
 		c.instant(ph, o.off, n, "vectored %s fault", dir)
 	default:
 		c.instant(ph, o.off, n, "%s fault", dir)

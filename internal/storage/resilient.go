@@ -112,7 +112,9 @@ func (r *Resilient) instant(ph trace.Phase, off int64, format string, args ...an
 // seal, commit or abort (idempotent against the servers; the reissue
 // replays the client's stage log first, which is the healing the seal
 // exists to trigger).  ErrEpochRetry is not transient and passes straight
-// through to the protocol driver.
+// through to the protocol driver.  A send is the exception: once it has
+// written a byte it cannot be reissued, because what it wrote is already
+// on its way, and its failure passes through as it came.
 func (r *Resilient) intercept(o op, next *layer) result {
 	var deadline time.Time
 	if r.cfg.OpDeadline > 0 {
@@ -122,7 +124,7 @@ func (r *Resilient) intercept(o op, next *layer) result {
 	for attempt := 0; ; attempt++ {
 		res := next.exec(o)
 		err := res.err
-		if err == nil || !IsTransient(err) {
+		if err == nil || !IsTransient(err) || (o.kind == opSend && res.n > 0) {
 			return res
 		}
 		if attempt >= r.cfg.MaxRetries {

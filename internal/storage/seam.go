@@ -1,13 +1,15 @@
 package storage
 
 import (
+	"io"
+
 	"repro/internal/datatype"
 	"repro/internal/trace"
 )
 
 // The storage seam.  Every pass-through wrapper (Resilient, Traced,
 // Throttled, Instrumented, Faulty, Chaos) embeds one layer, which
-// implements Backend and its four extensions once: a fallible call
+// implements Backend and its five extensions once: a fallible call
 // becomes an op, the op goes to the wrapper's single intercept, and the
 // wrapper runs it on the inner backend with next.exec — zero, one or
 // several times, before or after whatever it injects.  A retry, a fault,
@@ -15,8 +17,8 @@ import (
 // wrapper, and a wrapper cannot lose a capability of the backend under
 // it by not spelling a method out.
 
-// opKind names the fallible calls of Backend, Vectored, ViewBackend and
-// EpochBackend.
+// opKind names the fallible calls of Backend, Vectored, Sender,
+// ViewBackend and EpochBackend.
 type opKind uint8
 
 const (
@@ -24,6 +26,7 @@ const (
 	opWrite
 	opReadv
 	opWritev
+	opSend
 	opViewRead
 	opViewWrite
 	opTruncate
@@ -46,7 +49,7 @@ const (
 
 func (k opKind) dir() opDir {
 	switch k {
-	case opRead, opReadv, opViewRead:
+	case opRead, opReadv, opSend, opViewRead:
 		return dirRead
 	case opWrite, opWritev, opViewWrite:
 		return dirWrite
@@ -66,12 +69,14 @@ func (k opKind) batch() bool { return k == opReadv || k == opWritev }
 type op struct {
 	kind opKind
 	// off is where the op applies: the file offset of a read or write,
-	// the lowest offset of a batch, the data offset of a view transfer,
-	// the new size of a truncate, the displacement of a register-view,
-	// the id of an epoch op, trace.NoWindow for sync.
+	// the lowest offset of a batch or a send, the data offset of a view
+	// transfer, the new size of a truncate, the displacement of a
+	// register-view, the id of an epoch op, trace.NoWindow for sync.
 	off  int64
 	buf  []byte         // read, write, view transfers
 	segs []Segment      // readv, writev
+	exts []Extent       // send
+	w    io.Writer      // send
 	view ViewHandle     // view transfers
 	typ  *datatype.Type // register-view
 }
@@ -80,6 +85,9 @@ type op struct {
 func (o op) size() int64 {
 	if o.kind.batch() {
 		return segsLen(o.segs)
+	}
+	if o.kind == opSend {
+		return extsLen(o.exts)
 	}
 	return int64(len(o.buf))
 }
@@ -91,14 +99,21 @@ func (o op) span() (off, n int64) {
 		lo, hi := SegsSpan(o.segs)
 		return lo, hi - lo
 	}
+	if o.kind == opSend {
+		lo, hi := extsSpan(o.exts)
+		return lo, hi - lo
+	}
 	return o.off, int64(len(o.buf))
 }
 
 // prefix is the op cut down to its first n bytes (0 < n < size).
 func (o op) prefix(n int64) op {
-	if o.kind.batch() {
+	switch {
+	case o.kind.batch():
 		o.segs = clipSegs(o.segs, n)
-	} else {
+	case o.kind == opSend:
+		o.exts = clipExts(o.exts, n)
+	default:
 		o.buf = o.buf[:n]
 	}
 	return o
@@ -124,7 +139,8 @@ func clipSegs(segs []Segment, n int64) []Segment {
 }
 
 // result is what an op yields: n, the count a plain read or write
-// returned; h, the handle of a register-view; err.
+// returned, or the bytes a send wrote; h, the handle of a register-view;
+// err.
 type result struct {
 	n   int
 	h   ViewHandle
@@ -166,6 +182,9 @@ func (l *layer) exec(o op) result {
 		return result{err: ReadAtv(l.Backend, o.segs)}
 	case opWritev:
 		return result{err: WriteAtv(l.Backend, o.segs)}
+	case opSend:
+		n, err := l.Backend.(Sender).SendTo(o.w, o.exts)
+		return result{n: int(n), err: err}
 	case opTruncate:
 		return result{err: l.Backend.Truncate(o.off)}
 	case opSync:
@@ -235,6 +254,24 @@ func (l *layer) ReadAtv(segs []Segment) error {
 func (l *layer) WriteAtv(segs []Segment) error {
 	lo, _ := SegsSpan(segs)
 	return l.run(op{kind: opWritev, off: lo, segs: segs}).err
+}
+
+// SupportsSend implements Sender: the inner backend's answer.
+func (l *layer) SupportsSend() bool {
+	_, ok := AsSender(l.Backend)
+	return ok
+}
+
+// SendTo implements Sender.  A send is a read op, one like a batch: one
+// fault draw, one charge, one counted read of its bytes, one span.  Over
+// a backend that cannot send it is refused before the interceptor runs.
+func (l *layer) SendTo(w io.Writer, exts []Extent) (int64, error) {
+	if !l.SupportsSend() {
+		return 0, ErrNoSend
+	}
+	lo, _ := extsSpan(exts)
+	r := l.run(op{kind: opSend, off: lo, exts: exts, w: w})
+	return int64(r.n), r.err
 }
 
 // SupportsViews implements ViewBackend: the inner backend's answer.

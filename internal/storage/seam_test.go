@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,6 +21,8 @@ type seamCall struct {
 	n    int64 // writeback length
 	buf  []byte
 	segs []Segment
+	exts []Extent
+	w    io.Writer
 	h    ViewHandle
 	typ  *datatype.Type
 }
@@ -30,8 +34,9 @@ func sameBuf(a, b []byte) bool {
 // same reports whether two calls carry identical arguments: the same
 // values and the very same buffers, not copies of them.
 func (c seamCall) same(d seamCall) bool {
-	if c.name != d.name || c.off != d.off || c.n != d.n || c.h != d.h || c.typ != d.typ ||
-		!sameBuf(c.buf, d.buf) || len(c.segs) != len(d.segs) {
+	if c.name != d.name || c.off != d.off || c.n != d.n || c.h != d.h || c.typ != d.typ || c.w != d.w ||
+		!sameBuf(c.buf, d.buf) || len(c.segs) != len(d.segs) || len(c.exts) != len(d.exts) ||
+		(len(c.exts) > 0 && (&c.exts[0] != &d.exts[0] || !slices.Equal(c.exts, d.exts))) {
 		return false
 	}
 	for i := range c.segs {
@@ -42,7 +47,7 @@ func (c seamCall) same(d seamCall) bool {
 	return true
 }
 
-// seamStore is a Mem with all four extensions that logs every call it
+// seamStore is a Mem with all five extensions that logs every call it
 // receives.  A view maps data offsets straight to file offsets; epochs
 // are bookkeeping.  With fail set, every fallible call does nothing and
 // returns it.
@@ -123,6 +128,28 @@ func (s *seamStore) WriteAtv(segs []Segment) error {
 	return s.Mem.WriteAtv(segs)
 }
 
+func (s *seamStore) SupportsSend() bool { return true }
+
+// SendTo writes what ReadAtv would read of exts to w.  A failing store
+// writes nothing.
+func (s *seamStore) SendTo(w io.Writer, exts []Extent) (int64, error) {
+	if err := s.log(seamCall{name: "SendTo", exts: exts, w: w}); err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, e := range exts {
+		p := make([]byte, e.N)
+		if err := ReadFull(s.Mem, p, e.Off); err != nil {
+			return n, err
+		}
+		k, err := w.Write(p)
+		if n += int64(k); err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
 func (s *seamStore) SupportsViews() bool { return true }
 
 func (s *seamStore) RegisterView(disp int64, ftype *datatype.Type) (ViewHandle, error) {
@@ -169,6 +196,7 @@ func (s *seamStore) EpochEnd(id uint64) { s.log(seamCall{name: "EpochEnd", off: 
 type seamBackend interface {
 	Backend
 	Vectored
+	Sender
 	ViewBackend
 	EpochBackend
 	Writeback
@@ -188,7 +216,7 @@ var seamWrappers = []struct {
 	{"Chaos", func(b Backend) Backend { return NewChaos(1, b, ChaosConfig{}) }},
 }
 
-// seamOps is every call of the five interfaces.  do issues it on w and
+// seamOps is every call of the six interfaces.  do issues it on w and
 // returns the call the inner backend must see and what w answered.
 var seamOps = []struct {
 	name string
@@ -224,6 +252,12 @@ var seamOps = []struct {
 	{"WriteAtv", func(w seamBackend) (seamCall, int64, error) {
 		segs := []Segment{{Off: 64, Buf: []byte("abc")}, {Off: 8, Buf: []byte("de")}}
 		return seamCall{name: "WriteAtv", segs: segs}, 0, w.WriteAtv(segs)
+	}},
+	{"SendTo", func(w seamBackend) (seamCall, int64, error) {
+		var out bytes.Buffer
+		exts := []Extent{{Off: 64, N: 3}, {Off: 8, N: 2}}
+		n, err := w.SendTo(&out, exts)
+		return seamCall{name: "SendTo", exts: exts, w: &out}, n, err
 	}},
 	{"RegisterView", func(w seamBackend) (seamCall, int64, error) {
 		h, err := w.RegisterView(16, datatype.Byte)
@@ -303,7 +337,13 @@ func TestSeamCapabilitiesMirrorInner(t *testing.T) {
 		if _, ok := AsEpochBackend(w); !ok {
 			t.Errorf("%s over an epoch backend hides epochs", wr.name)
 		}
+		if _, ok := AsSender(w); !ok {
+			t.Errorf("%s over a sender hides sending", wr.name)
+		}
 		w = wr.wrap(NewMem())
+		if _, ok := AsSender(w); ok {
+			t.Errorf("%s over plain Mem claims sending", wr.name)
+		}
 		if _, ok := AsViewBackend(w); ok {
 			t.Errorf("%s over plain Mem claims views", wr.name)
 		}
@@ -327,6 +367,9 @@ func TestSeamCapabilitiesMirrorInner(t *testing.T) {
 
 	for _, w := range []seamBackend{chaos, faulty, throttled, inst, resilient, traced} {
 		p := make([]byte, 4)
+		if n, err := w.SendTo(io.Discard, []Extent{{Off: 0, N: 4}}); n != 0 || err != ErrNoSend {
+			t.Errorf("%T.SendTo over Mem: (%d, %v), want ErrNoSend", w, n, err)
+		}
 		if _, err := w.RegisterView(0, datatype.Byte); err != ErrNoViews {
 			t.Errorf("%T.RegisterView over Mem: %v, want ErrNoViews", w, err)
 		}
@@ -363,6 +406,105 @@ func TestSeamCapabilitiesMirrorInner(t *testing.T) {
 	}
 	if st := inst.Stats(); st != (AccessStats{}) {
 		t.Errorf("Instrumented counted unsupported calls: %+v", st)
+	}
+}
+
+// TestSeamSend: through each wrapper a send reaches the store once with
+// the caller's extents and writer, sends what ReadAtv reads — zeros past
+// the end included — and is one read of its bytes to an Instrumented
+// beneath.  Then each failure a wrapper can give it: Faulty's and Chaos's
+// faults stop it before the store sees it, a Chaos short read lets a
+// prefix out and fails it, and Resilient reissues a send that failed
+// before writing and not one that had written.
+func TestSeamSend(t *testing.T) {
+	exts := []Extent{{Off: 64, N: 3}, {Off: 8, N: 2}, {Off: 1<<12 - 2, N: 4}}
+	newInner := func() *seamStore {
+		s := newSeamStore()
+		if _, err := s.Mem.WriteAt([]byte("0123456789abcdefghijklmnopqrstuvwxyz"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Mem.WriteAt([]byte("tailbytes!"), 60); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Mem.WriteAt([]byte("YZ"), 1<<12-2); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want := []byte("byt89YZ\x00\x00")
+	for _, wr := range seamWrappers {
+		inner := newInner()
+		in := NewInstrumented(inner)
+		w := wr.wrap(in).(Sender)
+		var out bytes.Buffer
+		n, err := w.SendTo(&out, exts)
+		if err != nil || n != int64(len(want)) || !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s: sent (%d, %v) %q, want %d bytes %q", wr.name, n, err, out.Bytes(), len(want), want)
+		}
+		if got := inner.calls; len(got) != 1 || !got[0].same(seamCall{name: "SendTo", exts: exts, w: &out}) {
+			t.Errorf("%s: the store saw %+v, want the send once", wr.name, got)
+		}
+		if st := in.Stats(); st.Reads != 1 || st.BytesRead != int64(len(want)) || st.Writes != 0 {
+			t.Errorf("%s: counted %+v beneath it, want one read of %d bytes", wr.name, st, len(want))
+		}
+	}
+
+	transient := fmt.Errorf("flaky: %w", ErrTransient)
+	for _, tc := range []struct {
+		name    string
+		wrap    func(inner *seamStore) Sender
+		arrived int64 // sends the store saw
+		sent    bool  // some bytes went out
+		again   bool  // the error is transient
+	}{
+		{"Faulty", func(s *seamStore) Sender {
+			f := NewFaulty(s)
+			f.FailReads(1)
+			return f
+		}, 0, false, false},
+		{"Faulty range", func(s *seamStore) Sender {
+			f := NewFaulty(s)
+			f.FailReadRange(9, 10)
+			return f
+		}, 0, false, false},
+		{"Chaos", func(s *seamStore) Sender {
+			return NewChaos(1, s, ChaosConfig{TransientRead: 1})
+		}, 0, false, true},
+		{"Chaos short", func(s *seamStore) Sender {
+			return NewChaos(1, s, ChaosConfig{ShortRead: 1})
+		}, 1, true, true},
+		{"Resilient over a short send", func(s *seamStore) Sender {
+			c := NewChaos(1, s, ChaosConfig{ShortRead: 1})
+			r := NewResilient(c, ResilientConfig{})
+			r.sleep = func(time.Duration) {}
+			return r
+		}, 1, true, true},
+		{"Traced over a failing store", func(s *seamStore) Sender {
+			s.fail = transient
+			return NewTraced(s, trace.NewCollector(64).Storage())
+		}, 1, false, true},
+	} {
+		inner := newInner()
+		var out bytes.Buffer
+		n, err := tc.wrap(inner).SendTo(&out, exts)
+		if err == nil || IsTransient(err) != tc.again {
+			t.Errorf("%s: err %v, want a failure (transient %t)", tc.name, err, tc.again)
+		}
+		if got := inner.arrived("SendTo"); got != tc.arrived {
+			t.Errorf("%s: the store saw %d sends, want %d", tc.name, got, tc.arrived)
+		}
+		if n != int64(out.Len()) || (n > 0) != tc.sent || !bytes.HasPrefix(want, out.Bytes()) {
+			t.Errorf("%s: reported %d bytes, wrote %q; want a prefix of %q (any: %t)", tc.name, n, out.Bytes(), want, tc.sent)
+		}
+	}
+
+	// Resilient reissues a send that wrote nothing.
+	inner := newInner()
+	inner.fail = transient
+	r := NewResilient(inner, ResilientConfig{MaxRetries: 2})
+	r.sleep = func(time.Duration) {}
+	if _, err := r.SendTo(io.Discard, exts); !IsTransient(err) || inner.arrived("SendTo") != 3 {
+		t.Errorf("Resilient over a send failing before any byte: %v after %d sends, want 3", err, inner.arrived("SendTo"))
 	}
 }
 

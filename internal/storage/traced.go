@@ -30,6 +30,7 @@ var tracedPhase = [numOpKinds]trace.Phase{
 	opWrite:       trace.PhaseStorageWrite,
 	opReadv:       trace.PhaseStorageRead,
 	opWritev:      trace.PhaseStorageWrite,
+	opSend:        trace.PhaseStorageRead,
 	opViewRead:    trace.PhaseStorageViewRead,
 	opViewWrite:   trace.PhaseStorageViewWrite,
 	opTruncate:    trace.PhaseStorageTruncate,
@@ -47,7 +48,7 @@ func (t *Traced) intercept(o op, next *layer) result {
 	}
 	sp := t.tr.Begin(ph, o.off, o.size())
 	res := next.exec(o)
-	if o.kind == opRead || o.kind == opWrite {
+	if o.kind == opRead || o.kind == opWrite || o.kind == opSend {
 		sp.EndBytes(int64(res.n))
 	} else {
 		sp.End()

@@ -63,10 +63,10 @@ func (fb *File) WriteAtv(segs []Segment) error {
 // eachContigBatch groups file-contiguous runs of segments (capped at
 // iovMax iovecs) and invokes op once per run with the run's start
 // offset, its iovec array, and the segments it covers.  Zero-length
-// segments are skipped.  The iovec scratch is stack-allocated for small
-// batches.
+// segments are skipped.  The iovec scratch is allocated once, for the
+// longest batch the segments can make.
 func (fb *File) eachContigBatch(segs []Segment, op func(off int64, iovs []syscall.Iovec, bufs []Segment) error) error {
-	var iovs []syscall.Iovec
+	iovs := make([]syscall.Iovec, 0, min(len(segs), iovMax))
 	i := 0
 	for i < len(segs) {
 		if len(segs[i].Buf) == 0 {

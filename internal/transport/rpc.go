@@ -3,10 +3,12 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
+	"syscall"
 	"time"
 )
 
@@ -60,6 +62,10 @@ var rpcCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // a wrapper such as ChaosConn acts on each Write, and a header written
 // apart from its payload could be duplicated or dropped on its own,
 // leaving a valid header in front of the wrong bytes.
+//
+// WriteFrameFrom streams a payload instead: a callback writes it to the
+// frame's writer, which on a TCP connection lends the socket itself to a
+// store that can send to it (storage.File, by sendfile).
 type FrameConn struct {
 	conn     net.Conn
 	tcp      *net.TCPConn // conn, when it is one
@@ -71,7 +77,9 @@ type FrameConn struct {
 	whdr [rpcHeaderSize]byte // header being written
 	vec  [2][]byte           // writev's header and payload, cleared after the write
 	out  net.Buffers         // the writev, over vec
-	wbuf []byte              // a non-TCP connection's frame copy, reused
+	wbuf []byte              // a non-TCP connection's frame copy, or a streamed frame's unsent head; reused
+	fw   frameWriter         // a streamed frame's writer
+	hrc  headedRawConn       // fw's socket, on TCP
 }
 
 // NewFrameConn wraps conn.  maxFrame bounds accepted payload lengths
@@ -82,32 +90,156 @@ func NewFrameConn(conn net.Conn, maxFrame int) *FrameConn {
 		maxFrame = DefaultMaxFrame
 	}
 	tcp, _ := conn.(*net.TCPConn)
-	return &FrameConn{
+	fc := &FrameConn{
 		conn:     conn,
 		tcp:      tcp,
 		br:       bufio.NewReaderSize(conn, readBufSize),
 		maxFrame: maxFrame,
 	}
+	fc.fw.fc = fc
+	if tcp != nil {
+		if rc, err := tcp.SyscallConn(); err == nil {
+			fc.hrc = headedRawConn{RawConn: rc, w: &fc.fw}
+		}
+	}
+	return fc
+}
+
+// putHeader encodes the header of a frame of n payload bytes, with its
+// checksum, into fc.whdr.
+func (fc *FrameConn) putHeader(seq, tag, n int) error {
+	if n > fc.maxFrame {
+		return fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, n, fc.maxFrame)
+	}
+	putFrameHeader(fc.whdr[:], seq, tag, n)
+	binary.LittleEndian.PutUint32(fc.whdr[FrameHeaderSize:], crc32.Checksum(fc.whdr[:FrameHeaderSize], rpcCRCTable))
+	return nil
 }
 
 // WriteFrame sends one frame: seq is echoed by the peer's response, tag
-// the protocol operation.  The payload is not retained.
+// the protocol operation.  The payload is not retained.  It is a streamed
+// frame whose fill writes the payload at once: one writev of header and
+// payload on TCP (one Write of both when the payload is short), one
+// Write of a copy of both on any other connection.
 func (fc *FrameConn) WriteFrame(seq, tag int, payload []byte) error {
-	if len(payload) > fc.maxFrame {
-		return fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrame, len(payload), fc.maxFrame)
-	}
-	putFrameHeader(fc.whdr[:], seq, tag, len(payload))
-	binary.LittleEndian.PutUint32(fc.whdr[FrameHeaderSize:], crc32.Checksum(fc.whdr[:FrameHeaderSize], rpcCRCTable))
-	if fc.tcp == nil {
-		fc.wbuf = append(append(fc.wbuf[:0], fc.whdr[:]...), payload...)
-		_, err := fc.conn.Write(fc.wbuf)
-		return err
-	}
-	fc.vec = [2][]byte{fc.whdr[:], payload}
-	fc.out = fc.vec[:]
-	_, err := fc.out.WriteTo(fc.tcp)
-	fc.vec = [2][]byte{}
+	_, err := fc.WriteFrameFrom(seq, tag, len(payload), func(w io.Writer) (int64, error) {
+		n, err := w.Write(payload)
+		return int64(n), err
+	})
 	return err
+}
+
+// WriteFrameFrom sends one frame of n payload bytes that fill writes to
+// the writer it is handed, and reports how many it wrote.  The header
+// goes out with the first payload bytes, not before: until fill has
+// written some (and anything under smallWrite bytes is held back with the
+// header), nothing reaches the connection, so a fill that fails before
+// then leaves the stream as it was — sent is false — and the caller may
+// answer with another frame.  Once sent is true a failure leaves a frame
+// cut short, and the connection must be dropped.  A fill that reports
+// other than n bytes fails the frame.
+//
+// On a TCP connection the writer is also a syscall.Conn whose RawConn
+// writes to the socket once the header is out, so that a store can send
+// to it with no copy through memory.  On any other connection — a
+// ChaosConn — it is not, and the frame is gathered and sent as one Write,
+// as WriteFrame does.
+func (fc *FrameConn) WriteFrameFrom(seq, tag, n int, fill func(w io.Writer) (int64, error)) (sent bool, err error) {
+	if err := fc.putHeader(seq, tag, n); err != nil {
+		return false, err
+	}
+	fc.wbuf = append(fc.wbuf[:0], fc.whdr[:]...)
+	fc.fw.sent = false
+	m, err := fill(&fc.fw)
+	if err == nil && m != int64(n) {
+		err = fmt.Errorf("%w: streamed %d payload bytes of %d", ErrFrame, m, n)
+	}
+	if err == nil {
+		err = fc.fw.flush()
+	}
+	return fc.fw.sent, err
+}
+
+// smallWrite is the length under which a streamed frame's writer holds a
+// write back with the header that has not gone out yet.
+const smallWrite = 512
+
+// frameWriter is the writer WriteFrameFrom hands its fill.  fc.wbuf holds
+// what is not yet sent: the header and the payload so far on a TCP
+// connection until a write goes out, the whole frame on any other.
+type frameWriter struct {
+	fc   *FrameConn
+	sent bool // some of the frame may have reached the connection
+}
+
+// Write implements io.Writer.
+func (w *frameWriter) Write(p []byte) (int, error) {
+	fc := w.fc
+	if fc.tcp == nil || (len(fc.wbuf) > 0 && len(fc.wbuf)+len(p) < smallWrite) {
+		fc.wbuf = append(fc.wbuf, p...)
+		return len(p), nil
+	}
+	w.sent = true
+	if len(fc.wbuf) == 0 {
+		return fc.tcp.Write(p)
+	}
+	fc.vec = [2][]byte{fc.wbuf, p}
+	fc.out = fc.vec[:]
+	m, err := fc.out.WriteTo(fc.tcp)
+	fc.vec = [2][]byte{}
+	head := len(fc.wbuf)
+	fc.wbuf = fc.wbuf[:0]
+	return max(int(m)-head, 0), err
+}
+
+// flush sends what is held back: the frame on a wrapped connection, the
+// header and a short payload on TCP.
+func (w *frameWriter) flush() error {
+	fc := w.fc
+	if len(fc.wbuf) == 0 {
+		return nil
+	}
+	w.sent = true
+	_, err := fc.conn.Write(fc.wbuf)
+	fc.wbuf = fc.wbuf[:0]
+	return err
+}
+
+// errNotSocket is frameWriter.SyscallConn's answer on a connection that
+// is not TCP.
+var errNotSocket = errors.New("transport: frame writer is not a socket")
+
+// SyscallConn implements syscall.Conn on a TCP connection: the socket's
+// RawConn, whose Write sends what is held back before it runs.  The
+// function given to that Write must send bytes: the held-back head goes
+// out marked as having more to follow, and the kernel holds it for them.
+func (w *frameWriter) SyscallConn() (syscall.RawConn, error) {
+	if w.fc.hrc.RawConn == nil {
+		return nil, errNotSocket
+	}
+	return &w.fc.hrc, nil
+}
+
+// headedRawConn is the socket of a frame being streamed: a write through
+// it sends the frame's held-back head first, marked as having more to
+// follow, so that the two leave in one segment where they fit.
+type headedRawConn struct {
+	syscall.RawConn
+	w *frameWriter
+}
+
+// Write implements syscall.RawConn.
+func (c *headedRawConn) Write(f func(fd uintptr) bool) error {
+	fc := c.w.fc
+	if len(fc.wbuf) > 0 {
+		c.w.sent = true
+		err := sendMore(c.RawConn, fc.tcp, fc.wbuf)
+		fc.wbuf = fc.wbuf[:0]
+		if err != nil {
+			return err
+		}
+	}
+	return c.RawConn.Write(f)
 }
 
 // ReadHeader reads the next frame's header and returns the length of its
