@@ -10,9 +10,9 @@ import (
 )
 
 // TestDocsNameDeclaredTests: every Benchmark*, Test* and Fuzz* name that
-// DESIGN.md, README.md or the verify skill's SKILL.md cites is declared
-// in some _test.go file of the repository, so that a citation cannot
-// outlive the benchmark or test it names.
+// DESIGN.md, README.md, ROADMAP.md, EXPERIMENTS.md or the verify skill's
+// SKILL.md cites is declared in some _test.go file of the repository, so
+// that a citation cannot outlive the benchmark or test it names.
 func TestDocsNameDeclaredTests(t *testing.T) {
 	declared := map[string]bool{}
 	decl := regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz)[A-Za-z0-9_]*)\(`)
@@ -39,7 +39,7 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	cited := regexp.MustCompile(`\b(?:Benchmark|Test|Fuzz)[A-Z][A-Za-z0-9_]*`)
-	for _, doc := range []string{"DESIGN.md", "README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "ROADMAP.md", "EXPERIMENTS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
 		src, err := os.ReadFile(doc)
 		if os.IsNotExist(err) {
 			continue

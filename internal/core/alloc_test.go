@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
 
@@ -73,6 +74,67 @@ func measureCollective(t *testing.T, f *File, buf []byte, d int64, mt *datatype.
 	})
 }
 
+// epochMem is a Mem with epochs that stage by reference, as the
+// I/O-server client does: a staged write keeps the caller's segments,
+// not a copy, and the commit applies them.
+type epochMem struct {
+	*storage.Mem
+	mu     sync.Mutex
+	epoch  uint64
+	staged []storage.Segment
+}
+
+func newEpochMem() *epochMem { return &epochMem{Mem: storage.NewMem()} }
+
+func (m *epochMem) SupportsEpochs() bool { return true }
+
+func (m *epochMem) EpochBegin(id uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.epoch = id
+}
+
+func (m *epochMem) WriteAtv(segs []storage.Segment) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.epoch == 0 {
+		return m.Mem.WriteAtv(segs)
+	}
+	m.staged = append(m.staged, segs...)
+	return nil
+}
+
+func (m *epochMem) EpochSeal(uint64) error { return nil }
+
+func (m *epochMem) EpochCommit(uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	err := m.Mem.WriteAtv(m.staged)
+	m.endLocked()
+	return err
+}
+
+func (m *epochMem) EpochAbort(uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.endLocked()
+	return nil
+}
+
+func (m *epochMem) EpochEnd(id uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.epoch == id {
+		m.endLocked()
+	}
+}
+
+func (m *epochMem) endLocked() {
+	m.epoch = 0
+	clear(m.staged)
+	m.staged = m.staged[:0]
+}
+
 // testWindowAllocFree measures the per-window allocations of a one-rank
 // collective.  The rank is the IOP of all of its own data.  The listless
 // engine moves that share between user buffer and window itself — through
@@ -80,8 +142,9 @@ func measureCollective(t *testing.T, f *File, buf []byte, d int64, mt *datatype.
 // holeyDouble fused with the memtype's — and no chunk exists; staged (a
 // fileview that declines compilation: the walk, no program to run against
 // the user buffer) it packs the share into a pooled chunk and sends it to
-// the rank's own mailbox, window by window.
-func testWindowAllocFree(t *testing.T, engine Engine, write, holey, staged bool, wantPerWindow float64) {
+// the rank's own mailbox, window by window.  With epochs the backend is an
+// epochMem, so that a write's windows stage and the epoch keeps them.
+func testWindowAllocFree(t *testing.T, engine Engine, write, holey, staged, epochs bool, wantPerWindow float64) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
@@ -102,7 +165,11 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, holey, staged bool,
 	}
 	bp := pool.New()
 	_, err := mpi.Run(1, func(p *mpi.Proc) {
-		sh := NewShared(storage.NewMem())
+		var be storage.Backend = storage.NewMem()
+		if epochs {
+			be = newEpochMem()
+		}
+		sh := NewShared(be)
 		f, err := Open(p, sh, Options{Engine: engine, CollBufSize: allocWinSize, Pool: bp})
 		if err != nil {
 			panic(err)
@@ -126,7 +193,7 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, holey, staged bool,
 		s0 := bp.Stats()
 		aLarge := measureCollective(t, f, buf, dLarge, mt, write)
 		s1 := bp.Stats()
-		label := fmt.Sprintf("engine %v write=%v holey=%v staged=%v", engine, write, holey, staged)
+		label := fmt.Sprintf("engine %v write=%v holey=%v staged=%v epochs=%v", engine, write, holey, staged, epochs)
 		perWindow := (aLarge - aSmall) / (winLarge - winSmall)
 		if perWindow > wantPerWindow {
 			t.Errorf("%s: %.2f allocs per steady-state window (small=%v large=%v), want <= %v",
@@ -135,9 +202,14 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, holey, staged bool,
 		// The zero above is not vacuous.  Staged, every window does draw
 		// a chunk and hand it back, and the pool serves each one without
 		// allocating; fused, the two window buffers of a collective are
-		// all it draws, however many windows it has.
+		// all it draws, however many windows it has — or, when its windows
+		// stage under an epoch, which keeps them, one buffer per window.
 		gets, puts := s1.Gets-s0.Gets, s1.Puts-s0.Puts
-		if fused := engine == Listless && !staged; fused && (gets != s0.Gets-sS.Gets || gets == 0) {
+		var kept int64 // buffers per window an epoch keeps, over AllocsPerRun's 11 runs
+		if epochs && write {
+			kept = (winLarge - winSmall) * 11
+		}
+		if fused := engine == Listless && !staged; fused && (gets != s0.Gets-sS.Gets+kept || gets == 0) {
 			t.Errorf("%s: %d pool gets over %d-window collectives, %d over %d-window ones: the self share still draws chunks",
 				label, gets, winLarge, s0.Gets-sS.Gets, winSmall)
 		} else if !fused && (gets < 10*winLarge || puts < 10*winLarge) {
@@ -158,14 +230,20 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, holey, staged bool,
 // window loop — pooled buffers, freelisted window descriptors, persistent
 // pipeline workers — performs zero allocations per window, from
 // contiguous memory and from a holey layout, and also with the self
-// share staged through recycled chunks.
+// share staged through recycled chunks; a write's too when its windows
+// stage under an epoch, which keeps every window buffer and chunk until
+// it ends.
 func TestListlessWindowZeroAlloc(t *testing.T) {
 	for _, write := range []bool{true, false} {
 		for _, holey := range []bool{false, true} {
-			testWindowAllocFree(t, Listless, write, holey, false, 0)
+			testWindowAllocFree(t, Listless, write, holey, false, false, 0)
 		}
-		testWindowAllocFree(t, Listless, write, false, true, 0)
+		testWindowAllocFree(t, Listless, write, false, true, false, 0)
 	}
+	for _, holey := range []bool{false, true} {
+		testWindowAllocFree(t, Listless, true, holey, false, true, 0)
+	}
+	testWindowAllocFree(t, Listless, true, false, true, true, 0)
 }
 
 // TestListlessDirectWindowZeroAlloc is the twin of the test above over
@@ -178,7 +256,9 @@ func TestListlessWindowZeroAlloc(t *testing.T) {
 // the first accesses — which size the handles' segment batches — a
 // window costs no allocation: its segments, over the lent user buffers,
 // go into the batch its slot keeps, and no chunk and no window buffer is
-// drawn at all, where a packed share drew a chunk per AP and window.
+// drawn at all, where a packed share drew a chunk per AP and window.  The
+// same holds over an epoch backend, whose staged windows lend it the user
+// buffers.
 func TestListlessDirectWindowZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -196,12 +276,20 @@ func TestListlessDirectWindowZeroAlloc(t *testing.T) {
 	runs := func(n, pitch int64) *datatype.Type {
 		return mustType(datatype.Resized(mustType(datatype.Contiguous(n, datatype.Byte)), 0, pitch))
 	}
-	for _, rank1 := range []*datatype.Type{datatype.Byte, runs(storage.PageSize, 2*storage.PageSize)} {
+	for _, cell := range []struct {
+		rank1  *datatype.Type
+		epochs bool
+	}{{datatype.Byte, false}, {runs(storage.PageSize, 2*storage.PageSize), false}, {datatype.Byte, true}} {
+		rank1 := cell.rank1
 		mts := []*datatype.Type{runs(run, 2*run), rank1}
 		bp := pool.New()
-		sh := NewShared(storage.NewMem())
+		var be storage.Backend = storage.NewMem()
+		if cell.epochs {
+			be = newEpochMem()
+		}
+		sh := NewShared(be)
 		for _, write := range []bool{true, false} {
-			label := fmt.Sprintf("rank 1 memtype %v, write=%v", rank1, write)
+			label := fmt.Sprintf("rank 1 memtype %v, write=%v, epochs=%v", rank1, write, cell.epochs)
 			_, err := mpi.Run(P, func(p *mpi.Proc) {
 				f, err := Open(p, sh, Options{CollBufSize: win, Pool: bp})
 				if err != nil {

@@ -76,7 +76,8 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 
 	// Crash-consistent write: when the backend supports epochs, the IOP
 	// write-backs below stage under this id instead of applying, and
-	// epochFinish commits them after the error vote.  The plan (hence
+	// epochFinish commits them after the error vote; the buffers they
+	// stage are kept (f.kept) until the epoch has ended.  The plan (hence
 	// `any`) is deterministic across ranks, so every rank agrees on
 	// whether an epoch exists and on its id.
 	var epochID uint64
@@ -127,6 +128,7 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	if err := f.agreeCollective(fault); err != nil {
 		if epochID != 0 {
 			f.epochAbandon(epochID)
+			f.unkeep()
 		}
 		if f.tr.Enabled() {
 			f.tr.Instant(trace.PhaseFault, d0, 0, err.Error())
@@ -146,7 +148,9 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	// and let rank 0 broadcast the commit.  Collective, like the error
 	// agreement above. ----
 	if epochID != 0 {
-		if err := f.epochFinish(epochID); err != nil {
+		err := f.epochFinish(epochID)
+		f.unkeep()
+		if err != nil {
 			if f.tr.Enabled() {
 				f.tr.Instant(trace.PhaseFault, d0, 0, err.Error())
 			}

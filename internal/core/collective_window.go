@@ -40,6 +40,15 @@ import (
 // window descriptors), and the engines recycle their per-window state
 // via iopWindow.release.
 //
+// Inside an epoch a write-back stages, and the epoch lends the backend
+// its bytes until it ends (storage.EpochBackend): the I/O-server client
+// keeps them to replay, not a copy.  So a staged window is not reused.
+// The slot hands its buffer, or a direct window's received chunks, to
+// File.kept with the write-back and takes a fresh buffer from the pool
+// for its next window; lent user-buffer segments need nothing, the
+// caller's buffer being stable through WriteAtAll.  What is kept goes
+// back to the pool once the epoch has ended on this rank (unkeep).
+//
 // All Stats fields are updated on the main goroutine only; background
 // I/O durations travel back through the reply tokens.  Every duration
 // is what its span's End returned (trace.Tracer.Time: one clock read at
@@ -166,15 +175,21 @@ func (b *winBatch) drop(f *File) {
 
 // pipeSlot is one of the two window slots with its persistent worker:
 // the buffer of a buffered window, fetched from the pool when the slot's
-// first one comes, with the one segment that hands it to storage, and
-// the batch of a direct window.  Requests are
-// processed FIFO, which encodes the slot discipline: a window's prep
-// (and therefore its read) cannot start before the slot's previous
-// write-back finished.  req has capacity 2 — at most one outstanding
-// write-back plus one prep are ever queued — so the main goroutine never
-// blocks enqueueing.
+// first one comes (and again after each one an epoch keeps), with the
+// one segment that hands it to storage, and the batch of a direct
+// window.  Requests are processed FIFO, which encodes the slot
+// discipline: a window's prep (and therefore its read) cannot start
+// before the slot's previous write-back finished.  req has capacity 2 —
+// at most one outstanding write-back plus one prep are ever queued — so
+// the main goroutine never blocks enqueueing.
 type pipeSlot struct {
-	buf   []byte
+	buf []byte
+	// wb is the buffered window of the write-back queued last, handed
+	// over with its request — inside an epoch buf is a fresh buffer by the
+	// time the worker gets to it — and cleared by the worker once written.
+	// It is not in pipeReq: an element with a pointer costs each channel
+	// a second allocation.
+	wb    []byte
 	seg   [1]storage.Segment // the buffered window, as storage's vectored calls take it
 	batch *winBatch
 	req   chan pipeReq // main → worker
@@ -205,7 +220,8 @@ func (f *File) slotWorker(s *pipeSlot) {
 				err = storage.WriteAtv(f.sh.b, s.batch.segs)
 				s.batch.drop(f)
 			} else {
-				err = storage.WriteAtv(f.sh.b, s.window(r))
+				err = storage.WriteAtv(f.sh.b, s.window(r.lo, s.wb))
+				s.wb = nil
 			}
 			carry.ns += bsp.End()
 			if carry.err == nil {
@@ -219,7 +235,7 @@ func (f *File) slotWorker(s *pipeSlot) {
 				if r.direct {
 					t.err = storage.ReadAtv(f.sh.b, s.batch.segs)
 				} else {
-					t.err = storage.ReadAtv(f.sh.b, s.window(r))
+					t.err = storage.ReadAtv(f.sh.b, s.window(r.lo, s.buf[:r.hi-r.lo]))
 				}
 				t.ns += rsp.End()
 			}
@@ -229,9 +245,9 @@ func (f *File) slotWorker(s *pipeSlot) {
 	s.fin <- carry
 }
 
-// window is r's buffered window as one segment over the slot's buffer.
-func (s *pipeSlot) window(r pipeReq) []storage.Segment {
-	s.seg[0] = storage.Segment{Off: r.lo, Buf: s.buf[:r.hi-r.lo]}
+// window is the buffered window buf at file offset lo as one segment.
+func (s *pipeSlot) window(lo int64, buf []byte) []storage.Segment {
+	s.seg[0] = storage.Segment{Off: lo, Buf: buf}
 	return s.seg[:]
 }
 
@@ -314,6 +330,7 @@ func (f *File) lendShare(r int, ap apState, a, b, winLo int64) bool {
 // main goroutine does all exchange and copying and hands write-backs to
 // the slot workers.
 func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write bool) error {
+	keep := write && f.epochBE != nil // every collective write on an epoch backend stages
 	var slots [2]*pipeSlot
 	for i := range slots {
 		s := &pipeSlot{
@@ -420,7 +437,11 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 				f.Stats.DirectWrites += int64(len(cur.slot.batch.segs))
 				wb.bytes = cur.iw.total()
 			} else {
-				f.iopExchangeWrite(cur.iw, cur.slot.buf[:cur.hi-cur.lo], cur.lo)
+				cur.slot.wb = cur.slot.buf[:cur.hi-cur.lo]
+				f.iopExchangeWrite(cur.iw, cur.slot.wb, cur.lo)
+			}
+			if keep {
+				f.keep(&cur)
 			}
 			f.Stats.SieveWrites++
 			cur.slot.req <- wb
@@ -454,6 +475,35 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 		}
 	}
 	return err
+}
+
+// keep moves what write window pw stages — its slot's buffer, or the
+// chunks of its slot's batch — to f.kept before its write-back is queued,
+// so that none of it is reused or put back before the epoch ends.  The
+// slot's next buffered window takes a fresh buffer.
+func (f *File) keep(pw *pipeWindow) {
+	s := pw.slot
+	if !pw.direct {
+		f.kept = append(f.kept, s.buf)
+		s.buf = nil
+		return
+	}
+	for r, c := range s.batch.chunks {
+		if c != nil {
+			f.kept = append(f.kept, c)
+			s.batch.chunks[r] = nil
+		}
+	}
+}
+
+// unkeep returns what the epoch kept to the pool, once it has ended on
+// this rank: the backend holds none of it any more.
+func (f *File) unkeep() {
+	for _, b := range f.kept {
+		f.bp.Put(b)
+	}
+	clear(f.kept)
+	f.kept = f.kept[:0]
 }
 
 // directSend hands every chunk of a direct read window, filled by the

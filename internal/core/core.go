@@ -196,6 +196,10 @@ type File struct {
 	// batch holds the direct windows of the collective pipeline's two
 	// slots (collective_window.go), kept like segs.
 	batch [2]winBatch
+	// kept holds the window buffers and chunks a collective write staged
+	// under its epoch, which lends them to the backend until the epoch
+	// ends (collective_window.go); empty between collectives.
+	kept [][]byte
 	// lent holds the slices of the user buffer a collective write lends
 	// its IOPs over a wire (lendShare), and the segments a collective read
 	// posts (postShares), kept like segs and emptied when the loan ends

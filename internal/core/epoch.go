@@ -1,7 +1,8 @@
 package core
 
 import (
-	"repro/internal/mpi"
+	"fmt"
+
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -20,9 +21,15 @@ import (
 //
 //  1. every rank seals the epoch on every server (verifying its staged
 //     writes survived, re-staging over a reconnect if not);
-//  2. the seal outcomes are voted (AllreduceInt64 OpMin, like the error
-//     vote); a failed seal within the attempt budget re-runs step 1 —
-//     Resilient's reconnect has replayed the stage log by then;
+//  2. the seal outcomes are voted (one AllgatherInt64, the messages of
+//     the error vote's AllreduceInt64): each rank's vote is its seal's
+//     stamp of the server incarnations it was checked against
+//     (storage.EpochStamper), or a failure.  A failed seal, or a stamp
+//     other than rank 0's, within the attempt budget re-runs step 1 —
+//     Resilient's reconnect has replayed the stage log by then.  Ranks
+//     with a mount each need the stamps: a server that restarted between
+//     two ranks' seals lost the stages of the rank that sealed first,
+//     whose re-seal reconnects and replays them;
 //  3. rank 0 commits (carrying the incarnation it sealed against, so a
 //     commit racing a restart is refused with ErrEpochRetry rather than
 //     committing a partial epoch) and broadcasts the outcome byte;
@@ -71,6 +78,24 @@ func (f *File) epochAbandon(id uint64) {
 	}
 }
 
+// sealVote is step 2's vote: it gathers every rank's seal outcome and
+// returns the lowest rank whose seal failed or was checked against other
+// server incarnations than rank 0's, or noFailure.  A vote is the seal's
+// stamp, cut to 63 bits, or -1 for a failed seal.
+func (f *File) sealVote(stamp uint64, err error) int64 {
+	vote := int64(stamp >> 1)
+	if err != nil {
+		vote = -1
+	}
+	votes := f.p.AllgatherInt64(vote)
+	for r, v := range votes {
+		if v < 0 || v != votes[0] {
+			return int64(r)
+		}
+	}
+	return noFailure
+}
+
 // epochFinish runs the commit protocol (steps 1-4 above) after a
 // successful error vote.  It is fully collective: every rank takes the
 // same branch every round, so no rank can strand another.
@@ -79,15 +104,14 @@ func (f *File) epochFinish(id uint64) error {
 		// Step 1: seal everywhere.  A seal failure here has already
 		// exhausted the backend's transient-retry budget.
 		ssp := f.tr.Begin(trace.PhaseEpochSeal, int64(id), 0)
-		sealErr := f.epochBE.EpochSeal(id)
+		stamp, sealErr := storage.EpochSealStamp(f.epochBE, id)
 		ssp.End()
 
 		// Step 2: vote the seal outcomes.
-		vote := noFailure
-		if sealErr != nil {
-			vote = int64(f.p.Rank())
+		failRank := f.sealVote(stamp, sealErr)
+		if failRank == int64(f.p.Rank()) && sealErr == nil {
+			sealErr = fmt.Errorf("core: epoch %d sealed against other server incarnations than rank 0's: %w", id, storage.ErrEpochRetry)
 		}
-		failRank := f.p.AllreduceInt64(vote, mpi.OpMin)
 		if failRank != noFailure {
 			if attempt < maxEpochAttempts {
 				// Typically a server still restarting: re-seal, which

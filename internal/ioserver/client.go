@@ -16,9 +16,9 @@ import (
 )
 
 // framePool is where the tier's pooled frames come from and go back to:
-// the client's write requests, which its stage log keeps inside an
-// epoch, and the server's staged-mutation payloads, which their epoch
-// keeps until it is applied or dropped (DESIGN §9).  Tests swap in a
+// the heads of the client's write requests, which its stage log keeps
+// inside an epoch, and the server's staged-mutation payloads, which their
+// epoch keeps until it is applied or dropped (DESIGN §9).  Tests swap in a
 // checked pool to hold every frame to exactly one Put.
 var framePool = pool.Global
 
@@ -57,44 +57,53 @@ type Client struct {
 	// its uncommitted staged state on recovery) is transparently
 	// re-staged.  The log's length and bytes mirror the server's
 	// per-connection tally, so SealEpoch can detect a bounce that the
-	// replay machinery missed.
+	// replay machinery missed.  The log keeps each request's head and
+	// the slices of the caller's memory its data lies in, in parts — not
+	// a copy of the data: the epoch lends them (storage.EpochBackend).
 	epoch      uint64
 	stage      []request
-	sealedInc  int64  // server incarnation observed at last seal
-	lastCommit uint64 // most recently committed epoch id
-	fresh      bool   // connection newly dialed: replay before next op
+	parts      [][]byte // the data of the logged requests, then of the one being sent; reused across epochs
+	sealedInc  int64    // server incarnation observed at last seal
+	lastCommit uint64   // most recently committed epoch id
+	fresh      bool     // connection newly dialed: replay before next op
 	replaying  bool
 
-	// Scratch of the read requests, reused under mu: the request, and the
-	// destination its response is read into — ReadAt's flag byte, then
-	// the caller's buffers.
+	// Scratch of the read and epoch requests, reused under mu: the
+	// request, and the destination a read's response is read into —
+	// ReadAt's flag byte, then the caller's buffers.  A replay inside one
+	// of their round trips sends the stage log's own heads.
 	req  []byte
 	dst  [][]byte
 	flag [1]byte
+	// iov is the frame being sent: the request, then its data parts.
+	iov [][]byte
 }
 
 // request is one write or view request in its direct shape, as sendLocked
 // sends it and as the stage log keeps an acknowledged staged write for
-// replay.  What may differ from one send to the next — the epoch prefix,
-// and the view head with this connection's handle — is encoded per send
-// into the headRoom bytes buf leads with, flush against what follows, so
-// the bytes of a write are copied into their request once.  A write's
-// buf is a pooled frame (newRequest): the stage log owns it inside an
-// epoch, and outside one it goes back to the pool once sent.
+// replay: a head, and a write's data as slices of the caller's memory,
+// which go out behind the head in one frame and are never copied on this
+// side of the socket.  What may differ from one send to the next — the
+// epoch prefix, and the view head with this connection's handle — is
+// encoded per send into the headRoom bytes buf leads with, flush against
+// the request's own fields.  A write's buf is a small pooled frame
+// (newRequest): the stage log owns it inside an epoch, and outside one it
+// goes back to the pool once sent.
 type request struct {
 	op     int    // the direct op; inside an epoch its staged twin is sent
 	v      *View  // view ops: the view
 	d0, d1 int64  // view ops: the data range [d0, d1) of it
-	n      int    // writes: the data bytes buf ends with
-	buf    []byte // headRoom spare bytes, then the request behind the per-send head
+	buf    []byte // headRoom spare bytes, then the request's fields behind the per-send head
+	p0, p1 int    // writes: the data, Client.parts[p0:p1]
+	n      int    // writes: the data bytes
 }
 
 // headRoom holds an epoch prefix and a view head.
 const headRoom = 4 * binary.MaxVarintLen64
 
 // newRequest is the request builder: a pooled frame with room for the
-// head and then n bytes, of length headRoom, for the request's fields
-// and data to be appended to.
+// per-send head and then n bytes of fields, of length headRoom, for the
+// fields to be appended to.
 func newRequest(n int) []byte { return framePool.Get(headRoom + n)[:headRoom] }
 
 // ClientOptions tune a client; the zero value is ready to use.
@@ -183,8 +192,11 @@ func (c *Client) connectLocked() error {
 	return nil
 }
 
-// roundTripLocked performs one request/response exchange and returns
-// the length of the response's payload.  A success response is read
+// roundTripLocked performs one request/response exchange, of request req
+// followed by the data parts, and returns the length of the response's
+// payload.  A fresh connection first replays the stage log, inside this
+// round trip: parts, which may be slices of Client.parts beyond the
+// logged ones, are read only after the replay.  A success response is read
 // straight into dst, filling its buffers in order; one longer than dst
 // holds fails ErrPermanent and drops the connection, leaving dst
 // untouched.  With dst nil the payload comes back in a fresh buffer,
@@ -192,7 +204,7 @@ func (c *Client) connectLocked() error {
 // without touching the connection.  Network and framing failures drop
 // the connection and report transient errors (reconnect-and-reissue heals
 // them).
-func (c *Client) roundTripLocked(op int, req []byte, dst [][]byte) (resp []byte, n int, err error) {
+func (c *Client) roundTripLocked(op int, req []byte, parts, dst [][]byte) (resp []byte, n int, err error) {
 	if err := c.connectLocked(); err != nil {
 		return nil, 0, err
 	}
@@ -211,7 +223,10 @@ func (c *Client) roundTripLocked(op int, req []byte, dst [][]byte) (resp []byte,
 	seq := c.seq
 	c.rounds.Add(1)
 	c.fc.SetDeadline(time.Now().Add(c.timeout))
-	if err := c.fc.WriteFrame(seq, op, req); err != nil {
+	c.iov = append(append(c.iov[:0], req), parts...)
+	err = c.fc.WriteFrame(seq, op, c.iov...)
+	clear(c.iov)
+	if err != nil {
 		c.dropLocked()
 		return nil, 0, fmt.Errorf("ioserver %s: send: %v: %w", c.addr, err, storage.ErrTransient)
 	}
@@ -271,14 +286,14 @@ func (c *Client) recvFailedLocked(err error) error {
 func (c *Client) roundTrip(op int, req []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, _, err := c.roundTripLocked(op, req, nil)
+	resp, _, err := c.roundTripLocked(op, req, nil, nil)
 	return resp, err
 }
 
 // readLocked issues read request c.req with its response read into
 // c.dst, and then lets go of the caller's buffers in c.dst.
 func (c *Client) readLocked(op int) (int, error) {
-	_, n, err := c.roundTripLocked(op, c.req, c.dst)
+	_, n, err := c.roundTripLocked(op, c.req, nil, c.dst)
 	clear(c.dst)
 	c.dst = c.dst[:0]
 	return n, err
@@ -334,7 +349,7 @@ func (c *Client) sendLocked(r *request, dst [][]byte) (int, error) {
 		}
 		req := r.buf[headRoom-len(head):]
 		copy(req, head)
-		_, n, err := c.roundTripLocked(op, req, dst)
+		_, n, err := c.roundTripLocked(op, req, c.parts[r.p0:r.p1], dst)
 		if err == nil || !errors.Is(err, errStale) {
 			return n, err
 		}
@@ -345,27 +360,36 @@ func (c *Client) sendLocked(r *request, dst [][]byte) (int, error) {
 		c.addr, lastErr, storage.ErrPermanent)
 }
 
-// mutateLocked sends one write.  Inside an epoch the write is staged
-// (journaled server-side, invisible to reads until commit) and, once
-// acknowledged, logged for replay, the log taking r.buf; otherwise r.buf
-// goes back to the pool.
-func (c *Client) mutateLocked(r request) error {
+// mutateLocked sends one write, whose data are the parts from p0 on.
+// Inside an epoch the write is staged (journaled server-side, invisible to
+// reads until commit) and, once acknowledged, logged for replay, the log
+// taking buf and the parts; otherwise buf goes back to the pool and the
+// parts are forgotten.
+func (c *Client) mutateLocked(r request, p0 int) error {
+	r.p0, r.p1 = p0, len(c.parts)
+	for _, p := range c.parts[p0:] {
+		r.n += len(p)
+	}
 	_, err := c.sendLocked(&r, nil)
 	if err == nil && c.epoch != 0 {
 		c.stage = append(c.stage, r)
 		return nil
 	}
 	framePool.Put(r.buf)
+	clear(c.parts[p0:])
+	c.parts = c.parts[:p0]
 	return err
 }
 
-// WriteAt implements io.WriterAt against the server's stripe.
+// WriteAt implements io.WriterAt against the server's stripe.  Inside an
+// epoch p is lent until the epoch ends.
 func (c *Client) WriteAt(p []byte, off int64) (int, error) {
-	buf := putV(newRequest(binary.MaxVarintLen64+len(p)), off)
-	buf = append(buf, p...)
+	buf := putV(newRequest(binary.MaxVarintLen64), off)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.mutateLocked(request{op: opWrite, n: len(p), buf: buf}); err != nil {
+	p0 := len(c.parts)
+	c.parts = append(c.parts, p)
+	if err := c.mutateLocked(request{op: opWrite, buf: buf}, p0); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -400,18 +424,19 @@ func (c *Client) ReadAtv(segs []storage.Segment) error {
 	return nil
 }
 
-// WriteAtv implements storage.Vectored, chunked like ReadAtv.
+// WriteAtv implements storage.Vectored, chunked like ReadAtv.  Inside an
+// epoch the segments' buffers are lent until the epoch ends.
 func (c *Client) WriteAtv(segs []storage.Segment) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(segs) > 0 {
 		chunk := c.clipList(segs)
-		n := totalLen(chunk)
-		buf := putList(newRequest(binary.MaxVarintLen64*(2*len(chunk)+1)+n), chunk)
+		buf := putList(newRequest(binary.MaxVarintLen64*(2*len(chunk)+1)), chunk)
+		p0 := len(c.parts)
 		for _, s := range chunk {
-			buf = append(buf, s.Buf...)
+			c.parts = append(c.parts, s.Buf)
 		}
-		if err := c.mutateLocked(request{op: opWritev, n: n, buf: buf}); err != nil {
+		if err := c.mutateLocked(request{op: opWritev, buf: buf}, p0); err != nil {
 			return err
 		}
 		segs = segs[len(chunk):]
@@ -504,7 +529,7 @@ func (c *Client) Sync() error {
 	if err := c.takeSizeErrLocked(); err != nil {
 		return err
 	}
-	_, _, err := c.roundTripLocked(opSync, nil, nil)
+	_, _, err := c.roundTripLocked(opSync, nil, nil, nil)
 	return err
 }
 
@@ -525,7 +550,7 @@ func (c *Client) handleLocked(v *View) (uint64, error) {
 	}
 	req := putV(make([]byte, 0, 16+len(v.Enc)), v.Disp)
 	req = append(req, v.Enc...)
-	resp, _, err := c.roundTripLocked(opRegister, req, nil)
+	resp, _, err := c.roundTripLocked(opRegister, req, nil, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -548,16 +573,17 @@ func (c *Client) ViewReadRange(v *View, d0, d1 int64, dst [][]byte) (int, error)
 	return c.sendLocked(&request{op: opViewRead, v: v, d0: d0, d1: d1, buf: c.req}, dst)
 }
 
-// ViewWriteRange stores n bytes as this server's bytes of data range
-// [d0, d1) of the view, packed in data order.  gather writes them into
-// the request, before the connection is taken, so that they are copied
-// once, from the caller's memory into the frame.
-func (c *Client) ViewWriteRange(v *View, d0, d1 int64, n int, gather func(dst []byte)) error {
-	buf := newRequest(n)[:headRoom+n]
-	gather(buf[headRoom:])
+// ViewWriteRange stores the bytes of data, in order, as this server's
+// bytes of data range [d0, d1) of the view, packed in data order.  They
+// go out from where they lie; inside an epoch they are lent until the
+// epoch ends.
+func (c *Client) ViewWriteRange(v *View, d0, d1 int64, data [][]byte) error {
+	buf := newRequest(0)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.mutateLocked(request{op: opViewWrite, v: v, d0: d0, d1: d1, n: n, buf: buf})
+	p0 := len(c.parts)
+	c.parts = append(c.parts, data...)
+	return c.mutateLocked(request{op: opViewWrite, v: v, d0: d0, d1: d1, buf: buf}, p0)
 }
 
 // replayLocked re-stages the epoch's logged writes on a fresh
@@ -595,11 +621,14 @@ func (c *Client) BeginEpoch(id uint64) {
 // bounce whose redial replayed into a different tally than the log, or
 // a wire fault that double-staged) — the connection is dropped and the
 // error is transient, so a retry reconnects and replays the log, after
-// which the tally matches.
+// which the tally matches.  A seal that passes says nothing of another
+// client's stages: two mounts of one server must also have sealed the
+// same incarnation of it (storage.EpochStamper), or a restart between
+// their seals has lost the stages of the one that sealed first.
 func (c *Client) SealEpoch(id uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, _, err := c.roundTripLocked(opEpochSeal, putEpoch(nil, id), nil)
+	resp, _, err := c.roundTripLocked(opEpochSeal, c.epochReq(id), nil, nil)
 	if err != nil {
 		return err
 	}
@@ -620,6 +649,14 @@ func (c *Client) SealEpoch(id uint64) error {
 	return nil
 }
 
+// sealed reports the server incarnation the last seal passed against,
+// which the commit names.
+func (c *Client) sealed() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sealedInc
+}
+
 // CommitEpoch asks the server to apply epoch id, naming the incarnation
 // observed at seal time: a server that restarted in between answers
 // storage.ErrEpochRetry (its recovery discarded the staged state), and
@@ -638,12 +675,18 @@ func (c *Client) CommitEpoch(id uint64) error {
 		}
 		return fmt.Errorf("ioserver %s: commit of epoch %d without a seal: %w", c.addr, id, storage.ErrPermanent)
 	}
-	if _, _, err := c.roundTripLocked(opEpochCommit, putV(putEpoch(nil, id), c.sealedInc), nil); err != nil {
+	if _, _, err := c.roundTripLocked(opEpochCommit, putV(c.epochReq(id), c.sealedInc), nil, nil); err != nil {
 		return err
 	}
 	c.lastCommit = id
 	c.endEpochLocked()
 	return nil
+}
+
+// epochReq encodes the epoch prefix of id into c.req.
+func (c *Client) epochReq(id uint64) []byte {
+	c.req = putEpoch(c.req[:0], id)
+	return c.req
 }
 
 // AbortEpoch discards epoch id's staged state, server-side (best
@@ -653,7 +696,7 @@ func (c *Client) AbortEpoch(id uint64) error {
 	defer c.mu.Unlock()
 	// Don't let the replay machinery re-stage the epoch we're discarding.
 	c.dropStageLocked()
-	_, _, err := c.roundTripLocked(opEpochAbort, putEpoch(nil, id), nil)
+	_, _, err := c.roundTripLocked(opEpochAbort, c.epochReq(id), nil, nil)
 	c.endEpochLocked()
 	return err
 }
@@ -674,14 +717,16 @@ func (c *Client) endEpochLocked() {
 	c.sealedInc = 0
 }
 
-// dropStageLocked empties the stage log, returning its requests' frames
-// to the pool.
+// dropStageLocked empties the stage log, returning its requests' heads
+// to the pool and forgetting the caller memory they lent.
 func (c *Client) dropStageLocked() {
 	for i := range c.stage {
 		framePool.Put(c.stage[i].buf)
 	}
 	clear(c.stage)
 	c.stage = c.stage[:0]
+	clear(c.parts)
+	c.parts = c.parts[:0]
 }
 
 // RegisterEager registers v now (priming the server's cache and

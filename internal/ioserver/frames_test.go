@@ -29,7 +29,7 @@ func readFrame(fc *transport.FrameConn) (seq, tag int, payload []byte, err error
 
 // viewWrite stores p as c's server's share of data range [d0, d1) of v.
 func viewWrite(c *Client, v *View, d0, d1 int64, p []byte) error {
-	return c.ViewWriteRange(v, d0, d1, len(p), func(dst []byte) { copy(dst, p) })
+	return c.ViewWriteRange(v, d0, d1, [][]byte{p})
 }
 
 // checkFrames swaps a checked pool in for the test's frames — a second
@@ -136,9 +136,28 @@ func (s *stagedSet) readBack(t *testing.T, c *Client) {
 	}
 }
 
-// TestFrameOwnership holds every pooled frame, the client's staged
-// requests and the server's staged payloads, to exactly one Put in each
-// way an epoch ends.
+// stagedHeads checks, with an epoch staged by c alone and its server's
+// epochs holding serverFrames frames, that c's stage log holds one pooled
+// head per staged request, the size of a head and not of its data, and
+// that these are all the frames out of the pool.
+func stagedHeads(t *testing.T, c *Client, serverFrames int) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, r := range c.stage {
+		if cap(r.buf) > pool.MinBuf {
+			t.Errorf("staged request %d holds a %d-byte frame for %d data bytes: its data was copied", i, cap(r.buf), r.n)
+		}
+	}
+	st := framePool.Stats()
+	if out := int(st.Gets - st.Puts); out != len(c.stage)+serverFrames {
+		t.Errorf("%d frames out of the pool, want %d heads and %d server frames", out, len(c.stage), serverFrames)
+	}
+}
+
+// TestFrameOwnership holds every pooled frame, the heads of the client's
+// staged requests and the server's staged payloads, to exactly one Put in
+// each way an epoch ends.
 func TestFrameOwnership(t *testing.T) {
 	t.Run("commit", func(t *testing.T) {
 		check := checkFrames(t)
@@ -147,6 +166,7 @@ func TestFrameOwnership(t *testing.T) {
 		defer c.Close()
 		s := newStagedSet(t)
 		s.stage(t, c, 1)
+		stagedHeads(t, c, 3)
 		commit(t, c, 1)
 		s.readBack(t, c)
 		check()
@@ -212,6 +232,7 @@ func TestFrameOwnership(t *testing.T) {
 		s := newStagedSet(t)
 		s.stage(t, c, 1)
 		srv.Close() // the restart loses the staged epoch; the client's log keeps it
+		stagedHeads(t, c, 0)
 		serveStripe(t, addr, stripe)
 		commit(t, c, 1)
 		s.readBack(t, c)
@@ -427,4 +448,16 @@ func TestTierRoundTripAllocBound(t *testing.T) {
 	if perRound >= payload/8 {
 		t.Fatalf("a round allocates %d bytes: something the size of a %d-byte payload is allocated", perRound, payload)
 	}
+	// What a round allocates is the seal's response on the client, and on
+	// the server each staged request's place in its epoch (its segments
+	// and its frame, two each) and the commit's range lock: none of it per
+	// byte or per segment, and nothing for a write request's head, which
+	// is pooled, nor its data, which goes out from the caller's memory.
+	if allocs > maxRoundAllocs {
+		t.Fatalf("a round allocates %.0f times, want at most %d", allocs, maxRoundAllocs)
+	}
 }
+
+// maxRoundAllocs bounds TestTierRoundTripAllocBound's allocations per
+// round.
+const maxRoundAllocs = 6

@@ -215,9 +215,9 @@ func (s *Striped) ViewRead(h storage.ViewHandle, p []byte, d0 int64) error {
 		})
 }
 
-// ViewWrite implements storage.ViewBackend: p is gathered into one
-// data-order byte stream per owning server, straight into its request,
-// and the requests are shipped concurrently.
+// ViewWrite implements storage.ViewBackend: each owning server's share of
+// p, in data order, is the pieces of p the partition gives its stripe, and
+// they go out from p itself, one request per server, concurrently.
 func (s *Striped) ViewWrite(h storage.ViewHandle, p []byte, d0 int64) error {
 	av, err := s.lookup(h)
 	if err != nil {
@@ -230,11 +230,7 @@ func (s *Striped) ViewWrite(h storage.ViewHandle, p []byte, d0 int64) error {
 	}
 	return s.fanOut(func(i int) bool { return lens[i] == 0 },
 		func(i int) error {
-			return s.clients[i].ViewWriteRange(av.v, d0, d1, lens[i], func(dst []byte) {
-				for _, b := range shares[i] {
-					dst = dst[copy(dst, b):]
-				}
-			})
+			return s.clients[i].ViewWriteRange(av.v, d0, d1, shares[i])
 		})
 }
 
@@ -260,7 +256,25 @@ func (s *Striped) EpochBegin(id uint64) {
 // server holds exactly what this mount staged (the server tallies per
 // connection, so a mount that staged nothing seals a zero tally).
 func (s *Striped) EpochSeal(id uint64) error {
-	return s.fanOut(nil, func(i int) error { return s.clients[i].SealEpoch(id) })
+	_, err := s.EpochSealStamp(id)
+	return err
+}
+
+// EpochSealStamp implements storage.EpochStamper: it seals as EpochSeal
+// does, and its stamp is a hash of the incarnation of every server, in
+// server order, that the seals passed against — the incarnations a
+// commit through this mount names.  The ranks of a world sharing the
+// mount seal its clients concurrently, and read what the last seal of
+// each passed against: one shared stage log, replayed by any of them.
+func (s *Striped) EpochSealStamp(id uint64) (uint64, error) {
+	if err := s.fanOut(nil, func(i int) error { return s.clients[i].SealEpoch(id) }); err != nil {
+		return 0, err
+	}
+	stamp := uint64(14695981039346656037) // FNV-1a's offset basis and prime, a word at a time
+	for _, c := range s.clients {
+		stamp = (stamp ^ uint64(c.sealed())) * 1099511628211
+	}
+	return stamp, nil
 }
 
 // EpochCommit implements storage.EpochBackend.  The commit applies the

@@ -32,15 +32,24 @@ func IsEpochRetry(err error) bool { return errors.Is(err, ErrEpochRetry) }
 
 // EpochBackend is the optional crash-consistent commit extension of
 // Backend.
+//
+// A staged write lends its bytes.  The backend may keep them by reference
+// — the I/O-server client keeps them so that a reconnect can replay the
+// epoch's writes to a server that lost them — so the caller leaves the
+// bytes of every write it staged under id unchanged until its
+// EpochCommit, EpochAbort or EpochEnd of id has returned.  A backend
+// shared by several callers (the ranks of one process) may replay any of
+// their writes inside any of their calls: each caller keeps its bytes
+// until its own call that ends the epoch has returned.
 type EpochBackend interface {
 	// SupportsEpochs reports whether epoch calls can succeed; wrappers
 	// resolve the capability of their inner backend dynamically.
 	SupportsEpochs() bool
 	// EpochBegin enters staging mode: subsequent writes (WriteAt,
-	// WriteAtv, ViewWrite) are staged under id instead of applied.
-	// Reads keep returning the last committed state.  Begin is local
-	// bookkeeping and idempotent for the active id, so every rank of a
-	// world sharing one backend may call it.
+	// WriteAtv, ViewWrite) are staged under id instead of applied, their
+	// bytes lent until the epoch ends.  Reads keep returning the last
+	// committed state.  Begin is local bookkeeping and idempotent for the
+	// active id, so every rank of a world sharing one backend may call it.
 	EpochBegin(id uint64)
 	// EpochSeal verifies that everything staged under id through this
 	// backend actually reached the servers (a server that silently
@@ -56,6 +65,31 @@ type EpochBackend interface {
 	// EpochEnd ends staging mode locally without touching staged state —
 	// the non-committing participants' counterpart of EpochCommit.
 	EpochEnd(id uint64)
+}
+
+// EpochStamper is the optional extension of an EpochBackend whose seal is
+// checked against one incarnation of each server: a restarted server is a
+// new incarnation, which has lost what the old one staged.  A seal only
+// vouches for what its own mount staged, so mounts that seal the same
+// epoch apart — OS-process ranks, a mount each — must also agree on the
+// incarnations: if a server restarted between two mounts' seals, the
+// later mount's reconnect re-staged its own writes and its seal passes,
+// while the earlier mount's writes are gone.
+type EpochStamper interface {
+	// EpochSealStamp seals as EpochSeal does and returns a stamp of the
+	// server incarnations the seal was checked against: two seals of an
+	// epoch return the same stamp when they were checked against the same
+	// incarnation of every server.
+	EpochSealStamp(id uint64) (uint64, error)
+}
+
+// EpochSealStamp seals epoch id through eb and returns its stamp, 0 when
+// eb has no EpochStamper.
+func EpochSealStamp(eb EpochBackend, id uint64) (uint64, error) {
+	if st, ok := eb.(EpochStamper); ok {
+		return st.EpochSealStamp(id)
+	}
+	return 0, eb.EpochSeal(id)
 }
 
 // AsEpochBackend reports b's usable epoch extension, if any.

@@ -140,11 +140,12 @@ func clipSegs(segs []Segment, n int64) []Segment {
 
 // result is what an op yields: n, the count a plain read or write
 // returned, or the bytes a send wrote; h, the handle of a register-view;
-// err.
+// stamp, the stamp of a seal; err.
 type result struct {
-	n   int
-	h   ViewHandle
-	err error
+	n     int
+	h     ViewHandle
+	stamp uint64
+	err   error
 }
 
 // interceptor is a wrapper's one function.  It decides what happens
@@ -197,7 +198,8 @@ func (l *layer) exec(o op) result {
 	case opViewWrite:
 		return result{err: l.Backend.(ViewBackend).ViewWrite(o.view, o.buf, o.off)}
 	case opEpochSeal:
-		return result{err: l.Backend.(EpochBackend).EpochSeal(uint64(o.off))}
+		stamp, err := EpochSealStamp(l.Backend.(EpochBackend), uint64(o.off))
+		return result{stamp: stamp, err: err}
 	case opEpochCommit:
 		return result{err: l.Backend.(EpochBackend).EpochCommit(uint64(o.off))}
 	case opEpochAbort:
@@ -327,7 +329,20 @@ func (l *layer) epochOp(kind opKind, id uint64) error {
 }
 
 // EpochSeal implements EpochBackend.
-func (l *layer) EpochSeal(id uint64) error { return l.epochOp(opEpochSeal, id) }
+func (l *layer) EpochSeal(id uint64) error {
+	_, err := l.EpochSealStamp(id)
+	return err
+}
+
+// EpochSealStamp implements EpochStamper: a seal, whose stamp is the
+// inner backend's, 0 when it has none.
+func (l *layer) EpochSealStamp(id uint64) (uint64, error) {
+	if !l.SupportsEpochs() {
+		return 0, ErrNoEpochs
+	}
+	r := l.run(op{kind: opEpochSeal, off: int64(id)})
+	return r.stamp, r.err
+}
 
 // EpochCommit implements EpochBackend.
 func (l *layer) EpochCommit(id uint64) error { return l.epochOp(opEpochCommit, id) }

@@ -182,6 +182,15 @@ func (s *seamStore) EpochSeal(id uint64) error {
 	return s.log(seamCall{name: "EpochSeal", off: int64(id)})
 }
 
+// EpochSealStamp is the store's seal too, and logs as one; its stamp
+// must come back through every wrapper unchanged.
+func (s *seamStore) EpochSealStamp(id uint64) (uint64, error) {
+	if err := s.log(seamCall{name: "EpochSeal", off: int64(id)}); err != nil {
+		return 0, err
+	}
+	return 99, nil
+}
+
 func (s *seamStore) EpochCommit(id uint64) error {
 	return s.log(seamCall{name: "EpochCommit", off: int64(id)})
 }
@@ -199,6 +208,7 @@ type seamBackend interface {
 	Sender
 	ViewBackend
 	EpochBackend
+	EpochStamper
 	Writeback
 }
 
@@ -277,6 +287,10 @@ var seamOps = []struct {
 	}},
 	{"EpochSeal", func(w seamBackend) (seamCall, int64, error) {
 		return seamCall{name: "EpochSeal", off: 5}, 0, w.EpochSeal(5)
+	}},
+	{"EpochSealStamp", func(w seamBackend) (seamCall, int64, error) {
+		stamp, err := w.EpochSealStamp(5)
+		return seamCall{name: "EpochSeal", off: 5}, int64(stamp), err
 	}},
 	{"EpochCommit", func(w seamBackend) (seamCall, int64, error) {
 		return seamCall{name: "EpochCommit", off: 5}, 0, w.EpochCommit(5)
@@ -382,6 +396,9 @@ func TestSeamCapabilitiesMirrorInner(t *testing.T) {
 		w.EpochBegin(1)
 		if err := w.EpochSeal(1); err != ErrNoEpochs {
 			t.Errorf("%T.EpochSeal over Mem: %v, want ErrNoEpochs", w, err)
+		}
+		if _, err := w.EpochSealStamp(1); err != ErrNoEpochs {
+			t.Errorf("%T.EpochSealStamp over Mem: %v, want ErrNoEpochs", w, err)
 		}
 		if err := w.EpochCommit(1); err != ErrNoEpochs {
 			t.Errorf("%T.EpochCommit over Mem: %v, want ErrNoEpochs", w, err)

@@ -57,11 +57,13 @@ var rpcCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // A frame is read in two steps, ReadHeader and then ReadPayload, so that
 // the caller chooses where the payload lands (a pooled frame, a reused
 // buffer, or the destination of a read) before any of it is read.  A
-// frame is written as one chunk: by one writev of header and payload on
-// a *net.TCPConn, and by one Write of a copy of both on anything else —
-// a wrapper such as ChaosConn acts on each Write, and a header written
-// apart from its payload could be duplicated or dropped on its own,
-// leaving a valid header in front of the wrong bytes.
+// frame is written as one chunk: by one writev of header and payload
+// parts on a *net.TCPConn, so that a payload that lies in several places
+// in memory is not copied into one first, and by one Write of a copy of
+// all of it on anything else — a wrapper such as ChaosConn acts on each
+// Write, and a header written apart from its payload could be duplicated
+// or dropped on its own, leaving a valid header in front of the wrong
+// bytes.
 //
 // WriteFrameFrom streams a payload instead: a callback writes it to the
 // frame's writer, which on a TCP connection lends the socket itself to a
@@ -75,8 +77,8 @@ type FrameConn struct {
 
 	rhdr [rpcHeaderSize]byte // header being read
 	whdr [rpcHeaderSize]byte // header being written
-	vec  [2][]byte           // writev's header and payload, cleared after the write
-	out  net.Buffers         // the writev, over vec
+	vec  [][]byte            // a writev's header and payload parts, cleared after the write
+	out  net.Buffers         // the writev, over vec, which it consumes
 	wbuf []byte              // a non-TCP connection's frame copy, or a streamed frame's unsent head; reused
 	fw   frameWriter         // a streamed frame's writer
 	hrc  headedRawConn       // fw's socket, on TCP
@@ -116,16 +118,32 @@ func (fc *FrameConn) putHeader(seq, tag, n int) error {
 	return nil
 }
 
-// WriteFrame sends one frame: seq is echoed by the peer's response, tag
-// the protocol operation.  The payload is not retained.  It is a streamed
-// frame whose fill writes the payload at once: one writev of header and
-// payload on TCP (one Write of both when the payload is short), one
-// Write of a copy of both on any other connection.
-func (fc *FrameConn) WriteFrame(seq, tag int, payload []byte) error {
-	_, err := fc.WriteFrameFrom(seq, tag, len(payload), func(w io.Writer) (int64, error) {
-		n, err := w.Write(payload)
-		return int64(n), err
-	})
+// WriteFrame sends one frame whose payload is parts, in order: seq is
+// echoed by the peer's response, tag the protocol operation.  The parts
+// are not retained.  On TCP the frame goes out by one writev of header and
+// parts, or by one Write of a copy when it is short; on any other
+// connection by one Write of a copy of all of it.
+func (fc *FrameConn) WriteFrame(seq, tag int, parts ...[]byte) error {
+	var n int
+	for _, p := range parts {
+		n += len(p)
+	}
+	if err := fc.putHeader(seq, tag, n); err != nil {
+		return err
+	}
+	if fc.tcp == nil || rpcHeaderSize+n < smallWrite {
+		fc.wbuf = append(fc.wbuf[:0], fc.whdr[:]...)
+		for _, p := range parts {
+			fc.wbuf = append(fc.wbuf, p...)
+		}
+		_, err := fc.conn.Write(fc.wbuf)
+		fc.wbuf = fc.wbuf[:0]
+		return err
+	}
+	fc.vec = append(append(fc.vec[:0], fc.whdr[:]), parts...)
+	fc.out = fc.vec
+	_, err := fc.out.WriteTo(fc.tcp)
+	clear(fc.vec)
 	return err
 }
 
@@ -183,10 +201,10 @@ func (w *frameWriter) Write(p []byte) (int, error) {
 	if len(fc.wbuf) == 0 {
 		return fc.tcp.Write(p)
 	}
-	fc.vec = [2][]byte{fc.wbuf, p}
-	fc.out = fc.vec[:]
+	fc.vec = append(fc.vec[:0], fc.wbuf, p)
+	fc.out = fc.vec
 	m, err := fc.out.WriteTo(fc.tcp)
-	fc.vec = [2][]byte{}
+	clear(fc.vec)
 	head := len(fc.wbuf)
 	fc.wbuf = fc.wbuf[:0]
 	return max(int(m)-head, 0), err

@@ -185,3 +185,63 @@ func TestWriteFrameFromBuffered(t *testing.T) {
 		t.Fatalf("a streamed frame and a refused one took %d Writes, want 1", n)
 	}
 }
+
+// TestWriteFrameParts: a frame whose payload is given as parts arrives as
+// their concatenation — over TCP by writev (more parts than one writev
+// takes, empty parts, a short frame), and on a connection that is not TCP
+// as one Write per frame — and the caller's parts are left as they were.
+func TestWriteFrameParts(t *testing.T) {
+	many := make([][]byte, 1500)
+	for i := range many {
+		many[i] = bytes.Repeat([]byte{byte(i)}, i%7*64)
+	}
+	cases := [][][]byte{
+		{[]byte("head"), bytes.Repeat([]byte{1}, 4096), nil, bytes.Repeat([]byte{2}, 3)},
+		{[]byte("sh"), []byte("ort")},
+		{},
+		many,
+	}
+	check := func(t *testing.T, w, r *FrameConn) {
+		done := make(chan error, 1)
+		go func() {
+			for i, parts := range cases {
+				before := append([][]byte(nil), parts...)
+				if err := w.WriteFrame(i, TagServerFirst, parts...); err != nil {
+					done <- err
+					return
+				}
+				for j := range parts {
+					if len(parts[j]) != len(before[j]) || (len(parts[j]) > 0 && &parts[j][0] != &before[j][0]) {
+						done <- errors.New("WriteFrame changed the caller's parts")
+						return
+					}
+				}
+			}
+			done <- nil
+		}()
+		for i, parts := range cases {
+			seq, tag, payload := readFrameConn(t, r)
+			if want := bytes.Join(parts, nil); seq != i || tag != TagServerFirst || !bytes.Equal(payload, want) {
+				t.Fatalf("frame %d: seq %d tag %d, %d payload bytes differ from the %d of its parts", i, seq, tag, len(payload), len(want))
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("tcp", func(t *testing.T) {
+		w, r := tcpFramePair(t)
+		check(t, w, r)
+	})
+	t.Run("pipe", func(t *testing.T) {
+		a, b := net.Pipe()
+		cc := &countConn{Conn: a}
+		w, r := NewFrameConn(cc, 0), NewFrameConn(b, 0)
+		defer w.Close()
+		defer r.Close()
+		check(t, w, r)
+		if n := cc.writes.Load(); n != int64(len(cases)) {
+			t.Fatalf("%d frames took %d Writes", len(cases), n)
+		}
+	})
+}
