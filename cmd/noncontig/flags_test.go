@@ -34,6 +34,17 @@ func TestEveryFlagHasALaunchClass(t *testing.T) {
 	}
 }
 
+// TestFlagCeiling: the driver has no more flags than it had after the
+// last flag was deleted, so a flag is added only in place of another.
+func TestFlagCeiling(t *testing.T) {
+	const ceiling = 34
+	n := 0
+	newFlags().VisitAll(func(*flag.Flag) { n++ })
+	if n > ceiling {
+		t.Errorf("%d flags registered, ceiling %d", n, ceiling)
+	}
+}
+
 // nonDefault is a value for fl that is not its default.
 func nonDefault(t *testing.T, fl *flag.Flag) string {
 	t.Helper()

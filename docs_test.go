@@ -54,3 +54,51 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 		}
 	}
 }
+
+// deletedNames matches a name of something deleted: the session service,
+// the metrics registry and its flags, tileio and the spare BTIO front
+// ends, darray, the file pointers, shared, ordered, nonblocking and split
+// access, preallocation, Proc.Split, the copy-program ablation, the
+// fileview-cache and mergeview ablations and the root testing.B suite.
+// Each alternative ends in a bracket, so that this source does not match
+// itself.
+var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRejecte[d]|ClientOptions\{[^}]*Conn[s]|NewRegio[n]|PhaseSessio[n]|PhaseCach[e]|internal/ob[s]|obs\.Registr[y]|GaugeFun[c]|-metrics-(addr|fd|pus[h])|no-metric[s]|internal/tilei[o]|cmd/tilei[o]|cmd/bti[o]|btiomin[i]|blockcycli[c]|Darra[y]|WriteShare[d]|ReadShare[d]|WriteOrdere[d]|ReadOrdere[d]|IWriteA[t]|IReadA[t]|AtAllBegi[n]|Preallocat[e]|func \(p \*Proc\) Spli[t]|DisableProgra[m]|no-progra[m]|DisableViewCach[e]|DisableMergeChec[k]|BenchmarkAblatio[n]|BenchmarkFi[g]`)
+
+// TestDeletedNamesStayDeleted: no Go, YAML or Markdown file names
+// anything deleted (deletedNames).  The history documents, benchmark/
+// and results/ record what was deleted and are not searched.
+func TestDeletedNamesStayDeleted(t *testing.T) {
+	skip := map[string]bool{
+		"CHANGES.md": true, "EXPERIMENTS.md": true, "ROADMAP.md": true, "ISSUE.md": true,
+		"benchmark": true, "results": true, ".git": true, ".bench_build": true,
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if skip[path] {
+			if d.IsDir() {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch filepath.Ext(path) {
+		case ".go", ".yml", ".md":
+		default:
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if m := deletedNames.FindString(line); m != "" {
+				t.Errorf("%s:%d names %q, which was deleted", path, i+1, m)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

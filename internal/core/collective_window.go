@@ -374,7 +374,7 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 					pw.slot.buf = f.bp.Get(int(winSize))
 				}
 				if write {
-					pw.covered = !f.opts.DisableMergeCheck && iw.covered()
+					pw.covered = iw.covered()
 					req.read = !pw.covered
 				}
 			case !write:

@@ -71,15 +71,6 @@ type Options struct {
 	// IONodes is the number of I/O processes (aggregators) for
 	// collective access; 0 means every process is an IOP.
 	IONodes int
-	// DisableViewCache makes the listless engine re-send the encoded
-	// fileview on every collective access instead of once per SetView
-	// (ablation of fileview caching).
-	DisableViewCache bool
-	// DisableMergeCheck makes collective writes always pre-read their
-	// buffered file windows, even when fully covered (ablation of the
-	// mergeview write optimization).  A direct window has no buffer to
-	// pre-read into and never asks the check.
-	DisableMergeCheck bool
 	// Pool, when non-nil, overrides the shared pool.Global as the buffer
 	// source — tests install a pool.NewChecked() here to catch
 	// double-put and use-after-put.

@@ -62,6 +62,63 @@ func TestDirectPathTriggersOnSparseAccess(t *testing.T) {
 			t.Errorf("%v: direct access read %d bytes; RMW not avoided", eng, st.BytesRead)
 		}
 	}
+
+	// The trade at 1/128 density, in storage bytes per user byte:
+	// 64-byte blocks at a 64·128-byte pitch.  The direct path
+	// (SieveDensity 1) moves exactly the user bytes each way; the sieve
+	// (SieveDensity 0) reads every window the access spans, at least 64×
+	// them, for the write's read-modify-write and for the read alike.
+	// The file exists before the write, so that the pre-read has bytes
+	// to read.
+	dt, err := datatype.Hvector(4096, 64, 64*128, datatype.Byte)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dt.Size()
+	for _, density := range []float64{1, 0} {
+		be := storage.NewInstrumented(storage.NewMem())
+		if _, err := be.WriteAt(make([]byte, dt.Extent()), 0); err != nil {
+			t.Fatal(err)
+		}
+		be.Reset()
+		var wr, rd storage.AccessStats
+		_, err := mpi.Run(1, func(p *mpi.Proc) {
+			f, err := Open(p, NewShared(be), Options{SieveDensity: density})
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			if err := f.SetView(0, datatype.Byte, dt); err != nil {
+				panic(err)
+			}
+			data := pattern(2, d)
+			if _, err := f.WriteAt(0, d, datatype.Byte, data); err != nil {
+				panic(err)
+			}
+			wr = be.Stats()
+			be.Reset()
+			got := make([]byte, d)
+			if _, err := f.ReadAt(0, d, datatype.Byte, got); err != nil {
+				panic(err)
+			}
+			rd = be.Stats()
+			if !bytes.Equal(got, data) {
+				panic("1/128 round trip mismatch")
+			}
+		})
+		if err != nil {
+			t.Fatalf("density=%v: %v", density, err)
+		}
+		if density == 1 {
+			if wr.BytesRead != 0 || wr.BytesWritten != d || rd.BytesRead != d || rd.BytesWritten != 0 {
+				t.Errorf("direct at 1/128: write read %d wrote %d, read read %d wrote %d; want 0, %d, %d, 0",
+					wr.BytesRead, wr.BytesWritten, rd.BytesRead, rd.BytesWritten, d, d)
+			}
+		} else if wr.BytesRead < 64*d || rd.BytesRead < 64*d {
+			t.Errorf("sieve at 1/128: write read %d, read read %d storage bytes; want at least 64×%d each",
+				wr.BytesRead, rd.BytesRead, d)
+		}
+	}
 }
 
 func TestDirectVsSievingIdenticalFiles(t *testing.T) {

@@ -174,8 +174,6 @@ func dwCells() []dwCell {
 		{name: "listless/tcp", tcp: true, backend: memBackend},
 		{name: "listless/ionodes=1", ioNodes: 1, backend: memBackend},
 		{name: "listless/ionodes=2", ioNodes: 2, backend: memBackend},
-		{name: "no-view-cache", opts: Options{DisableViewCache: true}, backend: memBackend},
-		{name: "no-merge-check", opts: Options{DisableMergeCheck: true}, backend: memBackend},
 		{name: "declined", declined: true, buffered: true, backend: memBackend},
 		{name: "list-based", opts: Options{Engine: ListBased}, buffered: true, backend: memBackend},
 		{name: "listless/throttled", backend: func(*testing.T) (storage.Backend, func()) {

@@ -31,7 +31,7 @@ func sortedDisjoint(views []remoteView, ext int64) bool {
 }
 
 // viewsOf makes the types views of extent ext, each with the program
-// the handles' cache gives it, as exchangeViews does.
+// the handles' cache gives it, as setView does.
 func viewsOf(t testing.TB, ext int64, types ...*datatype.Type) []remoteView {
 	t.Helper()
 	var f File

@@ -48,9 +48,9 @@ type accessEngine interface {
 
 	// apSetup runs access-process phase 1 of one collective access:
 	// the list-based engine builds and transmits per-IOP access lists,
-	// the listless engine re-exchanges encoded views when fileview
-	// caching is disabled and, in-process, lends its access to the IOPs
-	// that hold it (memLoan), or over a wire posts a read's remote shares
+	// the listless engine sends no view (SetView exchanged them once)
+	// and, in-process, lends its access to the IOPs that hold it
+	// (memLoan), or over a wire posts a read's remote shares
 	// (File.postShares).  Every rank must call it once per access.
 	apSetup(pl *collPlan, acc *collAccess) apState
 	// iopSetup runs the I/O-process setup (the list-based engine

@@ -18,7 +18,6 @@ import (
 // disjoint once, at SetView, then each window's exact per-AP sum).
 type listlessEngine struct {
 	f        *File
-	payload  []byte        // own encoded view, as exchanged
 	remote   []remoteView  // per-rank cached views
 	disjoint bool          // the cached views share no byte (viewsApart)
 	prog     *fotf.Program // compiled own-fileview program; nil = walk
@@ -163,31 +162,21 @@ type remoteView struct {
 	edge  navEdge
 }
 
+// setView performs fileview caching: every rank broadcasts its encoded
+// (compact, tree-proportional) fileview once, and decides once whether
+// the views are disjoint.  No collective access sends a view again.
 func (e *listlessEngine) setView() error {
-	e.remote, e.disjoint = nil, false
+	f := e.f
 	e.plans = planCache{}
 	// Compile (or fetch) the fileview's copy program: the memoized,
 	// flat-array counterpart of the walk, keyed by the same encoded
 	// tree the view registration payload carries.  Replacing the
 	// pointer here is the invalidation: the previous view's program
 	// ages out of the cache LRU.
-	e.prog = e.f.lookupProgram(nil, e.f.v.ftype)
-	e.payload = encodeView(&e.f.v)
-	if !e.f.opts.DisableViewCache {
-		e.exchangeViews()
-	} else {
-		e.f.p.Barrier()
-	}
-	return nil
-}
-
-// exchangeViews performs fileview caching: every rank broadcasts its
-// encoded (compact, tree-proportional) fileview once, and decides once
-// whether the views are disjoint.
-func (e *listlessEngine) exchangeViews() {
-	f := e.f
-	f.Stats.ViewBytesSent += int64(len(e.payload)) // accounted once per SetView
-	parts := f.p.Allgather(e.payload)
+	e.prog = f.lookupProgram(nil, f.v.ftype)
+	payload := encodeView(&f.v)
+	f.Stats.ViewBytesSent += int64(len(payload))
+	parts := f.p.Allgather(payload)
 	e.remote = make([]remoteView, f.p.Size())
 	for r, part := range parts {
 		e.remote[r] = decodeView(r, part)
@@ -196,6 +185,7 @@ func (e *listlessEngine) exchangeViews() {
 		rv.cur.Reset(rv.ftype, rv.prog)
 	}
 	e.disjoint = viewsApart(e.remote)
+	return nil
 }
 
 // encodeView builds the exchanged form of a view: the displacement and
@@ -353,19 +343,16 @@ type listlessAPState struct {
 	edge  navEdge
 }
 
-// apSetup exchanges the encoded views on every access when fileview
-// caching is disabled (ablation; still no ol-lists).  In-process it then
-// lends the access to every other IOP whose domain holds some of it, in
-// one message each (collPlan.lends), for writes and reads alike: a typed
-// loan when the access fuses, so that the IOP moves this rank's shares
-// in place as it moves its own, else a pack loan, and the shares travel
-// as chunks.  Over a wire a read posts its remote shares instead
-// (postShares), so that they are read from the sockets into place.
+// apSetup sends no view and no ol-list: setView exchanged the views
+// once.  In-process it lends the access to every other IOP whose domain
+// holds some of it, in one message each (collPlan.lends), for writes and
+// reads alike: a typed loan when the access fuses, so that the IOP moves
+// this rank's shares in place as it moves its own, else a pack loan, and
+// the shares travel as chunks.  Over a wire a read posts its remote
+// shares instead (postShares), so that they are read from the sockets
+// into place.
 func (e *listlessEngine) apSetup(pl *collPlan, acc *collAccess) apState {
 	f := e.f
-	if f.opts.DisableViewCache {
-		e.exchangeViews()
-	}
 	s := &listlessAPState{e: e, acc: acc, fused: e.fuses(acc)}
 	if f.p.Wired() {
 		if !acc.write {

@@ -178,7 +178,6 @@ type diffCase struct {
 	ioNodes     int  // 0: every rank is an IOP; below P, the last ranks have no self share
 	tcp         bool // ranks over local TCP sockets
 	tier        bool // two I/O servers: epoch commit, registered views
-	noViewCache bool // DisableViewCache (still fused: the own view is always compiled)
 	declined    bool // both types decline compilation (declinedType): the walk, staged
 	atomic      bool // atomic mode
 	independent bool // WriteAt/ReadAt, data sieving
@@ -191,7 +190,7 @@ func (c diffCase) String() string {
 		name string
 	}{
 		{c.ioNodes != 0, fmt.Sprintf("ionodes=%d", c.ioNodes)}, {c.tcp, "tcp"}, {c.tier, "tier"},
-		{c.noViewCache, "no-view-cache"}, {c.declined, "declined"}, {c.atomic, "atomic"},
+		{c.declined, "declined"}, {c.atomic, "atomic"},
 		{c.independent, "independent"},
 	} {
 		if f.on {
@@ -269,10 +268,10 @@ func diffOracle(base *datatype.Type, P int, stride, d int64, data [][]byte) []by
 // of the user buffer and leave its holes alone.  The cells cross the two
 // places a byte never leaves its rank (an independent sieve window, the
 // self share of a collective) with everything that decides how it moves
-// there: world sizes 1 to 4, fewer IOPs than ranks, the three ways to
-// the staged path (list-based engine, types that decline compilation,
-// and — fused all the same — DisableViewCache), atomic mode, TCP ranks and
-// the epoch-committing server tier — first over the random trees, whose
+// there: world sizes 1 to 4, fewer IOPs than ranks, the two ways to
+// the staged path (the list-based engine and types that decline
+// compilation), atomic mode, TCP ranks and the epoch-committing server
+// tier — first over the random trees, whose
 // short runs gather in window buffers, then over runs of a page and more,
 // whose windows are direct and whose remote shares are lent, in-process
 // and over TCP.  Every cell runs on a Checked pool,
@@ -291,7 +290,6 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 		{engine: Listless, P: 1}, {engine: Listless, P: 2}, {engine: Listless, P: 3},
 		{engine: Listless, P: 2, tcp: true},
 		{engine: Listless, P: 2, ioNodes: 1}, {engine: Listless, P: 3, ioNodes: 2},
-		{engine: Listless, P: 3, ioNodes: 2, noViewCache: true},
 		{engine: Listless, P: 3, ioNodes: 2, declined: true}, {engine: Listless, P: 2, tcp: true, declined: true},
 		{engine: ListBased, P: 3, ioNodes: 2},
 		{engine: Listless, P: 2, atomic: true},
@@ -403,7 +401,6 @@ func diffCell(t *testing.T, label string, c diffCase, base, mt *datatype.Type, c
 	}
 	sh := NewShared(be)
 	opts.Engine, opts.IONodes = c.engine, c.ioNodes
-	opts.DisableViewCache = c.noViewCache
 	opts.Pool = pool.NewChecked()
 	eps := transport.NewLoopback(c.P)
 	if c.tcp {

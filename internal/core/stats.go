@@ -16,8 +16,7 @@ type Stats struct {
 	// accesses (16 bytes per tuple).
 	ListBytesSent int64
 	// ViewBytesSent is the compact-fileview exchange volume of the
-	// listless engine (once per SetView, or per access when caching is
-	// disabled).
+	// listless engine: this rank's encoded view, sent once per SetView.
 	ViewBytesSent int64
 	// SieveReads / SieveWrites count file windows processed: sieve
 	// windows of independent access, and windows of the collective loop
