@@ -34,7 +34,7 @@ func TestEveryFlagHasALaunchClass(t *testing.T) {
 	}
 }
 
-// TestFlagCeiling: the driver has no more flags than it had after the
+// TestFlagCeiling: noncontig has no more flags than it had after the
 // last flag was deleted, so a flag is added only in place of another.
 func TestFlagCeiling(t *testing.T) {
 	const ceiling = 34

@@ -65,21 +65,23 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRejecte[d]|ClientOptions\{[^}]*Conn[s]|NewRegio[n]|PhaseSessio[n]|PhaseCach[e]|internal/ob[s]|obs\.Registr[y]|GaugeFun[c]|-metrics-(addr|fd|pus[h])|no-metric[s]|internal/tilei[o]|cmd/tilei[o]|cmd/bti[o]|btiomin[i]|blockcycli[c]|Darra[y]|WriteShare[d]|ReadShare[d]|WriteOrdere[d]|ReadOrdere[d]|IWriteA[t]|IReadA[t]|AtAllBegi[n]|Preallocat[e]|func \(p \*Proc\) Spli[t]|DisableProgra[m]|no-progra[m]|DisableViewCach[e]|DisableMergeChec[k]|BenchmarkAblatio[n]|BenchmarkFi[g]`)
 
 // TestDeletedNamesStayDeleted: no Go, YAML or Markdown file names
-// anything deleted (deletedNames).  The history documents, benchmark/
-// and results/ record what was deleted and are not searched.
+// anything deleted (deletedNames).  Of the top-level Markdown files only
+// README.md and DESIGN.md describe the current code; the others are
+// history, planning and reference notes and, like benchmark/ and
+// results/, record what was deleted, so they are not searched.
 func TestDeletedNamesStayDeleted(t *testing.T) {
-	skip := map[string]bool{
-		"CHANGES.md": true, "EXPERIMENTS.md": true, "ROADMAP.md": true, "ISSUE.md": true,
+	skipDirs := map[string]bool{
 		"benchmark": true, "results": true, ".git": true, ".bench_build": true,
 	}
+	topDocs := map[string]bool{"README.md": true, "DESIGN.md": true}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if skip[path] {
-			if d.IsDir() {
-				return filepath.SkipDir
-			}
+		if d.IsDir() && skipDirs[path] {
+			return filepath.SkipDir
+		}
+		if filepath.Dir(path) == "." && filepath.Ext(path) == ".md" && !topDocs[path] {
 			return nil
 		}
 		switch filepath.Ext(path) {
