@@ -35,10 +35,11 @@ func (f *File) WriteAtAll(off int64, count int64, memtype *datatype.Type, buf []
 
 // ReadAtAll collectively reads count instances of memtype from the view
 // at offset off (in etypes) into buf.  All ranks must call it.  When it
-// returns an error the contents of buf are undefined: the I/O processes
-// fill buf in place — this rank's own, and in-process every one whose
-// domain holds its data — while the windows are read, before the ranks
-// agree on the outcome; over a wire the link readers fill the parts of
+// returns an error the contents of buf are undefined: this rank fills its
+// shares of direct windows itself, and the I/O processes fill buf in
+// place — this rank's own, and in-process every one whose domain holds
+// its data — while the windows are read, before the ranks agree on the
+// outcome; over a wire the link readers fill the parts of
 // buf this rank posted as the frames arrive, until the call has taken
 // their completions or, on failure, withdrawn what was not yet filled.
 // No goroutine touches buf after the call has returned.
@@ -98,14 +99,22 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 		f.apExchange(pl, acc, ap, true)
 	}
 
-	// ---- IOP phase: process the file domain window by window.  An
-	// IOP whose engine fuses copies moves its own share here, and the
-	// shares lent to it, straight between the user buffers and its
-	// windows: on a read that is before the error vote below, which is
-	// why a failed collective read leaves buf undefined. ----
+	// ---- Direct windows: this rank moves its own share of each by one
+	// vectored call, and the IOP phase skips them.  Then the IOP phase
+	// processes the file domain window by window.  An IOP whose engine
+	// fuses copies moves its own share here, and the shares lent to it,
+	// straight between the user buffers and its windows.  On a read both
+	// are before the error vote below, which is why a failed collective
+	// read leaves buf undefined.  A failed direct batch is voted as an IOP
+	// window's fault of this rank. ----
 	var fault *CollectiveError
+	if err := f.apDirect(pl, ap); err != nil {
+		fault = &CollectiveError{Rank: f.p.Rank(), Phase: PhaseIOPWindow, Err: err}
+	}
 	if f.p.Rank() < pl.nIOP {
-		fault = f.iopProcess(pl, acc, write)
+		if iopFault := f.iopProcess(pl, acc, write); fault == nil {
+			fault = iopFault
+		}
 	}
 
 	// ---- Error agreement: every rank votes its IOP-phase outcome and,
@@ -174,15 +183,21 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 // endLoan forgets the slices this collective lent or posted, which no
 // receiver reads and no link reader fills any more, so that the handle
 // keeps no reference into the caller's buffer, and returns the posted
-// chunks a failed read did not unpack.
+// and held chunks a failed read did not unpack.
 func (f *File) endLoan() {
-	for i := range f.posted {
-		if c := f.posted[i].chunk; c != nil {
+	f.posted, f.held = f.dropShares(f.posted), f.dropShares(f.held)
+	clear(f.lent)
+	f.lent = f.lent[:0]
+}
+
+// dropShares returns the chunks of shares nothing unpacked to the pool
+// and empties the list.
+func (f *File) dropShares(shares []postedShare) []postedShare {
+	for i := range shares {
+		if c := shares[i].chunk; c != nil {
 			f.bp.Put(c)
 		}
 	}
-	clear(f.posted)
-	f.posted = f.posted[:0]
-	clear(f.lent)
-	f.lent = f.lent[:0]
+	clear(shares)
+	return shares[:0]
 }

@@ -1,6 +1,11 @@
 package core
 
-import "repro/internal/trace"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/trace"
+)
 
 // apExchange walks every (IOP, window) pair in the deterministic
 // schedule order and, for each one containing this rank's data, packs
@@ -12,10 +17,12 @@ import "repro/internal/trace"
 // wired world a write's share that the engine can lend (apState.lend) is
 // not packed: it goes as the slices of the user buffer that hold it,
 // collected in f.lent; and a read takes the shares it posted before the
-// IOP phase (postShares) as completions, already in place.
+// IOP phase (postShares) as completions, already in place, and unpacks
+// the direct shares it holds (f.held) in data order between its chunks.
 func (f *File) apExchange(pl *collPlan, acc *collAccess, ap apState, write bool) {
 	d0, mem, buf := acc.d0, acc.mem, acc.buf
-	posted := f.posted
+	posted, held := f.posted, f.held
+	slices.SortFunc(held, func(x, y postedShare) int { return cmp.Compare(x.a, y.a) })
 	for i := 0; i < pl.nIOP; i++ {
 		domLo, domHi := pl.domain(i)
 		if !pl.holds(i, f.p.Rank()) {
@@ -45,6 +52,7 @@ func (f *File) apExchange(pl *collPlan, acc *collAccess, ap apState, write bool)
 				f.Stats.CopyNs += csp.End()
 				f.sendChunk(i, chunk, winLo)
 			} else {
+				held = f.unpackHeld(held, acc, a)
 				chunk := f.recvChunk(i, winLo)
 				csp := f.tr.Time(trace.PhaseCopy, winLo, b-a)
 				f.eng.unpackUser(buf, chunk, mem, a-d0, b-a)
@@ -53,12 +61,52 @@ func (f *File) apExchange(pl *collPlan, acc *collAccess, ap apState, write bool)
 			}
 		}
 	}
+	f.unpackHeld(held, acc, d0+acc.d)
+}
+
+// unpackHeld unpacks the held direct shares at the head of held that start
+// before data offset x, returns their buffers to the pool, and returns the
+// rest.
+func (f *File) unpackHeld(held []postedShare, acc *collAccess, x int64) []postedShare {
+	for ; len(held) > 0 && held[0].a < x; held = held[1:] {
+		h := &held[0]
+		csp := f.tr.Time(trace.PhaseCopy, h.winLo, h.b-h.a)
+		f.eng.unpackUser(acc.buf, h.chunk, acc.mem, h.a-acc.d0, h.b-h.a)
+		f.Stats.CopyNs += csp.End()
+		f.bp.Put(h.chunk)
+		h.chunk = nil
+	}
+	return held
+}
+
+// apDirect has this rank move its share of every direct window itself
+// (apState.moveDirect), before its IOP phase: no IOP moves a direct
+// window, so none of its bytes crosses the rank fabric.  Rank r starts at
+// IOP domain r mod nIOP and goes round, so that ranks moving at once work
+// in different domains: a batch's storage call locks the whole span it
+// touches (storage.Mem, and the I/O servers' range locks).
+func (f *File) apDirect(pl *collPlan, ap apState) error {
+	self, win := f.p.Rank(), int64(f.opts.CollBufSize)
+	for k := 0; k < pl.nIOP; k++ {
+		i := (self + k) % pl.nIOP
+		if !pl.holds(i, self) {
+			continue
+		}
+		domLo, domHi := pl.domain(i)
+		for winLo := domLo; winLo < domHi; winLo += win {
+			if err := ap.moveDirect(winLo, min(winLo+win, domHi)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // postedShare is one share of a collective read that this rank posted
 // (postShares): data [a, b) of its access, which IOP iop sends for the
 // window at winLo, into f.lent[lo:hi] — slices of the user buffer, or
-// chunk, a pooled chunk to unpack once it has landed.
+// chunk, a pooled chunk to unpack once it has landed.  A held direct
+// share (f.held) is data [a, b) of the window at winLo, read into chunk.
 type postedShare struct {
 	iop         int
 	a, b, winLo int64

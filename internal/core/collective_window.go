@@ -16,14 +16,12 @@ import (
 // in-process the buffer every AP whose memory compiles lent it for the
 // collective (memLoan).
 //
-// There are two kinds of window.  A buffered window gathers the APs'
-// shares in a CollBufSize buffer so that many short runs become one
-// large backend call.  A direct window (iopWindow.direct: every share is
-// runs of about a page or more) has no buffer: the chunks themselves and
-// the lent user buffers are described as backend segments and move by
-// one vectored call, so a byte goes between backend and its last or first
-// home once, nothing is pre-read, and no byte outside the views is
-// rewritten.
+// The loop moves buffered windows only: a window gathers the APs' shares
+// in a CollBufSize buffer so that many short runs become one large
+// backend call.  A direct window (iopWindow.direct: no share is
+// page-dense) has nothing to gather, and its owners move it themselves,
+// each its own share by one vectored call (File.apDirect); the IOP skips
+// it.
 //
 // The loop (iopPipelined) is a double-buffered pipeline over two slots.
 // Window k+1's pre-read and window k-1's write-back run in the
@@ -34,20 +32,19 @@ import (
 // (preserving per-pair message order).
 //
 // The pipeline's steady state is allocation-free: the window buffers
-// and chunks come from the pool, the segment batches stay with the
-// handle, each slot owns one persistent worker goroutine fed by reusable
-// channels of value structs (no per-window goroutines, channels, or
-// window descriptors), and the engines recycle their per-window state
-// via iopWindow.release.
+// and chunks come from the pool, each slot owns one persistent worker
+// goroutine fed by reusable channels of value structs (no per-window
+// goroutines, channels, or window descriptors), and the engines recycle
+// their per-window state via iopWindow.release.  A slot starts with the
+// first window it takes, so an IOP whose windows are all direct starts
+// none.
 //
 // Inside an epoch a write-back stages, and the epoch lends the backend
 // its bytes until it ends (storage.EpochBackend): the I/O-server client
 // keeps them to replay, not a copy.  So a staged window is not reused.
-// The slot hands its buffer, or a direct window's received chunks, to
-// File.kept with the write-back and takes a fresh buffer from the pool
-// for its next window; lent user-buffer segments need nothing, the
-// caller's buffer being stable through WriteAtAll.  What is kept goes
-// back to the pool once the epoch has ended on this rank (unkeep).
+// The slot hands its buffer to File.kept with the write-back and takes a
+// fresh one from the pool for its next window.  What is kept goes back to
+// the pool once the epoch has ended on this rank (unkeep).
 //
 // All Stats fields are updated on the main goroutine only; background
 // I/O durations travel back through the reply tokens.  Every duration
@@ -137,10 +134,8 @@ type ioToken struct {
 // pipeReq is one request to a slot worker.
 type pipeReq struct {
 	lo, hi int64
-	bytes  int64 // what the access moves, for the trace: hi-lo, or a direct window's data bytes
 	kind   uint8 // pipePrep or pipeWrite
 	read   bool  // pipePrep: read the window before replying
-	direct bool  // the window is the slot's segment batch, not its buffer
 }
 
 const (
@@ -148,81 +143,43 @@ const (
 	pipeWrite               // write the slot's window back to storage
 )
 
-// winBatch is a direct window in flight: its backend segments and the
-// pooled chunks they slice, by AP rank (nil where an AP holds nothing or
-// its segments slice a user buffer).
-// The two batches stay with the handle across collectives, as File.segs
-// does, and are empty between windows.  Ownership follows the slot: the
-// main goroutine fills a batch, and from the request that hands it to
-// the worker until the slot's next reply the worker alone touches it.
-type winBatch struct {
-	segs   []storage.Segment
-	chunks [][]byte
-}
-
-// drop returns the batch's chunks to the pool and empties it, leaving no
-// reference to a chunk or to the user buffer behind.
-func (b *winBatch) drop(f *File) {
-	for r, c := range b.chunks {
-		if c != nil {
-			f.bp.Put(c)
-			b.chunks[r] = nil
-		}
-	}
-	clear(b.segs)
-	b.segs = b.segs[:0]
-}
-
-// pipeSlot is one of the two window slots with its persistent worker:
-// the buffer of a buffered window, fetched from the pool when the slot's
-// first one comes (and again after each one an epoch keeps), with the
-// one segment that hands it to storage, and the batch of a direct
-// window.  Requests are processed FIFO, which encodes the slot
-// discipline: a window's prep (and therefore its read) cannot start
-// before the slot's previous write-back finished.  req has capacity 2 —
-// at most one outstanding write-back plus one prep are ever queued — so
-// the main goroutine never blocks enqueueing.
+// pipeSlot is one of the two window slots with its persistent worker
+// and the buffer of its window, fetched from the pool when the slot's
+// first one comes (and again after each one an epoch keeps), with the one
+// segment that hands it to storage.  Requests are processed FIFO, which
+// encodes the slot discipline: a window's prep (and therefore its read)
+// cannot start before the slot's previous write-back finished.  req has
+// capacity 2 — at most one outstanding write-back plus one prep are ever
+// queued — so the main goroutine never blocks enqueueing.
 type pipeSlot struct {
 	buf []byte
-	// wb is the buffered window of the write-back queued last, handed
-	// over with its request — inside an epoch buf is a fresh buffer by the
-	// time the worker gets to it — and cleared by the worker once written.
-	// It is not in pipeReq: an element with a pointer costs each channel
-	// a second allocation.
-	wb    []byte
-	seg   [1]storage.Segment // the buffered window, as storage's vectored calls take it
-	batch *winBatch
-	req   chan pipeReq // main → worker
-	done  chan ioToken // worker → main: prep complete, slot's window ready
-	fin   chan ioToken // worker → main: trailing write-back result at exit
+	// wb is the window of the write-back queued last, handed over with its
+	// request — inside an epoch buf is a fresh buffer by the time the
+	// worker gets to it — and cleared by the worker once written.  It is
+	// not in pipeReq: an element with a pointer costs each channel a
+	// second allocation.
+	wb   []byte
+	seg  [1]storage.Segment // the window, as storage's vectored calls take it
+	req  chan pipeReq       // main → worker
+	done chan ioToken       // worker → main: prep complete, slot's window ready
+	fin  chan ioToken       // worker → main: trailing write-back result at exit
 }
 
 // slotWorker is a slot's persistent background goroutine.  Write-back
 // errors and durations are carried into the next prep reply (or the fin
 // token at shutdown), mirroring the slot hand-over semantics: whoever
 // waits for the slot learns the fate of its previous write-back.  A
-// direct write-back ends the life of its chunks: the worker returns
-// them to the pool, whatever the outcome.  A direct read may fill user
-// buffers (the segments of lent shares, the own one included) from this
-// goroutine — their owners are inside the collective until every IOP's
-// pipeline is quiescent and it has voted.  A buffered window reaches
-// storage the way a direct one does, as a vectored call, of one segment:
-// on the I/O-server tier that is one request per server, not one per
-// stripe unit, and ReadAtv zero-fills past the end as ReadFull does.
+// window reaches storage as a vectored call of one segment: on the
+// I/O-server tier that is one request per server, not one per stripe
+// unit, and ReadAtv zero-fills past the end as ReadFull does.
 func (f *File) slotWorker(s *pipeSlot) {
 	var carry ioToken
 	for r := range s.req {
 		switch r.kind {
 		case pipeWrite:
-			bsp := f.tr.TimeIO(trace.PhaseWriteBack, r.lo, r.bytes)
-			var err error
-			if r.direct {
-				err = storage.WriteAtv(f.sh.b, s.batch.segs)
-				s.batch.drop(f)
-			} else {
-				err = storage.WriteAtv(f.sh.b, s.window(r.lo, s.wb))
-				s.wb = nil
-			}
+			bsp := f.tr.TimeIO(trace.PhaseWriteBack, r.lo, r.hi-r.lo)
+			err := storage.WriteAtv(f.sh.b, s.window(r.lo, s.wb))
+			s.wb = nil
 			carry.ns += bsp.End()
 			if carry.err == nil {
 				carry.err = err
@@ -231,12 +188,8 @@ func (f *File) slotWorker(s *pipeSlot) {
 			t := carry
 			carry = ioToken{}
 			if t.err == nil && r.read {
-				rsp := f.tr.TimeIO(trace.PhasePreRead, r.lo, r.bytes)
-				if r.direct {
-					t.err = storage.ReadAtv(f.sh.b, s.batch.segs)
-				} else {
-					t.err = storage.ReadAtv(f.sh.b, s.window(r.lo, s.buf[:r.hi-r.lo]))
-				}
+				rsp := f.tr.TimeIO(trace.PhasePreRead, r.lo, r.hi-r.lo)
+				t.err = storage.ReadAtv(f.sh.b, s.window(r.lo, s.buf[:r.hi-r.lo]))
 				t.ns += rsp.End()
 			}
 			s.done <- t
@@ -257,32 +210,7 @@ type pipeWindow struct {
 	lo, hi  int64
 	iw      iopWindow
 	slot    *pipeSlot
-	direct  bool // no window buffer: the slot's batch is the window
-	covered bool // buffered write: pre-read skipped
-}
-
-// directGather describes every AP's share of direct window pw in the
-// slot's batch: segments over the user buffer it lives in where the
-// engine moves it in place (lentSegs), else over its chunk — the one
-// received (write), a fresh one to read into (read).
-func (f *File) directGather(pw *pipeWindow, write bool) {
-	b := pw.slot.batch
-	for r := 0; r < f.p.Size(); r++ {
-		n := pw.iw.chunkLen(r)
-		if n == 0 {
-			continue
-		}
-		if segs, ok := pw.iw.lentSegs(b.segs, r); ok {
-			b.segs = segs
-			continue
-		}
-		if write {
-			b.chunks[r] = f.recvChunk(r, pw.lo)
-		} else {
-			b.chunks[r] = f.bp.Get(int(n))
-		}
-		b.segs = pw.iw.chunkSegs(b.segs, r, b.chunks[r])
-	}
+	covered bool // write: pre-read skipped
 }
 
 // recvChunk receives rank r's share of the window at winLo — an AP's
@@ -331,59 +259,42 @@ func (f *File) lendShare(r int, ap apState, a, b, winLo int64) bool {
 // the slot workers.
 func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write bool) error {
 	keep := write && f.epochBE != nil // every collective write on an epoch backend stages
-	var slots [2]*pipeSlot
-	for i := range slots {
-		s := &pipeSlot{
-			batch: &f.batch[i],
-			req:   make(chan pipeReq, 2),
-			done:  make(chan ioToken, 1),
-			fin:   make(chan ioToken, 1),
-		}
-		if len(s.batch.chunks) != f.p.Size() {
-			s.batch.chunks = make([][]byte, f.p.Size())
-		}
-		slots[i] = s
-		go f.slotWorker(s)
-	}
+	var slots [2]*pipeSlot            // started with the first window the IOP moves
 
 	nextSlot := 0
 	nextLo := domLo
 
-	// mk prepares the next non-empty window, or ok=false when the
-	// domain is exhausted.  Empty windows are skipped without consuming
-	// a slot.  iop.window calls stay on the main goroutine, in order.
-	// A direct read window's batch is built here — its slot is idle, a
-	// read leaves no write-back behind — so that the worker can fill it
-	// where a buffered window's read runs.
+	// mk prepares the next window the IOP moves, or ok=false when the
+	// domain is exhausted.  Empty and direct windows are skipped without
+	// consuming a slot.  iop.window calls stay on the main goroutine, in
+	// order.
 	mk := func() (pipeWindow, bool) {
 		for nextLo < domHi {
 			winLo := nextLo
 			winHi := min(winLo+winSize, domHi)
 			nextLo = winHi
 			iw := iop.window(winLo, winHi)
-			if iw.total() == 0 {
+			if iw.total() == 0 || iw.direct() {
 				iw.release()
 				continue
 			}
-			pw := pipeWindow{lo: winLo, hi: winHi, iw: iw, slot: slots[nextSlot], direct: iw.direct()}
-			nextSlot = 1 - nextSlot
-			req := pipeReq{lo: winLo, hi: winHi, bytes: winHi - winLo, kind: pipePrep, read: !write, direct: pw.direct}
-			switch {
-			case !pw.direct:
-				if pw.slot.buf == nil {
-					pw.slot.buf = f.bp.Get(int(winSize))
+			if slots[nextSlot] == nil {
+				slots[nextSlot] = &pipeSlot{
+					req:  make(chan pipeReq, 2),
+					done: make(chan ioToken, 1),
+					fin:  make(chan ioToken, 1),
 				}
-				if write {
-					pw.covered = iw.covered()
-					req.read = !pw.covered
-				}
-			case !write:
-				req.bytes = iw.total()
-				f.directGather(&pw, false)
-				f.Stats.VectoredReads++
-				f.Stats.DirectReads += int64(len(pw.slot.batch.segs))
+				go f.slotWorker(slots[nextSlot])
 			}
-			pw.slot.req <- req
+			pw := pipeWindow{lo: winLo, hi: winHi, iw: iw, slot: slots[nextSlot]}
+			nextSlot = 1 - nextSlot
+			if pw.slot.buf == nil {
+				pw.slot.buf = f.bp.Get(int(winSize))
+			}
+			if write {
+				pw.covered = iw.covered()
+			}
+			pw.slot.req <- pipeReq{lo: winLo, hi: winHi, kind: pipePrep, read: !pw.covered}
 			return pw, true
 		}
 		return pipeWindow{}, false
@@ -408,50 +319,35 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 			// issued (its slot's prior write-back folds into it), then
 			// fall through to the shutdown drain below — no background
 			// I/O may outlive this return, or it would race the next
-			// collective on the file.  Both windows' slots have replied,
-			// so their batches are the main goroutine's again: the unsent
-			// chunks of direct read windows go back to the pool (a write
-			// window's batch is not gathered before its slot replied
-			// without error).
+			// collective on the file.
 			err = t.err
 			if nok {
 				t2 := <-nxt.slot.done
 				f.Stats.StorageNs += t2.ns
-				nxt.slot.batch.drop(f)
 				nxt.iw.release()
 			}
-			cur.slot.batch.drop(f)
 			cur.iw.release()
 			break
 		}
 
 		wsp := f.tr.Begin(trace.PhaseWindow, cur.lo, cur.iw.total())
 		if write {
-			if cur.covered || cur.direct {
+			if cur.covered {
 				f.Stats.PreReadsSkipped++
 			}
-			wb := pipeReq{lo: cur.lo, hi: cur.hi, bytes: cur.hi - cur.lo, kind: pipeWrite, direct: cur.direct}
-			if cur.direct {
-				f.directGather(&cur, true)
-				f.Stats.VectoredWrites++
-				f.Stats.DirectWrites += int64(len(cur.slot.batch.segs))
-				wb.bytes = cur.iw.total()
-			} else {
-				cur.slot.wb = cur.slot.buf[:cur.hi-cur.lo]
-				f.iopExchangeWrite(cur.iw, cur.slot.wb, cur.lo)
-			}
+			cur.slot.wb = cur.slot.buf[:cur.hi-cur.lo]
+			f.iopExchangeWrite(cur.iw, cur.slot.wb, cur.lo)
 			if keep {
-				f.keep(&cur)
+				// The epoch keeps the buffer until it ends; the slot's
+				// next window takes a fresh one.
+				f.kept = append(f.kept, cur.slot.buf)
+				cur.slot.buf = nil
 			}
 			f.Stats.SieveWrites++
-			cur.slot.req <- wb
+			cur.slot.req <- pipeReq{lo: cur.lo, hi: cur.hi, kind: pipeWrite}
 		} else {
 			f.Stats.SieveReads++
-			if cur.direct {
-				f.directSend(cur.slot.batch, cur.lo)
-			} else {
-				f.iopExchangeRead(cur.iw, cur.slot.buf[:cur.hi-cur.lo], cur.lo)
-			}
+			f.iopExchangeRead(cur.iw, cur.slot.buf[:cur.hi-cur.lo], cur.lo)
 		}
 		wsp.End()
 		cur.iw.release()
@@ -462,9 +358,14 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 	// write-back, then report the trailing result and exit — the
 	// pipeline is quiescent when fin has been consumed from both slots.
 	for _, s := range slots {
-		close(s.req)
+		if s != nil {
+			close(s.req)
+		}
 	}
 	for _, s := range slots {
+		if s == nil {
+			continue
+		}
 		t := <-s.fin
 		f.Stats.StorageNs += t.ns
 		if t.err != nil && err == nil {
@@ -477,25 +378,6 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 	return err
 }
 
-// keep moves what write window pw stages — its slot's buffer, or the
-// chunks of its slot's batch — to f.kept before its write-back is queued,
-// so that none of it is reused or put back before the epoch ends.  The
-// slot's next buffered window takes a fresh buffer.
-func (f *File) keep(pw *pipeWindow) {
-	s := pw.slot
-	if !pw.direct {
-		f.kept = append(f.kept, s.buf)
-		s.buf = nil
-		return
-	}
-	for r, c := range s.batch.chunks {
-		if c != nil {
-			f.kept = append(f.kept, c)
-			s.batch.chunks[r] = nil
-		}
-	}
-}
-
 // unkeep returns what the epoch kept to the pool, once it has ended on
 // this rank: the backend holds none of it any more.
 func (f *File) unkeep() {
@@ -504,16 +386,4 @@ func (f *File) unkeep() {
 	}
 	clear(f.kept)
 	f.kept = f.kept[:0]
-}
-
-// directSend hands every chunk of a direct read window, filled by the
-// slot worker, to its AP, and empties the batch.
-func (f *File) directSend(b *winBatch, winLo int64) {
-	for r, chunk := range b.chunks {
-		if chunk != nil {
-			b.chunks[r] = nil
-			f.sendChunk(r, chunk, winLo)
-		}
-	}
-	b.drop(f)
 }

@@ -181,15 +181,13 @@ type File struct {
 
 	atomic bool // MPI-IO atomic mode: whole-access locking
 
-	// segs is the offset-list batch of transferDirect, kept across
-	// accesses (empty between them).
+	// segs is the offset-list batch of transferDirect and of a direct
+	// window's own share (apState.moveDirect), kept across accesses
+	// (empty between them).
 	segs []storage.Segment
-	// batch holds the direct windows of the collective pipeline's two
-	// slots (collective_window.go), kept like segs.
-	batch [2]winBatch
-	// kept holds the window buffers and chunks a collective write staged
-	// under its epoch, which lends them to the backend until the epoch
-	// ends (collective_window.go); empty between collectives.
+	// kept holds the window buffers and pack buffers a collective write
+	// staged under its epoch, which lends them to the backend until the
+	// epoch ends (collective_window.go); empty between collectives.
 	kept [][]byte
 	// lent holds the slices of the user buffer a collective write lends
 	// its IOPs over a wire (lendShare), and the segments a collective read
@@ -197,8 +195,10 @@ type File struct {
 	// (endLoan).
 	lent [][]byte
 	// posted lists the shares a collective read posted, in the order their
-	// IOPs send them, kept like lent.
-	posted []postedShare
+	// IOPs send them, and held the direct shares it read into pack buffers
+	// that apExchange unpacks in data order (apState.moveDirect), kept
+	// like lent.
+	posted, held []postedShare
 
 	// Stats accumulates the work counters of this handle.
 	Stats Stats

@@ -20,13 +20,14 @@ import (
 )
 
 // Direct windows: collective windows whose every share is runs of about a
-// page or more move chunk ↔ backend by one vectored call, without the
-// window buffer.  The matrix below holds them — and the buffered windows
-// the same geometries take under the list-based engine, through fileviews
-// that decline compilation, or with one dense share — to a flat oracle
-// computed from the datatypes' Walk alone, over a file that already holds
-// a background: a direct window writes the bytes of the views and no
-// others.
+// page or more have no window buffer and no IOP: each rank moves its own
+// share between its user buffer and the backend by one vectored call.
+// The matrix below holds them — and the buffered windows the same
+// geometries take under the list-based engine, through fileviews that
+// decline compilation, with one dense share, or for a write over views
+// not proved disjoint — to a flat oracle computed from the datatypes'
+// Walk alone, over a file that already holds a background: a direct
+// window writes the bytes of the views and no others.
 
 // dwGeom is one access geometry: per-rank fileview and memory layout,
 // every rank moving d data bytes, through windows of collBuf bytes.
@@ -40,6 +41,9 @@ type dwGeom struct {
 	// direct is what the listless engine with programs must make of it:
 	// +1 every window direct, -1 every window buffered, 0 either (a mix).
 	direct int
+	// overlap: the views are not proved disjoint, so a write keeps every
+	// window buffered whatever direct says.
+	overlap bool
 }
 
 func mustType(dt *datatype.Type, err error) *datatype.Type {
@@ -51,11 +55,15 @@ func mustType(dt *datatype.Type, err error) *datatype.Type {
 
 // stridedView is rank's share of runs of run bytes, the ranks' runs
 // pitch bytes apart and each rank's own P*pitch apart: interleaved, with
-// a hole after every run when run < pitch.
+// a hole after every run when run < pitch.  The rank's offset is inside
+// its filetype, whose lower bound and extent every rank shares, so that
+// SetView proves the views disjoint (viewsApart) and a collective write
+// may take direct windows.
 func stridedView(P int, n, run, pitch int64) func(int) (int64, *datatype.Type) {
 	return func(rank int) (int64, *datatype.Type) {
 		vec := mustType(datatype.Hvector(n, run, int64(P)*pitch, datatype.Byte))
-		return int64(rank) * pitch, mustType(datatype.Resized(vec, 0, n*int64(P)*pitch))
+		at := mustType(datatype.Hindexed([]int64{1}, []int64{int64(rank) * pitch}, vec))
+		return 0, mustType(datatype.Resized(at, 0, n*int64(P)*pitch))
 	}
 }
 
@@ -84,6 +92,7 @@ func dwGeoms() []dwGeom {
 		{name: "4096B-runs/P=2", P: 2, d: 12 * 4096, collBuf: win, view: stridedView(2, 12, 4096, 4096), mem: datatype.Byte, direct: +1},
 		{name: "4097B-runs/P=3", P: 3, d: 12 * 4097, collBuf: win, view: stridedView(3, 12, 4097, 6000), mem: datatype.Byte, direct: +1},
 		{name: "16K-runs/P=2", P: 2, d: 8 * 16384, collBuf: win, view: stridedView(2, 8, 16384, 16384), mem: hvecBytes(8, 16384, 32768), direct: +1},
+		{name: "16K-runs/P=3", P: 3, d: 8 * 16384, collBuf: win, view: stridedView(3, 8, 16384, 16384), mem: hvecBytes(8, 16384, 32768), direct: +1},
 		{name: "16K-runs-holes/P=1", P: 1, d: 8 * 16384, collBuf: win, view: stridedView(1, 8, 16384, 20000), mem: hvecBytes(8, 16384, 32768), direct: +1},
 		// Memory runs shorter than the file's, and the reverse; both
 		// sides sparse, neither a multiple of the other.
@@ -91,9 +100,10 @@ func dwGeoms() []dwGeom {
 		{name: "mem-12000B-file-4000B/P=3", P: 3, d: 24000, collBuf: win, view: stridedView(3, 6, 4000, 6000), mem: hvecBytes(2, 12000, 13000), direct: +1},
 		// A window inside one long run: the share is contiguous.
 		{name: "window-inside-run/P=2", P: 2, d: 4 * 50000, collBuf: 8192, view: stridedView(2, 4, 50000, 50000), mem: datatype.Byte, direct: +1},
-		// Long file runs from a memory layout of 8-byte pieces: the own
-		// share would be a list entry per piece, so it keeps the buffer.
-		{name: "mem-8B-file-16K/P=1", P: 1, d: 4 * 16384, collBuf: win, view: stridedView(1, 4, 16384, 20000), mem: mustType(datatype.Resized(datatype.Double, 0, 16)), direct: -1},
+		// Long file runs from a memory layout of 8-byte pieces: the rule is
+		// the file's, and the own share, a list entry per piece in memory,
+		// goes through a pack buffer.
+		{name: "mem-8B-file-16K/P=1", P: 1, d: 4 * 16384, collBuf: win, view: stridedView(1, 4, 16384, 20000), mem: mustType(datatype.Resized(datatype.Double, 0, 16)), direct: +1},
 		// Short runs: the regime the window buffer exists for.
 		{name: "64B-runs/P=2", P: 2, d: 512 * 64, collBuf: win, view: stridedView(2, 512, 64, 64), mem: datatype.Byte, direct: -1},
 	}
@@ -109,8 +119,9 @@ func dwGeoms() []dwGeom {
 			return 8192, mustType(datatype.Resized(hvecBytes(512, 8, 16), 0, 16384))
 		}})
 	// Overlapping views: both ranks write the same runs; the higher rank
-	// wins, as the window path merges in rank order.
-	gs = append(gs, dwGeom{name: "overlapping-views/P=2", P: 2, d: 6 * 8192, collBuf: win, mem: datatype.Byte, direct: +1,
+	// wins, as the window path merges in rank order, so a write keeps the
+	// buffer.  Each rank reads its runs itself.
+	gs = append(gs, dwGeom{name: "overlapping-views/P=2", P: 2, d: 6 * 8192, collBuf: win, mem: datatype.Byte, direct: +1, overlap: true,
 		view: func(int) (int64, *datatype.Type) {
 			return 0, mustType(datatype.Resized(hvecBytes(6, 8192, 16384), 0, 6*16384))
 		}})
@@ -307,10 +318,8 @@ func runDirectWindowCell(t *testing.T, g dwGeom, c dwCell) (Stats, int64) {
 		if !bytes.Equal(got, wantBuf) {
 			panic(fmt.Sprintf("rank %d: read-back differs from the oracle's, or a hole of the user buffer was touched", p.Rank()))
 		}
-		for i := range f.batch {
-			if b := &f.batch[i]; len(b.segs) != 0 || !allNil(b.chunks) {
-				panic(fmt.Sprintf("rank %d: slot %d keeps %d segments and chunks %v after the collectives", p.Rank(), i, len(b.segs), b.chunks))
-			}
+		if msg := keepsNoBuffer(f); msg != "" {
+			panic(fmt.Sprintf("rank %d: %s after the collectives", p.Rank(), msg))
 		}
 		stats[p.Rank()] = f.Stats
 	})
@@ -342,6 +351,21 @@ func runDirectWindowCell(t *testing.T, g dwGeom, c dwCell) (Stats, int64) {
 	return sum, writeReads.Load()
 }
 
+// keepsNoBuffer says what the handle still holds of a collective that has
+// returned — a segment of its batch array or a held share that references
+// a user or pooled buffer — or "" when nothing.
+func keepsNoBuffer(f *File) string {
+	for _, sg := range f.segs[:cap(f.segs)] {
+		if sg.Buf != nil {
+			return fmt.Sprintf("the handle's batch array (%d segments) still references a buffer", len(f.segs))
+		}
+	}
+	if len(f.held) != 0 || len(f.kept) != 0 {
+		return fmt.Sprintf("the handle holds %d direct shares and keeps %d buffers", len(f.held), len(f.kept))
+	}
+	return ""
+}
+
 func allNil(chunks [][]byte) bool {
 	for _, c := range chunks {
 		if c != nil {
@@ -353,9 +377,11 @@ func allNil(chunks [][]byte) bool {
 
 // TestDirectWindowMatrix: every geometry in every cell against the
 // oracle, and the path each must have taken in counted work — a window
-// is direct exactly when no share in it is page-dense and the engine has
-// the programs to enumerate it; a direct write window is one vectored
-// call, reads nothing and counts as a skipped pre-read.
+// is direct exactly when no share in it is page-dense in the file, the
+// engine has the programs to enumerate every share and, for a write, the
+// views are proved disjoint; a direct window is no IOP's (no window
+// counted) but one vectored call per rank with a share in it, and a
+// direct write reads nothing.
 func TestDirectWindowMatrix(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	geoms, cells := dwGeoms(), dwCells()
@@ -366,24 +392,24 @@ func TestDirectWindowMatrix(t *testing.T) {
 		for _, c := range cells {
 			label := g.name + "/" + c.name
 			s, writeReads := runDirectWindowCell(t, g, c)
-			if s.SieveWrites == 0 || s.SieveReads == 0 {
-				t.Fatalf("%s: no windows were processed", label)
-			}
-			switch {
-			case c.buffered || g.direct < 0:
-				if s.DirectWrites+s.DirectReads+s.VectoredWrites+s.VectoredReads != 0 {
-					t.Errorf("%s: %d direct writes, %d direct reads where every window must take the buffer", label, s.DirectWrites, s.DirectReads)
-				}
-			case g.direct > 0:
-				if s.VectoredWrites != s.SieveWrites || s.VectoredReads != s.SieveReads || s.PreReadsSkipped != s.SieveWrites {
-					t.Errorf("%s: of %d/%d write/read windows %d/%d were one vectored call and %d writes skipped the pre-read; want all",
-						label, s.SieveWrites, s.SieveReads, s.VectoredWrites, s.VectoredReads, s.PreReadsSkipped)
-				}
-				if s.DirectWrites < s.VectoredWrites || s.DirectReads < s.VectoredReads {
-					t.Errorf("%s: %d/%d segments in %d/%d batches", label, s.DirectWrites, s.DirectReads, s.VectoredWrites, s.VectoredReads)
-				}
-				if writeReads != 0 {
+			for _, op := range []struct {
+				name                    string
+				windows, batches, segs  int64
+				direct, buffered, write bool
+			}{
+				{"write", s.SieveWrites, s.VectoredWrites, s.DirectWrites, !c.buffered && g.direct > 0 && !g.overlap, c.buffered || g.direct < 0 || g.overlap, true},
+				{"read", s.SieveReads, s.VectoredReads, s.DirectReads, !c.buffered && g.direct > 0, c.buffered || g.direct < 0, false},
+			} {
+				switch {
+				case op.windows+op.batches == 0:
+					t.Fatalf("%s: the %s moved nothing", label, op.name)
+				case op.direct && (op.windows != 0 || op.segs < op.batches):
+					t.Errorf("%s: the %s took %d IOP windows and %d segments in %d own batches; want only own batches",
+						label, op.name, op.windows, op.segs, op.batches)
+				case op.direct && op.write && writeReads != 0:
 					t.Errorf("%s: the collective write read the backend %d times; a direct window is no read-modify-write", label, writeReads)
+				case op.buffered && op.segs+op.batches != 0:
+					t.Errorf("%s: %d segments in %d own batches of the %s where every window must take the buffer", label, op.segs, op.batches, op.name)
 				}
 			}
 		}
@@ -404,18 +430,27 @@ func (r *retryOnceTier) EpochCommit(id uint64) error {
 	return r.Striped.EpochCommit(id)
 }
 
-// TestDirectWindowEpochs: on the epoch tier a direct window's vectored
-// write-back stages under the collective's epoch like a buffered one.  A
-// commit publishes it; a collective that fails in a later window aborts
-// the epoch and the windows already staged never show; a commit that
-// must be retried (ErrEpochRetry) re-seals and commits the same staged
-// batches.
+// TestDirectWindowEpochs: on the epoch tier the ranks' own batches of
+// direct windows stage under the collective's epoch, from their user
+// buffers, as a buffered window's write-back does.  A commit publishes
+// them; a collective that fails in one rank's last batch aborts the epoch,
+// and the batches already staged, that rank's and the others', never
+// show; a commit that must be retried (ErrEpochRetry) re-seals and commits
+// the same staged batches.  In-process at P = 2 and over TCP at P = 3.
 func TestDirectWindowEpochs(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	g := dwGeoms()[3] // 16 KiB runs, P=2, non-contiguous memory
-	if g.direct <= 0 {
-		t.Fatal("geometry is not a direct one")
+	for _, g := range dwGeoms()[3:5] { // 16 KiB runs, non-contiguous memory, P = 2 and 3
+		if g.direct <= 0 {
+			t.Fatal("geometry is not a direct one")
+		}
+		for _, outcome := range []string{"commit", "abort", "retry"} {
+			testDirectWindowEpoch(t, g, outcome, g.P > 2)
+		}
 	}
+}
+
+func testDirectWindowEpoch(t *testing.T, g dwGeom, outcome string, tcp bool) {
+	label := fmt.Sprintf("%s/%s", g.name, outcome)
 	count := g.d / g.mem.Size()
 	data, bufs := make([][]byte, g.P), make([][]byte, g.P)
 	for rank := range data {
@@ -426,106 +461,119 @@ func TestDirectWindowEpochs(t *testing.T) {
 	want, _ := dwOracle(g, data)
 	background := bytes.Repeat([]byte{dwBackground}, len(want))
 
-	for _, outcome := range []string{"commit", "abort", "retry"} {
-		tier, stop := ioServerTier(t, 4096, 2)
-		if _, err := tier.WriteAt(background, 0); err != nil {
+	tier, stop := ioServerTier(t, 4096, 2)
+	defer stop()
+	if _, err := tier.WriteAt(background, 0); err != nil {
+		t.Fatal(err)
+	}
+	var be storage.Backend = tier
+	var fb *storage.Faulty
+	switch outcome {
+	case "abort":
+		fb = storage.NewFaulty(tier)
+		be = fb
+	case "retry":
+		be = &retryOnceTier{Striped: tier}
+	}
+	sh := NewShared(be)
+	eps := transport.NewLoopback(g.P)
+	if tcp {
+		var err error
+		if eps, err = transport.NewLocalTCPWorld(g.P, transport.TCPConfig{}); err != nil {
 			t.Fatal(err)
 		}
-		var be storage.Backend = tier
-		var fb *storage.Faulty
-		switch outcome {
-		case "abort":
-			fb = storage.NewFaulty(tier)
-			be = fb
-		case "retry":
-			be = &retryOnceTier{Striped: tier}
-		}
-		sh := NewShared(be)
-		errs := make([]error, g.P)
-		var st Stats
-		_, err := mpi.RunWithOptions(g.P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{CollBufSize: g.collBuf, Pool: pool.NewChecked()})
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
-			disp, ft := g.view(p.Rank())
-			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
-				panic(err)
-			}
-			if fb != nil && p.Rank() == 0 {
-				// The last window of IOP 1's domain: everything before it
-				// is staged by the time it fails.
-				fb.FailWriteRange(int64(len(want))-777-100, int64(len(want)))
-			}
-			p.Barrier()
-			_, errs[p.Rank()] = f.WriteAtAll(0, count, g.mem, bufs[p.Rank()])
-			if p.Rank() == 0 {
-				st = f.Stats
-			}
-		})
+	}
+	errs := make([]error, g.P)
+	var st Stats
+	_, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+		f, err := Open(p, sh, Options{CollBufSize: g.collBuf, Pool: pool.NewChecked()})
 		if err != nil {
-			t.Fatalf("%s: %v", outcome, err)
+			panic(err)
 		}
-		got := flattenBackend(t, tier)
-		stop()
-		if st.DirectWrites == 0 || st.VectoredWrites != st.SieveWrites {
-			t.Errorf("%s: %d of %d windows were direct", outcome, st.VectoredWrites, st.SieveWrites)
+		defer f.Close()
+		disp, ft := g.view(p.Rank())
+		if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+			panic(err)
 		}
-		switch outcome {
-		case "abort":
-			requireAgreement(t, outcome, errs, 1, PhaseIOPWindow)
-			if !bytes.Equal(got, background) {
-				t.Errorf("abort: staged direct windows of a failed collective reached the file")
+		if fb != nil && p.Rank() == 0 {
+			// The last run of the views, the last rank's: it moves that
+			// batch last of its own, in the last IOP's domain.
+			fb.FailWriteRange(int64(len(want))-777-100, int64(len(want)))
+		}
+		p.Barrier()
+		_, errs[p.Rank()] = f.WriteAtAll(0, count, g.mem, bufs[p.Rank()])
+		if msg := keepsNoBuffer(f); msg != "" {
+			panic(fmt.Sprintf("rank %d: %s after the write", p.Rank(), msg))
+		}
+		if p.Rank() == 0 {
+			st = f.Stats
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	got := flattenBackend(t, tier)
+	if st.SieveWrites != 0 || st.VectoredWrites == 0 {
+		t.Errorf("%s: %d IOP windows and %d own batches; want only own batches", label, st.SieveWrites, st.VectoredWrites)
+	}
+	switch outcome {
+	case "abort":
+		requireAgreement(t, label, errs, g.P-1, PhaseIOPWindow)
+		if !bytes.Equal(got, background) {
+			t.Errorf("%s: staged direct batches of a failed collective reached the file", label)
+		}
+	default:
+		for r, e := range errs {
+			if e != nil {
+				t.Fatalf("%s: rank %d: %v", label, r, e)
 			}
-		default:
-			for r, e := range errs {
-				if e != nil {
-					t.Fatalf("%s: rank %d: %v", outcome, r, e)
-				}
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: committed file differs from the oracle", outcome)
-			}
-			if wantRetries := map[string]int64{"commit": 0, "retry": 1}[outcome]; st.EpochRetries != wantRetries || st.EpochsCommitted != 1 {
-				t.Errorf("%s: %d epochs committed after %d retries, want 1 after %d", outcome, st.EpochsCommitted, st.EpochRetries, wantRetries)
-			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: committed file differs from the oracle", label)
+		}
+		if wantRetries := map[string]int64{"commit": 0, "retry": 1}[outcome]; st.EpochRetries != wantRetries || st.EpochsCommitted != 1 {
+			t.Errorf("%s: %d epochs committed after %d retries, want 1 after %d", label, st.EpochsCommitted, st.EpochRetries, wantRetries)
 		}
 	}
 }
 
 // TestDirectWindowFaults: a vectored write and a vectored read that fail
-// in a direct window — armed by range, in IOP 1's domain, and by count,
-// which IOP 0 trips — end in the same CollectiveError on every rank, no
-// chunk left in a slot's batch (checked pool: none returned twice
-// either), no goroutine left, and a handle whose next collective works,
-// in-process and over TCP.  The write's remote shares are lent, and the
-// failed write returns with its loan ended: every rank rewrites its
-// buffer at once, which under -race no goroutine of the collective may
-// still be reading.  The read's remote shares are lent in-process and
-// posted over TCP, and the failed read returns with every posting
-// withdrawn or filled: every rank rewrites its destination at once, which
-// under -race no goroutine — a link reader included — may still be
-// writing.
+// in one rank's own batch of a direct window — armed by range, in the
+// last run of the views, the last rank's, and by count, in rank 1's third
+// call — end in the same CollectiveError naming that rank on every rank,
+// no buffer left referenced by the handle (checked pool: none returned
+// twice either), no goroutine left, and a handle whose next collective
+// works, in-process and over TCP, at P = 2 and P = 3.  Each rank mounts the
+// file through a Faulty of its own, so that a count names one rank's
+// calls however the ranks' calls interleave.  Every rank rewrites its
+// buffer at once after the failed collective, which under -race no
+// goroutine of the collective may still be reading or writing.
 func TestDirectWindowFaults(t *testing.T) {
-	g := dwGeoms()[3]
-	count := g.d / g.mem.Size()
-	for _, arm := range []string{"range", "count"} {
-		for _, op := range []string{"write", "read"} {
-			for _, tcp := range []bool{false, true} {
-				testDirectWindowFault(t, g, count, arm, op, tcp)
+	for _, g := range dwGeoms()[3:5] {
+		for _, arm := range []string{"range", "count"} {
+			for _, op := range []string{"write", "read"} {
+				for _, tcp := range []bool{false, true} {
+					testDirectWindowFault(t, g, arm, op, tcp)
+				}
 			}
 		}
 	}
 }
 
-func testDirectWindowFault(t *testing.T, g dwGeom, count int64, arm, op string, tcp bool) {
-	label := fmt.Sprintf("%s/%s/tcp=%v", arm, op, tcp)
+func testDirectWindowFault(t *testing.T, g dwGeom, arm, op string, tcp bool) {
+	label := fmt.Sprintf("%s/%s/%s/tcp=%v", g.name, arm, op, tcp)
+	count := g.d / g.mem.Size()
 	checkLeaks := testutil.LeakCheck(t)
-	fb := storage.NewFaulty(storage.NewMem())
-	sh := NewShared(fb)
+	mem := storage.NewMem()
+	fbs := make([]*storage.Faulty, g.P)
+	for r := range fbs {
+		fbs[r] = storage.NewFaulty(mem)
+	}
 	errs := make([]error, g.P)
-	failRank := 0
+	failRank := g.P - 1
+	if arm == "count" {
+		failRank = 1
+	}
 	eps := transport.NewLoopback(g.P)
 	if tcp {
 		var err error
@@ -534,7 +582,8 @@ func testDirectWindowFault(t *testing.T, g dwGeom, count int64, arm, op string, 
 		}
 	}
 	_, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-		f, err := Open(p, sh, Options{CollBufSize: g.collBuf, Pool: pool.NewChecked()})
+		fb := fbs[p.Rank()]
+		f, err := Open(p, NewShared(fb), Options{CollBufSize: g.collBuf, Pool: pool.NewChecked()})
 		if err != nil {
 			panic(err)
 		}
@@ -548,18 +597,19 @@ func testDirectWindowFault(t *testing.T, g dwGeom, count int64, arm, op string, 
 		if _, err := f.WriteAtAll(0, count, g.mem, buf); err != nil {
 			panic(err)
 		}
-		if f.Stats.DirectWrites == 0 {
+		if f.Stats.SieveWrites != 0 || f.Stats.VectoredWrites < 3 {
 			panic("the geometry did not take direct windows")
 		}
-		if p.Rank() == 0 {
-			size := fb.Size()
+		p.Barrier()
+		if p.Rank() == failRank {
+			size := mem.Size()
 			switch {
 			case arm == "range" && op == "write":
 				fb.FailWriteRange(size-100, size)
 			case arm == "range":
 				fb.FailReadRange(size-100, size)
 			case op == "write":
-				fb.FailWrites(3) // both IOPs have more than three windows
+				fb.FailWrites(3) // every rank has more direct windows than that
 			default:
 				fb.FailReads(3)
 			}
@@ -575,20 +625,11 @@ func testDirectWindowFault(t *testing.T, g dwGeom, count int64, arm, op string, 
 				dst[i] = 0xEE
 			}
 		}
-		for i := range f.batch {
-			if b := &f.batch[i]; len(b.segs) != 0 || !allNil(b.chunks) {
-				panic(fmt.Sprintf("rank %d: slot %d keeps %d segments, chunks %v after the failed collective", p.Rank(), i, len(b.segs), b.chunks))
-			}
-			for _, sg := range f.batch[i].segs[:cap(f.batch[i].segs)] {
-				if sg.Buf != nil {
-					panic("a kept segment still references a buffer of the failed collective")
-				}
-			}
+		if msg := keepsNoBuffer(f); msg != "" {
+			panic(fmt.Sprintf("rank %d: %s after the failed collective", p.Rank(), msg))
 		}
 		p.Barrier()
-		if p.Rank() == 0 {
-			fb.Heal()
-		}
+		fb.Heal()
 		p.Barrier()
 		if _, err := f.WriteAtAll(0, count, g.mem, buf); err != nil {
 			panic(fmt.Sprintf("post-heal write: %v", err))
@@ -604,9 +645,6 @@ func testDirectWindowFault(t *testing.T, g dwGeom, count int64, arm, op string, 
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if arm == "range" {
-		failRank = 1
-	}
 	requireAgreement(t, label, errs, failRank, PhaseIOPWindow)
 	for _, e := range errs {
 		if !errors.Is(e, storage.ErrPermanent) {
@@ -614,4 +652,195 @@ func testDirectWindowFault(t *testing.T, g dwGeom, count int64, arm, op string, 
 		}
 	}
 	checkLeaks()
+}
+
+// TestDirectWindowsMoveNoData pins the direct-window rule in counted work.
+// Each rank views 16 KiB runs, interleaved with the other ranks', after
+// (layout "one-dense") a first window of 64-byte runs, interleaved too,
+// which is page-dense.  Rank 0 moves its data from memory of 8-byte
+// pieces, the others from contiguous memory, so that a rule that read a
+// rank's own memory would not give every rank the same answer.  Over the
+// loopback and over TCP, on Mem and on a two-server tier with epochs, at
+// P = 2 and P = 3 with fewer IOPs than ranks, a write and a read of n runs
+// and of 2n runs per rank:
+//   - on the listless engine no sparse window is an IOP's: the IOPs count
+//     only the dense window, every rank moves its own share of every other
+//     one itself, and the rank fabric carries the same messages and
+//     payload bytes at both sizes, none per byte of data — the plan, the
+//     vote and the epoch's rounds, and over TCP the other ranks' shares of
+//     the dense window;
+//   - the list-based engine is unchanged: every window is an IOP's, and
+//     the payload grows with the data;
+//   - every file and every read is the flat oracle's.
+func TestDirectWindowsMoveNoData(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	const run, piece, k = 16384, 64, 256 // the dense window holds k pieces per rank
+	for _, P := range []int{2, 3} {
+		win := k * piece * int64(P)
+		for _, layout := range []string{"all-sparse", "one-dense"} {
+			g := dwGeom{P: P, collBuf: int(win), view: func(rank int) (int64, *datatype.Type) {
+				sparse := hvecBytes(16, run, int64(P)*run)
+				if layout == "all-sparse" {
+					at := mustType(datatype.Hindexed([]int64{1}, []int64{int64(rank) * run}, sparse))
+					return 0, mustType(datatype.Resized(at, 0, 16*int64(P)*run))
+				}
+				dense := hvecBytes(k, piece, int64(P)*piece)
+				both := mustType(datatype.Struct([]int64{1, 1}, []int64{int64(rank) * piece, win + int64(rank)*run},
+					[]*datatype.Type{dense, sparse}))
+				return 0, mustType(datatype.Resized(both, 0, win+16*int64(P)*run))
+			}}
+			dense := int64(0) // data bytes per rank in the dense window
+			if layout == "one-dense" {
+				dense = k * piece
+			}
+			for _, tcp := range []bool{false, true} {
+				for _, tier := range []bool{false, true} {
+					for _, eng := range []Engine{Listless, ListBased} {
+						label := fmt.Sprintf("P=%d/%s/tcp=%v/tier=%v/%v", P, layout, tcp, tier, eng)
+						ops := runMoveNoData(t, label, g, dense, run, eng, tcp, tier)
+						checkMoveNoData(t, label, ops, P, dense, eng, tcp)
+					}
+				}
+			}
+		}
+	}
+}
+
+// moveOp is what one collective of TestDirectWindowsMoveNoData cost the
+// world: the ranks' summed Stats and sent traffic.
+type moveOp struct {
+	st       Stats
+	msgs, by int64
+}
+
+// runMoveNoData writes and reads n = 4 and then n = 8 runs per rank (and
+// the dense window's share) of g and returns the four collectives' costs,
+// in the order write 4, read 4, write 8, read 8.
+func runMoveNoData(t *testing.T, label string, g dwGeom, dense, run int64, eng Engine, tcp, tier bool) [4]moveOp {
+	t.Helper()
+	mems := make([]*datatype.Type, g.P)
+	for r := range mems {
+		mems[r] = datatype.Byte
+	}
+	mems[0] = holeyDouble()
+	sizes := []int64{dense + 4*run, dense + 8*run}
+	data, want, wantReads := make([][][]byte, 2), make([][]byte, 2), make([][][]byte, 2)
+	for i, d := range sizes {
+		data[i] = make([][]byte, g.P)
+		for r := range data[i] {
+			data[i][r] = pattern(10*i+r, d)
+		}
+		gd := g
+		gd.d = d
+		want[i], wantReads[i] = dwOracle(gd, data[i])
+	}
+	// Over the background of the larger write, which the smaller leaves.
+	want[0] = append(want[0], bytes.Repeat([]byte{dwBackground}, len(want[1])-len(want[0]))...)
+	var be storage.Backend = storage.NewMem()
+	if tier {
+		ts, stop := ioServerTier(t, 4096, 2)
+		defer stop()
+		be = ts
+	}
+	if _, err := be.WriteAt(bytes.Repeat([]byte{dwBackground}, len(want[1])), 0); err != nil {
+		t.Fatal(err)
+	}
+	sh := NewShared(be)
+	eps := transport.NewLoopback(g.P)
+	if tcp {
+		var err error
+		if eps, err = transport.NewLocalTCPWorld(g.P, transport.TCPConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var costs [4][]moveOp
+	for i := range costs {
+		costs[i] = make([]moveOp, g.P)
+	}
+	_, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+		f, err := Open(p, sh, Options{Engine: eng, CollBufSize: g.collBuf, IONodes: g.P - 1, Pool: pool.NewChecked()})
+		if err != nil {
+			panic(err)
+		}
+		defer f.Close()
+		disp, ft := g.view(p.Rank())
+		if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+			panic(err)
+		}
+		mt := mems[p.Rank()]
+		for i, d := range sizes {
+			count := d / mt.Size()
+			bufLen := (count-1)*mt.Extent() + mt.TrueUB()
+			buf := bytes.Repeat([]byte{0xEE}, int(bufLen))
+			fotf.UnpackCount(buf, data[i][p.Rank()], count, mt, 0)
+			got := bytes.Repeat([]byte{0xEE}, int(bufLen))
+			for j, write := range []bool{true, false} {
+				p.Barrier()
+				s0, st0 := p.SentStats(), f.Stats
+				if write {
+					_, err = f.WriteAtAll(0, count, mt, buf)
+				} else {
+					_, err = f.ReadAtAll(0, count, mt, got)
+				}
+				if err != nil {
+					panic(err)
+				}
+				s1 := p.SentStats()
+				costs[2*i+j][p.Rank()] = moveOp{st: f.Stats.Sub(st0), msgs: s1.Messages - s0.Messages, by: s1.Bytes - s0.Bytes}
+			}
+			p.Barrier()
+			if p.Rank() == 0 && !bytes.Equal(flattenBackend(t, be), want[i]) {
+				panic(fmt.Sprintf("write of %d bytes per rank: the file differs from the oracle", d))
+			}
+			wantBuf := bytes.Repeat([]byte{0xEE}, int(bufLen))
+			fotf.UnpackCount(wantBuf, wantReads[i][p.Rank()], count, mt, 0)
+			if !bytes.Equal(got, wantBuf) {
+				panic(fmt.Sprintf("rank %d: the read of %d bytes differs from the oracle", p.Rank(), d))
+			}
+			if msg := keepsNoBuffer(f); msg != "" {
+				panic(fmt.Sprintf("rank %d: %s", p.Rank(), msg))
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	var ops [4]moveOp
+	for i, per := range costs {
+		for _, c := range per {
+			ops[i].msgs += c.msgs
+			ops[i].by += c.by
+			ops[i].st.SieveWrites += c.st.SieveWrites
+			ops[i].st.SieveReads += c.st.SieveReads
+			ops[i].st.VectoredWrites += c.st.VectoredWrites
+			ops[i].st.VectoredReads += c.st.VectoredReads
+		}
+	}
+	return ops
+}
+
+func checkMoveNoData(t *testing.T, label string, ops [4]moveOp, P int, dense int64, eng Engine, tcp bool) {
+	t.Helper()
+	for i, name := range []string{"write", "read"} {
+		small, large := ops[i], ops[2+i]
+		for _, op := range []moveOp{small, large} {
+			windows, batches := op.st.SieveWrites+op.st.SieveReads, op.st.VectoredWrites+op.st.VectoredReads
+			switch {
+			case eng == ListBased && (windows == 0 || batches != 0):
+				t.Errorf("%s: the %s took %d IOP windows and %d own batches; the baseline takes only IOP windows", label, name, windows, batches)
+			case eng == Listless && (windows != min(dense, 1) || batches == 0):
+				t.Errorf("%s: the %s took %d IOP windows and %d own batches; want %d and some", label, name, windows, batches, min(dense, 1))
+			}
+		}
+		grown := large.by - small.by
+		switch {
+		case eng == ListBased && grown <= 0:
+			t.Errorf("%s: the baseline's %s sent %d and %d payload bytes at the two sizes; want more for more data", label, name, small.by, large.by)
+		case eng == Listless && (grown != 0 || large.msgs != small.msgs):
+			t.Errorf("%s: the %s sent %d messages of %d payload bytes, and %d of %d for twice the sparse data; want the same",
+				label, name, small.msgs, small.by, large.msgs, large.by)
+		case eng == Listless && tcp && small.by < int64(P-1)*dense:
+			t.Errorf("%s: the %s sent %d payload bytes; the dense window alone holds %d of other ranks' data", label, name, small.by, int64(P-1)*dense)
+		}
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/flatten"
 	"repro/internal/fotf"
-	"repro/internal/storage"
 )
 
 // accessEngine is the seam between the engine-neutral MPI-IO machinery
@@ -150,11 +149,16 @@ type apState interface {
 	// into where they lie, instead of as a packed chunk.  It reports false,
 	// having appended nothing, when the share is packed.
 	lend(segs [][]byte, a, b int64) ([][]byte, bool)
+	// moveDirect moves this rank's share of window [winLo, winHi) of an
+	// IOP domain between its user buffer and the backend itself, by one
+	// vectored call, when the window is direct (iopWindow.direct: no IOP
+	// moves it, and the cursors see it empty); else it does nothing.
+	moveDirect(winLo, winHi int64) error
 }
 
 // apCursor yields, window by window, the data range [a, b) this rank's
-// access holds within [winLo, winHi) of one IOP domain.  a == b means
-// no data.
+// access holds within [winLo, winHi) of one IOP domain, which moves
+// through the IOP.  a == b means no data, or a direct window.
 type apCursor interface {
 	window(winLo, winHi int64) (a, b int64)
 }
@@ -170,10 +174,8 @@ type iopState interface {
 
 // iopWindow is the exchange state of one collective-buffer window:
 // which APs hold data in it, whether their data covers it, and how each
-// AP's share meets the file — copied to and from a window buffer as a
-// chunk (copyIn, copyOut) or in place (copyLent), or, for a direct
-// window, described as backend segments over the chunk (chunkSegs) or
-// the user buffer (lentSegs).
+// AP's share meets the window buffer — copied as a chunk (copyIn,
+// copyOut) or in place (copyLent).
 type iopWindow interface {
 	// total is the number of data bytes all APs hold in the window.
 	total() int64
@@ -194,22 +196,14 @@ type iopWindow interface {
 	// when the share travels as a chunk: exactly when AP r's cursor for
 	// this IOP is not nil.
 	copyLent(w []byte, r int, write bool) bool
-	// direct reports whether the window moves without a window buffer:
-	// every AP's share is runs long enough that one vectored backend call
-	// over the chunks themselves beats gathering them into a window
-	// first (storage.PageDense says no for each share).  A direct window
-	// is never pre-read, so covered is not asked; its file bytes outside
-	// the views are not touched at all.
+	// direct reports whether the window's owners move it: every AP's share
+	// is runs long enough that one vectored backend call per owner beats
+	// gathering them into a window buffer (storage.PageDense says no for
+	// each share in the file) and, for a write, the views are proved
+	// disjoint, so the IOP skips it and every AP with a share in it moves
+	// that share itself (apState.moveDirect).  Every rank gives the same
+	// answer for a window.
 	direct() bool
-	// chunkSegs appends AP r's share of a direct window to segs: one
-	// segment per contiguous file run, in data order, its buffer the
-	// run's bytes within chunk, which holds the chunkLen(r) bytes in data
-	// order.
-	chunkSegs(segs []storage.Segment, r int, chunk []byte) []storage.Segment
-	// lentSegs is the copyLent of a direct window: it appends AP r's
-	// share as segments whose buffers are slices of r's user buffer.  It
-	// reports false, having appended nothing, exactly when copyLent would.
-	lentSegs(segs []storage.Segment, r int) ([]storage.Segment, bool)
 	// release returns the window to its engine for reuse.  The caller
 	// must not touch the window afterwards; engines may recycle the
 	// backing state on the next window call (or make release a no-op).

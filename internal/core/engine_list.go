@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/flatten"
-	"repro/internal/storage"
 )
 
 // listEngine is the ROMIO-style baseline (paper §2).  Filetypes and
@@ -244,6 +243,9 @@ func (s *listAPState) cursor(i int) apCursor {
 // lend: the paper's baseline packs every share it sends.
 func (s *listAPState) lend(segs [][]byte, _, _ int64) ([][]byte, bool) { return segs, false }
 
+// moveDirect: every window of the baseline is an IOP's.
+func (s *listAPState) moveDirect(int64, int64) error { return nil }
+
 // apSetup builds and sends this rank's access list for every IOP domain;
 // this many-to-many ol-list exchange happens on every collective access.
 func (e *listEngine) apSetup(pl *collPlan, acc *collAccess) apState {
@@ -374,17 +376,8 @@ func (w *listIOPWindow) covered() bool {
 func (w *listIOPWindow) copyLent([]byte, int, bool) bool { return false }
 
 // direct: the list-based engine is the paper's baseline and moves every
-// window through the window buffer, tuple by tuple; the segment forms
-// are never asked for.
+// window through the window buffer, tuple by tuple.
 func (w *listIOPWindow) direct() bool { return false }
-
-func (w *listIOPWindow) chunkSegs([]storage.Segment, int, []byte) []storage.Segment {
-	panic("core: list-based windows are never direct")
-}
-
-func (w *listIOPWindow) lentSegs(segs []storage.Segment, _ int) ([]storage.Segment, bool) {
-	return segs, false
-}
 
 func (w *listIOPWindow) copyIn(buf []byte, r int, chunk []byte) {
 	var pos int64

@@ -24,6 +24,7 @@ type listlessEngine struct {
 	sb       segBuilder    // direct windows: runs to backend segments
 	lb       lendBuilder   // shares lent over a wire: memory runs to user-buffer slices
 	plans    planCache     // fused-copy plans of the IOP windows' lent shares
+	apA, apB []int64       // every rank's share of the window an AP asks about
 }
 
 func newListlessEngine(f *File) *listlessEngine {
@@ -185,6 +186,7 @@ func (e *listlessEngine) setView() error {
 		rv.cur.Reset(rv.ftype, rv.prog)
 	}
 	e.disjoint = viewsApart(e.remote)
+	e.apA, e.apB = make([]int64, len(parts)), make([]int64, len(parts))
 	return nil
 }
 
@@ -337,23 +339,23 @@ func (vc *listlessViewCursor) eachUserRun(c int64, mem *memState, skip int64, em
 // listlessAPState navigates this rank's own fileview per window.
 type listlessAPState struct {
 	e     *listlessEngine
+	pl    *collPlan
 	acc   *collAccess
 	fused bool // IOPs move this access in place: the own IOP...
 	lent  bool // ... and, in-process, every other (apSetup lent it)
-	edge  navEdge
 }
 
 // apSetup sends no view and no ol-list: setView exchanged the views
 // once.  In-process it lends the access to every other IOP whose domain
 // holds some of it, in one message each (collPlan.lends), for writes and
 // reads alike: a typed loan when the access fuses, so that the IOP moves
-// this rank's shares in place as it moves its own, else a pack loan, and
-// the shares travel as chunks.  Over a wire a read posts its remote
-// shares instead (postShares), so that they are read from the sockets
-// into place.
+// this rank's shares of buffered windows in place as it moves its own,
+// else a pack loan, and the shares travel as chunks.  Over a wire a read
+// posts its remote shares instead (postShares), so that they are read
+// from the sockets into place.
 func (e *listlessEngine) apSetup(pl *collPlan, acc *collAccess) apState {
 	f := e.f
-	s := &listlessAPState{e: e, acc: acc, fused: e.fuses(acc)}
+	s := &listlessAPState{e: e, pl: pl, acc: acc, fused: e.fuses(acc)}
 	if f.p.Wired() {
 		if !acc.write {
 			f.postShares(pl, s)
@@ -380,45 +382,124 @@ func (s *listlessAPState) cursor(i int) apCursor {
 	return s
 }
 
-// lend is the memory side of the rule allSparse applies to a lent share:
-// contiguous memory is one slice, and the runs of a compiled memtype are
-// lent as they lie unless they are page-dense — or, for a read, unless
-// data bytes of the memtype meet, which the link readers would fill in no
-// set order (the rule fuses applies).  Everything else — short runs, no
+// inPlace is the memory side of the rule allSparse applies: a share moves
+// from where it lies in the user buffer — lent over a wire as slices, or
+// written and read there by a direct window's own batch — when the memory
+// is contiguous, or the runs of a compiled memtype are not page-dense and,
+// for a read, no data bytes of the memtype meet, which would be filled in
+// no set order (the rule fuses applies).  Everything else — short runs, no
 // program — is packed.
-func (s *listlessAPState) lend(segs [][]byte, a, b int64) ([][]byte, bool) {
+func (s *listlessAPState) inPlace(a, b int64) bool {
 	acc, mp := s.acc, s.acc.mem.prog
+	if acc.mem.t.ContiguousTiled() {
+		return true
+	}
+	return mp != nil && (acc.write || mp.Disjoint(acc.mem.count)) && !shareDense(mp, a-acc.d0, b-acc.d0)
+}
+
+func (s *listlessAPState) lend(segs [][]byte, a, b int64) ([][]byte, bool) {
+	acc := s.acc
 	switch {
-	case acc.mem.t.ContiguousTiled():
+	case !s.inPlace(a, b):
+		return segs, false
+	case acc.mem.prog == nil:
 		l := acc.loan()
 		return append(segs, l.contig(a, b)), true
-	case mp == nil || !acc.write && !mp.Disjoint(acc.mem.count) || shareDense(mp, a-acc.d0, b-acc.d0):
-		return segs, false
 	}
 	lb := &s.e.lb
 	lb.out, lb.buf, lb.first = segs, acc.buf, len(segs)
-	mp.Runs(a-acc.d0, b-acc.d0, lb.onRuns)
+	acc.mem.prog.Runs(a-acc.d0, b-acc.d0, lb.onRuns)
 	segs = lb.out
 	lb.out, lb.buf = nil, nil
 	return segs, true
 }
 
+// window is this rank's share of a buffered window: a direct one moves
+// no byte through an IOP, so the exchange sees it empty.
 func (s *listlessAPState) window(winLo, winHi int64) (a, b int64) {
-	return s.dataAtSelf(winLo), s.dataAtSelf(winHi)
+	a, b, direct := s.share(winLo, winHi)
+	if direct {
+		return a, a
+	}
+	return a, b
 }
 
-// dataAtSelf maps an absolute file offset to this rank's access data
-// offset, clipped to [d0, d0+d) — O(depth) listless navigation.
-func (s *listlessAPState) dataAtSelf(x int64) int64 {
-	v, d0, d := &s.e.f.v, s.acc.d0, s.acc.d
-	da := s.edge.bufToData(v.ftype, x-v.disp)
-	if da < d0 {
-		return d0
+// share is this rank's share [a, b) of window [winLo, winHi) and whether
+// the window is direct, which the rank decides as the window's IOP does:
+// allSparse over every rank's share, from the plan and the cached views.
+func (s *listlessAPState) share(winLo, winHi int64) (a, b int64, direct bool) {
+	e, self := s.e, s.e.f.p.Rank()
+	e.windowShares(s.pl, winLo, winHi, e.apA, e.apB)
+	a, b = e.apA[self], e.apB[self]
+	return a, b, a < b && e.allSparse(e.apA, e.apB, s.acc.write)
+}
+
+// moveDirect moves this rank's share of window [winLo, winHi) itself when
+// the window is direct: its own runs by one vectored call, over the user
+// buffer where the share lies there (inPlace), else over a pooled pack
+// buffer.  Inside an epoch the batch stages, and the backend keeps its
+// bytes until the epoch ends: the user buffer stays the collective's until
+// WriteAtAll returns, and a pack buffer goes to File.kept.
+func (s *listlessAPState) moveDirect(winLo, winHi int64) error {
+	a, b, direct := s.share(winLo, winHi)
+	if !direct {
+		return nil
 	}
-	if da > d0+d {
-		return d0 + d
+	e, f, acc, n := s.e, s.e.f, s.acc, b-a
+	rv := &e.remote[f.p.Rank()] // the own view, compiled: allSparse says so
+	var pb []byte
+	segs := f.segs
+	switch {
+	case !s.inPlace(a, b):
+		pb = f.bp.Get(int(n))
+		if acc.write {
+			csp := f.tr.Time(trace.PhaseCopy, winLo, n)
+			e.packUser(pb, acc.buf, acc.mem, a-acc.d0, n)
+			f.Stats.CopyNs += csp.End()
+		}
+		segs = e.viewSegs(segs, rv.prog, rv.disp, a, b, pb)
+	case acc.mem.prog == nil:
+		l := acc.loan()
+		segs = e.viewSegs(segs, rv.prog, rv.disp, a, b, l.contig(a, b))
+	default:
+		e.sb.begin(segs, acc.buf)
+		fotf.RunsFused(rv.prog, a, -rv.disp, acc.mem.prog, a-acc.d0, 0, n, e.sb.onPiece)
+		segs = e.sb.end()
 	}
-	return da
+	var err error
+	if acc.write {
+		bsp := f.tr.Time(trace.PhaseWriteBack, winLo, n)
+		err = storage.WriteAtv(f.sh.b, segs)
+		f.Stats.StorageNs += bsp.End()
+		f.Stats.VectoredWrites++
+		f.Stats.DirectWrites += int64(len(segs))
+	} else {
+		rsp := f.tr.Time(trace.PhasePreRead, winLo, n)
+		err = storage.ReadAtv(f.sh.b, segs)
+		f.Stats.StorageNs += rsp.End()
+		f.Stats.VectoredReads++
+		f.Stats.DirectReads += int64(len(segs))
+	}
+	clear(segs)
+	f.segs = segs[:0]
+	switch {
+	case pb == nil:
+	case acc.write && f.epochBE != nil:
+		f.kept = append(f.kept, pb)
+	case !acc.write && err == nil && (acc.mem.prog == nil || !acc.mem.prog.Disjoint(acc.mem.count)):
+		// Data bytes of the destination may meet, and an unpack in data
+		// order leaves the later one: apExchange unpacks the share in its
+		// place among the chunks of buffered windows.
+		f.held = append(f.held, postedShare{a: a, b: b, winLo: winLo, chunk: pb})
+	default:
+		if !acc.write && err == nil {
+			csp := f.tr.Time(trace.PhaseCopy, winLo, n)
+			e.unpackUser(acc.buf, pb, acc.mem, a-acc.d0, n)
+			f.Stats.CopyNs += csp.End()
+		}
+		f.bp.Put(pb)
+	}
+	return err
 }
 
 // listlessIOPState navigates the fileviews cached at SetView.  lent holds,
@@ -429,11 +510,12 @@ func (s *listlessAPState) dataAtSelf(x int64) int64 {
 // keeps the steady state allocation-free.  window and release are both
 // called on the collective's main goroutine only.
 type listlessIOPState struct {
-	e    *listlessEngine
-	pl   *collPlan
-	lent []*memLoan
-	free []*listlessIOPWindow
-	nwin int // windows opened so far: the next one's index
+	e     *listlessEngine
+	pl    *collPlan
+	write bool
+	lent  []*memLoan
+	free  []*listlessIOPWindow
+	nwin  int // windows opened so far: the next one's index
 }
 
 // iopSetup takes, in-process, the loan of every AP that lends this IOP
@@ -442,7 +524,7 @@ type listlessIOPState struct {
 // copy is, since the two are one tree.
 func (e *listlessEngine) iopSetup(pl *collPlan, acc *collAccess) (iopState, error) {
 	f, self := e.f, e.f.p.Rank()
-	s := &listlessIOPState{e: e, pl: pl, lent: make([]*memLoan, f.p.Size())}
+	s := &listlessIOPState{e: e, pl: pl, write: acc.write, lent: make([]*memLoan, f.p.Size())}
 	if e.fuses(acc) {
 		l := acc.loan()
 		s.lent[self] = &l
@@ -460,12 +542,12 @@ func (e *listlessEngine) iopSetup(pl *collPlan, acc *collAccess) (iopState, erro
 	return s, nil
 }
 
-// dataAtRemote maps an absolute file offset to rank r's access data
-// offset via its cached fileview, clipped to r's access range.
-func (s *listlessIOPState) dataAtRemote(r int, x int64) int64 {
-	rv := &s.e.remote[r]
+// dataAt maps an absolute file offset to rank r's access data offset via
+// its cached fileview, clipped to r's access range.
+func (e *listlessEngine) dataAt(pl *collPlan, r int, x int64) int64 {
+	rv := &e.remote[r]
 	da := rv.edge.bufToData(rv.ftype, x-rv.disp)
-	lo, hi := s.pl.d0s[r], s.pl.d0s[r]+s.pl.ds[r]
+	lo, hi := pl.d0s[r], pl.d0s[r]+pl.ds[r]
 	if da < lo {
 		return lo
 	}
@@ -475,6 +557,43 @@ func (s *listlessIOPState) dataAtRemote(r int, x int64) int64 {
 	return da
 }
 
+// windowShares sets apA[r], apB[r] to rank r's share of window [winLo,
+// winHi), for every rank, and returns their sum.
+func (e *listlessEngine) windowShares(pl *collPlan, winLo, winHi int64, apA, apB []int64) (tot int64) {
+	for r := range apA {
+		if pl.ds[r] == 0 {
+			// Must be reset explicitly: a recycled window may hold
+			// stale ranges here.
+			apA[r], apB[r] = 0, 0
+			continue
+		}
+		apA[r], apB[r] = e.dataAt(pl, r, winLo), e.dataAt(pl, r, winHi)
+		tot += apB[r] - apA[r]
+	}
+	return tot
+}
+
+// allSparse is the direct-window rule, from the file side of the shares
+// alone, so that every rank gives the same answer: every share has a
+// compiled view to enumerate and is not page-dense in the file.  One
+// dense share keeps the window buffer: its many short runs are what the
+// buffer is for.  A write also needs the views proved disjoint, since
+// owners writing at once leave no set winner of a byte two views share
+// where the window merges in rank order.
+func (e *listlessEngine) allSparse(apA, apB []int64, write bool) bool {
+	if write && !e.disjoint {
+		return false
+	}
+	for r, a := range apA {
+		if b := apB[r]; a < b {
+			if p := e.remote[r].prog; p == nil || shareDense(p, a, b) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // listlessIOPWindow holds the per-AP data ranges of one window.
 type listlessIOPWindow struct {
 	s            *listlessIOPState
@@ -482,7 +601,7 @@ type listlessIOPWindow struct {
 	winLo, winHi int64
 	apA, apB     []int64
 	tot          int64
-	dir          bool // direct: no share is page-dense
+	dir          bool // direct: its owners move it (allSparse)
 }
 
 func (s *listlessIOPState) window(winLo, winHi int64) iopWindow {
@@ -491,7 +610,7 @@ func (s *listlessIOPState) window(winLo, winHi int64) iopWindow {
 	if n := len(s.free); n > 0 {
 		w = s.free[n-1]
 		s.free = s.free[:n-1]
-		w.winLo, w.winHi, w.tot = winLo, winHi, 0
+		w.winLo, w.winHi = winLo, winHi
 	} else {
 		w = &listlessIOPWindow{
 			s: s, winLo: winLo, winHi: winHi,
@@ -500,42 +619,9 @@ func (s *listlessIOPState) window(winLo, winHi int64) iopWindow {
 	}
 	w.idx = s.nwin
 	s.nwin++
-	for r := 0; r < P; r++ {
-		if s.pl.ds[r] == 0 {
-			// Must be reset explicitly: a recycled window may hold
-			// stale ranges here.
-			w.apA[r], w.apB[r] = 0, 0
-			continue
-		}
-		a := s.dataAtRemote(r, winLo)
-		b := s.dataAtRemote(r, winHi)
-		w.apA[r], w.apB[r] = a, b
-		w.tot += b - a
-	}
-	w.dir = w.allSparse()
+	w.tot = s.e.windowShares(s.pl, winLo, winHi, w.apA, w.apB)
+	w.dir = s.e.allSparse(w.apA, w.apB, s.write)
 	return w
-}
-
-// allSparse is the direct-window decision, from what the window holds:
-// every AP's share has a compiled view to enumerate and is not
-// page-dense in the file, and a share moved in place — which never
-// becomes a chunk — is not page-dense in its user buffer either.  One
-// dense share keeps the window: its many short runs are what the window
-// buffer is for.
-func (w *listlessIOPWindow) allSparse() bool {
-	for r, a := range w.apA {
-		b := w.apB[r]
-		if a == b {
-			continue
-		}
-		if p := w.s.e.remote[r].prog; p == nil || shareDense(p, a, b) {
-			return false
-		}
-		if l := w.s.lent[r]; l != nil && l.prog != nil && shareDense(l.prog, a-l.d0, b-l.d0) {
-			return false
-		}
-	}
-	return true
 }
 
 func (w *listlessIOPWindow) direct() bool { return w.dir }
@@ -585,30 +671,6 @@ func (w *listlessIOPWindow) copyLent(buf []byte, r int, write bool) bool {
 		fotf.CopyFused(l.buf, l.prog, a-l.d0, 0, buf, rv.prog, a, bias, b-a)
 	}
 	return true
-}
-
-// lentSegs describes AP r's share where copyLent would copy it: through
-// r's view program over the user buffer itself when that is the packed
-// data, else by cutting the view program and the memtype program in
-// lockstep.
-func (w *listlessIOPWindow) lentSegs(segs []storage.Segment, r int) ([]storage.Segment, bool) {
-	l := w.s.lent[r]
-	if l == nil {
-		return segs, false
-	}
-	e, rv := w.s.e, &w.s.e.remote[r]
-	a, b := w.apA[r], w.apB[r]
-	if l.prog == nil {
-		return e.viewSegs(segs, rv.prog, rv.disp, a, b, l.contig(a, b)), true
-	}
-	e.sb.begin(segs, l.buf)
-	fotf.RunsFused(rv.prog, a, -rv.disp, l.prog, a-l.d0, 0, b-a, e.sb.onPiece)
-	return e.sb.end(), true
-}
-
-func (w *listlessIOPWindow) chunkSegs(segs []storage.Segment, r int, chunk []byte) []storage.Segment {
-	rv := &w.s.e.remote[r]
-	return w.s.e.viewSegs(segs, rv.prog, rv.disp, w.apA[r], w.apB[r], chunk)
 }
 
 func (w *listlessIOPWindow) copyIn(buf []byte, r int, chunk []byte) {

@@ -112,10 +112,12 @@ func (s *sealHook) EpochSealStamp(id uint64) (stamp uint64, err error) {
 }
 
 // keptGeom is a geometry for the epoch tests: every IOP writes several
-// windows, so that each slot takes more than one.
+// windows, so that each slot takes more than one; direct, every rank
+// writes several of its own batches, each from a pack buffer, since its
+// memory is 8-byte pieces.
 func keptGeom(direct bool) dwGeom {
 	if direct {
-		return dwGeom{name: "16K-runs/P=2", P: 2, d: 8 * 16384, collBuf: 40000, view: stridedView(2, 8, 16384, 16384), mem: hvecBytes(8, 16384, 32768), direct: +1}
+		return dwGeom{name: "16K-runs/P=2", P: 2, d: 8 * 16384, collBuf: 40000, view: stridedView(2, 8, 16384, 16384), mem: holeyDouble(), direct: +1}
 	}
 	return dwGeom{name: "64B-runs/P=2", P: 2, d: 512 * 64, collBuf: 4096, view: stridedView(2, 512, 64, 64), mem: datatype.Byte, direct: -1}
 }
@@ -138,11 +140,12 @@ func keptData(g dwGeom) (bufs [][]byte, count int64, want []byte) {
 // TestEpochReplaysKeptWindows: every server of the tier restarts after the
 // collective write's last window has staged and before the first seal,
 // so the epoch commits only through the replay of every client's stage
-// log — which holds the windows' bytes by reference, in the buffers and
-// chunks the collective keeps until the epoch ends.  Buffered windows and
-// direct ones, whose remote shares arrive over TCP as chunks; a seal that
-// heals inside the backend (Resilient redials and replays), a seal vote
-// that fails once and re-seals, and an epoch aborted by a failed window.
+// log — which holds the windows' bytes by reference, in the buffers the
+// collective keeps until the epoch ends.  Buffered windows, whose remote
+// shares arrive over TCP as chunks, and direct ones, which every rank
+// writes itself from pack buffers; a seal that heals inside the backend
+// (Resilient redials and replays), a seal vote that fails once and
+// re-seals, and an epoch aborted by a failed window.
 // The file is byte-identical to the flat oracle, or untouched on abort,
 // and on one checked pool every buffer and chunk is put back exactly once
 // and none before the replay has read it: the replay would have sent the

@@ -25,7 +25,9 @@ import (
 
 // TestLoanSpansAViewGap: rank 0's view holds the head and the tail of the
 // file and nothing between them, so its byte range meets the middle IOP's
-// domain, which holds none of its data.  The plan says that pair
+// domain, which holds none of its data.  Every view is 8-byte pieces with
+// 8-byte holes, page-dense, so that every window is buffered and the IOPs
+// move the lent shares.  The plan says that pair
 // exchanges a loan — both ends ask it the same question — so the loan is
 // sent and taken, and a second collective, from fresh buffers, does not
 // meet a stale one: both writes leave the oracle's file, both reads fill
@@ -35,12 +37,15 @@ import (
 func TestLoanSpansAViewGap(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	const P, L = 3, 6000
+	// pieces holds n data bytes in 2n bytes of file.
+	pieces := func(n int64) *datatype.Type { return hvecBytes(n/8, 8, 16) }
 	g := dwGeom{P: P, d: L, collBuf: 2048, view: func(rank int) (int64, *datatype.Type) {
 		if rank == 0 {
-			ends := mustType(datatype.Hindexed([]int64{L / 2, L / 2}, []int64{0, 5 * L / 2}, datatype.Byte))
-			return 0, mustType(datatype.Resized(ends, 0, 3*L))
+			ends := mustType(datatype.Hindexed([]int64{1, 1}, []int64{0, 5 * L}, pieces(L/2)))
+			return 0, mustType(datatype.Resized(ends, 0, 6*L))
 		}
-		return int64(2*rank-1) * L / 2, mustType(datatype.Resized(mustType(datatype.Contiguous(L, datatype.Byte)), 0, 3*L))
+		at := mustType(datatype.Hindexed([]int64{1}, []int64{int64(2*rank-1) * L}, pieces(L)))
+		return 0, mustType(datatype.Resized(at, 0, 6*L))
 	}}
 	// Rank 0 lends to IOPs 1 (the gap) and 2, rank 1 to IOP 0, rank 2 to
 	// IOP 1; four collectives.
@@ -105,6 +110,9 @@ func TestLoanSpansAViewGap(t *testing.T) {
 					panic(fmt.Sprintf("read %d, rank %d: the buffer differs from the oracle's", round, p.Rank()))
 				}
 			}
+			if f.Stats.VectoredWrites+f.Stats.VectoredReads != 0 {
+				panic(fmt.Sprintf("rank %d moved a direct window: the test runs the wrong windows", p.Rank()))
+			}
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -115,24 +123,31 @@ func TestLoanSpansAViewGap(t *testing.T) {
 	}
 }
 
-// TestLentReadFaultEndsTheLoan: a read fails in a window of either kind —
-// buffered over 8-byte runs, direct over 16 KiB ones — while the IOPs
-// fill the ranks' lent buffers in place.  Every rank returns the same
-// CollectiveError, and then at once overwrites the buffer it lent: under
-// -race, no goroutine of the failed collective may still be writing it.
-// The next read on the same handles fills the buffers right.
+// TestLentReadFaultEndsTheLoan: a read fails in rank 0's second read call,
+// in a window of either kind — buffered over 8-byte runs, while the IOPs
+// fill the ranks' lent buffers in place, or direct over 16 KiB ones,
+// which every rank reads into its own buffer.  Every rank returns the
+// same CollectiveError, and then at once overwrites the buffer it read
+// into: under -race, no goroutine of the failed collective may still be
+// writing it.  The next read on the same handles fills the buffers right.
+// Each rank mounts the file through a Faulty of its own, so that the fault
+// is armed in one rank's calls however the ranks' calls interleave.
 func TestLentReadFaultEndsTheLoan(t *testing.T) {
 	for _, g := range []dwGeom{
 		{name: "buffered", P: 2, d: 512 * 8, collBuf: 1024, view: stridedView(2, 512, 8, 8), mem: hvecBytes(512, 8, 16)},
 		dwGeoms()[3], // 16 KiB runs: direct windows
 	} {
 		checkLeaks := testutil.LeakCheck(t)
-		fb := storage.NewFaulty(storage.NewMem())
-		sh := NewShared(fb)
+		mem := storage.NewMem()
+		fbs := make([]*storage.Faulty, g.P)
+		for r := range fbs {
+			fbs[r] = storage.NewFaulty(mem)
+		}
 		count := g.d / g.mem.Size()
 		errs := make([]error, g.P)
 		_, err := mpi.RunWithOptions(g.P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{CollBufSize: g.collBuf, Pool: pool.NewChecked()})
+			fb := fbs[p.Rank()]
+			f, err := Open(p, NewShared(fb), Options{CollBufSize: g.collBuf, Pool: pool.NewChecked()})
 			if err != nil {
 				panic(err)
 			}
@@ -147,7 +162,7 @@ func TestLentReadFaultEndsTheLoan(t *testing.T) {
 				panic(err)
 			}
 			if p.Rank() == 0 {
-				fb.FailReads(2) // every IOP has more windows than that
+				fb.FailReads(2) // rank 0 makes more read calls than that
 			}
 			p.Barrier()
 			buf := make([]byte, len(data))
@@ -177,13 +192,16 @@ func TestLentReadFaultEndsTheLoan(t *testing.T) {
 	}
 }
 
-// TestLentReadDrawsNoChunk: a two-rank read of the vec8 and the vec16k
-// shape — blocks of 8 bytes and of 16 KiB, interleaved in the file, every
-// other block in memory — on a Checked pool.  In-process every share is
-// filled in place, so a read draws no chunk: what the pool gives a read
-// does not grow with its windows (vec8 takes its two window buffers,
-// vec16k's direct windows nothing), and a window allocates nothing.  Over
-// TCP the other rank's shares still travel as chunks, one per window.
+// TestLentReadDrawsNoChunk: a two-rank read of the vec8 shape — blocks of
+// 8 bytes, interleaved in the file, every other block in memory — and of
+// blocks of 16 KiB in memory whose file runs are 64 bytes, interleaved,
+// on a Checked pool.  In-process every share is filled in place, so a
+// read draws no chunk: what the pool gives a read does not grow with its
+// windows (it takes its two window buffers), and a window allocates
+// nothing.  Over TCP the other rank's shares still travel as chunks, one
+// per window.  The vec16k shape — 16 KiB blocks in the file too — takes
+// direct windows, which every rank reads itself into its buffer: no chunk
+// over either fabric.
 func TestLentReadDrawsNoChunk(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -191,12 +209,19 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 	const P = 2
 	for _, c := range []struct {
 		name                string
-		block, small, large int64 // blocks per rank
+		block, small, large int64 // memory blocks per rank
+		fileRun             int64 // 0: the memory blocks
 		collBuf             int
 	}{
-		{"vec8", 8, 512, 2048, 1024},
-		{"vec16k", 16384, 4, 16, 32 << 10},
+		{"vec8", 8, 512, 2048, 0, 1024},
+		{"mem16k-file64", 16384, 4, 16, 64, 32 << 10},
+		{"vec16k", 16384, 4, 16, 0, 32 << 10},
 	} {
+		fileRun := c.fileRun
+		if fileRun == 0 {
+			fileRun = c.block
+		}
+		direct := fileRun > storage.PageSize
 		// Each IOP's domain is a block per rank per block of its own.
 		windows := func(n int64) int64 { return n * c.block / int64(c.collBuf) }
 		for _, tcp := range []bool{false, true} {
@@ -218,7 +243,7 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 					panic(err)
 				}
 				defer f.Close()
-				disp, ft := stridedView(P, c.large, c.block, c.block)(p.Rank())
+				disp, ft := stridedView(P, c.large*c.block/fileRun, fileRun, fileRun)(p.Rank())
 				if err := f.SetView(disp, datatype.Byte, ft); err != nil {
 					panic(err)
 				}
@@ -264,10 +289,10 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 			}
 			extra := P * (windows(c.large) - windows(c.small)) // the windows the large read adds
 			switch grown := gets[1] - gets[0]; {
-			case !tcp && grown != 0:
+			case (!tcp || direct) && grown != 0:
 				t.Errorf("%s: a read of %d more windows drew %d more buffers (%d vs %d); a lent read draws no chunk",
 					label, extra, grown, gets[1], gets[0])
-			case tcp && grown < extra:
+			case tcp && !direct && grown < extra:
 				t.Errorf("%s: a read of %d more windows drew %d more buffers; a read over a wire draws a chunk per window",
 					label, extra, grown)
 			}
@@ -282,19 +307,25 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 // is a fine source — a write reads the shared bytes twice — but as a read
 // destination its result depends on the order its bytes land in: an
 // unpack in data order leaves the later of two data bytes at a shared
-// offset.  Such a buffer is never lent for a read, not even to the
+// offset.  The file is written from contiguous memory, so that the two
+// bytes differ.  Such a buffer is never lent for a read, not even to the
 // rank's own IOP, nor posted over a wire, where link readers would fill
-// it in no set order, and the read matches the flat oracle's unpack in
-// buffered and direct windows alike, over both fabrics, at P = 2 and
-// P = 4, under -race.
+// it in no set order, nor read into in place by the rank's own direct
+// batches, whose shares it unpacks in data order among the chunks.  The
+// read matches the flat oracle's unpack in buffered windows (8-byte
+// blocks), direct ones (16 KiB blocks) and both in one access — the first
+// half of the data in 64-byte file runs, the second in 16 KiB ones, so
+// that a byte of a direct share and an earlier one of a buffered share
+// meet in the buffer — over both fabrics, at P = 2 and P = 4, under -race.
 func TestOverlappingReadDestination(t *testing.T) {
 	defer testutil.LeakCheck(t)()
+	const n = 8 // memory blocks per rank
 	for _, c := range []struct {
 		P     int
 		block int64
-	}{{2, 8}, {2, 16384}, {4, 8}, {4, 16384}} {
+		kind  string // "buffered", "direct" or "mixed"
+	}{{2, 8, "buffered"}, {2, 16384, "direct"}, {2, 16384, "mixed"}, {4, 8, "buffered"}, {4, 16384, "direct"}, {4, 16384, "mixed"}} {
 		P, block := c.P, c.block
-		const n = 8 // blocks per rank
 		lens, displs := make([]int64, n), make([]int64, n)
 		for i := range lens {
 			lens[i], displs[i] = block, int64(i)*block/2
@@ -303,8 +334,19 @@ func TestOverlappingReadDestination(t *testing.T) {
 		if p := fotf.Compile(mt); p == nil || p.Disjoint(1) {
 			t.Fatalf("block %d: the memtype does not compile, or compiles as disjoint", block)
 		}
+		view := stridedView(P, n, block, block)
+		if c.kind == "mixed" {
+			half, run := n*block/2, int64(64)
+			view = func(rank int) (int64, *datatype.Type) {
+				dense := hvecBytes(half/run, run, int64(P)*run)
+				sparse := hvecBytes(n/2, block, int64(P)*block)
+				both := mustType(datatype.Struct([]int64{1, 1}, []int64{int64(rank) * run, int64(P)*half + int64(rank)*block},
+					[]*datatype.Type{dense, sparse}))
+				return 0, mustType(datatype.Resized(both, 0, 2*int64(P)*half))
+			}
+		}
 		for _, tcp := range []bool{false, true} {
-			label := fmt.Sprintf("P=%d/block=%d/tcp=%v", P, block, tcp)
+			label := fmt.Sprintf("P=%d/block=%d/%s/tcp=%v", P, block, c.kind, tcp)
 			eps := transport.NewLoopback(P)
 			if tcp {
 				var err error
@@ -314,36 +356,55 @@ func TestOverlappingReadDestination(t *testing.T) {
 			}
 			sh := NewShared(storage.NewMem())
 			_, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-				f, err := Open(p, sh, Options{CollBufSize: int(2 * block), Pool: pool.NewChecked()})
+				// Two runs of every rank in a window of 8-byte blocks, which is
+				// page-dense; a window of 16 KiB ones holds one run or none.
+				collBuf := 2 * int64(P) * block
+				if c.kind != "buffered" {
+					collBuf = 2 * block
+				}
+				f, err := Open(p, sh, Options{CollBufSize: int(collBuf), Pool: pool.NewChecked()})
 				if err != nil {
 					panic(err)
 				}
 				defer f.Close()
-				disp, ft := stridedView(P, n, block, block)(p.Rank())
+				disp, ft := view(p.Rank())
 				if err := f.SetView(disp, datatype.Byte, ft); err != nil {
 					panic(err)
 				}
-				src := pattern(p.Rank()+3, mt.TrueUB())
-				if _, err := f.WriteAtAll(0, 1, mt, src); err != nil {
+				// Data whose bytes differ where the memtype's meet, written
+				// from contiguous memory: a read that unpacked out of data
+				// order would leave an earlier byte.
+				data := pattern(p.Rank()+3, mt.Size())
+				if _, err := f.WriteAtAll(0, mt.Size(), datatype.Byte, data); err != nil {
 					panic(err)
 				}
-				// What the write put in the file: the source packed in data order.
-				data := make([]byte, mt.Size())
-				fotf.PackCount(data, src, 1, mt, 0)
-				want := bytes.Repeat([]byte{0xEE}, len(src))
+				want := bytes.Repeat([]byte{0xEE}, int(mt.TrueUB()))
 				fotf.UnpackCount(want, data, 1, mt, 0)
-				got := bytes.Repeat([]byte{0xEE}, len(src))
-				s0 := p.SentStats()
+				got := bytes.Repeat([]byte{0xEE}, len(want))
+				s0, st0 := p.SentStats(), f.Stats
 				if _, err := f.ReadAtAll(0, 1, mt, got); err != nil {
 					panic(err)
 				}
 				if !bytes.Equal(got, want) {
 					panic(fmt.Sprintf("rank %d: the read differs from the in-order unpack of the data", p.Rank()))
 				}
-				// This rank's domain holds a P-th of each rank's data, and it
-				// sends all of it as chunks, its own part included.
-				if sent := p.SentStats().Bytes - s0.Bytes; sent < mt.Size() {
-					panic(fmt.Sprintf("rank %d: the read sent %d payload bytes; its IOP filled an overlapping buffer in place", p.Rank(), sent))
+				sent, st := p.SentStats().Bytes-s0.Bytes, f.Stats.Sub(st0)
+				switch c.kind {
+				case "buffered":
+					// This rank's domain holds a P-th of each rank's data, and
+					// it sends all of it as chunks, its own part included.
+					if sent < mt.Size() || st.VectoredReads != 0 {
+						panic(fmt.Sprintf("rank %d: the read sent %d payload bytes in %d vectored reads; its IOP filled an overlapping buffer in place", p.Rank(), sent, st.VectoredReads))
+					}
+				case "direct":
+					// Every window is the ranks' own: no IOP window, no chunk.
+					if sent >= block || st.SieveReads != 0 || st.VectoredReads == 0 {
+						panic(fmt.Sprintf("rank %d: %d payload bytes, %d IOP windows and %d own batches; want only the ranks' own batches", p.Rank(), sent, st.SieveReads, st.VectoredReads))
+					}
+				default:
+					if st.VectoredReads == 0 || st.SieveReads == 0 && p.Rank() < P/2 {
+						panic(fmt.Sprintf("rank %d: %d own batches and %d IOP windows; want both kinds", p.Rank(), st.VectoredReads, st.SieveReads))
+					}
 				}
 			})
 			if err != nil {

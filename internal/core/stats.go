@@ -19,24 +19,21 @@ type Stats struct {
 	// listless engine: this rank's encoded view, sent once per SetView.
 	ViewBytesSent int64
 	// SieveReads / SieveWrites count file windows processed: sieve
-	// windows of independent access, and windows of the collective loop
-	// of either kind — a direct window is a window processed, it merely
-	// has no buffer.
+	// windows of independent access, and the IOP windows of the
+	// collective loop, which a direct window is not.
 	SieveReads, SieveWrites int64
 	// PreReadsSkipped counts collective write windows that were written
-	// without being read first: buffered windows the combined fileviews
-	// cover, and every direct window, which writes only the bytes of the
-	// views and so has nothing to preserve.
+	// without being read first, because the combined fileviews cover them.
 	PreReadsSkipped int64
 	// DirectReads / DirectWrites count contiguous pieces handed to the
 	// backend as they are, with no window around them: the runs of an
-	// independent access below SieveDensity, and the segments of the
-	// collective loop's direct windows.
+	// independent access below SieveDensity, and the segments of this
+	// rank's own shares of direct collective windows.
 	DirectReads, DirectWrites int64
 	// VectoredReads / VectoredWrites count the ReadAtv/WriteAtv batches
 	// that carried those pieces: one per batch of a sparse independent
 	// access (all of it, or a pack buffer's worth at a time), one per
-	// direct window.
+	// direct window this rank holds a share of.
 	VectoredReads, VectoredWrites int64
 	// ViewRegistrations counts fileviews registered with a
 	// view-capable backend (the remote I/O-server tier); ViewReads /
@@ -52,9 +49,9 @@ type Stats struct {
 	// Per-phase collective timing, in nanoseconds, separating where
 	// two-phase time goes on this rank: ExchangeNs is AP↔IOP data
 	// send/receive, StorageNs is backend window I/O (the reads and
-	// write-backs of buffered and direct windows alike, which overlap
-	// the other two), CopyNs is pack/unpack and window copying (a
-	// direct window has none on the IOP side).
+	// write-backs of IOP windows, which overlap the other two, and the
+	// batches of direct windows), CopyNs is pack/unpack and window
+	// copying.
 	ExchangeNs, StorageNs, CopyNs int64
 	// WindowsOverlapped counts collective windows whose storage I/O
 	// (pre-read or write-back) proceeded concurrently with the exchange

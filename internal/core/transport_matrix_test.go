@@ -14,6 +14,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -224,9 +225,11 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 }
 
 // TestLentSharesCrossNoFabricCopy pins the loan in counted work.  A
-// two-rank write of the vec16k shape — 16 KiB runs interleaved in the
-// file, every other 16 KiB in memory — and the same data from memory of
-// 8-byte pieces; the own half is fused either way.  Over TCP each rank's
+// two-rank write of 64-byte runs interleaved in the file — page-dense, so
+// every window is buffered, where sparse ones would be moved by their
+// owners and lend nothing — from every other 16 KiB in memory, and the
+// same data from memory of 8-byte pieces; the own half is fused either
+// way.  Over TCP each rank's
 // remote half crosses the socket, written from the user buffer's 16 KiB
 // slices or packed from the pieces: the same messages, payload bytes
 // and wire bytes.  In-process both memory layouts are lent: one loan per
@@ -235,7 +238,7 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 // file is the same in all four.
 func TestLentSharesCrossNoFabricCopy(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	const P, runs, run, collBuf = 2, 8, 16384, 64 << 10
+	const P, runs, run, collBuf, fileRun = 2, 8, 16384, 64 << 10, 64
 	d := int64(runs * run)
 	run1 := func(tcp, lend bool) ([]byte, mpi.Stats) {
 		eps := transport.NewLoopback(P)
@@ -253,7 +256,7 @@ func TestLentSharesCrossNoFabricCopy(t *testing.T) {
 				panic(err)
 			}
 			defer f.Close()
-			disp, ft := stridedView(P, runs, run, run)(p.Rank())
+			disp, ft := stridedView(P, d/fileRun, fileRun, fileRun)(p.Rank())
 			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
@@ -302,26 +305,26 @@ func TestLentSharesCrossNoFabricCopy(t *testing.T) {
 }
 
 // TestPostedSharesCrossNoFabricCopy is TestLentSharesCrossNoFabricCopy's
-// read twin over TCP.  Reads of the vec16k shape into memory of 16 KiB
-// slices and of 8-byte pieces send the same messages, payload bytes and
-// wire bytes.  Into the slices every remote share is posted and read from
-// the socket straight into the user buffer: no rank copies a byte (its
-// own half is fused, its direct windows read into the IOP's chunks), and
-// the link readers draw no payload from the endpoint's Checked pool —
-// exactly one per remote share fewer than into the pieces, which arrive
-// as pooled payloads and are unpacked.  From core's pool the read into
-// the slices draws one chunk per remote share, which the IOPs send, and
-// nothing for an AP.
+// read twin over TCP, over the same buffered windows.  Reads into memory
+// of 16 KiB slices and of 8-byte pieces send the same messages, payload
+// bytes and wire bytes.  Into the slices every remote share is posted and
+// read from the socket straight into the user buffer: no AP copies a
+// byte of it — exactly one copy span per remote share fewer than into the
+// pieces, which are unpacked — and the link readers draw no payload from
+// the endpoint's Checked pool: exactly one per remote share fewer than
+// into the pieces, which arrive as pooled payloads.  From core's pool the
+// read into the slices draws its two window buffers per IOP and one chunk
+// per remote share, which the IOPs send, and nothing for an AP.
 func TestPostedSharesCrossNoFabricCopy(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	const P, runs, run, collBuf = 2, 8, 16384, 64 << 10
+	const P, runs, run, collBuf, fileRun = 2, 8, 16384, 64 << 10, 64
 	d := int64(runs * run)
 	// Each rank's half in the other's domain fills d/collBuf windows there.
 	shares := int64(P*(P-1)) * d / collBuf
 	type result struct {
 		comm           mpi.Stats
-		copyNs         [P]int64
-		wireGets, gets int64 // Gets of the read from the endpoints' pool and from core's
+		copies         [P]int64 // copy spans of the read
+		wireGets, gets int64    // Gets of the read from the endpoints' pool and from core's
 	}
 	run1 := func(slices bool) result {
 		wp, bp := pool.NewChecked(), pool.NewChecked()
@@ -334,13 +337,14 @@ func TestPostedSharesCrossNoFabricCopy(t *testing.T) {
 		// past the other rank's posting, so that no frame arrives before
 		// it is posted (Post would copy it then, from a pooled payload).
 		sh := NewShared(storage.NewThrottled(storage.NewMem(), 1<<30, 1<<30, 20*time.Millisecond))
+		col := trace.NewCollector(0)
 		res.comm, err = mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{CollBufSize: collBuf, Pool: bp})
+			f, err := Open(p, sh, Options{CollBufSize: collBuf, Pool: bp, Trace: col})
 			if err != nil {
 				panic(err)
 			}
 			defer f.Close()
-			disp, ft := stridedView(P, runs, run, run)(p.Rank())
+			disp, ft := stridedView(P, d/fileRun, fileRun, fileRun)(p.Rank())
 			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
@@ -355,12 +359,12 @@ func TestPostedSharesCrossNoFabricCopy(t *testing.T) {
 				panic(err)
 			}
 			p.Barrier()
-			w0, g0, c0 := wp.Stats().Gets, bp.Stats().Gets, f.Stats.CopyNs
+			w0, g0, c0 := wp.Stats().Gets, bp.Stats().Gets, f.tr.Phases()[trace.PhaseCopy].Count
 			got := make([]byte, len(buf))
 			if _, err := f.ReadAtAll(0, count, mt, got); err != nil {
 				panic(err)
 			}
-			res.copyNs[p.Rank()] = f.Stats.CopyNs - c0
+			res.copies[p.Rank()] = f.tr.Phases()[trace.PhaseCopy].Count - c0
 			p.Barrier()
 			if p.Rank() == 0 {
 				res.wireGets, res.gets = wp.Stats().Gets-w0, bp.Stats().Gets-g0
@@ -379,14 +383,14 @@ func TestPostedSharesCrossNoFabricCopy(t *testing.T) {
 	if s.Messages != c.Messages || s.Bytes != c.Bytes || s.WireBytesSent != c.WireBytesSent || s.Messages != s.Received || s.Bytes != s.BytesReceived {
 		t.Errorf("slices %+v, pieces %+v: want the same traffic, balanced", s, c)
 	}
-	if fromSlices.copyNs != [P]int64{} || fromPieces.copyNs == [P]int64{} {
-		t.Errorf("copy ns of the read into slices %v, into pieces %v: want none, and some", fromSlices.copyNs, fromPieces.copyNs)
+	if sc, pc := fromSlices.copies, fromPieces.copies; pc[0]+pc[1]-sc[0]-sc[1] != shares {
+		t.Errorf("copy spans of the read into slices %v, into pieces %v: want %d fewer, the remote shares' unpacks", sc, pc, shares)
 	}
 	if got := fromPieces.wireGets - fromSlices.wireGets; got != shares {
 		t.Errorf("the link readers drew %d payloads into the slices and %d into the pieces; want %d fewer", fromSlices.wireGets, fromPieces.wireGets, shares)
 	}
-	if fromSlices.gets != shares {
-		t.Errorf("core drew %d buffers for the read into slices; want the IOPs' %d chunks and nothing for an AP", fromSlices.gets, shares)
+	if want := shares + 2*P; fromSlices.gets != want {
+		t.Errorf("core drew %d buffers for the read into slices; want the IOPs' %d chunks and window buffers and nothing for an AP", fromSlices.gets, want)
 	}
 }
 
