@@ -181,10 +181,11 @@ type File struct {
 
 	atomic bool // MPI-IO atomic mode: whole-access locking
 
-	// segs is the offset-list batch of transferDirect and of a direct
-	// window's own share (apState.moveDirect), kept across accesses
-	// (empty between them).
+	// segs is the owner mover's offset-list batch (moveOwn), which sb
+	// builds, kept across accesses and cleared after each call, so that
+	// it pins neither user nor pooled memory.
 	segs []storage.Segment
+	sb   segBuilder
 	// kept holds the window buffers and pack buffers a collective write
 	// staged under its epoch, which lends them to the backend until the
 	// epoch ends (collective_window.go); empty between collectives.
@@ -195,9 +196,10 @@ type File struct {
 	// (endLoan).
 	lent [][]byte
 	// posted lists the shares a collective read posted, in the order their
-	// IOPs send them, and held the direct shares it read into pack buffers
-	// that apExchange unpacks in data order (apState.moveDirect), kept
-	// like lent.
+	// IOPs send them, and held the direct shares the owner mover read into
+	// pack buffers for a destination whose bytes may meet, which
+	// apExchange unpacks in data order (apState.moveDirect), kept like
+	// lent.
 	posted, held []postedShare
 
 	// Stats accumulates the work counters of this handle.
@@ -225,6 +227,7 @@ func Open(p *mpi.Proc, sh *Shared, opts Options) (*File, error) {
 		f.epochBE = eb
 		f.epochBase = sh.epochMark()
 	}
+	f.sb.onRuns, f.sb.onPiece = f.sb.addRuns, f.sb.add
 	f.eng = newEngine(f)
 	if err := f.SetView(0, datatype.Byte, datatype.Byte); err != nil {
 		return nil, err

@@ -203,3 +203,61 @@ func TestDenseAccessStillSieves(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDirectPathMergesAbuttingStretches: a fileview whose last run in each
+// instance abuts the next instance's first run (blocks at 0 and at
+// extent-8) is one stretch per instance boundary, which neither the
+// compiled program nor the ol-list joins.  The owner mover lists each
+// stretch as one segment, on both engines, and the file and the read-back
+// match the flat oracle.
+func TestDirectPathMergesAbuttingStretches(t *testing.T) {
+	const ext, inst = 1024, 64
+	ft := mustType(datatype.Resized(mustType(datatype.Hindexed([]int64{8, 8}, []int64{0, ext - 8}, datatype.Byte)), 0, ext))
+	d := int64(inst * 16)
+	data := pattern(4, d)
+	var want []byte
+	var stretches, end int64
+	viewPlaces(0, ft, d, func(off, at, n int64) {
+		if off != end || stretches == 0 {
+			stretches++
+		}
+		end = off + n
+		want = append(want, make([]byte, end-int64(len(want)))...)
+		copy(want[off:end], data[at:at+n])
+	})
+	if stretches != inst+1 {
+		t.Fatalf("the view has %d stretches, want %d", stretches, inst+1)
+	}
+	for _, eng := range []Engine{Listless, ListBased} {
+		be := storage.NewMem()
+		var st Stats
+		got := make([]byte, d)
+		_, err := mpi.Run(1, func(p *mpi.Proc) {
+			f, err := Open(p, NewShared(be), Options{Engine: eng, SieveDensity: 0.25})
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			if err := f.SetView(0, datatype.Byte, ft); err != nil {
+				panic(err)
+			}
+			if _, err := f.WriteAt(0, d, datatype.Byte, data); err != nil {
+				panic(err)
+			}
+			if _, err := f.ReadAt(0, d, datatype.Byte, got); err != nil {
+				panic(err)
+			}
+			st = f.Stats
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		if st.DirectWrites != stretches || st.DirectReads != stretches || st.VectoredWrites != 1 || st.VectoredReads != 1 {
+			t.Errorf("%v: %d/%d segments in %d/%d batches written/read, want %d in one batch each",
+				eng, st.DirectWrites, st.DirectReads, st.VectoredWrites, st.VectoredReads, stretches)
+		}
+		if !bytes.Equal(be.Bytes(), want) || !bytes.Equal(got, data) {
+			t.Errorf("%v: the file or the read-back differs from the flat oracle", eng)
+		}
+	}
+}

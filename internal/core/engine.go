@@ -62,8 +62,9 @@ type accessEngine interface {
 	iopSetup(pl *collPlan, acc *collAccess) (iopState, error)
 }
 
-// collAccess is the calling rank's own side of one collective access:
-// the view-data range [d0, d0+d) it moves and the memtype-described user
+// collAccess is the calling rank's own side of one collective access —
+// or of an independent one the owner mover moves (transferDirect): the
+// view-data range [d0, d0+d) it moves and the memtype-described user
 // buffer it moves it from (write) or to.
 type collAccess struct {
 	d0, d int64
@@ -99,10 +100,12 @@ type memLoan struct {
 // contig returns the bytes holding view data [a, b) of a contiguous loan.
 func (l *memLoan) contig(a, b int64) []byte { return l.buf[a-l.d0 : b-l.d0] }
 
-// viewCursor walks the local fileview sequentially over one access.
-// The list-based implementation advances an ol-list cursor per tuple;
-// the listless implementation navigates with O(depth)
-// flattening-on-the-fly calls.
+// viewCursor walks the local fileview sequentially over one access
+// (seekData), or over the shares of the direct windows a collective moves
+// through the listless engine's own cursor, placed at each.  The
+// list-based implementation advances an ol-list cursor per tuple; the
+// listless implementation navigates with O(depth) flattening-on-the-fly
+// calls.
 type viewCursor interface {
 	// countUpTo reports the data bytes between the cursor's position
 	// and the absolute file offset fileHi, without advancing.
@@ -118,18 +121,20 @@ type viewCursor interface {
 	// no fused copy for this access; the caller then stages the bytes
 	// through packUser/unpackUser and copyWindow.
 	copyUser(w []byte, c, winLo int64, buf []byte, mem *memState, skip int64, write bool) bool
-	// eachRun advances the cursor by c data bytes, emitting one
-	// (fileOff, dataOff, ln) triple per contiguous file run, with
-	// fileOff absolute and dataOff in view-data bytes.
-	eachRun(c int64, emit func(fileOff, dataOff, ln int64))
+	// eachRun advances the cursor by c data bytes, adding one segment
+	// per contiguous file run to b, whose mem holds the data packed from
+	// the cursor's position (segBuilder.d0) on.
+	eachRun(c int64, b *segBuilder)
+	// fuses reports whether eachUserRun can walk the fileview and the
+	// memtype of mem together.
+	fuses(mem *memState) bool
 	// eachUserRun is to eachRun what copyUser is to copyWindow: the next
-	// c data bytes, which are the data of mem from offset skip, come as
-	// one (fileOff, userOff, ln) triple per stretch that is contiguous
-	// both in the file and in the memtype-described user buffer, userOff
-	// an index into that buffer — an offset list that needs no packed
-	// copy of the data.  It reports false, having emitted nothing and not
-	// advanced, when the engine cannot walk the two layouts together.
-	eachUserRun(c int64, mem *memState, skip int64, emit func(fileOff, userOff, ln int64)) bool
+	// c data bytes, which are the data of mem from offset skip, go to b
+	// in pieces contiguous both in the file and in the memtype-described
+	// user buffer, which is b's mem, with d0 zero — an offset list that
+	// needs no packed copy of the data.  Only a cursor that fuses mem is
+	// asked.
+	eachUserRun(c int64, mem *memState, skip int64, b *segBuilder)
 }
 
 // apState is the engine's AP-side state for one collective access.
@@ -150,9 +155,10 @@ type apState interface {
 	// having appended nothing, when the share is packed.
 	lend(segs [][]byte, a, b int64) ([][]byte, bool)
 	// moveDirect moves this rank's share of window [winLo, winHi) of an
-	// IOP domain between its user buffer and the backend itself, by one
-	// vectored call, when the window is direct (iopWindow.direct: no IOP
-	// moves it, and the cursors see it empty); else it does nothing.
+	// IOP domain between its user buffer and the backend itself, through
+	// the owner mover (File.moveOwn), when the window is direct
+	// (iopWindow.direct: no IOP moves it, and the cursors see it empty);
+	// else it does nothing.
 	moveDirect(winLo, winHi int64) error
 }
 

@@ -116,14 +116,15 @@ func (vc *listViewCursor) copyUser([]byte, int64, int64, []byte, *memState, int6
 	return false
 }
 
-func (vc *listViewCursor) eachRun(c int64, emit func(fileOff, dataOff, ln int64)) {
-	vc.c.Each(c, emit)
+func (vc *listViewCursor) eachRun(c int64, b *segBuilder) {
+	vc.c.Each(c, b.onPiece)
 }
 
-// eachUserRun: as copyUser, there is no second program to walk.
-func (vc *listViewCursor) eachUserRun(int64, *memState, int64, func(fileOff, userOff, ln int64)) bool {
-	return false
-}
+// fuses: as copyUser, there is no second program to walk, and
+// eachUserRun is never called.
+func (vc *listViewCursor) fuses(*memState) bool { return false }
+
+func (vc *listViewCursor) eachUserRun(int64, *memState, int64, *segBuilder) {}
 
 // ---- Collective access: the ol-list exchange of §2.3. ----
 

@@ -18,86 +18,25 @@ import (
 // disjoint once, at SetView, then each window's exact per-AP sum).
 type listlessEngine struct {
 	f        *File
-	remote   []remoteView  // per-rank cached views
-	disjoint bool          // the cached views share no byte (viewsApart)
-	prog     *fotf.Program // compiled own-fileview program; nil = walk
-	sb       segBuilder    // direct windows: runs to backend segments
-	lb       lendBuilder   // shares lent over a wire: memory runs to user-buffer slices
-	plans    planCache     // fused-copy plans of the IOP windows' lent shares
-	apA, apB []int64       // every rank's share of the window an AP asks about
+	remote   []remoteView       // per-rank cached views
+	disjoint bool               // the cached views share no byte (viewsApart)
+	prog     *fotf.Program      // compiled own-fileview program; nil = walk
+	own      listlessViewCursor // direct windows: the own view, placed at each share
+	lb       lendBuilder        // shares lent over a wire: memory runs to user-buffer slices
+	plans    planCache          // fused-copy plans of the IOP windows' lent shares
+	apA, apB []int64            // every rank's share of the window an AP asks about
 }
 
 func newListlessEngine(f *File) *listlessEngine {
 	e := &listlessEngine{f: f}
-	e.sb.onRuns, e.sb.onPiece = e.sb.addRuns, e.sb.add
 	e.lb.onRuns = e.lb.addRuns
 	return e
 }
 
-// segBuilder turns run enumerations into backend segments: the buffers
-// of the segments it appends are slices of mem, and a piece that
-// continues the previous one both in the file and in mem extends that
-// segment instead (runs that abut across an instance or group boundary
-// the program keeps apart).  It lives with the engine, its two emit
-// functions bound once, so that describing a window allocates nothing;
-// one share is described at a time, on the collective's main goroutine.
-type segBuilder struct {
-	segs            []storage.Segment
-	mem             []byte
-	first           int   // segs[first:] describe the current share
-	fileEnd, memEnd int64 // ends of the piece added last
-	// For onRuns: a run at view buffer offset x lies at file offset
-	// disp+x, and mem holds the share's bytes packed from data byte d0 of
-	// the view on.
-	disp, d0 int64
-
-	onRuns  fotf.EmitFunc                   // for Program.Runs
-	onPiece func(fileOff, memOff, ln int64) // for fotf.RunsFused, the file as destination
-}
-
-// begin starts a share whose bytes live in mem, appending to segs.
-func (b *segBuilder) begin(segs []storage.Segment, mem []byte) {
-	b.segs, b.mem, b.first = segs, mem, len(segs)
-}
-
-// end returns the extended batch and drops the builder's references.
-func (b *segBuilder) end() []storage.Segment {
-	segs := b.segs
-	b.segs, b.mem = nil, nil
-	return segs
-}
-
-func (b *segBuilder) add(fileOff, memOff, ln int64) {
-	if n := len(b.segs); n > b.first && fileOff == b.fileEnd && memOff == b.memEnd {
-		sg := &b.segs[n-1]
-		sg.Buf = sg.Buf[:int64(len(sg.Buf))+ln] // still within mem: the slice was cut from it
-	} else {
-		b.segs = append(b.segs, storage.Segment{Off: fileOff, Buf: b.mem[memOff : memOff+ln]})
-	}
-	b.fileEnd, b.memEnd = fileOff+ln, memOff+ln
-}
-
-func (b *segBuilder) addRuns(bufOff, dataOff, runLen, stride, n int64) {
-	for i := int64(0); i < n; i++ {
-		b.add(b.disp+bufOff+i*stride, dataOff+i*runLen-b.d0, runLen)
-	}
-}
-
-// viewSegs appends data bytes [a, c) of the view (p, disp) to segs, one
-// segment per file run: mem holds exactly those bytes in data order — a
-// packed chunk, or the user buffer of a contiguous access.
-func (e *listlessEngine) viewSegs(segs []storage.Segment, p *fotf.Program, disp, a, c int64, mem []byte) []storage.Segment {
-	b := &e.sb
-	b.begin(segs, mem)
-	b.disp, b.d0 = disp, a
-	p.Runs(a, c, b.onRuns)
-	return b.end()
-}
-
 // lendBuilder cuts a share of the user buffer buf into the slices its
 // memtype program's runs are, one per stretch of abutting runs, for a
-// write on a wired world (lendShare).  Like segBuilder it lives with the
-// engine, its emit function bound once.
+// write on a wired world (lendShare).  Like File's segBuilder it lives
+// with its owner, the engine, its emit function bound once.
 type lendBuilder struct {
 	out   [][]byte
 	buf   []byte
@@ -175,6 +114,8 @@ func (e *listlessEngine) setView() error {
 	// pointer here is the invalidation: the previous view's program
 	// ages out of the cache LRU.
 	e.prog = f.lookupProgram(nil, f.v.ftype)
+	e.own = listlessViewCursor{e: e}
+	e.own.cur.Reset(f.v.ftype, e.prog)
 	payload := encodeView(&f.v)
 	f.Stats.ViewBytesSent += int64(len(payload))
 	parts := f.p.Allgather(payload)
@@ -312,26 +253,22 @@ func (vc *listlessViewCursor) copyUser(w []byte, c, winLo int64, buf []byte, mem
 	return true
 }
 
-func (vc *listlessViewCursor) eachRun(c int64, emit func(fileOff, dataOff, ln int64)) {
-	disp := vc.e.f.v.disp
-	vc.cur.Runs(vc.pos, vc.pos+c, func(bufOff, dataOff, runLen, stride, n int64) {
-		for i := int64(0); i < n; i++ {
-			emit(disp+bufOff+i*stride, dataOff+i*runLen, runLen)
-		}
-	})
+func (vc *listlessViewCursor) eachRun(c int64, b *segBuilder) {
+	b.disp = vc.e.f.v.disp
+	vc.cur.Runs(vc.pos, vc.pos+c, b.onRuns)
 	vc.pos += c
+}
+
+func (vc *listlessViewCursor) fuses(mem *memState) bool {
+	return vc.e.prog != nil && mem.prog != nil
 }
 
 // eachUserRun cuts the fileview program and the memtype program in
 // lockstep: no packed copy of the data exists, the pieces index the user
 // buffer.
-func (vc *listlessViewCursor) eachUserRun(c int64, mem *memState, skip int64, emit func(fileOff, userOff, ln int64)) bool {
-	if vc.e.prog == nil || mem.prog == nil {
-		return false
-	}
-	fotf.RunsFused(vc.e.prog, vc.pos, -vc.e.f.v.disp, mem.prog, skip, 0, c, emit)
+func (vc *listlessViewCursor) eachUserRun(c int64, mem *memState, skip int64, b *segBuilder) {
+	fotf.RunsFused(vc.e.prog, vc.pos, -vc.e.f.v.disp, mem.prog, skip, 0, c, b.onPiece)
 	vc.pos += c
-	return true
 }
 
 // ---- Collective access: nothing but file data moves (§3.2.3). ----
@@ -434,69 +371,30 @@ func (s *listlessAPState) share(winLo, winHi int64) (a, b int64, direct bool) {
 	return a, b, a < b && e.allSparse(e.apA, e.apB, s.acc.write)
 }
 
-// moveDirect moves this rank's share of window [winLo, winHi) itself when
-// the window is direct: its own runs by one vectored call, over the user
-// buffer where the share lies there (inPlace), else over a pooled pack
-// buffer.  Inside an epoch the batch stages, and the backend keeps its
-// bytes until the epoch ends: the user buffer stays the collective's until
-// WriteAtAll returns, and a pack buffer goes to File.kept.
+// moveDirect has the owner mover move this rank's share of window
+// [winLo, winHi) when the window is direct, over the user buffer where the
+// share lies there (inPlace).  A pack buffer it drew is the caller's:
+// inside an epoch the batch staged from it, and the backend keeps its
+// bytes until the epoch ends, so it goes to File.kept (the user buffer
+// stays the collective's until WriteAtAll returns); a read whose
+// destination bytes may meet holds it (File.held), for apExchange to
+// unpack in data order among the chunks of buffered windows.
 func (s *listlessAPState) moveDirect(winLo, winHi int64) error {
 	a, b, direct := s.share(winLo, winHi)
 	if !direct {
 		return nil
 	}
-	e, f, acc, n := s.e, s.e.f, s.acc, b-a
-	rv := &e.remote[f.p.Rank()] // the own view, compiled: allSparse says so
-	var pb []byte
-	segs := f.segs
-	switch {
-	case !s.inPlace(a, b):
-		pb = f.bp.Get(int(n))
-		if acc.write {
-			csp := f.tr.Time(trace.PhaseCopy, winLo, n)
-			e.packUser(pb, acc.buf, acc.mem, a-acc.d0, n)
-			f.Stats.CopyNs += csp.End()
-		}
-		segs = e.viewSegs(segs, rv.prog, rv.disp, a, b, pb)
-	case acc.mem.prog == nil:
-		l := acc.loan()
-		segs = e.viewSegs(segs, rv.prog, rv.disp, a, b, l.contig(a, b))
-	default:
-		e.sb.begin(segs, acc.buf)
-		fotf.RunsFused(rv.prog, a, -rv.disp, acc.mem.prog, a-acc.d0, 0, n, e.sb.onPiece)
-		segs = e.sb.end()
-	}
-	var err error
-	if acc.write {
-		bsp := f.tr.Time(trace.PhaseWriteBack, winLo, n)
-		err = storage.WriteAtv(f.sh.b, segs)
-		f.Stats.StorageNs += bsp.End()
-		f.Stats.VectoredWrites++
-		f.Stats.DirectWrites += int64(len(segs))
-	} else {
-		rsp := f.tr.Time(trace.PhasePreRead, winLo, n)
-		err = storage.ReadAtv(f.sh.b, segs)
-		f.Stats.StorageNs += rsp.End()
-		f.Stats.VectoredReads++
-		f.Stats.DirectReads += int64(len(segs))
-	}
-	clear(segs)
-	f.segs = segs[:0]
+	f, acc := s.e.f, s.acc
+	hold := !acc.write && (acc.mem.prog == nil || !acc.mem.prog.Disjoint(acc.mem.count))
+	s.e.own.pos = a
+	pb, err := f.moveOwn(&s.e.own, acc, a, b, s.inPlace(a, b), hold, winLo)
 	switch {
 	case pb == nil:
 	case acc.write && f.epochBE != nil:
 		f.kept = append(f.kept, pb)
-	case !acc.write && err == nil && (acc.mem.prog == nil || !acc.mem.prog.Disjoint(acc.mem.count)):
-		// Data bytes of the destination may meet, and an unpack in data
-		// order leaves the later one: apExchange unpacks the share in its
-		// place among the chunks of buffered windows.
+	case hold && err == nil:
 		f.held = append(f.held, postedShare{a: a, b: b, winLo: winLo, chunk: pb})
 	default:
-		if !acc.write && err == nil {
-			csp := f.tr.Time(trace.PhaseCopy, winLo, n)
-			e.unpackUser(acc.buf, pb, acc.mem, a-acc.d0, n)
-			f.Stats.CopyNs += csp.End()
-		}
 		f.bp.Put(pb)
 	}
 	return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/datatype"
+	"repro/internal/fotf"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -236,57 +237,43 @@ func (f *File) moveWindow(w []byte, winLo, dv, n int64, buf []byte, mem *memStat
 // read-modify-write and no byte-range locks are needed because every
 // backend access touches exactly the bytes of the view.
 //
-// The runs are gathered into vectored batches (one preadv/pwritev-style
-// backend call each where the backend has one, storage.ReadAtv/WriteAtv's
-// loop elsewhere).  With contiguous memory the user buffer is the packed
-// data and the whole access is one batch; so it is for a non-contiguous
-// layout the engine can walk together with the fileview
-// (viewCursor.eachUserRun): the segments then point into the user buffer
-// and no pack buffer is drawn.  Otherwise the access goes a pack buffer
-// at a time.  Stats counts both: DirectReads/DirectWrites are the
-// logical runs, VectoredReads/VectoredWrites the batched calls.
+// The owner mover (moveOwn) issues the runs as vectored batches (one
+// preadv/pwritev-style backend call each where the backend has one,
+// storage.ReadAtv/WriteAtv's loop elsewhere).  With contiguous memory the
+// user buffer is the packed data and the whole access is one batch; so it
+// is for a non-contiguous layout the engine walks together with the
+// fileview (viewCursor.fuses): the segments then point into the user
+// buffer and no pack buffer is drawn.  Otherwise the access goes a pack
+// buffer at a time.  A backend that evaluates registered views takes
+// each such chunk as one view request instead, and no run is listed.
 func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig bool, write bool) error {
-	var vc viewCursor
-	if f.viewBE == nil {
-		// The view-addressed path needs no local fileview walk at all;
-		// only the offset-list path enumerates runs.
-		vc = f.eng.seekData(d0)
+	if f.viewBE != nil {
+		return f.transferView(d0, d, buf, mem, memContig, write)
 	}
-
-	// The batch array lives with the handle: for short runs it is as
-	// large as the data, and growing it afresh per access cost more than
-	// the vectored call saves.  Its buffer references are dropped on the
-	// way out so that it pins neither user nor pooled memory.
-	segs, used := f.segs, 0
-	defer func() {
-		clear(segs[:used])
-		f.segs = segs[:0]
-	}()
-	// vectored issues the gathered batch.
-	vectored := func() error {
-		used = max(used, len(segs))
-		if len(segs) == 0 {
-			return nil
-		}
-		if write {
-			f.Stats.DirectWrites += int64(len(segs))
-			f.Stats.VectoredWrites++
-			return storage.WriteAtv(f.sh.b, segs)
-		}
-		f.Stats.DirectReads += int64(len(segs))
-		f.Stats.VectoredReads++
-		return storage.ReadAtv(f.sh.b, segs)
+	acc := &collAccess{d0: d0, d: d, mem: mem, buf: buf, write: write}
+	vc := f.eng.seekData(d0)
+	inPlace := memContig || vc.fuses(mem)
+	chunk := d
+	if !inPlace {
+		chunk = int64(f.opts.PackBufSize)
 	}
-
-	if vc != nil && !memContig {
-		fused := vc.eachUserRun(d, mem, 0, func(fileOff, userOff, ln int64) {
-			segs = append(segs, storage.Segment{Off: fileOff, Buf: buf[userOff : userOff+ln]})
-		})
-		if fused {
-			return vectored()
+	for m := int64(0); m < d; m += chunk {
+		pb, err := f.moveOwn(vc, acc, d0+m, d0+min(m+chunk, d), inPlace, false, trace.NoWindow)
+		if pb != nil {
+			f.bp.Put(pb)
+		}
+		if err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
+// transferView is transferDirect's view-addressed branch: each chunk is
+// one constant-size (handle, offset, count) request, and the backend (a
+// remote I/O-server tier) evaluates the noncontiguous pattern on its
+// side.
+func (f *File) transferView(d0, d int64, buf []byte, mem *memState, memContig bool, write bool) error {
 	// Process the access in data-contiguous chunks: all of it when the
 	// user buffer is the packed data, else a pack buffer at a time.
 	var pb []byte
@@ -309,29 +296,110 @@ func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig 
 				f.eng.packUser(cb, buf, mem, m, c)
 			}
 		}
-		if f.viewBE != nil {
-			// View-addressed transfer: the chunk is one constant-size
-			// (handle, offset, count) request; the backend (a remote
-			// I/O-server tier) evaluates the noncontiguous pattern on
-			// its side.
-			if write {
-				ioErr = f.viewBE.ViewWrite(f.viewHandle, cb, d0+m)
-				f.Stats.ViewWrites++
-			} else {
-				ioErr = f.viewBE.ViewRead(f.viewHandle, cb, d0+m)
-				f.Stats.ViewReads++
-			}
+		if write {
+			ioErr = f.viewBE.ViewWrite(f.viewHandle, cb, d0+m)
+			f.Stats.ViewWrites++
 		} else {
-			segs = segs[:0]
-			vc.eachRun(c, func(fileOff, dataOff, ln int64) {
-				piece := cb[dataOff-(d0+m) : dataOff-(d0+m)+ln]
-				segs = append(segs, storage.Segment{Off: fileOff, Buf: piece})
-			})
-			ioErr = vectored()
+			ioErr = f.viewBE.ViewRead(f.viewHandle, cb, d0+m)
+			f.Stats.ViewReads++
 		}
 		if ioErr == nil && !memContig && !write {
 			f.eng.unpackUser(buf, cb, mem, m, c)
 		}
 	}
 	return ioErr
+}
+
+// moveOwn is the owner mover: it moves data bytes [a, b) of this rank's
+// own view, from vc's position on, between the backend and the user
+// buffer of acc by one vectored call — list I/O, one segment per stretch
+// of the view's runs.  With inPlace the segments point into the user
+// buffer, which is the packed data when the memory is contiguous and
+// otherwise is cut with the fileview (vc must fuse the memtype); else
+// they point into a pooled pack buffer, packed first for a write and, for
+// a read that hold does not keep packed, unpacked after.  That buffer, if
+// one was drawn, is returned to the caller, whose it is.  The copies are
+// timed as PhaseCopy and the call as PhaseWriteBack or PhasePreRead, in
+// spans of window at, and the mover is the one site that counts the
+// Direct* and Vectored* stats.
+func (f *File) moveOwn(vc viewCursor, acc *collAccess, a, b int64, inPlace, hold bool, at int64) (pb []byte, err error) {
+	n, skip, mem, sb := b-a, a-acc.d0, acc.mem, &f.sb
+	sb.segs = f.segs
+	switch {
+	case !inPlace:
+		pb = f.bp.Get(int(n))
+		if acc.write {
+			csp := f.tr.Time(trace.PhaseCopy, at, n)
+			f.eng.packUser(pb, acc.buf, mem, skip, n)
+			f.Stats.CopyNs += csp.End()
+		}
+		sb.mem, sb.d0 = pb, a
+		vc.eachRun(n, sb)
+	case memIsContig(mem.t, mem.count):
+		u := mem.t.TrueLB() + skip
+		sb.mem, sb.d0 = acc.buf[u:u+n], a
+		vc.eachRun(n, sb)
+	default:
+		sb.mem, sb.d0 = acc.buf, 0
+		vc.eachUserRun(n, mem, skip, sb)
+	}
+	segs := sb.segs
+	sb.segs, sb.mem = nil, nil
+	if acc.write {
+		sp := f.tr.Time(trace.PhaseWriteBack, at, n)
+		err = storage.WriteAtv(f.sh.b, segs)
+		f.Stats.StorageNs += sp.End()
+		f.Stats.VectoredWrites++
+		f.Stats.DirectWrites += int64(len(segs))
+	} else {
+		sp := f.tr.Time(trace.PhasePreRead, at, n)
+		err = storage.ReadAtv(f.sh.b, segs)
+		f.Stats.StorageNs += sp.End()
+		f.Stats.VectoredReads++
+		f.Stats.DirectReads += int64(len(segs))
+	}
+	clear(segs)
+	f.segs = segs[:0]
+	if pb != nil && !acc.write && !hold && err == nil {
+		csp := f.tr.Time(trace.PhaseCopy, at, n)
+		f.eng.unpackUser(acc.buf, pb, mem, skip, n)
+		f.Stats.CopyNs += csp.End()
+	}
+	return pb, err
+}
+
+// segBuilder turns the runs a viewCursor enumerates into the owner
+// mover's segments: the buffers of the segments it appends are slices of
+// mem, and a piece that continues the previous one both in the file and
+// in mem extends that segment instead — runs that abut across an instance
+// or group boundary, which the program and the ol-list keep apart.  File
+// owns one, its emit functions bound once at Open, so that describing a
+// batch allocates nothing.
+type segBuilder struct {
+	segs            []storage.Segment
+	mem             []byte
+	fileEnd, memEnd int64 // ends of the piece added last
+	// A piece of view data byte x lies at mem offset x-d0; a run at view
+	// buffer offset y (onRuns) lies at file offset disp+y.
+	d0, disp int64
+
+	onRuns  fotf.EmitFunc                    // for fotf.Cursor.Runs
+	onPiece func(fileOff, dataOff, ln int64) // for an ol-list cursor and fotf.RunsFused
+}
+
+func (b *segBuilder) add(fileOff, dataOff, ln int64) {
+	memOff := dataOff - b.d0
+	if n := len(b.segs); n > 0 && fileOff == b.fileEnd && memOff == b.memEnd {
+		sg := &b.segs[n-1]
+		sg.Buf = sg.Buf[:int64(len(sg.Buf))+ln] // still within mem: the slice was cut from it
+	} else {
+		b.segs = append(b.segs, storage.Segment{Off: fileOff, Buf: b.mem[memOff : memOff+ln]})
+	}
+	b.fileEnd, b.memEnd = fileOff+ln, memOff+ln
+}
+
+func (b *segBuilder) addRuns(bufOff, dataOff, runLen, stride, n int64) {
+	for i := int64(0); i < n; i++ {
+		b.add(b.disp+bufOff+i*stride, dataOff+i*runLen, runLen)
+	}
 }

@@ -317,6 +317,9 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 // half of the data in 64-byte file runs, the second in 16 KiB ones, so
 // that a byte of a direct share and an earlier one of a buffered share
 // meet in the buffer — over both fabrics, at P = 2 and P = 4, under -race.
+// An independent read below SieveDensity, the owner mover's, leaves the
+// later byte too, on both engines: read in place in data order where the
+// engine walks view and memtype together, else unpacked in data order.
 func TestOverlappingReadDestination(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	const n = 8 // memory blocks per rank
@@ -410,6 +413,44 @@ func TestOverlappingReadDestination(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+		}
+	}
+
+	lens, displs := make([]int64, n), make([]int64, n)
+	for i := range lens {
+		lens[i], displs[i] = 64, int64(i)*32
+	}
+	mt := mustType(datatype.Hindexed(lens, displs, datatype.Byte))
+	for _, eng := range []Engine{Listless, ListBased} {
+		_, err := mpi.Run(1, func(p *mpi.Proc) {
+			f, err := Open(p, NewShared(storage.NewMem()), Options{Engine: eng, SieveDensity: 0.25, Pool: pool.NewChecked()})
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			if err := f.SetView(0, datatype.Byte, hvecBytes(mt.Size()/8, 8, 1024)); err != nil {
+				panic(err)
+			}
+			data := pattern(5, mt.Size())
+			if _, err := f.WriteAt(0, mt.Size(), datatype.Byte, data); err != nil {
+				panic(err)
+			}
+			want := bytes.Repeat([]byte{0xEE}, int(mt.TrueUB()))
+			fotf.UnpackCount(want, data, 1, mt, 0)
+			got := bytes.Repeat([]byte{0xEE}, len(want))
+			st0 := f.Stats
+			if _, err := f.ReadAt(0, 1, mt, got); err != nil {
+				panic(err)
+			}
+			if st := f.Stats.Sub(st0); st.DirectReads == 0 || st.SieveReads != 0 {
+				panic("the independent read did not go direct")
+			}
+			if !bytes.Equal(got, want) {
+				panic("the independent read differs from the in-order unpack of the data")
+			}
+		})
+		if err != nil {
+			t.Fatalf("independent %v: %v", eng, err)
 		}
 	}
 }

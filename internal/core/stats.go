@@ -25,15 +25,16 @@ type Stats struct {
 	// PreReadsSkipped counts collective write windows that were written
 	// without being read first, because the combined fileviews cover them.
 	PreReadsSkipped int64
-	// DirectReads / DirectWrites count contiguous pieces handed to the
-	// backend as they are, with no window around them: the runs of an
-	// independent access below SieveDensity, and the segments of this
-	// rank's own shares of direct collective windows.
+	// DirectReads / DirectWrites count the segments the owner mover
+	// (File.moveOwn) hands the backend, with no window around them: the
+	// stretches of this rank's own view, runs that abut both in the file
+	// and in memory merged, of an independent access below SieveDensity
+	// and of its shares of direct collective windows.
 	DirectReads, DirectWrites int64
-	// VectoredReads / VectoredWrites count the ReadAtv/WriteAtv batches
-	// that carried those pieces: one per batch of a sparse independent
-	// access (all of it, or a pack buffer's worth at a time), one per
-	// direct window this rank holds a share of.
+	// VectoredReads / VectoredWrites count the mover's ReadAtv/WriteAtv
+	// batches that carried those segments: one per batch of a sparse
+	// independent access (all of it, or a pack buffer's worth at a time),
+	// one per direct window this rank holds a share of.
 	VectoredReads, VectoredWrites int64
 	// ViewRegistrations counts fileviews registered with a
 	// view-capable backend (the remote I/O-server tier); ViewReads /
@@ -46,12 +47,12 @@ type Stats struct {
 	// rank completed.
 	CollectiveReads, CollectiveWrites int64
 
-	// Per-phase collective timing, in nanoseconds, separating where
-	// two-phase time goes on this rank: ExchangeNs is AP↔IOP data
-	// send/receive, StorageNs is backend window I/O (the reads and
-	// write-backs of IOP windows, which overlap the other two, and the
-	// batches of direct windows), CopyNs is pack/unpack and window
-	// copying.
+	// Per-phase timing, in nanoseconds, separating where time goes on
+	// this rank: ExchangeNs is AP↔IOP data send/receive, StorageNs is
+	// backend I/O (the reads and write-backs of IOP and sieve windows, the
+	// former overlapping the other two, and the owner mover's batches,
+	// which it times for its independent and collective callers alike),
+	// CopyNs is pack/unpack and window copying.
 	ExchangeNs, StorageNs, CopyNs int64
 	// WindowsOverlapped counts collective windows whose storage I/O
 	// (pre-read or write-back) proceeded concurrently with the exchange

@@ -141,7 +141,10 @@ func TestTracedCollectiveFaultInstant(t *testing.T) {
 // fills the same phase counters as a collective — backend calls as
 // StorageNs, window copies as CopyNs — and records one copy span per
 // sieve window, so that its time is not "other" in any ledger built on
-// them.  Fused and staged copies are accounted alike.
+// them.  Fused and staged copies are accounted alike.  So does a sparse
+// access below SieveDensity, which the owner mover moves: one storage
+// span per vectored batch, and copy time where a declined memtype makes
+// it pack.
 func TestIndependentSieveAccountsItsPhases(t *testing.T) {
 	const blockcount, blocklen, sieveBuf = 512, 8, 1024
 	d := int64(blockcount * blocklen)
@@ -195,6 +198,56 @@ func TestIndependentSieveAccountsItsPhases(t *testing.T) {
 		}
 		if copies != windows {
 			t.Errorf("staged=%v: %d copy spans for %d sieve windows", staged, copies, windows)
+		}
+	}
+
+	sparse := hvecBytes(1024, 8, 1024) // density 1/128
+	for _, packed := range []bool{false, true} {
+		mt, count := elem, int64(256)
+		if packed {
+			mt, count = declinedType(t, elem), 1 // no memtype program: the batch goes through a pack buffer
+		}
+		col := trace.NewCollector(trace.DefaultBufSize)
+		var st Stats
+		_, err := mpi.Run(1, func(p *mpi.Proc) {
+			f, err := Open(p, NewShared(storage.NewMem()), Options{SieveDensity: 0.25, Trace: col})
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			if err := f.SetView(0, datatype.Byte, sparse); err != nil {
+				panic(err)
+			}
+			buf := pattern(2, (count-1)*mt.Extent()+mt.TrueUB())
+			before := f.Stats
+			if _, err := f.WriteAt(0, count, mt, buf); err != nil {
+				panic(err)
+			}
+			if _, err := f.ReadAt(0, count, mt, buf); err != nil {
+				panic(err)
+			}
+			st = f.Stats.Sub(before)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := st.VectoredWrites + st.VectoredReads
+		if batches == 0 || st.SieveReads+st.SieveWrites != 0 {
+			t.Fatalf("packed=%v: %d batches, %d sieve windows: the access did not go direct",
+				packed, batches, st.SieveReads+st.SieveWrites)
+		}
+		if st.StorageNs <= 0 || packed && st.CopyNs <= 0 {
+			t.Errorf("packed=%v: StorageNs=%d CopyNs=%d after %d direct batches, want storage (and, packed, copies) accounted",
+				packed, st.StorageNs, st.CopyNs, batches)
+		}
+		var calls int64
+		for _, ev := range col.Events() {
+			if ev.Phase == trace.PhaseWriteBack || ev.Phase == trace.PhasePreRead {
+				calls++
+			}
+		}
+		if calls != batches {
+			t.Errorf("packed=%v: %d storage spans for %d direct batches", packed, calls, batches)
 		}
 	}
 }
