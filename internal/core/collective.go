@@ -71,7 +71,6 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	pl, any := f.makePlan(d0, d)
 	psp.End()
 	if !any {
-		f.p.Barrier()
 		return nil
 	}
 
@@ -176,7 +175,9 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 		f.endLoan()
 	}
 
-	f.p.Barrier()
+	// No barrier ends a successful collective: every receive of the next
+	// one names its source and tag, and per-pair FIFO keeps it behind
+	// everything this one sent on the same link.
 	return nil
 }
 

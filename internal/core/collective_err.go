@@ -87,10 +87,13 @@ func (f *File) agreeCollective(local *CollectiveError) error {
 	// Drain the abandoned collective's traffic.  Every send of this
 	// collective happened before its sender voted (AP chunk sends, loans
 	// and list sends are buffered and precede the IOP phase in program
-	// order), and the vote is a full exchange, so by now all of it has
-	// been delivered — anything still queued under these tags belongs to
-	// this collective and must go.  The caller's trailing Barrier keeps
-	// the next collective's sends from arriving before this drain.
+	// order, and an IOP sends a read's chunks before it votes).  The vote
+	// is a direct exchange: this rank has received every peer's vote from
+	// that peer, over the same FIFO link that carried the peer's frames
+	// to it, so at any P every frame of this collective addressed to this
+	// rank has arrived — anything still queued under these tags belongs to
+	// this collective and must go.  The caller's Barrier after the drain
+	// keeps the next collective's sends from arriving before it.
 	f.p.DrainTag(tagCollData)
 	f.p.DrainTag(tagCollList)
 	if int64(f.p.Rank()) == failRank {

@@ -308,8 +308,8 @@ func (e *listEngine) iopSetup(pl *collPlan, _ *collAccess) (iopState, error) {
 	P := f.p.Size()
 	st := &listIOPState{f: f, cursors: make([]listCursor, P)}
 	var firstErr error
-	for n := 0; n < P; n++ {
-		payload, src, _ := f.p.Recv(-1, tagCollList)
+	for src := 0; src < P; src++ {
+		payload, _, _ := f.p.Recv(src, tagCollList)
 		l, err := decodeTuples(payload)
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("core: rank %d: %w", src, err)

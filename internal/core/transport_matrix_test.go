@@ -16,6 +16,7 @@ import (
 	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/transport"
+	"repro/internal/transport/transporttest"
 )
 
 // Transport-matrix tests: the same 4-rank collective I/O must behave
@@ -358,8 +359,13 @@ func TestPostedSharesCrossNoFabricCopy(t *testing.T) {
 			if _, err := f.WriteAtAll(0, count, mt, buf); err != nil {
 				panic(err)
 			}
+			// Each snapshot of the shared pools is taken between two
+			// barriers: a collective ends without one, and a rank past a
+			// single barrier may already be sending the next collective's
+			// frames, which the other rank's link reader draws from wp.
 			p.Barrier()
 			w0, g0, c0 := wp.Stats().Gets, bp.Stats().Gets, f.tr.Phases()[trace.PhaseCopy].Count
+			p.Barrier()
 			got := make([]byte, len(buf))
 			if _, err := f.ReadAtAll(0, count, mt, got); err != nil {
 				panic(err)
@@ -369,6 +375,7 @@ func TestPostedSharesCrossNoFabricCopy(t *testing.T) {
 			if p.Rank() == 0 {
 				res.wireGets, res.gets = wp.Stats().Gets-w0, bp.Stats().Gets-g0
 			}
+			p.Barrier()
 			if !bytes.Equal(got, buf) {
 				panic(fmt.Sprintf("rank %d: the read differs from what was written", p.Rank()))
 			}
@@ -430,6 +437,146 @@ func TestFaultAgreementOverTCP(t *testing.T) {
 			}
 			requireAgreement(t, "tcp/"+eng.String(), errs, 0, PhaseIOPWindow)
 		})
+	}
+}
+
+// TestFaultAgreementDelayedLink is the drain's schedule at P = 3 and 4:
+// every frame rank 1 sends to rank P-1 lags (transporttest.Delay), and
+// the first window write of a write, or read of a read, fails on rank
+// P-1, so that rank 1's data frames to P-1 are still in flight when the
+// collective fails.  The failure must be agreed on P-1, and the
+// fault-free WriteAtAll after it must land byte-identical to
+// collOracle: no late frame of the failed collective may be taken by
+// the next one.  Each rank has its own Shared and Faulty over one Mem,
+// as OS-process ranks have.
+func TestFaultAgreementDelayedLink(t *testing.T) {
+	const (
+		L                         = 1
+		blockcount, blocklen      = 64, 8
+		every                     = 10 * time.Millisecond
+		d                         = blockcount * blocklen
+		junk                 byte = 0xEE
+	)
+	for _, P := range []int{3, 4} {
+		for _, eng := range []Engine{Listless, ListBased} {
+			for _, write := range []bool{true, false} {
+				op := map[bool]string{true: "write", false: "read"}[write]
+				t.Run(fmt.Sprintf("P=%d/%v/%s", P, eng, op), func(t *testing.T) {
+					defer testutil.LeakCheck(t)()
+					r := P - 1
+					oracle := collOracle(t, eng, P, blockcount, blocklen)
+					eps, err := transport.NewLocalTCPWorld(P, transport.TCPConfig{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					eps[L] = transporttest.Delay(eps[L], r, every)
+					mem := storage.NewMem()
+					if _, err := mem.WriteAt(bytes.Repeat([]byte{junk}, len(oracle)), 0); err != nil {
+						t.Fatal(err)
+					}
+					errs := make([]error, P)
+					_, err = mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+						fb := storage.NewFaulty(mem)
+						f, err := Open(p, NewShared(fb), Options{Engine: eng, CollBufSize: 128})
+						if err != nil {
+							panic(err)
+						}
+						defer f.Close()
+						if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
+							panic(err)
+						}
+						if p.Rank() == r {
+							if write {
+								fb.FailWrites(1)
+							} else {
+								fb.FailReads(1)
+							}
+						}
+						buf := bytes.Repeat([]byte{junk}, d)
+						if write {
+							_, errs[p.Rank()] = f.WriteAtAll(0, d, datatype.Byte, buf)
+						} else {
+							_, errs[p.Rank()] = f.ReadAtAll(0, d, datatype.Byte, buf)
+						}
+						fb.Heal()
+						if _, err := f.WriteAtAll(0, d, datatype.Byte, pattern(p.Rank(), d)); err != nil {
+							panic(err)
+						}
+					})
+					if err != nil {
+						t.Fatalf("world error: %v", err)
+					}
+					requireAgreement(t, fmt.Sprintf("P=%d/%v/%s", P, eng, op), errs, r, PhaseIOPWindow)
+					if !bytes.Equal(mem.Bytes(), oracle) {
+						t.Fatalf("the fault-free write after the failed %s differs from the oracle", op)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCollectiveSendsTwoControlFrames: over TCP, a successful collective
+// whose windows are all direct (tcp16k's geometry, scaled down: 16 KiB
+// runs interleaved across the ranks, from memory with a hole after each)
+// costs each rank the plan's exchange and the vote's, one frame to every
+// peer each: 2(P-1) frames, every one a counted message, so none of them
+// is a barrier's.
+func TestCollectiveSendsTwoControlFrames(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	const n, run = 16, 16384
+	for _, P := range []int{2, 3} {
+		eps, err := transport.NewLocalTCPWorld(P, transport.TCPConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, msgs := make([][2]int64, P), make([][2]int64, P)
+		sh := NewShared(storage.NewMem())
+		_, err = mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
+			f, err := Open(p, sh, Options{})
+			if err != nil {
+				panic(err)
+			}
+			defer f.Close()
+			disp, ft := stridedView(P, n, run, run)(p.Rank())
+			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+				panic(err)
+			}
+			mt := hvecBytes(n, run, 2*run)
+			buf := make([]byte, (n-1)*2*run+run)
+			for j, write := range []bool{true, false} {
+				// Between barriers, and with the barrier's frames flushed:
+				// only the collective's own frames are counted.
+				p.Barrier()
+				p.Flush()
+				f0, m0 := p.WireStats().FramesSent, p.SentStats().Messages
+				if write {
+					_, err = f.WriteAtAll(0, 1, mt, buf)
+				} else {
+					_, err = f.ReadAtAll(0, 1, mt, buf)
+				}
+				if err != nil {
+					panic(err)
+				}
+				p.Flush()
+				frames[p.Rank()][j] = p.WireStats().FramesSent - f0
+				msgs[p.Rank()][j] = p.SentStats().Messages - m0
+				if f.Stats.SieveWrites+f.Stats.SieveReads != 0 {
+					panic(fmt.Sprintf("rank %d: %d IOP windows; want every window direct", p.Rank(), f.Stats.SieveWrites+f.Stats.SieveReads))
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(2 * (P - 1))
+		for r := range frames {
+			for j, op := range []string{"write", "read"} {
+				if frames[r][j] != want || msgs[r][j] != want {
+					t.Errorf("P=%d rank %d: the %s sent %d frames and %d messages; want %d of each", P, r, op, frames[r][j], msgs[r][j], want)
+				}
+			}
+		}
 	}
 }
 

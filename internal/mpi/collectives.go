@@ -3,16 +3,26 @@ package mpi
 import "encoding/binary"
 
 // Collective operations.  All of them must be called by every rank of the
-// world.  They are built on point-to-point messages with reserved tags;
-// pairwise FIFO ordering makes consecutive collectives on the same world
-// well-ordered without sequence numbers.
+// world.  They are built on point-to-point messages with reserved tags,
+// and every receive names its source: a collective never matches a
+// wildcard, so a frame that a slow link delivers late can only be taken
+// by the receive it was sent for.  Pairwise FIFO ordering makes
+// consecutive collectives on the same world well-ordered without
+// sequence numbers.
+//
+// Allgather, and so AllgatherInt64, AllgatherInt64s and AllreduceInt64,
+// is a direct exchange (Thakur, Rabenseifner and Gropp, "Optimization of
+// Collective Communication Operations in MPICH"): every rank sends its
+// part to every peer and receives each peer's part from that peer, one
+// round of P(P-1) messages.  A rank that has returned from one has
+// received a message from every peer, sent after everything that peer
+// sent it before.  Bcast sends from the root to each rank.  A wired
+// world's Barrier is a dissemination barrier (msgBarrier).
 
 const (
 	tagBcast = collTagBase + iota
-	tagGather
-	tagAllgatherDown
 	tagAlltoall
-	tagBarrier  // wired-world linear barrier (report to 0, release)
+	tagBarrier  // wired-world dissemination barrier
 	tagFinalize // distributed shutdown barrier before links drop
 )
 
@@ -31,57 +41,19 @@ func (p *Proc) Bcast(root int, data []byte) []byte {
 	return got
 }
 
-// Gather collects every rank's data at root.  At root the result has one
-// entry per rank (root's own entry aliases data); other ranks get nil.
-func (p *Proc) Gather(root int, data []byte) [][]byte {
-	if p.rank != root {
-		p.Send(root, tagGather, data)
-		return nil
-	}
-	out := make([][]byte, p.w.size)
-	out[root] = data
-	for i := 1; i < p.w.size; i++ {
-		got, src, _ := p.Recv(AnySource, tagGather)
-		out[src] = got
-	}
-	return out
-}
-
-// Allgather collects every rank's data at every rank.
+// Allgather collects every rank's data at every rank, indexed by rank
+// (this rank's own entry aliases data): an Alltoall of one part.
 func (p *Proc) Allgather(data []byte) [][]byte {
-	const root = 0
-	parts := p.Gather(root, data)
-	if p.rank == root {
-		// Flatten with a length header and broadcast once.
-		var total int
-		for _, part := range parts {
-			total += 8 + len(part)
-		}
-		flat := make([]byte, 0, total)
-		for _, part := range parts {
-			flat = binary.AppendVarint(flat, int64(len(part)))
-			flat = append(flat, part...)
-		}
-		for r := 0; r < p.w.size; r++ {
-			if r != root {
-				p.Send(r, tagAllgatherDown, flat)
-			}
-		}
-		return parts
+	parts := make([][]byte, p.w.size)
+	for r := range parts {
+		parts[r] = data
 	}
-	flat, _, _ := p.Recv(root, tagAllgatherDown)
-	out := make([][]byte, p.w.size)
-	for i := range out {
-		n, k := binary.Varint(flat)
-		flat = flat[k:]
-		out[i] = flat[:n:n]
-		flat = flat[n:]
-	}
-	return out
+	return p.Alltoall(parts)
 }
 
 // Alltoall delivers parts[i] to rank i and returns the parts received,
-// indexed by source rank.  parts[p.Rank()] is passed through directly.
+// indexed by source rank, each received from its source by name.
+// parts[p.Rank()] is passed through directly.
 func (p *Proc) Alltoall(parts [][]byte) [][]byte {
 	if len(parts) != p.w.size {
 		panic("mpi: Alltoall needs one part per rank")
@@ -93,9 +65,10 @@ func (p *Proc) Alltoall(parts [][]byte) [][]byte {
 	}
 	out := make([][]byte, p.w.size)
 	out[p.rank] = parts[p.rank]
-	for i := 0; i < p.w.size-1; i++ {
-		got, src, _ := p.Recv(AnySource, tagAlltoall)
-		out[src] = got
+	for r := 0; r < p.w.size; r++ {
+		if r != p.rank {
+			out[r], _, _ = p.Recv(r, tagAlltoall)
+		}
 	}
 	return out
 }

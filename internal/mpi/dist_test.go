@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/testutil"
 	"repro/internal/transport"
+	"repro/internal/transport/transporttest"
 )
 
 func localTCPWorld(t *testing.T, n int) []transport.Transport {
@@ -78,6 +79,60 @@ func TestRunOverTCPCollectives(t *testing.T) {
 	}
 	if stats.WireBytesSent == 0 || stats.WireBytesSent != stats.WireBytesRecv {
 		t.Fatalf("wire bytes sent/recv = %d/%d", stats.WireBytesSent, stats.WireBytesRecv)
+	}
+}
+
+// TestBackToBackCollectivesDelayedLink runs rounds of two Alltoalls, an
+// Allgather, an AllreduceInt64 and a Barrier with no barrier between the
+// collectives, while every frame rank 1 sends to rank P-1 lags
+// (transporttest.Delay).  The other ranks finish the first Alltoall
+// before P-1 has rank 1's part and queue their second one's parts at P-1,
+// so a receive that matched any source would take one rank's two parts
+// for two ranks'.
+func TestBackToBackCollectivesDelayedLink(t *testing.T) {
+	const rounds = 4
+	fabrics := map[string]func(t *testing.T, n int) []transport.Transport{
+		"loopback": func(_ *testing.T, n int) []transport.Transport { return transport.NewLoopback(n) },
+		"tcp":      localTCPWorld,
+	}
+	for _, fabric := range []string{"loopback", "tcp"} {
+		for _, n := range []int{3, 4} {
+			t.Run(fmt.Sprintf("%s/P=%d", fabric, n), func(t *testing.T) {
+				t.Cleanup(testutil.LeakCheck(t))
+				eps := fabrics[fabric](t, n)
+				delayed := transporttest.Delay(eps[1], n-1, 5*time.Millisecond)
+				defer delayed.Close() // an in-process world leaves its endpoints open
+				eps[1] = delayed
+				_, err := RunOver(eps, RunOptions{StallTimeout: 10 * time.Second}, func(p *Proc) {
+					r := p.Rank()
+					for k := 0; k < rounds; k++ {
+						for a := 0; a < 2; a++ {
+							out := make([][]byte, n)
+							for i := range out {
+								out[i] = []byte{byte(r), byte(i), byte(2*k + a)}
+							}
+							for i, part := range p.Alltoall(out) {
+								if part[0] != byte(i) || part[1] != byte(r) || part[2] != byte(2*k+a) {
+									panic(fmt.Sprintf("rank %d round %d: Alltoall %d [%d] = %v", r, k, a, i, part))
+								}
+							}
+						}
+						for i, part := range p.Allgather([]byte{byte(r), byte(k)}) {
+							if part[0] != byte(i) || part[1] != byte(k) {
+								panic(fmt.Sprintf("rank %d round %d: Allgather[%d] = %v", r, k, i, part))
+							}
+						}
+						if got, want := p.AllreduceInt64(int64(r*rounds+k), OpMax), int64((n-1)*rounds+k); got != want {
+							panic(fmt.Sprintf("rank %d round %d: max = %d, want %d", r, k, got, want))
+						}
+						p.Barrier()
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

@@ -710,29 +710,25 @@ func (p *Proc) Barrier() {
 	}
 }
 
-// msgBarrier is the linear message barrier a wired world uses: every
-// rank reports to rank 0, which releases everyone.  Per-pair FIFO makes
-// consecutive barriers safe without generation numbers.  It speaks the
-// endpoint directly — no stat counting, no nested Recv wait state — so
-// a barrier looks identical to the in-process one from the outside.
+// msgBarrier is the dissemination barrier a wired world uses (Thakur,
+// Rabenseifner and Gropp): in round k = 1, 2, 4, ... < P every rank sends
+// to rank+k and receives from rank-k (mod P), so ⌈log₂P⌉ rounds — one at
+// P = 2 — and no rank relays for another.  Once a rank has passed round k
+// it has heard, directly or through the rounds before, from the 2k-1
+// ranks below it, so after the last round from every rank.  A rank receives
+// from each source at most once per barrier, the rounds' sources being
+// distinct, so per-pair FIFO makes consecutive barriers safe without
+// generation numbers.  It speaks the endpoint directly — no stat
+// counting, no nested Recv wait state — so a barrier looks identical to
+// the in-process one from the outside.
 func (p *Proc) msgBarrier(tag int) {
-	if p.rank == 0 {
-		for i := 1; i < p.w.size; i++ {
-			if _, err := p.ep.Recv(AnySource, tag); err != nil {
-				p.transportFail(err)
-			}
+	n := p.w.size
+	for k := 1; k < n; k <<= 1 {
+		if err := p.ep.SendNoCopy((p.rank+k)%n, tag, nil); err != nil {
+			p.transportFail(err)
 		}
-		for r := 1; r < p.w.size; r++ {
-			if err := p.ep.SendNoCopy(r, tag, nil); err != nil {
-				p.transportFail(err)
-			}
+		if _, err := p.ep.Recv((p.rank-k+n)%n, tag); err != nil {
+			p.transportFail(err)
 		}
-		return
-	}
-	if err := p.ep.SendNoCopy(0, tag, nil); err != nil {
-		p.transportFail(err)
-	}
-	if _, err := p.ep.Recv(0, tag); err != nil {
-		p.transportFail(err)
 	}
 }

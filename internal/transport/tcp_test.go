@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -250,4 +251,96 @@ func TestTCPCoalescing(t *testing.T) {
 		t.Fatalf("Flushes = %d (frames %d)", st.Flushes, st.FramesSent)
 	}
 	t.Logf("coalescing: %d frames in %d flushes", st.FramesSent, st.Flushes)
+}
+
+// TestTCPIdleLinkWrites: sends that find their link idle write their
+// frames themselves, and a frame the socket does not take whole — a lent
+// one far larger than a socket buffer — leaves the rest to the writer
+// ahead of the frames sent after it.  Two goroutines send on one link at
+// once, each its own tag in order; the receiver gets every frame whole,
+// in each sender's order, the lent one as it was when lent although its
+// slices are overwritten once Flush returns; and FramesSent, BytesSent
+// and Flushes count every frame and every byte once.
+func TestTCPIdleLinkWrites(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
+	eps, err := NewLocalTCPWorld(2, TCPConfig{Deadline: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialWorld(t, eps)
+	defer closeWorld(eps)
+
+	const k, big = 100, 4 << 20
+	lent := [][]byte{make([]byte, big), make([]byte, big), make([]byte, 3)}
+	for i, s := range lent {
+		for j := range s {
+			s[j] = byte(i + j*7)
+		}
+	}
+	want := bytes.Join(lent, nil)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if err := eps[0].SendSegs(1, 1, lent); err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < k; i++ {
+			if err := eps[0].Send(1, 1, []byte{byte(i)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := eps[0].Flush(); err != nil {
+			t.Error(err)
+		}
+		for _, s := range lent {
+			clear(s)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < k; i++ {
+			if err := eps[0].Send(1, 2, []byte{byte(i), byte(i)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	m, err := eps[1].Recv(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if !bytes.Equal(m.Data, want) {
+		t.Fatal("the lent frame arrived other than it was lent")
+	}
+	for i := 0; i < k; i++ {
+		m1, err := eps[1].Recv(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := eps[1].Recv(0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(m1.Data, []byte{byte(i)}) || !bytes.Equal(m2.Data, []byte{byte(i), byte(i)}) {
+			t.Fatalf("frame %d: tag 1 %v, tag 2 %v", i, m1.Data, m2.Data)
+		}
+	}
+	if err := eps[0].Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st, rt := eps[0].Stats(), eps[1].Stats()
+	frames := int64(2*k + 1)
+	if st.FramesSent != frames || rt.FramesRecv != frames {
+		t.Errorf("FramesSent %d, FramesRecv %d; want %d", st.FramesSent, rt.FramesRecv, frames)
+	}
+	if wantBytes := frames*FrameHeaderSize + int64(len(want)) + 3*k; st.BytesSent != wantBytes || rt.BytesRecv != wantBytes {
+		t.Errorf("BytesSent %d, BytesRecv %d; want %d", st.BytesSent, rt.BytesRecv, wantBytes)
+	}
+	if st.Flushes == 0 || st.Flushes > st.FramesSent {
+		t.Errorf("Flushes = %d (frames %d)", st.Flushes, st.FramesSent)
+	}
 }
