@@ -5,7 +5,6 @@ package transport
 import (
 	"net"
 	"syscall"
-	"unsafe"
 )
 
 // sendMore writes b to the socket under rc with MSG_MORE: the kernel holds
@@ -33,69 +32,4 @@ func sendMore(rc syscall.RawConn, _ *net.TCPConn, b []byte) error {
 		return serr
 	}
 	return err
-}
-
-// idleWriter writes a frame to an idle link's socket from the goroutine
-// that sends it (link.enqueue): one writev(2) through the connection's
-// syscall.RawConn that never waits for room, so that Send still never
-// blocks.  What the socket does not take is the link writer's.  The iovec
-// scratch and the callback are made once, so that a write allocates
-// nothing; whoever holds the link's writing flag owns them.
-type idleWriter struct {
-	rc    syscall.RawConn
-	iov   []syscall.Iovec
-	n     int64
-	errno syscall.Errno
-	call  func(fd uintptr) bool
-}
-
-// newIdleWriter returns the idle writer of conn, or nil when conn is not
-// a raw *net.TCPConn (a ChaosConn): its links write every frame from the
-// writer goroutine.
-func newIdleWriter(conn net.Conn) *idleWriter {
-	tcp, ok := conn.(*net.TCPConn)
-	if !ok {
-		return nil
-	}
-	rc, err := tcp.SyscallConn()
-	if err != nil {
-		return nil
-	}
-	w := &idleWriter{rc: rc}
-	w.call = func(fd uintptr) bool {
-		for {
-			n, _, errno := syscall.Syscall(syscall.SYS_WRITEV, fd, uintptr(unsafe.Pointer(&w.iov[0])), uintptr(len(w.iov)))
-			switch errno {
-			case syscall.EINTR:
-				continue
-			case 0:
-				w.n = int64(n)
-			case syscall.EAGAIN:
-				errno = 0 // the socket is full: the writer waits for room
-			}
-			w.errno = errno
-			return true
-		}
-	}
-	return w
-}
-
-// write writes bufs, at most iovMax of them, by one non-blocking writev
-// and reports how many bytes the socket took.
-func (w *idleWriter) write(bufs net.Buffers) (int64, error) {
-	defer func() { clear(w.iov) }() // keep no pointer into a payload
-	w.iov = w.iov[:0]
-	for _, b := range bufs[:min(len(bufs), iovMax)] {
-		iv := syscall.Iovec{Base: &b[0]}
-		iv.SetLen(len(b))
-		w.iov = append(w.iov, iv)
-	}
-	w.n, w.errno = 0, 0
-	if err := w.rc.Write(w.call); err != nil {
-		return 0, err
-	}
-	if w.errno != 0 {
-		return 0, w.errno
-	}
-	return w.n, nil
 }

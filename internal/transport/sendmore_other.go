@@ -12,14 +12,3 @@ func sendMore(_ syscall.RawConn, tcp *net.TCPConn, b []byte) error {
 	_, err := tcp.Write(b)
 	return err
 }
-
-// idleWriter is the non-blocking socket write of a frame by its sender;
-// without writev(2) through a RawConn there is none, and every frame goes
-// through the link's writer goroutine.
-type idleWriter struct{}
-
-func newIdleWriter(net.Conn) *idleWriter { return nil }
-
-func (*idleWriter) write(net.Buffers) (int64, error) {
-	panic("transport: no idle-link write on this platform")
-}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,11 +30,7 @@ import (
 // enqueues and returns (buffered semantics, like the in-process
 // world), and the writer drains the whole queue into one buffered
 // flush — write coalescing: n queued frames cost one syscall batch,
-// visible as FramesSent/Flushes in WireStats.  A send that finds its
-// link idle — nothing queued, no write in flight — on a raw socket on
-// Linux writes the frame itself, by one writev that never waits, and
-// queues for the writer only what the socket did not take: a control
-// frame then costs no goroutine hand-off.  Write and handshake
+// visible as FramesSent/Flushes in WireStats.  Write and handshake
 // deadlines come from Config.Deadline or, when unset, from the stall
 // watchdog via SetDeadline; a peer that stops draining its socket
 // fails the endpoint instead of wedging it forever.
@@ -405,17 +400,20 @@ func (t *TCP) DrainTag(tag int) (int, int64) {
 }
 
 // Flush implements Transport: wait for every link's queue to hit the
-// socket.
+// socket, and report the first link's error.  A closed link does not end
+// the wait: at shutdown a peer that has left closes its link while this
+// endpoint still has frames queued for another.
 func (t *TCP) Flush() error {
+	var first error
 	for _, l := range t.links {
 		if l == nil {
 			continue
 		}
-		if err := l.flush(); err != nil {
-			return err
+		if err := l.flush(); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // Quiesce implements Transport.
@@ -481,14 +479,11 @@ func (t *TCP) wireProgress() int64 { return t.bytesSent.Load() + t.bytesRecv.Loa
 
 // outFrame is one queued outbound message: an owned payload, recycled
 // into the pool once written, or lent slices, which are written from
-// where they lie and never recycled.  sent counts the bytes of the frame,
-// header first, that its sender already wrote to an idle link; a frame
-// with sent > 0 is counted in FramesSent.
+// where they lie and never recycled.
 type outFrame struct {
 	tag  int
 	data []byte
 	segs [][]byte
-	sent int64
 }
 
 func (fr *outFrame) size() int64 {
@@ -497,27 +492,6 @@ func (fr *outFrame) size() int64 {
 		n += int64(len(s))
 	}
 	return n
-}
-
-// appendTo appends the frame's unsent bytes to bufs — its header h (the
-// whole header, put by the caller), its lent slices, its payload — past
-// the first fr.sent of them, with no empty slice.
-func (fr *outFrame) appendTo(bufs net.Buffers, h []byte) net.Buffers {
-	skip := fr.sent
-	add := func(b []byte) {
-		if k := min(skip, int64(len(b))); k > 0 {
-			b, skip = b[k:], skip-k
-		}
-		if len(b) > 0 {
-			bufs = append(bufs, b)
-		}
-	}
-	add(h)
-	for _, s := range fr.segs {
-		add(s)
-	}
-	add(fr.data)
-	return bufs
 }
 
 // link is one pair connection with its writer queue.
@@ -532,29 +506,17 @@ type link struct {
 	// lent holds the slice headers of out's lent frames, copied in by
 	// enqueue: the writer reads only what the link owns, never the
 	// sender's own array of them.
-	lent [][]byte
-	// writing is set while the writer, or a sender that found the link
-	// idle, writes to the socket; only the one that set it writes.
+	lent    [][]byte
 	writing bool
-	// flushing counts the flushes waiting on cond, which a sender's write
-	// must wake even when it leaves the writer nothing to do.
-	flushing int
-	closed   bool
-	err      error
-
-	// idle is the socket's non-blocking writer (nil on a ChaosConn and
-	// off Linux), and hdr and bufs are its header and iovec scratch: a
-	// sender uses the three only while it holds writing.
-	idle *idleWriter
-	hdr  [FrameHeaderSize]byte
-	bufs net.Buffers
+	closed  bool
+	err     error
 }
 
 func newLink(t *TCP, peer int, conn net.Conn) *link {
 	if t.cfg.WireChaos.Enabled() {
 		conn = NewChaosConn(conn, t.cfg.WireChaos, fmt.Sprintf("rank%d-rank%d", t.cfg.Rank, peer))
 	}
-	l := &link{t: t, peer: peer, conn: conn, idle: newIdleWriter(conn)}
+	l := &link{t: t, peer: peer, conn: conn}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
@@ -564,10 +526,6 @@ func (l *link) start() {
 	go l.reader()
 }
 
-// enqueue hands fr to the link.  On an idle link with an idle writer the
-// sender writes it at once (writeIdle), and queues what the socket did
-// not take ahead of the frames sent meanwhile; otherwise it queues fr for
-// the writer goroutine.
 func (l *link) enqueue(fr outFrame) error {
 	l.mu.Lock()
 	if l.closed {
@@ -578,75 +536,15 @@ func (l *link) enqueue(fr outFrame) error {
 		}
 		return err
 	}
-	if l.idle == nil || l.writing || len(l.out) > 0 {
-		l.out = append(l.out, l.own(fr))
-		l.mu.Unlock()
-		l.cond.Signal()
-		return nil
-	}
-	l.writing = true
-	l.mu.Unlock()
-	done := l.writeIdle(&fr)
-	l.mu.Lock()
-	l.writing = false
-	if !done {
-		l.out = slices.Insert(l.out, 0, l.own(fr))
-	}
-	// Wake the writer only for work, so that a frame the socket took
-	// whole costs no other goroutine a wake-up.
-	wake := len(l.out) > 0 || l.flushing > 0
-	l.mu.Unlock()
-	if wake {
-		l.cond.Broadcast()
-	}
-	return nil
-}
-
-// own returns fr with its lent slice headers copied into the link's own
-// array, for the queue.  l.mu is held.
-func (l *link) own(fr outFrame) outFrame {
 	if fr.segs != nil {
 		at := len(l.lent)
 		l.lent = append(l.lent, fr.segs...)
 		fr.segs = l.lent[at:]
 	}
-	return fr
-}
-
-// writeIdle writes fr to the socket from the sending goroutine, which
-// holds writing: the header through putFrameHeader and the payload by one
-// non-blocking writev.  It reports whether the socket took the whole
-// frame, whose owned payload it then recycles; otherwise fr.sent says
-// how much it took, and the rest is the writer's.  A failed write leaves
-// the rest to the writer too, whose blocking write meets the failure and
-// fails the link.  It counts and traces the write as the writer counts a
-// flush of one frame.
-func (l *link) writeIdle(fr *outFrame) bool {
-	t := l.t
-	n := fr.size()
-	total := FrameHeaderSize + n
-	putFrameHeader(l.hdr[:], t.cfg.Rank, fr.tag, int(n))
-	l.bufs = fr.appendTo(l.bufs[:0], l.hdr[:])
-	sp := t.tr.BeginWire(trace.PhaseWireSend, 0)
-	// Counted before the write, as the writer counts (see bytesSent
-	// there), and taken back for what did not leave.
-	t.flushes.Add(1)
-	t.framesSent.Add(1)
-	t.bytesSent.Add(total)
-	m, _ := l.idle.write(l.bufs)
-	clear(l.bufs)
-	sp.EndBytes(m)
-	if m == total {
-		t.cfg.Pool.Put(fr.data)
-		return true
-	}
-	t.bytesSent.Add(m - total)
-	if m == 0 {
-		t.flushes.Add(-1)
-		t.framesSent.Add(-1)
-	}
-	fr.sent = m
-	return false
+	l.out = append(l.out, fr)
+	l.mu.Unlock()
+	l.cond.Signal()
+	return nil
 }
 
 // flush blocks until the queue is drained and flushed to the socket —
@@ -656,9 +554,7 @@ func (l *link) flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for len(l.out) > 0 && !l.closed || l.writing {
-		l.flushing++
 		l.cond.Wait()
-		l.flushing--
 	}
 	return l.err
 }
@@ -705,8 +601,8 @@ func (l *link) writer() {
 	)
 	for {
 		l.mu.Lock()
-		for (len(l.out) == 0 || l.writing) && !l.closed {
-			l.cond.Wait() // for a frame, and for a sender writing an idle link
+		for len(l.out) == 0 && !l.closed {
+			l.cond.Wait()
 		}
 		if len(l.out) == 0 {
 			l.mu.Unlock()
@@ -734,17 +630,22 @@ func (l *link) writer() {
 			for ; done < len(batch); done++ {
 				fr := &batch[done]
 				n := fr.size()
-				left := FrameHeaderSize + n - fr.sent
-				if len(bufs) > 0 && group+left > int64(l.t.cfg.WriteBuf) {
+				if len(bufs) > 0 && group+FrameHeaderSize+n > int64(l.t.cfg.WriteBuf) {
 					break
 				}
 				h := hdrs[done*FrameHeaderSize : (done+1)*FrameHeaderSize]
 				putFrameHeader(h, l.t.cfg.Rank, fr.tag, int(n))
-				bufs = fr.appendTo(bufs, h)
-				group += left
-				if fr.sent == 0 {
-					l.t.framesSent.Add(1)
+				bufs = append(bufs, h)
+				for _, s := range fr.segs {
+					if len(s) > 0 {
+						bufs = append(bufs, s)
+					}
 				}
+				if len(fr.data) > 0 {
+					bufs = append(bufs, fr.data)
+				}
+				group += FrameHeaderSize + n
+				l.t.framesSent.Add(1)
 			}
 			// Count the group, like its frames above, before it can reach
 			// the peer: once a byte is on the socket the peer may count

@@ -53,10 +53,8 @@ type WireStats struct {
 	// BytesSent / BytesRecv are on-the-wire volumes including frame
 	// headers, counted as they cross the socket.
 	BytesSent, BytesRecv int64
-	// Flushes counts the writes that put frames on a socket: the link
-	// writers' flushes, and the sends that wrote an idle link themselves.
-	// FramesSent/Flushes > 1 means a writer coalesced queued frames into
-	// shared syscalls.
+	// Flushes counts writer flushes; FramesSent/Flushes > 1 means the
+	// writer coalesced queued frames into shared syscalls.
 	Flushes int64
 }
 
