@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -60,11 +59,12 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 // the metrics registry and its flags, tileio and the spare BTIO front
 // ends, darray, the file pointers, shared, ordered, nonblocking and split
 // access, preallocation, Proc.Split, the copy-program ablation, the
-// fileview-cache and mergeview ablations, the root testing.B suite and
-// the IOP's direct-window path and mpi's Gather.
+// fileview-cache and mergeview ablations, the root testing.B suite, the
+// IOP's direct-window path, mpi's Gather, and the lent and posted wire
+// shares with their verbs and socket reader.
 // Each alternative ends in a bracket, so that this source does not match
 // itself.
-var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRejecte[d]|ClientOptions\{[^}]*Conn[s]|NewRegio[n]|PhaseSessio[n]|PhaseCach[e]|internal/ob[s]|obs\.Registr[y]|GaugeFun[c]|-metrics-(addr|fd|pus[h])|no-metric[s]|internal/tilei[o]|cmd/tilei[o]|cmd/bti[o]|btiomin[i]|blockcycli[c]|Darra[y]|WriteShare[d]|ReadShare[d]|WriteOrdere[d]|ReadOrdere[d]|IWriteA[t]|IReadA[t]|AtAllBegi[n]|Preallocat[e]|func \(p \*Proc\) Spli[t]|DisableProgra[m]|no-progra[m]|DisableViewCach[e]|DisableMergeChec[k]|BenchmarkAblatio[n]|BenchmarkFi[g]|directGathe[r]|directSen[d]|winBatc[h]|lentSeg[s]|chunkSeg[s]|viewSeg[s]|func \(p \*Proc\) Gathe[r]|\.Gather[(]`)
+var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRejecte[d]|ClientOptions\{[^}]*Conn[s]|NewRegio[n]|PhaseSessio[n]|PhaseCach[e]|internal/ob[s]|obs\.Registr[y]|GaugeFun[c]|-metrics-(addr|fd|pus[h])|no-metric[s]|internal/tilei[o]|cmd/tilei[o]|cmd/bti[o]|btiomin[i]|blockcycli[c]|Darra[y]|WriteShare[d]|ReadShare[d]|WriteOrdere[d]|ReadOrdere[d]|IWriteA[t]|IReadA[t]|AtAllBegi[n]|Preallocat[e]|func \(p \*Proc\) Spli[t]|DisableProgra[m]|no-progra[m]|DisableViewCach[e]|DisableMergeChec[k]|BenchmarkAblatio[n]|BenchmarkFi[g]|directGathe[r]|directSen[d]|winBatc[h]|lentSeg[s]|chunkSeg[s]|viewSeg[s]|func \(p \*Proc\) Gathe[r]|\.Gather[(]|SendSeg[s]|postShare[s]|takePoste[d]|lendShar[e]|lendBuilde[r]|readPoste[d]|sockReade[r]|segCurso[r]|func \(p \*Proc\) Pos[t]|func \(p \*Proc\) Flus[h]`)
 
 // TestDeletedNamesStayDeleted: no Go, YAML or Markdown file names
 // anything deleted (deletedNames).  Of the top-level Markdown files only
@@ -108,76 +108,83 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 }
 
 // TestTypedLoanSites: in-process an IOP moves a remote share in place
-// from the AP's loan (SendRef), so nothing under internal/ delivers or
-// takes lent slices as a message, and core lends a write's slices
-// (SendSegs, through lendShare) and posts a read's destination (Post,
-// through postShares) only on a wired world, each from one call site.
-// Lines are matched as text, comments included.
+// from the AP's loan (SendRef), and over a wire a share travels as a
+// packed chunk, so nothing under internal/ delivers or takes lent slices
+// as a message.  Lines are matched as text, comments included.
 func TestTypedLoanSites(t *testing.T) {
-	files := map[string][]string{} // non-test Go file under internal/ → its lines
+	segMessage := regexp.MustCompile(`RecvSeg[s]|Segs +\[\]\[\]byt[e]|\.Segs != ni[l]`)
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err
 		}
 		src, err := os.ReadFile(path)
-		files[filepath.ToSlash(path)] = strings.Split(string(src), "\n")
+		for i, line := range strings.Split(string(src), "\n") {
+			if m := segMessage.FindString(line); m != "" {
+				t.Errorf("%s:%d: %q delivers or takes lent slices as a message", filepath.ToSlash(path), i+1, m)
+			}
+		}
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	core := func(path string) bool { return strings.HasPrefix(path, "internal/core/") }
-	// sites lists the lines of the files keep selects that contain s.
-	sites := func(keep func(string) bool, s string) (out []string) {
-		for path, lines := range files {
-			for i, line := range lines {
-				if keep(path) && strings.Contains(line, s) {
-					out = append(out, fmt.Sprintf("%s:%d: %s", path, i+1, strings.TrimSpace(line)))
+}
+
+// TestDocPathsExist: every backticked repository path in DESIGN.md,
+// README.md and the verify skill's SKILL.md exists, so that a document
+// cannot name a file a change deleted.  A backticked span is split at
+// white space and a leading "./" dropped from each word; a word under
+// internal/, cmd/ or benchmark/ must exist as written, a pkg/file.go is
+// looked up under internal/, and a bare file.go anywhere under internal/,
+// cmd/ or benchmark/.  Other words are not paths and are skipped.
+func TestDocPathsExist(t *testing.T) {
+	bare := map[string]bool{} // base names of the files under internal/, cmd/ and benchmark/
+	for _, root := range []string{"internal", "cmd", "benchmark"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil {
+				bare[d.Name()] = true
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	span := regexp.MustCompile("`[^`]+`")
+	pkgFile := regexp.MustCompile(`^[a-z0-9_]+/[A-Za-z0-9_]+\.go$`)
+	bareFile := regexp.MustCompile(`^[A-Za-z0-9_]+\.go$`)
+	for _, doc := range []string{"DESIGN.md", "README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		src, err := os.ReadFile(doc)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, s := range span.FindAllString(line, -1) {
+				for _, p := range strings.Fields(strings.Trim(s, "`")) {
+					p = strings.TrimPrefix(p, "./")
+					var ok bool
+					switch {
+					case strings.HasPrefix(p, "internal/") || strings.HasPrefix(p, "cmd/") || strings.HasPrefix(p, "benchmark/"):
+						ok = exists(p)
+					case pkgFile.MatchString(p):
+						ok = exists(filepath.Join("internal", p))
+					case bareFile.MatchString(p):
+						ok = bare[p]
+					default:
+						continue
+					}
+					if !ok {
+						t.Errorf("%s:%d names %s, which does not exist", doc, i+1, p)
+					}
 				}
 			}
 		}
-		return out
-	}
-	segMessage := regexp.MustCompile(`RecvSeg[s]|Segs +\[\]\[\]byt[e]|\.Segs != ni[l]`)
-	for path, lines := range files {
-		for i, line := range lines {
-			if m := segMessage.FindString(line); m != "" {
-				t.Errorf("%s:%d: %q delivers or takes lent slices as a message", path, i+1, m)
-			}
-		}
-	}
-	for _, c := range []struct{ call, file string }{
-		{"SendSegs(", "internal/core/collective_window.go"},
-		{"Post(", "internal/core/collective_exchange.go"},
-	} {
-		got := sites(core, c.call)
-		if len(got) != 1 || !strings.HasPrefix(got[0], c.file+":") {
-			t.Errorf("internal/core has %d %s sites, want one, in %s: %q", len(got), c.call, c.file, got)
-		}
-	}
-	for _, s := range sites(core, "lendShare(") {
-		if !strings.Contains(s, ": func ") && !strings.Contains(s, "Wired()") {
-			t.Errorf("%s: lendShare is called without Wired() on its line", s)
-		}
-	}
-	// Exactly one line in the two lines above each postShares call, and
-	// in the call's own, asks Wired().
-	var wired int
-	for path, lines := range files {
-		seen := map[int]bool{}
-		for i, line := range lines {
-			if !core(path) || !strings.Contains(line, "f.postShares(") {
-				continue
-			}
-			for j := max(i-2, 0); j <= i; j++ {
-				if !seen[j] && strings.Contains(lines[j], "Wired()") {
-					wired++
-				}
-				seen[j] = true
-			}
-		}
-	}
-	if wired != 1 {
-		t.Errorf("%d lines ask Wired() at the f.postShares call sites; want the one guarding the one call", wired)
 	}
 }

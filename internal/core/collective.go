@@ -39,10 +39,7 @@ func (f *File) WriteAtAll(off int64, count int64, memtype *datatype.Type, buf []
 // shares of direct windows itself, and the I/O processes fill buf in
 // place — this rank's own, and in-process every one whose domain holds
 // its data — while the windows are read, before the ranks agree on the
-// outcome; over a wire the link readers fill the parts of
-// buf this rank posted as the frames arrive, until the call has taken
-// their completions or, on failure, withdrawn what was not yet filled.
-// No goroutine touches buf after the call has returned.
+// outcome.  No goroutine touches buf after the call has returned.
 func (f *File) ReadAtAll(off int64, count int64, memtype *datatype.Type, buf []byte) (int64, error) {
 	d, err := f.checkAccess(off, count, memtype, buf)
 	if err != nil {
@@ -87,8 +84,7 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 
 	// ---- AP phase 1: engine-specific access description (the
 	// list-based engine builds and sends per-IOP ol-lists; the listless
-	// engine, in-process, lends buf to the IOPs that hold its data, and
-	// over a wire posts a read's destination). ----
+	// engine, in-process, lends buf to the IOPs that hold its data). ----
 	asp := f.tr.Begin(trace.PhaseAPSetup, d0, 0)
 	ap := f.eng.apSetup(pl, acc)
 	asp.End()
@@ -121,18 +117,11 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	// rank-attributed error.  This must precede the read-side exchange:
 	// an AP must not block receiving from an IOP that failed.
 	//
-	// It also ends every loan of buf but one.  An IOP votes only once its
-	// window pipeline is quiescent, so after the vote no IOP reads or
-	// writes buf in place.  On failure an IOP may have stopped before
-	// taking what it was lent: in-process the loans and chunks left in
-	// its inbox are drained before the barrier, and on a wire the slices
-	// this rank lent (f.lent) may still be in its send queue, which
-	// Flush empties — not before the IOP phase, where both ends of a link
-	// could block on full sockets.  The one that outlives a successful
-	// vote is a wired read's postings: link readers fill them until the
-	// read phase below has taken every completion.  On failure the drain
-	// withdraws those nothing has matched and waits for any being filled,
-	// so that no goroutine writes buf once the read has returned. ----
+	// It also ends every loan of buf.  An IOP votes only once its window
+	// pipeline is quiescent, so after the vote no IOP reads or writes buf
+	// in place.  On failure an IOP may have stopped before taking what it
+	// was lent: in-process the loans and chunks left in its inbox are
+	// drained before the barrier. ----
 	if err := f.agreeCollective(fault); err != nil {
 		if epochID != 0 {
 			f.epochAbandon(epochID)
@@ -141,15 +130,9 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 		if f.tr.Enabled() {
 			f.tr.Instant(trace.PhaseFault, d0, 0, err.Error())
 		}
-		if write && len(f.lent) > 0 {
-			f.p.Flush()
-		}
 		f.p.Barrier() // keep the next collective's sends behind the drain
-		f.endLoan()
+		f.dropHeld()
 		return err
-	}
-	if write {
-		f.endLoan()
 	}
 
 	// ---- Epoch commit: seal the staged write-backs everywhere, vote,
@@ -168,11 +151,10 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	}
 
 	// ---- AP phase 2 (read): receive and unpack data — nothing, from an
-	// IOP this rank lent buf to, and only completions for what it posted,
-	// whose segments the loan holds until here. ----
+	// IOP this rank lent buf to. ----
 	if !write && d > 0 {
 		f.apExchange(pl, acc, ap, false)
-		f.endLoan()
+		f.dropHeld()
 	}
 
 	// No barrier ends a successful collective: every receive of the next
@@ -181,24 +163,14 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	return nil
 }
 
-// endLoan forgets the slices this collective lent or posted, which no
-// receiver reads and no link reader fills any more, so that the handle
-// keeps no reference into the caller's buffer, and returns the posted
-// and held chunks a failed read did not unpack.
-func (f *File) endLoan() {
-	f.posted, f.held = f.dropShares(f.posted), f.dropShares(f.held)
-	clear(f.lent)
-	f.lent = f.lent[:0]
-}
-
-// dropShares returns the chunks of shares nothing unpacked to the pool
-// and empties the list.
-func (f *File) dropShares(shares []postedShare) []postedShare {
-	for i := range shares {
-		if c := shares[i].chunk; c != nil {
+// dropHeld returns the chunks of the held direct shares a failed read did
+// not unpack to the pool and empties the list.
+func (f *File) dropHeld() {
+	for i := range f.held {
+		if c := f.held[i].chunk; c != nil {
 			f.bp.Put(c)
 		}
 	}
-	clear(shares)
-	return shares[:0]
+	clear(f.held)
+	f.held = f.held[:0]
 }

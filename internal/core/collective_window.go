@@ -233,25 +233,6 @@ func (f *File) sendChunk(r int, chunk []byte, winLo int64) {
 	f.Stats.ExchangeNs += esp.End()
 }
 
-// lendShare hands IOP r this rank's share [a, b) of the window at winLo
-// as the slices of the user buffer that hold it, when ap can lend it,
-// accounting the exchange time.  Only a wired world lends slices: they
-// reach the socket from where they lie, and the collective does not
-// return before they have left (transferCollective).  In-process the
-// IOP moves the share in place instead (memLoan).
-func (f *File) lendShare(r int, ap apState, a, b, winLo int64) bool {
-	at := len(f.lent)
-	lent, ok := ap.lend(f.lent, a, b)
-	if !ok {
-		return false
-	}
-	f.lent = lent
-	esp := f.tr.Time(trace.PhaseExchange, winLo, b-a)
-	f.p.SendSegs(r, tagCollData, lent[at:len(lent):len(lent)])
-	f.Stats.ExchangeNs += esp.End()
-	return true
-}
-
 // iopPipelined is the double-buffered window loop.  Window k+1's prep
 // request queues behind its slot's previous write-back (windows k+1 and
 // k-1 share a slot), so at most two windows are ever in flight; the

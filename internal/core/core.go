@@ -190,17 +190,11 @@ type File struct {
 	// staged under its epoch, which lends them to the backend until the
 	// epoch ends (collective_window.go); empty between collectives.
 	kept [][]byte
-	// lent holds the slices of the user buffer a collective write lends
-	// its IOPs over a wire (lendShare), and the segments a collective read
-	// posts (postShares), kept like segs and emptied when the loan ends
-	// (endLoan).
-	lent [][]byte
-	// posted lists the shares a collective read posted, in the order their
-	// IOPs send them, and held the direct shares the owner mover read into
-	// pack buffers for a destination whose bytes may meet, which
-	// apExchange unpacks in data order (apState.moveDirect), kept like
-	// lent.
-	posted, held []postedShare
+	// held lists the direct shares of a collective read the owner mover
+	// read into pack buffers for a destination whose bytes may meet,
+	// which apExchange unpacks in data order (apState.moveDirect), kept
+	// like segs and emptied when the read ends (dropHeld).
+	held []heldShare
 
 	// Stats accumulates the work counters of this handle.
 	Stats Stats

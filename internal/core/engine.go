@@ -49,8 +49,7 @@ type accessEngine interface {
 	// the list-based engine builds and transmits per-IOP access lists,
 	// the listless engine sends no view (SetView exchanged them once)
 	// and, in-process, lends its access to the IOPs that hold it
-	// (memLoan), or over a wire posts a read's remote shares
-	// (File.postShares).  Every rank must call it once per access.
+	// (memLoan).  Every rank must call it once per access.
 	apSetup(pl *collPlan, acc *collAccess) apState
 	// iopSetup runs the I/O-process setup (the list-based engine
 	// receives one access list from every AP, the listless engine takes
@@ -145,15 +144,6 @@ type apState interface {
 	// moves it in place between its windows and the user buffer
 	// (iopWindow.copyLent) — as its own access, or as one this rank lent it.
 	cursor(i int) apCursor
-	// lend appends to segs the slices of the user buffer that hold data
-	// [a, b) of the access, in data order, when that share is long runs in
-	// memory — and, for a read, no two data bytes of the memory meet: on a
-	// wired world a write's share then goes to its IOP as those slices
-	// (mpi.Proc.SendSegs), written to the socket from where they lie, and
-	// a read's is posted as them (mpi.Proc.Post), read from the socket
-	// into where they lie, instead of as a packed chunk.  It reports false,
-	// having appended nothing, when the share is packed.
-	lend(segs [][]byte, a, b int64) ([][]byte, bool)
 	// moveDirect moves this rank's share of window [winLo, winHi) of an
 	// IOP domain between its user buffer and the backend itself, through
 	// the owner mover (File.moveOwn), when the window is direct
@@ -229,10 +219,9 @@ type memState struct {
 	ext   int64        // tiling extent matching list/count (list-based)
 
 	// prog is the compiled memtype (listless only): nil when the type is
-	// contiguous or declines compilation, and then the fused copies, typed
-	// loans and lent slices that need it are not taken.  cur executes it,
-	// or walks the type where it is nil, across the access's ascending
-	// windows.
+	// contiguous or declines compilation, and then the fused copies and
+	// typed loans that need it are not taken.  cur executes it, or walks
+	// the type where it is nil, across the access's ascending windows.
 	prog *fotf.Program
 	cur  fotf.Cursor
 }

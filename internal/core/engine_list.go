@@ -241,9 +241,6 @@ func (s *listAPState) cursor(i int) apCursor {
 	return &tripleCursor{ts: s.triples[i]}
 }
 
-// lend: the paper's baseline packs every share it sends.
-func (s *listAPState) lend(segs [][]byte, _, _ int64) ([][]byte, bool) { return segs, false }
-
 // moveDirect: every window of the baseline is an IOP's.
 func (s *listAPState) moveDirect(int64, int64) error { return nil }
 

@@ -22,40 +22,12 @@ type listlessEngine struct {
 	disjoint bool               // the cached views share no byte (viewsApart)
 	prog     *fotf.Program      // compiled own-fileview program; nil = walk
 	own      listlessViewCursor // direct windows: the own view, placed at each share
-	lb       lendBuilder        // shares lent over a wire: memory runs to user-buffer slices
 	plans    planCache          // fused-copy plans of the IOP windows' lent shares
 	apA, apB []int64            // every rank's share of the window an AP asks about
 }
 
 func newListlessEngine(f *File) *listlessEngine {
-	e := &listlessEngine{f: f}
-	e.lb.onRuns = e.lb.addRuns
-	return e
-}
-
-// lendBuilder cuts a share of the user buffer buf into the slices its
-// memtype program's runs are, one per stretch of abutting runs, for a
-// write on a wired world (lendShare).  Like File's segBuilder it lives
-// with its owner, the engine, its emit function bound once.
-type lendBuilder struct {
-	out   [][]byte
-	buf   []byte
-	first int   // out[first:] are the current share's
-	end   int64 // buffer offset just past the slice added last
-
-	onRuns fotf.EmitFunc
-}
-
-func (b *lendBuilder) addRuns(bufOff, _, runLen, stride, n int64) {
-	for i := int64(0); i < n; i++ {
-		off := bufOff + i*stride
-		if k := len(b.out); k > b.first && off == b.end {
-			b.out[k-1] = b.out[k-1][:int64(len(b.out[k-1]))+runLen] // still within buf: the slice was cut from it
-		} else {
-			b.out = append(b.out, b.buf[off:off+runLen])
-		}
-		b.end = off + runLen
-	}
+	return &listlessEngine{f: f}
 }
 
 // shareDense applies the window-or-list rule to data bytes [a, c) of the
@@ -287,16 +259,12 @@ type listlessAPState struct {
 // holds some of it, in one message each (collPlan.lends), for writes and
 // reads alike: a typed loan when the access fuses, so that the IOP moves
 // this rank's shares of buffered windows in place as it moves its own,
-// else a pack loan, and the shares travel as chunks.  Over a wire a read
-// posts its remote shares instead (postShares), so that they are read
-// from the sockets into place.
+// else a pack loan, and the shares travel as chunks.  Over a wire every
+// remote share travels as a chunk.
 func (e *listlessEngine) apSetup(pl *collPlan, acc *collAccess) apState {
 	f := e.f
 	s := &listlessAPState{e: e, pl: pl, acc: acc, fused: e.fuses(acc)}
 	if f.p.Wired() {
-		if !acc.write {
-			f.postShares(pl, s)
-		}
 		return s
 	}
 	var l *memLoan // nil: a pack loan
@@ -319,36 +287,18 @@ func (s *listlessAPState) cursor(i int) apCursor {
 	return s
 }
 
-// inPlace is the memory side of the rule allSparse applies: a share moves
-// from where it lies in the user buffer — lent over a wire as slices, or
-// written and read there by a direct window's own batch — when the memory
-// is contiguous, or the runs of a compiled memtype are not page-dense and,
-// for a read, no data bytes of the memtype meet, which would be filled in
-// no set order (the rule fuses applies).  Everything else — short runs, no
-// program — is packed.
+// inPlace is the memory side of the rule allSparse applies: a direct
+// window's own batch writes and reads a share where it lies in the user
+// buffer when the memory is contiguous, or the runs of a compiled memtype
+// are not page-dense and, for a read, no data bytes of the memtype meet,
+// which would be filled in no set order (the rule fuses applies).
+// Everything else — short runs, no program — is packed.
 func (s *listlessAPState) inPlace(a, b int64) bool {
 	acc, mp := s.acc, s.acc.mem.prog
 	if acc.mem.t.ContiguousTiled() {
 		return true
 	}
 	return mp != nil && (acc.write || mp.Disjoint(acc.mem.count)) && !shareDense(mp, a-acc.d0, b-acc.d0)
-}
-
-func (s *listlessAPState) lend(segs [][]byte, a, b int64) ([][]byte, bool) {
-	acc := s.acc
-	switch {
-	case !s.inPlace(a, b):
-		return segs, false
-	case acc.mem.prog == nil:
-		l := acc.loan()
-		return append(segs, l.contig(a, b)), true
-	}
-	lb := &s.e.lb
-	lb.out, lb.buf, lb.first = segs, acc.buf, len(segs)
-	acc.mem.prog.Runs(a-acc.d0, b-acc.d0, lb.onRuns)
-	segs = lb.out
-	lb.out, lb.buf = nil, nil
-	return segs, true
 }
 
 // window is this rank's share of a buffered window: a direct one moves
@@ -393,7 +343,7 @@ func (s *listlessAPState) moveDirect(winLo, winHi int64) error {
 	case acc.write && f.epochBE != nil:
 		f.kept = append(f.kept, pb)
 	case hold && err == nil:
-		f.held = append(f.held, postedShare{a: a, b: b, winLo: winLo, chunk: pb})
+		f.held = append(f.held, heldShare{a: a, b: b, winLo: winLo, chunk: pb})
 	default:
 		f.bp.Put(pb)
 	}

@@ -309,8 +309,7 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 // unpack in data order leaves the later of two data bytes at a shared
 // offset.  The file is written from contiguous memory, so that the two
 // bytes differ.  Such a buffer is never lent for a read, not even to the
-// rank's own IOP, nor posted over a wire, where link readers would fill
-// it in no set order, nor read into in place by the rank's own direct
+// rank's own IOP, nor read into in place by the rank's own direct
 // batches, whose shares it unpacks in data order among the chunks.  The
 // read matches the flat oracle's unpack in buffered windows (8-byte
 // blocks), direct ones (16 KiB blocks) and both in one access — the first

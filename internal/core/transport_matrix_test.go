@@ -14,7 +14,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/testutil"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/transport/transporttest"
 )
@@ -230,10 +229,9 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 // every window is buffered, where sparse ones would be moved by their
 // owners and lend nothing — from every other 16 KiB in memory, and the
 // same data from memory of 8-byte pieces; the own half is fused either
-// way.  Over TCP each rank's
-// remote half crosses the socket, written from the user buffer's 16 KiB
-// slices or packed from the pieces: the same messages, payload bytes
-// and wire bytes.  In-process both memory layouts are lent: one loan per
+// way.  Over TCP each rank's remote half crosses the socket packed, from
+// the user buffer's 16 KiB runs or from the pieces: the same messages,
+// payload bytes and wire bytes.  In-process both memory layouts are lent: one loan per
 // rank replaces its chunk messages, and exactly the remote halves are
 // missing from the payload, since the IOP reads them where they lie.  The
 // file is the same in all four.
@@ -302,102 +300,6 @@ func TestLentSharesCrossNoFabricCopy(t *testing.T) {
 			t.Errorf("loopback, %s: %+v against tcp %+v: want %d loans for %d chunks, and the %d bytes of the remote halves not sent",
 				what, loop, tcp, loans, chunks, shares)
 		}
-	}
-}
-
-// TestPostedSharesCrossNoFabricCopy is TestLentSharesCrossNoFabricCopy's
-// read twin over TCP, over the same buffered windows.  Reads into memory
-// of 16 KiB slices and of 8-byte pieces send the same messages, payload
-// bytes and wire bytes.  Into the slices every remote share is posted and
-// read from the socket straight into the user buffer: no AP copies a
-// byte of it — exactly one copy span per remote share fewer than into the
-// pieces, which are unpacked — and the link readers draw no payload from
-// the endpoint's Checked pool: exactly one per remote share fewer than
-// into the pieces, which arrive as pooled payloads.  From core's pool the
-// read into the slices draws its two window buffers per IOP and one chunk
-// per remote share, which the IOPs send, and nothing for an AP.
-func TestPostedSharesCrossNoFabricCopy(t *testing.T) {
-	defer testutil.LeakCheck(t)()
-	const P, runs, run, collBuf, fileRun = 2, 8, 16384, 64 << 10, 64
-	d := int64(runs * run)
-	// Each rank's half in the other's domain fills d/collBuf windows there.
-	shares := int64(P*(P-1)) * d / collBuf
-	type result struct {
-		comm           mpi.Stats
-		copies         [P]int64 // copy spans of the read
-		wireGets, gets int64    // Gets of the read from the endpoints' pool and from core's
-	}
-	run1 := func(slices bool) result {
-		wp, bp := pool.NewChecked(), pool.NewChecked()
-		eps, err := transport.NewLocalTCPWorld(P, transport.TCPConfig{Pool: wp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var res result
-		// A storage call's latency holds every IOP's first send back well
-		// past the other rank's posting, so that no frame arrives before
-		// it is posted (Post would copy it then, from a pooled payload).
-		sh := NewShared(storage.NewThrottled(storage.NewMem(), 1<<30, 1<<30, 20*time.Millisecond))
-		col := trace.NewCollector(0)
-		res.comm, err = mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{CollBufSize: collBuf, Pool: bp, Trace: col})
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
-			disp, ft := stridedView(P, d/fileRun, fileRun, fileRun)(p.Rank())
-			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
-				panic(err)
-			}
-			mt := holeyDouble()
-			if slices {
-				mt = hvecBytes(runs, run, 2*run)
-			}
-			count := d / mt.Size()
-			buf := make([]byte, (count-1)*mt.Extent()+mt.TrueUB())
-			fotf.UnpackCount(buf, pattern(p.Rank(), d), count, mt, 0)
-			if _, err := f.WriteAtAll(0, count, mt, buf); err != nil {
-				panic(err)
-			}
-			// Each snapshot of the shared pools is taken between two
-			// barriers: a collective ends without one, and a rank past a
-			// single barrier may already be sending the next collective's
-			// frames, which the other rank's link reader draws from wp.
-			p.Barrier()
-			w0, g0, c0 := wp.Stats().Gets, bp.Stats().Gets, f.tr.Phases()[trace.PhaseCopy].Count
-			p.Barrier()
-			got := make([]byte, len(buf))
-			if _, err := f.ReadAtAll(0, count, mt, got); err != nil {
-				panic(err)
-			}
-			res.copies[p.Rank()] = f.tr.Phases()[trace.PhaseCopy].Count - c0
-			p.Barrier()
-			if p.Rank() == 0 {
-				res.wireGets, res.gets = wp.Stats().Gets-w0, bp.Stats().Gets-g0
-			}
-			p.Barrier()
-			if !bytes.Equal(got, buf) {
-				panic(fmt.Sprintf("rank %d: the read differs from what was written", p.Rank()))
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fromSlices, fromPieces := run1(true), run1(false)
-	s, c := fromSlices.comm, fromPieces.comm
-	if s.Messages != c.Messages || s.Bytes != c.Bytes || s.WireBytesSent != c.WireBytesSent || s.Messages != s.Received || s.Bytes != s.BytesReceived {
-		t.Errorf("slices %+v, pieces %+v: want the same traffic, balanced", s, c)
-	}
-	if sc, pc := fromSlices.copies, fromPieces.copies; pc[0]+pc[1]-sc[0]-sc[1] != shares {
-		t.Errorf("copy spans of the read into slices %v, into pieces %v: want %d fewer, the remote shares' unpacks", sc, pc, shares)
-	}
-	if got := fromPieces.wireGets - fromSlices.wireGets; got != shares {
-		t.Errorf("the link readers drew %d payloads into the slices and %d into the pieces; want %d fewer", fromSlices.wireGets, fromPieces.wireGets, shares)
-	}
-	if want := shares + 2*P; fromSlices.gets != want {
-		t.Errorf("core drew %d buffers for the read into slices; want the IOPs' %d chunks and window buffers and nothing for an AP", fromSlices.gets, want)
 	}
 }
 
@@ -548,7 +450,7 @@ func TestCollectiveSendsTwoControlFrames(t *testing.T) {
 				// Between barriers, and with the barrier's frames flushed:
 				// only the collective's own frames are counted.
 				p.Barrier()
-				p.Flush()
+				eps[p.Rank()].Flush()
 				f0, m0 := p.WireStats().FramesSent, p.SentStats().Messages
 				if write {
 					_, err = f.WriteAtAll(0, 1, mt, buf)
@@ -558,7 +460,7 @@ func TestCollectiveSendsTwoControlFrames(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				p.Flush()
+				eps[p.Rank()].Flush()
 				frames[p.Rank()][j] = p.WireStats().FramesSent - f0
 				msgs[p.Rank()][j] = p.SentStats().Messages - m0
 				if f.Stats.SieveWrites+f.Stats.SieveReads != 0 {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -226,5 +227,44 @@ func TestRunRankInProcess(t *testing.T) {
 		if statss[r].WireBytesRecv == 0 {
 			t.Fatalf("rank %d reports no wire bytes", r)
 		}
+	}
+}
+
+// TestFinalizeStallIsWatched: a rank that has returned waits in the
+// finalize barrier in the stall watchdog's sight.  Two RunRank ranks over
+// local TCP; rank 1 stays in its own code until rank 0 has returned, so
+// rank 0's finalize barrier has no partner, and its watchdog must end the
+// wait with ErrStalled within a few timeouts.
+func TestFinalizeStallIsWatched(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
+	const timeout = 200 * time.Millisecond
+	eps := localTCPWorld(t, 2)
+	release := make(chan struct{})
+	done := make(chan error, 2)
+	go func() {
+		_, err := RunRank(eps[1], RunOptions{StallTimeout: timeout}, func(p *Proc) {
+			p.Barrier() // both ranks are dialed and running
+			<-release
+		})
+		done <- err
+	}()
+	rank0 := make(chan error, 1)
+	go func() {
+		_, err := RunRank(eps[0], RunOptions{StallTimeout: timeout}, func(p *Proc) { p.Barrier() })
+		rank0 <- err
+	}()
+	var err error
+	select {
+	case err = <-rank0:
+		close(release)
+	case <-time.After(20 * timeout):
+		close(release) // the finalize barrier completes
+		err = <-rank0
+		<-done
+		t.Fatalf("rank 0 was still in its finalize barrier after %v (then returned %v); want ErrStalled", 20*timeout, err)
+	}
+	<-done // rank 1 fails on the closed link; it must not hang
+	if !errors.Is(err, ErrStalled) || !strings.Contains(err.Error(), "rank 0 blocked in Barrier") {
+		t.Fatalf("rank 0: err = %v; want ErrStalled naming the barrier", err)
 	}
 }

@@ -38,8 +38,7 @@ const collTagBase = 1 << 24
 
 // Stats aggregates the communication volume of a world or a process.
 // In a quiescent world (every sent message consumed by a Recv, a RecvRef
-// or a DrainTag, a posted one's length counted as its payload) the send
-// and receive sides balance: Messages == Received
+// or a DrainTag) the send and receive sides balance: Messages == Received
 // and Bytes == BytesReceived.
 type Stats struct {
 	Messages      int64 // point-to-point messages sent
@@ -107,6 +106,10 @@ type world struct {
 	// abort (RunOptions.OnStall).
 	onStall func(string)
 
+	// aborted is set once abort has begun: a rank whose endpoint fails
+	// after that dies silently, its failure being the teardown's.
+	aborted atomic.Bool
+
 	// Stall-watchdog state (RunOptions.StallTimeout): per-local-rank
 	// wait states and a progress counter bumped on every delivery,
 	// receive, and barrier passage.  Only maintained when watch is set.
@@ -135,7 +138,9 @@ func (w *world) abort() {
 	w.abortOnce.Do(func() {
 		// Quiesce before closing so the teardown's own link drops don't
 		// overwrite the first failure; ranks blocked in Recv observe
-		// ErrClosed and die silently as errAborted.
+		// ErrClosed, or a link the teardown cut, and die silently as
+		// errAborted.
+		w.aborted.Store(true)
 		for _, ep := range w.eps {
 			if ep != nil {
 				ep.Quiesce()
@@ -385,11 +390,15 @@ func (w *world) run(opts RunOptions, fn func(p *Proc)) (Stats, error) {
 // rendezvous with every peer one last time so their in-flight traffic
 // has landed, push the barrier's own release, then let run close the
 // endpoint.  Flush errors are ignored — if a link is truly dead the
-// finalize barrier reports it (or the watchdog does).
+// finalize barrier reports it (or the watchdog does).  The barrier waits
+// as Barrier does, in the watchdog's sight: a peer that never arrives is
+// a stall.
 func (p *Proc) finalizeWired() {
 	p.ep.Flush()
 	p.ep.Quiesce()
+	p.inBarrier(true)
 	p.msgBarrier(tagFinalize)
+	p.inBarrier(false)
 	p.ep.Flush()
 }
 
@@ -517,11 +526,11 @@ func (w *world) stallDiagnostic() error {
 }
 
 // transportFail translates an endpoint error into the rank's fate: a
-// plain closure means the world aborted (die silently), anything else
-// is a transport failure that aborts the world and surfaces as this
-// rank's error.
+// plain closure, or any failure once the world is aborting, means the
+// world aborted (die silently); anything else is a transport failure
+// that aborts the world and surfaces as this rank's error.
 func (p *Proc) transportFail(err error) {
-	if errors.Is(err, transport.ErrClosed) {
+	if errors.Is(err, transport.ErrClosed) || p.w.aborted.Load() {
 		panic(errAborted{})
 	}
 	p.w.abort()
@@ -544,21 +553,6 @@ func (p *Proc) Send(dst, tag int, data []byte) {
 func (p *Proc) SendNoCopy(dst, tag int, data []byte) {
 	p.sending(dst, int64(len(data)))
 	if err := p.ep.SendNoCopy(dst, tag, data); err != nil {
-		p.transportFail(err)
-	}
-}
-
-// SendSegs delivers the concatenation of segs to dst, lending the
-// slices (transport.Transport.SendSegs): they stay the caller's, who
-// must not write them until Flush returns.  The receiver gets one
-// payload it owns, as from Send.
-func (p *Proc) SendSegs(dst, tag int, segs [][]byte) {
-	var n int64
-	for _, s := range segs {
-		n += int64(len(s))
-	}
-	p.sending(dst, n)
-	if err := p.ep.SendSegs(dst, tag, segs); err != nil {
 		p.transportFail(err)
 	}
 }
@@ -590,34 +584,10 @@ func (p *Proc) sending(dst int, n int64) {
 	p.tr.Instant(trace.PhaseMPISend, trace.NoWindow, n, "")
 }
 
-// Flush blocks until every payload this rank sent has left its endpoint
-// (a no-op in-process).  A rank that lent slices over a wire, and does
-// not know that the receiver took them, calls it before it writes them
-// again.
-func (p *Proc) Flush() {
-	if err := p.ep.Flush(); err != nil {
-		p.transportFail(err)
-	}
-}
-
-// Post posts segs as the destination of the earliest message from src
-// under tag that nothing has matched yet (transport.Transport.Post): over
-// a wire its payload is read from the socket straight into the segments.
-// A Recv of (src, tag) later returns its completion — no payload, the
-// bytes are in segs — in the message's FIFO place, and counts its length
-// as a received message's.  segs, the slices and their array, are the
-// endpoint's until then, or until DrainTag withdraws the posting.
-func (p *Proc) Post(src, tag int, segs [][]byte) {
-	if err := p.ep.Post(src, tag, segs); err != nil {
-		p.transportFail(err)
-	}
-}
-
 // Recv blocks until a message matching (src, tag) arrives and returns its
 // payload and envelope.  src may be AnySource and tag may be AnyTag.
 // Matching messages from the same source with the same tag are received
-// in the order they were sent.  The payload is the caller's; a posted
-// message's (Post) is nil.
+// in the order they were sent.  The payload is the caller's.
 func (p *Proc) Recv(src, tag int) (data []byte, fromSrc, fromTag int) {
 	m := p.recv(src, tag)
 	return m.Data, m.Src, m.Tag
@@ -642,7 +612,7 @@ func (p *Proc) recv(src, tag int) transport.Message {
 		p.w.blocked[p.widx].Store(blockNone)
 		p.w.progress.Add(1)
 	}
-	n := int64(len(m.Data) + m.Len)
+	n := int64(len(m.Data))
 	ns := sp.EndBytes(n)
 	p.recvWaitNs += ns
 	p.received(1, n)
@@ -657,13 +627,10 @@ func (p *Proc) received(msgs, bytes int64) {
 
 // DrainTag removes every queued message with the given tag (from any
 // source) from this rank's inbox, returning the number of messages
-// discarded; it withdraws the tag's postings nothing has matched and
-// waits for any being filled, so that from its return on no posted
-// segment of the tag is written.  Collective error recovery uses it to
-// clear the in-flight traffic of an abandoned collective so the next
-// one starts with clean inboxes.  Drained messages count as received
-// so the world's send/receive accounting still balances after error
-// recovery.
+// discarded.  Collective error recovery uses it to clear the in-flight
+// traffic of an abandoned collective so the next one starts with clean
+// inboxes.  Drained messages count as received so the world's
+// send/receive accounting still balances after error recovery.
 func (p *Proc) DrainTag(tag int) int {
 	dropped, bytes := p.ep.DrainTag(tag)
 	p.received(int64(dropped), bytes)
@@ -675,13 +642,8 @@ func (p *Proc) Barrier() {
 	w := p.w
 	sp := p.tr.Begin(trace.PhaseMPIBarrier, trace.NoWindow, 0)
 	defer sp.End()
-	if w.watch {
-		w.blocked[p.widx].Store(blockState(blockBarrier, -2, -2))
-		defer func() {
-			w.blocked[p.widx].Store(blockNone)
-			w.progress.Add(1)
-		}()
-	}
+	p.inBarrier(true)
+	defer p.inBarrier(false)
 	if w.wired {
 		p.msgBarrier(tagBarrier)
 		return
@@ -707,6 +669,20 @@ func (p *Proc) Barrier() {
 	w.barrierMu.Unlock()
 	if aborted {
 		panic(errAborted{})
+	}
+}
+
+// inBarrier records for the stall watchdog that the rank waits in a
+// barrier (in) or has passed it, a passage being progress.
+func (p *Proc) inBarrier(in bool) {
+	w := p.w
+	switch {
+	case !w.watch:
+	case in:
+		w.blocked[p.widx].Store(blockState(blockBarrier, -2, -2))
+	default:
+		w.blocked[p.widx].Store(blockNone)
+		w.progress.Add(1)
 	}
 }
 

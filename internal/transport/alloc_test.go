@@ -74,57 +74,3 @@ func TestTCPRoundTripAllocBound(t *testing.T) {
 		t.Errorf("TCP round-trip allocates %.2f per iteration, want <= %d", a, maxAllocs)
 	}
 }
-
-// TestTCPPostedRoundTripAllocBound is TestTCPRoundTripAllocBound with
-// each message posted before it is sent: the link reader reads it from
-// the socket straight into the posted buffer, by readv with the link's
-// own iovec scratch, so it draws no payload from the endpoint's pool and
-// allocates no more than a pooled round-trip.
-func TestTCPPostedRoundTripAllocBound(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("race-detector instrumentation allocates")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	bp := pool.New()
-	eps, err := NewLocalTCPWorld(2, TCPConfig{Deadline: 10 * time.Second, Pool: bp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialWorld(t, eps)
-	defer closeWorld(eps)
-
-	const size = 256 << 10 // past what the reader's buffer holds: most of it comes by readv
-	var segs [2][][]byte   // by receiving rank: two segments of its buffer
-	for r := range segs {
-		buf := make([]byte, size)
-		segs[r] = [][]byte{buf[:size/4], buf[size/4:]}
-	}
-	roundTrips := func(r int) float64 {
-		return testing.AllocsPerRun(r, func() {
-			for step := 0; step < 2; step++ {
-				src, dst := step, 1-step
-				if err := eps[dst].Post(src, 7, segs[dst]); err != nil {
-					t.Errorf("post: %v", err)
-					return
-				}
-				if err := eps[src].SendNoCopy(dst, 7, pool.Global.Get(size)); err != nil {
-					t.Errorf("send: %v", err)
-					return
-				}
-				if m, err := eps[dst].Recv(src, 7); err != nil || m.Len != size {
-					t.Errorf("recv: %+v, %v", m, err)
-					return
-				}
-			}
-		})
-	}
-	roundTrips(8)
-	gets := bp.Stats().Gets
-	const maxAllocs = 16 // TestTCPRoundTripAllocBound's
-	if a := roundTrips(20); a > maxAllocs {
-		t.Errorf("posted TCP round-trip allocates %.2f per iteration, want <= %d", a, maxAllocs)
-	}
-	if got := bp.Stats().Gets - gets; got != 0 {
-		t.Errorf("the link readers drew %d payloads for posted messages, want none", got)
-	}
-}

@@ -1,20 +1,18 @@
 package transport
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/pool"
 	"repro/internal/testutil"
 )
 
-// fabrics brings up a two-rank world of each fabric over the pool bp;
-// the returned function closes both.
-func fabrics(t *testing.T, bp *pool.Pool) (map[string][]Transport, func()) {
+// fabrics brings up a two-rank world of each fabric; the returned
+// function closes both.
+func fabrics(t *testing.T) (map[string][]Transport, func()) {
 	t.Helper()
-	tcp, err := NewLocalTCPWorld(2, TCPConfig{Deadline: 10 * time.Second, Pool: bp})
+	tcp, err := NewLocalTCPWorld(2, TCPConfig{Deadline: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +30,7 @@ func fabrics(t *testing.T, bp *pool.Pool) (map[string][]Transport, func()) {
 // reserved (negative) space, and delivers nothing for it.
 func TestFabricsRefuseTheSameSends(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
-	fabs, stop := fabrics(t, nil)
+	fabs, stop := fabrics(t)
 	defer stop()
 	sends := []struct {
 		name string
@@ -40,7 +38,6 @@ func TestFabricsRefuseTheSameSends(t *testing.T) {
 	}{
 		{"Send", func(ep Transport, dst, tag int) error { return ep.Send(dst, tag, []byte("x")) }},
 		{"SendNoCopy", func(ep Transport, dst, tag int) error { return ep.SendNoCopy(dst, tag, []byte("x")) }},
-		{"SendSegs", func(ep Transport, dst, tag int) error { return ep.SendSegs(dst, tag, [][]byte{[]byte("x")}) }},
 		{"SendRef", func(ep Transport, dst, tag int) error { return ep.SendRef(dst, tag, new(int)) }},
 	}
 	refused := []struct {
@@ -80,7 +77,7 @@ func TestFabricsRefuseTheSameSends(t *testing.T) {
 // every rank, itself included, and delivers nothing for it.
 func TestSendRefStaysInProcess(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
-	fabs, stop := fabrics(t, nil)
+	fabs, stop := fabrics(t)
 	defer stop()
 	ref := &struct{ buf []byte }{buf: []byte("in place")}
 	for dst, ep := range fabs["loopback"] {
@@ -108,62 +105,5 @@ func TestSendRefStaysInProcess(t *testing.T) {
 		if m, err := tcp[dst].Recv(AnySource, AnyTag); err != nil || m.Tag != 3 {
 			t.Errorf("tcp: rank %d received %+v, %v after the refused reference", dst, m, err)
 		}
-	}
-}
-
-// TestSendSegsLends: a lent payload arrives whole on both fabrics as one
-// payload the receiver owns — gathered at once in-process, written from
-// the slices over TCP (and gathered for a self-send) — and a drain counts
-// its bytes.  Nothing returns a lent slice to a pool: the slices are of a
-// buffer from a checked pool, which would poison it, and the pool counts
-// no Put.
-func TestSendSegsLends(t *testing.T) {
-	t.Cleanup(testutil.LeakCheck(t))
-	bp := pool.NewChecked()
-	fabs, stop := fabrics(t, bp)
-	defer stop()
-	src := bp.Get(3 << 10)
-	for i := range src {
-		src[i] = byte(i * 7)
-	}
-	orig := bytes.Clone(src)
-	segs := [][]byte{src[:1000], src[2000:3000], src[1000:1500]}
-	want := bytes.Join(segs, nil)
-	for name, eps := range fabs {
-		puts := bp.Stats().Puts
-		for dst := range eps {
-			if err := eps[0].SendSegs(dst, 5, segs); err != nil {
-				t.Fatal(err)
-			}
-			m, err := eps[dst].Recv(0, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(m.Data, want) || &m.Data[0] == &src[0] {
-				t.Errorf("%s to %d: delivered %d bytes, equal=%v; want one owned payload of the concatenation",
-					name, dst, len(m.Data), bytes.Equal(m.Data, want))
-			}
-		}
-		if err := eps[0].SendSegs(1, 9, segs); err != nil {
-			t.Fatal(err)
-		}
-		if err := eps[0].SendNoCopy(1, 8, []byte("keep")); err != nil { // too short for the pool
-			t.Fatal(err)
-		}
-		if _, err := eps[1].Recv(0, 8); err != nil { // FIFO: the lent message has landed
-			t.Fatal(err)
-		}
-		if n, owned := eps[1].DrainTag(9); n != 1 || owned != int64(len(want)) {
-			t.Errorf("%s: drained %d messages, %d bytes; want 1, %d", name, n, owned, len(want))
-		}
-		if err := eps[0].Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if got := bp.Stats().Puts - puts; got != 0 {
-			t.Errorf("%s: %d buffers went back to the pool; a lent slice is never the endpoint's to recycle", name, got)
-		}
-	}
-	if !bytes.Equal(src, orig) {
-		t.Error("the lent buffer changed: a slice of it reached the checked pool")
 	}
 }

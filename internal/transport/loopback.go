@@ -61,14 +61,6 @@ func (l *Loopback) SendNoCopy(dst, tag int, data []byte) error {
 	return l.deliver(dst, Message{Tag: tag, Data: data})
 }
 
-// SendSegs implements Transport: the slices are gathered into one
-// payload the receiver owns, as TCP's receiver gets it, so they are the
-// caller's again when it returns.  (What moves a user buffer in place
-// in-process is SendRef.)
-func (l *Loopback) SendSegs(dst, tag int, segs [][]byte) error {
-	return l.deliver(dst, Message{Tag: tag, Data: gather(segs, func(n int) []byte { return make([]byte, n) })})
-}
-
 // SendRef implements Transport: the receiver gets ref itself.
 func (l *Loopback) SendRef(dst, tag int, ref any) error {
 	return l.deliver(dst, Message{Tag: tag, Ref: ref})
@@ -79,25 +71,8 @@ func (l *Loopback) deliver(dst int, m Message) error {
 		return err
 	}
 	m.Src = l.rank
-	ib := l.fab.inboxes[dst]
-	if _, err := ib.put(m); err != nil {
-		ib.close(err) // the receiving endpoint fails; the send was made
-	}
+	l.fab.inboxes[dst].put(m)
 	return nil
-}
-
-// Post implements Transport: a later message fills the posting when it is
-// delivered, in the sender's call.
-func (l *Loopback) Post(src, tag int, segs [][]byte) error {
-	if err := checkPost(src, tag, len(l.fab.inboxes)); err != nil {
-		return err
-	}
-	ib := l.fab.inboxes[l.rank]
-	_, err := ib.post(src, tag, segs)
-	if err != nil {
-		ib.close(err)
-	}
-	return err
 }
 
 // Recv implements Transport.

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -334,22 +333,6 @@ func (t *TCP) SendNoCopy(dst, tag int, data []byte) error {
 	return t.enqueue(dst, outFrame{tag: tag, data: data})
 }
 
-// SendSegs implements Transport: the link writer puts the lent slices
-// into its vectored flush as they are, so they reach the socket from the
-// caller's memory without a staging copy.  A self-send gathers them into
-// a pooled payload instead: on this fabric every delivered message is one
-// the receiver owns.
-func (t *TCP) SendSegs(dst, tag int, segs [][]byte) error {
-	if err := checkSend(dst, tag, t.cfg.Size, false, true); err != nil {
-		return err
-	}
-	fr := outFrame{tag: tag, segs: segs}
-	if dst == t.cfg.Rank {
-		fr = outFrame{tag: tag, data: gather(segs, t.cfg.Pool.Get)}
-	}
-	return t.enqueue(dst, fr)
-}
-
 // SendRef implements Transport: a reference cannot cross a wire, and this
 // fabric refuses it whatever dst is.
 func (t *TCP) SendRef(dst, tag int, _ any) error {
@@ -358,14 +341,8 @@ func (t *TCP) SendRef(dst, tag int, _ any) error {
 
 func (t *TCP) enqueue(dst int, fr outFrame) error {
 	if dst == t.cfg.Rank {
-		// Self-sends never touch the wire (an IOP that is also an AP), but
-		// they fill a posting as a frame from a peer does.
-		spent, err := t.ib.put(Message{Src: t.cfg.Rank, Tag: fr.tag, Data: fr.data})
-		if err != nil {
-			t.closeWith(err)
-			return err
-		}
-		t.cfg.Pool.Put(spent)
+		// Self-sends never touch the wire (an IOP that is also an AP).
+		t.ib.put(Message{Src: t.cfg.Rank, Tag: fr.tag, Data: fr.data})
 		return nil
 	}
 	l := t.links[dst]
@@ -373,20 +350,6 @@ func (t *TCP) enqueue(dst int, fr outFrame) error {
 		return fmt.Errorf("transport: no link to rank %d (endpoint not dialed)", dst)
 	}
 	return l.enqueue(fr)
-}
-
-// Post implements Transport: a frame that arrives for the posting is
-// read from the socket straight into its segments (readPosted).
-func (t *TCP) Post(src, tag int, segs [][]byte) error {
-	if err := checkPost(src, tag, t.cfg.Size); err != nil {
-		return err
-	}
-	spent, err := t.ib.post(src, tag, segs)
-	if errors.Is(err, ErrFrame) {
-		t.closeWith(err)
-	}
-	t.cfg.Pool.Put(spent)
-	return err
 }
 
 // Recv implements Transport.
@@ -458,7 +421,12 @@ func (t *TCP) linkFailed(l *link, err error) {
 		l.close()
 		return
 	}
-	t.closeWith(fmt.Errorf("transport: link to rank %d lost: %v", l.peer, err))
+	t.closeWith(linkLost(l.peer, err))
+}
+
+// linkLost is the error of the link to peer, lost for the reason err.
+func linkLost(peer int, err error) error {
+	return fmt.Errorf("transport: link to rank %d lost: %v", peer, err)
 }
 
 // Stats implements Transport.
@@ -478,20 +446,10 @@ func (t *TCP) Stats() WireStats {
 func (t *TCP) wireProgress() int64 { return t.bytesSent.Load() + t.bytesRecv.Load() }
 
 // outFrame is one queued outbound message: an owned payload, recycled
-// into the pool once written, or lent slices, which are written from
-// where they lie and never recycled.
+// into the pool once written.
 type outFrame struct {
 	tag  int
 	data []byte
-	segs [][]byte
-}
-
-func (fr *outFrame) size() int64 {
-	n := int64(len(fr.data))
-	for _, s := range fr.segs {
-		n += int64(len(s))
-	}
-	return n
 }
 
 // link is one pair connection with its writer queue.
@@ -500,13 +458,9 @@ type link struct {
 	peer int
 	conn net.Conn
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	out  []outFrame
-	// lent holds the slice headers of out's lent frames, copied in by
-	// enqueue: the writer reads only what the link owns, never the
-	// sender's own array of them.
-	lent    [][]byte
+	mu      sync.Mutex
+	cond    *sync.Cond
+	out     []outFrame
 	writing bool
 	closed  bool
 	err     error
@@ -536,11 +490,6 @@ func (l *link) enqueue(fr outFrame) error {
 		}
 		return err
 	}
-	if fr.segs != nil {
-		at := len(l.lent)
-		l.lent = append(l.lent, fr.segs...)
-		fr.segs = l.lent[at:]
-	}
 	l.out = append(l.out, fr)
 	l.mu.Unlock()
 	l.cond.Signal()
@@ -548,8 +497,7 @@ func (l *link) enqueue(fr outFrame) error {
 }
 
 // flush blocks until the queue is drained and flushed to the socket —
-// or the link is closed — and the writer is out of its write: from then
-// on it reads no lent slice.
+// or the link is closed — and the writer is out of its write.
 func (l *link) flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -586,18 +534,16 @@ func (l *link) failWith(err error) {
 // writer drains the outbound queue: every wake-up takes the whole
 // queue and writes it in WriteBuf-sized vectored batches — each batch
 // is one net.Buffers.WriteTo, which on a *net.TCPConn is writev: n
-// queued frames (headers and payloads alike, a lent frame's slices each
-// their own iovec) cost one syscall, with no copy into an intermediate
-// coalescing buffer.  The queue arrays double-buffer (the drained array
-// is handed back to enqueue once its payloads are recycled), as do the
-// lent-slice arrays, and the header slab and iovec scratch persist
+// queued frames (headers and payloads alike) cost one syscall, with no
+// copy into an intermediate coalescing buffer.  The queue arrays
+// double-buffer (the drained array is handed back to enqueue once its
+// payloads are recycled), and the header slab and iovec scratch persist
 // across wake-ups, so the steady-state writer allocates nothing.
 func (l *link) writer() {
 	var (
-		bufs      net.Buffers // iovec scratch: hdr, payload, hdr, payload, ...
-		hdrs      []byte      // slab backing the batch's frame headers
-		spare     []outFrame  // drained queue array, handed back to enqueue
-		spareLent [][]byte    // drained lent-slice array, likewise
+		bufs  net.Buffers // iovec scratch: hdr, payload, hdr, payload, ...
+		hdrs  []byte      // slab backing the batch's frame headers
+		spare []outFrame  // drained queue array, handed back to enqueue
 	)
 	for {
 		l.mu.Lock()
@@ -608,9 +554,8 @@ func (l *link) writer() {
 			l.mu.Unlock()
 			return // closed and drained
 		}
-		batch, lent := l.out, l.lent
-		l.out, l.lent = spare, spareLent
-		spare, spareLent = nil, nil
+		batch := l.out
+		l.out, spare = spare, nil
 		l.writing = true
 		l.mu.Unlock()
 
@@ -629,19 +574,14 @@ func (l *link) writer() {
 			var group int64
 			for ; done < len(batch); done++ {
 				fr := &batch[done]
-				n := fr.size()
+				n := int64(len(fr.data))
 				if len(bufs) > 0 && group+FrameHeaderSize+n > int64(l.t.cfg.WriteBuf) {
 					break
 				}
 				h := hdrs[done*FrameHeaderSize : (done+1)*FrameHeaderSize]
 				putFrameHeader(h, l.t.cfg.Rank, fr.tag, int(n))
 				bufs = append(bufs, h)
-				for _, s := range fr.segs {
-					if len(s) > 0 {
-						bufs = append(bufs, s)
-					}
-				}
-				if len(fr.data) > 0 {
+				if n > 0 {
 					bufs = append(bufs, fr.data)
 				}
 				group += FrameHeaderSize + n
@@ -669,15 +609,13 @@ func (l *link) writer() {
 		sp.EndBytes(total)
 
 		if werr == nil {
-			// The payloads hit the socket.  This endpoint owned the data
-			// ones (SendNoCopy is an ownership transfer): recycle them.
-			// The lent slices are the senders': only forget them.
+			// The payloads hit the socket.  This endpoint owned them
+			// (SendNoCopy is an ownership transfer): recycle them.
 			for i := range batch {
 				l.t.cfg.Pool.Put(batch[i].data)
 				batch[i] = outFrame{}
 			}
-			clear(lent)
-			spare, spareLent = batch[:0], lent[:0]
+			spare = batch[:0]
 		}
 
 		l.mu.Lock()
@@ -691,107 +629,45 @@ func (l *link) writer() {
 	}
 }
 
-// reader parses inbound frames and delivers them to the inbox: into the
-// posting a frame matches (inbox.arrive), read from the socket straight
-// into the posted segments, or else as a pooled payload.  The span covers
-// the payload transfer (header → full frame), not the idle wait between
-// frames.
+// reader delivers the link's inbound frames to the inbox until the link
+// fails, then records the peer as gone: every frame it read is queued by
+// then, so a Recv naming the peer that finds none fails instead of
+// waiting for one no link will deliver — also on a quiesced endpoint,
+// where the failure closes only this link.
 func (l *link) reader() {
+	err := l.read()
+	l.t.ib.lose(l.peer, linkLost(l.peer, err))
+	l.failWith(err)
+}
+
+// read parses inbound frames and queues each as a pooled payload, until
+// a read fails.  The span covers the payload transfer (header → full
+// frame), not the idle wait between frames.
+func (l *link) read() error {
 	cr := &countingReader{r: l.conn, n: &l.t.bytesRecv}
 	br := bufio.NewReaderSize(cr, readBufSize)
-	sock := newSockReader(l.conn, &l.t.bytesRecv)
 	var hdr [FrameHeaderSize]byte
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			l.failWith(err)
-			return
+			return err
 		}
 		src, tag, n, err := parseFrameHeader(hdr[:], l.t.cfg.MaxFrame)
 		if err != nil {
-			l.failWith(err)
-			return
+			return err
 		}
 		if src != l.peer || tag < 0 {
-			l.failWith(fmt.Errorf("%w: envelope src=%d tag=%d on link to rank %d", ErrFrame, src, tag, l.peer))
-			return
+			return fmt.Errorf("%w: envelope src=%d tag=%d on link to rank %d", ErrFrame, src, tag, l.peer)
 		}
 		sp := l.t.tr.BeginWire(trace.PhaseWireRecv, 0)
-		m := Message{Src: src, Tag: tag}
-		if p, posted := l.t.ib.arrive(src, tag); posted {
-			m.Len, m.posted = n, true
-			if err = frameFits(n, p.n); err == nil {
-				err = readPosted(br, sock, p.segs)
-			}
-		} else {
-			// Ownership of the payload passes to whoever Recvs the message;
-			// core returns exchange chunks to its pool after unpacking.
-			m.Data = l.t.cfg.Pool.Get(n)
-			err = readPayload(br, m.Data)
+		// Ownership of the payload passes to whoever Recvs the message;
+		// core returns exchange chunks to its pool after unpacking.
+		data := l.t.cfg.Pool.Get(n)
+		if err := readPayload(br, data); err != nil {
+			return err
 		}
-		if err == nil {
-			sp.EndBytes(FrameHeaderSize + int64(n))
-			l.t.framesRecv.Add(1)
-		}
-		l.t.ib.land(m, err == nil)
-		if err != nil {
-			l.failWith(err)
-			return
-		}
-	}
-}
-
-// readPosted fills a posting's segments with the payload of the frame
-// whose header was just read from br.  Where the link has a sockReader it
-// takes the bytes br already holds, then reads the rest straight from the
-// socket by readv(2); otherwise (a ChaosConn) it reads through br,
-// segment by segment.
-func readPosted(br *bufio.Reader, sock *sockReader, segs [][]byte) error {
-	c := segCursor{segs: segs}
-	if sock == nil {
-		for b := c.next(); b != nil; b = c.next() {
-			if err := readPayload(br, b); err != nil {
-				return err
-			}
-			c.advance(len(b))
-		}
-		return nil
-	}
-	for br.Buffered() > 0 {
-		b := c.next()
-		if b == nil {
-			return nil
-		}
-		n, _ := br.Read(b[:min(len(b), br.Buffered())])
-		c.advance(n)
-	}
-	return sock.readFull(&c)
-}
-
-// segCursor is the fill position in a posting's segments, which it never
-// modifies: segs[i][k:] is the next byte's home.
-type segCursor struct {
-	segs [][]byte
-	i, k int
-}
-
-// next returns the unfilled rest of the current segment, past any empty
-// ones, or nil when every segment is full.
-func (c *segCursor) next() []byte {
-	for ; c.i < len(c.segs); c.i, c.k = c.i+1, 0 {
-		if b := c.segs[c.i][c.k:]; len(b) > 0 {
-			return b
-		}
-	}
-	return nil
-}
-
-// advance moves the position n bytes on.
-func (c *segCursor) advance(n int) {
-	for n > 0 {
-		b := c.next()
-		k := min(n, len(b))
-		c.k += k
-		n -= k
+		sp.EndBytes(FrameHeaderSize + int64(n))
+		l.t.framesRecv.Add(1)
+		l.t.ib.put(Message{Src: src, Tag: tag, Data: data})
 	}
 }
 

@@ -298,9 +298,68 @@ func TestTCPFlushPastClosedLink(t *testing.T) {
 			t.Fatalf("rank 2 got %d bytes, err %v; want %d", len(r.m.Data), r.err, size)
 		}
 	case <-time.After(10 * time.Second):
-		// A quiesced link cut mid-frame closes quietly: the frame is lost.
+		// Neither the frame nor the link's loss reached rank 2.
 		eps[2].Close()
 		<-got
 		t.Fatal("rank 2 never received the frame rank 0 flushed")
+	}
+}
+
+// TestTCPQuiescedRecvNamesLostPeer: on a quiesced endpoint a lost link
+// closes only itself, and a Recv naming its peer takes what the link
+// delivered, then fails naming the peer instead of waiting for a frame
+// no link will deliver.  The endpoint's other links keep working.
+func TestTCPQuiescedRecvNamesLostPeer(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
+	eps, err := NewLocalTCPWorld(3, TCPConfig{Deadline: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialWorld(t, eps)
+	defer closeWorld(eps)
+
+	for _, ep := range eps {
+		ep.Quiesce()
+	}
+	if err := eps[1].Send(0, 4, []byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	if err := eps[1].Flush(); err != nil {
+		t.Fatal(err)
+	}
+	eps[1].Close()
+
+	type result struct {
+		m   Message
+		err error
+	}
+	got := make(chan result, 2)
+	go func() {
+		for i := 0; i < 2; i++ {
+			m, err := eps[0].Recv(1, 4)
+			got <- result{m, err}
+		}
+	}()
+	var rs []result
+	for len(rs) < 2 {
+		select {
+		case r := <-got:
+			rs = append(rs, r)
+		case <-time.After(5 * time.Second):
+			eps[0].Close() // release the blocked Recv
+			t.Fatalf("Recv from the lost peer still blocked after 5s (received %d of 2)", len(rs))
+		}
+	}
+	if rs[0].err != nil || string(rs[0].m.Data) != "last" {
+		t.Errorf("first Recv: %q, %v; want the frame the peer sent before it left", rs[0].m.Data, rs[0].err)
+	}
+	if rs[1].err == nil || !strings.Contains(rs[1].err.Error(), "link to rank 1 lost") {
+		t.Errorf("second Recv: err = %v; want the lost link named", rs[1].err)
+	}
+	if err := eps[2].Send(0, 5, []byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := eps[0].Recv(2, 5); err != nil || string(m.Data) != "ok" {
+		t.Errorf("Recv from rank 2 after rank 1 left: %q, %v", m.Data, err)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // and everything the endpoint receives, pass straight through.
 //
 // A held frame is the wrapper's own copy, forwarded with SendNoCopy (a
-// reference with SendRef), so a lent slice is free again once Send
-// returns.  Flush waits until every held frame has been forwarded, then
+// reference with SendRef), so Send's payload is the caller's again once
+// it returns.  Flush waits until every held frame has been forwarded, then
 // flushes the endpoint; Close stops the goroutine and waits for it.
 type Delayed struct {
 	transport.Transport
@@ -99,15 +99,6 @@ func (d *Delayed) SendNoCopy(dst, tag int, data []byte) error {
 		return d.Transport.SendNoCopy(dst, tag, data)
 	}
 	return d.hold(heldFrame{tag: tag, data: data})
-}
-
-// SendSegs implements transport.Transport: a held frame is the segments
-// gathered into one payload.
-func (d *Delayed) SendSegs(dst, tag int, segs [][]byte) error {
-	if dst != d.to {
-		return d.Transport.SendSegs(dst, tag, segs)
-	}
-	return d.hold(heldFrame{tag: tag, data: bytes.Join(segs, nil)})
 }
 
 // SendRef implements transport.Transport.
