@@ -34,26 +34,16 @@ type flags struct {
 	pattern        string
 	collective     bool
 	engine         string
-	reps           int
-	verify         bool
-	tiles          int64
-	sieveBuf       int
-	collBuf        int
-	ioNodes        int
 	file           string
-	readBW         int64
-	writeBW        int64
 	latency        time.Duration
 	chaosSeed      int64
 	tracePath      string
 	traceSumm      bool
-	stall          time.Duration
 
 	netMode       string
 	netRank       int
 	netRendezvous string
 	netFD         int
-	netTimeout    time.Duration
 
 	servers        int
 	stripeUnit     int64
@@ -63,8 +53,7 @@ type flags struct {
 	killServer     time.Duration
 	wireChaosSeed  int64
 
-	traceSplit bool
-	flight     string
+	flight string
 }
 
 // def records name's launch class and returns name, so registration and
@@ -95,26 +84,16 @@ func newFlags() *flags {
 	f.StringVar(&f.pattern, f.def("pattern", toRanks), "nc-nc", "access pattern: c-c, nc-c, c-nc, nc-nc")
 	f.BoolVar(&f.collective, f.def("collective", toRanks), false, "use collective access")
 	f.StringVar(&f.engine, f.def("engine", toRanks), "listless", "datatype engine: listless or list-based")
-	f.IntVar(&f.reps, f.def("reps", toRanks), 0, "write+read repetitions (0 = auto)")
-	f.BoolVar(&f.verify, f.def("verify", toRanks), true, "verify read-back data")
-	f.Int64Var(&f.tiles, f.def("tiles", toRanks), 1, "filetype instances per access (scales the file size)")
-	f.IntVar(&f.sieveBuf, f.def("sievebuf", toRanks), 0, "data-sieving buffer bytes (0 = default)")
-	f.IntVar(&f.collBuf, f.def("collbuf", toRanks), 0, "collective buffer bytes (0 = default)")
-	f.IntVar(&f.ioNodes, f.def("ionodes", toRanks), 0, "number of I/O processes (0 = all)")
 	f.StringVar(&f.file, f.def("file", both), "", "back the run with this file instead of memory (with -net launch -servers: per-server stripe files <file>.srvN)")
-	f.Int64Var(&f.readBW, f.def("read-bw", toRanks), 0, "throttle: backend read bandwidth in bytes/s")
-	f.Int64Var(&f.writeBW, f.def("write-bw", toRanks), 0, "throttle: backend write bandwidth in bytes/s")
 	f.DurationVar(&f.latency, f.def("latency", toRanks), 0, "throttle: per-operation backend latency")
 	f.Int64Var(&f.chaosSeed, f.refuse("chaos-seed", "per-process injection would desynchronize the ranks"), 0, "inject seeded transient storage faults, ridden out by retries (0 = off)")
 	f.StringVar(&f.tracePath, f.def("trace", both), "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
 	f.BoolVar(&f.traceSumm, f.refuse("trace-summary", "the summary compares the ranks of one process's collector and every launched rank is its own process; use -trace and read the merged file"), false, "print the per-phase imbalance summary of the traced run")
-	f.DurationVar(&f.stall, f.def("stall", toRanks), 0, "stall watchdog timeout (0 = default: off in-process, 30s with -net)")
 
 	f.StringVar(&f.netMode, f.def("net", setByLaunch), "", `process model: "" (goroutine ranks), "launch" (fork one OS process per rank over TCP), "rank" (run as one such rank; set by launch), "server" (run as one I/O server; set by launch)`)
 	f.IntVar(&f.netRank, f.def("net-rank", setByLaunch), -1, "this process's rank (with -net rank)")
 	f.StringVar(&f.netRendezvous, f.def("net-rendezvous", setByLaunch), "", "rank 0's rendezvous address (with -net rank, ranks > 0)")
 	f.IntVar(&f.netFD, f.def("net-fd", setByLaunch), 0, "inherited rendezvous listener fd (with -net rank, rank 0)")
-	f.DurationVar(&f.netTimeout, f.def("net-timeout", launcherOnly), 5*time.Minute, "kill the whole -net launch run after this long")
 
 	f.IntVar(&f.servers, f.def("servers", toServers), 0, "with -net launch: number of I/O-server processes to stripe the file across")
 	f.Int64Var(&f.stripeUnit, f.def("stripe", both), 64<<10, "stripe unit bytes of the I/O-server tier")
@@ -124,7 +103,6 @@ func newFlags() *flags {
 	f.DurationVar(&f.killServer, f.def("kill-server", launcherOnly), 0, "with -net launch -servers: SIGKILL server 0 after this long, to demonstrate supervised recovery (0 = off)")
 	f.Int64Var(&f.wireChaosSeed, f.def("wire-chaos-seed", toRanks), 0, "inject seeded wire faults (drops, dups, header corruption, resets, partitions) on this rank's server connections (0 = off)")
 
-	f.BoolVar(&f.traceSplit, f.def("trace-split", launcherOnly), false, "with -net launch -trace: keep the per-process trace files next to the merged one")
 	f.StringVar(&f.flight, f.def("flight", both), "", "flight recorder: periodically persist recent spans (and a server's request stats) to this path, dumped on SIGQUIT, collective fault, or watchdog stall and surviving SIGKILL (with -net launch: a directory, one dump per process)")
 	return f
 }

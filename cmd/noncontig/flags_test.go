@@ -37,7 +37,7 @@ func TestEveryFlagHasALaunchClass(t *testing.T) {
 // TestFlagCeiling: noncontig has no more flags than it had after the
 // last flag was deleted, so a flag is added only in place of another.
 func TestFlagCeiling(t *testing.T) {
-	const ceiling = 34
+	const ceiling = 23
 	n := 0
 	newFlags().VisitAll(func(*flag.Flag) { n++ })
 	if n > ceiling {

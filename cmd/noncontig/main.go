@@ -77,8 +77,10 @@ func main() {
 			log.Fatal("-net does not support -chaos-seed (per-process injection would desynchronize the ranks)")
 		}
 	}
-	stallTimeout := f.stall
-	if f.netMode != "" && stallTimeout == 0 {
+	var stallTimeout time.Duration
+	if f.netMode != "" || f.chaosSeed != 0 {
+		// Over the wire, or with fault injection, a hang is possible:
+		// bound it with a diagnostic.
 		stallTimeout = 30 * time.Second
 	}
 
@@ -172,8 +174,8 @@ func main() {
 			backend = fb
 		}
 	}
-	if f.readBW > 0 || f.writeBW > 0 || f.latency > 0 {
-		backend = storage.NewThrottled(backend, f.readBW, f.writeBW, f.latency)
+	if f.latency > 0 {
+		backend = storage.NewThrottled(backend, 0, 0, f.latency)
 	}
 
 	// Chaos goes outermost on the storage side so every injected fault
@@ -195,32 +197,18 @@ func main() {
 	}
 
 	cfg := noncontig.Config{
-		P:          f.p,
-		Blockcount: f.nblock,
-		Blocklen:   f.sblock,
-		Pattern:    pat,
-		Collective: f.collective,
-		Engine:     eng,
-		Reps:       f.reps,
-		Verify:     f.verify,
-		Tiles:      f.tiles,
-		Backend:    backend,
-		Options: core.Options{
-			SieveBufSize: f.sieveBuf,
-			CollBufSize:  f.collBuf,
-			IONodes:      f.ioNodes,
-		},
+		P:            f.p,
+		Blockcount:   f.nblock,
+		Blocklen:     f.sblock,
+		Pattern:      pat,
+		Collective:   f.collective,
+		Engine:       eng,
+		Backend:      backend,
 		Trace:        collector,
 		StallTimeout: stallTimeout,
 		OnStall:      func(diag string) { rec.Dump("watchdog stall: " + diag) },
 	}
-	if cfg.Reps == 0 {
-		cfg.Reps = autoReps(cfg.DataPerProc())
-	}
-	if f.chaosSeed != 0 && cfg.StallTimeout == 0 {
-		// Fault injection can expose hangs; bound them with a diagnostic.
-		cfg.StallTimeout = 30 * time.Second
-	}
+	cfg.Reps = autoReps(cfg.DataPerProc())
 
 	var res noncontig.Result
 	if isRank {
@@ -300,14 +288,16 @@ func main() {
 		fmt.Printf("  chaos(seed=%d): %d transients, %d short reads, %d torn writes, %d spikes; %d retries, %d exhausted\n",
 			f.chaosSeed, st.Transients, st.ShortReads, st.TornWrites, st.LatencySpikes, retries, exhausted)
 	}
-	if f.verify {
-		fmt.Println("  verification: OK")
-	}
+	fmt.Println("  verification: OK")
 	if f.traceSumm {
 		fmt.Print(collector.Summary())
 	}
 	writeTrace(f.tracePath, collector)
 }
+
+// launchTimeout bounds a whole -net launch run: past it the launcher
+// kills every child.
+const launchTimeout = 5 * time.Minute
 
 // netLaunch forks one rank process per rank against a shared file (or,
 // with -servers, against a tier of server processes forked first) and
@@ -347,7 +337,7 @@ func netLaunch(f *flags) {
 		log.Fatal(err)
 	}
 	lo := transport.LaunchOptions{
-		Size: f.p, Exe: exe, Timeout: f.netTimeout,
+		Size: f.p, Exe: exe, Timeout: launchTimeout,
 		Args: func(rank int, rendezvous string, serverAddrs []string) []string {
 			set := []string{"-net=rank", fmt.Sprint("-net-rank=", rank)}
 			if rank == 0 {
@@ -389,7 +379,7 @@ func netLaunch(f *flags) {
 
 // mergeTraces folds the launcher's per-process Chrome traces
 // (<path>.rankN, <path>.srvK) into one file at path with one track per
-// process; -trace-split keeps the parts.
+// process and removes the parts.
 func mergeTraces(f *flags) {
 	var ins []trace.MergeInput
 	for r := 0; r < f.p; r++ {
@@ -406,10 +396,8 @@ func mergeTraces(f *flags) {
 		return
 	}
 	fmt.Printf("  trace: %s (%d of %d process traces merged; load in chrome://tracing or Perfetto)\n", f.tracePath, n, len(ins))
-	if !f.traceSplit {
-		for _, in := range ins {
-			os.Remove(in.Path)
-		}
+	for _, in := range ins {
+		os.Remove(in.Path)
 	}
 }
 

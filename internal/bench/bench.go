@@ -148,7 +148,7 @@ func Fig5(s Scale) (Figure, error) {
 			return noncontig.Config{
 				P: 2, Blockcount: x, Blocklen: 8,
 				Pattern: p, Collective: false, Engine: e,
-				Reps: repsFor(x*8, s), Verify: true,
+				Reps: repsFor(x*8, s),
 			}
 		})
 }
@@ -167,7 +167,7 @@ func Fig6(s Scale) (Figure, error) {
 			return noncontig.Config{
 				P: p, Blockcount: x, Blocklen: 8,
 				Pattern: pt, Collective: true, Engine: e,
-				Reps: repsFor(x*8, s), Verify: true,
+				Reps: repsFor(x*8, s),
 			}
 		})
 }
@@ -182,7 +182,7 @@ func Fig7(s Scale) (Figure, error) {
 			return noncontig.Config{
 				P: 2, Blockcount: 8, Blocklen: x,
 				Pattern: p, Collective: false, Engine: e,
-				Reps: repsFor(8*x, s), Verify: true,
+				Reps: repsFor(8*x, s),
 			}
 		})
 }
@@ -201,7 +201,7 @@ func Fig8(s Scale) (Figure, error) {
 			return noncontig.Config{
 				P: int(x), Blockcount: 64, Blocklen: 2048,
 				Pattern: p, Collective: true, Engine: e,
-				Reps: repsFor(64*2048, s), Verify: true,
+				Reps: repsFor(64*2048, s),
 			}
 		})
 }

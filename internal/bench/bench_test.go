@@ -52,7 +52,7 @@ func sweepWork(t *testing.T, label string, xs []int64, point func(x int64) nonco
 	var viewLo, viewHi int64
 	for i, x := range xs {
 		cfg := point(x)
-		cfg.Reps, cfg.Verify = 1, true
+		cfg.Reps = 1
 		var st [2]core.Stats
 		for j, e := range []core.Engine{core.Listless, core.ListBased} {
 			cfg.Engine = e

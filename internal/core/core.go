@@ -179,8 +179,6 @@ type File struct {
 	epochBase uint64
 	epochSeq  uint64
 
-	atomic bool // MPI-IO atomic mode: whole-access locking
-
 	// segs is the owner mover's offset-list batch (moveOwn), which sb
 	// builds, kept across accesses and cleared after each call, so that
 	// it pins neither user nor pooled memory.
@@ -283,21 +281,6 @@ func (f *File) SetView(disp int64, etype, filetype *datatype.Type) error {
 	}
 	return f.eng.setView()
 }
-
-// SetAtomicity enables or disables MPI-IO atomic mode collectively
-// (MPI_File_set_atomicity).  In atomic mode every independent access
-// locks its whole file range, so concurrent overlapping writes serialize
-// as indivisible units instead of interleaving at sieve-window
-// granularity.
-func (f *File) SetAtomicity(enable bool) {
-	f.p.Barrier()
-	f.atomic = enable
-	f.p.Barrier()
-}
-
-// Atomicity reports whether atomic mode is enabled
-// (MPI_File_get_atomicity).
-func (f *File) Atomicity() bool { return f.atomic }
 
 // checkAccess validates an access and returns the number of data bytes.
 func (f *File) checkAccess(off int64, count int64, memtype *datatype.Type, buf []byte) (int64, error) {

@@ -1,13 +1,8 @@
-// Quickstart: four processes partition one file with interleaved
-// non-contiguous fileviews, write it with a single collective call each,
-// and read their parts back — the minimal end-to-end tour of the
-// library's MPI-IO API.
-package main
+package core_test
 
 import (
 	"bytes"
 	"fmt"
-	"log"
 
 	"repro/internal/core"
 	"repro/internal/datatype"
@@ -16,7 +11,10 @@ import (
 	"repro/internal/storage"
 )
 
-func main() {
+// Four processes partition one file with interleaved non-contiguous
+// fileviews, write it with a single collective call each, and read their
+// parts back: the minimal end-to-end tour of the MPI-IO API.
+func Example() {
 	const (
 		P          = 4
 		blockCount = 8
@@ -28,7 +26,7 @@ func main() {
 
 	_, err := mpi.Run(P, func(p *mpi.Proc) {
 		// Open the shared file with the listless (flattening-on-the-fly)
-		// engine — the paper's technique.
+		// engine, the paper's technique.
 		f, err := core.Open(p, shared, core.Options{Engine: core.Listless})
 		if err != nil {
 			panic(err)
@@ -36,7 +34,7 @@ func main() {
 		defer f.Close()
 
 		// Each rank sees every P-th block of the file: rank r's view is
-		// blocks r, r+P, r+2P, ...  (the paper's Figure-4 datatype).
+		// blocks r, r+P, r+2P, ... (the paper's Figure-4 datatype).
 		ft, err := noncontig.Filetype(p.Rank(), P, blockCount, blockLen)
 		if err != nil {
 			panic(err)
@@ -62,15 +60,18 @@ func main() {
 		}
 	})
 	if err != nil {
-		log.Fatal(err)
+		fmt.Println(err)
+		return
 	}
 
 	// The physical file interleaves the ranks' blocks: AABB...CCDD...
 	raw := backend.Bytes()
 	fmt.Printf("file is %d bytes; first two interleaved stripes:\n", len(raw))
 	for s := 0; s < 2; s++ {
-		stripe := raw[s*P*blockLen : (s+1)*P*blockLen]
-		fmt.Printf("  stripe %d: %s\n", s, stripe)
+		fmt.Printf("  stripe %d: %s\n", s, raw[s*P*blockLen:(s+1)*P*blockLen])
 	}
-	fmt.Println("quickstart: OK")
+	// Output:
+	// file is 512 bytes; first two interleaved stripes:
+	//   stripe 0: AAAAAAAAAAAAAAAABBBBBBBBBBBBBBBBCCCCCCCCCCCCCCCCDDDDDDDDDDDDDDDD
+	//   stripe 1: AAAAAAAAAAAAAAAABBBBBBBBBBBBBBBBCCCCCCCCCCCCCCCCDDDDDDDDDDDDDDDD
 }

@@ -66,15 +66,6 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 	mem := f.eng.newMemState(memtype, count)
 	memContig := memIsContig(memtype, count)
 
-	if f.atomic {
-		// Atomic mode: hold the whole access range for the duration so
-		// overlapping concurrent accesses serialize as units.
-		lo := f.eng.dataToFileStart(d0)
-		hi := f.eng.dataToFileEnd(d0 + d)
-		unlock := f.sh.locks.Lock(lo, hi)
-		defer unlock()
-	}
-
 	if f.v.ftype.ContiguousTiled() {
 		start := f.eng.dataToFileStart(d0)
 		if memContig {
@@ -152,13 +143,10 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 
 		if write {
 			ssp := f.tr.Begin(trace.PhaseSieveWrite, winLo, n)
-			// In atomic mode the whole access range is already held
-			// (and the lock table is not reentrant); otherwise lock the
-			// window for the read-modify-write cycle.
-			unlock := func() {}
-			if !f.atomic {
-				unlock = f.sh.locks.Lock(winLo, winHi)
-			}
+			// Another rank's window may hold these bytes: lock across
+			// the read-modify-write so no update between its read and
+			// its write-back is lost.
+			unlock := f.sh.locks.Lock(winLo, winHi)
 			var err error
 			if n != winHi-winLo {
 				// Read-modify-write: fill the gaps from the file.

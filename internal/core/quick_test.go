@@ -179,7 +179,6 @@ type diffCase struct {
 	tcp         bool // ranks over local TCP sockets
 	tier        bool // two I/O servers: epoch commit, registered views
 	declined    bool // both types decline compilation (declinedType): the walk, staged
-	atomic      bool // atomic mode
 	independent bool // WriteAt/ReadAt, data sieving
 }
 
@@ -190,8 +189,7 @@ func (c diffCase) String() string {
 		name string
 	}{
 		{c.ioNodes != 0, fmt.Sprintf("ionodes=%d", c.ioNodes)}, {c.tcp, "tcp"}, {c.tier, "tier"},
-		{c.declined, "declined"}, {c.atomic, "atomic"},
-		{c.independent, "independent"},
+		{c.declined, "declined"}, {c.independent, "independent"},
 	} {
 		if f.on {
 			s += "/" + f.name
@@ -270,7 +268,7 @@ func diffOracle(base *datatype.Type, P int, stride, d int64, data [][]byte) []by
 // self share of a collective) with everything that decides how it moves
 // there: world sizes 1 to 4, fewer IOPs than ranks, the two ways to
 // the staged path (the list-based engine and types that decline
-// compilation), atomic mode, TCP ranks and the epoch-committing server
+// compilation), TCP ranks and the epoch-committing server
 // tier — first over the random trees, whose
 // short runs gather in window buffers, then over runs of a page and more,
 // whose windows are direct and whose remote shares are lent, in-process
@@ -292,11 +290,10 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 		{engine: Listless, P: 2, ioNodes: 1}, {engine: Listless, P: 3, ioNodes: 2},
 		{engine: Listless, P: 3, ioNodes: 2, declined: true}, {engine: Listless, P: 2, tcp: true, declined: true},
 		{engine: ListBased, P: 3, ioNodes: 2},
-		{engine: Listless, P: 2, atomic: true},
 		{engine: Listless, P: 2, tier: true}, {engine: ListBased, P: 2, tier: true},
 		{engine: Listless, P: 2, tier: true, declined: true},
 		{engine: Listless, P: 1, independent: true}, {engine: Listless, P: 2, independent: true},
-		{engine: Listless, P: 3, independent: true}, {engine: Listless, P: 2, independent: true, atomic: true},
+		{engine: Listless, P: 3, independent: true},
 		{engine: Listless, P: 2, independent: true, declined: true},
 		{engine: ListBased, P: 2, independent: true},
 	}
@@ -426,9 +423,6 @@ func diffCell(t *testing.T, label string, c diffCase, base, mt *datatype.Type, c
 		}
 		if err := f.SetView(0, datatype.Byte, view); err != nil {
 			panic(err)
-		}
-		if c.atomic {
-			f.SetAtomicity(true)
 		}
 		buf := bufs[p.Rank()]
 		got := bytes.Repeat([]byte{0xEE}, len(buf))

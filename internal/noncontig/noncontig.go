@@ -68,14 +68,8 @@ type Config struct {
 	Pattern    Pattern // memory/file contiguity combination
 	Collective bool    // collective vs independent access
 	Engine     core.Engine
-	Reps       int  // write+read repetitions (default 1)
-	Verify     bool // read-back verification on the first repetition
-	// Tiles scales the file size (the paper's file-size parameter):
-	// each operation accesses Tiles filetype instances (default 1).
-	Tiles int64
+	Reps       int // write+read repetitions (default 1); the first is verified
 
-	// Options tune the MPI-IO layer; Engine overrides Options.Engine.
-	Options core.Options
 	// Backend supplies the storage backend (default: fresh Mem).
 	Backend storage.Backend
 	// StallTimeout, when positive, arms the MPI stall watchdog: a run
@@ -92,15 +86,8 @@ type Config struct {
 	OnStall func(diagnostic string)
 }
 
-func (c Config) tiles() int64 {
-	if c.Tiles > 0 {
-		return c.Tiles
-	}
-	return 1
-}
-
 // DataPerProc reports the bytes each process moves per operation.
-func (c Config) DataPerProc() int64 { return c.tiles() * c.Blockcount * c.Blocklen }
+func (c Config) DataPerProc() int64 { return c.Blockcount * c.Blocklen }
 
 // FileSize reports the total file size of the dense interleaving.
 func (c Config) FileSize() int64 { return int64(c.P) * c.DataPerProc() }
@@ -114,7 +101,6 @@ type Result struct {
 	ReadBpp   float64
 	Stats     core.Stats // rank 0 file stats
 	Comm      mpi.Stats  // world communication totals
-	Verified  bool
 }
 
 // Filetype builds the Figure-4 fileview type for rank p of P.
@@ -162,7 +148,7 @@ func (c Config) validate() (Config, error) {
 // maxima.  It runs identically under every process model — goroutine
 // ranks on a shared backend, or one OS process per rank each holding
 // its own handle on a shared file.
-func runRankBody(cfg Config, p *mpi.Proc, be storage.Backend, sh *core.Shared, opts core.Options) rankResult {
+func runRankBody(cfg Config, p *mpi.Proc, be storage.Backend, sh *core.Shared) rankResult {
 	// Pre-size the file so backend growth is not charged to the first
 	// write measured.  Rank 0 truncates; the barrier publishes the size.
 	if p.Rank() == 0 && be.Size() < cfg.FileSize() {
@@ -172,7 +158,7 @@ func runRankBody(cfg Config, p *mpi.Proc, be storage.Backend, sh *core.Shared, o
 	}
 	p.Barrier()
 
-	f, err := core.Open(p, sh, opts)
+	f, err := core.Open(p, sh, core.Options{Engine: cfg.Engine, Trace: cfg.Trace})
 	if err != nil {
 		panic(err)
 	}
@@ -206,7 +192,7 @@ func runRankBody(cfg Config, p *mpi.Proc, be storage.Backend, sh *core.Shared, o
 		if err != nil {
 			panic(err)
 		}
-		memt, count = mt, cfg.tiles()
+		memt, count = mt, 1
 		buf = make([]byte, count*mt.Extent())
 	} else {
 		memt, count = datatype.Byte, d
@@ -253,10 +239,8 @@ func runRankBody(cfg Config, p *mpi.Proc, be storage.Backend, sh *core.Shared, o
 		p.Barrier()
 		rNs += time.Since(t1).Nanoseconds()
 
-		if rep == 0 && cfg.Verify {
-			if !verifyTyped(buf, readBuf, memt, count) {
-				res.verifyFailed = true
-			}
+		if rep == 0 && !verifyTyped(buf, readBuf, memt, count) {
+			res.verifyFailed = true
 		}
 	}
 	// Reduce the maximum elapsed times onto every rank.
@@ -271,7 +255,7 @@ func (c Config) assemble(rr rankResult, comm mpi.Stats) (Result, error) {
 	if rr.verifyFailed {
 		return Result{}, fmt.Errorf("noncontig: read-back verification failed (%+v)", c)
 	}
-	res := Result{Config: c, Verified: true}
+	res := Result{Config: c}
 	res.WriteTime = time.Duration(rr.writeNs)
 	res.ReadTime = time.Duration(rr.readNs)
 	bytesMoved := float64(c.DataPerProc() * int64(c.Reps))
@@ -317,15 +301,11 @@ func runOver(cfg Config, eps []transport.Transport) (Result, error) {
 		be = storage.NewMem()
 	}
 	sh := core.NewShared(be)
-	opts := cfg.Options
-	opts.Engine = cfg.Engine
-	opts.Trace = cfg.Trace
-
 	results := make([]rankResult, cfg.P)
 	comm, err := mpi.RunOver(eps, mpi.RunOptions{
 		StallTimeout: cfg.StallTimeout, Trace: cfg.Trace, OnStall: cfg.OnStall,
 	}, func(p *mpi.Proc) {
-		results[p.Rank()] = runRankBody(cfg, p, be, sh, opts)
+		results[p.Rank()] = runRankBody(cfg, p, be, sh)
 	})
 	if err != nil {
 		return Result{}, err
@@ -360,15 +340,11 @@ func RunRank(cfg Config, ep transport.Transport) (Result, error) {
 		return Result{}, fmt.Errorf("noncontig: RunRank requires collective access (independent sieving cannot lock across processes)")
 	}
 	sh := core.NewShared(cfg.Backend)
-	opts := cfg.Options
-	opts.Engine = cfg.Engine
-	opts.Trace = cfg.Trace
-
 	var rr rankResult
 	comm, err := mpi.RunRank(ep, mpi.RunOptions{
 		StallTimeout: cfg.StallTimeout, Trace: cfg.Trace, OnStall: cfg.OnStall,
 	}, func(p *mpi.Proc) {
-		rr = runRankBody(cfg, p, cfg.Backend, sh, opts)
+		rr = runRankBody(cfg, p, cfg.Backend, sh)
 	})
 	if err != nil {
 		return Result{}, err
