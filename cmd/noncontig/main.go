@@ -175,7 +175,7 @@ func main() {
 		}
 	}
 	if f.latency > 0 {
-		backend = storage.NewThrottled(backend, 0, 0, f.latency)
+		backend = storage.NewThrottled(backend, f.latency)
 	}
 
 	// Chaos goes outermost on the storage side so every injected fault

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -9,6 +10,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -66,11 +68,13 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 // access, preallocation, Proc.Split, the copy-program ablation, the
 // fileview-cache and mergeview ablations, the root testing.B suite, the
 // IOP's direct-window path, mpi's Gather, the lent and posted wire
-// shares with their verbs and socket reader, atomic mode, and the
-// tiledmatrix and particles examples.
+// shares with their verbs and socket reader, atomic mode, the
+// tiledmatrix and particles examples, the exports nothing but tests
+// called (the random trees are datatypetest's now), and Throttled's
+// bandwidth model.
 // Each alternative ends in a bracket, so that this source does not match
 // itself.
-var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRejecte[d]|ClientOptions\{[^}]*Conn[s]|NewRegio[n]|PhaseSessio[n]|PhaseCach[e]|internal/ob[s]|obs\.Registr[y]|GaugeFun[c]|-metrics-(addr|fd|pus[h])|no-metric[s]|internal/tilei[o]|cmd/tilei[o]|cmd/bti[o]|btiomin[i]|blockcycli[c]|Darra[y]|WriteShare[d]|ReadShare[d]|WriteOrdere[d]|ReadOrdere[d]|IWriteA[t]|IReadA[t]|AtAllBegi[n]|Preallocat[e]|func \(p \*Proc\) Spli[t]|DisableProgra[m]|no-progra[m]|DisableViewCach[e]|DisableMergeChec[k]|BenchmarkAblatio[n]|BenchmarkFi[g]|directGathe[r]|directSen[d]|winBatc[h]|lentSeg[s]|chunkSeg[s]|viewSeg[s]|func \(p \*Proc\) Gathe[r]|\.Gather[(]|SendSeg[s]|postShare[s]|takePoste[d]|lendShar[e]|lendBuilde[r]|readPoste[d]|sockReade[r]|segCurso[r]|func \(p \*Proc\) Pos[t]|func \(p \*Proc\) Flus[h]|SetAtomicit[y]|Atomicit[y]\(\)|examples/tiledmatri[x]|examples/particle[s]`)
+var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRejecte[d]|ClientOptions\{[^}]*Conn[s]|NewRegio[n]|PhaseSessio[n]|PhaseCach[e]|internal/ob[s]|obs\.Registr[y]|GaugeFun[c]|-metrics-(addr|fd|pus[h])|no-metric[s]|internal/tilei[o]|cmd/tilei[o]|cmd/bti[o]|btiomin[i]|blockcycli[c]|Darra[y]|WriteShare[d]|ReadShare[d]|WriteOrdere[d]|ReadOrdere[d]|IWriteA[t]|IReadA[t]|AtAllBegi[n]|Preallocat[e]|func \(p \*Proc\) Spli[t]|DisableProgra[m]|no-progra[m]|DisableViewCach[e]|DisableMergeChec[k]|BenchmarkAblatio[n]|BenchmarkFi[g]|directGathe[r]|directSen[d]|winBatc[h]|lentSeg[s]|chunkSeg[s]|viewSeg[s]|func \(p \*Proc\) Gathe[r]|\.Gather[(]|SendSeg[s]|postShare[s]|takePoste[d]|lendShar[e]|lendBuilde[r]|readPoste[d]|sockReade[r]|segCurso[r]|func \(p \*Proc\) Pos[t]|func \(p \*Proc\) Flus[h]|SetAtomicit[y]|Atomicit[y]\(\)|examples/tiledmatri[x]|examples/particle[s]|SpikeOnl[y]|AsCollectiveErro[r]|\.Depth[(]|\.ExactNBloc[k]|NewVie[w]|RangeLis[t]|\.EachInDat[a]|IsPermanen[t]|\.Restarts[(]|\.Total[(]|RandomMemtyp[e]|datatype\.RandomFiletyp[e]|ReadB[W]|WriteB[W]`)
 
 // TestDeletedNamesStayDeleted: no Go, YAML or Markdown file names
 // anything deleted (deletedNames).  Of the top-level Markdown files only
@@ -309,5 +313,357 @@ func grepGo(t *testing.T, root string, re *regexp.Regexp, what string) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// exportAllowed lists the exported functions and methods of internal/ and
+// cmd/ that need no caller outside test files, each with its reason.
+var exportAllowed = map[string]string{
+	"fotf.Pack":                     "the paper's MPIR_ff_pack, the differential oracles' subject",
+	"fotf.Unpack":                   "the paper's MPIR_ff_unpack, the differential oracles' subject",
+	"fotf.TypeSize":                 "the paper's Type_ff_size, the differential oracles' subject",
+	"fotf.TypeExtent":               "the paper's Type_ff_extent, the differential oracles' subject",
+	"fotf.UnpackCount":              "fotf.Unpack over count whole instances: the walk's reference for Program.UnpackCount",
+	"fotf.Program.Pack":             "fotf.Pack run by a compiled program, held to it by the differential tests",
+	"fotf.Program.Unpack":           "fotf.Unpack run by a compiled program, held to it by the differential tests",
+	"datatype.Type.LB":              "MPI_Type_get_extent's lower bound, beside Extent: what a type built from another keeps",
+	"datatype.Type.UB":              "MPI_Type_get_extent's upper bound, beside Extent: what a type built from another keeps",
+	"storage.NewFaulty":             "the test fault injector embeds the storage seam's unexported layer, which stays unexported (ROADMAP item 7)",
+	"storage.Faulty.FailWrites":     "storage.NewFaulty's",
+	"storage.Faulty.FailReads":      "storage.NewFaulty's",
+	"storage.Faulty.FailWriteRange": "storage.NewFaulty's",
+	"storage.Faulty.FailReadRange":  "storage.NewFaulty's",
+	"storage.Faulty.Heal":           "storage.NewFaulty's",
+	"pool.NewChecked":               "the pool's debug mode sets an unexported field of Pool, which a test package cannot",
+}
+
+// TestExportsHaveCallers: every exported function and method declared in
+// a non-test file under internal/ or cmd/ is called from a non-test file
+// (benchmark/ and cmd/ count as callers), implements a method of an
+// interface, or is on exportAllowed — so that a product package carries
+// no code only its tests run.  internal/testutil and the *test packages
+// are exempt.  Calls are matched by name: a function by its package and
+// name, a method by any selector of its name; an interface method is a
+// method of an interface type declared under internal/ or cmd/, or of
+// the standard library's that this code implements (stdIfaceMethods).
+func TestExportsHaveCallers(t *testing.T) {
+	stdIfaceMethods := map[string]bool{"String": true, "Error": true, "Unwrap": true, "Is": true,
+		"Read": true, "Write": true, "Close": true, "Len": true, "Less": true, "Swap": true}
+	type decl struct {
+		key, name, at string
+		method        bool
+	}
+	var decls []decl
+	ifaceMethods := map[string]bool{}
+	pkgFuncs := map[string]bool{} // "pkg.Name" used
+	selectors := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd", "benchmark"} {
+		err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				return err
+			}
+			dir := filepath.Base(filepath.Dir(file))
+			exempt := root == "benchmark" || dir == "testutil" || strings.HasSuffix(dir, "test")
+			pkg := f.Name.Name
+			for _, dl := range f.Decls {
+				fn, ok := dl.(*ast.FuncDecl)
+				if !ok || exempt || !fn.Name.IsExported() {
+					continue
+				}
+				at := fset.Position(fn.Pos()).String()
+				if fn.Recv == nil {
+					decls = append(decls, decl{pkg + "." + fn.Name.Name, fn.Name.Name, at, false})
+					continue
+				}
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if ix, ok := recv.(*ast.IndexExpr); ok {
+					recv = ix.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+					decls = append(decls, decl{pkg + "." + id.Name + "." + fn.Name.Name, fn.Name.Name, at, true})
+				}
+			}
+			named := map[*ast.Ident]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, name := range m.Names {
+							ifaceMethods[name.Name] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					selectors[n.Sel.Name] = true
+					if x, ok := n.X.(*ast.Ident); ok {
+						pkgFuncs[x.Name+"."+n.Sel.Name] = true
+					}
+				case *ast.FuncDecl:
+					// A declaration's own name is no call of it.
+					named[n.Name] = true
+				case *ast.Ident:
+					if !named[n] {
+						pkgFuncs[pkg+"."+n.Name] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	declared := map[string]bool{}
+	for _, d := range decls {
+		declared[d.key] = true
+		called := !d.method && pkgFuncs[d.key] || d.method && selectors[d.name]
+		implements := d.method && (ifaceMethods[d.name] || stdIfaceMethods[d.name])
+		if _, ok := exportAllowed[d.key]; !called && !implements && !ok {
+			t.Errorf("%s: %s has no caller outside test files; delete it, move it to a test package, or allow it in exportAllowed with a reason", d.at, d.key)
+		}
+	}
+	for key := range exportAllowed {
+		if !declared[key] {
+			t.Errorf("exportAllowed names %s, which no non-test file under internal/ or cmd/ declares", key)
+		}
+	}
+}
+
+// TestWireProtocolStructure: the tier's ops are one table, a wire shape
+// has one encoder and one decoder, a staged write is its direct twin's
+// handler plus an epoch, the frame header has one parse and
+// FrameConn.ReadHeader goes through it, and the tier's pooled frames are
+// taken and put back only by the request reader, the client's request
+// builder and stage log, and the server's staged epochs, beside the
+// sieve's windows.
+func TestWireProtocolStructure(t *testing.T) {
+	funcs := func(dir string, tests bool) map[string]*ast.FuncDecl {
+		out := map[string]*ast.FuncDecl{}
+		fset := token.NewFileSet()
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if !tests && strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					name := fn.Name.Name
+					if fn.Recv != nil {
+						recv := fn.Recv.List[0].Type
+						if star, ok := recv.(*ast.StarExpr); ok {
+							recv = star.X
+						}
+						name = recv.(*ast.Ident).Name + "." + name
+					}
+					out[name] = fn
+				}
+			}
+		}
+		return out
+	}
+	calls := func(fn *ast.FuncDecl, match func(*ast.CallExpr) bool) bool {
+		found := false
+		ast.Inspect(fn, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok && match(c) {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	ioFuncs := funcs(filepath.Join("internal", "ioserver"), true)
+	for name := range ioFuncs {
+		if strings.HasPrefix(name, "connState.opStag"+"e") {
+			t.Errorf("internal/ioserver declares %s: a staged write is its direct twin's handler plus an epoch", name)
+		}
+	}
+	framers := map[string]bool{"newRequest": true, "Client.mutateLocked": true, "Client.dropStageLocked": true,
+		"connState.readRequest": true, "Server.handleConn": true, "stagedEpoch.release": true}
+	for name, fn := range funcs(filepath.Join("internal", "ioserver"), false) {
+		if !framers[name] && calls(fn, func(c *ast.CallExpr) bool {
+			sel, ok := c.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			id, ok := sel.X.(*ast.Ident)
+			return ok && id.Name == "framePool" && (sel.Sel.Name == "Get" || sel.Sel.Name == "Put")
+		}) {
+			t.Errorf("internal/ioserver: %s takes or puts back a pooled frame", name)
+		}
+	}
+	readHeader := funcs(filepath.Join("internal", "transport"), false)["FrameConn.ReadHeader"]
+	if readHeader == nil || !calls(readHeader, func(c *ast.CallExpr) bool {
+		id, ok := c.Fun.(*ast.Ident)
+		return ok && id.Name == "parseFrameHeader"
+	}) {
+		t.Error("FrameConn.ReadHeader does not parse its header with parseFrameHeader")
+	}
+	for _, c := range []struct {
+		root, skip, what string
+		re               *regexp.Regexp
+		want             int
+		line             string // the one line matched, when want is 1 and it is set
+	}{
+		{"internal/ioserver", "", "bounds a run list", regexp.MustCompile(`> *MaxListRun[s]`), 1, ""},
+		{"internal/transport", "", "bounds a frame", regexp.MustCompile(`> *uint32\([a-zA-Z.]*[mM]axFram[e]\)`), 1, ""},
+		{"internal/ioserver", "internal/ioserver/sieve.go", "use the pool", regexp.MustCompile(`\bpool\.[A-Z]`), 1, "var framePool = pool.Global"},
+		{"internal/ioserver", "internal/ioserver/protocol.go", "name an op outside the op table",
+			regexp.MustCompile(`"(readv|writev|truncate|register|view_read|view_write|stage_write|stage_writev|stage_view_write|epoch_seal|epoch_commit|epoch_abor[t])"`), 0, ""},
+	} {
+		var hits []string
+		err := filepath.WalkDir(c.root, func(file string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") || filepath.ToSlash(file) == c.skip {
+				return err
+			}
+			src, err := os.ReadFile(file)
+			for i, line := range strings.Split(string(src), "\n") {
+				if c.re.MatchString(line) {
+					hits = append(hits, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(file), i+1, strings.TrimSpace(line)))
+				}
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hits) != c.want || c.line != "" && !strings.HasSuffix(hits[0], ": "+c.line) {
+			t.Errorf("%d lines under %s %s, want %d %s:\n%s", len(hits), c.root, c.what, c.want, c.line, strings.Join(hits, "\n"))
+		}
+	}
+}
+
+// TestDocIdentifiersResolve: every backticked pkg.Ident or
+// pkg.Ident.Member in DESIGN.md, README.md and the verify skill's
+// SKILL.md resolves as go doc -u would: a package under internal/ in this
+// module, unexported members included, any other in the standard
+// library.  Ident is a top-level declaration or a method of the package;
+// Member a method or field of Ident.  Lowercase tokens such as
+// storage.retry are span names and are skipped.
+func TestDocIdentifiersResolve(t *testing.T) {
+	span := regexp.MustCompile("`[^`\n]+`")
+	ident := regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])([a-z][a-z0-9_]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?`)
+	stdDirs := map[string]string{} // package name -> its shallowest directory under GOROOT/src
+	goroot := filepath.Join(runtime.GOROOT(), "src")
+	err := filepath.WalkDir(goroot, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if rel, _ := filepath.Rel(goroot, dir); strings.Count(rel, string(filepath.Separator)) > 1 {
+			return filepath.SkipDir // as deep as encoding/binary is enough
+		}
+		switch d.Name() {
+		case "internal", "vendor", "testdata", "cmd":
+			return filepath.SkipDir
+		}
+		if old, ok := stdDirs[d.Name()]; !ok || len(dir) < len(old) {
+			stdDirs[d.Name()] = dir
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// decls[dir] maps a top-level name, and Type.Member for a method or
+	// field, to true; a method also counts under its own name.
+	decls := map[string]map[string]bool{}
+	resolves := func(dir, name, member string) bool {
+		if decls[dir] == nil {
+			names := map[string]bool{}
+			pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+				return !strings.HasSuffix(fi.Name(), "_test.go")
+			}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pkg := range pkgs {
+				for _, f := range pkg.Files {
+					for _, d := range f.Decls {
+						switch d := d.(type) {
+						case *ast.FuncDecl:
+							names[d.Name.Name] = true
+							if d.Recv != nil {
+								recv := d.Recv.List[0].Type
+								for {
+									switch r := recv.(type) {
+									case *ast.StarExpr:
+										recv = r.X
+										continue
+									case *ast.IndexExpr:
+										recv = r.X
+										continue
+									}
+									break
+								}
+								if id, ok := recv.(*ast.Ident); ok {
+									names[id.Name+"."+d.Name.Name] = true
+								}
+							}
+						case *ast.GenDecl:
+							for _, s := range d.Specs {
+								switch s := s.(type) {
+								case *ast.ValueSpec:
+									for _, n := range s.Names {
+										names[n.Name] = true
+									}
+								case *ast.TypeSpec:
+									names[s.Name.Name] = true
+									var fields *ast.FieldList
+									switch ty := s.Type.(type) {
+									case *ast.StructType:
+										fields = ty.Fields
+									case *ast.InterfaceType:
+										fields = ty.Methods
+									}
+									if fields != nil {
+										for _, fl := range fields.List {
+											for _, n := range fl.Names {
+												names[s.Name.Name+"."+n.Name] = true
+											}
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+			decls[dir] = names
+		}
+		if member != "" {
+			name += "." + member
+		}
+		return decls[dir][name]
+	}
+	for _, doc := range []string{"DESIGN.md", "README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range span.FindAllString(string(src), -1) {
+			for _, m := range ident.FindAllStringSubmatch(strings.Trim(s, "`"), -1) {
+				dir := filepath.Join("internal", m[1])
+				if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+					dir = stdDirs[m[1]]
+				}
+				if dir == "" || !resolves(dir, m[2], m[3]) {
+					t.Errorf("%s names %s, which does not resolve", doc, strings.TrimLeft(m[0], "`(, "))
+				}
+			}
+		}
 	}
 }

@@ -39,20 +39,5 @@ func (c Config) SBlock() (int64, error) {
 	return int64(cellBytes) * int64(c.Class.Grid) / int64(q), nil
 }
 
-// ExactNBlock returns the exact number of contiguous runs of rank's
-// fileview per step under the actual (uneven) cell split.
-func (c Config) ExactNBlock(rank int) (int64, error) {
-	q, err := c.Q()
-	if err != nil {
-		return 0, err
-	}
-	d := newDecomp(c.Class.Grid, q, rank, 0)
-	var runs int64
-	for _, cl := range d.cells {
-		runs += int64(cl.size[1]) * int64(cl.size[2])
-	}
-	return runs, nil
-}
-
 func float64frombits(u uint64) float64 { return math.Float64frombits(u) }
 func uint64frombits(v float64) uint64  { return math.Float64bits(v) }

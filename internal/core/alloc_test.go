@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/datatype"
-	"repro/internal/mpi"
 	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/testutil"
@@ -45,17 +43,6 @@ func allocView(f *File, blocks int64) error {
 	return f.SetView(0, datatype.Byte, allocFiletype(blocks))
 }
 
-// holeyDouble is the non-contiguous memory layout of this suite: 8 data
-// bytes in every 16.  With it (and a compiled fileview) the listless
-// engine fuses the copies of rank-local bytes.
-func holeyDouble() *datatype.Type {
-	dt, err := datatype.Resized(datatype.Double, 0, 16)
-	if err != nil {
-		panic(err)
-	}
-	return dt
-}
-
 // measureCollective returns the average allocations of one collective
 // access of d data bytes, as d/mt.Size() instances of mt, in an
 // already-warm world.
@@ -72,67 +59,6 @@ func measureCollective(t *testing.T, f *File, buf []byte, d int64, mt *datatype.
 			t.Errorf("collective: %v", err)
 		}
 	})
-}
-
-// epochMem is a Mem with epochs that stage by reference, as the
-// I/O-server client does: a staged write keeps the caller's segments,
-// not a copy, and the commit applies them.
-type epochMem struct {
-	*storage.Mem
-	mu     sync.Mutex
-	epoch  uint64
-	staged []storage.Segment
-}
-
-func newEpochMem() *epochMem { return &epochMem{Mem: storage.NewMem()} }
-
-func (m *epochMem) SupportsEpochs() bool { return true }
-
-func (m *epochMem) EpochBegin(id uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.epoch = id
-}
-
-func (m *epochMem) WriteAtv(segs []storage.Segment) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.epoch == 0 {
-		return m.Mem.WriteAtv(segs)
-	}
-	m.staged = append(m.staged, segs...)
-	return nil
-}
-
-func (m *epochMem) EpochSeal(uint64) error { return nil }
-
-func (m *epochMem) EpochCommit(uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	err := m.Mem.WriteAtv(m.staged)
-	m.endLocked()
-	return err
-}
-
-func (m *epochMem) EpochAbort(uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.endLocked()
-	return nil
-}
-
-func (m *epochMem) EpochEnd(id uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.epoch == id {
-		m.endLocked()
-	}
-}
-
-func (m *epochMem) endLocked() {
-	m.epoch = 0
-	clear(m.staged)
-	m.staged = m.staged[:0]
 }
 
 // testWindowAllocFree measures the per-window allocations of a one-rank
@@ -164,17 +90,9 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, holey, staged, epoc
 		ft = declinedType(t, ft)
 	}
 	bp := pool.New()
-	_, err := mpi.Run(1, func(p *mpi.Proc) {
-		var be storage.Backend = storage.NewMem()
-		if epochs {
-			be = newEpochMem()
-		}
-		sh := NewShared(be)
-		f, err := Open(p, sh, Options{Engine: engine, CollBufSize: allocWinSize, Pool: bp})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
+	backend := map[bool]string{false: "mem", true: "epoch-mem"}[epochs]
+	world{P: 1, backend: backend, opts: Options{Engine: engine, CollBufSize: allocWinSize, Pool: bp}}.run(t, nil, func(r rank) {
+		f := r.f
 		if err := f.SetView(0, datatype.Byte, ft); err != nil {
 			panic(err)
 		}
@@ -221,9 +139,6 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, holey, staged, epoc
 				label, s1.Misses-s0.Misses, s1.BytesAlloc-s0.BytesAlloc)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestListlessWindowZeroAlloc: the listless engine's steady-state
@@ -283,19 +198,11 @@ func TestListlessDirectWindowZeroAlloc(t *testing.T) {
 		rank1 := cell.rank1
 		mts := []*datatype.Type{runs(run, 2*run), rank1}
 		bp := pool.New()
-		var be storage.Backend = storage.NewMem()
-		if cell.epochs {
-			be = newEpochMem()
-		}
-		sh := NewShared(be)
+		backend := map[bool]string{false: "mem", true: "epoch-mem"}[cell.epochs]
 		for _, write := range []bool{true, false} {
 			label := fmt.Sprintf("rank 1 memtype %v, write=%v, epochs=%v", rank1, write, cell.epochs)
-			_, err := mpi.Run(P, func(p *mpi.Proc) {
-				f, err := Open(p, sh, Options{CollBufSize: win, Pool: bp})
-				if err != nil {
-					panic(err)
-				}
-				defer f.Close()
+			world{P: P, backend: backend, opts: Options{CollBufSize: win, Pool: bp}}.run(t, make([]byte, runsLarge*P*run), func(r rank) {
+				p, f := r.p, r.f
 				disp, ft := stridedView(P, runsLarge, run, run)(p.Rank())
 				if err := f.SetView(disp, datatype.Byte, ft); err != nil {
 					panic(err)
@@ -350,9 +257,6 @@ func TestListlessDirectWindowZeroAlloc(t *testing.T) {
 						label, gets, s1.Misses-s0.Misses, cell.packed)
 				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }
@@ -376,18 +280,15 @@ func TestIndependentFusedDrawsNoPackBuffer(t *testing.T) {
 	} {
 		bp := pool.New()
 		c.opts.Pool, c.opts.SieveBufSize = bp, allocWinSize
-		_, err := mpi.Run(1, func(p *mpi.Proc) {
-			f, err := Open(p, NewShared(storage.NewMem()), c.opts)
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
+		world{P: 1, opts: c.opts}.run(t, nil, func(r rank) {
+			f := r.f
 			if err := f.SetView(0, datatype.Byte, c.ft); err != nil {
 				panic(err)
 			}
 			mt, buf := holeyDouble(), make([]byte, 2*d)
 			for _, write := range []bool{true, false} {
 				s0 := bp.Stats()
+				var err error
 				if write {
 					_, err = f.WriteAt(0, d/8, mt, buf)
 				} else {
@@ -402,9 +303,6 @@ func TestIndependentFusedDrawsNoPackBuffer(t *testing.T) {
 				}
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -429,12 +327,8 @@ func TestDirectPathFusedDrawsNoPackBuffer(t *testing.T) {
 	} {
 		bp := pool.New()
 		c.opts.Pool, c.opts.SieveDensity = bp, 0.25
-		_, err := mpi.Run(1, func(p *mpi.Proc) {
-			f, err := Open(p, NewShared(storage.NewMem()), c.opts)
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
+		world{P: 1, opts: c.opts}.run(t, nil, func(r rank) {
+			f := r.f
 			if err := f.SetView(0, datatype.Byte, c.ft); err != nil {
 				panic(err)
 			}
@@ -442,6 +336,7 @@ func TestDirectPathFusedDrawsNoPackBuffer(t *testing.T) {
 			got := bytes.Repeat([]byte{0xEE}, len(buf))
 			for _, write := range []bool{true, false} {
 				s0 := bp.Stats()
+				var err error
 				if write {
 					_, err = f.WriteAt(0, runs, mt, buf)
 				} else {
@@ -464,9 +359,6 @@ func TestDirectPathFusedDrawsNoPackBuffer(t *testing.T) {
 				}
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -485,12 +377,8 @@ func TestDirectPathKeepsItsSegmentArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = mpi.Run(1, func(p *mpi.Proc) {
-		f, err := Open(p, NewShared(storage.NewMem()), Options{SieveDensity: 0.25})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
+	world{P: 1, opts: Options{SieveDensity: 0.25}}.run(t, nil, func(r rank) {
+		f := r.f
 		if err := f.SetView(0, datatype.Byte, sparse); err != nil {
 			panic(err)
 		}
@@ -529,9 +417,6 @@ func TestDirectPathKeepsItsSegmentArray(t *testing.T) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // byteBlocks builds a monotone Hindexed memtype of n blocks of blocklen
@@ -563,12 +448,8 @@ func TestCollectiveAllocIndependentOfMemtypeEncoding(t *testing.T) {
 	if s, l := datatype.EncodedSize(small), datatype.EncodedSize(large); l < 32*s || l < 8<<10 {
 		t.Fatalf("encoded sizes %d and %d do not separate the cases", s, l)
 	}
-	_, err := mpi.Run(1, func(p *mpi.Proc) {
-		f, err := Open(p, NewShared(storage.NewMem()), Options{Engine: Listless, CollBufSize: allocWinSize})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
+	world{P: 1, opts: Options{Engine: Listless, CollBufSize: allocWinSize}}.run(t, nil, func(r rank) {
+		f := r.f
 		if err := allocView(f, d/allocBlocklen); err != nil {
 			panic(err)
 		}
@@ -598,9 +479,6 @@ func TestCollectiveAllocIndependentOfMemtypeEncoding(t *testing.T) {
 				bl, bs, datatype.EncodedSize(large))
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestDecodedViewCollectedWithItsDerivedData: a decoded remote fileview
@@ -617,13 +495,8 @@ func TestDecodedViewCollectedWithItsDerivedData(t *testing.T) {
 			ft = declinedType(t, ft)
 		}
 		collected := make(chan struct{})
-		_, err := mpi.Run(1, func(p *mpi.Proc) {
-			f, err := Open(p, NewShared(storage.NewMem()),
-				Options{Engine: Listless, CollBufSize: allocWinSize})
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
+		world{P: 1, opts: Options{Engine: Listless, CollBufSize: allocWinSize}}.run(t, nil, func(r rank) {
+			f := r.f
 			if err := f.SetView(0, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
@@ -651,47 +524,27 @@ func TestDecodedViewCollectedWithItsDerivedData(t *testing.T) {
 			}
 			t.Errorf("declined=%v: decoded fileview still reachable after the SetView that dropped it", declined)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
 // BenchmarkCollectiveWindow is the -benchmem benchmark of the
 // steady-state window loop: P=4 nc-nc collective writes+reads.
 func BenchmarkCollectiveWindow(b *testing.B) {
-	const (
-		P          = 4
-		blockcount = 512
-		blocklen   = 64
-	)
+	const P, blockcount, blocklen = 4, 512, 64
 	d := blockcount * int64(blocklen)
 	b.ReportAllocs()
-	sh := NewShared(storage.NewMem())
-	_, err := mpi.Run(P, func(p *mpi.Proc) {
-		f, err := Open(p, sh, Options{Engine: Listless, CollBufSize: 64 << 10})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
-		ft, err := NoncontigFiletype(p.Rank(), P, blockcount, blocklen)
-		if err != nil {
-			panic(err)
-		}
-		if err := f.SetView(0, datatype.Byte, ft); err != nil {
+	world{P: P, opts: Options{Engine: Listless, CollBufSize: 64 << 10}}.run(b, nil, func(r rank) {
+		if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, blockcount, blocklen)); err != nil {
 			panic(err)
 		}
 		buf := make([]byte, d)
 		for i := 0; i < b.N; i++ {
-			if _, err := f.WriteAtAll(0, d, datatype.Byte, buf); err != nil {
+			if _, err := r.f.WriteAtAll(0, d, datatype.Byte, buf); err != nil {
 				panic(err)
 			}
-			if _, err := f.ReadAtAll(0, d, datatype.Byte, buf); err != nil {
+			if _, err := r.f.ReadAtAll(0, d, datatype.Byte, buf); err != nil {
 				panic(err)
 			}
 		}
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
 }

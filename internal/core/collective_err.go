@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -165,13 +164,4 @@ func decodeCollFault(buf []byte) (phase string, cause error) {
 		msg = "unreported remote failure"
 	}
 	return phase, &remoteErr{msg: msg, class: class}
-}
-
-// AsCollectiveError unwraps err to a *CollectiveError, if it is one.
-func AsCollectiveError(err error) (*CollectiveError, bool) {
-	var ce *CollectiveError
-	if errors.As(err, &ce) {
-		return ce, true
-	}
-	return nil, false
 }

@@ -1,65 +1,24 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/datatype"
-	"repro/internal/mpi"
 	"repro/internal/storage"
 )
 
 // Tests for the sieving-vs-direct-access decision (Options.SieveDensity,
 // the paper's §5 outlook item).
 
-// sparseType selects 8 bytes out of every 1024: density 1/128.
-func sparseType(t *testing.T) *datatype.Type {
-	t.Helper()
-	dt, err := datatype.Hvector(16, 8, 1024, datatype.Byte)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dt
-}
+// sparseView selects 8 bytes out of every 1024: density 1/128.
+func sparseView(int) (int64, *datatype.Type) { return 0, hvecBytes(16, 8, 1024) }
 
 func TestDirectPathTriggersOnSparseAccess(t *testing.T) {
-	for _, eng := range []Engine{Listless, ListBased} {
-		be := storage.NewInstrumented(storage.NewMem())
-		sh := NewShared(be)
-		_, err := mpi.Run(1, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{Engine: eng, SieveDensity: 0.5})
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
-			if err := f.SetView(0, datatype.Byte, sparseType(t)); err != nil {
-				panic(err)
-			}
-			data := pattern(1, 128)
-			if _, err := f.WriteAt(0, 128, datatype.Byte, data); err != nil {
-				panic(err)
-			}
-			if f.Stats.DirectWrites == 0 || f.Stats.SieveWrites != 0 {
-				panic("sparse write did not take the direct path")
-			}
-			got := make([]byte, 128)
-			if _, err := f.ReadAt(0, 128, datatype.Byte, got); err != nil {
-				panic(err)
-			}
-			if f.Stats.DirectReads == 0 || f.Stats.SieveReads != 0 {
-				panic("sparse read did not take the direct path")
-			}
-			if !bytes.Equal(got, data) {
-				panic("direct path round trip mismatch")
-			}
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", eng, err)
-		}
+	for _, eng := range engines {
+		res := world{P: 1, opts: Options{Engine: eng, SieveDensity: 0.5}}.roundTrip(t, access{view: sparseView, d: 128, indep: true})
 		// No read-modify-write: the direct write path must not read.
-		st := be.Stats()
-		if st.BytesRead > 256 { // read phase reads only the 16×8 blocks
-			t.Errorf("%v: direct access read %d bytes; RMW not avoided", eng, st.BytesRead)
+		if st := res.stats; st.DirectWrites == 0 || st.SieveWrites != 0 || st.DirectReads == 0 || st.SieveReads != 0 || res.writeReads != 0 {
+			t.Errorf("%v: the sparse accesses did not take the direct path, or the write read %d times: %+v", eng, res.writeReads, st)
 		}
 	}
 
@@ -70,45 +29,26 @@ func TestDirectPathTriggersOnSparseAccess(t *testing.T) {
 	// them, for the write's read-modify-write and for the read alike.
 	// The file exists before the write, so that the pre-read has bytes
 	// to read.
-	dt, err := datatype.Hvector(4096, 64, 64*128, datatype.Byte)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dt := hvecBytes(4096, 64, 64*128)
 	d := dt.Size()
 	for _, density := range []float64{1, 0} {
-		be := storage.NewInstrumented(storage.NewMem())
-		if _, err := be.WriteAt(make([]byte, dt.Extent()), 0); err != nil {
-			t.Fatal(err)
-		}
-		be.Reset()
 		var wr, rd storage.AccessStats
-		_, err := mpi.Run(1, func(p *mpi.Proc) {
-			f, err := Open(p, NewShared(be), Options{SieveDensity: density})
-			if err != nil {
+		world{P: 1, opts: Options{SieveDensity: density}}.run(t, make([]byte, dt.Extent()), func(r rank) {
+			if err := r.f.SetView(0, datatype.Byte, dt); err != nil {
 				panic(err)
 			}
-			defer f.Close()
-			if err := f.SetView(0, datatype.Byte, dt); err != nil {
+			s0 := r.inst.Stats()
+			if _, err := r.f.WriteAt(0, d, datatype.Byte, pattern(2, d)); err != nil {
 				panic(err)
 			}
-			data := pattern(2, d)
-			if _, err := f.WriteAt(0, d, datatype.Byte, data); err != nil {
+			s1 := r.inst.Stats()
+			if _, err := r.f.ReadAt(0, d, datatype.Byte, make([]byte, d)); err != nil {
 				panic(err)
 			}
-			wr = be.Stats()
-			be.Reset()
-			got := make([]byte, d)
-			if _, err := f.ReadAt(0, d, datatype.Byte, got); err != nil {
-				panic(err)
-			}
-			rd = be.Stats()
-			if !bytes.Equal(got, data) {
-				panic("1/128 round trip mismatch")
-			}
+			s2 := r.inst.Stats()
+			wr = storage.AccessStats{BytesRead: s1.BytesRead - s0.BytesRead, BytesWritten: s1.BytesWritten - s0.BytesWritten}
+			rd = storage.AccessStats{BytesRead: s2.BytesRead - s1.BytesRead, BytesWritten: s2.BytesWritten - s1.BytesWritten}
 		})
-		if err != nil {
-			t.Fatalf("density=%v: %v", density, err)
-		}
 		if density == 1 {
 			if wr.BytesRead != 0 || wr.BytesWritten != d || rd.BytesRead != d || rd.BytesWritten != 0 {
 				t.Errorf("direct at 1/128: write read %d wrote %d, read read %d wrote %d; want 0, %d, %d, 0",
@@ -121,86 +61,26 @@ func TestDirectPathTriggersOnSparseAccess(t *testing.T) {
 	}
 }
 
+// TestDirectVsSievingIdenticalFiles: the heuristic does not change file
+// contents: density thresholds that force each path, across engines,
+// with a non-contiguous memtype, all leave the oracle's bytes.
 func TestDirectVsSievingIdenticalFiles(t *testing.T) {
-	// The heuristic must not change file contents: compare density
-	// thresholds that force each path, across engines, with a
-	// non-contiguous memtype.
-	memt, err := datatype.Hvector(16, 8, 24, datatype.Byte)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files [4][]byte
-	i := 0
+	memt := hvecBytes(16, 8, 24)
 	for _, density := range []float64{0, 0.9} {
-		for _, eng := range []Engine{Listless, ListBased} {
-			be := storage.NewMem()
-			sh := NewShared(be)
-			_, err := mpi.Run(2, func(p *mpi.Proc) {
-				f, err := Open(p, sh, Options{Engine: eng, SieveDensity: density, PackBufSize: 32})
-				if err != nil {
-					panic(err)
-				}
-				defer f.Close()
-				ft := noncontigTypeP(p.Rank(), 2, 16, 8)
-				if err := f.SetView(0, datatype.Byte, ft); err != nil {
-					panic(err)
-				}
-				buf := pattern(p.Rank(), memt.Extent())
-				if _, err := f.WriteAt(0, 1, memt, buf); err != nil {
-					panic(err)
-				}
-				got := make([]byte, len(buf))
-				if _, err := f.ReadAt(0, 1, memt, got); err != nil {
-					panic(err)
-				}
-				for b := int64(0); b < 16; b++ {
-					o := b * 24
-					if !bytes.Equal(got[o:o+8], buf[o:o+8]) {
-						panic("direct/sieve round trip mismatch")
-					}
-				}
-			})
-			if err != nil {
-				t.Fatalf("density=%v %v: %v", density, eng, err)
-			}
-			files[i] = be.Bytes()
-			i++
-		}
-	}
-	for k := 1; k < 4; k++ {
-		if !bytes.Equal(files[0], files[k]) {
-			t.Fatalf("variant %d produced a different file", k)
+		for _, eng := range engines {
+			world{P: 2, opts: Options{Engine: eng, SieveDensity: density, PackBufSize: 32}}.roundTrip(t, access{view: fig4(2, 16, 8), d: 16 * 8,
+				mem: func(int) *datatype.Type { return memt }, indep: true})
 		}
 	}
 }
 
+// TestDenseAccessStillSieves: a density above the threshold keeps the
+// sieving path.
 func TestDenseAccessStillSieves(t *testing.T) {
-	// Density above the threshold keeps the sieving path.
-	be := storage.NewMem()
-	sh := NewShared(be)
-	_, err := mpi.Run(1, func(p *mpi.Proc) {
-		f, err := Open(p, sh, Options{Engine: Listless, SieveDensity: 0.25})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
-		// Half-dense view: 8 of every 16 bytes.
-		ft, err := datatype.Hvector(32, 8, 16, datatype.Byte)
-		if err != nil {
-			panic(err)
-		}
-		if err := f.SetView(0, datatype.Byte, ft); err != nil {
-			panic(err)
-		}
-		if _, err := f.WriteAt(0, 256, datatype.Byte, pattern(0, 256)); err != nil {
-			panic(err)
-		}
-		if f.Stats.SieveWrites == 0 || f.Stats.DirectWrites != 0 {
-			panic("dense access took the direct path")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	half := func(int) (int64, *datatype.Type) { return 0, hvecBytes(32, 8, 16) } // 8 of every 16 bytes
+	st := world{P: 1, opts: Options{Engine: Listless, SieveDensity: 0.25}}.roundTrip(t, access{view: half, d: 256, indep: true}).stats
+	if st.SieveWrites == 0 || st.DirectWrites != 0 {
+		t.Errorf("dense access took the direct path: %+v", st)
 	}
 }
 
@@ -214,50 +94,22 @@ func TestDirectPathMergesAbuttingStretches(t *testing.T) {
 	const ext, inst = 1024, 64
 	ft := mustType(datatype.Resized(mustType(datatype.Hindexed([]int64{8, 8}, []int64{0, ext - 8}, datatype.Byte)), 0, ext))
 	d := int64(inst * 16)
-	data := pattern(4, d)
-	var want []byte
 	var stretches, end int64
-	viewPlaces(0, ft, d, func(off, at, n int64) {
+	places(0, ft, 0, d, func(off, _, n int64) {
 		if off != end || stretches == 0 {
 			stretches++
 		}
 		end = off + n
-		want = append(want, make([]byte, end-int64(len(want)))...)
-		copy(want[off:end], data[at:at+n])
 	})
 	if stretches != inst+1 {
 		t.Fatalf("the view has %d stretches, want %d", stretches, inst+1)
 	}
-	for _, eng := range []Engine{Listless, ListBased} {
-		be := storage.NewMem()
-		var st Stats
-		got := make([]byte, d)
-		_, err := mpi.Run(1, func(p *mpi.Proc) {
-			f, err := Open(p, NewShared(be), Options{Engine: eng, SieveDensity: 0.25})
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
-			if err := f.SetView(0, datatype.Byte, ft); err != nil {
-				panic(err)
-			}
-			if _, err := f.WriteAt(0, d, datatype.Byte, data); err != nil {
-				panic(err)
-			}
-			if _, err := f.ReadAt(0, d, datatype.Byte, got); err != nil {
-				panic(err)
-			}
-			st = f.Stats
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", eng, err)
-		}
+	for _, eng := range engines {
+		st := world{P: 1, opts: Options{Engine: eng, SieveDensity: 0.25}}.roundTrip(t, access{view: func(int) (int64, *datatype.Type) { return 0, ft },
+			d: d, indep: true}).stats
 		if st.DirectWrites != stretches || st.DirectReads != stretches || st.VectoredWrites != 1 || st.VectoredReads != 1 {
 			t.Errorf("%v: %d/%d segments in %d/%d batches written/read, want %d in one batch each",
 				eng, st.DirectWrites, st.DirectReads, st.VectoredWrites, st.VectoredReads, stretches)
-		}
-		if !bytes.Equal(be.Bytes(), want) || !bytes.Equal(got, data) {
-			t.Errorf("%v: the file or the read-back differs from the flat oracle", eng)
 		}
 	}
 }

@@ -7,8 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/datatype"
-	"repro/internal/mpi"
-	"repro/internal/storage"
+	"repro/internal/datatype/datatypetest"
 )
 
 // sortedDisjoint is the oracle for viewsDisjoint: materialise every run
@@ -127,7 +126,7 @@ func TestViewsDisjoint(t *testing.T) {
 // makes them disjoint, then now and then moves one view by a few bytes,
 // which may or may not make them collide.
 func dealtViews(t *testing.T, r *rand.Rand, P int) ([]*datatype.Type, int64) {
-	whole := datatype.RandomFiletype(r, 3)
+	whole := datatypetest.RandomFiletype(r, 3)
 	bl := make([][]int64, P)
 	displs := make([][]int64, P)
 	i := 0
@@ -312,27 +311,18 @@ func TestSetViewVisitsNoRun(t *testing.T) {
 	for _, nblock := range []int64{1024, 524288} {
 		var views []remoteView
 		var ft0 *datatype.Type
-		sh := NewShared(storage.NewMem())
-		_, err := mpi.Run(P, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{})
-			if err != nil {
+		world{P: P}.run(t, nil, func(r rank) {
+			ft := noncontigTypeP(r.p.Rank(), P, nblock, 8)
+			if err := r.f.SetView(0, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
-			defer f.Close()
-			ft := noncontigTypeP(p.Rank(), P, nblock, 8)
-			if err := f.SetView(0, datatype.Byte, ft); err != nil {
-				panic(err)
-			}
-			if e := f.eng.(*listlessEngine); p.Rank() == 0 {
+			if e := r.f.eng.(*listlessEngine); r.p.Rank() == 0 {
 				if !e.disjoint {
 					panic("the Figure 4 views were not proved disjoint")
 				}
 				views, ft0 = e.remote, ft
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for r, v := range views {
 			if v.prog == nil {
 				t.Fatalf("N_block %d: rank %d's view did not compile", nblock, r)

@@ -2,80 +2,19 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/datatype"
-	"repro/internal/fotf"
 	"repro/internal/ioserver"
 	"repro/internal/mpi"
 	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/testutil"
-	"repro/internal/transport"
 )
-
-// bounceTier is an in-process tier of I/O servers over Mem stripes whose
-// servers restart on the addresses they had: a restart drops every
-// uncommitted epoch, as a crashed server's recovery does.
-type bounceTier struct {
-	geom    storage.StripeGeom
-	addrs   []string
-	stripes []*storage.Mem
-	servers []*ioserver.Server
-}
-
-func newBounceTier(t *testing.T, unit int64, n int) *bounceTier {
-	t.Helper()
-	b := &bounceTier{geom: storage.StripeGeom{Unit: unit, Count: n}, addrs: make([]string, n), servers: make([]*ioserver.Server, n)}
-	for i := range b.addrs {
-		b.stripes = append(b.stripes, storage.NewMem())
-		b.addrs[i] = "127.0.0.1:0"
-		b.start(i)
-	}
-	t.Cleanup(func() {
-		for _, srv := range b.servers {
-			srv.Close()
-		}
-	})
-	return b
-}
-
-// start serves stripe i on its address.  It panics on failure: a bounce
-// runs on a rank's goroutine.
-func (b *bounceTier) start(i int) {
-	srv, err := ioserver.New(ioserver.Config{Backend: b.stripes[i], Geom: b.geom, Index: i})
-	if err != nil {
-		panic(err)
-	}
-	ln, err := net.Listen("tcp", b.addrs[i])
-	if err != nil {
-		panic(err)
-	}
-	b.addrs[i] = ln.Addr().String()
-	b.servers[i] = srv
-	go srv.Serve(ln)
-}
-
-// bounce restarts server i.
-func (b *bounceTier) bounce(i int) {
-	b.servers[i].Close()
-	b.start(i)
-}
-
-// mount is a fresh client mount of the tier.
-func (b *bounceTier) mount(t *testing.T) *ioserver.Striped {
-	t.Helper()
-	m, err := ioserver.NewStriped(b.geom.Unit, b.addrs, ioserver.ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m.Close() })
-	return m
-}
 
 // sealHook is a tier mount whose first seal runs before and after hooks
 // around it, while any other seal waits for it; every seal after the
@@ -122,21 +61,6 @@ func keptGeom(direct bool) dwGeom {
 	return dwGeom{name: "64B-runs/P=2", P: 2, d: 512 * 64, collBuf: 4096, view: stridedView(2, 512, 64, 64), mem: datatype.Byte, direct: -1}
 }
 
-// keptData is every rank's data for g, its user buffer, and the file the
-// collective write must leave over the background.
-func keptData(g dwGeom) (bufs [][]byte, count int64, want []byte) {
-	count = g.d / g.mem.Size()
-	data := make([][]byte, g.P)
-	bufs = make([][]byte, g.P)
-	for rank := range data {
-		data[rank] = pattern(rank*3+2, g.d)
-		bufs[rank] = make([]byte, (count-1)*g.mem.Extent()+g.mem.TrueUB())
-		fotf.UnpackCount(bufs[rank], data[rank], count, g.mem, 0)
-	}
-	want, _ = dwOracle(g, data)
-	return bufs, count, want
-}
-
 // TestEpochReplaysKeptWindows: every server of the tier restarts after the
 // collective write's last window has staged and before the first seal,
 // so the epoch commits only through the replay of every client's stage
@@ -147,9 +71,10 @@ func keptData(g dwGeom) (bufs [][]byte, count int64, want []byte) {
 // (Resilient redials and replays), a seal vote that fails once and
 // re-seals, and an epoch aborted by a failed window.
 // The file is byte-identical to the flat oracle, or untouched on abort,
-// and on one checked pool every buffer and chunk is put back exactly once
-// and none before the replay has read it: the replay would have sent the
-// pool's poison, or a later window's bytes.
+// and on one checked pool, the links' too over TCP, no buffer or chunk is
+// put back twice and none before the replay has read it: the replay would
+// have sent the pool's poison, or a later window's bytes; on the loopback
+// every one is put back.
 func TestEpochReplaysKeptWindows(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
 	for _, direct := range []bool{false, true} {
@@ -164,93 +89,55 @@ func TestEpochReplaysKeptWindows(t *testing.T) {
 }
 
 func testEpochReplaysKeptWindows(t *testing.T, g dwGeom, tcp bool, outcome string) {
-	bufs, count, want := keptData(g)
-	background := bytes.Repeat([]byte{dwBackground}, len(want))
-	tier := newBounceTier(t, 4096, 2)
-	raw := tier.mount(t)
-	if _, err := raw.WriteAt(background, 0); err != nil {
-		t.Fatal(err)
-	}
-	hook := &sealHook{Striped: raw, before: func() {
-		for i := range tier.servers {
-			tier.bounce(i)
+	o := g.oracle(2)
+	tier := newTier(t, 4096, 2)
+	defer tier.close()
+	var hook *sealHook
+	w := world{P: g.P, tcp: tcp, backend: "tier", tier: tier, checked: true, linkPool: true, opts: Options{CollBufSize: g.collBuf}, wrap: func(b storage.Backend) storage.Backend {
+		hook = &sealHook{Striped: b.(*ioserver.Striped), before: func() {
+			for i := range tier.servers {
+				tier.bounce(i)
+			}
+		}}
+		switch outcome {
+		case "commit":
+			return storage.NewResilient(hook, storage.ResilientConfig{})
+		case "abort":
+			fb := storage.NewFaulty(hook)
+			fb.FailWriteRange(int64(len(o.file))-777-100, int64(len(o.file))) // the last window of IOP 1
+			return fb
 		}
+		return hook
 	}}
-	var be storage.Backend = hook
-	switch outcome {
-	case "commit":
-		be = storage.NewResilient(hook, storage.ResilientConfig{})
-	case "abort":
-		fb := storage.NewFaulty(hook)
-		fb.FailWriteRange(int64(len(want))-777-100, int64(len(want))) // the last window of IOP 1
-		be = fb
-	}
-	sh := NewShared(be)
-	bp := pool.NewChecked()
-	eps := transport.NewLoopback(g.P)
-	if tcp {
-		var err error
-		if eps, err = transport.NewLocalTCPWorld(g.P, transport.TCPConfig{Pool: bp}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	errs := make([]error, g.P)
-	stats := make([]Stats, g.P)
-	_, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-		f, err := Open(p, sh, Options{CollBufSize: g.collBuf, Pool: bp})
-		if err != nil {
+	res := w.run(t, bytes.Repeat([]byte{background}, len(o.file)), func(r rank) {
+		disp, ft := g.view(r.p.Rank())
+		if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
 			panic(err)
 		}
-		defer f.Close()
-		disp, ft := g.view(p.Rank())
-		if err := f.SetView(disp, datatype.Byte, ft); err != nil {
-			panic(err)
+		_, errs[r.p.Rank()] = r.f.WriteAtAll(0, o.count[r.p.Rank()], g.mem, o.bufs[r.p.Rank()])
+		if msg := keepsNoBuffer(r.f); msg != "" {
+			panic(fmt.Sprintf("rank %d: %s after the epoch", r.p.Rank(), msg))
 		}
-		_, errs[p.Rank()] = f.WriteAtAll(0, count, g.mem, bufs[p.Rank()])
-		if len(f.kept) != 0 || !allNil(f.kept[:cap(f.kept)]) {
-			panic(fmt.Sprintf("rank %d: the handle still holds %d kept buffers after the epoch", p.Rank(), len(f.kept)))
-		}
-		stats[p.Rank()] = f.Stats
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := flattenBackend(t, raw)
-	var st Stats
-	for _, s := range stats {
-		st.DirectWrites += s.DirectWrites
-		st.EpochRetries += s.EpochRetries
-		st.EpochsCommitted += s.EpochsCommitted
-	}
-	if (st.DirectWrites > 0) != (g.direct > 0) {
+	if st := res.stats; (st.DirectWrites > 0) != (g.direct > 0) {
 		t.Fatalf("%d direct window segments written; the test runs the wrong windows", st.DirectWrites)
 	}
-	switch outcome {
-	case "abort":
+	want := o.file
+	switch st := res.stats; {
+	case outcome == "abort":
 		requireAgreement(t, outcome, errs, 1, PhaseIOPWindow)
-		if !bytes.Equal(got, background) {
-			t.Error("staged windows of a failed collective reached the file")
-		}
-	default:
-		for r, e := range errs {
-			if e != nil {
-				t.Fatalf("rank %d: %v", r, e)
-			}
-		}
-		if !bytes.Equal(got, want) {
-			t.Error("the file differs from the oracle: the replay sent other bytes than the windows staged")
-		}
-		if retried := st.EpochRetries > 0; retried != (outcome == "seal-retry") || st.EpochsCommitted != int64(g.P) {
-			t.Errorf("%d epoch retries, %d commits over the ranks", st.EpochRetries, st.EpochsCommitted)
-		}
+		want = bytes.Repeat([]byte{background}, len(o.file))
+	case errors.Join(errs...) != nil:
+		t.Fatal(errors.Join(errs...))
+	case (st.EpochRetries > 0) != (outcome == "seal-retry") || st.EpochsCommitted != int64(g.P):
+		t.Errorf("%d epoch retries, %d commits over the ranks", st.EpochRetries, st.EpochsCommitted)
+	}
+	if !bytes.Equal(res.file, want) {
+		t.Error("the file differs from the oracle: the replay sent other bytes than the windows staged, or an aborted epoch's reached it")
 	}
 	if hook.calls.Load() == 0 && outcome != "abort" {
 		t.Error("no seal: the servers never restarted")
-	}
-	// Over TCP the links' own buffers come from the pool too, so only a
-	// loopback world balances it; a second Put panics on either.
-	if ps := bp.Stats(); !tcp && ps.Gets != ps.Puts {
-		t.Errorf("%d buffers taken from the pool, %d put back", ps.Gets, ps.Puts)
 	}
 }
 
@@ -263,11 +150,12 @@ func testEpochReplaysKeptWindows(t *testing.T, g dwGeom, tcp bool, outcome strin
 // and every rank re-seals: rank 1's reconnect replays its log, and the
 // committed file is the flat oracle's.
 func TestEpochSealsOneIncarnation(t *testing.T) {
-	t.Cleanup(testutil.LeakCheck(t)) // last: after the tier's cleanups
+	defer testutil.LeakCheck(t)()
 	g := keptGeom(false)
-	bufs, count, want := keptData(g)
-	tier := newBounceTier(t, 4096, 2)
-	if _, err := tier.mount(t).WriteAt(bytes.Repeat([]byte{dwBackground}, len(want)), 0); err != nil {
+	o := g.oracle(2)
+	tier := newTier(t, 4096, 2)
+	defer tier.close()
+	if _, err := tier.mount(t).WriteAt(bytes.Repeat([]byte{background}, len(o.file)), 0); err != nil {
 		t.Fatal(err)
 	}
 	rank1Sealed := make(chan struct{})
@@ -295,7 +183,7 @@ func TestEpochSealsOneIncarnation(t *testing.T) {
 		if err := f.SetView(disp, datatype.Byte, ft); err != nil {
 			panic(err)
 		}
-		if _, err := f.WriteAtAll(0, count, g.mem, bufs[p.Rank()]); err != nil {
+		if _, err := f.WriteAtAll(0, o.count[p.Rank()], g.mem, o.bufs[p.Rank()]); err != nil {
 			panic(err)
 		}
 		stats[p.Rank()] = f.Stats
@@ -303,7 +191,7 @@ func TestEpochSealsOneIncarnation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := flattenBackend(t, tier.mount(t)); !bytes.Equal(got, want) {
+	if got := flattenBackend(t, tier.mount(t)); !bytes.Equal(got, o.file) {
 		t.Fatal("the committed file differs from the oracle: a rank's stages were lost to the restart")
 	}
 	for rank, st := range stats {

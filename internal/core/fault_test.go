@@ -5,38 +5,26 @@ import (
 	"testing"
 
 	"repro/internal/datatype"
-	"repro/internal/mpi"
 	"repro/internal/storage"
+	"repro/internal/testutil"
 )
 
 // Fault-injection tests: backend errors must surface as errors from the
 // I/O calls (never panics, never silent truncation) through every path —
 // contiguous, staged, sieving, and two-phase collective.
 
-func faultyWorld(t *testing.T, eng Engine, scenario func(f *File, fb *storage.Faulty) error) error {
-	t.Helper()
-	fb := storage.NewFaulty(storage.NewMem())
-	sh := NewShared(fb)
-	var opErr error
-	_, err := mpi.Run(1, func(p *mpi.Proc) {
-		f, err := Open(p, sh, Options{Engine: eng, SieveBufSize: 64, PackBufSize: 32})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
-		opErr = scenario(f, fb)
-	})
-	if err != nil {
-		t.Fatalf("world error (should have been an I/O error): %v", err)
-	}
-	return opErr
+// faulted runs op on one rank of a "faulty" world of eng, through a sieve
+// and a pack buffer far smaller than its accesses, and returns its error.
+func faulted(t *testing.T, eng Engine, op func(r rank) error) (err error) {
+	world{P: 1, backend: "faulty", opts: Options{Engine: eng, SieveBufSize: 64, PackBufSize: 32}}.run(t, nil, func(r rank) { err = op(r) })
+	return err
 }
 
 func TestFaultContiguousWrite(t *testing.T) {
-	for _, eng := range []Engine{Listless, ListBased} {
-		err := faultyWorld(t, eng, func(f *File, fb *storage.Faulty) error {
-			fb.FailWrites(1)
-			_, err := f.WriteAt(0, 64, datatype.Byte, make([]byte, 64))
+	for _, eng := range engines {
+		err := faulted(t, eng, func(r rank) error {
+			r.fb.FailWrites(1)
+			_, err := r.f.WriteAt(0, 64, datatype.Byte, make([]byte, 64))
 			return err
 		})
 		if !errors.Is(err, storage.ErrInjected) {
@@ -45,78 +33,64 @@ func TestFaultContiguousWrite(t *testing.T) {
 	}
 }
 
+// TestFaultSievingWrite fails the write-back of a sieve window, and the
+// read of a later one.
 func TestFaultSievingWrite(t *testing.T) {
-	ft, err := datatype.Vector(16, 1, 2, datatype.Double)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []Engine{Listless, ListBased} {
-		// Fail the write-back of a sieve window.
-		werr := faultyWorld(t, eng, func(f *File, fb *storage.Faulty) error {
-			if err := f.SetView(0, datatype.Byte, ft); err != nil {
+	ft := mustType(datatype.Vector(16, 1, 2, datatype.Double))
+	for _, eng := range engines {
+		for _, write := range []bool{true, false} {
+			err := faulted(t, eng, func(r rank) error {
+				if err := r.f.SetView(0, datatype.Byte, ft); err != nil {
+					return err
+				}
+				if write {
+					r.fb.FailWrites(1)
+					_, err := r.f.WriteAt(0, 64, datatype.Byte, make([]byte, 64))
+					return err
+				}
+				r.fb.FailReads(2)
+				_, err := r.f.ReadAt(0, 128, datatype.Byte, make([]byte, 128))
 				return err
+			})
+			if !errors.Is(err, storage.ErrInjected) {
+				t.Errorf("%v write=%v: sieve err = %v", eng, write, err)
 			}
-			fb.FailWrites(1)
-			_, err := f.WriteAt(0, 64, datatype.Byte, make([]byte, 64))
-			return err
-		})
-		if !errors.Is(werr, storage.ErrInjected) {
-			t.Errorf("%v: sieve write err = %v", eng, werr)
-		}
-		// Fail the read of a later sieve window (RMW pre-read).
-		rerr := faultyWorld(t, eng, func(f *File, fb *storage.Faulty) error {
-			if err := f.SetView(0, datatype.Byte, ft); err != nil {
-				return err
-			}
-			fb.FailReads(2)
-			_, err := f.ReadAt(0, 128, datatype.Byte, make([]byte, 128))
-			return err
-		})
-		if !errors.Is(rerr, storage.ErrInjected) {
-			t.Errorf("%v: sieve read err = %v", eng, rerr)
 		}
 	}
 }
 
+// TestFaultCollectiveWrite: every rank's writes fail from the first on,
+// so the lowest failing rank — and thus the agreed attribution — is rank
+// 0.
 func TestFaultCollectiveWrite(t *testing.T) {
-	const P = 4
-	for _, eng := range []Engine{Listless, ListBased} {
-		fb := storage.NewFaulty(storage.NewMem())
-		sh := NewShared(fb)
-		errs := make([]error, P)
-		_, err := mpi.Run(P, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128})
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
-			ft := noncontigTypeP(p.Rank(), P, 16, 8)
-			if err := f.SetView(0, datatype.Byte, ft); err != nil {
-				panic(err)
-			}
-			if p.Rank() == 0 {
-				fb.FailWrites(1)
-			}
-			p.Barrier()
-			_, errs[p.Rank()] = f.WriteAtAll(0, 128, datatype.Byte, make([]byte, 128))
-		})
-		if err != nil {
-			t.Fatalf("%v: world error: %v", eng, err)
-		}
-		// Every write fails from the first on, so the lowest failing
-		// rank — and thus the agreed attribution — is rank 0.
-		requireAgreement(t, eng.String(), errs, 0, PhaseIOPWindow)
+	for _, eng := range engines {
+		faultCollectiveWrite(t, eng, false)
 	}
+}
+
+func faultCollectiveWrite(t *testing.T, eng Engine, tcp bool) {
+	const P = 4
+	defer testutil.LeakCheck(t)()
+	errs := make([]error, P)
+	world{P: P, tcp: tcp, backend: "faulty", opts: Options{Engine: eng, CollBufSize: 128}}.run(t, nil, func(r rank) {
+		if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, 16, 8)); err != nil {
+			panic(err)
+		}
+		r.fb.FailWrites(1)
+		r.p.Barrier()
+		_, errs[r.p.Rank()] = r.f.WriteAtAll(0, 128, datatype.Byte, make([]byte, 128))
+	})
+	requireAgreement(t, eng.String(), errs, 0, PhaseIOPWindow)
 }
 
 func TestFaultHealRecovers(t *testing.T) {
-	err := faultyWorld(t, Listless, func(f *File, fb *storage.Faulty) error {
-		fb.FailWrites(1)
-		if _, err := f.WriteAt(0, 8, datatype.Byte, make([]byte, 8)); err == nil {
+	err := faulted(t, Listless, func(r rank) error {
+		r.fb.FailWrites(1)
+		if _, err := r.f.WriteAt(0, 8, datatype.Byte, make([]byte, 8)); err == nil {
 			t.Error("expected injected failure")
 		}
-		fb.Heal()
-		_, err := f.WriteAt(0, 8, datatype.Byte, make([]byte, 8))
+		r.fb.Heal()
+		_, err := r.f.WriteAt(0, 8, datatype.Byte, make([]byte, 8))
 		return err
 	})
 	if err != nil {

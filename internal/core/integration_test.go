@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -15,206 +14,106 @@ import (
 // Integration tests across storage backends and option combinations.
 
 func TestFileBackendEndToEnd(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "coll.dat")
-	fb, err := storage.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
-	sh := NewShared(fb)
-	const P = 4
-	_, err = mpi.Run(P, func(p *mpi.Proc) {
-		f, err := Open(p, sh, Options{Engine: Listless, CollBufSize: 4096})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
-		ft := noncontigTypeP(p.Rank(), P, 64, 32)
-		if err := f.SetView(0, datatype.Byte, ft); err != nil {
-			panic(err)
-		}
-		d := int64(64 * 32)
-		data := pattern(p.Rank(), d)
-		if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
-			panic(err)
-		}
-		got := make([]byte, d)
-		if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
-			panic(err)
-		}
-		if !bytes.Equal(got, data) {
-			panic("file backend round trip failed")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(P * 64 * 32); fb.Size() != want {
-		t.Fatalf("file size %d, want %d", fb.Size(), want)
-	}
+	world{P: 4, backend: "file", opts: Options{Engine: Listless, CollBufSize: 4096}}.roundTrip(t, access{view: fig4(4, 64, 32), d: 64 * 32})
 }
 
+// TestThrottledBackendEndToEnd: the per-call latency of a slow file
+// system composes with the full stack — sieving accesses of two ranks
+// leave the oracle's bytes, and take at least the latency of every
+// backend call they made.
 func TestThrottledBackendEndToEnd(t *testing.T) {
-	// With a slow file system the engines converge (the paper's
-	// "file-system performance is the limiting factor" regime); mostly
-	// this checks the throttle composes with the full stack.
-	th := storage.NewThrottled(storage.NewMem(), 0, 50_000_000, 0) // 50 MB/s writes
-	sh := NewShared(th)
 	start := time.Now()
-	_, err := mpi.Run(2, func(p *mpi.Proc) {
-		f, err := Open(p, sh, Options{Engine: Listless})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
-		data := pattern(p.Rank(), 1<<20)
-		if _, err := f.WriteAt(int64(p.Rank())<<20, 1<<20, datatype.Byte, data); err != nil {
-			panic(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 MiB at 50 MB/s ≈ 42 ms minimum.
-	if d := time.Since(start); d < 20*time.Millisecond {
-		t.Fatalf("throttled write finished in %v; throttle ignored", d)
+	res := world{P: 2, backend: "throttled", opts: Options{SieveBufSize: 4096}}.roundTrip(t, access{view: fig4(2, 1024, 8), d: 1024 * 8, indep: true})
+	calls := res.inst.Reads + res.inst.Writes
+	if d, want := time.Since(start), time.Duration(calls)*50*time.Microsecond-200*time.Microsecond; calls < 8 || d < want {
+		t.Fatalf("%d backend calls took %v, want at least %v: latency not charged", calls, d, want)
 	}
 }
 
+// TestFlattenCacheReusedAcrossSetView: ROMIO stores the ol-list on the
+// datatype, so re-installing a view with the same filetype does not
+// re-flatten.
 func TestFlattenCacheReusedAcrossSetView(t *testing.T) {
-	// ROMIO stores the ol-list on the datatype: re-installing a view
-	// with the same filetype must not re-flatten.
-	be := storage.NewMem()
-	sh := NewShared(be)
-	_, err := mpi.Run(1, func(p *mpi.Proc) {
-		f, err := Open(p, sh, Options{Engine: ListBased})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
+	world{P: 1, opts: Options{Engine: ListBased}}.run(t, nil, func(r rank) {
 		ft := noncontigTypeP(0, 2, 1000, 8)
-		if err := f.SetView(0, datatype.Byte, ft); err != nil {
-			panic(err)
-		}
-		after1 := f.Stats.ListTuples
-		if after1 == 0 {
-			panic("first SetView built no list")
-		}
-		for i := 0; i < 3; i++ {
-			if err := f.SetView(0, datatype.Byte, ft); err != nil {
+		var tuples []int64
+		for i := 0; i < 4; i++ {
+			if err := r.f.SetView(0, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
+			tuples = append(tuples, r.f.Stats.ListTuples)
 		}
-		if f.Stats.ListTuples != after1 {
-			panic("repeated SetView with the same filetype re-flattened")
+		if tuples[0] == 0 || tuples[3] != tuples[0] {
+			panic("the first SetView built no list, or a repeated one with the same filetype re-flattened")
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSetViewSwitchingTypes: bytes written through one view and read
+// through another, the plain byte view, are the same file bytes.
+func TestSetViewSwitchingTypes(t *testing.T) {
+	const P, d = 2, 32 * 8
+	data := [][]byte{pattern(0, d), pattern(1, d)}
+	o := flat(fig4(P, 32, 8), nil, 0, data)
+	for _, eng := range engines {
+		world{P: P, opts: Options{Engine: eng}}.run(t, o.file, func(r rank) {
+			if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, 32, 8)); err != nil {
+				panic(err)
+			}
+			if _, err := r.f.WriteAtAll(0, d, datatype.Byte, data[r.p.Rank()]); err != nil {
+				panic(err)
+			}
+			if err := r.f.SetView(0, datatype.Byte, datatype.Byte); err != nil {
+				panic(err)
+			}
+			whole := make([]byte, len(o.file))
+			if _, err := r.f.ReadAt(0, int64(len(whole)), datatype.Byte, whole); err != nil || !bytes.Equal(whole, o.file) {
+				panic("a byte-view read disagrees with the typed write")
+			}
+		})
 	}
 }
 
-func TestSetViewSwitchingTypes(t *testing.T) {
-	// Writing through one view and reading through another must observe
-	// the same file bytes.
-	a, b := runBoth(t, 2, Options{}, func(f *File) {
-		rank := f.Proc().Rank()
-		P := f.Proc().Size()
-		ft := noncontigTypeP(rank, P, 32, 8)
-		if err := f.SetView(0, datatype.Byte, ft); err != nil {
-			panic(err)
+// TestBigBlocksWithTinyBuffers is buffer-limit handling (§3.2.2): a
+// file buffer smaller than a single contiguous block, a pack buffer
+// smaller than the file buffer, independently and collectively.
+func TestBigBlocksWithTinyBuffers(t *testing.T) {
+	mt := hvecBytes(4, 128, 160)
+	for _, eng := range engines {
+		for _, indep := range []bool{true, false} {
+			world{P: 2, opts: Options{Engine: eng, SieveBufSize: 48, PackBufSize: 16, CollBufSize: 64}}.roundTrip(t,
+				access{view: fig4(2, 4, 128), d: 4 * 128, indep: indep, mem: func(int) *datatype.Type { return mt }})
 		}
-		d := int64(32 * 8)
-		data := pattern(rank, d)
-		if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
-			panic(err)
-		}
-		// Re-read through the plain byte view: rank 0 checks the
-		// interleaving directly.
-		if err := f.SetView(0, datatype.Byte, datatype.Byte); err != nil {
-			panic(err)
-		}
-		if rank == 0 {
-			whole := make([]byte, int64(P)*d)
-			if _, err := f.ReadAt(0, int64(len(whole)), datatype.Byte, whole); err != nil {
+	}
+}
+
+// TestManySmallIndependentAccesses stresses the positioning paths: many
+// reads at scattered etype offsets within the view.
+func TestManySmallIndependentAccesses(t *testing.T) {
+	view := fig4(3, 64, 8) // every 3rd 8-byte block
+	full := pattern(5, 64*8)
+	o := flat(view, nil, 0, [][]byte{full})
+	for _, eng := range engines {
+		res := world{P: 1, opts: Options{Engine: eng, SieveBufSize: 128}}.run(t, o.file, func(r rank) {
+			_, ft := view(0)
+			if err := r.f.SetView(0, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
-			for r := 0; r < P; r++ {
-				want := pattern(r, d)
-				for blk := 0; blk < 32; blk++ {
-					off := blk*P*8 + r*8
-					if !bytes.Equal(whole[off:off+8], want[blk*8:blk*8+8]) {
-						panic("byte-view read disagrees with typed write")
-					}
+			if _, err := r.f.WriteAt(0, 64*8, datatype.Byte, full); err != nil {
+				panic(err)
+			}
+			for i := 0; i < 50; i++ {
+				off, n := int64((i*37)%500), int64(1+(i*13)%12)
+				got := make([]byte, n)
+				if _, err := r.f.ReadAt(off, n, datatype.Byte, got); err != nil || !bytes.Equal(got, full[off:off+n]) {
+					panic("scattered read mismatch")
 				}
 			}
+		})
+		if !bytes.Equal(res.file, o.file) {
+			t.Errorf("%v: the file differs from the oracle", eng)
 		}
-		f.Proc().Barrier()
-	})
-	requireEqualFiles(t, a, b)
-}
-
-func TestBigBlocksWithTinyBuffers(t *testing.T) {
-	// Buffer-limit handling (§3.2.2): file buffer smaller than a single
-	// contiguous block, pack buffer smaller than the file buffer.
-	a, b := runBoth(t, 2, Options{SieveBufSize: 48, PackBufSize: 16, CollBufSize: 64}, func(f *File) {
-		rank := f.Proc().Rank()
-		P := f.Proc().Size()
-		ft := noncontigTypeP(rank, P, 4, 128) // 128-byte blocks vs 48-byte windows
-		if err := f.SetView(0, datatype.Byte, ft); err != nil {
-			panic(err)
-		}
-		mt, err := datatype.Hvector(4, 128, 160, datatype.Byte)
-		if err != nil {
-			panic(err)
-		}
-		buf := pattern(rank, mt.Extent())
-		if _, err := f.WriteAt(0, 1, mt, buf); err != nil {
-			panic(err)
-		}
-		got := make([]byte, len(buf))
-		if _, err := f.ReadAt(0, 1, mt, got); err != nil {
-			panic(err)
-		}
-		for i := 0; i < 4; i++ {
-			o := i * 160
-			if !bytes.Equal(got[o:o+128], buf[o:o+128]) {
-				panic("tiny-buffer round trip mismatch")
-			}
-		}
-		// And collectively.
-		if _, err := f.WriteAtAll(0, 1, mt, buf); err != nil {
-			panic(err)
-		}
-	})
-	requireEqualFiles(t, a, b)
-}
-
-func TestManySmallIndependentAccesses(t *testing.T) {
-	// Stress the positioning paths: many accesses at scattered etype
-	// offsets within the view.
-	a, b := runBoth(t, 1, Options{SieveBufSize: 128}, func(f *File) {
-		ft := noncontigTypeP(0, 3, 64, 8) // every 3rd 8-byte block
-		if err := f.SetView(0, datatype.Byte, ft); err != nil {
-			panic(err)
-		}
-		full := pattern(5, 64*8)
-		if _, err := f.WriteAt(0, 64*8, datatype.Byte, full); err != nil {
-			panic(err)
-		}
-		for i := 0; i < 50; i++ {
-			off := int64((i * 37) % 500)
-			n := int64(1 + (i*13)%12)
-			got := make([]byte, n)
-			if _, err := f.ReadAt(off, n, datatype.Byte, got); err != nil {
-				panic(err)
-			}
-			if !bytes.Equal(got, full[off:off+n]) {
-				panic("scattered read mismatch")
-			}
-		}
-	})
-	requireEqualFiles(t, a, b)
+	}
 }
 
 // TestTwoWorldsTwoFiles: two worlds run at once in one process, each
@@ -222,9 +121,8 @@ func TestManySmallIndependentAccesses(t *testing.T) {
 // program cache and buffer pool (Options.Pool nil).  Each file must hold
 // its own world's bytes and nothing of the other's.
 func TestTwoWorldsTwoFiles(t *testing.T) {
-	const P, blocks, blocklen = 2, 16, 8
-	const d = blocks * blocklen
-	for _, eng := range []Engine{Listless, ListBased} {
+	const P, d = 2, 16 * 8
+	for _, eng := range engines {
 		backends := [2]*storage.Mem{storage.NewMem(), storage.NewMem()}
 		errs := make([]error, len(backends))
 		var wg sync.WaitGroup
@@ -239,19 +137,14 @@ func TestTwoWorldsTwoFiles(t *testing.T) {
 						panic(err)
 					}
 					defer f.Close()
-					ft := noncontigTypeP(p.Rank(), P, blocks, blocklen)
-					if err := f.SetView(0, datatype.Byte, ft); err != nil {
+					if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, 16, 8)); err != nil {
 						panic(err)
 					}
-					data := pattern(g*P+p.Rank(), d)
+					data, got := pattern(g*P+p.Rank(), d), make([]byte, d)
 					if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
 						panic(err)
 					}
-					got := make([]byte, d)
-					if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
-						panic(err)
-					}
-					if !bytes.Equal(got, data) {
+					if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil || !bytes.Equal(got, data) {
 						panic("round trip differs")
 					}
 				})
@@ -259,18 +152,9 @@ func TestTwoWorldsTwoFiles(t *testing.T) {
 		}
 		wg.Wait()
 		for g, be := range backends {
-			if errs[g] != nil {
-				t.Fatalf("%v: world %d: %v", eng, g, errs[g])
-			}
-			want := make([]byte, P*d)
-			for r := 0; r < P; r++ {
-				data := pattern(g*P+r, d)
-				for blk := 0; blk < blocks; blk++ {
-					copy(want[(blk*P+r)*blocklen:], data[blk*blocklen:(blk+1)*blocklen])
-				}
-			}
-			if !bytes.Equal(be.Bytes(), want) {
-				t.Fatalf("%v: world %d's file differs from its oracle", eng, g)
+			o := flat(fig4(P, 16, 8), nil, 0, [][]byte{pattern(g*P, d), pattern(g*P+1, d)})
+			if errs[g] != nil || !bytes.Equal(be.Bytes(), o.file[:P*d]) {
+				t.Fatalf("%v: world %d: %v, or its file differs from its oracle", eng, g, errs[g])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -9,11 +10,9 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/fotf"
-	"repro/internal/mpi"
 	"repro/internal/pool"
 	"repro/internal/storage"
 	"repro/internal/testutil"
-	"repro/internal/transport"
 )
 
 // The typed loan: in-process, a listless AP lends every IOP whose domain
@@ -39,85 +38,59 @@ func TestLoanSpansAViewGap(t *testing.T) {
 	const P, L = 3, 6000
 	// pieces holds n data bytes in 2n bytes of file.
 	pieces := func(n int64) *datatype.Type { return hvecBytes(n/8, 8, 16) }
-	g := dwGeom{P: P, d: L, collBuf: 2048, view: func(rank int) (int64, *datatype.Type) {
+	view := func(rank int) (int64, *datatype.Type) {
 		if rank == 0 {
 			ends := mustType(datatype.Hindexed([]int64{1, 1}, []int64{0, 5 * L}, pieces(L/2)))
 			return 0, mustType(datatype.Resized(ends, 0, 6*L))
 		}
 		at := mustType(datatype.Hindexed([]int64{1}, []int64{int64(2*rank-1) * L}, pieces(L)))
 		return 0, mustType(datatype.Resized(at, 0, 6*L))
-	}}
+	}
 	// Rank 0 lends to IOPs 1 (the gap) and 2, rank 1 to IOP 0, rank 2 to
 	// IOP 1; four collectives.
 	const loans = 4 * 4
 	for _, c := range []struct {
 		name string
 		mem  *datatype.Type
-		view func(int) (int64, *datatype.Type)
+		view viewFn
 	}{
-		{"contiguous", datatype.Byte, g.view},
-		{"holey", holeyDouble(), g.view},
-		{"declined", holeyDouble(), declinedViews(t, P, g.view)},
+		{"contiguous", datatype.Byte, view},
+		{"holey", holeyDouble(), view},
+		{"declined", holeyDouble(), declinedViews(t, P, view)},
 	} {
-		g := g
-		g.view = c.view
-		count := g.d / c.mem.Size()
-		bufLen := (count-1)*c.mem.Extent() + c.mem.TrueUB()
-		data := [2][][]byte{}
-		var want [2][]byte
-		var wantReads [2][][]byte
-		for round := range data {
-			data[round] = make([][]byte, P)
-			for rank := range data[round] {
-				data[round][rank] = pattern(10*round+rank, g.d)
+		var oracles [2]oracle
+		for round := range oracles {
+			data := make([][]byte, P)
+			for rank := range data {
+				data[rank] = pattern(10*round+rank, L)
 			}
-			want[round], wantReads[round] = dwOracle(g, data[round])
+			oracles[round] = flat(c.view, func(int) *datatype.Type { return c.mem }, 0, data)
 		}
-		be := storage.NewMem()
-		if _, err := be.WriteAt(bytes.Repeat([]byte{dwBackground}, len(want[0])), 0); err != nil {
-			t.Fatal(err)
-		}
-		sh := NewShared(be)
-		opts := Options{CollBufSize: g.collBuf, Pool: pool.NewChecked()}
-		comm, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-			f, err := Open(p, sh, opts)
-			if err != nil {
+		res := world{P: P, checked: true, opts: Options{CollBufSize: 2048}}.run(t, oracles[0].file, func(r rank) {
+			rk := r.p.Rank()
+			disp, ft := c.view(rk)
+			if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
-			defer f.Close()
-			disp, ft := g.view(p.Rank())
-			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
-				panic(err)
-			}
-			for round := range data {
-				buf := bytes.Repeat([]byte{0xEE}, int(bufLen))
-				fotf.UnpackCount(buf, data[round][p.Rank()], count, c.mem, 0)
-				if _, err := f.WriteAtAll(0, count, c.mem, buf); err != nil {
+			for round, o := range oracles {
+				if _, err := r.f.WriteAtAll(0, o.count[rk], c.mem, bytes.Clone(o.bufs[rk])); err != nil {
 					panic(err)
 				}
-				p.Barrier()
-				if p.Rank() == 0 && !bytes.Equal(be.Bytes(), want[round]) {
+				r.p.Barrier()
+				if rk == 0 && !bytes.Equal(flattenBackend(t, r.f.sh.b), o.file) {
 					panic(fmt.Sprintf("write %d: the file differs from the oracle", round))
 				}
-				p.Barrier()
-				got := bytes.Repeat([]byte{0xEE}, int(bufLen))
-				if _, err := f.ReadAtAll(0, count, c.mem, got); err != nil {
-					panic(err)
-				}
-				wantBuf := bytes.Repeat([]byte{0xEE}, int(bufLen))
-				fotf.UnpackCount(wantBuf, wantReads[round][p.Rank()], count, c.mem, 0)
-				if !bytes.Equal(got, wantBuf) {
-					panic(fmt.Sprintf("read %d, rank %d: the buffer differs from the oracle's", round, p.Rank()))
+				r.p.Barrier()
+				got := bytes.Repeat([]byte{0xEE}, len(o.bufs[rk]))
+				if _, err := r.f.ReadAtAll(0, o.count[rk], c.mem, got); err != nil || !bytes.Equal(got, o.reads[rk]) {
+					panic(fmt.Sprintf("read %d, rank %d: %v, or the buffer differs from the oracle's", round, rk, err))
 				}
 			}
-			if f.Stats.VectoredWrites+f.Stats.VectoredReads != 0 {
-				panic(fmt.Sprintf("rank %d moved a direct window: the test runs the wrong windows", p.Rank()))
+			if r.f.Stats.VectoredWrites+r.f.Stats.VectoredReads != 0 {
+				panic(fmt.Sprintf("rank %d moved a direct window: the test runs the wrong windows", rk))
 			}
 		})
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if comm.Refs != loans || comm.Messages != comm.Received || comm.Bytes != comm.BytesReceived {
+		if comm := res.comm; comm.Refs != loans || comm.Messages != comm.Received || comm.Bytes != comm.BytesReceived {
 			t.Errorf("%s: %+v; want %d loans and every message sent taken", c.name, comm, loans)
 		}
 	}
@@ -138,55 +111,33 @@ func TestLentReadFaultEndsTheLoan(t *testing.T) {
 		dwGeoms()[3], // 16 KiB runs: direct windows
 	} {
 		checkLeaks := testutil.LeakCheck(t)
-		mem := storage.NewMem()
-		fbs := make([]*storage.Faulty, g.P)
-		for r := range fbs {
-			fbs[r] = storage.NewFaulty(mem)
-		}
-		count := g.d / g.mem.Size()
+		o := g.oracle(0)
 		errs := make([]error, g.P)
-		_, err := mpi.RunWithOptions(g.P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-			fb := fbs[p.Rank()]
-			f, err := Open(p, NewShared(fb), Options{CollBufSize: g.collBuf, Pool: pool.NewChecked()})
-			if err != nil {
+		world{P: g.P, backend: "faulty", checked: true, opts: Options{CollBufSize: g.collBuf}}.run(t, nil, func(r rank) {
+			rk := r.p.Rank()
+			disp, ft := g.view(rk)
+			if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
-			defer f.Close()
-			disp, ft := g.view(p.Rank())
-			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+			if _, err := r.f.WriteAtAll(0, o.count[rk], g.mem, o.bufs[rk]); err != nil {
 				panic(err)
 			}
-			data := make([]byte, (count-1)*g.mem.Extent()+g.mem.TrueUB())
-			fotf.UnpackCount(data, pattern(p.Rank(), g.d), count, g.mem, 0)
-			if _, err := f.WriteAtAll(0, count, g.mem, data); err != nil {
-				panic(err)
+			if rk == 0 {
+				r.fb.FailReads(2) // rank 0 makes more read calls than that
 			}
-			if p.Rank() == 0 {
-				fb.FailReads(2) // rank 0 makes more read calls than that
-			}
-			p.Barrier()
-			buf := make([]byte, len(data))
-			_, errs[p.Rank()] = f.ReadAtAll(0, count, g.mem, buf)
+			r.p.Barrier()
+			buf := make([]byte, len(o.bufs[rk]))
+			_, errs[rk] = r.f.ReadAtAll(0, o.count[rk], g.mem, buf)
 			for i := range buf {
 				buf[i] = 0xEE
 			}
-			p.Barrier()
-			if p.Rank() == 0 {
-				fb.Heal()
-			}
-			p.Barrier()
-			if _, err := f.ReadAtAll(0, count, g.mem, buf); err != nil {
-				panic(fmt.Sprintf("post-heal read: %v", err))
-			}
-			want := bytes.Repeat([]byte{0xEE}, len(buf))
-			fotf.UnpackCount(want, pattern(p.Rank(), g.d), count, g.mem, 0)
-			if !bytes.Equal(buf, want) {
-				panic(fmt.Sprintf("rank %d: post-heal read differs", p.Rank()))
+			r.p.Barrier()
+			r.fb.Heal()
+			r.p.Barrier()
+			if _, err := r.f.ReadAtAll(0, o.count[rk], g.mem, buf); err != nil || !bytes.Equal(buf, o.reads[rk]) {
+				panic(fmt.Sprintf("rank %d: post-heal read: %v, or it differs", rk, err))
 			}
 		})
-		if err != nil {
-			t.Fatalf("%s: %v", g.name, err)
-		}
 		requireAgreement(t, g.name, errs, 0, PhaseIOPWindow)
 		checkLeaks()
 	}
@@ -217,55 +168,39 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 		{"mem16k-file64", 16384, 4, 16, 64, 32 << 10},
 		{"vec16k", 16384, 4, 16, 0, 32 << 10},
 	} {
-		fileRun := c.fileRun
-		if fileRun == 0 {
-			fileRun = c.block
-		}
+		fileRun := cmp.Or(c.fileRun, c.block)
 		direct := fileRun > storage.PageSize
 		// Each IOP's domain is a block per rank per block of its own.
 		windows := func(n int64) int64 { return n * c.block / int64(c.collBuf) }
 		for _, tcp := range []bool{false, true} {
 			label := fmt.Sprintf("%s/tcp=%v", c.name, tcp)
-			eps := transport.NewLoopback(P)
-			if tcp {
-				var err error
-				if eps, err = transport.NewLocalTCPWorld(P, transport.TCPConfig{}); err != nil {
-					t.Fatal(err)
-				}
-			}
 			bp := pool.NewChecked()
-			sh := NewShared(storage.NewMem())
 			var gets [2]int64
 			var allocs [2]float64
-			_, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-				f, err := Open(p, sh, Options{CollBufSize: c.collBuf, Pool: bp})
-				if err != nil {
-					panic(err)
-				}
-				defer f.Close()
-				disp, ft := stridedView(P, c.large*c.block/fileRun, fileRun, fileRun)(p.Rank())
-				if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+			world{P: P, tcp: tcp, opts: Options{CollBufSize: c.collBuf, Pool: bp}}.run(t, nil, func(r rank) {
+				disp, ft := stridedView(P, c.large*c.block/fileRun, fileRun, fileRun)(r.p.Rank())
+				if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
 					panic(err)
 				}
 				mt := mustType(datatype.Resized(mustType(datatype.Contiguous(c.block, datatype.Byte)), 0, 2*c.block))
 				buf := make([]byte, 2*c.large*c.block)
 				read := func(n int64) func() {
 					return func() {
-						if _, err := f.ReadAtAll(0, n, mt, buf); err != nil {
+						if _, err := r.f.ReadAtAll(0, n, mt, buf); err != nil {
 							panic(err)
 						}
 					}
 				}
-				if _, err := f.WriteAtAll(0, c.large, mt, buf); err != nil {
+				if _, err := r.f.WriteAtAll(0, c.large, mt, buf); err != nil {
 					panic(err)
 				}
 				read(c.large)() // warm: the pool's classes, the handles' arrays
 				for i, n := range []int64{c.small, c.large} {
-					p.Barrier()
+					r.p.Barrier()
 					g0 := bp.Stats().Gets
 					read(n)()
-					p.Barrier()
-					if p.Rank() == 0 {
+					r.p.Barrier()
+					if r.p.Rank() == 0 {
 						gets[i] = bp.Stats().Gets - g0
 					}
 				}
@@ -275,7 +210,7 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 				// Rank 0 counts what both ranks allocate, as in
 				// TestListlessDirectWindowZeroAlloc.
 				for i, n := range []int64{c.small, c.large} {
-					if p.Rank() == 0 {
+					if r.p.Rank() == 0 {
 						allocs[i] = testing.AllocsPerRun(10, read(n))
 					} else {
 						for j := 0; j < 11; j++ {
@@ -284,9 +219,6 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 					}
 				}
 			})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
 			extra := P * (windows(c.large) - windows(c.small)) // the windows the large read adds
 			switch grown := gets[1] - gets[0]; {
 			case (!tcp || direct) && grown != 0:
@@ -322,17 +254,46 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 func TestOverlappingReadDestination(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	const n = 8 // memory blocks per rank
+	overlapping := func(block int64) *datatype.Type {
+		lens, displs := make([]int64, n), make([]int64, n)
+		for i := range lens {
+			lens[i], displs[i] = block, int64(i)*block/2
+		}
+		return mustType(datatype.Hindexed(lens, displs, datatype.Byte))
+	}
+	// readBack writes data from contiguous memory, reads it into mt and
+	// holds the buffer to the oracle's in-order unpack.
+	readBack := func(r rank, mt *datatype.Type, indep bool) (sent int64, st Stats) {
+		data := pattern(r.p.Rank()+3, mt.Size())
+		want, _ := userBuf(data, mt)
+		got := bytes.Repeat([]byte{0xEE}, len(want))
+		var err error
+		if indep {
+			_, err = r.f.WriteAt(0, mt.Size(), datatype.Byte, data)
+		} else {
+			_, err = r.f.WriteAtAll(0, mt.Size(), datatype.Byte, data)
+		}
+		if err != nil {
+			panic(err)
+		}
+		s0, st0 := r.p.SentStats(), r.f.Stats
+		if indep {
+			_, err = r.f.ReadAt(0, 1, mt, got)
+		} else {
+			_, err = r.f.ReadAtAll(0, 1, mt, got)
+		}
+		if err != nil || !bytes.Equal(got, want) {
+			panic(fmt.Sprintf("rank %d: %v, or the read differs from the in-order unpack of the data", r.p.Rank(), err))
+		}
+		return r.p.SentStats().Bytes - s0.Bytes, r.f.Stats.Sub(st0)
+	}
 	for _, c := range []struct {
 		P     int
 		block int64
 		kind  string // "buffered", "direct" or "mixed"
 	}{{2, 8, "buffered"}, {2, 16384, "direct"}, {2, 16384, "mixed"}, {4, 8, "buffered"}, {4, 16384, "direct"}, {4, 16384, "mixed"}} {
 		P, block := c.P, c.block
-		lens, displs := make([]int64, n), make([]int64, n)
-		for i := range lens {
-			lens[i], displs[i] = block, int64(i)*block/2
-		}
-		mt := mustType(datatype.Hindexed(lens, displs, datatype.Byte))
+		mt := overlapping(block)
 		if p := fotf.Compile(mt); p == nil || p.Disjoint(1) {
 			t.Fatalf("block %d: the memtype does not compile, or compiles as disjoint", block)
 		}
@@ -340,116 +301,53 @@ func TestOverlappingReadDestination(t *testing.T) {
 		if c.kind == "mixed" {
 			half, run := n*block/2, int64(64)
 			view = func(rank int) (int64, *datatype.Type) {
-				dense := hvecBytes(half/run, run, int64(P)*run)
-				sparse := hvecBytes(n/2, block, int64(P)*block)
 				both := mustType(datatype.Struct([]int64{1, 1}, []int64{int64(rank) * run, int64(P)*half + int64(rank)*block},
-					[]*datatype.Type{dense, sparse}))
+					[]*datatype.Type{hvecBytes(half/run, run, int64(P)*run), hvecBytes(n/2, block, int64(P)*block)}))
 				return 0, mustType(datatype.Resized(both, 0, 2*int64(P)*half))
 			}
 		}
+		// Two runs of every rank in a window of 8-byte blocks, which is
+		// page-dense; a window of 16 KiB ones holds one run or none.
+		collBuf := 2 * int64(P) * block
+		if c.kind != "buffered" {
+			collBuf = 2 * block
+		}
 		for _, tcp := range []bool{false, true} {
-			label := fmt.Sprintf("P=%d/block=%d/%s/tcp=%v", P, block, c.kind, tcp)
-			eps := transport.NewLoopback(P)
-			if tcp {
-				var err error
-				if eps, err = transport.NewLocalTCPWorld(P, transport.TCPConfig{}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sh := NewShared(storage.NewMem())
-			_, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-				// Two runs of every rank in a window of 8-byte blocks, which is
-				// page-dense; a window of 16 KiB ones holds one run or none.
-				collBuf := 2 * int64(P) * block
-				if c.kind != "buffered" {
-					collBuf = 2 * block
-				}
-				f, err := Open(p, sh, Options{CollBufSize: int(collBuf), Pool: pool.NewChecked()})
-				if err != nil {
+			world{P: P, tcp: tcp, checked: true, opts: Options{CollBufSize: int(collBuf)}}.run(t, nil, func(r rank) {
+				disp, ft := view(r.p.Rank())
+				if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
 					panic(err)
 				}
-				defer f.Close()
-				disp, ft := view(p.Rank())
-				if err := f.SetView(disp, datatype.Byte, ft); err != nil {
-					panic(err)
-				}
-				// Data whose bytes differ where the memtype's meet, written
-				// from contiguous memory: a read that unpacked out of data
-				// order would leave an earlier byte.
-				data := pattern(p.Rank()+3, mt.Size())
-				if _, err := f.WriteAtAll(0, mt.Size(), datatype.Byte, data); err != nil {
-					panic(err)
-				}
-				want := bytes.Repeat([]byte{0xEE}, int(mt.TrueUB()))
-				fotf.UnpackCount(want, data, 1, mt, 0)
-				got := bytes.Repeat([]byte{0xEE}, len(want))
-				s0, st0 := p.SentStats(), f.Stats
-				if _, err := f.ReadAtAll(0, 1, mt, got); err != nil {
-					panic(err)
-				}
-				if !bytes.Equal(got, want) {
-					panic(fmt.Sprintf("rank %d: the read differs from the in-order unpack of the data", p.Rank()))
-				}
-				sent, st := p.SentStats().Bytes-s0.Bytes, f.Stats.Sub(st0)
+				sent, st := readBack(r, mt, false)
 				switch c.kind {
 				case "buffered":
 					// This rank's domain holds a P-th of each rank's data, and
 					// it sends all of it as chunks, its own part included.
 					if sent < mt.Size() || st.VectoredReads != 0 {
-						panic(fmt.Sprintf("rank %d: the read sent %d payload bytes in %d vectored reads; its IOP filled an overlapping buffer in place", p.Rank(), sent, st.VectoredReads))
+						panic(fmt.Sprintf("rank %d: the read sent %d payload bytes in %d vectored reads; its IOP filled an overlapping buffer in place", r.p.Rank(), sent, st.VectoredReads))
 					}
 				case "direct":
 					// Every window is the ranks' own: no IOP window, no chunk.
 					if sent >= block || st.SieveReads != 0 || st.VectoredReads == 0 {
-						panic(fmt.Sprintf("rank %d: %d payload bytes, %d IOP windows and %d own batches; want only the ranks' own batches", p.Rank(), sent, st.SieveReads, st.VectoredReads))
+						panic(fmt.Sprintf("rank %d: %d payload bytes, %d IOP windows and %d own batches; want only the ranks' own batches", r.p.Rank(), sent, st.SieveReads, st.VectoredReads))
 					}
 				default:
-					if st.VectoredReads == 0 || st.SieveReads == 0 && p.Rank() < P/2 {
-						panic(fmt.Sprintf("rank %d: %d own batches and %d IOP windows; want both kinds", p.Rank(), st.VectoredReads, st.SieveReads))
+					if st.VectoredReads == 0 || st.SieveReads == 0 && r.p.Rank() < P/2 {
+						panic(fmt.Sprintf("rank %d: %d own batches and %d IOP windows; want both kinds", r.p.Rank(), st.VectoredReads, st.SieveReads))
 					}
 				}
 			})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
 		}
 	}
-
-	lens, displs := make([]int64, n), make([]int64, n)
-	for i := range lens {
-		lens[i], displs[i] = 64, int64(i)*32
-	}
-	mt := mustType(datatype.Hindexed(lens, displs, datatype.Byte))
-	for _, eng := range []Engine{Listless, ListBased} {
-		_, err := mpi.Run(1, func(p *mpi.Proc) {
-			f, err := Open(p, NewShared(storage.NewMem()), Options{Engine: eng, SieveDensity: 0.25, Pool: pool.NewChecked()})
-			if err != nil {
+	mt := overlapping(64)
+	for _, eng := range engines {
+		world{P: 1, checked: true, opts: Options{Engine: eng, SieveDensity: 0.25}}.run(t, nil, func(r rank) {
+			if err := r.f.SetView(0, datatype.Byte, hvecBytes(mt.Size()/8, 8, 1024)); err != nil {
 				panic(err)
 			}
-			defer f.Close()
-			if err := f.SetView(0, datatype.Byte, hvecBytes(mt.Size()/8, 8, 1024)); err != nil {
-				panic(err)
-			}
-			data := pattern(5, mt.Size())
-			if _, err := f.WriteAt(0, mt.Size(), datatype.Byte, data); err != nil {
-				panic(err)
-			}
-			want := bytes.Repeat([]byte{0xEE}, int(mt.TrueUB()))
-			fotf.UnpackCount(want, data, 1, mt, 0)
-			got := bytes.Repeat([]byte{0xEE}, len(want))
-			st0 := f.Stats
-			if _, err := f.ReadAt(0, 1, mt, got); err != nil {
-				panic(err)
-			}
-			if st := f.Stats.Sub(st0); st.DirectReads == 0 || st.SieveReads != 0 {
+			if _, st := readBack(r, mt, true); st.DirectReads == 0 || st.SieveReads != 0 {
 				panic("the independent read did not go direct")
 			}
-			if !bytes.Equal(got, want) {
-				panic("the independent read differs from the in-order unpack of the data")
-			}
 		})
-		if err != nil {
-			t.Fatalf("independent %v: %v", eng, err)
-		}
 	}
 }

@@ -11,9 +11,6 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/fotf"
-	"repro/internal/mpi"
-	"repro/internal/pool"
-	"repro/internal/storage"
 	"repro/internal/testutil"
 )
 
@@ -126,88 +123,48 @@ func TestFusedPlansFollowTheirKeys(t *testing.T) {
 func runPlanPhases(t *testing.T, P int, phases []planPhase) {
 	t.Helper()
 	const rounds = 4
-	be := storage.NewMem()
-	sh := NewShared(be)
-	opts := Options{CollBufSize: 4096, Pool: pool.NewChecked()}
-	_, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-		f, err := Open(p, sh, opts)
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
-		rank := p.Rank()
+	world{P: P, checked: true, opts: Options{CollBufSize: 4096}}.run(t, nil, func(r rank) {
+		rk := r.p.Rank()
 		for ph, phase := range phases {
 			if ph == 0 || phase.setView {
-				disp, ft := phase.view(rank)
-				if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+				disp, ft := phase.view(rk)
+				if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
 					panic(err)
 				}
 			}
-			mt := phase.mem(rank)
 			for round := 0; round < rounds; round++ {
 				data := make([][]byte, P)
-				for r := range data {
-					data[r] = pattern(100*ph+10*round+r, phase.mem(r).Size())
+				for k := range data {
+					data[k] = pattern(100*ph+10*round+k, phase.mem(k).Size())
 				}
-				file, reads := planOracle(phase.view, data)
-				if rank == 0 {
-					be.Truncate(0)
-					if _, err := be.WriteAt(bytes.Repeat([]byte{dwBackground}, len(file)), 0); err != nil {
+				o := flat(phase.view, phase.mem, 0, data)
+				if rk == 0 {
+					if err := r.f.sh.b.Truncate(0); err != nil {
+						panic(err)
+					}
+					if _, err := r.f.sh.b.WriteAt(bytes.Repeat([]byte{background}, len(o.file)), 0); err != nil {
 						panic(err)
 					}
 				}
-				p.Barrier()
-				buf := bytes.Repeat([]byte{0xEE}, int(mt.TrueUB()))
-				fotf.UnpackCount(buf, data[rank], 1, mt, 0)
-				if _, err := f.WriteAtAll(0, 1, mt, buf); err != nil {
+				r.p.Barrier()
+				if _, err := r.f.WriteAtAll(0, 1, phase.mem(rk), o.bufs[rk]); err != nil {
 					panic(err)
 				}
-				p.Barrier()
-				if rank == 0 && !bytes.Equal(be.Bytes(), file) {
+				r.p.Barrier()
+				if rk == 0 && !bytes.Equal(flattenBackend(t, r.f.sh.b), o.file) {
 					panic(fmt.Sprintf("%s, write %d: the file differs from the oracle", phase.name, round))
 				}
-				p.Barrier()
-				got := bytes.Repeat([]byte{0xEE}, len(buf))
-				if _, err := f.ReadAtAll(0, 1, mt, got); err != nil {
-					panic(err)
+				r.p.Barrier()
+				got := bytes.Repeat([]byte{0xEE}, len(o.bufs[rk]))
+				if _, err := r.f.ReadAtAll(0, 1, phase.mem(rk), got); err != nil || !bytes.Equal(got, o.reads[rk]) {
+					panic(fmt.Sprintf("%s, read %d, rank %d: %v, or the buffer differs from the oracle's", phase.name, round, rk, err))
 				}
-				want := bytes.Repeat([]byte{0xEE}, len(buf))
-				fotf.UnpackCount(want, reads[rank], 1, mt, 0)
-				if !bytes.Equal(got, want) {
-					panic(fmt.Sprintf("%s, read %d, rank %d: the buffer differs from the oracle's", phase.name, round, rank))
-				}
-				if kept := keptPlans(f); round >= 1 && kept == 0 {
-					panic(fmt.Sprintf("%s, round %d, rank %d: the IOP keeps no plan", phase.name, round, rank))
+				if kept := keptPlans(r.f); round >= 1 && kept == 0 {
+					panic(fmt.Sprintf("%s, round %d, rank %d: the IOP keeps no plan", phase.name, round, rk))
 				}
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// planOracle is the file the collective write of data — rank r's through
-// view(r), as many bytes as data[r] holds — must leave over the
-// background, and what each rank must then read back.
-func planOracle(view func(int) (int64, *datatype.Type), data [][]byte) (file []byte, reads [][]byte) {
-	var end int64
-	for r, d := range data {
-		disp, ft := view(r)
-		viewPlaces(disp, ft, int64(len(d)), func(off, _, n int64) { end = max(end, off+n) })
-	}
-	file = bytes.Repeat([]byte{dwBackground}, int(end)+777)
-	for r, d := range data {
-		disp, ft := view(r)
-		viewPlaces(disp, ft, int64(len(d)), func(off, at, n int64) { copy(file[off:off+n], d[at:at+n]) })
-	}
-	reads = make([][]byte, len(data))
-	for r, d := range data {
-		reads[r] = make([]byte, len(d))
-		disp, ft := view(r)
-		viewPlaces(disp, ft, int64(len(d)), func(off, at, n int64) { copy(reads[r][at:at+n], file[off:off+n]) })
-	}
-	return file, reads
 }
 
 // keptPlans counts the plans f's engine holds.
@@ -238,35 +195,27 @@ func TestFusedPlansAllocateNothingSteady(t *testing.T) {
 	var perOp [2][2]float64                 // [small, large][write, read]
 	for i, blocks := range []int{64, 256} { // about 8 and 32 KiB of data over 2 ranks' worth of file
 		views := irrViews(2, blocks, 5)
-		_, err := mpi.Run(1, func(p *mpi.Proc) {
-			f, err := Open(p, NewShared(storage.NewMem()), Options{CollBufSize: win})
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
+		world{P: 1, opts: Options{CollBufSize: win}}.run(t, nil, func(r rank) {
 			disp, ft := views(0)
-			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
+			if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
 			mt := irrMem(ft, 5)
 			buf := make([]byte, mt.TrueUB())
 			for _, write := range []bool{true, false} {
-				measureCollective(t, f, buf, mt.Size(), mt, write) // builds the plans
+				measureCollective(t, r.f, buf, mt.Size(), mt, write) // builds the plans
 			}
-			plans := slices.Clone(f.eng.(*listlessEngine).plans.slots)
-			if keptPlans(f) == 0 {
+			plans := slices.Clone(r.f.eng.(*listlessEngine).plans.slots)
+			if keptPlans(r.f) == 0 {
 				t.Errorf("%d blocks: no plan kept", blocks)
 			}
 			for j, write := range []bool{true, false} {
-				perOp[i][j] = measureCollective(t, f, buf, mt.Size(), mt, write)
+				perOp[i][j] = measureCollective(t, r.f, buf, mt.Size(), mt, write)
 			}
-			if !slices.Equal(plans, f.eng.(*listlessEngine).plans.slots) {
+			if !slices.Equal(plans, r.f.eng.(*listlessEngine).plans.slots) {
 				t.Errorf("%d blocks: plans changed over identical collectives", blocks)
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	t.Logf("allocs per op, [4, 16 windows][write, read]: %v", perOp)
 	for j, dir := range []string{"write", "read"} {

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/datatype"
-	"repro/internal/mpi"
-	"repro/internal/storage"
 	"repro/internal/testutil"
 )
 
@@ -67,27 +65,12 @@ func TestProgramCacheSharedAcrossRanks(t *testing.T) {
 	const P = 4
 	ft := uniqueVec(t, 2000, 0) // tag unique to this test
 	run := func() (compiles, hits int64) {
-		sh := NewShared(storage.NewMem())
-		var c, h [P]int64
-		_, err := mpi.Run(P, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{Engine: Listless})
-			if err != nil {
+		st := world{P: P, opts: Options{Engine: Listless}}.run(t, nil, func(r rank) {
+			if err := r.f.SetView(0, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
-			defer f.Close()
-			if err := f.SetView(0, datatype.Byte, ft); err != nil {
-				panic(err)
-			}
-			c[p.Rank()], h[p.Rank()] = f.Stats.ProgramCompiles, f.Stats.ProgramCacheHits
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < P; r++ {
-			compiles += c[r]
-			hits += h[r]
-		}
-		return
+		}).stats
+		return st.ProgramCompiles, st.ProgramCacheHits
 	}
 	compiles, hits := run()
 	if compiles < 1 {
@@ -109,13 +92,8 @@ func TestProgramCacheSharedAcrossRanks(t *testing.T) {
 // churn of more distinct fileviews than the cache holds ages the first
 // one out, and re-setting it recompiles instead of hitting.
 func TestProgramCacheEvictionRecompile(t *testing.T) {
-	sh := NewShared(storage.NewMem())
-	_, err := mpi.Run(1, func(p *mpi.Proc) {
-		f, err := Open(p, sh, Options{Engine: Listless})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
+	world{P: 1, opts: Options{Engine: Listless}}.run(t, nil, func(r rank) {
+		f := r.f
 		first := uniqueVec(t, 3000, 0)
 		if err := f.SetView(0, datatype.Byte, first); err != nil {
 			panic(err)
@@ -133,9 +111,6 @@ func TestProgramCacheEvictionRecompile(t *testing.T) {
 			panic("re-set of an evicted view did not recompile")
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestProgramSteadyStateZeroAlloc: with a compiled program live on the
@@ -153,13 +128,8 @@ func TestProgramSteadyStateZeroAlloc(t *testing.T) {
 	const dLarge = int64(16 * allocWinSize / 2)
 	const winSmall, winLarge = 4, 16
 
-	_, err := mpi.Run(1, func(p *mpi.Proc) {
-		sh := NewShared(storage.NewMem())
-		f, err := Open(p, sh, Options{Engine: Listless, CollBufSize: allocWinSize})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
+	world{P: 1, opts: Options{Engine: Listless, CollBufSize: allocWinSize}}.run(t, nil, func(r rank) {
+		f := r.f
 		if err := allocView(f, dLarge/allocBlocklen); err != nil {
 			panic(err)
 		}
@@ -185,7 +155,4 @@ func TestProgramSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/datatype"
-	"repro/internal/mpi"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -18,38 +16,10 @@ import (
 // The background recording also makes this a -race test of the tracer
 // under the real concurrent workload.
 func TestTracedPipelinedCollective(t *testing.T) {
-	for _, eng := range []Engine{Listless, ListBased} {
+	for _, eng := range engines {
 		const P = 4
 		col := trace.NewCollector(trace.DefaultBufSize)
-		sh := NewShared(storage.NewMem())
-		opts := Options{Engine: eng, CollBufSize: 192, Trace: col}
-		const blockcount, blocklen = 40, 16
-		d := int64(blockcount * blocklen)
-		_, err := mpi.RunWithOptions(P, mpi.RunOptions{Trace: col}, func(p *mpi.Proc) {
-			f, err := Open(p, sh, opts)
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
-			if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
-				panic(err)
-			}
-			data := pattern(p.Rank(), d)
-			if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
-				panic(err)
-			}
-			got := make([]byte, d)
-			if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
-				panic(err)
-			}
-			if !bytes.Equal(got, data) {
-				panic("round trip mismatch")
-			}
-		})
-		if err != nil {
-			t.Fatalf("engine %v: %v", eng, err)
-		}
-
+		world{P: P, trace: col, opts: Options{Engine: eng, CollBufSize: 192}}.roundTrip(t, access{view: fig4(P, 40, 16), d: 40 * 16})
 		ranks := map[int]bool{}
 		perPhase := map[trace.Phase]int{}
 		ioTrack := map[trace.Phase]int{}
@@ -95,29 +65,19 @@ func TestTracedPipelinedCollective(t *testing.T) {
 // TestTracedCollectiveFaultInstant: an agreed collective failure must
 // leave a coll.fault instant on every rank's timeline.
 func TestTracedCollectiveFaultInstant(t *testing.T) {
-	col := trace.NewCollector(trace.DefaultBufSize)
-	fb := storage.NewFaulty(storage.NewMem())
-	sh := NewShared(fb)
 	const P = 4
+	col := trace.NewCollector(trace.DefaultBufSize)
 	errs := make([]error, P)
-	_, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: watchdogTimeout, Trace: col}, func(p *mpi.Proc) {
-		f, err := Open(p, sh, Options{CollBufSize: 128, Trace: col})
-		if err != nil {
+	world{P: P, trace: col, backend: "faulty", opts: Options{CollBufSize: 128}}.run(t, nil, func(r rank) {
+		if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, 32, 16)); err != nil {
 			panic(err)
 		}
-		if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, 32, 16)); err != nil {
-			panic(err)
+		if r.p.Rank() == 0 {
+			r.fb.FailWrites(2)
 		}
-		if p.Rank() == 0 {
-			fb.FailWrites(2)
-		}
-		p.Barrier()
-		d := int64(32 * 16)
-		_, errs[p.Rank()] = f.WriteAtAll(0, d, datatype.Byte, pattern(p.Rank(), d))
+		r.p.Barrier()
+		_, errs[r.p.Rank()] = r.f.WriteAtAll(0, 32*16, datatype.Byte, pattern(r.p.Rank(), 32*16))
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults := map[int]bool{}
 	for _, ev := range col.Events() {
 		if ev.Phase == trace.PhaseFault {
@@ -159,13 +119,8 @@ func TestIndependentSieveAccountsItsPhases(t *testing.T) {
 		}
 		col := trace.NewCollector(trace.DefaultBufSize)
 		var st Stats
-		_, err := mpi.Run(1, func(p *mpi.Proc) {
-			f, err := Open(p, NewShared(storage.NewMem()),
-				Options{SieveBufSize: sieveBuf, Trace: col})
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
+		world{P: 1, trace: col, opts: Options{SieveBufSize: sieveBuf}}.run(t, nil, func(r rank) {
+			f := r.f
 			if err := f.SetView(0, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
@@ -179,9 +134,6 @@ func TestIndependentSieveAccountsItsPhases(t *testing.T) {
 			}
 			st = f.Stats.Sub(before)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		windows := st.SieveReads + st.SieveWrites
 		if windows < 2*(2*d/sieveBuf)-2 {
 			t.Fatalf("staged=%v: only %d sieve windows: the access did not sieve", staged, windows)
@@ -209,12 +161,8 @@ func TestIndependentSieveAccountsItsPhases(t *testing.T) {
 		}
 		col := trace.NewCollector(trace.DefaultBufSize)
 		var st Stats
-		_, err := mpi.Run(1, func(p *mpi.Proc) {
-			f, err := Open(p, NewShared(storage.NewMem()), Options{SieveDensity: 0.25, Trace: col})
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
+		world{P: 1, trace: col, opts: Options{SieveDensity: 0.25}}.run(t, nil, func(r rank) {
+			f := r.f
 			if err := f.SetView(0, datatype.Byte, sparse); err != nil {
 				panic(err)
 			}
@@ -228,9 +176,6 @@ func TestIndependentSieveAccountsItsPhases(t *testing.T) {
 			}
 			st = f.Stats.Sub(before)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		batches := st.VectoredWrites + st.VectoredReads
 		if batches == 0 || st.SieveReads+st.SieveWrites != 0 {
 			t.Fatalf("packed=%v: %d batches, %d sieve windows: the access did not go direct",

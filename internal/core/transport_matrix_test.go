@@ -3,100 +3,47 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/datatype"
-	"repro/internal/fotf"
 	"repro/internal/mpi"
-	"repro/internal/pool"
-	"repro/internal/storage"
 	"repro/internal/testutil"
 	"repro/internal/transport"
 	"repro/internal/transport/transporttest"
 )
 
-// Transport-matrix tests: the same 4-rank collective I/O must behave
-// identically whether ranks exchange through the in-process loopback or
-// over real TCP sockets — byte-identical file contents, same fault
-// agreement, and no goroutine or file-descriptor leaks.
-
-// runCollectiveOver runs the standard 4-rank non-contiguous collective
-// write + read-back over the given endpoints and returns the file bytes
-// and the world's message accounting.
-func runCollectiveOver(t *testing.T, eng Engine, eps []transport.Transport) ([]byte, mpi.Stats) {
-	t.Helper()
-	const P = 4
-	const blockcount, blocklen = 16, 8
-	d := int64(blockcount * blocklen)
-	be := storage.NewMem()
-	sh := NewShared(be)
-	comm, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-		f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128})
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
-		if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
-			panic(err)
-		}
-		data := pattern(p.Rank(), d)
-		if _, err := f.WriteAtAll(0, d, datatype.Byte, data); err != nil {
-			panic(err)
-		}
-		got := make([]byte, d)
-		if _, err := f.ReadAtAll(0, d, datatype.Byte, got); err != nil {
-			panic(err)
-		}
-		if !bytes.Equal(got, data) {
-			panic(fmt.Sprintf("rank %d: collective read-back mismatch", p.Rank()))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return be.Bytes(), comm
-}
+// Transport-matrix tests: the same collective I/O must behave alike
+// whether ranks exchange through the in-process loopback or over real TCP
+// sockets — the oracle's bytes, the same fault agreement, and no goroutine
+// or file-descriptor leaks.
 
 // TestTransportMatrixByteIdentical is the acceptance criterion: for both
-// engines, the same collective write produces byte-identical file
-// contents over the in-process loopback and over TCP, and the wire
-// accounting separates the two: every byte a TCP world sends it also
-// receives, and the loopback puts none on a wire.
+// engines, the same collective write leaves the oracle's bytes over the
+// in-process loopback and over TCP, and the wire accounting separates the
+// two: every byte a TCP world sends it also receives, and the loopback
+// puts none on a wire.
 func TestTransportMatrixByteIdentical(t *testing.T) {
 	for _, eng := range []Engine{ListBased, Listless} {
 		t.Run(eng.String(), func(t *testing.T) {
 			defer testutil.LeakCheck(t)()
 			fdBefore := testutil.FDCount(t)
-
-			loop, loopComm := runCollectiveOver(t, eng, transport.NewLoopback(4))
-			eps, err := transport.NewLocalTCPWorld(4, transport.TCPConfig{})
-			if err != nil {
-				t.Fatal(err)
+			var comm [2]mpi.Stats
+			for i, tcp := range []bool{false, true} {
+				comm[i] = world{P: 4, tcp: tcp, opts: Options{Engine: eng, CollBufSize: 128}}.roundTrip(t, access{view: fig4(4, 16, 8), d: 128}).comm
 			}
-			tcp, tcpComm := runCollectiveOver(t, eng, eps)
-
-			if len(loop) == 0 {
-				t.Fatal("empty file from loopback run")
+			loop, tcp := comm[0], comm[1]
+			if loop.Messages == 0 || loop.Bytes == 0 || tcp.Messages == 0 || tcp.Bytes == 0 {
+				t.Errorf("no exchange traffic recorded: loopback %+v, tcp %+v", loop, tcp)
 			}
-			if !bytes.Equal(loop, tcp) {
-				t.Fatalf("file contents differ between transports (%d vs %d bytes)", len(loop), len(tcp))
+			if loop.WireBytesSent != 0 || loop.WireBytesRecv != 0 {
+				t.Errorf("loopback wire bytes sent/recv = %d/%d, want 0", loop.WireBytesSent, loop.WireBytesRecv)
 			}
-			if loopComm.Messages == 0 || loopComm.Bytes == 0 || tcpComm.Messages == 0 || tcpComm.Bytes == 0 {
-				t.Errorf("no exchange traffic recorded: loopback %+v, tcp %+v", loopComm, tcpComm)
+			if tcp.WireBytesSent == 0 || tcp.WireBytesSent != tcp.WireBytesRecv {
+				t.Errorf("tcp wire bytes sent/recv = %d/%d, want equal and > 0", tcp.WireBytesSent, tcp.WireBytesRecv)
 			}
-			if loopComm.WireBytesSent != 0 || loopComm.WireBytesRecv != 0 {
-				t.Errorf("loopback wire bytes sent/recv = %d/%d, want 0", loopComm.WireBytesSent, loopComm.WireBytesRecv)
-			}
-			if tcpComm.WireBytesSent == 0 || tcpComm.WireBytesSent != tcpComm.WireBytesRecv {
-				t.Errorf("tcp wire bytes sent/recv = %d/%d, want equal and > 0", tcpComm.WireBytesSent, tcpComm.WireBytesRecv)
-			}
-			if fdBefore >= 0 {
-				if fdAfter := testutil.FDCount(t); fdAfter > fdBefore {
-					t.Errorf("fd leak: %d before, %d after", fdBefore, fdAfter)
-				}
+			if fdAfter := testutil.FDCount(t); fdBefore >= 0 && fdAfter > fdBefore {
+				t.Errorf("fd leak: %d before, %d after", fdBefore, fdAfter)
 			}
 		})
 	}
@@ -120,106 +67,46 @@ func TestTransportMatrixByteIdentical(t *testing.T) {
 // so the fused world sends no data message at all.
 func TestSelfShareStaysOffTheFabric(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	const (
-		P          = 2
-		blockcount = 64
-		blocklen   = 8
-		collBuf    = 128
-	)
+	const P, blockcount, blocklen, collBuf = 2, 64, 8, 128
 	d := int64(blockcount * blocklen)
 	// The file range is P*d bytes in P domains of d bytes, each rank holds
 	// d/P bytes in each: its own domain takes d/collBuf windows, per op.
 	selfWindows, selfBytes := d/collBuf, d/P
-
-	views, declined := make([]*datatype.Type, P), make([]*datatype.Type, P)
-	for rank := range views {
-		views[rank] = noncontigTypeP(rank, P, blockcount, blocklen)
-		declined[rank] = declinedType(t, views[rank])
-	}
-	run := func(staged, tcp, contig bool) ([]byte, mpi.Stats) {
-		// Each world installs both views and runs under the last, so that
-		// the two worlds' SetView traffic is the same and their Stats
-		// differ by what the collectives send.
-		fts := [][]*datatype.Type{declined, views}
-		if staged {
-			fts[0], fts[1] = views, declined
-		}
-		eps := transport.NewLoopback(P)
-		if tcp {
-			var err error
-			if eps, err = transport.NewLocalTCPWorld(P, transport.TCPConfig{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		be := storage.NewMem()
-		sh := NewShared(be)
-		comm, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{CollBufSize: collBuf})
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
-			for _, ft := range fts {
-				if err := f.SetView(0, datatype.Byte, ft[p.Rank()]); err != nil {
-					panic(err)
-				}
-			}
-			elem, err := datatype.Resized(datatype.Double, 0, 2*blocklen)
-			if err != nil {
-				panic(err)
-			}
-			buf := pattern(p.Rank(), 2*d)
-			if contig {
-				// The same data bytes, packed.
-				elem = datatype.Double
-				for i := int64(0); i < blockcount; i++ {
-					copy(buf[i*blocklen:(i+1)*blocklen], buf[2*i*blocklen:])
-				}
-				buf = buf[:d]
-			}
-			if _, err := f.WriteAtAll(0, blockcount, elem, buf); err != nil {
-				panic(err)
-			}
-			got := make([]byte, len(buf))
-			if _, err := f.ReadAtAll(0, blockcount, elem, got); err != nil {
-				panic(err)
-			}
-			for i := range got {
-				if (contig || i%(2*blocklen) < blocklen) && got[i] != buf[i] {
-					panic(fmt.Sprintf("rank %d: read-back byte %d differs", p.Rank(), i))
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return be.Bytes(), comm
-	}
-
-	var files [][]byte
+	views := fig4(P, blockcount, blocklen)
+	declined := declinedViews(t, P, views)
 	for _, c := range []struct{ tcp, contig bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
-		tcp := c.tcp
-		fusedFile, fused := run(false, tcp, c.contig)
-		stagedFile, staged := run(true, tcp, c.contig)
-		if files = append(files, fusedFile, stagedFile); !bytes.Equal(fusedFile, files[0]) || !bytes.Equal(stagedFile, files[0]) {
-			t.Fatalf("tcp=%v contig=%v: fused and staged files differ, or differ from the first cell's", tcp, c.contig)
+		mem := func(int) *datatype.Type { return holeyDouble() }
+		if c.contig {
+			mem = func(int) *datatype.Type { return datatype.Double }
 		}
+		var comm [2]mpi.Stats
+		for i, staged := range []bool{false, true} {
+			// Each world installs both views and runs under the last, so that
+			// the two worlds' SetView traffic is the same and their Stats
+			// differ by what the collectives send.
+			fts := []viewFn{declined, views}
+			if staged {
+				fts[0], fts[1] = views, declined
+			}
+			comm[i] = world{P: P, tcp: c.tcp, opts: Options{CollBufSize: collBuf}}.roundTrip(t, access{before: fts[0], view: fts[1], mem: mem, d: d}).comm
+		}
+		fused, staged := comm[0], comm[1]
 		const ops = 2 // one write, one read
 		// Each domain holds as much of the other rank's data as of its own.
 		wantMsgs, wantBytes, wantRefs := int64(ops*P*selfWindows), ops*P*selfBytes, int64(0)
-		if !tcp {
+		if !c.tcp {
 			wantMsgs, wantBytes, wantRefs = 2*wantMsgs, 2*wantBytes, ops*P*(P-1)
 		}
 		if got := staged.Messages - fused.Messages; got != wantMsgs {
-			t.Errorf("tcp=%v contig=%v: fused sends %d messages fewer than staged (%d vs %d), want the %d chunks it moves in place",
-				tcp, c.contig, got, fused.Messages, staged.Messages, wantMsgs)
+			t.Errorf("%+v: fused sends %d messages fewer than staged (%d vs %d), want the %d chunks it moves in place",
+				c, got, fused.Messages, staged.Messages, wantMsgs)
 		}
 		if got := staged.Bytes - fused.Bytes; got != wantBytes {
-			t.Errorf("tcp=%v contig=%v: fused sends %d payload bytes less than staged (%d vs %d), want the %d bytes it moves in place",
-				tcp, c.contig, got, fused.Bytes, staged.Bytes, wantBytes)
+			t.Errorf("%+v: fused sends %d payload bytes less than staged (%d vs %d), want the %d bytes it moves in place",
+				c, got, fused.Bytes, staged.Bytes, wantBytes)
 		}
 		if fused.Refs != wantRefs || staged.Refs != wantRefs {
-			t.Errorf("tcp=%v contig=%v: %d and %d loans fused and staged, want %d each", tcp, c.contig, fused.Refs, staged.Refs, wantRefs)
+			t.Errorf("%+v: %d and %d loans fused and staged, want %d each", c, fused.Refs, staged.Refs, wantRefs)
 		}
 	}
 }
@@ -231,66 +118,27 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 // same data from memory of 8-byte pieces; the own half is fused either
 // way.  Over TCP each rank's remote half crosses the socket packed, from
 // the user buffer's 16 KiB runs or from the pieces: the same messages,
-// payload bytes and wire bytes.  In-process both memory layouts are lent: one loan per
-// rank replaces its chunk messages, and exactly the remote halves are
-// missing from the payload, since the IOP reads them where they lie.  The
-// file is the same in all four.
+// payload bytes and wire bytes.  In-process both memory layouts are lent:
+// one loan per rank replaces its chunk messages, and exactly the remote
+// halves are missing from the payload, since the IOP reads them where
+// they lie.  The write and the read-back leave the oracle's bytes in all
+// four.
 func TestLentSharesCrossNoFabricCopy(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	const P, runs, run, collBuf, fileRun = 2, 8, 16384, 64 << 10, 64
 	d := int64(runs * run)
-	run1 := func(tcp, lend bool) ([]byte, mpi.Stats) {
-		eps := transport.NewLoopback(P)
-		if tcp {
-			var err error
-			if eps, err = transport.NewLocalTCPWorld(P, transport.TCPConfig{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		be := storage.NewMem()
-		sh := NewShared(be)
-		comm, err := mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{CollBufSize: collBuf, Pool: pool.NewChecked()})
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
-			disp, ft := stridedView(P, d/fileRun, fileRun, fileRun)(p.Rank())
-			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
-				panic(err)
-			}
-			mt := holeyDouble()
-			if lend {
-				mt = hvecBytes(runs, run, 2*run)
-			}
-			count := d / mt.Size()
-			buf := make([]byte, (count-1)*mt.Extent()+mt.TrueUB())
-			fotf.UnpackCount(buf, pattern(p.Rank(), d), count, mt, 0)
-			if _, err := f.WriteAtAll(0, count, mt, buf); err != nil {
-				panic(err)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return be.Bytes(), comm
-	}
-	var files [][]byte
 	comm := map[bool][2]mpi.Stats{}
 	for _, tcp := range []bool{false, true} {
-		slicesFile, fromSlices := run1(tcp, true)
-		piecesFile, fromPieces := run1(tcp, false)
-		files = append(files, slicesFile, piecesFile)
-		comm[tcp] = [2]mpi.Stats{fromSlices, fromPieces}
-	}
-	for i := range files {
-		if !bytes.Equal(files[i], files[0]) {
-			t.Fatalf("write %d of (loopback, tcp) x (16 KiB slices, 8-byte pieces) leaves a different file", i)
+		var c [2]mpi.Stats
+		for i, mt := range []*datatype.Type{hvecBytes(runs, run, 2*run), holeyDouble()} {
+			c[i] = world{P: P, tcp: tcp, checked: true, opts: Options{CollBufSize: collBuf}}.roundTrip(t, access{view: stridedView(P, d/fileRun, fileRun, fileRun),
+				d: d, mem: func(int) *datatype.Type { return mt }}).comm
 		}
+		comm[tcp] = c
 	}
-	shares := int64(P) * d / 2
+	shares := 2 * int64(P) * d / 2 // the remote halves, written and read
 	// Each rank's half in the other's domain fills d/collBuf windows there.
-	chunks, loans := int64(P*(P-1))*d/collBuf, int64(P*(P-1))
+	chunks, loans := 2*int64(P*(P-1))*d/collBuf, 2*int64(P*(P-1))
 	for i, what := range []string{"16 KiB slices", "8-byte pieces"} {
 		loop, tcp, first := comm[false][i], comm[true][i], comm[true][0]
 		if tcp.Messages != first.Messages || tcp.Bytes != first.Bytes || tcp.WireBytesSent != first.WireBytesSent || tcp.Refs != 0 {
@@ -303,42 +151,12 @@ func TestLentSharesCrossNoFabricCopy(t *testing.T) {
 	}
 }
 
-// TestFaultAgreementOverTCP mirrors TestFaultCollectiveWrite with the
-// exchange on real sockets: error agreement is pure messages, so the
-// agreed CollectiveError must survive the wire unchanged.
+// TestFaultAgreementOverTCP is TestFaultCollectiveWrite with the exchange
+// on real sockets: error agreement is pure messages, so the agreed
+// CollectiveError must survive the wire unchanged.
 func TestFaultAgreementOverTCP(t *testing.T) {
-	const P = 4
-	for _, eng := range []Engine{Listless, ListBased} {
-		t.Run(eng.String(), func(t *testing.T) {
-			defer testutil.LeakCheck(t)()
-			eps, err := transport.NewLocalTCPWorld(P, transport.TCPConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fb := storage.NewFaulty(storage.NewMem())
-			sh := NewShared(fb)
-			errs := make([]error, P)
-			_, err = mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-				f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 128})
-				if err != nil {
-					panic(err)
-				}
-				defer f.Close()
-				ft := noncontigTypeP(p.Rank(), P, 16, 8)
-				if err := f.SetView(0, datatype.Byte, ft); err != nil {
-					panic(err)
-				}
-				if p.Rank() == 0 {
-					fb.FailWrites(1)
-				}
-				p.Barrier()
-				_, errs[p.Rank()] = f.WriteAtAll(0, 128, datatype.Byte, make([]byte, 128))
-			})
-			if err != nil {
-				t.Fatalf("world error: %v", err)
-			}
-			requireAgreement(t, "tcp/"+eng.String(), errs, 0, PhaseIOPWindow)
-		})
+	for _, eng := range engines {
+		t.Run(eng.String(), func(t *testing.T) { faultCollectiveWrite(t, eng, true) })
 	}
 }
 
@@ -347,69 +165,50 @@ func TestFaultAgreementOverTCP(t *testing.T) {
 // the first window write of a write, or read of a read, fails on rank
 // P-1, so that rank 1's data frames to P-1 are still in flight when the
 // collective fails.  The failure must be agreed on P-1, and the
-// fault-free WriteAtAll after it must land byte-identical to
-// collOracle: no late frame of the failed collective may be taken by
-// the next one.  Each rank has its own Shared and Faulty over one Mem,
-// as OS-process ranks have.
+// fault-free WriteAtAll after it must leave the flat oracle's bytes: no
+// late frame of the failed collective may be taken by the next one.  Each
+// rank has its own Shared and Faulty over one Mem, as OS-process ranks
+// have.
 func TestFaultAgreementDelayedLink(t *testing.T) {
-	const (
-		L                         = 1
-		blockcount, blocklen      = 64, 8
-		every                     = 10 * time.Millisecond
-		d                         = blockcount * blocklen
-		junk                 byte = 0xEE
-	)
+	const blockcount, blocklen, d = 64, 8, 64 * 8
 	for _, P := range []int{3, 4} {
-		for _, eng := range []Engine{Listless, ListBased} {
+		data := make([][]byte, P)
+		for r := range data {
+			data[r] = pattern(r, d)
+		}
+		o := flat(fig4(P, blockcount, blocklen), nil, 0, data)
+		for _, eng := range engines {
 			for _, write := range []bool{true, false} {
 				op := map[bool]string{true: "write", false: "read"}[write]
 				t.Run(fmt.Sprintf("P=%d/%v/%s", P, eng, op), func(t *testing.T) {
 					defer testutil.LeakCheck(t)()
-					r := P - 1
-					oracle := collOracle(t, eng, P, blockcount, blocklen)
-					eps, err := transport.NewLocalTCPWorld(P, transport.TCPConfig{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					eps[L] = transporttest.Delay(eps[L], r, every)
-					mem := storage.NewMem()
-					if _, err := mem.WriteAt(bytes.Repeat([]byte{junk}, len(oracle)), 0); err != nil {
-						t.Fatal(err)
-					}
 					errs := make([]error, P)
-					_, err = mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-						fb := storage.NewFaulty(mem)
-						f, err := Open(p, NewShared(fb), Options{Engine: eng, CollBufSize: 128})
-						if err != nil {
+					res := world{P: P, tcp: true, backend: "faulty", opts: Options{Engine: eng, CollBufSize: 128}, link: func(eps []transport.Transport) {
+						eps[1] = transporttest.Delay(eps[1], P-1, 10*time.Millisecond)
+					}}.run(t, bytes.Repeat([]byte{background}, len(o.file)), func(r rank) {
+						if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, blockcount, blocklen)); err != nil {
 							panic(err)
 						}
-						defer f.Close()
-						if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
-							panic(err)
-						}
-						if p.Rank() == r {
+						if r.p.Rank() == P-1 {
 							if write {
-								fb.FailWrites(1)
+								r.fb.FailWrites(1)
 							} else {
-								fb.FailReads(1)
+								r.fb.FailReads(1)
 							}
 						}
-						buf := bytes.Repeat([]byte{junk}, d)
+						buf := bytes.Repeat([]byte{0xEE}, d)
 						if write {
-							_, errs[p.Rank()] = f.WriteAtAll(0, d, datatype.Byte, buf)
+							_, errs[r.p.Rank()] = r.f.WriteAtAll(0, d, datatype.Byte, buf)
 						} else {
-							_, errs[p.Rank()] = f.ReadAtAll(0, d, datatype.Byte, buf)
+							_, errs[r.p.Rank()] = r.f.ReadAtAll(0, d, datatype.Byte, buf)
 						}
-						fb.Heal()
-						if _, err := f.WriteAtAll(0, d, datatype.Byte, pattern(p.Rank(), d)); err != nil {
+						r.fb.Heal()
+						if _, err := r.f.WriteAtAll(0, d, datatype.Byte, data[r.p.Rank()]); err != nil {
 							panic(err)
 						}
 					})
-					if err != nil {
-						t.Fatalf("world error: %v", err)
-					}
-					requireAgreement(t, fmt.Sprintf("P=%d/%v/%s", P, eng, op), errs, r, PhaseIOPWindow)
-					if !bytes.Equal(mem.Bytes(), oracle) {
+					requireAgreement(t, fmt.Sprintf("P=%d/%v/%s", P, eng, op), errs, P-1, PhaseIOPWindow)
+					if !bytes.Equal(res.file, o.file) {
 						t.Fatalf("the fault-free write after the failed %s differs from the oracle", op)
 					}
 				})
@@ -428,49 +227,37 @@ func TestCollectiveSendsTwoControlFrames(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	const n, run = 16, 16384
 	for _, P := range []int{2, 3} {
-		eps, err := transport.NewLocalTCPWorld(P, transport.TCPConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		var eps []transport.Transport
 		frames, msgs := make([][2]int64, P), make([][2]int64, P)
-		sh := NewShared(storage.NewMem())
-		_, err = mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-			f, err := Open(p, sh, Options{})
-			if err != nil {
+		world{P: P, tcp: true, link: func(e []transport.Transport) { eps = e }}.run(t, nil, func(r rank) {
+			disp, ft := stridedView(P, n, run, run)(r.p.Rank())
+			if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
 				panic(err)
 			}
-			defer f.Close()
-			disp, ft := stridedView(P, n, run, run)(p.Rank())
-			if err := f.SetView(disp, datatype.Byte, ft); err != nil {
-				panic(err)
-			}
-			mt := hvecBytes(n, run, 2*run)
-			buf := make([]byte, (n-1)*2*run+run)
+			mt, buf := hvecBytes(n, run, 2*run), make([]byte, (n-1)*2*run+run)
 			for j, write := range []bool{true, false} {
 				// Between barriers, and with the barrier's frames flushed:
 				// only the collective's own frames are counted.
-				p.Barrier()
-				eps[p.Rank()].Flush()
-				f0, m0 := p.WireStats().FramesSent, p.SentStats().Messages
+				r.p.Barrier()
+				eps[r.p.Rank()].Flush()
+				f0, m0 := r.p.WireStats().FramesSent, r.p.SentStats().Messages
+				var err error
 				if write {
-					_, err = f.WriteAtAll(0, 1, mt, buf)
+					_, err = r.f.WriteAtAll(0, 1, mt, buf)
 				} else {
-					_, err = f.ReadAtAll(0, 1, mt, buf)
+					_, err = r.f.ReadAtAll(0, 1, mt, buf)
 				}
 				if err != nil {
 					panic(err)
 				}
-				eps[p.Rank()].Flush()
-				frames[p.Rank()][j] = p.WireStats().FramesSent - f0
-				msgs[p.Rank()][j] = p.SentStats().Messages - m0
-				if f.Stats.SieveWrites+f.Stats.SieveReads != 0 {
-					panic(fmt.Sprintf("rank %d: %d IOP windows; want every window direct", p.Rank(), f.Stats.SieveWrites+f.Stats.SieveReads))
+				eps[r.p.Rank()].Flush()
+				frames[r.p.Rank()][j] = r.p.WireStats().FramesSent - f0
+				msgs[r.p.Rank()][j] = r.p.SentStats().Messages - m0
+				if r.f.Stats.SieveWrites+r.f.Stats.SieveReads != 0 {
+					panic(fmt.Sprintf("rank %d: %d IOP windows; want every window direct", r.p.Rank(), r.f.Stats.SieveWrites+r.f.Stats.SieveReads))
 				}
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		want := int64(2 * (P - 1))
 		for r := range frames {
 			for j, op := range []string{"write", "read"} {
@@ -484,51 +271,14 @@ func TestCollectiveSendsTwoControlFrames(t *testing.T) {
 
 // TestTransportSharedFileRanks models the -net process arrangement
 // in-process: every rank holds its own OpenFileShared handle on one
-// file (its own Shared state), exchanges over TCP, and the collective
-// write still lands byte-identically because IOP file domains are
-// disjoint.
+// file (its own Shared state) and exchanges over TCP, and the collective
+// write and read-back still leave the oracle's bytes because IOP file
+// domains are disjoint.
 func TestTransportSharedFileRanks(t *testing.T) {
-	const P = 4
-	const blockcount, blocklen = 16, 8
-	d := int64(blockcount * blocklen)
 	for _, eng := range []Engine{ListBased, Listless} {
 		t.Run(eng.String(), func(t *testing.T) {
 			defer testutil.LeakCheck(t)()
-			oracle := collOracle(t, eng, P, blockcount, blocklen)
-
-			path := filepath.Join(t.TempDir(), "shared.dat")
-			eps, err := transport.NewLocalTCPWorld(P, transport.TCPConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = mpi.RunOver(eps, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-				fb, err := storage.OpenFileShared(path)
-				if err != nil {
-					panic(err)
-				}
-				defer fb.Close()
-				f, err := Open(p, NewShared(fb), Options{Engine: eng, CollBufSize: 128})
-				if err != nil {
-					panic(err)
-				}
-				defer f.Close()
-				if err := f.SetView(0, datatype.Byte, noncontigTypeP(p.Rank(), P, blockcount, blocklen)); err != nil {
-					panic(err)
-				}
-				if _, err := f.WriteAtAll(0, d, datatype.Byte, pattern(p.Rank(), d)); err != nil {
-					panic(err)
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, oracle) {
-				t.Fatalf("shared-file contents differ from oracle (%d vs %d bytes)", len(got), len(oracle))
-			}
+			world{P: 4, tcp: true, backend: "shared-file", opts: Options{Engine: eng, CollBufSize: 128}}.roundTrip(t, access{view: fig4(4, 16, 8), d: 16 * 8})
 		})
 	}
 }

@@ -110,11 +110,6 @@ func (t *Type) TrueUB() int64 { return t.trueUB }
 // TrueExtent reports TrueUB-TrueLB, the span of actual data.
 func (t *Type) TrueExtent() int64 { return t.trueUB - t.trueLB }
 
-// Depth reports the depth of the datatype tree.  Navigation and
-// pack/unpack setup in the listless engine cost O(Depth), in contrast to
-// the O(Blocks) costs of ol-list handling.
-func (t *Type) Depth() int { return t.depth }
-
 // Blocks reports the number of (uncoalesced) contiguous leaf blocks in one
 // instance of t.  This is the length a flattened ol-list of t would have
 // before coalescing, i.e. the N_block of the paper.

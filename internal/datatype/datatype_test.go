@@ -57,8 +57,8 @@ func TestNamedTypes(t *testing.T) {
 		if !c.dt.Dense() || !c.dt.ContiguousTiled() {
 			t.Errorf("%s: should be dense and tileable", c.dt.Name())
 		}
-		if c.dt.Depth() != 1 || c.dt.Blocks() != 1 {
-			t.Errorf("%s: depth=%d blocks=%d, want 1/1", c.dt.Name(), c.dt.Depth(), c.dt.Blocks())
+		if c.dt.depth != 1 || c.dt.Blocks() != 1 {
+			t.Errorf("%s: depth=%d blocks=%d, want 1/1", c.dt.Name(), c.dt.depth, c.dt.Blocks())
 		}
 	}
 }
@@ -345,8 +345,8 @@ func TestNestedVectorOfVector(t *testing.T) {
 			t.Fatalf("walk offsets = %v, want %v", offs, want)
 		}
 	}
-	if outer.Depth() != 3 {
-		t.Fatalf("depth = %d, want 3", outer.Depth())
+	if outer.depth != 3 {
+		t.Fatalf("depth = %d, want 3", outer.depth)
 	}
 }
 

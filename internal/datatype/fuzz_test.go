@@ -1,8 +1,11 @@
-package datatype
+package datatype_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/datatype"
+	"repro/internal/datatype/datatypetest"
 )
 
 // FuzzDecode feeds arbitrary bytes to the compact-encoding decoder: it
@@ -13,12 +16,12 @@ import (
 func FuzzDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 16; i++ {
-		f.Add(Encode(RandomFiletype(r, 3)))
+		f.Add(datatype.Encode(datatypetest.RandomFiletype(r, 3)))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dt, err := Decode(data)
+		dt, err := datatype.Decode(data)
 		if err != nil {
 			return
 		}
@@ -42,7 +45,7 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 		// Round trip must be stable.
-		if _, err := Decode(Encode(dt)); err != nil {
+		if _, err := datatype.Decode(datatype.Encode(dt)); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
 	})
@@ -54,9 +57,9 @@ func FuzzDecode(f *testing.F) {
 func FuzzSubarray(f *testing.F) {
 	f.Add(int64(4), int64(2), int64(1), int64(6), int64(3), int64(2), true)
 	f.Fuzz(func(t *testing.T, s0, ss0, st0, s1, ss1, st1 int64, fortran bool) {
-		order := OrderC
+		order := datatype.OrderC
 		if fortran {
-			order = OrderFortran
+			order = datatype.OrderFortran
 		}
 		// Bound the volume so the fuzzer cannot allocate absurd walks.
 		for _, v := range []int64{s0, s1} {
@@ -64,7 +67,7 @@ func FuzzSubarray(f *testing.F) {
 				return
 			}
 		}
-		dt, err := Subarray([]int64{s0, s1}, []int64{ss0, ss1}, []int64{st0, st1}, order, Double)
+		dt, err := datatype.Subarray([]int64{s0, s1}, []int64{ss0, ss1}, []int64{st0, st1}, order, datatype.Double)
 		if err != nil {
 			return
 		}

@@ -1,15 +1,18 @@
-package datatype
+package datatype_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/datatype"
+	"repro/internal/datatype/datatypetest"
 )
 
 // walkMonotone is the oracle for Monotone: walk every run and look for
 // one that starts before its predecessor ends.  It also reports the
 // lowest offset, which validation needs non-negative, and whether every
 // run abuts the one before, which is what Dense means.
-func walkMonotone(t *Type) (mono bool, lowest int64, abutting bool) {
+func walkMonotone(t *datatype.Type) (mono bool, lowest int64, abutting bool) {
 	mono, abutting = true, true
 	prevEnd, runs := int64(0), 0
 	t.Walk(func(off, length int64) {
@@ -30,29 +33,29 @@ func walkMonotone(t *Type) (mono bool, lowest int64, abutting bool) {
 // negative and short strides, unsorted and negative displacements,
 // negative and shrunken extents, LB/UB markers and zero-length blocks,
 // and now and then a legal filetype as a subtree.
-func wildType(r *rand.Rand, depth int) *Type {
+func wildType(r *rand.Rand, depth int) *datatype.Type {
 	if depth <= 0 || r.Intn(4) == 0 {
 		switch r.Intn(6) {
 		case 0:
-			return LBMarker
+			return datatype.LBMarker
 		case 1:
-			return UBMarker
+			return datatype.UBMarker
 		case 2:
-			return RandomFiletype(r, 2)
+			return datatypetest.RandomFiletype(r, 2)
 		}
-		leaves := []*Type{Byte, Int16, Int32, Double}
+		leaves := []*datatype.Type{datatype.Byte, datatype.Int16, datatype.Int32, datatype.Double}
 		return leaves[r.Intn(len(leaves))]
 	}
 	child := wildType(r, depth-1)
 	ext := child.Extent()
 	pick := func(lo, hi int64) int64 { return lo + r.Int63n(hi-lo+1) }
-	var dt *Type
+	var dt *datatype.Type
 	var err error
 	switch r.Intn(5) {
 	case 0:
-		dt, err = Contiguous(pick(0, 4), child)
+		dt, err = datatype.Contiguous(pick(0, 4), child)
 	case 1:
-		dt, err = Hvector(pick(0, 4), pick(0, 3), pick(-2*abs64(ext)-3, 4*abs64(ext)+3), child)
+		dt, err = datatype.Hvector(pick(0, 4), pick(0, 3), pick(-2*max(ext, -ext)-3, 4*max(ext, -ext)+3), child)
 	case 2:
 		n := 1 + r.Intn(4)
 		bl, displs := make([]int64, n), make([]int64, n)
@@ -61,16 +64,16 @@ func wildType(r *rand.Rand, depth int) *Type {
 			bl[i] = pick(0, 3)
 			displs[i] = pos
 			if r.Intn(4) == 0 {
-				displs[i] = pick(-3*abs64(ext)-4, 3*abs64(ext)+4) // anywhere
+				displs[i] = pick(-3*max(ext, -ext)-4, 3*max(ext, -ext)+4) // anywhere
 			}
 			pos += bl[i]*ext + pick(-2, 4)
 		}
-		dt, err = Hindexed(bl, displs, child)
+		dt, err = datatype.Hindexed(bl, displs, child)
 	case 3:
-		dt, err = Resized(child, pick(-4, 4), pick(-abs64(ext)-4, abs64(ext)+8))
+		dt, err = datatype.Resized(child, pick(-4, 4), pick(-max(ext, -ext)-4, max(ext, -ext)+8))
 	default:
 		n := 1 + r.Intn(3)
-		bl, displs, children := make([]int64, n), make([]int64, n), make([]*Type, n)
+		bl, displs, children := make([]int64, n), make([]int64, n), make([]*datatype.Type, n)
 		pos := pick(-4, 4)
 		for i := range bl {
 			children[i] = wildType(r, depth-1)
@@ -81,7 +84,7 @@ func wildType(r *rand.Rand, depth int) *Type {
 			}
 			pos += bl[i]*children[i].Extent() + pick(-3, 5)
 		}
-		dt, err = Struct(bl, displs, children)
+		dt, err = datatype.Struct(bl, displs, children)
 	}
 	if err != nil {
 		return child
@@ -95,7 +98,7 @@ func wildType(r *rand.Rand, depth int) *Type {
 // type is dense exactly when its runs abut in order.
 func TestQuickMonotoneVsWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(36))
-	check := func(label string, dt *Type) bool {
+	check := func(label string, dt *datatype.Type) bool {
 		mono, lowest, abutting := walkMonotone(dt)
 		if dt.Monotone() != mono {
 			t.Errorf("%s %v: Monotone() = %v, the walk says %v", label, dt, dt.Monotone(), mono)
@@ -104,13 +107,13 @@ func TestQuickMonotoneVsWalk(t *testing.T) {
 			t.Errorf("%s %v: Dense() = %v, the walk says %v", label, dt, dt.Dense(), dense)
 		}
 		legal := mono && (dt.Size() == 0 || lowest >= 0)
-		if err := validateMonotonic(dt, "filetype"); (err == nil) != legal {
+		if err := datatype.ValidateMonotonic(dt, "filetype"); (err == nil) != legal {
 			t.Errorf("%s %v: validation says %v, the walk says legal = %v", label, dt, err, legal)
 		}
 		return mono
 	}
 	for i := 0; i < 3000; i++ {
-		if !check("filetype", RandomFiletype(r, 3)) {
+		if !check("filetype", datatypetest.RandomFiletype(r, 3)) {
 			t.Fatal("RandomFiletype returned a type the walk calls not monotone")
 		}
 	}
@@ -128,23 +131,23 @@ func TestQuickMonotoneVsWalk(t *testing.T) {
 // TestMonotoneEdges pins the rule's boundaries: a stride or extent that
 // exactly clears the span is monotone, one byte less is not.
 func TestMonotoneEdges(t *testing.T) {
-	pair := mustHindexed(t, []int64{1, 1}, []int64{0, 8}, Byte) // span 9
+	pair := must(datatype.Hindexed([]int64{1, 1}, []int64{0, 8}, datatype.Byte)) // span 9
 	cases := []struct {
 		name string
-		dt   *Type
+		dt   *datatype.Type
 		want bool
 	}{
-		{"stride clears a block", mustHvector(t, 3, 2, 8, Int32), true},
-		{"stride one short", mustHvector(t, 3, 2, 7, Int32), false},
-		{"negative stride", mustHvector(t, 2, 1, -8, Double), false},
-		{"single block, negative stride", mustHvector(t, 1, 1, -8, Double), true},
-		{"extent clears the span", mustContig(t, 3, mustResized(t, pair, 0, 9)), true},
-		{"extent one short", mustContig(t, 3, mustResized(t, pair, 0, 8)), false},
-		{"negative extent, one instance", mustContig(t, 1, mustResized(t, Double, 0, -8)), true},
-		{"negative extent, two instances", mustContig(t, 2, mustResized(t, Double, 0, -8)), false},
-		{"empty blocks between", mustHindexed(t, []int64{1, 0, 1}, []int64{8, 0, 16}, Double), true},
-		{"members reversed", mustStruct(t, []int64{1, 1}, []int64{8, 0}, []*Type{Double, Double}), false},
-		{"markers anywhere", mustStruct(t, []int64{1, 1, 1}, []int64{64, 0, -8}, []*Type{LBMarker, Double, UBMarker}), true},
+		{"stride clears a block", must(datatype.Hvector(3, 2, 8, datatype.Int32)), true},
+		{"stride one short", must(datatype.Hvector(3, 2, 7, datatype.Int32)), false},
+		{"negative stride", must(datatype.Hvector(2, 1, -8, datatype.Double)), false},
+		{"single block, negative stride", must(datatype.Hvector(1, 1, -8, datatype.Double)), true},
+		{"extent clears the span", must(datatype.Contiguous(3, must(datatype.Resized(pair, 0, 9)))), true},
+		{"extent one short", must(datatype.Contiguous(3, must(datatype.Resized(pair, 0, 8)))), false},
+		{"negative extent, one instance", must(datatype.Contiguous(1, must(datatype.Resized(datatype.Double, 0, -8)))), true},
+		{"negative extent, two instances", must(datatype.Contiguous(2, must(datatype.Resized(datatype.Double, 0, -8)))), false},
+		{"empty blocks between", must(datatype.Hindexed([]int64{1, 0, 1}, []int64{8, 0, 16}, datatype.Double)), true},
+		{"members reversed", must(datatype.Struct([]int64{1, 1}, []int64{8, 0}, []*datatype.Type{datatype.Double, datatype.Double})), false},
+		{"markers anywhere", must(datatype.Struct([]int64{1, 1, 1}, []int64{64, 0, -8}, []*datatype.Type{datatype.LBMarker, datatype.Double, datatype.UBMarker})), true},
 	}
 	for _, c := range cases {
 		if got := c.dt.Monotone(); got != c.want {
@@ -156,38 +159,10 @@ func TestMonotoneEdges(t *testing.T) {
 	}
 }
 
-func mustHindexed(t *testing.T, bl, displs []int64, c *Type) *Type {
-	t.Helper()
-	dt, err := Hindexed(bl, displs, c)
+// must is the type a constructor built, or a panic with its error.
+func must(dt *datatype.Type, err error) *datatype.Type {
 	if err != nil {
-		t.Fatal(err)
-	}
-	return dt
-}
-
-func mustHvector(t *testing.T, count, bl, stride int64, c *Type) *Type {
-	t.Helper()
-	dt, err := Hvector(count, bl, stride, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dt
-}
-
-func mustResized(t *testing.T, c *Type, lb, ext int64) *Type {
-	t.Helper()
-	dt, err := Resized(c, lb, ext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dt
-}
-
-func mustStruct(t *testing.T, bl, displs []int64, cs []*Type) *Type {
-	t.Helper()
-	dt, err := Struct(bl, displs, cs)
-	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return dt
 }

@@ -1,16 +1,19 @@
-package datatype
+package datatype_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/datatype"
+	"repro/internal/datatype/datatypetest"
 )
 
 func TestQuickWalkInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
-		dt := RandomFiletype(rr, 3)
+		dt := datatypetest.RandomFiletype(rr, 3)
 		var total int64
 		prevEnd := int64(-1)
 		lo, hi := int64(1<<62), int64(-1)
@@ -59,8 +62,8 @@ func TestQuickWalkInvariants(t *testing.T) {
 func TestQuickEncodeDecode(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
-		dt := RandomFiletype(rr, 3)
-		got, err := Decode(Encode(dt))
+		dt := datatypetest.RandomFiletype(rr, 3)
+		got, err := datatype.Decode(datatype.Encode(dt))
 		if err != nil {
 			t.Logf("decode(%s): %v", dt, err)
 			return false
@@ -89,7 +92,7 @@ func TestQuickEncodeDecode(t *testing.T) {
 func TestQuickDensityMatchesWalk(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
-		dt := RandomFiletype(rr, 3)
+		dt := datatypetest.RandomFiletype(rr, 3)
 		// Reference density: coalesce the walk; dense iff one run.
 		runs := 0
 		last := int64(-1)

@@ -49,7 +49,7 @@ func BenchmarkDataToFileLinear(b *testing.B) {
 	// The O(N_block/2) positioning cost: locate the middle of the view.
 	for _, nblock := range []int64{256, 16384, 1 << 17} {
 		dt := benchVector(b, nblock)
-		v := NewView(0, dt)
+		v := newView(0, dt)
 		mid := dt.Size() / 2
 		b.Run(fmt.Sprintf("Nblock=%d", nblock), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -59,15 +59,17 @@ func BenchmarkDataToFileLinear(b *testing.B) {
 	}
 }
 
-func BenchmarkRangeList(b *testing.B) {
+func BenchmarkEachInRange(b *testing.B) {
 	// Building a per-IOP access list: O(S_access/S_extent · N_block).
 	dt := benchVector(b, 4096)
-	v := NewView(0, dt)
+	v := newView(0, dt)
 	span := 4 * dt.Extent()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if l := v.RangeList(0, span); len(l) == 0 {
-			b.Fatal("empty range list")
+		var n int
+		v.EachInRange(0, span, func(_, _, _ int64) { n++ })
+		if n == 0 {
+			b.Fatal("empty range")
 		}
 	}
 }

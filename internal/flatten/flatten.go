@@ -153,17 +153,6 @@ type View struct {
 	Segs   List  // one flattened filetype instance
 }
 
-// NewView flattens ft and returns the list-based view representation.
-func NewView(disp int64, ft *datatype.Type) *View {
-	segs := Flatten(ft)
-	return &View{
-		Disp:   disp,
-		Extent: ft.Extent(),
-		Bytes:  segs.Bytes(),
-		Segs:   segs,
-	}
-}
-
 // DataToFile maps a data-stream offset (bytes of visible data from the
 // start of the view) to an absolute file offset, traversing the ol-list
 // linearly.
@@ -178,36 +167,6 @@ func (v *View) DataToFile(d int64) int64 {
 		return v.Disp + (inst+1)*v.Extent + v.Segs[0].Off
 	}
 	return v.Disp + inst*v.Extent + v.Segs[idx].Off + (rem - cum)
-}
-
-// EachInData emits the absolute file segments backing the data-stream
-// range [d0, d1), in order, as (fileOff, dataOff, n) triples.  Positioning
-// within the first instance is by linear traversal.
-func (v *View) EachInData(d0, d1 int64, emit func(fileOff, dataOff, n int64)) {
-	if d1 <= d0 || v.Bytes == 0 {
-		return
-	}
-	inst := d0 / v.Bytes
-	rem := d0 % v.Bytes
-	idx, cum := v.Segs.locate(rem)
-	within := rem - cum
-	d := d0
-	for d < d1 {
-		base := v.Disp + inst*v.Extent
-		for ; idx < len(v.Segs) && d < d1; idx++ {
-			seg := v.Segs[idx]
-			n := seg.Len - within
-			off := base + seg.Off + within
-			within = 0
-			if n > d1-d {
-				n = d1 - d
-			}
-			emit(off, d, n)
-			d += n
-		}
-		idx = 0
-		inst++
-	}
 }
 
 // EachInRange emits the (fileOff, dataOff, n) triples of the view's data
@@ -258,21 +217,6 @@ func (v *View) EachInRange(lo, hi int64, emit func(fileOff, dataOff, n int64)) {
 			cum += seg.Len
 		}
 	}
-}
-
-// RangeList materializes EachInRange as an absolute ol-list — the list an
-// access process sends to an I/O process per collective access in
-// list-based I/O.  Its footprint is what gets transmitted.
-func (v *View) RangeList(lo, hi int64) List {
-	var l List
-	v.EachInRange(lo, hi, func(fileOff, _, n int64) {
-		if k := len(l); k > 0 && l[k-1].Off+l[k-1].Len == fileOff {
-			l[k-1].Len += n
-			return
-		}
-		l = append(l, Segment{Off: fileOff, Len: n})
-	})
-	return l
 }
 
 // Merge merges absolute segment lists into one sorted, coalesced list.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/datatype"
+	"repro/internal/datatype/datatypetest"
 )
 
 func vec(t *testing.T, count, blocklen, stride int64) *datatype.Type {
@@ -116,9 +117,46 @@ func TestPackWithSkipAndLimit(t *testing.T) {
 	}
 }
 
+// newView is the list-based view of ft at disp, as the list-based
+// engine's SetView builds it.
+func newView(disp int64, ft *datatype.Type) *View {
+	segs := Flatten(ft)
+	return &View{Disp: disp, Extent: ft.Extent(), Bytes: segs.Bytes(), Segs: segs}
+}
+
+// eachInData emits the absolute file segments backing the data-stream
+// range [d0, d1), in order, as (fileOff, dataOff, n) triples.  Positioning
+// within the first instance is by linear traversal.
+func eachInData(v *View, d0, d1 int64, emit func(fileOff, dataOff, n int64)) {
+	if d1 <= d0 || v.Bytes == 0 {
+		return
+	}
+	inst := d0 / v.Bytes
+	rem := d0 % v.Bytes
+	idx, cum := v.Segs.locate(rem)
+	within := rem - cum
+	d := d0
+	for d < d1 {
+		base := v.Disp + inst*v.Extent
+		for ; idx < len(v.Segs) && d < d1; idx++ {
+			seg := v.Segs[idx]
+			n := seg.Len - within
+			off := base + seg.Off + within
+			within = 0
+			if n > d1-d {
+				n = d1 - d
+			}
+			emit(off, d, n)
+			d += n
+		}
+		idx = 0
+		inst++
+	}
+}
+
 func TestViewDataToFile(t *testing.T) {
 	dt := vec(t, 2, 1, 2) // segs {0,8},{16,8}; bytes 16; extent 24
-	v := NewView(100, dt)
+	v := newView(100, dt)
 	cases := []struct{ d, want int64 }{
 		{0, 100}, {7, 107}, {8, 116}, {15, 123},
 		{16, 124}, {31, 147}, {32, 148},
@@ -130,31 +168,9 @@ func TestViewDataToFile(t *testing.T) {
 	}
 }
 
-func TestViewEachInData(t *testing.T) {
-	dt := vec(t, 2, 1, 2)
-	v := NewView(0, dt)
-	var offs, lens []int64
-	v.EachInData(4, 28, func(fileOff, dataOff, n int64) {
-		offs = append(offs, fileOff)
-		lens = append(lens, n)
-	})
-	// data [4,28): seg0 tail (4..8)->file 4..8, seg1 (8..16)->16..24,
-	// inst1 seg0 (16..24)->24..32, inst1 seg1 (24..28)->40..44.
-	wantOffs := []int64{4, 16, 24, 40}
-	wantLens := []int64{4, 8, 8, 4}
-	if len(offs) != len(wantOffs) {
-		t.Fatalf("segments = %v/%v", offs, lens)
-	}
-	for i := range wantOffs {
-		if offs[i] != wantOffs[i] || lens[i] != wantLens[i] {
-			t.Fatalf("seg %d = (%d,%d), want (%d,%d)", i, offs[i], lens[i], wantOffs[i], wantLens[i])
-		}
-	}
-}
-
 func TestViewEachInRange(t *testing.T) {
 	dt := vec(t, 2, 1, 2)
-	v := NewView(10, dt)
+	v := newView(10, dt)
 	// File layout: data at [10,18),[26,34) per inst0; [34,42),[50,58) inst1...
 	var got []Segment
 	var dataOffs []int64
@@ -174,20 +190,9 @@ func TestViewEachInRange(t *testing.T) {
 	}
 }
 
-func TestRangeListAndCovers(t *testing.T) {
-	dt := vec(t, 2, 1, 2)
-	v := NewView(0, dt)
-	l := v.RangeList(0, 48)
-	// Data at [0,8),[16,24),[24,32),[40,48): middle two coalesce.
-	want := List{{0, 8}, {16, 16}, {40, 8}}
-	if len(l) != len(want) {
-		t.Fatalf("range list = %v", l)
-	}
-	for i := range want {
-		if l[i] != want[i] {
-			t.Fatalf("range list = %v, want %v", l, want)
-		}
-	}
+func TestListCovers(t *testing.T) {
+	// A vector's data at [0,8),[16,24),[24,32),[40,48): middle two coalesced.
+	l := List{{0, 8}, {16, 16}, {40, 8}}
 	if l.Covers(0, 48) {
 		t.Fatal("gappy list must not cover [0,48)")
 	}
@@ -230,11 +235,11 @@ func TestCoversEmptyRange(t *testing.T) {
 }
 
 // Property: PackList/UnpackList round-trip on random types, skips and
-// limits, and EachInData is consistent with DataToFile.
+// limits.
 func TestQuickPackUnpackRandomTypes(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		dt := datatype.RandomFiletype(r, 3)
+		dt := datatypetest.RandomFiletype(r, 3)
 		l := Flatten(dt)
 		ext := dt.Extent()
 		count := int64(1 + r.Intn(3))
@@ -280,13 +285,13 @@ func TestQuickPackUnpackRandomTypes(t *testing.T) {
 func TestQuickEachInRangeMatchesEachInData(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		dt := datatype.RandomFiletype(r, 3)
-		v := NewView(r.Int63n(64), dt)
+		dt := datatypetest.RandomFiletype(r, 3)
+		v := newView(r.Int63n(64), dt)
 		count := int64(1 + r.Intn(3))
 		// Collect all segments via EachInData over everything.
 		type trip struct{ f, d, n int64 }
 		var a []trip
-		v.EachInData(0, v.Bytes*count, func(fileOff, dataOff, n int64) {
+		eachInData(v, 0, v.Bytes*count, func(fileOff, dataOff, n int64) {
 			// Coalesce for comparison.
 			if k := len(a); k > 0 && a[k-1].f+a[k-1].n == fileOff && a[k-1].d+a[k-1].n == dataOff {
 				a[k-1].n += n

@@ -129,7 +129,8 @@ func BenchmarkDeepTree(b *testing.B) {
 		}
 	})
 	b.Run("list-based-reference", func(b *testing.B) {
-		v := flatten.NewView(0, dt)
+		l := flatten.Flatten(dt)
+		v := &flatten.View{Extent: dt.Extent(), Bytes: l.Bytes(), Segs: l}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			v.DataToFile(int64(i) % size)

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/datatype"
+	"repro/internal/datatype/datatypetest"
 	"repro/internal/flatten"
 )
 
@@ -117,7 +118,7 @@ func TestTypeExtentTypeSizeInverse(t *testing.T) {
 func TestQuickNavigationAgainstOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		dt := datatype.RandomFiletype(r, 3)
+		dt := datatypetest.RandomFiletype(r, 3)
 		total := 3 * dt.Size()
 		for trial := 0; trial < 20; trial++ {
 			d := r.Int63n(total)
@@ -147,7 +148,7 @@ func TestQuickNavigationAgainstOracle(t *testing.T) {
 func TestQuickInverseIdentities(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		dt := datatype.RandomFiletype(r, 3)
+		dt := datatypetest.RandomFiletype(r, 3)
 		total := 3 * dt.Size()
 		for trial := 0; trial < 20; trial++ {
 			skip := r.Int63n(total)
@@ -255,7 +256,7 @@ func TestUnpackAgainstOracle(t *testing.T) {
 func TestQuickPackUnpackAgainstOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		dt := datatype.RandomFiletype(r, 3)
+		dt := datatypetest.RandomFiletype(r, 3)
 		count := int64(1 + r.Intn(3))
 		src := make([]byte, count*dt.Extent()+dt.TrueUB())
 		for i := range src {

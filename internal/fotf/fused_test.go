@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/datatype"
+	"repro/internal/datatype/datatypetest"
 )
 
 // The fused copy's differential layer.  CopyFused(dst program, src
@@ -262,8 +263,8 @@ func TestFusedVsWalkTable(t *testing.T) {
 // wherever the words put it.
 func fuzzFused(seed int64, w0, w1, w2 uint16) error {
 	r := rand.New(rand.NewSource(seed))
-	dt := datatype.RandomMemtype(r, 2+int(uint16(seed)%3))
-	st := datatype.RandomFiletype(r, 2+int(uint16(seed>>16)%3))
+	dt := datatypetest.RandomFiletype(r, 2+int(uint16(seed)%3))
+	st := datatypetest.RandomFiletype(r, 2+int(uint16(seed>>16)%3))
 	// Up to three instances of either type, so ranges cross instance
 	// boundaries on one side, the other, or both.
 	n := 1 + int64(w2)%(3*min(dt.Size(), st.Size()))

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/datatype"
+	"repro/internal/datatype/datatypetest"
 )
 
 // The navigation oracle: every answer below is computed from the runs
@@ -154,7 +155,7 @@ func FuzzNavigateVsOracle(f *testing.F) {
 	f.Add(int64(-1), int64(-1), uint32(1<<31), uint32(1<<31))
 	f.Fuzz(func(t *testing.T, seed, off int64, tile, data uint32) {
 		r := rand.New(rand.NewSource(seed))
-		dt := datatype.RandomFiletype(r, 2+int(uint16(seed)%3))
+		dt := datatypetest.RandomFiletype(r, 2+int(uint16(seed)%3))
 		ext := dt.Extent()
 		off = int64(tile)*ext + off%(2*ext)
 		if err := checkNavigation(dt, r, off, int64(data)); err != nil {
@@ -167,7 +168,7 @@ func FuzzNavigateVsOracle(f *testing.F) {
 func TestQuickNavigateVsOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		dt := datatype.RandomFiletype(r, 2+int(uint16(seed)%3))
+		dt := datatypetest.RandomFiletype(r, 2+int(uint16(seed)%3))
 		if err := checkNavigation(dt, r, r.Int63n(1<<40)-1<<39, r.Int63n(1<<40)); err != nil {
 			t.Logf("type %v: %v", dt, err)
 			return false
@@ -342,7 +343,7 @@ func TestMonotone(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(14))
 	for i := 0; i < 500; i++ {
-		dt := datatype.RandomFiletype(r, 2+i%3)
+		dt := datatypetest.RandomFiletype(r, 2+i%3)
 		if !Monotone(dt) {
 			t.Errorf("legal filetype %v not recognised as monotone", dt)
 		}

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/datatype"
+	"repro/internal/datatype/datatypetest"
 )
 
 // FuzzProgramVsWalk is the differential fuzzer of the compiled-program
@@ -25,7 +25,7 @@ func FuzzProgramVsWalk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, w0, w1 uint16) {
 		r := rand.New(rand.NewSource(seed))
 		depth := 2 + int(uint16(seed)%3)
-		dt := datatype.RandomFiletype(r, depth)
+		dt := datatypetest.RandomFiletype(r, depth)
 		if err := checkProgramVsWalk(dt, r); err != nil {
 			t.Fatalf("type %v: %v", dt, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/datatype"
+	"repro/internal/datatype/datatypetest"
 	"repro/internal/flatten"
 )
 
@@ -243,7 +244,7 @@ func checkProgramVsWalk(dt *datatype.Type, r *rand.Rand) error {
 func TestQuickProgramVsWalk(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		dt := datatype.RandomFiletype(r, 3)
+		dt := datatypetest.RandomFiletype(r, 3)
 		if err := checkProgramVsWalk(dt, r); err != nil {
 			t.Logf("seed %d, type %v: %v", seed, dt, err)
 			return false
@@ -422,7 +423,7 @@ func TestProgramDisjoint(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(27))
 	for i := 0; i < 400; i++ {
-		dt := datatype.RandomFiletype(r, 2+i%3)
+		dt := datatypetest.RandomFiletype(r, 2+i%3)
 		if p := Compile(dt); p != nil && !p.Disjoint(3) {
 			t.Errorf("legal filetype %v: not shown disjoint", dt)
 		}
@@ -531,7 +532,7 @@ func TestProgramCursorBoundaries(t *testing.T) {
 func TestRunCountUpTo(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 400; i++ {
-		dt := datatype.RandomFiletype(r, 2+i%3)
+		dt := datatypetest.RandomFiletype(r, 2+i%3)
 		p := Compile(dt)
 		if p == nil {
 			continue
@@ -619,7 +620,7 @@ func TestCompileIsAFunctionOfTheLayout(t *testing.T) {
 		trees = 500
 	}
 	for i := 0; i < trees; i++ {
-		dt := datatype.RandomFiletype(r, 4)
+		dt := datatypetest.RandomFiletype(r, 4)
 		if diff := sameGroups(t, dt); diff != "" {
 			t.Fatalf("tree %d, %v: %s", i, dt, diff)
 		}

@@ -335,13 +335,6 @@ func killRestartRun(t *testing.T, nSrv int, eng core.Engine) {
 		t.Fatalf("server pool failed: %v", err)
 	default:
 	}
-	restarted := 0
-	for _, n := range pool.Restarts() {
-		restarted += n
-	}
-	if restarted < kills {
-		t.Fatalf("killed %d servers but supervision restarted only %d", kills, restarted)
-	}
 
 	// Restart the world over the persisted stripes and journals and
 	// byte-verify every committed epoch survived both the kills and the

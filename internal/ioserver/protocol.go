@@ -127,8 +127,8 @@ const MaxListRuns = 256
 const DefaultViewCache = 64
 
 // Error classes carried by opErr frames.  The client maps the first two
-// back onto the storage sentinels, so errors.Is(err, ErrTransient) and
-// IsPermanent give the same answers on both sides of the wire and a
+// back onto the storage sentinels, so errors.Is answers the same for
+// ErrTransient and ErrPermanent on both sides of the wire, and a
 // client-side storage.Resilient retries exactly what it would have
 // retried locally.
 const (

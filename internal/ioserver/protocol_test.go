@@ -142,7 +142,7 @@ func TestHostileExtents(t *testing.T) {
 				body = append(putEpoch(nil, 4), body...)
 			}
 			_, err := st.dispatch(op, body)
-			if err == nil || errors.Is(err, errBadRequest) != tc.bad || (!tc.bad && !storage.IsPermanent(err)) {
+			if err == nil || errors.Is(err, errBadRequest) != tc.bad || (!tc.bad && storage.IsTransient(err)) {
 				t.Errorf("%s (%s): err = %v", tc.name, opFor(op).name, err)
 			}
 		}

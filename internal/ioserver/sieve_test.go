@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/datatype"
+	"repro/internal/datatype/datatypetest"
 	"repro/internal/storage"
 	"repro/internal/testutil"
 	"repro/internal/trace"
@@ -154,7 +155,7 @@ func fuzzView(r *rand.Rand) *datatype.Type {
 		hv := must(datatype.Hvector(count, bl, stride, datatype.Byte))
 		return must(datatype.Hindexed([]int64{1}, []int64{-hv.TrueLB()}, hv))
 	}
-	return datatype.RandomFiletype(r, 2+r.Intn(3))
+	return datatypetest.RandomFiletype(r, 2+r.Intn(3))
 }
 
 // sieveRig is one differential subject: a server per stripe over Mem,

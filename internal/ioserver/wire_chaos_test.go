@@ -155,7 +155,7 @@ func TestWireChaosSoak(t *testing.T) {
 			t.Logf("wire faults injected: %d spikes, %d drops, %d dups, %d corrupts, %d resets, %d partitions",
 				stats.Spikes.Load(), stats.Drops.Load(), stats.Dups.Load(),
 				stats.Corrupts.Load(), stats.Resets.Load(), stats.Partitions.Load())
-			if stats.Total() == 0 {
+			if stats.Drops.Load()+stats.Dups.Load()+stats.Corrupts.Load()+stats.Resets.Load()+stats.Partitions.Load() == 0 {
 				t.Error("soak injected no destructive wire faults; raise rounds or probabilities")
 			}
 		})

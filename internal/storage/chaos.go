@@ -54,11 +54,6 @@ type ChaosStats struct {
 	LatencySpikes          int64
 }
 
-// Total is the number of error-producing injections (spikes excluded).
-func (s ChaosStats) Total() int64 {
-	return s.Transients + s.Permanents + s.ShortReads + s.TornWrites
-}
-
 // Chaos wraps a Backend with seeded probabilistic fault injection,
 // generalizing the count-based Faulty: every failure sequence is fully
 // reproducible from the seed, which is what lets the chaos harness and

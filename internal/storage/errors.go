@@ -19,9 +19,3 @@ var ErrPermanent = errors.New("storage: permanent error")
 
 // IsTransient reports whether err is classified transient.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
-
-// IsPermanent reports whether err is a failure that retrying cannot fix.
-// Unclassified errors count as permanent: retrying an unknown failure
-// risks amplifying damage.  (io.EOF is "permanent" under this rule, but
-// callers treat EOF as a short read, not a failure, before classifying.)
-func IsPermanent(err error) bool { return err != nil && !IsTransient(err) }

@@ -220,7 +220,7 @@ var seamWrappers = []struct {
 }{
 	{"Resilient", func(b Backend) Backend { return NewResilient(b, ResilientConfig{}) }},
 	{"Traced", func(b Backend) Backend { return NewTraced(b, trace.NewCollector(64).Storage()) }},
-	{"Throttled", func(b Backend) Backend { return NewThrottled(b, 0, 0, 0) }},
+	{"Throttled", func(b Backend) Backend { return NewThrottled(b, 0) }},
 	{"Instrumented", func(b Backend) Backend { return NewInstrumented(b) }},
 	{"Faulty", func(b Backend) Backend { return NewFaulty(b) }},
 	{"Chaos", func(b Backend) Backend { return NewChaos(1, b, ChaosConfig{}) }},
@@ -374,7 +374,7 @@ func TestSeamCapabilitiesMirrorInner(t *testing.T) {
 	faulty := NewFaulty(NewMem())
 	faulty.FailReads(1)
 	faulty.FailWrites(1)
-	throttled := NewThrottled(NewMem(), 1, 1, time.Nanosecond)
+	throttled := NewThrottled(NewMem(), time.Nanosecond)
 	inst := NewInstrumented(NewMem())
 	resilient := NewResilient(NewMem(), ResilientConfig{})
 	traced := NewTraced(NewMem(), trace.NewCollector(64).Storage())
@@ -409,7 +409,7 @@ func TestSeamCapabilitiesMirrorInner(t *testing.T) {
 		w.EpochEnd(1)
 	}
 
-	if st := chaos.Stats(); st.Total() != 0 || st.LatencySpikes != 0 {
+	if st := chaos.Stats(); st != (ChaosStats{}) {
 		t.Errorf("Chaos injected on unsupported calls: %+v", st)
 	}
 	if got, want := chaos.rng.Int63(), rand.New(rand.NewSource(seed)).Int63(); got != want {
@@ -556,7 +556,7 @@ func TestSeamWritebackIsNoOp(t *testing.T) {
 			}
 		}},
 		{"Throttled", func(b Backend) (Backend, func() string) {
-			th := NewThrottled(b, 1, 1, time.Nanosecond)
+			th := NewThrottled(b, time.Nanosecond)
 			return th, func() string {
 				if d := th.debt.Load(); d != 0 {
 					return fmt.Sprintf("a %dns charge", d)
@@ -587,7 +587,7 @@ func TestSeamWritebackIsNoOp(t *testing.T) {
 		{"Chaos", func(b Backend) (Backend, func() string) {
 			c := NewChaos(seed, b, ChaosConfig{TransientRead: 1, TransientWrite: 1, PermanentRead: 1, PermanentWrite: 1, LatencySpike: 1})
 			return c, func() string {
-				if st := c.Stats(); st.Total() != 0 || st.LatencySpikes != 0 || c.rng.Int63() != rand.New(rand.NewSource(seed)).Int63() {
+				if st := c.Stats(); st != (ChaosStats{}) || c.rng.Int63() != rand.New(rand.NewSource(seed)).Int63() {
 					return fmt.Sprintf("a draw or an injection %+v", st)
 				}
 				return ""
@@ -644,7 +644,7 @@ func TestSeamFullStackTransparent(t *testing.T) {
 	inner, bare := newSeamStore(), newSeamStore()
 	faulty := NewFaulty(inner)
 	inst := NewInstrumented(faulty)
-	chaos := NewChaos(3, NewThrottled(inst, 0, 0, 0), TransientOnly())
+	chaos := NewChaos(3, NewThrottled(inst, 0), TransientOnly())
 	chaos.sleep = func(time.Duration) {}
 	res := NewResilient(chaos, ResilientConfig{Seed: 4, MaxRetries: 64})
 	res.sleep = func(time.Duration) {}
@@ -705,7 +705,7 @@ func TestSeamFullStackTransparent(t *testing.T) {
 			t.Errorf("%s arrived %d times under the stack, want 1", name, inner.arrived(name))
 		}
 	}
-	if chaos.Stats().Total() == 0 {
+	if chaos.Stats() == (ChaosStats{}) {
 		t.Error("the chaos layer injected nothing: the test exercised no retry")
 	}
 	st := inst.Stats()

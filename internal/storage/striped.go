@@ -8,9 +8,7 @@ import (
 // Striped distributes a byte range round-robin over several backends in
 // fixed-size stripe units (RAID-0 style) — a model of the striped
 // storage systems the paper's §4.2 points to for scaling accumulated
-// bandwidth with the number of processes.  Combined with Throttled
-// members it lets experiments study how the listless advantage shifts
-// when the file system itself scales.  The offset mapping lives in
+// bandwidth with the number of processes.  The offset mapping lives in
 // StripeGeom, shared with the networked I/O-server tier (a Striped over
 // remote stripe clients is that tier's in-process prototype).
 type Striped struct {

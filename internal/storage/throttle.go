@@ -5,38 +5,31 @@ import (
 	"time"
 )
 
-// Throttled wraps a Backend with a bandwidth/latency cost model, used to
-// study how the listless-I/O advantage depends on the speed of the file
-// system relative to memory and interconnect (paper §4.2, "file-system
-// and memory performance").  Every operation pays Latency plus
-// size/bandwidth of busy time, accumulated across operations so that
-// sub-resolution costs are not lost.
+// Throttled wraps a Backend with a per-operation latency, the seek and
+// issue cost of a file system whose calls are slow next to memory and the
+// interconnect — the regime in which the collective window pipeline's
+// overlap of storage with exchange pays off (noncontig's -latency).
+// Every operation pays Latency of busy time, accumulated across
+// operations so that sub-resolution costs are not lost.
 type Throttled struct {
 	layer
-	ReadBW  int64         // bytes per second; 0 = unlimited
-	WriteBW int64         // bytes per second; 0 = unlimited
 	Latency time.Duration // per-operation seek/issue cost
 
 	debt atomic.Int64 // accumulated nanoseconds not yet slept
 }
 
-// NewThrottled wraps b with the given read/write bandwidths (bytes/s) and
-// per-operation latency.
-func NewThrottled(b Backend, readBW, writeBW int64, latency time.Duration) *Throttled {
-	t := &Throttled{ReadBW: readBW, WriteBW: writeBW, Latency: latency}
+// NewThrottled wraps b with the given per-operation latency.
+func NewThrottled(b Backend, latency time.Duration) *Throttled {
+	t := &Throttled{Latency: latency}
 	t.layer = layer{Backend: b, ic: t}
 	return t
 }
 
-func (t *Throttled) charge(n, bw int64) {
-	ns := int64(t.Latency)
-	if bw > 0 {
-		ns += n * int64(time.Second) / bw
-	}
+func (t *Throttled) charge() {
 	// Accumulate and sleep only when the debt is large enough for the
 	// sleeper to be meaningful; this keeps many small operations honest
 	// without millions of timer calls.
-	d := t.debt.Add(ns)
+	d := t.debt.Add(int64(t.Latency))
 	const quantum = int64(200 * time.Microsecond)
 	if d >= quantum {
 		if t.debt.CompareAndSwap(d, 0) {
@@ -45,21 +38,13 @@ func (t *Throttled) charge(n, bw int64) {
 	}
 }
 
-// intercept charges the op once: a transfer — plain, batch or view —
-// pays Latency plus its bytes over its direction's bandwidth (which is
-// what makes batching n runs into one call the win), control traffic
-// (register-view, epoch seal/commit/abort) pays Latency only, and
-// Truncate and Sync are free.
+// intercept charges the op once: a transfer — plain, batch or view — and
+// control traffic (register-view, epoch seal/commit/abort) pay Latency
+// whatever they carry, which is what makes batching n runs into one call
+// the win; Truncate and Sync are free.
 func (t *Throttled) intercept(o op, next *layer) result {
-	switch o.kind.dir() {
-	case dirRead:
-		t.charge(o.size(), t.ReadBW)
-	case dirWrite:
-		t.charge(o.size(), t.WriteBW)
-	default:
-		if o.kind != opTruncate && o.kind != opSync {
-			t.charge(0, 0)
-		}
+	if o.kind != opTruncate && o.kind != opSync {
+		t.charge()
 	}
 	return next.exec(o)
 }

@@ -22,7 +22,7 @@ func vectoredBackends(t *testing.T) map[string]Backend {
 		"mem":          NewMem(),
 		"file":         f,
 		"instrumented": NewInstrumented(NewMem()),
-		"throttled":    NewThrottled(NewMem(), 1<<30, 1<<30, 0),
+		"throttled":    NewThrottled(NewMem(), time.Microsecond),
 		"resilient":    NewResilient(NewMem(), ResilientConfig{}),
 		"faulty":       NewFaulty(NewMem()),
 		"traced":       NewTraced(NewMem(), nil),

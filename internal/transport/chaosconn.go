@@ -33,8 +33,8 @@ import (
 //     survivable on request/response connections (ioserver clients
 //     detect desync by sequence echo and heal by reconnect + stage-log
 //     replay) but NOT on the rank fabric, whose mailbox links assume
-//     reliable delivery — fabric chaos should stay spike-only (see
-//     SpikeOnly) unless the test wants to watch the watchdog kill the
+//     reliable delivery — fabric chaos should stay spike-only (PSpike
+//     alone) unless the test wants to watch the watchdog kill the
 //     world.
 
 // WireChaosConfig parameterizes a ChaosConn.  Probabilities are per
@@ -75,25 +75,10 @@ func (c *WireChaosConfig) Enabled() bool {
 		c.PReset > 0 || c.PPartition > 0
 }
 
-// SpikeOnly returns a copy with every destructive fault disabled —
-// the only sound configuration for rank-fabric links, whose messaging
-// semantics assume reliable delivery.
-func (c WireChaosConfig) SpikeOnly() WireChaosConfig {
-	c.PDrop, c.PDup, c.PCorrupt, c.PReset, c.PPartition = 0, 0, 0, 0, 0
-	return c
-}
-
 // WireChaosStats counts injected faults across all connections sharing
 // the config.  Safe for concurrent use.
 type WireChaosStats struct {
 	Spikes, Drops, Dups, Corrupts, Resets, Partitions atomic.Int64
-}
-
-// Total reports the number of destructive faults injected (excluding
-// spikes, which perturb timing but not delivery).
-func (s *WireChaosStats) Total() int64 {
-	return s.Drops.Load() + s.Dups.Load() + s.Corrupts.Load() +
-		s.Resets.Load() + s.Partitions.Load()
 }
 
 // ChaosConn is a net.Conn injecting the configured faults on writes

@@ -242,10 +242,3 @@ func (p *ServerPool) Stop(graceful bool) {
 // every server is down for good, after a Stop or a fatal failure plus
 // Stop.
 func (p *ServerPool) Wait() { p.wg.Wait() }
-
-// Restarts reports how many times each server has been restarted.
-func (p *ServerPool) Restarts() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]int(nil), p.restarts...)
-}

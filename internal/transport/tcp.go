@@ -71,7 +71,7 @@ type TCPConfig struct {
 	// WireChaos, when enabled, wraps every pair link (after the
 	// handshake) in a fault-injecting ChaosConn.  The mailbox links
 	// assume reliable delivery, so anything beyond latency spikes
-	// (WireChaosConfig.SpikeOnly) will eventually fail the endpoint —
+	// (PSpike) will eventually fail the endpoint —
 	// which is itself a legitimate thing for a test to watch.
 	WireChaos *WireChaosConfig
 }
