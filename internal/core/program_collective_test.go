@@ -38,10 +38,11 @@ func declinedType(tb testing.TB, t *datatype.Type) *datatype.Type {
 	tail := declinedTail()
 	// A byte clear of t's data, so that the tail's first run cannot abut
 	// t's last and fold the groups that follow it.
-	off := max(t.UB(), t.TrueUB()+1)
+	lb := datatypetest.LB(t)
+	off := max(lb+t.Extent(), t.TrueUB()+1)
 	dt := mustType(datatype.Struct([]int64{1, 1}, []int64{0, off}, []*datatype.Type{t, tail}))
-	if ext := off + tail.Extent() - t.LB(); dt.Extent() != ext { // t's bound markers hold the struct's
-		dt = mustType(datatype.Resized(dt, t.LB(), ext))
+	if ext := off + tail.Extent() - lb; dt.Extent() != ext { // t's bound markers hold the struct's
+		dt = mustType(datatype.Resized(dt, lb, ext))
 	}
 	if e, _ := programs.lookup(nil, dt); e.prog != nil {
 		tb.Fatalf("%v followed by the tail compiles; the cell would not reach the walk", t)

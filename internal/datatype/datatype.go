@@ -95,12 +95,6 @@ func (t *Type) Size() int64 { return t.size }
 // are laid out.
 func (t *Type) Extent() int64 { return t.ub - t.lb }
 
-// LB reports the lower bound of t.
-func (t *Type) LB() int64 { return t.lb }
-
-// UB reports the upper bound of t.
-func (t *Type) UB() int64 { return t.ub }
-
 // TrueLB reports the lowest byte offset occupied by data of one instance.
 func (t *Type) TrueLB() int64 { return t.trueLB }
 

@@ -215,11 +215,11 @@ func TestStructWithMarkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dt.LB() != 0 {
-		t.Fatalf("lb = %d, want 0", dt.LB())
+	if dt.lb != 0 {
+		t.Fatalf("lb = %d, want 0", dt.lb)
 	}
-	if dt.UB() != extent {
-		t.Fatalf("ub = %d, want %d", dt.UB(), extent)
+	if dt.ub != extent {
+		t.Fatalf("ub = %d, want %d", dt.ub, extent)
 	}
 	if dt.Size() != 32 {
 		t.Fatalf("size = %d, want 32", dt.Size())
@@ -409,7 +409,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("decode(%s): %v", dt, err)
 		}
 		if got.Size() != dt.Size() || got.Extent() != dt.Extent() ||
-			got.LB() != dt.LB() || got.Blocks() != dt.Blocks() {
+			got.lb != dt.lb || got.Blocks() != dt.Blocks() {
 			t.Fatalf("round trip mismatch: %s -> %s", dt.Summary(), got.Summary())
 		}
 		o1, l1 := collect(dt)

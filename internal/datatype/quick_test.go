@@ -9,6 +9,19 @@ import (
 	"repro/internal/datatype/datatypetest"
 )
 
+// TestDatatypetestLB: datatypetest.LB reads explicit and implied lower
+// bounds, negative and positive, which the random trees seldom draw.
+func TestDatatypetestLB(t *testing.T) {
+	neg, _ := datatype.Resized(datatype.Int32, -7, 20)
+	marked, _ := datatype.Struct([]int64{1, 1}, []int64{5, 12}, []*datatype.Type{datatype.LBMarker, datatype.Int64})
+	vec, _ := datatype.Hvector(3, 1, 16, neg)
+	for _, dt := range []*datatype.Type{datatype.Byte, neg, marked, vec} {
+		if got, want := datatypetest.LB(dt), datatype.LowerBound(dt); got != want {
+			t.Errorf("datatypetest.LB(%s) = %d, want %d", dt, got, want)
+		}
+	}
+}
+
 func TestQuickWalkInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	f := func(seed int64) bool {
@@ -47,7 +60,12 @@ func TestQuickWalkInvariants(t *testing.T) {
 				dt, lo, hi, dt.TrueLB(), dt.TrueUB())
 			return false
 		}
-		if hi > dt.UB() || lo < dt.LB() {
+		lb := datatype.LowerBound(dt)
+		if got := datatypetest.LB(dt); got != lb {
+			t.Logf("datatypetest.LB(%s) = %d, want %d", dt, got, lb)
+			return false
+		}
+		if hi > lb+dt.Extent() || lo < lb {
 			t.Logf("data outside [lb,ub) for %s", dt)
 			return false
 		}

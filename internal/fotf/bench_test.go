@@ -44,7 +44,7 @@ func BenchmarkUnpack(b *testing.B) {
 		b.Run(fmt.Sprintf("Sblock=%d", blocklen), func(b *testing.B) {
 			b.SetBytes(dt.Size())
 			for i := 0; i < b.N; i++ {
-				UnpackCount(dst, src, 1, dt, 0)
+				Unpack(dst, src, dt, 0)
 			}
 		})
 	}

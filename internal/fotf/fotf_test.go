@@ -209,6 +209,22 @@ func packOracle(dt *datatype.Type, src []byte, count, skip, limit int64) []byte 
 	return out[:n]
 }
 
+// unpackCount unpacks into exactly count instances of t by the walk: the
+// reference for Program.UnpackCount.
+func unpackCount(dst, src []byte, count int64, t *datatype.Type, skip int64) int64 {
+	limit := count*t.Size() - skip
+	if limit > int64(len(src)) {
+		limit = int64(len(src))
+	}
+	if limit <= 0 {
+		return 0
+	}
+	Runs(t, skip, skip+limit, func(bufOff, dataOff, runLen, stride, n int64) {
+		copyGroup(src[dataOff-skip:], dst, bufOff, runLen, stride, n, false)
+	})
+	return limit
+}
+
 func TestPackAgainstOracle(t *testing.T) {
 	dt := vec(t, 6, 2, 5, datatype.Int32)
 	count := int64(3)
@@ -243,7 +259,7 @@ func TestUnpackAgainstOracle(t *testing.T) {
 		want := make([]byte, count*dt.Extent())
 		flatten.UnpackList(want, packed[:total-skip], flatten.Flatten(dt), dt.Extent(), count, skip, total-skip)
 		got := make([]byte, len(want))
-		n := UnpackCount(got, packed[:total-skip], count, dt, skip)
+		n := unpackCount(got, packed[:total-skip], count, dt, skip)
 		if n != total-skip {
 			t.Fatalf("skip=%d: unpacked %d, want %d", skip, n, total-skip)
 		}
@@ -278,7 +294,7 @@ func TestQuickPackUnpackAgainstOracle(t *testing.T) {
 		// Unpack round trip of the packed fragment into a zero buffer,
 		// then re-pack and compare.
 		dst := make([]byte, len(src))
-		if n := UnpackCount(dst, got, count, dt, skip); n != limit {
+		if n := unpackCount(dst, got, count, dt, skip); n != limit {
 			t.Logf("%s: unpacked %d want %d", dt, n, limit)
 			return false
 		}
@@ -347,7 +363,7 @@ func TestCopyGroupWidths(t *testing.T) {
 			t.Fatalf("%s: width-specialized pack mismatch", elem.Name())
 		}
 		back := make([]byte, len(src))
-		UnpackCount(back, got, 1, dt, 0)
+		unpackCount(back, got, 1, dt, 0)
 		again := make([]byte, dt.Size())
 		PackCount(again, back, 1, dt, 0)
 		if !bytes.Equal(again, want) {

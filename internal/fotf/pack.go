@@ -61,21 +61,6 @@ func PackCount(dst, src []byte, count int64, t *datatype.Type, skip int64) int64
 	return limit
 }
 
-// UnpackCount unpacks into exactly count instances.
-func UnpackCount(dst, src []byte, count int64, t *datatype.Type, skip int64) int64 {
-	limit := count*t.Size() - skip
-	if limit > int64(len(src)) {
-		limit = int64(len(src))
-	}
-	if limit <= 0 {
-		return 0
-	}
-	Runs(t, skip, skip+limit, func(bufOff, dataOff, runLen, stride, n int64) {
-		copyGroup(src[dataOff-skip:], dst, bufOff, runLen, stride, n, false)
-	})
-	return limit
-}
-
 // avail returns the number of data bytes past skip of t tiled over a
 // typed buffer of buflen bytes: whole instances that fit plus a final
 // partial instance truncated at the buffer end.

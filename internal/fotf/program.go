@@ -501,30 +501,3 @@ func (p *Program) UnpackCount(dst, src []byte, count, skip int64) int64 {
 	p.CopyRange(src[:limit], dst, skip, skip+limit, 0, false)
 	return limit
 }
-
-// Pack packs through the compiled program with Pack's exact semantics:
-// limit = min(len(dst), data available when tiling over len(src)).
-func (p *Program) Pack(dst, src []byte, skip int64) int64 {
-	limit := avail(p.t, int64(len(src)), skip)
-	if limit > int64(len(dst)) {
-		limit = int64(len(dst))
-	}
-	if limit <= 0 {
-		return 0
-	}
-	p.CopyRange(dst[:limit], src, skip, skip+limit, 0, true)
-	return limit
-}
-
-// Unpack is the inverse of Pack.
-func (p *Program) Unpack(dst, src []byte, skip int64) int64 {
-	limit := avail(p.t, int64(len(dst)), skip)
-	if limit > int64(len(src)) {
-		limit = int64(len(src))
-	}
-	if limit <= 0 {
-		return 0
-	}
-	p.CopyRange(src[:limit], dst, skip, skip+limit, 0, false)
-	return limit
-}

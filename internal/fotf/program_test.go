@@ -87,6 +87,20 @@ func emissions(enum func(EmitFunc)) [][5]int64 {
 	return out
 }
 
+// progPack packs through the compiled program with Pack's semantics:
+// limit = min(len(dst), data available when tiling over len(src)).
+func progPack(p *Program, dst, src []byte, skip int64) int64 {
+	limit := avail(p.t, int64(len(src)), skip)
+	if limit > int64(len(dst)) {
+		limit = int64(len(dst))
+	}
+	if limit <= 0 {
+		return 0
+	}
+	p.CopyRange(dst[:limit], src, skip, skip+limit, 0, true)
+	return limit
+}
+
 // checkProgramVsWalk runs the full differential battery on one type
 // with one randomness stream.  It returns nil when program and walk
 // agree byte-for-byte everywhere.
@@ -159,7 +173,7 @@ func checkProgramVsWalk(dt *datatype.Type, r *rand.Rand) error {
 		dstW[i], dstP[i] = 0xBB, 0xBB
 	}
 	nW = Pack(dstW[:dlen], srcCut, dt, skip)
-	nP = p.Pack(dstP[:dlen], srcCut, skip)
+	nP = progPack(p, dstP[:dlen], srcCut, skip)
 	if nW != nP || !bytes.Equal(dstW, dstP) {
 		return fmt.Errorf("Pack(skip=%d, dlen=%d, srclen=%d): n %d vs %d", skip, dlen, len(srcCut), nW, nP)
 	}
@@ -170,7 +184,7 @@ func checkProgramVsWalk(dt *datatype.Type, r *rand.Rand) error {
 	r.Read(cd)
 	bW := bytes.Repeat([]byte{0xCC}, int(span)+8)
 	bP := bytes.Repeat([]byte{0xCC}, int(span)+8)
-	nW = UnpackCount(bW, cd[:dlen], count, dt, skip)
+	nW = unpackCount(bW, cd[:dlen], count, dt, skip)
 	nP = p.UnpackCount(bP, cd[:dlen], count, skip)
 	if nW != nP || !bytes.Equal(bW, bP) {
 		return fmt.Errorf("UnpackCount(skip=%d, srclen=%d): n %d vs %d, bytes equal=%v", skip, dlen, nW, nP, bytes.Equal(bW, bP))
@@ -583,7 +597,7 @@ func flatProgram(tb testing.TB, t *datatype.Type) *Program {
 	}
 	h, err := datatype.Hindexed(lens, displs, datatype.Byte)
 	if err == nil {
-		h, err = datatype.Resized(h, t.LB(), t.Extent())
+		h, err = datatype.Resized(h, datatypetest.LB(t), t.Extent())
 	}
 	if err != nil {
 		tb.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strconv"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -200,8 +201,9 @@ func runStorm(t *testing.T, eng core.Engine, be storage.Backend, roundCh chan<- 
 }
 
 // startHelperPool binds nothing itself — the listeners are the caller's
-// — and supervises one re-execed server helper per listener.
-func startHelperPool(t *testing.T, dir string, nSrv int, lfs []*os.File) *transport.ServerPool {
+// — and supervises one re-execed server helper per listener, calling
+// onRestart (when set) before each restart.
+func startHelperPool(t *testing.T, dir string, nSrv int, lfs []*os.File, onRestart func(idx, attempt int)) *transport.ServerPool {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -211,6 +213,7 @@ func startHelperPool(t *testing.T, dir string, nSrv int, lfs []*os.File) *transp
 		Listeners:      lfs,
 		MaxRestarts:    5,
 		RestartBackoff: 20 * time.Millisecond,
+		OnRestart:      onRestart,
 		StartProc: func(idx int, listener *os.File) (*exec.Cmd, error) {
 			cmd := exec.Command(exe)
 			cmd.Env = append(os.Environ(),
@@ -281,7 +284,8 @@ func killRestartRun(t *testing.T, nSrv int, eng core.Engine) {
 
 	// The storm against the supervised server tier, with kills injected
 	// at fixed round boundaries (round-robin across servers).
-	pool := startHelperPool(t, dir, nSrv, lfs)
+	var restarted atomic.Int64
+	pool := startHelperPool(t, dir, nSrv, lfs, func(int, int) { restarted.Add(1) })
 	agg, be := mountResilient(t, addrs)
 	// Unbuffered: rank 0 blocks until the killer consumed the round
 	// marker, so a kill lands before the next round's staging — genuinely
@@ -335,11 +339,14 @@ func killRestartRun(t *testing.T, nSrv int, eng core.Engine) {
 		t.Fatalf("server pool failed: %v", err)
 	default:
 	}
+	if n := restarted.Load(); n < int64(kills) {
+		t.Fatalf("killed %d servers but supervision restarted only %d", kills, n)
+	}
 
 	// Restart the world over the persisted stripes and journals and
 	// byte-verify every committed epoch survived both the kills and the
 	// final shutdown.
-	pool2 := startHelperPool(t, dir, nSrv, lfs)
+	pool2 := startHelperPool(t, dir, nSrv, lfs, nil)
 	agg2, be2 := mountResilient(t, addrs)
 	verify("restarted,", flattenRemote(t, be2, be2.Size()))
 	if err := agg2.Close(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datatype/datatypetest"
 	"repro/internal/storage"
 )
 
@@ -30,8 +31,8 @@ func TestFiletypeGeometry(t *testing.T) {
 	if ft.Extent() != 10*4*8 {
 		t.Errorf("extent = %d, want %d", ft.Extent(), 10*4*8)
 	}
-	if ft.LB() != 0 {
-		t.Errorf("lb = %d, want 0", ft.LB())
+	if lb := datatypetest.LB(ft); lb != 0 {
+		t.Errorf("lb = %d, want 0", lb)
 	}
 	first := int64(-1)
 	ft.Walk(func(off, ln int64) {

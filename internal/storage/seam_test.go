@@ -705,7 +705,7 @@ func TestSeamFullStackTransparent(t *testing.T) {
 			t.Errorf("%s arrived %d times under the stack, want 1", name, inner.arrived(name))
 		}
 	}
-	if chaos.Stats() == (ChaosStats{}) {
+	if s := chaos.Stats(); s.Transients+s.ShortReads+s.TornWrites+s.Permanents == 0 {
 		t.Error("the chaos layer injected nothing: the test exercised no retry")
 	}
 	st := inst.Stats()
