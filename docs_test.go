@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,11 +71,17 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 // IOP's direct-window path, mpi's Gather, the lent and posted wire
 // shares with their verbs and socket reader, atomic mode, the
 // tiledmatrix and particles examples, the exports nothing but tests
-// called (the random trees are datatypetest's now), and Throttled's
-// bandwidth model.
+// called (the random trees are datatypetest's now), Throttled's
+// bandwidth model, and the Options and Config fields no product caller
+// set: core's buffer sizes, pool and aggregator count, the frame,
+// view-cache, write-batch, listen-address and deadline settings of the
+// server, client and TCP endpoint, the rank links' wire chaos and the
+// chaos conns' tracer, the launcher's and server pool's spare knobs,
+// Resilient's per-op deadline, Chaos's permanent rates, btio's options
+// and backend, and Table3's repeats.
 // Each alternative ends in a bracket, so that this source does not match
 // itself.
-var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRejecte[d]|ClientOptions\{[^}]*Conn[s]|NewRegio[n]|PhaseSessio[n]|PhaseCach[e]|internal/ob[s]|obs\.Registr[y]|GaugeFun[c]|-metrics-(addr|fd|pus[h])|no-metric[s]|internal/tilei[o]|cmd/tilei[o]|cmd/bti[o]|btiomin[i]|blockcycli[c]|Darra[y]|WriteShare[d]|ReadShare[d]|WriteOrdere[d]|ReadOrdere[d]|IWriteA[t]|IReadA[t]|AtAllBegi[n]|Preallocat[e]|func \(p \*Proc\) Spli[t]|DisableProgra[m]|no-progra[m]|DisableViewCach[e]|DisableMergeChec[k]|BenchmarkAblatio[n]|BenchmarkFi[g]|directGathe[r]|directSen[d]|winBatc[h]|lentSeg[s]|chunkSeg[s]|viewSeg[s]|func \(p \*Proc\) Gathe[r]|\.Gather[(]|SendSeg[s]|postShare[s]|takePoste[d]|lendShar[e]|lendBuilde[r]|readPoste[d]|sockReade[r]|segCurso[r]|func \(p \*Proc\) Pos[t]|func \(p \*Proc\) Flus[h]|SetAtomicit[y]|Atomicit[y]\(\)|examples/tiledmatri[x]|examples/particle[s]|SpikeOnl[y]|AsCollectiveErro[r]|Type\) Dept[h]|\.ExactNBloc[k]|flatten\.NewVie[w]|RangeLis[t]|\.EachInDat[a]|IsPermanen[t]|ServerPool\) Restart[s]|Stats\) Tota[l]|RandomMemtyp[e]|datatype\.RandomFiletyp[e]|ReadB[W]|WriteB[W]|\*Program\) (Pack|Unpack)[(]|func UnpackCoun[t]|fotf\.UnpackCoun[t]|Type\) (LB|UB)[(]`)
+var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRejecte[d]|ClientOptions\{[^}]*Conn[s]|NewRegio[n]|PhaseSessio[n]|PhaseCach[e]|internal/ob[s]|obs\.Registr[y]|GaugeFun[c]|-metrics-(addr|fd|pus[h])|no-metric[s]|internal/tilei[o]|cmd/tilei[o]|cmd/bti[o]|btiomin[i]|blockcycli[c]|Darra[y]|WriteShare[d]|ReadShare[d]|WriteOrdere[d]|ReadOrdere[d]|IWriteA[t]|IReadA[t]|AtAllBegi[n]|Preallocat[e]|func \(p \*Proc\) Spli[t]|DisableProgra[m]|no-progra[m]|DisableViewCach[e]|DisableMergeChec[k]|BenchmarkAblatio[n]|BenchmarkFi[g]|directGathe[r]|directSen[d]|winBatc[h]|lentSeg[s]|chunkSeg[s]|viewSeg[s]|func \(p \*Proc\) Gathe[r]|\.Gather[(]|SendSeg[s]|postShare[s]|takePoste[d]|lendShar[e]|lendBuilde[r]|readPoste[d]|sockReade[r]|segCurso[r]|func \(p \*Proc\) Pos[t]|func \(p \*Proc\) Flus[h]|SetAtomicit[y]|Atomicit[y]\(\)|examples/tiledmatri[x]|examples/particle[s]|SpikeOnl[y]|AsCollectiveErro[r]|Type\) Dept[h]|\.ExactNBloc[k]|flatten\.NewVie[w]|RangeLis[t]|\.EachInDat[a]|IsPermanen[t]|ServerPool\) Restart[s]|Stats\) Tota[l]|RandomMemtyp[e]|datatype\.RandomFiletyp[e]|ReadB[W]|WriteB[W]|\*Program\) (Pack|Unpack)[(]|func UnpackCoun[t]|fotf\.UnpackCoun[t]|Type\) (LB|UB)[(]|IONode[s]|SieveBufSiz[e]|PackBufSiz[e]|CollBufSiz[e]|Options\.Poo[l]|cfg\.MaxFram[e]|opts\.MaxFram[e]|MaxFrame[:]|MaxFrame in[t]|Config\.ViewCach[e]|cfg\.ViewCach[e]|ViewCach[e]:|ViewCach[e] int|cfg\.WriteBu[f]|WriteBu[f](:| int)|ListenAdd[r]|TCPConfig\{[^}]*Deadlin[e]|cfg\.Deadlin[e]|TCPConfig\{[^}]*WireChao[s]|cfg\.WireChao[s]|RestartBackof[f]|KillServerId[x]|ServerStopTimeou[t]|opts\.Stdou[t]|opts\.Stder[r]|opts\.En[v]\b|ServerPoolOptions\{[^}]*\b(Exe|Args|Env)[:]|OpDeadlin[e]|PermanentRea[d]|PermanentWrit[e]|btio\.Config\{[^}]*\b(Options|Backend)[:]|cfg\.Option[s]\b|opts\.Args\(id[x]|cfg\.Repeat[s]|Repeats[:]|cc\.cfg\.Tracer[.]|PhaseWireChao[s]`)
 
 // TestDeletedNamesStayDeleted: no Go, YAML or Markdown file names
 // anything deleted (deletedNames).  Of the top-level Markdown files only
@@ -83,7 +90,7 @@ var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRej
 // results/, record what was deleted, so they are not searched.
 func TestDeletedNamesStayDeleted(t *testing.T) {
 	// The alternation is slow over the whole tree (most of this package's
-	// time under -race), so it runs only over a file holding some
+	// time under -race), so it runs only over a line holding some
 	// alternative's literal prefix, without which that alternative cannot
 	// match.
 	var lits []string
@@ -121,6 +128,9 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 			return nil
 		}
 		for i, line := range strings.Split(string(src), "\n") {
+			if !containsAny(line, lits) {
+				continue
+			}
 			if m := deletedNames.FindString(line); m != "" {
 				t.Errorf("%s:%d names %q, which was deleted", path, i+1, m)
 			}
@@ -710,4 +720,205 @@ func TestDocIdentifiersResolve(t *testing.T) {
 			}
 		}
 	}
+}
+
+// configAllowed lists the exported fields of the Options and Config
+// structs of internal/ and cmd/ that no non-test file sets, each with the
+// test outside the declaring package that needs it.
+var configAllowed = map[string]string{
+	"transport.TCPConfig.Pool":               "core's TCP worlds (world_test.go, linkPool) check frame ownership on a checked pool",
+	"transport.WireChaosConfig.SpikeMin":     "ioserver's TestWireChaosSoak and TestSendPathReads shorten the latency spikes",
+	"transport.WireChaosConfig.SpikeMax":     "ioserver's TestWireChaosSoak and TestSendPathReads shorten the latency spikes",
+	"transport.WireChaosConfig.PartitionFor": "ioserver's TestWireChaosSoak lengthens the partitions",
+	"transport.WireChaosConfig.Stats":        "ioserver's TestWireChaosSoak fails unless a destructive fault was injected",
+}
+
+// TestConfigFieldsHaveSetters: every exported field of an exported struct
+// whose name ends in Options or Config, declared in a non-test file under
+// internal/ or cmd/, is set by a product caller, or is on configAllowed,
+// so that no configuration exists only for its defaults or its tests.  A
+// field is set when a keyed composite literal of its type names it in a
+// non-test file (a same-package preset counts), or when a non-test file
+// outside the declaring package assigns it on a variable declared with
+// that type; benchmark/ and cmd/ count, the *test packages do not.
+// Fields are matched by (package, type, field), not by name alone.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	type file struct {
+		f   *ast.File
+		dir string
+	}
+	var files []file
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd", "benchmark"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			if dir := filepath.Dir(path); filepath.Base(dir) != "testutil" && !strings.HasSuffix(dir, "test") {
+				f, err := parser.ParseFile(fset, path, nil, 0)
+				files = append(files, file{f, filepath.ToSlash(dir)})
+				return err
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A type is "dir.Name"; a field "dir.Name.Field".  fieldAt and
+	// fieldKey give each declared field's position and its printed name.
+	fieldAt, fieldKey := map[string]string{}, map[string]string{}
+	for _, fl := range files {
+		if strings.HasPrefix(fl.dir, "benchmark") {
+			continue
+		}
+		for _, d := range fl.f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, s := range gd.Specs {
+				ts := s.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				name := ts.Name.Name
+				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Config") {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, n := range f.Names {
+						if n.IsExported() {
+							key := fl.dir + "." + name + "." + n.Name
+							fieldAt[key] = fset.Position(n.Pos()).String()
+							fieldKey[key] = fl.f.Name.Name + "." + name + "." + n.Name
+						}
+					}
+				}
+			}
+		}
+	}
+	set := map[string]bool{}
+	for _, fl := range files {
+		imports := map[string]string{} // local name -> directory
+		for _, im := range fl.f.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			p = strings.TrimPrefix(p, "repro/")
+			name := path.Base(p)
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = p
+		}
+		// typeOf resolves a type expression to "dir.Name", through a
+		// pointer.
+		typeOf := func(e ast.Expr) string {
+			if star, ok := e.(*ast.StarExpr); ok {
+				e = star.X
+			}
+			switch e := e.(type) {
+			case *ast.Ident:
+				return fl.dir + "." + e.Name
+			case *ast.SelectorExpr:
+				if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					return imports[x.Name] + "." + e.Sel.Name
+				}
+			}
+			return ""
+		}
+		// implied holds the element type of a composite literal whose
+		// type is elided inside a slice, array or map literal.
+		implied := map[*ast.CompositeLit]string{}
+		vars := map[string]string{} // variable name -> its type, per file
+		ast.Inspect(fl.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				ty := implied[n]
+				if n.Type != nil {
+					ty = typeOf(n.Type)
+				}
+				var elt ast.Expr
+				switch lt := n.Type.(type) {
+				case *ast.ArrayType:
+					elt = lt.Elt
+				case *ast.MapType:
+					elt = lt.Value
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if k, ok := kv.Key.(*ast.Ident); ok && ty != "" {
+							set[ty+"."+k.Name] = true
+						}
+						e = kv.Value
+					}
+					if u, ok := e.(*ast.UnaryExpr); ok {
+						e = u.X
+					}
+					if lit, ok := e.(*ast.CompositeLit); ok && lit.Type == nil && elt != nil {
+						implied[lit] = typeOf(elt)
+					}
+				}
+			case *ast.Field:
+				for _, name := range n.Names {
+					vars[name.Name] = typeOf(n.Type)
+				}
+			case *ast.ValueSpec:
+				for i, name := range n.Names {
+					if n.Type != nil {
+						vars[name.Name] = typeOf(n.Type)
+					} else if i < len(n.Values) {
+						vars[name.Name] = litType(n.Values[i], typeOf)
+					}
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.DEFINE && len(n.Lhs) == len(n.Rhs) {
+					for i, l := range n.Lhs {
+						if id, ok := l.(*ast.Ident); ok {
+							vars[id.Name] = litType(n.Rhs[i], typeOf)
+						}
+					}
+				}
+				for _, l := range n.Lhs {
+					sel, ok := l.(*ast.SelectorExpr)
+					if !ok {
+						continue
+					}
+					if x, ok := sel.X.(*ast.Ident); ok {
+						if ty := vars[x.Name]; ty != "" && !strings.HasPrefix(ty, fl.dir+".") {
+							set[ty+"."+sel.Sel.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	keys := make([]string, 0, len(fieldAt))
+	for key := range fieldAt {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	t.Logf("%d exported fields of Options and Config structs, %d on configAllowed", len(keys), len(configAllowed))
+	allowed := map[string]bool{}
+	for _, key := range keys {
+		allowed[fieldKey[key]] = true
+		if _, ok := configAllowed[fieldKey[key]]; !set[key] && !ok {
+			t.Errorf("%s: %s is set by no product caller; make it the constant it always is, an unexported test seam, or allow it in configAllowed with the test that needs it", fieldAt[key], fieldKey[key])
+		}
+	}
+	for key := range configAllowed {
+		if !allowed[key] {
+			t.Errorf("configAllowed names %s, which is no exported field of an Options or Config struct under internal/ or cmd/", key)
+		}
+	}
+}
+
+// litType is the type of a composite literal, or of its address, as
+// typeOf resolves it; "" for any other expression.
+func litType(e ast.Expr, typeOf func(ast.Expr) string) string {
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = u.X
+	}
+	if lit, ok := e.(*ast.CompositeLit); ok && lit.Type != nil {
+		return typeOf(lit.Type)
+	}
+	return ""
 }

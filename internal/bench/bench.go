@@ -283,18 +283,16 @@ type Table3Config struct {
 	ComputeIters int // stencil sweeps per step
 	Ghost        int // halo width (BT uses ghosted cells)
 	Verify       bool
-	// Repeats runs each engine several times and keeps the fastest I/O
-	// time, damping GC and scheduler noise (default 2).
-	Repeats int
 }
+
+// table3Repeats is how many times Table3 runs each engine, keeping the
+// fastest I/O time, to damp GC and scheduler noise.
+const table3Repeats = 2
 
 // Table3 runs BTIO under both engines for every (class, P) combination.
 func Table3(cfg Table3Config) ([]Table3Row, error) {
 	if cfg.Ghost == 0 {
 		cfg.Ghost = 1
-	}
-	if cfg.Repeats <= 0 {
-		cfg.Repeats = 2
 	}
 	var rows []Table3Row
 	for _, name := range cfg.Classes {
@@ -312,7 +310,7 @@ func Table3(cfg Table3Config) ([]Table3Row, error) {
 					ComputeIters: cfg.ComputeIters, Verify: cfg.Verify,
 				}
 				var best btio.Result
-				for rep := 0; rep < cfg.Repeats; rep++ {
+				for rep := 0; rep < table3Repeats; rep++ {
 					res, err := btio.Run(bc)
 					if err != nil {
 						return nil, fmt.Errorf("table 3 class %s P=%d %v: %w", name, p, eng, err)

@@ -73,8 +73,9 @@ type Config struct {
 	ComputeIters int
 	Verify       bool
 
-	Options core.Options
-	Backend storage.Backend
+	// backend stores the file (nil: a fresh Mem); this package's tests'
+	// seam, to read the file back.
+	backend storage.Backend
 }
 
 func (c Config) steps() int {
@@ -120,7 +121,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("btio: grid %d smaller than process grid side %d", N, q)
 	}
 	steps := cfg.steps()
-	be := cfg.Backend
+	be := cfg.backend
 	if be == nil {
 		be = storage.NewMem()
 	}
@@ -133,8 +134,6 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	sh := core.NewShared(be)
-	opts := cfg.Options
-	opts.Engine = cfg.Engine
 
 	arrayBytes := int64(cellBytes) * int64(N) * int64(N) * int64(N)
 
@@ -145,7 +144,7 @@ func Run(cfg Config) (Result, error) {
 	_, err = mpi.Run(cfg.P, func(p *mpi.Proc) {
 		dec := newDecomp(N, q, p.Rank(), cfg.Ghost)
 
-		f, err := core.Open(p, sh, opts)
+		f, err := core.Open(p, sh, core.Options{Engine: cfg.Engine})
 		if err != nil {
 			panic(err)
 		}

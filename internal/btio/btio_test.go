@@ -194,7 +194,7 @@ func TestRunClassSBothEnginesIdenticalFiles(t *testing.T) {
 		c.Ghost = 1
 		c.ComputeIters = 1
 		c.Verify = true
-		c.Backend = be
+		c.backend = be
 		res, err := Run(c)
 		if err != nil {
 			t.Fatalf("%v: %v", eng, err)
@@ -224,7 +224,7 @@ func TestRunPlacesValuesAtGlobalOffsets(t *testing.T) {
 	c.Steps = 1
 	c.Ghost = 2
 	c.Verify = true
-	c.Backend = be
+	c.backend = be
 	if _, err := Run(c); err != nil {
 		t.Fatal(err)
 	}

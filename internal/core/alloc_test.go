@@ -27,7 +27,7 @@ import (
 // sync.Pool cannot shed its contents mid-run.
 
 const (
-	allocWinSize  = 4096 // CollBufSize: small windows, many of them
+	allocWinSize  = 4096 // collBufSize: small windows, many of them
 	allocBlocklen = 64   // holey vector: 50% density, pre-reads happen
 )
 
@@ -91,7 +91,7 @@ func testWindowAllocFree(t *testing.T, engine Engine, write, holey, staged, epoc
 	}
 	bp := pool.New()
 	backend := map[bool]string{false: "mem", true: "epoch-mem"}[epochs]
-	world{P: 1, backend: backend, opts: Options{Engine: engine, CollBufSize: allocWinSize, Pool: bp}}.run(t, nil, func(r rank) {
+	world{P: 1, backend: backend, opts: Options{Engine: engine, collBufSize: allocWinSize, pool: bp}}.run(t, nil, func(r rank) {
 		f := r.f
 		if err := f.SetView(0, datatype.Byte, ft); err != nil {
 			panic(err)
@@ -201,7 +201,7 @@ func TestListlessDirectWindowZeroAlloc(t *testing.T) {
 		backend := map[bool]string{false: "mem", true: "epoch-mem"}[cell.epochs]
 		for _, write := range []bool{true, false} {
 			label := fmt.Sprintf("rank 1 memtype %v, write=%v, epochs=%v", rank1, write, cell.epochs)
-			world{P: P, backend: backend, opts: Options{CollBufSize: win, Pool: bp}}.run(t, make([]byte, runsLarge*P*run), func(r rank) {
+			world{P: P, backend: backend, opts: Options{collBufSize: win, pool: bp}}.run(t, make([]byte, runsLarge*P*run), func(r rank) {
 				p, f := r.p, r.f
 				disp, ft := stridedView(P, runsLarge, run, run)(p.Rank())
 				if err := f.SetView(disp, datatype.Byte, ft); err != nil {
@@ -279,7 +279,7 @@ func TestIndependentFusedDrawsNoPackBuffer(t *testing.T) {
 		{"list-based", Options{Engine: ListBased}, ft, 2},
 	} {
 		bp := pool.New()
-		c.opts.Pool, c.opts.SieveBufSize = bp, allocWinSize
+		c.opts.pool, c.opts.sieveBufSize = bp, allocWinSize
 		world{P: 1, opts: c.opts}.run(t, nil, func(r rank) {
 			f := r.f
 			if err := f.SetView(0, datatype.Byte, c.ft); err != nil {
@@ -326,7 +326,7 @@ func TestDirectPathFusedDrawsNoPackBuffer(t *testing.T) {
 		{"list-based", Options{Engine: ListBased}, sparse, 1},
 	} {
 		bp := pool.New()
-		c.opts.Pool, c.opts.SieveDensity = bp, 0.25
+		c.opts.pool, c.opts.SieveDensity = bp, 0.25
 		world{P: 1, opts: c.opts}.run(t, nil, func(r rank) {
 			f := r.f
 			if err := f.SetView(0, datatype.Byte, c.ft); err != nil {
@@ -448,7 +448,7 @@ func TestCollectiveAllocIndependentOfMemtypeEncoding(t *testing.T) {
 	if s, l := datatype.EncodedSize(small), datatype.EncodedSize(large); l < 32*s || l < 8<<10 {
 		t.Fatalf("encoded sizes %d and %d do not separate the cases", s, l)
 	}
-	world{P: 1, opts: Options{Engine: Listless, CollBufSize: allocWinSize}}.run(t, nil, func(r rank) {
+	world{P: 1, opts: Options{Engine: Listless, collBufSize: allocWinSize}}.run(t, nil, func(r rank) {
 		f := r.f
 		if err := allocView(f, d/allocBlocklen); err != nil {
 			panic(err)
@@ -495,7 +495,7 @@ func TestDecodedViewCollectedWithItsDerivedData(t *testing.T) {
 			ft = declinedType(t, ft)
 		}
 		collected := make(chan struct{})
-		world{P: 1, opts: Options{Engine: Listless, CollBufSize: allocWinSize}}.run(t, nil, func(r rank) {
+		world{P: 1, opts: Options{Engine: Listless, collBufSize: allocWinSize}}.run(t, nil, func(r rank) {
 			f := r.f
 			if err := f.SetView(0, datatype.Byte, ft); err != nil {
 				panic(err)
@@ -533,7 +533,7 @@ func BenchmarkCollectiveWindow(b *testing.B) {
 	const P, blockcount, blocklen = 4, 512, 64
 	d := blockcount * int64(blocklen)
 	b.ReportAllocs()
-	world{P: P, opts: Options{Engine: Listless, CollBufSize: 64 << 10}}.run(b, nil, func(r rank) {
+	world{P: P, opts: Options{Engine: Listless, collBufSize: 64 << 10}}.run(b, nil, func(r rank) {
 		if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, blockcount, blocklen)); err != nil {
 			panic(err)
 		}

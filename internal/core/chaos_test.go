@@ -40,7 +40,7 @@ func TestCollectiveErrorAgreement(t *testing.T) {
 			checkLeaks := testutil.LeakCheck(t)
 			direct := eng == Listless && blocklen >= 128
 			errs := make([]error, P)
-			res := world{P: P, backend: "faulty", opts: Options{Engine: eng, CollBufSize: 128}}.run(t, o.file, func(r rank) {
+			res := world{P: P, backend: "faulty", checked: true, opts: Options{Engine: eng, collBufSize: 128}}.run(t, o.file, func(r rank) {
 				if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, blockcount, blocklen)); err != nil {
 					panic(err)
 				}
@@ -89,6 +89,11 @@ type faultGeom struct {
 	// which is what lets the listless engine fuse an IOP's own share: with
 	// it the failing IOP below has nothing to receive or send.
 	holey bool
+	// declined makes the memory layout 15 bytes in 16 followed by a tail
+	// no program holds (declinedType), and d its size: the listless engine
+	// then lends no memory, and every AP packs its shares and sends them
+	// as chunks, which a failed IOP never takes and the drain puts back.
+	declined bool
 	// rmw: the combined views leave holes, so a write pre-reads.
 	rmw bool
 	// direct: on the listless engine every window is direct, moved by the
@@ -109,13 +114,19 @@ type faultGeom struct {
 // memory: on the listless engine that share is a fused copy with no
 // message behind it, so the error agreement and its drain must not
 // expect one, and on a read the share reaches the user buffer before the
-// vote.
+// vote.  The interleaved access from memory no program holds sends the
+// listless engine's shares as chunks too.
 func TestFaultCollectiveMatrix(t *testing.T) {
 	const blockcount, blocklen = 32, 16
 	d := int64(blockcount * blocklen)
 	half := noncontigTypeP(0, 2, blockcount, blocklen) // every other block of one half
+	declinedMem := declinedType(t, mustType(datatype.Resized(hvecBytes(1, 15, 15), 0, 16)))
 	for _, g := range []faultGeom{
 		{name: "interleaved/P=4", P: 4, failIOP: 2, d: d, view: fig4(4, blockcount, blocklen)},
+		// 8 208 data bytes, 513 whole blocks: the plan's file range ends
+		// where the oracle's does.
+		{name: "interleaved-declined-memory/P=4", P: 4, failIOP: 2, d: declinedMem.Size(), declined: true,
+			view: fig4(4, declinedMem.Size()/blocklen, blocklen)},
 		{name: "self-only/P=1", P: 1, failIOP: 0, d: d, holey: true, rmw: true,
 			view: func(int) (int64, *datatype.Type) { return 0, half }},
 		{name: "disjoint-halves/P=2", P: 2, failIOP: 1, d: d, holey: true, rmw: true,
@@ -127,8 +138,11 @@ func TestFaultCollectiveMatrix(t *testing.T) {
 		{name: "long-runs/P=2", P: 2, failIOP: 1, d: 8 * 512, direct: true, failRank: 0, view: fig4(2, 8, 512)},
 	} {
 		mt := datatype.Byte
-		if g.holey {
+		switch {
+		case g.holey:
 			mt = holeyDouble()
+		case g.declined:
+			mt = declinedMem
 		}
 		data := make([][]byte, g.P)
 		for r := range data {
@@ -141,7 +155,7 @@ func TestFaultCollectiveMatrix(t *testing.T) {
 		dom := (end + int64(g.P) - 1) / int64(g.P)
 		lo, hi := int64(g.failIOP)*dom, min(int64(g.failIOP+1)*dom, end)
 		for _, eng := range engines {
-			w := world{P: g.P, backend: "faulty", opts: Options{Engine: eng, CollBufSize: 128}}
+			w := world{P: g.P, backend: "faulty", checked: true, opts: Options{Engine: eng, collBufSize: 128}}
 			setView := func(r rank) {
 				disp, ft := g.view(r.p.Rank())
 				if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
@@ -229,7 +243,7 @@ func TestChaosCollectiveHarness(t *testing.T) {
 			checkLeaks := testutil.LeakCheck(t)
 			var chaos *storage.Chaos
 			var be *storage.Resilient
-			world{P: 4, opts: Options{Engine: eng, CollBufSize: 128}, wrap: func(b storage.Backend) storage.Backend {
+			world{P: 4, checked: true, opts: Options{Engine: eng, collBufSize: 128}, wrap: func(b storage.Backend) storage.Backend {
 				chaos = storage.NewChaos(seed, b, storage.TransientOnly())
 				be = storage.NewResilient(chaos, storage.ResilientConfig{Seed: seed + 1})
 				return be

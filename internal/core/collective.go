@@ -7,8 +7,8 @@ import (
 
 // Collective I/O: the two-phase method (paper §2.3, §3.2.3).  The
 // aggregate file range of all ranks is partitioned into per-IOP file
-// domains; IOPs access the file in windows of CollBufSize and exchange
-// data with the APs.
+// domains, one per rank; IOPs access the file in 1 MiB windows and
+// exchange data with the APs.
 //
 // The schedule here is engine-neutral: how each rank describes its
 // accesses to the IOPs (ol-list exchange vs. cached-fileview
@@ -106,10 +106,8 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	if err := f.apDirect(pl, ap); err != nil {
 		fault = &CollectiveError{Rank: f.p.Rank(), Phase: PhaseIOPWindow, Err: err}
 	}
-	if f.p.Rank() < pl.nIOP {
-		if iopFault := f.iopProcess(pl, acc, write); fault == nil {
-			fault = iopFault
-		}
+	if iopFault := f.iopProcess(pl, acc, write); fault == nil {
+		fault = iopFault
 	}
 
 	// ---- Error agreement: every rank votes its IOP-phase outcome and,

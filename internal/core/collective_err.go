@@ -92,9 +92,11 @@ func (f *File) agreeCollective(local *CollectiveError) error {
 	// to it, so at any P every frame of this collective addressed to this
 	// rank has arrived — anything still queued under these tags belongs to
 	// this collective and must go.  The caller's Barrier after the drain
-	// keeps the next collective's sends from arriving before it.
-	f.p.DrainTag(tagCollData)
-	f.p.DrainTag(tagCollList)
+	// keeps the next collective's sends from arriving before it.  A
+	// drained chunk is pooled and goes back to the pool; an access list
+	// is not.
+	f.p.DrainTag(tagCollData, f.bp.Put)
+	f.p.DrainTag(tagCollList, nil)
 	if int64(f.p.Rank()) == failRank {
 		return local
 	}

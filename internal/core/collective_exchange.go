@@ -20,7 +20,7 @@ func (f *File) apExchange(pl *collPlan, acc *collAccess, ap apState, write bool)
 	d0, mem, buf := acc.d0, acc.mem, acc.buf
 	held := f.held
 	slices.SortFunc(held, func(x, y heldShare) int { return cmp.Compare(x.a, y.a) })
-	for i := 0; i < pl.nIOP; i++ {
+	for i := 0; i < f.p.Size(); i++ {
 		domLo, domHi := pl.domain(i)
 		if !pl.holds(i, f.p.Rank()) {
 			continue
@@ -29,8 +29,8 @@ func (f *File) apExchange(pl *collPlan, acc *collAccess, ap apState, write bool)
 		if cur == nil {
 			continue
 		}
-		for winLo := domLo; winLo < domHi; winLo += int64(f.opts.CollBufSize) {
-			winHi := min(winLo+int64(f.opts.CollBufSize), domHi)
+		for winLo := domLo; winLo < domHi; winLo += int64(f.opts.collBufSize) {
+			winHi := min(winLo+int64(f.opts.collBufSize), domHi)
 			a, b := cur.window(winLo, winHi)
 			if b <= a {
 				continue
@@ -72,13 +72,13 @@ func (f *File) unpackHeld(held []heldShare, acc *collAccess, x int64) []heldShar
 // apDirect has this rank move its share of every direct window itself
 // (apState.moveDirect), before its IOP phase: no IOP moves a direct
 // window, so none of its bytes crosses the rank fabric.  Rank r starts at
-// IOP domain r mod nIOP and goes round, so that ranks moving at once work
+// IOP domain r and goes round, so that ranks moving at once work
 // in different domains: a batch's storage call locks the whole span it
 // touches (storage.Mem, and the I/O servers' range locks).
 func (f *File) apDirect(pl *collPlan, ap apState) error {
-	self, win := f.p.Rank(), int64(f.opts.CollBufSize)
-	for k := 0; k < pl.nIOP; k++ {
-		i := (self + k) % pl.nIOP
+	self, P, win := f.p.Rank(), f.p.Size(), int64(f.opts.collBufSize)
+	for k := 0; k < P; k++ {
+		i := (self + k) % P
 		if !pl.holds(i, self) {
 			continue
 		}

@@ -2,8 +2,8 @@ package core
 
 // collPlan is the deterministic schedule of one collective access, which
 // every rank computes identically from the allgathered access ranges.
+// Every rank is an I/O process: rank i is the IOP of file domain i.
 type collPlan struct {
-	nIOP     int
 	gLo, gHi int64
 	domSize  int64
 	d0s      []int64 // per-rank access start, in view-data bytes
@@ -49,15 +49,12 @@ func (f *File) makePlan(d0, d int64) (*collPlan, bool) {
 		hi = f.eng.dataToFileEnd(d0 + d)
 	}
 	all := f.p.AllgatherInt64s([]int64{d0, d, lo, hi})
+	P := f.p.Size()
 	pl := &collPlan{
-		nIOP: f.opts.IONodes,
-		d0s:  make([]int64, f.p.Size()),
-		ds:   make([]int64, f.p.Size()),
-		los:  make([]int64, f.p.Size()),
-		his:  make([]int64, f.p.Size()),
-	}
-	if pl.nIOP == 0 {
-		pl.nIOP = f.p.Size()
+		d0s: make([]int64, P),
+		ds:  make([]int64, P),
+		los: make([]int64, P),
+		his: make([]int64, P),
 	}
 	gLo, gHi := int64(-1), int64(-1)
 	for r, v := range all {
@@ -76,7 +73,7 @@ func (f *File) makePlan(d0, d int64) (*collPlan, bool) {
 		return nil, false // nothing to do anywhere
 	}
 	pl.gLo, pl.gHi = gLo, gHi
-	pl.domSize = (gHi - gLo + int64(pl.nIOP) - 1) / int64(pl.nIOP)
+	pl.domSize = (gHi - gLo + int64(P) - 1) / int64(P)
 	if pl.domSize == 0 {
 		pl.domSize = 1
 	}

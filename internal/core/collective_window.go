@@ -5,7 +5,7 @@ import (
 	"repro/internal/trace"
 )
 
-// The IOP window loop.  Each IOP walks its file domain in CollBufSize
+// The IOP window loop.  Each IOP walks its file domain in 1 MiB
 // windows; for every window it (write) optionally pre-reads the window,
 // receives and merges each AP's chunk, and writes the window back, or
 // (read) reads the window and sends each AP its portion.
@@ -17,11 +17,10 @@ import (
 // collective (memLoan).
 //
 // The loop moves buffered windows only: a window gathers the APs' shares
-// in a CollBufSize buffer so that many short runs become one large
-// backend call.  A direct window (iopWindow.direct: no share is
-// page-dense) has nothing to gather, and its owners move it themselves,
-// each its own share by one vectored call (File.apDirect); the IOP skips
-// it.
+// in a 1 MiB buffer so that many short runs become one large backend
+// call.  A direct window (iopWindow.direct: no share is page-dense) has
+// nothing to gather, and its owners move it themselves, each its own
+// share by one vectored call (File.apDirect); the IOP skips it.
 //
 // The loop (iopPipelined) is a double-buffered pipeline over two slots.
 // Window k+1's pre-read and window k-1's write-back run in the
@@ -67,7 +66,7 @@ func (f *File) iopProcess(pl *collPlan, acc *collAccess, write bool) *Collective
 	if domLo >= domHi {
 		return nil
 	}
-	winSize := min(int64(f.opts.CollBufSize), domHi-domLo)
+	winSize := min(int64(f.opts.collBufSize), domHi-domLo)
 	if err := f.iopPipelined(iop, domLo, domHi, winSize, write); err != nil {
 		return &CollectiveError{Rank: f.p.Rank(), Phase: PhaseIOPWindow, Err: err}
 	}

@@ -61,20 +61,6 @@ var ErrCorruptAccessList = errors.New("core: corrupt access list")
 type Options struct {
 	// Engine selects list-based or listless datatype handling.
 	Engine Engine
-	// SieveBufSize is the file-buffer size for independent data sieving.
-	SieveBufSize int
-	// PackBufSize is the intermediate pack-buffer size (Figure 3's p).
-	PackBufSize int
-	// CollBufSize is the per-window file-buffer size of two-phase
-	// collective I/O.
-	CollBufSize int
-	// IONodes is the number of I/O processes (aggregators) for
-	// collective access; 0 means every process is an IOP.
-	IONodes int
-	// Pool, when non-nil, overrides the shared pool.Global as the buffer
-	// source — tests install a pool.NewChecked() here to catch
-	// double-put and use-after-put.
-	Pool *pool.Pool
 	// SieveDensity is the paper's §5 outlook item, "the decision on the
 	// trade-off between data sieving and multiple file accesses":
 	// independent non-contiguous accesses whose useful-data fraction in
@@ -87,17 +73,29 @@ type Options struct {
 	// (plan, exchange, window storage I/O, copies) into the collector;
 	// nil disables tracing at the cost of one pointer check per site.
 	Trace *trace.Collector
+
+	// The buffer sizes and the pool are this package's tests' seams:
+	// zero selects the default size, and nil pool.Global.  The tests
+	// shrink the sizes so that small accesses span several windows, and
+	// install a pool.NewChecked() to catch double-put and use-after-put.
+	sieveBufSize int // independent data sieving's file buffer
+	packBufSize  int // the intermediate pack buffer (Figure 3's p)
+	collBufSize  int // two-phase collective I/O's per-window file buffer
+	pool         *pool.Pool
 }
 
 func (o *Options) fill() {
-	if o.SieveBufSize <= 0 {
-		o.SieveBufSize = 512 << 10
+	if o.sieveBufSize <= 0 {
+		o.sieveBufSize = 512 << 10
 	}
-	if o.PackBufSize <= 0 {
-		o.PackBufSize = 256 << 10
+	if o.packBufSize <= 0 {
+		o.packBufSize = 256 << 10
 	}
-	if o.CollBufSize <= 0 {
-		o.CollBufSize = 1 << 20
+	if o.collBufSize <= 0 {
+		o.collBufSize = 1 << 20
+	}
+	if o.pool == nil {
+		o.pool = pool.Global
 	}
 }
 
@@ -159,7 +157,7 @@ type File struct {
 	sh   *Shared
 	opts Options
 	tr   *trace.Tracer // this rank's span recorder; nil when tracing is off
-	bp   *pool.Pool    // buffer pool: Options.Pool, else pool.Global; never nil
+	bp   *pool.Pool    // buffer pool: Options.pool, else pool.Global; never nil
 
 	v   view
 	eng accessEngine
@@ -202,18 +200,12 @@ type File struct {
 // byte view (disp 0, etype and filetype Byte).
 func Open(p *mpi.Proc, sh *Shared, opts Options) (*File, error) {
 	opts.fill()
-	if opts.IONodes < 0 || opts.IONodes > p.Size() {
-		return nil, fmt.Errorf("core: IONodes %d out of range [0,%d]", opts.IONodes, p.Size())
-	}
 	f := &File{
 		p:    p,
 		sh:   sh,
 		opts: opts,
 		tr:   opts.Trace.Tracer(p.Rank()),
-		bp:   opts.Pool,
-	}
-	if f.bp == nil {
-		f.bp = pool.Global
+		bp:   opts.pool,
 	}
 	if eb, ok := storage.AsEpochBackend(sh.b); ok {
 		f.epochBE = eb

@@ -24,7 +24,7 @@ func TestIndependentContigContig(t *testing.T) {
 func TestIndependentNcMemContigFile(t *testing.T) {
 	mem := mustType(datatype.Vector(50, 1, 3, datatype.Double)) // 50 doubles every 3
 	for _, eng := range engines {
-		world{P: 2, opts: Options{Engine: eng, PackBufSize: 64}}.roundTrip(t, access{view: byteViews(400), d: 400, indep: true,
+		world{P: 2, opts: Options{Engine: eng, packBufSize: 64}}.roundTrip(t, access{view: byteViews(400), d: 400, indep: true,
 			mem: func(int) *datatype.Type { return mem }})
 	}
 }
@@ -43,7 +43,7 @@ func TestIndependentSievingWriteRead(t *testing.T) {
 					a.mem = func(int) *datatype.Type { return memNCType }
 				}
 				for _, eng := range engines {
-					world{P: P, opts: Options{Engine: eng, SieveBufSize: 96, PackBufSize: 80}}.roundTrip(t, a)
+					world{P: P, opts: Options{Engine: eng, sieveBufSize: 96, packBufSize: 80}}.roundTrip(t, a)
 				}
 			})
 		}
@@ -55,7 +55,7 @@ func TestIndependentSievingWriteRead(t *testing.T) {
 func TestIndependentOffsetInsideFiletype(t *testing.T) {
 	for _, eng := range engines {
 		for _, c := range []struct{ off, d int64 }{{12, 24}, {35, 10}} {
-			world{P: 1, opts: Options{Engine: eng, SieveBufSize: 64}}.roundTrip(t, access{view: fig4(2, 10, 8), off: c.off, d: c.d, indep: true})
+			world{P: 1, opts: Options{Engine: eng, sieveBufSize: 64}}.roundTrip(t, access{view: fig4(2, 10, 8), off: c.off, d: c.d, indep: true})
 		}
 	}
 }
@@ -97,9 +97,6 @@ func TestAccessValidation(t *testing.T) {
 		if n, err := r.f.WriteAt(0, 0, datatype.Byte, buf); n != 0 || err != nil {
 			panic("zero-count write should be a no-op")
 		}
-		if _, err := Open(r.p, r.f.sh, Options{IONodes: 5}); err == nil {
-			panic("IONodes > P accepted")
-		}
 	})
 }
 
@@ -107,16 +104,16 @@ func second(_ int64, err error) error { return err }
 
 // TestCollectiveWriteReadPartitioned is the headline scenario: P ranks
 // write the whole file through interleaved fileviews with one collective
-// call each, every rank an IOP or only one.
+// call each.  The subtests keep the "IOP=0" of the days when fewer
+// ranks than all could be I/O processes: 0 meant every rank, the one
+// schedule there is.
 func TestCollectiveWriteReadPartitioned(t *testing.T) {
 	for _, P := range []int{1, 2, 4, 8} {
-		for _, nIOP := range []int{0, 1} {
-			t.Run(fmt.Sprintf("P=%d,IOP=%d", P, nIOP), func(t *testing.T) {
-				for _, eng := range engines {
-					world{P: P, opts: Options{Engine: eng, CollBufSize: 256, IONodes: nIOP}}.roundTrip(t, access{view: fig4(P, 64, 8), d: 64 * 8})
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("P=%d,IOP=0", P), func(t *testing.T) {
+			for _, eng := range engines {
+				world{P: P, opts: Options{Engine: eng, collBufSize: 256}}.roundTrip(t, access{view: fig4(P, 64, 8), d: 64 * 8})
+			}
+		})
 	}
 }
 
@@ -125,7 +122,7 @@ func TestCollectiveWriteReadPartitioned(t *testing.T) {
 func TestCollectiveFullCoverageSkipsPreRead(t *testing.T) {
 	const P, d = 4, 32 * 16
 	for _, eng := range engines {
-		res := world{P: P, opts: Options{Engine: eng, CollBufSize: 512}, backend: "mem"}.run(t, nil, func(r rank) {
+		res := world{P: P, opts: Options{Engine: eng, collBufSize: 512}, backend: "mem"}.run(t, nil, func(r rank) {
 			if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, 32, 16)); err != nil {
 				panic(err)
 			}
@@ -143,7 +140,7 @@ func TestCollectiveFullCoverageSkipsPreRead(t *testing.T) {
 // no window is covered: the pre-reads keep what the file held in the gaps.
 func TestCollectivePartialCoverageReadsFirst(t *testing.T) {
 	for _, eng := range engines {
-		world{P: 4, opts: Options{Engine: eng, CollBufSize: 512}}.roundTrip(t, access{view: fig4(4, 32, 16),
+		world{P: 4, opts: Options{Engine: eng, collBufSize: 512}}.roundTrip(t, access{view: fig4(4, 32, 16),
 			dOf: func(rank int) int64 { return int64(1-rank%2) * 32 * 16 }})
 	}
 }
@@ -155,7 +152,7 @@ func TestCollectiveDifferingDisplacements(t *testing.T) {
 	const P = 3
 	ft := mustType(datatype.Resized(hvecBytes(16, 8, P*8), 0, 16*P*8))
 	for _, eng := range engines {
-		world{P: P, opts: Options{Engine: eng, CollBufSize: 128}}.roundTrip(t, access{d: 16 * 8,
+		world{P: P, opts: Options{Engine: eng, collBufSize: 128}}.roundTrip(t, access{d: 16 * 8,
 			view: func(rank int) (int64, *datatype.Type) { return int64(rank) * 8, ft }})
 	}
 }
@@ -164,7 +161,7 @@ func TestCollectiveDifferingDisplacements(t *testing.T) {
 func TestCollectiveNcMemtype(t *testing.T) {
 	mem := hvecBytes(32, 16, 24)
 	for _, eng := range engines {
-		world{P: 4, opts: Options{Engine: eng, CollBufSize: 300}}.roundTrip(t, access{view: fig4(4, 32, 16), d: 32 * 16,
+		world{P: 4, opts: Options{Engine: eng, collBufSize: 300}}.roundTrip(t, access{view: fig4(4, 32, 16), d: 32 * 16,
 			mem: func(int) *datatype.Type { return mem }})
 	}
 }
@@ -202,7 +199,7 @@ func TestCollectiveMultipleRounds(t *testing.T) {
 	}
 	o := flat(view, nil, 0, data)
 	for _, eng := range engines {
-		res := world{P: P, opts: Options{Engine: eng, CollBufSize: 1024}}.run(t, o.file, func(r rank) {
+		res := world{P: P, opts: Options{Engine: eng, collBufSize: 1024}}.run(t, o.file, func(r rank) {
 			_, ft := view(r.p.Rank())
 			if err := r.f.SetView(0, datatype.Byte, ft); err != nil {
 				panic(err)

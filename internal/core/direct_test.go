@@ -68,7 +68,7 @@ func TestDirectVsSievingIdenticalFiles(t *testing.T) {
 	memt := hvecBytes(16, 8, 24)
 	for _, density := range []float64{0, 0.9} {
 		for _, eng := range engines {
-			world{P: 2, opts: Options{Engine: eng, SieveDensity: density, PackBufSize: 32}}.roundTrip(t, access{view: fig4(2, 16, 8), d: 16 * 8,
+			world{P: 2, opts: Options{Engine: eng, SieveDensity: density, packBufSize: 32}}.roundTrip(t, access{view: fig4(2, 16, 8), d: 16 * 8,
 				mem: func(int) *datatype.Type { return memt }, indep: true})
 		}
 	}

@@ -129,7 +129,7 @@ func ghostedTile(tx, ty, ring int64) viewFn {
 // dwCell is one way to run a geometry.
 type dwCell struct {
 	name     string
-	w        world // P and CollBufSize are the geometry's, IONodes at most P
+	w        world // P and collBufSize are the geometry's
 	buffered bool  // the cell answers "window" whatever the geometry
 	declined bool  // every fileview is extended by declinedType, so no rank's view compiles
 }
@@ -138,8 +138,6 @@ func dwCells() []dwCell {
 	return []dwCell{
 		{name: "listless"},
 		{name: "listless/tcp", w: world{tcp: true}},
-		{name: "listless/ionodes=1", w: world{opts: Options{IONodes: 1}}},
-		{name: "listless/ionodes=2", w: world{opts: Options{IONodes: 2}}},
 		{name: "declined", declined: true, buffered: true},
 		{name: "list-based", w: world{opts: Options{Engine: ListBased}}, buffered: true},
 		{name: "listless/throttled", w: world{backend: "throttled"}},
@@ -167,7 +165,7 @@ func TestDirectWindowMatrix(t *testing.T) {
 		for _, c := range cells {
 			label := g.name + "/" + c.name
 			w := c.w
-			w.P, w.checked, w.opts.CollBufSize, w.opts.IONodes = g.P, true, g.collBuf, min(w.opts.IONodes, g.P)
+			w.P, w.checked, w.opts.collBufSize = g.P, true, g.collBuf
 			a := access{view: g.view, d: g.d, mem: func(int) *datatype.Type { return g.mem }}
 			if c.declined {
 				a.view = declinedViews(t, g.P, g.view)
@@ -229,7 +227,7 @@ func TestDirectWindowEpochs(t *testing.T) {
 			label := fmt.Sprintf("%s/%s", g.name, outcome)
 			o := g.oracle(11)
 			var fb *storage.Faulty
-			w := world{P: g.P, tcp: g.P > 2, backend: "tier", checked: true, opts: Options{CollBufSize: g.collBuf}, wrap: func(b storage.Backend) storage.Backend {
+			w := world{P: g.P, tcp: g.P > 2, backend: "tier", checked: true, opts: Options{collBufSize: g.collBuf}, wrap: func(b storage.Backend) storage.Backend {
 				switch outcome {
 				case "abort":
 					fb = storage.NewFaulty(b)
@@ -297,7 +295,7 @@ func TestDirectWindowFaults(t *testing.T) {
 					checkLeaks := testutil.LeakCheck(t)
 					failRank := map[string]int{"range": g.P - 1, "count": 1}[arm]
 					errs := make([]error, g.P)
-					world{P: g.P, tcp: tcp, backend: "faulty", checked: true, opts: Options{CollBufSize: g.collBuf}}.run(t, o.file, func(r rank) {
+					world{P: g.P, tcp: tcp, backend: "faulty", checked: true, opts: Options{collBufSize: g.collBuf}}.run(t, o.file, func(r rank) {
 						disp, ft := g.view(r.p.Rank())
 						if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
 							panic(err)
@@ -360,8 +358,7 @@ func TestDirectWindowFaults(t *testing.T) {
 // pieces, the others from contiguous memory, so that a rule that read a
 // rank's own memory would not give every rank the same answer.  Over the
 // loopback and over TCP, on Mem and on a two-server tier with epochs, at
-// P = 2 and P = 3 with fewer IOPs than ranks, a write and a read of n runs
-// and of 2n runs per rank:
+// P = 2 and P = 3, a write and a read of n runs and of 2n runs per rank:
 //   - on the listless engine no sparse window is an IOP's: the IOPs count
 //     only the dense window, every rank moves its own share of every other
 //     one itself, and the rank fabric carries the same messages and
@@ -418,7 +415,7 @@ func TestDirectWindowsMoveNoData(t *testing.T) {
 						}
 						var ops [4]moveOp // write n, read n, write 2n, read 2n, summed over the ranks
 						var mu sync.Mutex
-						world{P: P, tcp: tcp, backend: backend, checked: true, opts: Options{Engine: eng, CollBufSize: int(win), IONodes: P - 1}}.run(t, bytes.Repeat([]byte{background}, len(bg)), func(r rank) {
+						world{P: P, tcp: tcp, backend: backend, checked: true, opts: Options{Engine: eng, collBufSize: int(win)}}.run(t, bytes.Repeat([]byte{background}, len(bg)), func(r rank) {
 							rk := r.p.Rank()
 							disp, ft := view(rk)
 							if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {

@@ -248,8 +248,8 @@ func (s *listAPState) moveDirect(int64, int64) error { return nil }
 // this many-to-many ol-list exchange happens on every collective access.
 func (e *listEngine) apSetup(pl *collPlan, acc *collAccess) apState {
 	f, d0, d := e.f, acc.d0, acc.d
-	st := &listAPState{triples: make([][]apTriple, pl.nIOP)}
-	for i := 0; i < pl.nIOP; i++ {
+	st := &listAPState{triples: make([][]apTriple, f.p.Size())}
+	for i := range st.triples {
 		domLo, domHi := pl.domain(i)
 		if d > 0 && domLo < domHi {
 			st.triples[i] = e.buildAPTriples(domLo, domHi, d0, d)

@@ -272,7 +272,7 @@ func (e *listlessEngine) apSetup(pl *collPlan, acc *collAccess) apState {
 		own := acc.loan()
 		l, s.lent = &own, true
 	}
-	for i := 0; i < pl.nIOP; i++ {
+	for i := 0; i < f.p.Size(); i++ {
 		if pl.lends(f.p.Rank(), i) {
 			f.p.SendRef(i, tagCollData, l)
 		}

@@ -93,7 +93,7 @@ func testEpochReplaysKeptWindows(t *testing.T, g dwGeom, tcp bool, outcome strin
 	tier := newTier(t, 4096, 2)
 	defer tier.close()
 	var hook *sealHook
-	w := world{P: g.P, tcp: tcp, backend: "tier", tier: tier, checked: true, linkPool: true, opts: Options{CollBufSize: g.collBuf}, wrap: func(b storage.Backend) storage.Backend {
+	w := world{P: g.P, tcp: tcp, backend: "tier", tier: tier, checked: true, linkPool: true, opts: Options{collBufSize: g.collBuf}, wrap: func(b storage.Backend) storage.Backend {
 		hook = &sealHook{Striped: b.(*ioserver.Striped), before: func() {
 			for i := range tier.servers {
 				tier.bounce(i)
@@ -172,9 +172,9 @@ func TestEpochSealsOneIncarnation(t *testing.T) {
 		}
 		shs[rank] = NewShared(storage.NewResilient(hook, storage.ResilientConfig{}))
 	}
-	stats := make([]Stats, g.P)
+	stats, bp := make([]Stats, g.P), pool.NewChecked()
 	_, err := mpi.RunWithOptions(g.P, mpi.RunOptions{StallTimeout: watchdogTimeout}, func(p *mpi.Proc) {
-		f, err := Open(p, shs[p.Rank()], Options{CollBufSize: g.collBuf, Pool: pool.NewChecked()})
+		f, err := Open(p, shs[p.Rank()], Options{collBufSize: g.collBuf, pool: bp})
 		if err != nil {
 			panic(err)
 		}
@@ -198,5 +198,8 @@ func TestEpochSealsOneIncarnation(t *testing.T) {
 		if st.EpochRetries != 1 || st.EpochsCommitted != 1 {
 			t.Errorf("rank %d: %d epochs committed after %d retries, want 1 after 1", rank, st.EpochsCommitted, st.EpochRetries)
 		}
+	}
+	if ps := bp.Stats(); ps.Gets != ps.Puts {
+		t.Errorf("%d buffers taken from the pool, %d put back", ps.Gets, ps.Puts)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // faulted runs op on one rank of a "faulty" world of eng, through a sieve
 // and a pack buffer far smaller than its accesses, and returns its error.
 func faulted(t *testing.T, eng Engine, op func(r rank) error) (err error) {
-	world{P: 1, backend: "faulty", opts: Options{Engine: eng, SieveBufSize: 64, PackBufSize: 32}}.run(t, nil, func(r rank) { err = op(r) })
+	world{P: 1, backend: "faulty", checked: true, opts: Options{Engine: eng, sieveBufSize: 64, packBufSize: 32}}.run(t, nil, func(r rank) { err = op(r) })
 	return err
 }
 
@@ -72,7 +72,7 @@ func faultCollectiveWrite(t *testing.T, eng Engine, tcp bool) {
 	const P = 4
 	defer testutil.LeakCheck(t)()
 	errs := make([]error, P)
-	world{P: P, tcp: tcp, backend: "faulty", opts: Options{Engine: eng, CollBufSize: 128}}.run(t, nil, func(r rank) {
+	world{P: P, tcp: tcp, backend: "faulty", checked: true, opts: Options{Engine: eng, collBufSize: 128}}.run(t, nil, func(r rank) {
 		if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, 16, 8)); err != nil {
 			panic(err)
 		}

@@ -78,7 +78,7 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 			return storage.ReadFull(f.sh.b, buf[m0:m0+d], start)
 		}
 		// nc-c: stage through the pack buffer.
-		pb := f.bp.Get(int(min(int64(f.opts.PackBufSize), d)))
+		pb := f.bp.Get(int(min(int64(f.opts.packBufSize), d)))
 		defer f.bp.Put(pb)
 		for done := int64(0); done < d; {
 			n := min(int64(len(pb)), d-done)
@@ -111,7 +111,7 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 		return f.transferDirect(d0, d, buf, mem, memContig, write)
 	}
 
-	win := f.bp.Get(int(min(int64(f.opts.SieveBufSize), hi-lo)))
+	win := f.bp.Get(int(min(int64(f.opts.sieveBufSize), hi-lo)))
 	defer f.bp.Put(win)
 	// The pack buffer of a staged nc-nc access is borrowed by the first
 	// window that needs it; a fused access never does.
@@ -201,7 +201,7 @@ func (f *File) moveWindow(w []byte, winLo, dv, n int64, buf []byte, mem *memStat
 	case vc.copyUser(w, n, winLo, buf, mem, skip, write):
 	default:
 		if *pb == nil {
-			*pb = f.bp.Get(f.opts.PackBufSize)
+			*pb = f.bp.Get(f.opts.packBufSize)
 		}
 		for m := int64(0); m < n; m += int64(len(*pb)) {
 			cb := (*pb)[:min(int64(len(*pb)), n-m)]
@@ -243,7 +243,7 @@ func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig 
 	inPlace := memContig || vc.fuses(mem)
 	chunk := d
 	if !inPlace {
-		chunk = int64(f.opts.PackBufSize)
+		chunk = int64(f.opts.packBufSize)
 	}
 	for m := int64(0); m < d; m += chunk {
 		pb, err := f.moveOwn(vc, acc, d0+m, d0+min(m+chunk, d), inPlace, false, trace.NoWindow)
@@ -267,7 +267,7 @@ func (f *File) transferView(d0, d int64, buf []byte, mem *memState, memContig bo
 	var pb []byte
 	chunk := d
 	if !memContig {
-		pb = f.bp.Get(int(min(int64(f.opts.PackBufSize), d)))
+		pb = f.bp.Get(int(min(int64(f.opts.packBufSize), d)))
 		defer f.bp.Put(pb)
 		chunk = int64(len(pb))
 	}

@@ -14,7 +14,7 @@ import (
 // Integration tests across storage backends and option combinations.
 
 func TestFileBackendEndToEnd(t *testing.T) {
-	world{P: 4, backend: "file", opts: Options{Engine: Listless, CollBufSize: 4096}}.roundTrip(t, access{view: fig4(4, 64, 32), d: 64 * 32})
+	world{P: 4, backend: "file", opts: Options{Engine: Listless, collBufSize: 4096}}.roundTrip(t, access{view: fig4(4, 64, 32), d: 64 * 32})
 }
 
 // TestThrottledBackendEndToEnd: the per-call latency of a slow file
@@ -23,7 +23,7 @@ func TestFileBackendEndToEnd(t *testing.T) {
 // backend call they made.
 func TestThrottledBackendEndToEnd(t *testing.T) {
 	start := time.Now()
-	res := world{P: 2, backend: "throttled", opts: Options{SieveBufSize: 4096}}.roundTrip(t, access{view: fig4(2, 1024, 8), d: 1024 * 8, indep: true})
+	res := world{P: 2, backend: "throttled", opts: Options{sieveBufSize: 4096}}.roundTrip(t, access{view: fig4(2, 1024, 8), d: 1024 * 8, indep: true})
 	calls := res.inst.Reads + res.inst.Writes
 	if d, want := time.Since(start), time.Duration(calls)*50*time.Microsecond-200*time.Microsecond; calls < 8 || d < want {
 		t.Fatalf("%d backend calls took %v, want at least %v: latency not charged", calls, d, want)
@@ -81,7 +81,7 @@ func TestBigBlocksWithTinyBuffers(t *testing.T) {
 	mt := hvecBytes(4, 128, 160)
 	for _, eng := range engines {
 		for _, indep := range []bool{true, false} {
-			world{P: 2, opts: Options{Engine: eng, SieveBufSize: 48, PackBufSize: 16, CollBufSize: 64}}.roundTrip(t,
+			world{P: 2, opts: Options{Engine: eng, sieveBufSize: 48, packBufSize: 16, collBufSize: 64}}.roundTrip(t,
 				access{view: fig4(2, 4, 128), d: 4 * 128, indep: indep, mem: func(int) *datatype.Type { return mt }})
 		}
 	}
@@ -94,7 +94,7 @@ func TestManySmallIndependentAccesses(t *testing.T) {
 	full := pattern(5, 64*8)
 	o := flat(view, nil, 0, [][]byte{full})
 	for _, eng := range engines {
-		res := world{P: 1, opts: Options{Engine: eng, SieveBufSize: 128}}.run(t, o.file, func(r rank) {
+		res := world{P: 1, opts: Options{Engine: eng, sieveBufSize: 128}}.run(t, o.file, func(r rank) {
 			_, ft := view(0)
 			if err := r.f.SetView(0, datatype.Byte, ft); err != nil {
 				panic(err)
@@ -118,7 +118,7 @@ func TestManySmallIndependentAccesses(t *testing.T) {
 
 // TestTwoWorldsTwoFiles: two worlds run at once in one process, each
 // with its own Shared over its own Mem, and both draw on the process-wide
-// program cache and buffer pool (Options.Pool nil).  Each file must hold
+// program cache and buffer pool (Options.pool nil).  Each file must hold
 // its own world's bytes and nothing of the other's.
 func TestTwoWorldsTwoFiles(t *testing.T) {
 	const P, d = 2, 16 * 8
@@ -132,7 +132,7 @@ func TestTwoWorldsTwoFiles(t *testing.T) {
 				defer wg.Done()
 				sh := NewShared(backends[g])
 				_, errs[g] = mpi.Run(P, func(p *mpi.Proc) {
-					f, err := Open(p, sh, Options{Engine: eng, CollBufSize: 64})
+					f, err := Open(p, sh, Options{Engine: eng, collBufSize: 64})
 					if err != nil {
 						panic(err)
 					}

@@ -66,7 +66,7 @@ func TestLoanSpansAViewGap(t *testing.T) {
 			}
 			oracles[round] = flat(c.view, func(int) *datatype.Type { return c.mem }, 0, data)
 		}
-		res := world{P: P, checked: true, opts: Options{CollBufSize: 2048}}.run(t, oracles[0].file, func(r rank) {
+		res := world{P: P, checked: true, opts: Options{collBufSize: 2048}}.run(t, oracles[0].file, func(r rank) {
 			rk := r.p.Rank()
 			disp, ft := c.view(rk)
 			if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
@@ -113,7 +113,7 @@ func TestLentReadFaultEndsTheLoan(t *testing.T) {
 		checkLeaks := testutil.LeakCheck(t)
 		o := g.oracle(0)
 		errs := make([]error, g.P)
-		world{P: g.P, backend: "faulty", checked: true, opts: Options{CollBufSize: g.collBuf}}.run(t, nil, func(r rank) {
+		world{P: g.P, backend: "faulty", checked: true, opts: Options{collBufSize: g.collBuf}}.run(t, nil, func(r rank) {
 			rk := r.p.Rank()
 			disp, ft := g.view(rk)
 			if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
@@ -177,7 +177,7 @@ func TestLentReadDrawsNoChunk(t *testing.T) {
 			bp := pool.NewChecked()
 			var gets [2]int64
 			var allocs [2]float64
-			world{P: P, tcp: tcp, opts: Options{CollBufSize: c.collBuf, Pool: bp}}.run(t, nil, func(r rank) {
+			world{P: P, tcp: tcp, opts: Options{collBufSize: c.collBuf, pool: bp}}.run(t, nil, func(r rank) {
 				disp, ft := stridedView(P, c.large*c.block/fileRun, fileRun, fileRun)(r.p.Rank())
 				if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
 					panic(err)
@@ -313,7 +313,7 @@ func TestOverlappingReadDestination(t *testing.T) {
 			collBuf = 2 * block
 		}
 		for _, tcp := range []bool{false, true} {
-			world{P: P, tcp: tcp, checked: true, opts: Options{CollBufSize: int(collBuf)}}.run(t, nil, func(r rank) {
+			world{P: P, tcp: tcp, checked: true, opts: Options{collBufSize: int(collBuf)}}.run(t, nil, func(r rank) {
 				disp, ft := view(r.p.Rank())
 				if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
 					panic(err)

@@ -19,7 +19,7 @@ func TestCollectiveBackendMatrix(t *testing.T) {
 	const P, blockcount, blocklen, off = 3, 40, 16, 96
 	for _, backend := range []string{"mem", "throttled", "striped", "faulty"} {
 		for _, eng := range engines {
-			res := world{P: P, backend: backend, opts: Options{Engine: eng, CollBufSize: 192}}.roundTrip(t,
+			res := world{P: P, backend: backend, opts: Options{Engine: eng, collBufSize: 192}}.roundTrip(t,
 				access{view: fig4(P, blockcount, blocklen), d: blockcount*blocklen - off, off: off})
 			if res.stats.WindowsOverlapped == 0 {
 				t.Errorf("%s/%v: overlapped no windows", backend, eng)
@@ -37,7 +37,7 @@ func TestPipelinedFaultPropagates(t *testing.T) {
 	for _, eng := range engines {
 		checkLeaks := testutil.LeakCheck(t)
 		errs := make([]error, P)
-		world{P: P, backend: "faulty", opts: Options{Engine: eng, CollBufSize: 128}}.run(t, nil, func(r rank) {
+		world{P: P, backend: "faulty", checked: true, opts: Options{Engine: eng, collBufSize: 128}}.run(t, nil, func(r rank) {
 			if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, 32, 16)); err != nil {
 				panic(err)
 			}

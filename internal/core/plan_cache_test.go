@@ -123,7 +123,7 @@ func TestFusedPlansFollowTheirKeys(t *testing.T) {
 func runPlanPhases(t *testing.T, P int, phases []planPhase) {
 	t.Helper()
 	const rounds = 4
-	world{P: P, checked: true, opts: Options{CollBufSize: 4096}}.run(t, nil, func(r rank) {
+	world{P: P, checked: true, opts: Options{collBufSize: 4096}}.run(t, nil, func(r rank) {
 		rk := r.p.Rank()
 		for ph, phase := range phases {
 			if ph == 0 || phase.setView {
@@ -195,7 +195,7 @@ func TestFusedPlansAllocateNothingSteady(t *testing.T) {
 	var perOp [2][2]float64                 // [small, large][write, read]
 	for i, blocks := range []int{64, 256} { // about 8 and 32 KiB of data over 2 ranks' worth of file
 		views := irrViews(2, blocks, 5)
-		world{P: 1, opts: Options{CollBufSize: win}}.run(t, nil, func(r rank) {
+		world{P: 1, opts: Options{collBufSize: win}}.run(t, nil, func(r rank) {
 			disp, ft := views(0)
 			if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
 				panic(err)

@@ -128,7 +128,7 @@ func TestProgramSteadyStateZeroAlloc(t *testing.T) {
 	const dLarge = int64(16 * allocWinSize / 2)
 	const winSmall, winLarge = 4, 16
 
-	world{P: 1, opts: Options{Engine: Listless, CollBufSize: allocWinSize}}.run(t, nil, func(r rank) {
+	world{P: 1, opts: Options{Engine: Listless, collBufSize: allocWinSize}}.run(t, nil, func(r rank) {
 		f := r.f
 		if err := allocView(f, dLarge/allocBlocklen); err != nil {
 			panic(err)

@@ -86,7 +86,7 @@ func TestQuickProgramCollective(t *testing.T) {
 						base, collBuf = declinedView, 16*collBuf
 					}
 					checkLeaks := testutil.LeakCheck(t)
-					res := world{P: P, tcp: tcp, checked: true, opts: Options{Engine: eng, CollBufSize: collBuf}}.roundTrip(t, access{view: diffViews(base, P),
+					res := world{P: P, tcp: tcp, checked: true, opts: Options{Engine: eng, collBufSize: collBuf}}.roundTrip(t, access{view: diffViews(base, P),
 						d: 2*base.Size() + 1 + extra, seed: int(seed), check: func(r rank) {
 							if e, ok := r.f.eng.(*listlessEngine); ok && (e.prog == nil) != declined {
 								panic(fmt.Sprintf("rank %d: own view compiled: %v", r.p.Rank(), e.prog != nil))
@@ -115,7 +115,7 @@ func TestProgramMemtypeRoundTrip(t *testing.T) {
 	elem := holeyDouble()
 	for _, indep := range []bool{true, false} {
 		for _, eng := range engines {
-			res := world{P: 2, opts: Options{Engine: eng, CollBufSize: 128, SieveBufSize: 96, PackBufSize: 64}}.roundTrip(t, access{view: fig4(2, 16, 8),
+			res := world{P: 2, opts: Options{Engine: eng, collBufSize: 128, sieveBufSize: 96, packBufSize: 64}}.roundTrip(t, access{view: fig4(2, 16, 8),
 				mem: func(int) *datatype.Type { return elem }, d: count * elem.Size(), indep: indep, check: func(r rank) {
 					if eng == ListBased && len(r.f.eng.newMemState(elem, count).list) == 0 {
 						panic("list-based: the memtype was not flattened into tuples")

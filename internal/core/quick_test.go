@@ -21,10 +21,7 @@ func TestQuickCrossEngineEquivalence(t *testing.T) {
 		blockcount, blocklen := int64(1+r.Intn(40)), int64(1+r.Intn(48))
 		collective := r.Intn(2) == 1
 		off := r.Int63n(max(blockcount*blocklen/2, 1))
-		opts := Options{SieveBufSize: 32 + r.Intn(512), PackBufSize: 16 + r.Intn(256), CollBufSize: 64 + r.Intn(1024)}
-		if r.Intn(2) == 1 && P > 1 {
-			opts.IONodes = 1 + r.Intn(P)
-		}
+		opts := Options{sieveBufSize: 32 + r.Intn(512), packBufSize: 16 + r.Intn(256), collBufSize: 64 + r.Intn(1024)}
 		for _, eng := range engines {
 			opts.Engine = eng
 			world{P: P, opts: opts}.roundTrip(t, access{view: fig4(P, blockcount, blocklen), d: blockcount*blocklen - off, off: off,
@@ -49,7 +46,7 @@ func TestQuickRandomFiletypesIndependent(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		ft := datatypetest.RandomFiletype(r, 3)
 		off := r.Int63n(ft.Size())
-		opts := Options{SieveBufSize: 16 + r.Intn(128), PackBufSize: 16 + r.Intn(64)}
+		opts := Options{sieveBufSize: 16 + r.Intn(128), packBufSize: 16 + r.Intn(64)}
 		for _, eng := range engines {
 			opts.Engine = eng
 			world{P: 1, opts: opts}.roundTrip(t, access{view: func(int) (int64, *datatype.Type) { return 0, ft }, d: 3 * ft.Size(), off: off,
@@ -72,7 +69,6 @@ func TestQuickRandomFiletypesIndependent(t *testing.T) {
 type diffCase struct {
 	engine      Engine
 	P           int
-	ioNodes     int  // 0: every rank is an IOP; below P, the last ranks have no self share
 	tcp         bool // ranks over local TCP sockets
 	tier        bool // two I/O servers: epoch commit, registered views
 	declined    bool // both types decline compilation (declinedType): the walk, staged
@@ -80,7 +76,7 @@ type diffCase struct {
 }
 
 func (c diffCase) String() string {
-	return fmt.Sprintf("%s/P=%d/ionodes=%d/tcp=%v/tier=%v/declined=%v/independent=%v", c.engine, c.P, c.ioNodes, c.tcp, c.tier, c.declined, c.independent)
+	return fmt.Sprintf("%s/P=%d/tcp=%v/tier=%v/declined=%v/independent=%v", c.engine, c.P, c.tcp, c.tier, c.declined, c.independent)
 }
 
 // diffViews is P views of base, rank k's displaced by k base extents,
@@ -125,9 +121,8 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 		{engine: ListBased, P: 4}, {engine: ListBased, P: 4, tcp: true},
 		{engine: Listless, P: 1}, {engine: Listless, P: 2}, {engine: Listless, P: 3},
 		{engine: Listless, P: 2, tcp: true},
-		{engine: Listless, P: 2, ioNodes: 1}, {engine: Listless, P: 3, ioNodes: 2},
-		{engine: Listless, P: 3, ioNodes: 2, declined: true}, {engine: Listless, P: 2, tcp: true, declined: true},
-		{engine: ListBased, P: 3, ioNodes: 2},
+		{engine: Listless, P: 3, declined: true}, {engine: Listless, P: 2, tcp: true, declined: true},
+		{engine: ListBased, P: 3},
 		{engine: Listless, P: 2, tier: true}, {engine: ListBased, P: 2, tier: true},
 		{engine: Listless, P: 2, tier: true, declined: true},
 		{engine: Listless, P: 1, independent: true}, {engine: Listless, P: 2, independent: true},
@@ -141,9 +136,9 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 		w := world{P: c.P, tcp: c.tcp, checked: true, opts: opts, unit: 32}
 		if c.declined {
 			base, mt = declined[0], declined[1]
-			w.opts.CollBufSize, w.opts.SieveBufSize, w.opts.PackBufSize, w.unit = 16*opts.CollBufSize, 16*opts.SieveBufSize, 16*opts.PackBufSize, 16*w.unit
+			w.opts.collBufSize, w.opts.sieveBufSize, w.opts.packBufSize, w.unit = 16*opts.collBufSize, 16*opts.sieveBufSize, 16*opts.packBufSize, 16*w.unit
 		}
-		w.opts.Engine, w.opts.IONodes = c.engine, c.ioNodes
+		w.opts.Engine = c.engine
 		if c.tier {
 			w.backend = "tier"
 		}
@@ -162,7 +157,7 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 		extra := r.Int63n(base.Size())
 		declined := [2]*datatype.Type{declinedType(t, base), declinedType(t, mt)}
 		for _, c := range cells {
-			cell(c, base, mt, declined, extra, Options{CollBufSize: 64 + r.Intn(256), SieveBufSize: 32 + r.Intn(256), PackBufSize: 16 + r.Intn(128)})
+			cell(c, base, mt, declined, extra, Options{collBufSize: 64 + r.Intn(256), sieveBufSize: 32 + r.Intn(256), packBufSize: 16 + r.Intn(128)})
 		}
 	}
 
@@ -187,7 +182,7 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 			if c.independent || c.P > 3 {
 				continue
 			}
-			st := cell(c, base, mt, declined, extra, Options{CollBufSize: 20000 + r.Intn(20000)})
+			st := cell(c, base, mt, declined, extra, Options{collBufSize: 20000 + r.Intn(20000)})
 			if direct := st.DirectWrites > 0 && st.DirectReads > 0; direct != (c.engine == Listless && !c.declined) {
 				t.Fatalf("page-scale %d cell %s: direct windows: %v (%d writes, %d reads)", i, c, direct, st.DirectWrites, st.DirectReads)
 			}

@@ -28,7 +28,7 @@ func TestRemoteStorageMatrixByteIdentical(t *testing.T) {
 			defer testutil.LeakCheck(t)()
 			fdBefore := testutil.FDCount(t)
 			for _, w := range []world{{backend: "mem"}, {backend: "tier", servers: 1, unit: 32}, {backend: "tier", servers: 3, unit: 32}} {
-				w.P, w.tcp, w.opts = 4, true, Options{Engine: eng, CollBufSize: 128}
+				w.P, w.tcp, w.opts = 4, true, Options{Engine: eng, collBufSize: 128}
 				w.roundTrip(t, access{view: fig4(4, 16, 8), d: 128})
 			}
 			if fdAfter := testutil.FDCount(t); fdBefore >= 0 && fdAfter > fdBefore {
@@ -114,7 +114,7 @@ func TestRemoteConcurrentMounts(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			_, errs[w] = mpi.Run(P, func(p *mpi.Proc) {
-				f, err := Open(p, sh, Options{CollBufSize: 128})
+				f, err := Open(p, sh, Options{collBufSize: 128})
 				if err != nil {
 					panic(err)
 				}

@@ -19,7 +19,7 @@ func TestTracedPipelinedCollective(t *testing.T) {
 	for _, eng := range engines {
 		const P = 4
 		col := trace.NewCollector(trace.DefaultBufSize)
-		world{P: P, trace: col, opts: Options{Engine: eng, CollBufSize: 192}}.roundTrip(t, access{view: fig4(P, 40, 16), d: 40 * 16})
+		world{P: P, trace: col, opts: Options{Engine: eng, collBufSize: 192}}.roundTrip(t, access{view: fig4(P, 40, 16), d: 40 * 16})
 		ranks := map[int]bool{}
 		perPhase := map[trace.Phase]int{}
 		ioTrack := map[trace.Phase]int{}
@@ -68,7 +68,7 @@ func TestTracedCollectiveFaultInstant(t *testing.T) {
 	const P = 4
 	col := trace.NewCollector(trace.DefaultBufSize)
 	errs := make([]error, P)
-	world{P: P, trace: col, backend: "faulty", opts: Options{CollBufSize: 128}}.run(t, nil, func(r rank) {
+	world{P: P, trace: col, backend: "faulty", checked: true, opts: Options{collBufSize: 128}}.run(t, nil, func(r rank) {
 		if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, 32, 16)); err != nil {
 			panic(err)
 		}
@@ -119,7 +119,7 @@ func TestIndependentSieveAccountsItsPhases(t *testing.T) {
 		}
 		col := trace.NewCollector(trace.DefaultBufSize)
 		var st Stats
-		world{P: 1, trace: col, opts: Options{SieveBufSize: sieveBuf}}.run(t, nil, func(r rank) {
+		world{P: 1, trace: col, opts: Options{sieveBufSize: sieveBuf}}.run(t, nil, func(r rank) {
 			f := r.f
 			if err := f.SetView(0, datatype.Byte, ft); err != nil {
 				panic(err)

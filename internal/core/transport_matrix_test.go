@@ -30,7 +30,7 @@ func TestTransportMatrixByteIdentical(t *testing.T) {
 			fdBefore := testutil.FDCount(t)
 			var comm [2]mpi.Stats
 			for i, tcp := range []bool{false, true} {
-				comm[i] = world{P: 4, tcp: tcp, opts: Options{Engine: eng, CollBufSize: 128}}.roundTrip(t, access{view: fig4(4, 16, 8), d: 128}).comm
+				comm[i] = world{P: 4, tcp: tcp, opts: Options{Engine: eng, collBufSize: 128}}.roundTrip(t, access{view: fig4(4, 16, 8), d: 128}).comm
 			}
 			loop, tcp := comm[0], comm[1]
 			if loop.Messages == 0 || loop.Bytes == 0 || tcp.Messages == 0 || tcp.Bytes == 0 {
@@ -88,7 +88,7 @@ func TestSelfShareStaysOffTheFabric(t *testing.T) {
 			if staged {
 				fts[0], fts[1] = views, declined
 			}
-			comm[i] = world{P: P, tcp: c.tcp, opts: Options{CollBufSize: collBuf}}.roundTrip(t, access{before: fts[0], view: fts[1], mem: mem, d: d}).comm
+			comm[i] = world{P: P, tcp: c.tcp, opts: Options{collBufSize: collBuf}}.roundTrip(t, access{before: fts[0], view: fts[1], mem: mem, d: d}).comm
 		}
 		fused, staged := comm[0], comm[1]
 		const ops = 2 // one write, one read
@@ -131,7 +131,7 @@ func TestLentSharesCrossNoFabricCopy(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		var c [2]mpi.Stats
 		for i, mt := range []*datatype.Type{hvecBytes(runs, run, 2*run), holeyDouble()} {
-			c[i] = world{P: P, tcp: tcp, checked: true, opts: Options{CollBufSize: collBuf}}.roundTrip(t, access{view: stridedView(P, d/fileRun, fileRun, fileRun),
+			c[i] = world{P: P, tcp: tcp, checked: true, opts: Options{collBufSize: collBuf}}.roundTrip(t, access{view: stridedView(P, d/fileRun, fileRun, fileRun),
 				d: d, mem: func(int) *datatype.Type { return mt }}).comm
 		}
 		comm[tcp] = c
@@ -183,7 +183,7 @@ func TestFaultAgreementDelayedLink(t *testing.T) {
 				t.Run(fmt.Sprintf("P=%d/%v/%s", P, eng, op), func(t *testing.T) {
 					defer testutil.LeakCheck(t)()
 					errs := make([]error, P)
-					res := world{P: P, tcp: true, backend: "faulty", opts: Options{Engine: eng, CollBufSize: 128}, link: func(eps []transport.Transport) {
+					res := world{P: P, tcp: true, backend: "faulty", checked: true, opts: Options{Engine: eng, collBufSize: 128}, link: func(eps []transport.Transport) {
 						eps[1] = transporttest.Delay(eps[1], P-1, 10*time.Millisecond)
 					}}.run(t, bytes.Repeat([]byte{background}, len(o.file)), func(r rank) {
 						if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, blockcount, blocklen)); err != nil {
@@ -278,7 +278,7 @@ func TestTransportSharedFileRanks(t *testing.T) {
 	for _, eng := range []Engine{ListBased, Listless} {
 		t.Run(eng.String(), func(t *testing.T) {
 			defer testutil.LeakCheck(t)()
-			world{P: 4, tcp: true, backend: "shared-file", opts: Options{Engine: eng, CollBufSize: 128}}.roundTrip(t, access{view: fig4(4, 16, 8), d: 16 * 8})
+			world{P: 4, tcp: true, backend: "shared-file", opts: Options{Engine: eng, collBufSize: 128}}.roundTrip(t, access{view: fig4(4, 16, 8), d: 16 * 8})
 		})
 	}
 }

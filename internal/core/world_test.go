@@ -242,7 +242,7 @@ type world struct {
 	tier          *tier                           // set: the "tier", which the caller closes
 	link          func(eps []transport.Transport) // set: wraps the endpoints, for a slow link
 	trace         *trace.Collector
-	// checked: with opts.Pool nil the world runs on a checked pool of its
+	// checked: with opts.pool nil the world runs on a checked pool of its
 	// own, which poisons every buffer put back and panics on a second put
 	// or a use after one, not on the process-wide pool.
 	checked  bool
@@ -279,7 +279,7 @@ type ran struct {
 // run writes bg over the backend, then runs body on every rank of the
 // world, each through a File it opened over the backend and closes after
 // body.  A checked pool of the world's own must be balanced afterwards on
-// the loopback, where no link draws from it, and with no fault injected:
+// the loopback, where no link draws from it, faults injected or not:
 // every buffer taken was put back.
 func (w world) run(t testing.TB, bg []byte, body func(r rank)) ran {
 	t.Helper()
@@ -360,10 +360,10 @@ func (w world) run(t testing.TB, bg []byte, body func(r rank)) ran {
 		}
 	}
 	opts, links := w.opts, transport.TCPConfig{}
-	if opts.Pool == nil && w.checked {
-		opts.Pool = pool.NewChecked()
+	if opts.pool == nil && w.checked {
+		opts.pool = pool.NewChecked()
 		if w.linkPool {
-			links.Pool = opts.Pool
+			links.Pool = opts.pool
 		}
 	}
 	opts.Trace = w.trace
@@ -397,8 +397,8 @@ func (w world) run(t testing.TB, bg []byte, body func(r rank)) ran {
 	if inst != nil {
 		res.inst = inst.Stats()
 	}
-	if w.opts.Pool == nil && w.checked && !w.tcp && w.backend != "faulty" {
-		if ps := opts.Pool.Stats(); ps.Gets != ps.Puts {
+	if w.opts.pool == nil && w.checked && !w.tcp {
+		if ps := opts.pool.Stats(); ps.Gets != ps.Puts {
 			t.Errorf("world %+v: %d buffers taken from the pool, %d put back", w, ps.Gets, ps.Puts)
 		}
 	}

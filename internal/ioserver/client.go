@@ -39,7 +39,6 @@ type View struct {
 // Safe for concurrent use; round-trips serialize on one mutex.
 type Client struct {
 	addr      string
-	maxFrame  int
 	timeout   time.Duration
 	wireChaos *transport.WireChaosConfig
 
@@ -108,10 +107,6 @@ func newRequest(n int) []byte { return framePool.Get(headRoom + n)[:headRoom] }
 
 // ClientOptions tune a client; the zero value is ready to use.
 type ClientOptions struct {
-	// MaxFrame bounds frame payloads (<= 0 selects the transport
-	// default); it must be at least the server's to read large
-	// responses.
-	MaxFrame int
 	// Timeout bounds each dial and each round-trip (default 30s).
 	Timeout time.Duration
 	// WireChaos, when enabled, wraps every dialed connection in a
@@ -124,15 +119,11 @@ type ClientOptions struct {
 // NewClient builds a client for the server at addr.  The connection is
 // established lazily on first use.
 func NewClient(addr string, opts ClientOptions) *Client {
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = transport.DefaultMaxFrame
-	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 30 * time.Second
 	}
 	return &Client{
 		addr:      addr,
-		maxFrame:  opts.MaxFrame,
 		timeout:   opts.Timeout,
 		wireChaos: opts.WireChaos,
 		views:     make(map[*View]uint64),
@@ -187,7 +178,7 @@ func (c *Client) connectLocked() error {
 	if c.wireChaos.Enabled() {
 		wc = transport.NewChaosConn(conn, c.wireChaos, "client-"+c.addr)
 	}
-	c.fc = transport.NewFrameConn(wc, c.maxFrame)
+	c.fc = transport.NewFrameConn(wc, transport.DefaultMaxFrame)
 	c.fresh = true
 	return nil
 }
@@ -451,7 +442,7 @@ func (c *Client) clipList(segs []storage.Segment) []storage.Segment {
 	var bytes int
 	for i := 0; i < n; i++ {
 		bytes += len(segs[i].Buf)
-		if i > 0 && bytes+16*(i+1) > c.maxFrame {
+		if i > 0 && bytes+16*(i+1) > transport.DefaultMaxFrame {
 			return segs[:i]
 		}
 	}

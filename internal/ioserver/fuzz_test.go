@@ -19,7 +19,7 @@ import (
 // correctly framed requests with fuzzed payloads (truncated varint
 // fields, oversized lists, unknown ops, stale handles, garbage datatype
 // trees) and raw unframed garbage.  The server must never panic, never
-// allocate beyond its MaxFrame bound (enforced structurally: the run
+// allocate beyond its frame bound (enforced structurally: the run
 // uses a 4 KiB frame limit, so an over-allocation shows up as an
 // obvious hang/OOM under the fuzzer), answer every well-framed bad
 // request with a typed opErr frame, and stay serviceable afterwards.
@@ -97,8 +97,8 @@ func fuzzServer(f *testing.F) string {
 			Backend:   boundedMem{mem, 1 << 20},
 			Geom:      storage.StripeGeom{Unit: 64, Count: 2},
 			Index:     0,
-			MaxFrame:  fuzzMaxFrame,
-			ViewCache: 2,
+			maxFrame:  fuzzMaxFrame,
+			viewCache: 2,
 		})
 		if err != nil {
 			f.Fatal(err)
@@ -154,7 +154,7 @@ func FuzzServerRequest(f *testing.F) {
 	// Register, then read a range whose file offsets would wrap int64.
 	f.Add(append(seedReq(opRegister, reg), seedReq(opViewRead, vs(1, 1<<62, 1<<62+16))...))
 	// Raw-phase shapes: a hostile length header (payload length field
-	// far beyond MaxFrame) and assorted garbage.
+	// far beyond the frame bound) and assorted garbage.
 	hostile := make([]byte, 12)
 	binary.LittleEndian.PutUint32(hostile[0:4], 0xfffffff0)
 	f.Add(hostile)

@@ -165,7 +165,7 @@ func runStorm(t *testing.T, eng core.Engine, be storage.Backend, roundCh chan<- 
 	sh := core.NewShared(be)
 	var committed int64
 	_, err := mpi.RunWithOptions(krRanks, mpi.RunOptions{StallTimeout: 60 * time.Second}, func(p *mpi.Proc) {
-		f, err := core.Open(p, sh, core.Options{Engine: eng, CollBufSize: 128})
+		f, err := core.Open(p, sh, core.Options{Engine: eng})
 		if err != nil {
 			panic(err)
 		}
@@ -210,10 +210,9 @@ func startHelperPool(t *testing.T, dir string, nSrv int, lfs []*os.File, onResta
 		t.Fatal(err)
 	}
 	pool, err := transport.StartServerPool(transport.ServerPoolOptions{
-		Listeners:      lfs,
-		MaxRestarts:    5,
-		RestartBackoff: 20 * time.Millisecond,
-		OnRestart:      onRestart,
+		Listeners:   lfs,
+		MaxRestarts: 5,
+		OnRestart:   onRestart,
 		StartProc: func(idx int, listener *os.File) (*exec.Cmd, error) {
 			cmd := exec.Command(exe)
 			cmd.Env = append(os.Environ(),
@@ -235,7 +234,7 @@ func startHelperPool(t *testing.T, dir string, nSrv int, lfs []*os.File, onResta
 }
 
 // mountResilient mounts the servers with a retry budget generous enough
-// to ride out a restart (pool backoff 20ms, doubling, vs ~2s of total
+// to ride out a restart (pool backoff 50ms, doubling, vs ~2s of total
 // retry window here).
 func mountResilient(t *testing.T, addrs []string) (*Striped, storage.Backend) {
 	t.Helper()

@@ -45,7 +45,7 @@ func TestOpTable(t *testing.T) {
 // reads back, and every proper prefix of it is a truncated payload —
 // never a panic, never another value.
 func TestWireShapes(t *testing.T) {
-	srv, err := New(Config{Backend: storage.NewMem(), Geom: storage.StripeGeom{Unit: 64, Count: 3}, MaxFrame: 1 << 20})
+	srv, err := New(Config{Backend: storage.NewMem(), Geom: storage.StripeGeom{Unit: 64, Count: 3}, maxFrame: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,15 +28,6 @@ type Config struct {
 	// StripeGeom arithmetic is what keeps them agreeing on ownership.
 	Geom  storage.StripeGeom
 	Index int
-	// MaxFrame bounds request and response payloads (<= 0 selects
-	// transport.DefaultMaxFrame).  Header lengths are validated against
-	// it before any allocation.
-	MaxFrame int
-	// ViewCache is the per-connection registered-view LRU capacity
-	// (<= 0 selects DefaultViewCache).  Evicted handles answer
-	// subsequent view requests with a stale-handle error, which clients
-	// repair by re-registering.
-	ViewCache int
 	// Tracer, when non-nil, records request spans and view-cache
 	// events.
 	Tracer *trace.Tracer
@@ -50,6 +41,15 @@ type Config struct {
 	// recovery found; its counts fold into Stats so op=stats reflects
 	// crash-consistency activity across restarts.
 	Recovery RecoveryInfo
+
+	// maxFrame bounds request and response payloads (0 selects
+	// transport.DefaultMaxFrame); header lengths are validated against
+	// it before any allocation.  viewCache is the per-connection
+	// registered-view LRU capacity (0 selects DefaultViewCache); evicted
+	// handles answer later view requests with a stale-handle error,
+	// which clients repair by re-registering.  Both are this package's
+	// tests' seams, lowered to reach the limits with small requests.
+	maxFrame, viewCache int
 }
 
 // Server serves one stripe of a file to any number of client
@@ -66,7 +66,7 @@ type Server struct {
 
 	cfg         Config
 	snd         storage.Sender // cfg.Backend's send extension, nil when it has none
-	lim         bounds         // what requests are held against: cfg.MaxFrame and cfg.Geom's offset space
+	lim         bounds         // what requests are held against: cfg.maxFrame and cfg.Geom's offset space
 	journal     *Journal
 	incarnation int64 // instance id, fresh per process start
 
@@ -104,11 +104,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Index < 0 || cfg.Index >= cfg.Geom.Count {
 		return nil, fmt.Errorf("ioserver: stripe index %d out of range [0,%d)", cfg.Index, cfg.Geom.Count)
 	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = transport.DefaultMaxFrame
+	if cfg.maxFrame <= 0 {
+		cfg.maxFrame = transport.DefaultMaxFrame
 	}
-	if cfg.ViewCache <= 0 {
-		cfg.ViewCache = DefaultViewCache
+	if cfg.viewCache <= 0 {
+		cfg.viewCache = DefaultViewCache
 	}
 	j := cfg.Journal
 	if j == nil {
@@ -116,7 +116,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:          cfg,
-		lim:          bounds{maxFrame: int64(cfg.MaxFrame), maxLocal: max(math.MaxInt64/int64(cfg.Geom.Count)-cfg.Geom.Unit, 0)},
+		lim:          bounds{maxFrame: int64(cfg.maxFrame), maxLocal: max(math.MaxInt64/int64(cfg.Geom.Count)-cfg.Geom.Unit, 0)},
 		journal:      j,
 		incarnation:  time.Now().UnixNano(),
 		locks:        storage.NewLockTable(),
@@ -302,7 +302,7 @@ type sendOut struct {
 func (s *Server) handleConn(conn net.Conn) {
 	st := &connState{
 		srv:   s,
-		fc:    transport.NewFrameConn(conn, s.cfg.MaxFrame),
+		fc:    transport.NewFrameConn(conn, s.cfg.maxFrame),
 		views: make(map[uint64]*serverView),
 		byKey: make(map[string]*serverView),
 	}
@@ -602,7 +602,7 @@ func (st *connState) opRegister(_ uint64, payload []byte) ([]byte, error) {
 	st.views[v.handle] = v
 	st.byKey[v.key] = v
 	st.lru = append(st.lru, v)
-	if len(st.lru) > st.srv.cfg.ViewCache {
+	if len(st.lru) > st.srv.cfg.viewCache {
 		old := st.lru[0]
 		st.lru = st.lru[1:]
 		delete(st.views, old.handle)

@@ -224,7 +224,7 @@ func TestViewRoundTrip(t *testing.T) {
 // transparently re-register; registering an identical view again is a
 // cache hit.
 func TestViewCacheHitAndStale(t *testing.T) {
-	agg, servers := startServers(t, 8, 1, func(cfg *Config) { cfg.ViewCache = 1 })
+	agg, servers := startServers(t, 8, 1, func(cfg *Config) { cfg.viewCache = 1 })
 	ftA := viewType(t, 2, 6, 4)
 	ftB := viewType(t, 3, 5, 4)
 

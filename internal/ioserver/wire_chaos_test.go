@@ -22,7 +22,7 @@ import (
 // error, desync, or seal mismatch), heal through reconnect + stage-log
 // replay, and leave the file byte-identical to a fault-free local run.
 // WIRE_CHAOS_SOAK extends the default round budget for a longer soak in
-// the chaos CI job.
+// CI's repeat-count canaries.
 
 // soakWireChaos returns the seeded injection profile of the soak.  The
 // client Timeout below is short so that a dropped request frame costs
@@ -64,7 +64,7 @@ func TestWireChaosSoak(t *testing.T) {
 		t.Helper()
 		sh := core.NewShared(be)
 		_, err := mpi.RunWithOptions(P, mpi.RunOptions{StallTimeout: 120 * time.Second}, func(p *mpi.Proc) {
-			f, err := core.Open(p, sh, core.Options{Engine: eng, CollBufSize: 128})
+			f, err := core.Open(p, sh, core.Options{Engine: eng})
 			if err != nil {
 				panic(err)
 			}

@@ -630,9 +630,10 @@ func (p *Proc) received(msgs, bytes int64) {
 // discarded.  Collective error recovery uses it to clear the in-flight
 // traffic of an abandoned collective so the next one starts with clean
 // inboxes.  Drained messages count as received so the world's
-// send/receive accounting still balances after error recovery.
-func (p *Proc) DrainTag(tag int) int {
-	dropped, bytes := p.ep.DrainTag(tag)
+// send/receive accounting still balances after error recovery.  put, when
+// not nil, receives each discarded payload, so that pooled ones go back.
+func (p *Proc) DrainTag(tag int, put func([]byte)) int {
+	dropped, bytes := p.ep.DrainTag(tag, put)
 	p.received(int64(dropped), bytes)
 	return dropped
 }

@@ -351,7 +351,7 @@ func TestSendRefAccounting(t *testing.T) {
 				}
 			}
 			p.Recv(0, 4) // per-pair FIFO: tag 2 is queued by now
-			if p.DrainTag(2) != 1 {
+			if p.DrainTag(2, nil) != 1 {
 				t.Errorf("tcp=%v: the queued message was not drained", tcp)
 			}
 		})

@@ -151,10 +151,10 @@ func TestDrainTag(t *testing.T) {
 			return
 		}
 		p.Barrier() // all four messages delivered (buffered sends + barrier)
-		if n := p.DrainTag(1); n != 2 {
+		if n := p.DrainTag(1, nil); n != 2 {
 			t.Errorf("drained %d messages with tag 1, want 2", n)
 		}
-		if n := p.DrainTag(1); n != 0 {
+		if n := p.DrainTag(1, nil); n != 0 {
 			t.Errorf("second drain removed %d, want 0", n)
 		}
 		if data, _, _ := p.Recv(0, 2); string(data) != "b" {

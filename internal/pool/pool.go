@@ -20,10 +20,10 @@ import (
 )
 
 // Size classes are powers of two from 512 B to 16 MiB, covering the
-// exchange-chunk sizes (bounded by CollBufSize, default 1 MiB) through
-// the sieve and collective window buffers (default 512 KiB / 1 MiB)
-// with headroom for large CollBufSize configurations.  Requests above
-// the largest class bypass the pool.
+// exchange-chunk sizes (bounded by core's 1 MiB collective window)
+// through the sieve and collective window buffers (512 KiB / 1 MiB)
+// with headroom above them.  Requests above the largest class bypass
+// the pool.
 const (
 	minClassBits = 9  // 512 B
 	maxClassBits = 24 // 16 MiB

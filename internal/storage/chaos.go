@@ -18,9 +18,6 @@ type ChaosConfig struct {
 	// TransientRead / TransientWrite inject a recoverable failure: the
 	// operation does nothing and returns an error wrapping ErrTransient.
 	TransientRead, TransientWrite float64
-	// PermanentRead / PermanentWrite inject a non-recoverable failure
-	// wrapping ErrPermanent.
-	PermanentRead, PermanentWrite float64
 	// ShortRead delivers only a prefix of the requested bytes, with a
 	// transient error reporting the truncation.
 	ShortRead float64
@@ -31,6 +28,11 @@ type ChaosConfig struct {
 	// MaxLatency (default 1ms) before it proceeds.
 	LatencySpike float64
 	MaxLatency   time.Duration
+
+	// permanentRead / permanentWrite inject a non-recoverable failure
+	// wrapping ErrPermanent: this package's tests' seam, since a run
+	// injects only what a Resilient wrapper rides out (TransientOnly).
+	permanentRead, permanentWrite float64
 }
 
 // TransientOnly returns a configuration injecting only recoverable
@@ -147,10 +149,10 @@ func (c *Chaos) intercept(o op, next *layer) result {
 	)
 	switch o.kind.dir() {
 	case dirRead:
-		dir, perm, trans = "read", c.cfg.PermanentRead, c.cfg.TransientRead
+		dir, perm, trans = "read", c.cfg.permanentRead, c.cfg.TransientRead
 		partial, part, parts, partPhase = "short read", c.cfg.ShortRead, &c.shortReads, trace.PhaseChaosShortRead
 	case dirWrite:
-		dir, perm, trans = "write", c.cfg.PermanentWrite, c.cfg.TransientWrite
+		dir, perm, trans = "write", c.cfg.permanentWrite, c.cfg.TransientWrite
 		partial, part, parts, partPhase = "torn write", c.cfg.TornWrite, &c.tornWrites, trace.PhaseChaosTornWrite
 	default:
 		return next.exec(o)

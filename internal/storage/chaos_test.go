@@ -18,8 +18,8 @@ func chaosTrace(seed int64) ([]string, ChaosStats) {
 	c := NewChaos(seed, base, ChaosConfig{
 		TransientRead:  0.2,
 		TransientWrite: 0.2,
-		PermanentRead:  0.05,
-		PermanentWrite: 0.05,
+		permanentRead:  0.05,
+		permanentWrite: 0.05,
 		ShortRead:      0.1,
 		TornWrite:      0.1,
 	})
@@ -74,7 +74,7 @@ func TestChaosClassification(t *testing.T) {
 	if _, err := base.WriteAt(make([]byte, 128), 0); err != nil {
 		t.Fatal(err)
 	}
-	perm := NewChaos(1, base, ChaosConfig{PermanentRead: 1, PermanentWrite: 1})
+	perm := NewChaos(1, base, ChaosConfig{permanentRead: 1, permanentWrite: 1})
 	if _, err := perm.ReadAt(make([]byte, 8), 0); err == nil || IsTransient(err) {
 		t.Errorf("permanent read fault classified wrong: %v", err)
 	}

@@ -22,10 +22,6 @@ type ResilientConfig struct {
 	// retries of concurrent window I/O.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// OpDeadline bounds the total time budget of one operation including
-	// its retries; 0 means unbounded.  An operation gives up early when
-	// the next backoff would overrun the deadline.
-	OpDeadline time.Duration
 	// Seed seeds the jitter source, making retry schedules reproducible
 	// (default 1).
 	Seed int64
@@ -47,8 +43,8 @@ func (c *ResilientConfig) fill() {
 }
 
 // Resilient wraps a Backend with bounded retry of transient failures:
-// exponential backoff with jitter between attempts, an optional per-op
-// deadline, and immediate pass-through of permanent errors.  Reads and
+// exponential backoff with jitter between attempts, and immediate
+// pass-through of permanent errors.  Reads and
 // writes are reissued whole, which is sound because Backend operations
 // are idempotent (positioned reads, positioned full-buffer writes), so a
 // short read or torn write that was reported as a transient error is
@@ -81,7 +77,7 @@ func NewResilient(b Backend, cfg ResilientConfig) *Resilient {
 }
 
 // RetryStats reports the retries performed and the operations abandoned
-// (retry budget or deadline exhausted) since creation.
+// (retry budget exhausted) since creation.
 func (r *Resilient) RetryStats() (retries, exhausted int64) {
 	return r.retries.Load(), r.exhausted.Load()
 }
@@ -116,10 +112,6 @@ func (r *Resilient) instant(ph trace.Phase, off int64, format string, args ...an
 // written a byte it cannot be reissued, because what it wrote is already
 // on its way, and its failure passes through as it came.
 func (r *Resilient) intercept(o op, next *layer) result {
-	var deadline time.Time
-	if r.cfg.OpDeadline > 0 {
-		deadline = time.Now().Add(r.cfg.OpDeadline)
-	}
 	backoff := r.cfg.BaseBackoff
 	for attempt := 0; ; attempt++ {
 		res := next.exec(o)
@@ -139,14 +131,6 @@ func (r *Resilient) intercept(o op, next *layer) result {
 			if backoff > r.cfg.MaxBackoff {
 				backoff = r.cfg.MaxBackoff
 			}
-		}
-		if !deadline.IsZero() && time.Now().Add(delay).After(deadline) {
-			r.exhausted.Add(1)
-			r.instant(trace.PhaseRetryExhausted, o.off, "deadline %v exceeded after %d attempts: %v",
-				r.cfg.OpDeadline, attempt+1, err)
-			res.err = fmt.Errorf("storage: deadline %v exceeded after %d attempts: %w",
-				r.cfg.OpDeadline, attempt+1, err)
-			return res
 		}
 		r.retries.Add(1)
 		r.instant(trace.PhaseRetry, o.off, "attempt %d after %v: %v", attempt+1, delay, err)

@@ -99,33 +99,6 @@ func TestResilientExhaustion(t *testing.T) {
 	}
 }
 
-func TestResilientDeadline(t *testing.T) {
-	fl := &flaky{Mem: NewMem(), failLeft: 1 << 30, err: fmt.Errorf("flap: %w", ErrTransient)}
-	// The first backoff (≥ BaseBackoff/2 = 5ms) already overruns the
-	// 1ms budget, so the op gives up after a single attempt without
-	// sleeping at all.
-	r := NewResilient(fl, ResilientConfig{
-		BaseBackoff: 10 * time.Millisecond,
-		OpDeadline:  time.Millisecond,
-	})
-	var slept time.Duration
-	r.sleep = func(d time.Duration) { slept += d }
-
-	_, err := r.ReadAt(make([]byte, 1), 0)
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v, want transient-classified deadline error", err)
-	}
-	if fl.attempts != 1 {
-		t.Errorf("%d attempts, want 1 before the deadline check", fl.attempts)
-	}
-	if slept != 0 {
-		t.Errorf("slept %v despite the deadline being unpayable", slept)
-	}
-	if _, exhausted := func() (int64, int64) { return r.RetryStats() }(); exhausted != 1 {
-		t.Errorf("exhausted = %d, want 1", exhausted)
-	}
-}
-
 // TestResilientDeterministicSchedule: equal seeds must produce equal
 // retry delay schedules — that is what makes a chaos run replayable.
 func TestResilientDeterministicSchedule(t *testing.T) {

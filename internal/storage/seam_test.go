@@ -370,7 +370,7 @@ func TestSeamCapabilitiesMirrorInner(t *testing.T) {
 	// would leave a mark.
 	const seed = 11
 	chaos := NewChaos(seed, NewMem(), ChaosConfig{
-		TransientRead: 1, TransientWrite: 1, PermanentRead: 1, PermanentWrite: 1, LatencySpike: 1})
+		TransientRead: 1, TransientWrite: 1, permanentRead: 1, permanentWrite: 1, LatencySpike: 1})
 	faulty := NewFaulty(NewMem())
 	faulty.FailReads(1)
 	faulty.FailWrites(1)
@@ -585,7 +585,7 @@ func TestSeamWritebackIsNoOp(t *testing.T) {
 			}
 		}},
 		{"Chaos", func(b Backend) (Backend, func() string) {
-			c := NewChaos(seed, b, ChaosConfig{TransientRead: 1, TransientWrite: 1, PermanentRead: 1, PermanentWrite: 1, LatencySpike: 1})
+			c := NewChaos(seed, b, ChaosConfig{TransientRead: 1, TransientWrite: 1, permanentRead: 1, permanentWrite: 1, LatencySpike: 1})
 			return c, func() string {
 				if st := c.Stats(); st != (ChaosStats{}) || c.rng.Int63() != rand.New(rand.NewSource(seed)).Int63() {
 					return fmt.Sprintf("a draw or an injection %+v", st)

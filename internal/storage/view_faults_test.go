@@ -39,7 +39,7 @@ func TestChaosViewOpInjection(t *testing.T) {
 	}
 
 	// Certain injection: every view op fails with the configured class.
-	c := NewChaos(1, inner, ChaosConfig{TransientRead: 1, PermanentWrite: 1})
+	c := NewChaos(1, inner, ChaosConfig{TransientRead: 1, permanentWrite: 1})
 	vb, ok := AsViewBackend(c)
 	if !ok {
 		t.Fatal("Chaos over a view backend must expose views")
@@ -53,7 +53,7 @@ func TestChaosViewOpInjection(t *testing.T) {
 		t.Fatalf("ViewRead under TransientRead=1: got %v, want transient", err)
 	}
 	if err := vb.ViewWrite(h, buf, 0); err == nil || IsTransient(err) {
-		t.Fatalf("ViewWrite under PermanentWrite=1: got %v, want permanent", err)
+		t.Fatalf("ViewWrite under permanentWrite=1: got %v, want permanent", err)
 	}
 	if st := c.Stats(); st.Transients != 1 || st.Permanents != 1 {
 		t.Fatalf("stats = %+v, want 1 transient + 1 permanent", st)

@@ -129,14 +129,6 @@ const (
 	// Epoch commit protocol events.
 	PhaseEpochRetry  Phase = "epoch.retry"   // seal/commit round retried after a server bounce
 	PhaseChaosViewOp Phase = "chaos.view-op" // injected fault on a registered-view operation
-
-	// Wire-level fault injection (transport.ChaosConn).
-	PhaseWireChaosSpike     Phase = "wire.chaos-spike"     // injected latency
-	PhaseWireChaosDrop      Phase = "wire.chaos-drop"      // frame silently dropped
-	PhaseWireChaosDup       Phase = "wire.chaos-duplicate" // frame sent twice
-	PhaseWireChaosCorrupt   Phase = "wire.chaos-corrupt"   // byte flipped in flight
-	PhaseWireChaosReset     Phase = "wire.chaos-reset"     // mid-message connection reset
-	PhaseWireChaosPartition Phase = "wire.chaos-partition" // one-directional stall
 )
 
 // Kind distinguishes completed spans from instant events.

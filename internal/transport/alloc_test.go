@@ -3,7 +3,6 @@ package transport
 import (
 	"runtime/debug"
 	"testing"
-	"time"
 
 	"repro/internal/pool"
 	"repro/internal/testutil"
@@ -61,11 +60,7 @@ func TestTCPRoundTripAllocBound(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	eps, err := NewLocalTCPWorld(2, TCPConfig{Deadline: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialWorld(t, eps)
+	eps := tcpWorld(t, 2)
 	defer closeWorld(eps)
 
 	allocRoundTrips(t, eps, 8, 4096)

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // Wire-level fault injection.  A ChaosConn wraps one net.Conn and
@@ -32,10 +30,8 @@ import (
 //   - Every destructive fault (drop, dup, corrupt, reset, partition) is
 //     survivable on request/response connections (ioserver clients
 //     detect desync by sequence echo and heal by reconnect + stage-log
-//     replay) but NOT on the rank fabric, whose mailbox links assume
-//     reliable delivery — fabric chaos should stay spike-only (PSpike
-//     alone) unless the test wants to watch the watchdog kill the
-//     world.
+//     replay), which are the connections it wraps.  The rank fabric's
+//     mailbox links assume reliable delivery and are never wrapped.
 
 // WireChaosConfig parameterizes a ChaosConn.  Probabilities are per
 // written chunk (one frame, for FrameConn callers); zero disables that
@@ -60,8 +56,6 @@ type WireChaosConfig struct {
 	// and everything written for PartitionFor (default 20ms) is swallowed.
 	PPartition   float64
 	PartitionFor time.Duration
-	// Tracer, when non-nil, records an instant per injected fault.
-	Tracer *trace.Tracer
 	// Stats, when non-nil, counts injected faults.
 	Stats *WireChaosStats
 }
@@ -88,8 +82,8 @@ type WireChaosStats struct {
 // useful asymmetry for request/response protocols.
 type ChaosConn struct {
 	net.Conn
-	cfg  *WireChaosConfig
-	pair string
+	cfg   *WireChaosConfig
+	stats *WireChaosStats // cfg.Stats, or one of the conn's own
 
 	mu        sync.Mutex
 	rng       *rand.Rand
@@ -104,16 +98,20 @@ type ChaosConn struct {
 var chaosConnNonce atomic.Int64
 
 // NewChaosConn wraps conn.  pair names the connection for the seed mix
-// and trace instants (e.g. "client→127.0.0.1:7001").
+// (e.g. "client→127.0.0.1:7001").
 func NewChaosConn(conn net.Conn, cfg *WireChaosConfig, pair string) *ChaosConn {
 	h := fnv.New64a()
 	h.Write([]byte(pair))
 	seed := cfg.Seed ^ int64(h.Sum64()) ^ chaosConnNonce.Add(1)<<32
+	stats := cfg.Stats
+	if stats == nil {
+		stats = new(WireChaosStats)
+	}
 	return &ChaosConn{
-		Conn: conn,
-		cfg:  cfg,
-		pair: pair,
-		rng:  rand.New(rand.NewSource(seed)),
+		Conn:  conn,
+		cfg:   cfg,
+		stats: stats,
+		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -171,61 +169,31 @@ func (cc *ChaosConn) draw() (f fault, spike time.Duration) {
 	return faultNone, spike
 }
 
-// faultMeta maps a fault to its trace phase and stats counter.
-func (s *WireChaosStats) counter(ph trace.Phase) *atomic.Int64 {
-	if s == nil {
-		return &statDiscard
-	}
-	switch ph {
-	case trace.PhaseWireChaosSpike:
-		return &s.Spikes
-	case trace.PhaseWireChaosDrop:
-		return &s.Drops
-	case trace.PhaseWireChaosDup:
-		return &s.Dups
-	case trace.PhaseWireChaosCorrupt:
-		return &s.Corrupts
-	case trace.PhaseWireChaosReset:
-		return &s.Resets
-	case trace.PhaseWireChaosPartition:
-		return &s.Partitions
-	}
-	return &statDiscard
-}
-
-var statDiscard atomic.Int64
-
-// note records one injected fault.
-func (cc *ChaosConn) note(ph trace.Phase, n int) {
-	cc.cfg.Stats.counter(ph).Add(1)
-	cc.cfg.Tracer.Instant(ph, 0, int64(n), cc.pair)
-}
-
 func (cc *ChaosConn) Write(p []byte) (int, error) {
 	f, spike := cc.draw()
 	if spike > 0 {
-		cc.note(trace.PhaseWireChaosSpike, len(p))
+		cc.stats.Spikes.Add(1)
 		time.Sleep(spike)
 	}
 	switch f {
 	case faultPartition:
-		cc.note(trace.PhaseWireChaosPartition, len(p))
+		cc.stats.Partitions.Add(1)
 		return len(p), nil // blackholed: the sender believes it sent
 	case faultDrop:
-		cc.note(trace.PhaseWireChaosDrop, len(p))
+		cc.stats.Drops.Add(1)
 		return len(p), nil
 	case faultReset:
-		cc.note(trace.PhaseWireChaosReset, len(p))
+		cc.stats.Resets.Add(1)
 		cc.Conn.Close()
 		return 0, net.ErrClosed
 	case faultDup:
-		cc.note(trace.PhaseWireChaosDup, len(p))
+		cc.stats.Dups.Add(1)
 		if n, err := cc.Conn.Write(p); err != nil {
 			return n, err
 		}
 		return cc.Conn.Write(p)
 	case faultCorrupt:
-		cc.note(trace.PhaseWireChaosCorrupt, len(p))
+		cc.stats.Corrupts.Add(1)
 		bad := make([]byte, len(p))
 		copy(bad, p)
 		span := len(bad)
@@ -256,7 +224,7 @@ func (cc *ChaosConn) Read(p []byte) (int, error) {
 	}
 	cc.mu.Unlock()
 	if spike > 0 {
-		cc.note(trace.PhaseWireChaosSpike, len(p))
+		cc.stats.Spikes.Add(1)
 		time.Sleep(spike)
 	}
 	return cc.Conn.Read(p)

@@ -3,7 +3,6 @@ package transport
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/testutil"
 )
@@ -12,11 +11,7 @@ import (
 // function closes both.
 func fabrics(t *testing.T) (map[string][]Transport, func()) {
 	t.Helper()
-	tcp, err := NewLocalTCPWorld(2, TCPConfig{Deadline: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialWorld(t, tcp)
+	tcp := tcpWorld(t, 2)
 	loop := NewLoopback(2)
 	return map[string][]Transport{"loopback": loop, "tcp": tcp}, func() {
 		closeWorld(loop)
@@ -91,7 +86,7 @@ func TestSendRefStaysInProcess(t *testing.T) {
 	if err := fabs["loopback"][0].SendRef(1, 9, ref); err != nil {
 		t.Fatal(err)
 	}
-	if n, bytes := fabs["loopback"][1].DrainTag(9); n != 1 || bytes != 0 {
+	if n, bytes := fabs["loopback"][1].DrainTag(9, nil); n != 1 || bytes != 0 {
 		t.Errorf("loopback: drained %d messages of %d bytes, want the one reference and no bytes", n, bytes)
 	}
 	tcp := fabs["tcp"]

@@ -73,22 +73,30 @@ func (ib *inbox) take(src, tag int) (Message, error) {
 }
 
 // drain removes every queued message with the given tag, preserving the
-// order of the rest, and reports what it discarded: the count and the
-// payload bytes.
-func (ib *inbox) drain(tag int) (dropped int, bytes int64) {
+// order of the rest, hands each discarded payload to put when put is not
+// nil (after the lock is released), and reports what it discarded: the
+// count and the payload bytes.
+func (ib *inbox) drain(tag int, put func([]byte)) (dropped int, bytes int64) {
+	var payloads [][]byte
 	ib.mu.Lock()
-	defer ib.mu.Unlock()
 	kept := ib.queue[:0]
 	for _, m := range ib.queue {
 		if m.Tag != tag {
 			kept = append(kept, m)
-		} else {
-			bytes += int64(len(m.Data))
+			continue
+		}
+		bytes += int64(len(m.Data))
+		if put != nil && m.Data != nil {
+			payloads = append(payloads, m.Data)
 		}
 	}
 	dropped = len(ib.queue) - len(kept)
 	clear(ib.queue[len(kept):]) // release dropped payloads and references
 	ib.queue = kept
+	ib.mu.Unlock()
+	for _, p := range payloads {
+		put(p)
+	}
 	return dropped, bytes
 }
 

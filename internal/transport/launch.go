@@ -36,7 +36,7 @@ type LaunchOptions struct {
 	// fd RendezvousFD.  Servers outlive the ranks: when every rank has
 	// exited cleanly the launcher stops them with an interrupt signal
 	// (so they can flush traces and sync their stripes) and escalates
-	// to a kill after ServerStopTimeout.  A server that dies while
+	// to a kill after serverStopTimeout.  A server that dies while
 	// ranks are still running is restarted on its inherited listener
 	// when ServerRestarts allows, and fails the whole run otherwise.
 	Servers int
@@ -46,30 +46,21 @@ type LaunchOptions struct {
 	// ServerRestarts bounds automatic restarts per crashed server (0 =
 	// no supervision: any premature server death fails the run).
 	ServerRestarts int
-	// ServerRestartBackoff delays the first restart of a server,
-	// doubling per consecutive restart (default 50ms).
-	ServerRestartBackoff time.Duration
-	// KillServerAfter, when positive, SIGKILLs server KillServerIdx
-	// that long after launch — the fault-injection hook of the
-	// kill-and-restart harness.
+	// KillServerAfter, when positive, SIGKILLs server 0 that long after
+	// launch — the fault-injection hook of the kill-and-restart harness.
 	KillServerAfter time.Duration
-	KillServerIdx   int
-	// ServerStopTimeout bounds the graceful server shutdown after the
-	// ranks finish (default 10s).
-	ServerStopTimeout time.Duration
-	// Stdout / Stderr receive the children's output, each line prefixed
-	// "[rank N] " or "[srv N] ".  Defaults: os.Stdout / os.Stderr.
-	Stdout, Stderr io.Writer
 	// Timeout kills every rank if the run outlives it (0 = no limit).
 	Timeout time.Duration
-	// Env, when non-nil, replaces the children's environment.
-	Env []string
 	// OnServerRestart is invoked just before a crashed server is
 	// restarted (attempt counts from 1) — the hook the flight-recorder
 	// machinery uses to preserve the dead instance's dump before the
 	// replacement overwrites it.
 	OnServerRestart func(idx, attempt int)
 }
+
+// serverStopTimeout bounds the graceful server shutdown after the ranks
+// finish.
+const serverStopTimeout = 10 * time.Second
 
 // RendezvousFD is the file descriptor number at which rank 0's child
 // process inherits the pre-bound rendezvous listener, and each
@@ -109,9 +100,10 @@ func bindInherited() (addr string, lf *os.File, err error) {
 }
 
 // Launch runs Size rank processes (plus Servers I/O-server processes)
-// to completion.  The first rank or premature server to fail (or an
-// overall timeout) kills the rest; the returned error names that first
-// failure.
+// to completion, each line of their output prefixed "[rank N] " or
+// "[srv N] " on this process's standard output or error.  The first
+// rank or premature server to fail (or an overall timeout) kills the
+// rest; the returned error names that first failure.
 func Launch(opts LaunchOptions) error {
 	if opts.Size <= 0 {
 		return errors.New("transport: launch needs at least one rank")
@@ -121,15 +113,6 @@ func Launch(opts LaunchOptions) error {
 	}
 	if opts.Servers > 0 && opts.ServerArgs == nil {
 		return errors.New("transport: launch with Servers needs ServerArgs")
-	}
-	if opts.Stdout == nil {
-		opts.Stdout = os.Stdout
-	}
-	if opts.Stderr == nil {
-		opts.Stderr = os.Stderr
-	}
-	if opts.ServerStopTimeout <= 0 {
-		opts.ServerStopTimeout = 10 * time.Second
 	}
 
 	rendezvous, lf, err := bindInherited()
@@ -157,14 +140,11 @@ func Launch(opts LaunchOptions) error {
 
 	start := func(prefix string, args []string, extras ...*os.File) (*exec.Cmd, error) {
 		cmd := exec.Command(opts.Exe, args...)
-		if opts.Env != nil {
-			cmd.Env = opts.Env
-		}
 		if len(extras) > 0 {
 			cmd.ExtraFiles = extras
 		}
-		ow := &prefixWriter{mu: &outMu, w: opts.Stdout, prefix: []byte(prefix)}
-		ew := &prefixWriter{mu: &outMu, w: opts.Stderr, prefix: []byte(prefix)}
+		ow := &prefixWriter{mu: &outMu, w: os.Stdout, prefix: []byte(prefix)}
+		ew := &prefixWriter{mu: &outMu, w: os.Stderr, prefix: []byte(prefix)}
 		cmd.Stdout, cmd.Stderr = ow, ew
 		wMu.Lock()
 		writers = append(writers, ow, ew)
@@ -178,10 +158,9 @@ func Launch(opts LaunchOptions) error {
 	var pool *ServerPool
 	if opts.Servers > 0 {
 		pool, err = StartServerPool(ServerPoolOptions{
-			Listeners:      serverLfs,
-			MaxRestarts:    opts.ServerRestarts,
-			RestartBackoff: opts.ServerRestartBackoff,
-			OnRestart:      opts.OnServerRestart,
+			Listeners:   serverLfs,
+			MaxRestarts: opts.ServerRestarts,
+			OnRestart:   opts.OnServerRestart,
 			StartProc: func(idx int, listener *os.File) (*exec.Cmd, error) {
 				return start(fmt.Sprintf("[srv %d] ", idx), opts.ServerArgs(idx), listener)
 			},
@@ -254,7 +233,7 @@ func Launch(opts LaunchOptions) error {
 				killAll()
 			} else if pool != nil {
 				pool.Stop(true)
-				stopTimer = time.After(opts.ServerStopTimeout)
+				stopTimer = time.After(serverStopTimeout)
 			}
 		}
 		select {
@@ -275,7 +254,7 @@ func Launch(opts LaunchOptions) error {
 			srvDone = true
 			poolDone = nil // a nil channel never fires again
 		case <-chaosTimer:
-			pool.Kill(opts.KillServerIdx)
+			pool.Kill(0)
 			chaosTimer = nil
 		case <-timer:
 			if firstErr == nil {
@@ -285,7 +264,7 @@ func Launch(opts LaunchOptions) error {
 			timer = nil
 		case <-stopTimer:
 			if firstErr == nil {
-				firstErr = fmt.Errorf("transport: servers did not stop within %v", opts.ServerStopTimeout)
+				firstErr = fmt.Errorf("transport: servers did not stop within %v", serverStopTimeout)
 			}
 			killAll()
 			stopTimer = nil

@@ -81,8 +81,8 @@ func (l *Loopback) Recv(src, tag int) (Message, error) {
 }
 
 // DrainTag implements Transport.
-func (l *Loopback) DrainTag(tag int) (int, int64) {
-	return l.fab.inboxes[l.rank].drain(tag)
+func (l *Loopback) DrainTag(tag int, put func([]byte)) (int, int64) {
+	return l.fab.inboxes[l.rank].drain(tag, put)
 }
 
 // Flush implements Transport (deliveries are synchronous).

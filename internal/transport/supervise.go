@@ -15,12 +15,12 @@ import (
 // mid-collective crash instead of the whole run failing.  A server that
 // exhausts its restart budget fails the pool.
 
+// restartBackoff delays the first restart of a server, doubling per
+// consecutive restart.
+const restartBackoff = 50 * time.Millisecond
+
 // ServerPoolOptions configure one supervised server pool.
 type ServerPoolOptions struct {
-	// Exe and Args build each server's command, as in LaunchOptions.
-	// Ignored when StartProc is set.
-	Exe  string
-	Args func(idx int) []string
 	// Listeners are the pre-bound service listeners, one per server,
 	// inherited at fd RendezvousFD across every (re)start.  The pool
 	// never closes them — the caller owns their lifetime, and they must
@@ -29,15 +29,8 @@ type ServerPoolOptions struct {
 	// MaxRestarts bounds automatic restarts per server; 0 means no
 	// supervision — any premature death fails the pool immediately.
 	MaxRestarts int
-	// RestartBackoff delays the first restart of a server, doubling per
-	// consecutive restart (default 50ms).
-	RestartBackoff time.Duration
-	// Env, when non-nil, replaces each server's environment.  Ignored
-	// when StartProc is set.
-	Env []string
-	// StartProc, when set, overrides process creation (the launcher
-	// injects its line-prefixing output writers through it).  It must
-	// Start the command before returning.
+	// StartProc creates server idx's process over listener, which it
+	// passes at fd RendezvousFD, and must Start it before returning.
 	StartProc func(idx int, listener *os.File) (*exec.Cmd, error)
 	// OnRestart, when set, is invoked after the backoff and just before
 	// a crashed server's replacement starts (attempt counts from 1).
@@ -69,21 +62,7 @@ func StartServerPool(opts ServerPoolOptions) (*ServerPool, error) {
 		return nil, fmt.Errorf("transport: server pool needs listeners")
 	}
 	if opts.StartProc == nil {
-		if opts.Exe == "" || opts.Args == nil {
-			return nil, fmt.Errorf("transport: server pool needs Exe and Args (or StartProc)")
-		}
-		opts.StartProc = func(idx int, listener *os.File) (*exec.Cmd, error) {
-			cmd := exec.Command(opts.Exe, opts.Args(idx)...)
-			if opts.Env != nil {
-				cmd.Env = opts.Env
-			}
-			cmd.ExtraFiles = []*os.File{listener}
-			cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
-			return cmd, cmd.Start()
-		}
-	}
-	if opts.RestartBackoff <= 0 {
-		opts.RestartBackoff = 50 * time.Millisecond
+		return nil, fmt.Errorf("transport: server pool needs StartProc")
 	}
 	p := &ServerPool{
 		opts:     opts,
@@ -113,7 +92,7 @@ func StartServerPool(opts ServerPoolOptions) (*ServerPool, error) {
 // run is server idx's supervision loop: wait, classify, restart.
 func (p *ServerPool) run(idx int, cmd *exec.Cmd) {
 	defer p.wg.Done()
-	backoff := p.opts.RestartBackoff
+	backoff := restartBackoff
 	for {
 		err := cmd.Wait()
 		p.mu.Lock()

@@ -30,9 +30,9 @@ import (
 // world), and the writer drains the whole queue into one buffered
 // flush — write coalescing: n queued frames cost one syscall batch,
 // visible as FramesSent/Flushes in WireStats.  Write and handshake
-// deadlines come from Config.Deadline or, when unset, from the stall
-// watchdog via SetDeadline; a peer that stops draining its socket
-// fails the endpoint instead of wedging it forever.
+// deadlines come from the stall watchdog via SetDeadline; a peer that
+// stops draining its socket fails the endpoint instead of wedging it
+// forever.
 
 // TCPConfig parameterizes one rank's TCP endpoint.
 type TCPConfig struct {
@@ -41,24 +41,10 @@ type TCPConfig struct {
 	// binds it (unless Listener is set); other ranks dial it.
 	Rendezvous string
 	// Listener, when non-nil, is a pre-bound listening socket to use
-	// instead of binding Rendezvous or ListenAddr — the launcher passes
+	// instead of binding Rendezvous or listenAddr — the launcher passes
 	// rank 0 its rendezvous socket this way (no bind race), and tests
 	// inject pre-bound ephemeral listeners.
 	Listener net.Listener
-	// ListenAddr is the address non-zero ranks bind for inbound pair
-	// links (default "127.0.0.1:0").
-	ListenAddr string
-	// Deadline bounds every link write (per flush) and the whole
-	// rendezvous handshake.  Zero means no write deadline and a default
-	// handshake timeout; internal/mpi's stall watchdog installs its
-	// timeout here via SetDeadline when the flag is zero.
-	Deadline time.Duration
-	// MaxFrame bounds accepted payload lengths (default DefaultMaxFrame).
-	MaxFrame int
-	// WriteBuf is the target size of one coalesced vectored write
-	// (default 256 KiB); a drained queue larger than this is split into
-	// WriteBuf-sized writev batches.
-	WriteBuf int
 	// Trace, when non-nil, records wire.send / wire.recv spans on this
 	// rank's wire track.
 	Trace *trace.Collector
@@ -68,19 +54,19 @@ type TCPConfig struct {
 	// payloads are owned by the receiver, which may Put them to any
 	// pool).  Nil selects pool.Global.
 	Pool *pool.Pool
-	// WireChaos, when enabled, wraps every pair link (after the
-	// handshake) in a fault-injecting ChaosConn.  The mailbox links
-	// assume reliable delivery, so anything beyond latency spikes
-	// (PSpike) will eventually fail the endpoint —
-	// which is itself a legitimate thing for a test to watch.
-	WireChaos *WireChaosConfig
 }
 
 const (
 	defaultHandshakeTimeout = 30 * time.Second
-	defaultWriteBuf         = 256 << 10
-	readBufSize             = 64 << 10
-	maxCtrlFrame            = 64 << 10
+	// defaultWriteBuf is the target size of one coalesced vectored
+	// write: a drained queue larger than this is split into batches of
+	// about this size.
+	defaultWriteBuf = 256 << 10
+	readBufSize     = 64 << 10
+	maxCtrlFrame    = 64 << 10
+	// listenAddr is the address non-zero ranks bind for inbound pair
+	// links.
+	listenAddr = "127.0.0.1:0"
 )
 
 // TCP is one rank's endpoint of a TCP fabric.
@@ -104,23 +90,15 @@ type TCP struct {
 
 // NewTCP creates an unconnected endpoint; Listen then Dial bring it up.
 func NewTCP(cfg TCPConfig) *TCP {
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = DefaultMaxFrame
-	}
-	if cfg.WriteBuf <= 0 {
-		cfg.WriteBuf = defaultWriteBuf
-	}
 	if cfg.Pool == nil {
 		cfg.Pool = pool.Global
 	}
-	t := &TCP{
+	return &TCP{
 		cfg:   cfg,
 		tr:    cfg.Trace.Tracer(cfg.Rank),
 		ib:    newInbox(),
 		links: make([]*link, cfg.Size),
 	}
-	t.deadline.Store(int64(cfg.Deadline))
-	return t
 }
 
 // Rank implements Transport.
@@ -129,11 +107,12 @@ func (t *TCP) Rank() int { return t.cfg.Rank }
 // Size implements Transport.
 func (t *TCP) Size() int { return t.cfg.Size }
 
-// SetDeadline installs the write/handshake deadline if the config left
-// it zero — the seam internal/mpi uses to wire the stall watchdog's
-// timeout to the wire.
+// SetDeadline installs a positive d as the bound on every link write (per
+// flush) and on the whole rendezvous handshake — the seam internal/mpi
+// uses to wire the stall watchdog's timeout to the wire.  Until then no
+// write has a deadline and the handshake has a default one.
 func (t *TCP) SetDeadline(d time.Duration) {
-	if t.cfg.Deadline == 0 && d > 0 {
+	if d > 0 {
 		t.deadline.Store(int64(d))
 	}
 }
@@ -157,10 +136,7 @@ func (t *TCP) Listen() error {
 		t.ln = t.cfg.Listener
 		return nil
 	}
-	addr := t.cfg.ListenAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
+	addr := listenAddr
 	if t.cfg.Rank == 0 && t.cfg.Rendezvous != "" {
 		addr = t.cfg.Rendezvous
 	}
@@ -358,8 +334,8 @@ func (t *TCP) Recv(src, tag int) (Message, error) {
 }
 
 // DrainTag implements Transport.
-func (t *TCP) DrainTag(tag int) (int, int64) {
-	return t.ib.drain(tag)
+func (t *TCP) DrainTag(tag int, put func([]byte)) (int, int64) {
+	return t.ib.drain(tag, put)
 }
 
 // Flush implements Transport: wait for every link's queue to hit the
@@ -467,9 +443,6 @@ type link struct {
 }
 
 func newLink(t *TCP, peer int, conn net.Conn) *link {
-	if t.cfg.WireChaos.Enabled() {
-		conn = NewChaosConn(conn, t.cfg.WireChaos, fmt.Sprintf("rank%d-rank%d", t.cfg.Rank, peer))
-	}
 	l := &link{t: t, peer: peer, conn: conn}
 	l.cond = sync.NewCond(&l.mu)
 	return l
@@ -532,7 +505,7 @@ func (l *link) failWith(err error) {
 }
 
 // writer drains the outbound queue: every wake-up takes the whole
-// queue and writes it in WriteBuf-sized vectored batches — each batch
+// queue and writes it in defaultWriteBuf-sized vectored batches — each batch
 // is one net.Buffers.WriteTo, which on a *net.TCPConn is writev: n
 // queued frames (headers and payloads alike) cost one syscall, with no
 // copy into an intermediate coalescing buffer.  The queue arrays
@@ -575,7 +548,7 @@ func (l *link) writer() {
 			for ; done < len(batch); done++ {
 				fr := &batch[done]
 				n := int64(len(fr.data))
-				if len(bufs) > 0 && group+FrameHeaderSize+n > int64(l.t.cfg.WriteBuf) {
+				if len(bufs) > 0 && group+FrameHeaderSize+n > defaultWriteBuf {
 					break
 				}
 				h := hdrs[done*FrameHeaderSize : (done+1)*FrameHeaderSize]
@@ -651,7 +624,7 @@ func (l *link) read() error {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return err
 		}
-		src, tag, n, err := parseFrameHeader(hdr[:], l.t.cfg.MaxFrame)
+		src, tag, n, err := parseFrameHeader(hdr[:], DefaultMaxFrame)
 		if err != nil {
 			return err
 		}

@@ -10,12 +10,18 @@ import (
 	"repro/internal/testutil"
 )
 
-// dialWorld brings up every endpoint of a fabric concurrently.
-func dialWorld(t *testing.T, eps []Transport) {
+// tcpWorld brings up a local TCP world of n ranks, every endpoint
+// concurrently, each with a 10 s write and handshake deadline.
+func tcpWorld(t *testing.T, n int) []Transport {
 	t.Helper()
+	eps, err := NewLocalTCPWorld(n, TCPConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(eps))
 	for i, ep := range eps {
+		ep.(*TCP).SetDeadline(10 * time.Second)
 		wg.Add(1)
 		go func(i int, ep Transport) {
 			defer wg.Done()
@@ -32,6 +38,7 @@ func dialWorld(t *testing.T, eps []Transport) {
 			t.Fatalf("rank %d: %v", i, err)
 		}
 	}
+	return eps
 }
 
 func closeWorld(eps []Transport) {
@@ -46,11 +53,7 @@ func closeWorld(eps []Transport) {
 func TestTCPExchange(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
 	const n = 4
-	eps, err := NewLocalTCPWorld(n, TCPConfig{Deadline: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialWorld(t, eps)
+	eps := tcpWorld(t, n)
 	defer closeWorld(eps)
 
 	// Every rank sends one tagged message to every rank (self included).
@@ -111,11 +114,7 @@ func TestTCPExchange(t *testing.T) {
 
 func TestTCPPairFIFOAndWildcards(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
-	eps, err := NewLocalTCPWorld(2, TCPConfig{Deadline: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialWorld(t, eps)
+	eps := tcpWorld(t, 2)
 	defer closeWorld(eps)
 
 	const k = 100
@@ -141,11 +140,7 @@ func TestTCPPairFIFOAndWildcards(t *testing.T) {
 
 func TestTCPDrainTag(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
-	eps, err := NewLocalTCPWorld(2, TCPConfig{Deadline: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialWorld(t, eps)
+	eps := tcpWorld(t, 2)
 	defer closeWorld(eps)
 
 	for i := 0; i < 5; i++ {
@@ -161,7 +156,7 @@ func TestTCPDrainTag(t *testing.T) {
 	if _, err := eps[1].Recv(0, 8); err != nil {
 		t.Fatal(err)
 	}
-	n, bytes := eps[1].DrainTag(9)
+	n, bytes := eps[1].DrainTag(9, nil)
 	if n != 5 || bytes != 50 {
 		t.Fatalf("drained %d msgs / %d bytes, want 5 / 50", n, bytes)
 	}
@@ -169,17 +164,13 @@ func TestTCPDrainTag(t *testing.T) {
 
 func TestTCPLinkLossFailsEndpoint(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
-	eps, err := NewLocalTCPWorld(2, TCPConfig{Deadline: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialWorld(t, eps)
+	eps := tcpWorld(t, 2)
 	defer closeWorld(eps)
 
 	// Rank 1 dies without quiescing: rank 0 must see a link failure, not
 	// a clean close and not a hang.
 	eps[1].Close()
-	_, err = eps[0].Recv(1, 1)
+	_, err := eps[0].Recv(1, 1)
 	if err == nil || !strings.Contains(err.Error(), "link to rank 1 lost") {
 		t.Fatalf("err = %v, want link-loss cause", err)
 	}
@@ -197,11 +188,7 @@ func TestTCPLinkLossFailsEndpoint(t *testing.T) {
 
 func TestTCPQuiescedShutdownIsClean(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
-	eps, err := NewLocalTCPWorld(3, TCPConfig{Deadline: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialWorld(t, eps)
+	eps := tcpWorld(t, 3)
 
 	// Everyone quiesces, then closes at different times; no endpoint may
 	// report a link failure.
@@ -224,11 +211,7 @@ func TestTCPQuiescedShutdownIsClean(t *testing.T) {
 
 func TestTCPCoalescing(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
-	eps, err := NewLocalTCPWorld(2, TCPConfig{Deadline: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialWorld(t, eps)
+	eps := tcpWorld(t, 2)
 	defer closeWorld(eps)
 
 	const k = 200
@@ -263,11 +246,7 @@ func TestTCPCoalescing(t *testing.T) {
 // receive the whole frame.
 func TestTCPFlushPastClosedLink(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
-	eps, err := NewLocalTCPWorld(3, TCPConfig{Deadline: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialWorld(t, eps)
+	eps := tcpWorld(t, 3)
 	defer closeWorld(eps)
 
 	type result struct {
@@ -311,11 +290,7 @@ func TestTCPFlushPastClosedLink(t *testing.T) {
 // no link will deliver.  The endpoint's other links keep working.
 func TestTCPQuiescedRecvNamesLostPeer(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
-	eps, err := NewLocalTCPWorld(3, TCPConfig{Deadline: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dialWorld(t, eps)
+	eps := tcpWorld(t, 3)
 	defer closeWorld(eps)
 
 	for _, ep := range eps {

@@ -92,7 +92,9 @@ type Transport interface {
 	Recv(src, tag int) (Message, error)
 	// DrainTag removes every queued message with the given tag (any
 	// source), returning the count discarded and their payload bytes.
-	DrainTag(tag int) (n int, bytes int64)
+	// When put is not nil it receives each discarded payload, which the
+	// receiver owns as it would a received one.
+	DrainTag(tag int, put func([]byte)) (n int, bytes int64)
 	// Flush blocks until every queued outbound payload has left the
 	// endpoint (TCP: written to the sockets).  A no-op for loopback, whose
 	// sends are done when they return.
