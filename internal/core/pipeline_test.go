@@ -13,13 +13,14 @@ import (
 // TestCollectiveBackendMatrix: collective writes and reads that start
 // mid-filetype, so that some windows are only partly covered and pre-read,
 // through several windows per IOP domain, leave the oracle's bytes on both
-// engines over the Mem, Throttled, Striped and (quiescent) Faulty
-// backends, and the window pipeline overlaps windows on every one.
+// engines over the Mem, Throttled and (quiescent) Faulty backends and an
+// I/O-server tier of three servers striped in 64-byte units, and the
+// window pipeline overlaps windows on every one.
 func TestCollectiveBackendMatrix(t *testing.T) {
 	const P, blockcount, blocklen, off = 3, 40, 16, 96
-	for _, backend := range []string{"mem", "throttled", "striped", "faulty"} {
+	for _, backend := range []string{"mem", "throttled", "tier", "faulty"} {
 		for _, eng := range engines {
-			res := world{P: P, backend: backend, opts: Options{Engine: eng, collBufSize: 192}}.roundTrip(t,
+			res := world{P: P, backend: backend, unit: 64, servers: 3, opts: Options{Engine: eng, collBufSize: 192}}.roundTrip(t,
 				access{view: fig4(P, blockcount, blocklen), d: blockcount*blocklen - off, off: off})
 			if res.stats.WindowsOverlapped == 0 {
 				t.Errorf("%s/%v: overlapped no windows", backend, eng)

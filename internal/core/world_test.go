@@ -230,9 +230,9 @@ type world struct {
 	tcp  bool // ranks over local TCP sockets, else the in-process loopback
 	// backend is "mem" (or ""), "throttled", "faulty", "file",
 	// "shared-file" (each rank through an OpenFileShared handle of its
-	// own), "striped" (three Mems in 64-byte units), or one that commits
-	// collective writes by epoch, "epoch-mem" or "tier".  Every one but
-	// an epoch backend is counted by an Instrumented.
+	// own), or one that commits collective writes by epoch, "epoch-mem"
+	// or "tier".  Every one but an epoch backend is counted by an
+	// Instrumented.
 	backend string
 	// wrap, when set, is put over the backend: on "faulty" over each
 	// rank's Faulty, so that each rank mounts the file as OS-process
@@ -290,12 +290,6 @@ func (w world) run(t testing.TB, bg []byte, body func(r rank)) ran {
 	case "", "mem", "faulty":
 	case "throttled":
 		store = storage.NewThrottled(mem, 50*time.Microsecond)
-	case "striped":
-		striped, err := storage.NewStriped(64, mem, storage.NewMem(), storage.NewMem())
-		if err != nil {
-			t.Fatal(err)
-		}
-		store = striped
 	case "epoch-mem":
 		store = &epochMem{Mem: mem}
 	case "tier":

@@ -134,7 +134,7 @@ func (r *crashRig) do(op int, payload []byte) []byte {
 
 func (r *crashRig) stage(epoch uint64, off int64, data string) {
 	r.t.Helper()
-	r.do(opStageWrite, append(vs(int64(epoch), off), data...))
+	r.do(opStageWritev, append(vs(int64(epoch), 1, off, int64(len(data))), data...))
 }
 
 func (r *crashRig) commit(epoch uint64) {
@@ -144,13 +144,15 @@ func (r *crashRig) commit(epoch uint64) {
 
 func (r *crashRig) write(off int64, data string) {
 	r.t.Helper()
-	r.do(opWrite, append(vs(off), data...))
+	r.do(opWritev, append(vs(1, off, int64(len(data))), data...))
 }
 
-// read is what a client reads from the running server.
+// read is what a client reads from the running server: up to n bytes
+// from offset 0, as far as the stripe reaches.
 func (r *crashRig) read(n int64) string {
 	r.t.Helper()
-	return string(r.do(opRead, vs(0, n))[1:])
+	n = min(n, r.srv.cfg.Backend.Size())
+	return string(r.do(opReadv, vs(1, 0, n)))
 }
 
 // crashed recovers from every image a crash at this instant can leave —
@@ -294,7 +296,7 @@ func TestDirectMutationCheckpoints(t *testing.T) {
 		body func(r *crashRig) []byte
 		want string
 	}{
-		{"write", opWrite, func(*crashRig) []byte { return append(vs(2), "YYYY"...) }, "AAYYYYAA"},
+		{"write", opWritev, func(*crashRig) []byte { return append(vs(1, 2, 4), "YYYY"...) }, "AAYYYYAA"},
 		{"writev", opWritev, func(*crashRig) []byte { return append(vs(2, 0, 2, 6, 2), "YYZZ"...) }, "YYAAAAZZ"},
 		{"view write", opViewWrite, viewWrite(true, func(t *testing.T) *datatype.Type { return viewType(t, 2, 4, 2) }), "YYAAZZAA"},
 		{"view write, view not navigable", opViewWrite, viewWrite(false, func(t *testing.T) *datatype.Type {

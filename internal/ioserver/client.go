@@ -68,14 +68,18 @@ type Client struct {
 	replaying  bool
 
 	// Scratch of the read and epoch requests, reused under mu: the
-	// request, and the destination a read's response is read into —
-	// ReadAt's flag byte, then the caller's buffers.  A replay inside one
-	// of their round trips sends the stage log's own heads.
-	req  []byte
-	dst  [][]byte
-	flag [1]byte
+	// request, and the caller's buffers a read's response is read into.
+	// A replay inside one of their round trips sends the stage log's own
+	// heads.
+	req []byte
+	dst [][]byte
 	// iov is the frame being sent: the request, then its data parts.
 	iov [][]byte
+
+	// maxFrame is the frame payload limit a request is cut to fit
+	// (transport.DefaultMaxFrame; this package's tests lower it, with the
+	// server's, to cut requests without moving a gigabyte).
+	maxFrame int
 }
 
 // request is one write or view request in its direct shape, as sendLocked
@@ -127,6 +131,7 @@ func NewClient(addr string, opts ClientOptions) *Client {
 		timeout:   opts.Timeout,
 		wireChaos: opts.WireChaos,
 		views:     make(map[*View]uint64),
+		maxFrame:  transport.DefaultMaxFrame,
 	}
 }
 
@@ -178,7 +183,7 @@ func (c *Client) connectLocked() error {
 	if c.wireChaos.Enabled() {
 		wc = transport.NewChaosConn(conn, c.wireChaos, "client-"+c.addr)
 	}
-	c.fc = transport.NewFrameConn(wc, transport.DefaultMaxFrame)
+	c.fc = transport.NewFrameConn(wc, c.maxFrame)
 	c.fresh = true
 	return nil
 }
@@ -290,27 +295,13 @@ func (c *Client) readLocked(op int) (int, error) {
 	return n, err
 }
 
-// ReadAt implements io.ReaderAt against the server's stripe.  The
-// response, an EOF flag and the bytes read, is read into the flag and p.
+// ReadAt implements io.ReaderAt against the server's stripe as a
+// ReadAtv of one segment: bytes past the stripe's end read as zeros.
 func (c *Client) ReadAt(p []byte, off int64) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.takeSizeErrLocked(); err != nil {
+	if err := c.ReadAtv([]storage.Segment{{Off: off, Buf: p}}); err != nil {
 		return 0, err
 	}
-	c.req = putExtent(c.req[:0], off, int64(len(p)))
-	c.dst = append(c.dst, c.flag[:], p)
-	n, err := c.readLocked(opRead)
-	if err != nil {
-		return 0, err
-	}
-	if n < 1 {
-		return 0, fmt.Errorf("ioserver %s: empty read response: %w", c.addr, storage.ErrPermanent)
-	}
-	if c.flag[0] != 0 {
-		return n - 1, io.EOF
-	}
-	return n - 1, nil
+	return len(p), nil
 }
 
 // sendLocked is the one send path of writes and view requests.  Inside
@@ -372,15 +363,11 @@ func (c *Client) mutateLocked(r request, p0 int) error {
 	return err
 }
 
-// WriteAt implements io.WriterAt against the server's stripe.  Inside an
-// epoch p is lent until the epoch ends.
+// WriteAt implements io.WriterAt against the server's stripe as a
+// WriteAtv of one segment.  Inside an epoch p is lent until the epoch
+// ends.
 func (c *Client) WriteAt(p []byte, off int64) (int, error) {
-	buf := putV(newRequest(binary.MaxVarintLen64), off)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p0 := len(c.parts)
-	c.parts = append(c.parts, p)
-	if err := c.mutateLocked(request{op: opWrite, buf: buf}, p0); err != nil {
+	if err := c.WriteAtv([]storage.Segment{{Off: off, Buf: p}}); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -397,7 +384,8 @@ func (c *Client) ReadAtv(segs []storage.Segment) error {
 		return err
 	}
 	for len(segs) > 0 {
-		chunk := c.clipList(segs)
+		var chunk []storage.Segment
+		chunk, segs = clipList(segs, c.maxFrame)
 		c.req = putList(c.req[:0], chunk)
 		for _, s := range chunk {
 			c.dst = append(c.dst, s.Buf)
@@ -410,7 +398,6 @@ func (c *Client) ReadAtv(segs []storage.Segment) error {
 			return fmt.Errorf("ioserver %s: vectored read returned %d of %d bytes: %w",
 				c.addr, n, want, storage.ErrPermanent)
 		}
-		segs = segs[len(chunk):]
 	}
 	return nil
 }
@@ -421,7 +408,8 @@ func (c *Client) WriteAtv(segs []storage.Segment) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(segs) > 0 {
-		chunk := c.clipList(segs)
+		var chunk []storage.Segment
+		chunk, segs = clipList(segs, c.maxFrame)
 		buf := putList(newRequest(binary.MaxVarintLen64*(2*len(chunk)+1)), chunk)
 		p0 := len(c.parts)
 		for _, s := range chunk {
@@ -430,23 +418,34 @@ func (c *Client) WriteAtv(segs []storage.Segment) error {
 		if err := c.mutateLocked(request{op: opWritev, buf: buf}, p0); err != nil {
 			return err
 		}
-		segs = segs[len(chunk):]
 	}
 	return nil
 }
 
-// clipList takes the longest prefix of segs that fits one request: at
-// most MaxListRuns entries and under the frame payload limit.
-func (c *Client) clipList(segs []storage.Segment) []storage.Segment {
+// clipList splits segs into the longest prefix that fits one request —
+// at most MaxListRuns entries, and at most limit bytes of frame payload
+// with the head and every entry counted at their longest — and the
+// rest.  A first segment longer than that is cut: the prefix is its
+// head, at least a byte so that every request moves the batch on, and
+// the rest starts with its tail, in fresh slices, so that segs itself is
+// not written.
+func clipList(segs []storage.Segment, limit int) (chunk, rest []storage.Segment) {
+	room := limit - headRoom - binary.MaxVarintLen64
 	n := min(len(segs), MaxListRuns)
-	var bytes int
-	for i := 0; i < n; i++ {
-		bytes += len(segs[i].Buf)
-		if i > 0 && bytes+16*(i+1) > transport.DefaultMaxFrame {
-			return segs[:i]
+	for i, s := range segs[:n] {
+		room -= 2 * binary.MaxVarintLen64
+		if len(s.Buf) <= max(room, 0) {
+			room -= len(s.Buf)
+			continue
 		}
+		if i > 0 {
+			return segs[:i], segs[i:]
+		}
+		k := max(room, 1)
+		tail := storage.Segment{Off: s.Off + int64(k), Buf: s.Buf[k:]}
+		return []storage.Segment{{Off: s.Off, Buf: s.Buf[:k]}}, append([]storage.Segment{tail}, segs[1:]...)
 	}
-	return segs[:n]
+	return segs[:n], segs[n:]
 }
 
 func totalLen(segs []storage.Segment) int {

@@ -283,8 +283,9 @@ func TestSmallStagedWritesKeepTheirBytes(t *testing.T) {
 
 // TestClientReadAtInPlace: ReadAt reads its response straight into p,
 // so what must not reach p does not — an error response, and a response
-// longer than p, which drops the connection — and a read at the end of
-// the stripe comes back short with io.EOF.
+// longer than p, which drops the connection — and a read across the end
+// of the stripe fills p, with zeros past the end, as an offset list's
+// entry does.
 func TestClientReadAtInPlace(t *testing.T) {
 	_, addr := serveStripe(t, "127.0.0.1:0", storage.NewMem())
 	c := NewClient(addr, ClientOptions{})
@@ -303,8 +304,8 @@ func TestClientReadAtInPlace(t *testing.T) {
 	}
 
 	n, err := c.ReadAt(p, 4)
-	if n != 6 || err != io.EOF || string(p[:6]) != "456789" || !untouched(p[6:]) {
-		t.Fatalf("read across the end: n=%d err=%v p=%q, want 6, io.EOF, \"456789\" and the rest untouched", n, err, p)
+	if n != len(p) || err != nil || string(p) != "456789"+string(make([]byte, 10)) {
+		t.Fatalf("read across the end: n=%d err=%v p=%q, want %d, nil, \"456789\" and zeros", n, err, p, len(p))
 	}
 }
 
@@ -337,6 +338,89 @@ func TestClientReadAtvShortSegments(t *testing.T) {
 	}
 }
 
+// TestClientCutsOversizeSegment: a segment longer than a frame carries
+// goes out in several requests, each within the frame limit of both
+// ends, direct and staged, and its bytes round-trip; each request's list
+// is cut so that the pieces cover the segment exactly.
+func TestClientCutsOversizeSegment(t *testing.T) {
+	const limit = 256
+	srv, err := New(Config{Backend: storage.NewMem(), Geom: storage.StripeGeom{Unit: 1 << 20, Count: 1}, maxFrame: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	c := NewClient(ln.Addr().String(), ClientOptions{})
+	c.maxFrame = limit
+	defer c.Close()
+
+	data := make([]byte, 1000)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	segs := []storage.Segment{{Off: 5, Buf: data[:10]}, {Off: 100, Buf: data[10:]}}
+	whole, pieces := storage.NewMem(), storage.NewMem()
+	if err := whole.WriteAtv(segs); err != nil {
+		t.Fatal(err)
+	}
+	var covered int
+	for rest := segs; len(rest) > 0; {
+		var chunk []storage.Segment
+		chunk, rest = clipList(rest, limit)
+		if len(chunk) == 0 || headRoom+len(putList(nil, chunk))+totalLen(chunk) > limit {
+			t.Fatalf("a request of %d entries and %d bytes, over the %d-byte limit or empty", len(chunk), totalLen(chunk), limit)
+		}
+		for _, s := range chunk {
+			if &s.Buf[0] != &data[covered] {
+				t.Fatalf("the piece at %d is not the batch's next bytes", s.Off)
+			}
+			covered += len(s.Buf)
+		}
+		if err := pieces.WriteAtv(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if covered != len(data) || !bytes.Equal(pieces.Bytes(), whole.Bytes()) || len(segs[1].Buf) != 990 {
+		t.Fatalf("the pieces cover %d of %d bytes, land elsewhere than the batch, or the batch was written", covered, len(data))
+	}
+
+	check := func(what string, want []byte) {
+		t.Helper()
+		got := make([]byte, len(want))
+		before := c.Rounds()
+		if _, err := c.ReadAt(got, 0); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the bytes read back differ", what)
+		}
+		if n := c.Rounds() - before; n < int64(len(want)/limit)+1 {
+			t.Fatalf("%s: a %d-byte read went in %d requests", what, len(want), n)
+		}
+	}
+	before := c.Rounds()
+	if _, err := c.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Rounds() - before; n < int64(len(data)/limit)+1 {
+		t.Fatalf("a %d-byte write went in %d requests", len(data), n)
+	}
+	check("direct", data)
+
+	staged := bytes.Repeat([]byte{'s'}, 700)
+	c.BeginEpoch(3)
+	if err := c.WriteAtv([]storage.Segment{{Off: 50, Buf: staged}}); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, c, 3)
+	copy(data[50:], staged)
+	check("staged", data)
+}
+
 // TestClientOverlongResponse: a response longer than its destination
 // fails ErrPermanent without touching it and drops the connection, and
 // the next request, on a fresh connection, succeeds.
@@ -360,8 +444,8 @@ func TestClientOverlongResponse(t *testing.T) {
 				if err != nil {
 					break
 				}
-				e, _, _ := bounds{maxFrame: 1 << 20, maxLocal: 1 << 40}.getExtent(req)
-				resp := append([]byte{0}, bytes.Repeat([]byte{'r'}, int(e.n))...)
+				_, n, _, _ := bounds{maxFrame: 1 << 20, maxLocal: 1 << 40}.getList(req, nil)
+				resp := bytes.Repeat([]byte{'r'}, int(n))
 				if conn == 0 {
 					resp = append(resp, "xx"...)
 				}

@@ -131,11 +131,11 @@ func FuzzServerRequest(f *testing.F) {
 	reg := append(putV(nil, 0), datatype.Encode(ft)...)
 
 	// One seed per interesting shape.
-	f.Add(seedReq(opRead, vs(0, 16)))                                             // valid read
-	f.Add(seedReq(opRead, vs(-5, 16)))                                            // negative offset
-	f.Add(seedReq(opRead, vs(0)))                                                 // truncated: missing length field
-	f.Add(seedReq(opRead, vs(0, fuzzMaxFrame*2)))                                 // response would exceed frame
-	f.Add(seedReq(opWrite, append(vs(8), []byte("hello")...)))                    // valid write
+	f.Add(seedReq(opReadv, vs(1, 0, 16)))                                         // valid one-run read
+	f.Add(seedReq(opReadv, vs(1, -5, 16)))                                        // negative offset
+	f.Add(seedReq(opWritev, vs(1, 8)))                                            // truncated: missing length field
+	f.Add(seedReq(opReadv, vs(1, 0, fuzzMaxFrame*2)))                             // response would exceed frame
+	f.Add(seedReq(opWritev, append(vs(1, 8, 5), []byte("hello")...)))             // valid one-run write
 	f.Add(seedReq(opReadv, vs(2, 0, 8, 64, 8)))                                   // valid 2-run readv
 	f.Add(seedReq(opReadv, vs(300, 0, 8)))                                        // list over MaxListRuns
 	f.Add(seedReq(opReadv, vs(1, 0)))                                             // truncated list entry
@@ -160,22 +160,22 @@ func FuzzServerRequest(f *testing.F) {
 	f.Add(hostile)
 	f.Add([]byte("\x00\x01\x02\x03garbage that is not a frame at all"))
 	// Extents no stripe has (ROADMAP item 7's panic: a write whose end
-	// no allocation can hold, as the fuzzer found it; a list entry ending
-	// past MaxInt64; a truncate to 2^62).
-	f.Add([]byte("\t\x01\xc6\x01\xf4\xf4\xf4\xf4\xf4\xf4\xf9\x80\x15"))
+	// no allocation can hold, at the offset the fuzzer found; a list entry
+	// ending past MaxInt64; a truncate to 2^62).
+	f.Add(seedReq(opWritev, vs(1, 5913068966944058, 0)))
 	f.Add(seedReq(opWritev, append(vs(1, math.MaxInt64-1, 2), 'a', 'b')))
 	f.Add(seedReq(opTruncate, vs(1<<62)))
 	// The epoch ops: a staged write, sealed and aborted; a staged list
 	// whose lengths disagree with its payload; a staged view write; a
 	// commit naming an incarnation that is not the server's; a seal of
 	// an epoch never staged.
-	stage := seedReq(opStageWrite, append(vs(3, 8), []byte("hello")...))
+	stage := seedReq(opStageWritev, append(vs(3, 1, 8, 5), []byte("hello")...))
 	f.Add(append(append(stage, seedReq(opEpochSeal, vs(3))...), seedReq(opEpochAbort, vs(3))...))
 	f.Add(seedReq(opStageWritev, append(vs(3, 1, 0, 4), 'a', 'b')))
 	f.Add(append(seedReq(opRegister, reg), seedReq(opStageViewWrite, append(vs(3, 1, 0, 2), 'a', 'b'))...))
 	f.Add(append(stage, seedReq(opEpochCommit, vs(3, 12345))...))
 	f.Add(seedReq(opEpochSeal, vs(99)))
-	f.Add(seedReq(opStageWrite, vs(0, 8))) // epoch id 0
+	f.Add(seedReq(opStageWritev, vs(0, 1, 8, 0))) // epoch id 0
 
 	addr := fuzzServer(f)
 

@@ -109,27 +109,48 @@ func TestKillRestartCrashConsistency(t *testing.T) {
 	for _, nSrv := range []int{1, 3} {
 		for _, eng := range []core.Engine{core.ListBased, core.Listless} {
 			t.Run(fmt.Sprintf("%dsrv-%s", nSrv, eng), func(t *testing.T) {
-				killRestartRun(t, nSrv, eng)
+				killRestartRun(t, nSrv, eng, krSmall)
 			})
 		}
 	}
+	t.Run("3srv-listless-2windows", func(t *testing.T) {
+		killRestartRun(t, 3, core.Listless, krWindows)
+	})
 }
 
-const (
-	krRanks      = 4
-	krUnit       = 256
-	krBlockcount = 16
-	krBlocklen   = 8
-	krRounds     = 24
-	krData       = int64(krBlockcount * krBlocklen)
-)
+const krRanks = 4
 
-// krKillRounds are the storm rounds after which a server is killed.
+// krStorm is one storm of the harness: the stripe unit, each rank's
+// view — blockcount blocks of blocklen bytes, interleaved over the
+// ranks — the rounds, and the rounds after which a server is killed.
 // Every kill lands between a commit's acknowledgement and the next
 // checkpoint, so the restart replays each round the victim committed
 // since its last start; the kill after the last round is the one whose
-// replay the final bytes depend on, every earlier round being overwritten.
-var krKillRounds = map[int]bool{8: true, 16: true, krRounds - 1: true}
+// replay the final bytes depend on, every earlier round being
+// overwritten.
+type krStorm struct {
+	unit, blockcount, blocklen int64
+	rounds                     int
+	kills                      map[int]bool
+}
+
+// data is each rank's bytes per round.
+func (s krStorm) data() int64 { return s.blockcount * s.blocklen }
+
+// windows is the collective write windows a rank moves in the storm:
+// its IOP domain is its share of the file, moved each round in buffered
+// windows of core's 1 MiB, which count as sieve writes.
+func (s krStorm) windows() int64 { return int64(s.rounds) * ((s.data() + 1<<20 - 1) >> 20) }
+
+var (
+	// krSmall is a 512-byte file: each IOP moves its domain in one
+	// window.
+	krSmall = krStorm{unit: 256, blockcount: 16, blocklen: 8, rounds: 24, kills: map[int]bool{8: true, 16: true, 23: true}}
+	// krWindows is an 8 MiB file of 64-byte blocks, which windows keep
+	// buffered: each IOP's 2 MiB domain is two of core's 1 MiB windows,
+	// so a kill may find the next collective between two of them.
+	krWindows = krStorm{unit: 64 << 10, blockcount: 32 << 10, blocklen: 64, rounds: 4, kills: map[int]bool{1: true, 2: true, 3: true}}
+)
 
 // roundPattern is rank r's payload for storm round n — every (rank,
 // round) pair distinct, so a stale committed epoch cannot masquerade as
@@ -157,28 +178,28 @@ func interleavedFiletype(p, P int, blockcount, blocklen int64) (*datatype.Type, 
 	)
 }
 
-// runStorm drives krRounds collective writes of the interleaved
+// runStorm drives the storm's collective writes of the interleaved
 // noncontiguous pattern over be from an in-process world.  roundCh, if
 // non-nil, receives each completed round number (from rank 0's view).
-func runStorm(t *testing.T, eng core.Engine, be storage.Backend, roundCh chan<- int) {
+func runStorm(t *testing.T, eng core.Engine, storm krStorm, be storage.Backend, roundCh chan<- int) {
 	t.Helper()
 	sh := core.NewShared(be)
-	var committed int64
+	var committed, windows int64
 	_, err := mpi.RunWithOptions(krRanks, mpi.RunOptions{StallTimeout: 60 * time.Second}, func(p *mpi.Proc) {
 		f, err := core.Open(p, sh, core.Options{Engine: eng})
 		if err != nil {
 			panic(err)
 		}
 		defer f.Close()
-		ft, err := interleavedFiletype(p.Rank(), krRanks, krBlockcount, krBlocklen)
+		ft, err := interleavedFiletype(p.Rank(), krRanks, storm.blockcount, storm.blocklen)
 		if err != nil {
 			panic(err)
 		}
 		if err := f.SetView(0, datatype.Byte, ft); err != nil {
 			panic(err)
 		}
-		for r := 0; r < krRounds; r++ {
-			if _, err := f.WriteAtAll(0, krData, datatype.Byte, roundPattern(p.Rank(), r, krData)); err != nil {
+		for r := 0; r < storm.rounds; r++ {
+			if _, err := f.WriteAtAll(0, storm.data(), datatype.Byte, roundPattern(p.Rank(), r, storm.data())); err != nil {
 				panic(fmt.Sprintf("rank %d round %d: %v", p.Rank(), r, err))
 			}
 			if p.Rank() == 0 && roundCh != nil {
@@ -186,7 +207,7 @@ func runStorm(t *testing.T, eng core.Engine, be storage.Backend, roundCh chan<- 
 			}
 		}
 		if p.Rank() == 0 {
-			committed = f.Stats.EpochsCommitted
+			committed, windows = f.Stats.EpochsCommitted, f.Stats.SieveWrites
 		}
 	})
 	if roundCh != nil {
@@ -195,15 +216,18 @@ func runStorm(t *testing.T, eng core.Engine, be storage.Backend, roundCh chan<- 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := storage.AsEpochBackend(be); ok && committed != krRounds {
-		t.Fatalf("epoch protocol inactive: %d epochs committed, want %d", committed, krRounds)
+	if _, ok := storage.AsEpochBackend(be); ok && committed != int64(storm.rounds) {
+		t.Fatalf("epoch protocol inactive: %d epochs committed, want %d", committed, storm.rounds)
+	}
+	if want := storm.windows(); windows != want {
+		t.Fatalf("rank 0 moved %d buffered windows in %d rounds, want %d", windows, storm.rounds, want)
 	}
 }
 
 // startHelperPool binds nothing itself — the listeners are the caller's
 // — and supervises one re-execed server helper per listener, calling
 // onRestart (when set) before each restart.
-func startHelperPool(t *testing.T, dir string, nSrv int, lfs []*os.File, onRestart func(idx, attempt int)) *transport.ServerPool {
+func startHelperPool(t *testing.T, dir string, unit int64, nSrv int, lfs []*os.File, onRestart func(idx, attempt int)) *transport.ServerPool {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -217,7 +241,7 @@ func startHelperPool(t *testing.T, dir string, nSrv int, lfs []*os.File, onResta
 			cmd := exec.Command(exe)
 			cmd.Env = append(os.Environ(),
 				"IOSERVER_HELPER_ROLE=server",
-				fmt.Sprintf("IOSERVER_HELPER_UNIT=%d", krUnit),
+				fmt.Sprintf("IOSERVER_HELPER_UNIT=%d", unit),
 				fmt.Sprintf("IOSERVER_HELPER_COUNT=%d", nSrv),
 				fmt.Sprintf("IOSERVER_HELPER_INDEX=%d", idx),
 				"IOSERVER_HELPER_FILE="+filepath.Join(dir, fmt.Sprintf("stripe%d", idx)),
@@ -236,9 +260,9 @@ func startHelperPool(t *testing.T, dir string, nSrv int, lfs []*os.File, onResta
 // mountResilient mounts the servers with a retry budget generous enough
 // to ride out a restart (pool backoff 50ms, doubling, vs ~2s of total
 // retry window here).
-func mountResilient(t *testing.T, addrs []string) (*Striped, storage.Backend) {
+func mountResilient(t *testing.T, unit int64, addrs []string) (*Striped, storage.Backend) {
 	t.Helper()
-	agg, err := NewStriped(krUnit, addrs, ClientOptions{})
+	agg, err := NewStriped(unit, addrs, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +286,7 @@ func flattenRemote(t *testing.T, b storage.Backend, n int64) []byte {
 	return buf
 }
 
-func killRestartRun(t *testing.T, nSrv int, eng core.Engine) {
+func killRestartRun(t *testing.T, nSrv int, eng core.Engine, storm krStorm) {
 	dir := t.TempDir()
 	addrs := make([]string, nSrv)
 	lfs := make([]*os.File, nSrv)
@@ -284,8 +308,8 @@ func killRestartRun(t *testing.T, nSrv int, eng core.Engine) {
 	// The storm against the supervised server tier, with kills injected
 	// at fixed round boundaries (round-robin across servers).
 	var restarted atomic.Int64
-	pool := startHelperPool(t, dir, nSrv, lfs, func(int, int) { restarted.Add(1) })
-	agg, be := mountResilient(t, addrs)
+	pool := startHelperPool(t, dir, storm.unit, nSrv, lfs, func(int, int) { restarted.Add(1) })
+	agg, be := mountResilient(t, storm.unit, addrs)
 	// Unbuffered: rank 0 blocks until the killer consumed the round
 	// marker, so a kill lands before the next round's staging — genuinely
 	// mid-storm, never after it.
@@ -295,7 +319,7 @@ func killRestartRun(t *testing.T, nSrv int, eng core.Engine) {
 	go func() {
 		defer close(killerDone)
 		for r := range roundCh {
-			if krKillRounds[r] {
+			if storm.kills[r] {
 				if err := pool.Kill(kills % nSrv); err != nil {
 					t.Errorf("kill after round %d: %v", r, err)
 				}
@@ -303,12 +327,12 @@ func killRestartRun(t *testing.T, nSrv int, eng core.Engine) {
 			}
 		}
 	}()
-	runStorm(t, eng, be, roundCh)
+	runStorm(t, eng, storm, be, roundCh)
 	<-killerDone
 
 	// The identical storm against a local Mem backend is the oracle.
 	oracle := storage.NewMem()
-	runStorm(t, eng, oracle, nil)
+	runStorm(t, eng, storm, oracle, nil)
 	want := oracle.Bytes()
 	verify := func(when string, got []byte) {
 		t.Helper()
@@ -345,8 +369,8 @@ func killRestartRun(t *testing.T, nSrv int, eng core.Engine) {
 	// Restart the world over the persisted stripes and journals and
 	// byte-verify every committed epoch survived both the kills and the
 	// final shutdown.
-	pool2 := startHelperPool(t, dir, nSrv, lfs, nil)
-	agg2, be2 := mountResilient(t, addrs)
+	pool2 := startHelperPool(t, dir, storm.unit, nSrv, lfs, nil)
+	agg2, be2 := mountResilient(t, storm.unit, addrs)
 	verify("restarted,", flattenRemote(t, be2, be2.Size()))
 	if err := agg2.Close(); err != nil {
 		t.Errorf("closing verification clients: %v", err)

@@ -1,21 +1,20 @@
 // Package ioserver provides dedicated I/O-server processes for the
 // storage tier: each server owns one stripe of a file (the round-robin
-// layout of storage.StripeGeom, generalized from the in-process Striped
-// backend to a network of processes), and ranks access the file through
-// a client-side storage.Backend that speaks a request/response protocol
+// layout of storage.StripeGeom), and ranks access the file through a
+// client-side storage.Backend that speaks a request/response protocol
 // over the TCP transport's frame codec.
 //
 // The protocol has two faces.  The raw face is plain passthrough —
-// ReadAt/WriteAt and offset-list (vectored) batches against a server's
-// local stripe, with the client doing all the stripe math.  The view
-// face is the paper's idea pushed across the wire: the client registers
-// a fileview (displacement + datatype.Encode'd filetype tree) once,
-// gets back a handle, and from then on each noncontiguous access is a
-// constant-size (handle, d0, d1) request; the server walks the pattern
-// with fotf against its own stripe and moves exactly the owned bytes,
-// packed in data order.  An offset list naming n runs costs
-// ceil(n/MaxListRuns) round-trips; the same access through a registered
-// view costs one.
+// offset-list (vectored) batches against a server's local stripe, with
+// the client doing all the stripe math; a contiguous access is a list
+// of one entry.  The view face is the paper's idea pushed across the
+// wire: the client registers a fileview (displacement +
+// datatype.Encode'd filetype tree) once, gets back a handle, and from
+// then on each noncontiguous access is a constant-size (handle, d0, d1)
+// request; the server walks the pattern with fotf against its own
+// stripe and moves exactly the owned bytes, packed in data order.  An
+// offset list naming n runs costs ceil(n/MaxListRuns) round-trips; the
+// same access through a registered view costs one.
 package ioserver
 
 import (
@@ -35,9 +34,7 @@ import (
 // else an op is — its name, its handler, whether it settles, whose staged
 // twin it is — is opTable's to say.
 const (
-	opRead      = transport.TagServerFirst - iota // extent → eof, data
-	opWrite                                       // off, data → —
-	opReadv                                       // list → data
+	opReadv     = transport.TagServerFirst - iota // list → data
 	opWritev                                      // list, data → —
 	opSize                                        // — → size
 	opTruncate                                    // n → —
@@ -53,7 +50,6 @@ const (
 	// applied atomically by opEpochCommit; a server restart discards
 	// anything unsealed by a commit record.  A staged request is its
 	// direct twin's behind an epoch prefix.
-	opStageWrite     // epoch, opWrite's request → —
 	opStageWritev    // epoch, opWritev's request → —
 	opStageViewWrite // epoch, opViewWrite's request → —
 	opEpochSeal      // epoch → incarnation, staged count, staged bytes (this connection)
@@ -78,8 +74,6 @@ type opInfo struct {
 // opTable is the protocol, in code order: dispatch, settle and the fuzz
 // alphabet all read it, and DESIGN §10's table mirrors it.
 var opTable = [...]opInfo{
-	{code: opRead, name: "read", serve: (*connState).opRead},
-	{code: opWrite, name: "write", serve: (*connState).opWrite, mutates: true},
 	{code: opReadv, name: "readv", serve: (*connState).opReadv},
 	{code: opWritev, name: "writev", serve: (*connState).opWritev, mutates: true},
 	{code: opSize, name: "size", serve: (*connState).opSize},
@@ -90,7 +84,6 @@ var opTable = [...]opInfo{
 	{code: opViewWrite, name: "view_write", serve: (*connState).opViewWrite, mutates: true},
 	{code: opStats, name: "stats", serve: (*connState).opStats},
 	{code: opErr, name: "err"},
-	{code: opStageWrite, name: "stage_write", serve: (*connState).opWrite, epoch: true, direct: opWrite},
 	{code: opStageWritev, name: "stage_writev", serve: (*connState).opWritev, epoch: true, direct: opWritev},
 	{code: opStageViewWrite, name: "stage_view_write", serve: (*connState).opViewWrite, epoch: true, direct: opViewWrite},
 	{code: opEpochSeal, name: "epoch_seal", serve: (*connState).opEpochSeal, epoch: true},
@@ -100,7 +93,7 @@ var opTable = [...]opInfo{
 
 // opFor finds tag's row, nil for a tag that is no op.
 func opFor(tag int) *opInfo {
-	if i := opRead - tag; i >= 0 && i < len(opTable) && opTable[i].code == tag {
+	if i := opReadv - tag; i >= 0 && i < len(opTable) && opTable[i].code == tag {
 		return &opTable[i]
 	}
 	return nil
@@ -284,8 +277,8 @@ func getEpoch(buf []byte) (uint64, []byte, error) {
 // and also reported locally by Server.Stats.
 type ServerStats struct {
 	Requests          int64 // requests handled, all ops
-	RawReads          int64 // opRead and opReadv requests served
-	RawWrites         int64 // opWrite and opWritev requests served
+	RawReads          int64 // opReadv requests served
+	RawWrites         int64 // opWritev requests served
 	ViewReads         int64 // opViewRead requests served
 	ViewWrites        int64 // opViewWrite requests served
 	ViewRegistrations int64 // opRegister requests that decoded a new view

@@ -15,8 +15,8 @@ import (
 func TestOpTable(t *testing.T) {
 	names := map[string]bool{}
 	for i, op := range opTable {
-		if op.code != opRead-i || opFor(op.code) != &opTable[i] {
-			t.Errorf("row %d (%s) holds code %d, want %d", i, op.name, op.code, opRead-i)
+		if op.code != opReadv-i || opFor(op.code) != &opTable[i] {
+			t.Errorf("row %d (%s) holds code %d, want %d", i, op.name, op.code, opReadv-i)
 		}
 		if op.name == "" || names[op.name] {
 			t.Errorf("row %d: name %q is empty or taken", i, op.name)
@@ -34,7 +34,7 @@ func TestOpTable(t *testing.T) {
 			t.Errorf("%s is no staged twin of op %d", op.name, op.direct)
 		}
 	}
-	for _, tag := range []int{opRead + 1, opRead - len(opTable), 0, 7} {
+	for _, tag := range []int{opReadv + 1, opReadv - len(opTable), 0, 7} {
 		if opFor(tag) != nil {
 			t.Errorf("tag %d found a row", tag)
 		}
@@ -122,12 +122,11 @@ func TestHostileExtents(t *testing.T) {
 		body []byte
 		bad  bool // refused by the protocol (errBadRequest), not by the backend
 	}{
-		{"write no allocation can hold", opWrite, []byte("\xf4\xf4\xf4\xf4\xf4\xf9\x80\x15"), false},
-		{"write ending past MaxInt64", opWrite, append(vs(math.MaxInt64-1), "ab"...), true},
-		{"write whose global end overflows", opWrite, append(vs(beyond), "ab"...), true},
+		{"write no allocation can hold", opWritev, vs(1, 5913068966944058, 0), false},
+		{"write whose global end overflows", opWritev, append(vs(1, beyond, 2), "ab"...), true},
 		{"list entry ending past MaxInt64", opWritev, append(vs(1, math.MaxInt64-1, 2), "ab"...), true},
 		{"list entry of negative length", opWritev, vs(1, 8, -1), true},
-		{"read ending past MaxInt64", opRead, vs(math.MaxInt64, 1), true},
+		{"read ending past MaxInt64", opReadv, vs(1, math.MaxInt64, 1), true},
 		{"read list entry past the offset space", opReadv, vs(1, beyond, 2), true},
 		{"truncate past the offset space", opTruncate, vs(1 << 62), true},
 		{"truncate no allocation can hold", opTruncate, vs(1 << 50), false},

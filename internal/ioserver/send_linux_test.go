@@ -53,9 +53,8 @@ var sendLists = [][]storage.Extent{
 }
 
 // checkReads reads every list of sendLists through c, by ReadAtv and by
-// ReadAt, and requires the bytes storage.ReadAtv and ReadAt give on the
-// file itself — zeros past its end for a list, a short count and io.EOF
-// for a plain read.
+// ReadAt, and requires the bytes storage.ReadAtv and storage.ReadFull
+// give on the file itself, zeros past its end.
 func checkReads(t *testing.T, c storage.Backend, fb *storage.File) {
 	t.Helper()
 	for _, list := range sendLists {
@@ -78,17 +77,19 @@ func checkReads(t *testing.T, c storage.Backend, fb *storage.File) {
 		for _, e := range list {
 			p, q := make([]byte, e.N), make([]byte, e.N)
 			n, err := c.ReadAt(p, e.Off)
-			m, ferr := fb.ReadAt(q, e.Off)
-			if n != m || err != ferr || !bytes.Equal(p[:n], q[:m]) {
-				t.Fatalf("read %+v: (%d, %v), the file gives (%d, %v)", e, n, err, m, ferr)
+			if err := storage.ReadFull(fb, q, e.Off); err != nil {
+				t.Fatal(err)
+			}
+			if n != len(p) || err != nil || !bytes.Equal(p, q) {
+				t.Fatalf("read %+v: (%d, %v), or bytes other than the file's", e, n, err)
 			}
 		}
 	}
 }
 
-// TestSendPathReads: opReadv and opRead answer from a file-backed stripe
-// with the bytes the file holds, over TCP and, through a server whose
-// connections are ChaosConns (which take the buffered path), the same.
+// TestSendPathReads: opReadv answers from a file-backed stripe with the
+// bytes the file holds, over TCP and, through a server whose connections
+// are ChaosConns (which take the buffered path), the same.
 func TestSendPathReads(t *testing.T) {
 	fb := openStripeFile(t)
 	srv, addr := serveStripe(t, "127.0.0.1:0", fb)

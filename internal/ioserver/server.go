@@ -271,28 +271,18 @@ type connState struct {
 	units []unitPiece       // sieve-window staging, reused
 
 	// A raw read over a store that sends (Server.snd) leaves its bytes
-	// in no buffer: its handler sets out, and handle streams the
-	// response, which sendOut writes.
-	out  sendOut
-	exts []storage.Extent               // out's extents, reused
-	fill func(io.Writer) (int64, error) // st.sendOut, bound once
+	// in no buffer: its handler sets sending and sendLen, and handle
+	// streams the response, which sendOut writes.
+	sending bool
+	sendLen int64
+	exts    []storage.Extent               // the streamed extents, reused
+	fill    func(io.Writer) (int64, error) // st.sendOut, bound once
 
 	// Staging tally for the connection's in-flight epoch, echoed by
 	// opEpochSeal so the client can verify nothing staged was lost to a
 	// silent restart.
 	tallyEpoch             uint64
 	tallyCount, tallyBytes int64
-}
-
-// sendOut is a streamed read response: its payload length, the
-// request's span, at and n as its BeginIO takes them, and, for opRead,
-// the EOF flag, sent ahead of the extents.
-type sendOut struct {
-	on      bool
-	len     int
-	at, n   int64
-	flagged bool
-	flag    [1]byte
 }
 
 // handleConn serves one connection to completion.  Malformed framing
@@ -349,10 +339,10 @@ func (st *connState) readRequest() (seq, tag int, payload []byte, err error) {
 // and the connection goes.  Before that a failed read answers opErr.
 func (st *connState) handle(seq, tag int, payload []byte) error {
 	resp, err := st.dispatch(tag, payload)
-	if err == nil && st.out.on {
-		st.out.on = false
+	if err == nil && st.sending {
+		st.sending = false
 		var sent bool
-		if sent, err = st.fc.WriteFrameFrom(seq, tag, st.out.len, st.fill); err == nil || sent {
+		if sent, err = st.fc.WriteFrameFrom(seq, tag, int(st.sendLen), st.fill); err == nil || sent {
 			return err
 		}
 	}
@@ -384,67 +374,24 @@ func (st *connState) dispatch(tag int, body []byte) ([]byte, error) {
 	return op.serve(st, epoch, body)
 }
 
-// opRead: extent → eof flag, data.  Plain ReadAt relay, preserving the
-// short-read-plus-EOF shape of the Backend contract.  Over a store that
-// sends, the flag and the count come from the store's size, and the bytes
-// are sent.
-func (st *connState) opRead(_ uint64, body []byte) ([]byte, error) {
-	e, _, err := st.srv.lim.getExtent(body)
-	if err != nil {
-		return nil, err
-	}
-	if e.n > st.srv.lim.maxFrame-1 {
-		return nil, fmt.Errorf("%w: read of %d bytes exceeds a frame", errBadRequest, e.n)
-	}
-	if st.sends() {
-		m := min(max(st.srv.cfg.Backend.Size()-e.off, 0), e.n)
-		st.exts = append(st.exts[:0], storage.Extent{Off: e.off, N: m})
-		st.out = sendOut{on: true, len: 1 + int(m), at: e.off, n: e.n, flagged: true}
-		if m < e.n {
-			st.out.flag[0] = 1
-		}
-		return nil, nil
-	}
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, e.off, e.n)
-	defer sp.End()
-	st.resp = grow(st.resp[:0], 1+e.n)
-	st.resp[0] = 0
-	m, err := st.srv.cfg.Backend.ReadAt(st.resp[1:1+e.n], e.off)
-	if err == io.EOF {
-		st.resp[0] = 1
-	} else if err != nil {
-		return nil, err
-	}
-	atomic.AddInt64(&st.srv.stats.RawReads, 1)
-	atomic.AddInt64(&st.srv.stats.BytesRead, int64(m))
-	return st.resp[:1+m], nil
-}
-
 // sends reports whether a read's response is streamed, which it is over
 // a store that sends, on a connection: a handler state driven without
 // one, as the tests drive it, answers in the response buffer.
 func (st *connState) sends() bool { return st.srv.snd != nil && st.fc != nil }
 
-// sendOut is the fill of a streamed read: opRead's EOF flag, then the
-// bytes of st.exts, which the store writes to the connection itself.
+// sendOut is the fill of a streamed read: the bytes of st.exts, which
+// the store writes to the connection itself.
 func (st *connState) sendOut(w io.Writer) (int64, error) {
 	srv := st.srv
-	sp := srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, st.out.at, st.out.n)
+	sp := srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, 0, st.sendLen)
 	defer sp.End()
-	var lead int64
-	if st.out.flagged {
-		if _, err := w.Write(st.out.flag[:]); err != nil {
-			return 0, err
-		}
-		lead = 1
-	}
 	m, err := srv.snd.SendTo(w, st.exts)
 	if err != nil {
-		return lead + m, err
+		return m, err
 	}
 	atomic.AddInt64(&srv.stats.RawReads, 1)
 	atomic.AddInt64(&srv.stats.BytesRead, m)
-	return lead + m, nil
+	return m, nil
 }
 
 // listSegs decodes the offset list at the head of body into st.segs,
@@ -487,7 +434,7 @@ func (st *connState) opReadv(_ uint64, body []byte) ([]byte, error) {
 		return nil, err
 	}
 	if st.sends() {
-		st.out = sendOut{on: true, len: int(total), n: total}
+		st.sending, st.sendLen = true, total
 		return nil, nil
 	}
 	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, 0, total)
@@ -500,45 +447,26 @@ func (st *connState) opReadv(_ uint64, body []byte) ([]byte, error) {
 	return st.resp, nil
 }
 
-// opWrite: off, data → —; under an epoch, staged.
-func (st *connState) opWrite(epoch uint64, body []byte) ([]byte, error) {
-	off, data, err := getV(body)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.srv.lim.check(extent{off, int64(len(data))}); err != nil {
-		return nil, err
-	}
-	st.segs = append(st.segs[:0], storage.Segment{Off: off, Buf: data})
-	return nil, st.rawWrite(epoch, off, int64(len(data)))
-}
-
-// opWritev: list, concatenated data → —; under an epoch, staged.
+// opWritev: list, concatenated data → —; under an epoch, staged, and
+// otherwise moved to the stripe.
 func (st *connState) opWritev(epoch uint64, body []byte) ([]byte, error) {
 	total, err := st.listSegs(body, true)
 	if err != nil {
 		return nil, err
 	}
-	return nil, st.rawWrite(epoch, 0, total)
-}
-
-// rawWrite finishes opWrite and opWritev: st.segs, total bytes over the
-// request's frame payload, are staged under the epoch or, without one,
-// moved to the stripe.
-func (st *connState) rawWrite(epoch uint64, at, total int64) error {
 	if epoch != 0 {
-		sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerStage, at, total)
+		sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerStage, 0, total)
 		defer sp.End()
-		return st.stage(epoch, total)
+		return nil, st.stage(epoch, total)
 	}
-	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerWrite, at, total)
+	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerWrite, 0, total)
 	defer sp.End()
 	if err := st.srv.moveSegs(st.segs, true); err != nil {
-		return err
+		return nil, err
 	}
 	atomic.AddInt64(&st.srv.stats.RawWrites, 1)
 	atomic.AddInt64(&st.srv.stats.BytesWritten, total)
-	return nil
+	return nil, nil
 }
 
 func (st *connState) opSize(uint64, []byte) ([]byte, error) {

@@ -23,8 +23,20 @@ import (
 func startServers(t *testing.T, unit int64, n int, tweak func(*Config)) (*Striped, []*Server) {
 	t.Helper()
 	check := testutil.LeakCheck(t)
+	agg, servers, stop := serveTier(t, unit, n, tweak)
+	t.Cleanup(func() {
+		stop()
+		check()
+	})
+	return agg, servers
+}
+
+// serveTier is startServers without the cleanup: stop closes the
+// aggregate client and the servers.
+func serveTier(t *testing.T, unit int64, n int, tweak func(*Config)) (agg *Striped, servers []*Server, stop func()) {
+	t.Helper()
 	geom := storage.StripeGeom{Unit: unit, Count: n}
-	servers := make([]*Server, n)
+	servers = make([]*Server, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		cfg := Config{Backend: storage.NewMem(), Geom: geom, Index: i}
@@ -47,14 +59,12 @@ func startServers(t *testing.T, unit int64, n int, tweak func(*Config)) (*Stripe
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
+	return agg, servers, func() {
 		agg.Close()
 		for _, srv := range servers {
 			srv.Close()
 		}
-		check()
-	})
-	return agg, servers
+	}
 }
 
 // TestRemoteBackendOracle drives the remote aggregate and a flat Mem

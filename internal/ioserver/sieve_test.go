@@ -316,8 +316,8 @@ func TestSieveRule(t *testing.T) {
 		}},
 		{"adjacent 64 KiB pieces, commit apply", false, func(st *connState) error {
 			for i := int64(0); i < 16; i++ {
-				req := append(putV(putV(nil, 1), i<<16), make([]byte, 64<<10)...)
-				if _, err := st.dispatch(opStageWrite, req); err != nil {
+				req := append(putVs(nil, 1, 1, i<<16, 64<<10), make([]byte, 64<<10)...)
+				if _, err := st.dispatch(opStageWritev, req); err != nil {
 					return err
 				}
 			}

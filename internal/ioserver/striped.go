@@ -2,6 +2,7 @@ package ioserver
 
 import (
 	"fmt"
+	"io"
 	"sync"
 
 	"repro/internal/datatype"
@@ -9,17 +10,16 @@ import (
 )
 
 // Striped aggregates one Client per I/O server into the storage.Backend
-// the ranks mount: the network-tier generalization of storage.Striped.
-// Scalar and metadata operations reuse the in-process Striped logic
-// over the clients; vectored batches fan out concurrently (one offset
-// list per server); registered views go through storage.ViewBackend, so
-// core's sparse direct path sends constant-size requests instead of
+// the ranks mount, the file laid round-robin over the servers' stripes
+// in units of storage.StripeGeom.  Every raw access — a scalar call is
+// a batch of one segment — fans out concurrently as one offset list per
+// server it touches; registered views go through storage.ViewBackend,
+// so core's sparse direct path sends constant-size requests instead of
 // offset lists and the servers evaluate the noncontiguous pattern
 // against their own stripes.
 type Striped struct {
 	clients []*Client
 	geom    storage.StripeGeom
-	local   *storage.Striped // scalar/metadata ops over the clients
 
 	mu     sync.Mutex
 	views  map[storage.ViewHandle]*aggView
@@ -43,19 +43,12 @@ func NewStriped(unit int64, addrs []string, opts ClientOptions) (*Striped, error
 		return nil, err
 	}
 	clients := make([]*Client, len(addrs))
-	backends := make([]storage.Backend, len(addrs))
 	for i, a := range addrs {
 		clients[i] = NewClient(a, opts)
-		backends[i] = clients[i]
-	}
-	local, err := storage.NewStriped(unit, backends...)
-	if err != nil {
-		return nil, err
 	}
 	return &Striped{
 		clients: clients,
 		geom:    g,
-		local:   local,
 		views:   make(map[storage.ViewHandle]*aggView),
 	}, nil
 }
@@ -96,20 +89,57 @@ func (s *Striped) Close() error {
 	return first
 }
 
-// Scalar Backend operations delegate to the in-process Striped over the
-// clients: one request per stripe unit, in sequence, and a read asks
-// every server for its size first.  They are the metadata path and a
-// fallback; the collective's windows do not take them.  A buffered IOP
-// window reaches the tier as a one-segment WriteAtv or ReadAtv, as a
-// direct window's batch does, and so crosses as one vectored request per
-// server, sent concurrently: on the benchmark's tier64 workload 19 round
-// trips per op where scalar calls cost 139.
+// ReadAt implements io.ReaderAt: the range, clipped to the logical
+// size, is a ReadAtv of one segment.  Past the end the count comes back
+// short with io.EOF.
+func (s *Striped) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("ioserver: negative offset %d: %w", off, storage.ErrPermanent)
+	}
+	size := s.Size()
+	if off >= size {
+		return 0, io.EOF
+	}
+	n := min(int64(len(p)), size-off)
+	if err := s.ReadAtv([]storage.Segment{{Off: off, Buf: p[:n]}}); err != nil {
+		return 0, err
+	}
+	if n < int64(len(p)) {
+		return int(n), io.EOF
+	}
+	return int(n), nil
+}
 
-func (s *Striped) ReadAt(p []byte, off int64) (int, error)  { return s.local.ReadAt(p, off) }
-func (s *Striped) WriteAt(p []byte, off int64) (int, error) { return s.local.WriteAt(p, off) }
-func (s *Striped) Size() int64                              { return s.local.Size() }
-func (s *Striped) Truncate(n int64) error                   { return s.local.Truncate(n) }
-func (s *Striped) Sync() error                              { return s.local.Sync() }
+// WriteAt implements io.WriterAt as a WriteAtv of one segment.
+func (s *Striped) WriteAt(p []byte, off int64) (int, error) {
+	if err := s.WriteAtv([]storage.Segment{{Off: off, Buf: p}}); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// Size reports the logical size: the furthest global offset any server's
+// stripe reaches.
+func (s *Striped) Size() int64 {
+	var size int64
+	for i, c := range s.clients {
+		size = max(size, s.geom.GlobalLen(c.Size(), i))
+	}
+	return size
+}
+
+// Truncate sizes every server's stripe to its share of n bytes.
+func (s *Striped) Truncate(n int64) error {
+	if n < 0 {
+		return fmt.Errorf("ioserver: negative truncate %d: %w", n, storage.ErrPermanent)
+	}
+	return s.fanOut(nil, func(i int) error { return s.clients[i].Truncate(s.geom.LocalLen(n, i)) })
+}
+
+// Sync flushes every server's stripe.
+func (s *Striped) Sync() error {
+	return s.fanOut(nil, func(i int) error { return s.clients[i].Sync() })
+}
 
 // fanOut runs fn for every server, or, given idle, for every server that
 // is not, concurrently, and reports the first failure.

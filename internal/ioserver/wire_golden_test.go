@@ -64,9 +64,9 @@ func (w *wireTap) serve(ln net.Listener, backend string) {
 
 // TestWireGolden pins the bytes: one request of every op a client sends,
 // direct and staged, with its response, and the journal those requests
-// leave, against testdata/wire_golden.txt — recorded at the commit before
-// the protocol was gathered into one table and one codec per shape, so
-// that neither a frame nor a journal record can move unnoticed.
+// leave, against testdata/wire_golden.txt, so that neither a frame nor a
+// journal record can move unnoticed.  The scalar WriteAt and ReadAt go
+// out as the one-entry lists they are.
 func TestWireGolden(t *testing.T) {
 	jb := storage.NewMem()
 	srv, err := New(Config{Backend: storage.NewMem(), Geom: storage.StripeGeom{Unit: 64, Count: 1}, Journal: NewJournal(jb)})

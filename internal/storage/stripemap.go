@@ -2,9 +2,11 @@ package storage
 
 import "fmt"
 
-// StripeGeom is the round-robin (RAID-0) striping layout shared by the
-// in-process Striped backend and the networked I/O-server tier: global
-// byte g lives on stripe (g/Unit) mod Count, at local offset
+// StripeGeom is the round-robin (RAID-0) striping layout of the
+// networked I/O-server tier — a model of the striped storage systems
+// the paper's §4.2 points to for scaling accumulated bandwidth with the
+// number of processes: global byte g lives on stripe (g/Unit) mod
+// Count, at local offset
 // (g/Unit)/Count*Unit + g%Unit within that stripe's backing store.
 // Keeping the mapping in one place guarantees that a client-side
 // splitter and a server-side evaluator agree on which bytes belong to
@@ -78,9 +80,8 @@ func (g StripeGeom) LocalLen(n int64, i int) int64 {
 // SplitSegs regroups a global segment batch into one local batch per
 // stripe of g, splitting segments at stripe-unit boundaries.  The
 // returned slice is indexed by stripe; stripes the batch never touches
-// hold nil.  Both the in-process Striped backend and the networked
-// I/O-server client use this to turn one global vectored access into
-// per-member vectored accesses.
+// hold nil.  The I/O-server tier's client uses this to turn one global
+// vectored access into one per server.
 func SplitSegs(g StripeGeom, segs []Segment) ([][]Segment, error) {
 	bySrv := make([][]Segment, g.Count)
 	for _, seg := range segs {

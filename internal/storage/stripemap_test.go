@@ -131,49 +131,73 @@ func TestStripeGeomLocalGlobalLen(t *testing.T) {
 	}
 }
 
-// TestStripedVectored checks the per-stripe regrouped vectored path
-// against the scalar path: identical bytes, and at most one backend
-// batch per member.
+// TestStripedValidation: a geometry without a positive unit or a
+// stripe is refused.
+func TestStripedValidation(t *testing.T) {
+	for _, g := range []StripeGeom{{Unit: 0, Count: 1}, {Unit: 64, Count: 0}, {Unit: -4, Count: 2}} {
+		if err := g.Validate(); err == nil {
+			t.Errorf("geometry %+v accepted", g)
+		}
+	}
+	if err := (StripeGeom{Unit: 1, Count: 1}).Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestStripedVectored checks SplitSegs' per-stripe regrouping against a
+// flat store: a batch written through the split onto one Mem per stripe
+// and read back through it gives the bytes the flat store gives, and a
+// negative offset is refused.
 func TestStripedVectored(t *testing.T) {
-	s, _ := newStriped(t, 4, 3)
+	g := StripeGeom{Unit: 4, Count: 3}
+	stripes := []*Mem{NewMem(), NewMem(), NewMem()}
+	each := func(segs []Segment, do func(*Mem, []Segment) error) {
+		t.Helper()
+		bySrv, err := SplitSegs(g, segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sub := range bySrv {
+			if err := do(stripes[i], sub); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	ref := NewMem()
 	data := make([]byte, 96)
 	rand.New(rand.NewSource(1)).Read(data)
 	// Segments of varied shapes: zero-length, boundary-exact, spanning.
 	offs := []int64{0, 3, 4, 11, 12, 40}
 	lens := []int64{0, 5, 4, 1, 20, 17}
-	var segs, refSegs []Segment
+	var segs []Segment
 	pos := int64(0)
 	for i := range offs {
 		segs = append(segs, Segment{Off: offs[i], Buf: data[pos : pos+lens[i]]})
-		refSegs = append(refSegs, Segment{Off: offs[i], Buf: data[pos : pos+lens[i]]})
 		pos += lens[i]
 	}
-	if err := s.WriteAtv(segs); err != nil {
+	each(segs, (*Mem).WriteAtv)
+	if err := ref.WriteAtv(segs); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.WriteAtv(refSegs); err != nil {
-		t.Fatal(err)
+	var size int64
+	for i, m := range stripes {
+		size = max(size, g.GlobalLen(m.Size(), i))
 	}
-	for _, n := range []int64{s.Size(), ref.Size()} {
-		if n != 57 {
-			t.Fatalf("size = %d, want 57", n)
-		}
+	if size != 57 || ref.Size() != 57 {
+		t.Fatalf("size = %d striped, %d flat, want 57", size, ref.Size())
 	}
 	got := make([]byte, 60)
 	want := make([]byte, 60)
-	rsegs := []Segment{{Off: 1, Buf: got[:30]}, {Off: 31, Buf: got[30:]}}
-	wsegs := []Segment{{Off: 1, Buf: want[:30]}, {Off: 31, Buf: want[30:]}}
-	if err := s.ReadAtv(rsegs); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.ReadAtv(wsegs); err != nil {
+	each([]Segment{{Off: 1, Buf: got[:30]}, {Off: 31, Buf: got[30:]}}, func(m *Mem, sub []Segment) error {
+		return ReadAtv(m, sub)
+	})
+	if err := ref.ReadAtv([]Segment{{Off: 1, Buf: want[:30]}, {Off: 31, Buf: want[30:]}}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("vectored striped read differs from flat reference")
 	}
-	if _, err := SplitSegs(s.Geom(), []Segment{{Off: -1, Buf: make([]byte, 4)}}); err == nil {
+	if _, err := SplitSegs(g, []Segment{{Off: -1, Buf: make([]byte, 4)}}); err == nil {
 		t.Fatal("negative offset accepted")
 	}
 }
