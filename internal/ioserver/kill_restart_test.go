@@ -226,7 +226,8 @@ func runStorm(t *testing.T, eng core.Engine, storm krStorm, be storage.Backend, 
 
 // startHelperPool binds nothing itself — the listeners are the caller's
 // — and supervises one re-execed server helper per listener, calling
-// onRestart (when set) before each restart.
+// onRestart (when set) before each restart.  The test's cleanup kills
+// whatever helper a failed test left running.
 func startHelperPool(t *testing.T, dir string, unit int64, nSrv int, lfs []*os.File, onRestart func(idx, attempt int)) *transport.ServerPool {
 	t.Helper()
 	exe, err := os.Executable()
@@ -254,6 +255,10 @@ func startHelperPool(t *testing.T, dir string, unit int64, nSrv int, lfs []*os.F
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		pool.Stop(false)
+		pool.Wait()
+	})
 	return pool
 }
 
