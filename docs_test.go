@@ -1,10 +1,14 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -14,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -80,10 +85,15 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 // Resilient's per-op deadline, Chaos's permanent rates, btio's options
 // and backend, and Table3's repeats; and the tier's scalar face: its
 // staged scalar write op and the in-process striped backend (the direct
-// scalar ops' names, opRead and opWrite, are also storage's op kinds).
+// scalar ops' names, opRead and opWrite, are also storage's op kinds); and
+// what no product run reached: the engines' data-in-range count, noncontig's
+// RunOver, File's Engine and Proc, Type's Name and Summary, Indexed and
+// EncodedSize, Kind's String, Tracer's Rank, TCP's wireProgress, Proc's WireStats,
+// Program's Size and Extent, Server's LastCommitted, Mem's Bytes and
+// Instrumented's Reset.
 // Each alternative ends in a bracket, so that this source does not match
 // itself.
-var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRejecte[d]|ClientOptions\{[^}]*Conn[s]|NewRegio[n]|PhaseSessio[n]|PhaseCach[e]|internal/ob[s]|obs\.Registr[y]|GaugeFun[c]|-metrics-(addr|fd|pus[h])|no-metric[s]|internal/tilei[o]|cmd/tilei[o]|cmd/bti[o]|btiomin[i]|blockcycli[c]|Darra[y]|WriteShare[d]|ReadShare[d]|WriteOrdere[d]|ReadOrdere[d]|IWriteA[t]|IReadA[t]|AtAllBegi[n]|Preallocat[e]|func \(p \*Proc\) Spli[t]|DisableProgra[m]|no-progra[m]|DisableViewCach[e]|DisableMergeChec[k]|BenchmarkAblatio[n]|BenchmarkFi[g]|directGathe[r]|directSen[d]|winBatc[h]|lentSeg[s]|chunkSeg[s]|viewSeg[s]|func \(p \*Proc\) Gathe[r]|\.Gather[(]|SendSeg[s]|postShare[s]|takePoste[d]|lendShar[e]|lendBuilde[r]|readPoste[d]|sockReade[r]|segCurso[r]|func \(p \*Proc\) Pos[t]|func \(p \*Proc\) Flus[h]|SetAtomicit[y]|Atomicit[y]\(\)|examples/tiledmatri[x]|examples/particle[s]|SpikeOnl[y]|AsCollectiveErro[r]|Type\) Dept[h]|\.ExactNBloc[k]|flatten\.NewVie[w]|RangeLis[t]|\.EachInDat[a]|IsPermanen[t]|ServerPool\) Restart[s]|Stats\) Tota[l]|RandomMemtyp[e]|datatype\.RandomFiletyp[e]|ReadB[W]|WriteB[W]|\*Program\) (Pack|Unpack)[(]|func UnpackCoun[t]|fotf\.UnpackCoun[t]|Type\) (LB|UB)[(]|IONode[s]|SieveBufSiz[e]|PackBufSiz[e]|CollBufSiz[e]|Options\.Poo[l]|cfg\.MaxFram[e]|opts\.MaxFram[e]|MaxFrame[:]|MaxFrame in[t]|Config\.ViewCach[e]|cfg\.ViewCach[e]|ViewCach[e]:|ViewCach[e] int|cfg\.WriteBu[f]|WriteBu[f](:| int)|ListenAdd[r]|TCPConfig\{[^}]*Deadlin[e]|cfg\.Deadlin[e]|TCPConfig\{[^}]*WireChao[s]|cfg\.WireChao[s]|RestartBackof[f]|KillServerId[x]|ServerStopTimeou[t]|opts\.Stdou[t]|opts\.Stder[r]|opts\.En[v]\b|ServerPoolOptions\{[^}]*\b(Exe|Args|Env)[:]|OpDeadlin[e]|PermanentRea[d]|PermanentWrit[e]|btio\.Config\{[^}]*\b(Options|Backend)[:]|cfg\.Option[s]\b|opts\.Args\(id[x]|cfg\.Repeat[s]|Repeats[:]|cc\.cfg\.Tracer[.]|PhaseWireChao[s]|opStageWrit[e]\b|"stage_writ[e]"|storage\.Stripe[d]\b|storage\.NewStripe[d]`)
+var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRejecte[d]|ClientOptions\{[^}]*Conn[s]|NewRegio[n]|PhaseSessio[n]|PhaseCach[e]|internal/ob[s]|obs\.Registr[y]|GaugeFun[c]|-metrics-(addr|fd|pus[h])|no-metric[s]|internal/tilei[o]|cmd/tilei[o]|cmd/bti[o]|btiomin[i]|blockcycli[c]|Darra[y]|WriteShare[d]|ReadShare[d]|WriteOrdere[d]|ReadOrdere[d]|IWriteA[t]|IReadA[t]|AtAllBegi[n]|Preallocat[e]|func \(p \*Proc\) Spli[t]|DisableProgra[m]|no-progra[m]|DisableViewCach[e]|DisableMergeChec[k]|BenchmarkAblatio[n]|BenchmarkFi[g]|directGathe[r]|directSen[d]|winBatc[h]|lentSeg[s]|chunkSeg[s]|viewSeg[s]|func \(p \*Proc\) Gathe[r]|\.Gather[(]|SendSeg[s]|postShare[s]|takePoste[d]|lendShar[e]|lendBuilde[r]|readPoste[d]|sockReade[r]|segCurso[r]|func \(p \*Proc\) Pos[t]|func \(p \*Proc\) Flus[h]|SetAtomicit[y]|Atomicit[y]\(\)|examples/tiledmatri[x]|examples/particle[s]|SpikeOnl[y]|AsCollectiveErro[r]|Type\) Dept[h]|\.ExactNBloc[k]|flatten\.NewVie[w]|RangeLis[t]|\.EachInDat[a]|IsPermanen[t]|ServerPool\) Restart[s]|Stats\) Tota[l]|RandomMemtyp[e]|datatype\.RandomFiletyp[e]|ReadB[W]|WriteB[W]|\*Program\) (Pack|Unpack)[(]|func UnpackCoun[t]|fotf\.UnpackCoun[t]|Type\) (LB|UB)[(]|IONode[s]|SieveBufSiz[e]|PackBufSiz[e]|CollBufSiz[e]|Options\.Poo[l]|cfg\.MaxFram[e]|opts\.MaxFram[e]|MaxFrame[:]|MaxFrame in[t]|Config\.ViewCach[e]|cfg\.ViewCach[e]|ViewCach[e]:|ViewCach[e] int|cfg\.WriteBu[f]|WriteBu[f](:| int)|ListenAdd[r]|TCPConfig\{[^}]*Deadlin[e]|cfg\.Deadlin[e]|TCPConfig\{[^}]*WireChao[s]|cfg\.WireChao[s]|RestartBackof[f]|KillServerId[x]|ServerStopTimeou[t]|opts\.Stdou[t]|opts\.Stder[r]|opts\.En[v]\b|ServerPoolOptions\{[^}]*\b(Exe|Args|Env)[:]|OpDeadlin[e]|PermanentRea[d]|PermanentWrit[e]|btio\.Config\{[^}]*\b(Options|Backend)[:]|cfg\.Option[s]\b|opts\.Args\(id[x]|cfg\.Repeat[s]|Repeats[:]|cc\.cfg\.Tracer[.]|PhaseWireChao[s]|opStageWrit[e]\b|"stage_writ[e]"|storage\.Stripe[d]\b|storage\.NewStripe[d]|func \(f \*File\) (Engine|Proc)[(]|dataInRang[e]|func RunOver\(cfg Confi[g]|noncontig\.RunOve[r]|func \(t \*Type\) (Name|Summary)[(]|func Indexed[(]|datatype\.Indexed[(]|func EncodedSiz[e]|datatype\.EncodedSiz[e]|func \(t \*Tracer\) Ran[k]|wireProgress\(\) int64 \{ return t[.]|func \(p \*Proc\) WireStat[s]|func \(p \*Program\) (Size|Extent)[(]|LastCommitted[(]|func \(m \*Mem\) Byte[s]|func \(in \*Instrumented\) Rese[t]|func \(k Kind\) Strin[g]`)
 
 // TestDeletedNamesStayDeleted: no Go, YAML or Markdown file names
 // anything deleted (deletedNames).  Of the top-level Markdown files only
@@ -380,10 +390,6 @@ func grepGo(t *testing.T, root string, re *regexp.Regexp, what string) {
 // exportAllowed lists the exported functions and methods of internal/ and
 // cmd/ that need no caller outside test files, each with its reason.
 var exportAllowed = map[string]string{
-	"fotf.Pack":                     "the paper's MPIR_ff_pack, the differential oracles' subject",
-	"fotf.Unpack":                   "the paper's MPIR_ff_unpack, the differential oracles' subject",
-	"fotf.TypeSize":                 "the paper's Type_ff_size, the differential oracles' subject",
-	"fotf.TypeExtent":               "the paper's Type_ff_extent, the differential oracles' subject",
 	"storage.NewFaulty":             "the test fault injector embeds the storage seam's unexported layer, which stays unexported (ROADMAP item 7)",
 	"storage.Faulty.FailWrites":     "storage.NewFaulty's",
 	"storage.Faulty.FailReads":      "storage.NewFaulty's",
@@ -393,97 +399,222 @@ var exportAllowed = map[string]string{
 	"pool.NewChecked":               "the pool's debug mode sets an unexported field of Pool, which a test package cannot",
 }
 
-// TestExportsHaveCallers: every exported function and method declared in
-// a non-test file under internal/ or cmd/ is called from a non-test file
-// (benchmark/ and cmd/ count as callers), implements a method of an
-// interface, or is on exportAllowed — so that a product package carries
-// no code only its tests run.  internal/testutil and the *test packages
-// are exempt.  Calls are matched by name: a function by its package and
-// name, a method by any selector of its name; an interface method is a
-// method of an interface type declared under internal/ or cmd/, or of
-// the standard library's that this code implements (stdIfaceMethods).
-func TestExportsHaveCallers(t *testing.T) {
-	stdIfaceMethods := map[string]bool{"String": true, "Error": true, "Unwrap": true, "Is": true,
-		"Read": true, "Write": true, "Close": true, "Len": true, "Less": true, "Swap": true}
-	type decl struct {
-		key, name, at string
-		method        bool
-	}
-	var decls []decl
-	ifaceMethods := map[string]bool{}
-	pkgFuncs := map[string]bool{} // "pkg.Name" used
-	selectors := map[string]bool{}
-	fset := token.NewFileSet()
-	for _, root := range []string{"internal", "cmd", "benchmark"} {
-		err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, file, nil, 0)
+// stdCalls declares the interfaces whose methods the standard library
+// calls on values this code hands it: fmt's, flag.Var's and errors'.
+const stdCalls = `package stdcalls
+
+import ("flag"; "fmt")
+
+type (
+	stringer  = fmt.Stringer
+	errorer   = error
+	value     = flag.Value
+	unwrapper interface{ Unwrap() error }
+)
+`
+
+// srcPkg is one package of the tree, type-checked from its non-test files
+// (go/build picks them, build constraints included).  product is false
+// for benchmark/, internal/testutil and the *test helper packages.
+type srcPkg struct {
+	dir     string // slash-separated, relative to the repository root
+	pkg     *types.Package
+	files   []*ast.File
+	info    *types.Info
+	product bool
+}
+
+// srcTree is every package under internal/, cmd/ and benchmark/, checked
+// from source, and the importer of the standard library's source.
+type srcTree struct {
+	fset *token.FileSet
+	pkgs []*srcPkg
+	std  types.Importer
+}
+
+// checkTree loads the tree once per test binary for the guards that read
+// the code's types: the standard library comes from its source, a repro/
+// import from the tree itself.
+var checkTree = sync.OnceValues(func() (*srcTree, error) {
+	tree := &srcTree{fset: token.NewFileSet()}
+	tree.std = importer.ForCompiler(tree.fset, "source", nil)
+	byDir := map[string]*srcPkg{}
+	var load func(dir string) (*srcPkg, error)
+	conf := types.Config{Importer: importerFunc(func(p string) (*types.Package, error) {
+		if dir, ok := strings.CutPrefix(p, "repro/"); ok {
+			sp, err := load(dir)
 			if err != nil {
+				return nil, err
+			}
+			return sp.pkg, nil
+		}
+		return tree.std.Import(p)
+	})}
+	load = func(dir string) (*srcPkg, error) {
+		if sp, ok := byDir[dir]; ok {
+			return sp, nil
+		}
+		bp, err := build.ImportDir(filepath.FromSlash(dir), 0)
+		if err != nil {
+			return nil, err
+		}
+		sp := &srcPkg{dir: dir, info: &types.Info{Uses: map[*ast.Ident]types.Object{}},
+			product: !strings.HasPrefix(dir, "benchmark") && path.Base(dir) != "testutil" && !strings.HasSuffix(dir, "test")}
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(tree.fset, filepath.Join(bp.Dir, name), nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			sp.files = append(sp.files, f)
+		}
+		if sp.pkg, err = conf.Check("repro/"+dir, tree.fset, sp.files, sp.info); err != nil {
+			return nil, err
+		}
+		byDir[dir] = sp
+		tree.pkgs = append(tree.pkgs, sp)
+		return sp, nil
+	}
+	for _, root := range []string{"internal", "cmd", "benchmark"} {
+		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
 				return err
 			}
-			dir := filepath.Base(filepath.Dir(file))
-			exempt := root == "benchmark" || dir == "testutil" || strings.HasSuffix(dir, "test")
-			pkg := f.Name.Name
-			for _, dl := range f.Decls {
-				fn, ok := dl.(*ast.FuncDecl)
-				if !ok || exempt || !fn.Name.IsExported() {
-					continue
-				}
-				at := fset.Position(fn.Pos()).String()
-				if fn.Recv == nil {
-					decls = append(decls, decl{pkg + "." + fn.Name.Name, fn.Name.Name, at, false})
-					continue
-				}
-				recv := fn.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if ix, ok := recv.(*ast.IndexExpr); ok {
-					recv = ix.X
-				}
-				if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
-					decls = append(decls, decl{pkg + "." + id.Name + "." + fn.Name.Name, fn.Name.Name, at, true})
-				}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
 			}
-			named := map[*ast.Ident]bool{}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.InterfaceType:
-					for _, m := range n.Methods.List {
-						for _, name := range m.Names {
-							ifaceMethods[name.Name] = true
-						}
-					}
-				case *ast.SelectorExpr:
-					selectors[n.Sel.Name] = true
-					if x, ok := n.X.(*ast.Ident); ok {
-						pkgFuncs[x.Name+"."+n.Sel.Name] = true
-					}
-				case *ast.FuncDecl:
-					// A declaration's own name is no call of it.
-					named[n.Name] = true
-				case *ast.Ident:
-					if !named[n] {
-						pkgFuncs[pkg+"."+n.Name] = true
-					}
+			if _, err := build.ImportDir(dir, 0); err != nil {
+				var none *build.NoGoError
+				if errors.As(err, &none) {
+					return nil
 				}
-				return true
-			})
-			return nil
+				return err
+			}
+			_, err = load(filepath.ToSlash(dir))
+			return err
 		})
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
+		}
+	}
+	return tree, nil
+})
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// loadTree is checkTree for a test, which fails if the tree does not check.
+func loadTree(t *testing.T) *srcTree {
+	t.Helper()
+	tree, err := checkTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// callers reports whether a package's uses count for the guards: a
+// product package's or the benchmark's, not a test helper package's.
+func (sp *srcPkg) callers() bool { return sp.product || strings.HasPrefix(sp.dir, "benchmark") }
+
+// TestExportsHaveCallers: every exported function and method declared in
+// a non-test file under internal/ or cmd/, and every method of an
+// interface declared there, exported or not, is used from a non-test file
+// (benchmark/ and cmd/ count, internal/testutil and the *test packages do
+// not), or is on exportAllowed — so that a product package carries no
+// code only its tests run.  A use is an identifier go/types resolves to
+// the function.  A method is also used when its type implements a used
+// method of an interface (the standard library's, and the interface
+// literal of a type assertion, included), or one of stdCalls.
+func TestExportsHaveCallers(t *testing.T) {
+	tree := loadTree(t)
+	used := map[*types.Func]bool{}
+	ifaces := map[*types.Interface][]*types.Func{} // used interface methods
+	f, err := parser.ParseFile(tree.fset, "stdcalls.go", stdCalls, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls, err := (&types.Config{Importer: tree.std}).Check("stdcalls", tree.fset, []*ast.File{f}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range calls.Scope().Names() {
+		iface := calls.Scope().Lookup(name).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			ifaces[iface] = append(ifaces[iface], iface.Method(i))
+		}
+	}
+	for _, sp := range tree.pkgs {
+		if !sp.callers() {
+			continue
+		}
+		for _, obj := range sp.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || used[fn.Origin()] {
+				continue
+			}
+			used[fn.Origin()] = true
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					ifaces[iface] = append(ifaces[iface], fn)
+				}
+			}
+		}
+	}
+	type decl struct {
+		key string
+		fn  *types.Func
+	}
+	var decls []decl
+	for _, sp := range tree.pkgs {
+		if !sp.product {
+			continue
+		}
+		scope := sp.pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					decls = append(decls, decl{sp.pkg.Name() + "." + name, obj})
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				prefix := sp.pkg.Name() + "." + name + "."
+				if iface, ok := named.Underlying().(*types.Interface); ok {
+					for i := 0; i < iface.NumExplicitMethods(); i++ {
+						decls = append(decls, decl{prefix + iface.ExplicitMethod(i).Name(), iface.ExplicitMethod(i)})
+					}
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						decls = append(decls, decl{prefix + m.Name(), m})
+					}
+				}
+				for iface, ms := range ifaces {
+					for _, ty := range []types.Type{named, types.NewPointer(named)} {
+						if !types.Implements(ty, iface) {
+							continue
+						}
+						for _, im := range ms {
+							if m, _, _ := types.LookupFieldOrMethod(ty, false, im.Pkg(), im.Name()); m != nil {
+								used[m.(*types.Func)] = true
+							}
+						}
+						break
+					}
+				}
+			}
 		}
 	}
 	declared := map[string]bool{}
 	for _, d := range decls {
 		declared[d.key] = true
-		called := !d.method && pkgFuncs[d.key] || d.method && selectors[d.name]
-		implements := d.method && (ifaceMethods[d.name] || stdIfaceMethods[d.name])
-		if _, ok := exportAllowed[d.key]; !called && !implements && !ok {
-			t.Errorf("%s: %s has no caller outside test files; delete it, move it to a test package, or allow it in exportAllowed with a reason", d.at, d.key)
+		if _, ok := exportAllowed[d.key]; !used[d.fn] && !ok {
+			t.Errorf("%s: %s has no use outside test files; delete it, move it to a test package, or allow it in exportAllowed with a reason", tree.fset.Position(d.fn.Pos()), d.key)
 		}
 	}
 	for key := range exportAllowed {
@@ -739,171 +870,76 @@ var configAllowed = map[string]string{
 // whose name ends in Options or Config, declared in a non-test file under
 // internal/ or cmd/, is set by a product caller, or is on configAllowed,
 // so that no configuration exists only for its defaults or its tests.  A
-// field is set when a keyed composite literal of its type names it in a
-// non-test file (a same-package preset counts), or when a non-test file
-// outside the declaring package assigns it on a variable declared with
-// that type; benchmark/ and cmd/ count, the *test packages do not.
-// Fields are matched by (package, type, field), not by name alone.
+// field is set when the key of a composite literal in a non-test file
+// resolves to it (a same-package preset counts), or when a non-test file
+// outside the declaring package assigns to a selector that resolves to
+// it; benchmark/ and cmd/ count, the *test packages do not.  Fields are
+// resolved by go/types, so a field of the same name on another type is
+// another field.
 func TestConfigFieldsHaveSetters(t *testing.T) {
-	type file struct {
-		f   *ast.File
-		dir string
-	}
-	var files []file
-	fset := token.NewFileSet()
-	for _, root := range []string{"internal", "cmd", "benchmark"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			if dir := filepath.Dir(path); filepath.Base(dir) != "testutil" && !strings.HasSuffix(dir, "test") {
-				f, err := parser.ParseFile(fset, path, nil, 0)
-				files = append(files, file{f, filepath.ToSlash(dir)})
-				return err
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A type is "dir.Name"; a field "dir.Name.Field".  fieldAt and
-	// fieldKey give each declared field's position and its printed name.
-	fieldAt, fieldKey := map[string]string{}, map[string]string{}
-	for _, fl := range files {
-		if strings.HasPrefix(fl.dir, "benchmark") {
+	tree := loadTree(t)
+	fields := map[*types.Var]string{} // field -> pkg.Type.Field
+	for _, sp := range tree.pkgs {
+		if !sp.product {
 			continue
 		}
-		for _, d := range fl.f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
+		scope := sp.pkg.Scope()
+		for _, name := range scope.Names() {
+			obj, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !obj.Exported() || !strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Config") {
 				continue
 			}
-			for _, s := range gd.Specs {
-				ts := s.(*ast.TypeSpec)
-				st, ok := ts.Type.(*ast.StructType)
-				name := ts.Name.Name
-				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Config") {
-					continue
-				}
-				for _, f := range st.Fields.List {
-					for _, n := range f.Names {
-						if n.IsExported() {
-							key := fl.dir + "." + name + "." + n.Name
-							fieldAt[key] = fset.Position(n.Pos()).String()
-							fieldKey[key] = fl.f.Name.Name + "." + name + "." + n.Name
-						}
+			if st, ok := obj.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						fields[f] = sp.pkg.Name() + "." + name + "." + f.Name()
 					}
 				}
 			}
 		}
 	}
-	set := map[string]bool{}
-	for _, fl := range files {
-		imports := map[string]string{} // local name -> directory
-		for _, im := range fl.f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			p = strings.TrimPrefix(p, "repro/")
-			name := path.Base(p)
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = p
+	set := map[*types.Var]bool{}
+	for _, sp := range tree.pkgs {
+		if !sp.callers() {
+			continue
 		}
-		// typeOf resolves a type expression to "dir.Name", through a
-		// pointer.
-		typeOf := func(e ast.Expr) string {
-			if star, ok := e.(*ast.StarExpr); ok {
-				e = star.X
+		field := func(id *ast.Ident) *types.Var {
+			if v, ok := sp.info.Uses[id].(*types.Var); ok && v.IsField() {
+				return v
 			}
-			switch e := e.(type) {
-			case *ast.Ident:
-				return fl.dir + "." + e.Name
-			case *ast.SelectorExpr:
-				if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					return imports[x.Name] + "." + e.Sel.Name
-				}
-			}
-			return ""
+			return nil
 		}
-		// implied holds the element type of a composite literal whose
-		// type is elided inside a slice, array or map literal.
-		implied := map[*ast.CompositeLit]string{}
-		vars := map[string]string{} // variable name -> its type, per file
-		ast.Inspect(fl.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				ty := implied[n]
-				if n.Type != nil {
-					ty = typeOf(n.Type)
-				}
-				var elt ast.Expr
-				switch lt := n.Type.(type) {
-				case *ast.ArrayType:
-					elt = lt.Elt
-				case *ast.MapType:
-					elt = lt.Value
-				}
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if k, ok := kv.Key.(*ast.Ident); ok && ty != "" {
-							set[ty+"."+k.Name] = true
-						}
-						e = kv.Value
+		for _, f := range sp.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok && field(id) != nil {
+						set[field(id)] = true
 					}
-					if u, ok := e.(*ast.UnaryExpr); ok {
-						e = u.X
-					}
-					if lit, ok := e.(*ast.CompositeLit); ok && lit.Type == nil && elt != nil {
-						implied[lit] = typeOf(elt)
-					}
-				}
-			case *ast.Field:
-				for _, name := range n.Names {
-					vars[name.Name] = typeOf(n.Type)
-				}
-			case *ast.ValueSpec:
-				for i, name := range n.Names {
-					if n.Type != nil {
-						vars[name.Name] = typeOf(n.Type)
-					} else if i < len(n.Values) {
-						vars[name.Name] = litType(n.Values[i], typeOf)
-					}
-				}
-			case *ast.AssignStmt:
-				if n.Tok == token.DEFINE && len(n.Lhs) == len(n.Rhs) {
-					for i, l := range n.Lhs {
-						if id, ok := l.(*ast.Ident); ok {
-							vars[id.Name] = litType(n.Rhs[i], typeOf)
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						if sel, ok := l.(*ast.SelectorExpr); ok {
+							if v := field(sel.Sel); v != nil && v.Pkg() != sp.pkg {
+								set[v] = true
+							}
 						}
 					}
 				}
-				for _, l := range n.Lhs {
-					sel, ok := l.(*ast.SelectorExpr)
-					if !ok {
-						continue
-					}
-					if x, ok := sel.X.(*ast.Ident); ok {
-						if ty := vars[x.Name]; ty != "" && !strings.HasPrefix(ty, fl.dir+".") {
-							set[ty+"."+sel.Sel.Name] = true
-						}
-					}
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
-	keys := make([]string, 0, len(fieldAt))
-	for key := range fieldAt {
-		keys = append(keys, key)
+	keys := make([]*types.Var, 0, len(fields))
+	for f := range fields {
+		keys = append(keys, f)
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(i, j int) bool { return fields[keys[i]] < fields[keys[j]] })
 	t.Logf("%d exported fields of Options and Config structs, %d on configAllowed", len(keys), len(configAllowed))
 	allowed := map[string]bool{}
-	for _, key := range keys {
-		allowed[fieldKey[key]] = true
-		if _, ok := configAllowed[fieldKey[key]]; !set[key] && !ok {
-			t.Errorf("%s: %s is set by no product caller; make it the constant it always is, an unexported test seam, or allow it in configAllowed with the test that needs it", fieldAt[key], fieldKey[key])
+	for _, f := range keys {
+		allowed[fields[f]] = true
+		if _, ok := configAllowed[fields[f]]; !set[f] && !ok {
+			t.Errorf("%s: %s is set by no product caller; make it the constant it always is, an unexported test seam, or allow it in configAllowed with the test that needs it", tree.fset.Position(f.Pos()), fields[f])
 		}
 	}
 	for key := range configAllowed {
@@ -911,16 +947,4 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 			t.Errorf("configAllowed names %s, which is no exported field of an Options or Config struct under internal/ or cmd/", key)
 		}
 	}
-}
-
-// litType is the type of a composite literal, or of its address, as
-// typeOf resolves it; "" for any other expression.
-func litType(e ast.Expr, typeOf func(ast.Expr) string) string {
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = u.X
-	}
-	if lit, ok := e.(*ast.CompositeLit); ok && lit.Type != nil {
-		return typeOf(lit.Type)
-	}
-	return ""
 }

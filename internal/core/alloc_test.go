@@ -445,7 +445,7 @@ func TestCollectiveAllocIndependentOfMemtypeEncoding(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const d = int64(8 * allocWinSize / 2)
 	small, large := byteBlocks(64, d/64), byteBlocks(d/4, 4) // the same d data bytes each
-	if s, l := datatype.EncodedSize(small), datatype.EncodedSize(large); l < 32*s || l < 8<<10 {
+	if s, l := len(datatype.Encode(small)), len(datatype.Encode(large)); l < 32*s || l < 8<<10 {
 		t.Fatalf("encoded sizes %d and %d do not separate the cases", s, l)
 	}
 	world{P: 1, opts: Options{Engine: Listless, collBufSize: allocWinSize}}.run(t, nil, func(r rank) {
@@ -474,9 +474,9 @@ func TestCollectiveAllocIndependentOfMemtypeEncoding(t *testing.T) {
 			return int64(m1.TotalAlloc-m0.TotalAlloc) / ops
 		}
 		bs, bl := bytesPerOp(small), bytesPerOp(large)
-		if slack := int64(datatype.EncodedSize(large)) / 8; bl-bs > slack {
+		if slack := int64(len(datatype.Encode(large))) / 8; bl-bs > slack {
 			t.Errorf("write+read allocates %d B with the large memtype, %d B with the small one: grows with the encoding (%d B)",
-				bl, bs, datatype.EncodedSize(large))
+				bl, bs, len(datatype.Encode(large)))
 		}
 	})
 }

@@ -228,12 +228,6 @@ func (f *File) Close() error {
 	return nil
 }
 
-// Engine reports the engine this handle uses.
-func (f *File) Engine() Engine { return f.opts.Engine }
-
-// Proc returns the rank handle the file was opened with.
-func (f *File) Proc() *mpi.Proc { return f.p }
-
 // reserved collective tags (below mpi's internal space).
 const (
 	tagCollList = 1<<20 + 1

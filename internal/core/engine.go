@@ -27,9 +27,6 @@ type accessEngine interface {
 	// dataToFileEnd maps a view data offset to the absolute file offset
 	// just past byte d-1.
 	dataToFileEnd(d int64) int64
-	// dataInRange counts the local view's data bytes within the
-	// absolute file range [lo, hi).
-	dataInRange(lo, hi int64) int64
 
 	// newMemState builds the per-access memtype representation (the
 	// list-based engine creates, and discards, an ol-list per access).

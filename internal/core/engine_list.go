@@ -51,15 +51,6 @@ func (e *listEngine) dataToFileEnd(d int64) int64 {
 	return e.flat.DataToFile(d-1) + 1
 }
 
-func (e *listEngine) dataInRange(lo, hi int64) int64 {
-	if hi <= lo {
-		return 0
-	}
-	var n int64
-	e.flat.EachInRange(lo, hi, func(_, _, ln int64) { n += ln })
-	return n
-}
-
 // newMemState flattens the memtype, as ROMIO does: the baseline copies
 // user data tuple by tuple on both sides of the access.
 func (e *listEngine) newMemState(memtype *datatype.Type, count int64) *memState {

@@ -132,16 +132,6 @@ func (e *listlessEngine) dataToFileEnd(d int64) int64 {
 	return e.f.v.disp + fotf.EndPos(e.f.v.ftype, d)
 }
 
-func (e *listlessEngine) dataInRange(lo, hi int64) int64 {
-	if hi <= lo {
-		return 0
-	}
-	v := &e.f.v
-	a := fotf.BufToData(v.ftype, lo-v.disp)
-	b := fotf.BufToData(v.ftype, hi-v.disp)
-	return b - a
-}
-
 func (e *listlessEngine) newMemState(memtype *datatype.Type, count int64) *memState {
 	ms := &memState{t: memtype, count: count, prog: e.f.lookupProgram(nil, memtype)}
 	ms.cur.Reset(memtype, ms.prog)

@@ -65,7 +65,8 @@ func Example() {
 	}
 
 	// The physical file interleaves the ranks' blocks: AABB...CCDD...
-	raw := backend.Bytes()
+	raw := make([]byte, backend.Size())
+	storage.ReadFull(backend, raw, 0)
 	fmt.Printf("file is %d bytes; first two interleaved stripes:\n", len(raw))
 	for s := 0; s < 2; s++ {
 		fmt.Printf("  stripe %d: %s\n", s, raw[s*P*blockLen:(s+1)*P*blockLen])

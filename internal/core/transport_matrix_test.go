@@ -240,7 +240,7 @@ func TestCollectiveSendsTwoControlFrames(t *testing.T) {
 				// only the collective's own frames are counted.
 				r.p.Barrier()
 				eps[r.p.Rank()].Flush()
-				f0, m0 := r.p.WireStats().FramesSent, r.p.SentStats().Messages
+				f0, m0 := eps[r.p.Rank()].Stats().FramesSent, r.p.SentStats().Messages
 				var err error
 				if write {
 					_, err = r.f.WriteAtAll(0, 1, mt, buf)
@@ -251,7 +251,7 @@ func TestCollectiveSendsTwoControlFrames(t *testing.T) {
 					panic(err)
 				}
 				eps[r.p.Rank()].Flush()
-				frames[r.p.Rank()][j] = r.p.WireStats().FramesSent - f0
+				frames[r.p.Rank()][j] = eps[r.p.Rank()].Stats().FramesSent - f0
 				msgs[r.p.Rank()][j] = r.p.SentStats().Messages - m0
 				if r.f.Stats.SieveWrites+r.f.Stats.SieveReads != 0 {
 					panic(fmt.Sprintf("rank %d: %d IOP windows; want every window direct", r.p.Rank(), r.f.Stats.SieveWrites+r.f.Stats.SieveReads))

@@ -31,24 +31,6 @@ const (
 	KindResized                // child with overridden lower bound and extent
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindNamed:
-		return "named"
-	case KindContiguous:
-		return "contiguous"
-	case KindVector:
-		return "vector"
-	case KindIndexed:
-		return "indexed"
-	case KindStruct:
-		return "struct"
-	case KindResized:
-		return "resized"
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
 // Type is an immutable node in a derived-datatype tree.
 //
 // The zero Type is not valid; use the named types (Byte, Double, ...) and
@@ -84,9 +66,6 @@ type Type struct {
 
 // Kind reports the constructor kind of t.
 func (t *Type) Kind() Kind { return t.kind }
-
-// Name reports the name of a named type and "" for derived types.
-func (t *Type) Name() string { return t.name }
 
 // Size reports the number of bytes of actual data in one instance of t.
 func (t *Type) Size() int64 { return t.size }
@@ -378,22 +357,10 @@ func Hvector(count, blocklen, strideBytes int64, child *Type) (*Type, error) {
 	return t, nil
 }
 
-// Indexed returns a type with len(blocklens) blocks; block i has
-// blocklens[i] consecutive instances of child and starts displs[i]
-// child-extents from the origin (like MPI_Type_indexed).
-func Indexed(blocklens, displs []int64, child *Type) (*Type, error) {
-	if child == nil {
-		return nil, errNilChild
-	}
-	b := make([]int64, len(displs))
-	for i, d := range displs {
-		b[i] = d * child.Extent()
-	}
-	return Hindexed(blocklens, b, child)
-}
-
-// Hindexed is Indexed with displacements given in bytes
-// (like MPI_Type_create_hindexed).
+// Hindexed returns a type with len(blocklens) blocks; block i has
+// blocklens[i] consecutive instances of child and starts displsBytes[i]
+// bytes from the origin (like MPI_Type_create_hindexed; MPI_Type_indexed
+// is this with displacements scaled by the child's extent).
 func Hindexed(blocklens, displsBytes []int64, child *Type) (*Type, error) {
 	if child == nil {
 		return nil, errNilChild

@@ -1,6 +1,7 @@
 package datatype
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -49,16 +50,16 @@ func TestNamedTypes(t *testing.T) {
 	}
 	for _, c := range cases {
 		if c.dt.Size() != c.size {
-			t.Errorf("%s: size = %d, want %d", c.dt.Name(), c.dt.Size(), c.size)
+			t.Errorf("%s: size = %d, want %d", c.dt.String(), c.dt.Size(), c.size)
 		}
 		if c.dt.Extent() != c.size {
-			t.Errorf("%s: extent = %d, want %d", c.dt.Name(), c.dt.Extent(), c.size)
+			t.Errorf("%s: extent = %d, want %d", c.dt.String(), c.dt.Extent(), c.size)
 		}
 		if !c.dt.Dense() || !c.dt.ContiguousTiled() {
-			t.Errorf("%s: should be dense and tileable", c.dt.Name())
+			t.Errorf("%s: should be dense and tileable", c.dt.String())
 		}
 		if c.dt.depth != 1 || c.dt.Blocks() != 1 {
-			t.Errorf("%s: depth=%d blocks=%d, want 1/1", c.dt.Name(), c.dt.depth, c.dt.Blocks())
+			t.Errorf("%s: depth=%d blocks=%d, want 1/1", c.dt.String(), c.dt.depth, c.dt.Blocks())
 		}
 	}
 }
@@ -154,7 +155,7 @@ func TestHvectorByteStride(t *testing.T) {
 }
 
 func TestIndexed(t *testing.T) {
-	dt, err := Indexed([]int64{2, 1, 3}, []int64{0, 4, 8}, Double)
+	dt, err := Hindexed([]int64{2, 1, 3}, []int64{0, 32, 64}, Double)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestIndexed(t *testing.T) {
 }
 
 func TestIndexedAdjacentBlocksStayDense(t *testing.T) {
-	dt, err := Indexed([]int64{2, 2}, []int64{0, 2}, Double)
+	dt, err := Hindexed([]int64{2, 2}, []int64{0, 16}, Double)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestIndexedAdjacentBlocksStayDense(t *testing.T) {
 }
 
 func TestIndexedOutOfOrderNotDense(t *testing.T) {
-	dt, err := Indexed([]int64{1, 1}, []int64{1, 0}, Double)
+	dt, err := Hindexed([]int64{1, 1}, []int64{8, 0}, Double)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Indexed([]int64{1, 2, 3}, []int64{0, 5, 11}, Int32)
+	idx, err := Hindexed([]int64{1, 2, 3}, []int64{0, 20, 44}, Int32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +411,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		if got.Size() != dt.Size() || got.Extent() != dt.Extent() ||
 			got.lb != dt.lb || got.Blocks() != dt.Blocks() {
-			t.Fatalf("round trip mismatch: %s -> %s", dt.Summary(), got.Summary())
+			t.Fatalf("round trip mismatch: %s -> %s", summary(dt), summary(got))
 		}
 		o1, l1 := collect(dt)
 		o2, l2 := collect(got)
@@ -445,7 +446,7 @@ func TestEncodedSizeIsTreeProportional(t *testing.T) {
 	// The point of the compact representation: a 1M-block vector encodes
 	// in a few bytes, while its ol-list would be 16 MB.
 	dt := mustVector(t, 1<<20, 1, 2, Double)
-	if n := EncodedSize(dt); n > 64 {
+	if n := len(Encode(dt)); n > 64 {
 		t.Fatalf("encoded size %d for 1M-block vector; want tree-proportional (<= 64)", n)
 	}
 }
@@ -496,15 +497,23 @@ func TestStringAndSummary(t *testing.T) {
 	if s := dt.String(); s == "" {
 		t.Fatal("empty String()")
 	}
-	if s := dt.Summary(); s == "" {
-		t.Fatal("empty Summary()")
+	if s := summary(dt); s == "" {
+		t.Fatal("empty summary")
 	}
 	sub, _ := Subarray([]int64{4, 4}, []int64{2, 2}, []int64{0, 0}, OrderC, Double)
-	idx, _ := Indexed([]int64{1}, []int64{0}, Double)
+	idx, _ := Hindexed([]int64{1}, []int64{0}, Double)
 	str, _ := Struct([]int64{1}, []int64{0}, []*Type{Double})
 	for _, x := range []*Type{Byte, sub, idx, str} {
 		if x.String() == "" {
 			t.Errorf("empty String for %v", x.Kind())
 		}
 	}
+}
+
+// summary is a multi-line report of the derived properties of t.
+func summary(t *Type) string {
+	return fmt.Sprintf(
+		"type:    %s\nsize:    %d B\nextent:  %d B (lb=%d, ub=%d)\ntrue:    [%d, %d)\nblocks:  %d\ndepth:   %d\ndense:   %v (tiled-contiguous: %v)\nencoded: %d B",
+		t, t.size, t.Extent(), t.lb, t.ub, t.trueLB, t.trueUB,
+		t.blocks, t.depth, t.dense, t.tileable, len(Encode(t)))
 }

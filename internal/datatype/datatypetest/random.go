@@ -35,10 +35,10 @@ func randomType(r *rand.Rand, depth int) *datatype.Type {
 		for i := 0; i < n; i++ {
 			pos += int64(r.Intn(3))
 			blocklens[i] = int64(r.Intn(4)) // 0 is legal: empty blocks
-			displs[i] = pos
+			displs[i] = pos * child.Extent()
 			pos += blocklens[i]
 		}
-		dt, _ := datatype.Indexed(blocklens, displs, child)
+		dt, _ := datatype.Hindexed(blocklens, displs, child)
 		return dt
 	case 3:
 		ext := child.Extent()

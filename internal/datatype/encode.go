@@ -20,12 +20,6 @@ func Encode(t *Type) []byte {
 	return t.encoding()
 }
 
-// EncodedSize reports len(Encode(t)).  Like Encode it computes the
-// encoding on the first call for a Type and allocates nothing afterwards.
-func EncodedSize(t *Type) int {
-	return len(t.encoding())
-}
-
 func appendType(buf []byte, t *Type) []byte {
 	buf = append(buf, byte(t.kind))
 	switch t.kind {

@@ -17,7 +17,7 @@ func TestRepresentationSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, enc := flatten.Flatten(dt).Footprint(), int64(datatype.EncodedSize(dt))
+	list, enc := flatten.Flatten(dt).Footprint(), int64(len(datatype.Encode(dt)))
 	if dt.Size() != 8000 || list != 16000 || enc != 15 {
 		t.Fatalf("%d data bytes: ol-list %d B, encoding %d B; want 8000, 16000 and 15", dt.Size(), list, enc)
 	}

@@ -48,11 +48,3 @@ func (t *Type) describe(b *strings.Builder) {
 		b.WriteByte(')')
 	}
 }
-
-// Summary returns a multi-line report of the derived properties of t.
-func (t *Type) Summary() string {
-	return fmt.Sprintf(
-		"type:    %s\nsize:    %d B\nextent:  %d B (lb=%d, ub=%d)\ntrue:    [%d, %d)\nblocks:  %d\ndepth:   %d\ndense:   %v (tiled-contiguous: %v)\nencoded: %d B",
-		t.String(), t.size, t.Extent(), t.lb, t.ub, t.trueLB, t.trueUB,
-		t.blocks, t.depth, t.dense, t.tileable, EncodedSize(t))
-}

@@ -5,19 +5,25 @@
 // Instead of materializing a datatype as an explicit ol-list of
 // ⟨offset,length⟩ tuples, fotf operates directly on the datatype tree:
 //
-//   - Pack / Unpack move data between a typed buffer and a contiguous
-//     buffer in time proportional to the bytes moved plus the depth of
-//     the tree, regardless of the number of blocks in the type and of
-//     the number of bytes skipped;
-//   - TypeExtent / TypeSize (the paper's MPIR_Type_ff_extent and
-//     MPIR_Type_ff_size) convert between data sizes and buffer extents
-//     at arbitrary starting points in O(depth · log node-blocks) (see
-//     navigate.go for the exact condition), replacing the O(N_block)
-//     linear ol-list traversal of list-based positioning;
+//   - StartPos / EndPos / BufToData convert between data offsets and
+//     buffer offsets at arbitrary starting points in O(depth ·
+//     log node-blocks) (see navigate.go for the exact condition),
+//     replacing the O(N_block) linear ol-list traversal of list-based
+//     positioning;
 //   - Runs enumerates the contiguous runs backing a data range as
 //     *groups* of evenly spaced runs, so that callers copy with tight
 //     batch loops — the scalar analogue of the vector gather/scatter
-//     operations the SX implementation exploits.
+//     operations the SX implementation exploits — in time proportional
+//     to the bytes moved plus the depth of the tree, regardless of the
+//     number of blocks in the type and of the number of bytes skipped;
+//   - Program compiles a type into those groups once, and Cursor copies
+//     through the program (or the walk, for a type past the compile
+//     limits).
+//
+// The paper's entry points (MPIR_ff_pack / MPIR_ff_unpack and
+// MPIR_Type_ff_size / MPIR_Type_ff_extent) are Pack, Unpack, TypeSize
+// and TypeExtent in the package's tests, over the same functions: the
+// engines never call them, the differential oracles do.
 //
 // Data offsets ("data bytes", the paper's skipbytes) count the bytes of
 // actual data in type-map order.  Buffer offsets are byte positions

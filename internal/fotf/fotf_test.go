@@ -360,14 +360,14 @@ func TestCopyGroupWidths(t *testing.T) {
 		got := make([]byte, dt.Size())
 		PackCount(got, src, 1, dt, 0)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: width-specialized pack mismatch", elem.Name())
+			t.Fatalf("%s: width-specialized pack mismatch", elem)
 		}
 		back := make([]byte, len(src))
 		unpackCount(back, got, 1, dt, 0)
 		again := make([]byte, dt.Size())
 		PackCount(again, back, 1, dt, 0)
 		if !bytes.Equal(again, want) {
-			t.Fatalf("%s: width-specialized unpack mismatch", elem.Name())
+			t.Fatalf("%s: width-specialized unpack mismatch", elem)
 		}
 	}
 }

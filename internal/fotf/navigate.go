@@ -6,10 +6,10 @@ import "repro/internal/datatype"
 // MPIR_Type_ff_extent, §3.2.1).  Cost, with depth the tree depth and B
 // the largest block count of any single indexed or struct node:
 //
-//   - data offset -> buffer offset (StartPos, EndPos, TypeExtent) is
+//   - data offset -> buffer offset (StartPos, EndPos) is
 //     O(depth · log B) for every type: the block holding a data offset is
 //     found in the node's prefix sums.
-//   - buffer offset -> data offset (BufToData, TypeSize) is O(depth · log B)
+//   - buffer offset -> data offset (BufToData) is O(depth · log B)
 //     when every indexed and struct node on the path is sorted — the data
 //     ranges of its non-empty blocks ascend without overlapping in block
 //     order, which nodeInfo observes once per node and which holds
@@ -235,27 +235,6 @@ func bufToDataTiled(child *datatype.Type, count, tile, off int64) int64 {
 		d += bufToData1(child, off-k*tile)
 	}
 	return d
-}
-
-// TypeExtent returns the extent of the virtual typed buffer occupied when
-// size data bytes are unpacked according to t after first skipping skip
-// data bytes — the paper's MPIR_Type_ff_extent.
-func TypeExtent(t *datatype.Type, skip, size int64) int64 {
-	if size <= 0 {
-		return 0
-	}
-	return EndPos(t, skip+size) - StartPos(t, skip)
-}
-
-// TypeSize returns the number of data bytes contained in a virtual typed
-// buffer of the given extent that starts at data byte skip — the paper's
-// MPIR_Type_ff_size.  t must have a monotone type map.
-func TypeSize(t *datatype.Type, skip, extent int64) int64 {
-	if extent <= 0 {
-		return 0
-	}
-	a := StartPos(t, skip)
-	return BufToData(t, a+extent) - skip
 }
 
 // Monotone reports whether t, tiled indefinitely at its extent, lays its

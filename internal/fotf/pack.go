@@ -2,48 +2,6 @@ package fotf
 
 import "repro/internal/datatype"
 
-// Pack packs data from the typed buffer src into the contiguous buffer
-// dst, skipping the first skip data bytes of the (indefinitely tiled)
-// type t — the paper's MPIR_ff_pack.  src is addressed from the origin of
-// instance 0; t must not place data at negative offsets.  It returns the
-// number of bytes packed: min(len(dst), available data if t is tiled over
-// len(src)).
-//
-// The copy itself runs in batch loops over groups of evenly spaced runs
-// (see Runs); the time is proportional to the bytes copied plus the tree
-// depth, independent of skip and of the block count of t.
-func Pack(dst, src []byte, t *datatype.Type, skip int64) int64 {
-	limit := avail(t, int64(len(src)), skip)
-	if limit > int64(len(dst)) {
-		limit = int64(len(dst))
-	}
-	if limit <= 0 {
-		return 0
-	}
-	Runs(t, skip, skip+limit, func(bufOff, dataOff, runLen, stride, n int64) {
-		copyGroup(dst[dataOff-skip:], src, bufOff, runLen, stride, n, true)
-	})
-	return limit
-}
-
-// Unpack unpacks data from the contiguous buffer src into the typed
-// buffer dst, skipping the first skip data bytes of t — the paper's
-// MPIR_ff_unpack.  It returns the number of bytes unpacked:
-// min(len(src), available data if t is tiled over len(dst)).
-func Unpack(dst, src []byte, t *datatype.Type, skip int64) int64 {
-	limit := avail(t, int64(len(dst)), skip)
-	if limit > int64(len(src)) {
-		limit = int64(len(src))
-	}
-	if limit <= 0 {
-		return 0
-	}
-	Runs(t, skip, skip+limit, func(bufOff, dataOff, runLen, stride, n int64) {
-		copyGroup(src[dataOff-skip:], dst, bufOff, runLen, stride, n, false)
-	})
-	return limit
-}
-
 // PackCount packs exactly the data of count instances (the message-style
 // entry point, where the typed buffer is known to hold count whole
 // instances).
@@ -59,30 +17,6 @@ func PackCount(dst, src []byte, count int64, t *datatype.Type, skip int64) int64
 		copyGroup(dst[dataOff-skip:], src, bufOff, runLen, stride, n, true)
 	})
 	return limit
-}
-
-// avail returns the number of data bytes past skip of t tiled over a
-// typed buffer of buflen bytes: whole instances that fit plus a final
-// partial instance truncated at the buffer end.
-func avail(t *datatype.Type, buflen, skip int64) int64 {
-	size, ext := t.Size(), t.Extent()
-	if size == 0 {
-		return 0
-	}
-	var total int64
-	if ext <= 0 {
-		total = size
-	} else {
-		k := buflen / ext // whole instances
-		total = k * size
-		if rest := buflen - k*ext; rest > 0 {
-			total += bufToData1(t, rest)
-		}
-	}
-	if skip >= total {
-		return 0
-	}
-	return total - skip
 }
 
 // copyGroup moves one group of n evenly spaced runs between the typed

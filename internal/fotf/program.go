@@ -200,12 +200,6 @@ func (p *Program) add(bufOff, _ /* dataOff */, runLen, stride, n int64) {
 	p.groups = append(p.groups, progGroup{base: bufOff, blocklen: runLen, stride: stride, count: n})
 }
 
-// Size reports the data bytes of one instance.
-func (p *Program) Size() int64 { return p.size }
-
-// Extent reports the tiling extent.
-func (p *Program) Extent() int64 { return p.ext }
-
 // Groups reports the number of compiled run groups — after coalescing,
 // at most (and often far below) the type's Blocks().
 func (p *Program) Groups() int {

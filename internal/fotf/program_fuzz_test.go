@@ -34,7 +34,7 @@ func FuzzProgramVsWalk(f *testing.F) {
 			return
 		}
 		// Targeted window from the fuzzed words, spanning instances.
-		total := 3 * p.Size()
+		total := 3 * p.size
 		d0 := int64(w0) % total
 		d1 := d0 + 1 + int64(w1)%(total-d0)
 		span := walkSpan(dt, total)

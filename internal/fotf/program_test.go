@@ -115,15 +115,15 @@ func checkProgramVsWalk(dt *datatype.Type, r *rand.Rand) error {
 		// happen for the bounded trees this battery generates.
 		return fmt.Errorf("Compile declined a compilable type (size %d, blocks %d)", dt.Size(), dt.Blocks())
 	}
-	if p.Size() != dt.Size() || p.Extent() != dt.Extent() {
-		return fmt.Errorf("program size/ext %d/%d != type %d/%d", p.Size(), p.Extent(), dt.Size(), dt.Extent())
+	if p.size != dt.Size() || p.ext != dt.Extent() {
+		return fmt.Errorf("program size/ext %d/%d != type %d/%d", p.size, p.ext, dt.Size(), dt.Extent())
 	}
 	if g, b := int64(p.Groups()), dt.Blocks(); g > b {
 		return fmt.Errorf("compile expanded the type: %d groups from %d blocks", g, b)
 	}
 
 	count := int64(1 + r.Intn(3))
-	total := count * p.Size()
+	total := count * p.size
 	span := walkSpan(dt, total)
 	src := make([]byte, span)
 	r.Read(src)
@@ -304,9 +304,9 @@ func TestProgramCoalescing(t *testing.T) {
 	pitched := make([]int64, 256)
 	ones := make([]int64, len(pitched))
 	for i := range pitched {
-		pitched[i], ones[i] = int64(i)*2, 1
+		pitched[i], ones[i] = int64(i)*16, 1
 	}
-	regularIndexed, err := datatype.Indexed(ones, pitched, datatype.Double)
+	regularIndexed, err := datatype.Hindexed(ones, pitched, datatype.Double)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestProgramCursorBoundaries(t *testing.T) {
 	if p == nil {
 		t.Fatal("Compile declined")
 	}
-	total := 4 * p.Size() // four instances
+	total := 4 * p.size // four instances
 	span := walkSpan(dt, total)
 	src := make([]byte, span)
 	rand.New(rand.NewSource(3)).Read(src)
@@ -551,8 +551,8 @@ func TestRunCountUpTo(t *testing.T) {
 		if p == nil {
 			continue
 		}
-		d0 := r.Int63n(2 * p.Size())
-		d1 := d0 + 1 + r.Int63n(2*p.Size())
+		d0 := r.Int63n(2 * p.size)
+		d1 := d0 + 1 + r.Int63n(2*p.size)
 		var exact int64
 		p.Runs(d0, d1, func(_, _, _, _, n int64) { exact += n })
 		if got := p.RunCount(d0, d1); got != exact {
@@ -575,12 +575,12 @@ func TestRunCountUpTo(t *testing.T) {
 	}
 	p := Compile(vec)
 	const instances = 1 << 30
-	if got := p.RunCount(4, 4+instances*p.Size()); got != instances*1000+1 {
+	if got := p.RunCount(4, 4+instances*p.size); got != instances*1000+1 {
 		t.Fatalf("2^30 instances from mid-run to mid-run: %d runs, want %d", got, int64(instances*1000+1))
 	}
 	// The bound stops the count where it is reached, group by group.
 	irr := Compile(irregularHindexed(t, 1<<15, 3))
-	if got := irr.RunCountUpTo(1, irr.Size(), 129); got != 129 {
+	if got := irr.RunCountUpTo(1, irr.size, 129); got != 129 {
 		t.Fatalf("limit 129 over single-run groups: counted %d", got)
 	}
 }
@@ -668,7 +668,7 @@ func TestCompileIsAFunctionOfTheLayout(t *testing.T) {
 	}{
 		{"vector", vec(t, 6, 2, 5, datatype.Int32)},
 		{"hvector", must(datatype.Hvector(6, 2, 20, datatype.Int32))},
-		{"regular-indexed", must(datatype.Indexed(fill(2, 6), at(5, 6), datatype.Int32))},
+		{"regular-indexed", must(datatype.Hindexed(fill(2, 6), at(20, 6), datatype.Int32))},
 		{"hindexed-of-doubles", must(datatype.Hindexed(fill(1, 6), at(20, 6), must(datatype.Contiguous(2, datatype.Int32))))},
 		{"one-member-struct", must(datatype.Struct([]int64{1}, []int64{0}, []*datatype.Type{vec(t, 6, 2, 5, datatype.Int32)}))},
 		{"resized", must(datatype.Resized(vec(t, 6, 2, 5, datatype.Int32), 0, 120))},

@@ -45,7 +45,11 @@ func TestRunsWindowStraddle(t *testing.T) {
 	}
 	indexed := func(blocklens, displs []int64, child *datatype.Type) *datatype.Type {
 		t.Helper()
-		out, err := datatype.Indexed(blocklens, displs, child)
+		bytes := make([]int64, len(displs))
+		for i, d := range displs {
+			bytes[i] = d * child.Extent()
+		}
+		out, err := datatype.Hindexed(blocklens, bytes, child)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func (c *crashMem) WriteAtv(segs []storage.Segment) error {
 func (c *crashMem) Sync() error {
 	c.syncs++
 	*c.log = append(*c.log, c.name+" sync")
-	c.durable = c.Mem.Bytes()
+	c.durable = memBytes(c.Mem)
 	c.hints = nil
 	return nil
 }
@@ -91,7 +91,7 @@ func (c *crashMem) earlyImages() [][]byte {
 				img.WriteAt(prev.Buf, prev.Off)
 			}
 			img.WriteAt(h.Buf[:k], h.Off)
-			imgs = append(imgs, img.Bytes())
+			imgs = append(imgs, memBytes(img))
 		}
 	}
 	return imgs
@@ -170,7 +170,7 @@ func (r *crashRig) crashed(want string) RecoveryInfo {
 		stripe, journal []byte
 	}
 	imgs := []image{
-		{"kill", r.stripe.Bytes(), r.journal.Bytes()},
+		{"kill", memBytes(r.stripe.Mem), memBytes(r.journal.Mem)},
 		{"power loss", r.stripe.durable, r.journal.durable},
 	}
 	for k, jimg := range r.journal.earlyImages() {
@@ -185,7 +185,7 @@ func (r *crashRig) crashed(want string) RecoveryInfo {
 		if _, info, err = RecoverJournal(jb, stripe); err != nil {
 			r.t.Fatal(err)
 		}
-		if got := string(stripe.Bytes()); got != want {
+		if got := string(memBytes(stripe)); got != want {
 			r.t.Errorf("after %s and recovery the stripe holds %q, want %q (%s)", img.name, got, want, info)
 		}
 	}
@@ -266,7 +266,10 @@ func TestEmptyEpochCommit(t *testing.T) {
 	if len(r.log) != 0 {
 		t.Errorf("empty commits reached the stores: %q", r.log)
 	}
-	if got := r.srv.LastCommitted(); got != 6 {
+	r.srv.epochMu.Lock()
+	got := r.srv.lastCommitted
+	r.srv.epochMu.Unlock()
+	if got != 6 {
 		t.Errorf("lastCommitted = %d, want 6", got)
 	}
 	if got := r.srv.Stats().EpochsCommitted; got != 2 {
@@ -342,7 +345,7 @@ func TestDirectMutationCheckpoints(t *testing.T) {
 				t.Fatalf("a client reads %q of the staged twin before its commit", got)
 			}
 			twin.commit(8)
-			if got, want := twin.stripe.Bytes(), r.stripe.Bytes(); !bytes.Equal(got, want) {
+			if got, want := memBytes(twin.stripe.Mem), memBytes(r.stripe.Mem); !bytes.Equal(got, want) {
 				t.Fatalf("staged and committed the stripe holds %q, written directly %q", got, want)
 			}
 			twin.crashed(tc.want)
@@ -381,8 +384,8 @@ func TestCheckpointOrder(t *testing.T) {
 			// The mid-checkpoint instants: the stripe as synced, under the
 			// journal as it was, with its header torn, and as reset.
 			for _, jimg := range [][]byte{
-				append([]byte("NCJ1\xff\xff"), r.journal.Bytes()[6:]...),
-				r.journal.Bytes(),
+				append([]byte("NCJ1\xff\xff"), memBytes(r.journal.Mem)[6:]...),
+				memBytes(r.journal.Mem),
 			} {
 				stripe, jb := storage.NewMem(), storage.NewMem()
 				stripe.WriteAt(r.stripe.durable, 0)
@@ -390,7 +393,7 @@ func TestCheckpointOrder(t *testing.T) {
 				if _, info, err := RecoverJournal(jb, stripe); err != nil || info.AppliedEpochs != 0 {
 					t.Fatalf("recovery after the checkpoint replayed %+v (%v)", info, err)
 				}
-				if got := stripe.Bytes(); !bytes.HasPrefix(got, []byte("AAAA")) {
+				if got := memBytes(stripe); !bytes.HasPrefix(got, []byte("AAAA")) {
 					t.Errorf("the synced stripe holds %q without a replay", got)
 				}
 			}
@@ -551,9 +554,9 @@ func TestEarlyWritebackAfterReset(t *testing.T) {
 	r.do(opSync, nil) // checkpoint: the journal's generation moves on
 	r.write(8, "YYYY")
 	r.do(opSync, nil) // the direct write is durable
-	stale := r.journal.Bytes()
+	stale := memBytes(r.journal.Mem)
 	r.stage(7, 4, "CCCC")
-	if got := r.journal.Bytes(); len(got) != len(stale) || !bytes.Equal(got[len(got)-10:], stale[len(stale)-10:]) {
+	if got := memBytes(r.journal.Mem); len(got) != len(stale) || !bytes.Equal(got[len(got)-10:], stale[len(stale)-10:]) {
 		t.Fatalf("the new stage record is not aligned over the old generation's first: %d bytes, %d before", len(got), len(stale))
 	}
 	if info := r.crashed("AAAA....YYYY...."); info.DiscardedEpochs != 1 || info.AppliedEpochs != 0 || !info.TornTail {

@@ -384,7 +384,7 @@ func TestClientCutsOversizeSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if covered != len(data) || !bytes.Equal(pieces.Bytes(), whole.Bytes()) || len(segs[1].Buf) != 990 {
+	if covered != len(data) || !bytes.Equal(memBytes(pieces), memBytes(whole)) || len(segs[1].Buf) != 990 {
 		t.Fatalf("the pieces cover %d of %d bytes, land elsewhere than the batch, or the batch was written", covered, len(data))
 	}
 

@@ -14,10 +14,14 @@ import (
 	"repro/internal/storage"
 )
 
-// memBytes reads a Mem backend's full contents.
-func memBytes(t *testing.T, m *storage.Mem) []byte {
-	t.Helper()
-	return m.Bytes()
+// memBytes reads a backend's whole contents (Mem's reads lock the spans
+// they cover, so the copy is one no write is half-way through).
+func memBytes(b storage.Backend) []byte {
+	p := make([]byte, b.Size())
+	if err := storage.ReadFull(b, p, 0); err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // stageHinted journals one staged write and starts its writeback, as a
@@ -284,7 +288,7 @@ func TestJournalCrashPoints(t *testing.T) {
 				if _, _, err := RecoverJournal(jmem, stripe); err != nil {
 					t.Fatal(err)
 				}
-				if got := stripe.Bytes(); !bytes.Equal(got, tc.want) {
+				if got := memBytes(stripe); !bytes.Equal(got, tc.want) {
 					t.Errorf("written back up to hinted byte %d: stripe after recovery = %q, want %q", k+1, got, tc.want)
 				}
 			}
@@ -297,7 +301,7 @@ func TestJournalCrashPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := memBytes(t, stripe); !bytes.Equal(got, tc.want) {
+			if got := memBytes(stripe); !bytes.Equal(got, tc.want) {
 				t.Errorf("stripe after recovery = %q, want %q", got, tc.want)
 			}
 			if info.AppliedEpochs != tc.applied || info.DiscardedEpochs != tc.discard ||
@@ -310,7 +314,7 @@ func TestJournalCrashPoints(t *testing.T) {
 			}
 
 			// A second recovery (crash during the first) is a no-op.
-			before := memBytes(t, stripe)
+			before := memBytes(stripe)
 			_, info2, err := RecoverJournal(jb, stripe)
 			if err != nil {
 				t.Fatal(err)
@@ -318,7 +322,7 @@ func TestJournalCrashPoints(t *testing.T) {
 			if info2.AppliedEpochs != 0 || info2.DiscardedEpochs != 0 {
 				t.Errorf("second recovery applied work: %+v", info2)
 			}
-			if got := memBytes(t, stripe); !bytes.Equal(got, before) {
+			if got := memBytes(stripe); !bytes.Equal(got, before) {
 				t.Error("second recovery changed the stripe")
 			}
 		})
@@ -344,10 +348,10 @@ func FuzzJournalRecover(f *testing.F) {
 		j := NewJournal(jb)
 		j.AppendStage(3, 0, []byte("data"))
 		j.AppendCommit(3)
-		f.Add(jb.Bytes())
+		f.Add(memBytes(jb))
 		j.Reset()
 		j.AppendStage(4, 0, []byte("more"))
-		f.Add(jb.Bytes())
+		f.Add(memBytes(jb))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		jb := storage.NewMem()
@@ -411,7 +415,7 @@ func TestRecoveryReadsLivePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.AppliedEpochs != 1 || info.AppliedBytes != int64(len(want)) || !bytes.Equal(stripe.Bytes(), want) {
+	if info.AppliedEpochs != 1 || info.AppliedBytes != int64(len(want)) || !bytes.Equal(memBytes(stripe), want) {
 		t.Fatalf("recovery replayed %+v, stripe %d bytes, want one epoch of %d", info, stripe.Size(), len(want))
 	}
 	if read, limit := jb.Stats().BytesRead, live+2*recoverChunk; read > limit {
@@ -571,7 +575,7 @@ func TestAppendStagesMatchesEncoder(t *testing.T) {
 				if reset {
 					// A checkpoint: the stripe holds epoch 1, the journal
 					// nothing live.
-					base.WriteAt(img.Bytes(), 0)
+					base.WriteAt(memBytes(img), 0)
 					for _, j := range []*Journal{jv, jo} {
 						if err := j.Reset(); err != nil {
 							t.Fatal(err)
@@ -593,11 +597,11 @@ func TestAppendStagesMatchesEncoder(t *testing.T) {
 				}
 				for _, b := range []storage.Backend{vb, ob} {
 					stripe := storage.NewMem()
-					stripe.WriteAt(base.Bytes(), 0)
+					stripe.WriteAt(memBytes(base), 0)
 					if _, _, err := RecoverJournal(b, stripe); err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(stripe.Bytes(), img.Bytes()) {
+					if !bytes.Equal(memBytes(stripe), memBytes(img)) {
 						t.Fatal("recovery left another stripe than the committed stages")
 					}
 				}

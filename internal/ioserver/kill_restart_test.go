@@ -338,7 +338,7 @@ func killRestartRun(t *testing.T, nSrv int, eng core.Engine, storm krStorm) {
 	// The identical storm against a local Mem backend is the oracle.
 	oracle := storage.NewMem()
 	runStorm(t, eng, storm, oracle, nil)
-	want := oracle.Bytes()
+	want := memBytes(oracle)
 	verify := func(when string, got []byte) {
 		t.Helper()
 		if bytes.Equal(got, want) {

@@ -116,6 +116,13 @@ func TestHostileExtents(t *testing.T) {
 	}
 	st := localConn(srv)
 	const beyond = math.MaxInt64/2 - 64 // the last local offset whose global image fits
+	// A compiled view whose data range [0, 128) puts 64 bytes on this
+	// stripe: a direct write of it takes the sieve's window, a staged one
+	// the run-by-run walk, and each must refuse a payload of 4.
+	v := st.register(t, 0, viewType(t, 8, 16, 16))
+	if v.prog == nil {
+		t.Fatal("the short-stream view is not compiled")
+	}
 	for _, tc := range []struct {
 		name string
 		op   int
@@ -130,6 +137,7 @@ func TestHostileExtents(t *testing.T) {
 		{"read list entry past the offset space", opReadv, vs(1, beyond, 2), true},
 		{"truncate past the offset space", opTruncate, vs(1 << 62), true},
 		{"truncate no allocation can hold", opTruncate, vs(1 << 50), false},
+		{"view write shorter than its stripe's share", opViewWrite, append(vs(int64(v.handle), 0, 128), "abcd"...), true},
 	} {
 		ops := []int{tc.op}
 		if s := stagedOp(tc.op); s != tc.op && tc.bad {

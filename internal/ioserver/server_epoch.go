@@ -159,13 +159,6 @@ func (s *Server) dropStaged() {
 	clear(s.staged)
 }
 
-// LastCommitted reports the highest epoch committed by this instance.
-func (s *Server) LastCommitted() uint64 {
-	s.epochMu.Lock()
-	defer s.epochMu.Unlock()
-	return s.lastCommitted
-}
-
 // stage journals st.segs — one write request's total bytes, resolved to
 // segments over its frame payload — under epoch, parks them, counts the
 // request in the connection's tally, and starts the journal's writeback

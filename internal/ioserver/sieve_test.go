@@ -253,7 +253,7 @@ func FuzzSieveVsRuns(f *testing.F) {
 				if _, err := st.viewOp(opViewWrite, rig.views[i], d0, d1, streams[i]); err != nil {
 					t.Fatalf("%s write: %v", name, err)
 				}
-				if got := rig.mems[i].Bytes(); !bytes.Equal(got, oracle.stripes[i]) {
+				if got := memBytes(rig.mems[i]); !bytes.Equal(got, oracle.stripes[i]) {
 					t.Fatalf("%v disp %d on %+v window %d: %s stripe %d after writing [%d,%d) differs from the oracle (len %d, want %d)",
 						ft, disp, g, win, name, i, d0, d1, len(got), len(oracle.stripes[i]))
 				}
@@ -556,7 +556,7 @@ func TestSieveConcurrentWriters(t *testing.T) {
 			end = max(end, off+run)
 		}
 	}
-	if !bytes.Equal(mem.Bytes(), want[:end]) {
+	if !bytes.Equal(memBytes(mem), want[:end]) {
 		t.Fatal("final stripe differs from the oracle")
 	}
 	if srv.sieveWindows.Load() == 0 {

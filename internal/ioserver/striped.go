@@ -3,6 +3,7 @@ package ioserver
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/datatype"
@@ -119,13 +120,14 @@ func (s *Striped) WriteAt(p []byte, off int64) (int, error) {
 }
 
 // Size reports the logical size: the furthest global offset any server's
-// stripe reaches.
+// stripe reaches, the servers asked concurrently.
 func (s *Striped) Size() int64 {
-	var size int64
-	for i, c := range s.clients {
-		size = max(size, s.geom.GlobalLen(c.Size(), i))
-	}
-	return size
+	lens := make([]int64, len(s.clients))
+	s.fanOut(nil, func(i int) error {
+		lens[i] = s.geom.GlobalLen(s.clients[i].Size(), i)
+		return nil
+	})
+	return slices.Max(lens)
 }
 
 // Truncate sizes every server's stripe to its share of n bytes.

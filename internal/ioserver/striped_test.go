@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -26,10 +28,10 @@ func TestStripedPlacement(t *testing.T) {
 	if _, err := s.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := string(mems[0].Bytes()); got != "abcdijkl" {
+	if got := string(memBytes(mems[0])); got != "abcdijkl" {
 		t.Fatalf("stripe 0 = %q", got)
 	}
-	if got := string(mems[1].Bytes()); got != "EFGH" {
+	if got := string(memBytes(mems[1])); got != "EFGH" {
 		t.Fatalf("stripe 1 = %q", got)
 	}
 	if s.Size() != 12 {
@@ -144,13 +146,77 @@ func TestQuickStripedMatchesMem(t *testing.T) {
 	}
 }
 
+// sizeGate holds every stripe's Size call, while armed, until each of
+// want servers has one pending, so a size probe that asks the servers
+// one after another stalls on the first and the gate reports it.
+type sizeGate struct {
+	mu     sync.Mutex
+	want   int
+	n      int
+	open   chan struct{}
+	serial bool
+}
+
+func (g *sizeGate) arm() {
+	g.mu.Lock()
+	g.n, g.open, g.serial = 0, make(chan struct{}), false
+	g.mu.Unlock()
+}
+
+// disarm reports how many Size calls came and whether one waited for the
+// others in vain.
+func (g *sizeGate) disarm() (n int, serial bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n, serial = g.n, g.serial
+	if g.open != nil && g.n < g.want {
+		close(g.open)
+	}
+	g.open = nil
+	return n, serial
+}
+
+func (g *sizeGate) wait() {
+	g.mu.Lock()
+	open := g.open
+	if open == nil {
+		g.mu.Unlock()
+		return
+	}
+	if g.n++; g.n == g.want {
+		close(open)
+	}
+	g.mu.Unlock()
+	select {
+	case <-open:
+	case <-time.After(time.Second):
+		g.mu.Lock()
+		g.serial = true
+		g.mu.Unlock()
+	}
+}
+
+// gatedMem is a stripe whose Size passes the gate.
+type gatedMem struct {
+	*storage.Mem
+	gate *sizeGate
+}
+
+func (m gatedMem) Size() int64 {
+	m.gate.wait()
+	return m.Mem.Size()
+}
+
 // TestStripedScalarRequests: a scalar WriteAt spanning many stripe units
 // costs one request per server it touches, and a ReadAt the same after
-// one size request per server, which places the logical end: a read
-// across it comes back short with io.EOF.
+// one size request per server, sent to every server at once, which
+// places the logical end: a read across it comes back short with io.EOF.
 func TestStripedScalarRequests(t *testing.T) {
 	const unit, servers = 64, 3
-	s, _ := startServers(t, unit, servers, nil)
+	gate := &sizeGate{want: servers}
+	s, _ := startServers(t, unit, servers, func(cfg *Config) {
+		cfg.Backend = gatedMem{storage.NewMem(), gate}
+	})
 	rounds := func() []int64 {
 		n := make([]int64, servers)
 		for i, c := range s.Clients() {
@@ -180,11 +246,23 @@ func TestStripedScalarRequests(t *testing.T) {
 		_, err := s.WriteAt(data, unit/2)
 		return err
 	})
+	// probed runs a ReadAt and requires its size requests to have
+	// reached every server together.
+	probed := func(read func() error) func() error {
+		return func() error {
+			gate.arm()
+			err := read()
+			if n, serial := gate.disarm(); n < servers || serial {
+				t.Errorf("size probe: %d of %d servers asked, one after another: %t", n, servers, serial)
+			}
+			return err
+		}
+	}
 	got := make([]byte, len(data))
-	cost("a read of 7 units", []int64{2, 2, 2}, func() error {
+	cost("a read of 7 units", []int64{2, 2, 2}, probed(func() error {
 		_, err := s.ReadAt(got, unit/2)
 		return err
-	})
+	}))
 	if !bytes.Equal(got, data) {
 		t.Fatal("read back differs from what was written")
 	}
@@ -197,7 +275,7 @@ func TestStripedScalarRequests(t *testing.T) {
 	end := int64(unit/2 + len(data))
 	past := make([]byte, 2*unit)
 	var n int
-	cost("a read across the end", []int64{2, 1, 2}, func() (err error) {
+	cost("a read across the end", []int64{2, 1, 2}, probed(func() (err error) {
 		n, err = s.ReadAt(past, 5*unit)
 		if err == io.EOF {
 			err = nil
@@ -205,7 +283,7 @@ func TestStripedScalarRequests(t *testing.T) {
 			t.Error("a read across the end reported no io.EOF")
 		}
 		return err
-	})
+	}))
 	if want := end - 5*unit; int64(n) != want || !bytes.Equal(past[:n], data[5*unit-unit/2:]) {
 		t.Fatalf("a read across the end returned %d bytes, want the %d up to the end", n, want)
 	}

@@ -163,7 +163,7 @@ func wireChaosRun(t *testing.T, eng core.Engine, storm krStorm) {
 	if err := storage.ReadAtv(be, []storage.Segment{{Off: 0, Buf: got}}); err != nil {
 		t.Fatal(err)
 	}
-	if want := oracle.Bytes(); !bytes.Equal(got, want) {
+	if want := memBytes(oracle); !bytes.Equal(got, want) {
 		t.Fatalf("chaos run differs from oracle (%d vs %d bytes)", len(got), len(want))
 	}
 	t.Logf("wire faults injected: %d spikes, %d drops, %d dups, %d corrupts, %d resets, %d partitions",

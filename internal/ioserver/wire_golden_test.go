@@ -127,7 +127,7 @@ func TestWireGolden(t *testing.T) {
 	writes() // staged
 	must(c.SealEpoch(5))
 	must(c.CommitEpoch(5))
-	journal := jb.Bytes()
+	journal := memBytes(jb)
 	c.BeginEpoch(6)
 	_, err = c.WriteAt([]byte("gone"), 9)
 	must(err)

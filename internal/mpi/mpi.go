@@ -199,10 +199,6 @@ func (p *Proc) SentStats() Stats {
 // than in-process.
 func (p *Proc) Wired() bool { return p.w.wired }
 
-// WireStats reports this rank's endpoint-level wire counters (frames,
-// bytes, flushes).  All zeros on the in-process loopback.
-func (p *Proc) WireStats() transport.WireStats { return p.ep.Stats() }
-
 // RunOptions configure a world beyond its size.
 type RunOptions struct {
 	// StallTimeout, when positive, arms a watchdog that aborts the world

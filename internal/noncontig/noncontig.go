@@ -277,32 +277,13 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runOver(cfg, transport.NewLoopback(cfg.P))
-}
-
-// RunOver is Run with the ranks exchanging over the given transport
-// endpoints (still one process: the backend is shared directly).  With
-// loopback endpoints it is Run; with transport.NewLocalTCPWorld the
-// exchange phases cross real sockets — the transport benchmark's seam.
-func RunOver(cfg Config, eps []transport.Transport) (Result, error) {
-	cfg, err := cfg.validate()
-	if err != nil {
-		return Result{}, err
-	}
-	if cfg.P != len(eps) {
-		return Result{}, fmt.Errorf("noncontig: config P=%d but %d endpoints", cfg.P, len(eps))
-	}
-	return runOver(cfg, eps)
-}
-
-func runOver(cfg Config, eps []transport.Transport) (Result, error) {
 	be := cfg.Backend
 	if be == nil {
 		be = storage.NewMem()
 	}
 	sh := core.NewShared(be)
 	results := make([]rankResult, cfg.P)
-	comm, err := mpi.RunOver(eps, mpi.RunOptions{
+	comm, err := mpi.RunOver(transport.NewLoopback(cfg.P), mpi.RunOptions{
 		StallTimeout: cfg.StallTimeout, Trace: cfg.Trace, OnStall: cfg.OnStall,
 	}, func(p *mpi.Proc) {
 		results[p.Rank()] = runRankBody(cfg, p, be, sh)

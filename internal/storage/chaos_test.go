@@ -124,7 +124,7 @@ func TestChaosTornWrite(t *testing.T) {
 	if n <= 0 || n >= len(p) {
 		t.Fatalf("torn write n = %d, want a strict prefix of %d", n, len(p))
 	}
-	got := base.Bytes()
+	got := memBytes(base)
 	if !bytes.Equal(got, p[:n]) {
 		t.Errorf("persisted %q, want exactly the %d-byte prefix %q", got, n, p[:n])
 	}
@@ -190,7 +190,7 @@ func TestChaosTransientOnlyResilient(t *testing.T) {
 				}
 			}
 		}
-		if !bytes.Equal(base.Bytes(), mirror.Bytes()) {
+		if !bytes.Equal(memBytes(base), memBytes(mirror)) {
 			t.Errorf("seed %d: final contents diverged from fault-free mirror", seed)
 		}
 		if c.Stats().Permanents != 0 {

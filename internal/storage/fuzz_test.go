@@ -39,7 +39,7 @@ func FuzzChaosBackend(f *testing.F) {
 			if n != len(data) {
 				t.Fatalf("successful write reported %d of %d bytes", n, len(data))
 			}
-			got := base.Bytes()
+			got := memBytes(base)
 			if int64(len(got)) < off+int64(len(data)) {
 				t.Fatalf("base size %d after successful write ending at %d", len(got), off+int64(len(data)))
 			}
@@ -51,7 +51,7 @@ func FuzzChaosBackend(f *testing.F) {
 		p := make([]byte, len(data))
 		n, err = r.ReadAt(p, off)
 		if err == nil || err == io.EOF {
-			want := base.Bytes()
+			want := memBytes(base)
 			for i := 0; i < n; i++ {
 				if p[i] != want[off+int64(i)] {
 					t.Fatalf("successful read byte %d = %#x, base has %#x", i, p[i], want[off+int64(i)])

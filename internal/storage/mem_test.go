@@ -84,7 +84,7 @@ func TestMemRegionLocks(t *testing.T) {
 	}
 	m.region[r].RUnlock()
 	<-done
-	if got := m.Bytes()[from : from+int64(len(payload))]; !bytes.Equal(got, payload) {
+	if got := memBytes(m)[from : from+int64(len(payload))]; !bytes.Equal(got, payload) {
 		t.Fatalf("after release the write reads %q", got)
 	}
 }
@@ -153,7 +153,7 @@ func TestMemOverlappingCallsAreAtomic(t *testing.T) {
 	go func() { // Bytes is a snapshot no call is half-way through
 		defer wg.Done()
 		for i := 0; i < rounds/10; i++ {
-			if snap := m.Bytes(); !uniform(snap[lo:hi]) {
+			if snap := memBytes(m); !uniform(snap[lo:hi]) {
 				t.Error("Bytes caught a write half done")
 				return
 			}
@@ -172,7 +172,7 @@ func TestMemOverlappingCallsAreAtomic(t *testing.T) {
 		}(off)
 	}
 	wg.Wait()
-	if snap := m.Bytes(); !uniform(snap[:lo]) || snap[0] != 0xC3 || !uniform(snap[hi:]) || snap[hi] != 0xC3 {
+	if snap := memBytes(m); !uniform(snap[:lo]) || snap[0] != 0xC3 || !uniform(snap[hi:]) || snap[hi] != 0xC3 {
 		t.Error("the disjoint writers' ranges were disturbed")
 	}
 }
@@ -214,7 +214,7 @@ func TestMemGrowthBesideWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	got := m.Bytes()
+	got := memBytes(m)
 	if len(got) != base+pieces*piece {
 		t.Fatalf("store is %d bytes, want %d", len(got), base+pieces*piece)
 	}
@@ -321,7 +321,7 @@ func TestMemVectoredUnsortedOverlapping(t *testing.T) {
 			}
 			copy(model[s.Off:], s.Buf)
 		}
-		if got := m.Bytes(); !bytes.Equal(got, model) {
+		if got := memBytes(m); !bytes.Equal(got, model) {
 			t.Fatalf("after %d segments the store differs from the sequential model", len(segs))
 		}
 	}
@@ -341,7 +341,7 @@ func TestMemVectoredUnsortedOverlapping(t *testing.T) {
 	}
 	if err := m.WriteAtv([]Segment{{Off: 10, Buf: fill(8, 5)}, {Off: -1, Buf: fill(8, 5)}}); err == nil {
 		t.Error("a negative offset in a batch was accepted")
-	} else if got := m.Bytes(); !bytes.Equal(got, model) {
+	} else if got := memBytes(m); !bytes.Equal(got, model) {
 		t.Error("a refused batch moved bytes")
 	}
 }

@@ -26,7 +26,7 @@ func TestMemTruncateShrinkRegrowZeroes(t *testing.T) {
 	if _, err := m.WriteAt([]byte{0xAA}, 63); err != nil {
 		t.Fatal(err)
 	}
-	got := m.Bytes()
+	got := memBytes(m)
 	if len(got) != 64 {
 		t.Fatalf("size %d after regrow, want 64", len(got))
 	}
@@ -53,7 +53,7 @@ func TestMemTruncateGrowZeroes(t *testing.T) {
 	if err := m.Truncate(32); err != nil {
 		t.Fatal(err)
 	}
-	got := m.Bytes()
+	got := memBytes(m)
 	for i := 8; i < 32; i++ {
 		if got[i] != 0 {
 			t.Fatalf("byte %d = %#x after shrink+grow truncates, want 0", i, got[i])

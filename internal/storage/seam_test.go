@@ -697,7 +697,7 @@ func TestSeamFullStackTransparent(t *testing.T) {
 	if !bytes.Equal(readBack[0], readBack[1]) {
 		t.Error("reads through the stack differ from the bare backend's")
 	}
-	if !bytes.Equal(inner.Bytes(), bare.Bytes()) {
+	if !bytes.Equal(memBytes(inner.Mem), memBytes(bare.Mem)) {
 		t.Error("contents under the stack differ from the bare backend's")
 	}
 	for _, name := range []string{"RegisterView", "EpochBegin", "EpochSeal", "EpochCommit"} {

@@ -202,16 +202,6 @@ func (m *Mem) Truncate(n int64) error {
 // Sync implements Backend (a no-op for memory).
 func (m *Mem) Sync() error { return nil }
 
-// Bytes returns a copy of the store's contents, for tests: a snapshot no
-// call is half-way through.
-func (m *Mem) Bytes() []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]byte, len(m.data))
-	copy(out, m.data)
-	return out
-}
-
 // File is a Backend backed by an *os.File.
 type File struct {
 	f *os.File

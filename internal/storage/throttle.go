@@ -114,13 +114,3 @@ func (in *Instrumented) Stats() AccessStats {
 		WriteNs:      in.writeNs.Load(),
 	}
 }
-
-// Reset zeroes the access counters.
-func (in *Instrumented) Reset() {
-	in.reads.Store(0)
-	in.writes.Store(0)
-	in.bytesRead.Store(0)
-	in.bytesWritten.Store(0)
-	in.readNs.Store(0)
-	in.writeNs.Store(0)
-}

@@ -68,7 +68,7 @@ func TestVectoredMatrix(t *testing.T) {
 	}(); err != nil {
 		t.Fatal(err)
 	}
-	want := oracle.Bytes()
+	want := memBytes(oracle)
 
 	for name, b := range vectoredBackends(t) {
 		t.Run(name, func(t *testing.T) {

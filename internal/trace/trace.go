@@ -222,14 +222,6 @@ func newTracer(rank, bufSize int, clock func() int64) *Tracer {
 // work done only to build event details.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Rank reports the rank the tracer records for.
-func (t *Tracer) Rank() int {
-	if t == nil {
-		return -1
-	}
-	return t.rank
-}
-
 // Span is one in-flight span.  The zero Span (Begin on a disabled
 // tracer) is inert and has read no clock.
 type Span struct {

@@ -416,11 +416,6 @@ func (t *TCP) Stats() WireStats {
 	}
 }
 
-// wireProgress reports total bytes moved, counted as they cross the
-// sockets — the stall watchdog folds this in so a slow-but-flowing
-// large frame is progress, not a stall.
-func (t *TCP) wireProgress() int64 { return t.bytesSent.Load() + t.bytesRecv.Load() }
-
 // outFrame is one queued outbound message: an owned payload, recycled
 // into the pool once written.
 type outFrame struct {
