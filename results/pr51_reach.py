@@ -25,7 +25,8 @@
       prints the classification as Markdown: each block of OUT.tsv with
       the class and reason CLASSES.tsv gives its block (file:line) or its
       function (file:function), the blocks of class (a) by rule counted
-      per file, and the totals per class; it fails on a block with neither.
+      per file (a function's (b), (c) or (r) covers its rule blocks too),
+      and the totals per class; it fails on a block with no class.
 """
 import collections
 import os
@@ -179,7 +180,9 @@ def blocks(src, prodf, testf, outf, pertest=None):
 
 def render(outf, classf):
     """CLASSES.tsv: key <tab> class <tab> reason; key is file:function,
-    or file:line for one block, which takes precedence."""
+    or file:line for one block, which takes precedence.  A block a rule
+    classes (a) is counted by the rule unless its function is (b), (c) or
+    (r), which then covers the whole function."""
     cls = {}
     for ln in open(classf):
         if ln.strip() and not ln.startswith("#"):
@@ -191,7 +194,11 @@ def render(outf, classf):
     for ln in open(outf):
         path, lines, n, reach, fn, er, by = ln.rstrip("\n").split("\t")
         start = lines.split("-")[0]
-        hit = cls.get(path + ":" + start) or cls.get(path + ":" + fn)
+        hit = cls.get(path + ":" + start)
+        if hit is None:
+            hit = cls.get(path + ":" + fn)
+            if hit is not None and hit[0] == "a" and er != "-":
+                hit = None  # the rule names the block's fault better
         if hit is None and er != "-":
             errs[path, er] += 1
             tot["a"] += int(n)
