@@ -193,7 +193,9 @@ func main() {
 	if collector != nil {
 		// Outermost wrapper: spans cover the whole retry loop of each
 		// operation, on the shared storage-backend track.
-		backend = storage.NewTraced(backend, collector.Storage())
+		in := storage.NewInstrumented(backend)
+		in.SetTracer(collector.Storage())
+		backend = in
 	}
 
 	cfg := noncontig.Config{
@@ -461,7 +463,9 @@ func runServer(sc serverConfig, collector *trace.Collector) {
 		backend = fb
 	}
 	if collector != nil {
-		backend = storage.NewTraced(backend, collector.Storage())
+		in := storage.NewInstrumented(backend)
+		in.SetTracer(collector.Storage())
+		backend = in
 	}
 
 	srv, err := ioserver.New(ioserver.Config{

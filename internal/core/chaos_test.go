@@ -274,12 +274,23 @@ func FuzzDecodeCollFault(f *testing.F) {
 	f.Add([]byte{faultPhaseSetup})
 	f.Add([]byte{faultPhaseWindow, faultClassTransient, 'x'})
 	f.Add(encodeCollFault(&CollectiveError{Rank: 3, Phase: PhaseIOPWindow, Err: storage.ErrInjected}))
+	f.Add(encodeCollFault(&CollectiveError{Rank: 1, Phase: PhaseIOPSetup, Err: ErrCorruptAccessList}))
+	f.Add(encodeCollFault(&CollectiveError{Rank: 0, Phase: PhaseEpochSeal, Err: storage.ErrEpochRetry}))
+	f.Add(encodeCollFault(&CollectiveError{Rank: 0, Phase: PhaseEpochCommit, Err: storage.ErrInjected}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		phase, cause := decodeCollFault(data)
 		switch phase {
-		case PhaseIOPSetup, PhaseIOPWindow, phaseUnknown:
+		case PhaseIOPSetup, PhaseIOPWindow, PhaseEpochSeal, PhaseEpochCommit, phaseUnknown:
 		default:
 			t.Fatalf("unknown phase %q", phase)
+		}
+		// A payload an encoder could have sent round-trips: the same
+		// phase, class and message encode to the same bytes.
+		if len(data) > 2 && data[0] >= faultPhaseSetup && data[0] <= faultPhaseCommit &&
+			(data[1] == faultClassTransient || data[1] == faultClassPermanent) {
+			if re := encodeCollFault(&CollectiveError{Phase: phase, Err: cause}); !bytes.Equal(re, data) {
+				t.Fatalf("%q decodes to phase %s, %v, which encodes to %q", data, phase, cause, re)
+			}
 		}
 		if cause == nil {
 			t.Fatal("nil cause")

@@ -70,6 +70,7 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	if !any {
 		return nil
 	}
+	acc.lo = pl.los[f.p.Rank()]
 
 	// Crash-consistent write: when the backend supports epochs, the IOP
 	// write-backs below stage under this id instead of applying, and

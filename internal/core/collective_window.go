@@ -177,7 +177,7 @@ func (f *File) slotWorker(s *pipeSlot) {
 		switch r.kind {
 		case pipeWrite:
 			bsp := f.tr.TimeIO(trace.PhaseWriteBack, r.lo, r.hi-r.lo)
-			err := storage.WriteAtv(f.sh.b, s.window(r.lo, s.wb))
+			err := f.sh.b.WriteAtv(s.window(r.lo, s.wb))
 			s.wb = nil
 			carry.ns += bsp.End()
 			if carry.err == nil {
@@ -188,7 +188,7 @@ func (f *File) slotWorker(s *pipeSlot) {
 			carry = ioToken{}
 			if t.err == nil && r.read {
 				rsp := f.tr.TimeIO(trace.PhasePreRead, r.lo, r.hi-r.lo)
-				t.err = storage.ReadAtv(f.sh.b, s.window(r.lo, s.buf[:r.hi-r.lo]))
+				t.err = f.sh.b.ReadAtv(s.window(r.lo, s.buf[:r.hi-r.lo]))
 				t.ns += rsp.End()
 			}
 			s.done <- t

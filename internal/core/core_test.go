@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/datatype"
+	"repro/internal/flatten"
+	"repro/internal/storage"
 )
 
 // byteViews is each rank's plain byte view, displaced by rank*stride.
@@ -13,19 +15,56 @@ func byteViews(stride int64) viewFn {
 	return func(rank int) (int64, *datatype.Type) { return int64(rank) * stride, datatype.Byte }
 }
 
+// TestIndependentContigContig: c-c, contiguous memory into each rank's
+// byte view, one storage call each way.
 func TestIndependentContigContig(t *testing.T) {
-	for _, eng := range engines {
-		world{P: 2, opts: Options{Engine: eng}}.roundTrip(t, access{view: byteViews(1000), d: 1000, indep: true})
-	}
+	independentContigFile(t, 1000, datatype.Byte, 0)
 }
 
 // TestIndependentNcMemContigFile: nc-c, a strided memtype into a
-// contiguous file, through a pack buffer smaller than the access.
+// contiguous file, through a pack buffer smaller than the access, one
+// storage call per pack-buffer chunk each way.
 func TestIndependentNcMemContigFile(t *testing.T) {
-	mem := mustType(datatype.Vector(50, 1, 3, datatype.Double)) // 50 doubles every 3
-	for _, eng := range engines {
-		world{P: 2, opts: Options{Engine: eng, packBufSize: 64}}.roundTrip(t, access{view: byteViews(400), d: 400, indep: true,
-			mem: func(int) *datatype.Type { return mem }})
+	independentContigFile(t, 400, mustType(datatype.Vector(50, 1, 3, datatype.Double)), 64) // 50 doubles every 3
+}
+
+// independentContigFile writes and reads back d data bytes per rank, from
+// memory of mem through each rank's byte view, independently at P = 2 —
+// for each engine, on Mem and on the in-process tier — and holds every
+// run to the oracle and to the owner mover's contiguous face in counted
+// work: the backend, through storage.Instrumented, sees one call per
+// pack-buffer chunk of pack bytes, or one from contiguous memory, each
+// an offset list of one segment; and the list-based engine builds the
+// ol-lists it built for these accesses before they had that face: the
+// byte view's at Open, which SetView finds cached, and the memtype's, one
+// per access.
+func independentContigFile(t *testing.T, d int64, mem *datatype.Type, pack int) {
+	const P = 2
+	calls, memTuples := int64(1), int64(0)
+	if !mem.ContiguousTiled() {
+		calls, memTuples = (d+int64(pack)-1)/int64(pack), int64(len(flatten.Flatten(mem)))
+	}
+	for _, backend := range []string{"mem", "tier"} {
+		for _, eng := range engines {
+			label := fmt.Sprintf("%s/%v", backend, eng)
+			var inst *storage.Instrumented
+			w := world{P: P, backend: backend, checked: true, opts: Options{Engine: eng, packBufSize: pack}, wrap: func(b storage.Backend) storage.Backend {
+				inst = storage.NewInstrumented(b)
+				return inst
+			}}
+			res := w.roundTrip(t, access{view: byteViews(d), d: d, mem: func(int) *datatype.Type { return mem }, indep: true})
+			if st := inst.Stats(); st.Writes != P*calls || st.Reads != P*calls {
+				t.Errorf("%s: %d storage writes and %d reads, want %d each", label, st.Writes, st.Reads, P*calls)
+			}
+			s := res.stats
+			if s.VectoredWrites != P*calls || s.DirectWrites != P*calls || s.VectoredReads != P*calls || s.DirectReads != P*calls {
+				t.Errorf("%s: %d segments in %d writes, %d in %d reads; want %d one-segment calls each way",
+					label, s.DirectWrites, s.VectoredWrites, s.DirectReads, s.VectoredReads, P*calls)
+			}
+			if want := P * (1 + 2*memTuples); eng == ListBased && s.ListTuples != want {
+				t.Errorf("%s: %d ol-list tuples built, want %d", label, s.ListTuples, want)
+			}
+		}
 	}
 }
 

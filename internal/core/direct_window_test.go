@@ -152,9 +152,10 @@ func dwCells() []dwCell {
 // is direct exactly when no share in it is page-dense in the file, the
 // engine has the programs to enumerate every share and, for a write, the
 // views are proved disjoint; a direct window is no IOP's (no window
-// counted) but one vectored call per rank with a share in it, and a
-// direct write reads nothing.  On the epoch tier every rank commits one
-// epoch.
+// counted) but one backend call per rank with a share in it — a view
+// request on the tier, which registers the views, a vectored call
+// elsewhere — and a direct write reads nothing.  On the epoch tier every
+// rank commits one epoch.
 func TestDirectWindowMatrix(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	cells := dwCells()
@@ -176,19 +177,22 @@ func TestDirectWindowMatrix(t *testing.T) {
 				t.Errorf("%s: %d epoch commits counted over %d ranks, want one each", label, s.EpochsCommitted, g.P)
 			}
 			for _, op := range []struct {
-				name                    string
-				windows, batches, segs  int64
-				direct, buffered, write bool
+				name                          string
+				windows, batches, segs, views int64
+				direct, buffered, write       bool
 			}{
-				{"write", s.SieveWrites, s.VectoredWrites, s.DirectWrites, !c.buffered && g.direct > 0 && !g.overlap, c.buffered || g.direct < 0 || g.overlap, true},
-				{"read", s.SieveReads, s.VectoredReads, s.DirectReads, !c.buffered && g.direct > 0, c.buffered || g.direct < 0, false},
+				{"write", s.SieveWrites, s.ownWrites(), s.DirectWrites, s.ViewWrites, !c.buffered && g.direct > 0 && !g.overlap, c.buffered || g.direct < 0 || g.overlap, true},
+				{"read", s.SieveReads, s.ownReads(), s.DirectReads, s.ViewReads, !c.buffered && g.direct > 0, c.buffered || g.direct < 0, false},
 			} {
 				switch {
 				case op.windows+op.batches == 0:
 					t.Fatalf("%s: the %s moved nothing", label, op.name)
-				case op.direct && (op.windows != 0 || op.segs < op.batches):
+				case op.direct && (op.windows != 0 || op.segs < op.batches-op.views):
 					t.Errorf("%s: the %s took %d IOP windows and %d segments in %d own batches; want only own batches",
 						label, op.name, op.windows, op.segs, op.batches)
+				case op.views != 0 && (w.backend != "tier" || op.views != op.batches):
+					t.Errorf("%s: %d of the %s's %d own batches are view requests; want all on the tier, none elsewhere",
+						label, op.views, op.name, op.batches)
 				case op.direct && op.write && res.writeReads != 0:
 					t.Errorf("%s: the collective write read the backend %d times; a direct window is no read-modify-write", label, res.writeReads)
 				case op.buffered && op.segs+op.batches != 0:
@@ -214,12 +218,13 @@ func (r *retryOnceTier) EpochCommit(id uint64) error {
 }
 
 // TestDirectWindowEpochs: on the epoch tier the ranks' own batches of
-// direct windows stage under the collective's epoch, from their user
-// buffers, as a buffered window's write-back does.  A commit publishes
-// them; a collective that fails in one rank's last batch aborts the epoch,
-// and the batches already staged, that rank's and the others', never
-// show; a commit that must be retried (ErrEpochRetry) re-seals and commits
-// the same staged batches.  In-process at P = 2 and over TCP at P = 3.
+// direct windows go out as view requests — the tier registers the views —
+// and stage under the collective's epoch, from their pack buffers, as a
+// buffered window's write-back does.  A commit publishes them; a
+// collective that fails in the ranks' last batches aborts the epoch, and
+// the batches already staged never show; a commit that must be retried
+// (ErrEpochRetry) re-seals and commits the same staged batches.
+// In-process at P = 2 and over TCP at P = 3.
 func TestDirectWindowEpochs(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	for _, g := range dwGeoms()[3:5] { // 16 KiB runs, non-contiguous memory, P = 2 and 3
@@ -244,9 +249,9 @@ func TestDirectWindowEpochs(t *testing.T) {
 					panic(err)
 				}
 				if fb != nil && r.p.Rank() == 0 {
-					// The last run of the views, the last rank's: it moves that
-					// batch last of its own, in the last IOP's domain.
-					fb.FailWriteRange(int64(len(o.file))-777-100, int64(len(o.file)))
+					// A view request's offset is a data offset: the last data
+					// bytes of the views, which every rank moves last of its own.
+					fb.FailWriteRange(g.d-100, g.d)
 				}
 				r.p.Barrier()
 				_, errs[r.p.Rank()] = r.f.WriteAtAll(0, o.count[r.p.Rank()], g.mem, o.bufs[r.p.Rank()])
@@ -255,12 +260,13 @@ func TestDirectWindowEpochs(t *testing.T) {
 				}
 			})
 			st := res.perRank[0]
-			if st.SieveWrites != 0 || st.VectoredWrites == 0 {
-				t.Errorf("%s: %d IOP windows and %d own batches; want only own batches", label, st.SieveWrites, st.VectoredWrites)
+			if st.SieveWrites != 0 || st.ViewWrites == 0 || st.VectoredWrites != 0 {
+				t.Errorf("%s: %d IOP windows, %d view requests and %d offset lists of its own; want only view requests",
+					label, st.SieveWrites, st.ViewWrites, st.VectoredWrites)
 			}
 			want := o.file
 			if outcome == "abort" {
-				requireAgreement(t, label, errs, g.P-1, PhaseIOPWindow)
+				requireAgreement(t, label, errs, 0, PhaseIOPWindow) // every rank fails, and the lowest wins the vote
 				want = bytes.Repeat([]byte{background}, len(o.file))
 			} else if err := errors.Join(errs...); err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -456,7 +462,7 @@ func TestDirectWindowsMoveNoData(t *testing.T) {
 						for i, name := range []string{"write", "read"} {
 							small, large := ops[i], ops[2+i]
 							for _, op := range []moveOp{small, large} {
-								windows, batches := op.st.SieveWrites+op.st.SieveReads, op.st.VectoredWrites+op.st.VectoredReads
+								windows, batches := op.st.SieveWrites+op.st.SieveReads, op.st.ownWrites()+op.st.ownReads()
 								switch {
 								case eng == ListBased && (windows == 0 || batches != 0):
 									t.Errorf("%s: the %s took %d IOP windows and %d own batches; the baseline takes only IOP windows", label, name, windows, batches)

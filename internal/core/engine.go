@@ -60,13 +60,14 @@ type accessEngine interface {
 
 // collAccess is the calling rank's own side of one collective access —
 // or of an independent one the owner mover moves (transferDirect): the
-// view-data range [d0, d0+d) it moves and the memtype-described user
-// buffer it moves it from (write) or to.
+// view-data range [d0, d0+d) it moves, the file offset lo of data byte
+// d0, and the memtype-described user buffer it moves it from (write) or
+// to.
 type collAccess struct {
-	d0, d int64
-	mem   *memState
-	buf   []byte
-	write bool
+	d0, d, lo int64
+	mem       *memState
+	buf       []byte
+	write     bool
 }
 
 // loan returns the access as an IOP moves it in place.  It describes the

@@ -104,7 +104,13 @@ func testEpochReplaysKeptWindows(t *testing.T, g dwGeom, tcp bool, outcome strin
 			return storage.NewResilient(hook, storage.ResilientConfig{})
 		case "abort":
 			fb := storage.NewFaulty(hook)
-			fb.FailWriteRange(int64(len(o.file))-777-100, int64(len(o.file))) // the last window of IOP 1
+			if g.direct > 0 {
+				// A view write's offset is a data offset: every rank's last
+				// own batch holds the views' last data bytes.
+				fb.FailWriteRange(g.d-100, g.d)
+			} else {
+				fb.FailWriteRange(int64(len(o.file))-777-100, int64(len(o.file))) // the last window of IOP 1
+			}
 			return fb
 		}
 		return hook
@@ -120,13 +126,17 @@ func testEpochReplaysKeptWindows(t *testing.T, g dwGeom, tcp bool, outcome strin
 			panic(fmt.Sprintf("rank %d: %s after the epoch", r.p.Rank(), msg))
 		}
 	})
-	if st := res.stats; (st.DirectWrites > 0) != (g.direct > 0) {
-		t.Fatalf("%d direct window segments written; the test runs the wrong windows", st.DirectWrites)
+	if st := res.stats; (st.ownWrites() > 0) != (g.direct > 0) {
+		t.Fatalf("%d own batches of direct windows written; the test runs the wrong windows", st.ownWrites())
 	}
 	want := o.file
 	switch st := res.stats; {
 	case outcome == "abort":
-		requireAgreement(t, outcome, errs, 1, PhaseIOPWindow)
+		failRank := 1 // the IOP of the last window
+		if g.direct > 0 {
+			failRank = 0 // every rank fails its last batch, and the lowest wins the vote
+		}
+		requireAgreement(t, outcome, errs, failRank, PhaseIOPWindow)
 		want = bytes.Repeat([]byte{background}, len(o.file))
 	case errors.Join(errs...) != nil:
 		t.Fatal(errors.Join(errs...))
@@ -201,5 +211,93 @@ func TestEpochSealsOneIncarnation(t *testing.T) {
 	}
 	if ps := bp.Stats(); ps.Gets != ps.Puts {
 		t.Errorf("%d buffers taken from the pool, %d put back", ps.Gets, ps.Puts)
+	}
+}
+
+// refusingTier is the in-process tier with one step of its epoch
+// protocol refused for good: every seal, or every commit, fails with an
+// injected permanent fault.  The servers never see the refused calls.
+type refusingTier struct {
+	*ioserver.Striped
+	refuse         string // "seal" or "commit"
+	seals, commits atomic.Int64
+}
+
+func (b *refusingTier) EpochSeal(id uint64) error {
+	_, err := b.EpochSealStamp(id)
+	return err
+}
+
+func (b *refusingTier) EpochSealStamp(id uint64) (uint64, error) {
+	b.seals.Add(1)
+	if b.refuse == "seal" {
+		return 0, fmt.Errorf("test: seal of epoch %d refused: %w", id, storage.ErrInjected)
+	}
+	return b.Striped.EpochSealStamp(id)
+}
+
+func (b *refusingTier) EpochCommit(id uint64) error {
+	b.commits.Add(1)
+	if b.refuse == "commit" {
+		return fmt.Errorf("test: commit of epoch %d refused: %w", id, storage.ErrInjected)
+	}
+	return b.Striped.EpochCommit(id)
+}
+
+// TestEpochGivesUp: the epoch protocol's give-up paths.  A seal that fails
+// on every one of maxEpochAttempts rounds, and a commit that fails with
+// anything but ErrEpochRetry, end the collective write on every rank in
+// the same CollectiveError of PhaseEpochSeal or PhaseEpochCommit — rank
+// 0's, which wins the seal vote and is the one that commits — and abort
+// the epoch: no stripe holds a byte of it, and the checked pool balances.
+// Buffered and direct windows, in-process at P = 2.
+func TestEpochGivesUp(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	for _, direct := range []bool{false, true} {
+		for _, refuse := range []string{"seal", "commit"} {
+			label := fmt.Sprintf("direct=%v/%s", direct, refuse)
+			g := keptGeom(direct)
+			o := g.oracle(5)
+			tier := newTier(t, 4096, 2)
+			var rt *refusingTier
+			w := world{P: g.P, backend: "tier", tier: tier, checked: true, opts: Options{collBufSize: g.collBuf}, wrap: func(b storage.Backend) storage.Backend {
+				rt = &refusingTier{Striped: b.(*ioserver.Striped), refuse: refuse}
+				return rt
+			}}
+			errs := make([]error, g.P)
+			res := w.run(t, bytes.Repeat([]byte{background}, len(o.file)), func(r rank) {
+				disp, ft := g.view(r.p.Rank())
+				if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
+					panic(err)
+				}
+				_, errs[r.p.Rank()] = r.f.WriteAtAll(0, o.count[r.p.Rank()], g.mem, o.bufs[r.p.Rank()])
+				if msg := keepsNoBuffer(r.f); msg != "" {
+					panic(fmt.Sprintf("rank %d: %s after the epoch", r.p.Rank(), msg))
+				}
+			})
+			phase, seals, commits := PhaseEpochSeal, int64(maxEpochAttempts*g.P), int64(0)
+			if refuse == "commit" {
+				phase, seals, commits = PhaseEpochCommit, int64(g.P), 1
+			}
+			requireAgreement(t, label, errs, 0, phase)
+			if rt.seals.Load() != seals || rt.commits.Load() != commits {
+				t.Errorf("%s: %d seals and %d commits, want %d and %d", label, rt.seals.Load(), rt.commits.Load(), seals, commits)
+			}
+			if st := res.stats; st.EpochAborts != int64(g.P) || st.EpochsCommitted != 0 || st.EpochRetries != (seals/int64(g.P)-1)*int64(g.P) {
+				t.Errorf("%s: %d epochs aborted, %d committed, %d retries over the ranks", label, st.EpochAborts, st.EpochsCommitted, st.EpochRetries)
+			}
+			var held int
+			for i, s := range tier.stripes {
+				b := flattenBackend(t, s)
+				held += len(b)
+				if n := bytes.Count(b, []byte{background}); n != len(b) {
+					t.Errorf("%s: stripe %d holds %d bytes of the epoch", label, i, len(b)-n)
+				}
+			}
+			if held != len(o.file) {
+				t.Errorf("%s: the stripes hold %d bytes, the file %d", label, held, len(o.file))
+			}
+			tier.close()
+		}
 	}
 }

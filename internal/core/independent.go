@@ -7,15 +7,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Independent I/O.  The four memory/file contiguity combinations of
-// Figure 1 take different paths:
-//
-//	c-c:   direct contiguous backend access;
-//	nc-c:  stage through the pack buffer (pack/unpack the memtype);
-//	c-nc:  data sieving on the fileview, user buffer used directly;
-//	nc-nc: data sieving with one fused copy between user buffer and
-//	       sieve window where the engine has one, else combined with
-//	       pack-buffer staging (Figure 3).
+// Independent I/O.  An access is windowed or the owner's: a
+// non-contiguous fileview is data-sieved through a file window (Figure
+// 3), with one fused copy between user buffer and window where the engine
+// has one and the pack buffer between them otherwise; a contiguous
+// fileview, and a sparse one below Options.SieveDensity, go to the owner
+// mover (transferDirect), which moves the user's bytes with no window.
 
 // WriteAt writes count instances of memtype from buf into the view at
 // offset off (in etypes), independently of other ranks.  It returns the
@@ -65,42 +62,13 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 
 	mem := f.eng.newMemState(memtype, count)
 	memContig := memIsContig(memtype, count)
-
+	lo := f.eng.dataToFileStart(d0)
 	if f.v.ftype.ContiguousTiled() {
-		start := f.eng.dataToFileStart(d0)
-		if memContig {
-			// c-c: direct contiguous access.
-			m0 := memtype.TrueLB()
-			if write {
-				_, err := f.sh.b.WriteAt(buf[m0:m0+d], start)
-				return err
-			}
-			return storage.ReadFull(f.sh.b, buf[m0:m0+d], start)
-		}
-		// nc-c: stage through the pack buffer.
-		pb := f.bp.Get(int(min(int64(f.opts.packBufSize), d)))
-		defer f.bp.Put(pb)
-		for done := int64(0); done < d; {
-			n := min(int64(len(pb)), d-done)
-			if write {
-				f.eng.packUser(pb, buf, mem, done, n)
-				if _, err := f.sh.b.WriteAt(pb[:n], start+done); err != nil {
-					return err
-				}
-			} else {
-				if err := storage.ReadFull(f.sh.b, pb[:n], start+done); err != nil {
-					return err
-				}
-				f.eng.unpackUser(buf, pb, mem, done, n)
-			}
-			done += n
-		}
-		return nil
+		return f.transferDirect(d0, d, lo, buf, mem, memContig, write)
 	}
 
 	// Non-contiguous fileview: data sieving over the file range that
 	// backs data [d0, d0+d).
-	lo := f.eng.dataToFileStart(d0)
 	hi := f.eng.dataToFileEnd(d0 + d)
 
 	// Sieving-vs-direct decision (the paper's §5 outlook): when the
@@ -108,7 +76,7 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 	// useless bytes and the RMW write-back doubles the traffic; below
 	// the density threshold, issue one backend access per block instead.
 	if f.opts.SieveDensity > 0 && float64(d) < f.opts.SieveDensity*float64(hi-lo) {
-		return f.transferDirect(d0, d, buf, mem, memContig, write)
+		return f.transferDirect(d0, d, lo, buf, mem, memContig, write)
 	}
 
 	win := f.bp.Get(int(min(int64(f.opts.sieveBufSize), hi-lo)))
@@ -219,28 +187,25 @@ func (f *File) moveWindow(w []byte, winLo, dv, n int64, buf []byte, mem *memStat
 	f.Stats.CopyNs += csp.End()
 }
 
-// transferDirect performs a non-contiguous independent access as direct
-// contiguous backend accesses, one per run of the fileview — the
-// "multiple file accesses" alternative to data sieving.  No
-// read-modify-write and no byte-range locks are needed because every
-// backend access touches exactly the bytes of the view.
+// transferDirect performs an independent access through the owner mover
+// (moveOwn) — for a non-contiguous fileview the "multiple file accesses"
+// alternative to data sieving — with no window: no read-modify-write and
+// no byte-range locks are needed, because every backend access touches
+// exactly the bytes of the view.  lo is the file offset of data byte d0.
 //
-// The owner mover (moveOwn) issues the runs as vectored batches (one
-// preadv/pwritev-style backend call each where the backend has one,
-// storage.ReadAtv/WriteAtv's loop elsewhere).  With contiguous memory the
-// user buffer is the packed data and the whole access is one batch; so it
-// is for a non-contiguous layout the engine walks together with the
-// fileview (viewCursor.fuses): the segments then point into the user
-// buffer and no pack buffer is drawn.  Otherwise the access goes a pack
-// buffer at a time.  A backend that evaluates registered views takes
-// each such chunk as one view request instead, and no run is listed.
-func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig bool, write bool) error {
-	if f.viewBE != nil {
-		return f.transferView(d0, d, buf, mem, memContig, write)
+// The access goes in one chunk when the mover takes it in place — from
+// contiguous memory, or, on the list face, from a layout the engine walks
+// together with the fileview (viewCursor.fuses), when the segments point
+// into the user buffer — and a pack buffer at a time otherwise.  Only the
+// list face positions a cursor.
+func (f *File) transferDirect(d0, d, lo int64, buf []byte, mem *memState, memContig bool, write bool) error {
+	acc := &collAccess{d0: d0, d: d, lo: lo, mem: mem, buf: buf, write: write}
+	var vc viewCursor
+	inPlace := memContig
+	if f.listsRuns() {
+		vc = f.eng.seekData(d0)
+		inPlace = memContig || vc.fuses(mem)
 	}
-	acc := &collAccess{d0: d0, d: d, mem: mem, buf: buf, write: write}
-	vc := f.eng.seekData(d0)
-	inPlace := memContig || vc.fuses(mem)
 	chunk := d
 	if !inPlace {
 		chunk = int64(f.opts.packBufSize)
@@ -257,95 +222,96 @@ func (f *File) transferDirect(d0, d int64, buf []byte, mem *memState, memContig 
 	return nil
 }
 
-// transferView is transferDirect's view-addressed branch: each chunk is
-// one constant-size (handle, offset, count) request, and the backend (a
-// remote I/O-server tier) evaluates the noncontiguous pattern on its
-// side.
-func (f *File) transferView(d0, d int64, buf []byte, mem *memState, memContig bool, write bool) error {
-	// Process the access in data-contiguous chunks: all of it when the
-	// user buffer is the packed data, else a pack buffer at a time.
-	var pb []byte
-	chunk := d
-	if !memContig {
-		pb = f.bp.Get(int(min(int64(f.opts.packBufSize), d)))
-		defer f.bp.Put(pb)
-		chunk = int64(len(pb))
-	}
-	var ioErr error
-	for m := int64(0); m < d && ioErr == nil; m += chunk {
-		c := min(chunk, d-m)
-		var cb []byte
-		if memContig {
-			u := mem.t.TrueLB() + m
-			cb = buf[u : u+c]
-		} else {
-			cb = pb[:c]
-			if write {
-				f.eng.packUser(cb, buf, mem, m, c)
-			}
-		}
-		if write {
-			ioErr = f.viewBE.ViewWrite(f.viewHandle, cb, d0+m)
-			f.Stats.ViewWrites++
-		} else {
-			ioErr = f.viewBE.ViewRead(f.viewHandle, cb, d0+m)
-			f.Stats.ViewReads++
-		}
-		if ioErr == nil && !memContig && !write {
-			f.eng.unpackUser(buf, cb, mem, m, c)
-		}
-	}
-	return ioErr
+// listsRuns reports whether the owner mover takes its list face: the
+// fileview is neither registered with the backend nor contiguous.
+func (f *File) listsRuns() bool {
+	return f.viewBE == nil && !f.v.ftype.ContiguousTiled()
 }
 
-// moveOwn is the owner mover: it moves data bytes [a, b) of this rank's
-// own view, from vc's position on, between the backend and the user
-// buffer of acc by one vectored call — list I/O, one segment per stretch
-// of the view's runs.  With inPlace the segments point into the user
-// buffer, which is the packed data when the memory is contiguous and
-// otherwise is cut with the fileview (vc must fuse the memtype); else
-// they point into a pooled pack buffer, packed first for a write and, for
-// a read that hold does not keep packed, unpacked after.  That buffer, if
-// one was drawn, is returned to the caller, whose it is.  The copies are
-// timed as PhaseCopy and the call as PhaseWriteBack or PhasePreRead, in
-// spans of window at, and the mover is the one site that counts the
-// Direct* and Vectored* stats.
+// moveOwn is the owner mover, the one mover of a rank's own bytes with no
+// window around them: it moves data bytes [a, b) of this rank's own view
+// between the backend and the user buffer of acc by one backend call, in
+// one of three faces the handle's state selects:
+//
+//   - a fileview registered with the backend (viewBE) takes the bytes as
+//     one view request, addressed in view data;
+//   - a contiguous fileview takes them as one segment, at file offset
+//     acc.lo plus their distance from acc.d0;
+//   - any other view takes them as an offset list, one segment per
+//     stretch of the view's runs from vc's position on, vc advancing.
+//
+// With inPlace the bytes move where they lie in the user buffer, which is
+// the packed data when the memory is contiguous and is otherwise cut with
+// the fileview (vc must fuse the memtype), on the list face only: off it,
+// in place means contiguous memory.  Else they move through a pooled pack
+// buffer, packed first for a write and, for a read that hold does not
+// keep packed, unpacked after.  That buffer, if one was drawn, is
+// returned to the caller, whose it is.  The copies are timed as PhaseCopy
+// and the call as PhaseWriteBack or PhasePreRead, in spans of window at,
+// and the mover is the one site that counts the Direct*, Vectored* and
+// View* transfer stats.
 func (f *File) moveOwn(vc viewCursor, acc *collAccess, a, b int64, inPlace, hold bool, at int64) (pb []byte, err error) {
-	n, skip, mem, sb := b-a, a-acc.d0, acc.mem, &f.sb
-	sb.segs = f.segs
+	n, skip, mem := b-a, a-acc.d0, acc.mem
+	list, contig := f.listsRuns(), memIsContig(mem.t, mem.count)
+	if !list {
+		inPlace = contig
+	}
+	// data is the bytes packed: in the user buffer, or in pb; nil where
+	// the list face cuts the user buffer with the fileview.
+	var data []byte
 	switch {
 	case !inPlace:
 		pb = f.bp.Get(int(n))
+		data = pb
 		if acc.write {
 			csp := f.tr.Time(trace.PhaseCopy, at, n)
 			f.eng.packUser(pb, acc.buf, mem, skip, n)
 			f.Stats.CopyNs += csp.End()
 		}
-		sb.mem, sb.d0 = pb, a
-		vc.eachRun(n, sb)
-	case memIsContig(mem.t, mem.count):
+	case contig:
 		u := mem.t.TrueLB() + skip
-		sb.mem, sb.d0 = acc.buf[u:u+n], a
-		vc.eachRun(n, sb)
-	default:
-		sb.mem, sb.d0 = acc.buf, 0
-		vc.eachUserRun(n, mem, skip, sb)
+		data = acc.buf[u : u+n]
 	}
-	segs := sb.segs
-	sb.segs, sb.mem = nil, nil
+	segs := f.segs
+	switch {
+	case f.viewBE != nil:
+	case !list:
+		segs = append(segs, storage.Segment{Off: acc.lo + skip, Buf: data})
+	default:
+		sb := &f.sb
+		sb.segs = segs
+		if data != nil {
+			sb.mem, sb.d0 = data, a
+			vc.eachRun(n, sb)
+		} else {
+			sb.mem, sb.d0 = acc.buf, 0
+			vc.eachUserRun(n, mem, skip, sb)
+		}
+		segs = sb.segs
+		sb.segs, sb.mem = nil, nil
+	}
+	ph := trace.PhasePreRead
 	if acc.write {
-		sp := f.tr.Time(trace.PhaseWriteBack, at, n)
-		err = storage.WriteAtv(f.sh.b, segs)
-		f.Stats.StorageNs += sp.End()
+		ph = trace.PhaseWriteBack
+	}
+	sp := f.tr.Time(ph, at, n)
+	switch {
+	case f.viewBE != nil && acc.write:
+		err = f.viewBE.ViewWrite(f.viewHandle, data, a)
+		f.Stats.ViewWrites++
+	case f.viewBE != nil:
+		err = f.viewBE.ViewRead(f.viewHandle, data, a)
+		f.Stats.ViewReads++
+	case acc.write:
+		err = f.sh.b.WriteAtv(segs)
 		f.Stats.VectoredWrites++
 		f.Stats.DirectWrites += int64(len(segs))
-	} else {
-		sp := f.tr.Time(trace.PhasePreRead, at, n)
-		err = storage.ReadAtv(f.sh.b, segs)
-		f.Stats.StorageNs += sp.End()
+	default:
+		err = f.sh.b.ReadAtv(segs)
 		f.Stats.VectoredReads++
 		f.Stats.DirectReads += int64(len(segs))
 	}
+	f.Stats.StorageNs += sp.End()
 	clear(segs)
 	f.segs = segs[:0]
 	if pb != nil && !acc.write && !hold && err == nil {

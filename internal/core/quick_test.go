@@ -183,8 +183,8 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 				continue
 			}
 			st := cell(c, base, mt, declined, extra, Options{collBufSize: 20000 + r.Intn(20000)})
-			if direct := st.DirectWrites > 0 && st.DirectReads > 0; direct != (c.engine == Listless && !c.declined) {
-				t.Fatalf("page-scale %d cell %s: direct windows: %v (%d writes, %d reads)", i, c, direct, st.DirectWrites, st.DirectReads)
+			if direct := st.ownWrites() > 0 && st.ownReads() > 0; direct != (c.engine == Listless && !c.declined) {
+				t.Fatalf("page-scale %d cell %s: direct windows: %v (%d writes, %d reads)", i, c, direct, st.ownWrites(), st.ownReads())
 			}
 		}
 	}

@@ -28,18 +28,19 @@ type Stats struct {
 	// DirectReads / DirectWrites count the segments the owner mover
 	// (File.moveOwn) hands the backend, with no window around them: the
 	// stretches of this rank's own view, runs that abut both in the file
-	// and in memory merged, of an independent access below SieveDensity
-	// and of its shares of direct collective windows.
+	// and in memory merged — one for a contiguous fileview — of an
+	// independent access the mover takes and of its shares of direct
+	// collective windows.
 	DirectReads, DirectWrites int64
 	// VectoredReads / VectoredWrites count the mover's ReadAtv/WriteAtv
-	// batches that carried those segments: one per batch of a sparse
+	// batches that carried those segments: one per chunk of an
 	// independent access (all of it, or a pack buffer's worth at a time),
 	// one per direct window this rank holds a share of.
 	VectoredReads, VectoredWrites int64
 	// ViewRegistrations counts fileviews registered with a
 	// view-capable backend (the remote I/O-server tier); ViewReads /
-	// ViewWrites count the view-addressed transfers that replaced
-	// offset lists on the direct path.
+	// ViewWrites count the mover's view requests, which take the place
+	// of its offset lists there, chunk for chunk.
 	ViewRegistrations, ViewReads, ViewWrites int64
 	// BytesRead / BytesWritten are user-data volumes moved.
 	BytesRead, BytesWritten int64
@@ -50,8 +51,9 @@ type Stats struct {
 	// Per-phase timing, in nanoseconds, separating where time goes on
 	// this rank: ExchangeNs is AP↔IOP data send/receive, StorageNs is
 	// backend I/O (the reads and write-backs of IOP and sieve windows, the
-	// former overlapping the other two, and the owner mover's batches,
-	// which it times for its independent and collective callers alike),
+	// former overlapping the other two, and the owner mover's offset
+	// lists and view requests, which it times for its independent and
+	// collective callers alike),
 	// CopyNs is pack/unpack and window copying.
 	ExchangeNs, StorageNs, CopyNs int64
 	// WindowsOverlapped counts collective windows whose storage I/O

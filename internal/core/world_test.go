@@ -408,6 +408,11 @@ func (s Stats) add(o Stats) Stats {
 	return s
 }
 
+// ownWrites and ownReads count the owner mover's backend calls, on any of
+// its faces: offset lists and view requests.
+func (s Stats) ownWrites() int64 { return s.VectoredWrites + s.ViewWrites }
+func (s Stats) ownReads() int64  { return s.VectoredReads + s.ViewReads }
+
 // access is one write and read-back of every rank's data through its
 // view, from data offset off.
 type access struct {

@@ -373,7 +373,7 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// ReadAtv implements storage.Vectored: the batch is shipped as offset
+// ReadAtv implements storage.Backend: the batch is shipped as offset
 // lists of at most MaxListRuns entries each, so n runs cost
 // ceil(n/MaxListRuns) round-trips, and each response is read straight
 // into the segments.
@@ -402,7 +402,7 @@ func (c *Client) ReadAtv(segs []storage.Segment) error {
 	return nil
 }
 
-// WriteAtv implements storage.Vectored, chunked like ReadAtv.  Inside an
+// WriteAtv implements storage.Backend, chunked like ReadAtv.  Inside an
 // epoch the segments' buffers are lent until the epoch ends.
 func (c *Client) WriteAtv(segs []storage.Segment) error {
 	c.mu.Lock()

@@ -207,7 +207,7 @@ func (j *Journal) AppendStages(epoch uint64, segs []storage.Segment) error {
 	}
 	j.vec = append(j.vec, storage.Segment{Off: off, Buf: j.buf[prev:]})
 	off += int64(len(j.buf) - prev)
-	err := storage.WriteAtv(j.b, j.vec)
+	err := j.b.WriteAtv(j.vec)
 	clear(j.vec) // hold no frame
 	if err != nil {
 		return err
@@ -468,7 +468,7 @@ func RecoverJournal(jb, stripe storage.Backend) (*Journal, RecoveryInfo, error) 
 			case recCommit:
 				segs := staged[rec.epoch]
 				if len(segs) > 0 {
-					if err := storage.WriteAtv(stripe, segs); err != nil {
+					if err := stripe.WriteAtv(segs); err != nil {
 						return nil, info, fmt.Errorf("ioserver: re-applying epoch %d: %w", rec.epoch, err)
 					}
 					for _, s := range segs {

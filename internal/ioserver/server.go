@@ -439,7 +439,7 @@ func (st *connState) opReadv(_ uint64, body []byte) ([]byte, error) {
 	}
 	sp := st.srv.cfg.Tracer.BeginIO(trace.PhaseServerRead, 0, total)
 	defer sp.End()
-	if err := storage.ReadAtv(st.srv.cfg.Backend, st.segs); err != nil {
+	if err := st.srv.cfg.Backend.ReadAtv(st.segs); err != nil {
 		return nil, err
 	}
 	atomic.AddInt64(&st.srv.stats.RawReads, 1)

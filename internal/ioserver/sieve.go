@@ -59,10 +59,10 @@ func (s *Server) vectored(segs []storage.Segment, write bool) error {
 		return nil
 	}
 	if !write {
-		return storage.ReadAtv(s.cfg.Backend, segs)
+		return s.cfg.Backend.ReadAtv(segs)
 	}
 	defer s.locks.Lock(storage.SegsSpan(segs))()
-	return storage.WriteAtv(s.cfg.Backend, segs)
+	return s.cfg.Backend.WriteAtv(segs)
 }
 
 // moveSegs moves a batch of local segments against the stripe in batch

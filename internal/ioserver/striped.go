@@ -167,7 +167,7 @@ func (s *Striped) fanOut(idle func(i int) bool, fn func(i int) error) error {
 	return nil
 }
 
-// ReadAtv and WriteAtv implement storage.Vectored: the global batch is
+// ReadAtv and WriteAtv implement storage.Backend: the global batch is
 // regrouped per server with the shared stripe math and the per-server
 // offset lists are issued concurrently.
 func (s *Striped) ReadAtv(segs []storage.Segment) error {

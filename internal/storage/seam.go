@@ -7,18 +7,18 @@ import (
 	"repro/internal/trace"
 )
 
-// The storage seam.  Every pass-through wrapper (Resilient, Traced,
-// Throttled, Instrumented, Faulty, Chaos) embeds one layer, which
-// implements Backend and its five extensions once: a fallible call
-// becomes an op, the op goes to the wrapper's single intercept, and the
-// wrapper runs it on the inner backend with next.exec — zero, one or
-// several times, before or after whatever it injects.  A retry, a fault,
-// a charge, a count or a span is therefore written in one place per
-// wrapper, and a wrapper cannot lose a capability of the backend under
-// it by not spelling a method out.
+// The storage seam.  Every pass-through wrapper (Resilient, Throttled,
+// Instrumented, Faulty, Chaos) embeds one layer, which implements
+// Backend and its four extensions once: a fallible call becomes an op,
+// the op goes to the wrapper's single intercept, and the wrapper runs it
+// on the inner backend with next.exec — zero, one or several times,
+// before or after whatever it injects.  A retry, a fault, a charge, a
+// count or a span is therefore written in one place per wrapper, and a
+// wrapper cannot lose a capability of the backend under it by not
+// spelling a method out.
 
-// opKind names the fallible calls of Backend, Vectored, Sender,
-// ViewBackend and EpochBackend.
+// opKind names the fallible calls of Backend, Sender, ViewBackend and
+// EpochBackend.
 type opKind uint8
 
 const (
@@ -180,9 +180,9 @@ func (l *layer) exec(o op) result {
 		n, err := l.Backend.WriteAt(o.buf, o.off)
 		return result{n: n, err: err}
 	case opReadv:
-		return result{err: ReadAtv(l.Backend, o.segs)}
+		return result{err: l.Backend.ReadAtv(o.segs)}
 	case opWritev:
-		return result{err: WriteAtv(l.Backend, o.segs)}
+		return result{err: l.Backend.WriteAtv(o.segs)}
 	case opSend:
 		n, err := l.Backend.(Sender).SendTo(o.w, o.exts)
 		return result{n: int(n), err: err}
@@ -243,7 +243,7 @@ func (l *layer) Sync() error {
 	return l.run(op{kind: opSync, off: trace.NoWindow}).err
 }
 
-// ReadAtv implements Vectored.  A batch is one op — one retry unit, one
+// ReadAtv implements Backend.  A batch is one op — one retry unit, one
 // fault draw, one latency charge, one counted access, one span — which
 // is the cost model the vectored path exists to change: n contiguous
 // runs cost one operation, not n.
@@ -252,7 +252,7 @@ func (l *layer) ReadAtv(segs []Segment) error {
 	return l.run(op{kind: opReadv, off: lo, segs: segs}).err
 }
 
-// WriteAtv implements Vectored.
+// WriteAtv implements Backend.
 func (l *layer) WriteAtv(segs []Segment) error {
 	lo, _ := SegsSpan(segs)
 	return l.run(op{kind: opWritev, off: lo, segs: segs}).err

@@ -204,7 +204,6 @@ func (s *seamStore) EpochEnd(id uint64) { s.log(seamCall{name: "EpochEnd", off: 
 // seamBackend is everything a pass-through wrapper implements.
 type seamBackend interface {
 	Backend
-	Vectored
 	Sender
 	ViewBackend
 	EpochBackend
@@ -212,21 +211,22 @@ type seamBackend interface {
 	Writeback
 }
 
-// seamWrappers builds each of the six wrappers, idle (nothing armed, no
+// seamWrappers builds each of the five wrappers, and Instrumented with a
+// tracer, idle (nothing armed, no
 // probability set), over b.
 var seamWrappers = []struct {
 	name string
 	wrap func(b Backend) Backend
 }{
 	{"Resilient", func(b Backend) Backend { return NewResilient(b, ResilientConfig{}) }},
-	{"Traced", func(b Backend) Backend { return NewTraced(b, trace.NewCollector(64).Storage()) }},
 	{"Throttled", func(b Backend) Backend { return NewThrottled(b, 0) }},
 	{"Instrumented", func(b Backend) Backend { return NewInstrumented(b) }},
+	{"Instrumented/traced", func(b Backend) Backend { return traced(b, trace.NewCollector(64).Storage()) }},
 	{"Faulty", func(b Backend) Backend { return NewFaulty(b) }},
 	{"Chaos", func(b Backend) Backend { return NewChaos(1, b, ChaosConfig{}) }},
 }
 
-// seamOps is every call of the six interfaces.  do issues it on w and
+// seamOps is every call of the five interfaces.  do issues it on w and
 // returns the call the inner backend must see and what w answered.
 var seamOps = []struct {
 	name string
@@ -377,7 +377,7 @@ func TestSeamCapabilitiesMirrorInner(t *testing.T) {
 	throttled := NewThrottled(NewMem(), time.Nanosecond)
 	inst := NewInstrumented(NewMem())
 	resilient := NewResilient(NewMem(), ResilientConfig{})
-	traced := NewTraced(NewMem(), trace.NewCollector(64).Storage())
+	traced := traced(NewMem(), trace.NewCollector(64).Storage())
 
 	for _, w := range []seamBackend{chaos, faulty, throttled, inst, resilient, traced} {
 		p := make([]byte, 4)
@@ -496,9 +496,9 @@ func TestSeamSend(t *testing.T) {
 			r.sleep = func(time.Duration) {}
 			return r
 		}, 1, true, true},
-		{"Traced over a failing store", func(s *seamStore) Sender {
+		{"Instrumented/traced over a failing store", func(s *seamStore) Sender {
 			s.fail = transient
-			return NewTraced(s, trace.NewCollector(64).Storage())
+			return traced(s, trace.NewCollector(64).Storage())
 		}, 1, false, true},
 	} {
 		inner := newInner()
@@ -529,7 +529,7 @@ func TestSeamSend(t *testing.T) {
 // wrapper unchanged and costs none of them anything, armed as each is so
 // that an op that reached its interceptor would leave a mark — no Chaos
 // draw, no Faulty count, no Throttled charge, no Instrumented count, no
-// Traced span, no Resilient retry — and over a backend without the
+// Instrumented span, no Resilient retry — and over a backend without the
 // extension it reaches nothing.
 func TestSeamWritebackIsNoOp(t *testing.T) {
 	const seed = 11
@@ -546,9 +546,9 @@ func TestSeamWritebackIsNoOp(t *testing.T) {
 				return ""
 			}
 		}},
-		{"Traced", func(b Backend) (Backend, func() string) {
+		{"Instrumented/traced", func(b Backend) (Backend, func() string) {
 			c := trace.NewCollector(64)
-			return NewTraced(b, c.Storage()), func() string {
+			return traced(b, c.Storage()), func() string {
 				if evs := c.Events(); len(evs) != 0 {
 					return fmt.Sprintf("spans %v", evs)
 				}
@@ -636,7 +636,7 @@ func TestSeamInstrumentedCountsViews(t *testing.T) {
 	}
 }
 
-// TestSeamFullStackTransparent: all six wrappers on top of each other,
+// TestSeamFullStackTransparent: all five wrappers on top of each other,
 // with seeded transient chaos in the middle, are byte-identical to the
 // bare backend over plain, vectored and view traffic and a seal/commit —
 // and Instrumented, at the bottom, counts exactly the calls that arrived.
@@ -648,7 +648,7 @@ func TestSeamFullStackTransparent(t *testing.T) {
 	chaos.sleep = func(time.Duration) {}
 	res := NewResilient(chaos, ResilientConfig{Seed: 4, MaxRetries: 64})
 	res.sleep = func(time.Duration) {}
-	var top seamBackend = NewTraced(res, trace.NewCollector(1<<12).Storage())
+	var top seamBackend = traced(res, trace.NewCollector(1<<12).Storage())
 
 	if _, ok := AsViewBackend(top); !ok {
 		t.Fatal("the stack hides views")

@@ -19,12 +19,24 @@ import (
 	"sync"
 )
 
-// Backend is a byte-addressed store with contiguous access, the only
-// interface the file system offers to the MPI-IO layer (POSIX-style:
-// no scatter/gather, no non-contiguous primitives).
+// Backend is a byte-addressed store, the interface the file system
+// offers to the MPI-IO layer: POSIX-style contiguous access, and its
+// vectored (scatter/gather) face, which takes a batch of (offset, buffer)
+// pieces as one call — preadv(2)/pwritev(2) on a Linux file, one atomic
+// access on Mem, one offset-list request per server on the I/O-server
+// tier.  No non-contiguous primitive beyond that list.
 type Backend interface {
 	io.ReaderAt
 	io.WriterAt
+	// ReadAtv reads every segment, with ReadFull semantics per segment:
+	// bytes past the end of the store read as zeros, and only real
+	// errors are returned.
+	ReadAtv(segs []Segment) error
+	// WriteAtv writes every segment, extending the store as needed, in
+	// batch order: where two segments overlap the later one wins.
+	// Segments must be sorted by offset for adjacent ones to be batched,
+	// but correctness does not require any order.
+	WriteAtv(segs []Segment) error
 	// Size reports the current length of the store.
 	Size() int64
 	// Truncate sets the length of the store.

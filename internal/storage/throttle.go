@@ -3,6 +3,8 @@ package storage
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // Throttled wraps a Backend with a per-operation latency, the seek and
@@ -63,9 +65,12 @@ type AccessStats struct {
 	ReadNs, WriteNs         int64
 }
 
-// Instrumented wraps a Backend with operation counting and timing.
+// Instrumented wraps a Backend with operation counting and timing, and,
+// given a tracer (SetTracer), a span per op: the one storage observation
+// interceptor.
 type Instrumented struct {
 	layer
+	tr                      *trace.Tracer
 	reads, writes           atomic.Int64
 	bytesRead, bytesWritten atomic.Int64
 	readNs, writeNs         atomic.Int64
@@ -78,24 +83,34 @@ func NewInstrumented(b Backend) *Instrumented {
 	return in
 }
 
-// intercept counts and times every data op; control ops pass uncounted.
+// intercept counts and times every data op, and records one span per op
+// — a batch is one — carrying the bytes asked for, or the count a plain
+// read or write or a send returned; control ops are not counted, and
+// without a tracer they pass.
 func (in *Instrumented) intercept(o op, next *layer) result {
-	dir := o.kind.dir()
-	if dir == dirNone {
+	dir, ph := o.kind.dir(), tracedPhase[o.kind]
+	if ph == "" || dir == dirNone && !in.tr.Enabled() {
 		return next.exec(o)
 	}
-	t0 := time.Now()
+	size := o.size()
+	sp := in.tr.Time(ph, o.off, size)
 	res := next.exec(o)
-	ns := time.Since(t0).Nanoseconds()
 	n := int64(res.n)
-	if o.kind != opRead && o.kind != opWrite && res.err == nil {
-		n = o.size()
+	var ns int64
+	if o.kind == opRead || o.kind == opWrite || o.kind == opSend {
+		ns = sp.EndBytes(n)
+	} else {
+		ns = sp.End()
 	}
-	if dir == dirRead {
+	if o.kind != opRead && o.kind != opWrite && res.err == nil {
+		n = size
+	}
+	switch dir {
+	case dirRead:
 		in.readNs.Add(ns)
 		in.reads.Add(1)
 		in.bytesRead.Add(n)
-	} else {
+	case dirWrite:
 		in.writeNs.Add(ns)
 		in.writes.Add(1)
 		in.bytesWritten.Add(n)

@@ -6,25 +6,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Traced wraps a Backend so every operation records a span on a
-// tracer — normally the collector's shared storage-backend track, which
-// is where cross-rank contention on the common file becomes visible.
-// The Window field of each span carries the file offset of the
-// operation.  A nil tracer makes the wrapper transparent.
-type Traced struct {
-	layer
-	tr *trace.Tracer
-}
+// SetTracer arms an Instrumented backend to record one span per op
+// (tracedPhase) on tr — normally the collector's shared storage-backend
+// track, which is where cross-rank contention on the common file becomes
+// visible.  The Window field of each span carries the file offset of the
+// op.  Must be called before the backend is shared across goroutines.
+func (in *Instrumented) SetTracer(tr *trace.Tracer) { in.tr = tr }
 
-// NewTraced wraps b; spans are recorded on tr.
-func NewTraced(b Backend, tr *trace.Tracer) *Traced {
-	t := &Traced{tr: tr}
-	t.layer = layer{Backend: b, ic: t}
-	return t
-}
-
-// tracedPhase is the span an op records; an op with none (register-view,
-// epoch abort) passes.
+// tracedPhase is the span an op records on an Instrumented backend's
+// tracer; an op with none (register-view, epoch abort) passes.
 var tracedPhase = [numOpKinds]trace.Phase{
 	opRead:        trace.PhaseStorageRead,
 	opWrite:       trace.PhaseStorageWrite,
@@ -37,23 +27,6 @@ var tracedPhase = [numOpKinds]trace.Phase{
 	opSync:        trace.PhaseStorageSync,
 	opEpochSeal:   trace.PhaseEpochSeal,
 	opEpochCommit: trace.PhaseEpochCommit,
-}
-
-// intercept records one span per op — a batch is one — carrying the
-// bytes asked for, or the count a plain read or write returned.
-func (t *Traced) intercept(o op, next *layer) result {
-	ph := tracedPhase[o.kind]
-	if ph == "" {
-		return next.exec(o)
-	}
-	sp := t.tr.Begin(ph, o.off, o.size())
-	res := next.exec(o)
-	if o.kind == opRead || o.kind == opWrite || o.kind == opSend {
-		sp.EndBytes(int64(res.n))
-	} else {
-		sp.End()
-	}
-	return res
 }
 
 // SetTracer arms a Chaos backend to emit an instant event for every

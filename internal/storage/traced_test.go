@@ -8,12 +8,20 @@ import (
 	"repro/internal/trace"
 )
 
-// TestTracedBackendSpans: every Backend operation through a Traced
-// wrapper records a span with the file offset and the bytes actually
-// moved.
+// traced is b under an Instrumented that records its spans on tr.
+func traced(b Backend, tr *trace.Tracer) *Instrumented {
+	in := NewInstrumented(b)
+	in.SetTracer(tr)
+	return in
+}
+
+// TestTracedBackendSpans: every Backend operation through an
+// Instrumented with a tracer records a span with the file offset and the
+// bytes actually moved, and the counters count the data ops as without
+// one.
 func TestTracedBackendSpans(t *testing.T) {
 	c := trace.NewCollector(64)
-	b := NewTraced(NewMem(), c.Storage())
+	b := traced(NewMem(), c.Storage())
 
 	if _, err := b.WriteAt([]byte("hello"), 100); err != nil {
 		t.Fatal(err)
@@ -50,12 +58,15 @@ func TestTracedBackendSpans(t *testing.T) {
 			t.Errorf("event %d = %+v, want phase=%s window=%d bytes=%d", i, ev, w.ph, w.window, w.bytes)
 		}
 	}
+	if st := b.Stats(); st.Reads != 1 || st.Writes != 1 || st.BytesRead != 5 || st.BytesWritten != 5 {
+		t.Errorf("counters %+v, want one read and one write of 5 bytes each", st)
+	}
 }
 
-// TestTracedNilTracerTransparent: a Traced wrapper over a nil tracer
+// TestTracedNilTracerTransparent: an Instrumented with a nil tracer
 // must behave exactly like the bare backend.
 func TestTracedNilTracerTransparent(t *testing.T) {
-	b := NewTraced(NewMem(), nil)
+	b := traced(NewMem(), nil)
 	if _, err := b.WriteAt([]byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}

@@ -5,59 +5,18 @@ import (
 	"os"
 )
 
-// Vectored (scatter/gather) access.  A non-contiguous access that has
-// resolved to a set of (offset, buffer) pieces can be issued as one
-// batched call instead of one backend call per piece — on unix files
-// this maps to preadv(2)/pwritev(2), on Mem to a single atomic access,
-// and everywhere else to a plain loop.  The helpers
-// ReadAtv/WriteAtv pick the best available path for any Backend, so
-// callers never branch on capability.
-
-// Segment is one contiguous piece of a vectored access.
+// Segment is one contiguous piece of a vectored access (Backend.ReadAtv,
+// Backend.WriteAtv).
 type Segment struct {
 	Off int64
 	Buf []byte
 }
 
-// Vectored is the optional scatter/gather extension of Backend.
-// ReadAtv follows ReadFull semantics per segment: bytes past the end of
-// the store read as zeros, and only real errors are returned.  WriteAtv
-// writes every segment, extending the store as needed, in batch order:
-// where two segments overlap the later one wins.  Segments must be
-// pre-sorted by offset if the caller wants adjacent ones batched, but
-// correctness does not require any ordering.
-type Vectored interface {
-	ReadAtv(segs []Segment) error
-	WriteAtv(segs []Segment) error
-}
+// ReadAtv is b.ReadAtv(segs).
+func ReadAtv(b Backend, segs []Segment) error { return b.ReadAtv(segs) }
 
-// ReadAtv reads every segment from b, zero-filling past EOF, using the
-// backend's native vectored path when it has one.
-func ReadAtv(b Backend, segs []Segment) error {
-	if v, ok := b.(Vectored); ok {
-		return v.ReadAtv(segs)
-	}
-	for _, s := range segs {
-		if err := ReadFull(b, s.Buf, s.Off); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteAtv writes every segment to b, using the backend's native
-// vectored path when it has one.
-func WriteAtv(b Backend, segs []Segment) error {
-	if v, ok := b.(Vectored); ok {
-		return v.WriteAtv(segs)
-	}
-	for _, s := range segs {
-		if _, err := b.WriteAt(s.Buf, s.Off); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// WriteAtv is b.WriteAtv(segs).
+func WriteAtv(b Backend, segs []Segment) error { return b.WriteAtv(segs) }
 
 // PageSize is the granule of PageDense.
 var PageSize = int64(os.Getpagesize())
@@ -102,7 +61,7 @@ func SegsSpan(segs []Segment) (lo, hi int64) {
 	return lo, hi
 }
 
-// ReadAtv implements Vectored natively for Mem: the whole batch is one
+// ReadAtv implements Backend for Mem: the whole batch is one
 // access — one set of region locks over its span, taken before the first
 // segment is filled.
 func (m *Mem) ReadAtv(segs []Segment) error {
@@ -127,7 +86,7 @@ func (m *Mem) ReadAtv(segs []Segment) error {
 	return nil
 }
 
-// WriteAtv implements Vectored natively for Mem: one access like
+// WriteAtv implements Backend for Mem: one access like
 // ReadAtv, after one grow to the batch's maximum extent when it reaches
 // past the end.
 func (m *Mem) WriteAtv(segs []Segment) error {

@@ -6,7 +6,7 @@ package storage
 // one backend call per segment, preserving the helpers' semantics
 // (ReadFull zero-fill on reads).
 
-// ReadAtv implements Vectored for File.
+// ReadAtv implements Backend for File.
 func (fb *File) ReadAtv(segs []Segment) error {
 	if err := fb.takeSizeErr(); err != nil {
 		return err
@@ -19,7 +19,7 @@ func (fb *File) ReadAtv(segs []Segment) error {
 	return nil
 }
 
-// WriteAtv implements Vectored for File.
+// WriteAtv implements Backend for File.
 func (fb *File) WriteAtv(segs []Segment) error {
 	for _, s := range segs {
 		if _, err := fb.WriteAt(s.Buf, s.Off); err != nil {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // vectoredBackends builds the backends whose vectored paths the matrix
@@ -25,7 +27,7 @@ func vectoredBackends(t *testing.T) map[string]Backend {
 		"throttled":    NewThrottled(NewMem(), time.Microsecond),
 		"resilient":    NewResilient(NewMem(), ResilientConfig{}),
 		"faulty":       NewFaulty(NewMem()),
-		"traced":       NewTraced(NewMem(), nil),
+		"traced":       traced(NewMem(), trace.NewCollector(64).Storage()),
 	}
 }
 

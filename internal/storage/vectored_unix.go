@@ -17,7 +17,7 @@ import (
 // iovMax bounds iovecs per syscall (IOV_MAX is 1024 on Linux).
 const iovMax = 1024
 
-// ReadAtv implements Vectored for File with ReadFull semantics:
+// ReadAtv implements Backend for File with ReadFull semantics:
 // segments (or suffixes of them) past EOF read as zeros.
 func (fb *File) ReadAtv(segs []Segment) error {
 	if err := fb.takeSizeErr(); err != nil {
@@ -41,7 +41,7 @@ func (fb *File) ReadAtv(segs []Segment) error {
 	})
 }
 
-// WriteAtv implements Vectored for File.
+// WriteAtv implements Backend for File.
 func (fb *File) WriteAtv(segs []Segment) error {
 	return fb.eachContigBatch(segs, func(off int64, iovs []syscall.Iovec, _ []Segment) error {
 		want := iovsLen(iovs)

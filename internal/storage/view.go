@@ -27,8 +27,8 @@ var ErrNoViews = errors.New("storage: backend does not support registered views"
 // Data byte x of a view (disp, ftype) lives at absolute file offset
 // disp + b, where b is the buffer offset of data byte x in the
 // indefinite tiling of ftype.  ViewRead and ViewWrite follow the
-// Vectored cost contract: ViewRead zero-fills data bytes past the
-// stored size, ViewWrite extends the store as needed.
+// contract of Backend.ReadAtv and WriteAtv: ViewRead zero-fills data
+// bytes past the stored size, ViewWrite extends the store as needed.
 type ViewBackend interface {
 	// SupportsViews reports whether view calls can succeed.  Wrapper
 	// backends satisfy ViewBackend statically whenever their inner

@@ -72,8 +72,9 @@ func (r *Recorder) Dump(reason string) error {
 	return os.Rename(tmp, r.path)
 }
 
-// Start launches the periodic persist loop and the SIGQUIT dump
-// handler.  interval <= 0 selects the default 250ms.
+// Start writes the first dump, then launches the periodic persist loop
+// and the SIGQUIT dump handler: a process killed before the first tick
+// still leaves a dump.  interval <= 0 selects the default 250ms.
 func (r *Recorder) Start(interval time.Duration) {
 	if r == nil {
 		return
@@ -91,6 +92,7 @@ func (r *Recorder) Start(interval time.Duration) {
 	r.done = make(chan struct{})
 	r.mu.Unlock()
 
+	r.Dump("start")
 	quit := make(chan os.Signal, 1)
 	signal.Notify(quit, syscall.SIGQUIT)
 	go func() {

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ioserver"
 	"repro/internal/storage"
@@ -59,5 +60,19 @@ func TestRecorderDump(t *testing.T) {
 	off.Stop()
 	if err := off.Dump("x"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecorderStartDumps: Start leaves a dump on disk before it returns,
+// so a process SIGKILLed before the persist loop's first tick still
+// leaves its dying breath behind.
+func TestRecorderStartDumps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.txt")
+	rec := trace.NewRecorder(path, "srv0", trace.NewCollector(trace.RecorderBufSize), nil)
+	rec.Start(time.Hour)
+	defer rec.Stop()
+	b, err := os.ReadFile(path)
+	if err != nil || !strings.Contains(string(b), "flight recorder: srv0") {
+		t.Fatalf("no dump after Start (err %v):\n%s", err, b)
 	}
 }

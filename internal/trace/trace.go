@@ -75,7 +75,7 @@ const (
 	PhaseWireSend Phase = "wire.send" // one coalesced flush of queued frames
 	PhaseWireRecv Phase = "wire.recv" // one frame's payload transfer
 
-	// Backend operations (the storage.Traced wrapper).
+	// Backend operations (storage.Instrumented given a tracer).
 	PhaseStorageRead     Phase = "storage.read"
 	PhaseStorageWrite    Phase = "storage.write"
 	PhaseStorageSync     Phase = "storage.sync"

@@ -48,6 +48,8 @@ type LaunchOptions struct {
 	ServerRestarts int
 	// KillServerAfter, when positive, SIGKILLs server 0 that long after
 	// launch — the fault-injection hook of the kill-and-restart harness.
+	// The kill must land while a rank runs: Launch disarms it once every
+	// rank has exited, and fails a run whose kill did not fire.
 	KillServerAfter time.Duration
 	// Timeout kills every rank if the run outlives it (0 = no limit).
 	Timeout time.Duration
@@ -225,10 +227,17 @@ func Launch(opts LaunchOptions) error {
 	stopping := false // graceful server shutdown initiated
 	srvDone := pool == nil
 	var stopTimer <-chan time.Time
+	var killErr error // a requested kill that did not fire
 	for ranksRunning > 0 || !srvDone {
 		if ranksRunning == 0 && !stopping {
-			// Every rank is done: ask the servers to finish.
+			// Every rank is done: ask the servers to finish.  A kill
+			// still pending would land in the graceful stop, which
+			// restarts nothing.
 			stopping = true
+			if chaosTimer != nil {
+				chaosTimer = nil
+				killErr = fmt.Errorf("transport: the kill of server 0 requested %v after launch did not fire: every rank had exited", opts.KillServerAfter)
+			}
 			if firstErr != nil {
 				killAll()
 			} else if pool != nil {
@@ -254,7 +263,9 @@ func Launch(opts LaunchOptions) error {
 			srvDone = true
 			poolDone = nil // a nil channel never fires again
 		case <-chaosTimer:
-			pool.Kill(0)
+			if err := pool.Kill(0); err != nil {
+				killErr = fmt.Errorf("transport: the kill of server 0 requested %v after launch did not fire: %w", opts.KillServerAfter, err)
+			}
 			chaosTimer = nil
 		case <-timer:
 			if firstErr == nil {
@@ -280,6 +291,9 @@ func Launch(opts LaunchOptions) error {
 	}
 	for _, w := range writers {
 		w.flushTail()
+	}
+	if firstErr == nil {
+		firstErr = killErr
 	}
 	return firstErr
 }
