@@ -90,10 +90,13 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 // RunOver, File's Engine and Proc, Type's Name and Summary, Indexed and
 // EncodedSize, Kind's String, Tracer's Rank, TCP's wireProgress, Proc's WireStats,
 // Program's Size and Extent, Server's LastCommitted, Mem's Bytes and
-// Instrumented's Reset.
+// Instrumented's Reset; and the tier's second cut of a view: the run
+// walk, its owned-segment gatherer, the navigability test and fotf's
+// Monotone with Type's TrueExtent, which only it called, and Program's
+// RunCount (folded into the cursor's).
 // Each alternative ends in a bracket, so that this source does not match
 // itself.
-var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRejecte[d]|ClientOptions\{[^}]*Conn[s]|NewRegio[n]|PhaseSessio[n]|PhaseCach[e]|internal/ob[s]|obs\.Registr[y]|GaugeFun[c]|-metrics-(addr|fd|pus[h])|no-metric[s]|internal/tilei[o]|cmd/tilei[o]|cmd/bti[o]|btiomin[i]|blockcycli[c]|Darra[y]|WriteShare[d]|ReadShare[d]|WriteOrdere[d]|ReadOrdere[d]|IWriteA[t]|IReadA[t]|AtAllBegi[n]|Preallocat[e]|func \(p \*Proc\) Spli[t]|DisableProgra[m]|no-progra[m]|DisableViewCach[e]|DisableMergeChec[k]|BenchmarkAblatio[n]|BenchmarkFi[g]|directGathe[r]|directSen[d]|winBatc[h]|lentSeg[s]|chunkSeg[s]|viewSeg[s]|func \(p \*Proc\) Gathe[r]|\.Gather[(]|SendSeg[s]|postShare[s]|takePoste[d]|lendShar[e]|lendBuilde[r]|readPoste[d]|sockReade[r]|segCurso[r]|func \(p \*Proc\) Pos[t]|func \(p \*Proc\) Flus[h]|SetAtomicit[y]|Atomicit[y]\(\)|examples/tiledmatri[x]|examples/particle[s]|SpikeOnl[y]|AsCollectiveErro[r]|Type\) Dept[h]|\.ExactNBloc[k]|flatten\.NewVie[w]|RangeLis[t]|\.EachInDat[a]|IsPermanen[t]|ServerPool\) Restart[s]|Stats\) Tota[l]|RandomMemtyp[e]|datatype\.RandomFiletyp[e]|ReadB[W]|WriteB[W]|\*Program\) (Pack|Unpack)[(]|func UnpackCoun[t]|fotf\.UnpackCoun[t]|Type\) (LB|UB)[(]|IONode[s]|SieveBufSiz[e]|PackBufSiz[e]|CollBufSiz[e]|Options\.Poo[l]|cfg\.MaxFram[e]|opts\.MaxFram[e]|MaxFrame[:]|MaxFrame in[t]|Config\.ViewCach[e]|cfg\.ViewCach[e]|ViewCach[e]:|ViewCach[e] int|cfg\.WriteBu[f]|WriteBu[f](:| int)|ListenAdd[r]|TCPConfig\{[^}]*Deadlin[e]|cfg\.Deadlin[e]|TCPConfig\{[^}]*WireChao[s]|cfg\.WireChao[s]|RestartBackof[f]|KillServerId[x]|ServerStopTimeou[t]|opts\.Stdou[t]|opts\.Stder[r]|opts\.En[v]\b|ServerPoolOptions\{[^}]*\b(Exe|Args|Env)[:]|OpDeadlin[e]|PermanentRea[d]|PermanentWrit[e]|btio\.Config\{[^}]*\b(Options|Backend)[:]|cfg\.Option[s]\b|opts\.Args\(id[x]|cfg\.Repeat[s]|Repeats[:]|cc\.cfg\.Tracer[.]|PhaseWireChao[s]|opStageWrit[e]\b|"stage_writ[e]"|storage\.Stripe[d]\b|storage\.NewStripe[d]|func \(f \*File\) (Engine|Proc)[(]|dataInRang[e]|func RunOver\(cfg Confi[g]|noncontig\.RunOve[r]|func \(t \*Type\) (Name|Summary)[(]|func Indexed[(]|datatype\.Indexed[(]|func EncodedSiz[e]|datatype\.EncodedSiz[e]|func \(t \*Tracer\) Ran[k]|wireProgress\(\) int64 \{ return t[.]|func \(p \*Proc\) WireStat[s]|func \(p \*Program\) (Size|Extent)[(]|LastCommitted[(]|func \(m \*Mem\) Byte[s]|func \(in \*Instrumented\) Rese[t]|func \(k Kind\) Strin[g]|transferVie[w]|storage\.Vectore[d]\b|storage\.Trace[d]\b|NewTrace[d]`)
+var deletedNames = regexp.MustCompile(`internal/sessio[n]|Options\.Gat[e]|ErrRejecte[d]|ClientOptions\{[^}]*Conn[s]|NewRegio[n]|PhaseSessio[n]|PhaseCach[e]|internal/ob[s]|obs\.Registr[y]|GaugeFun[c]|-metrics-(addr|fd|pus[h])|no-metric[s]|internal/tilei[o]|cmd/tilei[o]|cmd/bti[o]|btiomin[i]|blockcycli[c]|Darra[y]|WriteShare[d]|ReadShare[d]|WriteOrdere[d]|ReadOrdere[d]|IWriteA[t]|IReadA[t]|AtAllBegi[n]|Preallocat[e]|func \(p \*Proc\) Spli[t]|DisableProgra[m]|no-progra[m]|DisableViewCach[e]|DisableMergeChec[k]|BenchmarkAblatio[n]|BenchmarkFi[g]|directGathe[r]|directSen[d]|winBatc[h]|lentSeg[s]|chunkSeg[s]|viewSeg[s]|func \(p \*Proc\) Gathe[r]|\.Gather[(]|SendSeg[s]|postShare[s]|takePoste[d]|lendShar[e]|lendBuilde[r]|readPoste[d]|sockReade[r]|segCurso[r]|func \(p \*Proc\) Pos[t]|func \(p \*Proc\) Flus[h]|SetAtomicit[y]|Atomicit[y]\(\)|examples/tiledmatri[x]|examples/particle[s]|SpikeOnl[y]|AsCollectiveErro[r]|Type\) Dept[h]|\.ExactNBloc[k]|flatten\.NewVie[w]|RangeLis[t]|\.EachInDat[a]|IsPermanen[t]|ServerPool\) Restart[s]|Stats\) Tota[l]|RandomMemtyp[e]|datatype\.RandomFiletyp[e]|ReadB[W]|WriteB[W]|\*Program\) (Pack|Unpack)[(]|func UnpackCoun[t]|fotf\.UnpackCoun[t]|Type\) (LB|UB)[(]|IONode[s]|SieveBufSiz[e]|PackBufSiz[e]|CollBufSiz[e]|Options\.Poo[l]|cfg\.MaxFram[e]|opts\.MaxFram[e]|MaxFrame[:]|MaxFrame in[t]|Config\.ViewCach[e]|cfg\.ViewCach[e]|ViewCach[e]:|ViewCach[e] int|cfg\.WriteBu[f]|WriteBu[f](:| int)|ListenAdd[r]|TCPConfig\{[^}]*Deadlin[e]|cfg\.Deadlin[e]|TCPConfig\{[^}]*WireChao[s]|cfg\.WireChao[s]|RestartBackof[f]|KillServerId[x]|ServerStopTimeou[t]|opts\.Stdou[t]|opts\.Stder[r]|opts\.En[v]\b|ServerPoolOptions\{[^}]*\b(Exe|Args|Env)[:]|OpDeadlin[e]|PermanentRea[d]|PermanentWrit[e]|btio\.Config\{[^}]*\b(Options|Backend)[:]|cfg\.Option[s]\b|opts\.Args\(id[x]|cfg\.Repeat[s]|Repeats[:]|cc\.cfg\.Tracer[.]|PhaseWireChao[s]|opStageWrit[e]\b|"stage_writ[e]"|storage\.Stripe[d]\b|storage\.NewStripe[d]|func \(f \*File\) (Engine|Proc)[(]|dataInRang[e]|func RunOver\(cfg Confi[g]|noncontig\.RunOve[r]|func \(t \*Type\) (Name|Summary)[(]|func Indexed[(]|datatype\.Indexed[(]|func EncodedSiz[e]|datatype\.EncodedSiz[e]|func \(t \*Tracer\) Ran[k]|wireProgress\(\) int64 \{ return t[.]|func \(p \*Proc\) WireStat[s]|func \(p \*Program\) (Size|Extent)[(]|LastCommitted[(]|func \(m \*Mem\) Byte[s]|func \(in \*Instrumented\) Rese[t]|func \(k Kind\) Strin[g]|transferVie[w]|storage\.Vectore[d]\b|storage\.Trace[d]\b|NewTrace[d]|func walkVie[w]|ownedSeg[s]|fotf\.Monoton[e]|func navigabl[e]|func \(p \*Program\) RunCoun[t][(]|func \(t \*Type\) TrueExten[t]`)
 
 // TestDeletedNamesStayDeleted: no Go, YAML or Markdown file names
 // anything deleted (deletedNames).  Of the top-level Markdown files only

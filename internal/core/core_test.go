@@ -306,3 +306,27 @@ func TestViewCachePersistsAcrossAccesses(t *testing.T) {
 		t.Errorf("view bytes %d after the first access, %d after three more; want a nonzero, unchanged count", first, after)
 	}
 }
+
+// TestSizeZeroViewOnTier: a legal filetype with no data, which is not
+// contiguous-tiled, is registered on the tier by SetView, and count-0
+// collective and independent accesses through it move nothing and fail
+// nothing, on either engine.
+func TestSizeZeroViewOnTier(t *testing.T) {
+	empty := mustType(datatype.Hindexed([]int64{0}, []int64{8}, datatype.Byte))
+	for _, eng := range engines {
+		res := world{P: 2, backend: "tier", checked: true, opts: Options{Engine: eng}}.run(t, nil, func(r rank) {
+			if err := r.f.SetView(0, datatype.Byte, empty); err != nil {
+				panic(err)
+			}
+			// In one order on every rank: two of them are collectives.
+			for i, op := range []func(int64, int64, *datatype.Type, []byte) (int64, error){r.f.WriteAtAll, r.f.ReadAtAll, r.f.WriteAt, r.f.ReadAt} {
+				if n, err := op(0, 0, datatype.Byte, nil); n != 0 || err != nil {
+					panic(fmt.Sprintf("rank %d: count-0 access %d moved %d bytes (%v)", r.p.Rank(), i, n, err))
+				}
+			}
+		})
+		if res.stats.ViewRegistrations != 2 || len(res.file) != 0 {
+			t.Errorf("%v: %d view registrations and a %d-byte file, want 2 and none", eng, res.stats.ViewRegistrations, len(res.file))
+		}
+	}
+}

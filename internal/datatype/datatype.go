@@ -80,9 +80,6 @@ func (t *Type) TrueLB() int64 { return t.trueLB }
 // TrueUB reports one past the highest byte offset occupied by data.
 func (t *Type) TrueUB() int64 { return t.trueUB }
 
-// TrueExtent reports TrueUB-TrueLB, the span of actual data.
-func (t *Type) TrueExtent() int64 { return t.trueUB - t.trueLB }
-
 // Blocks reports the number of (uncoalesced) contiguous leaf blocks in one
 // instance of t.  This is the length a flattened ol-list of t would have
 // before coalescing, i.e. the N_block of the paper.

@@ -3,6 +3,7 @@ package fotf
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -88,7 +89,7 @@ func checkFused(dt, st *datatype.Type, dd0, sd0, n int64, r *rand.Rand) error {
 		return fmt.Errorf("RunsFused: %d pieces of %d bytes for n=%d; copied one by one they differ from the staged walk: %v",
 			pieces, moved, n, !bytes.Equal(byPiece, want))
 	}
-	if most := dp.RunCount(dd0, dd0+n) + sp.RunCount(sd0, sd0+n); pieces > most {
+	if most := dp.RunCountUpTo(dd0, dd0+n, math.MaxInt64) + sp.RunCountUpTo(sd0, sd0+n, math.MaxInt64); pieces > most {
 		return fmt.Errorf("RunsFused: %d pieces over ranges of %d runs in all", pieces, most)
 	}
 	return checkPlan(dp, dd0, dbias, srcBefore, sp, sd0, sbias, n, want, r)

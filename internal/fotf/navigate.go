@@ -237,18 +237,6 @@ func bufToDataTiled(child *datatype.Type, count, tile, off int64) int64 {
 	return d
 }
 
-// Monotone reports whether t, tiled indefinitely at its extent, lays its
-// data out in ascending buffer order with no two bytes sharing an offset:
-// the condition under which the data below a buffer offset (BufToData) is
-// a prefix of the data, so a buffer range holds one contiguous data range.
-// Every legal MPI-IO filetype is monotone.  The answer comes from the
-// tree, never from the expanded type map: one instance's runs ascend
-// (datatype.Type.Monotone, decided when the type was built) and the
-// extent clears their span.
-func Monotone(t *datatype.Type) bool {
-	return t.Size() > 0 && t.Monotone() && t.Extent() >= t.TrueExtent()
-}
-
 func floorDiv(a, b int64) int64 {
 	q := a / b
 	if (a%b != 0) && ((a < 0) != (b < 0)) {

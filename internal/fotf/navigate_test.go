@@ -296,10 +296,11 @@ func (o navOracle) ascending() bool {
 	return true
 }
 
-// TestMonotone holds the structural test to the type map: it may never
-// call a type monotone whose runs do not ascend, and it must recognise
-// the shapes fileviews are made of — every generated legal filetype
-// among them — or they would lose the navigated path for nothing.
+// TestMonotone holds the filetype rule to the type map: every filetype
+// datatype.ValidateFiletype accepts with data is one whose runs ascend,
+// which is what lets BufToData cut it — the data below a buffer offset is
+// a prefix of the data — and the rule must accept the shapes fileviews
+// are made of, every generated legal filetype among them.
 func TestMonotone(t *testing.T) {
 	pair := vec(t, 2, 1, 3, datatype.Int32) // runs at 0 and 12, extent 16
 	shrunk, err := datatype.Resized(pair, 0, 8)
@@ -333,19 +334,20 @@ func TestMonotone(t *testing.T) {
 		{"negative stride", back, false},
 		{"stride inside the block", tight, false},
 	}
+	legal := func(dt *datatype.Type) bool { return datatype.ValidateFiletype(datatype.Byte, dt) == nil }
 	for _, c := range cases {
-		if got := Monotone(c.dt); got != c.want {
-			t.Errorf("%s: Monotone = %v, want %v", c.name, got, c.want)
+		if got := legal(c.dt); got != c.want {
+			t.Errorf("%s: legal = %v, want %v", c.name, got, c.want)
 		}
-		if Monotone(c.dt) && !newNavOracle(c.dt).ascending() {
-			t.Errorf("%s: called monotone, runs do not ascend", c.name)
+		if legal(c.dt) && !newNavOracle(c.dt).ascending() {
+			t.Errorf("%s: legal, runs do not ascend", c.name)
 		}
 	}
 	r := rand.New(rand.NewSource(14))
 	for i := 0; i < 500; i++ {
 		dt := datatypetest.RandomFiletype(r, 2+i%3)
-		if !Monotone(dt) {
-			t.Errorf("legal filetype %v not recognised as monotone", dt)
+		if !legal(dt) {
+			t.Errorf("generated filetype %v refused", dt)
 		}
 		if !newNavOracle(dt).ascending() {
 			t.Fatalf("generator produced a non-ascending filetype %v", dt)

@@ -22,7 +22,6 @@ package fotf
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"repro/internal/datatype"
@@ -394,14 +393,9 @@ func (p *Program) Runs(d0, d1 int64, emit EmitFunc) {
 	}
 }
 
-// RunCount reports how many contiguous runs back [d0, d1) — what Runs
-// would enumerate.
-func (p *Program) RunCount(d0, d1 int64) int64 {
-	return p.RunCountUpTo(d0, d1, math.MaxInt64)
-}
-
-// RunCountUpTo is RunCount for a caller that only needs to know whether
-// the runs reach limit: it stops counting at the first group that takes
+// RunCountUpTo reports how many contiguous runs back [d0, d1) — what
+// Runs would enumerate — for a caller that only needs to know whether
+// they reach limit: it stops counting at the first group that takes
 // the count to limit or beyond, so the result is exact below limit and
 // otherwise at least limit.  The count is arithmetic — a division per
 // group the range cuts, a multiplication for all the whole instances

@@ -1,6 +1,10 @@
 package fotf
 
-import "repro/internal/datatype"
+import (
+	"math"
+
+	"repro/internal/datatype"
+)
 
 // Cursor is the resumable execution state of one call site over a
 // datatype, and the one place a caller's choice between the compiled
@@ -49,4 +53,16 @@ func (c *Cursor) Runs(d0, d1 int64, emit EmitFunc) {
 		return
 	}
 	c.p.Runs(d0, d1, emit)
+}
+
+// RunCount reports how many runs Runs enumerates for data [d0, d1):
+// with a program by arithmetic (Program.RunCountUpTo), without one by
+// counting what the walk emits.
+func (c *Cursor) RunCount(d0, d1 int64) int64 {
+	if c.p == nil {
+		var runs int64
+		Runs(c.t, d0, d1, func(_, _, _, _, n int64) { runs += n })
+		return runs
+	}
+	return c.p.RunCountUpTo(d0, d1, math.MaxInt64)
 }

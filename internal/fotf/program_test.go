@@ -540,9 +540,11 @@ func TestProgramCursorBoundaries(t *testing.T) {
 // abbreviates: over random trees and ranges that start and end anywhere
 // in up to four tiled instances, the result is what Runs emits whenever
 // that is below the limit, and at least the limit otherwise — so a rule
-// "runs >= limit" reads the same from either.  And it is arithmetic: a
-// range of 2^30 whole instances is counted by a multiplication, not by
-// visiting them (the test would not return otherwise).
+// "runs >= limit" reads the same from either.  A Cursor's RunCount is
+// the count with no limit, and without a program what the walk emits.
+// And it is arithmetic: a range of 2^30 whole instances is counted by a
+// multiplication, not by visiting them (the test would not return
+// otherwise).
 func TestRunCountUpTo(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 400; i++ {
@@ -555,8 +557,16 @@ func TestRunCountUpTo(t *testing.T) {
 		d1 := d0 + 1 + r.Int63n(2*p.size)
 		var exact int64
 		p.Runs(d0, d1, func(_, _, _, _, n int64) { exact += n })
-		if got := p.RunCount(d0, d1); got != exact {
+		var c Cursor
+		c.Reset(dt, p)
+		if got := c.RunCount(d0, d1); got != exact {
 			t.Fatalf("%v [%d,%d): RunCount %d, Runs emits %d", dt, d0, d1, got, exact)
+		}
+		// Without a program the cursor counts what the walk emits.
+		var walked int64
+		Runs(dt, d0, d1, func(_, _, _, _, n int64) { walked += n })
+		if c.Reset(dt, nil); c.RunCount(d0, d1) != walked {
+			t.Fatalf("%v [%d,%d): the tree cursor counts %d runs, the walk emits %d", dt, d0, d1, c.RunCount(d0, d1), walked)
 		}
 		for _, limit := range []int64{0, 1, exact / 2, exact - 1, exact, exact + 1, math.MaxInt64} {
 			got := p.RunCountUpTo(d0, d1, limit)
@@ -575,7 +585,7 @@ func TestRunCountUpTo(t *testing.T) {
 	}
 	p := Compile(vec)
 	const instances = 1 << 30
-	if got := p.RunCount(4, 4+instances*p.size); got != instances*1000+1 {
+	if got := p.RunCountUpTo(4, 4+instances*p.size, math.MaxInt64); got != instances*1000+1 {
 		t.Fatalf("2^30 instances from mid-run to mid-run: %d runs, want %d", got, int64(instances*1000+1))
 	}
 	// The bound stops the count where it is reached, group by group.

@@ -2,6 +2,7 @@ package ioserver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -282,33 +283,23 @@ func TestEmptyEpochCommit(t *testing.T) {
 // them over it; followed by an acknowledged sync, it survives any crash.
 // And the mutation's staged twin — the same request behind an epoch
 // prefix, through the same handler — leaves, once committed, the stripe
-// the direct request leaves, byte for byte.
+// the direct request leaves, byte for byte.  A view SetView refuses
+// mutates nothing: its registration is a bad request, which neither
+// checkpoints nor touches a store.
 func TestDirectMutationCheckpoints(t *testing.T) {
-	viewWrite := func(nav bool, ft func(*testing.T) *datatype.Type) func(*crashRig) []byte {
-		return func(r *crashRig) []byte {
-			v := r.st.register(r.t, 0, ft(r.t))
-			if (v.prog != nil) != nav {
-				r.t.Fatalf("view navigable: %v, want %v", v.prog != nil, nav)
-			}
-			return append(putViewHead(nil, v.handle, 0, 4), "YYZZ"...)
-		}
-	}
 	for _, tc := range []struct {
 		name string
 		op   int
-		body func(r *crashRig) []byte
+		body func(r *crashRig) []byte // nil: the view is refused
 		want string
 	}{
 		{"write", opWritev, func(*crashRig) []byte { return append(vs(1, 2, 4), "YYYY"...) }, "AAYYYYAA"},
 		{"writev", opWritev, func(*crashRig) []byte { return append(vs(2, 0, 2, 6, 2), "YYZZ"...) }, "YYAAAAZZ"},
-		{"view write", opViewWrite, viewWrite(true, func(t *testing.T) *datatype.Type { return viewType(t, 2, 4, 2) }), "YYAAZZAA"},
-		{"view write, view not navigable", opViewWrite, viewWrite(false, func(t *testing.T) *datatype.Type {
-			ft, err := datatype.Hindexed([]int64{2, 2}, []int64{4, 0}, datatype.Byte) // data order runs against file order
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ft
-		}), "ZZAAYYAA"},
+		{"view write", opViewWrite, func(r *crashRig) []byte {
+			v := r.st.register(r.t, 0, viewType(r.t, 2, 4, 2))
+			return append(putViewHead(nil, v.handle, 0, 4), "YYZZ"...)
+		}, "YYAAZZAA"},
+		{"view write, view not navigable", opViewWrite, nil, "AAAAAAAA"},
 		{"truncate", opTruncate, func(*crashRig) []byte { return vs(4) }, "AAAA"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -316,6 +307,20 @@ func TestDirectMutationCheckpoints(t *testing.T) {
 			r.stage(7, 0, "AAAAAAAA")
 			r.commit(7)
 			r.log = nil
+			if tc.body == nil {
+				ft, err := datatype.Hindexed([]int64{2, 2}, []int64{4, 0}, datatype.Byte) // data order runs against file order
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.st.dispatch(opRegister, append(putV(nil, 0), datatype.Encode(ft)...)); !errors.Is(err, errBadRequest) {
+					t.Fatalf("registering %v answers %v, want a bad request", ft, err)
+				}
+				if n := r.srv.checkpoints.Load(); n != 0 || len(r.log) != 0 {
+					t.Fatalf("a refused view checkpointed %d times and reached for %q", n, r.log)
+				}
+				r.crashed(tc.want)
+				return
+			}
 			body := tc.body(r)
 			r.do(tc.op, body)
 			if n := r.srv.checkpoints.Load(); n != 1 {

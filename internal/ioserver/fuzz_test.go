@@ -176,6 +176,14 @@ func FuzzServerRequest(f *testing.F) {
 	f.Add(append(stage, seedReq(opEpochCommit, vs(3, 12345))...))
 	f.Add(seedReq(opEpochSeal, vs(99)))
 	f.Add(seedReq(opStageWritev, vs(0, 1, 8, 0))) // epoch id 0
+	// A legal view with no data: registered, a read of it answers 0
+	// bytes, a write carrying bytes is a bad request.
+	empty, err := datatype.Hindexed([]int64{0}, []int64{8}, datatype.Byte)
+	if err != nil {
+		f.Fatal(err)
+	}
+	regEmpty := seedReq(opRegister, append(putV(nil, 0), datatype.Encode(empty)...))
+	f.Add(append(append(regEmpty, seedReq(opViewRead, vs(1, 0, 64))...), seedReq(opViewWrite, append(vs(1, 0, 64), 'a', 'b'))...))
 
 	addr := fuzzServer(f)
 

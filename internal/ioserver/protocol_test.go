@@ -116,13 +116,10 @@ func TestHostileExtents(t *testing.T) {
 	}
 	st := localConn(srv)
 	const beyond = math.MaxInt64/2 - 64 // the last local offset whose global image fits
-	// A compiled view whose data range [0, 128) puts 64 bytes on this
-	// stripe: a direct write of it takes the sieve's window, a staged one
-	// the run-by-run walk, and each must refuse a payload of 4.
+	// A view whose data range [0, 128) puts 64 bytes on this stripe: a
+	// direct write of it takes the sieve's window, a staged one gathers
+	// its runs for the journal, and each must refuse a payload of 4.
 	v := st.register(t, 0, viewType(t, 8, 16, 16))
-	if v.prog == nil {
-		t.Fatal("the short-stream view is not compiled")
-	}
 	for _, tc := range []struct {
 		name string
 		op   int

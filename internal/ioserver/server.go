@@ -242,9 +242,8 @@ type serverView struct {
 	disp   int64
 	t      *datatype.Type
 	// prog is the view's compiled copy program, built once at
-	// registration.  Non-nil selects the navigated path (eachUnit and
-	// viewMove); it is nil when the view is not navigable or declines
-	// compilation, and the request then walks the view run by run.
+	// registration, or nil when the type declines compilation: each
+	// request's cursor (viewMove) runs it, or walks the tree without it.
 	prog *fotf.Program
 }
 
@@ -503,7 +502,8 @@ func (st *connState) opStats(uint64, []byte) ([]byte, error) {
 // opRegister: disp, encoded filetype → handle.  The whole payload is
 // the cache key, so a repeat registration of the same view — every rank
 // re-opening the same fileview, or a client re-registering after
-// reconnect — is a cache hit that skips the decode.
+// reconnect — is a cache hit that skips the decode.  A view SetView
+// would refuse (checkView) is a bad request.
 func (st *connState) opRegister(_ uint64, payload []byte) ([]byte, error) {
 	if v, ok := st.byKey[string(payload)]; ok {
 		atomic.AddInt64(&st.srv.stats.ViewCacheHits, 1)
@@ -515,18 +515,15 @@ func (st *connState) opRegister(_ uint64, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if disp < 0 {
-		return nil, fmt.Errorf("%w: negative displacement %d", errBadRequest, disp)
-	}
 	t, err := datatype.Decode(enc)
+	if err == nil {
+		err = checkView(disp, t)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	st.nextID++
-	v := &serverView{key: string(payload), handle: st.nextID, disp: disp, t: t}
-	if navigable(t, disp) {
-		v.prog = fotf.Compile(t)
-	}
+	v := &serverView{key: string(payload), handle: st.nextID, disp: disp, t: t, prog: fotf.Compile(t)}
 	st.views[v.handle] = v
 	st.byKey[v.key] = v
 	st.lru = append(st.lru, v)
@@ -553,36 +550,9 @@ func (st *connState) touch(v *serverView) {
 }
 
 // errShortStream reports a view write whose payload ends before the
-// bytes its stripe owns do (a read's stream is sized to the whole range
-// and cannot run short).
+// bytes its stripe owns do (a read's stream grows with the cut).
 func errShortStream(stream []byte) error {
 	return fmt.Errorf("%w: view write carries %d bytes, stripe owns more", errBadRequest, len(stream))
-}
-
-// ownedSegs walks data range [d0, d1) of the view run by run and appends
-// the pieces this stripe owns to st.segs as segments over stream, in
-// data order.  Whenever flushAt of them have gathered it calls flush,
-// which must consume st.segs; a nil flush gathers them all.  It returns
-// the stream bytes the pieces cover, and fails when stream is shorter.
-func (st *connState) ownedSegs(v *serverView, d0, d1 int64, stream []byte, flush func() error) (int64, error) {
-	const flushAt = 1024
-	cfg := &st.srv.cfg
-	var pos int64
-	err := walkView(v.t, v.disp, cfg.Geom, d0, d1, func(stripe int, localOff, _, n int64) error {
-		if stripe != cfg.Index {
-			return nil
-		}
-		if pos+n > int64(len(stream)) {
-			return errShortStream(stream)
-		}
-		st.segs = append(st.segs, storage.Segment{Off: localOff, Buf: stream[pos : pos+n]})
-		pos += n
-		if flush != nil && len(st.segs) >= flushAt {
-			return flush()
-		}
-		return nil
-	})
-	return pos, err
 }
 
 func (st *connState) opViewRead(_ uint64, body []byte) ([]byte, error) {
@@ -595,14 +565,12 @@ func (st *connState) opViewWrite(epoch uint64, body []byte) ([]byte, error) {
 
 // opView serves opViewRead / opViewWrite: view head [, data].  The
 // server cuts [d0, d1) of the registered pattern at its stripe's units
-// in one pass and moves the bytes it owns against its local backend in
-// data order.  A navigable view takes viewMove: no run is enumerated
-// unless its window turns out not to be page-dense.  Any other view is
-// walked run by run, in bounded batches so that a hostile
-// many-tiny-runs view cannot force an oversized segment list.  A write
-// under an epoch is walked run by run whatever the view, because the
-// journal records runs, and staged once the walk has shown the payload
-// to be the stripe's share exactly.
+// in one pass (eachUnit) and viewMove moves the bytes it owns against its
+// local backend in data order: no run is enumerated unless its window
+// turns out not to be page-dense.  A write under an epoch moves nothing:
+// its runs are gathered for the journal, and staged once the cut has
+// shown the payload to be the stripe's share exactly.  A read's reply
+// grows as the cut finds the stripe's bytes, to no more than they are.
 func (st *connState) opView(epoch uint64, body []byte, write bool) ([]byte, error) {
 	srv := st.srv
 	h, d0, d1, payload, err := srv.lim.getViewHead(body)
@@ -615,13 +583,11 @@ func (st *connState) opView(epoch uint64, body []byte, write bool) ([]byte, erro
 		srv.cfg.Tracer.Instant(trace.PhaseServerViewStale, int64(h), 0, "")
 		return nil, fmt.Errorf("view handle %d: %w", h, errStale)
 	}
-	stream, ph := payload, trace.PhaseServerViewWrite
+	m := viewMove{st: st, v: v, write: write, stage: epoch != 0, stream: payload, units: st.units[:0]}
+	ph := trace.PhaseServerViewWrite
 	switch {
 	case !write:
-		// The stripe's share is known only once the pass is over, and
-		// is at most the whole range.
-		st.resp = grow(st.resp[:0], d1-d0)
-		stream, ph = st.resp, trace.PhaseServerViewRead
+		m.stream, ph = st.resp[:0], trace.PhaseServerViewRead
 	case epoch != 0:
 		ph = trace.PhaseServerStage
 	}
@@ -630,26 +596,14 @@ func (st *connState) opView(epoch uint64, body []byte, write bool) ([]byte, erro
 	defer func() { sp.EndBytes(total) }()
 
 	st.segs = st.segs[:0]
-	switch {
-	case epoch != 0:
-		total, err = st.ownedSegs(v, d0, d1, stream, nil)
-	case v.prog != nil:
-		m := viewMove{st: st, v: v, write: write, stream: stream, units: st.units[:0]}
-		err = eachUnit(v.t, v.disp, srv.cfg.Geom, srv.cfg.Index, d0, d1, m.addUnit)
-		if err == nil {
-			err = m.flush()
-		}
-		st.units, total = m.units, m.pos
-	default:
-		flush := func() error {
-			err := srv.moveSegs(st.segs, write)
-			st.segs = st.segs[:0]
-			return err
-		}
-		total, err = st.ownedSegs(v, d0, d1, stream, flush)
-		if err == nil {
-			err = flush()
-		}
+	m.cur.Reset(v.t, v.prog)
+	err = eachUnit(v.t, v.disp, srv.cfg.Geom, srv.cfg.Index, d0, d1, m.addUnit)
+	if err == nil {
+		err = m.flush()
+	}
+	st.units, total = m.units, m.pos
+	if !write {
+		st.resp = m.stream
 	}
 	if err != nil {
 		return nil, err
@@ -657,7 +611,7 @@ func (st *connState) opView(epoch uint64, body []byte, write bool) ([]byte, erro
 	if !write {
 		atomic.AddInt64(&srv.stats.ViewReads, 1)
 		atomic.AddInt64(&srv.stats.BytesRead, total)
-		return st.resp[:total], nil
+		return st.resp, nil
 	}
 	if total != int64(len(payload)) {
 		return nil, fmt.Errorf("%w: view write carries %d bytes, stripe owns %d of [%d,%d)", errBadRequest, len(payload), total, d0, d1)

@@ -119,18 +119,21 @@ func (s *Server) stretch(segs []storage.Segment) (n int, hi, useful int64) {
 // offset o + base.
 type unitPiece struct{ base, d0, d1 int64 }
 
-// viewMove carries one view request over the navigated path: the
-// stripe's units arrive in data order (eachUnit), gather into windows of
-// at most the server's window size, and each full window is moved — by
-// the view's compiled program through the sieve when its runs are
-// page-dense, run by run otherwise.
+// viewMove carries one view request: the stripe's units arrive in data
+// order (eachUnit) and gather into windows of at most the server's window
+// size.  Each full window is moved — through the sieve when its runs are
+// page-dense, by a vectored call of its runs otherwise — or, for a staged
+// write, its runs are kept in st.segs for the journal.  The cursor is the
+// view's one cut below a unit: its program, or the tree walk for a type
+// that declined compilation.
 type viewMove struct {
-	st    *connState
-	v     *serverView
-	write bool
+	st           *connState
+	v            *serverView
+	cur          fotf.Cursor
+	write, stage bool
 	// stream holds the stripe's bytes of the request in data order (the
-	// payload of a write, the response of a read); pos of them belong to
-	// windows already moved.
+	// payload of a write, the reply of a read, which grows as units
+	// arrive); pos of them belong to windows already moved.
 	stream []byte
 	pos    int64
 
@@ -165,19 +168,23 @@ func (m *viewMove) addUnit(u, da, db int64) error {
 			end = fotf.BufToData(t, m.lo+srv.window-base)
 			hi = fotf.EndPos(t, end) + base
 		}
-		if m.pos+m.useful+end-da > int64(len(m.stream)) {
-			return errShortStream(m.stream)
+		if need := m.pos + m.useful + end - da; need > int64(len(m.stream)) {
+			if m.write {
+				return errShortStream(m.stream)
+			}
+			m.stream = extend(m.stream, need)
 		}
 		m.units = append(m.units, unitPiece{base, da, end})
 		m.hi = hi
 		m.useful += end - da
-		m.runs += m.v.prog.RunCount(da, end)
+		m.runs += m.cur.RunCount(da, end)
 		da = end
 	}
 	return nil
 }
 
-// flush moves the gathered window and empties it.
+// flush moves the gathered window, or keeps its runs when staging, and
+// empties it.
 func (m *viewMove) flush() error {
 	if len(m.units) == 0 {
 		return nil
@@ -185,29 +192,52 @@ func (m *viewMove) flush() error {
 	srv := m.st.srv
 	part := m.stream[m.pos : m.pos+m.useful]
 	var err error
-	if storage.PageDense(m.hi-m.lo, m.useful, m.runs) {
+	switch {
+	case m.stage:
+		m.segs(part)
+	case storage.PageDense(m.hi-m.lo, m.useful, m.runs):
 		err = srv.sieve(m.lo, m.hi, m.useful, m.write, func(win []byte) {
 			for _, up := range m.units {
 				n := up.d1 - up.d0
-				m.v.prog.CopyRange(part[:n], win, up.d0, up.d1, m.lo-up.base, !m.write)
+				m.cur.CopyRange(part[:n], win, up.d0, up.d1, m.lo-up.base, !m.write)
 				part = part[n:]
 			}
 		})
-	} else {
-		segs := m.st.segs[:0]
-		for _, up := range m.units {
-			m.v.prog.Runs(up.d0, up.d1, func(bufOff, dataOff, runLen, stride, n int64) {
-				for i := int64(0); i < n; i++ {
-					o := dataOff + i*runLen - up.d0
-					segs = append(segs, storage.Segment{Off: bufOff + i*stride + up.base, Buf: part[o : o+runLen]})
-				}
-			})
-			part = part[up.d1-up.d0:]
-		}
-		m.st.segs = segs
-		err = srv.vectored(segs, m.write)
+	default:
+		m.st.segs = m.st.segs[:0]
+		m.segs(part)
+		err = srv.vectored(m.st.segs, m.write)
 	}
 	m.pos += m.useful
 	m.units, m.useful, m.runs = m.units[:0], 0, 0
 	return err
+}
+
+// segs appends the window's runs to st.segs, as local segments over part,
+// the stream bytes the window carries.
+func (m *viewMove) segs(part []byte) {
+	segs := m.st.segs
+	for _, up := range m.units {
+		m.cur.Runs(up.d0, up.d1, func(bufOff, dataOff, runLen, stride, n int64) {
+			for i := int64(0); i < n; i++ {
+				o := dataOff + i*runLen - up.d0
+				segs = append(segs, storage.Segment{Off: bufOff + i*stride + up.base, Buf: part[o : o+runLen]})
+			}
+		})
+		part = part[up.d1-up.d0:]
+	}
+	m.st.segs = segs
+}
+
+// extend returns buf lengthened to n bytes with its contents kept; when
+// it must reallocate it at least doubles the capacity, so that a reply
+// cut unit by unit copies each byte a bounded number of times and holds
+// less than twice what it returns.
+func extend(buf []byte, n int64) []byte {
+	if int64(cap(buf)) >= n {
+		return buf[:n]
+	}
+	nb := make([]byte, n, max(n, 2*int64(cap(buf))))
+	copy(nb, buf)
+	return nb
 }

@@ -113,7 +113,7 @@ func (o *oracleStripes) read(runs []oracleRun) [][]byte {
 // fuzzView draws a view: the sparse vectors and legal filetypes the
 // navigated path exists for, shapes on both sides of the page-density
 // threshold, and type maps that do not ascend (shuffled, overlapping,
-// descending), which must keep the run walk.
+// descending), which both ends must refuse.
 func fuzzView(r *rand.Rand) *datatype.Type {
 	must := func(t *datatype.Type, err error) *datatype.Type {
 		if err != nil {
@@ -166,7 +166,7 @@ type sieveRig struct {
 	views []*serverView
 }
 
-func newSieveRig(tb testing.TB, g storage.StripeGeom, window int64, prefill [][]byte, disp int64, t *datatype.Type, perRun bool) *sieveRig {
+func newSieveRig(tb testing.TB, g storage.StripeGeom, window int64, prefill [][]byte, disp int64, t *datatype.Type, tree bool) *sieveRig {
 	rig := &sieveRig{}
 	for i := 0; i < g.Count; i++ {
 		mem := storage.NewMem()
@@ -180,10 +180,9 @@ func newSieveRig(tb testing.TB, g storage.StripeGeom, window int64, prefill [][]
 		srv.window = window
 		st := localConn(srv)
 		v := st.register(tb, disp, t)
-		if perRun {
-			// The path every view took before sieving: the run walk and
-			// vectored calls.  No window holds two runs at size 0.
-			v.prog, srv.window = nil, 0
+		if tree {
+			// The cursor of a type that declined compilation: the tree.
+			v.prog = nil
 		}
 		rig.mems, rig.conns, rig.views = append(rig.mems, mem), append(rig.conns, st), append(rig.views, v)
 	}
@@ -191,22 +190,35 @@ func newSieveRig(tb testing.TB, g storage.StripeGeom, window int64, prefill [][]
 }
 
 // FuzzSieveVsRuns is the differential layer of server-side sieving: the
-// same view requests go to servers on the navigated, sieving path (small
-// windows, so that requests straddle them), to servers forced onto the
-// per-run vectored path, and to a flat oracle built from the type map
+// same view requests go to servers cutting by the view's program, to
+// servers whose cursor walks the tree (both at small windows, so that
+// requests straddle them), and to a flat oracle built from the type map
 // alone.  After a write every stripe must be byte-identical on all
 // three, lengths included; a read must return the oracle's streams, with
 // zeros past each stripe's end.  The write payloads come from the client
-// side's own partition, so that side is held to the oracle as well.
+// side's own partition, so that side is held to the oracle as well.  A
+// view SetView refuses is refused by the server and by the client before
+// any request leaves.
 func FuzzSieveVsRuns(f *testing.F) {
 	r := rand.New(rand.NewSource(14))
 	for i := 0; i < 24; i++ {
 		f.Add(r.Int63(), uint16(r.Intn(1<<16)), uint8(r.Intn(256)), uint16(r.Intn(1<<16)), r.Uint32(), r.Uint32(), r.Uint32())
 	}
+	// The client end of a refusal: no request may leave it, so no server
+	// listens behind it.
+	refuser, err := NewStriped(64, []string{"127.0.0.1:1"}, ClientOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer refuser.Close()
 	f.Fuzz(func(t *testing.T, seed int64, unit uint16, count uint8, window uint16, from, length, fill uint32) {
 		r := rand.New(rand.NewSource(seed))
 		ft := fuzzView(r)
 		disp := r.Int63n(100)
+		if datatype.ValidateFiletype(datatype.Byte, ft) != nil {
+			requireRefused(t, refuser, disp, ft)
+			return
+		}
 		g := storage.StripeGeom{Unit: 1 + int64(unit)%9000, Count: 1 + int(count)%4}
 		win := 16 + int64(window)
 		size := ft.Size()
@@ -225,16 +237,13 @@ func FuzzSieveVsRuns(f *testing.F) {
 			oracle.stripes[i] = make([]byte, int64(fill)%(g.LocalLen(end, i)+1))
 			r.Read(oracle.stripes[i])
 		}
-		sieved := newSieveRig(t, g, win, oracle.stripes, disp, ft, false)
-		perRun := newSieveRig(t, g, win, oracle.stripes, disp, ft, true)
-		if nav := navigable(ft, disp); (sieved.views[0].prog != nil) != nav {
-			t.Fatalf("%v: navigable %v but program %v", ft, nav, sieved.views[0].prog != nil)
-		}
+		compiled := newSieveRig(t, g, win, oracle.stripes, disp, ft, false)
+		tree := newSieveRig(t, g, win, oracle.stripes, disp, ft, true)
 
 		data := make([]byte, d1-d0)
 		r.Read(data)
 		want := oracle.write(runs, d0, data)
-		av := &aggView{v: &View{Disp: disp}, t: ft, navigable: navigable(ft, disp)}
+		av := &aggView{v: &View{Disp: disp}, t: ft}
 		shares, lens, err := av.partition(g, data, d0)
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +257,7 @@ func FuzzSieveVsRuns(f *testing.F) {
 				t.Fatalf("%v on %+v: client partition of [%d,%d) for stripe %d differs from the oracle's", ft, g, d0, d1, i)
 			}
 		}
-		for name, rig := range map[string]*sieveRig{"sieved": sieved, "per-run": perRun} {
+		for name, rig := range map[string]*sieveRig{"program": compiled, "tree": tree} {
 			for i, st := range rig.conns {
 				if _, err := st.viewOp(opViewWrite, rig.views[i], d0, d1, streams[i]); err != nil {
 					t.Fatalf("%s write: %v", name, err)
@@ -265,7 +274,7 @@ func FuzzSieveVsRuns(f *testing.F) {
 		r0 := int64(r.Uint32()) % (3 * size)
 		r1 := r0 + 1 + r.Int63n(min(4*size, 1<<17))
 		wantRead := oracle.read(oracleRuns(ft, disp, r0, r1))
-		for name, rig := range map[string]*sieveRig{"sieved": sieved, "per-run": perRun} {
+		for name, rig := range map[string]*sieveRig{"program": compiled, "tree": tree} {
 			for i, st := range rig.conns {
 				got, err := st.viewOp(opViewRead, rig.views[i], r0, r1, nil)
 				if err != nil {

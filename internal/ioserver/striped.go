@@ -28,11 +28,10 @@ type Striped struct {
 }
 
 // aggView is one registered view: the shared wire form plus the decoded
-// tree for the client-side partition, and which of its two cuts applies.
+// tree for the client-side partition.
 type aggView struct {
-	v         *View
-	t         *datatype.Type
-	navigable bool
+	v *View
+	t *datatype.Type
 }
 
 // NewStriped mounts the servers at addrs as one striped backend with
@@ -190,15 +189,16 @@ func (s *Striped) vectored(segs []storage.Segment, call func(*Client, []storage.
 // SupportsViews implements storage.ViewBackend.
 func (s *Striped) SupportsViews() bool { return true }
 
-// RegisterView implements storage.ViewBackend: the filetype is encoded
-// once and registered eagerly with every server, so a bad view fails
-// SetView rather than the first access, and the servers' caches are
-// primed before the access stream starts.
+// RegisterView implements storage.ViewBackend: a view SetView would
+// refuse is refused before any request leaves; any other is encoded once
+// and registered eagerly with every server, so a bad view fails SetView
+// rather than the first access, and the servers' caches are primed
+// before the access stream starts.
 func (s *Striped) RegisterView(disp int64, ftype *datatype.Type) (storage.ViewHandle, error) {
-	if disp < 0 {
-		return 0, fmt.Errorf("ioserver: negative displacement %d: %w", disp, storage.ErrPermanent)
+	if err := checkView(disp, ftype); err != nil {
+		return 0, fmt.Errorf("ioserver: %w: %w", err, storage.ErrPermanent)
 	}
-	av := &aggView{v: &View{Disp: disp, Enc: datatype.Encode(ftype)}, t: ftype, navigable: navigable(ftype, disp)}
+	av := &aggView{v: &View{Disp: disp, Enc: datatype.Encode(ftype)}, t: ftype}
 	err := s.fanOut(nil, func(i int) error { return s.clients[i].RegisterEager(av.v) })
 	if err != nil {
 		return 0, err
