@@ -17,6 +17,10 @@ import (
 // three files: collective_plan.go (the deterministic plan every rank
 // computes), collective_exchange.go (the AP side), and
 // collective_window.go (the IOP window loop, sequential and pipelined).
+//
+// A collective on views proved sparse at SetView takes no plan
+// (accessEngine.planFree): every window of it is direct, so each rank
+// moves its own data (File.moveAlone), and the ranks vote.
 
 // WriteAtAll collectively writes count instances of memtype from buf to
 // the view at offset off (in etypes).  All ranks must call it.
@@ -63,6 +67,9 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	defer sp.End()
 
 	acc := &collAccess{d0: d0, d: d, mem: f.eng.newMemState(memtype, count), buf: buf, write: write}
+	if ap := f.eng.planFree(acc); ap != nil {
+		return f.settle(f.moveAlone(acc, ap), 0, d0)
+	}
 
 	psp := f.tr.Begin(trace.PhaseCollPlan, d0, 0)
 	pl, any := f.makePlan(d0, d)
@@ -111,42 +118,17 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 		fault = iopFault
 	}
 
-	// ---- Error agreement: every rank votes its IOP-phase outcome and,
-	// on any failure, drains in-flight traffic and returns the same
-	// rank-attributed error.  This must precede the read-side exchange:
-	// an AP must not block receiving from an IOP that failed.
+	// ---- Error agreement and epoch commit (settle).  The vote must
+	// precede the read-side exchange: an AP must not block receiving from
+	// an IOP that failed.
 	//
 	// It also ends every loan of buf.  An IOP votes only once its window
 	// pipeline is quiescent, so after the vote no IOP reads or writes buf
 	// in place.  On failure an IOP may have stopped before taking what it
 	// was lent: in-process the loans and chunks left in its inbox are
 	// drained before the barrier. ----
-	if err := f.agreeCollective(fault); err != nil {
-		if epochID != 0 {
-			f.epochAbandon(epochID)
-			f.unkeep()
-		}
-		if f.tr.Enabled() {
-			f.tr.Instant(trace.PhaseFault, d0, 0, err.Error())
-		}
-		f.p.Barrier() // keep the next collective's sends behind the drain
-		f.dropHeld()
+	if err := f.settle(fault, epochID, d0); err != nil {
 		return err
-	}
-
-	// ---- Epoch commit: seal the staged write-backs everywhere, vote,
-	// and let rank 0 broadcast the commit.  Collective, like the error
-	// agreement above. ----
-	if epochID != 0 {
-		err := f.epochFinish(epochID)
-		f.unkeep()
-		if err != nil {
-			if f.tr.Enabled() {
-				f.tr.Instant(trace.PhaseFault, d0, 0, err.Error())
-			}
-			f.p.Barrier()
-			return err
-		}
 	}
 
 	// ---- AP phase 2 (read): receive and unpack data — nothing, from an
@@ -159,6 +141,38 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	// No barrier ends a successful collective: every receive of the next
 	// one names its source and tag, and per-pair FIFO keeps it behind
 	// everything this one sent on the same link.
+	return nil
+}
+
+// settle ends a collective's moves on every rank: each votes its local
+// fault and, on any failure, drains in-flight traffic and returns the same
+// rank-attributed error (agreeCollective).  Then, for a write staged under
+// epoch epochID (0: none), the ranks seal the staged write-backs
+// everywhere, vote, and let rank 0 broadcast the commit.  Collective, both.
+func (f *File) settle(fault *CollectiveError, epochID uint64, d0 int64) error {
+	if err := f.agreeCollective(fault); err != nil {
+		if epochID != 0 {
+			f.epochAbandon(epochID)
+			f.unkeep()
+		}
+		if f.tr.Enabled() {
+			f.tr.Instant(trace.PhaseFault, d0, 0, err.Error())
+		}
+		f.p.Barrier() // keep the next collective's sends behind the drain
+		f.dropHeld()
+		return err
+	}
+	if epochID != 0 {
+		err := f.epochFinish(epochID)
+		f.unkeep()
+		if err != nil {
+			if f.tr.Enabled() {
+				f.tr.Instant(trace.PhaseFault, d0, 0, err.Error())
+			}
+			f.p.Barrier()
+			return err
+		}
+	}
 	return nil
 }
 

@@ -92,6 +92,35 @@ func (f *File) apDirect(pl *collPlan, ap apState) error {
 	return nil
 }
 
+// moveAlone is this rank's part of a collective access that takes no plan
+// (accessEngine.planFree), where every window is direct: it cuts its own
+// file range into collective-buffer windows and moves its share of each
+// through ap (apState.moveDirect).  Of n windows, rank r starts at window
+// ⌊r·n/P⌋ and goes round, so that ranks moving at once work in different
+// parts of the file, as apDirect staggers them.  A read whose destination
+// bytes may meet (collAccess.meets) goes in data order, so that the later
+// of two bytes that share a buffer offset wins.  A failed batch ends the
+// moves and is voted as an IOP window's fault of this rank.
+func (f *File) moveAlone(acc *collAccess, ap apState) *CollectiveError {
+	if acc.d == 0 {
+		return nil
+	}
+	lo, hi := f.eng.dataToFileStart(acc.d0), f.eng.dataToFileEnd(acc.d0+acc.d)
+	win := int64(f.opts.collBufSize)
+	n := (hi - lo + win - 1) / win
+	first := int64(f.p.Rank()) * n / int64(f.p.Size())
+	if acc.meets() {
+		first = 0
+	}
+	for k := int64(0); k < n; k++ {
+		winLo := lo + (first+k)%n*win
+		if err := ap.moveDirect(winLo, min(winLo+win, hi)); err != nil {
+			return &CollectiveError{Rank: f.p.Rank(), Phase: PhaseIOPWindow, Err: err}
+		}
+	}
+	return nil
+}
+
 // heldShare is a direct share of a collective read that the owner mover
 // read into a pooled chunk (apState.moveDirect): data [a, b) of the
 // window at winLo, which apExchange unpacks in data order.

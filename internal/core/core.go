@@ -283,6 +283,9 @@ func (f *File) checkAccess(off int64, count int64, memtype *datatype.Type, buf [
 	if d == 0 {
 		return 0, nil
 	}
+	if f.v.fsize == 0 {
+		return 0, fmt.Errorf("core: access of %d bytes through a fileview with no data (its filetype has size 0)", d)
+	}
 	if memtype.TrueLB() < 0 {
 		return 0, errors.New("core: memtype places data at negative offsets")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/datatype"
@@ -327,6 +328,37 @@ func TestSizeZeroViewOnTier(t *testing.T) {
 		})
 		if res.stats.ViewRegistrations != 2 || len(res.file) != 0 {
 			t.Errorf("%v: %d view registrations and a %d-byte file, want 2 and none", eng, res.stats.ViewRegistrations, len(res.file))
+		}
+	}
+}
+
+// TestSizeZeroViewRefusesData: a non-empty access through a view that
+// places no byte anywhere is refused, naming the view, independent and
+// collective alike, on either engine and on Mem and the tier.  Every rank
+// holds the view, so every rank refuses a collective before any message
+// is sent, and nothing reaches the backend.
+func TestSizeZeroViewRefusesData(t *testing.T) {
+	empty := mustType(datatype.Hindexed([]int64{0}, []int64{8}, datatype.Byte))
+	for _, backend := range []string{"mem", "tier"} {
+		for _, eng := range engines {
+			res := world{P: 2, backend: backend, checked: true, opts: Options{Engine: eng}}.run(t, nil, func(r rank) {
+				if err := r.f.SetView(0, datatype.Byte, empty); err != nil {
+					panic(err)
+				}
+				sent := r.p.SentStats().Messages
+				for i, op := range []func(int64, int64, *datatype.Type, []byte) (int64, error){r.f.WriteAt, r.f.ReadAt, r.f.WriteAtAll, r.f.ReadAtAll} {
+					n, err := op(0, 4, datatype.Byte, make([]byte, 4))
+					if n != 0 || err == nil || !strings.Contains(err.Error(), "fileview with no data") {
+						panic(fmt.Sprintf("rank %d: 4-byte access %d through a size-0 view moved %d bytes (%v); want a refusal naming the view", r.p.Rank(), i, n, err))
+					}
+				}
+				if sent != r.p.SentStats().Messages {
+					panic(fmt.Sprintf("rank %d: the refused accesses sent %d messages", r.p.Rank(), r.p.SentStats().Messages-sent))
+				}
+			})
+			if len(res.file) != 0 || res.inst.Writes+res.inst.Reads != 0 {
+				t.Errorf("%s/%v: a %d-byte file and %d storage calls after refused accesses, want none", backend, eng, len(res.file), res.inst.Writes+res.inst.Reads)
+			}
 		}
 	}
 }

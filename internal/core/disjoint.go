@@ -3,14 +3,17 @@ package core
 import (
 	"repro/internal/datatype"
 	"repro/internal/fotf"
+	"repro/internal/storage"
 )
 
-// The overlap check at SetView.  A collective write may skip a window's
-// pre-read on its exact per-AP sum only when no file byte lies in two
-// views (listlessIOPWindow.covered), so SetView decides that once, from
-// what the views are made of: a compiled view's program groups, not its
-// runs.  The cost is the groups of all views times P, and a view whose
-// compile was declined is fetched from the tree a chunk at a time.
+// The two verdicts of SetView, both from what the views are made of: a
+// compiled view's program groups, not its runs.  The overlap check: a
+// collective write may skip a window's pre-read on its exact per-AP sum
+// only when no file byte lies in two views (listlessIOPWindow.covered).
+// Its cost is the groups of all views times P, and a view whose compile
+// was declined is fetched from the tree a chunk at a time.  The gap check
+// (viewsSparse): a collective on views whose runs lie two pages apart
+// takes no plan (listlessEngine.planFree).
 
 // viewsApart reports whether the cached views are proved disjoint: they
 // share a displacement and an extent — the file-partitioning case, where
@@ -25,6 +28,47 @@ func viewsApart(views []remoteView) bool {
 	}
 	ok, _ := viewsDisjoint(views, views[0].fext)
 	return ok
+}
+
+// viewsSparse reports whether no share of any window of any access on the
+// cached views can be page-dense (storage.PageDense): every view is
+// compiled, and consecutive runs of each, tiled — from the last run of one
+// instance to the first of the next too — lie at least two pages apart.
+// One run has no gap, its useful bytes are its span; k >= 2 runs span more
+// than 2(k-1)·PageSize >= k·PageSize.  It reads the program groups, which
+// come in ascending order for a monotone view, and stops at the first
+// short gap, so that views whose runs abut or interleave closely cost a
+// group or two.
+func viewsSparse(views []remoteView) bool {
+	for i := range views {
+		if !runsApart(&views[i], 2*storage.PageSize) {
+			return false
+		}
+	}
+	return true
+}
+
+// runsApart reports whether the runs of rv, tiled, lie gap bytes apart or
+// more: a view with no data has no runs, and a view whose compile was
+// declined is not shown to.
+func runsApart(rv *remoteView, gap int64) bool {
+	p := rv.prog
+	switch {
+	case rv.fsize == 0:
+		return true
+	case p == nil:
+		return false
+	}
+	var end int64
+	for i := 0; i < p.Groups(); i++ {
+		off, runLen, stride, n := p.Group(i)
+		if i > 0 && off-end < gap || n > 1 && stride-runLen < gap {
+			return false
+		}
+		end = off + (n-1)*stride + runLen
+	}
+	first, _, _, _ := p.Group(0)
+	return first+rv.fext-end >= gap
 }
 
 // viewsDisjoint reports whether the views, which share the extent ext,

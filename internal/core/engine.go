@@ -48,6 +48,12 @@ type accessEngine interface {
 	// and, in-process, lends its access to the IOPs that hold it
 	// (memLoan).  Every rank must call it once per access.
 	apSetup(pl *collPlan, acc *collAccess) apState
+	// planFree returns the AP state of collective access acc when it
+	// needs no plan — every window of it is direct, so each rank moves its
+	// own data (apState.moveDirect, File.moveAlone) and the ranks vote —
+	// and nil when it takes the plan.  Every rank gives the same answer.
+	// The list-based engine always takes the plan.
+	planFree(acc *collAccess) apState
 	// iopSetup runs the I/O-process setup (the list-based engine
 	// receives one access list from every AP, the listless engine takes
 	// the loans) and returns the window-by-window processor state.  Every
@@ -68,6 +74,16 @@ type collAccess struct {
 	mem       *memState
 	buf       []byte
 	write     bool
+}
+
+// meets reports whether the access is a read whose destination bytes may
+// meet: two data bytes of the memtype at one buffer offset, which a fill
+// in data order leaves as an unpack from chunks does, the later one
+// winning, and a fill in any other order does not.  A memtype without a
+// compiled program to tell may meet, unless it is contiguous.
+func (acc *collAccess) meets() bool {
+	mem := acc.mem
+	return !acc.write && !mem.t.ContiguousTiled() && (mem.prog == nil || !mem.prog.Disjoint(mem.count))
 }
 
 // loan returns the access as an IOP moves it in place.  It describes the

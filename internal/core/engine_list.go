@@ -235,6 +235,10 @@ func (s *listAPState) cursor(i int) apCursor {
 // moveDirect: every window of the baseline is an IOP's.
 func (s *listAPState) moveDirect(int64, int64) error { return nil }
 
+// planFree takes the plan: the paper's baseline builds and sends its
+// access lists on every collective access.
+func (e *listEngine) planFree(*collAccess) apState { return nil }
+
 // apSetup builds and sends this rank's access list for every IOP domain;
 // this many-to-many ol-list exchange happens on every collective access.
 func (e *listEngine) apSetup(pl *collPlan, acc *collAccess) apState {

@@ -20,6 +20,7 @@ type listlessEngine struct {
 	f        *File
 	remote   []remoteView       // per-rank cached views
 	disjoint bool               // the cached views share no byte (viewsApart)
+	sparse   bool               // no share of any window is page-dense (viewsSparse)
 	prog     *fotf.Program      // compiled own-fileview program; nil = walk
 	own      listlessViewCursor // direct windows: the own view, placed at each share
 	plans    planCache          // fused-copy plans of the IOP windows' lent shares
@@ -76,7 +77,8 @@ type remoteView struct {
 
 // setView performs fileview caching: every rank broadcasts its encoded
 // (compact, tree-proportional) fileview once, and decides once whether
-// the views are disjoint.  No collective access sends a view again.
+// the views are disjoint and whether they are sparse.  No collective
+// access sends a view again, and one on sparse views sends no plan.
 func (e *listlessEngine) setView() error {
 	f := e.f
 	e.plans = planCache{}
@@ -99,6 +101,7 @@ func (e *listlessEngine) setView() error {
 		rv.cur.Reset(rv.ftype, rv.prog)
 	}
 	e.disjoint = viewsApart(e.remote)
+	e.sparse = viewsSparse(e.remote)
 	e.apA, e.apB = make([]int64, len(parts)), make([]int64, len(parts))
 	return nil
 }
@@ -270,6 +273,17 @@ func (e *listlessEngine) apSetup(pl *collPlan, acc *collAccess) apState {
 	return s
 }
 
+// planFree takes no plan on views proved sparse at SetView: every window
+// of every access on them is direct.  A write also needs the views proved
+// disjoint, as a direct window does (allSparse), and a backend with no
+// epochs: the ranks agree on whether an epoch exists through the plan.
+func (e *listlessEngine) planFree(acc *collAccess) apState {
+	if !e.sparse || acc.write && (!e.disjoint || e.f.epochBE != nil) {
+		return nil
+	}
+	return &listlessAPState{e: e, acc: acc}
+}
+
 func (s *listlessAPState) cursor(i int) apCursor {
 	if s.lent || s.fused && i == s.e.f.p.Rank() {
 		return nil
@@ -288,7 +302,7 @@ func (s *listlessAPState) inPlace(a, b int64) bool {
 	if acc.mem.t.ContiguousTiled() {
 		return true
 	}
-	return mp != nil && (acc.write || mp.Disjoint(acc.mem.count)) && !shareDense(mp, a-acc.d0, b-acc.d0)
+	return mp != nil && !acc.meets() && !shareDense(mp, a-acc.d0, b-acc.d0)
 }
 
 // window is this rank's share of a buffered window: a direct one moves
@@ -304,8 +318,15 @@ func (s *listlessAPState) window(winLo, winHi int64) (a, b int64) {
 // share is this rank's share [a, b) of window [winLo, winHi) and whether
 // the window is direct, which the rank decides as the window's IOP does:
 // allSparse over every rank's share, from the plan and the cached views.
+// With no plan (planFree) every window is direct, and the share is read
+// from the rank's own cached view alone.
 func (s *listlessAPState) share(winLo, winHi int64) (a, b int64, direct bool) {
 	e, self := s.e, s.e.f.p.Rank()
+	if s.pl == nil {
+		lo, hi := s.acc.d0, s.acc.d0+s.acc.d
+		a, b = e.dataAt(self, winLo, lo, hi), e.dataAt(self, winHi, lo, hi)
+		return a, b, a < b
+	}
 	e.windowShares(s.pl, winLo, winHi, e.apA, e.apB)
 	a, b = e.apA[self], e.apB[self]
 	return a, b, a < b && e.allSparse(e.apA, e.apB, s.acc.write)
@@ -318,14 +339,16 @@ func (s *listlessAPState) share(winLo, winHi int64) (a, b int64, direct bool) {
 // bytes until the epoch ends, so it goes to File.kept (the user buffer
 // stays the collective's until WriteAtAll returns); a read whose
 // destination bytes may meet holds it (File.held), for apExchange to
-// unpack in data order among the chunks of buffered windows.
+// unpack in data order among the chunks of buffered windows.  With no plan
+// there are no chunks: the read goes in data order itself (File.moveAlone)
+// and unpacks each share at once.
 func (s *listlessAPState) moveDirect(winLo, winHi int64) error {
 	a, b, direct := s.share(winLo, winHi)
 	if !direct {
 		return nil
 	}
 	f, acc := s.e.f, s.acc
-	hold := !acc.write && (acc.mem.prog == nil || !acc.mem.prog.Disjoint(acc.mem.count))
+	hold := s.pl != nil && acc.meets()
 	s.e.own.pos = a
 	pb, err := f.moveOwn(&s.e.own, acc, a, b, s.inPlace(a, b), hold, winLo)
 	switch {
@@ -381,11 +404,10 @@ func (e *listlessEngine) iopSetup(pl *collPlan, acc *collAccess) (iopState, erro
 }
 
 // dataAt maps an absolute file offset to rank r's access data offset via
-// its cached fileview, clipped to r's access range.
-func (e *listlessEngine) dataAt(pl *collPlan, r int, x int64) int64 {
+// its cached fileview, clipped to r's access range [lo, hi).
+func (e *listlessEngine) dataAt(r int, x, lo, hi int64) int64 {
 	rv := &e.remote[r]
 	da := rv.edge.bufToData(rv.ftype, x-rv.disp)
-	lo, hi := pl.d0s[r], pl.d0s[r]+pl.ds[r]
 	if da < lo {
 		return lo
 	}
@@ -405,7 +427,8 @@ func (e *listlessEngine) windowShares(pl *collPlan, winLo, winHi int64, apA, apB
 			apA[r], apB[r] = 0, 0
 			continue
 		}
-		apA[r], apB[r] = e.dataAt(pl, r, winLo), e.dataAt(pl, r, winHi)
+		lo, hi := pl.d0s[r], pl.d0s[r]+pl.ds[r]
+		apA[r], apB[r] = e.dataAt(r, winLo, lo, hi), e.dataAt(r, winHi, lo, hi)
 		tot += apB[r] - apA[r]
 	}
 	return tot

@@ -1,0 +1,147 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/datatype"
+	"repro/internal/fotf"
+	"repro/internal/storage"
+	"repro/internal/testutil"
+	"repro/internal/trace"
+)
+
+// A collective on views SetView proved sparse — every view compiled, its
+// runs two pages apart or more, tiled — takes no plan: each rank moves its
+// own data, window by window, and the ranks vote (accessEngine.planFree).
+// These tests count the plans of traced worlds.
+
+// plans is the collective plans each rank of a traced world made.
+func plans(col *trace.Collector, P int) []int {
+	n := make([]int, P)
+	for _, ev := range col.Events() {
+		if ev.Phase == trace.PhaseCollPlan {
+			n[ev.Rank]++
+		}
+	}
+	return n
+}
+
+// TestPlanFreeGapThreshold: runs two pages apart take no plan, and runs
+// one byte short of that take it, on either fabric, and both leave the
+// flat oracle's bytes from memory with a hole after every run.  The
+// windows are several per rank, so that the ranks' staggered starts
+// differ.
+func TestPlanFreeGapThreshold(t *testing.T) {
+	const P, n = 2, 8
+	for _, c := range []struct {
+		run   int64 // = the pitch: a rank's runs are (P-1)·run apart
+		plans int   // per rank, for a write and a read
+	}{{2 * storage.PageSize, 0}, {2*storage.PageSize - 1, 2}} {
+		for _, tcp := range []bool{false, true} {
+			col := trace.NewCollector(trace.DefaultBufSize)
+			run := c.run
+			world{P: P, tcp: tcp, trace: col, checked: true, opts: Options{collBufSize: int(3 * run)}}.roundTrip(t, access{
+				view: stridedView(P, n, run, run),
+				mem:  func(int) *datatype.Type { return hvecBytes(n, run, 2*run) },
+				d:    n * run,
+			})
+			if got := plans(col, P); !slices.Equal(got, []int{c.plans, c.plans}) {
+				t.Errorf("%d-byte gaps, tcp %v: the ranks made %v plans; want %d each", run, tcp, got, c.plans)
+			}
+		}
+	}
+}
+
+// TestPlanFreeNeedsEveryView: one rank's view whose runs are a page apart
+// makes every rank take the plan, though the other rank's runs are seven
+// pages apart; the bytes are the flat oracle's.
+func TestPlanFreeNeedsEveryView(t *testing.T) {
+	const P, instances = 2, 6
+	page := storage.PageSize
+	ext := 8 * page
+	view := func(rank int) (int64, *datatype.Type) {
+		lens, displs := []int64{page}, []int64{0}
+		if rank == 1 {
+			lens, displs = []int64{page, page}, []int64{2 * page, 4 * page}
+		}
+		return 0, mustType(datatype.Resized(mustType(datatype.Hindexed(lens, displs, datatype.Byte)), 0, ext))
+	}
+	col := trace.NewCollector(trace.DefaultBufSize)
+	world{P: P, trace: col, checked: true, opts: Options{collBufSize: int(2 * ext)}}.roundTrip(t, access{
+		view: view,
+		dOf:  func(rank int) int64 { return int64(rank+1) * page * instances },
+	})
+	if got := plans(col, P); !slices.Equal(got, []int{2, 2}) {
+		t.Errorf("the ranks made %v plans; want 2 each", got)
+	}
+}
+
+// TestPlanFreeEpochWriteKeepsPlan: on a backend that commits collective
+// writes by epoch, a write on sparse views keeps the plan, through which
+// the ranks agree on the epoch, and commits one epoch on every rank; its
+// read takes no plan.  The bytes are the flat oracle's.
+func TestPlanFreeEpochWriteKeepsPlan(t *testing.T) {
+	const P, n = 2, 8
+	run := 4 * storage.PageSize
+	for _, backend := range []string{"tier", "epoch-mem"} {
+		col := trace.NewCollector(trace.DefaultBufSize)
+		res := world{P: P, backend: backend, trace: col, checked: true, opts: Options{collBufSize: int(2 * run)}}.roundTrip(t, access{
+			view: stridedView(P, n, run, run),
+			d:    n * run,
+		})
+		if got := plans(col, P); !slices.Equal(got, []int{1, 1}) {
+			t.Errorf("%s: the ranks made %v plans; want 1 each, the write's", backend, got)
+		}
+		for r, st := range res.perRank {
+			if st.EpochsCommitted != 1 || st.ownWrites() == 0 || st.SieveWrites+st.SieveReads != 0 {
+				t.Errorf("%s: rank %d committed %d epochs in %d own batches and %d IOP windows; want 1 in direct windows only", backend, r, st.EpochsCommitted, st.ownWrites(), st.SieveWrites+st.SieveReads)
+			}
+		}
+	}
+}
+
+// TestPlanFreeReadMeetingDestination: a read with no plan into a memtype
+// whose bytes meet — block i of the user buffer overlaps half of block
+// i+1 — leaves the later data byte at each shared offset, as the flat
+// oracle's unpack in data order does.  Each run is a window of its own,
+// so that a rank starting its windows anywhere but at the first would
+// leave an earlier byte.
+func TestPlanFreeReadMeetingDestination(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+	const n = 8
+	block := 4 * storage.PageSize
+	lens, displs := make([]int64, n), make([]int64, n)
+	for i := range lens {
+		lens[i], displs[i] = block, int64(i)*block/2
+	}
+	mt := mustType(datatype.Hindexed(lens, displs, datatype.Byte))
+	if p := fotf.Compile(mt); p == nil || p.Disjoint(1) {
+		t.Fatal("the memtype does not compile, or compiles as disjoint")
+	}
+	for _, P := range []int{2, 3} {
+		for _, tcp := range []bool{false, true} {
+			col := trace.NewCollector(trace.DefaultBufSize)
+			world{P: P, tcp: tcp, trace: col, checked: true, opts: Options{collBufSize: int(block)}}.run(t, nil, func(r rank) {
+				disp, ft := stridedView(P, n, block, block)(r.p.Rank())
+				if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
+					panic(err)
+				}
+				data := pattern(r.p.Rank()+3, mt.Size())
+				if _, err := r.f.WriteAtAll(0, mt.Size(), datatype.Byte, data); err != nil {
+					panic(err)
+				}
+				want, _ := userBuf(data, mt)
+				got := bytes.Repeat([]byte{0xEE}, len(want))
+				if _, err := r.f.ReadAtAll(0, 1, mt, got); err != nil || !bytes.Equal(got, want) {
+					panic(fmt.Sprintf("rank %d: %v, or the read differs from the in-order unpack of the data", r.p.Rank(), err))
+				}
+			})
+			if got := plans(col, P); slices.Max(got) != 0 {
+				t.Errorf("P=%d tcp %v: the ranks made %v plans; want none", P, tcp, got)
+			}
+		}
+	}
+}

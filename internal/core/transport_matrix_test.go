@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/mpi"
+	"repro/internal/storage"
 	"repro/internal/testutil"
 	"repro/internal/transport"
 	"repro/internal/transport/transporttest"
@@ -218,15 +219,26 @@ func TestFaultAgreementDelayedLink(t *testing.T) {
 }
 
 // TestCollectiveSendsTwoControlFrames: over TCP, a successful collective
-// whose windows are all direct (tcp16k's geometry, scaled down: 16 KiB
-// runs interleaved across the ranks, from memory with a hole after each)
-// costs each rank the plan's exchange and the vote's, one frame to every
-// peer each: 2(P-1) frames, every one a counted message, so none of them
-// is a barrier's.
+// whose windows are all direct (tcp16k's geometry, scaled down: runs
+// interleaved across the ranks, from memory with a hole after each) costs
+// each rank one frame to every peer per control exchange, every one a
+// counted message, so none of them is a barrier's.  On views whose runs
+// lie two pages apart or more (16 KiB runs on 4 KiB pages) SetView proved
+// them sparse, and the collective is the error vote alone: P-1 frames.  A
+// gap one byte short of two pages takes the plan as well: 2(P-1).
 func TestCollectiveSendsTwoControlFrames(t *testing.T) {
 	defer testutil.LeakCheck(t)()
-	const n, run = 16, 16384
-	for _, P := range []int{2, 3} {
+	const n = 16
+	for _, c := range []struct {
+		P        int
+		run      int64 // = the pitch: the gap between a rank's runs is (P-1)·run
+		exchange int64 // control exchanges per collective
+	}{
+		{2, 4 * storage.PageSize, 1},
+		{3, 4 * storage.PageSize, 1},
+		{2, 2*storage.PageSize - 1, 2},
+	} {
+		P, run := c.P, c.run
 		var eps []transport.Transport
 		frames, msgs := make([][2]int64, P), make([][2]int64, P)
 		world{P: P, tcp: true, link: func(e []transport.Transport) { eps = e }}.run(t, nil, func(r rank) {
@@ -258,11 +270,11 @@ func TestCollectiveSendsTwoControlFrames(t *testing.T) {
 				}
 			}
 		})
-		want := int64(2 * (P - 1))
+		want := c.exchange * int64(P-1)
 		for r := range frames {
 			for j, op := range []string{"write", "read"} {
 				if frames[r][j] != want || msgs[r][j] != want {
-					t.Errorf("P=%d rank %d: the %s sent %d frames and %d messages; want %d of each", P, r, op, frames[r][j], msgs[r][j], want)
+					t.Errorf("P=%d, %d-byte runs, rank %d: the %s sent %d frames and %d messages; want %d of each", P, run, r, op, frames[r][j], msgs[r][j], want)
 				}
 			}
 		}

@@ -473,8 +473,13 @@ func (w world) roundTrip(t testing.TB, a access) ran {
 			mt = a.mem(rk)
 		}
 		buf, got := bytes.Clone(o.bufs[rk]), bytes.Repeat([]byte{0xEE}, len(o.bufs[rk]))
+		// The backend's counters are the world's: each snapshot is taken
+		// between two barriers, so that no rank's access is on either
+		// side of it.  A collective with no plan does not hold one rank's
+		// moves until the others have joined.
 		r.p.Barrier()
 		reads0 := r.reads()
+		r.p.Barrier()
 		var err error
 		if a.indep {
 			_, err = r.f.WriteAt(a.off, o.count[rk], mt, buf)
@@ -491,6 +496,7 @@ func (w world) roundTrip(t testing.TB, a access) ran {
 		if rk == 0 {
 			writeReads = r.reads() - reads0
 		}
+		r.p.Barrier()
 		if a.indep {
 			_, err = r.f.ReadAt(a.off, o.count[rk], mt, got)
 		} else {
