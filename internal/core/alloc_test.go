@@ -162,11 +162,11 @@ func TestListlessWindowZeroAlloc(t *testing.T) {
 }
 
 // TestListlessDirectWindowZeroAlloc is the twin of the test above over
-// direct windows, in a two-rank world: file runs of 6 KiB, 12 KiB apart
-// per rank, in 32 KiB windows, from memory whose every run is a page or
-// longer — 6 KiB runs 12 KiB apart on rank 0; on rank 1 a contiguous
-// buffer, or page-sized runs two pages apart, which cut each file run in
-// two.  Every window is moved by its owners: no IOP counts one, and each
+// direct windows, in a two-rank world: file runs of 6 KiB, 24 KiB apart
+// per rank, so that SetView proves the views sparse, in 32 KiB windows,
+// from memory whose every run is a page or longer — 6 KiB runs 12 KiB
+// apart on rank 0; on rank 1 a contiguous buffer, or page-sized runs two
+// pages apart, which cut each file run in two.  Every window is moved by its owners: no IOP counts one, and each
 // rank writes or reads its share of each by one vectored call over its
 // user buffer.  After the first accesses — which size the handles'
 // segment arrays — a window costs no allocation, and no chunk, window
@@ -182,10 +182,11 @@ func TestListlessDirectWindowZeroAlloc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const (
 		P, run, win      = 2, 6144, 32 << 10
-		runsSmall        = 16 // per rank: 16*12 KiB of file, 6 windows in all
-		runsLarge        = 64 // 24 windows
-		winSmall         = runsSmall * P * run / win
-		winLarge         = runsLarge * P * run / win
+		pitch            = 2 * run // a rank's runs are P·pitch apart: 18 KiB gaps
+		runsSmall        = 16      // per rank: 16*24 KiB of file, 12 windows in all
+		runsLarge        = 64      // 48 windows
+		winSmall         = runsSmall * P * pitch / win
+		winLarge         = runsLarge * P * pitch / win
 		measured, warmup = 10, 1 // what testing.AllocsPerRun runs
 	)
 	runs := func(n, pitch int64) *datatype.Type {
@@ -201,9 +202,9 @@ func TestListlessDirectWindowZeroAlloc(t *testing.T) {
 		backend := map[bool]string{false: "mem", true: "epoch-mem"}[cell.epochs]
 		for _, write := range []bool{true, false} {
 			label := fmt.Sprintf("rank 1 memtype %v, write=%v, epochs=%v", rank1, write, cell.epochs)
-			world{P: P, backend: backend, opts: Options{collBufSize: win, pool: bp}}.run(t, make([]byte, runsLarge*P*run), func(r rank) {
+			world{P: P, backend: backend, opts: Options{collBufSize: win, pool: bp}}.run(t, make([]byte, runsLarge*P*pitch), func(r rank) {
 				p, f := r.p, r.f
-				disp, ft := stridedView(P, runsLarge, run, run)(p.Rank())
+				disp, ft := stridedView(P, runsLarge, run, pitch)(p.Rank())
 				if err := f.SetView(disp, datatype.Byte, ft); err != nil {
 					panic(err)
 				}

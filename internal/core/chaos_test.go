@@ -26,19 +26,19 @@ import (
 func TestCollectiveErrorAgreement(t *testing.T) {
 	const P, blockcount, failIOP = 4, 32, 1
 	// 16-byte blocks: eight of them from four ranks in every 128-byte
-	// window, which gathers them in its buffer.  256-byte blocks: a window
-	// lies inside one block and, on the listless engine, is direct — the
-	// faulted read is then a vectored one of the rank whose block it is,
-	// and every rank reads a block in the faulted domain: rank 0 is the
-	// lowest that fails.
-	for _, blocklen := range []int64{16, 256} {
+	// window, which gathers them in its buffer.  Page-long blocks: a rank's
+	// blocks lie three pages apart, so on the listless engine the views are
+	// sparse and every window is direct — the faulted read is then a
+	// vectored one of the rank whose block it is, and every rank reads a
+	// block in the faulted domain: rank 0 is the lowest that fails.
+	for _, blocklen := range []int64{16, storage.PageSize} {
 		d := blockcount * blocklen // each IOP's domain
 		data := [][]byte{pattern(0, d), pattern(1, d), pattern(2, d), pattern(3, d)}
 		o := flat(fig4(P, blockcount, blocklen), nil, 0, data)
 		for _, eng := range engines {
 			label := fmt.Sprintf("%v/blocklen=%d", eng, blocklen)
 			checkLeaks := testutil.LeakCheck(t)
-			direct := eng == Listless && blocklen >= 128
+			direct := eng == Listless && blocklen == storage.PageSize
 			errs := make([]error, P)
 			res := world{P: P, backend: "faulty", checked: true, opts: Options{Engine: eng, collBufSize: 128}}.run(t, o.file, func(r rank) {
 				if err := r.f.SetView(0, datatype.Byte, noncontigTypeP(r.p.Rank(), P, blockcount, blocklen)); err != nil {
@@ -120,6 +120,7 @@ func TestFaultCollectiveMatrix(t *testing.T) {
 	const blockcount, blocklen = 32, 16
 	d := int64(blockcount * blocklen)
 	half := noncontigTypeP(0, 2, blockcount, blocklen) // every other block of one half
+	long := 2 * storage.PageSize
 	declinedMem := declinedType(t, mustType(datatype.Resized(hvecBytes(1, 15, 15), 0, 16)))
 	for _, g := range []faultGeom{
 		{name: "interleaved/P=4", P: 4, failIOP: 2, d: d, view: fig4(4, blockcount, blocklen)},
@@ -131,11 +132,11 @@ func TestFaultCollectiveMatrix(t *testing.T) {
 			view: func(int) (int64, *datatype.Type) { return 0, half }},
 		{name: "disjoint-halves/P=2", P: 2, failIOP: 1, d: d, holey: true, rmw: true,
 			view: func(rank int) (int64, *datatype.Type) { return int64(rank) * half.Extent(), half }},
-		// Blocks four windows long: on the listless engine every window is
-		// direct, so the faulted accesses are the vectored writes and reads
-		// of the ranks themselves, over their user buffers: every rank has
-		// blocks in IOP 1's domain.
-		{name: "long-runs/P=2", P: 2, failIOP: 1, d: 8 * 512, direct: true, failRank: 0, view: fig4(2, 8, 512)},
+		// Blocks of two pages, two pages apart: on the listless engine every
+		// window is direct, so the faulted accesses are the vectored writes
+		// and reads of the ranks themselves, over their user buffers: every
+		// rank has blocks in IOP 1's domain.
+		{name: "long-runs/P=2", P: 2, failIOP: 1, d: 8 * long, direct: true, failRank: 0, view: fig4(2, 8, long)},
 	} {
 		mt := datatype.Byte
 		switch {

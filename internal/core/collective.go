@@ -18,9 +18,11 @@ import (
 // computes), collective_exchange.go (the AP side), and
 // collective_window.go (the IOP window loop, sequential and pipelined).
 //
-// A collective on views proved sparse at SetView takes no plan
-// (accessEngine.planFree): every window of it is direct, so each rank
-// moves its own data (File.moveAlone), and the ranks vote.
+// A collective is of one of two kinds, which SetView decides for the
+// view (accessEngine.planFree).  On views proved sparse there is nothing
+// to merge: the collective takes no plan, each rank moves its own data
+// (File.moveAlone), and the ranks vote.  Every other collective takes the
+// plan, and the IOPs move every window through a window buffer.
 
 // WriteAtAll collectively writes count instances of memtype from buf to
 // the view at offset off (in etypes).  All ranks must call it.
@@ -39,11 +41,11 @@ func (f *File) WriteAtAll(off int64, count int64, memtype *datatype.Type, buf []
 
 // ReadAtAll collectively reads count instances of memtype from the view
 // at offset off (in etypes) into buf.  All ranks must call it.  When it
-// returns an error the contents of buf are undefined: this rank fills its
-// shares of direct windows itself, and the I/O processes fill buf in
-// place — this rank's own, and in-process every one whose domain holds
-// its data — while the windows are read, before the ranks agree on the
-// outcome.  No goroutine touches buf after the call has returned.
+// returns an error the contents of buf are undefined: without a plan this
+// rank fills buf itself, and with one the I/O processes fill it in place —
+// this rank's own, and in-process every one whose domain holds its data —
+// while the windows are read, before the ranks agree on the outcome.  No
+// goroutine touches buf after the call has returned.
 func (f *File) ReadAtAll(off int64, count int64, memtype *datatype.Type, buf []byte) (int64, error) {
 	d, err := f.checkAccess(off, count, memtype, buf)
 	if err != nil {
@@ -57,7 +59,8 @@ func (f *File) ReadAtAll(off int64, count int64, memtype *datatype.Type, buf []b
 	return d, nil
 }
 
-// transferCollective runs one two-phase collective access.
+// transferCollective runs one collective access: its owners' moves and
+// the vote where the engine needs no plan (planFree), else two-phase.
 func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int64, buf []byte, write bool) error {
 	top := trace.PhaseCollRead
 	if write {
@@ -67,8 +70,14 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	defer sp.End()
 
 	acc := &collAccess{d0: d0, d: d, mem: f.eng.newMemState(memtype, count), buf: buf, write: write}
-	if ap := f.eng.planFree(acc); ap != nil {
-		return f.settle(f.moveAlone(acc, ap), 0, d0)
+	if move := f.eng.planFree(acc); move != nil {
+		// Every rank takes this branch from the same cached views, so the
+		// epoch ids stay in lockstep without a plan.
+		var epochID uint64
+		if write && f.epochBE != nil {
+			epochID = f.epochBegin()
+		}
+		return f.settle(f.moveAlone(acc, move), epochID, d0)
 	}
 
 	psp := f.tr.Begin(trace.PhaseCollPlan, d0, 0)
@@ -102,21 +111,12 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 		f.apExchange(pl, acc, ap, true)
 	}
 
-	// ---- Direct windows: this rank moves its own share of each by one
-	// vectored call, and the IOP phase skips them.  Then the IOP phase
-	// processes the file domain window by window.  An IOP whose engine
-	// fuses copies moves its own share here, and the shares lent to it,
-	// straight between the user buffers and its windows.  On a read both
-	// are before the error vote below, which is why a failed collective
-	// read leaves buf undefined.  A failed direct batch is voted as an IOP
-	// window's fault of this rank. ----
-	var fault *CollectiveError
-	if err := f.apDirect(pl, ap); err != nil {
-		fault = &CollectiveError{Rank: f.p.Rank(), Phase: PhaseIOPWindow, Err: err}
-	}
-	if iopFault := f.iopProcess(pl, acc, write); fault == nil {
-		fault = iopFault
-	}
+	// ---- IOP phase: process the file domain window by window.  An IOP
+	// whose engine fuses copies moves its own share, and the shares lent
+	// to it, straight between the user buffers and its windows.  On a read
+	// that is before the error vote below, which is why a failed
+	// collective read leaves buf undefined. ----
+	fault := f.iopProcess(pl, acc, write)
 
 	// ---- Error agreement and epoch commit (settle).  The vote must
 	// precede the read-side exchange: an AP must not block receiving from
@@ -135,7 +135,6 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	// IOP this rank lent buf to. ----
 	if !write && d > 0 {
 		f.apExchange(pl, acc, ap, false)
-		f.dropHeld()
 	}
 
 	// No barrier ends a successful collective: every receive of the next
@@ -159,7 +158,6 @@ func (f *File) settle(fault *CollectiveError, epochID uint64, d0 int64) error {
 			f.tr.Instant(trace.PhaseFault, d0, 0, err.Error())
 		}
 		f.p.Barrier() // keep the next collective's sends behind the drain
-		f.dropHeld()
 		return err
 	}
 	if epochID != 0 {
@@ -174,16 +172,4 @@ func (f *File) settle(fault *CollectiveError, epochID uint64, d0 int64) error {
 		}
 	}
 	return nil
-}
-
-// dropHeld returns the chunks of the held direct shares a failed read did
-// not unpack to the pool and empties the list.
-func (f *File) dropHeld() {
-	for i := range f.held {
-		if c := f.held[i].chunk; c != nil {
-			f.bp.Put(c)
-		}
-	}
-	clear(f.held)
-	f.held = f.held[:0]
 }

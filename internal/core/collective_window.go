@@ -16,11 +16,10 @@ import (
 // in-process the buffer every AP whose memory compiles lent it for the
 // collective (memLoan).
 //
-// The loop moves buffered windows only: a window gathers the APs' shares
-// in a 1 MiB buffer so that many short runs become one large backend
-// call.  A direct window (iopWindow.direct: no share is page-dense) has
-// nothing to gather, and its owners move it themselves, each its own
-// share by one vectored call (File.apDirect); the IOP skips it.
+// A window gathers the APs' shares in a 1 MiB buffer so that many short
+// runs become one large backend call: that is what a planned collective
+// is for.  A collective on views whose runs leave nothing to gather takes
+// no plan and no window loop (accessEngine.planFree).
 //
 // The loop (iopPipelined) is a double-buffered pipeline over two slots.
 // Window k+1's pre-read and window k-1's write-back run in the
@@ -35,7 +34,7 @@ import (
 // goroutine fed by reusable channels of value structs (no per-window
 // goroutines, channels, or window descriptors), and the engines recycle
 // their per-window state via iopWindow.release.  A slot starts with the
-// first window it takes, so an IOP whose windows are all direct starts
+// first window it takes, so an IOP whose windows are all empty starts
 // none.
 //
 // Inside an epoch a write-back stages, and the epoch lends the backend
@@ -245,8 +244,8 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 	nextLo := domLo
 
 	// mk prepares the next window the IOP moves, or ok=false when the
-	// domain is exhausted.  Empty and direct windows are skipped without
-	// consuming a slot.  iop.window calls stay on the main goroutine, in
+	// domain is exhausted.  Empty windows are skipped without consuming a
+	// slot.  iop.window calls stay on the main goroutine, in
 	// order.
 	mk := func() (pipeWindow, bool) {
 		for nextLo < domHi {
@@ -254,7 +253,7 @@ func (f *File) iopPipelined(iop iopState, domLo, domHi, winSize int64, write boo
 			winHi := min(winLo+winSize, domHi)
 			nextLo = winHi
 			iw := iop.window(winLo, winHi)
-			if iw.total() == 0 || iw.direct() {
+			if iw.total() == 0 {
 				iw.release()
 				continue
 			}

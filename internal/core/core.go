@@ -186,11 +186,6 @@ type File struct {
 	// staged under its epoch, which lends them to the backend until the
 	// epoch ends (collective_window.go); empty between collectives.
 	kept [][]byte
-	// held lists the direct shares of a collective read the owner mover
-	// read into pack buffers for a destination whose bytes may meet,
-	// which apExchange unpacks in data order (apState.moveDirect), kept
-	// like segs and emptied when the read ends (dropHeld).
-	held []heldShare
 
 	// Stats accumulates the work counters of this handle.
 	Stats Stats

@@ -14,15 +14,15 @@ import (
 	"repro/internal/testutil"
 )
 
-// Direct windows: collective windows whose every share is runs of about a
-// page or more have no window buffer and no IOP: each rank moves its own
-// share between its user buffer and the backend by one vectored call.
-// The matrix below holds them — and the buffered windows the same
-// geometries take under the list-based engine, through fileviews that
-// decline compilation, with one dense share, or for a write over views
-// not proved disjoint — to the flat oracle, over a file that already
-// holds a background: a direct window writes the bytes of the views and
-// no others.
+// Direct windows: a collective on views whose runs SetView proved two
+// pages apart or more (viewsSparse) takes no plan, and its windows have no
+// window buffer and no IOP: each rank moves its own share of each between
+// its user buffer and the backend by one vectored call.  The matrix below
+// holds them — and the buffered windows the same geometries take under
+// the list-based engine, through fileviews that decline compilation, with
+// runs closer than that, or for a write over views not proved disjoint —
+// to the flat oracle, over a file that already holds a background: a
+// direct window writes the bytes of the views and no others.
 
 // dwGeom is one access geometry: per-rank fileview and memory layout,
 // every rank moving d data bytes, through windows of collBuf bytes.
@@ -33,8 +33,9 @@ type dwGeom struct {
 	collBuf int
 	view    viewFn
 	mem     *datatype.Type // d must be a whole number of instances
-	// direct is what the listless engine with programs must make of it:
-	// +1 every window direct, -1 every window buffered.
+	// direct is what the listless engine with programs must make of it,
+	// as viewsSparse says: +1 every window direct, -1 every window
+	// buffered.
 	direct int
 	// overlap: the views are not proved disjoint, so a write keeps every
 	// window buffered whatever direct says.
@@ -52,17 +53,26 @@ func (g dwGeom) oracle(seed int) oracle {
 }
 
 // dwGeoms: run lengths on both sides of a page in the file and in
-// memory, window sizes that cut runs, and the shapes that must keep the
-// buffer.
+// memory, gaps on both sides of two pages, window sizes that cut runs,
+// and the shapes that must keep the buffer.
 func dwGeoms() []dwGeom {
 	const win = 40000 // no multiple of any run or pitch below: runs straddle window edges
 	return []dwGeom{
-		{name: "4095B-runs/P=2", P: 2, d: 12 * 4095, collBuf: win, view: stridedView(2, 12, 4095, 4096), mem: datatype.Byte, direct: +1},
-		{name: "4096B-runs/P=2", P: 2, d: 12 * 4096, collBuf: win, view: stridedView(2, 12, 4096, 4096), mem: datatype.Byte, direct: +1},
+		// Runs of about a page with gaps under two pages: the window
+		// buffer, and in-process the loans, move them.  At P = 2 the
+		// 4097-byte runs leave gaps one byte over a page, the 8191-byte
+		// runs one byte short of two.
+		{name: "4095B-runs/P=2", P: 2, d: 12 * 4095, collBuf: win, view: stridedView(2, 12, 4095, 4096), mem: datatype.Byte, direct: -1},
+		{name: "4096B-runs/P=2", P: 2, d: 12 * 4096, collBuf: win, view: stridedView(2, 12, 4096, 4096), mem: datatype.Byte, direct: -1},
 		{name: "4097B-runs/P=3", P: 3, d: 12 * 4097, collBuf: win, view: stridedView(3, 12, 4097, 6000), mem: datatype.Byte, direct: +1},
 		{name: "16K-runs/P=2", P: 2, d: 8 * 16384, collBuf: win, view: stridedView(2, 8, 16384, 16384), mem: hvecBytes(8, 16384, 32768), direct: +1},
 		{name: "16K-runs/P=3", P: 3, d: 8 * 16384, collBuf: win, view: stridedView(3, 8, 16384, 16384), mem: hvecBytes(8, 16384, 32768), direct: +1},
-		{name: "16K-runs-holes/P=1", P: 1, d: 8 * 16384, collBuf: win, view: stridedView(1, 8, 16384, 20000), mem: hvecBytes(8, 16384, 32768), direct: +1},
+		{name: "16K-runs-holes/P=1", P: 1, d: 8 * 16384, collBuf: win, view: stridedView(1, 8, 16384, 20000), mem: hvecBytes(8, 16384, 32768), direct: -1},
+		{name: "16K-runs-2-page-holes/P=1", P: 1, d: 8 * 16384, collBuf: win, view: stridedView(1, 8, 16384, 24576), mem: hvecBytes(8, 16384, 32768), direct: +1},
+		{name: "4097B-runs/P=2", P: 2, d: 12 * 4097, collBuf: win, view: stridedView(2, 12, 4097, 4097), mem: datatype.Byte, direct: -1},
+		{name: "8191B-runs/P=2", P: 2, d: 12 * 8191, collBuf: win, view: stridedView(2, 12, 8191, 8191), mem: datatype.Byte, direct: -1},
+		// Runs under a page, two pages apart: the gap is the rule.
+		{name: "4095B-runs-2-pages-apart/P=2", P: 2, d: 12 * 4095, collBuf: win, view: stridedView(2, 12, 4095, 6144), mem: datatype.Byte, direct: +1},
 		// Memory runs shorter than the file's, and the reverse; both
 		// sides sparse, neither a multiple of the other.
 		{name: "mem-5000B-file-16K/P=2", P: 2, d: 10 * 16000, collBuf: win, view: stridedView(2, 10, 16000, 17000), mem: hvecBytes(32, 5000, 9000), direct: +1},
@@ -71,13 +81,15 @@ func dwGeoms() []dwGeom {
 		{name: "window-inside-run/P=2", P: 2, d: 4 * 50000, collBuf: 8192, view: stridedView(2, 4, 50000, 50000), mem: datatype.Byte, direct: +1},
 		// Long file runs from a memory layout of 8-byte pieces: the rule is
 		// the file's, and the own share, a list entry per piece in memory,
-		// goes through a pack buffer.
-		{name: "mem-8B-file-16K/P=1", P: 1, d: 4 * 16384, collBuf: win, view: stridedView(1, 4, 16384, 20000), mem: holeyDouble(), direct: +1},
+		// goes through a pack buffer — with gaps of two pages; with shorter
+		// ones the window buffer gathers the runs.
+		{name: "mem-8B-file-16K/P=1", P: 1, d: 4 * 16384, collBuf: win, view: stridedView(1, 4, 16384, 20000), mem: holeyDouble(), direct: -1},
+		{name: "mem-8B-file-16K-2-page-holes/P=1", P: 1, d: 4 * 16384, collBuf: win, view: stridedView(1, 4, 16384, 24576), mem: holeyDouble(), direct: +1},
 		// Short runs: the regime the window buffer exists for.
 		{name: "64B-runs/P=2", P: 2, d: 512 * 64, collBuf: win, view: stridedView(2, 512, 64, 64), mem: datatype.Byte, direct: -1},
 		// One AP sparse, the other dense, in the same windows: rank 0 holds
 		// 8 KiB runs, rank 1 8-byte pieces in the gaps between them, 512 of
-		// them to a gap.  One dense share keeps the window.
+		// them to a gap.  One dense view keeps every window.
 		{name: "one-dense-share/P=2", P: 2, d: 6 * 8192, collBuf: win, mem: datatype.Byte, direct: -1,
 			view: func(rank int) (int64, *datatype.Type) {
 				if rank == 0 {
@@ -85,9 +97,9 @@ func dwGeoms() []dwGeom {
 				}
 				return 8192, mustType(datatype.Resized(hvecBytes(512, 8, 16), 0, 16384))
 			}},
-		// Overlapping views: both ranks write the same runs; the higher rank
-		// wins, as the window path merges in rank order, so a write keeps the
-		// buffer.  Each rank reads its runs itself.
+		// Overlapping views: both ranks write the same runs, 8 KiB apart;
+		// the higher rank wins, as the window path merges in rank order, so a
+		// write keeps the buffer.  Each rank reads its runs itself.
 		{name: "overlapping-views/P=2", P: 2, d: 6 * 8192, collBuf: win, mem: datatype.Byte, direct: +1, overlap: true,
 			view: func(int) (int64, *datatype.Type) {
 				return 0, mustType(datatype.Resized(hvecBytes(6, 8192, 16384), 0, 6*16384))
@@ -148,14 +160,17 @@ func dwCells() []dwCell {
 }
 
 // TestDirectWindowMatrix: every geometry in every cell against the
-// oracle, and the path each must have taken in counted work — a window
-// is direct exactly when no share in it is page-dense in the file, the
-// engine has the programs to enumerate every share and, for a write, the
-// views are proved disjoint; a direct window is no IOP's (no window
-// counted) but one backend call per rank with a share in it — a view
-// request on the tier, which registers the views, a vectored call
-// elsewhere — and a direct write reads nothing.  On the epoch tier every
-// rank commits one epoch.
+// oracle, and the path each must have taken in counted work — the
+// windows are direct exactly when SetView proved every view sparse (the
+// engine has the programs to enumerate every view, and its runs lie two
+// pages apart or more) and, for a write, disjoint; a direct window is no
+// IOP's (no window counted) but one backend call per rank with a share in
+// it — a view request on the tier, which registers the views, a vectored
+// call elsewhere — and a direct write reads nothing.  Every other window
+// is an IOP's: in-process on the listless engine each rank lends its
+// access to the other IOPs, and every rank's IOP moves windows of what it
+// was lent with no chunk on the fabric.  On the epoch tier every rank
+// commits one epoch.
 func TestDirectWindowMatrix(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	cells := dwCells()
@@ -198,6 +213,17 @@ func TestDirectWindowMatrix(t *testing.T) {
 				case op.buffered && op.segs+op.batches != 0:
 					t.Errorf("%s: %d segments in %d own batches of the %s where every window must take the buffer", label, op.segs, op.batches, op.name)
 				}
+			}
+			if c.name != "listless" || g.direct > 0 || g.P == 1 {
+				continue
+			}
+			for r, st := range res.perRank {
+				if st.SieveWrites == 0 || st.SieveReads == 0 {
+					t.Errorf("%s: rank %d's IOP moved %d write and %d read windows; want some of each", label, r, st.SieveWrites, st.SieveReads)
+				}
+			}
+			if cm := res.comm; cm.Refs == 0 || cm.Bytes >= g.d {
+				t.Errorf("%s: %d loans and %d payload bytes; want the shares lent, not sent", label, cm.Refs, cm.Bytes)
 			}
 		}
 	}
@@ -365,12 +391,14 @@ func TestDirectWindowFaults(t *testing.T) {
 // rank's own memory would not give every rank the same answer.  Over the
 // loopback and over TCP, on Mem and on a two-server tier with epochs, at
 // P = 2 and P = 3, a write and a read of n runs and of 2n runs per rank:
-//   - on the listless engine no sparse window is an IOP's: the IOPs count
-//     only the dense window, every rank moves its own share of every other
-//     one itself, and the rank fabric carries the same messages and
-//     payload bytes at both sizes, none per byte of data — the plan, the
-//     vote and the epoch's rounds, and over TCP the other ranks' shares of
-//     the dense window;
+//   - on the listless engine, views all of 16 KiB runs are sparse: no
+//     window is an IOP's, every rank moves its own share of each itself,
+//     and the rank fabric carries the same messages and payload bytes at
+//     both sizes, none per byte of data — the vote and the epoch's rounds;
+//   - views with the dense window are not: every window is an IOP's,
+//     in-process the loans move the other ranks' shares with the same
+//     messages and payload at both sizes, and over TCP the payload grows
+//     with the data;
 //   - the list-based engine is unchanged: every window is an IOP's, and
 //     the payload grows with the data;
 //   - every file and every read is the flat oracle's.
@@ -459,21 +487,22 @@ func TestDirectWindowsMoveNoData(t *testing.T) {
 								}
 							}
 						})
+						owners := eng == Listless && dense == 0 // SetView proved the views sparse
 						for i, name := range []string{"write", "read"} {
 							small, large := ops[i], ops[2+i]
 							for _, op := range []moveOp{small, large} {
 								windows, batches := op.st.SieveWrites+op.st.SieveReads, op.st.ownWrites()+op.st.ownReads()
 								switch {
-								case eng == ListBased && (windows == 0 || batches != 0):
-									t.Errorf("%s: the %s took %d IOP windows and %d own batches; the baseline takes only IOP windows", label, name, windows, batches)
-								case eng == Listless && (windows != min(dense, 1) || batches == 0):
-									t.Errorf("%s: the %s took %d IOP windows and %d own batches; want %d and some", label, name, windows, batches, min(dense, 1))
+								case !owners && (windows == 0 || batches != 0):
+									t.Errorf("%s: the %s took %d IOP windows and %d own batches; want only IOP windows", label, name, windows, batches)
+								case owners && (windows != 0 || batches == 0):
+									t.Errorf("%s: the %s took %d IOP windows and %d own batches; want only own batches", label, name, windows, batches)
 								}
 							}
 							switch grown := large.by - small.by; {
-							case eng == ListBased && grown <= 0:
-								t.Errorf("%s: the baseline's %s sent %d and %d payload bytes at the two sizes; want more for more data", label, name, small.by, large.by)
-							case eng == Listless && (grown != 0 || large.msgs != small.msgs):
+							case (eng == ListBased || tcp) && !owners && grown <= 0:
+								t.Errorf("%s: the %s sent %d and %d payload bytes at the two sizes; want more for more data", label, name, small.by, large.by)
+							case (owners || eng == Listless && !tcp) && (grown != 0 || large.msgs != small.msgs):
 								t.Errorf("%s: the %s sent %d messages of %d payload bytes, and %d of %d for twice the sparse data; want the same",
 									label, name, small.msgs, small.by, large.msgs, large.by)
 							case eng == Listless && tcp && small.by < int64(P-1)*dense:

@@ -48,12 +48,13 @@ type accessEngine interface {
 	// and, in-process, lends its access to the IOPs that hold it
 	// (memLoan).  Every rank must call it once per access.
 	apSetup(pl *collPlan, acc *collAccess) apState
-	// planFree returns the AP state of collective access acc when it
-	// needs no plan — every window of it is direct, so each rank moves its
-	// own data (apState.moveDirect, File.moveAlone) and the ranks vote —
-	// and nil when it takes the plan.  Every rank gives the same answer.
-	// The list-based engine always takes the plan.
-	planFree(acc *collAccess) apState
+	// planFree returns the mover of collective access acc when the views
+	// cached at SetView say it needs no plan — each rank moves its own
+	// share of each window through the owner mover (File.moveOwn,
+	// File.moveAlone) and the ranks vote — and nil when it takes the plan,
+	// where the IOPs move every window through a window buffer.  Every rank
+	// gives the same answer.  The list-based engine always takes the plan.
+	planFree(acc *collAccess) func(winLo, winHi int64) error
 	// iopSetup runs the I/O-process setup (the list-based engine
 	// receives one access list from every AP, the listless engine takes
 	// the loans) and returns the window-by-window processor state.  Every
@@ -114,8 +115,8 @@ type memLoan struct {
 func (l *memLoan) contig(a, b int64) []byte { return l.buf[a-l.d0 : b-l.d0] }
 
 // viewCursor walks the local fileview sequentially over one access
-// (seekData), or over the shares of the direct windows a collective moves
-// through the listless engine's own cursor, placed at each.  The
+// (seekData), or over the shares of the windows a collective with no plan
+// moves through the listless engine's own cursor, placed at each.  The
 // list-based implementation advances an ol-list cursor per tuple; the
 // listless implementation navigates with O(depth) flattening-on-the-fly
 // calls.
@@ -158,17 +159,11 @@ type apState interface {
 	// moves it in place between its windows and the user buffer
 	// (iopWindow.copyLent) — as its own access, or as one this rank lent it.
 	cursor(i int) apCursor
-	// moveDirect moves this rank's share of window [winLo, winHi) of an
-	// IOP domain between its user buffer and the backend itself, through
-	// the owner mover (File.moveOwn), when the window is direct
-	// (iopWindow.direct: no IOP moves it, and the cursors see it empty);
-	// else it does nothing.
-	moveDirect(winLo, winHi int64) error
 }
 
 // apCursor yields, window by window, the data range [a, b) this rank's
 // access holds within [winLo, winHi) of one IOP domain, which moves
-// through the IOP.  a == b means no data, or a direct window.
+// through the IOP.  a == b means no data.
 type apCursor interface {
 	window(winLo, winHi int64) (a, b int64)
 }
@@ -206,14 +201,6 @@ type iopWindow interface {
 	// when the share travels as a chunk: exactly when AP r's cursor for
 	// this IOP is not nil.
 	copyLent(w []byte, r int, write bool) bool
-	// direct reports whether the window's owners move it: every AP's share
-	// is runs long enough that one vectored backend call per owner beats
-	// gathering them into a window buffer (storage.PageDense says no for
-	// each share in the file) and, for a write, the views are proved
-	// disjoint, so the IOP skips it and every AP with a share in it moves
-	// that share itself (apState.moveDirect).  Every rank gives the same
-	// answer for a window.
-	direct() bool
 	// release returns the window to its engine for reuse.  The caller
 	// must not touch the window afterwards; engines may recycle the
 	// backing state on the next window call (or make release a no-op).

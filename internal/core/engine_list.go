@@ -232,12 +232,9 @@ func (s *listAPState) cursor(i int) apCursor {
 	return &tripleCursor{ts: s.triples[i]}
 }
 
-// moveDirect: every window of the baseline is an IOP's.
-func (s *listAPState) moveDirect(int64, int64) error { return nil }
-
 // planFree takes the plan: the paper's baseline builds and sends its
 // access lists on every collective access.
-func (e *listEngine) planFree(*collAccess) apState { return nil }
+func (e *listEngine) planFree(*collAccess) func(int64, int64) error { return nil }
 
 // apSetup builds and sends this rank's access list for every IOP domain;
 // this many-to-many ol-list exchange happens on every collective access.
@@ -367,10 +364,6 @@ func (w *listIOPWindow) covered() bool {
 // included, only as the ol-list it received, and every share travels
 // packed — the paper's baseline.
 func (w *listIOPWindow) copyLent([]byte, int, bool) bool { return false }
-
-// direct: the list-based engine is the paper's baseline and moves every
-// window through the window buffer, tuple by tuple.
-func (w *listIOPWindow) direct() bool { return false }
 
 func (w *listIOPWindow) copyIn(buf []byte, r int, chunk []byte) {
 	var pos int64

@@ -22,9 +22,8 @@ type listlessEngine struct {
 	disjoint bool               // the cached views share no byte (viewsApart)
 	sparse   bool               // no share of any window is page-dense (viewsSparse)
 	prog     *fotf.Program      // compiled own-fileview program; nil = walk
-	own      listlessViewCursor // direct windows: the own view, placed at each share
+	own      listlessViewCursor // no plan: the own view, placed at each share
 	plans    planCache          // fused-copy plans of the IOP windows' lent shares
-	apA, apB []int64            // every rank's share of the window an AP asks about
 }
 
 func newListlessEngine(f *File) *listlessEngine {
@@ -102,7 +101,6 @@ func (e *listlessEngine) setView() error {
 	}
 	e.disjoint = viewsApart(e.remote)
 	e.sparse = viewsSparse(e.remote)
-	e.apA, e.apB = make([]int64, len(parts)), make([]int64, len(parts))
 	return nil
 }
 
@@ -241,7 +239,6 @@ func (vc *listlessViewCursor) eachUserRun(c int64, mem *memState, skip int64, b 
 // listlessAPState navigates this rank's own fileview per window.
 type listlessAPState struct {
 	e     *listlessEngine
-	pl    *collPlan
 	acc   *collAccess
 	fused bool // IOPs move this access in place: the own IOP...
 	lent  bool // ... and, in-process, every other (apSetup lent it)
@@ -251,12 +248,12 @@ type listlessAPState struct {
 // once.  In-process it lends the access to every other IOP whose domain
 // holds some of it, in one message each (collPlan.lends), for writes and
 // reads alike: a typed loan when the access fuses, so that the IOP moves
-// this rank's shares of buffered windows in place as it moves its own,
-// else a pack loan, and the shares travel as chunks.  Over a wire every
+// this rank's shares of its windows in place as it moves its own, else a
+// pack loan, and the shares travel as chunks.  Over a wire every
 // remote share travels as a chunk.
 func (e *listlessEngine) apSetup(pl *collPlan, acc *collAccess) apState {
 	f := e.f
-	s := &listlessAPState{e: e, pl: pl, acc: acc, fused: e.fuses(acc)}
+	s := &listlessAPState{e: e, acc: acc, fused: e.fuses(acc)}
 	if f.p.Wired() {
 		return s
 	}
@@ -273,15 +270,17 @@ func (e *listlessEngine) apSetup(pl *collPlan, acc *collAccess) apState {
 	return s
 }
 
-// planFree takes no plan on views proved sparse at SetView: every window
-// of every access on them is direct.  A write also needs the views proved
-// disjoint, as a direct window does (allSparse), and a backend with no
-// epochs: the ranks agree on whether an epoch exists through the plan.
-func (e *listlessEngine) planFree(acc *collAccess) apState {
-	if !e.sparse || acc.write && (!e.disjoint || e.f.epochBE != nil) {
+// planFree takes no plan on views proved sparse at SetView: no share of
+// any window on them is page-dense, so a window buffer would gather
+// nothing, and each rank moves its own share of each window by one call of
+// the owner mover.  A write also needs the views proved disjoint, since
+// owners writing at once leave no set winner of a byte two views share,
+// where a window merges in rank order.
+func (e *listlessEngine) planFree(acc *collAccess) func(winLo, winHi int64) error {
+	if !e.sparse || acc.write && !e.disjoint {
 		return nil
 	}
-	return &listlessAPState{e: e, acc: acc}
+	return (&listlessAPState{e: e, acc: acc}).move
 }
 
 func (s *listlessAPState) cursor(i int) apCursor {
@@ -291,8 +290,8 @@ func (s *listlessAPState) cursor(i int) apCursor {
 	return s
 }
 
-// inPlace is the memory side of the rule allSparse applies: a direct
-// window's own batch writes and reads a share where it lies in the user
+// inPlace is the memory side of the rule viewsSparse applies to the file:
+// an owner's batch writes and reads a share where it lies in the user
 // buffer when the memory is contiguous, or the runs of a compiled memtype
 // are not page-dense and, for a read, no data bytes of the memtype meet,
 // which would be filled in no set order (the rule fuses applies).
@@ -305,58 +304,32 @@ func (s *listlessAPState) inPlace(a, b int64) bool {
 	return mp != nil && !acc.meets() && !shareDense(mp, a-acc.d0, b-acc.d0)
 }
 
-// window is this rank's share of a buffered window: a direct one moves
-// no byte through an IOP, so the exchange sees it empty.
+// window is this rank's share of window [winLo, winHi), read from its own
+// cached view.
 func (s *listlessAPState) window(winLo, winHi int64) (a, b int64) {
-	a, b, direct := s.share(winLo, winHi)
-	if direct {
-		return a, a
-	}
-	return a, b
+	lo, hi, self := s.acc.d0, s.acc.d0+s.acc.d, s.e.f.p.Rank()
+	return s.e.dataAt(self, winLo, lo, hi), s.e.dataAt(self, winHi, lo, hi)
 }
 
-// share is this rank's share [a, b) of window [winLo, winHi) and whether
-// the window is direct, which the rank decides as the window's IOP does:
-// allSparse over every rank's share, from the plan and the cached views.
-// With no plan (planFree) every window is direct, and the share is read
-// from the rank's own cached view alone.
-func (s *listlessAPState) share(winLo, winHi int64) (a, b int64, direct bool) {
-	e, self := s.e, s.e.f.p.Rank()
-	if s.pl == nil {
-		lo, hi := s.acc.d0, s.acc.d0+s.acc.d
-		a, b = e.dataAt(self, winLo, lo, hi), e.dataAt(self, winHi, lo, hi)
-		return a, b, a < b
-	}
-	e.windowShares(s.pl, winLo, winHi, e.apA, e.apB)
-	a, b = e.apA[self], e.apB[self]
-	return a, b, a < b && e.allSparse(e.apA, e.apB, s.acc.write)
-}
-
-// moveDirect has the owner mover move this rank's share of window
-// [winLo, winHi) when the window is direct, over the user buffer where the
-// share lies there (inPlace).  A pack buffer it drew is the caller's:
-// inside an epoch the batch staged from it, and the backend keeps its
-// bytes until the epoch ends, so it goes to File.kept (the user buffer
-// stays the collective's until WriteAtAll returns); a read whose
-// destination bytes may meet holds it (File.held), for apExchange to
-// unpack in data order among the chunks of buffered windows.  With no plan
-// there are no chunks: the read goes in data order itself (File.moveAlone)
-// and unpacks each share at once.
-func (s *listlessAPState) moveDirect(winLo, winHi int64) error {
-	a, b, direct := s.share(winLo, winHi)
-	if !direct {
+// move has the owner mover move this rank's share of window [winLo,
+// winHi) of a collective with no plan, over the user buffer where the
+// share lies there (inPlace), and unpacks a read's share at once.  A pack
+// buffer it drew is the caller's: inside an epoch the batch staged from
+// it, and the backend keeps its bytes until the epoch ends, so it goes to
+// File.kept (the user buffer stays the collective's until WriteAtAll
+// returns).
+func (s *listlessAPState) move(winLo, winHi int64) error {
+	a, b := s.window(winLo, winHi)
+	if a == b {
 		return nil
 	}
 	f, acc := s.e.f, s.acc
-	hold := s.pl != nil && acc.meets()
 	s.e.own.pos = a
-	pb, err := f.moveOwn(&s.e.own, acc, a, b, s.inPlace(a, b), hold, winLo)
+	pb, err := f.moveOwn(&s.e.own, acc, a, b, s.inPlace(a, b), winLo)
 	switch {
 	case pb == nil:
 	case acc.write && f.epochBE != nil:
 		f.kept = append(f.kept, pb)
-	case hold && err == nil:
-		f.held = append(f.held, heldShare{a: a, b: b, winLo: winLo, chunk: pb})
 	default:
 		f.bp.Put(pb)
 	}
@@ -371,12 +344,11 @@ func (s *listlessAPState) moveDirect(winLo, winHi int64) error {
 // keeps the steady state allocation-free.  window and release are both
 // called on the collective's main goroutine only.
 type listlessIOPState struct {
-	e     *listlessEngine
-	pl    *collPlan
-	write bool
-	lent  []*memLoan
-	free  []*listlessIOPWindow
-	nwin  int // windows opened so far: the next one's index
+	e    *listlessEngine
+	pl   *collPlan
+	lent []*memLoan
+	free []*listlessIOPWindow
+	nwin int // windows opened so far: the next one's index
 }
 
 // iopSetup takes, in-process, the loan of every AP that lends this IOP
@@ -385,7 +357,7 @@ type listlessIOPState struct {
 // copy is, since the two are one tree.
 func (e *listlessEngine) iopSetup(pl *collPlan, acc *collAccess) (iopState, error) {
 	f, self := e.f, e.f.p.Rank()
-	s := &listlessIOPState{e: e, pl: pl, write: acc.write, lent: make([]*memLoan, f.p.Size())}
+	s := &listlessIOPState{e: e, pl: pl, lent: make([]*memLoan, f.p.Size())}
 	if e.fuses(acc) {
 		l := acc.loan()
 		s.lent[self] = &l
@@ -434,27 +406,6 @@ func (e *listlessEngine) windowShares(pl *collPlan, winLo, winHi int64, apA, apB
 	return tot
 }
 
-// allSparse is the direct-window rule, from the file side of the shares
-// alone, so that every rank gives the same answer: every share has a
-// compiled view to enumerate and is not page-dense in the file.  One
-// dense share keeps the window buffer: its many short runs are what the
-// buffer is for.  A write also needs the views proved disjoint, since
-// owners writing at once leave no set winner of a byte two views share
-// where the window merges in rank order.
-func (e *listlessEngine) allSparse(apA, apB []int64, write bool) bool {
-	if write && !e.disjoint {
-		return false
-	}
-	for r, a := range apA {
-		if b := apB[r]; a < b {
-			if p := e.remote[r].prog; p == nil || shareDense(p, a, b) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // listlessIOPWindow holds the per-AP data ranges of one window.
 type listlessIOPWindow struct {
 	s            *listlessIOPState
@@ -462,7 +413,6 @@ type listlessIOPWindow struct {
 	winLo, winHi int64
 	apA, apB     []int64
 	tot          int64
-	dir          bool // direct: its owners move it (allSparse)
 }
 
 func (s *listlessIOPState) window(winLo, winHi int64) iopWindow {
@@ -481,11 +431,8 @@ func (s *listlessIOPState) window(winLo, winHi int64) iopWindow {
 	w.idx = s.nwin
 	s.nwin++
 	w.tot = s.e.windowShares(s.pl, winLo, winHi, w.apA, w.apB)
-	w.dir = s.e.allSparse(w.apA, w.apB, s.write)
 	return w
 }
-
-func (w *listlessIOPWindow) direct() bool { return w.dir }
 
 func (w *listlessIOPWindow) release() { w.s.free = append(w.s.free, w) }
 

@@ -211,7 +211,7 @@ func (f *File) transferDirect(d0, d, lo int64, buf []byte, mem *memState, memCon
 		chunk = int64(f.opts.packBufSize)
 	}
 	for m := int64(0); m < d; m += chunk {
-		pb, err := f.moveOwn(vc, acc, d0+m, d0+min(m+chunk, d), inPlace, false, trace.NoWindow)
+		pb, err := f.moveOwn(vc, acc, d0+m, d0+min(m+chunk, d), inPlace, trace.NoWindow)
 		if pb != nil {
 			f.bp.Put(pb)
 		}
@@ -244,13 +244,12 @@ func (f *File) listsRuns() bool {
 // the packed data when the memory is contiguous and is otherwise cut with
 // the fileview (vc must fuse the memtype), on the list face only: off it,
 // in place means contiguous memory.  Else they move through a pooled pack
-// buffer, packed first for a write and, for a read that hold does not
-// keep packed, unpacked after.  That buffer, if one was drawn, is
-// returned to the caller, whose it is.  The copies are timed as PhaseCopy
-// and the call as PhaseWriteBack or PhasePreRead, in spans of window at,
-// and the mover is the one site that counts the Direct*, Vectored* and
-// View* transfer stats.
-func (f *File) moveOwn(vc viewCursor, acc *collAccess, a, b int64, inPlace, hold bool, at int64) (pb []byte, err error) {
+// buffer, packed first for a write and unpacked after for a read.  That
+// buffer, if one was drawn, is returned to the caller, whose it is.  The
+// copies are timed as PhaseCopy and the call as PhaseWriteBack or
+// PhasePreRead, in spans of window at, and the mover is the one site that
+// counts the Direct*, Vectored* and View* transfer stats.
+func (f *File) moveOwn(vc viewCursor, acc *collAccess, a, b int64, inPlace bool, at int64) (pb []byte, err error) {
 	n, skip, mem := b-a, a-acc.d0, acc.mem
 	list, contig := f.listsRuns(), memIsContig(mem.t, mem.count)
 	if !list {
@@ -314,7 +313,7 @@ func (f *File) moveOwn(vc viewCursor, acc *collAccess, a, b int64, inPlace, hold
 	f.Stats.StorageNs += sp.End()
 	clear(segs)
 	f.segs = segs[:0]
-	if pb != nil && !acc.write && !hold && err == nil {
+	if pb != nil && !acc.write && err == nil {
 		csp := f.tr.Time(trace.PhaseCopy, at, n)
 		f.eng.unpackUser(acc.buf, pb, mem, skip, n)
 		f.Stats.CopyNs += csp.End()

@@ -79,25 +79,37 @@ func TestPlanFreeNeedsEveryView(t *testing.T) {
 	}
 }
 
-// TestPlanFreeEpochWriteKeepsPlan: on a backend that commits collective
-// writes by epoch, a write on sparse views keeps the plan, through which
-// the ranks agree on the epoch, and commits one epoch on every rank; its
-// read takes no plan.  The bytes are the flat oracle's.
-func TestPlanFreeEpochWriteKeepsPlan(t *testing.T) {
+// TestPlanFreeEpochWrite: on a backend that commits collective writes by
+// epoch, a write on sparse, disjoint views takes no plan either: every rank
+// begins the epoch from the same cached views, moves its own data, and
+// commits one epoch; the read takes no plan.  So also when one rank writes
+// nothing, and when no rank does: then every rank commits an empty epoch.
+// The bytes are the flat oracle's.
+func TestPlanFreeEpochWrite(t *testing.T) {
 	const P, n = 2, 8
 	run := 4 * storage.PageSize
 	for _, backend := range []string{"tier", "epoch-mem"} {
-		col := trace.NewCollector(trace.DefaultBufSize)
-		res := world{P: P, backend: backend, trace: col, checked: true, opts: Options{collBufSize: int(2 * run)}}.roundTrip(t, access{
-			view: stridedView(P, n, run, run),
-			d:    n * run,
-		})
-		if got := plans(col, P); !slices.Equal(got, []int{1, 1}) {
-			t.Errorf("%s: the ranks made %v plans; want 1 each, the write's", backend, got)
-		}
-		for r, st := range res.perRank {
-			if st.EpochsCommitted != 1 || st.ownWrites() == 0 || st.SieveWrites+st.SieveReads != 0 {
-				t.Errorf("%s: rank %d committed %d epochs in %d own batches and %d IOP windows; want 1 in direct windows only", backend, r, st.EpochsCommitted, st.ownWrites(), st.SieveWrites+st.SieveReads)
+		for _, empty := range []string{"none", "rank 1", "all"} {
+			label := fmt.Sprintf("%s, empty %s", backend, empty)
+			dOf := func(rank int) int64 {
+				if empty == "all" || empty == "rank 1" && rank == 1 {
+					return 0
+				}
+				return n * run
+			}
+			col := trace.NewCollector(trace.DefaultBufSize)
+			res := world{P: P, backend: backend, trace: col, checked: true, opts: Options{collBufSize: int(2 * run)}}.roundTrip(t, access{
+				view: stridedView(P, n, run, run),
+				dOf:  dOf,
+			})
+			if got := plans(col, P); !slices.Equal(got, []int{0, 0}) {
+				t.Errorf("%s: the ranks made %v plans; want none", label, got)
+			}
+			for r, st := range res.perRank {
+				if st.EpochsCommitted != 1 || (st.ownWrites() > 0) != (dOf(r) > 0) || st.SieveWrites+st.SieveReads != 0 {
+					t.Errorf("%s: rank %d committed %d epochs in %d own batches and %d IOP windows; want 1, in own batches where it has data",
+						label, r, st.EpochsCommitted, st.ownWrites(), st.SieveWrites+st.SieveReads)
+				}
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/datatype/datatypetest"
+	"repro/internal/storage"
 )
 
 // TestQuickCrossEngineEquivalence drives both engines through randomized
@@ -102,8 +103,9 @@ func diffViews(base *datatype.Type, P int) viewFn {
 // IOPs than ranks, the two ways to the staged path (the list-based engine
 // and types that decline compilation), TCP ranks and the epoch-committing
 // server tier — first over the random trees, whose short runs gather in
-// window buffers, then over runs of a page and more, whose windows are
-// direct and whose remote shares are lent, in-process and over TCP.  Each
+// window buffers, then over runs of a page and more: two pages apart or
+// more their windows are direct, closer their remote shares are lent
+// in-process and sent over TCP.  Each
 // cell moves whole memtype instances past two filetype instances into a
 // partial third (diffCount).  Every cell runs on a checked pool, so a
 // double-put or use-after-put anywhere in the window loop, the exchange,
@@ -163,27 +165,33 @@ func TestQuickDifferentialRandomTrees(t *testing.T) {
 
 	// The same cells at the scale where a collective window stops being a
 	// buffer: runs around a page and well above it on both sides of the
-	// access, windows of a few runs that cut them anywhere.  With the
-	// listless engine and its programs the windows are then direct — a
-	// vectored call over the chunks and the user buffer — and every other
-	// cell moves the same bytes through window buffers.
+	// access, windows of a few runs that cut them anywhere, and a gap of
+	// filePitch-fileRun after every file run, the last of a base too.
+	// Where the gaps are two pages or more, SetView proves the views
+	// sparse, and with the listless engine and its programs the windows are
+	// then direct — a vectored call over the chunks and the user buffer;
+	// every other cell, and every cell of shorter gaps, moves the same
+	// bytes through window buffers.
 	pageScale := []struct{ fileRun, filePitch, memRun, memPitch int64 }{
-		{4095, 8200, 4097, 8300}, {4096, 8192, 4096, 8192}, {4097, 9000, 16384, 20000}, {16384, 17000, 5000, 9100},
+		{4095, 12300, 4097, 8300}, {4096, 8192, 4096, 8192}, {16384, 24576, 5000, 9100},
+		{4097, 9000, 16384, 20000}, {16384, 17000, 5000, 9100}, {4095, 8200, 4097, 8300},
 	}
 	if testing.Short() {
 		pageScale = pageScale[:2]
 	}
 	for i, ps := range pageScale {
 		r := rand.New(rand.NewSource(int64(i)))
-		base, mt := hvecBytes(3, ps.fileRun, ps.filePitch), hvecBytes(2, ps.memRun, ps.memPitch)
+		base := mustType(datatype.Resized(hvecBytes(3, ps.fileRun, ps.filePitch), 0, 3*ps.filePitch))
+		mt := hvecBytes(2, ps.memRun, ps.memPitch)
 		extra := r.Int63n(base.Size())
 		declined := [2]*datatype.Type{declinedType(t, base), declinedType(t, mt)}
+		sparse := ps.filePitch-ps.fileRun >= 2*storage.PageSize
 		for _, c := range cells {
 			if c.independent || c.P > 3 {
 				continue
 			}
 			st := cell(c, base, mt, declined, extra, Options{collBufSize: 20000 + r.Intn(20000)})
-			if direct := st.ownWrites() > 0 && st.ownReads() > 0; direct != (c.engine == Listless && !c.declined) {
+			if direct := st.ownWrites() > 0 && st.ownReads() > 0; direct != (sparse && c.engine == Listless && !c.declined) {
 				t.Fatalf("page-scale %d cell %s: direct windows: %v (%d writes, %d reads)", i, c, direct, st.ownWrites(), st.ownReads())
 			}
 		}

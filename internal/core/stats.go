@@ -19,8 +19,8 @@ type Stats struct {
 	// listless engine: this rank's encoded view, sent once per SetView.
 	ViewBytesSent int64
 	// SieveReads / SieveWrites count file windows processed: sieve
-	// windows of independent access, and the IOP windows of the
-	// collective loop, which a direct window is not.
+	// windows of independent access, and the IOP windows of a planned
+	// collective.
 	SieveReads, SieveWrites int64
 	// PreReadsSkipped counts collective write windows that were written
 	// without being read first, because the combined fileviews cover them.
@@ -29,13 +29,14 @@ type Stats struct {
 	// (File.moveOwn) hands the backend, with no window around them: the
 	// stretches of this rank's own view, runs that abut both in the file
 	// and in memory merged — one for a contiguous fileview — of an
-	// independent access the mover takes and of its shares of direct
-	// collective windows.
+	// independent access the mover takes and of its shares of the windows
+	// of a collective with no plan.
 	DirectReads, DirectWrites int64
 	// VectoredReads / VectoredWrites count the mover's ReadAtv/WriteAtv
 	// batches that carried those segments: one per chunk of an
 	// independent access (all of it, or a pack buffer's worth at a time),
-	// one per direct window this rank holds a share of.
+	// one per window of a collective with no plan this rank holds a share
+	// of.
 	VectoredReads, VectoredWrites int64
 	// ViewRegistrations counts fileviews registered with a
 	// view-capable backend (the remote I/O-server tier); ViewReads /

@@ -219,24 +219,25 @@ func TestFaultAgreementDelayedLink(t *testing.T) {
 }
 
 // TestCollectiveSendsTwoControlFrames: over TCP, a successful collective
-// whose windows are all direct (tcp16k's geometry, scaled down: runs
-// interleaved across the ranks, from memory with a hole after each) costs
-// each rank one frame to every peer per control exchange, every one a
-// counted message, so none of them is a barrier's.  On views whose runs
-// lie two pages apart or more (16 KiB runs on 4 KiB pages) SetView proved
-// them sparse, and the collective is the error vote alone: P-1 frames.  A
-// gap one byte short of two pages takes the plan as well: 2(P-1).
+// (tcp16k's geometry, scaled down: runs interleaved across the ranks, from
+// memory with a hole after each) costs each rank one frame to every peer
+// per exchange, every one a counted message, so none of them is a
+// barrier's.  On views whose runs lie two pages apart or more (16 KiB runs
+// on 4 KiB pages) SetView proved them sparse, and the collective is the
+// error vote alone: P-1 frames.  A gap one byte short of two pages takes
+// the plan, and its one window per IOP domain sends the peer's share as
+// one chunk: the plan, the chunk and the vote, 3(P-1).
 func TestCollectiveSendsTwoControlFrames(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	const n = 16
 	for _, c := range []struct {
 		P        int
 		run      int64 // = the pitch: the gap between a rank's runs is (P-1)·run
-		exchange int64 // control exchanges per collective
+		exchange int64 // exchanges per collective
 	}{
 		{2, 4 * storage.PageSize, 1},
 		{3, 4 * storage.PageSize, 1},
-		{2, 2*storage.PageSize - 1, 2},
+		{2, 2*storage.PageSize - 1, 3},
 	} {
 		P, run := c.P, c.run
 		var eps []transport.Transport
@@ -265,8 +266,8 @@ func TestCollectiveSendsTwoControlFrames(t *testing.T) {
 				eps[r.p.Rank()].Flush()
 				frames[r.p.Rank()][j] = eps[r.p.Rank()].Stats().FramesSent - f0
 				msgs[r.p.Rank()][j] = r.p.SentStats().Messages - m0
-				if r.f.Stats.SieveWrites+r.f.Stats.SieveReads != 0 {
-					panic(fmt.Sprintf("rank %d: %d IOP windows; want every window direct", r.p.Rank(), r.f.Stats.SieveWrites+r.f.Stats.SieveReads))
+				if windows := r.f.Stats.SieveWrites + r.f.Stats.SieveReads; (windows == 0) != (c.exchange == 1) {
+					panic(fmt.Sprintf("rank %d: %d IOP windows; want them exactly where the collective takes the plan", r.p.Rank(), windows))
 				}
 			}
 		})

@@ -524,8 +524,8 @@ func (w world) roundTrip(t testing.TB, a access) ran {
 }
 
 // keepsNoBuffer says what the handle still holds of an access that has
-// returned — a segment of its batch array, a held share or a kept buffer
-// that references a user or pooled buffer — or "" when nothing.
+// returned — a segment of its batch array or a kept buffer that
+// references a user or pooled buffer — or "" when nothing.
 func keepsNoBuffer(f *File) string {
 	for _, sg := range f.segs[:cap(f.segs)] {
 		if sg.Buf != nil {
@@ -536,9 +536,6 @@ func keepsNoBuffer(f *File) string {
 		if b != nil {
 			return fmt.Sprintf("the handle keeps %d buffers", len(f.kept))
 		}
-	}
-	if len(f.held) != 0 {
-		return fmt.Sprintf("the handle holds %d direct shares", len(f.held))
 	}
 	return ""
 }
