@@ -72,9 +72,13 @@ func (f *File) transferCollective(d0, d int64, memtype *datatype.Type, count int
 	acc := &collAccess{d0: d0, d: d, mem: f.eng.newMemState(memtype, count), buf: buf, write: write}
 	if move := f.eng.planFree(acc); move != nil {
 		// Every rank takes this branch from the same cached views, so the
-		// epoch ids stay in lockstep without a plan.
+		// epoch ids stay in lockstep without a plan.  Ranks in one process
+		// may share the mount, and with it the staging mode: the barrier
+		// keeps the epoch from beginning while a rank that has not yet
+		// joined still writes independently, which would stage.
 		var epochID uint64
 		if write && f.epochBE != nil {
+			f.p.Barrier()
 			epochID = f.epochBegin()
 		}
 		return f.settle(f.moveAlone(acc, move), epochID, d0)

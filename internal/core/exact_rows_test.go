@@ -128,8 +128,8 @@ var exactCells = []exactCell{
 	{name: "tier64", P: 2, geom: fig4Geom(65536, 64), collective: true, tier: true},
 	{name: "tierview", P: 2, geom: sparseGeom, tier: true, density: 0.25},
 	{name: "tcp16k-P4", P: 4, geom: fig4Geom(256, 16384), collective: true, tcp: true},
-	// tcp16k's geometry on the tier: the write keeps its plan, through
-	// which the ranks agree on its epoch, and every window is direct.
+	// tcp16k's geometry on the tier: the write takes no plan, and every
+	// rank begins its epoch behind a barrier and moves its own data.
 	{name: "tier16k", P: 2, geom: fig4Geom(256, 16384), collective: true, tier: true},
 }
 

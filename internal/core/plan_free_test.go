@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/datatype"
 	"repro/internal/fotf"
@@ -153,6 +156,91 @@ func TestPlanFreeReadMeetingDestination(t *testing.T) {
 			})
 			if got := plans(col, P); slices.Max(got) != 0 {
 				t.Errorf("P=%d tcp %v: the ranks made %v plans; want none", P, tcp, got)
+			}
+		}
+	}
+}
+
+// epochSignal closes began once an epoch has begun on the backend it
+// wraps.
+type epochSignal struct {
+	*storage.Faulty
+	once  sync.Once
+	began chan struct{}
+}
+
+func (b *epochSignal) EpochBegin(id uint64) {
+	b.Faulty.EpochBegin(id)
+	b.once.Do(func() { close(b.began) })
+}
+
+// TestPlanFreeEpochAfterLaggingWrite: the ranks of one process share the
+// mount, and its staging mode with it.  Rank 1 lags: it waits for an epoch
+// to begin (at most a moment), then writes and reads back a run of its
+// own independently, past the collective's data, before it joins a write
+// without a plan that fails in rank 0's last run.  Its write reads back,
+// and it is in the file after the collective is aborted, though rank 1
+// cleared its buffer as soon as the write returned: no epoch began before
+// rank 1 had joined, so nothing staged it.  On "tier" and "epoch-mem",
+// in-process and over TCP.
+func TestPlanFreeEpochAfterLaggingWrite(t *testing.T) {
+	const P, n = 2, 8
+	run := 4 * storage.PageSize
+	d := n * run // a rank's data, its views' first tile; the tile is 2d
+	for _, backend := range []string{"tier", "epoch-mem"} {
+		for _, tcp := range []bool{false, true} {
+			label := fmt.Sprintf("%s, tcp %v", backend, tcp)
+			var sig *epochSignal
+			w := world{P: P, tcp: tcp, backend: backend, checked: true, opts: Options{collBufSize: int(2 * run)},
+				wrap: func(b storage.Backend) storage.Backend {
+					sig = &epochSignal{Faulty: storage.NewFaulty(b), began: make(chan struct{})}
+					return sig
+				}}
+			bg := bytes.Repeat([]byte{background}, int(4*d))
+			own := pattern(7, run)
+			errs := make([]error, P)
+			var lagErr error
+			res := w.run(t, bg, func(r rank) {
+				disp, ft := stridedView(P, n, run, run)(r.p.Rank())
+				if err := r.f.SetView(disp, datatype.Byte, ft); err != nil {
+					panic(err)
+				}
+				if r.p.Rank() == 0 {
+					// A view request is addressed in data bytes, a batch in
+					// file bytes: either way the end of rank 0's last run.
+					if backend == "tier" {
+						sig.FailWriteRange(d-100, d)
+					} else {
+						sig.FailWriteRange(2*d-run-100, 2*d-run)
+					}
+				}
+				r.p.Barrier()
+				data := pattern(r.p.Rank()+1, d)
+				if r.p.Rank() == 1 {
+					select {
+					case <-sig.began:
+					case <-time.After(50 * time.Millisecond):
+					}
+					buf, got := bytes.Clone(own), make([]byte, run)
+					if _, err := r.f.WriteAt(d, run, datatype.Byte, buf); err != nil {
+						lagErr = err
+					}
+					clear(buf)
+					if _, err := r.f.ReadAt(d, run, datatype.Byte, got); err != nil || !bytes.Equal(got, own) {
+						lagErr = errors.Join(lagErr, err, errors.New("rank 1 does not read back its independent write"))
+					}
+				}
+				_, errs[r.p.Rank()] = r.f.WriteAtAll(0, d, datatype.Byte, data)
+			})
+			if lagErr != nil {
+				t.Errorf("%s: %v", label, lagErr)
+			}
+			requireAgreement(t, label, errs, 0, PhaseIOPWindow)
+			// Rank 1's first run of the second tile: file [2d+run, 2d+2run).
+			want := bytes.Clone(bg)
+			copy(want[2*d+run:], own)
+			if !bytes.Equal(res.file, want) {
+				t.Errorf("%s: the file lost rank 1's independent write, or the aborted collective reached it", label)
 			}
 		}
 	}

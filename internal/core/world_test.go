@@ -641,8 +641,8 @@ func (b *tier) close() {
 }
 
 // epochMem is a Mem with epochs that stage by reference, as the I/O-server
-// client does: a staged write keeps the caller's segments, not a copy, and
-// the commit applies them.
+// client does: inside an epoch every write stages, a staged write keeps the
+// caller's segments, not a copy, and the commit applies them.
 type epochMem struct {
 	*storage.Mem
 	mu     sync.Mutex
@@ -666,6 +666,13 @@ func (m *epochMem) WriteAtv(segs []storage.Segment) error {
 	}
 	m.staged = append(m.staged, segs...)
 	return nil
+}
+
+func (m *epochMem) WriteAt(p []byte, off int64) (int, error) {
+	if err := m.WriteAtv([]storage.Segment{{Off: off, Buf: p}}); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 func (m *epochMem) EpochSeal(uint64) error { return nil }
