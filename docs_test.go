@@ -951,3 +951,39 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsStructsAreCounters: every exported struct under internal/
+// whose name ends in Stats is what counter.Fields accepts, int64 fields
+// only, so that a field of another type fails here rather than as a panic
+// at the first snapshot of the struct.
+func TestStatsStructsAreCounters(t *testing.T) {
+	tree := loadTree(t)
+	n := 0
+	for _, sp := range tree.pkgs {
+		if !strings.HasPrefix(sp.dir, "internal/") {
+			continue
+		}
+		scope := sp.pkg.Scope()
+		for _, name := range scope.Names() {
+			obj, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !obj.Exported() || !strings.HasSuffix(name, "Stats") {
+				continue
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			n++
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); !types.Identical(f.Type(), types.Typ[types.Int64]) {
+					t.Errorf("%s: %s.%s.%s is %s; a Stats struct holds int64 counters only (counter.Fields)",
+						tree.fset.Position(f.Pos()), sp.pkg.Name(), name, f.Name(), f.Type())
+				}
+			}
+		}
+	}
+	t.Logf("%d Stats structs", n)
+	if n == 0 {
+		t.Fatal("found no Stats struct under internal/")
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/counter"
 	"repro/internal/datatype"
 	"repro/internal/ioserver"
 	"repro/internal/storage"
@@ -472,7 +473,8 @@ func TestDirectWindowsMoveNoData(t *testing.T) {
 									s1 := r.p.SentStats()
 									mu.Lock()
 									op := &ops[2*i+j]
-									op.st, op.msgs, op.by = op.st.add(r.f.Stats.Sub(st0)), op.msgs+s1.Messages-s0.Messages, op.by+s1.Bytes-s0.Bytes
+									counter.Add(&op.st, r.f.Stats.Sub(st0))
+									op.msgs, op.by = op.msgs+s1.Messages-s0.Messages, op.by+s1.Bytes-s0.Bytes
 									mu.Unlock()
 								}
 								r.p.Barrier()

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/counter"
 	"repro/internal/datatype"
 	"repro/internal/ioserver"
 	"repro/internal/mpi"
@@ -231,18 +232,10 @@ func (c exactCell) rows(t *testing.T) []string {
 		s.core[p.Rank()], s.mpi[p.Rank()] = f.Stats, p.SentStats()
 		if p.Rank() == 0 {
 			for _, in := range insts {
-				st := in.Stats()
-				s.store.Reads += st.Reads
-				s.store.Writes += st.Writes
-				s.store.BytesRead += st.BytesRead
-				s.store.BytesWritten += st.BytesWritten
+				counter.Add(&s.store, in.Stats())
 			}
 			for _, srv := range servers {
-				st := srv.Stats()
-				s.srv.Requests += st.Requests
-				s.srv.StagedWrites += st.StagedWrites
-				s.srv.EpochsCommitted += st.EpochsCommitted
-				s.srv.JournalFsyncs += st.JournalFsyncs
+				counter.Add(&s.srv, srv.Stats())
 			}
 			if mount != nil {
 				s.trips = mount.Rounds()

@@ -114,7 +114,7 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 			// Another rank's window may hold these bytes: lock across
 			// the read-modify-write so no update between its read and
 			// its write-back is lost.
-			unlock := f.sh.locks.Lock(winLo, winHi)
+			f.sh.locks.Lock(winLo, winHi)
 			var err error
 			if n != winHi-winLo {
 				// Read-modify-write: fill the gaps from the file.
@@ -128,7 +128,7 @@ func (f *File) transferIndependent(d0, d int64, memtype *datatype.Type, count in
 				_, err = f.sh.b.WriteAt(w, winLo)
 				f.Stats.StorageNs += wsp.End()
 			}
-			unlock()
+			f.sh.locks.Unlock(winLo, winHi)
 			ssp.End()
 			if err != nil {
 				return err
@@ -302,7 +302,12 @@ func (f *File) moveOwn(vc viewCursor, acc *collAccess, a, b int64, inPlace bool,
 		err = f.viewBE.ViewRead(f.viewHandle, data, a)
 		f.Stats.ViewReads++
 	case acc.write:
+		// Another rank's sieve window may hold these bytes: hold their
+		// span, so that no read-modify-write in flight undoes them.
+		lo, hi := storage.SegsSpan(segs)
+		f.sh.locks.Lock(lo, hi)
 		err = f.sh.b.WriteAtv(segs)
+		f.sh.locks.Unlock(lo, hi)
 		f.Stats.VectoredWrites++
 		f.Stats.DirectWrites += int64(len(segs))
 	default:

@@ -245,3 +245,66 @@ func TestPlanFreeEpochAfterLaggingWrite(t *testing.T) {
 		}
 	}
 }
+
+// heldRead holds its first read past its return, for hold: a sieve
+// window's read-modify-write that stays open that long.
+type heldRead struct {
+	storage.Backend
+	once    sync.Once
+	reading chan struct{} // closed once the first read has read
+	hold    time.Duration
+}
+
+func (b *heldRead) ReadAt(p []byte, off int64) (int, error) {
+	n, err := b.Backend.ReadAt(p, off)
+	b.once.Do(func() {
+		close(b.reading)
+		time.Sleep(b.hold)
+	})
+	return n, err
+}
+
+// TestPlanFreeWriteBesideLaggingSieve: rank 1 lags in an independent
+// write whose sieve windows span rank 0's runs, and holds its first
+// window open, while rank 0 enters a write without a plan on a backend
+// with no epochs, so that nothing waits for rank 1 to join.  The owner
+// mover holds the span of its batch in the lock table the sieve writes
+// hold, so rank 0's runs land after the window's write-back and not under
+// it: both ranks' bytes are in the file.
+func TestPlanFreeWriteBesideLaggingSieve(t *testing.T) {
+	const P, tiles = 2, 8
+	g := 2 * storage.PageSize
+	var held *heldRead
+	w := world{P: P, opts: Options{sieveBufSize: int(2 * P * g)}, wrap: func(b storage.Backend) storage.Backend {
+		held = &heldRead{Backend: b, reading: make(chan struct{}), hold: 20 * time.Millisecond}
+		return held
+	}}
+	bg := bytes.Repeat([]byte{background}, int(P*g*tiles))
+	res := w.run(t, bg, func(r rank) {
+		rk := int64(r.p.Rank())
+		col := mustType(datatype.Hindexed([]int64{g}, []int64{rk * g}, datatype.Byte))
+		if err := r.f.SetView(0, datatype.Byte, mustType(datatype.Resized(col, 0, P*g))); err != nil {
+			panic(err)
+		}
+		data := bytes.Repeat([]byte{byte(0x11 * (rk + 1))}, int(g*tiles))
+		if rk == 1 {
+			if _, err := r.f.WriteAt(0, int64(len(data)), datatype.Byte, data); err != nil {
+				panic(err)
+			}
+			data = nil
+		} else {
+			<-held.reading
+		}
+		if _, err := r.f.WriteAtAll(0, int64(len(data)), datatype.Byte, data); err != nil {
+			panic(err)
+		}
+	})
+	for at := range bg {
+		if want := byte(0x11 * (int64(at)/g%P + 1)); res.file[at] != want {
+			t.Fatalf("file byte %d is %#x, want %#x", at, res.file[at], want)
+		}
+	}
+	if res.stats.DirectWrites == 0 {
+		t.Fatal("rank 0's collective took the plan")
+	}
+}

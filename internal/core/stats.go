@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/counter"
 )
 
 // Stats counts the work a file handle performed, separating the
@@ -79,38 +81,8 @@ type Stats struct {
 // phase of interest: take one before, one after, and Sub them.
 func (s *Stats) Snapshot() Stats { return *s }
 
-// Sub returns the counter deltas since an earlier snapshot, field by
-// field (TestStatsSubCoversEveryField fails on a field left out).
-func (s Stats) Sub(prev Stats) Stats {
-	return Stats{
-		ListTuples:        s.ListTuples - prev.ListTuples,
-		ListBytesSent:     s.ListBytesSent - prev.ListBytesSent,
-		ViewBytesSent:     s.ViewBytesSent - prev.ViewBytesSent,
-		SieveReads:        s.SieveReads - prev.SieveReads,
-		SieveWrites:       s.SieveWrites - prev.SieveWrites,
-		PreReadsSkipped:   s.PreReadsSkipped - prev.PreReadsSkipped,
-		DirectReads:       s.DirectReads - prev.DirectReads,
-		DirectWrites:      s.DirectWrites - prev.DirectWrites,
-		VectoredReads:     s.VectoredReads - prev.VectoredReads,
-		VectoredWrites:    s.VectoredWrites - prev.VectoredWrites,
-		ViewRegistrations: s.ViewRegistrations - prev.ViewRegistrations,
-		ViewReads:         s.ViewReads - prev.ViewReads,
-		ViewWrites:        s.ViewWrites - prev.ViewWrites,
-		BytesRead:         s.BytesRead - prev.BytesRead,
-		BytesWritten:      s.BytesWritten - prev.BytesWritten,
-		CollectiveReads:   s.CollectiveReads - prev.CollectiveReads,
-		CollectiveWrites:  s.CollectiveWrites - prev.CollectiveWrites,
-		ExchangeNs:        s.ExchangeNs - prev.ExchangeNs,
-		StorageNs:         s.StorageNs - prev.StorageNs,
-		CopyNs:            s.CopyNs - prev.CopyNs,
-		WindowsOverlapped: s.WindowsOverlapped - prev.WindowsOverlapped,
-		EpochsCommitted:   s.EpochsCommitted - prev.EpochsCommitted,
-		EpochRetries:      s.EpochRetries - prev.EpochRetries,
-		EpochAborts:       s.EpochAborts - prev.EpochAborts,
-		ProgramCompiles:   s.ProgramCompiles - prev.ProgramCompiles,
-		ProgramCacheHits:  s.ProgramCacheHits - prev.ProgramCacheHits,
-	}
-}
+// Sub returns the counter deltas since an earlier snapshot.
+func (s Stats) Sub(prev Stats) Stats { return counter.Sub(s, prev) }
 
 // String renders the counters as a stable multi-line phase breakdown,
 // one indented line per counter group; zero-valued groups are elided so

@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/counter"
 	"repro/internal/datatype"
 	"repro/internal/ioserver"
 	"repro/internal/mpi"
@@ -386,7 +386,7 @@ func (w world) run(t testing.TB, bg []byte, body func(r rank)) ran {
 	}
 	res.comm, res.file = comm, flattenBackend(t, store)
 	for _, s := range res.perRank {
-		res.stats = res.stats.add(s)
+		counter.Add(&res.stats, s)
 	}
 	if inst != nil {
 		res.inst = inst.Stats()
@@ -397,15 +397,6 @@ func (w world) run(t testing.TB, bg []byte, body func(r rank)) ran {
 		}
 	}
 	return res
-}
-
-// add is s plus o, field by field.
-func (s Stats) add(o Stats) Stats {
-	a, b := reflect.ValueOf(&s).Elem(), reflect.ValueOf(o)
-	for i := 0; i < a.NumField(); i++ {
-		a.Field(i).SetInt(a.Field(i).Int() + b.Field(i).Int())
-	}
-	return s
 }
 
 // ownWrites and ownReads count the owner mover's backend calls, on any of

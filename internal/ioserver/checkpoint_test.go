@@ -230,7 +230,7 @@ func TestCommitIsOneJournalSync(t *testing.T) {
 	if n := r.srv.journal.Fsyncs() - fsyncs; n != 3 {
 		t.Errorf("three commits synced the journal %d times, want 3", n)
 	}
-	if n := r.srv.checkpoints.Load(); n != 0 {
+	if n := r.srv.Stats().Checkpoints; n != 0 {
 		t.Errorf("%d checkpoints below the live-bytes bound, want 0", n)
 	}
 	if info := r.crashed(want); info.AppliedEpochs != 3 || info.LastCommitted != 9 {
@@ -315,7 +315,7 @@ func TestDirectMutationCheckpoints(t *testing.T) {
 				if _, err := r.st.dispatch(opRegister, append(putV(nil, 0), datatype.Encode(ft)...)); !errors.Is(err, errBadRequest) {
 					t.Fatalf("registering %v answers %v, want a bad request", ft, err)
 				}
-				if n := r.srv.checkpoints.Load(); n != 0 || len(r.log) != 0 {
+				if n := r.srv.Stats().Checkpoints; n != 0 || len(r.log) != 0 {
 					t.Fatalf("a refused view checkpointed %d times and reached for %q", n, r.log)
 				}
 				r.crashed(tc.want)
@@ -323,7 +323,7 @@ func TestDirectMutationCheckpoints(t *testing.T) {
 			}
 			body := tc.body(r)
 			r.do(tc.op, body)
-			if n := r.srv.checkpoints.Load(); n != 1 {
+			if n := r.srv.Stats().Checkpoints; n != 1 {
 				t.Fatalf("%d checkpoints ahead of the mutation, want 1", n)
 			}
 			if got := r.read(8); got != tc.want {
@@ -383,7 +383,7 @@ func TestCheckpointOrder(t *testing.T) {
 			r.log = nil
 			tc.force(r)
 			r.before("stripe sync", "journal write@0")
-			if n := r.srv.checkpoints.Load(); n != 1 {
+			if n := r.srv.Stats().Checkpoints; n != 1 {
 				t.Errorf("%d checkpoints, want 1", n)
 			}
 			// The mid-checkpoint instants: the stripe as synced, under the
@@ -463,14 +463,13 @@ func TestCheckpointObservability(t *testing.T) {
 	r.stage(7, 0, "AAAA")
 	r.commit(7)
 	live, st := r.srv.journal.Live(), r.srv.Stats()
-	if live == 0 || r.srv.checkpoints.Load() != 0 || st.EpochsCommitted != 1 || st.JournalFsyncs != 1 {
-		t.Fatalf("after a commit: %d live bytes, %d checkpoints, stats %s", live, r.srv.checkpoints.Load(), st)
+	if live == 0 || st.Checkpoints != 0 || st.EpochsCommitted != 1 || st.JournalFsyncs != 1 {
+		t.Fatalf("after a commit: %d live bytes, stats %s", live, st)
 	}
 	r.do(opSync, nil)
 	r.do(opSync, nil) // an empty journal: a stripe sync, not a checkpoint
-	if st = r.srv.Stats(); r.srv.journal.Live() != 0 || r.srv.checkpoints.Load() != 1 || st.JournalFsyncs != 2 {
-		t.Errorf("after the checkpoint: %d live bytes, %d checkpoints, stats %s",
-			r.srv.journal.Live(), r.srv.checkpoints.Load(), st)
+	if st = r.srv.Stats(); r.srv.journal.Live() != 0 || st.Checkpoints != 1 || st.JournalFsyncs != 2 {
+		t.Errorf("after the checkpoint: %d live bytes, stats %s", r.srv.journal.Live(), st)
 	}
 	var spans []string
 	var commit, jsync trace.Event

@@ -216,7 +216,7 @@ func TestFrameOwnership(t *testing.T) {
 		if err := other.Sync(); err != nil { // a checkpoint re-journals the staged epoch
 			t.Fatal(err)
 		}
-		if n := srv.checkpoints.Load(); n != 1 {
+		if n := srv.Stats().Checkpoints; n != 1 {
 			t.Fatalf("%d checkpoints, want 1", n)
 		}
 		commit(t, c, 1)

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/counter"
 	"repro/internal/storage"
 	"repro/internal/transport"
 )
@@ -274,7 +275,8 @@ func getEpoch(buf []byte) (uint64, []byte, error) {
 }
 
 // ServerStats are one server's request counters, fetched with opStats
-// and also reported locally by Server.Stats.
+// and also reported locally by Server.Stats.  The stats record is the
+// fields in declaration order (counter.Fields).
 type ServerStats struct {
 	Requests          int64 // requests handled, all ops
 	RawReads          int64 // opReadv requests served
@@ -294,31 +296,9 @@ type ServerStats struct {
 	EpochsRecovered   int64 // committed epochs re-applied by journal recovery at start
 	EpochsDiscarded   int64 // staged-but-uncommitted epochs discarded by recovery
 	TornTails         int64 // torn journal tails truncated by recovery
-}
-
-// serverCounters is every use of ServerStats but the struct itself, in
-// the order of the stats record: the server's live store and its
-// snapshot, the sum across servers and the wire record are loops over
-// it.
-var serverCounters = [...]func(*ServerStats) *int64{
-	func(st *ServerStats) *int64 { return &st.Requests },
-	func(st *ServerStats) *int64 { return &st.RawReads },
-	func(st *ServerStats) *int64 { return &st.RawWrites },
-	func(st *ServerStats) *int64 { return &st.ViewReads },
-	func(st *ServerStats) *int64 { return &st.ViewWrites },
-	func(st *ServerStats) *int64 { return &st.ViewRegistrations },
-	func(st *ServerStats) *int64 { return &st.ViewCacheHits },
-	func(st *ServerStats) *int64 { return &st.StaleHandles },
-	func(st *ServerStats) *int64 { return &st.BytesRead },
-	func(st *ServerStats) *int64 { return &st.BytesWritten },
-	func(st *ServerStats) *int64 { return &st.StagedWrites },
-	func(st *ServerStats) *int64 { return &st.EpochsCommitted },
-	func(st *ServerStats) *int64 { return &st.EpochsSealed },
-	func(st *ServerStats) *int64 { return &st.EpochsAborted },
-	func(st *ServerStats) *int64 { return &st.JournalFsyncs },
-	func(st *ServerStats) *int64 { return &st.EpochsRecovered },
-	func(st *ServerStats) *int64 { return &st.EpochsDiscarded },
-	func(st *ServerStats) *int64 { return &st.TornTails },
+	SieveWindows      int64 // sieve windows read, and for a write written back, in place of vectored calls
+	SieveBytes        int64 // bytes those windows moved, a written-back window's twice
+	Checkpoints       int64 // checkpoints that synced the stripe and reset a non-empty journal
 }
 
 // String lists the counters by field name.
@@ -327,24 +307,18 @@ func (st ServerStats) String() string {
 	return fmt.Sprintf("%+v", fields(st))
 }
 
-// add accumulates other into st, for aggregating across servers.
-func (st *ServerStats) add(other ServerStats) {
-	for _, field := range serverCounters {
-		*field(st) += *field(&other)
-	}
-}
-
-// encode appends the stats record: the counters in table order.
+// encode appends the stats record.
 func (st ServerStats) encode(buf []byte) []byte {
-	for _, field := range serverCounters {
-		buf = putV(buf, *field(&st))
+	for _, v := range counter.Fields(&st) {
+		buf = putV(buf, v)
 	}
 	return buf
 }
 
 func decodeStats(buf []byte) (st ServerStats, err error) {
-	for _, field := range serverCounters {
-		if *field(&st), buf, err = getV(buf); err != nil {
+	fs := counter.Fields(&st)
+	for i := range fs {
+		if fs[i], buf, err = getV(buf); err != nil {
 			return ServerStats{}, err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/counter"
 	"repro/internal/storage"
 )
 
@@ -52,8 +53,9 @@ func TestWireShapes(t *testing.T) {
 	lim := srv.lim
 	segs := []storage.Segment{{Off: 0, Buf: make([]byte, 3)}, {Off: 1 << 40, Buf: make([]byte, 300)}, {Off: 77, Buf: nil}}
 	stats := ServerStats{}
-	for i, field := range serverCounters {
-		*field(&stats) = int64(i+1) << (3 * i)
+	fs := counter.Fields(&stats)
+	for i := range fs {
+		fs[i] = int64(i+1) << (3 * i)
 	}
 	for _, shape := range []struct {
 		name   string

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/counter"
 	"repro/internal/datatype"
 	"repro/internal/fotf"
 	"repro/internal/storage"
@@ -57,12 +58,8 @@ type Config struct {
 type Server struct {
 	// stats is the live store of ServerStats' counters, written and read
 	// through sync/atomic only (Stats snapshots it) and therefore first:
-	// 64-bit aligned on every platform.  The three below it are what the
-	// tests observe of the sieve and the checkpoints; the stats record
-	// has no place for them.
-	stats                    ServerStats
-	sieveWindows, sieveBytes atomic.Int64
-	checkpoints              atomic.Int64
+	// 64-bit aligned on every platform.
+	stats ServerStats
 
 	cfg         Config
 	snd         storage.Sender // cfg.Backend's send extension, nil when it has none
@@ -227,10 +224,7 @@ func (s *Server) Close() error {
 // starts), so a restarted server's stats carry its crash history; the
 // journal counts its own syncs.
 func (s *Server) Stats() ServerStats {
-	var st ServerStats
-	for _, field := range serverCounters {
-		*field(&st) = atomic.LoadInt64(field(&s.stats))
-	}
+	st := counter.Load(&s.stats)
 	st.JournalFsyncs = s.journal.Fsyncs()
 	return st
 }
@@ -482,7 +476,8 @@ func (st *connState) opTruncate(_ uint64, body []byte) ([]byte, error) {
 	}
 	// A sieve window beyond n must not write back what it read before
 	// the cut.
-	defer st.srv.locks.Lock(n, math.MaxInt64)()
+	st.srv.locks.Lock(n, math.MaxInt64)
+	defer st.srv.locks.Unlock(n, math.MaxInt64)
 	return nil, st.srv.cfg.Backend.Truncate(n)
 }
 

@@ -97,7 +97,7 @@ func (s *Server) checkpoint() error {
 		return err
 	}
 	s.journaled.Store(0)
-	s.checkpoints.Add(1)
+	atomic.AddInt64(&s.stats.Checkpoints, 1)
 	for epoch, e := range s.staged {
 		if err := s.journal.AppendStages(epoch, e.segs); err != nil {
 			return err

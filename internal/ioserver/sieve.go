@@ -1,6 +1,8 @@
 package ioserver
 
 import (
+	"sync/atomic"
+
 	"repro/internal/fotf"
 	"repro/internal/pool"
 	"repro/internal/storage"
@@ -36,18 +38,19 @@ func (s *Server) sieve(lo, hi, useful int64, write bool, move func(win []byte)) 
 	win := pool.Global.Get(int(hi - lo))
 	defer pool.Global.Put(win)
 	if write {
-		defer s.locks.Lock(lo, hi)()
+		s.locks.Lock(lo, hi)
+		defer s.locks.Unlock(lo, hi)
 	}
 	if err := storage.ReadFull(s.cfg.Backend, win, lo); err != nil {
 		return err
 	}
 	move(win)
-	s.sieveWindows.Add(1)
-	s.sieveBytes.Add(hi - lo)
+	atomic.AddInt64(&s.stats.SieveWindows, 1)
+	atomic.AddInt64(&s.stats.SieveBytes, hi-lo)
 	if !write {
 		return nil
 	}
-	s.sieveBytes.Add(hi - lo)
+	atomic.AddInt64(&s.stats.SieveBytes, hi-lo)
 	_, err := s.cfg.Backend.WriteAt(win, lo)
 	return err
 }
@@ -61,7 +64,9 @@ func (s *Server) vectored(segs []storage.Segment, write bool) error {
 	if !write {
 		return s.cfg.Backend.ReadAtv(segs)
 	}
-	defer s.locks.Lock(storage.SegsSpan(segs))()
+	lo, hi := storage.SegsSpan(segs)
+	s.locks.Lock(lo, hi)
+	defer s.locks.Unlock(lo, hi)
 	return s.cfg.Backend.WriteAtv(segs)
 }
 

@@ -338,7 +338,7 @@ func TestSieveRule(t *testing.T) {
 			if _, err := st.dispatch(opStageViewWrite, req); err != nil {
 				return err
 			}
-			if n := st.srv.sieveWindows.Load(); n != 0 {
+			if n := st.srv.Stats().SieveWindows; n != 0 {
 				return fmt.Errorf("staging moved %d windows", n)
 			}
 			return st.srv.commitEpoch(1, st.srv.incarnation)
@@ -360,7 +360,7 @@ func TestSieveRule(t *testing.T) {
 		if err := c.run(localConn(srv)); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := srv.sieveWindows.Load() > 0; got != c.sieves {
+		if got := srv.Stats().SieveWindows > 0; got != c.sieves {
 			t.Errorf("%s: sieved = %v, want %v", c.name, got, c.sieves)
 		}
 	}
@@ -384,8 +384,8 @@ func TestSieveObservability(t *testing.T) {
 	// A window runs from its first run to the end of its last, and a
 	// write both reads and writes it.
 	traffic := int64(2 * 4 * (255<<10 + 8))
-	if w, b := srv.sieveWindows.Load(), srv.sieveBytes.Load(); w != 4 || b != traffic {
-		t.Fatalf("the server counts %d windows and %d bytes, want 4 and %d", w, b, traffic)
+	if st := srv.Stats(); st.SieveWindows != 4 || st.SieveBytes != traffic {
+		t.Fatalf("the server counts %d windows and %d bytes, want 4 and %d", st.SieveWindows, st.SieveBytes, traffic)
 	}
 	if st := srv.Stats(); st.ViewWrites != 1 || st.BytesWritten != 8192 {
 		t.Fatalf("stats %s after one 8 KiB view write", st)
@@ -568,7 +568,7 @@ func TestSieveConcurrentWriters(t *testing.T) {
 	if !bytes.Equal(memBytes(mem), want[:end]) {
 		t.Fatal("final stripe differs from the oracle")
 	}
-	if srv.sieveWindows.Load() == 0 {
+	if srv.Stats().SieveWindows == 0 {
 		t.Fatal("no request took the sieve path")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/counter"
 	"repro/internal/datatype"
 	"repro/internal/storage"
 )
@@ -73,7 +74,7 @@ func (s *Striped) ServerStats() (ServerStats, error) {
 		if err != nil {
 			return total, err
 		}
-		total.add(st)
+		counter.Add(&total, st)
 	}
 	return total, nil
 }

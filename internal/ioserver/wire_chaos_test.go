@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/counter"
 	"repro/internal/datatype"
 	"repro/internal/mpi"
 	"repro/internal/storage"
@@ -166,10 +167,9 @@ func wireChaosRun(t *testing.T, eng core.Engine, storm krStorm) {
 	if want := memBytes(oracle); !bytes.Equal(got, want) {
 		t.Fatalf("chaos run differs from oracle (%d vs %d bytes)", len(got), len(want))
 	}
-	t.Logf("wire faults injected: %d spikes, %d drops, %d dups, %d corrupts, %d resets, %d partitions",
-		stats.Spikes.Load(), stats.Drops.Load(), stats.Dups.Load(),
-		stats.Corrupts.Load(), stats.Resets.Load(), stats.Partitions.Load())
-	if stats.Drops.Load()+stats.Dups.Load()+stats.Corrupts.Load()+stats.Resets.Load()+stats.Partitions.Load() == 0 {
+	st := counter.Load(stats)
+	t.Logf("wire faults injected: %+v", st)
+	if st.Drops+st.Dups+st.Corrupts+st.Resets+st.Partitions == 0 {
 		t.Error("soak injected no destructive wire faults; raise rounds or probabilities")
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/counter"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -58,18 +59,6 @@ type Stats struct {
 	// local process's endpoint.
 	WireBytesSent int64
 	WireBytesRecv int64
-}
-
-// add adds o to s, field by field.
-func (s *Stats) add(o Stats) {
-	s.Messages += o.Messages
-	s.Bytes += o.Bytes
-	s.Received += o.Received
-	s.BytesReceived += o.BytesReceived
-	s.RecvWaitNs += o.RecvWaitNs
-	s.Refs += o.Refs
-	s.WireBytesSent += o.WireBytesSent
-	s.WireBytesRecv += o.WireBytesRecv
 }
 
 type errAborted struct{}
@@ -168,12 +157,9 @@ type Proc struct {
 	ep   transport.Transport
 	tr   *trace.Tracer
 
-	sentMsgs   int64
-	sentBytes  int64
-	sentRefs   int64
-	recvMsgs   int64
-	recvBytes  int64
-	recvWaitNs int64
+	// st counts the traffic, all but the wire volumes, which the endpoint
+	// keeps.
+	st Stats
 }
 
 // Rank reports this process's rank in [0, Size()).
@@ -185,13 +171,9 @@ func (p *Proc) Size() int { return p.w.size }
 // SentStats reports this process's cumulative communication volume
 // (both sides; the name predates the receive-side counters).
 func (p *Proc) SentStats() Stats {
-	ws := p.ep.Stats()
-	return Stats{
-		Messages: p.sentMsgs, Bytes: p.sentBytes,
-		Received: p.recvMsgs, BytesReceived: p.recvBytes,
-		RecvWaitNs: p.recvWaitNs, Refs: p.sentRefs,
-		WireBytesSent: ws.BytesSent, WireBytesRecv: ws.BytesRecv,
-	}
+	st, ws := p.st, p.ep.Stats()
+	st.WireBytesSent, st.WireBytesRecv = ws.BytesSent, ws.BytesRecv
+	return st
 }
 
 // Wired reports whether the world's ranks exchange over a wire, where
@@ -369,7 +351,7 @@ func (w *world) run(opts RunOptions, fn func(p *Proc)) (Stats, error) {
 	}
 	var st Stats
 	for _, p := range procs {
-		st.add(p.SentStats())
+		counter.Add(&st, p.SentStats())
 	}
 	if w.wired {
 		for _, ep := range w.eps {
@@ -561,7 +543,7 @@ func (p *Proc) SendNoCopy(dst, tag int, data []byte) {
 // Stats.Refs.
 func (p *Proc) SendRef(dst, tag int, ref any) {
 	p.sending(dst, 0)
-	p.sentRefs++
+	p.st.Refs++
 	if err := p.ep.SendRef(dst, tag, ref); err != nil {
 		p.transportFail(err)
 	}
@@ -572,8 +554,8 @@ func (p *Proc) sending(dst int, n int64) {
 	if dst < 0 || dst >= p.w.size {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
-	p.sentMsgs++
-	p.sentBytes += n
+	p.st.Messages++
+	p.st.Bytes += n
 	if p.w.watch {
 		p.w.progress.Add(1)
 	}
@@ -610,15 +592,15 @@ func (p *Proc) recv(src, tag int) transport.Message {
 	}
 	n := int64(len(m.Data))
 	ns := sp.EndBytes(n)
-	p.recvWaitNs += ns
+	p.st.RecvWaitNs += ns
 	p.received(1, n)
 	return m
 }
 
 // received accounts msgs consumed messages of the given payload bytes.
 func (p *Proc) received(msgs, bytes int64) {
-	p.recvMsgs += msgs
-	p.recvBytes += bytes
+	p.st.Received += msgs
+	p.st.BytesReceived += bytes
 }
 
 // DrainTag removes every queued message with the given tag (from any

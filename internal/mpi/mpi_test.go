@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/counter"
 	"repro/internal/transport"
 )
 
@@ -367,7 +368,7 @@ func TestSendRefAccounting(t *testing.T) {
 		}
 		var sum Stats
 		for _, p := range procs {
-			sum.add(p.SentStats())
+			counter.Add(&sum, p.SentStats())
 		}
 		if sum != stats || tcp != (stats.WireBytesSent > 0) || tcp != (stats.WireBytesRecv > 0) {
 			t.Errorf("tcp=%v: world stats %+v, the ranks' sum %+v", tcp, stats, sum)

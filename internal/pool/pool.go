@@ -17,6 +17,8 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/counter"
 )
 
 // Size classes are powers of two from 512 B to 16 MiB, covering the
@@ -48,14 +50,15 @@ type Stats struct {
 // Pool is a sync.Pool-backed buffer pool with power-of-two size
 // classes.  The zero value is ready to use.  Safe for concurrent use.
 type Pool struct {
+	// st is the only store of the counters, written atomically, hence
+	// first: 64-bit aligned everywhere (package counter).
+	st Stats
+
 	classes [numClasses]sync.Pool // holds *[]byte of cap 1<<(minClassBits+i)
 	// hdrs recycles the *[]byte header boxes themselves so that a warm
 	// Get/Put cycle performs zero allocations: storing a bare []byte in
 	// a sync.Pool would box a fresh slice header on every Put.
 	hdrs sync.Pool
-
-	gets, hits, misses, oversize atomic.Int64
-	puts, putDropped, bytesAlloc atomic.Int64
 
 	// checked, when non-nil, holds the misuse-detector state (see
 	// NewChecked in checked.go).
@@ -92,25 +95,25 @@ func (p *Pool) Get(n int) []byte {
 	if n <= 0 {
 		return nil
 	}
-	p.gets.Add(1)
+	atomic.AddInt64(&p.st.Gets, 1)
 	c := classFor(n)
 	if c < 0 {
-		p.oversize.Add(1)
-		p.bytesAlloc.Add(int64(n))
+		atomic.AddInt64(&p.st.Oversize, 1)
+		atomic.AddInt64(&p.st.BytesAlloc, int64(n))
 		return make([]byte, n)
 	}
 	if hp, _ := p.classes[c].Get().(*[]byte); hp != nil {
 		buf := (*hp)[:n]
 		*hp = nil
 		p.hdrs.Put(hp)
-		p.hits.Add(1)
+		atomic.AddInt64(&p.st.Hits, 1)
 		if p.checked != nil {
 			p.checked.onGet(buf)
 		}
 		return buf
 	}
-	p.misses.Add(1)
-	p.bytesAlloc.Add(int64(classSize(c)))
+	atomic.AddInt64(&p.st.Misses, 1)
+	atomic.AddInt64(&p.st.BytesAlloc, int64(classSize(c)))
 	return make([]byte, classSize(c))[:n]
 }
 
@@ -122,7 +125,7 @@ func (p *Pool) Get(n int) []byte {
 func (p *Pool) Put(buf []byte) {
 	if cap(buf) < MinBuf {
 		if buf != nil {
-			p.putDropped.Add(1)
+			atomic.AddInt64(&p.st.PutDropped, 1)
 		}
 		return
 	}
@@ -141,18 +144,8 @@ func (p *Pool) Put(buf []byte) {
 	}
 	*hp = buf[:classSize(c)]
 	p.classes[c].Put(hp)
-	p.puts.Add(1)
+	atomic.AddInt64(&p.st.Puts, 1)
 }
 
 // Stats returns a snapshot of the pool's counters.
-func (p *Pool) Stats() Stats {
-	return Stats{
-		Gets:       p.gets.Load(),
-		Hits:       p.hits.Load(),
-		Misses:     p.misses.Load(),
-		Oversize:   p.oversize.Load(),
-		Puts:       p.puts.Load(),
-		PutDropped: p.putDropped.Load(),
-		BytesAlloc: p.bytesAlloc.Load(),
-	}
-}
+func (p *Pool) Stats() Stats { return counter.Load(&p.st) }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/counter"
 	"repro/internal/trace"
 )
 
@@ -63,6 +64,9 @@ type ChaosStats struct {
 // draw order (and therefore the schedule) depends on operation
 // interleaving, so reproducibility is per-(seed, interleaving).
 type Chaos struct {
+	// st is the only store of the counters, written atomically, hence
+	// first: 64-bit aligned everywhere (package counter).
+	st ChaosStats
 	layer
 	cfg ChaosConfig
 	tr  *trace.Tracer // optional fault-instant recording (see SetTracer)
@@ -71,10 +75,6 @@ type Chaos struct {
 	rng *rand.Rand
 
 	sleep func(time.Duration) // test seam
-
-	transients, permanents atomic.Int64
-	shortReads, tornWrites atomic.Int64
-	latencySpikes          atomic.Int64
 }
 
 // NewChaos wraps b with fault injection drawn from a PRNG seeded with
@@ -93,15 +93,7 @@ func NewChaos(seed int64, b Backend, cfg ChaosConfig) *Chaos {
 }
 
 // Stats returns a snapshot of the injection counters.
-func (c *Chaos) Stats() ChaosStats {
-	return ChaosStats{
-		Transients:    c.transients.Load(),
-		Permanents:    c.permanents.Load(),
-		ShortReads:    c.shortReads.Load(),
-		TornWrites:    c.tornWrites.Load(),
-		LatencySpikes: c.latencySpikes.Load(),
-	}
-}
+func (c *Chaos) Stats() ChaosStats { return counter.Load(&c.st) }
 
 // hit draws one Bernoulli trial with probability p.
 func (c *Chaos) hit(p float64) bool {
@@ -126,7 +118,7 @@ func (c *Chaos) maybeSpike(off int64) {
 	if !c.hit(c.cfg.LatencySpike) {
 		return
 	}
-	c.latencySpikes.Add(1)
+	atomic.AddInt64(&c.st.LatencySpikes, 1)
 	c.mu.Lock()
 	d := time.Duration(c.rng.Int63n(int64(c.cfg.MaxLatency)))
 	c.mu.Unlock()
@@ -144,16 +136,16 @@ func (c *Chaos) intercept(o op, next *layer) result {
 	var (
 		dir, partial      string
 		perm, trans, part float64
-		parts             *atomic.Int64
+		parts             *int64
 		partPhase         trace.Phase
 	)
 	switch o.kind.dir() {
 	case dirRead:
 		dir, perm, trans = "read", c.cfg.permanentRead, c.cfg.TransientRead
-		partial, part, parts, partPhase = "short read", c.cfg.ShortRead, &c.shortReads, trace.PhaseChaosShortRead
+		partial, part, parts, partPhase = "short read", c.cfg.ShortRead, &c.st.ShortReads, trace.PhaseChaosShortRead
 	case dirWrite:
 		dir, perm, trans = "write", c.cfg.permanentWrite, c.cfg.TransientWrite
-		partial, part, parts, partPhase = "torn write", c.cfg.TornWrite, &c.tornWrites, trace.PhaseChaosTornWrite
+		partial, part, parts, partPhase = "torn write", c.cfg.TornWrite, &c.st.TornWrites, trace.PhaseChaosTornWrite
 	default:
 		return next.exec(o)
 	}
@@ -165,7 +157,7 @@ func (c *Chaos) intercept(o op, next *layer) result {
 		return c.fail(o, dir, ErrTransient)
 	}
 	if total := o.size(); !o.kind.view() && total > 1 && c.hit(part) {
-		parts.Add(1)
+		atomic.AddInt64(parts, 1)
 		n := int64(c.cut(int(total)))
 		res := next.exec(o.prefix(n))
 		if res.err != nil {
@@ -183,11 +175,11 @@ func (c *Chaos) intercept(o op, next *layer) result {
 // (ErrPermanent or ErrTransient): the instant and the error of its kind.
 // A view transfer's offset is a view-data offset.
 func (c *Chaos) fail(o op, dir string, sentinel error) result {
-	count, ph, class := &c.transients, trace.PhaseChaosTransient, "transient"
+	count, ph, class := &c.st.Transients, trace.PhaseChaosTransient, "transient"
 	if sentinel == ErrPermanent {
-		count, ph, class = &c.permanents, trace.PhaseChaosPermanent, "permanent"
+		count, ph, class = &c.st.Permanents, trace.PhaseChaosPermanent, "permanent"
 	}
-	count.Add(1)
+	atomic.AddInt64(count, 1)
 	n := int(o.size())
 	switch o.kind {
 	case opViewRead, opViewWrite:

@@ -5,7 +5,8 @@ import "sync"
 // LockTable serializes overlapping byte-range accesses.  Data sieving
 // writes are read-modify-write cycles on a window of the file; the
 // window must be locked so concurrent independent writers do not clobber
-// each other's bytes through stale sieve buffers (paper §2.2).
+// each other's bytes through stale sieve buffers (paper §2.2), and so
+// must every other write that may land inside another writer's window.
 type LockTable struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -21,26 +22,28 @@ func NewLockTable() *LockTable {
 	return lt
 }
 
-// Lock blocks until the byte range [lo, hi) can be held exclusively and
-// returns the function that releases it.
-func (lt *LockTable) Lock(lo, hi int64) (unlock func()) {
+// Lock blocks until the byte range [lo, hi) can be held exclusively, and
+// holds it until Unlock(lo, hi).
+func (lt *LockTable) Lock(lo, hi int64) {
 	lt.mu.Lock()
 	for lt.overlaps(lo, hi) {
 		lt.cond.Wait()
 	}
 	lt.held = append(lt.held, span{lo, hi})
 	lt.mu.Unlock()
-	return func() {
-		lt.mu.Lock()
-		for i, s := range lt.held {
-			if s.lo == lo && s.hi == hi {
-				lt.held = append(lt.held[:i], lt.held[i+1:]...)
-				break
-			}
+}
+
+// Unlock releases the range [lo, hi) a Lock holds.
+func (lt *LockTable) Unlock(lo, hi int64) {
+	lt.mu.Lock()
+	for i, s := range lt.held {
+		if s.lo == lo && s.hi == hi {
+			lt.held = append(lt.held[:i], lt.held[i+1:]...)
+			break
 		}
-		lt.mu.Unlock()
-		lt.cond.Broadcast()
 	}
+	lt.mu.Unlock()
+	lt.cond.Broadcast()
 }
 
 func (lt *LockTable) overlaps(lo, hi int64) bool {

@@ -200,19 +200,19 @@ func TestInstrumented(t *testing.T) {
 
 func TestLockTableExcludesOverlaps(t *testing.T) {
 	lt := NewLockTable()
-	unlock := lt.Lock(0, 100)
+	lt.Lock(0, 100)
 	acquired := make(chan struct{})
 	go func() {
-		u := lt.Lock(50, 150) // overlaps; must wait
+		lt.Lock(50, 150) // overlaps; must wait
 		close(acquired)
-		u()
+		lt.Unlock(50, 150)
 	}()
 	select {
 	case <-acquired:
 		t.Fatal("overlapping lock acquired while held")
 	case <-time.After(20 * time.Millisecond):
 	}
-	unlock()
+	lt.Unlock(0, 100)
 	select {
 	case <-acquired:
 	case <-time.After(2 * time.Second):
@@ -222,11 +222,11 @@ func TestLockTableExcludesOverlaps(t *testing.T) {
 
 func TestLockTableAllowsDisjoint(t *testing.T) {
 	lt := NewLockTable()
-	u1 := lt.Lock(0, 10)
+	lt.Lock(0, 10)
 	done := make(chan struct{})
 	go func() {
-		u2 := lt.Lock(10, 20) // disjoint; must not block
-		u2()
+		lt.Lock(10, 20) // disjoint; must not block
+		lt.Unlock(10, 20)
 		close(done)
 	}()
 	select {
@@ -234,7 +234,7 @@ func TestLockTableAllowsDisjoint(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("disjoint lock blocked")
 	}
-	u1()
+	lt.Unlock(0, 10)
 }
 
 func TestLockTableStress(t *testing.T) {
@@ -251,14 +251,14 @@ func TestLockTableStress(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				lo := int64((j * 13) % 900)
 				hi := lo + 100
-				unlock := lt.Lock(lo, hi)
+				lt.Lock(lo, hi)
 				buf := make([]byte, hi-lo)
 				ReadFull(m, buf, lo)
 				for k := range buf {
 					buf[k]++
 				}
 				m.WriteAt(buf, lo)
-				unlock()
+				lt.Unlock(lo, hi)
 			}
 		}()
 	}

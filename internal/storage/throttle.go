@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/counter"
 	"repro/internal/trace"
 )
 
@@ -69,11 +70,11 @@ type AccessStats struct {
 // given a tracer (SetTracer), a span per op: the one storage observation
 // interceptor.
 type Instrumented struct {
+	// st is the only store of the counters, written atomically, hence
+	// first: 64-bit aligned everywhere (package counter).
+	st AccessStats
 	layer
-	tr                      *trace.Tracer
-	reads, writes           atomic.Int64
-	bytesRead, bytesWritten atomic.Int64
-	readNs, writeNs         atomic.Int64
+	tr *trace.Tracer
 }
 
 // NewInstrumented wraps b with access counters.
@@ -107,25 +108,16 @@ func (in *Instrumented) intercept(o op, next *layer) result {
 	}
 	switch dir {
 	case dirRead:
-		in.readNs.Add(ns)
-		in.reads.Add(1)
-		in.bytesRead.Add(n)
+		atomic.AddInt64(&in.st.ReadNs, ns)
+		atomic.AddInt64(&in.st.Reads, 1)
+		atomic.AddInt64(&in.st.BytesRead, n)
 	case dirWrite:
-		in.writeNs.Add(ns)
-		in.writes.Add(1)
-		in.bytesWritten.Add(n)
+		atomic.AddInt64(&in.st.WriteNs, ns)
+		atomic.AddInt64(&in.st.Writes, 1)
+		atomic.AddInt64(&in.st.BytesWritten, n)
 	}
 	return res
 }
 
 // Stats returns a snapshot of the access counters.
-func (in *Instrumented) Stats() AccessStats {
-	return AccessStats{
-		Reads:        in.reads.Load(),
-		Writes:       in.writes.Load(),
-		BytesRead:    in.bytesRead.Load(),
-		BytesWritten: in.bytesWritten.Load(),
-		ReadNs:       in.readNs.Load(),
-		WriteNs:      in.writeNs.Load(),
-	}
-}
+func (in *Instrumented) Stats() AccessStats { return counter.Load(&in.st) }

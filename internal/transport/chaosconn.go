@@ -70,9 +70,11 @@ func (c *WireChaosConfig) Enabled() bool {
 }
 
 // WireChaosStats counts injected faults across all connections sharing
-// the config.  Safe for concurrent use.
+// the config, which write them through sync/atomic: read it with
+// counter.Load, and allocate it on its own or as the first field of its
+// owner, where it is 64-bit aligned on every platform.
 type WireChaosStats struct {
-	Spikes, Drops, Dups, Corrupts, Resets, Partitions atomic.Int64
+	Spikes, Drops, Dups, Corrupts, Resets, Partitions int64
 }
 
 // ChaosConn is a net.Conn injecting the configured faults on writes
@@ -172,28 +174,28 @@ func (cc *ChaosConn) draw() (f fault, spike time.Duration) {
 func (cc *ChaosConn) Write(p []byte) (int, error) {
 	f, spike := cc.draw()
 	if spike > 0 {
-		cc.stats.Spikes.Add(1)
+		atomic.AddInt64(&cc.stats.Spikes, 1)
 		time.Sleep(spike)
 	}
 	switch f {
 	case faultPartition:
-		cc.stats.Partitions.Add(1)
+		atomic.AddInt64(&cc.stats.Partitions, 1)
 		return len(p), nil // blackholed: the sender believes it sent
 	case faultDrop:
-		cc.stats.Drops.Add(1)
+		atomic.AddInt64(&cc.stats.Drops, 1)
 		return len(p), nil
 	case faultReset:
-		cc.stats.Resets.Add(1)
+		atomic.AddInt64(&cc.stats.Resets, 1)
 		cc.Conn.Close()
 		return 0, net.ErrClosed
 	case faultDup:
-		cc.stats.Dups.Add(1)
+		atomic.AddInt64(&cc.stats.Dups, 1)
 		if n, err := cc.Conn.Write(p); err != nil {
 			return n, err
 		}
 		return cc.Conn.Write(p)
 	case faultCorrupt:
-		cc.stats.Corrupts.Add(1)
+		atomic.AddInt64(&cc.stats.Corrupts, 1)
 		bad := make([]byte, len(p))
 		copy(bad, p)
 		span := len(bad)
@@ -224,7 +226,7 @@ func (cc *ChaosConn) Read(p []byte) (int, error) {
 	}
 	cc.mu.Unlock()
 	if spike > 0 {
-		cc.stats.Spikes.Add(1)
+		atomic.AddInt64(&cc.stats.Spikes, 1)
 		time.Sleep(spike)
 	}
 	return cc.Conn.Read(p)

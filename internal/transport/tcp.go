@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/counter"
 	"repro/internal/pool"
 	"repro/internal/trace"
 )
@@ -71,6 +72,10 @@ const (
 
 // TCP is one rank's endpoint of a TCP fabric.
 type TCP struct {
+	// wire is the only store of the counters, written atomically, hence
+	// first: 64-bit aligned everywhere (package counter).
+	wire WireStats
+
 	cfg TCPConfig
 	tr  *trace.Tracer
 	ib  *inbox
@@ -82,10 +87,6 @@ type TCP struct {
 	closed   bool
 	quiesced atomic.Bool
 	deadline atomic.Int64 // write/handshake deadline, ns
-
-	framesSent, framesRecv atomic.Int64
-	bytesSent, bytesRecv   atomic.Int64
-	flushes                atomic.Int64
 }
 
 // NewTCP creates an unconnected endpoint; Listen then Dial bring it up.
@@ -406,15 +407,7 @@ func linkLost(peer int, err error) error {
 }
 
 // Stats implements Transport.
-func (t *TCP) Stats() WireStats {
-	return WireStats{
-		FramesSent: t.framesSent.Load(),
-		FramesRecv: t.framesRecv.Load(),
-		BytesSent:  t.bytesSent.Load(),
-		BytesRecv:  t.bytesRecv.Load(),
-		Flushes:    t.flushes.Load(),
-	}
-}
+func (t *TCP) Stats() WireStats { return counter.Load(&t.wire) }
 
 // outFrame is one queued outbound message: an owned payload, recycled
 // into the pool once written.
@@ -536,7 +529,7 @@ func (l *link) writer() {
 		var werr error
 		var total int64
 		sp := l.t.tr.BeginWire(trace.PhaseWireSend, 0)
-		l.t.flushes.Add(1) // before the write, for the reason given at bytesSent below
+		atomic.AddInt64(&l.t.wire.Flushes, 1) // before the write, for the reason given at BytesSent below
 		for done := 0; done < len(batch) && werr == nil; {
 			bufs = bufs[:0]
 			var group int64
@@ -553,20 +546,20 @@ func (l *link) writer() {
 					bufs = append(bufs, fr.data)
 				}
 				group += FrameHeaderSize + n
-				l.t.framesSent.Add(1)
+				atomic.AddInt64(&l.t.wire.FramesSent, 1)
 			}
 			// Count the group, like its frames above, before it can reach
 			// the peer: once a byte is on the socket the peer may count
 			// it, deliver it and let the world finish, and a snapshot
 			// taken then must already hold the sender's side of it.  A
 			// failed write takes back what did not leave.
-			l.t.bytesSent.Add(group)
+			atomic.AddInt64(&l.t.wire.BytesSent, group)
 			// WriteTo consumes a shifting view; keep bufs' own header
 			// intact and clear the payload refs afterwards.
 			view := bufs
 			n, err := view.WriteTo(l.conn)
 			if n != group {
-				l.t.bytesSent.Add(n - group)
+				atomic.AddInt64(&l.t.wire.BytesSent, n-group)
 			}
 			total += n
 			werr = err
@@ -612,7 +605,7 @@ func (l *link) reader() {
 // a read fails.  The span covers the payload transfer (header → full
 // frame), not the idle wait between frames.
 func (l *link) read() error {
-	cr := &countingReader{r: l.conn, n: &l.t.bytesRecv}
+	cr := &countingReader{r: l.conn, n: &l.t.wire.BytesRecv}
 	br := bufio.NewReaderSize(cr, readBufSize)
 	var hdr [FrameHeaderSize]byte
 	for {
@@ -634,7 +627,7 @@ func (l *link) read() error {
 			return err
 		}
 		sp.EndBytes(FrameHeaderSize + int64(n))
-		l.t.framesRecv.Add(1)
+		atomic.AddInt64(&l.t.wire.FramesRecv, 1)
 		l.t.ib.put(Message{Src: src, Tag: tag, Data: data})
 	}
 }
@@ -644,12 +637,12 @@ func (l *link) read() error {
 // group as it commits it to writev.)
 type countingReader struct {
 	r io.Reader
-	n *atomic.Int64
+	n *int64
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
+	atomic.AddInt64(c.n, int64(n))
 	return n, err
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/counter"
 	"repro/internal/testutil"
 )
 
@@ -97,11 +98,7 @@ func TestTCPExchange(t *testing.T) {
 	// Wire accounting: everything except the self-sends crossed sockets.
 	var s WireStats
 	for _, ep := range eps {
-		st := ep.Stats()
-		s.FramesSent += st.FramesSent
-		s.FramesRecv += st.FramesRecv
-		s.BytesSent += st.BytesSent
-		s.BytesRecv += st.BytesRecv
+		counter.Add(&s, ep.Stats())
 	}
 	wantFrames := int64(n * (n - 1))
 	if s.FramesSent != wantFrames || s.FramesRecv != wantFrames {
